@@ -110,6 +110,14 @@ pub mod names {
     /// the protocol) reached a shard listener.
     pub const REACTOR_CHURN_DIAL: &str = "reactor_churn_dial";
 
+    /// Real-time drivers: timers popped off a driver thread's wheel.
+    pub const TIMER_FIRED: &str = "timer_fired";
+    /// Real-time drivers: summed lateness of those timers — the instant
+    /// the driver thread noticed a timer due minus the timer's deadline,
+    /// in nanoseconds. `TIMER_LATE_NS / TIMER_FIRED` is the mean wake-up
+    /// lateness a run suffered (timer slack, scheduling, a busy thread).
+    pub const TIMER_LATE_NS: &str = "timer_late_ns";
+
     /// Reads the streaming monitor flagged as Δ-violating (harness output).
     pub const ON_TIME_VIOLATIONS: &str = "on_time_violations";
     /// Writes the streaming monitor ingested behind a judged read.

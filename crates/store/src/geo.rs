@@ -53,6 +53,7 @@ use tc_sim::workload::Workload;
 use tc_sim::{Metrics, NodeId, TraceRecorder};
 
 use crate::jitter::{splitmix64, JitterRng};
+use crate::reactor::TimerSlack;
 use crate::runtime::{
     build_shard_engine, finish_run, step_server, ChannelOutbound, ClientCore, ClientRt,
     RuntimeConfig, RuntimeResult, Shared, TickClock, TimerWheel,
@@ -182,10 +183,13 @@ fn wan_courier(
     outages: &[(usize, Time, Time)],
     clock: TickClock,
     seed: u64,
+    shared: &Shared,
     done: &AtomicBool,
 ) {
+    let _slack = TimerSlack::pin();
     let mut rng = JitterRng::new(splitmix64(seed ^ 0x47454F)); // "GEO"
     let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut due: Vec<u64> = Vec::new();
     let mut payloads: HashMap<u64, (NodeId, NodeId, Msg)> = HashMap::new();
     let mut seq: u64 = 0;
     let cut = |region: Option<usize>, now: Time| {
@@ -196,8 +200,9 @@ fn wan_courier(
         })
     };
     loop {
-        for token in wheel.pop_due(Instant::now()) {
-            if let Some((from, to, msg)) = payloads.remove(&token) {
+        wheel.pop_due_into(Instant::now(), &mut due);
+        for token in &due {
+            if let Some((from, to, msg)) = payloads.remove(token) {
                 let _ = node_txs[to.index()].send((from, msg));
             }
         }
@@ -246,6 +251,7 @@ fn wan_courier(
             }
         }
     }
+    wheel.report(shared);
 }
 
 /// One geo shard or relay thread: drains its inbox and timer wheel until
@@ -262,17 +268,15 @@ fn geo_node_loop(
     done: &AtomicBool,
 ) {
     const DRAIN_BATCH: usize = 128;
+    let _slack = TimerSlack::pin();
     let mut timers: TimerWheel<u64> = TimerWheel::new();
+    let mut due: Vec<u64> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut out: Vec<Effect> = Vec::new();
     loop {
         events.clear();
-        events.extend(
-            timers
-                .pop_due(Instant::now())
-                .into_iter()
-                .map(|token| Event::Timer { token }),
-        );
+        timers.pop_due_into(Instant::now(), &mut due);
+        events.extend(due.iter().map(|&token| Event::Timer { token }));
         if events.is_empty() {
             if done.load(Ordering::Acquire) {
                 break;
@@ -307,8 +311,8 @@ fn geo_node_loop(
                 match effect {
                     Effect::Send { to, msg } => send(to, msg),
                     Effect::SetTimer { after, token } => {
-                        if let Some(d) = clock.delta_to_duration(after) {
-                            timers.arm(Instant::now() + d, token);
+                        if let Some(deadline) = clock.deadline_after(after) {
+                            timers.arm(deadline, token);
                         }
                     }
                     Effect::Metric { name, add } => shared.add_metric(name, add),
@@ -317,6 +321,7 @@ fn geo_node_loop(
             }
         }
     }
+    timers.report(shared);
 }
 
 /// Runs one threaded geo execution to completion and judges it with the
@@ -385,6 +390,7 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                         &cfg.wan_outages,
                         clock,
                         cfg.base.seed,
+                        shared_ref,
                         done_ref,
                     );
                 });

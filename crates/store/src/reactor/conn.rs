@@ -5,9 +5,10 @@
 //! nothing else:
 //!
 //! * **inbound** — an incremental [`FrameDecoder`]: every readable event
-//!   drains the socket into it and pops whatever complete frames have
-//!   accumulated, so chunk boundaries (half a header, three frames and a
-//!   fragment) are invisible to the protocol;
+//!   reads the socket into it (through a scratch buffer the reactor owns
+//!   and lends to every connection) and pops whatever complete frames
+//!   have accumulated, so chunk boundaries (half a header, three frames
+//!   and a fragment) are invisible to the protocol;
 //! * **outbound** — a byte outbox of already-encoded frames: writes go as
 //!   far as the socket buffer allows, and a `WouldBlock` mid-frame simply
 //!   leaves the unsent suffix for the next writable event.
@@ -25,9 +26,10 @@ use std::time::Instant;
 
 use tc_wire::{encode_frame_into, FrameDecoder, WireError, WireMsg};
 
-/// Scratch size per `read` call. Large enough to drain a loopback socket
-/// buffer in a few calls, small enough to live on the stack.
-const READ_CHUNK: usize = 16 * 1024;
+/// Size of the scratch buffer a reactor lends to
+/// [`Conn::on_readable`]: large enough to drain a loopback socket buffer
+/// in a few `read` calls.
+pub(crate) const READ_CHUNK: usize = 16 * 1024;
 
 /// Outbox high-water mark. A peer that stops reading (a dead link the
 /// timeout hasn't caught yet) must not grow an unbounded queue; past this
@@ -86,18 +88,24 @@ impl Conn {
         self.sent < self.outbox.len()
     }
 
-    /// Drains the readable side of `io`: reads until `WouldBlock` (or
-    /// EOF/error), banks the chunks, and appends every complete frame to
-    /// `frames`. Returns the close verdict if the connection ended.
+    /// Reads the readable side of `io` through `scratch`, banks the
+    /// chunks, and appends every complete frame to `frames`. Returns the
+    /// close verdict if the connection ended.
+    ///
+    /// A read that fills `scratch` is followed by another; a *short* read
+    /// ends the pass, because the socket buffer is then empty and a
+    /// further `read` would only answer `WouldBlock`. Epoll is
+    /// level-triggered: bytes (or an EOF) that arrive after the short
+    /// read are reported by the next wait.
     pub(crate) fn on_readable(
         &mut self,
         io: &mut impl Read,
         now: Instant,
+        scratch: &mut [u8],
         frames: &mut Vec<(u16, WireMsg)>,
     ) -> Option<Close> {
-        let mut scratch = [0u8; READ_CHUNK];
         loop {
-            match io.read(&mut scratch) {
+            match io.read(scratch) {
                 Ok(0) => {
                     return Some(if self.decoder.has_partial() {
                         Close::MidFrameEof
@@ -114,6 +122,9 @@ impl Conn {
                             Ok(None) => break,
                             Err(e) => return Some(Close::Poisoned(e)),
                         }
+                    }
+                    if n < scratch.len() {
+                        return None;
                     }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return None,
@@ -232,68 +243,127 @@ mod tests {
     fn read_state_machine_table() {
         let hb = frame(3, &WireMsg::Heartbeat);
         let ack = frame(1, &WireMsg::HelloAck { shard: 1 });
+        /// One connection's life as a script of `read` answers. Each
+        /// `on_readable` call is one epoll event; events repeat (the
+        /// socket stays readable, level-triggered) until the script is
+        /// used up or the connection closed. The scripted reader panics on
+        /// a `read` past the script's end, so a case also pins how many
+        /// reads were issued.
         struct Case {
             name: &'static str,
+            /// Scratch size lent to the connection.
+            scratch: usize,
             script: Vec<Step>,
             want_frames: usize,
+            want_events: usize,
             want_close: Option<Close>,
         }
         let cases = [
             Case {
+                name: "short read ends the pass",
+                scratch: READ_CHUNK,
+                script: vec![Step::Data(hb.clone())],
+                want_frames: 1,
+                want_events: 1,
+                want_close: None,
+            },
+            Case {
+                name: "full-chunk read keeps draining",
+                scratch: hb.len(),
+                script: vec![
+                    Step::Data(hb.clone()),
+                    Step::Data(hb.clone()),
+                    Step::Data(hb[..5].to_vec()),
+                ],
+                want_frames: 2,
+                want_events: 1,
+                want_close: None,
+            },
+            Case {
+                name: "full-chunk read that emptied the socket ends on WouldBlock",
+                scratch: hb.len(),
+                script: vec![Step::Data(hb.clone()), Step::Block],
+                want_frames: 1,
+                want_events: 1,
+                want_close: None,
+            },
+            Case {
                 name: "partial read splits the frame header",
+                scratch: READ_CHUNK,
                 script: vec![
                     Step::Data(hb[..HEADER_LEN / 2].to_vec()),
                     Step::Data(hb[HEADER_LEN / 2..].to_vec()),
-                    Step::Block,
                 ],
                 want_frames: 1,
+                want_events: 2,
                 want_close: None,
             },
             Case {
                 name: "header-only chunk yields nothing until the payload lands",
-                script: vec![Step::Data(ack[..HEADER_LEN].to_vec()), Step::Block],
+                scratch: READ_CHUNK,
+                script: vec![Step::Data(ack[..HEADER_LEN].to_vec())],
                 want_frames: 0,
+                want_events: 1,
                 want_close: None,
             },
             Case {
                 name: "two frames and a fragment in one readable burst",
-                script: vec![
-                    Step::Data([hb.as_slice(), ack.as_slice(), &hb[..5]].concat()),
-                    Step::Block,
-                ],
+                scratch: READ_CHUNK,
+                script: vec![Step::Data(
+                    [hb.as_slice(), ack.as_slice(), &hb[..5]].concat(),
+                )],
                 want_frames: 2,
+                want_events: 1,
                 want_close: None,
             },
             Case {
-                name: "EOF on a frame boundary is a clean goodbye",
+                name: "EOF after a short read is a clean goodbye on the next event",
+                scratch: READ_CHUNK,
                 script: vec![Step::Data(hb.clone()), Step::Eof],
                 want_frames: 1,
+                want_events: 2,
                 want_close: Some(Close::CleanEof),
             },
             Case {
-                name: "EOF mid-frame is a dirty death",
+                name: "EOF mid-frame is a dirty death on the next event",
+                scratch: READ_CHUNK,
                 script: vec![Step::Data(hb[..hb.len() - 1].to_vec()), Step::Eof],
                 want_frames: 0,
+                want_events: 2,
                 want_close: Some(Close::MidFrameEof),
             },
             Case {
                 name: "EOF mid-header is equally dirty",
+                scratch: READ_CHUNK,
                 script: vec![Step::Data(hb[..3].to_vec()), Step::Eof],
                 want_frames: 0,
+                want_events: 2,
                 want_close: Some(Close::MidFrameEof),
             },
             Case {
+                name: "EOF right after a full-chunk read closes in the same event",
+                scratch: hb.len(),
+                script: vec![Step::Data(hb.clone()), Step::Eof],
+                want_frames: 1,
+                want_events: 1,
+                want_close: Some(Close::CleanEof),
+            },
+            Case {
                 name: "oversized frame is rejected from the header alone",
+                scratch: READ_CHUNK,
                 script: vec![Step::Data(oversized_header())],
                 want_frames: 0,
+                want_events: 1,
                 want_close: Some(Close::Poisoned(WireError::OversizedPayload {
                     len: MAX_PAYLOAD + 1,
                 })),
             },
             Case {
                 name: "corrupted payload poisons the stream",
+                scratch: READ_CHUNK,
                 script: vec![Step::Data(corrupt_crc())],
                 want_frames: 0,
+                want_events: 1,
                 want_close: Some(Close::Poisoned(WireError::BadCrc {
                     expected: tc_wire::crc32(&[]),
                     found: 0,
@@ -301,29 +371,37 @@ mod tests {
             },
             Case {
                 name: "hard io error surfaces its kind",
+                scratch: READ_CHUNK,
                 script: vec![
                     Step::Data(hb[..4].to_vec()),
                     Step::Err(ErrorKind::ConnectionReset),
                 ],
                 want_frames: 0,
+                want_events: 2,
                 want_close: Some(Close::Io(ErrorKind::ConnectionReset)),
             },
             Case {
                 name: "interrupted reads are retried transparently",
-                script: vec![
-                    Step::Err(ErrorKind::Interrupted),
-                    Step::Data(hb.clone()),
-                    Step::Block,
-                ],
+                scratch: READ_CHUNK,
+                script: vec![Step::Err(ErrorKind::Interrupted), Step::Data(hb.clone())],
                 want_frames: 1,
+                want_events: 1,
                 want_close: None,
             },
         ];
         for case in cases {
             let mut conn = Conn::new(Instant::now());
             let mut io = Scripted(case.script.clone().into());
+            let mut scratch = vec![0u8; case.scratch];
             let mut frames = Vec::new();
-            let close = conn.on_readable(&mut io, Instant::now(), &mut frames);
+            let mut events = 0;
+            let mut close = None;
+            while close.is_none() && !io.0.is_empty() {
+                events += 1;
+                close = conn.on_readable(&mut io, Instant::now(), &mut scratch, &mut frames);
+            }
+            assert!(io.0.is_empty(), "{}: script not consumed", case.name);
+            assert_eq!(events, case.want_events, "{}: event count", case.name);
             assert_eq!(frames.len(), case.want_frames, "{}: frame count", case.name);
             match (&close, &case.want_close) {
                 (None, None) => {}

@@ -41,19 +41,32 @@
 //!
 //! # Time
 //!
-//! `epoll_wait` has millisecond granularity, so sub-millisecond timer
-//! deadlines round *up* (never down to a busy-spin). Think-time pauses
-//! therefore quantize to ~1 ms where the blocking drivers sleep with
-//! microsecond precision; per-site operation *sequences* are unaffected
-//! (they are RNG-derived, not timing-derived) and the monitor's widened Δ
-//! absorbs the skew, exactly as it absorbs scheduler noise.
+//! An engine timer is a deadline on the shared tick clock: `SetTimer
+//! { after: k }` armed while the clock reads `t` is due at the tick
+//! boundary `t + max(k, 1)` ([`TickClock::deadline_after`]) — the instant
+//! the simulator would fire it — never before the clock reads `t + 1`, and
+//! every hosted site whose timer lands on the same tick is served by one
+//! wake. Each loop pass waits in `epoll_pwait2` (nanosecond timeout; see
+//! [`sys`] for the millisecond fallback on old kernels) for exactly the
+//! time to the earliest deadline, with the thread's kernel timer slack
+//! pinned to 1 ns for the run ([`TimerSlack`]; the default 50 µs slack is
+//! one whole tick at the default tick length). What still separates a
+//! deadline from the pass that serves it — scheduling, a busy thread — is
+//! counted, not assumed: [`names::TIMER_FIRED`] and
+//! [`names::TIMER_LATE_NS`] in the run's metrics. Per-site operation
+//! *sequences* never depend on any of this (they are RNG-derived, not
+//! timing-derived).
 
 mod conn;
 mod sys;
 
+pub(crate) use sys::TimerSlack;
+
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -72,7 +85,7 @@ use crate::runtime::{
 };
 use crate::transport::{ListenerChaos, TcpRuntimeConfig};
 
-use conn::{Close, Conn};
+use conn::{Close, Conn, READ_CHUNK};
 use sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Synthetic connection load for the churn soak test: a side thread that
@@ -113,6 +126,11 @@ impl ReactorConfig {
 /// The listener's epoll token; connection tokens (generation ≪ 32 | slot)
 /// can never reach it.
 const TOKEN_LISTENER: u64 = u64::MAX;
+/// The shard's stop signal: its end of a socket pair whose other end
+/// [`run_reactor_with`] writes a byte to once the clients are done, so a
+/// shard waiting out its poll granularity stops at once instead of up to
+/// 5 ms later — inside every run's measured wall time.
+const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 /// Interest every registered connection always has; `EPOLLOUT` is OR-ed
 /// in only while the outbox holds unsent bytes.
@@ -248,8 +266,8 @@ fn sweep_endpoint(ep: &Endpoint, now: Instant, cfg: &TcpRuntimeConfig) -> SweepA
 }
 
 /// The epoll timeout for one loop pass: the earliest timer deadline,
-/// capped by a polling granularity that keeps heartbeats, chaos schedules,
-/// and the shutdown flag honoured.
+/// capped by a polling granularity that keeps heartbeats and chaos
+/// schedules honoured.
 fn wait_timeout(next_deadline: Option<Instant>, cfg: &TcpRuntimeConfig, now: Instant) -> Duration {
     let granularity = (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5));
     match next_deadline {
@@ -307,6 +325,12 @@ struct ShardReactor<'a> {
     shared: &'a Shared,
     /// Wire-event capture for timeline export; checked before any lock.
     net: bool,
+    /// Scratch reused across events, so a steady-state pass allocates
+    /// nothing: the read buffer lent to every connection, the frames one
+    /// readable event decoded, and the effects of one engine step.
+    scratch: Vec<u8>,
+    frames: Vec<(u16, WireMsg)>,
+    effects: Vec<Effect>,
 }
 
 impl<'a> ShardReactor<'a> {
@@ -339,6 +363,9 @@ impl<'a> ShardReactor<'a> {
             outages: OutageGate::new(shard, &cfg.runtime.shard_outages),
             shared,
             net: cfg.runtime.capture_net,
+            scratch: vec![0; READ_CHUNK],
+            frames: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -386,9 +413,9 @@ impl<'a> ShardReactor<'a> {
             }
             return;
         }
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.effects);
         step_server(&mut self.engine, &self.clock, self.me, event, &mut out);
-        for effect in out {
+        for effect in out.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     let site = to.index() - self.shards;
@@ -409,15 +436,15 @@ impl<'a> ShardReactor<'a> {
                     }
                 }
                 Effect::SetTimer { after, token } => {
-                    if let Some(d) = self.clock.delta_to_duration(after) {
-                        self.timers
-                            .arm(Instant::now() + d, ShardTimer::Engine(token));
+                    if let Some(deadline) = self.clock.deadline_after(after) {
+                        self.timers.arm(deadline, ShardTimer::Engine(token));
                     }
                 }
                 Effect::Metric { name, add } => self.shared.add_metric(name, add),
                 Effect::Record(_) => unreachable!("the server engine records nothing"),
             }
         }
+        self.effects = out;
     }
 
     /// Drains the accept queue, registering every new connection.
@@ -455,33 +482,33 @@ impl<'a> ShardReactor<'a> {
     /// Reacts to readiness bits for one connection token.
     fn handle_conn_event(&mut self, token: u64, bits: u32) {
         let now = Instant::now();
-        let mut frames = Vec::new();
-        let verdict = {
-            let Some(entry) = self.conns.get_mut(token) else {
-                return; // closed earlier in this same event batch
-            };
-            let mut verdict = None;
-            if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-                verdict = entry
-                    .ep
-                    .conn
-                    .on_readable(&mut entry.ep.stream, now, &mut frames);
-            }
-            if verdict.is_none() && bits & EPOLLOUT != 0 {
-                verdict = flush(&self.epoll, &mut entry.ep, token, now);
-            }
-            verdict
+        let Some(entry) = self.conns.get_mut(token) else {
+            return; // closed earlier in this same event batch
         };
+        let mut frames = std::mem::take(&mut self.frames);
+        let mut verdict = None;
+        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
+            verdict = entry.ep.conn.on_readable(
+                &mut entry.ep.stream,
+                now,
+                &mut self.scratch,
+                &mut frames,
+            );
+        }
+        if verdict.is_none() && bits & EPOLLOUT != 0 {
+            verdict = flush(&self.epoll, &mut entry.ep, token, now);
+        }
         // Frames decoded before an EOF/error still count (the blocking
         // driver reads them the same way before noticing the close).
-        self.dispatch_frames(token, frames);
+        self.dispatch_frames(token, &mut frames);
+        self.frames = frames;
         if verdict.is_some() {
             self.close(token);
         }
     }
 
-    fn dispatch_frames(&mut self, token: u64, frames: Vec<(u16, WireMsg)>) {
-        for (_tag, msg) in frames {
+    fn dispatch_frames(&mut self, token: u64, frames: &mut Vec<(u16, WireMsg)>) {
+        for (_tag, msg) in frames.drain(..) {
             // A previous frame (Bye, protocol rot) may have closed us.
             let peer_site = match self.conns.get_mut(token) {
                 Some(entry) => match entry.peer {
@@ -625,9 +652,11 @@ impl<'a> ShardReactor<'a> {
         self.listener = Some(reborn);
     }
 
-    /// The event loop. Exits when `shutdown` goes high (after every client
-    /// said its goodbyes), returning the shard's served-request count.
-    fn run(mut self, chaos: Option<ListenerChaos>, started: Instant, shutdown: &AtomicBool) -> u64 {
+    /// The event loop. Exits when `wake` becomes readable — a byte (every
+    /// client said its goodbyes) or a hang-up — returning the shard's
+    /// served-request count.
+    fn run(mut self, chaos: Option<ListenerChaos>, started: Instant, wake: &UnixStream) -> u64 {
+        let _slack = TimerSlack::pin();
         let fd = self
             .listener
             .as_ref()
@@ -636,12 +665,14 @@ impl<'a> ShardReactor<'a> {
         self.epoll
             .add(fd, EPOLLIN, TOKEN_LISTENER)
             .expect("register listener");
+        self.epoll
+            .add(wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE)
+            .expect("register wake stream");
         let mut chaos_pending = chaos;
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
-        loop {
-            if shutdown.load(Ordering::Relaxed) {
-                break;
-            }
+        let mut due = Vec::new();
+        let mut stopping = false;
+        while !stopping {
             let now = Instant::now();
             if let Some(c) = chaos_pending {
                 if now.duration_since(started) >= c.kill_after {
@@ -660,7 +691,8 @@ impl<'a> ShardReactor<'a> {
                 }
                 None => {}
             }
-            for timer in self.timers.pop_due(now) {
+            self.timers.pop_due_into(now, &mut due);
+            for &timer in &due {
                 match timer {
                     // A due engine timer on a down shard dies with the
                     // volatile state it would have flushed; the rebind
@@ -694,10 +726,10 @@ impl<'a> ShardReactor<'a> {
             let n = self.epoll.wait(&mut events, timeout).expect("epoll wait");
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
-                if token == TOKEN_LISTENER {
-                    self.accept_ready();
-                } else {
-                    self.handle_conn_event(token, bits);
+                match token {
+                    TOKEN_LISTENER => self.accept_ready(),
+                    TOKEN_WAKE => stopping = true,
+                    _ => self.handle_conn_event(token, bits),
                 }
             }
         }
@@ -705,6 +737,7 @@ impl<'a> ShardReactor<'a> {
         for token in self.conns.tokens() {
             self.close(token);
         }
+        self.timers.report(self.shared);
         self.engine.requests_served()
     }
 }
@@ -783,6 +816,10 @@ struct ClientReactor<'a> {
     /// Wire-event capture for timeline export (mirrors
     /// [`RuntimeConfig::capture_net`]); checked before taking any lock.
     net: bool,
+    /// Scratch reused across events, as in [`ShardReactor`].
+    scratch: Vec<u8>,
+    frames: Vec<(u16, WireMsg)>,
+    effects: Vec<Effect>,
 }
 
 impl<'a> ClientReactor<'a> {
@@ -848,6 +885,9 @@ impl<'a> ClientReactor<'a> {
             remaining,
             controller,
             net: rc.capture_net,
+            scratch: vec![0; READ_CHUNK],
+            frames: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -974,9 +1014,9 @@ impl<'a> ClientReactor<'a> {
     /// the reactor's analogue of `ClientRt::feed`, with sends routed
     /// through the link table and timers tagged with the client index.
     fn feed(&mut self, client: usize, event: Event) {
-        let mut out = Vec::new();
+        let mut out = std::mem::take(&mut self.effects);
         self.clients[client].core.step(event, &mut out);
-        for effect in out {
+        for effect in out.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     let shard = to.index();
@@ -999,15 +1039,16 @@ impl<'a> ClientReactor<'a> {
                     }
                 }
                 Effect::SetTimer { after, token } => {
-                    if let Some(d) = self.clock.delta_to_duration(after) {
+                    if let Some(deadline) = self.clock.deadline_after(after) {
                         self.timers
-                            .arm(Instant::now() + d, ClientTimer::Engine { client, token });
+                            .arm(deadline, ClientTimer::Engine { client, token });
                     }
                 }
                 Effect::Metric { name, add } => self.shared.add_metric(name, add),
                 Effect::Record(op) => self.shared.record(op),
             }
         }
+        self.effects = out;
         if !self.clients[client].finished && self.clients[client].core.finished_idle() {
             self.clients[client].finished = true;
             self.remaining -= 1;
@@ -1100,31 +1141,31 @@ impl<'a> ClientReactor<'a> {
 
     fn handle_conn_event(&mut self, token: u64, bits: u32) {
         let now = Instant::now();
-        let mut frames = Vec::new();
-        let verdict = {
-            let Some(entry) = self.conns.get_mut(token) else {
-                return;
-            };
-            let mut verdict = None;
-            if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-                verdict = entry
-                    .ep
-                    .conn
-                    .on_readable(&mut entry.ep.stream, now, &mut frames);
-            }
-            if verdict.is_none() && bits & EPOLLOUT != 0 {
-                verdict = flush(&self.epoll, &mut entry.ep, token, now);
-            }
-            verdict
+        let Some(entry) = self.conns.get_mut(token) else {
+            return;
         };
-        self.dispatch_frames(token, frames);
+        let mut frames = std::mem::take(&mut self.frames);
+        let mut verdict = None;
+        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
+            verdict = entry.ep.conn.on_readable(
+                &mut entry.ep.stream,
+                now,
+                &mut self.scratch,
+                &mut frames,
+            );
+        }
+        if verdict.is_none() && bits & EPOLLOUT != 0 {
+            verdict = flush(&self.epoll, &mut entry.ep, token, now);
+        }
+        self.dispatch_frames(token, &mut frames);
+        self.frames = frames;
         if verdict.is_some() {
             self.close_link(token);
         }
     }
 
-    fn dispatch_frames(&mut self, token: u64, frames: Vec<(u16, WireMsg)>) {
-        for (_tag, msg) in frames {
+    fn dispatch_frames(&mut self, token: u64, frames: &mut Vec<(u16, WireMsg)>) {
+        for (_tag, msg) in frames.drain(..) {
             let Some(entry) = self.conns.get_mut(token) else {
                 return; // closed by an earlier frame
             };
@@ -1204,6 +1245,9 @@ impl<'a> ClientReactor<'a> {
     /// every live link. Returns all per-operation latencies plus the
     /// commanded Δ-schedule when the run was adaptive.
     fn run(mut self) -> (Vec<Duration>, Option<DeltaSchedule>) {
+        // This loop runs on the caller's thread: the guard hands the
+        // thread back with the slack it came with.
+        let _slack = TimerSlack::pin();
         let base = Instant::now();
         for client in 0..self.clients.len() {
             for shard in 0..self.shards {
@@ -1219,9 +1263,11 @@ impl<'a> ClientReactor<'a> {
             self.timers.arm(base + interval, ClientTimer::Controller);
         }
         let mut events = [EpollEvent { events: 0, data: 0 }; 256];
+        let mut due = Vec::new();
         while self.remaining > 0 {
             let now = Instant::now();
-            for timer in self.timers.pop_due(now) {
+            self.timers.pop_due_into(now, &mut due);
+            for &timer in &due {
                 match timer {
                     ClientTimer::Engine { client, token } => {
                         if !self.clients[client].finished {
@@ -1259,6 +1305,7 @@ impl<'a> ClientReactor<'a> {
             self.queue_and_flush(token, &WireMsg::Bye);
             self.close_link(token);
         }
+        self.timers.report(self.shared);
         let schedule = self
             .controller
             .take()
@@ -1355,11 +1402,17 @@ pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
         listeners.push(Some(listener));
     }
 
+    // One wake stream per shard: the shard reactor watches its `rx`, this
+    // thread writes the `tx` once the clients are done.
+    let (wake_txs, wake_rxs): (Vec<UnixStream>, Vec<UnixStream>) = (0..shards)
+        .map(|_| UnixStream::pair().expect("wake socket pair"))
+        .unzip();
     let shutdown = AtomicBool::new(false);
     let started = Instant::now();
     let shared_ref = &shared;
     let shutdown_ref = &shutdown;
     let addrs_ref = &addrs[..];
+    let wake_rxs_ref = &wake_rxs[..];
     let (latencies, shard_requests, delta_schedule): (
         Vec<Duration>,
         Vec<u64>,
@@ -1374,7 +1427,7 @@ pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
                 ShardReactor::new(shard, shards, cfg, clock, listener, addr, shared_ref).run(
                     chaos,
                     started,
-                    shutdown_ref,
+                    &wake_rxs_ref[shard],
                 )
             }));
         }
@@ -1386,6 +1439,11 @@ pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
         let (latencies, delta_schedule) =
             ClientReactor::new(cfg, shards, addrs_ref, clock, shared_ref).run();
         shutdown.store(true, Ordering::Relaxed);
+        for mut tx in &wake_txs {
+            // Cannot fail short of a dead shard thread, which the join
+            // below reports.
+            let _ = tx.write_all(&[0]);
+        }
         let shard_requests: Vec<u64> = shard_workers
             .into_iter()
             .map(|w| w.join().expect("shard reactor panicked"))
@@ -1455,6 +1513,25 @@ mod tests {
             r.counter(names::REACTOR_CONN_CLOSED),
             "registrations must drain to zero"
         );
+    }
+
+    #[test]
+    fn run_reactor_hands_the_calling_thread_back_with_its_timer_slack() {
+        // The client reactor runs on the caller's thread with the slack
+        // pinned; the caller must get its own value back. A fresh thread,
+        // so the reading is this test's alone.
+        std::thread::spawn(|| {
+            let before = sys::timer_slack().expect("PR_GET_TIMERSLACK");
+            let r = run_reactor(&small(ProtocolKind::Sc, 35));
+            assert_eq!(r.ops_done, 2 * 12);
+            assert_eq!(sys::timer_slack().unwrap(), before);
+            // Both reactor threads counted what their timers suffered.
+            let fired = r.counter(names::TIMER_FIRED);
+            assert!(fired >= 2 * 12, "every op issue is a timer: {fired}");
+            assert!(r.metrics.counters.contains_key(names::TIMER_LATE_NS));
+        })
+        .join()
+        .expect("caller thread");
     }
 
     #[test]

@@ -1,27 +1,28 @@
-//! The reactor's only unsafe surface: a minimal, hand-rolled epoll
-//! binding.
+//! The crate's only unsafe surface: a minimal, hand-rolled epoll binding
+//! and the per-thread timer-slack guard every driver thread enters.
 //!
 //! The workspace vendors every third-party crate it uses and `mio` is not
 //! among them, so readiness notification is declared here directly against
 //! the C symbols libc already links into every Rust binary. The surface is
-//! deliberately tiny — create, ctl, wait, close — and every call site
-//! checks the return value and converts `errno` through
-//! [`std::io::Error::last_os_error`], so no error is ever invented or
-//! dropped on this side of the FFI line.
+//! deliberately tiny — create, ctl, wait, close, and one `prctl` pair —
+//! and every call site checks the return value and converts `errno`
+//! through [`std::io::Error::last_os_error`], so no error is ever invented
+//! or dropped on this side of the FFI line.
 //!
 //! Level-triggered mode only. Edge triggering saves wakeups but demands
-//! drain-to-`WouldBlock` discipline on every path; the reactor drains
-//! anyway, and level-triggered readiness means a missed partial drain is a
-//! delayed wakeup, not a hung connection.
+//! drain-to-`WouldBlock` discipline on every path; level-triggered
+//! readiness means a partial drain (the read path stops after a short
+//! read) is re-reported on the next wait, not a hung connection.
 //!
 //! This module is the scoped exception to the crate's `deny(unsafe_code)`:
-//! the four `unsafe` blocks below are raw syscalls with checked returns,
+//! the `unsafe` blocks below are foreign calls with checked returns,
 //! nothing else in the crate may widen that.
 
 #![allow(unsafe_code)]
 
 use std::io;
-use std::os::raw::{c_int, c_long};
+use std::marker::PhantomData;
+use std::os::raw::{c_int, c_long, c_ulong};
 use std::os::unix::io::RawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
@@ -93,6 +94,81 @@ extern "C" {
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn syscall(num: c_long, ...) -> c_long;
+    fn prctl(option: c_int, ...) -> c_int;
+}
+
+const PR_SET_TIMERSLACK: c_int = 29;
+const PR_GET_TIMERSLACK: c_int = 30;
+
+/// `prctl` takes four `unsigned long`s after the option; the ones an
+/// option does not use are passed as zero, never left off.
+const UNUSED: c_ulong = 0;
+
+/// The calling thread's timer slack in nanoseconds (`PR_GET_TIMERSLACK`).
+pub(super) fn timer_slack() -> io::Result<c_ulong> {
+    // SAFETY: `PR_GET_TIMERSLACK` uses no argument past the option and
+    // writes through none; the return is checked.
+    let ns = unsafe { prctl(PR_GET_TIMERSLACK, UNUSED, UNUSED, UNUSED, UNUSED) };
+    if ns < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(ns as c_ulong)
+}
+
+fn set_timer_slack(ns: c_ulong) -> io::Result<()> {
+    // SAFETY: `PR_SET_TIMERSLACK` takes one `unsigned long` by value and
+    // touches only the calling thread's slack; the return is checked.
+    if unsafe { prctl(PR_SET_TIMERSLACK, ns, UNUSED, UNUSED, UNUSED) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
+/// Pins the calling thread's kernel timer slack to 1 ns for as long as
+/// the guard lives, restoring the previous value on drop.
+///
+/// The kernel rounds every timed sleep of a normal-priority thread —
+/// `epoll_pwait2`, the futex wait under a channel's `recv_timeout`,
+/// `nanosleep` — up by the thread's slack, 50 µs by default: a whole
+/// protocol tick at the drivers' default tick length, added to every
+/// timer. Each driver thread body enters this guard first, so a timed
+/// wait wakes at its deadline. The slack is a per-thread attribute, and
+/// the client reactor runs on the *caller's* thread — hence a guard that
+/// restores rather than a one-way switch; it is `!Send` because the
+/// restore must run on the thread whose slack was read.
+///
+/// Where the kernel refuses (a seccomp policy without `prctl`) the guard
+/// does nothing: timers are then late by the default slack, which the
+/// lateness counters ([`tc_sim::metrics::names::TIMER_LATE_NS`]) show.
+pub(crate) struct TimerSlack {
+    restore: Option<c_ulong>,
+    _this_thread: PhantomData<*const ()>,
+}
+
+impl TimerSlack {
+    /// What [`TimerSlack::pin`] sets: the smallest slack the kernel
+    /// accepts (0 means "back to the default").
+    const PINNED_NS: c_ulong = 1;
+
+    pub(crate) fn pin() -> Self {
+        let restore = timer_slack()
+            .ok()
+            .filter(|_| set_timer_slack(Self::PINNED_NS).is_ok());
+        TimerSlack {
+            restore,
+            _this_thread: PhantomData,
+        }
+    }
+}
+
+impl Drop for TimerSlack {
+    fn drop(&mut self) {
+        if let Some(ns) = self.restore {
+            // Restoring cannot fail where pinning succeeded; `Drop` has
+            // nowhere to report it anyway.
+            let _ = set_timer_slack(ns);
+        }
+    }
 }
 
 /// An owned epoll instance. Closed on drop.
@@ -309,6 +385,26 @@ mod tests {
                 "timer skew too coarse for the nanosecond path: {elapsed:?}"
             );
         }
+    }
+
+    #[test]
+    fn timer_slack_is_pinned_inside_the_guard_and_restored_after() {
+        // A fresh thread: its slack is its own, whatever other tests do.
+        std::thread::spawn(|| {
+            let before = timer_slack().expect("PR_GET_TIMERSLACK");
+            assert_ne!(before, TimerSlack::PINNED_NS, "default slack is 50 µs");
+            {
+                let _outer = TimerSlack::pin();
+                assert_eq!(timer_slack().unwrap(), TimerSlack::PINNED_NS);
+                // Nested guards (server_thread called under a pinned test
+                // thread) restore to the enclosing guard's value.
+                drop(TimerSlack::pin());
+                assert_eq!(timer_slack().unwrap(), TimerSlack::PINNED_NS);
+            }
+            assert_eq!(timer_slack().unwrap(), before);
+        })
+        .join()
+        .expect("slack probe thread");
     }
 
     #[test]

@@ -49,6 +49,8 @@ use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::{Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
+use crate::reactor::TimerSlack;
+
 /// Configuration of one threaded run.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
@@ -331,9 +333,16 @@ impl RuntimeResult {
 /// engines and connections — arms composite tokens naming the owner. The
 /// `Ord` bound exists only to satisfy the heap; the unique sequence number
 /// means token order never decides a pop.
+///
+/// The wheel also counts how late its owner noticed each timer (pop
+/// instant − deadline) in two plain fields — one wheel, one thread, no
+/// lock — which [`TimerWheel::report`] adds to the run's metrics once, at
+/// thread exit.
 pub(crate) struct TimerWheel<T = u64> {
     heap: BinaryHeap<Reverse<(Instant, u64, T)>>,
     seq: u64,
+    fired: u64,
+    late_ns: u64,
 }
 
 impl<T: Ord> TimerWheel<T> {
@@ -341,6 +350,8 @@ impl<T: Ord> TimerWheel<T> {
         TimerWheel {
             heap: BinaryHeap::new(),
             seq: 0,
+            fired: 0,
+            late_ns: 0,
         }
     }
 
@@ -355,25 +366,36 @@ impl<T: Ord> TimerWheel<T> {
         self.heap.peek().map(|Reverse((deadline, _, _))| *deadline)
     }
 
-    /// Pops every timer due at `now`, in (deadline, arming) order. Due
-    /// timers are collected in one sweep *before* any fires: a firing
-    /// timer may arm new ones, and those belong to the next pass even if
-    /// already due.
-    pub(crate) fn pop_due(&mut self, now: Instant) -> Vec<T> {
-        let mut due = Vec::new();
+    /// Clears `due` and fills it with every timer due at `now`, in
+    /// (deadline, arming) order. Due timers are collected in one sweep
+    /// *before* any fires: a firing timer may arm new ones, and those
+    /// belong to the next pass even if already due.
+    pub(crate) fn pop_due_into(&mut self, now: Instant, due: &mut Vec<T>) {
+        due.clear();
         while let Some(Reverse((deadline, _, _))) = self.heap.peek() {
             if *deadline > now {
                 break;
             }
-            let Reverse((_, _, token)) = self.heap.pop().expect("peeked non-empty");
+            let Reverse((deadline, _, token)) = self.heap.pop().expect("peeked non-empty");
+            self.fired += 1;
+            self.late_ns += now.duration_since(deadline).as_nanos() as u64;
             due.push(token);
         }
-        due
+    }
+
+    /// Adds this wheel's lateness counters ([`names::TIMER_FIRED`],
+    /// [`names::TIMER_LATE_NS`]) to the run's metrics. Called once, when
+    /// the owning driver thread exits.
+    pub(crate) fn report(&self, shared: &Shared) {
+        shared.add_metric(names::TIMER_FIRED, self.fired);
+        shared.add_metric(names::TIMER_LATE_NS, self.late_ns);
     }
 }
 
 /// The shared tick clock: every thread derives protocol [`Time`] from one
-/// epoch, so "local" and "true" time coincide up to rounding.
+/// epoch, so "local" and "true" time coincide up to rounding, and every
+/// driver timer is a deadline on that same clock
+/// ([`TickClock::deadline_after`]).
 #[derive(Clone, Copy)]
 pub(crate) struct TickClock {
     epoch: Instant,
@@ -392,11 +414,10 @@ impl TickClock {
         Time::from_ticks(self.epoch.elapsed().as_nanos() as u64 / self.tick_nanos)
     }
 
-    /// The real-time duration of `delta`, or `None` for an infinite delta —
-    /// an infinite timeout means "never", and arming a timer for it (the
-    /// old behaviour multiplied `u64::MAX` ticks into a ~584-year
-    /// `Duration`) is both wrong in spirit and a way to keep a timer wheel
-    /// non-empty forever.
+    /// The real-time length of `delta` — a *period* (the controller's
+    /// sampling interval, a WAN hold), not a timer: engine timers are
+    /// deadlines on the clock itself, see [`TickClock::deadline_after`].
+    /// `None` for an infinite delta.
     pub(crate) fn delta_to_duration(&self, delta: Delta) -> Option<Duration> {
         if delta.is_infinite() {
             return None;
@@ -405,11 +426,31 @@ impl TickClock {
             self.tick_nanos.saturating_mul(delta.ticks().max(1)),
         ))
     }
+
+    /// The instant at which this clock will have advanced by `delta` ticks
+    /// from its current reading `t`: the tick *boundary*
+    /// `epoch + (t + max(delta, 1)) · tick`. This is the driver timer
+    /// contract — an engine's `SetTimer { after: k }` fires when the
+    /// shared clock reads `t + k`, as it does in the simulator, not `k`
+    /// ticks plus whatever was left of tick `t`. Zero rounds up to one
+    /// tick, so a timer never fires before the clock reads `t + 1` (the
+    /// per-site strictly-increasing-time invariant of a [`History`]), and
+    /// threads whose timers land on the same tick wake at the same
+    /// instant. `None` for an infinite delta: "never" arms nothing.
+    pub(crate) fn deadline_after(&self, delta: Delta) -> Option<Instant> {
+        if delta.is_infinite() {
+            return None;
+        }
+        let at = self.now().ticks().saturating_add(delta.ticks().max(1));
+        Some(self.epoch + Duration::from_nanos(self.tick_nanos.saturating_mul(at)))
+    }
 }
 
 /// Shared mutable run state: the trace recorder (with attached monitor)
-/// and the metric bag. Coarse mutexes are fine here — recording is a few
-/// hundred nanoseconds against multi-tick think times.
+/// and the metric bag, each behind one coarse mutex taken per recorded
+/// operation and per counted event. What a thread can count by itself —
+/// timer lateness — it keeps in a local ([`TimerWheel`]) and adds here
+/// once, when it exits.
 pub(crate) struct Shared {
     pub(crate) recorder: Mutex<TraceRecorder>,
     pub(crate) metrics: Mutex<Metrics>,
@@ -589,8 +630,8 @@ impl<O: Outbound> ClientRt<'_, O> {
                 Effect::Send { to, msg } => self.outbound.send(self.core.me, to, msg),
                 Effect::SetTimer { after, token } => {
                     // An infinite delta means "never" — arm nothing.
-                    if let Some(d) = self.core.clock.delta_to_duration(after) {
-                        self.timers.arm(Instant::now() + d, token);
+                    if let Some(deadline) = self.core.clock.deadline_after(after) {
+                        self.timers.arm(deadline, token);
                     }
                 }
                 Effect::Metric { name, add } => self.shared.add_metric(name, add),
@@ -600,17 +641,19 @@ impl<O: Outbound> ClientRt<'_, O> {
     }
 
     pub(crate) fn run(mut self, inbox: &Receiver<(NodeId, Msg)>) -> Vec<Duration> {
+        let _slack = TimerSlack::pin();
+        let mut due = Vec::new();
         self.feed(Event::Start);
         loop {
             if self.core.finished_idle() {
                 break;
             }
-            // Fire every already-due timer (pop_due collects before any
+            // Fire every already-due timer (the sweep collects before any
             // fires: a firing timer may arm new ones, which belong to the
             // next pass).
-            let due = self.timers.pop_due(Instant::now());
+            self.timers.pop_due_into(Instant::now(), &mut due);
             let fired = !due.is_empty();
-            for token in due {
+            for &token in &due {
                 self.feed(Event::Timer { token });
             }
             // Drain the inbox (stops on Empty or — impossible while the
@@ -643,6 +686,7 @@ impl<O: Outbound> ClientRt<'_, O> {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
+        self.timers.report(self.shared);
         self.core.into_latencies()
     }
 }
@@ -692,9 +736,12 @@ pub(crate) fn server_thread(
     // flush timer indefinitely; 128 messages is far past any burst the
     // client fleet produces between timer deadlines.
     const DRAIN_BATCH: usize = 128;
+    let _slack = TimerSlack::pin();
     let mut timers = TimerWheel::new();
-    // Scratch reused across passes: the drained event batch and the
-    // engine's effect buffer. Steady-state passes allocate nothing.
+    // Scratch reused across passes: the due timers, the drained event
+    // batch and the engine's effect buffer. Steady-state passes allocate
+    // nothing.
+    let mut due: Vec<u64> = Vec::new();
     let mut events: Vec<Event> = Vec::new();
     let mut out: Vec<Effect> = Vec::new();
     loop {
@@ -711,17 +758,13 @@ pub(crate) fn server_thread(
             }
             None => {}
         }
-        // Fire every already-due flush timer (pop_due collects before any
-        // fires: handling one may arm new ones, which belong to the next
-        // pass). While down the due timers are popped and discarded below
-        // — the volatile state they would flush is dying anyway — but the
-        // wheel itself is never cleared.
-        events.extend(
-            timers
-                .pop_due(Instant::now())
-                .into_iter()
-                .map(|token| Event::Timer { token }),
-        );
+        // Fire every already-due flush timer (the sweep collects before
+        // any fires: handling one may arm new ones, which belong to the
+        // next pass). While down the due timers are popped and discarded
+        // below — the volatile state they would flush is dying anyway —
+        // but the wheel itself is never cleared.
+        timers.pop_due_into(Instant::now(), &mut due);
+        events.extend(due.iter().map(|&token| Event::Timer { token }));
         if events.is_empty() {
             // Block towards the next flush deadline (or indefinitely with
             // none armed). An armed outage gate caps the wait so kill and
@@ -780,8 +823,8 @@ pub(crate) fn server_thread(
                     Effect::Send { to, msg } => send(to, msg),
                     Effect::SetTimer { after, token } => {
                         // Batch flush deadline. Infinite means "never".
-                        if let Some(d) = clock.delta_to_duration(after) {
-                            timers.arm(Instant::now() + d, token);
+                        if let Some(deadline) = clock.deadline_after(after) {
+                            timers.arm(deadline, token);
                         }
                     }
                     Effect::Metric { name, add } => shared.add_metric(name, add),
@@ -792,6 +835,7 @@ pub(crate) fn server_thread(
             }
         }
     }
+    timers.report(shared);
     engine.requests_served()
 }
 
@@ -814,6 +858,7 @@ pub(crate) fn control_loop(
     broadcast: &mut dyn FnMut(Msg),
 ) -> DeltaSchedule {
     use std::sync::atomic::Ordering;
+    let _slack = TimerSlack::pin();
     let interval = clock
         .delta_to_duration(controller.config().interval)
         .unwrap_or(Duration::from_millis(5));
@@ -1345,24 +1390,79 @@ mod tests {
             Some(base + Duration::from_millis(10))
         );
 
-        // Nothing is due before the earliest deadline.
-        assert!(wheel.pop_due(base).is_empty());
+        // Nothing is due before the earliest deadline — and a sweep
+        // clears whatever the buffer held.
+        let mut due = vec![99];
+        wheel.pop_due_into(base, &mut due);
+        assert!(due.is_empty());
         // A cutoff mid-way pops exactly the due prefix, deadline-ordered.
-        assert_eq!(
-            wheel.pop_due(base + Duration::from_millis(25)),
-            vec![1, 2, 4]
-        );
+        wheel.pop_due_into(base + Duration::from_millis(25), &mut due);
+        assert_eq!(due, vec![1, 2, 4]);
         assert_eq!(
             wheel.next_deadline(),
             Some(base + Duration::from_millis(30))
         );
-        assert_eq!(wheel.pop_due(base + Duration::from_millis(35)), vec![3]);
+        wheel.pop_due_into(base + Duration::from_millis(35), &mut due);
+        assert_eq!(due, vec![3]);
         assert_eq!(wheel.next_deadline(), None);
 
         // Re-arming after a drain works (seq keeps growing, order holds).
         wheel.arm(base + Duration::from_millis(50), 9);
         wheel.arm(base + Duration::from_millis(40), 8);
-        assert_eq!(wheel.pop_due(base + Duration::from_millis(60)), vec![8, 9]);
+        wheel.pop_due_into(base + Duration::from_millis(60), &mut due);
+        assert_eq!(due, vec![8, 9]);
+
+        // Lateness is pop instant − deadline, summed: 15 + 5 + 5 ms in the
+        // second sweep, 5 ms in the third, 20 + 10 ms in the last.
+        assert_eq!(wheel.fired, 6);
+        assert_eq!(wheel.late_ns, Duration::from_millis(60).as_nanos() as u64);
+    }
+
+    #[test]
+    fn deadline_after_lands_on_the_tick_boundary_the_clock_will_read() {
+        let tick = Duration::from_micros(50);
+        let clock = TickClock::new(tick);
+        for k in [1u64, 3, 40] {
+            let before = clock.now().ticks();
+            let deadline = clock.deadline_after(Delta::from_ticks(k)).unwrap();
+            let after = clock.now().ticks();
+            // On a boundary: a whole number of ticks past the epoch…
+            let offset = deadline.duration_since(clock.epoch).as_nanos() as u64;
+            assert_eq!(offset % clock.tick_nanos, 0, "k={k}: off the tick grid");
+            // …exactly k ticks past the reading it was computed from.
+            let at = offset / clock.tick_nanos;
+            assert!(
+                (before + k..=after + k).contains(&at),
+                "k={k}: deadline tick {at} not in [{}, {}]",
+                before + k,
+                after + k
+            );
+            // Never more than k ticks away: what is left of the current
+            // tick counts towards the k.
+            assert!(deadline.saturating_duration_since(Instant::now()) <= tick * k as u32);
+        }
+        // A thread woken at the deadline reads a clock that has advanced
+        // by at least k: per-site times stay strictly increasing.
+        let t = clock.now().ticks();
+        let deadline = clock.deadline_after(Delta::from_ticks(2)).unwrap();
+        while Instant::now() < deadline {
+            std::hint::spin_loop();
+        }
+        assert!(clock.now().ticks() >= t + 2);
+    }
+
+    #[test]
+    fn deadline_after_rounds_zero_up_and_never_arms_infinity() {
+        let clock = TickClock::new(Duration::from_micros(50));
+        let t = clock.now().ticks();
+        let zero = clock.deadline_after(Delta::ZERO).unwrap();
+        let t2 = clock.now().ticks();
+        let at = zero.duration_since(clock.epoch).as_nanos() as u64 / clock.tick_nanos;
+        assert!(
+            (t + 1..=t2 + 1).contains(&at),
+            "Delta::ZERO must mean the next tick boundary"
+        );
+        assert_eq!(clock.deadline_after(Delta::INFINITE), None);
     }
 
     #[test]

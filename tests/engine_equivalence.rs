@@ -29,6 +29,7 @@ use std::time::Duration;
 use tc_bench::site_fingerprint;
 use timed_consistency::clocks::Delta;
 use timed_consistency::core::checker::{satisfies_ccv, satisfies_sc_with, SearchOptions};
+use timed_consistency::core::SiteId;
 use timed_consistency::lifetime::{
     run_with_private_sources, ProtocolConfig, ProtocolKind, RunConfig,
 };
@@ -49,18 +50,22 @@ fn check_equivalence(kind: ProtocolKind) {
 }
 
 fn check_equivalence_of(protocol: ProtocolConfig) {
+    check_equivalence_under(protocol, workload());
+}
+
+fn check_equivalence_under(protocol: ProtocolConfig, workload: Workload) {
     let kind = protocol.kind;
     let sim = run_with_private_sources(
         &RunConfig {
             protocol,
             n_clients: N_CLIENTS,
-            workload: workload(),
+            workload: workload.clone(),
             ops_per_client: OPS,
             world: WorldConfig::deterministic(Delta::from_ticks(3), SEED),
         },
         SEED,
     );
-    let mut threaded_cfg = RuntimeConfig::for_protocol(protocol, N_CLIENTS, workload(), OPS, SEED);
+    let mut threaded_cfg = RuntimeConfig::for_protocol(protocol, N_CLIENTS, workload, OPS, SEED);
     // A short tick keeps the test fast; the monitor Δ already carries the
     // real-time slack.
     threaded_cfg.tick = Duration::from_micros(20);
@@ -100,6 +105,21 @@ fn check_equivalence_of(protocol: ProtocolConfig) {
                 "{kind:?}: {driver} observed staleness {} exceeds the configured bound {}",
                 run.observed_staleness,
                 threaded_cfg.monitor_delta
+            );
+        }
+        // A site's operations carry strictly increasing times: the next
+        // op's timer never fires before the clock has moved on a tick,
+        // whatever the think time.
+        for site in 0..N_CLIENTS {
+            let times: Vec<_> = run
+                .history
+                .site_ops(SiteId::new(site))
+                .iter()
+                .map(|&id| run.history.time_of(id))
+                .collect();
+            assert!(
+                times.windows(2).all(|w| w[0] < w[1]),
+                "{kind:?}: {driver} site {site} times not strictly increasing: {times:?}"
             );
         }
     }
@@ -159,6 +179,21 @@ fn tsc_engines_are_driver_independent() {
 #[test]
 fn causal_engines_are_driver_independent() {
     check_equivalence(ProtocolKind::Cc);
+}
+
+/// No think time: every `SetTimer` asks for zero ticks, so each site's
+/// op cycle is nothing but the drivers' timer rounding — the next tick
+/// boundary, never the same tick. All four drivers must still complete,
+/// run identical per-site programs, keep per-site times strictly
+/// increasing, and stay monitor-clean.
+#[test]
+fn zero_think_time_engines_are_driver_independent() {
+    check_equivalence_under(
+        ProtocolConfig::of(ProtocolKind::Tsc {
+            delta: Delta::from_ticks(400),
+        }),
+        Workload::new(6, 0.8, 0.65, (Delta::ZERO, Delta::ZERO)),
+    );
 }
 
 /// Sharding must be invisible to engine equivalence: with the object space
