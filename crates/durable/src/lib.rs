@@ -45,17 +45,29 @@
 //! (the corruption proptests pin this). The segment is then truncated back
 //! to the valid prefix so new appends extend a clean log.
 //!
+//! One invalid frame is *not* a tail to cut: a frame that carries the wire
+//! magic but another generation's version ([`WireError::BadVersion`]). A
+//! torn write leaves a short frame or a failed CRC, never a well-formed
+//! header of a different generation — that is a log written by another
+//! build (generation 1 wrote vector clocks fixed-width), every record of
+//! which was acknowledged. [`WalStore::try_open`] refuses such a directory
+//! with [`AlienVersion`] and touches no file. (A bit flip that lands
+//! exactly in a version field reads the same and is refused too; refusal
+//! destroys nothing.)
+//!
 //! Segment rotation happens at sync time: once the live segment holds
 //! `snapshot_every` records, the durable image is snapshotted, a fresh
 //! segment starts, and files superseded by the snapshot are deleted.
 //!
 //! I/O failure handling is deliberately blunt: this is a research store,
-//! so any filesystem error panics with context rather than threading
-//! `Result` through the engine seam.
+//! so any filesystem error — and, through [`WalStore::open`], an alien
+//! log — panics with context rather than threading `Result` through the
+//! engine seam.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -240,6 +252,48 @@ fn decode_snapshot(payload: &[u8]) -> Result<ShardImage, WireError> {
     ))
 }
 
+/// Why [`WalStore::try_open`] refused a directory: a file in it holds a
+/// frame of another wire generation. Nothing was truncated or deleted.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AlienVersion {
+    /// The segment or snapshot holding the frame.
+    pub path: PathBuf,
+    /// The version its header declares.
+    pub found: u16,
+}
+
+impl fmt::Display for AlienVersion {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{:?} holds a wire v{} frame; this build reads v{} only — refusing the \
+             directory rather than truncating a log another build wrote",
+            self.path,
+            self.found,
+            tc_wire::WIRE_VERSION
+        )
+    }
+}
+
+impl std::error::Error for AlienVersion {}
+
+/// [`decode_frame_body`] for recovery: an alien version refuses the whole
+/// directory (`Err`), every other failure is corruption to stop at
+/// (`Ok(None)`).
+fn decode_or_refuse<'a>(
+    bytes: &'a [u8],
+    path: &Path,
+) -> Result<Option<(&'a [u8], usize)>, AlienVersion> {
+    match decode_frame_body(bytes) {
+        Ok((_, payload, used)) => Ok(Some((payload, used))),
+        Err(WireError::BadVersion { found }) => Err(AlienVersion {
+            path: path.to_path_buf(),
+            found,
+        }),
+        Err(_) => Ok(None),
+    }
+}
+
 /// What [`recover`] reconstructed from a shard directory.
 struct Recovered {
     image: ShardImage,
@@ -285,8 +339,9 @@ fn count_torn_records(bytes: &[u8], start: usize) -> u64 {
 }
 
 /// Rebuilds the durable image from `dir`: newest decodable snapshot, then
-/// the segments after it, stopping at the first invalid frame.
-fn recover(dir: &Path) -> Recovered {
+/// the segments after it, stopping at the first invalid frame — or
+/// refusing outright at a frame of another wire generation.
+fn recover(dir: &Path) -> Result<Recovered, AlienVersion> {
     let mut seg_seqs: Vec<u64> = Vec::new();
     let mut snap_seqs: Vec<u64> = Vec::new();
     for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read wal dir {dir:?}: {e}")) {
@@ -308,10 +363,11 @@ fn recover(dir: &Path) -> Recovered {
     let mut image = ShardImage::new();
     let mut from_snapshot = 0u64;
     for &n in snap_seqs.iter().rev() {
-        let Ok(bytes) = fs::read(snap_path(dir, n)) else {
+        let path = snap_path(dir, n);
+        let Ok(bytes) = fs::read(&path) else {
             continue;
         };
-        let Ok((_, payload, used)) = decode_frame_body(&bytes) else {
+        let Some((payload, used)) = decode_or_refuse(&bytes, &path)? else {
             continue;
         };
         if used != bytes.len() {
@@ -342,7 +398,7 @@ fn recover(dir: &Path) -> Recovered {
         let bytes = fs::read(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
         let mut offset = 0usize;
         while offset < bytes.len() {
-            let Ok((_, payload, used)) = decode_frame_body(&bytes[offset..]) else {
+            let Some((payload, used)) = decode_or_refuse(&bytes[offset..], &path)? else {
                 // Torn or corrupted frame: replay ends at the last valid
                 // record; everything after was never acknowledged durable.
                 corrupted_tail = true;
@@ -378,14 +434,14 @@ fn recover(dir: &Path) -> Recovered {
             break;
         }
     }
-    Recovered {
+    Ok(Recovered {
         image,
         from_snapshot,
         replayed,
         corrupted_tail,
         lost_truncated,
         live_segment,
-    }
+    })
 }
 
 /// The WAL+snapshot [`ShardStore`] backend.
@@ -419,13 +475,34 @@ impl WalStore {
     ///
     /// # Panics
     ///
-    /// Panics on any filesystem error.
+    /// Panics on any filesystem error, and on a directory written by
+    /// another wire generation (see [`WalStore::try_open`]).
     #[must_use]
     pub fn open(dir: impl Into<PathBuf>, shard: u16, snapshot_every: u64) -> WalStore {
+        WalStore::try_open(dir, shard, snapshot_every).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`WalStore::open`], except that a directory holding a frame of
+    /// another wire generation is an error instead of a panic. Either way
+    /// the refusal happens before any file is truncated, created or
+    /// deleted.
+    ///
+    /// # Errors
+    ///
+    /// [`AlienVersion`] naming the file and the version found.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any filesystem error.
+    pub fn try_open(
+        dir: impl Into<PathBuf>,
+        shard: u16,
+        snapshot_every: u64,
+    ) -> Result<WalStore, AlienVersion> {
         let dir = dir.into();
         assert!(snapshot_every >= 1, "rotation needs at least one record");
         fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create wal dir {dir:?}: {e}"));
-        let recovered = recover(&dir);
+        let recovered = recover(&dir)?;
         let (seg_base, valid_len) = recovered.live_segment;
         let path = seg_path(&dir, seg_base);
         let file = OpenOptions::new()
@@ -452,7 +529,7 @@ impl WalStore {
             corrupted_tail: recovered.corrupted_tail,
             recovery_point: recovered.image.records(),
         };
-        WalStore {
+        Ok(WalStore {
             dir,
             shard,
             snapshot_every,
@@ -464,7 +541,7 @@ impl WalStore {
             seg_base,
             syncs: 0,
             last_recovery,
-        }
+        })
     }
 
     /// The recovery report of the most recent [`WalStore::open`] /
@@ -753,6 +830,52 @@ mod tests {
             store.durable_version(ObjectId::new(1)).value,
             Value::new(200)
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A segment exactly as generation 1 wrote it — version 1 in the
+    /// header, the clock as `u32 site, u32 width, u64 entries` — must be
+    /// refused by name. Before the version gate was told apart from
+    /// corruption, opening it truncated every acknowledged record away.
+    #[test]
+    fn a_v1_segment_is_refused_and_left_untouched() {
+        let mut payload = Writer::new();
+        payload.u64(1); // record index
+        payload.u8(RECORD_CAUSAL);
+        payload.u32(2); // object
+        payload.u64(1); // writer
+        payload.u64(1); // seq
+        payload.u64(21); // value
+        payload.u64(8); // alpha_t
+        payload.u32(1); // v1 clock: owner site ...
+        payload.u32(4); // ... width ...
+        for entry in [0u64, 1, 0, 0] {
+            payload.u64(entry); // ... fixed-width entries
+        }
+        let payload = payload.into_bytes();
+        let mut frame = Writer::new();
+        frame.u32(tc_wire::MAGIC);
+        frame.u16(1);
+        frame.u16(0);
+        frame.u32(payload.len() as u32);
+        frame.u32(tc_wire::crc32(&payload));
+        let mut v1_log = frame.into_bytes();
+        v1_log.extend_from_slice(&payload);
+
+        let dir = temp_dir("v1");
+        fs::create_dir_all(&dir).unwrap();
+        let seg = seg_path(&dir, 0);
+        fs::write(&seg, &v1_log).unwrap();
+        let refused = WalStore::try_open(&dir, 0, 1024).err();
+        assert_eq!(
+            refused,
+            Some(AlienVersion {
+                path: seg.clone(),
+                found: 1
+            })
+        );
+        assert_eq!(fs::read(&seg).unwrap(), v1_log, "a refused log is intact");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "and nothing new");
         let _ = fs::remove_dir_all(&dir);
     }
 

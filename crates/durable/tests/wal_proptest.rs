@@ -5,7 +5,9 @@
 //! final frame, or a flipped bit anywhere in the log must never panic,
 //! never propagate garbage into the image, and always leave the store
 //! equal to some *prefix* of the synced history — with the recovery
-//! point reporting exactly which prefix. These generators write a random
+//! point reporting exactly which prefix. The one exception is a frame that
+//! reads as another wire generation: that is refused, files untouched,
+//! never truncated. These generators write a random
 //! mixed physical/causal history, mutilate the segment file, and check
 //! the reopened store against a reference image built from the surviving
 //! prefix.
@@ -20,8 +22,9 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use tc_clocks::{Time, VectorClock};
 use tc_core::{ObjectId, Value};
-use tc_durable::WalStore;
+use tc_durable::{AlienVersion, WalStore};
 use tc_lifetime::store::{ShardImage, ShardStore, WalRecord};
+use tc_wire::{decode_frame_body, WIRE_VERSION};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -183,6 +186,9 @@ proptest! {
     /// recovery still yields a valid prefix of the written history. (A
     /// flip in an ignored header field — the shard routing tag — may be
     /// invisible; a flip anywhere else trips the CRC or header checks.)
+    /// A flip in a frame's *version* field makes it read as another wire
+    /// generation, which recovery cannot tell from a log another build
+    /// wrote: the directory is refused and not a byte of it changes.
     #[test]
     fn a_flipped_bit_never_poisons_replay(
         records in ArbHistory,
@@ -192,8 +198,25 @@ proptest! {
         let (dir, seg) = write_history("flip", &records);
         let mut bytes = fs::read(&seg).unwrap();
         let at = pos % bytes.len();
+        let mut frame_start = 0;
+        while let Ok((_, _, used)) = decode_frame_body(&bytes[frame_start..]) {
+            if at < frame_start + used {
+                break;
+            }
+            frame_start += used;
+        }
         bytes[at] ^= 1 << bit;
         fs::write(&seg, &bytes).unwrap();
+
+        // The version field is header bytes 4..6.
+        if (4..6).contains(&(at - frame_start)) {
+            let flipped = WIRE_VERSION ^ (1 << (8 * (at - frame_start - 4) + bit as usize));
+            let refused = WalStore::try_open(&dir, 0, u64::MAX).err();
+            prop_assert_eq!(refused, Some(AlienVersion { path: seg.clone(), found: flipped }));
+            prop_assert_eq!(fs::read(&seg).unwrap(), bytes);
+            let _ = fs::remove_dir_all(&dir);
+            return Ok(());
+        }
 
         // Exact loss accounting on the first open: a mid-log flip kills
         // exactly one frame, and every intact frame after it is

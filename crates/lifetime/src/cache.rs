@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use tc_clocks::{ClockOrdering, Time, Timestamp, VectorClock, XiMap};
+use tc_clocks::{Time, VectorClock, XiMap};
 use tc_core::{ObjectId, Value};
 
 use crate::StalePolicy;
@@ -112,10 +112,9 @@ impl Cache {
         me: usize,
         policy: StalePolicy,
     ) -> SweepOutcome {
-        let ctx = context.clone();
-        self.sweep(policy, move |e| match &e.omega_v {
+        self.sweep(policy, |e| match &e.omega_v {
             None => true, // versions without logical metadata cannot be trusted
-            Some(omega) => causally_stale(omega, &ctx, me),
+            Some(omega) => causally_stale(omega, context, me),
         })
     }
 
@@ -172,21 +171,41 @@ impl Cache {
 }
 
 /// `omega` strictly causally before `context`, ignoring the client's own
-/// entry (own activity keeps local copies alive).
+/// entry (own activity keeps local copies alive): every other component
+/// `<=`, at least one `<`. Runs once per cached entry per sweep, so it
+/// compares the two entry slices in place.
+///
+/// # Panics
+///
+/// Panics if the clocks differ in dimension, as `Timestamp::compare`
+/// does.
 fn causally_stale(omega: &VectorClock, context: &VectorClock, me: usize) -> bool {
-    let mut normalized = omega.clone();
-    let mut entries: Vec<u64> = normalized.entries().to_vec();
-    if me < entries.len() {
-        entries[me] = context.entries().get(me).copied().unwrap_or(entries[me]);
+    let (omega, context) = (omega.entries(), context.entries());
+    assert_eq!(
+        omega.len(),
+        context.len(),
+        "cannot compare vector clocks of different dimension"
+    );
+    let mut less = false;
+    for (i, (o, c)) in omega.iter().zip(context).enumerate() {
+        if i == me {
+            continue;
+        }
+        if o > c {
+            return false;
+        }
+        less |= o < c;
     }
-    normalized = VectorClock::from_entries(normalized.site(), entries);
-    normalized.compare(context) == ClockOrdering::Before
+    less
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_clocks::{SiteClock, SumXi};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::Rng;
+    use tc_clocks::{ClockOrdering, SiteClock, SumXi, Timestamp};
 
     fn entry_t(value: u64, alpha: u64, omega: u64) -> CacheEntry {
         CacheEntry {
@@ -284,6 +303,83 @@ mod tests {
         c.insert(obj('X'), entry_v(1, omega, 0));
         let out = c.sweep_causal(&context, me, StalePolicy::Invalidate);
         assert_eq!(out.invalidated, 0);
+    }
+
+    /// The definition `causally_stale` replaced: clone ω, overwrite the
+    /// client's own component with the context's, `compare`.
+    fn causally_stale_reference(omega: &VectorClock, context: &VectorClock, me: usize) -> bool {
+        let mut entries = omega.entries().to_vec();
+        if me < entries.len() {
+            entries[me] = context.entries()[me];
+        }
+        VectorClock::from_entries(omega.site(), entries).compare(context) == ClockOrdering::Before
+    }
+
+    /// `(omega, context, me)`: a context of random width, an ω derived
+    /// from it by nudging a random subset of components down, up, both
+    /// ways or not at all (so every ordering occurs at every width), and
+    /// a `me` that is in range four times out of five.
+    struct ArbSweepCase;
+
+    impl Strategy for ArbSweepCase {
+        type Value = (VectorClock, VectorClock, usize);
+        fn sample(&self, rng: &mut StdRng) -> Self::Value {
+            let width = rng.gen_range(1..=48usize);
+            let context: Vec<u64> = (0..width).map(|_| rng.gen_range(1..1_000u64)).collect();
+            let (down, up) = [(false, false), (true, false), (false, true), (true, true)]
+                [rng.gen_range(0..4usize)];
+            let density = [0.05, 0.5][rng.gen_range(0..2usize)];
+            let omega = context
+                .iter()
+                .map(|&c| match (rng.gen_bool(density), rng.gen_bool(0.5)) {
+                    (true, true) if down => c - 1,
+                    (true, false) if up => c + 1,
+                    _ => c,
+                })
+                .collect();
+            let me = if rng.gen_bool(0.8) {
+                rng.gen_range(0..width)
+            } else {
+                rng.gen_range(width..width + 3)
+            };
+            (
+                VectorClock::from_entries(rng.gen_range(0..width), omega),
+                VectorClock::from_entries(rng.gen_range(0..width), context),
+                me,
+            )
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        #[test]
+        fn in_place_staleness_matches_clone_and_compare(case in ArbSweepCase) {
+            let (omega, context, me) = case;
+            prop_assert_eq!(
+                causally_stale(&omega, &context, me),
+                causally_stale_reference(&omega, &context, me),
+                "omega {:?} context {:?} me {}", omega, context, me
+            );
+        }
+    }
+
+    #[test]
+    fn staleness_verdicts_cover_every_ordering() {
+        let vc = |e: &[u64]| VectorClock::from_entries(0, e.to_vec());
+        let context = vc(&[5, 5, 5]);
+        for (omega, me, stale) in [
+            (vc(&[5, 5, 5]), 0, false), // equal
+            (vc(&[5, 4, 5]), 0, true),  // before
+            (vc(&[5, 6, 5]), 0, false), // after
+            (vc(&[5, 4, 6]), 0, false), // concurrent
+            (vc(&[4, 5, 5]), 0, false), // behind only in the own component
+            (vc(&[9, 4, 5]), 0, true),  // own component ahead is ignored too
+            (vc(&[4, 5, 5]), 7, true),  // `me` out of range: nothing skipped
+        ] {
+            assert_eq!(causally_stale(&omega, &context, me), stale, "{omega:?}");
+            assert_eq!(causally_stale_reference(&omega, &context, me), stale);
+        }
     }
 
     #[test]

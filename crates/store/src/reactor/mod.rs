@@ -265,15 +265,20 @@ fn sweep_endpoint(ep: &Endpoint, now: Instant, cfg: &TcpRuntimeConfig) -> SweepA
     }
 }
 
-/// The epoll timeout for one loop pass: the earliest timer deadline,
-/// capped by a polling granularity that keeps heartbeats and chaos
-/// schedules honoured.
-fn wait_timeout(next_deadline: Option<Instant>, cfg: &TcpRuntimeConfig, now: Instant) -> Duration {
-    let granularity = (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5));
-    match next_deadline {
-        Some(deadline) => granularity.min(deadline.saturating_duration_since(now)),
-        None => granularity,
-    }
+/// How often the liveness sweep runs: fine enough that a heartbeat is
+/// never late by more than half its period and chaos schedules are
+/// honoured, coarse enough that a busy loop does not walk every
+/// connection on every pass.
+fn sweep_every(cfg: &TcpRuntimeConfig) -> Duration {
+    (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5))
+}
+
+/// The epoll timeout for one loop pass: the earliest of the next timer
+/// deadline and the next liveness sweep.
+fn wait_timeout(next_deadline: Option<Instant>, next_sweep: Instant, now: Instant) -> Duration {
+    next_deadline
+        .map_or(next_sweep, |deadline| deadline.min(next_sweep))
+        .saturating_duration_since(now)
 }
 
 // ---------------------------------------------------------------------
@@ -671,6 +676,7 @@ impl<'a> ShardReactor<'a> {
         let mut chaos_pending = chaos;
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
         let mut due = Vec::new();
+        let mut next_sweep = Instant::now();
         let mut stopping = false;
         while !stopping {
             let now = Instant::now();
@@ -711,9 +717,13 @@ impl<'a> ShardReactor<'a> {
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
-            self.sweep(Instant::now());
-            let now = Instant::now();
-            let mut timeout = wait_timeout(self.timers.next_deadline(), self.cfg, now);
+            let mut now = Instant::now();
+            if now >= next_sweep {
+                self.sweep(now);
+                next_sweep = now + sweep_every(self.cfg);
+                now = Instant::now();
+            }
+            let mut timeout = wait_timeout(self.timers.next_deadline(), next_sweep, now);
             if let Some(c) = chaos_pending {
                 let kill_at = started + c.kill_after;
                 timeout = timeout.min(kill_at.saturating_duration_since(now));
@@ -1264,6 +1274,7 @@ impl<'a> ClientReactor<'a> {
         }
         let mut events = [EpollEvent { events: 0, data: 0 }; 256];
         let mut due = Vec::new();
+        let mut next_sweep = base;
         while self.remaining > 0 {
             let now = Instant::now();
             self.timers.pop_due_into(now, &mut due);
@@ -1285,12 +1296,16 @@ impl<'a> ClientReactor<'a> {
                     ClientTimer::Controller => self.controller_tick(),
                 }
             }
-            self.sweep(Instant::now());
+            let mut now = Instant::now();
+            if now >= next_sweep {
+                self.sweep(now);
+                next_sweep = now + sweep_every(self.cfg);
+                now = Instant::now();
+            }
             if self.remaining == 0 {
                 break;
             }
-            let now = Instant::now();
-            let timeout = wait_timeout(self.timers.next_deadline(), self.cfg, now);
+            let timeout = wait_timeout(self.timers.next_deadline(), next_sweep, now);
             let n = self.epoll.wait(&mut events, timeout).expect("epoll wait");
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);

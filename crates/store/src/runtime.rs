@@ -622,10 +622,12 @@ pub(crate) struct ClientRt<'a, O: Outbound> {
 }
 
 impl<O: Outbound> ClientRt<'_, O> {
-    fn feed(&mut self, event: Event) {
-        let mut out = Vec::new();
-        self.core.step(event, &mut out);
-        for effect in out {
+    /// Feeds one event to the engine and executes what it emits. `out` is
+    /// the loop's effects scratch, handed in empty and left empty, so a
+    /// step allocates nothing once it is warm.
+    fn feed(&mut self, event: Event, out: &mut Vec<Effect>) {
+        self.core.step(event, out);
+        for effect in out.drain(..) {
             match effect {
                 Effect::Send { to, msg } => self.outbound.send(self.core.me, to, msg),
                 Effect::SetTimer { after, token } => {
@@ -643,7 +645,8 @@ impl<O: Outbound> ClientRt<'_, O> {
     pub(crate) fn run(mut self, inbox: &Receiver<(NodeId, Msg)>) -> Vec<Duration> {
         let _slack = TimerSlack::pin();
         let mut due = Vec::new();
-        self.feed(Event::Start);
+        let mut effects = Vec::new();
+        self.feed(Event::Start, &mut effects);
         loop {
             if self.core.finished_idle() {
                 break;
@@ -654,14 +657,14 @@ impl<O: Outbound> ClientRt<'_, O> {
             self.timers.pop_due_into(Instant::now(), &mut due);
             let fired = !due.is_empty();
             for &token in &due {
-                self.feed(Event::Timer { token });
+                self.feed(Event::Timer { token }, &mut effects);
             }
             // Drain the inbox (stops on Empty or — impossible while the
             // shards still hold this client's sender — Disconnected).
             let mut received = false;
             while let Ok((from, msg)) = inbox.try_recv() {
                 received = true;
-                self.feed(Event::Message { from, msg });
+                self.feed(Event::Message { from, msg }, &mut effects);
             }
             if fired || received {
                 continue;
@@ -681,7 +684,7 @@ impl<O: Outbound> ClientRt<'_, O> {
                 continue; // the deadline passed while draining; fire it now
             }
             match inbox.recv_timeout(wait) {
-                Ok((from, msg)) => self.feed(Event::Message { from, msg }),
+                Ok((from, msg)) => self.feed(Event::Message { from, msg }, &mut effects),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }

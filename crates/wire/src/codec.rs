@@ -1,8 +1,11 @@
 //! Primitive byte codec: a growable write buffer and a checked cursor
 //! reader, plus the error vocabulary every decode path reports through.
 //!
-//! All integers are little-endian. Floats travel as their IEEE-754 bit
-//! patterns so encode→decode is the identity even for NaN payloads.
+//! Fixed-width integers are little-endian. Floats travel as their IEEE-754
+//! bit patterns so encode→decode is the identity even for NaN payloads.
+//! Vector-clock components travel as LEB128 varints ([`Writer::uvar`] /
+//! [`Reader::uvar`]) in canonical form only, so every value has exactly
+//! one encoding.
 //! Decoding never panics: every shortfall or malformed field becomes a
 //! [`WireError`].
 
@@ -56,6 +59,13 @@ pub enum WireError {
     /// A vector-clock payload whose owner site is out of range (or whose
     /// entry vector is empty) — structurally impossible to rebuild.
     BadVectorClock,
+    /// A varint that is not the canonical LEB128 encoding of a `u64`:
+    /// zero-padded (a continuation that adds no bits) or wider than 64
+    /// bits.
+    BadVarint {
+        /// What was being decoded.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -79,6 +89,7 @@ impl fmt::Display for WireError {
             }
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::BadVectorClock => write!(f, "malformed vector clock"),
+            WireError::BadVarint { what } => write!(f, "non-canonical varint in {what}"),
         }
     }
 }
@@ -136,6 +147,30 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
+    }
+
+    /// Reads a LEB128 varint: seven value bits per byte, least significant
+    /// group first, high bit set on every byte but the last. Only the
+    /// canonical (shortest) encoding of a `u64` is accepted — a final
+    /// zero byte after a continuation, or bits beyond the 64th, is
+    /// [`WireError::BadVarint`]; running out of bytes is
+    /// [`WireError::Truncated`].
+    pub fn uvar(&mut self, what: &'static str) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        for (i, &byte) in self.buf[self.pos..].iter().take(10).enumerate() {
+            if i == 9 && byte > 1 {
+                return Err(WireError::BadVarint { what });
+            }
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte & 0x80 == 0 {
+                if byte == 0 && i > 0 {
+                    return Err(WireError::BadVarint { what });
+                }
+                self.pos += i + 1;
+                return Ok(value);
+            }
+        }
+        Err(WireError::Truncated { what })
     }
 
     /// Reads an `f64` from its IEEE-754 bit pattern.
@@ -223,6 +258,16 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Appends a LEB128 varint (1 byte below 128, 2 below 16 384, at most
+    /// 10), always in the canonical form [`Reader::uvar`] insists on.
+    pub fn uvar(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Appends an `f64` as its IEEE-754 bit pattern.
     pub fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
@@ -269,6 +314,55 @@ mod tests {
     fn trailing_bytes_are_reported() {
         let r = Reader::new(&[0, 0]);
         assert_eq!(r.finish(), Err(WireError::TrailingBytes { left: 2 }));
+    }
+
+    fn uvar_bytes(v: u64) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.uvar(v);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn uvar_boundaries_round_trip_at_the_expected_widths() {
+        for (v, width) in [
+            (0, 1),
+            (127, 1),
+            (128, 2),
+            (16_383, 2),
+            (16_384, 3),
+            (1 << 63, 10),
+            (u64::MAX, 10),
+        ] {
+            let bytes = uvar_bytes(v);
+            assert_eq!(bytes.len(), width, "width of {v}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.uvar("v"), Ok(v));
+            r.finish().unwrap();
+            for cut in 0..bytes.len() {
+                assert_eq!(
+                    Reader::new(&bytes[..cut]).uvar("v"),
+                    Err(WireError::Truncated { what: "v" }),
+                    "{v} cut at {cut}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn uvar_rejects_overlong_and_overflowing_encodings() {
+        let bad = Err(WireError::BadVarint { what: "v" });
+        // Zero-padded: 0 and 1 with a continuation that adds no bits.
+        assert_eq!(Reader::new(&[0x80, 0x00]).uvar("v"), bad);
+        assert_eq!(Reader::new(&[0x81, 0x80, 0x00]).uvar("v"), bad);
+        // A 10th byte may only contribute bit 63.
+        let mut ten = [0xFF; 10];
+        ten[9] = 0x01;
+        assert_eq!(Reader::new(&ten).uvar("v"), Ok(u64::MAX));
+        ten[9] = 0x02;
+        assert_eq!(Reader::new(&ten).uvar("v"), bad);
+        // ... and may not continue into an 11th.
+        ten[9] = 0x81;
+        assert_eq!(Reader::new(&[&ten[..], &[0x00]].concat()).uvar("v"), bad);
     }
 
     #[test]

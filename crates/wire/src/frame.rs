@@ -11,8 +11,12 @@
 //! * `magic` — `0x54435752` (`"TCWR"` read as little-endian bytes
 //!   `52 57 43 54`); anything else means the stream is not speaking this
 //!   protocol and must be dropped before a byte of payload is trusted.
-//! * `ver` — [`WIRE_VERSION`]; a reader rejects frames from a different
-//!   protocol generation instead of guessing at field layouts.
+//! * `ver` — [`WIRE_VERSION`], currently 2; a reader rejects frames from a
+//!   different protocol generation instead of guessing at field layouts.
+//!   Generation 1 wrote vector clocks as fixed-width `u32 u32 u64…`;
+//!   generation 2 writes them as varints (see [`crate::msg::put_vclock`]).
+//!   The header itself is the same in both, which is what lets a v2 reader
+//!   refuse a v1 frame or WAL record by name instead of mis-decoding it.
 //! * `shard` — the shard index this frame concerns: the destination shard
 //!   on client→server frames, the originating shard on server→client
 //!   frames. Carried in the clear so a multiplexing proxy (or a pcap
@@ -34,8 +38,9 @@ use crate::msg::{get_wire_msg, put_wire_msg, WireMsg};
 /// The frame magic, `"TCWR"` as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"TCWR");
 
-/// The wire-protocol generation this build speaks.
-pub const WIRE_VERSION: u16 = 1;
+/// The wire-protocol generation this build speaks — and the only one it
+/// decodes: every other value is [`WireError::BadVersion`].
+pub const WIRE_VERSION: u16 = 2;
 
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -253,12 +258,44 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        let mut frame = encode_frame(0, &WireMsg::Bye);
-        frame[4] = 0xFE;
-        assert_eq!(
-            decode_frame(&frame),
-            Err(WireError::BadVersion { found: 0xFE })
-        );
+        // 1 is the previous generation: it differs only in the clock
+        // layout, so the header gate is all that keeps a v2 reader from
+        // guessing at it.
+        for found in [1u16, 0xFE] {
+            let mut frame = encode_frame(0, &WireMsg::Bye);
+            frame[4..6].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(decode_frame(&frame), Err(WireError::BadVersion { found }));
+            assert_eq!(
+                decode_frame_body(&frame).map(|_| ()),
+                Err(WireError::BadVersion { found })
+            );
+        }
+    }
+
+    /// The bytes analogue of the allocs/op ceiling: a causal read reply in
+    /// a 32-site fleet whose sites have each done fewer than 16 384 events
+    /// fits 140 bytes framed. Generation 1 spent 335 on it.
+    #[test]
+    fn a_32_wide_causal_fetch_reply_fits_its_byte_budget() {
+        use tc_clocks::{Time, VectorClock};
+        use tc_core::{ObjectId, Value};
+        use tc_lifetime::{Msg, WireVersion};
+
+        let entries: Vec<u64> = (0..32).map(|i| 16_383 - i).collect();
+        let msg = WireMsg::Proto(Msg::FetchRep {
+            object: ObjectId::new(u32::MAX),
+            version: WireVersion {
+                value: Value::new(u64::MAX),
+                alpha_t: Time::from_ticks(u64::MAX),
+                alpha_v: Some(VectorClock::from_entries(31, entries)),
+                tiebreak: (Time::from_ticks(u64::MAX), usize::MAX),
+            },
+            server_now: Time::from_ticks(u64::MAX),
+            epoch: u64::MAX,
+        });
+        let frame = encode_frame(0, &msg);
+        assert!(frame.len() <= 140, "{} bytes", frame.len());
+        assert_eq!(decode_frame(&frame), Ok((0, msg, frame.len())));
     }
 
     #[test]

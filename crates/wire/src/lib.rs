@@ -5,14 +5,16 @@
 //! the threaded runtime). Crossing a process boundary needs bytes, and
 //! this crate defines exactly those bytes:
 //!
-//! * [`codec`] — little-endian primitive encode/decode with a panic-free
-//!   error vocabulary ([`WireError`]);
+//! * [`codec`] — little-endian primitive encode/decode, plus the canonical
+//!   LEB128 varint vector clocks are written in, with a panic-free error
+//!   vocabulary ([`WireError`]);
 //! * [`crc`] — a hand-rolled CRC-32/IEEE for payload integrity;
 //! * [`msg`] — [`WireMsg`]: every protocol message plus the transport's
 //!   session messages (handshake carrying the full [`ProtocolConfig`],
 //!   heartbeats, orderly goodbye);
 //! * [`frame`] — the versioned, length-prefixed frame (magic, protocol
-//!   version, shard id, payload length, CRC) and blocking
+//!   version — 2 since clocks went varint — shard id, payload length, CRC)
+//!   and blocking
 //!   [`read_frame`]/[`write_frame`] helpers over `std::io`;
 //! * [`stream`] — [`FrameDecoder`], the incremental decoder an evented
 //!   transport feeds arbitrary byte chunks; chunk boundaries are provably

@@ -4,7 +4,11 @@
 //!
 //! The encoding is deliberately boring: tag byte, then fields in
 //! declaration order, little-endian, `Option` as a presence byte,
-//! `Vec` as a `u32` length prefix. Boring survives: a reader one protocol
+//! `Vec` as a `u32` length prefix. The one variable-width field is the
+//! vector clock ([`put_vclock`]): its components are varints, because an
+//! N-entry clock of small event counts is most of a causal frame. Scalars
+//! (epoch, time, value, seq) stay fixed-width, so frames that carry no
+//! clock have one size per kind. Boring survives: a reader one protocol
 //! version behind fails loudly on the frame header, never by
 //! misinterpreting fields.
 
@@ -122,27 +126,50 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
     Ok(Value::new(r.u64("value")?))
 }
 
-/// Encodes a [`VectorClock`] (site, width, entries).
+/// Fewest bytes a [`VectorClock`] can occupy: owner, width and one entry,
+/// a one-byte varint each.
+const MIN_VCLOCK: usize = 3;
+
+/// Fewest bytes an [`InvalidateEntry`] can occupy: object, `alpha_t` and
+/// the presence byte of an absent clock.
+const MIN_INVALIDATE_ENTRY: usize = 4 + 8 + 1;
+
+/// Fewest bytes a [`GeoWrite`] can occupy: object, value, a minimal clock,
+/// `issued_at` and `shard_seq`.
+const MIN_GEO_WRITE: usize = 4 + 8 + MIN_VCLOCK + 8 + 8;
+
+/// Encodes a [`VectorClock`] as `uvar(site) uvar(width) uvar(entry)…`:
+/// components are event counts, so a clock costs about a byte or two per
+/// site instead of eight. The one place a causal timestamp becomes bytes —
+/// frames, WAL records and snapshots all come through here.
 pub fn put_vclock(w: &mut Writer, vc: &VectorClock) {
-    w.u32(vc.site() as u32);
-    w.u32(vc.n_sites() as u32);
+    w.uvar(vc.site() as u64);
+    w.uvar(vc.n_sites() as u64);
     for &e in vc.entries() {
-        w.u64(e);
+        w.uvar(e);
     }
 }
 
 /// Decodes a [`VectorClock`], validating site/width sanity.
 pub fn get_vclock(r: &mut Reader<'_>) -> Result<VectorClock, WireError> {
-    let site = r.u32("vclock site")? as usize;
-    let n = r.u32("vclock width")? as usize;
-    if n == 0 || site >= n || n > u16::MAX as usize {
+    let site = r.uvar("vclock site")?;
+    let n = r.uvar("vclock width")?;
+    if n == 0 || site >= n || n > u64::from(u16::MAX) {
         return Err(WireError::BadVectorClock);
+    }
+    let n = n as usize;
+    // Every entry is at least one byte: a forged width fails here, before
+    // it can size an allocation.
+    if n > r.remaining() {
+        return Err(WireError::Truncated {
+            what: "vclock entry",
+        });
     }
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        entries.push(r.u64("vclock entry")?);
+        entries.push(r.uvar("vclock entry")?);
     }
-    Ok(VectorClock::from_entries(site, entries))
+    Ok(VectorClock::from_entries(site as usize, entries))
 }
 
 /// Encodes an optional [`VectorClock`] behind a presence byte.
@@ -540,10 +567,10 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         },
         TAG_INVALIDATE_BATCH => {
             let n = r.u32("batch length")? as usize;
-            // Cap preallocation by what the buffer could possibly hold
-            // (each entry is ≥ 13 bytes) so a forged length cannot force
-            // a huge allocation before Truncated fires.
-            let mut entries = Vec::with_capacity(n.min(r.remaining() / 13 + 1));
+            // Cap preallocation by what the buffer could possibly hold so
+            // a forged length cannot force a huge allocation before
+            // Truncated fires.
+            let mut entries = Vec::with_capacity(n.min(r.remaining() / MIN_INVALIDATE_ENTRY + 1));
             for _ in 0..n {
                 entries.push(get_entry(r)?);
             }
@@ -557,10 +584,8 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             let origin = r.u32("geo origin")?;
             let seq = r.u64("geo batch seq")?;
             let n = r.u32("geo batch length")? as usize;
-            // Same forged-length guard as InvalidateBatch: each entry is
-            // ≥ 44 bytes (object 4, value 8, minimal vclock 16, time 8,
-            // seq 8), so cap the preallocation by what could fit.
-            let mut entries = Vec::with_capacity(n.min(r.remaining() / 44 + 1));
+            // Same forged-length guard as InvalidateBatch.
+            let mut entries = Vec::with_capacity(n.min(r.remaining() / MIN_GEO_WRITE + 1));
             for _ in 0..n {
                 entries.push(get_geo_write(r)?);
             }
@@ -770,14 +795,80 @@ mod tests {
     }
 
     #[test]
-    fn vclock_rejects_owner_out_of_range() {
+    fn vclock_costs_what_its_entries_carry() {
+        let vc = VectorClock::from_entries(1, vec![0, 127, 128, 16_384]);
         let mut w = Writer::new();
-        w.u32(5); // site 5 ...
-        w.u32(2); // ... of a 2-wide clock
-        w.u64(0);
-        w.u64(0);
+        put_vclock(&mut w, &vc);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 1 + 1 + 1 + 2 + 3);
         let mut r = Reader::new(&bytes);
+        assert_eq!(get_vclock(&mut r), Ok(vc));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn vclock_forged_width_fails_before_it_sizes_an_allocation() {
+        // Owner 0 of a clock claiming 65 535 entries, a dozen bytes long.
+        let mut bytes = vec![0x00, 0xFF, 0xFF, 0x03];
+        bytes.extend_from_slice(&[1; 8]);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(
+            get_vclock(&mut r),
+            Err(WireError::Truncated {
+                what: "vclock entry"
+            })
+        );
+        // One entry wider and it is not a clock at all.
+        let mut r = Reader::new(&[0x00, 0x80, 0x80, 0x04]);
+        assert_eq!(get_vclock(&mut r), Err(WireError::BadVectorClock));
+    }
+
+    #[test]
+    fn forged_batch_lengths_are_capped_by_the_minimal_entry() {
+        // The guards divide by these; a shrinking codec must shrink them.
+        let mut w = Writer::new();
+        put_entry(
+            &mut w,
+            &InvalidateEntry {
+                object: ObjectId::new(0),
+                alpha_t: Time::ZERO,
+                alpha_v: None,
+            },
+        );
+        assert_eq!(w.len(), MIN_INVALIDATE_ENTRY);
+        let mut w = Writer::new();
+        put_geo_write(
+            &mut w,
+            &GeoWrite {
+                object: ObjectId::new(0),
+                value: Value::new(0),
+                alpha_v: VectorClock::new(0, 1),
+                issued_at: Time::ZERO,
+                shard_seq: 0,
+            },
+        );
+        assert_eq!(w.len(), MIN_GEO_WRITE);
+        // A batch claiming u32::MAX entries in a short buffer is Truncated.
+        for tag in [TAG_INVALIDATE_BATCH, TAG_GEO_BATCH] {
+            let mut w = Writer::new();
+            w.u8(tag);
+            if tag == TAG_GEO_BATCH {
+                w.u32(0); // origin
+                w.u64(1); // seq
+            }
+            w.u32(u32::MAX);
+            let bytes = w.into_bytes();
+            assert!(matches!(
+                get_msg(&mut Reader::new(&bytes)),
+                Err(WireError::Truncated { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn vclock_rejects_owner_out_of_range() {
+        // Site 5 of a 2-wide clock.
+        let mut r = Reader::new(&[5, 2, 0, 0]);
         assert_eq!(get_vclock(&mut r), Err(WireError::BadVectorClock));
     }
 }

@@ -236,6 +236,18 @@ mod tests {
     }
 
     #[test]
+    fn a_v1_peer_poisons_the_stream_with_bad_version() {
+        let mut frame = encode_frame(0, &WireMsg::Heartbeat);
+        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let mut dec = FrameDecoder::new();
+        // The header alone is enough to refuse the peer.
+        dec.extend(&frame[..HEADER_LEN]);
+        assert_eq!(dec.next_frame(), Err(WireError::BadVersion { found: 1 }));
+        dec.extend(&encode_frame(0, &WireMsg::Bye));
+        assert_eq!(dec.next_frame(), Err(WireError::BadVersion { found: 1 }));
+    }
+
+    #[test]
     fn oversized_length_is_rejected_before_payload_arrives() {
         let mut frame = encode_frame(0, &WireMsg::Heartbeat);
         frame[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());

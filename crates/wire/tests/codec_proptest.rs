@@ -19,8 +19,8 @@ use tc_lifetime::{
     ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
 };
 use tc_wire::{
-    crc32, decode_frame, encode_frame, read_frame, write_frame, WireError, WireMsg, Writer,
-    HEADER_LEN, MAGIC, WIRE_VERSION,
+    crc32, decode_frame, encode_frame, get_vclock, put_vclock, read_frame, write_frame, Reader,
+    WireError, WireMsg, Writer, HEADER_LEN, MAGIC, WIRE_VERSION,
 };
 
 fn arb_time(rng: &mut StdRng) -> Time {
@@ -43,10 +43,34 @@ fn arb_value(rng: &mut StdRng) -> Value {
     Value::new(rng.gen_range(0..=u64::MAX))
 }
 
+/// A `u64` of uniformly random *magnitude*: every varint width 1..=10 is
+/// as likely as any other (a uniform `u64` is ten bytes almost surely).
+fn arb_magnitude(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..=64u32) {
+        0 => 0,
+        bits => rng.gen_range(0..=u64::MAX) >> (64 - bits),
+    }
+}
+
+struct ArbMagnitude;
+
+impl Strategy for ArbMagnitude {
+    type Value = u64;
+    fn sample(&self, rng: &mut StdRng) -> u64 {
+        arb_magnitude(rng)
+    }
+}
+
+fn uvar_bytes(v: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.uvar(v);
+    w.into_bytes()
+}
+
 fn arb_vclock(rng: &mut StdRng) -> VectorClock {
     let n = rng.gen_range(1..=6usize);
     let site = rng.gen_range(0..n);
-    let entries = (0..n).map(|_| rng.gen_range(0..=u64::MAX)).collect();
+    let entries = (0..n).map(|_| arb_magnitude(rng)).collect();
     VectorClock::from_entries(site, entries)
 }
 
@@ -399,6 +423,80 @@ proptest! {
                 prop_assert_eq!(v, context_v);
             }
             other => prop_assert!(false, "decoded wrong variant: {other:?}"),
+        }
+    }
+
+    /// Every `u64` survives the varint, in at most ten bytes, and every
+    /// strict prefix of its encoding is `Truncated`.
+    #[test]
+    fn uvar_round_trips_and_its_prefixes_are_truncated(v in ArbMagnitude) {
+        let bytes = uvar_bytes(v);
+        prop_assert!((1..=10).contains(&bytes.len()));
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(r.uvar("v"), Ok(v));
+        prop_assert_eq!(r.remaining(), 0);
+        for cut in 0..bytes.len() {
+            prop_assert_eq!(
+                Reader::new(&bytes[..cut]).uvar("v"),
+                Err(WireError::Truncated { what: "v" })
+            );
+        }
+    }
+
+    /// Only the shortest encoding is accepted: padding a value with a
+    /// zero continuation group, or spilling past 64 bits, is `BadVarint`.
+    #[test]
+    fn uvar_rejects_overlong_and_overflowing(v in ArbMagnitude, spill in 2u8..=255) {
+        let mut padded = uvar_bytes(v);
+        *padded.last_mut().unwrap() |= 0x80;
+        padded.push(0x00);
+        prop_assert_eq!(
+            Reader::new(&padded).uvar("v"),
+            Err(WireError::BadVarint { what: "v" })
+        );
+        let mut wide = uvar_bytes(v | 1 << 63);
+        wide[9] = spill;
+        prop_assert_eq!(
+            Reader::new(&wide).uvar("v"),
+            Err(WireError::BadVarint { what: "v" })
+        );
+    }
+
+    /// Arbitrary bytes never panic the varint reader, and whatever it
+    /// accepts is canonical: re-encoding gives back exactly the bytes it
+    /// consumed.
+    #[test]
+    fn uvar_accepts_only_what_it_would_write(
+        bytes in proptest::collection::vec(0u8..=255, 0..16),
+    ) {
+        let mut r = Reader::new(&bytes);
+        if let Ok(v) = r.uvar("v") {
+            let used = bytes.len() - r.remaining();
+            prop_assert_eq!(&uvar_bytes(v)[..], &bytes[..used]);
+        }
+    }
+
+    /// Clocks of any width up to 1 024 with entries of mixed magnitude
+    /// round-trip exactly, owner included, and cost at most ten bytes an
+    /// entry.
+    #[test]
+    fn vclock_round_trips_at_any_width(
+        width in 1usize..=1_024,
+        site_seed in 0usize..1_024,
+        raw in proptest::collection::vec(ArbMagnitude, 1_024),
+    ) {
+        let vc = VectorClock::from_entries(site_seed % width, raw[..width].to_vec());
+        let mut w = Writer::new();
+        put_vclock(&mut w, &vc);
+        let bytes = w.into_bytes();
+        prop_assert!(bytes.len() <= 2 + 2 + 10 * width);
+        let mut r = Reader::new(&bytes);
+        prop_assert_eq!(get_vclock(&mut r), Ok(vc));
+        prop_assert_eq!(r.remaining(), 0);
+        // A clock is not self-delimiting short of its last entry: sampled
+        // strict prefixes (all of them would be quadratic at this width).
+        for cut in (0..bytes.len()).step_by(1 + bytes.len() / 64) {
+            prop_assert!(get_vclock(&mut Reader::new(&bytes[..cut])).is_err());
         }
     }
 
