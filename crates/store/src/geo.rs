@@ -39,24 +39,23 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use tc_clocks::{Delta, Time};
-use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources};
+use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::{
     GeoMigrationPlan, GeoRelayEngine, GeoShardConfig, Migration, Msg, ProtocolConfig, PushBatch,
     RegionMap, WanProfile,
 };
 use tc_sim::workload::Workload;
-use tc_sim::{Metrics, NodeId, TraceRecorder};
+use tc_sim::NodeId;
 
 use crate::jitter::{splitmix64, JitterRng};
 use crate::reactor::TimerSlack;
 use crate::runtime::{
-    build_shard_engine, finish_run, step_server, ChannelOutbound, ClientCore, ClientRt,
-    RuntimeConfig, RuntimeResult, Shared, TickClock, TimerWheel,
+    build_shard_engine, finish_run, run_client, ChannelNode, ClientCore, Host, RuntimeConfig,
+    RuntimeResult, ShardCore, Shared, TickClock, TimerWheel,
 };
 
 /// Configuration of one threaded geo run.
@@ -64,7 +63,11 @@ use crate::runtime::{
 pub struct GeoRuntimeConfig {
     /// The common runtime knobs. `base.protocol.shards` is the *per
     /// region* fleet size and must equal `regions.shards_per_region`;
-    /// `base.n_clients` is the total across regions.
+    /// `base.n_clients` is the total across regions. The geo driver has
+    /// no shard kill/restart gate and no adaptive control plane yet:
+    /// `base.shard_outages` must be empty and `base.adaptive` `None`
+    /// ([`run_threaded_geo`] rejects anything else instead of reporting a
+    /// verdict for a fault plan or controller that never ran).
     pub base: RuntimeConfig,
     /// Region/shard layout.
     pub regions: RegionMap,
@@ -254,74 +257,31 @@ fn wan_courier(
     wheel.report(shared);
 }
 
-/// One geo shard or relay thread: drains its inbox and timer wheel until
-/// the run is over, routing effects through `send`. Unlike the plain
-/// threaded driver, geo infrastructure cannot exit on channel disconnect
-/// — shards and relays hold senders to each other — so the loop watches
-/// the shared `done` flag instead.
-fn geo_node_loop(
-    mut handle: impl FnMut(Event, &mut Vec<Effect>),
-    clock: TickClock,
-    inbox: &Receiver<(NodeId, Msg)>,
-    send: &mut dyn FnMut(NodeId, Msg),
-    shared: &Shared,
-    done: &AtomicBool,
-) {
-    const DRAIN_BATCH: usize = 128;
-    let _slack = TimerSlack::pin();
-    let mut timers: TimerWheel<u64> = TimerWheel::new();
-    let mut due: Vec<u64> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut out: Vec<Effect> = Vec::new();
-    loop {
-        events.clear();
-        timers.pop_due_into(Instant::now(), &mut due);
-        events.extend(due.iter().map(|&token| Event::Timer { token }));
-        if events.is_empty() {
-            if done.load(Ordering::Acquire) {
-                break;
-            }
-            // Block towards the next deadline, capped so the done flag is
-            // revisited promptly (the channels never disconnect mid-run).
-            let wait = timers
-                .next_deadline()
-                .map_or(Duration::from_millis(5), |d| {
-                    d.saturating_duration_since(Instant::now())
-                })
-                .min(Duration::from_millis(5));
-            if wait.is_zero() {
-                continue;
-            }
-            match inbox.recv_timeout(wait) {
-                Ok((from, msg)) => events.push(Event::Message { from, msg }),
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        while events.len() < DRAIN_BATCH {
-            match inbox.try_recv() {
-                Ok((from, msg)) => events.push(Event::Message { from, msg }),
-                Err(_) => break,
-            }
-        }
-        for event in events.drain(..) {
-            out.clear();
-            handle(event, &mut out);
-            for effect in out.drain(..) {
-                match effect {
-                    Effect::Send { to, msg } => send(to, msg),
-                    Effect::SetTimer { after, token } => {
-                        if let Some(deadline) = clock.deadline_after(after) {
-                            timers.arm(deadline, token);
-                        }
-                    }
-                    Effect::Metric { name, add } => shared.add_metric(name, add),
-                    Effect::Record(_) => unreachable!("geo infrastructure records nothing"),
-                }
-            }
+/// A geo relay is infrastructure like a shard: it steps on bare events
+/// (the relay engine time-stamps nothing, so no clock sample precedes
+/// them) and never finishes by itself.
+impl Host for GeoRelayEngine {
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>) {
+        self.handle(event, out);
+    }
+}
+
+/// The send routing of one geo shard or relay: cross-region messages
+/// detour through the courier, same-region ones go straight to the
+/// receiver's inbox.
+fn infra_send<'a>(
+    me: NodeId,
+    regions: &'a RegionMap,
+    wan_tx: Sender<WanPacket>,
+    node_txs: &'a [Sender<(NodeId, Msg)>],
+) -> impl FnMut(NodeId, Msg) + 'a {
+    move |to, msg| {
+        if is_wan(regions, me, to) {
+            let _ = wan_tx.send((me, to, msg));
+        } else {
+            let _ = node_txs[to.index()].send((me, msg));
         }
     }
-    timers.report(shared);
 }
 
 /// Runs one threaded geo execution to completion and judges it with the
@@ -330,8 +290,9 @@ fn geo_node_loop(
 /// # Panics
 ///
 /// Panics if a worker thread panics, the configuration is inconsistent
-/// (see [`GeoRuntimeConfig::for_protocol`]), or the recorded trace
-/// violates a history invariant.
+/// (see [`GeoRuntimeConfig::for_protocol`]) or asks for what the geo
+/// driver does not run (`base.shard_outages`, `base.adaptive`), or the
+/// recorded trace violates a history invariant.
 #[must_use]
 pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
     let regions = config.regions;
@@ -350,14 +311,20 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
         assert!(m.client < n_clients && m.to_region < n_regions);
         assert!(m.at_op < config.base.ops_per_client);
     }
+    // Neither is wired into the geo topology; running without them would
+    // report a clean verdict for a fault plan or controller that never
+    // ran.
+    assert!(
+        config.base.shard_outages.is_empty(),
+        "run_threaded_geo does not run base.shard_outages; use wan_outages for geo fault plans"
+    );
+    assert!(
+        config.base.adaptive.is_none(),
+        "run_threaded_geo does not run the adaptive Δ controller (base.adaptive)"
+    );
 
     let clock = TickClock::new(config.base.tick);
-    let mut recorder = TraceRecorder::new();
-    recorder.attach_monitor(config.base.monitor_delta, config.base.monitor_eps);
-    let shared = Shared {
-        recorder: Mutex::new(recorder),
-        metrics: Mutex::new(Metrics::new()),
-    };
+    let shared = Shared::new(&config.base);
 
     // One inbox per node, id-indexed: R·S shards, R relays, clients.
     let total_nodes = regions.client_base() + n_clients;
@@ -411,36 +378,26 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                         batch: cfg.geo_batch,
                         retx_after: cfg.geo_retx_after,
                     };
-                    let mut engine =
+                    let engine =
                         build_shard_engine(cfg.base.protocol, cfg.base.wal_dir.as_deref(), node)
                             .with_geo(geo);
                     let inbox = node_rxs[node].take().expect("receiver taken once");
                     let wan_tx = wan_tx.clone();
                     shard_workers.push(scope.spawn(move |_| {
                         let me = NodeId::new(node);
-                        let mut send = |to: NodeId, msg: Msg| {
-                            if is_wan(&cfg.regions, me, to) {
-                                let _ = wan_tx.send((me, to, msg));
-                            } else {
-                                let _ = node_txs_ref[to.index()].send((me, msg));
-                            }
-                        };
-                        geo_node_loop(
-                            |event, out| step_server(&mut engine, &clock, me, event, out),
-                            clock,
-                            &inbox,
-                            &mut send,
-                            shared_ref,
-                            done_ref,
-                        );
-                        engine.requests_served()
+                        let send = infra_send(me, &cfg.regions, wan_tx, node_txs_ref);
+                        ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, shared_ref)
+                            .until(done_ref)
+                            .run(&inbox)
+                            .engine
+                            .requests_served()
                     }));
                 }
             }
             // Relays.
             for region in 0..n_regions {
                 let node = regions.relay_node(region);
-                let mut engine = GeoRelayEngine::new(
+                let engine = GeoRelayEngine::new(
                     regions
                         .region_shards(region)
                         .into_iter()
@@ -452,22 +409,10 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                 let inbox = node_rxs[node].take().expect("receiver taken once");
                 let wan_tx = wan_tx.clone();
                 scope.spawn(move |_| {
-                    let me = NodeId::new(node);
-                    let mut send = |to: NodeId, msg: Msg| {
-                        if is_wan(&cfg.regions, me, to) {
-                            let _ = wan_tx.send((me, to, msg));
-                        } else {
-                            let _ = node_txs_ref[to.index()].send((me, msg));
-                        }
-                    };
-                    geo_node_loop(
-                        |event, out| engine.handle(event, out),
-                        clock,
-                        &inbox,
-                        &mut send,
-                        shared_ref,
-                        done_ref,
-                    );
+                    let send = infra_send(NodeId::new(node), &cfg.regions, wan_tx, node_txs_ref);
+                    ChannelNode::new(engine, send, clock, shared_ref)
+                        .until(done_ref)
+                        .run(&inbox);
                 });
             }
             // The courier's original sender: drop it so the courier can
@@ -477,20 +422,15 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
             let mut workers = Vec::with_capacity(n_clients);
             for site in 0..n_clients {
                 let home = cfg.home_region(site);
-                let mut engine = ClientEngine::new(
-                    cfg.base.protocol,
-                    regions
-                        .region_shards(home)
-                        .into_iter()
-                        .map(NodeId::new)
-                        .collect(),
-                    site,
-                    n_clients,
-                    cfg.base.workload.clone(),
-                    cfg.base.ops_per_client,
-                );
+                let servers = regions
+                    .region_shards(home)
+                    .into_iter()
+                    .map(NodeId::new)
+                    .collect();
+                let me = NodeId::new(regions.client_base() + site);
+                let mut core = ClientCore::for_site(&cfg.base, servers, me, site, clock);
                 for m in cfg.migrations.iter().filter(|m| m.client == site) {
-                    engine = engine.with_migration(GeoMigrationPlan {
+                    core.engine = core.engine.with_migration(GeoMigrationPlan {
                         at_op: m.at_op,
                         relay: NodeId::new(regions.relay_node(m.to_region)),
                         servers: regions
@@ -500,20 +440,15 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                             .collect(),
                     });
                 }
-                let node = regions.client_base() + site;
-                let rt = ClientRt {
-                    core: ClientCore::new(
-                        engine,
-                        PrivateSources::new(cfg.base.seed, site, n_clients),
-                        clock,
-                        NodeId::new(node),
-                    ),
-                    outbound: ChannelOutbound(node_txs_ref.to_vec()),
-                    shared: shared_ref,
-                    timers: TimerWheel::new(),
-                };
-                let inbox = node_rxs[node].take().expect("receiver taken once");
-                workers.push(scope.spawn(move |_| rt.run(&inbox)));
+                let inbox = node_rxs[me.index()].take().expect("receiver taken once");
+                workers.push(scope.spawn(move |_| {
+                    // Clients speak LAN to whichever fleet they are
+                    // attached to: never through the courier.
+                    let send = move |to: NodeId, msg: Msg| {
+                        let _ = node_txs_ref[to.index()].send((me, msg));
+                    };
+                    run_client(core, send, clock, shared_ref, &inbox)
+                }));
             }
             let latencies = workers
                 .into_iter()
@@ -622,5 +557,26 @@ mod tests {
             "the blackout must force batch retransmissions"
         );
         assert!(r.counter(names::GEO_APPLIED) > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run base.shard_outages")]
+    fn threaded_geo_rejects_shard_outages_instead_of_dropping_them() {
+        let mut cfg = geo_config(59);
+        cfg.base.shard_outages = vec![(0, Time::from_ticks(100), Time::from_ticks(200))];
+        let _ = run_threaded_geo(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not run the adaptive Δ controller")]
+    fn threaded_geo_rejects_adaptive_control_instead_of_dropping_it() {
+        use tc_lifetime::control::ControllerConfig;
+        let mut cfg = geo_config(61);
+        cfg.base.adaptive = Some(ControllerConfig::new(
+            Delta::from_ticks(50),
+            Delta::from_ticks(8_000),
+            Delta::from_ticks(20),
+        ));
+        let _ = run_threaded_geo(&cfg);
     }
 }

@@ -1,11 +1,8 @@
-//! Evented reactor TCP driver: the fourth driver of the sans-io §5
-//! lifetime engines, built for connection counts the thread-per-connection
-//! transport cannot reach.
+//! The socket driver: the sans-io §5 lifetime engines over loopback TCP,
+//! evented, at connection counts a thread per connection cannot reach.
 //!
-//! [`crate::transport::run_tcp`] spends four OS threads per (site, shard)
-//! link — a client loop, a link reader, and a writer pair — which tops out
-//! around a few hundred connections on a small machine. This module runs
-//! the *unchanged* [`ClientEngine`]/[`ServerEngine`] fleet over the same
+//! The *unchanged* [`ClientEngine`](tc_lifetime::engine::ClientEngine) /
+//! [`ServerEngine`](tc_lifetime::engine::ServerEngine) fleet runs over
 //! `tc-wire` framing with **two** kinds of threads total:
 //!
 //! * one **shard reactor** per shard: a hand-rolled epoll loop (see
@@ -13,29 +10,49 @@
 //!   owning the listener and every accepted connection as a registered fd,
 //!   with per-connection read/write buffers and an incremental
 //!   [`tc_wire::FrameDecoder`] (see [`conn`]);
-//! * one **client reactor** hosting *all* [`ClientCore`]s: their engine
-//!   timers live in one [`TimerWheel`] folded into the epoll timeout, and
-//!   their per-shard links follow the same Hello/HelloAck handshake,
-//!   heartbeat, and backoff-reconnect rules as the blocking transport.
+//! * one **client reactor** hosting *all* `ClientCore`s: their engine
+//!   timers live in one `TimerWheel` folded into the epoll timeout, and
+//!   each (site, shard) link is a small state machine — dial, handshake,
+//!   heartbeat, redial under [`Backoff`].
 //!
-//! The protocol surface is byte-identical to `run_tcp` — same handshake
-//! validation, same heartbeat/read-timeout liveness rules, same
-//! dead-letter semantics for sends on a down link, same [`ListenerChaos`]
-//! fault injection — so [`run_reactor`] returns the same
-//! [`RuntimeResult`] shape and the conformance oracle, the
-//! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor), and the metrics
-//! pipeline apply unchanged. `tests/engine_equivalence.rs` pins all four
-//! drivers to identical per-site operation fingerprints.
+//! Both are hosts of the driver core in [`crate::runtime`]: they step the
+//! same `ClientCore` / `ShardCore`, hand the effects to the same
+//! `execute` through a `Port` over their connection table, and share the
+//! per-connection plumbing itself (see [`table`]). The result is the same
+//! [`RuntimeResult`] shape the channel drivers return, so the conformance
+//! oracle, the [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor), and the
+//! metrics pipeline apply unchanged; `tests/engine_equivalence.rs` pins
+//! every driver to identical per-site operation fingerprints.
+//!
+//! # Links
+//!
+//! The first frame on every connection is a [`WireMsg::Hello`] carrying
+//! the client's full `ProtocolConfig`; the shard compares it against its
+//! own (plus the shard index and the client id space) and answers
+//! [`WireMsg::HelloAck`] — or [`WireMsg::HelloReject`] and a close,
+//! because two processes silently disagreeing on Δ would void every timed
+//! guarantee the monitor is about to certify. An idle connection carries
+//! [`WireMsg::Heartbeat`]s so the peer's read timeout only ever fires on
+//! a genuinely dead link. A link that dies (error, EOF, heartbeat silence)
+//! is unrouted — the engine's `Effect::Send`s to it dead-letter, exactly
+//! like the simulator's lossy network — and redialled under [`Backoff`],
+//! replaying the handshake. Engine state never restarts, so server
+//! delivery cursors and client epochs resume where they left off; the
+//! protocol's retry timers re-cover anything lost in flight.
+//! [`ListenerChaos`] kills one shard's listener (and every live
+//! connection to it) mid-run, keeps the address unreachable for a while,
+//! then rebinds it — the transport-level analogue of the simulator's
+//! crash faults, driving the reconnect path under the conformance oracle.
 //!
 //! # Liveness bookkeeping
 //!
-//! Connections live in a [`Slab`] whose tokens carry a **generation**
-//! number: an epoll event batch may contain events for a connection an
-//! earlier event in the same batch closed, and a reconnect may reuse the
-//! closed connection's slot (and fd). A stale token simply fails to
-//! resolve instead of reaching the wrong connection. The server counts
-//! every accept as [`names::REACTOR_CONN_OPENED`] and every deregistration
-//! as [`names::REACTOR_CONN_CLOSED`]; a leak-free run ends with the two
+//! Connections live in a slab whose tokens carry a **generation** number:
+//! an epoll event batch may contain events for a connection an earlier
+//! event in the same batch closed, and a reconnect may reuse the closed
+//! connection's slot (and fd). A stale token simply fails to resolve
+//! instead of reaching the wrong connection. The server counts every
+//! accept as [`names::REACTOR_CONN_OPENED`] and every deregistration as
+//! [`names::REACTOR_CONN_CLOSED`]; a leak-free run ends with the two
 //! equal, which the connection-churn soak test asserts under hundreds of
 //! half-open dials ([`ConnectionChurn`]).
 //!
@@ -43,7 +60,7 @@
 //!
 //! An engine timer is a deadline on the shared tick clock: `SetTimer
 //! { after: k }` armed while the clock reads `t` is due at the tick
-//! boundary `t + max(k, 1)` ([`TickClock::deadline_after`]) — the instant
+//! boundary `t + max(k, 1)` (`TickClock::deadline_after`) — the instant
 //! the simulator would fire it — never before the clock reads `t + 1`, and
 //! every hosted site whose timer lands on the same tick is served by one
 //! wake. Each loop pass waits in `epoll_pwait2` (nanosecond timeout; see
@@ -59,6 +76,7 @@
 
 mod conn;
 mod sys;
+mod table;
 
 pub(crate) use sys::TimerSlack;
 
@@ -68,25 +86,74 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use tc_lifetime::control::{widen, DeltaController, DeltaSchedule};
-use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources, ServerEngine};
+use tc_lifetime::control::DeltaSchedule;
+use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::Msg;
 use tc_sim::metrics::names;
-use tc_sim::{Metrics, NetEvent, NodeId, TraceRecorder};
+use tc_sim::{NetEvent, NodeId};
 use tc_wire::{write_frame, WireMsg};
 
-use crate::jitter::link_seed;
+use crate::jitter::{link_seed, splitmix64};
 use crate::runtime::{
-    adaptive_widening, finish_run, step_server, ClientCore, OutageEdge, OutageGate, RuntimeConfig,
-    RuntimeResult, Shared, TickClock, TimerWheel,
+    build_shard_engine, execute, finish_run, ClientCore, ControlPlane, Host, OutageEdge,
+    OutageGate, Port, RuntimeConfig, RuntimeResult, ShardCore, Shared, TickClock, TimerWheel,
 };
-use crate::transport::{ListenerChaos, TcpRuntimeConfig};
 
-use conn::{Close, Conn, READ_CHUNK};
-use sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use sys::{EpollEvent, EPOLLIN};
+use table::{ConnTable, Links};
+
+/// Capped exponential backoff with deterministic jitter for client
+/// reconnects.
+#[derive(Clone, Copy, Debug)]
+pub struct Backoff {
+    /// First retry delay; the slot doubles each failed attempt.
+    pub base: Duration,
+    /// Upper bound on any single delay.
+    pub cap: Duration,
+    /// Consecutive failed attempts before the client reactor declares the
+    /// shard unreachable and panics (a harness failure, not a protocol
+    /// outcome — a real deployment would surface an error instead).
+    pub max_attempts: u32,
+}
+
+impl Default for Backoff {
+    fn default() -> Self {
+        Backoff {
+            base: Duration::from_millis(2),
+            cap: Duration::from_millis(50),
+            max_attempts: 60,
+        }
+    }
+}
+
+impl Backoff {
+    /// The delay before retry number `attempt` (0-based): the exponential
+    /// slot `base · 2^attempt`, capped at `cap`, jittered into
+    /// `[50 %, 100 %)` of the slot by `seed`. Deterministic — runs are
+    /// reproducible — yet different per (site, shard) pair, so a
+    /// restarted listener is not hit by a thundering herd.
+    #[must_use]
+    pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
+        let slot = self.base.saturating_mul(1 << attempt.min(16)).min(self.cap);
+        let r = splitmix64(seed ^ u64::from(attempt));
+        let frac = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
+        slot.mul_f64(frac)
+    }
+}
+
+/// Fault injection: kill one shard's listener (and every live connection
+/// to it) mid-run, hold the address down, then rebind it.
+#[derive(Clone, Copy, Debug)]
+pub struct ListenerChaos {
+    /// Which shard to kill.
+    pub shard: usize,
+    /// Run time after which the listener dies.
+    pub kill_after: Duration,
+    /// How long the shard stays unreachable before rebinding.
+    pub down_for: Duration,
+}
 
 /// Synthetic connection load for the churn soak test: a side thread that
 /// dials shard listeners, never completes a handshake, and hangs up — the
@@ -100,24 +167,36 @@ pub struct ConnectionChurn {
     pub every: Duration,
 }
 
-/// Configuration of one reactor run: the TCP transport knobs (heartbeat,
-/// read timeout, backoff, chaos) plus the reactor's own fault plan.
+/// Configuration of one reactor run: the common runtime knobs plus the
+/// socket driver's own link timing and fault plan.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Runtime + transport timing and fault-injection knobs, shared with
-    /// [`crate::transport::run_tcp_with`] so the two drivers are
-    /// configured identically.
-    pub tcp: TcpRuntimeConfig,
+    /// Protocol, fleet shape, workload, tick, and monitor bounds.
+    pub runtime: RuntimeConfig,
+    /// An idle connection sends a keep-alive this often.
+    pub heartbeat: Duration,
+    /// A connection with no inbound frame for this long is dead (must be
+    /// several multiples of `heartbeat`).
+    pub read_timeout: Duration,
+    /// Client reconnect schedule.
+    pub backoff: Backoff,
+    /// Optional listener fault injection.
+    pub chaos: Option<ListenerChaos>,
     /// Optional connection-churn injection.
     pub churn: Option<ConnectionChurn>,
 }
 
 impl ReactorConfig {
-    /// Reactor defaults: transport defaults, no churn.
+    /// Socket-driver defaults: 10 ms heartbeats, 250 ms dead-link timeout,
+    /// 2–50 ms backoff, no fault injection, no churn.
     #[must_use]
     pub fn new(runtime: RuntimeConfig) -> Self {
         ReactorConfig {
-            tcp: TcpRuntimeConfig::new(runtime),
+            runtime,
+            heartbeat: Duration::from_millis(10),
+            read_timeout: Duration::from_millis(250),
+            backoff: Backoff::default(),
+            chaos: None,
             churn: None,
         }
     }
@@ -132,154 +211,11 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// 5 ms later — inside every run's measured wall time.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-/// Interest every registered connection always has; `EPOLLOUT` is OR-ed
-/// in only while the outbox holds unsent bytes.
-const BASE_INTEREST: u32 = EPOLLIN | EPOLLRDHUP;
-
 /// Initial dials are issued in waves of this many connections…
 const DIAL_WAVE: usize = 32;
 /// …spaced this far apart, so a 1k-client fleet does not overrun the
 /// listener backlog (and the single accepting core) in one burst.
 const DIAL_WAVE_EVERY: Duration = Duration::from_millis(2);
-
-/// A generational slot map: tokens are `(generation << 32) | slot`, so a
-/// token outlives neither its connection nor a slot reuse.
-struct Slab<T> {
-    slots: Vec<Option<(u32, T)>>,
-    free: Vec<usize>,
-    next_gen: u32,
-}
-
-fn pack(slot: usize, gen: u32) -> u64 {
-    (u64::from(gen) << 32) | slot as u64
-}
-
-fn unpack(token: u64) -> (usize, u32) {
-    (token as u32 as usize, (token >> 32) as u32)
-}
-
-impl<T> Slab<T> {
-    fn new() -> Self {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_gen: 0,
-        }
-    }
-
-    fn insert(&mut self, value: T) -> u64 {
-        self.next_gen = self.next_gen.wrapping_add(1);
-        let gen = self.next_gen;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot] = Some((gen, value));
-                slot
-            }
-            None => {
-                self.slots.push(Some((gen, value)));
-                self.slots.len() - 1
-            }
-        };
-        pack(slot, gen)
-    }
-
-    fn get_mut(&mut self, token: u64) -> Option<&mut T> {
-        let (slot, gen) = unpack(token);
-        match self.slots.get_mut(slot) {
-            Some(Some((g, value))) if *g == gen => Some(value),
-            _ => None,
-        }
-    }
-
-    fn remove(&mut self, token: u64) -> Option<T> {
-        let (slot, gen) = unpack(token);
-        let cell = self.slots.get_mut(slot)?;
-        if matches!(cell, Some((g, _)) if *g == gen) {
-            let (_, value) = cell.take().expect("matched Some");
-            self.free.push(slot);
-            Some(value)
-        } else {
-            None
-        }
-    }
-
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// A snapshot of the live tokens, for sweeps that may close entries.
-    fn tokens(&self) -> Vec<u64> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, cell)| cell.as_ref().map(|(gen, _)| pack(slot, *gen)))
-            .collect()
-    }
-}
-
-/// One registered connection's socket + buffers + current interest mask.
-struct Endpoint {
-    stream: TcpStream,
-    conn: Conn,
-    interest: u32,
-}
-
-/// Re-syncs `EPOLLOUT` interest with the outbox state.
-fn sync_interest(epoll: &Epoll, ep: &mut Endpoint, token: u64) {
-    let want = if ep.conn.wants_write() {
-        BASE_INTEREST | EPOLLOUT
-    } else {
-        BASE_INTEREST
-    };
-    if want != ep.interest && epoll.modify(ep.stream.as_raw_fd(), want, token).is_ok() {
-        ep.interest = want;
-    }
-}
-
-/// Pushes outbox bytes as far as the socket allows and re-arms (or
-/// disarms) write interest. `Some` means the connection died writing.
-fn flush(epoll: &Epoll, ep: &mut Endpoint, token: u64, now: Instant) -> Option<Close> {
-    if let Some(verdict) = ep.conn.on_writable(&mut ep.stream, now) {
-        return Some(verdict);
-    }
-    sync_interest(epoll, ep, token);
-    None
-}
-
-/// What the liveness sweep decided for one connection.
-enum SweepAction {
-    Nothing,
-    Heartbeat,
-    DeadPeer,
-}
-
-/// Decides timeout/heartbeat for one endpoint — shared by both reactors.
-fn sweep_endpoint(ep: &Endpoint, now: Instant, cfg: &TcpRuntimeConfig) -> SweepAction {
-    if now.duration_since(ep.conn.last_read) > cfg.read_timeout {
-        SweepAction::DeadPeer
-    } else if now.duration_since(ep.conn.last_write) >= cfg.heartbeat {
-        SweepAction::Heartbeat
-    } else {
-        SweepAction::Nothing
-    }
-}
-
-/// How often the liveness sweep runs: fine enough that a heartbeat is
-/// never late by more than half its period and chaos schedules are
-/// honoured, coarse enough that a busy loop does not walk every
-/// connection on every pass.
-fn sweep_every(cfg: &TcpRuntimeConfig) -> Duration {
-    (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5))
-}
-
-/// The epoll timeout for one loop pass: the earliest of the next timer
-/// deadline and the next liveness sweep.
-fn wait_timeout(next_deadline: Option<Instant>, next_sweep: Instant, now: Instant) -> Duration {
-    next_deadline
-        .map_or(next_sweep, |deadline| deadline.min(next_sweep))
-        .saturating_duration_since(now)
-}
 
 // ---------------------------------------------------------------------
 // Shard side
@@ -294,11 +230,6 @@ enum ServerPeer {
     Up { site: usize },
 }
 
-struct ServerConn {
-    ep: Endpoint,
-    peer: ServerPeer,
-}
-
 /// Timer tokens of the shard reactor's wheel: engine flush deadlines plus
 /// the chaos rebind alarm. `Ord` only to satisfy the heap — deadlines and
 /// arming order decide pops.
@@ -311,14 +242,12 @@ enum ShardTimer {
 struct ShardReactor<'a> {
     shard: usize,
     shards: usize,
-    cfg: &'a TcpRuntimeConfig,
-    engine: ServerEngine,
+    cfg: &'a ReactorConfig,
+    core: ShardCore,
     clock: TickClock,
-    me: NodeId,
-    epoll: Epoll,
+    table: ConnTable<ServerPeer>,
     listener: Option<TcpListener>,
     addr: SocketAddr,
-    conns: Slab<ServerConn>,
     /// site → live connection token. A reconnect replaces the route; the
     /// superseded connection's close leaves the new route alone.
     routes: HashMap<usize, u64>,
@@ -330,47 +259,55 @@ struct ShardReactor<'a> {
     shared: &'a Shared,
     /// Wire-event capture for timeline export; checked before any lock.
     net: bool,
-    /// Scratch reused across events, so a steady-state pass allocates
-    /// nothing: the read buffer lent to every connection, the frames one
-    /// readable event decoded, and the effects of one engine step.
-    scratch: Vec<u8>,
-    frames: Vec<(u16, WireMsg)>,
+    /// The effects of one engine step; reused so a steady-state step
+    /// allocates nothing.
     effects: Vec<Effect>,
 }
 
-impl<'a> ShardReactor<'a> {
-    fn new(
-        shard: usize,
-        shards: usize,
-        cfg: &'a TcpRuntimeConfig,
-        clock: TickClock,
-        listener: TcpListener,
-        addr: SocketAddr,
-        shared: &'a Shared,
-    ) -> Self {
-        ShardReactor {
-            shard,
-            shards,
-            cfg,
-            engine: crate::runtime::build_shard_engine(
-                cfg.runtime.protocol,
-                cfg.runtime.wal_dir.as_deref(),
-                shard,
-            ),
-            clock,
-            me: NodeId::new(shard),
-            epoll: Epoll::new().expect("epoll create"),
-            listener: Some(listener),
-            addr,
-            conns: Slab::new(),
-            routes: HashMap::new(),
-            timers: TimerWheel::new(),
-            outages: OutageGate::new(shard, &cfg.runtime.shard_outages),
-            shared,
-            net: cfg.runtime.capture_net,
-            scratch: vec![0; READ_CHUNK],
-            frames: Vec::new(),
-            effects: Vec::new(),
+impl Links for ShardReactor<'_> {
+    type Peer = ServerPeer;
+
+    fn table(&mut self) -> &mut ConnTable<ServerPeer> {
+        &mut self.table
+    }
+
+    fn on_frame(&mut self, token: u64, msg: WireMsg) {
+        // A previous frame (Bye, protocol rot) may have closed us.
+        let peer_site = match self.table.peer_mut(token) {
+            Some(ServerPeer::AwaitHello) => None,
+            Some(ServerPeer::Up { site }) => Some(*site),
+            None => return,
+        };
+        match (peer_site, msg) {
+            (
+                None,
+                WireMsg::Hello {
+                    site,
+                    n_clients,
+                    shard: dialled,
+                    protocol,
+                },
+            ) => self.handle_hello(token, site, n_clients, dialled, protocol),
+            (None, _) => {
+                // Any frame before Hello is a protocol violation: the
+                // churn injector sends exactly this shape on purpose.
+                self.close(token);
+            }
+            (Some(site), WireMsg::Proto(msg)) => {
+                if self.net {
+                    self.shared.log_net(NetEvent::Recv {
+                        at: self.clock.now(),
+                        from: self.shards + site,
+                        to: self.shard,
+                        tag: msg.tag(),
+                    });
+                }
+                let from = NodeId::new(self.shards + site);
+                self.step_engine(Event::Message { from, msg });
+            }
+            (Some(_), WireMsg::Heartbeat) => {}
+            (Some(_), WireMsg::Bye) => self.close(token),
+            (Some(_), _) => self.close(token), // a second Hello, a stray Ack
         }
     }
 
@@ -378,9 +315,8 @@ impl<'a> ShardReactor<'a> {
     /// route still names this connection — a reconnect may have replaced
     /// it already).
     fn close(&mut self, token: u64) {
-        if let Some(entry) = self.conns.remove(token) {
-            let _ = self.epoll.del(entry.ep.stream.as_raw_fd());
-            if let ServerPeer::Up { site } = entry.peer {
+        if let Some(peer) = self.table.remove(token) {
+            if let ServerPeer::Up { site } = peer {
                 if self.routes.get(&site) == Some(&token) {
                     self.routes.remove(&site);
                 }
@@ -388,24 +324,63 @@ impl<'a> ShardReactor<'a> {
             self.shared.add_metric(names::REACTOR_CONN_CLOSED, 1);
         }
     }
+}
 
-    /// Queues a frame and flushes as far as the socket allows. `false`
-    /// means the connection was dead (or died writing) and is gone.
-    fn queue_and_flush(&mut self, token: u64, msg: &WireMsg) -> bool {
-        let now = Instant::now();
-        let shard_tag = self.shard as u16;
-        let closed = {
-            let Some(entry) = self.conns.get_mut(token) else {
-                return false;
-            };
-            entry.ep.conn.queue(shard_tag, msg);
-            flush(&self.epoll, &mut entry.ep, token, now).is_some()
-        };
-        if closed {
-            self.close(token);
-            return false;
+/// The shard engine's effects: sends go out through the route table —
+/// dead-lettering, counted, when the site has no live connection — and
+/// timers into the reactor's wheel as [`ShardTimer::Engine`].
+impl Port for ShardReactor<'_> {
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        let site = to.index() - self.shards;
+        if self.net {
+            self.shared.log_net(NetEvent::Send {
+                at: self.clock.now(),
+                from: self.shard,
+                to: to.index(),
+                tag: msg.tag(),
+            });
         }
-        true
+        let delivered = match self.routes.get(&site).copied() {
+            Some(token) => self.queue_and_flush(token, &WireMsg::Proto(msg)),
+            None => false,
+        };
+        if !delivered {
+            self.shared.add_metric(names::TCP_SEND_DROPPED, 1);
+        }
+    }
+
+    fn arm(&mut self, deadline: Instant, token: u64) {
+        self.timers.arm(deadline, ShardTimer::Engine(token));
+    }
+}
+
+impl<'a> ShardReactor<'a> {
+    fn new(
+        shard: usize,
+        cfg: &'a ReactorConfig,
+        clock: TickClock,
+        listener: TcpListener,
+        addr: SocketAddr,
+        shared: &'a Shared,
+    ) -> Self {
+        let rc = &cfg.runtime;
+        let engine = build_shard_engine(rc.protocol, rc.wal_dir.as_deref(), shard);
+        ShardReactor {
+            shard,
+            shards: rc.protocol.shards,
+            cfg,
+            core: ShardCore::new(engine, clock, NodeId::new(shard)),
+            clock,
+            table: ConnTable::new(),
+            listener: Some(listener),
+            addr,
+            routes: HashMap::new(),
+            timers: TimerWheel::new(),
+            outages: OutageGate::new(shard, &rc.shard_outages),
+            shared,
+            net: rc.capture_net,
+            effects: Vec::new(),
+        }
     }
 
     /// Feeds one event to the shard engine and executes the effects. A
@@ -419,36 +394,9 @@ impl<'a> ShardReactor<'a> {
             return;
         }
         let mut out = std::mem::take(&mut self.effects);
-        step_server(&mut self.engine, &self.clock, self.me, event, &mut out);
-        for effect in out.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let site = to.index() - self.shards;
-                    if self.net {
-                        self.shared.log_net(NetEvent::Send {
-                            at: self.clock.now(),
-                            from: self.shard,
-                            to: to.index(),
-                            tag: msg.tag(),
-                        });
-                    }
-                    let delivered = match self.routes.get(&site).copied() {
-                        Some(token) => self.queue_and_flush(token, &WireMsg::Proto(msg)),
-                        None => false,
-                    };
-                    if !delivered {
-                        self.shared.add_metric(names::TCP_SEND_DROPPED, 1);
-                    }
-                }
-                Effect::SetTimer { after, token } => {
-                    if let Some(deadline) = self.clock.deadline_after(after) {
-                        self.timers.arm(deadline, ShardTimer::Engine(token));
-                    }
-                }
-                Effect::Metric { name, add } => self.shared.add_metric(name, add),
-                Effect::Record(_) => unreachable!("the server engine records nothing"),
-            }
-        }
+        self.core.step(event, &mut out);
+        let (clock, shared) = (self.clock, self.shared);
+        execute(&mut out, self, &clock, shared);
         self.effects = out;
     }
 
@@ -462,20 +410,14 @@ impl<'a> ShardReactor<'a> {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    let fd = stream.as_raw_fd();
-                    let token = self.conns.insert(ServerConn {
-                        ep: Endpoint {
-                            stream,
-                            conn: Conn::new(Instant::now()),
-                            interest: BASE_INTEREST,
-                        },
-                        peer: ServerPeer::AwaitHello,
-                    });
-                    if self.epoll.add(fd, BASE_INTEREST, token).is_err() {
-                        self.conns.remove(token);
-                        continue;
+                    let tag = self.shard as u16;
+                    if self
+                        .table
+                        .insert(stream, tag, ServerPeer::AwaitHello)
+                        .is_some()
+                    {
+                        self.shared.add_metric(names::REACTOR_CONN_OPENED, 1);
                     }
-                    self.shared.add_metric(names::REACTOR_CONN_OPENED, 1);
                 }
                 // WouldBlock (queue drained) or a transient accept error:
                 // either way the next readiness event resumes accepting.
@@ -484,81 +426,10 @@ impl<'a> ShardReactor<'a> {
         }
     }
 
-    /// Reacts to readiness bits for one connection token.
-    fn handle_conn_event(&mut self, token: u64, bits: u32) {
-        let now = Instant::now();
-        let Some(entry) = self.conns.get_mut(token) else {
-            return; // closed earlier in this same event batch
-        };
-        let mut frames = std::mem::take(&mut self.frames);
-        let mut verdict = None;
-        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-            verdict = entry.ep.conn.on_readable(
-                &mut entry.ep.stream,
-                now,
-                &mut self.scratch,
-                &mut frames,
-            );
-        }
-        if verdict.is_none() && bits & EPOLLOUT != 0 {
-            verdict = flush(&self.epoll, &mut entry.ep, token, now);
-        }
-        // Frames decoded before an EOF/error still count (the blocking
-        // driver reads them the same way before noticing the close).
-        self.dispatch_frames(token, &mut frames);
-        self.frames = frames;
-        if verdict.is_some() {
-            self.close(token);
-        }
-    }
-
-    fn dispatch_frames(&mut self, token: u64, frames: &mut Vec<(u16, WireMsg)>) {
-        for (_tag, msg) in frames.drain(..) {
-            // A previous frame (Bye, protocol rot) may have closed us.
-            let peer_site = match self.conns.get_mut(token) {
-                Some(entry) => match entry.peer {
-                    ServerPeer::AwaitHello => None,
-                    ServerPeer::Up { site } => Some(site),
-                },
-                None => return,
-            };
-            match (peer_site, msg) {
-                (
-                    None,
-                    WireMsg::Hello {
-                        site,
-                        n_clients,
-                        shard: dialled,
-                        protocol,
-                    },
-                ) => self.handle_hello(token, site, n_clients, dialled, protocol),
-                (None, _) => {
-                    // Any frame before Hello is a protocol violation: the
-                    // churn injector sends exactly this shape on purpose.
-                    self.close(token);
-                }
-                (Some(site), WireMsg::Proto(msg)) => {
-                    if self.net {
-                        self.shared.log_net(NetEvent::Recv {
-                            at: self.clock.now(),
-                            from: self.shards + site,
-                            to: self.shard,
-                            tag: msg.tag(),
-                        });
-                    }
-                    let from = NodeId::new(self.shards + site);
-                    self.step_engine(Event::Message { from, msg });
-                }
-                (Some(_), WireMsg::Heartbeat) => {}
-                (Some(_), WireMsg::Bye) => self.close(token),
-                (Some(_), _) => self.close(token), // a second Hello, a stray Ack
-            }
-        }
-    }
-
-    /// The handshake: validation identical to the blocking transport's
-    /// accept loop, so the two drivers reject the same misconfigurations
-    /// with the same reasons.
+    /// The handshake: a Hello must match this shard's protocol config,
+    /// index and client id space exactly, or it is refused with the
+    /// reason — two processes silently disagreeing on Δ would void every
+    /// timed guarantee.
     fn handle_hello(
         &mut self,
         token: u64,
@@ -585,8 +456,8 @@ impl<'a> ShardReactor<'a> {
             }
             None => {
                 let site = site as usize;
-                if let Some(entry) = self.conns.get_mut(token) {
-                    entry.peer = ServerPeer::Up { site };
+                if let Some(peer) = self.table.peer_mut(token) {
+                    *peer = ServerPeer::Up { site };
                 }
                 self.routes.insert(site, token);
                 self.queue_and_flush(
@@ -599,31 +470,13 @@ impl<'a> ShardReactor<'a> {
         }
     }
 
-    /// Read-timeout + heartbeat sweep over every live connection.
-    fn sweep(&mut self, now: Instant) {
-        for token in self.conns.tokens() {
-            let action = match self.conns.get_mut(token) {
-                Some(entry) => sweep_endpoint(&entry.ep, now, self.cfg),
-                None => continue,
-            };
-            match action {
-                SweepAction::DeadPeer => self.close(token),
-                SweepAction::Heartbeat => {
-                    self.shared.add_metric(names::TCP_HEARTBEAT, 1);
-                    self.queue_and_flush(token, &WireMsg::Heartbeat);
-                }
-                SweepAction::Nothing => {}
-            }
-        }
-    }
-
     /// Chaos kill: unregister + drop the listener, hard-close every live
     /// connection, and arm the rebind alarm.
     fn chaos_kill(&mut self, down_for: Duration) {
         if let Some(listener) = self.listener.take() {
-            let _ = self.epoll.del(listener.as_raw_fd());
+            let _ = self.table.epoll.del(listener.as_raw_fd());
         }
-        for token in self.conns.tokens() {
+        for token in self.table.tokens() {
             self.close(token);
         }
         self.routes.clear();
@@ -650,7 +503,8 @@ impl<'a> ShardReactor<'a> {
             }
         };
         reborn.set_nonblocking(true).expect("nonblocking listener");
-        self.epoll
+        self.table
+            .epoll
             .add(reborn.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
             .expect("register reborn listener");
         self.shared.add_metric(names::TCP_LISTENER_RESTART, 1);
@@ -667,16 +521,17 @@ impl<'a> ShardReactor<'a> {
             .as_ref()
             .expect("listener present")
             .as_raw_fd();
-        self.epoll
+        self.table
+            .epoll
             .add(fd, EPOLLIN, TOKEN_LISTENER)
             .expect("register listener");
-        self.epoll
+        self.table
+            .epoll
             .add(wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE)
             .expect("register wake stream");
         let mut chaos_pending = chaos;
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
         let mut due = Vec::new();
-        let mut next_sweep = Instant::now();
         let mut stopping = false;
         while !stopping {
             let now = Instant::now();
@@ -717,13 +572,8 @@ impl<'a> ShardReactor<'a> {
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
-            let mut now = Instant::now();
-            if now >= next_sweep {
-                self.sweep(now);
-                next_sweep = now + sweep_every(self.cfg);
-                now = Instant::now();
-            }
-            let mut timeout = wait_timeout(self.timers.next_deadline(), next_sweep, now);
+            let now = self.sweep(self.cfg, self.shared);
+            let mut timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
             if let Some(c) = chaos_pending {
                 let kill_at = started + c.kill_after;
                 timeout = timeout.min(kill_at.saturating_duration_since(now));
@@ -733,7 +583,11 @@ impl<'a> ShardReactor<'a> {
                 // the wait so they are noticed promptly.
                 timeout = timeout.min(Duration::from_millis(5));
             }
-            let n = self.epoll.wait(&mut events, timeout).expect("epoll wait");
+            let n = self
+                .table
+                .epoll
+                .wait(&mut events, timeout)
+                .expect("epoll wait");
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
                 match token {
@@ -744,11 +598,11 @@ impl<'a> ShardReactor<'a> {
             }
         }
         // Drain every registration so opened == closed on a clean exit.
-        for token in self.conns.tokens() {
+        for token in self.table.tokens() {
             self.close(token);
         }
         self.timers.report(self.shared);
-        self.engine.requests_served()
+        self.core.engine.requests_served()
     }
 }
 
@@ -773,15 +627,15 @@ struct ClientState {
     /// Completed handshakes per shard (first = connect, rest = reconnect).
     connects: Vec<u64>,
     /// Whether `Event::Start` has been fed (gated on every link being up,
-    /// like the blocking transport's link-wait, so the opening op isn't
-    /// taxed a retry round-trip).
+    /// so the opening op isn't taxed a retry round-trip).
     started: bool,
     /// Workload complete with nothing in flight; excluded from `remaining`.
     finished: bool,
 }
 
-struct ClientConn {
-    ep: Endpoint,
+/// Which link a client-side connection serves.
+#[derive(Clone, Copy)]
+struct LinkId {
     client: usize,
     shard: usize,
 }
@@ -796,197 +650,98 @@ enum ClientTimer {
     Controller,
 }
 
-/// The adaptive control plane hosted inside the client reactor: the
-/// controller itself plus the sampling state its pressure signal needs.
-/// The reactor's single thread owns every client, so commands are fed to
-/// the hosted engines directly — the in-loop equivalent of the channel
-/// broadcast the threaded drivers use.
-struct ControllerState {
-    controller: DeltaController,
-    widening: tc_clocks::Delta,
-    expected_ops: usize,
-    last_violations: usize,
-    last_retries: u64,
-}
-
 struct ClientReactor<'a> {
-    cfg: &'a TcpRuntimeConfig,
+    cfg: &'a ReactorConfig,
     shards: usize,
     addrs: &'a [SocketAddr],
     clock: TickClock,
-    epoll: Epoll,
-    conns: Slab<ClientConn>,
+    table: ConnTable<LinkId>,
     clients: Vec<ClientState>,
     timers: TimerWheel<ClientTimer>,
     shared: &'a Shared,
     /// Clients not yet `finished`; the loop exits at zero.
     remaining: usize,
-    /// The adaptive Δ control plane, when the run is adaptive.
-    controller: Option<ControllerState>,
+    /// The adaptive Δ control plane, when the run is adaptive. The
+    /// reactor's single thread owns every client, so commands are fed to
+    /// the hosted engines directly — the in-loop equivalent of the channel
+    /// broadcast the channel drivers use.
+    controller: Option<ControlPlane>,
     /// Wire-event capture for timeline export (mirrors
     /// [`RuntimeConfig::capture_net`]); checked before taking any lock.
     net: bool,
-    /// Scratch reused across events, as in [`ShardReactor`].
-    scratch: Vec<u8>,
-    frames: Vec<(u16, WireMsg)>,
+    /// The effects of one engine step, as in [`ShardReactor`].
     effects: Vec<Effect>,
 }
 
-impl<'a> ClientReactor<'a> {
-    fn new(
-        cfg: &'a TcpRuntimeConfig,
-        shards: usize,
-        addrs: &'a [SocketAddr],
-        clock: TickClock,
-        shared: &'a Shared,
-    ) -> Self {
-        let rc = &cfg.runtime;
-        let clients: Vec<ClientState> = (0..rc.n_clients)
-            .map(|site| {
-                let engine = ClientEngine::new(
-                    rc.protocol,
-                    (0..shards).map(NodeId::new).collect(),
-                    site,
-                    rc.n_clients,
-                    rc.workload.clone(),
-                    rc.ops_per_client,
+impl Links for ClientReactor<'_> {
+    type Peer = LinkId;
+
+    fn table(&mut self) -> &mut ConnTable<LinkId> {
+        &mut self.table
+    }
+
+    fn on_frame(&mut self, token: u64, msg: WireMsg) {
+        let Some(&mut LinkId { client, shard }) = self.table.peer_mut(token) else {
+            return; // closed by an earlier frame
+        };
+        match msg {
+            WireMsg::HelloAck { .. } => {
+                let awaiting = matches!(
+                    self.clients[client].links[shard],
+                    LinkState::AwaitAck { token: t } if t == token
                 );
-                ClientState {
-                    core: ClientCore::new(
-                        engine,
-                        PrivateSources::new(rc.seed, site, rc.n_clients),
-                        clock,
-                        NodeId::new(shards + site),
-                    ),
-                    links: (0..shards)
-                        .map(|_| LinkState::Down { attempt: 0 })
-                        .collect(),
-                    connects: vec![0; shards],
-                    started: false,
-                    finished: false,
-                }
-            })
-            .collect();
-        let remaining = clients.len();
-        let controller = rc.adaptive.map(|ctrl| {
-            let base = rc
-                .protocol
-                .kind
-                .delta()
-                .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
-            ControllerState {
-                controller: DeltaController::new(ctrl, base),
-                widening: adaptive_widening(rc.monitor_delta, &rc.protocol),
-                expected_ops: rc.n_clients * rc.ops_per_client,
-                last_violations: 0,
-                last_retries: 0,
-            }
-        });
-        ClientReactor {
-            cfg,
-            shards,
-            addrs,
-            clock,
-            epoll: Epoll::new().expect("epoll create"),
-            conns: Slab::new(),
-            clients,
-            timers: TimerWheel::new(),
-            shared,
-            remaining,
-            controller,
-            net: rc.capture_net,
-            scratch: vec![0; READ_CHUNK],
-            frames: Vec::new(),
-            effects: Vec::new(),
-        }
-    }
-
-    /// The controller's real-time duration between samples.
-    fn controller_interval(&self) -> Duration {
-        self.controller
-            .as_ref()
-            .and_then(|cs| {
-                self.clock
-                    .delta_to_duration(cs.controller.config().interval)
-            })
-            .unwrap_or(Duration::from_millis(5))
-    }
-
-    /// One adaptive control tick: sample the live monitor and the retry
-    /// counter, tick the controller, shift the monitor's judged schedule,
-    /// and feed the current command to every hosted client — the in-loop
-    /// equivalent of the threaded drivers' channel broadcast. Re-arms
-    /// itself until every expected operation has been ingested.
-    fn controller_tick(&mut self) {
-        let Some(mut cs) = self.controller.take() else {
-            return;
-        };
-        let (observed, violations, ingested) = {
-            let rec = self.shared.recorder.lock().expect("recorder lock");
-            let m = rec.monitor().expect("monitor attached by the driver");
-            (m.min_delta(), m.violations().len(), m.ingested())
-        };
-        let retries = {
-            let metrics = self.shared.metrics.lock().expect("metrics lock");
-            metrics.get(names::RETRY)
-        };
-        let pressure = violations > cs.last_violations || retries > cs.last_retries;
-        cs.last_violations = violations;
-        cs.last_retries = retries;
-        let prev = cs.controller.current();
-        if let Some(cmd) = cs.controller.tick(self.clock.now(), observed, pressure) {
-            self.shared.add_metric(names::DELTA_UPDATE, 1);
-            self.shared.add_metric(
-                if cmd.delta < prev {
-                    names::DELTA_TIGHTEN
-                } else {
-                    names::DELTA_RELAX
-                },
-                1,
-            );
-            self.shared
-                .recorder
-                .lock()
-                .expect("recorder lock")
-                .monitor_schedule_change(cmd.judge_from, widen(cmd.delta, cs.widening));
-        }
-        if cs.controller.seq() > 0 {
-            let from = NodeId::new(self.shards + self.clients.len());
-            let msg = Msg::DeltaUpdate {
-                seq: cs.controller.seq(),
-                delta: cs.controller.current(),
-            };
-            for client in 0..self.clients.len() {
-                if !self.clients[client].finished {
-                    self.feed(
-                        client,
-                        Event::Message {
-                            from,
-                            msg: msg.clone(),
+                if awaiting {
+                    self.clients[client].links[shard] = LinkState::Up { token };
+                    let connects = self.clients[client].connects[shard];
+                    self.shared.add_metric(
+                        if connects == 0 {
+                            names::TCP_CONNECT
+                        } else {
+                            names::TCP_RECONNECT
                         },
+                        1,
                     );
+                    self.clients[client].connects[shard] += 1;
+                    self.maybe_start(client);
                 }
             }
-        }
-        let rearm = ingested < cs.expected_ops;
-        self.controller = Some(cs);
-        if rearm {
-            let interval = self.controller_interval();
-            self.timers
-                .arm(Instant::now() + interval, ClientTimer::Controller);
+            WireMsg::HelloReject { reason } => {
+                panic!("shard {shard} rejected site {client}: {reason}")
+            }
+            WireMsg::Proto(msg) => {
+                let current = matches!(
+                    self.clients[client].links[shard],
+                    LinkState::Up { token: t } if t == token
+                );
+                // A superseded connection's stragglers are dropped —
+                // the engines' retry timers own recovery.
+                if current {
+                    if self.net {
+                        self.shared.log_net(NetEvent::Recv {
+                            at: self.clock.now(),
+                            from: shard,
+                            to: self.shards + client,
+                            tag: msg.tag(),
+                        });
+                    }
+                    let from = NodeId::new(shard);
+                    self.feed(client, Event::Message { from, msg });
+                }
+            }
+            WireMsg::Heartbeat => {}
+            // A server never sends Hello or Bye mid-session; treat
+            // either as the link dying.
+            WireMsg::Hello { .. } | WireMsg::Bye => self.close(token),
         }
     }
 
-    /// Deregisters a connection and downgrades its link to `Down`,
-    /// arming an immediate redial (the blocking transport's link thread
-    /// also retries at once; backoff starts on *failed* dials). A
+    /// Deregisters a connection and downgrades its link to `Down`, arming
+    /// an immediate redial (backoff starts on *failed* dials). A
     /// superseded connection — one the link no longer names — just dies.
-    fn close_link(&mut self, token: u64) {
-        let Some(entry) = self.conns.remove(token) else {
+    fn close(&mut self, token: u64) {
+        let Some(LinkId { client, shard }) = self.table.remove(token) else {
             return;
         };
-        let _ = self.epoll.del(entry.ep.stream.as_raw_fd());
-        let (client, shard) = (entry.client, entry.shard);
         let link = &mut self.clients[client].links[shard];
         let owns = matches!(
             link,
@@ -1000,66 +755,119 @@ impl<'a> ClientReactor<'a> {
             }
         }
     }
+}
 
-    /// Queues a frame (tagged with the link's target shard) and flushes.
-    /// `false` means the connection was dead or died writing.
-    fn queue_and_flush(&mut self, token: u64, msg: &WireMsg) -> bool {
-        let now = Instant::now();
-        let closed = {
-            let Some(entry) = self.conns.get_mut(token) else {
-                return false;
-            };
-            let shard_tag = entry.shard as u16;
-            entry.ep.conn.queue(shard_tag, msg);
-            flush(&self.epoll, &mut entry.ep, token, now).is_some()
-        };
-        if closed {
-            self.close_link(token);
-            return false;
+/// One hosted client's effects: sends go out through its link table —
+/// dead-lettering, counted, while the link is not up — and timers into the
+/// reactor's wheel tagged with the client.
+struct ClientPort<'r, 'a> {
+    reactor: &'r mut ClientReactor<'a>,
+    client: usize,
+}
+
+impl Port for ClientPort<'_, '_> {
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        let (r, client, shard) = (&mut *self.reactor, self.client, to.index());
+        if r.net {
+            r.shared.log_net(NetEvent::Send {
+                at: r.clock.now(),
+                from: r.shards + client,
+                to: shard,
+                tag: msg.tag(),
+            });
         }
-        true
+        let delivered = match r.clients[client].links[shard] {
+            LinkState::Up { token } => r.queue_and_flush(token, &WireMsg::Proto(msg)),
+            _ => false,
+        };
+        if !delivered {
+            r.shared.add_metric(names::TCP_SEND_DROPPED, 1);
+        }
     }
 
-    /// Feeds one event to a hosted client and executes the effects —
-    /// the reactor's analogue of `ClientRt::feed`, with sends routed
-    /// through the link table and timers tagged with the client index.
+    fn arm(&mut self, deadline: Instant, token: u64) {
+        let client = self.client;
+        self.reactor
+            .timers
+            .arm(deadline, ClientTimer::Engine { client, token });
+    }
+}
+
+impl<'a> ClientReactor<'a> {
+    fn new(
+        cfg: &'a ReactorConfig,
+        addrs: &'a [SocketAddr],
+        clock: TickClock,
+        shared: &'a Shared,
+    ) -> Self {
+        let rc = &cfg.runtime;
+        let shards = rc.protocol.shards;
+        let clients: Vec<ClientState> = (0..rc.n_clients)
+            .map(|site| {
+                let servers = (0..shards).map(NodeId::new).collect();
+                let me = NodeId::new(shards + site);
+                ClientState {
+                    core: ClientCore::for_site(rc, servers, me, site, clock),
+                    links: (0..shards)
+                        .map(|_| LinkState::Down { attempt: 0 })
+                        .collect(),
+                    connects: vec![0; shards],
+                    started: false,
+                    finished: false,
+                }
+            })
+            .collect();
+        ClientReactor {
+            cfg,
+            shards,
+            addrs,
+            clock,
+            table: ConnTable::new(),
+            remaining: clients.len(),
+            clients,
+            timers: TimerWheel::new(),
+            shared,
+            controller: ControlPlane::new(rc),
+            net: rc.capture_net,
+            effects: Vec::new(),
+        }
+    }
+
+    /// One adaptive control tick: sample, feed the command in force to
+    /// every hosted client still running, re-arm until the plane says
+    /// every expected operation has been ingested.
+    fn controller_tick(&mut self) {
+        let Some(plane) = self.controller.as_mut() else {
+            return;
+        };
+        let (command, more) = plane.sample(&self.clock, self.shared);
+        let interval = plane.interval(&self.clock);
+        if let Some((from, msg)) = command {
+            for client in 0..self.clients.len() {
+                if !self.clients[client].finished {
+                    let msg = msg.clone();
+                    self.feed(client, Event::Message { from, msg });
+                }
+            }
+        }
+        if more {
+            self.timers
+                .arm(Instant::now() + interval, ClientTimer::Controller);
+        }
+    }
+
+    /// Feeds one event to a hosted client and executes the effects.
     fn feed(&mut self, client: usize, event: Event) {
         let mut out = std::mem::take(&mut self.effects);
         self.clients[client].core.step(event, &mut out);
-        for effect in out.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => {
-                    let shard = to.index();
-                    if self.net {
-                        self.shared.log_net(NetEvent::Send {
-                            at: self.clock.now(),
-                            from: self.shards + client,
-                            to: shard,
-                            tag: msg.tag(),
-                        });
-                    }
-                    let delivered = match self.clients[client].links[shard] {
-                        LinkState::Up { token } => {
-                            self.queue_and_flush(token, &WireMsg::Proto(msg))
-                        }
-                        _ => false,
-                    };
-                    if !delivered {
-                        self.shared.add_metric(names::TCP_SEND_DROPPED, 1);
-                    }
-                }
-                Effect::SetTimer { after, token } => {
-                    if let Some(deadline) = self.clock.deadline_after(after) {
-                        self.timers
-                            .arm(deadline, ClientTimer::Engine { client, token });
-                    }
-                }
-                Effect::Metric { name, add } => self.shared.add_metric(name, add),
-                Effect::Record(op) => self.shared.record(op),
-            }
-        }
+        let (clock, shared) = (self.clock, self.shared);
+        let mut port = ClientPort {
+            reactor: self,
+            client,
+        };
+        execute(&mut out, &mut port, &clock, shared);
         self.effects = out;
-        if !self.clients[client].finished && self.clients[client].core.finished_idle() {
+        if !self.clients[client].finished && self.clients[client].core.finished() {
             self.clients[client].finished = true;
             self.remaining -= 1;
         }
@@ -1067,7 +875,7 @@ impl<'a> ClientReactor<'a> {
 
     /// Dials one link: blocking connect (instant on loopback — refused
     /// connections fail immediately), blocking Hello write, then the
-    /// socket goes nonblocking and into the slab awaiting its ack.
+    /// socket goes nonblocking and into the table awaiting its ack.
     fn dial(&mut self, client: usize, shard: usize) {
         if self.clients[client].finished {
             return;
@@ -1092,31 +900,18 @@ impl<'a> ClientReactor<'a> {
             stream.set_nonblocking(true).ok()?;
             Some(stream)
         })();
-        match dialled {
-            Some(stream) => {
-                let fd = stream.as_raw_fd();
-                let token = self.conns.insert(ClientConn {
-                    ep: Endpoint {
-                        stream,
-                        conn: Conn::new(Instant::now()),
-                        interest: BASE_INTEREST,
-                    },
-                    client,
-                    shard,
-                });
-                if self.epoll.add(fd, BASE_INTEREST, token).is_err() {
-                    self.conns.remove(token);
-                    self.retry(client, shard, attempt);
-                    return;
-                }
-                self.clients[client].links[shard] = LinkState::AwaitAck { token };
-            }
+        let registered = dialled.and_then(|stream| {
+            self.table
+                .insert(stream, shard as u16, LinkId { client, shard })
+        });
+        match registered {
+            Some(token) => self.clients[client].links[shard] = LinkState::AwaitAck { token },
             None => self.retry(client, shard, attempt),
         }
     }
 
-    /// Books a failed dial and schedules the next under backoff — the
-    /// same deterministic jittered schedule as the blocking transport.
+    /// Books a failed dial and schedules the next under the deterministic
+    /// jittered [`Backoff`] schedule.
     fn retry(&mut self, client: usize, shard: usize, attempt: u32) {
         self.shared.add_metric(names::TCP_CONNECT_FAILED, 1);
         assert!(
@@ -1149,107 +944,6 @@ impl<'a> ClientReactor<'a> {
         }
     }
 
-    fn handle_conn_event(&mut self, token: u64, bits: u32) {
-        let now = Instant::now();
-        let Some(entry) = self.conns.get_mut(token) else {
-            return;
-        };
-        let mut frames = std::mem::take(&mut self.frames);
-        let mut verdict = None;
-        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
-            verdict = entry.ep.conn.on_readable(
-                &mut entry.ep.stream,
-                now,
-                &mut self.scratch,
-                &mut frames,
-            );
-        }
-        if verdict.is_none() && bits & EPOLLOUT != 0 {
-            verdict = flush(&self.epoll, &mut entry.ep, token, now);
-        }
-        self.dispatch_frames(token, &mut frames);
-        self.frames = frames;
-        if verdict.is_some() {
-            self.close_link(token);
-        }
-    }
-
-    fn dispatch_frames(&mut self, token: u64, frames: &mut Vec<(u16, WireMsg)>) {
-        for (_tag, msg) in frames.drain(..) {
-            let Some(entry) = self.conns.get_mut(token) else {
-                return; // closed by an earlier frame
-            };
-            let (client, shard) = (entry.client, entry.shard);
-            match msg {
-                WireMsg::HelloAck { .. } => {
-                    let awaiting = matches!(
-                        self.clients[client].links[shard],
-                        LinkState::AwaitAck { token: t } if t == token
-                    );
-                    if awaiting {
-                        self.clients[client].links[shard] = LinkState::Up { token };
-                        let connects = self.clients[client].connects[shard];
-                        self.shared.add_metric(
-                            if connects == 0 {
-                                names::TCP_CONNECT
-                            } else {
-                                names::TCP_RECONNECT
-                            },
-                            1,
-                        );
-                        self.clients[client].connects[shard] += 1;
-                        self.maybe_start(client);
-                    }
-                }
-                WireMsg::HelloReject { reason } => {
-                    panic!("shard {shard} rejected site {client}: {reason}")
-                }
-                WireMsg::Proto(msg) => {
-                    let current = matches!(
-                        self.clients[client].links[shard],
-                        LinkState::Up { token: t } if t == token
-                    );
-                    // A superseded connection's stragglers are dropped —
-                    // the engines' retry timers own recovery.
-                    if current {
-                        if self.net {
-                            self.shared.log_net(NetEvent::Recv {
-                                at: self.clock.now(),
-                                from: shard,
-                                to: self.shards + client,
-                                tag: msg.tag(),
-                            });
-                        }
-                        let from = NodeId::new(shard);
-                        self.feed(client, Event::Message { from, msg });
-                    }
-                }
-                WireMsg::Heartbeat => {}
-                // A server never sends Hello or Bye mid-session; treat
-                // either as the link dying.
-                WireMsg::Hello { .. } | WireMsg::Bye => self.close_link(token),
-            }
-        }
-    }
-
-    /// Read-timeout + heartbeat sweep over every live link.
-    fn sweep(&mut self, now: Instant) {
-        for token in self.conns.tokens() {
-            let action = match self.conns.get_mut(token) {
-                Some(entry) => sweep_endpoint(&entry.ep, now, self.cfg),
-                None => continue,
-            };
-            match action {
-                SweepAction::DeadPeer => self.close_link(token),
-                SweepAction::Heartbeat => {
-                    self.shared.add_metric(names::TCP_HEARTBEAT, 1);
-                    self.queue_and_flush(token, &WireMsg::Heartbeat);
-                }
-                SweepAction::Nothing => {}
-            }
-        }
-    }
-
     /// The event loop: initial dials staggered in waves, then timers +
     /// readiness until every client finishes, then an orderly goodbye on
     /// every live link. Returns all per-operation latencies plus the
@@ -1268,13 +962,12 @@ impl<'a> ClientReactor<'a> {
                 );
             }
         }
-        if self.controller.is_some() {
-            let interval = self.controller_interval();
-            self.timers.arm(base + interval, ClientTimer::Controller);
+        if let Some(plane) = &self.controller {
+            self.timers
+                .arm(base + plane.interval(&self.clock), ClientTimer::Controller);
         }
         let mut events = [EpollEvent { events: 0, data: 0 }; 256];
         let mut due = Vec::new();
-        let mut next_sweep = base;
         while self.remaining > 0 {
             let now = Instant::now();
             self.timers.pop_due_into(now, &mut due);
@@ -1296,17 +989,16 @@ impl<'a> ClientReactor<'a> {
                     ClientTimer::Controller => self.controller_tick(),
                 }
             }
-            let mut now = Instant::now();
-            if now >= next_sweep {
-                self.sweep(now);
-                next_sweep = now + sweep_every(self.cfg);
-                now = Instant::now();
-            }
+            let now = self.sweep(self.cfg, self.shared);
             if self.remaining == 0 {
                 break;
             }
-            let timeout = wait_timeout(self.timers.next_deadline(), next_sweep, now);
-            let n = self.epoll.wait(&mut events, timeout).expect("epoll wait");
+            let timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
+            let n = self
+                .table
+                .epoll
+                .wait(&mut events, timeout)
+                .expect("epoll wait");
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
                 self.handle_conn_event(token, bits);
@@ -1314,17 +1006,13 @@ impl<'a> ClientReactor<'a> {
         }
         // Orderly goodbye: a Bye on every live link, flushed as far as the
         // socket allows, then close. A blocked socket just loses its
-        // goodbye — the shard's read timeout reaps it, exactly like the
-        // blocking driver's half-close path.
-        for token in self.conns.tokens() {
+        // goodbye — the shard's read timeout reaps it.
+        for token in self.table.tokens() {
             self.queue_and_flush(token, &WireMsg::Bye);
-            self.close_link(token);
+            self.close(token);
         }
         self.timers.report(self.shared);
-        let schedule = self
-            .controller
-            .take()
-            .map(|cs| cs.controller.into_schedule());
+        let schedule = self.controller.take().map(ControlPlane::into_schedule);
         let latencies = self
             .clients
             .into_iter()
@@ -1365,8 +1053,8 @@ fn churn_loop(
 }
 
 /// Runs one execution of the lifetime protocol over the evented reactor
-/// with transport defaults, returning the same [`RuntimeResult`] shape as
-/// the other three drivers — identical seeds produce identical per-site
+/// with socket-driver defaults, returning the same [`RuntimeResult`] shape
+/// as the channel drivers — identical seeds produce identical per-site
 /// operation sequences across all of them.
 ///
 /// # Panics
@@ -1379,7 +1067,7 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
     run_reactor_with(&ReactorConfig::new(config.clone()))
 }
 
-/// [`run_reactor`] with explicit transport timing, fault-injection, and
+/// [`run_reactor`] with explicit link timing, fault-injection, and
 /// connection-churn knobs.
 ///
 /// # Panics
@@ -1387,23 +1075,21 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
 /// As [`run_reactor`]; additionally if the chaos plan names a shard
 /// outside the fleet or a listener cannot be bound.
 #[must_use]
-pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
-    let cfg = &config.tcp;
+pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
     let rc = &cfg.runtime;
     let shards = rc.protocol.shards;
     if let Some(c) = cfg.chaos {
         assert!(c.shard < shards, "chaos shard {} out of range", c.shard);
     }
     let clock = TickClock::new(rc.tick);
-    let mut recorder = TraceRecorder::new();
-    recorder.attach_monitor(rc.monitor_delta, rc.monitor_eps);
+    let shared = Shared::new(rc);
     if rc.capture_net {
-        recorder.enable_net_log();
+        shared
+            .recorder
+            .lock()
+            .expect("recorder lock")
+            .enable_net_log();
     }
-    let shared = Shared {
-        recorder: Mutex::new(recorder),
-        metrics: Mutex::new(Metrics::new()),
-    };
 
     // Bind every shard listener up front so clients know all addresses.
     let mut listeners = Vec::with_capacity(shards);
@@ -1439,20 +1125,20 @@ pub fn run_reactor_with(config: &ReactorConfig) -> RuntimeResult {
             let addr = addrs_ref[shard];
             let chaos = cfg.chaos.filter(|c| c.shard == shard);
             shard_workers.push(scope.spawn(move |_| {
-                ShardReactor::new(shard, shards, cfg, clock, listener, addr, shared_ref).run(
+                ShardReactor::new(shard, cfg, clock, listener, addr, shared_ref).run(
                     chaos,
                     started,
                     &wake_rxs_ref[shard],
                 )
             }));
         }
-        let churn_worker = config.churn.map(|churn| {
+        let churn_worker = cfg.churn.map(|churn| {
             scope.spawn(move |_| churn_loop(churn, addrs_ref, shutdown_ref, shared_ref))
         });
         // The client reactor runs on the scope's own thread: every
         // ClientCore in one evented loop.
         let (latencies, delta_schedule) =
-            ClientReactor::new(cfg, shards, addrs_ref, clock, shared_ref).run();
+            ClientReactor::new(cfg, addrs_ref, clock, shared_ref).run();
         shutdown.store(true, Ordering::Relaxed);
         for mut tx in &wake_txs {
             // Cannot fail short of a dead shard thread, which the join
@@ -1491,27 +1177,93 @@ mod tests {
     }
 
     #[test]
-    fn slab_generations_invalidate_stale_tokens() {
-        let mut slab = Slab::new();
-        let a = slab.insert("a");
-        let b = slab.insert("b");
-        assert_eq!(slab.len(), 2);
-        assert_eq!(slab.remove(a), Some("a"));
-        // The freed slot is reused, but under a fresh generation: the old
-        // token no longer resolves — the property that makes same-batch
-        // events for a just-closed fd harmless.
-        let c = slab.insert("c");
-        assert_ne!(a, c, "slot reuse must mint a distinct token");
-        assert_eq!(unpack(a).0, unpack(c).0, "the slot itself is recycled");
-        assert!(slab.get_mut(a).is_none(), "stale tokens must not resolve");
-        assert_eq!(slab.get_mut(c), Some(&mut "c"));
-        assert_eq!(slab.remove(a), None, "stale remove is a no-op");
-        assert_eq!(slab.len(), 2);
-        let live = slab.tokens();
-        assert!(live.contains(&b) && live.contains(&c));
-        assert_eq!(slab.remove(b), Some("b"));
-        assert_eq!(slab.remove(c), Some("c"));
-        assert_eq!(slab.len(), 0);
+    fn backoff_is_deterministic_capped_and_jittered() {
+        let b = Backoff::default();
+        for attempt in 0..24 {
+            let d1 = b.delay(attempt, 0xFEED);
+            let d2 = b.delay(attempt, 0xFEED);
+            assert_eq!(d1, d2, "same seed must give the same delay");
+            assert!(d1 <= b.cap, "attempt {attempt} exceeds the cap: {d1:?}");
+            let slot = b.base.saturating_mul(1 << attempt.min(16)).min(b.cap);
+            assert!(d1 >= slot.mul_f64(0.5), "jitter must stay in [50%, 100%)");
+        }
+        // Different seeds de-synchronise (thundering-herd protection).
+        assert_ne!(b.delay(3, 1), b.delay(3, 2));
+    }
+
+    /// Dials a *live* shard reactor with a raw socket and a Hello that
+    /// disagrees with it: the shard must answer `HelloReject` with the
+    /// reason and hang up — never route the site — and a normal run on the
+    /// same listener afterwards must be untouched.
+    #[test]
+    fn mismatched_hello_is_rejected_by_a_live_shard() {
+        use tc_wire::read_frame;
+        let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 39));
+        let rc = &cfg.runtime;
+        let good = |site: u32, shard: u32, protocol: ProtocolConfig| WireMsg::Hello {
+            site,
+            n_clients: rc.n_clients as u32,
+            shard,
+            protocol,
+        };
+        let other_delta = ProtocolConfig::of(ProtocolKind::Tsc {
+            delta: Delta::from_ticks(999),
+        });
+        let probes = [
+            (good(0, 0, other_delta), "protocol config mismatch"),
+            (good(0, 1, rc.protocol), "dialled shard 1, reached 0"),
+            (good(2, 0, rc.protocol), "bad id space: site 2 of 2"),
+        ];
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        let clock = TickClock::new(rc.tick);
+        let shared = Shared::new(rc);
+        let started = Instant::now();
+        crossbeam::thread::scope(|scope| {
+            let shard = scope.spawn(|_| {
+                ShardReactor::new(0, &cfg, clock, listener, addr, &shared)
+                    .run(None, started, &wake_rx)
+            });
+            for (hello, reason) in &probes {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                write_frame(&mut stream, 0, hello).unwrap();
+                match read_frame(&mut stream) {
+                    Ok((_, WireMsg::HelloReject { reason: got })) => assert_eq!(&got, reason),
+                    other => panic!("expected HelloReject({reason}), got {other:?}"),
+                }
+                assert!(
+                    read_frame(&mut stream).is_err(),
+                    "the shard must hang up after rejecting"
+                );
+            }
+            // The refusals left nothing behind: the same listener serves a
+            // well-configured fleet as if they had never dialled.
+            let (latencies, _) = ClientReactor::new(&cfg, &[addr], clock, &shared).run();
+            assert_eq!(latencies.len(), 2 * 12);
+            wake_tx.write_all(&[0]).unwrap();
+            shard.join().expect("shard reactor panicked");
+        })
+        .unwrap();
+        let r = finish_run(shared, Vec::new(), Vec::new(), started.elapsed(), None);
+        assert_eq!(r.ops_done, 2 * 12);
+        assert!(r.on_time.holds(), "the following run must be monitor-clean");
+        assert_eq!(
+            r.counter(names::TCP_CONNECT),
+            2,
+            "only real links handshake"
+        );
+        assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 3 + 2);
+        assert_eq!(
+            r.counter(names::REACTOR_CONN_OPENED),
+            r.counter(names::REACTOR_CONN_CLOSED),
+            "rejected registrations must be reaped"
+        );
     }
 
     #[test]

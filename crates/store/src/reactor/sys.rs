@@ -396,7 +396,7 @@ mod tests {
             {
                 let _outer = TimerSlack::pin();
                 assert_eq!(timer_slack().unwrap(), TimerSlack::PINNED_NS);
-                // Nested guards (server_thread called under a pinned test
+                // Nested guards (a node loop run under a pinned test
                 // thread) restore to the enclosing guard's value.
                 drop(TimerSlack::pin());
                 assert_eq!(timer_slack().unwrap(), TimerSlack::PINNED_NS);

@@ -1,0 +1,320 @@
+//! The connection table both reactors share: an epoll instance, a
+//! generational [`Slab`] of registered endpoints, and the per-connection
+//! plumbing — readiness handling, queue-and-flush, the liveness sweep —
+//! written once over the [`Links`] trait, which names the only things a
+//! shard reactor and a client reactor do differently with a connection:
+//! what a decoded frame means, and what "close" means.
+
+use std::net::TcpStream;
+use std::os::unix::io::AsRawFd;
+use std::time::{Duration, Instant};
+
+use tc_sim::metrics::names;
+use tc_wire::WireMsg;
+
+use super::conn::{Close, Conn, READ_CHUNK};
+use super::sys::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use super::ReactorConfig;
+use crate::runtime::Shared;
+
+/// Interest every registered connection always has; `EPOLLOUT` is OR-ed
+/// in only while the outbox holds unsent bytes.
+const BASE_INTEREST: u32 = EPOLLIN | EPOLLRDHUP;
+
+/// A generational slot map: tokens are `(generation << 32) | slot`, so a
+/// token outlives neither its connection nor a slot reuse.
+pub(super) struct Slab<T> {
+    slots: Vec<Option<(u32, T)>>,
+    free: Vec<usize>,
+    next_gen: u32,
+}
+
+fn pack(slot: usize, gen: u32) -> u64 {
+    (u64::from(gen) << 32) | slot as u64
+}
+
+fn unpack(token: u64) -> (usize, u32) {
+    (token as u32 as usize, (token >> 32) as u32)
+}
+
+impl<T> Slab<T> {
+    pub(super) fn new() -> Self {
+        Slab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            next_gen: 0,
+        }
+    }
+
+    pub(super) fn insert(&mut self, value: T) -> u64 {
+        self.next_gen = self.next_gen.wrapping_add(1);
+        let gen = self.next_gen;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some((gen, value));
+                slot
+            }
+            None => {
+                self.slots.push(Some((gen, value)));
+                self.slots.len() - 1
+            }
+        };
+        pack(slot, gen)
+    }
+
+    pub(super) fn get_mut(&mut self, token: u64) -> Option<&mut T> {
+        let (slot, gen) = unpack(token);
+        match self.slots.get_mut(slot) {
+            Some(Some((g, value))) if *g == gen => Some(value),
+            _ => None,
+        }
+    }
+
+    pub(super) fn remove(&mut self, token: u64) -> Option<T> {
+        let (slot, gen) = unpack(token);
+        let cell = self.slots.get_mut(slot)?;
+        if matches!(cell, Some((g, _)) if *g == gen) {
+            let (_, value) = cell.take().expect("matched Some");
+            self.free.push(slot);
+            Some(value)
+        } else {
+            None
+        }
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// A snapshot of the live tokens, for sweeps that may close entries.
+    pub(super) fn tokens(&self) -> Vec<u64> {
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, cell)| cell.as_ref().map(|(gen, _)| pack(slot, *gen)))
+            .collect()
+    }
+}
+
+/// One registered connection's socket + buffers + current interest mask,
+/// and the shard tag its outbound frames carry.
+struct Endpoint {
+    stream: TcpStream,
+    conn: Conn,
+    interest: u32,
+    tag: u16,
+}
+
+/// Every registered connection of one reactor, each with the reactor's own
+/// per-connection state `P`, plus the scratch reused across events so a
+/// steady-state pass allocates nothing: the read buffer lent to every
+/// connection and the frames one readable event decoded.
+pub(super) struct ConnTable<P> {
+    pub(super) epoll: Epoll,
+    conns: Slab<(Endpoint, P)>,
+    scratch: Vec<u8>,
+    frames: Vec<(u16, WireMsg)>,
+    /// When the next liveness sweep is due.
+    next_sweep: Instant,
+}
+
+impl<P> ConnTable<P> {
+    pub(super) fn new() -> Self {
+        ConnTable {
+            epoll: Epoll::new().expect("epoll create"),
+            conns: Slab::new(),
+            scratch: vec![0; READ_CHUNK],
+            frames: Vec::new(),
+            next_sweep: Instant::now(),
+        }
+    }
+
+    /// Registers a connected, nonblocking `stream` whose outbound frames
+    /// carry `tag`. `None` if epoll refused the registration (the stream
+    /// is dropped).
+    pub(super) fn insert(&mut self, stream: TcpStream, tag: u16, peer: P) -> Option<u64> {
+        let fd = stream.as_raw_fd();
+        let endpoint = Endpoint {
+            stream,
+            conn: Conn::new(Instant::now()),
+            interest: BASE_INTEREST,
+            tag,
+        };
+        let token = self.conns.insert((endpoint, peer));
+        if self.epoll.add(fd, BASE_INTEREST, token).is_err() {
+            self.conns.remove(token);
+            return None;
+        }
+        Some(token)
+    }
+
+    /// Deregisters and drops a connection, handing back its peer state;
+    /// `None` for a stale token.
+    pub(super) fn remove(&mut self, token: u64) -> Option<P> {
+        let (ep, peer) = self.conns.remove(token)?;
+        let _ = self.epoll.del(ep.stream.as_raw_fd());
+        Some(peer)
+    }
+
+    /// The reactor's own state for a live connection.
+    pub(super) fn peer_mut(&mut self, token: u64) -> Option<&mut P> {
+        self.conns.get_mut(token).map(|(_, peer)| peer)
+    }
+
+    /// A snapshot of the live tokens, for passes that may close entries.
+    pub(super) fn tokens(&self) -> Vec<u64> {
+        self.conns.tokens()
+    }
+
+    /// The epoll timeout for one loop pass: the earliest of the next timer
+    /// deadline and the next liveness sweep.
+    pub(super) fn wait_timeout(&self, next_deadline: Option<Instant>, now: Instant) -> Duration {
+        next_deadline
+            .map_or(self.next_sweep, |deadline| deadline.min(self.next_sweep))
+            .saturating_duration_since(now)
+    }
+
+    /// Reads and/or flushes one connection as its readiness `bits` ask,
+    /// leaving the decoded frames in `self.frames`. `None` for a stale
+    /// token; `Some(true)` if the connection died.
+    fn pump(&mut self, token: u64, bits: u32, now: Instant) -> Option<bool> {
+        let (ep, _) = self.conns.get_mut(token)?;
+        let mut verdict = None;
+        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
+            verdict = ep
+                .conn
+                .on_readable(&mut ep.stream, now, &mut self.scratch, &mut self.frames);
+        }
+        if verdict.is_none() && bits & EPOLLOUT != 0 {
+            verdict = flush(&self.epoll, ep, token, now);
+        }
+        Some(verdict.is_some())
+    }
+}
+
+/// Pushes outbox bytes as far as the socket allows and re-syncs `EPOLLOUT`
+/// interest with the outbox state. `Some` means the connection died
+/// writing.
+fn flush(epoll: &Epoll, ep: &mut Endpoint, token: u64, now: Instant) -> Option<Close> {
+    if let Some(verdict) = ep.conn.on_writable(&mut ep.stream, now) {
+        return Some(verdict);
+    }
+    let want = if ep.conn.wants_write() {
+        BASE_INTEREST | EPOLLOUT
+    } else {
+        BASE_INTEREST
+    };
+    if want != ep.interest && epoll.modify(ep.stream.as_raw_fd(), want, token).is_ok() {
+        ep.interest = want;
+    }
+    None
+}
+
+/// A reactor as its connection table sees it. The required methods are
+/// what differs between the shard and the client side; the provided ones
+/// are the plumbing that does not.
+pub(super) trait Links {
+    /// The reactor's per-connection state.
+    type Peer;
+
+    fn table(&mut self) -> &mut ConnTable<Self::Peer>;
+
+    /// Acts on one decoded frame of connection `token` — which an earlier
+    /// frame of the same batch may already have closed.
+    fn on_frame(&mut self, token: u64, msg: WireMsg);
+
+    /// Tears down connection `token` (a no-op for a stale token) with
+    /// whatever that means on this side: unrouting a site, or downgrading
+    /// a link and arming its redial.
+    fn close(&mut self, token: u64);
+
+    /// Reacts to readiness bits for one connection token. Frames decoded
+    /// before an EOF/error still count.
+    fn handle_conn_event(&mut self, token: u64, bits: u32) {
+        let Some(died) = self.table().pump(token, bits, Instant::now()) else {
+            return; // closed earlier in this same event batch
+        };
+        let mut frames = std::mem::take(&mut self.table().frames);
+        for (_tag, msg) in frames.drain(..) {
+            self.on_frame(token, msg);
+        }
+        self.table().frames = frames;
+        if died {
+            self.close(token);
+        }
+    }
+
+    /// Queues a frame and flushes as far as the socket allows. `false`
+    /// means the connection was dead (or died writing) and is gone.
+    fn queue_and_flush(&mut self, token: u64, msg: &WireMsg) -> bool {
+        let now = Instant::now();
+        let table = self.table();
+        let Some((ep, _)) = table.conns.get_mut(token) else {
+            return false;
+        };
+        ep.conn.queue(ep.tag, msg);
+        if flush(&table.epoll, ep, token, now).is_some() {
+            self.close(token);
+            return false;
+        }
+        true
+    }
+
+    /// Runs the read-timeout + heartbeat sweep over every live connection
+    /// if it is due. Returns the instant to compute this pass's wait from.
+    ///
+    /// The sweep recurs every half heartbeat, clamped to 1–5 ms: fine
+    /// enough that a heartbeat is never late by more than half its period
+    /// and chaos schedules are honoured, coarse enough that a busy loop
+    /// does not walk every connection on every pass.
+    fn sweep(&mut self, cfg: &ReactorConfig, shared: &Shared) -> Instant {
+        let now = Instant::now();
+        if now < self.table().next_sweep {
+            return now;
+        }
+        for token in self.table().tokens() {
+            let Some((ep, _)) = self.table().conns.get_mut(token) else {
+                continue;
+            };
+            if now.duration_since(ep.conn.last_read) > cfg.read_timeout {
+                self.close(token);
+            } else if now.duration_since(ep.conn.last_write) >= cfg.heartbeat {
+                shared.add_metric(names::TCP_HEARTBEAT, 1);
+                self.queue_and_flush(token, &WireMsg::Heartbeat);
+            }
+        }
+        let every = (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5));
+        self.table().next_sweep = now + every;
+        Instant::now()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn slab_generations_invalidate_stale_tokens() {
+        let mut slab = Slab::new();
+        let a = slab.insert("a");
+        let b = slab.insert("b");
+        assert_eq!(slab.len(), 2);
+        assert_eq!(slab.remove(a), Some("a"));
+        // The freed slot is reused, but under a fresh generation: the old
+        // token no longer resolves — the property that makes same-batch
+        // events for a just-closed fd harmless.
+        let c = slab.insert("c");
+        assert_ne!(a, c, "slot reuse must mint a distinct token");
+        assert_eq!(unpack(a).0, unpack(c).0, "the slot itself is recycled");
+        assert!(slab.get_mut(a).is_none(), "stale tokens must not resolve");
+        assert_eq!(slab.get_mut(c), Some(&mut "c"));
+        assert_eq!(slab.remove(a), None, "stale remove is a no-op");
+        assert_eq!(slab.len(), 2);
+        let live = slab.tokens();
+        assert!(live.contains(&b) && live.contains(&c));
+        assert_eq!(slab.remove(b), Some("b"));
+        assert_eq!(slab.remove(c), Some("c"));
+        assert_eq!(slab.len(), 0);
+    }
+}

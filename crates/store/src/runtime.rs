@@ -1,4 +1,4 @@
-//! A real threaded driver for the sans-io §5 lifetime engines.
+//! The real-time driver core, and the channel driver built on it.
 //!
 //! This is the counterpart of the deterministic simulator adapter in
 //! `tc-lifetime`: the *same* [`ClientEngine`]/[`ServerEngine`] types run
@@ -7,6 +7,27 @@
 //! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor) — so real-concurrency
 //! executions get streaming timed-consistency verdicts, not just simulated
 //! ones.
+//!
+//! # The driver core
+//!
+//! Everything a real-time driver does around an engine exists once, here:
+//!
+//! * **stepping** — `ClientCore` / `ShardCore` (the `Host` trait): clock
+//!   sample, event, effects out;
+//! * **effect execution** — `execute` interprets every [`Effect`] against
+//!   a `Port` (where a send goes, which wheel a timer lands in);
+//! * **the node loop** — `ChannelNode`: outage gate, timer wheel, blocking
+//!   receive, bounded drain, step, execute — one thread per node, used by
+//!   [`run_threaded`] and, as a topology over the same loop, by
+//!   [`crate::run_threaded_geo`];
+//! * **the control plane** — `ControlPlane` samples the live monitor and
+//!   ticks the adaptive Δ controller; the channel drivers call it from a
+//!   sleeping thread, the reactor from a timer;
+//! * **run state and result assembly** — `Shared`, `TickClock`,
+//!   `TimerWheel`, `OutageGate`, `finish_run`.
+//!
+//! [`crate::run_reactor`] hosts the same cores in two epoll loops and
+//! implements `Port` over its connection table instead of channels.
 //!
 //! # Layout
 //!
@@ -32,10 +53,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::TimedReport;
 use tc_core::History;
@@ -142,8 +164,8 @@ impl RuntimeConfig {
 /// in-memory store by default, or a [`WalStore`] under
 /// `<wal_dir>/shard-<i>` when a WAL directory is set. Opening a dirty
 /// directory recovers the previous incarnation's durable state — this is
-/// the single point where every real-time driver (threaded, TCP,
-/// reactor) decides what a shard remembers.
+/// the single point where every real-time driver (threaded, geo, reactor)
+/// decides what a shard remembers.
 pub(crate) fn build_shard_engine(
     protocol: ProtocolConfig,
     wal_dir: Option<&Path>,
@@ -319,7 +341,7 @@ impl RuntimeResult {
 }
 
 /// A deadline-ordered timer wheel over real [`Instant`]s, shared by the
-/// in-process threaded driver, the TCP transport, and the evented reactor.
+/// channel node loop, the geo WAN courier and the evented reactor.
 ///
 /// Timers pop in deadline order; equal deadlines pop in arming order (a
 /// monotone sequence number breaks ties), so a driver that arms `A` then
@@ -457,6 +479,17 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The shared state of one run of `config`: an empty metric bag and a
+    /// recorder with the live monitor attached at the configured Δ and ε.
+    pub(crate) fn new(config: &RuntimeConfig) -> Self {
+        let mut recorder = TraceRecorder::new();
+        recorder.attach_monitor(config.monitor_delta, config.monitor_eps);
+        Shared {
+            recorder: Mutex::new(recorder),
+            metrics: Mutex::new(Metrics::new()),
+        }
+    }
+
     pub(crate) fn record(&self, op: RecordOp) {
         let mut recorder = self.recorder.lock().expect("recorder lock");
         match op {
@@ -508,57 +541,95 @@ impl Shared {
     }
 }
 
-/// Where a client's outbound protocol messages go — the only seam between
-/// the shared client loop ([`ClientRt`]) and a concrete transport:
-/// in-process channels here, framed TCP links in
-/// [`crate::transport`].
-pub(crate) trait Outbound {
-    /// Delivers `msg` from client node `me` to shard node `to`. Delivery
-    /// may silently fail (a hung-up channel, a link mid-reconnect): the
-    /// engines' retry timers own recovery, so a lost send is never an
-    /// error here.
-    fn send(&mut self, me: NodeId, to: NodeId, msg: Msg);
+/// Where one engine's effects land — the only seam between the shared
+/// effect executor ([`execute`]) and a concrete driver: a channel node's
+/// senders and wheel ([`ChannelNode`]), or a reactor's connection table
+/// and composite timer tokens ([`crate::reactor`]).
+pub(crate) trait Port {
+    /// Delivers `msg` to node `to`. Delivery may silently fail (a hung-up
+    /// channel, a link mid-reconnect): the engines' retry timers own
+    /// recovery, so a lost send is never an error here.
+    fn send(&mut self, to: NodeId, msg: Msg);
+    /// Arms engine timer `token` to fire once `deadline` has passed.
+    fn arm(&mut self, deadline: Instant, token: u64);
 }
 
-/// The in-process transport: one unbounded channel per shard, indexed by
-/// the shard's node id.
-pub(crate) struct ChannelOutbound(pub(crate) Vec<Sender<(NodeId, Msg)>>);
+/// Executes what one engine step emitted, leaving `out` empty for the next
+/// step — the one place an [`Effect`] is interpreted, whichever driver
+/// hosts the engine. A timer is a deadline on the shared tick clock
+/// ([`TickClock::deadline_after`]); an infinite delta means "never" and
+/// arms nothing.
+pub(crate) fn execute(
+    out: &mut Vec<Effect>,
+    port: &mut impl Port,
+    clock: &TickClock,
+    shared: &Shared,
+) {
+    for effect in out.drain(..) {
+        match effect {
+            Effect::Send { to, msg } => port.send(to, msg),
+            Effect::SetTimer { after, token } => {
+                if let Some(deadline) = clock.deadline_after(after) {
+                    port.arm(deadline, token);
+                }
+            }
+            Effect::Metric { name, add } => shared.add_metric(name, add),
+            Effect::Record(op) => shared.record(op),
+        }
+    }
+}
 
-impl Outbound for ChannelOutbound {
-    fn send(&mut self, me: NodeId, to: NodeId, msg: Msg) {
-        // Client engines only ever address server shards; a send can't
-        // fail while this client still holds its senders.
-        let _ = self.0[to.index()].send((me, msg));
+/// An engine as a driver sees it: events in, effects out. Implemented by
+/// [`ClientCore`], [`ShardCore`] and the geo relay engine, so the channel
+/// node loop and the reactors step whatever they host the same way.
+pub(crate) trait Host {
+    /// Feeds one event to the engine — preceded by a fresh clock sample
+    /// where the engine contract requires one — collecting the emitted
+    /// effects into `out` for the driver to [`execute`].
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>);
+
+    /// Whether the host's own work is over. Only a client ever finishes by
+    /// itself; infrastructure runs until it is hung up on or told to stop.
+    fn finished(&self) -> bool {
+        false
     }
 }
 
 /// The driver-independent heart of one client: the engine, its private
 /// input sources, the shared tick clock, and per-operation latency
-/// bookkeeping. Every real-time driver — the in-process threaded runtime,
-/// the thread-per-connection TCP transport, and the evented reactor —
-/// steps clients through this one type, so "what a client does per event"
-/// (clock injection order, op-issue latency stamps, completion counting)
-/// is defined exactly once.
+/// bookkeeping. Every real-time driver steps clients through this one
+/// type, so "what a client does per event" (clock injection order,
+/// op-issue latency stamps, completion counting) is defined exactly once.
 pub(crate) struct ClientCore {
     pub(crate) engine: ClientEngine,
-    pub(crate) sources: PrivateSources,
-    pub(crate) clock: TickClock,
-    pub(crate) me: NodeId,
+    sources: PrivateSources,
+    clock: TickClock,
+    me: NodeId,
     latencies: Vec<Duration>,
     op_started: Option<Instant>,
     completed: usize,
 }
 
 impl ClientCore {
-    pub(crate) fn new(
-        engine: ClientEngine,
-        sources: PrivateSources,
-        clock: TickClock,
+    /// The core of client `site` (node `me`) of `config`'s fleet, speaking
+    /// to `servers`; its operation stream is derived from the run seed.
+    pub(crate) fn for_site(
+        config: &RuntimeConfig,
+        servers: Vec<NodeId>,
         me: NodeId,
+        site: usize,
+        clock: TickClock,
     ) -> Self {
         ClientCore {
-            engine,
-            sources,
+            engine: ClientEngine::new(
+                config.protocol,
+                servers,
+                site,
+                config.n_clients,
+                config.workload.clone(),
+                config.ops_per_client,
+            ),
+            sources: PrivateSources::new(config.seed, site, config.n_clients),
             clock,
             me,
             latencies: Vec::new(),
@@ -567,12 +638,17 @@ impl ClientCore {
         }
     }
 
-    /// Feeds one event to the engine — preceded by a fresh clock sample,
-    /// as the engine contract requires — collecting the emitted effects
-    /// into `out` for the driver to execute. Latency bookkeeping rides
-    /// along: the op clock starts on the op-issue timer and stops when the
-    /// engine's completion count advances.
-    pub(crate) fn step(&mut self, event: Event, out: &mut Vec<Effect>) {
+    /// Surrenders the recorded per-operation latencies.
+    pub(crate) fn into_latencies(self) -> Vec<Duration> {
+        self.latencies
+    }
+}
+
+impl Host for ClientCore {
+    /// Latency bookkeeping rides along: the op clock starts on the
+    /// op-issue timer and stops when the engine's completion count
+    /// advances.
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>) {
         if matches!(
             event,
             Event::Timer {
@@ -597,281 +673,307 @@ impl ClientCore {
         }
     }
 
-    /// Whether the client has completed its workload with nothing in
-    /// flight — the exit condition every driver polls.
-    pub(crate) fn finished_idle(&self) -> bool {
+    /// The workload is complete with nothing in flight.
+    fn finished(&self) -> bool {
         self.engine.finished() && self.engine.is_idle()
     }
-
-    /// Surrenders the recorded per-operation latencies.
-    pub(crate) fn into_latencies(self) -> Vec<Duration> {
-        self.latencies
-    }
 }
 
-/// One client thread: a [`ClientCore`] + a local timer wheel over real
-/// deadlines. Generic over the [`Outbound`] transport so the in-process
-/// and TCP drivers share one event loop (and therefore one op-sequence /
-/// latency-measurement behaviour). The reactor hosts [`ClientCore`]s
-/// directly — many per thread — and executes effects its own way.
-pub(crate) struct ClientRt<'a, O: Outbound> {
-    pub(crate) core: ClientCore,
-    pub(crate) outbound: O,
-    pub(crate) shared: &'a Shared,
-    pub(crate) timers: TimerWheel,
-}
-
-impl<O: Outbound> ClientRt<'_, O> {
-    /// Feeds one event to the engine and executes what it emits. `out` is
-    /// the loop's effects scratch, handed in empty and left empty, so a
-    /// step allocates nothing once it is warm.
-    fn feed(&mut self, event: Event, out: &mut Vec<Effect>) {
-        self.core.step(event, out);
-        for effect in out.drain(..) {
-            match effect {
-                Effect::Send { to, msg } => self.outbound.send(self.core.me, to, msg),
-                Effect::SetTimer { after, token } => {
-                    // An infinite delta means "never" — arm nothing.
-                    if let Some(deadline) = self.core.clock.deadline_after(after) {
-                        self.timers.arm(deadline, token);
-                    }
-                }
-                Effect::Metric { name, add } => self.shared.add_metric(name, add),
-                Effect::Record(op) => self.shared.record(op),
-            }
-        }
-    }
-
-    pub(crate) fn run(mut self, inbox: &Receiver<(NodeId, Msg)>) -> Vec<Duration> {
-        let _slack = TimerSlack::pin();
-        let mut due = Vec::new();
-        let mut effects = Vec::new();
-        self.feed(Event::Start, &mut effects);
-        loop {
-            if self.core.finished_idle() {
-                break;
-            }
-            // Fire every already-due timer (the sweep collects before any
-            // fires: a firing timer may arm new ones, which belong to the
-            // next pass).
-            self.timers.pop_due_into(Instant::now(), &mut due);
-            let fired = !due.is_empty();
-            for &token in &due {
-                self.feed(Event::Timer { token }, &mut effects);
-            }
-            // Drain the inbox (stops on Empty or — impossible while the
-            // shards still hold this client's sender — Disconnected).
-            let mut received = false;
-            while let Ok((from, msg)) = inbox.try_recv() {
-                received = true;
-                self.feed(Event::Message { from, msg }, &mut effects);
-            }
-            if fired || received {
-                continue;
-            }
-            // Nothing ready: block on the inbox until the next timer
-            // deadline. A shard reply wakes the thread immediately (the
-            // channel wait parks on a condvar — no spin, no yield loop);
-            // with no timer armed a 5 ms heartbeat bounds the wait so an
-            // exit condition is always revisited.
-            let wait = self
-                .timers
-                .next_deadline()
-                .map_or(Duration::from_millis(5), |deadline| {
-                    deadline.saturating_duration_since(Instant::now())
-                });
-            if wait.is_zero() {
-                continue; // the deadline passed while draining; fire it now
-            }
-            match inbox.recv_timeout(wait) {
-                Ok((from, msg)) => self.feed(Event::Message { from, msg }, &mut effects),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        self.timers.report(self.shared);
-        self.core.into_latencies()
-    }
-}
-
-/// Feeds one event to a server engine, preceded by a fresh clock sample —
-/// the server-side stepping contract shared by the per-thread drivers
-/// ([`server_thread`]) and the shard reactor, which owns its engine inside
-/// the event loop instead of behind an inbox.
-pub(crate) fn step_server(
-    engine: &mut ServerEngine,
-    clock: &TickClock,
+/// The driver-independent heart of one shard: its engine plus the clock
+/// sample that must precede every event — shared by the channel node loop
+/// and the shard reactor, which owns its engine inside the event loop
+/// instead of behind an inbox.
+pub(crate) struct ShardCore {
+    pub(crate) engine: ServerEngine,
+    clock: TickClock,
     me: NodeId,
-    event: Event,
-    out: &mut Vec<Effect>,
-) {
-    let t = clock.now();
-    engine.handle(
-        Event::Now(Now {
-            me,
+}
+
+impl ShardCore {
+    pub(crate) fn new(engine: ServerEngine, clock: TickClock, me: NodeId) -> Self {
+        ShardCore { engine, clock, me }
+    }
+}
+
+impl Host for ShardCore {
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>) {
+        let t = self.clock.now();
+        let now = Now {
+            me: self.me,
             local: t,
             truth: t,
-        }),
-        out,
-    );
-    engine.handle(event, out);
+        };
+        self.engine.handle(Event::Now(now), out);
+        self.engine.handle(event, out);
+    }
 }
 
-/// One shard thread: blocking on its inbox, with a timer wheel for the
-/// deadline-batched push-invalidation flushes. Returns the number of
-/// client requests the shard served (the fleet's load statistic).
+/// Cap on how many already-queued messages one node-loop pass drains
+/// beyond the blocking receive. Bounded so a request flood cannot postpone
+/// a due timer indefinitely; 128 messages is far past any burst a fleet
+/// produces between timer deadlines.
+const DRAIN_BATCH: usize = 128;
+
+/// A channel node's [`Port`]: sends go through the driver's routing
+/// closure, timers into the node's own wheel.
+struct ChannelPort<S> {
+    send: S,
+    timers: TimerWheel,
+}
+
+impl<S: FnMut(NodeId, Msg)> Port for ChannelPort<S> {
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        (self.send)(to, msg);
+    }
+
+    fn arm(&mut self, deadline: Instant, token: u64) {
+        self.timers.arm(deadline, token);
+    }
+}
+
+/// One thread-per-node engine host over in-process channels: the single
+/// node loop of [`run_threaded`] and [`crate::run_threaded_geo`]. What a
+/// node *is* — a client, a shard, a geo relay — is its [`Host`]; where its
+/// sends go is the `send` closure; and how it ends follows from how the
+/// caller built it:
 ///
-/// `send` is the transport seam (mirroring [`Outbound`] on the client
-/// side): in-process channels or a TCP connection registry. Exits when the
-/// inbox disconnects — every transport arranges for its senders to drop
-/// once the run is over.
-pub(crate) fn server_thread(
-    mut engine: ServerEngine,
+/// * a client's host reports [`Host::finished`];
+/// * a [`run_threaded`] shard's inbox disconnects once the last client
+///   dropped its senders;
+/// * geo infrastructure holds senders to itself, so it is handed a stop
+///   flag ([`ChannelNode::until`]).
+pub(crate) struct ChannelNode<'a, H, S> {
+    host: H,
+    port: ChannelPort<S>,
     clock: TickClock,
-    me: NodeId,
-    inbox: &Receiver<(NodeId, Msg)>,
-    send: &mut dyn FnMut(NodeId, Msg),
-    shared: &Shared,
-    mut outages: OutageGate,
-) -> u64 {
-    // Cap on how many already-queued messages one pass drains beyond the
-    // blocking receive. Bounded so a request flood cannot postpone a due
-    // flush timer indefinitely; 128 messages is far past any burst the
-    // client fleet produces between timer deadlines.
-    const DRAIN_BATCH: usize = 128;
-    let _slack = TimerSlack::pin();
-    let mut timers = TimerWheel::new();
-    // Scratch reused across passes: the due timers, the drained event
-    // batch and the engine's effect buffer. Steady-state passes allocate
-    // nothing.
-    let mut due: Vec<u64> = Vec::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut out: Vec<Effect> = Vec::new();
-    loop {
-        // Cross any due outage edge first: a kill discards what the shard
-        // would otherwise do this pass, a restart is fed to the engine
-        // before any queued traffic (replaying the WAL under a durable
-        // store, forgetting everything under the in-memory one).
-        events.clear();
-        match outages.poll(clock.now()) {
-            Some(OutageEdge::WentDown) => shared.add_metric(names::CRASH, 1),
-            Some(OutageEdge::CameUp) => {
-                shared.add_metric(names::RESTART, 1);
-                events.push(Event::Restart);
-            }
-            None => {}
-        }
-        // Fire every already-due flush timer (the sweep collects before
-        // any fires: handling one may arm new ones, which belong to the
-        // next pass). While down the due timers are popped and discarded
-        // below — the volatile state they would flush is dying anyway —
-        // but the wheel itself is never cleared.
-        timers.pop_due_into(Instant::now(), &mut due);
-        events.extend(due.iter().map(|&token| Event::Timer { token }));
-        if events.is_empty() {
-            // Block towards the next flush deadline (or indefinitely with
-            // none armed). An armed outage gate caps the wait so kill and
-            // restart edges are noticed promptly. Exits when every client
-            // dropped its sender.
-            let deadline_wait = timers
-                .next_deadline()
-                .map(|d| d.saturating_duration_since(Instant::now()));
-            let cap = outages.is_armed().then(|| Duration::from_millis(5));
-            let wait = match (deadline_wait, cap) {
-                (Some(d), Some(c)) => Some(d.min(c)),
-                (Some(d), None) => Some(d),
-                (None, cap) => cap,
-            };
-            let received = match wait {
-                Some(wait) if !wait.is_zero() => match inbox.recv_timeout(wait) {
-                    Ok(m) => Some(m),
-                    Err(RecvTimeoutError::Timeout) => None,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                },
-                Some(_) => None, // a deadline passed while draining
-                None => match inbox.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                },
-            };
-            match received {
-                Some((from, msg)) => events.push(Event::Message { from, msg }),
-                None => continue, // a deadline or outage edge is due
-            }
-        }
-        // Opportunistically drain whatever else is already queued so a
-        // burst is served in one pass instead of one wakeup per message.
-        // The channel is FIFO and the batch is processed in drain order,
-        // so per-sender ordering is exactly what sequential receives gave.
-        while events.len() < DRAIN_BATCH {
-            match inbox.try_recv() {
-                Ok((from, msg)) => events.push(Event::Message { from, msg }),
-                Err(_) => break, // empty (or disconnected: next pass exits)
-            }
-        }
-        for event in events.drain(..) {
-            // A down shard serves nothing: inbound messages dead-letter
-            // (the simulator's down-node path) and due timers fire into
-            // the void.
-            if outages.is_down() {
-                if matches!(event, Event::Message { .. }) {
-                    shared.add_metric(names::FAULT_DROPPED_DOWN, 1);
-                }
-                continue;
-            }
-            out.clear();
-            step_server(&mut engine, &clock, me, event, &mut out);
-            for effect in out.drain(..) {
-                match effect {
-                    Effect::Send { to, msg } => send(to, msg),
-                    Effect::SetTimer { after, token } => {
-                        // Batch flush deadline. Infinite means "never".
-                        if let Some(deadline) = clock.deadline_after(after) {
-                            timers.arm(deadline, token);
-                        }
-                    }
-                    Effect::Metric { name, add } => shared.add_metric(name, add),
-                    Effect::Record(_) => {
-                        unreachable!("the server engine records nothing")
-                    }
-                }
-            }
+    shared: &'a Shared,
+    outages: OutageGate,
+    stop: Option<&'a AtomicBool>,
+    effects: Vec<Effect>,
+}
+
+impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
+    pub(crate) fn new(host: H, send: S, clock: TickClock, shared: &'a Shared) -> Self {
+        ChannelNode {
+            host,
+            port: ChannelPort {
+                send,
+                timers: TimerWheel::new(),
+            },
+            clock,
+            shared,
+            outages: OutageGate::new(0, &[]),
+            stop: None,
+            effects: Vec::new(),
         }
     }
-    timers.report(shared);
-    engine.requests_served()
+
+    /// Subjects the node to a shard's kill/restart windows.
+    pub(crate) fn gated(mut self, outages: OutageGate) -> Self {
+        self.outages = outages;
+        self
+    }
+
+    /// Makes the node exit, once it has nothing due, after `stop` is
+    /// raised — for nodes whose inbox never disconnects.
+    pub(crate) fn until(mut self, stop: &'a AtomicBool) -> Self {
+        self.stop = Some(stop);
+        self
+    }
+
+    /// Feeds one event to the host and executes what it emits. The
+    /// effects scratch is left empty, so a step allocates nothing once it
+    /// is warm.
+    pub(crate) fn feed(&mut self, event: Event) {
+        self.host.step(event, &mut self.effects);
+        execute(&mut self.effects, &mut self.port, &self.clock, self.shared);
+    }
+
+    /// The node loop: cross any outage edge, collect the due timers, block
+    /// on the inbox towards the next deadline when nothing is due, drain a
+    /// bounded batch of what else is queued, then step the host through
+    /// the batch in order. Returns the host for the caller to read its
+    /// results off.
+    pub(crate) fn run(mut self, inbox: &Receiver<(NodeId, Msg)>) -> H {
+        let _slack = TimerSlack::pin();
+        // Kill/restart edges and the stop flag are not inbox events: when
+        // either exists, cap the blocking wait so it is noticed promptly.
+        let cap =
+            (self.outages.is_armed() || self.stop.is_some()).then(|| Duration::from_millis(5));
+        // Scratch reused across passes; steady-state passes allocate
+        // nothing.
+        let mut due: Vec<u64> = Vec::new();
+        let mut events: Vec<Event> = Vec::new();
+        while !self.host.finished() {
+            // Cross any due outage edge first: a kill discards what the
+            // shard would otherwise do this pass, a restart is fed to the
+            // engine before any queued traffic (replaying the WAL under a
+            // durable store, forgetting everything under the in-memory
+            // one).
+            events.clear();
+            if self.outages.is_armed() {
+                match self.outages.poll(self.clock.now()) {
+                    Some(OutageEdge::WentDown) => self.shared.add_metric(names::CRASH, 1),
+                    Some(OutageEdge::CameUp) => {
+                        self.shared.add_metric(names::RESTART, 1);
+                        events.push(Event::Restart);
+                    }
+                    None => {}
+                }
+            }
+            // The sweep collects every due timer before any fires:
+            // handling one may arm new ones, which belong to the next
+            // pass. While down the due timers are popped and discarded
+            // below — the volatile state they would flush is dying anyway
+            // — but the wheel itself is never cleared.
+            self.port.timers.pop_due_into(Instant::now(), &mut due);
+            events.extend(due.iter().map(|&token| Event::Timer { token }));
+            if events.is_empty() {
+                if self.stop.is_some_and(|stop| stop.load(Ordering::Acquire)) {
+                    break;
+                }
+                // Block towards the next deadline — indefinitely with none
+                // armed and nothing to poll for: a message wakes the
+                // thread at once (the channel wait parks on a condvar).
+                let deadline_wait = self
+                    .port
+                    .timers
+                    .next_deadline()
+                    .map(|d| d.saturating_duration_since(Instant::now()));
+                let wait = match (deadline_wait, cap) {
+                    (Some(d), Some(c)) => Some(d.min(c)),
+                    (Some(d), None) => Some(d),
+                    (None, cap) => cap,
+                };
+                let received = match wait {
+                    Some(wait) if !wait.is_zero() => match inbox.recv_timeout(wait) {
+                        Ok(m) => Some(m),
+                        Err(RecvTimeoutError::Timeout) => None,
+                        Err(RecvTimeoutError::Disconnected) => break,
+                    },
+                    Some(_) => None, // a deadline passed while draining
+                    None => match inbox.recv() {
+                        Ok(m) => Some(m),
+                        Err(_) => break,
+                    },
+                };
+                match received {
+                    Some((from, msg)) => events.push(Event::Message { from, msg }),
+                    None => continue, // a deadline, an edge or the flag is due
+                }
+            }
+            // Opportunistically drain whatever else is already queued so a
+            // burst is served in one pass instead of one wakeup per
+            // message. The channel is FIFO and the batch is processed in
+            // drain order, so per-sender ordering is exactly what
+            // sequential receives gave.
+            while events.len() < DRAIN_BATCH {
+                match inbox.try_recv() {
+                    Ok((from, msg)) => events.push(Event::Message { from, msg }),
+                    Err(_) => break, // empty (or disconnected: next pass exits)
+                }
+            }
+            for event in events.drain(..) {
+                // A down shard serves nothing: inbound messages
+                // dead-letter (the simulator's down-node path) and due
+                // timers fire into the void.
+                if self.outages.is_down() {
+                    if matches!(event, Event::Message { .. }) {
+                        self.shared.add_metric(names::FAULT_DROPPED_DOWN, 1);
+                    }
+                    continue;
+                }
+                self.feed(event);
+            }
+        }
+        self.port.timers.report(self.shared);
+        self.host
+    }
 }
 
-/// The adaptive control loop shared by the real-time drivers: every
-/// controller interval it samples the live monitor (running `min_delta`,
-/// violation count, ops ingested) and the retry counter, ticks the
-/// [`DeltaController`], applies each command's widened threshold to the
-/// monitor's judged schedule from `judge_from`, and (re-)broadcasts the
-/// current command through `broadcast` — idempotent per sequence number,
-/// so a client that missed one hears the next. Exits once every expected
-/// operation has been ingested or `done` is raised (whichever first), and
-/// returns the commanded schedule.
-pub(crate) fn control_loop(
-    mut controller: DeltaController,
+/// Runs one client to completion on the calling thread — `Event::Start`,
+/// then the node loop until the workload is done with nothing in flight —
+/// and returns its per-operation latencies.
+pub(crate) fn run_client(
+    core: ClientCore,
+    send: impl FnMut(NodeId, Msg),
     clock: TickClock,
     shared: &Shared,
+    inbox: &Receiver<(NodeId, Msg)>,
+) -> Vec<Duration> {
+    let mut node = ChannelNode::new(core, send, clock, shared);
+    node.feed(Event::Start);
+    node.run(inbox).into_latencies()
+}
+
+/// The adaptive control plane, driver-independent: the controller plus the
+/// sampling state its pressure signal needs. A driver owns *when* a sample
+/// is taken (a sleeping thread, a reactor timer) and *how* the resulting
+/// command reaches the clients (their inboxes, a direct feed);
+/// [`ControlPlane::sample`] owns everything in between.
+pub(crate) struct ControlPlane {
+    controller: DeltaController,
+    /// The margin the monitor's judged schedule carries over each commanded
+    /// Δ: exactly what the static monitor bound carries over the
+    /// protocol's configured Δ.
     widening: Delta,
     expected_ops: usize,
-    done: &std::sync::atomic::AtomicBool,
-    broadcast: &mut dyn FnMut(Msg),
-) -> DeltaSchedule {
-    use std::sync::atomic::Ordering;
-    let _slack = TimerSlack::pin();
-    let interval = clock
-        .delta_to_duration(controller.config().interval)
-        .unwrap_or(Duration::from_millis(5));
-    let mut last_violations = 0usize;
-    let mut last_retries = 0u64;
-    loop {
-        std::thread::sleep(interval);
-        if done.load(Ordering::Acquire) {
-            break;
-        }
+    last_violations: usize,
+    last_retries: u64,
+    /// Sender of every command: a synthetic node id past every real node
+    /// (clients ignore the sender of a `DeltaUpdate`).
+    from: NodeId,
+}
+
+impl ControlPlane {
+    /// The control plane `config` asks for: `None` unless the run is
+    /// adaptive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an adaptive run is configured over an untimed protocol.
+    pub(crate) fn new(config: &RuntimeConfig) -> Option<Self> {
+        let ctrl = config.adaptive?;
+        let base = config
+            .protocol
+            .kind
+            .delta()
+            .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
+        let widening = if config.monitor_delta.is_infinite() {
+            Delta::INFINITE
+        } else {
+            Delta::from_ticks(config.monitor_delta.ticks() - base.ticks())
+        };
+        Some(ControlPlane {
+            controller: DeltaController::new(ctrl, base),
+            widening,
+            expected_ops: config.n_clients * config.ops_per_client,
+            last_violations: 0,
+            last_retries: 0,
+            from: NodeId::new(config.protocol.shards + config.n_clients),
+        })
+    }
+
+    /// The real-time period between samples.
+    pub(crate) fn interval(&self, clock: &TickClock) -> Duration {
+        clock
+            .delta_to_duration(self.controller.config().interval)
+            .unwrap_or(Duration::from_millis(5))
+    }
+
+    /// One control tick: samples the live monitor (running `min_delta`,
+    /// violation count, ops ingested) and the retry counter, ticks the
+    /// [`DeltaController`], and applies a new command's widened threshold
+    /// to the monitor's judged schedule from its `judge_from`. Returns the
+    /// command in force for the driver to (re-)broadcast — idempotent per
+    /// sequence number, so a client that missed one hears the next — and
+    /// whether to keep sampling: `false` once every expected operation has
+    /// been ingested.
+    pub(crate) fn sample(
+        &mut self,
+        clock: &TickClock,
+        shared: &Shared,
+    ) -> (Option<(NodeId, Msg)>, bool) {
         let (observed, violations, ingested) = {
             let rec = shared.recorder.lock().expect("recorder lock");
             let m = rec.monitor().expect("monitor attached by the driver");
@@ -881,11 +983,11 @@ pub(crate) fn control_loop(
             let metrics = shared.metrics.lock().expect("metrics lock");
             metrics.get(names::RETRY)
         };
-        let pressure = violations > last_violations || retries > last_retries;
-        last_violations = violations;
-        last_retries = retries;
-        let prev = controller.current();
-        if let Some(cmd) = controller.tick(clock.now(), observed, pressure) {
+        let pressure = violations > self.last_violations || retries > self.last_retries;
+        self.last_violations = violations;
+        self.last_retries = retries;
+        let prev = self.controller.current();
+        if let Some(cmd) = self.controller.tick(clock.now(), observed, pressure) {
             shared.add_metric(names::DELTA_UPDATE, 1);
             shared.add_metric(
                 if cmd.delta < prev {
@@ -899,34 +1001,50 @@ pub(crate) fn control_loop(
                 .recorder
                 .lock()
                 .expect("recorder lock")
-                .monitor_schedule_change(cmd.judge_from, widen(cmd.delta, widening));
+                .monitor_schedule_change(cmd.judge_from, widen(cmd.delta, self.widening));
         }
-        if controller.seq() > 0 {
-            broadcast(Msg::DeltaUpdate {
-                seq: controller.seq(),
-                delta: controller.current(),
-            });
+        let command = (self.controller.seq() > 0).then(|| {
+            let msg = Msg::DeltaUpdate {
+                seq: self.controller.seq(),
+                delta: self.controller.current(),
+            };
+            (self.from, msg)
+        });
+        (command, ingested < self.expected_ops)
+    }
+
+    /// The Δ-schedule commanded over the run.
+    pub(crate) fn into_schedule(self) -> DeltaSchedule {
+        self.controller.into_schedule()
+    }
+}
+
+/// The channel drivers' control thread: sleep an interval, sample,
+/// broadcast — until the plane says every operation is in or `done` is
+/// raised (whichever first). Returns the commanded schedule.
+fn control_loop(
+    mut plane: ControlPlane,
+    clock: TickClock,
+    shared: &Shared,
+    done: &AtomicBool,
+    mut broadcast: impl FnMut(NodeId, Msg),
+) -> DeltaSchedule {
+    let _slack = TimerSlack::pin();
+    let interval = plane.interval(&clock);
+    loop {
+        std::thread::sleep(interval);
+        if done.load(Ordering::Acquire) {
+            break;
         }
-        if ingested >= expected_ops {
+        let (command, more) = plane.sample(&clock, shared);
+        if let Some((from, msg)) = command {
+            broadcast(from, msg);
+        }
+        if !more {
             break;
         }
     }
-    controller.into_schedule()
-}
-
-/// The widening margin the adaptive monitor schedule carries over each
-/// commanded Δ: exactly what the static monitor bound carries over the
-/// protocol's configured Δ.
-pub(crate) fn adaptive_widening(monitor_delta: Delta, protocol: &ProtocolConfig) -> Delta {
-    let base = protocol
-        .kind
-        .delta()
-        .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
-    if monitor_delta.is_infinite() {
-        Delta::INFINITE
-    } else {
-        Delta::from_ticks(monitor_delta.ticks() - base.ticks())
-    }
+    plane.into_schedule()
 }
 
 /// Runs one threaded execution to completion and judges it.
@@ -939,12 +1057,7 @@ pub(crate) fn adaptive_widening(monitor_delta: Delta, protocol: &ProtocolConfig)
 #[must_use]
 pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
     let clock = TickClock::new(config.tick);
-    let mut recorder = TraceRecorder::new();
-    recorder.attach_monitor(config.monitor_delta, config.monitor_eps);
-    let shared = Shared {
-        recorder: Mutex::new(recorder),
-        metrics: Mutex::new(Metrics::new()),
-    };
+    let shared = Shared::new(config);
 
     let shards = config.protocol.shards;
     let mut server_txs = Vec::with_capacity(shards);
@@ -965,7 +1078,7 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
     let started = Instant::now();
     let shared_ref = &shared;
     let client_txs_ref = &client_txs[..];
-    let done = std::sync::atomic::AtomicBool::new(false);
+    let done = AtomicBool::new(false);
     let done_ref = &done;
     let (latencies, shard_requests, delta_schedule): (
         Vec<Duration>,
@@ -974,8 +1087,7 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
     ) = crossbeam::thread::scope(|scope| {
         let mut shard_workers = Vec::with_capacity(shards);
         for (shard, rx_slot) in server_rxs.iter_mut().enumerate() {
-            let server_engine =
-                build_shard_engine(config.protocol, config.wal_dir.as_deref(), shard);
+            let engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), shard);
             let gate = OutageGate::new(shard, &config.shard_outages);
             let inbox = rx_slot.take().expect("receiver taken once");
             shard_workers.push(scope.spawn(move |_| {
@@ -983,71 +1095,42 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
                 // A client that finished and hung up may still be
                 // pushed invalidations; dropping them mirrors the
                 // simulator's dead-letter path.
-                let mut send = |to: NodeId, msg: Msg| {
+                let send = |to: NodeId, msg: Msg| {
                     let _ = client_txs_ref[to.index() - shards].send((me, msg));
                 };
-                server_thread(
-                    server_engine,
-                    clock,
-                    me,
-                    &inbox,
-                    &mut send,
-                    shared_ref,
-                    gate,
-                )
+                // Exits when the inbox disconnects: every client dropped
+                // its senders.
+                ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, shared_ref)
+                    .gated(gate)
+                    .run(&inbox)
+                    .engine
+                    .requests_served()
             }));
         }
         let mut workers = Vec::with_capacity(config.n_clients);
         for (site, rx_slot) in client_rxs.iter_mut().enumerate() {
-            let engine = ClientEngine::new(
-                config.protocol,
-                (0..shards).map(NodeId::new).collect(),
-                site,
-                config.n_clients,
-                config.workload.clone(),
-                config.ops_per_client,
-            );
-            let rt = ClientRt {
-                core: ClientCore::new(
-                    engine,
-                    PrivateSources::new(config.seed, site, config.n_clients),
-                    clock,
-                    NodeId::new(shards + site),
-                ),
-                outbound: ChannelOutbound(server_txs.clone()),
-                shared: shared_ref,
-                timers: TimerWheel::new(),
-            };
+            let me = NodeId::new(shards + site);
+            let servers = (0..shards).map(NodeId::new).collect();
+            let core = ClientCore::for_site(config, servers, me, site, clock);
+            let server_txs = server_txs.clone();
             let inbox = rx_slot.take().expect("receiver taken once");
-            workers.push(scope.spawn(move |_| rt.run(&inbox)));
+            workers.push(scope.spawn(move |_| {
+                // Client engines only ever address server shards; a send
+                // can't fail while this client still holds its senders.
+                let send = move |to: NodeId, msg: Msg| {
+                    let _ = server_txs[to.index()].send((me, msg));
+                };
+                run_client(core, send, clock, shared_ref, &inbox)
+            }));
         }
-        let controller_worker = config.adaptive.map(|ctrl| {
-            let base = config
-                .protocol
-                .kind
-                .delta()
-                .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
-            let widening = adaptive_widening(config.monitor_delta, &config.protocol);
-            let expected_ops = config.n_clients * config.ops_per_client;
-            let n_clients = config.n_clients;
+        let controller_worker = ControlPlane::new(config).map(|plane| {
             scope.spawn(move |_| {
-                // A synthetic node id past every real node: clients
-                // ignore the sender of a DeltaUpdate.
-                let from = NodeId::new(shards + n_clients);
-                let mut broadcast = |msg: Msg| {
+                let broadcast = |from: NodeId, msg: Msg| {
                     for tx in client_txs_ref {
                         let _ = tx.send((from, msg.clone()));
                     }
                 };
-                control_loop(
-                    DeltaController::new(ctrl, base),
-                    clock,
-                    shared_ref,
-                    widening,
-                    expected_ops,
-                    done_ref,
-                    &mut broadcast,
-                )
+                control_loop(plane, clock, shared_ref, done_ref, broadcast)
             })
         });
         // Drop the original senders so each shard's recv disconnects
@@ -1059,7 +1142,7 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
             .collect();
         // Clients are done: release the controller (its ingested-ops
         // stop rule normally beats this flag; the flag covers stalls).
-        done.store(true, std::sync::atomic::Ordering::Release);
+        done.store(true, Ordering::Release);
         let delta_schedule =
             controller_worker.map(|w| w.join().expect("controller thread panicked"));
         let shard_requests = shard_workers
@@ -1074,9 +1157,8 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
 }
 
 /// Assembles a [`RuntimeResult`] out of a finished run's shared state —
-/// the common tail of [`run_threaded`] and the TCP driver
-/// ([`crate::transport::run_tcp`]), so both report through identical
-/// monitor/metrics plumbing.
+/// the common tail of every real-time driver, so all report through
+/// identical monitor/metrics plumbing.
 pub(crate) fn finish_run(
     shared: Shared,
     latencies: Vec<Duration>,
@@ -1324,12 +1406,13 @@ mod tests {
 
     #[test]
     fn server_batch_drain_preserves_request_order() {
-        // Pre-fill the inbox far beyond one drain batch before the shard
-        // runs at all, so every message is served through the batched
+        // Pre-fill the inbox far beyond one drain batch before the node
+        // loop runs at all, so every message is served through the batched
         // try_recv path — then assert the replies echo the request epochs
         // in exactly the order the requests were enqueued.
-        let engine = ServerEngine::new(ProtocolConfig::of(ProtocolKind::Sc));
-        let clock = TickClock::new(Duration::from_micros(50));
+        let cfg = small(ProtocolKind::Sc, 0);
+        let engine = ServerEngine::new(cfg.protocol);
+        let clock = TickClock::new(cfg.tick);
         let (tx, rx) = unbounded::<(NodeId, Msg)>();
         let me = NodeId::new(0);
         let client = NodeId::new(1);
@@ -1345,21 +1428,13 @@ mod tests {
             .unwrap();
         }
         drop(tx); // after the backlog drains, the shard exits cleanly
-        let shared = Shared {
-            recorder: Mutex::new(TraceRecorder::new()),
-            metrics: Mutex::new(Metrics::new()),
-        };
+        let shared = Shared::new(&cfg);
         let mut replies: Vec<(NodeId, Msg)> = Vec::new();
-        let mut send = |to: NodeId, msg: Msg| replies.push((to, msg));
-        let served = server_thread(
-            engine,
-            clock,
-            me,
-            &rx,
-            &mut send,
-            &shared,
-            OutageGate::new(0, &[]),
-        );
+        let send = |to: NodeId, msg: Msg| replies.push((to, msg));
+        let served = ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, &shared)
+            .run(&rx)
+            .engine
+            .requests_served();
         assert_eq!(served, n, "every queued request must be served");
         let epochs: Vec<u64> = replies
             .iter()

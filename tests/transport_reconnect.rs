@@ -1,8 +1,6 @@
 //! Transport fault injection: kill a shard's listener mid-run, hold the
-//! address down, rebind it — and demand that the protocol rides it out.
-//! Run twice: once over the thread-per-connection transport, once over
-//! the evented epoll reactor, which must absorb the same outage with the
-//! same counters and the same per-site programs.
+//! address down, rebind it — and demand that the protocol rides it out
+//! over the evented epoll reactor.
 //!
 //! The reconnect path is where a transport earns its keep: the engines
 //! were designed for lossy delivery (per-request retry timers, causal
@@ -30,8 +28,8 @@ use timed_consistency::lifetime::{ProtocolConfig, ProtocolKind};
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
 use timed_consistency::store::{
-    run_reactor_with, run_tcp_with, run_threaded, Backoff, ListenerChaos, ReactorConfig,
-    RuntimeConfig, RuntimeResult, TcpRuntimeConfig,
+    run_reactor_with, run_threaded, Backoff, ListenerChaos, ReactorConfig, RuntimeConfig,
+    RuntimeResult,
 };
 
 const SEED: u64 = 77;
@@ -42,7 +40,7 @@ const OPS: usize = 100;
 /// for ~100 ms — several protocol lifetimes (Δ = 400 ticks · 50 µs =
 /// 20 ms) — with fast failure detection so the outage, not the timeout,
 /// dominates.
-fn chaos_config() -> TcpRuntimeConfig {
+fn chaos_config() -> ReactorConfig {
     let protocol = ProtocolConfig::of(ProtocolKind::Tsc {
         delta: Delta::from_ticks(400),
     })
@@ -55,7 +53,7 @@ fn chaos_config() -> TcpRuntimeConfig {
         SEED,
     );
 
-    let mut cfg = TcpRuntimeConfig::new(runtime);
+    let mut cfg = ReactorConfig::new(runtime);
     // Heartbeats every 5 ms, a link with 25 ms of inbound silence is dead,
     // redials back off 2..=20 ms.
     cfg.heartbeat = Duration::from_millis(5);
@@ -82,7 +80,7 @@ fn chaos_config() -> TcpRuntimeConfig {
     cfg
 }
 
-/// Everything a chaos run must exhibit, whichever driver ran it.
+/// Everything a chaos run must exhibit.
 fn assert_chaos_absorbed(faulted: &RuntimeResult) {
     // The workload survived the outage completely.
     assert_eq!(
@@ -137,22 +135,13 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
     }
 }
 
-#[test]
-fn listener_death_and_rebirth_is_absorbed_by_the_protocol() {
-    assert_chaos_absorbed(&run_tcp_with(&chaos_config()));
-}
-
-/// The reactor's redial path is a timer-wheel state machine, not a
-/// blocking link thread — but the observable outage story must be
-/// identical: same restart/reconnect counters, same completed workload,
-/// same per-site programs. Registrations must also drain to zero even
+/// The reactor's redial path is a timer-wheel state machine: the outage
+/// must show up as restart/reconnect counters, a completed workload and
+/// untouched per-site programs. Registrations must also drain to zero even
 /// though the outage hard-closed every connection to the dead shard.
 #[test]
 fn reactor_absorbs_the_same_listener_outage() {
-    let faulted = run_reactor_with(&ReactorConfig {
-        tcp: chaos_config(),
-        churn: None,
-    });
+    let faulted = run_reactor_with(&chaos_config());
     assert_chaos_absorbed(&faulted);
     assert_eq!(
         faulted.counter(names::REACTOR_CONN_OPENED),
