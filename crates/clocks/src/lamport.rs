@@ -5,8 +5,7 @@
 //! *every* pair of distinct timestamps, so it never reports concurrency and
 //! therefore over-approximates causality maximally while using constant
 //! space. It is included both as a baseline for the plausible-clock
-//! experiments and as a building block for [`crate::CombClock`] and
-//! [`crate::HybridClock`].
+//! experiments and as a building block for [`crate::CombClock`].
 
 use core::fmt;
 

@@ -36,7 +36,6 @@
 #![warn(missing_docs)]
 
 mod drift;
-mod hlc;
 mod lamport;
 mod ordering;
 mod plausible;
@@ -45,7 +44,6 @@ mod vector;
 pub mod xi;
 
 pub use drift::{DriftingClock, SyncOutcome, SyncedClock};
-pub use hlc::{HybridClock, HybridStamp};
 pub use lamport::{LamportClock, LamportStamp};
 pub use ordering::{ClockOrdering, SiteClock, Timestamp};
 pub use plausible::{CombClock, CombStamp, RevClock, RevStamp};

@@ -96,7 +96,6 @@ impl fmt::Display for ClockOrdering {
 /// * [`crate::RevStamp`] — the constant-size *R-entries vector* plausible
 ///   clock.
 /// * [`crate::CombStamp`] — the combination of two plausible clocks.
-/// * [`crate::HybridStamp`] — hybrid logical/physical time (extension).
 ///
 /// # Plausibility
 ///

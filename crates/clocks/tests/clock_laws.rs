@@ -1,12 +1,12 @@
 //! Property tests of the clock laws: exactness of vector clocks,
-//! plausibility of REV/Comb/Lamport/HLC, lattice laws of join/meet, and
+//! plausibility of REV/Comb/Lamport, lattice laws of join/meet, and
 //! the Definition 2 relation.
 
 use proptest::prelude::*;
 use tc_clocks::time::{compare_with_epsilon, definitely_before};
 use tc_clocks::{
-    ClockOrdering, CombClock, Epsilon, HybridClock, HybridStamp, LamportClock, RevClock, SiteClock,
-    Time, Timestamp, VectorClock,
+    ClockOrdering, CombClock, Epsilon, LamportClock, RevClock, SiteClock, Time, Timestamp,
+    VectorClock,
 };
 
 /// A randomized message-passing schedule: (site, optional index of an
@@ -150,39 +150,6 @@ proptest! {
         // Bound properties.
         prop_assert!(va.dominated_by(&va.join(&vb)));
         prop_assert!(va.meet(&vb).dominated_by(&va));
-    }
-
-    #[test]
-    fn hlc_is_plausible_and_tracks_physical_time(sched in schedule(4, 40)) {
-        // Drive vector clocks and HLCs together; HLC needs physical nows.
-        let n_sites = 4;
-        let mut vcs: Vec<VectorClock> =
-            (0..n_sites).map(|s| VectorClock::new(s, n_sites)).collect();
-        let mut hlcs: Vec<HybridClock> = (0..n_sites).map(HybridClock::new).collect();
-        let mut truth: Vec<VectorClock> = Vec::new();
-        let mut stamps: Vec<HybridStamp> = Vec::new();
-        let mut max_physical = Time::ZERO;
-        for (step, &(site, recv)) in sched.iter().enumerate() {
-            // Physical clocks advance noisily but boundedly.
-            let now = Time::from_ticks((step as u64) * 10 + (site as u64 % 3));
-            max_physical = max_physical.max(now);
-            match recv.map(|r| r % truth.len().max(1)).filter(|_| !truth.is_empty()) {
-                Some(k) => {
-                    let tv = truth[k].clone();
-                    let ts = stamps[k];
-                    truth.push(vcs[site].observe(&tv));
-                    stamps.push(hlcs[site].observe(&ts, now));
-                }
-                None => {
-                    truth.push(vcs[site].tick());
-                    stamps.push(hlcs[site].tick(now));
-                }
-            }
-            // HLC bound: physical component never exceeds the max physical
-            // time observed anywhere.
-            prop_assert!(stamps.last().unwrap().physical() <= max_physical);
-        }
-        assert_plausible(&truth, &stamps);
     }
 
     #[test]

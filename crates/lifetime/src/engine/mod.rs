@@ -4,13 +4,16 @@
 //! [`ClientEngine`] and [`ServerEngine`] hold *all* protocol state and
 //! logic, but perform no I/O: they never touch a network, a clock, a
 //! recorder, or a timer wheel. A *driver* feeds them [`Event`]s and
-//! executes the [`Effect`]s they emit. Two drivers exist:
+//! executes the [`Effect`]s they emit. Three drivers exist:
 //!
 //! * the deterministic simulator adapter ([`crate::ClientNode`] /
 //!   [`crate::ServerNode`]), which replays effects into a
-//!   [`tc_sim::World`]; and
+//!   [`tc_sim::World`];
 //! * the threaded runtime (`tc_store::runtime`), which runs the *same*
-//!   engine types over OS threads, channels, and `Instant`-based clocks.
+//!   engine types over OS threads, channels, and `Instant`-based clocks
+//!   (`tc_store::geo` is a multi-region topology over the same loop); and
+//! * the evented reactor (`tc_store::reactor`), which hosts them in two
+//!   epoll loops over loopback TCP and `tc-wire` frames.
 //!
 //! # Why engines may not read clocks
 //!

@@ -12,8 +12,8 @@
 //!   clocks, workloads).
 //! * [`lifetime`] — the §5 lifetime-based consistency protocols (SC, TSC,
 //!   CC, TCC, and the logical-clock TCC approximation).
-//! * [`store`] — a multi-threaded replicated object store with selectable
-//!   timed consistency levels.
+//! * [`store`] — the real-time drivers of those protocols (threads over
+//!   channels, epoll over TCP, geo), judged by a live on-time monitor.
 //! * [`durable`] — a WAL+snapshot shard storage backend: crash–restart
 //!   recovers durable state by replay instead of forgetting it.
 //!
@@ -40,3 +40,9 @@ pub use tc_sim as sim;
 pub use tc_store as store;
 pub use tc_trace as trace;
 pub use tc_wire as wire;
+
+// The README's Rust blocks compile and run with the doctests, so the
+// quick-start cannot drift from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
