@@ -34,20 +34,20 @@
 //! static Δ of equal budget (its time-averaged Δ), and no static
 //! configuration matches it on staleness, traffic, and budget at once.
 //!
-//! Outputs a table (for `results/adaptive_delta.txt`), machine-readable
-//! `BENCH_adaptive.json`, and — with `--trace PATH` — Chrome/Perfetto
-//! trace-event timelines: the adaptive run at `PATH` (Δ-schedule counter
-//! track, per-site op slices, send→recv flow arrows, timer marks) and
-//! the loose static ceiling at `PATH.static.json` for side-by-side
-//! comparison.
+//! Outputs a table (`results/adaptive_delta.txt`), with `--out PATH` the
+//! machine-readable document checked in as `BENCH_adaptive.json`, and —
+//! with `--trace PATH` — Chrome/Perfetto trace-event timelines: the
+//! adaptive run at `PATH` (Δ-schedule counter track, per-site op slices,
+//! send→recv flow arrows, timer marks) and the loose static ceiling at
+//! `PATH.static.json` for side-by-side comparison.
 //!
-//! Flags: `--smoke` (one seed, short runs), `--json`, `--out PATH`
-//! (default `BENCH_adaptive.json`), `--trace PATH`, `--seeds N`,
-//! `--ops N`.
+//! Flags: `--smoke` (one seed, short runs), `--out PATH`, `--trace PATH`,
+//! `--seeds N`, `--ops N`.
 
 use std::collections::HashMap;
 
-use tc_bench::{arg_value, f3, flag, json_flag, Table};
+use super::{field, items, Args, Key, Report, Takes, OPS, OUT, SEEDS, SMOKE};
+use crate::{f3, Table};
 use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::{OnTimeMonitor, OnTimeViolation};
 use tc_core::{History, ObjectId, OpKind, Value};
@@ -237,7 +237,7 @@ fn mean_missed_freshness(history: &History) -> f64 {
 }
 
 /// Per-configuration scoreboard aggregated over seeds.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Score {
     violations: usize,
     staleness: f64,
@@ -257,18 +257,10 @@ impl Score {
     }
 }
 
-const ZERO_SCORE: Score = Score {
-    violations: 0,
-    staleness: 0.0,
-    max_staleness: 0,
-    retries: 0,
-    round_trips: 0,
-};
-
 /// Renders a run as a Perfetto timeline, with the *tight-margin*
 /// violations (not the run's fault-widened ones) as markers so the
 /// timeline shows any instant the promise actually broke.
-fn write_trace(path: &str, result: &RunResult, judged: &Judged, shards: usize) {
+fn trace_of(result: &RunResult, judged: &Judged, shards: usize) -> serde_json::Value {
     let mut b = TraceBuilder::new();
     b.name_fleet(shards, N_CLIENTS);
     b.add_history(&result.history, shards);
@@ -279,21 +271,17 @@ fn write_trace(path: &str, result: &RunResult, judged: &Judged, shards: usize) {
     if let Some(net) = &result.net_events {
         b.add_net(net);
     }
-    std::fs::write(path, b.finish_to_string()).expect("write trace");
-    println!("trace: {path}");
+    b.finish()
 }
 
-fn main() {
-    let json = json_flag();
-    let smoke = flag("smoke");
-    let out = arg_value("out").unwrap_or_else(|| "BENCH_adaptive.json".to_string());
-    let trace = arg_value("trace");
-    let ops: usize = arg_value("ops")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 100 } else { 320 });
-    let n_seeds: usize = arg_value("seeds")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 1 } else { 3 });
+pub const KEYS: &[Key] = &[SMOKE, OUT, Key::new("trace", Takes::Path), SEEDS, OPS];
+
+pub fn run(args: &Args) -> Report {
+    let smoke = args.switch("smoke");
+    let trace = args.text("trace");
+    let ops = args.uint("ops").unwrap_or(if smoke { 100 } else { 320 }) as usize;
+    let n_seeds = args.uint("seeds").unwrap_or(if smoke { 1 } else { 3 }) as usize;
+    let mut report = Report::default();
     let seeds: Vec<u64> = [7_u64, 42, 1999, 31337, 77, 1234]
         .into_iter()
         .take(n_seeds)
@@ -326,7 +314,7 @@ fn main() {
     // Static sweep.
     let mut static_scores = Vec::new();
     for &d in &STATIC_DELTAS {
-        let mut score = ZERO_SCORE;
+        let mut score = Score::default();
         for (i, &seed) in seeds.iter().enumerate() {
             let cfg = config(d, ops, seed);
             let result = run_traced(&cfg, bursts(horizon));
@@ -337,19 +325,17 @@ fn main() {
             // its violation markers flag every read this configuration
             // served that a floor-Δ promise would have rejected.
             if i == 0 && d == BASE_DELTA {
-                if let Some(path) = &trace {
+                if let Some(path) = trace {
                     let counterfactual = judge(
                         &result.history,
                         result.epsilon,
                         Delta::from_ticks(FLOOR_DELTA),
                         None,
                     );
-                    write_trace(
-                        &format!("{path}.static.json"),
-                        &result,
-                        &counterfactual,
-                        shards,
-                    );
+                    report.traces.push((
+                        format!("{path}.static.json"),
+                        trace_of(&result, &counterfactual, shards),
+                    ));
                 }
             }
         }
@@ -367,7 +353,7 @@ fn main() {
 
     // Adaptive runs over the identical plans.
     let ctrl = controller();
-    let mut adaptive = ZERO_SCORE;
+    let mut adaptive = Score::default();
     let mut adaptive_avg = 0.0;
     let mut schedule_len = 0usize;
     for (i, &seed) in seeds.iter().enumerate() {
@@ -394,8 +380,10 @@ fn main() {
         adaptive_avg += schedule.time_averaged(result.finished_at) / seeds.len() as f64;
         schedule_len += schedule.len();
         if i == 0 {
-            if let Some(path) = &trace {
-                write_trace(path, &result, &judged, shards);
+            if let Some(path) = trace {
+                report
+                    .traces
+                    .push((path.to_string(), trace_of(&result, &judged, shards)));
             }
         }
     }
@@ -408,7 +396,7 @@ fn main() {
         &adaptive.retries,
         &adaptive.round_trips,
     ]);
-    t.emit(json);
+    report.table(t);
 
     // Scoreboard. The budget peer is the tightest static whose Δ covers
     // the adaptive budget — the scalar promise you would have to buy to
@@ -433,7 +421,7 @@ fn main() {
         })
         .map(|&(d, _)| d)
         .collect();
-    println!(
+    report.note(format!(
         "budget peer static Δ={}: staleness {} vs adaptive {} (budget {}, {} schedule \
          revisions); dominating statics: {dominated_by:?}",
         peer.0,
@@ -441,58 +429,43 @@ fn main() {
         f3(adaptive.staleness),
         f3(adaptive_avg),
         schedule_len,
-    );
+    ));
 
     let statics: Vec<serde_json::Value> = static_scores
         .iter()
         .map(|&(d, s)| {
-            let staleness = s.staleness;
             serde_json::json!({
                 "delta": d,
                 "violations": (s.violations),
-                "mean_staleness": staleness,
+                "mean_staleness": (s.staleness),
                 "max_staleness": (s.max_staleness),
                 "retries": (s.retries),
                 "round_trips": (s.round_trips),
             })
         })
         .collect();
-    let statics = serde_json::Value::Array(statics);
-    let seeds_json: Vec<serde_json::Value> =
-        seeds.iter().map(|&s| serde_json::Value::from(s)).collect();
-    let seeds_json = serde_json::Value::Array(seeds_json);
-    let margin = tight_margin(Epsilon::ZERO).ticks();
-    let adaptive_violations = adaptive.violations;
-    let adaptive_age = adaptive.staleness;
-    let adaptive_retries = adaptive.retries;
-    let adaptive_round_trips = adaptive.round_trips;
-    let adaptive_max_staleness = adaptive.max_staleness;
-    let peer_delta = peer.0;
-    let doc = serde_json::json!({
+    report.doc = Some(serde_json::json!({
         "experiment": "delta_adaptive",
         "ops_per_client": ops,
-        "seeds": seeds_json,
+        "seeds": seeds,
         "base_delta": BASE_DELTA,
         "floor_delta": FLOOR_DELTA,
-        "tight_margin": margin,
+        "tight_margin": (tight_margin(Epsilon::ZERO).ticks()),
         "burst_jitter": JITTER,
         "horizon": horizon,
         "static": statics,
         "adaptive": {
-            "violations": adaptive_violations,
+            "violations": (adaptive.violations),
             "delta_budget": adaptive_avg,
-            "mean_staleness": adaptive_age,
-            "max_staleness": adaptive_max_staleness,
-            "retries": adaptive_retries,
-            "round_trips": adaptive_round_trips,
+            "mean_staleness": (adaptive.staleness),
+            "max_staleness": (adaptive.max_staleness),
+            "retries": (adaptive.retries),
+            "round_trips": (adaptive.round_trips),
             "schedule_revisions": schedule_len,
         },
-        "budget_peer_delta": peer_delta,
+        "budget_peer_delta": (peer.0),
         "adaptive_fresher_than_budget_peer": fresher_than_peer,
-    });
-    std::fs::write(&out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH_adaptive.json");
-    println!("wrote {out}");
+    }));
 
     assert_eq!(
         adaptive.violations, 0,
@@ -500,19 +473,48 @@ fn main() {
     );
     assert!(
         fresher_than_peer,
-        "adaptive mean value age {adaptive_age:.1} did not beat its budget peer \
-         static Δ={peer_delta} ({:.1})",
-        peer.1.staleness
+        "adaptive mean value age {:.1} did not beat its budget peer static Δ={} ({:.1})",
+        adaptive.staleness, peer.0, peer.1.staleness
     );
     assert!(
         dominated_by.is_empty(),
         "static Δ {dominated_by:?} matched the adaptive run on budget, staleness and \
          round trips at once"
     );
-    println!(
+    report.note(format!(
         "verdict: at zero violations the adaptive schedule serves {}% fresher reads than \
          the static Δ of equal budget, and no static matches it on staleness, round trips \
          and budget at once",
-        ((1.0 - adaptive_age / peer.1.staleness) * 100.0) as i64
-    );
+        ((1.0 - adaptive.staleness / peer.1.staleness) * 100.0) as i64
+    ));
+    report
+}
+
+/// Both timelines are loadable trace-event JSON carrying the markers the
+/// comparison is read from: `delta_change` schedule revisions on the
+/// adaptive trace, seeded `violation` markers on the counterfactual
+/// static one.
+pub fn check_smoke(report: &Report) -> Result<(), String> {
+    if report.traces.len() != 2 {
+        return Err("expected the adaptive and the static timeline".to_string());
+    }
+    for (path, trace) in &report.traces {
+        let marker = if path.ends_with(".static.json") {
+            "violation"
+        } else {
+            "delta_change"
+        };
+        let mut marks = 0;
+        for e in items(trace, "traceEvents")? {
+            field(e, "pid")?;
+            if field(e, "ph")? != &serde_json::Value::from("M") {
+                field(e, "ts")?;
+            }
+            marks += usize::from(field(e, "name").is_ok_and(|n| n == &marker.into()));
+        }
+        if marks == 0 {
+            return Err(format!("{path}: no {marker} markers"));
+        }
+    }
+    Ok(())
 }

@@ -8,23 +8,31 @@
 //!
 //! Flags: `--ops N` (per client, default 150), `--seeds K` (default 5),
 //! `--policy {mark-old,invalidate}` (ablation, default mark-old),
-//! `--push` (push invalidations instead of pull), `--json`.
+//! `--push` (push invalidations instead of pull).
 
-use tc_bench::{arg_value, f3, json_flag, pct, standard_run, Table};
+use super::{Args, Key, Report, Takes, OPS, SEEDS};
+use crate::{f3, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_core::stats::StalenessStats;
-use tc_lifetime::{run, Propagation, ProtocolKind, StalePolicy};
+use tc_lifetime::{run as simulate, Propagation, ProtocolKind, StalePolicy};
 use tc_sim::metrics::names;
 
-fn main() {
-    let json = json_flag();
-    let ops: usize = arg_value("ops").and_then(|v| v.parse().ok()).unwrap_or(150);
-    let seeds: u64 = arg_value("seeds").and_then(|v| v.parse().ok()).unwrap_or(5);
-    let policy = match arg_value("policy").as_deref() {
+pub const KEYS: &[Key] = &[
+    OPS,
+    SEEDS,
+    Key::new("policy", Takes::Choice(&["mark-old", "invalidate"])),
+    Key::new("push", Takes::Switch),
+];
+
+pub fn run(args: &Args) -> Report {
+    let ops = args.uint("ops").unwrap_or(150) as usize;
+    let seeds = args.uint("seeds").unwrap_or(5);
+    let policy = match args.text("policy") {
         Some("invalidate") => StalePolicy::Invalidate,
         _ => StalePolicy::MarkOld,
     };
-    let push = std::env::args().any(|a| a == "--push");
+    let push = args.switch("push");
+    let mut report = Report::default();
 
     type MakeKind = fn(Delta) -> ProtocolKind;
     let families: [(&str, MakeKind); 2] = [
@@ -61,7 +69,7 @@ fn main() {
                 if push {
                     cfg.protocol.propagation = Propagation::PushInvalidate;
                 }
-                let r = run(&cfg);
+                let r = simulate(&cfg);
                 let reads = r.history.reads().count().max(1) as f64;
                 hits += r.hit_rate();
                 msgs_per_read +=
@@ -83,10 +91,37 @@ fn main() {
                 &max_stale,
             ]);
         }
-        t.emit(json);
+        report.table(t);
     }
-    println!(
+    report.note(
         "expected shape: hit rate rises and server traffic falls as Δ grows; \
-         measured max staleness stays below Δ plus network latency and clock error"
+         measured max staleness stays below Δ plus network latency and clock error",
     );
+    report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn titles(argv: &[&str]) -> String {
+        let mut argv = argv.to_vec();
+        argv.extend(["--ops", "5", "--seeds", "1"]);
+        run(&Args::parse(KEYS, &argv).expect("flags parse")).text(false)
+    }
+
+    #[test]
+    fn push_and_policy_reach_the_protocol() {
+        assert!(titles(&[]).contains("(policy MarkOld, pull propagation)"));
+        assert!(titles(&["--push"]).contains("(policy MarkOld, push propagation)"));
+        assert!(titles(&["--policy", "invalidate"]).contains("(policy Invalidate, pull"));
+        assert!(titles(&["--policy", "mark-old"]).contains("(policy MarkOld, pull"));
+    }
+
+    #[test]
+    fn a_misspelt_policy_or_push_is_rejected() {
+        for argv in [&["--policy", "evict"][..], &["--policy"], &["--pushh"]] {
+            assert!(Args::parse(KEYS, argv).is_err(), "{argv:?}");
+        }
+    }
 }

@@ -6,18 +6,20 @@
 //! the crossover happens around the propagation bound.
 //!
 //! Histories are independent, so generation and checking fan out over
-//! [`tc_bench::parallel_map`]: each history is generated and classified
+//! [`crate::parallel_map`]: each history is generated and classified
 //! once (LIN, SC, and on-time at every Δ of the sweep) in one parallel
 //! pass, then the per-Δ rows aggregate the per-history verdicts — the
 //! same numbers the serial nested loop produced, in the same order.
 //!
-//! Flags: `--histories N` (default 200), `--serial`, `--json`.
+//! Flags: `--histories N` (default 200).
 
-use tc_bench::{arg_value, flag, json_flag, parallel_map_with, pct, pool_size, Table};
-use tc_clocks::Delta;
+use super::{Args, Report};
+use crate::{parallel_map, pct, Table};
+use tc_clocks::{Delta, Epsilon};
 use tc_core::checker::{check_on_time, satisfies_lin, satisfies_sc_with, SearchOptions};
 use tc_core::generator::{replica_history, ReplicaHistoryConfig};
 
+/// The sweep, in ticks; `u64::MAX` is [`Delta::INFINITE`].
 const DELTAS: [u64; 11] = [0, 10, 20, 40, 60, 80, 100, 120, 160, 240, u64::MAX];
 
 /// Per-history verdicts, computed once.
@@ -27,12 +29,8 @@ struct Judged {
     on_time: Vec<bool>,
 }
 
-fn main() {
-    let json = json_flag();
-    let n: u64 = arg_value("histories")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let workers = if flag("serial") { 1 } else { pool_size() };
+pub fn run(args: &Args) -> Report {
+    let n = args.uint("histories").unwrap_or(200);
 
     let cfg = ReplicaHistoryConfig {
         delay: (10, 120),
@@ -42,21 +40,14 @@ fn main() {
     let opts = SearchOptions::default();
 
     let seeds: Vec<u64> = (0..n).collect();
-    let judged = parallel_map_with(&seeds, workers, |&seed| {
+    let judged = parallel_map(&seeds, |&seed| {
         let h = replica_history(&cfg, seed);
         Judged {
             lin: satisfies_lin(&h).holds(),
             sc: satisfies_sc_with(&h, opts).holds(),
             on_time: DELTAS
                 .iter()
-                .map(|&d| {
-                    let delta = if d == u64::MAX {
-                        Delta::INFINITE
-                    } else {
-                        Delta::from_ticks(d)
-                    };
-                    check_on_time(&h, delta, tc_clocks::Epsilon::ZERO).holds()
-                })
+                .map(|&d| check_on_time(&h, Delta::from_ticks(d), Epsilon::ZERO).holds())
                 .collect(),
         }
     });
@@ -74,12 +65,7 @@ fn main() {
         &["Δ", "timed", "TSC", "TCC"],
     );
 
-    for (i, d) in DELTAS.iter().enumerate() {
-        let delta = if *d == u64::MAX {
-            Delta::INFINITE
-        } else {
-            Delta::from_ticks(*d)
-        };
+    for (i, &d) in DELTAS.iter().enumerate() {
         let mut timed = 0usize;
         let mut tsc = 0usize;
         let mut tcc = 0usize;
@@ -95,15 +81,17 @@ fn main() {
             }
         }
         t.row(&[
-            &delta,
+            &Delta::from_ticks(d),
             &pct(timed as f64 / n as f64),
             &pct(tsc as f64 / n as f64),
             &pct(tcc as f64 / n as f64),
         ]);
     }
-    t.emit(json);
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(
         "expected shape: TSC rises from the LIN fraction at Δ=0 to the SC \
-         fraction at Δ=∞; TCC reaches 100% once Δ covers the 120-tick delay bound"
+         fraction at Δ=∞; TCC reaches 100% once Δ covers the 120-tick delay bound",
     );
+    report
 }

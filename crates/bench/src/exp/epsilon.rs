@@ -6,24 +6,17 @@
 //! and (b) the minimal Δ for timedness decreases — Figure 3's effect,
 //! measured.
 //!
-//! Flags: `--histories N` (default 200), `--delta D` (default 40),
-//! `--json`.
+//! Flags: `--histories N` (default 200), `--delta D` (default 40).
 
-use tc_bench::{arg_value, f3, json_flag, pct, Table};
+use super::{Args, Report};
+use crate::{f3, pct, Table};
 use tc_clocks::{Delta, Epsilon};
 use tc_core::checker::{check_on_time, min_delta_eps};
 use tc_core::generator::{replica_history, ReplicaHistoryConfig};
 
-fn main() {
-    let json = json_flag();
-    let n: u64 = arg_value("histories")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let delta = Delta::from_ticks(
-        arg_value("delta")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(40),
-    );
+pub fn run(args: &Args) -> Report {
+    let n = args.uint("histories").unwrap_or(200);
+    let delta = Delta::from_ticks(args.uint("delta").unwrap_or(40));
 
     let cfg = ReplicaHistoryConfig {
         delay: (10, 150),
@@ -54,9 +47,11 @@ fn main() {
             &f3(min_deltas / n as f64),
         ]);
     }
-    t.emit(json);
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(
         "expected shape: timed fraction is monotone non-decreasing in ε and \
-         mean minimal Δ is monotone non-increasing (each window shrinks by 2ε)"
+         mean minimal Δ is monotone non-increasing (each window shrinks by 2ε)",
     );
+    report
 }

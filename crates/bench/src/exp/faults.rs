@@ -11,16 +11,16 @@
 //! everything else is the price of the faults.
 //!
 //! Every (Δ, protocol, drop rate, seed) cell is an independent simulation,
-//! so the sweep fans out over [`tc_bench::parallel_map`]; results are
+//! so the sweep fans out over [`crate::parallel_map`]; results are
 //! re-ordered by input index, making the table (and every per-seed oracle
 //! verdict) byte-identical to the serial path.
 //!
-//! Flags: `--seeds N` (default 5), `--ops N` (default 40), `--serial`
-//! (pin the pool to one worker, for A/B wall-clock runs), `--json`.
+//! Flags: `--seeds N` (default 5), `--ops N` (default 40).
+//! (`TC_BENCH_THREADS=1` pins the pool to one worker for A/B wall-clock
+//! runs under `time`.)
 
-use std::time::Instant;
-
-use tc_bench::{arg_value, f3, flag, json_flag, parallel_map_with, pct, pool_size, Table};
+use super::{Args, Report};
+use crate::{f3, parallel_map, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_lifetime::{conformance, run_with_faults, OracleVerdict, ProtocolKind};
 use tc_sim::metrics::names;
@@ -63,11 +63,9 @@ struct CellStats {
     retries: u64,
 }
 
-fn main() {
-    let json = json_flag();
-    let seeds: u64 = arg_value("seeds").and_then(|v| v.parse().ok()).unwrap_or(5);
-    let ops: usize = arg_value("ops").and_then(|v| v.parse().ok()).unwrap_or(40);
-    let workers = if flag("serial") { 1 } else { pool_size() };
+pub fn run(args: &Args) -> Report {
+    let seeds = args.uint("seeds").unwrap_or(5);
+    let ops = args.uint("ops").unwrap_or(40) as usize;
 
     let mut t = Table::new(
         format!(
@@ -111,9 +109,8 @@ fn main() {
         }
     }
 
-    let started = Instant::now();
-    let stats = parallel_map_with(&cells, workers, |cell| {
-        let cfg = tc_bench::standard_run(cell.kind, cell.seed, ops);
+    let stats = parallel_map(&cells, |cell| {
+        let cfg = standard_run(cell.kind, cell.seed, ops);
         let p = plan(cell.drop_rate);
         let result = run_with_faults(&cfg, p.clone());
         let c = conformance(&cfg, &p, &result);
@@ -127,7 +124,6 @@ fn main() {
                 + result.counter(names::STALE_REPLY),
         }
     });
-    let elapsed = started.elapsed();
 
     for (group, runs) in cells
         .chunks(seeds as usize)
@@ -169,15 +165,11 @@ fn main() {
             &f3(retries as f64 / n),
         ]);
     }
-    t.emit(json);
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(
         "expected shape: violations stay at 0.0% everywhere; higher drop \
-         rates cost retries and (at tight Δ) stalls, never safety"
+         rates cost retries and (at tight Δ) stalls, never safety",
     );
-    println!(
-        "wall-clock: {:.2}s for {} runs with {} worker(s)",
-        elapsed.as_secs_f64(),
-        cells.len(),
-        workers
-    );
+    report
 }

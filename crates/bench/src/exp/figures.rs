@@ -6,9 +6,10 @@
 //! * Figure 6 — the CC execution and the TCC thresholds.
 //! * Figure 7 — the ξ-maps on the paper's vector timestamps.
 //!
-//! Run with `--fig N` for a single figure, `--json` for JSON output.
+//! Flags: `--fig N` for a single figure.
 
-use tc_bench::{arg_value, f3, json_flag, Table};
+use super::{Args, Key, Report, Takes};
+use crate::{f3, Table};
 use tc_clocks::{Delta, Epsilon, NormXi, SumXi, XiMap};
 use tc_core::checker::{
     check_on_time, classify, min_delta, min_delta_eps, satisfies_cc, satisfies_lin, satisfies_sc,
@@ -25,7 +26,7 @@ fn outcome(b: bool) -> &'static str {
     }
 }
 
-fn fig1(json: bool) {
+fn fig1() -> Table {
     let h = fig1_execution();
     let mut t = Table::new(
         "Figure 1: SC + CC hold, LIN fails, timedness depends on Δ",
@@ -42,7 +43,7 @@ fn fig1(json: bool) {
             &outcome(satisfies_tsc(&h, Delta::from_ticks(d)).holds()),
         ]);
     }
-    t.emit(json);
+    t
 }
 
 /// The operation layout of Figures 2 and 3: one read of `w`, with an older
@@ -58,7 +59,7 @@ fn fig2_3_history() -> History {
     b.build().expect("figure 2/3 layout is well-formed")
 }
 
-fn fig2_3(json: bool) {
+fn fig2_3() -> Table {
     let h = fig2_3_history();
     let delta = Delta::from_ticks(60); // T(r) − Δ = 80: w2@60, w3@75 offend
     let mut t = Table::new(
@@ -80,10 +81,10 @@ fn fig2_3(json: bool) {
             &min_delta_eps(&h, eps),
         ]);
     }
-    t.emit(json);
+    t
 }
 
-fn fig5(json: bool) {
+fn fig5() -> Table {
     let h = fig5_execution();
     let s = fig5b_serialization(&h);
     let mut t = Table::new(
@@ -106,10 +107,10 @@ fn fig5(json: bool) {
             &outcome(satisfies_tsc(&h, Delta::from_ticks(d)).holds()),
         ]);
     }
-    t.emit(json);
+    t
 }
 
-fn fig6(json: bool) {
+fn fig6() -> Table {
     let h = fig6_execution();
     let mut t = Table::new(
         "Figure 6: CC-not-SC execution, TCC threshold (gap 80 from r4(C)0@155 vs w2(C)3@75)",
@@ -134,10 +135,10 @@ fn fig6(json: bool) {
         &"hierarchy consistent",
         &outcome(c.hierarchy_violation().is_none()),
     ]);
-    t.emit(json);
+    t
 }
 
-fn fig7(json: bool) {
+fn fig7() -> Table {
     let mut t = Table::new(
         "Figure 7: ξ-maps on the paper's vector timestamps",
         &["timestamp", "ξ=Σt[i]", "ξ=‖t‖₂"],
@@ -151,26 +152,33 @@ fn fig7(json: bool) {
     ] {
         t.row(&[&label, &f3(SumXi.xi(&v)), &f3(NormXi.xi(&v))]);
     }
-    t.emit(json);
+    t
 }
 
-fn main() {
-    let json = json_flag();
-    let which = arg_value("fig");
-    let run = |n: &str| which.as_deref().is_none_or(|w| w == n);
-    if run("1") {
-        fig1(json);
+/// Figure 4 is `hierarchy` and `delta-sweep`.
+pub const KEYS: &[Key] = &[Key::new(
+    "fig",
+    Takes::Choice(&["1", "2", "3", "5", "6", "7"]),
+)];
+
+pub fn run(args: &Args) -> Report {
+    let which = args.text("fig");
+    let wanted = |n: &str| which.is_none_or(|w| w == n);
+    let mut report = Report::default();
+    if wanted("1") {
+        report.table(fig1());
     }
-    if run("2") || run("3") {
-        fig2_3(json);
+    if wanted("2") || wanted("3") {
+        report.table(fig2_3());
     }
-    if run("5") {
-        fig5(json);
+    if wanted("5") {
+        report.table(fig5());
     }
-    if run("6") {
-        fig6(json);
+    if wanted("6") {
+        report.table(fig6());
     }
-    if run("7") {
-        fig7(json);
+    if wanted("7") {
+        report.table(fig7());
     }
+    report
 }

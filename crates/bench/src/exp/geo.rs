@@ -33,14 +33,16 @@
 //! * migration cells completed every scripted move;
 //! * the curve spans at least two Δ values with availability in (0, 1].
 //!
-//! Outputs a table (for `results/geo.txt`) and machine-readable
-//! `BENCH_geo.json`.
+//! Outputs a table (`results/geo.txt`) and, with `--out PATH`, the
+//! machine-readable document checked in as `BENCH_geo.json`.
 //!
 //! Flags: `--smoke` (fewer seeds/Δs — the CI bench-rot check), `--out
-//! PATH` (JSON path, default `BENCH_geo.json`), `--json` (table as
-//! JSON).
+//! PATH`.
 
-use tc_bench::{arg_value, flag, json_flag, parallel_map, Table};
+use std::collections::BTreeSet;
+
+use super::{field, items, number, string, Args, Report};
+use crate::{parallel_map, Table};
 use tc_clocks::{Delta, Time};
 use tc_lifetime::{
     conformance_geo, run_geo, GeoRunConfig, Migration, OracleVerdict, ProtocolConfig, ProtocolKind,
@@ -58,6 +60,7 @@ const N_CLIENTS: usize = REGIONS * CLIENTS_PER_REGION;
 const SIM_OPS: usize = 20;
 
 /// One finished cell, scenario or curve, either driver.
+#[derive(Default)]
 struct Cell {
     scenario: &'static str,
     driver: &'static str,
@@ -75,13 +78,27 @@ struct Cell {
     retransmits: u64,
 }
 
-/// Fraction of reads served from cache without a blocking server round
-/// trip; 1.0 when the run performed no reads at all.
-fn availability(hits: u64, blocked: u64) -> f64 {
-    if hits + blocked == 0 {
-        return 1.0;
+impl Cell {
+    /// The counter-derived columns of a run, either driver's.
+    /// Availability is the fraction of reads served from cache without a
+    /// blocking server round trip; 1.0 when the run performed no reads.
+    fn counted(counter: impl Fn(&str) -> u64) -> Cell {
+        let hits = counter(names::CACHE_HIT);
+        let blocked = counter(names::FETCH) + counter(names::VALIDATE);
+        Cell {
+            hits,
+            blocked,
+            availability: if hits + blocked == 0 {
+                1.0
+            } else {
+                hits as f64 / (hits + blocked) as f64
+            },
+            applied: counter(names::GEO_APPLIED),
+            migrated: counter(names::GEO_MIGRATED),
+            retransmits: counter(names::GEO_BATCH_RETRANSMIT),
+            ..Cell::default()
+        }
     }
-    hits as f64 / (hits + blocked) as f64
 }
 
 /// The hot-object workload of the flash-crowd scenario: one object,
@@ -119,7 +136,30 @@ fn sim_config(kind: ProtocolKind, workload: Workload, seed: u64) -> GeoRunConfig
     }
 }
 
-/// The three scenarios, simulator driver. Returns a finished [`Cell`].
+/// One simulator run, judged by the geo oracle.
+fn sim_cell(
+    scenario: &'static str,
+    delta: String,
+    seed: u64,
+    config: &GeoRunConfig,
+    plan: &FaultPlan,
+) -> Cell {
+    let result = run_geo(config, plan.clone());
+    let c = conformance_geo(config, plan, &result);
+    Cell {
+        scenario,
+        driver: "sim",
+        delta,
+        seed,
+        verdict: format!("{:?}", c.verdict),
+        violated: matches!(c.verdict, OracleVerdict::Violated(_)),
+        staleness: c.observed_staleness.ticks(),
+        ops: result.history.len() as u64,
+        ..Cell::counted(|name| result.counter(name))
+    }
+}
+
+/// The three scenarios, simulator driver.
 fn run_sim_scenario(scenario: &'static str, seed: u64) -> Cell {
     let delta = Delta::from_ticks(200);
     let kind = ProtocolKind::Tcc { delta };
@@ -155,27 +195,7 @@ fn run_sim_scenario(scenario: &'static str, seed: u64) -> Cell {
             },
         ];
     }
-    let result = run_geo(&config, plan.clone());
-    let c = conformance_geo(&config, &plan, &result);
-    let ops = result.history.len() as u64;
-    let hits = result.counter(names::CACHE_HIT);
-    let blocked = result.counter(names::FETCH) + result.counter(names::VALIDATE);
-    Cell {
-        scenario,
-        driver: "sim",
-        delta: delta.ticks().to_string(),
-        seed,
-        verdict: format!("{:?}", c.verdict),
-        violated: matches!(c.verdict, OracleVerdict::Violated(_)),
-        staleness: c.observed_staleness.ticks(),
-        ops,
-        hits,
-        blocked,
-        availability: availability(hits, blocked),
-        applied: result.counter(names::GEO_APPLIED),
-        migrated: result.counter(names::GEO_MIGRATED),
-        retransmits: result.counter(names::GEO_BATCH_RETRANSMIT),
-    }
+    sim_cell(scenario, delta.ticks().to_string(), seed, &config, &plan)
 }
 
 /// The three scenarios, threaded real-time driver.
@@ -228,8 +248,6 @@ fn run_threaded_scenario(scenario: &'static str, seed: u64, ops: usize) -> Cell 
     } else {
         "Violated".to_string()
     };
-    let hits = r.counter(names::CACHE_HIT);
-    let blocked = r.counter(names::FETCH) + r.counter(names::VALIDATE);
     Cell {
         scenario,
         driver: "threaded",
@@ -239,12 +257,7 @@ fn run_threaded_scenario(scenario: &'static str, seed: u64, ops: usize) -> Cell 
         verdict,
         staleness: r.observed_staleness.ticks(),
         ops: r.ops_done as u64,
-        hits,
-        blocked,
-        availability: availability(hits, blocked),
-        applied: r.counter(names::GEO_APPLIED),
-        migrated: r.counter(names::GEO_MIGRATED),
-        retransmits: r.counter(names::GEO_BATCH_RETRANSMIT),
+        ..Cell::counted(|name| r.counter(name))
     }
 }
 
@@ -257,36 +270,15 @@ fn run_curve_point(delta: Option<u64>, seed: u64) -> Cell {
         },
         None => ProtocolKind::Cc,
     };
+    let label = delta.map_or_else(|| "inf".to_string(), |t| t.to_string());
     let config = sim_config(kind, flash_workload(), seed);
-    let result = run_geo(&config, FaultPlan::none());
-    let c = conformance_geo(&config, &FaultPlan::none(), &result);
-    let ops = result.history.len() as u64;
-    let hits = result.counter(names::CACHE_HIT);
-    let blocked = result.counter(names::FETCH) + result.counter(names::VALIDATE);
-    Cell {
-        scenario: "curve",
-        driver: "sim",
-        delta: delta.map_or_else(|| "inf".to_string(), |t| t.to_string()),
-        seed,
-        verdict: format!("{:?}", c.verdict),
-        violated: matches!(c.verdict, OracleVerdict::Violated(_)),
-        staleness: c.observed_staleness.ticks(),
-        ops,
-        hits,
-        blocked,
-        availability: availability(hits, blocked),
-        applied: result.counter(names::GEO_APPLIED),
-        migrated: 0,
-        retransmits: result.counter(names::GEO_BATCH_RETRANSMIT),
-    }
+    sim_cell("curve", label, seed, &config, &FaultPlan::none())
 }
 
 const SCENARIOS: [&str; 3] = ["flash-crowd", "partition", "migration"];
 
-fn main() {
-    let json = json_flag();
-    let smoke = flag("smoke");
-    let out = arg_value("out").unwrap_or_else(|| "BENCH_geo.json".to_string());
+pub fn run(args: &Args) -> Report {
+    let smoke = args.switch("smoke");
 
     let sim_seeds: Vec<u64> = if smoke { vec![7] } else { vec![7, 21, 99] };
     let threaded_seeds: Vec<u64> = if smoke { vec![51] } else { vec![51, 57] };
@@ -356,8 +348,6 @@ fn main() {
             &c.retransmits,
         ]);
     }
-    t.emit(json);
-
     // Population claims — the PR's acceptance bar.
     let violated = cells
         .iter()
@@ -402,8 +392,7 @@ fn main() {
             );
         }
     }
-    let distinct_deltas: std::collections::BTreeSet<&str> =
-        curve.iter().map(|c| c.delta.as_str()).collect();
+    let distinct_deltas: BTreeSet<&str> = curve.iter().map(|c| c.delta.as_str()).collect();
     assert!(
         distinct_deltas.len() >= 2,
         "the curve must span at least two Δ values"
@@ -433,7 +422,9 @@ fn main() {
             "geo_retransmits": (c.retransmits),
         })
     };
-    let doc = serde_json::json!({
+    let mut report = Report::default();
+    report.table(t);
+    report.doc = Some(serde_json::json!({
         "experiment": "geo",
         "smoke": smoke,
         "regions": REGIONS,
@@ -444,8 +435,40 @@ fn main() {
         "scenarios": (cells.iter().map(cell_json).collect::<Vec<_>>()),
         "curve": (curve.iter().map(cell_json).collect::<Vec<_>>()),
         "violated": violated,
-    });
-    std::fs::write(&out, serde_json::to_string_pretty(&doc).expect("serialize"))
-        .expect("write BENCH json");
-    println!("wrote {out}");
+    }));
+    report
+}
+
+/// The distinct values of string column `key`.
+fn distinct<'a>(rows: &'a [serde_json::Value], key: &str) -> Result<BTreeSet<&'a str>, String> {
+    rows.iter().map(|r| string(r, key)).collect()
+}
+
+/// The document's scenario matrix and staleness/availability curve keep
+/// the columns its consumers plot the §6 trade-off from, with sane values.
+pub fn check_smoke(report: &Report) -> Result<(), String> {
+    let doc = report.doc.as_ref().ok_or("no document")?;
+    if number(doc, "violated")? != 0.0 {
+        return Err("cells violated the widened bound".to_string());
+    }
+    let (cells, curve) = (items(doc, "scenarios")?, items(doc, "curve")?);
+    if distinct(cells, "scenario")? != BTreeSet::from(SCENARIOS) {
+        return Err("scenario matrix lost a scenario".to_string());
+    }
+    if distinct(cells, "driver")? != BTreeSet::from(["sim", "threaded"]) {
+        return Err("scenario matrix lost a driver".to_string());
+    }
+    for row in cells.iter().chain(curve) {
+        let availability = number(row, "availability")?;
+        number(row, "staleness")?;
+        if string(row, "verdict")?.starts_with("Violated")
+            || !(availability > 0.0 && availability <= 1.0)
+        {
+            return Err(format!("bad row {}", field(row, "scenario")?));
+        }
+    }
+    if distinct(curve, "delta")?.len() < 2 {
+        return Err("curve must span >= 2 deltas".to_string());
+    }
+    Ok(())
 }

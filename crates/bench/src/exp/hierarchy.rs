@@ -7,9 +7,10 @@
 //! construction, timed by their propagation bound).
 //!
 //! Flags: `--histories N` (default 400 per population), `--delta D`
-//! (default 60), `--json`.
+//! (default 60).
 
-use tc_bench::{arg_value, json_flag, pct, Table};
+use super::{Args, Report};
+use crate::{pct, Table};
 use tc_clocks::Delta;
 use tc_core::checker::{classify_with, Outcome, SearchOptions};
 use tc_core::generator::{
@@ -74,16 +75,9 @@ fn emit(name: &str, c: &Counts, t: &mut Table) {
     ]);
 }
 
-fn main() {
-    let json = json_flag();
-    let n: usize = arg_value("histories")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
-    let delta = Delta::from_ticks(
-        arg_value("delta")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(60),
-    );
+pub fn run(args: &Args) -> Report {
+    let n = args.uint("histories").unwrap_or(400);
+    let delta = Delta::from_ticks(args.uint("delta").unwrap_or(60));
 
     let mut t = Table::new(
         format!("Figure 4a (empirical): criterion satisfaction at Δ={delta}"),
@@ -104,7 +98,7 @@ fn main() {
     let mut random = Counts::default();
     tally(
         &mut random,
-        (0..n as u64).map(|seed| random_history(&RandomHistoryConfig::default(), seed)),
+        (0..n).map(|seed| random_history(&RandomHistoryConfig::default(), seed)),
         delta,
     );
     emit("random", &random, &mut t);
@@ -112,7 +106,7 @@ fn main() {
     let mut replica = Counts::default();
     tally(
         &mut replica,
-        (0..n as u64).map(|seed| {
+        (0..n).map(|seed| {
             replica_history(
                 &ReplicaHistoryConfig {
                     delay: (5, 80),
@@ -125,8 +119,6 @@ fn main() {
     );
     emit("replica(delay<=80)", &replica, &mut t);
 
-    t.emit(json);
-
     assert_eq!(
         random.violations + replica.violations,
         0,
@@ -135,8 +127,11 @@ fn main() {
     // Containment sanity on the aggregate counts.
     assert!(random.lin <= random.tsc && random.tsc <= random.sc && random.sc <= random.cc);
     assert!(random.tsc <= random.tcc && random.tcc <= random.cc);
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(format!(
         "hierarchy verified on {} histories",
         random.total + replica.total
-    );
+    ));
+    report
 }

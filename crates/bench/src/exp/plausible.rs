@@ -15,13 +15,15 @@
 //!   always 100%: the plausibility contract).
 //!
 //! Flags: `--sites N` (default 24), `--events E` (default 400),
-//! `--runs K` (default 5), `--json`.
+//! `--runs K` (default 5).
 
-use tc_bench::{arg_value, json_flag, pct, Table};
+use super::{Args, Key, Report, Takes};
+use crate::{pct, Table};
 use tc_clocks::{
     ClockOrdering, CombClock, LamportClock, RevClock, SiteClock, Timestamp, VectorClock,
 };
 
+#[derive(Default)]
 struct Tally {
     concurrent_pairs: u64,
     detected: u64,
@@ -62,13 +64,7 @@ fn drive<C: SiteClock>(
     (truth, stamps)
 }
 
-fn tally<S: Timestamp>(truth: &[VectorClock], stamps: &[S]) -> Tally {
-    let mut t = Tally {
-        concurrent_pairs: 0,
-        detected: 0,
-        ordered_pairs: 0,
-        preserved: 0,
-    };
+fn tally<S: Timestamp>(t: &mut Tally, truth: &[VectorClock], stamps: &[S]) {
     for i in 0..truth.len() {
         for j in i + 1..truth.len() {
             match truth[i].compare(&truth[j]) {
@@ -78,34 +74,28 @@ fn tally<S: Timestamp>(truth: &[VectorClock], stamps: &[S]) -> Tally {
                         t.detected += 1;
                     }
                 }
-                ClockOrdering::Before => {
-                    t.ordered_pairs += 1;
-                    if stamps[i].compare(&stamps[j]) == ClockOrdering::Before {
-                        t.preserved += 1;
-                    }
-                }
-                ClockOrdering::After => {
-                    t.ordered_pairs += 1;
-                    if stamps[i].compare(&stamps[j]) == ClockOrdering::After {
-                        t.preserved += 1;
-                    }
-                }
                 ClockOrdering::Equal => {}
+                ordered => {
+                    t.ordered_pairs += 1;
+                    if stamps[i].compare(&stamps[j]) == ordered {
+                        t.preserved += 1;
+                    }
+                }
             }
         }
     }
-    t
 }
 
-fn main() {
-    let json = json_flag();
-    let n_sites: usize = arg_value("sites")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(24);
-    let n_events: usize = arg_value("events")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(400);
-    let runs: u64 = arg_value("runs").and_then(|v| v.parse().ok()).unwrap_or(5);
+pub const KEYS: &[Key] = &[
+    Key::new("sites", Takes::Uint),
+    Key::new("events", Takes::Uint),
+    Key::new("runs", Takes::Uint),
+];
+
+pub fn run(args: &Args) -> Report {
+    let n_sites = args.uint("sites").unwrap_or(24) as usize;
+    let n_events = args.uint("events").unwrap_or(400) as usize;
+    let runs = args.uint("runs").unwrap_or(5);
 
     let mut t = Table::new(
         format!(
@@ -126,19 +116,10 @@ fn main() {
 
     macro_rules! measure {
         ($name:expr, $entries:expr, $mk:expr) => {{
-            let mut agg = Tally {
-                concurrent_pairs: 0,
-                detected: 0,
-                ordered_pairs: 0,
-                preserved: 0,
-            };
+            let mut agg = Tally::default();
             for seed in 1..=runs {
                 let (truth, stamps) = drive($mk, n_sites, n_events, seed);
-                let one = tally(&truth, &stamps);
-                agg.concurrent_pairs += one.concurrent_pairs;
-                agg.detected += one.detected;
-                agg.ordered_pairs += one.ordered_pairs;
-                agg.preserved += one.preserved;
+                tally(&mut agg, &truth, &stamps);
             }
             assert_eq!(
                 agg.preserved, agg.ordered_pairs,
@@ -163,10 +144,12 @@ fn main() {
     ));
     measure!("lamport", 1, LamportClock::new);
 
-    t.emit(json);
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(
         "expected shape: vector = 100% recall at N entries; REV recall grows \
          with R; comb beats its components at equal size; lamport detects \
-         almost nothing. Causal accuracy is 100% for all (plausibility)."
+         almost nothing. Causal accuracy is 100% for all (plausibility).",
     );
+    report
 }

@@ -5,26 +5,22 @@
 //! are synchronous server round trips; CC writes are asynchronous).
 //!
 //! Flags: `--ops N` (default 200), `--seeds K` (default 5), `--delta D`
-//! (default 80), `--json`.
+//! (default 80).
 
-use tc_bench::{arg_value, f3, json_flag, pct, standard_run, Table};
+use super::{Args, Report};
+use crate::{f3, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_core::checker::{
     min_delta, satisfies_cc_fast, satisfies_ccv, satisfies_sc_with, Outcome, SearchOptions,
 };
 use tc_core::stats::StalenessStats;
-use tc_lifetime::{run, ProtocolKind};
+use tc_lifetime::{run as simulate, ProtocolKind};
 use tc_sim::metrics::names;
 
-fn main() {
-    let json = json_flag();
-    let ops: usize = arg_value("ops").and_then(|v| v.parse().ok()).unwrap_or(200);
-    let seeds: u64 = arg_value("seeds").and_then(|v| v.parse().ok()).unwrap_or(5);
-    let delta = Delta::from_ticks(
-        arg_value("delta")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(80),
-    );
+pub fn run(args: &Args) -> Report {
+    let ops = args.uint("ops").unwrap_or(200) as usize;
+    let seeds = args.uint("seeds").unwrap_or(5);
+    let delta = Delta::from_ticks(args.uint("delta").unwrap_or(80));
 
     let kinds = [
         ProtocolKind::NoCache,
@@ -49,8 +45,6 @@ fn main() {
         ],
     );
 
-    let mut staleness_by_kind = Vec::new();
-    let mut invals_by_kind = Vec::new();
     for kind in kinds {
         let mut hit = 0.0;
         let mut stale_events = 0u64;
@@ -61,7 +55,7 @@ fn main() {
         let mut cm_hits = 0u64;
         for seed in 0..seeds {
             let cfg = standard_run(kind, seed, ops);
-            let r = run(&cfg);
+            let r = simulate(&cfg);
             hit += r.hit_rate();
             stale_events += r.counter(names::INVALIDATE) + r.counter(names::MARK_OLD);
             let n_ops = r.history.len().max(1) as f64;
@@ -72,16 +66,13 @@ fn main() {
             // The hard guarantee: SC for the physical family, CCv for the
             // convergent causal family. Causal memory (the paper's CC) is
             // reported as an empirical rate — see DESIGN.md on CM vs CCv.
-            checks_ok &= match kind {
-                ProtocolKind::Sc | ProtocolKind::Tsc { .. } | ProtocolKind::NoCache => {
-                    satisfies_sc_with(&r.history, SearchOptions::default()).holds()
-                }
-                _ => satisfies_ccv(&r.history) == Outcome::Satisfied,
-            };
-            cm_hits += u64::from(match kind {
-                ProtocolKind::Sc | ProtocolKind::Tsc { .. } | ProtocolKind::NoCache => true,
-                _ => satisfies_cc_fast(&r.history) == Outcome::Satisfied,
-            });
+            if kind.is_causal_family() {
+                checks_ok &= satisfies_ccv(&r.history) == Outcome::Satisfied;
+                cm_hits += u64::from(satisfies_cc_fast(&r.history) == Outcome::Satisfied);
+            } else {
+                checks_ok &= satisfies_sc_with(&r.history, SearchOptions::default()).holds();
+                cm_hits += 1;
+            }
         }
         let k = seeds as f64;
         t.row(&[
@@ -94,18 +85,18 @@ fn main() {
             &(if checks_ok { "ok" } else { "FAILED" }),
             &pct(cm_hits as f64 / seeds as f64),
         ]);
-        staleness_by_kind.push((kind.label(), max_stale));
-        invals_by_kind.push((kind.label(), stale_events));
         assert!(
             checks_ok,
             "{} run violated its consistency level",
             kind.label()
         );
     }
-    t.emit(json);
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(
         "expected shape: stale-handling events TSC >= TCC >= CC (the §5.3 \
          ordering); NoCache has hit rate 0 and the most traffic; CC/TCC send \
-         fewer messages per op than SC/TSC (async writes)"
+         fewer messages per op than SC/TSC (async writes)",
     );
+    report
 }

@@ -21,13 +21,11 @@
 //!   no write to the killed shard was fsynced before the kill landed);
 //! * per-write cells lose exactly 0 records.
 //!
-//! Outputs a table (for `results/recovery.txt`) and machine-readable
-//! `BENCH_recovery.json`.
-//!
-//! Flags: `--smoke` (fewer seeds — the CI bench-rot check), `--out PATH`
-//! (JSON path, default `BENCH_recovery.json`), `--json` (table as JSON).
+//! Outputs a table (`results/recovery.txt`) and, with `--out PATH`, the
+//! machine-readable document checked in as `BENCH_recovery.json`.
 
-use tc_bench::{arg_value, flag, json_flag, parallel_map, Table};
+use super::{Args, Report};
+use crate::{parallel_map, Table};
 use tc_clocks::Delta;
 use tc_durable::WalStore;
 use tc_lifetime::store::ShardStore;
@@ -110,15 +108,14 @@ fn run_cell(kind: ProtocolKind, name: &'static str, policy: FsyncPolicy, seed: u
     };
     let result = run_with_stores(&cfg, plan.clone(), &factory);
     let c = conformance(&cfg, &plan, &result);
-    let counter = |n: &str| result.metrics.counters.get(n).copied().unwrap_or(0);
     let cell = Cell {
         protocol: kind.label().to_string(),
         policy: name,
         seed,
         verdict: c.verdict,
-        replayed: counter("wal_replayed"),
-        lost: counter("wal_lost"),
-        restarts: counter("server_restart"),
+        replayed: result.counter("wal_replayed"),
+        lost: result.counter("wal_lost"),
+        restarts: result.counter("server_restart"),
         ops_recorded: c.ops_recorded,
         ops_expected: c.ops_expected,
     };
@@ -126,16 +123,8 @@ fn run_cell(kind: ProtocolKind, name: &'static str, policy: FsyncPolicy, seed: u
     cell
 }
 
-fn main() {
-    let json = json_flag();
-    let smoke = flag("smoke");
-    let out = arg_value("out").unwrap_or_else(|| "BENCH_recovery.json".to_string());
-
-    let seeds: &[u64] = if smoke {
-        &[7, 21]
-    } else {
-        &[7, 21, 99, 1999, 4242]
-    };
+pub fn run(_args: &Args) -> Report {
+    let seeds: &[u64] = &[7, 21, 99, 1999, 4242];
 
     let mut grid = Vec::new();
     for kind in kinds() {
@@ -213,7 +202,6 @@ fn main() {
             "ops_expected": (cell.ops_expected),
         }));
     }
-    t.emit(json);
     assert!(
         conformed * 2 > cells.len(),
         "only {conformed}/{} cells conformed — the outage stalls nearly everything",
@@ -228,27 +216,22 @@ fn main() {
         "only {replaying}/{} restarts replayed any records",
         cells.len()
     );
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(format!(
         "expected shape: every cell conforms or (rarely) stalls — never \
          violates; most restarts replay a non-empty log; lost records \
          appear only under batched fsync and are bounded by the group \
          size, 0 under per-write ({conformed} conformed, {stalled} \
          stalled, 0 violated of {} cells)",
         cells.len()
-    );
-
-    let doc = serde_json::json!({
+    ));
+    report.doc = Some(serde_json::json!({
         "experiment": "recovery",
-        "smoke": smoke,
         "seeds": (seeds.to_vec()),
         "cells": rows,
         "conformed": conformed,
         "stalled": stalled,
-    });
-    std::fs::write(
-        &out,
-        serde_json::to_string_pretty(&doc).expect("results serialize"),
-    )
-    .expect("write BENCH_recovery.json");
-    println!("wrote {out}");
+    }));
+    report
 }

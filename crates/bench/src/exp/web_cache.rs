@@ -12,19 +12,22 @@
 //! (Cao & Liu) — the paper's observation that both are timed consistency
 //! at different Δ.
 //!
-//! Flags: `--ops N` (default 200), `--seeds K` (default 3), `--json`.
+//! Flags: `--ops N` (default 200), `--seeds K` (default 3).
 
-use tc_bench::{arg_value, f3, json_flag, pct, Table};
+use super::{Args, Report};
+use crate::{f3, pct, Table};
 use tc_clocks::{Delta, SiteClock, Time, Timestamp, VectorClock};
 use tc_core::stats::StalenessStats;
 use tc_core::{ObjectId, Value};
 use tc_lifetime::cache::{Cache, CacheEntry};
-use tc_lifetime::{run, Propagation, ProtocolConfig, ProtocolKind, RunConfig, StalePolicy};
+use tc_lifetime::{
+    run as simulate, Propagation, ProtocolConfig, ProtocolKind, RunConfig, StalePolicy,
+};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::WorldConfig;
 
-fn scripted_scenario(json: bool) {
+fn scripted_scenario() -> Table {
     let mut t = Table::new(
         "§4 scenario: Dow-Jones index + CNN page in one browser cache",
         &["step", "DJ entry", "CNN entry"],
@@ -117,14 +120,12 @@ fn scripted_scenario(json: bool) {
         &show(&cache, dj),
         &show(&cache, cnn),
     ]);
-    t.emit(json);
     assert!(cache.get(dj).is_none(), "stale Dow-Jones page must die");
     assert!(cache.get(cnn).is_some());
+    t
 }
 
-fn ttl_study(json: bool) {
-    let ops: usize = arg_value("ops").and_then(|v| v.parse().ok()).unwrap_or(200);
-    let seeds: u64 = arg_value("seeds").and_then(|v| v.parse().ok()).unwrap_or(3);
+fn ttl_study(ops: usize, seeds: u64) -> Table {
     let mut t = Table::new(
         "Web workload: TTL (=Δ) sweep, pull vs push invalidation",
         &[
@@ -141,28 +142,20 @@ fn ttl_study(json: bool) {
             let mut msgs = 0.0;
             let mut stale = 0.0;
             for seed in 0..seeds {
+                let mut protocol = ProtocolConfig::of(ProtocolKind::Tsc {
+                    delta: Delta::from_ticks(d),
+                });
+                if push {
+                    protocol.propagation = Propagation::PushInvalidate;
+                }
                 let cfg = RunConfig {
-                    protocol: ProtocolConfig {
-                        kind: ProtocolKind::Tsc {
-                            delta: Delta::from_ticks(d),
-                        },
-                        stale: StalePolicy::MarkOld,
-                        propagation: if push {
-                            Propagation::PushInvalidate
-                        } else {
-                            Propagation::Pull
-                        },
-                        retry_after: tc_lifetime::DEFAULT_RETRY_AFTER,
-                        shards: 1,
-                        push_batch: tc_lifetime::PushBatch::IMMEDIATE,
-                        durability: tc_lifetime::DurabilityMode::Ephemeral,
-                    },
+                    protocol,
                     n_clients: 6,
                     workload: Workload::web(),
                     ops_per_client: ops,
                     world: WorldConfig::deterministic(Delta::from_ticks(5), seed),
                 };
-                let r = run(&cfg);
+                let r = simulate(&cfg);
                 hit += r.hit_rate();
                 let reads = r.history.reads().count().max(1) as f64;
                 msgs += (r.counter(names::FETCH) + r.counter(names::VALIDATE)) as f64 / reads;
@@ -178,15 +171,18 @@ fn ttl_study(json: bool) {
             ]);
         }
     }
-    t.emit(json);
-    println!(
-        "expected shape: pull trades staleness for traffic as TTL grows; push \
-         keeps staleness near the network latency at the cost of fan-out messages"
-    );
+    t
 }
 
-fn main() {
-    let json = json_flag();
-    scripted_scenario(json);
-    ttl_study(json);
+pub fn run(args: &Args) -> Report {
+    let ops = args.uint("ops").unwrap_or(200) as usize;
+    let seeds = args.uint("seeds").unwrap_or(3);
+    let mut report = Report::default();
+    report.table(scripted_scenario());
+    report.table(ttl_study(ops, seeds));
+    report.note(
+        "expected shape: pull trades staleness for traffic as TTL grows; push \
+         keeps staleness near the network latency at the cost of fan-out messages",
+    );
+    report
 }

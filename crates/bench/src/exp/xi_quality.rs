@@ -9,18 +9,18 @@
 //! only while the system stays active (ξ measures activity, not time),
 //! which the idle-tail column exposes.
 //!
-//! Flags: `--ops N` (default 150), `--seeds K` (default 5), `--json`.
+//! Flags: `--ops N` (default 150), `--seeds K` (default 5).
 
-use tc_bench::{arg_value, f3, json_flag, pct, standard_run, Table};
+use super::{Args, Report};
+use crate::{f3, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_core::checker::min_delta;
 use tc_core::stats::StalenessStats;
-use tc_lifetime::{run, ProtocolKind};
+use tc_lifetime::{run as simulate, ProtocolKind};
 
-fn main() {
-    let json = json_flag();
-    let ops: usize = arg_value("ops").and_then(|v| v.parse().ok()).unwrap_or(150);
-    let seeds: u64 = arg_value("seeds").and_then(|v| v.parse().ok()).unwrap_or(5);
+pub fn run(args: &Args) -> Report {
+    let ops = args.uint("ops").unwrap_or(150) as usize;
+    let seeds = args.uint("seeds").unwrap_or(5);
 
     let mut t = Table::new(
         "Logical TCC (Definition 6): xi_delta vs real-time staleness",
@@ -34,14 +34,21 @@ fn main() {
         ],
     );
 
-    for xi_delta in [1.0f64, 4.0, 12.0, 40.0, 120.0] {
+    let logical = [1.0f64, 4.0, 12.0, 40.0, 120.0].map(|xi_delta| {
+        let kind = ProtocolKind::TccLogical { xi_delta };
+        ("TCC-xi", format!("ξΔ={xi_delta}"), kind)
+    });
+    let physical = [20u64, 80, 300].map(|d| {
+        let delta = Delta::from_ticks(d);
+        ("TCC", format!("Δ={d}"), ProtocolKind::Tcc { delta })
+    });
+    for (protocol, threshold, kind) in logical.into_iter().chain(physical) {
         let mut hit = 0.0;
         let mut mean = 0.0;
         let mut max = 0u64;
         let mut late = 0usize;
         for seed in 0..seeds {
-            let cfg = standard_run(ProtocolKind::TccLogical { xi_delta }, seed, ops);
-            let r = run(&cfg);
+            let r = simulate(&standard_run(kind, seed, ops));
             hit += r.hit_rate();
             let s = StalenessStats::of(&r.history);
             mean += s.mean_staleness();
@@ -50,48 +57,19 @@ fn main() {
         }
         let k = seeds as f64;
         t.row(&[
-            &"TCC-xi",
-            &format!("ξΔ={xi_delta}"),
+            &protocol,
+            &threshold,
             &pct(hit / k),
             &f3(mean / k),
             &max,
             &late,
         ]);
     }
-
-    for d in [20u64, 80, 300] {
-        let mut hit = 0.0;
-        let mut mean = 0.0;
-        let mut max = 0u64;
-        let mut late = 0usize;
-        for seed in 0..seeds {
-            let cfg = standard_run(
-                ProtocolKind::Tcc {
-                    delta: Delta::from_ticks(d),
-                },
-                seed,
-                ops,
-            );
-            let r = run(&cfg);
-            hit += r.hit_rate();
-            let s = StalenessStats::of(&r.history);
-            mean += s.mean_staleness();
-            max = max.max(min_delta(&r.history).ticks());
-            late += s.stale_reads(Delta::from_ticks(200));
-        }
-        let k = seeds as f64;
-        t.row(&[
-            &"TCC",
-            &format!("Δ={d}"),
-            &pct(hit / k),
-            &f3(mean / k),
-            &max,
-            &late,
-        ]);
-    }
-    t.emit(json);
-    println!(
+    let mut report = Report::default();
+    report.table(t);
+    report.note(
         "expected shape: staleness grows with xi_delta, mirroring Δ for the \
-         physical protocol at matched activity rates; ξ needs no client clocks"
+         physical protocol at matched activity rates; ξ needs no client clocks",
     );
+    report
 }

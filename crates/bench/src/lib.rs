@@ -1,18 +1,21 @@
-//! Shared plumbing for the experiment binaries (`exp_*`) and Criterion
-//! benches: table rendering, JSON emission, and the standard run
-//! configurations every experiment draws from.
+//! The experiment runner (`tc-exp`, [`exp`]) and the plumbing it shares
+//! with the Criterion benches and the root test suites: table rendering,
+//! the ordered worker pool, and the standard run configuration every
+//! sweep draws from.
 //!
-//! Each `exp_*` binary regenerates one of the paper's figures or one of
-//! the simulation studies its conclusion promises; `EXPERIMENTS.md` maps
-//! binaries to figures and records measured outputs.
+//! Each `tc-exp` subcommand regenerates one of the paper's figures or one
+//! of the simulation studies its conclusion promises; [`exp::EXPERIMENTS`]
+//! maps subcommands to paper artifacts and `results/` files, and
+//! `EXPERIMENTS.md` records the measured outputs.
 
 pub mod alloc;
+pub mod exp;
 
 use std::fmt::Display;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
-use serde::Serialize;
 use tc_clocks::Delta;
 use tc_core::{History, SiteId, Value};
 use tc_lifetime::{ProtocolConfig, ProtocolKind, RunConfig};
@@ -21,7 +24,7 @@ use tc_sim::WorldConfig;
 
 /// A printable experiment table that can also be dumped as JSON with
 /// `--json`.
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 pub struct Table {
     /// Table title (figure/experiment id).
     pub title: String,
@@ -89,48 +92,12 @@ impl Table {
     /// The table as a JSON value (`{title, columns, rows}`).
     #[must_use]
     pub fn to_json(&self) -> serde_json::Value {
-        let mut map = serde_json::Map::new();
-        map.insert("title".to_string(), self.title.as_str().into());
-        map.insert(
-            "columns".to_string(),
-            self.columns.iter().map(String::as_str).collect(),
-        );
-        map.insert(
-            "rows".to_string(),
-            serde_json::Value::Array(
-                self.rows
-                    .iter()
-                    .map(|row| row.iter().map(String::as_str).collect())
-                    .collect(),
-            ),
-        );
-        serde_json::Value::Object(map)
+        serde_json::json!({
+            "title": (self.title.as_str()),
+            "columns": (self.columns.clone()),
+            "rows": (self.rows.clone()),
+        })
     }
-
-    /// Prints the table to stdout; with `json = true` prints JSON instead.
-    pub fn emit(&self, json: bool) {
-        if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&self.to_json()).expect("table serializes")
-            );
-        } else {
-            println!("{}", self.render());
-        }
-    }
-}
-
-/// Whether `--json` was passed to the binary.
-#[must_use]
-pub fn json_flag() -> bool {
-    std::env::args().any(|a| a == "--json")
-}
-
-/// Whether `--<name>` was passed to the binary.
-#[must_use]
-pub fn flag(name: &str) -> bool {
-    let flag = format!("--{name}");
-    std::env::args().any(|a| a == flag)
 }
 
 /// Worker count for [`parallel_map`]: `TC_BENCH_THREADS` when set (and
@@ -148,8 +115,8 @@ pub fn pool_size() -> usize {
         })
 }
 
-/// Runs `f` over every item on a crossbeam-scoped worker pool and returns
-/// the results **in input order** — experiment cells are independent, so
+/// Runs `f` over every item on a scoped worker pool and returns the
+/// results **in input order** — experiment cells are independent, so
 /// fanning them across cores changes wall-clock only, never output.
 ///
 /// Work is handed out through a shared atomic cursor (no per-worker
@@ -170,8 +137,7 @@ where
     parallel_map_with(items, pool_size(), f)
 }
 
-/// [`parallel_map`] with an explicit worker count (`exp_*` binaries expose
-/// this as `--serial`, which pins it to 1 for A/B timing).
+/// [`parallel_map`] with an explicit worker count.
 ///
 /// # Panics
 ///
@@ -188,45 +154,41 @@ where
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded();
-    let outcome = crossbeam::thread::scope(|s| {
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            s.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                tx.send((i, f(&items[i])))
-                    .expect("collector outlives workers");
-            });
-        }
+    let (tx, rx) = mpsc::channel();
+    let slots = std::thread::scope(|s| {
+        let pool: Vec<_> = (0..workers)
+            .map(|_| {
+                let tx = tx.clone();
+                let next = &next;
+                let f = &f;
+                s.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    tx.send((i, f(&items[i])))
+                        .expect("collector outlives workers");
+                })
+            })
+            .collect();
         drop(tx);
         let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(n).collect();
-        while let Ok((i, r)) = rx.recv() {
+        for (i, r) in rx {
             slots[i] = Some(r);
+        }
+        // Joined by hand so a worker's own panic payload is what
+        // propagates, not the scope's generic one.
+        for worker in pool {
+            if let Err(payload) = worker.join() {
+                std::panic::resume_unwind(payload);
+            }
         }
         slots
     });
-    match outcome {
-        Ok(slots) => slots
-            .into_iter()
-            .map(|r| r.expect("every index was produced exactly once"))
-            .collect(),
-        Err(payload) => std::panic::resume_unwind(payload),
-    }
-}
-
-/// Value of `--<name> <value>` if present.
-#[must_use]
-pub fn arg_value(name: &str) -> Option<String> {
-    let flag = format!("--{name}");
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| *a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index was produced exactly once"))
+        .collect()
 }
 
 /// The standard simulation setup shared by the Δ-sweep experiments:
@@ -248,8 +210,7 @@ pub fn standard_run(kind: ProtocolKind, seed: u64, ops_per_client: usize) -> Run
 /// excluded — they depend on timing, the one thing concurrently-scheduled
 /// drivers do not share. Equal fingerprints across drivers certify "same
 /// engine, same inputs, same per-site program" (the invariant the
-/// engine-equivalence suite and the transport-compare experiment both
-/// assert).
+/// engine-equivalence suite asserts).
 #[must_use]
 pub fn site_fingerprint(history: &History, site: usize) -> Vec<(bool, u64, Option<Value>)> {
     history
@@ -263,17 +224,6 @@ pub fn site_fingerprint(history: &History, site: usize) -> Vec<(bool, u64, Optio
                 op.is_write().then(|| op.value()),
             )
         })
-        .collect()
-}
-
-/// [`site_fingerprint`] for every site of an `n_clients`-site run.
-#[must_use]
-pub fn fleet_fingerprint(
-    history: &History,
-    n_clients: usize,
-) -> Vec<Vec<(bool, u64, Option<Value>)>> {
-    (0..n_clients)
-        .map(|site| site_fingerprint(history, site))
         .collect()
 }
 

@@ -43,7 +43,7 @@ pub(crate) fn flush_token(client: NodeId) -> u64 {
 
 /// The timer token a shard arms for a deadline-batched WAL fsync
 /// ([`crate::FsyncPolicy::max_delay`]). Distinct from every
-/// [`flush_token`]: client node indexes never reach `u64::MAX`. (Client
+/// `flush_token`: client node indexes never reach `u64::MAX`. (Client
 /// engines use the same numeric value for their own causal-flush timer,
 /// but client and server token spaces never meet.)
 pub const TIMER_WAL_FLUSH: u64 = u64::MAX;

@@ -6,10 +6,10 @@
 //! `tc-wire` framing with **two** kinds of threads total:
 //!
 //! * one **shard reactor** per shard: a hand-rolled epoll loop (see
-//!   [`sys`] for the scoped FFI binding — the workspace vendors no `mio`)
+//!   `sys` for the scoped FFI binding — the workspace vendors no `mio`)
 //!   owning the listener and every accepted connection as a registered fd,
 //!   with per-connection read/write buffers and an incremental
-//!   [`tc_wire::FrameDecoder`] (see [`conn`]);
+//!   [`tc_wire::FrameDecoder`] (see `conn`);
 //! * one **client reactor** hosting *all* `ClientCore`s: their engine
 //!   timers live in one `TimerWheel` folded into the epoll timeout, and
 //!   each (site, shard) link is a small state machine — dial, handshake,
@@ -18,7 +18,7 @@
 //! Both are hosts of the driver core in [`crate::runtime`]: they step the
 //! same `ClientCore` / `ShardCore`, hand the effects to the same
 //! `execute` through a `Port` over their connection table, and share the
-//! per-connection plumbing itself (see [`table`]). The result is the same
+//! per-connection plumbing itself (see `table`). The result is the same
 //! [`RuntimeResult`] shape the channel drivers return, so the conformance
 //! oracle, the [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor), and the
 //! metrics pipeline apply unchanged; `tests/engine_equivalence.rs` pins
@@ -64,9 +64,9 @@
 //! the simulator would fire it — never before the clock reads `t + 1`, and
 //! every hosted site whose timer lands on the same tick is served by one
 //! wake. Each loop pass waits in `epoll_pwait2` (nanosecond timeout; see
-//! [`sys`] for the millisecond fallback on old kernels) for exactly the
+//! `sys` for the millisecond fallback on old kernels) for exactly the
 //! time to the earliest deadline, with the thread's kernel timer slack
-//! pinned to 1 ns for the run ([`TimerSlack`]; the default 50 µs slack is
+//! pinned to 1 ns for the run (`TimerSlack`; the default 50 µs slack is
 //! one whole tick at the default tick length). What still separates a
 //! deadline from the pass that serves it — scheduling, a busy thread — is
 //! counted, not assumed: [`names::TIMER_FIRED`] and
@@ -1271,7 +1271,11 @@ mod tests {
         let r = run_reactor(&small(ProtocolKind::Sc, 31));
         assert_eq!(r.ops_done, 2 * 12, "every op must be recorded");
         assert!(r.on_time.holds(), "monitor must report zero violations");
-        assert!(r.counter(names::TCP_CONNECT) > 0, "links must handshake");
+        assert_eq!(
+            r.counter(names::TCP_CONNECT),
+            2,
+            "every client handshakes exactly once with the single shard"
+        );
         assert_eq!(r.counter(names::TCP_RECONNECT), 0, "no faults injected");
         // fd hygiene even on the happy path: every accepted registration
         // was drained by the time the run finished.

@@ -338,6 +338,19 @@ impl RuntimeResult {
     pub fn counter(&self, name: &str) -> u64 {
         self.metrics.counters.get(name).copied().unwrap_or(0)
     }
+
+    /// Cache hit rate over all client reads that consulted the cache
+    /// (the simulator's `RunResult::hit_rate`, same formula).
+    #[must_use]
+    pub fn hit_rate(&self) -> f64 {
+        let hits = self.counter(names::CACHE_HIT) as f64;
+        let misses = self.counter(names::CACHE_MISS) as f64 + self.counter(names::VALIDATE) as f64;
+        if hits + misses == 0.0 {
+            0.0
+        } else {
+            hits / (hits + misses)
+        }
+    }
 }
 
 /// A deadline-ordered timer wheel over real [`Instant`]s, shared by the

@@ -42,10 +42,8 @@ fn play(label: &str, kind: ProtocolKind) -> (f64, u64) {
         "{label}: the live monitor found a late read"
     );
     // Reads served locally, over every read that consulted the cache.
-    let hits = run.counter(names::CACHE_HIT);
+    let hit_rate = run.hit_rate();
     let validations = run.counter(names::VALIDATE);
-    let consulted = hits + run.counter(names::CACHE_MISS) + validations;
-    let hit_rate = hits as f64 / consulted.max(1) as f64;
     println!(
         "  {label:<22} {:>7.1}%  {validations:>11}  {:>15}  on time",
         100.0 * hit_rate,

@@ -1,6 +1,11 @@
 //! End-to-end reproduction tests: every claim the paper makes about its
-//! figures and definitions, checked through the public facade.
+//! figures and definitions, checked through the public facade — and the
+//! checked-in `results/` pinned to what the experiment table regenerates.
 
+use std::collections::BTreeSet;
+use std::path::Path;
+
+use tc_bench::exp::{regenerate, EXPERIMENTS};
 use timed_consistency::clocks::{Delta, Epsilon, NormXi, SumXi, XiMap};
 use timed_consistency::core::checker::{
     check_on_time, classify, min_delta, satisfies_cc, satisfies_lin, satisfies_sc, satisfies_tcc,
@@ -145,9 +150,7 @@ fn epsilon_only_weakens_the_check() {
 fn figure4b_delta_spectrum_on_the_threaded_driver() {
     const SITES: usize = 4;
     const OPS: usize = 150;
-    // (hit rate, validations) of one monitored run; the hit rate is
-    // `RunResult::hit_rate`'s — reads served locally over all reads that
-    // consulted the cache, validations included.
+    // (hit rate, validations) of one monitored run.
     let spectrum = |kind: ProtocolKind| {
         let run = run_threaded(&RuntimeConfig::for_protocol(
             ProtocolConfig::of(kind),
@@ -158,10 +161,7 @@ fn figure4b_delta_spectrum_on_the_threaded_driver() {
         ));
         assert!(run.on_time.holds(), "{kind:?}: the live monitor must hold");
         assert_eq!(run.ops_done, SITES * OPS, "{kind:?}: every op completes");
-        let hits = run.counter(names::CACHE_HIT);
-        let validations = run.counter(names::VALIDATE);
-        let consulted = hits + run.counter(names::CACHE_MISS) + validations;
-        (hits as f64 / consulted.max(1) as f64, validations)
+        (run.hit_rate(), run.counter(names::VALIDATE))
     };
     let tcc = |ticks| ProtocolKind::Tcc {
         delta: Delta::from_ticks(ticks),
@@ -180,4 +180,60 @@ fn figure4b_delta_spectrum_on_the_threaded_driver() {
         tight_val > cc_val,
         "a tight Δ validates more: {tight_val} vs {cc_val}"
     );
+}
+
+/// `results/` is the reproduction's evidence, so it must be what the code
+/// prints today: every deterministic artifact is regenerated in-process
+/// through the `tc-exp` table — the path `tc-exp reproduce` writes through
+/// — and compared byte-for-byte. Re-bless a deliberate change with
+/// `cargo run --release -p tc-bench --bin tc-exp -- reproduce`.
+#[test]
+fn results_are_what_the_experiments_print() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut stale = Vec::new();
+    for exp in EXPERIMENTS.iter().filter(|e| e.deterministic) {
+        for (flags, file) in exp.pinned {
+            let produced = regenerate(exp, flags);
+            let checked_in = std::fs::read_to_string(dir.join(file)).unwrap_or_default();
+            if produced == checked_in {
+                continue;
+            }
+            let (new, old) = (produced.lines(), checked_in.lines());
+            let line = new.zip(old).take_while(|(new, old)| new == old).count();
+            stale.push(format!(
+                "results/{file}:{}: checked in {:?}, `tc-exp {} {}` prints {:?}",
+                line + 1,
+                checked_in.lines().nth(line).unwrap_or("<end of file>"),
+                exp.name,
+                flags.join(" "),
+                produced.lines().nth(line).unwrap_or("<end of file>"),
+            ));
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "{} stale result file(s); `tc-exp reproduce` rewrites them:\n{}",
+        stale.len(),
+        stale.join("\n")
+    );
+}
+
+/// Every `results/*.txt` is produced by exactly one row of the experiment
+/// table, and every row's file is checked in.
+#[test]
+fn every_results_file_has_exactly_one_producer() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let on_disk: BTreeSet<String> = std::fs::read_dir(&dir)
+        .expect("results/ exists")
+        .map(|entry| entry.expect("readable entry").file_name())
+        .map(|name| name.into_string().expect("utf-8 file name"))
+        .collect();
+    let mut produced = BTreeSet::new();
+    for (_, file) in EXPERIMENTS.iter().flat_map(|exp| exp.pinned) {
+        assert!(
+            produced.insert(file.to_string()),
+            "results/{file} has two producers"
+        );
+    }
+    assert_eq!(on_disk, produced, "results/ vs the tc-exp table");
 }
