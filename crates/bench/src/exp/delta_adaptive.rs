@@ -53,8 +53,8 @@ use tc_core::checker::{OnTimeMonitor, OnTimeViolation};
 use tc_core::{History, ObjectId, OpKind, Value};
 use tc_lifetime::control::widen;
 use tc_lifetime::{
-    conformance, run_adaptive_traced, run_traced, ControllerConfig, DeltaSchedule, ProtocolConfig,
-    ProtocolKind, RunConfig, RunResult,
+    conformance, run_with, ControllerConfig, DeltaSchedule, ProtocolConfig, ProtocolKind,
+    RunConfig, RunOptions, RunResult,
 };
 use tc_sim::workload::Workload;
 use tc_sim::{FaultKind, FaultPlan, Scope, Window, WorldConfig};
@@ -317,7 +317,14 @@ pub fn run(args: &Args) -> Report {
         let mut score = Score::default();
         for (i, &seed) in seeds.iter().enumerate() {
             let cfg = config(d, ops, seed);
-            let result = run_traced(&cfg, bursts(horizon));
+            let result = run_with(
+                &cfg,
+                RunOptions {
+                    plan: bursts(horizon),
+                    traced: true,
+                    ..RunOptions::default()
+                },
+            );
             let judged = judge(&result.history, result.epsilon, Delta::from_ticks(d), None);
             score.absorb(&result, &judged, seeds.len());
             // The loose ceiling's timeline, for side-by-side comparison —
@@ -359,7 +366,15 @@ pub fn run(args: &Args) -> Report {
     for (i, &seed) in seeds.iter().enumerate() {
         let cfg = config(FLOOR_DELTA, ops, seed);
         let plan = bursts(horizon);
-        let result = run_adaptive_traced(&cfg, plan.clone(), ctrl);
+        let result = run_with(
+            &cfg,
+            RunOptions {
+                plan: plan.clone(),
+                adaptive: Some(ctrl),
+                traced: true,
+                ..RunOptions::default()
+            },
+        );
         let verdict = conformance(&cfg, &plan, &result);
         assert!(
             verdict.acceptable(),

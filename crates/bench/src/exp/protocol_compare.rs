@@ -45,6 +45,9 @@ pub fn run(args: &Args) -> Report {
         ],
     );
 
+    // Per kind, in `kinds` order: (hit rate, stale-handling events,
+    // messages per op), for the shape asserts below the table.
+    let mut shape = Vec::with_capacity(kinds.len());
     for kind in kinds {
         let mut hit = 0.0;
         let mut stale_events = 0u64;
@@ -90,13 +93,33 @@ pub fn run(args: &Args) -> Report {
             "{} run violated its consistency level",
             kind.label()
         );
+        shape.push((hit / k, stale_events / seeds, msgs_per_op / k));
     }
+    let [nocache, sc, tsc, cc, tcc, _] = shape[..] else {
+        unreachable!("one row per kind");
+    };
+    assert!(
+        tsc.1 >= tcc.1 && tcc.1 >= cc.1,
+        "§5.3 ordering broken: stale-handling events TSC {} / TCC {} / CC {}",
+        tsc.1,
+        tcc.1,
+        cc.1
+    );
+    assert!(
+        cc.2 < sc.2,
+        "asynchronous writes must save messages: CC {} vs SC {} per op",
+        cc.2,
+        sc.2
+    );
+    assert_eq!(nocache.0, 0.0, "NoCache must never hit a cache");
     let mut report = Report::default();
     report.table(t);
     report.note(
         "expected shape: stale-handling events TSC >= TCC >= CC (the §5.3 \
-         ordering); NoCache has hit rate 0 and the most traffic; CC/TCC send \
-         fewer messages per op than SC/TSC (async writes)",
+         ordering); NoCache has hit rate 0 and the most traffic; asynchronous \
+         writes save messages per op where no Δ forces validations (CC < SC, \
+         TCC-xi < TSC), while TCC ~ TSC: every causal write is acknowledged \
+         (WriteAckCausal), so a timed causal client pays the round trip too",
     );
     report
 }

@@ -30,8 +30,8 @@ use tc_clocks::Delta;
 use tc_durable::WalStore;
 use tc_lifetime::store::ShardStore;
 use tc_lifetime::{
-    conformance, run_with_stores, DurabilityMode, FsyncPolicy, OracleVerdict, ProtocolConfig,
-    ProtocolKind, RunConfig,
+    conformance, run_with, DurabilityMode, FsyncPolicy, OracleVerdict, ProtocolConfig,
+    ProtocolKind, RunConfig, RunOptions,
 };
 use tc_sim::workload::Workload;
 use tc_sim::{FaultPlan, Window, WorldConfig};
@@ -106,7 +106,14 @@ fn run_cell(kind: ProtocolKind, name: &'static str, policy: FsyncPolicy, seed: u
             64,
         ))
     };
-    let result = run_with_stores(&cfg, plan.clone(), &factory);
+    let result = run_with(
+        &cfg,
+        RunOptions {
+            plan: plan.clone(),
+            stores: Some(&factory),
+            ..RunOptions::default()
+        },
+    );
     let c = conformance(&cfg, &plan, &result);
     let cell = Cell {
         protocol: kind.label().to_string(),

@@ -15,7 +15,7 @@
 //!   §5.3 of the paper).
 //! * **ξ-maps** (Definition 5) — order-preserving maps from logical
 //!   timestamps to ℝ used by the logical-clock approximation of timed causal
-//!   consistency (§5.4): [`SumXi`], [`NormXi`], [`WeightedXi`].
+//!   consistency (§5.4): [`SumXi`], [`NormXi`].
 //! * **Simulated hardware clocks** — [`DriftingClock`] with bounded drift
 //!   and a periodic resynchronization controller ([`SyncedClock`]) that
 //!   realizes the ε-approximately-synchronized model of §3.2.
@@ -49,4 +49,4 @@ pub use ordering::{ClockOrdering, SiteClock, Timestamp};
 pub use plausible::{CombClock, CombStamp, RevClock, RevStamp};
 pub use time::{Delta, Epsilon, Time};
 pub use vector::VectorClock;
-pub use xi::{NormXi, SumXi, WeightedXi, XiMap};
+pub use xi::{NormXi, SumXi, XiMap};

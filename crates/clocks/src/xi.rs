@@ -15,8 +15,7 @@
 //! The two maps worked out in the paper are implemented here:
 //! [`SumXi`] (`ξ(t) = Σ t[i]`, the number of known global events, Figure 7's
 //! event count) and [`NormXi`] (`ξ(t) = ‖t‖₂`, the geometric interpretation
-//! of Figure 7). [`WeightedXi`] generalizes `SumXi` with per-site weights,
-//! e.g. to discount chatty sites.
+//! of Figure 7).
 
 use serde::{Deserialize, Serialize};
 
@@ -91,75 +90,6 @@ impl XiMap for NormXi {
     }
 }
 
-/// `ξ(t) = Σᵢ wᵢ·t[i]` with strictly positive weights.
-///
-/// Weighting lets ξ approximate *real* elapsed time when sites generate
-/// events at known uneven rates: weigh each site by the expected real time
-/// between its events, and ξ differences approximate real-time differences
-/// (the "appropriate semantics for the selection of the parameter" the
-/// paper's conclusion asks for).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct WeightedXi {
-    weights: Vec<f64>,
-}
-
-impl WeightedXi {
-    /// Creates a weighted map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or any weight is not strictly positive
-    /// and finite (non-positive weights would violate Definition 5's
-    /// strict-monotonicity law).
-    #[must_use]
-    pub fn new(weights: Vec<f64>) -> Self {
-        assert!(!weights.is_empty(), "weights must be non-empty");
-        assert!(
-            weights.iter().all(|w| w.is_finite() && *w > 0.0),
-            "weights must be strictly positive and finite"
-        );
-        WeightedXi { weights }
-    }
-
-    /// Uniform weights of `1/n` over `n` sites: ξ is the mean component.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    #[must_use]
-    pub fn uniform(n: usize) -> Self {
-        assert!(n > 0);
-        WeightedXi::new(vec![1.0 / n as f64; n])
-    }
-
-    /// The per-component weights.
-    #[must_use]
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
-impl XiMap for WeightedXi {
-    /// # Panics
-    ///
-    /// Panics if `components` is longer than the weight vector.
-    fn xi(&self, components: &[u64]) -> f64 {
-        assert!(
-            components.len() <= self.weights.len(),
-            "timestamp has more components than weights"
-        );
-        components
-            .iter()
-            .zip(&self.weights)
-            .map(|(&c, &w)| c as f64 * w)
-            .sum()
-    }
-
-    fn name(&self) -> &'static str {
-        "weighted"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,36 +115,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_uniform_is_mean() {
-        let xi = WeightedXi::uniform(4);
-        assert!((xi.xi(&[4, 4, 4, 4]) - 4.0).abs() < 1e-12);
-        assert!((xi.xi(&[8, 0, 0, 0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weighted_respects_weights() {
-        let xi = WeightedXi::new(vec![10.0, 1.0]);
-        assert_eq!(xi.xi(&[1, 0]), 10.0);
-        assert_eq!(xi.xi(&[0, 1]), 1.0);
-        assert_eq!(xi.weights(), &[10.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly positive")]
-    fn weighted_rejects_zero_weight() {
-        let _ = WeightedXi::new(vec![1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn weighted_rejects_empty() {
-        let _ = WeightedXi::new(vec![]);
-    }
-
-    #[test]
     fn names_are_distinct() {
         assert_ne!(SumXi.name(), NormXi.name());
-        assert_ne!(SumXi.name(), WeightedXi::uniform(1).name());
     }
 
     /// Definition 5 laws, checked for every map over componentwise-ordered
@@ -232,11 +134,7 @@ mod tests {
             let n = base.len().min(bumps.len());
             let a = &base[..n];
             let b: Vec<u64> = a.iter().zip(&bumps[..n]).map(|(x, y)| x + y).collect();
-            let maps: Vec<Box<dyn XiMap>> = vec![
-                Box::new(SumXi),
-                Box::new(NormXi),
-                Box::new(WeightedXi::uniform(n)),
-            ];
+            let maps: Vec<Box<dyn XiMap>> = vec![Box::new(SumXi), Box::new(NormXi)];
             for m in &maps {
                 // t = u => xi(t) = xi(u)
                 prop_assert_eq!(m.xi(a), m.xi(a));

@@ -16,7 +16,7 @@ use tc_core::Value;
 use tc_sim::workload::Workload;
 use tc_sim::{Context, NetEvent, NodeId, Process, TraceRecorder};
 
-use crate::engine::{ClientEngine, Effect, Event, Inputs, Now, PrivateSources, RecordOp};
+use crate::engine::{ClientEngine, Effect, Event, Inputs, Now, PrivateSources};
 use crate::geo::GeoMigrationPlan;
 use crate::msg::Msg;
 use crate::ProtocolConfig;
@@ -49,41 +49,11 @@ pub(crate) fn replay_effects(
             // Zero-increments still materialize the counter — experiment
             // tables rely on swept-but-empty counters being present.
             Effect::Metric { name, add } => ctx.metrics().add(name, add),
-            Effect::Record(op) => {
-                let mut recorder = recorder
+            Effect::Record(op) => op.apply(
+                &mut recorder
                     .expect("only client engines record operations")
-                    .borrow_mut();
-                match op {
-                    RecordOp::Write {
-                        site,
-                        object,
-                        value,
-                        at,
-                        logical: Some(logical),
-                    } => recorder.record_write_stamped(site, object, value, at, logical),
-                    RecordOp::Write {
-                        site,
-                        object,
-                        value,
-                        at,
-                        logical: None,
-                    } => recorder.record_write(site, object, value, at),
-                    RecordOp::Read {
-                        site,
-                        object,
-                        value,
-                        at,
-                        logical: Some(logical),
-                    } => recorder.record_read_stamped(site, object, value, at, logical),
-                    RecordOp::Read {
-                        site,
-                        object,
-                        value,
-                        at,
-                        logical: None,
-                    } => recorder.record_read(site, object, value, at),
-                }
-            }
+                    .borrow_mut(),
+            ),
         }
     }
 }
@@ -142,7 +112,7 @@ impl Inputs for SimInputs<'_, '_> {
 }
 
 /// The simulated client node: a [`ClientEngine`] plus its recorder handle.
-pub struct ClientNode {
+pub(crate) struct ClientNode {
     engine: ClientEngine,
     recorder: Rc<RefCell<TraceRecorder>>,
     private: Option<PrivateSources>,
@@ -155,8 +125,7 @@ impl ClientNode {
     /// `site` is this client's 0-based index among `n_clients` clients; it
     /// doubles as the trace site id and the vector-clock component.
     /// `servers` holds every shard's node id, in shard order.
-    #[must_use]
-    pub fn new(
+    pub(crate) fn new(
         config: ProtocolConfig,
         servers: Vec<NodeId>,
         site: usize,
@@ -178,8 +147,12 @@ impl ClientNode {
     /// sequence depends only on `(base_seed, site, n_clients)` — the same
     /// sequence the threaded runtime's clients produce, which is what the
     /// engine-equivalence suite compares.
-    #[must_use]
-    pub fn with_private_sources(mut self, base_seed: u64, site: usize, n_clients: usize) -> Self {
+    pub(crate) fn with_private_sources(
+        mut self,
+        base_seed: u64,
+        site: usize,
+        n_clients: usize,
+    ) -> Self {
         self.private = Some(PrivateSources::new(base_seed, site, n_clients));
         self
     }
@@ -190,29 +163,9 @@ impl ClientNode {
     ///
     /// Panics if the protocol kind is not in the causal family or the
     /// destination fleet size differs from the configured shard count.
-    #[must_use]
-    pub fn with_migration(mut self, plan: GeoMigrationPlan) -> Self {
+    pub(crate) fn with_migration(mut self, plan: GeoMigrationPlan) -> Self {
         self.engine = self.engine.with_migration(plan);
         self
-    }
-
-    /// Whether a scheduled migration has completed (vacuously true when
-    /// none was scheduled).
-    #[must_use]
-    pub fn migrated(&self) -> bool {
-        self.engine.migrated()
-    }
-
-    /// Operations completed so far.
-    #[must_use]
-    pub fn ops_done(&self) -> usize {
-        self.engine.ops_done()
-    }
-
-    /// Whether the client has finished its workload.
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.engine.finished()
     }
 
     fn drive(&mut self, ctx: &mut Context<'_, Msg>, event: Event) {

@@ -39,6 +39,8 @@ use serde::Serialize;
 use tc_clocks::{Delta, Time};
 use tc_core::checker::OnTimeMonitor;
 
+use crate::{Msg, ProtocolKind};
+
 /// A piecewise-constant Δ timetable: the thresholds a run's controller
 /// committed to, in effective-time order. This is what the oracle judges
 /// against — the schedule *actually in force* at each instant, not a
@@ -295,12 +297,6 @@ impl DeltaController {
         &self.schedule
     }
 
-    /// Consumes the controller, yielding the judged schedule.
-    #[must_use]
-    pub fn into_schedule(self) -> DeltaSchedule {
-        self.schedule
-    }
-
     /// The last command's sequence number (0 before any change) — used by
     /// hosts to re-broadcast the current Δ idempotently.
     #[must_use]
@@ -381,6 +377,138 @@ impl DeltaController {
             delta: next,
             judge_from,
         })
+    }
+}
+
+/// What a driver reads off the run for one control tick: the live
+/// monitor's running `min_delta`, violation count and ingested-operation
+/// count, and the run's retry counter.
+#[derive(Clone, Copy, Debug)]
+pub struct Readings {
+    /// The monitor's running `min_delta`.
+    pub observed: Delta,
+    /// Violations the monitor has flagged so far.
+    pub violations: usize,
+    /// Operations the monitor has ingested so far.
+    pub ingested: usize,
+    /// Client retries counted so far.
+    pub retries: u64,
+}
+
+/// A revision of the judged schedule, for the driver to install in the
+/// monitor and count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ScheduleChange {
+    /// The instant the monitor starts judging against `threshold`.
+    pub judge_from: Time,
+    /// The commanded Δ plus the run's widening margin.
+    pub threshold: Delta,
+    /// Whether the command tightened Δ (else it relaxed it).
+    pub tightened: bool,
+}
+
+/// What one [`ControlPolicy::sample`] decided.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ControlDecision {
+    /// Set when this tick changed Δ.
+    pub change: Option<ScheduleChange>,
+    /// The command in force, to (re-)broadcast to every client — `None`
+    /// until the controller has issued one. Idempotent per sequence
+    /// number, so a client that missed one (drop, outage) hears the next.
+    pub broadcast: Option<Msg>,
+    /// Whether to sample again: `false` once every expected operation has
+    /// been ingested.
+    pub keep_sampling: bool,
+}
+
+/// The control-plane policy every driver runs: a [`DeltaController`] plus
+/// the pressure signal, widening margin and stop rule around it. Pure —
+/// readings in, decision out; the driver owns *when* a sample is taken and
+/// *how* a command reaches the clients.
+#[derive(Clone, Debug)]
+pub struct ControlPolicy {
+    controller: DeltaController,
+    /// The margin the judged schedule carries over each commanded Δ:
+    /// exactly what the static monitor bound carries over the protocol's
+    /// configured Δ.
+    widening: Delta,
+    expected_ops: usize,
+    last_violations: usize,
+    last_retries: u64,
+}
+
+impl ControlPolicy {
+    /// The policy of a run of `kind` whose monitor judges the static Δ at
+    /// `monitor_delta` and whose workload records `expected_ops`
+    /// operations. A monitor tighter than the protocol's Δ widens by
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` carries no Δ (adaptive control needs a timed
+    /// level: `Tsc` or `Tcc`).
+    #[must_use]
+    pub fn new(
+        ctrl: ControllerConfig,
+        kind: ProtocolKind,
+        monitor_delta: Delta,
+        expected_ops: usize,
+    ) -> Self {
+        let base = kind
+            .delta()
+            .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
+        let widening = if monitor_delta.is_infinite() {
+            Delta::INFINITE
+        } else {
+            Delta::from_ticks(monitor_delta.ticks().saturating_sub(base.ticks()))
+        };
+        ControlPolicy {
+            controller: DeltaController::new(ctrl, base),
+            widening,
+            expected_ops,
+            last_violations: 0,
+            last_retries: 0,
+        }
+    }
+
+    /// The period between samples.
+    #[must_use]
+    pub fn interval(&self) -> Delta {
+        self.controller.config().interval
+    }
+
+    /// One control tick at true time `now`. Backpressure is new Δ
+    /// violations against the widened schedule, or new client retries
+    /// (lost or slow messages), since the last tick.
+    pub fn sample(&mut self, now: Time, readings: Readings) -> ControlDecision {
+        let pressure =
+            readings.violations > self.last_violations || readings.retries > self.last_retries;
+        self.last_violations = readings.violations;
+        self.last_retries = readings.retries;
+        let prev = self.controller.current();
+        let change = self
+            .controller
+            .tick(now, readings.observed, pressure)
+            .map(|cmd| ScheduleChange {
+                judge_from: cmd.judge_from,
+                threshold: widen(cmd.delta, self.widening),
+                tightened: cmd.delta < prev,
+            });
+        let broadcast = (self.controller.seq() > 0).then(|| Msg::DeltaUpdate {
+            seq: self.controller.seq(),
+            delta: self.controller.current(),
+        });
+        ControlDecision {
+            change,
+            broadcast,
+            keep_sampling: readings.ingested < self.expected_ops,
+        }
+    }
+
+    /// The judged schedule committed so far.
+    #[must_use]
+    pub fn schedule(&self) -> &DeltaSchedule {
+        self.controller.schedule()
     }
 }
 
@@ -550,5 +678,92 @@ mod tests {
         }
         assert_eq!(c.schedule().len(), n);
         assert_eq!(c.schedule().initial, Delta::from_ticks(4_000));
+    }
+
+    fn policy(base: u64, monitor_delta: Delta, expected_ops: usize) -> ControlPolicy {
+        let kind = ProtocolKind::Tsc {
+            delta: Delta::from_ticks(base),
+        };
+        ControlPolicy::new(cfg(), kind, monitor_delta, expected_ops)
+    }
+
+    fn readings(violations: usize, retries: u64, ingested: usize) -> Readings {
+        Readings {
+            observed: Delta::from_ticks(100),
+            violations,
+            ingested,
+            retries,
+        }
+    }
+
+    #[test]
+    fn policy_signals_pressure_on_new_violations_or_new_retries() {
+        // At the band's ceiling a quiet tick can only tighten and a
+        // pressured one cannot move, so `change` tells the two apart.
+        for (violations, retries) in [(1, 0), (0, 1)] {
+            let mut p = policy(10_000, Delta::from_ticks(10_000), 10);
+            let d = p.sample(Time::from_ticks(100), readings(violations, retries, 0));
+            assert_eq!(d.change, None, "a new violation or retry is pressure");
+            // The same totals again are not *new*: the tick is quiet.
+            let d = p.sample(Time::from_ticks(200), readings(violations, retries, 0));
+            assert!(d.change.is_some_and(|c| c.tightened));
+        }
+    }
+
+    #[test]
+    fn policy_broadcasts_only_once_a_command_exists_and_then_every_tick() {
+        // Already on target (observed 100 → 150): nothing to command.
+        let mut p = policy(150, Delta::from_ticks(150), 10);
+        let d = p.sample(Time::from_ticks(100), readings(0, 0, 0));
+        assert_eq!((d.change, d.broadcast), (None, None));
+        // Pressure relaxes to 300: command 1, judged from now, widened by 0.
+        let d = p.sample(Time::from_ticks(200), readings(0, 1, 0));
+        let relaxed = Msg::DeltaUpdate {
+            seq: 1,
+            delta: Delta::from_ticks(300),
+        };
+        assert_eq!(
+            d.change,
+            Some(ScheduleChange {
+                judge_from: Time::from_ticks(200),
+                threshold: Delta::from_ticks(300),
+                tightened: false,
+            })
+        );
+        assert_eq!(d.broadcast, Some(relaxed));
+        // Every later tick re-broadcasts the command in force, changed or
+        // not.
+        let d = p.sample(Time::from_ticks(300), readings(0, 1, 0));
+        assert!(matches!(d.broadcast, Some(Msg::DeltaUpdate { seq, .. }) if seq >= 1));
+        assert_eq!(p.schedule().initial, Delta::from_ticks(150));
+    }
+
+    #[test]
+    fn policy_stops_sampling_once_every_expected_op_is_ingested() {
+        let mut p = policy(150, Delta::from_ticks(150), 10);
+        assert!(
+            p.sample(Time::from_ticks(100), readings(0, 0, 9))
+                .keep_sampling
+        );
+        assert!(
+            !p.sample(Time::from_ticks(200), readings(0, 0, 10))
+                .keep_sampling
+        );
+    }
+
+    #[test]
+    fn policy_widens_by_the_monitor_margin_saturating_at_zero() {
+        let threshold = |monitor_delta: Delta| {
+            let mut p = policy(1_000, monitor_delta, 10);
+            let change = p.sample(Time::from_ticks(100), readings(0, 0, 0)).change;
+            change.expect("a gap to close").threshold
+        };
+        // observed 100 → target 150; one quiet tick halves the gap: 575.
+        assert_eq!(threshold(Delta::from_ticks(1_040)), Delta::from_ticks(615));
+        assert_eq!(threshold(Delta::INFINITE), Delta::INFINITE);
+        // A monitor tighter than the protocol's Δ widens by nothing — the
+        // difference used to underflow (a debug panic, a near-infinite
+        // judged threshold in release).
+        assert_eq!(threshold(Delta::from_ticks(400)), Delta::from_ticks(575));
     }
 }

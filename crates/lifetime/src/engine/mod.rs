@@ -6,9 +6,9 @@
 //! recorder, or a timer wheel. A *driver* feeds them [`Event`]s and
 //! executes the [`Effect`]s they emit. Three drivers exist:
 //!
-//! * the deterministic simulator adapter ([`crate::ClientNode`] /
-//!   [`crate::ServerNode`]), which replays effects into a
-//!   [`tc_sim::World`];
+//! * the deterministic simulator harness ([`crate::run_with`] /
+//!   [`crate::run_geo_with`]: one world builder, flat or multi-region),
+//!   whose node adapters replay effects into a [`tc_sim::World`];
 //! * the threaded runtime (`tc_store::runtime`), which runs the *same*
 //!   engine types over OS threads, channels, and `Instant`-based clocks
 //!   (`tc_store::geo` is a multi-region topology over the same loop); and
@@ -146,6 +146,44 @@ pub enum RecordOp {
         /// The reader's vector stamp (causal family).
         logical: Option<VectorClock>,
     },
+}
+
+impl RecordOp {
+    /// Appends this operation to `recorder` — the one place a recording
+    /// instruction is interpreted, whichever driver holds the recorder.
+    #[inline]
+    pub fn apply(self, recorder: &mut tc_sim::TraceRecorder) {
+        match self {
+            RecordOp::Write {
+                site,
+                object,
+                value,
+                at,
+                logical: Some(logical),
+            } => recorder.record_write_stamped(site, object, value, at, logical),
+            RecordOp::Write {
+                site,
+                object,
+                value,
+                at,
+                logical: None,
+            } => recorder.record_write(site, object, value, at),
+            RecordOp::Read {
+                site,
+                object,
+                value,
+                at,
+                logical: Some(logical),
+            } => recorder.record_read_stamped(site, object, value, at, logical),
+            RecordOp::Read {
+                site,
+                object,
+                value,
+                at,
+                logical: None,
+            } => recorder.record_read(site, object, value, at),
+        }
+    }
 }
 
 /// What an engine asks its driver to do. Effects must be executed in

@@ -1,6 +1,6 @@
-//! One-call geo-simulation harness: build an `R`-region world, wire the
-//! WAN link models, run every client's workload to quiescence, and judge
-//! the result with a region-aware widened oracle.
+//! The geo configuration of the simulation harness: an `R`-region world
+//! over the one world builder ([`crate::run_with`] is its no-geo case),
+//! judged by the one oracle at a region-aware widened bound.
 //!
 //! The node layout follows [`RegionMap`]: `R·S` shards (region-major),
 //! then `R` relays, then the clients (region-major,
@@ -32,38 +32,14 @@
 //!                                         interval)
 //! ```
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use tc_clocks::{Delta, Epsilon, Time};
-use tc_core::checker::{check_on_time, min_delta_eps, satisfies_ccv, Outcome, TimedReport};
-use tc_core::History;
-use tc_sim::metrics::names;
+use tc_clocks::{Delta, Epsilon};
 use tc_sim::workload::Workload;
-use tc_sim::{
-    Context, FaultKind, FaultPlan, MetricsSnapshot, NodeId, Process, Scope, TraceRecorder, Window,
-    World, WorldConfig,
-};
+use tc_sim::{FaultKind, FaultPlan, Scope, Window, WorldConfig};
 
-use super::relay::GeoRelayEngine;
-use super::{GeoMigrationPlan, GeoShardConfig, RegionMap, WanProfile};
-use crate::client::replay_effects;
-use crate::engine::Event;
-use crate::oracle::{widened_bound, Conformance, OracleVerdict};
-use crate::{ClientNode, Msg, ProtocolConfig, PushBatch, RunConfig, ServerNode};
-
-/// A scripted client migration: global client `client` moves to
-/// `to_region` after completing `at_op` operations (drain → attach →
-/// resume, carrying cache and `Context_i`).
-#[derive(Clone, Copy, Debug)]
-pub struct Migration {
-    /// Global client index (`0 ≤ client < regions · clients_per_region`).
-    pub client: usize,
-    /// Operations to complete at the home region before moving.
-    pub at_op: usize,
-    /// Destination region.
-    pub to_region: usize,
-}
+use super::{Migration, RegionMap, WanProfile};
+use crate::harness::run_impl;
+use crate::oracle::{judge, widened_bound, Conformance};
+use crate::{ProtocolConfig, PushBatch, RunConfig, RunOptions, RunResult};
 
 /// Configuration of one geo run.
 #[derive(Clone, Debug)]
@@ -156,72 +132,6 @@ impl GeoRunConfig {
     }
 }
 
-/// Everything a geo run produces (the multi-region analogue of
-/// [`crate::RunResult`]).
-#[derive(Clone, Debug)]
-pub struct GeoRunResult {
-    /// The recorded execution across all regions; sites are global client
-    /// indices.
-    pub history: History,
-    /// Cost counters, including the `geo_*` family.
-    pub metrics: MetricsSnapshot,
-    /// Effective clock bound: world ε plus twice the plan's largest skew
-    /// (region skews included).
-    pub epsilon: Epsilon,
-    /// Events the simulator dispatched.
-    pub events: usize,
-    /// True time when the run went quiescent.
-    pub finished_at: Time,
-    /// Streaming on-time verdict, judged against the geo-widened bound
-    /// ([`widened_bound_geo`]) of this configuration and plan.
-    pub on_time: TimedReport,
-    /// The monitor's running `min_delta`: the smallest Δ for which the
-    /// recorded history is timed under the run's effective ε — the
-    /// *measured* cross-region staleness.
-    pub observed_staleness: Delta,
-    /// The geo-widened bound the monitor judged against (`None` for
-    /// untimed levels; the monitor then held trivially).
-    pub bound: Option<Delta>,
-}
-
-impl GeoRunResult {
-    /// Convenience: a named counter from the metrics.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.metrics.counters.get(name).copied().unwrap_or(0)
-    }
-}
-
-/// The simulated relay node: a [`GeoRelayEngine`] behind the same
-/// effect-replay plumbing as the other adapters.
-struct GeoRelayNode {
-    engine: GeoRelayEngine,
-}
-
-impl GeoRelayNode {
-    fn drive(&mut self, ctx: &mut Context<'_, Msg>, event: Event) {
-        let mut out = Vec::new();
-        self.engine.handle(event, &mut out);
-        replay_effects(ctx, None, out);
-    }
-}
-
-impl Process for GeoRelayNode {
-    type Msg = Msg;
-
-    fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
-        self.drive(ctx, Event::Restart);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
-        self.drive(ctx, Event::Timer { token });
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
-        self.drive(ctx, Event::Message { from, msg });
-    }
-}
-
 /// The geo-widened staleness bound for `config` under `plan` (see the
 /// module docs for the term-by-term derivation), or `None` when the
 /// level is untimed, a latency/outage/deadline term is unbounded, or the
@@ -276,94 +186,18 @@ pub fn widened_bound_geo(config: &GeoRunConfig, plan: &FaultPlan, eps: Epsilon) 
 }
 
 /// Judges one geo run the way [`crate::oracle::conformance`] judges a
-/// single-region run, with [`widened_bound_geo`] as the timed bound.
-/// `plan` must be the same plan passed to [`run_geo`] (pre-skew-merge:
-/// skew enters through `result.epsilon`).
+/// single-region run, with [`widened_bound_geo`] as the timed bound and
+/// causal convergence across every region's clients as the untimed
+/// guarantee. `plan` must be the same plan passed to [`run_geo`]
+/// (pre-skew-merge: skew enters through `result.epsilon`).
 #[must_use]
-pub fn conformance_geo(
-    config: &GeoRunConfig,
-    plan: &FaultPlan,
-    result: &GeoRunResult,
-) -> Conformance {
-    let eps = result.epsilon;
-    let ops_expected = config.n_clients() * config.ops_per_client;
-    let ops_recorded = result.history.len();
-    let observed = result.observed_staleness;
-    let bound = widened_bound_geo(config, plan, eps);
-    // Monitor/batch cross-checks, mirroring the single-region oracle: a
-    // checker that disagrees with itself cannot vouch for the run.
-    let mut monitor_mismatch: Option<String> = None;
-    let batch_observed = min_delta_eps(&result.history, eps);
-    if observed != batch_observed {
-        monitor_mismatch = Some(format!(
-            "monitor min_delta {} != batch checker {}",
-            observed.ticks(),
-            batch_observed.ticks()
-        ));
-    } else {
-        let batch = check_on_time(
-            &result.history,
-            result.on_time.delta(),
-            result.on_time.eps(),
-        );
-        if result.on_time != batch {
-            monitor_mismatch = Some(format!(
-                "monitor report diverges from the batch checker: \
-                 monitor found {} violation(s), batch found {}",
-                result.on_time.violations().len(),
-                batch.violations().len()
-            ));
-        }
-    }
-    if let Some(bound) = bound {
-        if result.on_time.delta() != bound && monitor_mismatch.is_none() {
-            monitor_mismatch = Some(format!(
-                "monitor judged Δ={} but the geo-widened bound for this \
-                 config and plan is {} — result does not match config/plan",
-                result.on_time.delta().ticks(),
-                bound.ticks()
-            ));
-        }
-    }
-
-    let mut violation: Option<String> = None;
-    let mut note = |broken: String| {
-        if violation.is_none() {
-            violation = Some(broken);
-        }
-    };
-    if let Some(m) = &monitor_mismatch {
-        note(format!("monitor/batch cross-check diverged: {m}"));
-    }
-    // Geo replication is causal-family only; the unconditional guarantee
-    // is causal convergence across every region's clients.
-    if satisfies_ccv(&result.history) != Outcome::Satisfied {
-        note("causal convergence (CCv) violated across regions".to_string());
-    }
-    if let Some(b) = bound {
-        if !result.on_time.holds() {
-            note(format!(
-                "timed bound broken: observed staleness {} exceeds geo-widened bound {} \
-                 (Δ-violating reads survived WAN propagation and the fault plan)",
-                observed.ticks(),
-                b.ticks()
-            ));
-        }
-    }
-
-    let verdict = match violation {
-        Some(v) => OracleVerdict::Violated(v),
-        None if ops_recorded < ops_expected => OracleVerdict::Stalled,
-        None => OracleVerdict::Conforms,
-    };
-    Conformance {
-        verdict,
-        observed_staleness: observed,
-        bound,
-        ops_recorded,
-        ops_expected,
-        monitor_mismatch,
-    }
+pub fn conformance_geo(config: &GeoRunConfig, plan: &FaultPlan, result: &RunResult) -> Conformance {
+    judge(
+        result,
+        widened_bound_geo(config, plan, result.epsilon),
+        config.n_clients() * config.ops_per_client,
+        true,
+    )
 }
 
 /// Runs one geo deployment to quiescence under an injected [`FaultPlan`]
@@ -372,166 +206,53 @@ pub fn conformance_geo(
 ///
 /// # Panics
 ///
-/// Panics if the protocol is not causal-family, the shard counts
-/// disagree, a migration is out of range or scheduled at/after the
-/// workload's end, the run fails to quiesce within its event budget, or
-/// the protocol produced an invalid trace.
+/// As [`run_geo_with`].
 #[must_use]
-pub fn run_geo(config: &GeoRunConfig, plan: FaultPlan) -> GeoRunResult {
-    let map = config.regions;
+pub fn run_geo(config: &GeoRunConfig, plan: FaultPlan) -> RunResult {
+    run_geo_with(
+        config,
+        RunOptions {
+            plan,
+            ..RunOptions::default()
+        },
+    )
+}
+
+/// Runs one geo deployment to quiescence as `opts` asks — everything
+/// [`crate::run_with`] offers a flat fleet (WAL stores, adaptive Δ,
+/// traces, private sources) composes with regions.
+///
+/// # Panics
+///
+/// Panics if the protocol is not causal-family, the shard counts
+/// disagree, the migration script is invalid
+/// ([`RegionMap::validate_migrations`]), the run fails to quiesce within
+/// its event budget, or the protocol produced an invalid trace.
+#[must_use]
+pub fn run_geo_with(config: &GeoRunConfig, opts: RunOptions<'_>) -> RunResult {
     assert!(
         config.protocol.kind.is_causal_family(),
         "geo replication composes causally; physical-family levels cannot span regions"
     );
     assert_eq!(
-        config.protocol.shards, map.shards_per_region,
+        config.protocol.shards, config.regions.shards_per_region,
         "protocol shard count must match the per-region fleet size"
     );
     assert!(config.clients_per_region >= 1, "regions need clients");
-    for m in &config.migrations {
-        assert!(m.client < config.n_clients(), "migration client in range");
-        assert!(m.to_region < map.regions, "migration region in range");
-        assert!(
-            m.at_op < config.ops_per_client,
-            "a migration must fire before the client's workload ends"
-        );
-    }
-    let plan = config.plan_with_region_skew(plan);
-    let faulted = plan.max_disruption().is_none_or(|d| d.ticks() > 0);
-
-    let mut world: World<Msg> = World::new(config.world.clone());
-    let epsilon = Epsilon::from_ticks(world.epsilon().ticks() + 2 * plan.max_abs_skew());
-    let bound = widened_bound_geo(config, &plan, epsilon);
-    let monitor_delta = bound.unwrap_or(Delta::INFINITE);
-    let mut initial_recorder = TraceRecorder::new();
-    initial_recorder.attach_monitor(monitor_delta, epsilon);
-    let recorder = Rc::new(RefCell::new(initial_recorder));
-
-    // Shards, region-major (the layout asserts keep RegionMap honest).
-    for region in 0..map.regions {
-        for shard in 0..map.shards_per_region {
-            let geo = GeoShardConfig {
-                region: region as u32,
-                local_relay: NodeId::new(map.relay_node(region)),
-                peer_relays: (0..map.regions)
-                    .filter(|&r| r != region)
-                    .map(|r| NodeId::new(map.relay_node(r)))
-                    .collect(),
-                client_base: map.client_base(),
-                batch: config.geo_batch,
-                retx_after: config.geo_retx_after,
-            };
-            let id = world.add_node(ServerNode::new(config.protocol).with_geo(geo));
-            assert_eq!(id.index(), map.shard_node(region, shard));
-        }
-    }
-    // Relays.
-    for region in 0..map.regions {
-        let fleet = map
-            .region_shards(region)
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        let id = world.add_node(GeoRelayNode {
-            engine: GeoRelayEngine::new(fleet, config.n_clients(), config.geo_retx_after),
-        });
-        assert_eq!(id.index(), map.relay_node(region));
-    }
-    // Clients, attached to their home region's fleet.
-    let n_clients = config.n_clients();
-    for site in 0..n_clients {
-        let home = config.home_region(site);
-        let servers: Vec<NodeId> = map
-            .region_shards(home)
-            .into_iter()
-            .map(NodeId::new)
-            .collect();
-        let mut node = ClientNode::new(
-            config.protocol,
-            servers,
-            site,
-            n_clients,
-            config.workload.clone(),
-            config.ops_per_client,
-            recorder.clone(),
-        );
-        if let Some(m) = config.migrations.iter().find(|m| m.client == site) {
-            node = node.with_migration(GeoMigrationPlan {
-                at_op: m.at_op,
-                relay: NodeId::new(map.relay_node(m.to_region)),
-                servers: map
-                    .region_shards(m.to_region)
-                    .into_iter()
-                    .map(NodeId::new)
-                    .collect(),
-            });
-        }
-        let id = world.add_node(node);
-        assert_eq!(id.index(), map.client_base() + site);
-    }
-    // WAN latency on every link the geo protocol crosses: shard → peer
-    // relay (batches) and peer relay → shard (acks).
-    for a in 0..map.regions {
-        for b in 0..map.regions {
-            if a == b {
-                continue;
-            }
-            for s in 0..map.shards_per_region {
-                let shard = map.shard_node(a, s);
-                let relay = map.relay_node(b);
-                world.set_link_model(shard, relay, config.wan.link(a, b));
-                world.set_link_model(relay, shard, config.wan.link(b, a));
-            }
-        }
-    }
-    world.set_fault_plan(plan);
-    // Geo runs fan every write out to R−1 regions (batch, ack, apply,
-    // ack, relay notify), so the per-op event budget scales with the
-    // region count on top of the single-region harness's allowance.
-    let base_budget = n_clients * config.ops_per_client * 400 * map.regions + 20_000;
-    let budget = if faulted {
-        base_budget * 4
-    } else {
-        base_budget
-    };
-    let events = world.run_to_quiescence(budget);
-    let finished_at = world.now();
-    let mut metrics = world.metrics().snapshot();
-    drop(world);
-    let recorder = Rc::try_unwrap(recorder)
-        .expect("all clients dropped with the world")
-        .into_inner();
-    let monitor = recorder.monitor().expect("geo harness attaches a monitor");
-    let observed_staleness = monitor.min_delta();
-    let late_writes = monitor.late_writes();
-    let (history, report) = recorder
-        .finish_with_report()
-        .expect("protocol produced an invalid trace");
-    let on_time = report.expect("geo harness attaches a monitor");
-    metrics.counters.insert(
-        names::ON_TIME_VIOLATIONS.to_string(),
-        on_time.violations().len() as u64,
+    config.regions.validate_migrations(
+        &config.migrations,
+        config.n_clients(),
+        config.ops_per_client,
     );
-    metrics
-        .counters
-        .insert(names::MONITOR_LATE_WRITES.to_string(), late_writes);
-    GeoRunResult {
-        history,
-        metrics,
-        epsilon,
-        events,
-        finished_at,
-        on_time,
-        observed_staleness,
-        bound,
-    }
+    run_impl(&config.base_run_config(), Some(config), opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProtocolKind;
-    use tc_core::checker::satisfies_ccv;
+    use crate::{OracleVerdict, ProtocolKind};
+    use tc_core::checker::{satisfies_ccv, Outcome};
+    use tc_sim::metrics::names;
 
     fn geo_config(kind: ProtocolKind, seed: u64) -> GeoRunConfig {
         GeoRunConfig {

@@ -56,9 +56,7 @@ use crate::PushBatch;
 mod harness;
 mod relay;
 
-pub use harness::{
-    conformance_geo, run_geo, widened_bound_geo, GeoRunConfig, GeoRunResult, Migration,
-};
+pub use harness::{conformance_geo, run_geo, run_geo_with, widened_bound_geo, GeoRunConfig};
 pub use relay::GeoRelayEngine;
 
 /// The node-id layout of a geo deployment: `R·S` shards (region-major),
@@ -126,6 +124,82 @@ impl RegionMap {
         (0..self.shards_per_region)
             .map(|s| self.shard_node(region, s))
             .collect()
+    }
+
+    /// The addresses of `region`'s shard fleet, in shard order — what a
+    /// client attached there, or the region's relay, speaks to.
+    #[must_use]
+    pub fn fleet(&self, region: usize) -> Vec<NodeId> {
+        self.region_shards(region)
+            .into_iter()
+            .map(NodeId::new)
+            .collect()
+    }
+
+    /// The geo wiring of every shard of `region`: its own relay, one
+    /// outgoing channel per peer region, and the egress discipline.
+    #[must_use]
+    pub fn shard_config(
+        &self,
+        region: usize,
+        batch: PushBatch,
+        retx_after: Delta,
+    ) -> GeoShardConfig {
+        GeoShardConfig {
+            region: region as u32,
+            local_relay: NodeId::new(self.relay_node(region)),
+            peer_relays: (0..self.regions)
+                .filter(|&r| r != region)
+                .map(|r| NodeId::new(self.relay_node(r)))
+                .collect(),
+            client_base: self.client_base(),
+            batch,
+            retx_after,
+        }
+    }
+
+    /// The engine-level plan of `site`'s scripted move, if `migrations`
+    /// holds one.
+    #[must_use]
+    pub fn migration_plan(
+        &self,
+        migrations: &[Migration],
+        site: usize,
+    ) -> Option<GeoMigrationPlan> {
+        let m = migrations.iter().find(|m| m.client == site)?;
+        Some(GeoMigrationPlan {
+            at_op: m.at_op,
+            relay: NodeId::new(self.relay_node(m.to_region)),
+            servers: self.fleet(m.to_region),
+        })
+    }
+
+    /// Checks a migration script against the deployment it will run on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a migration names a client or region out of range, is
+    /// scheduled at or after the workload's end, or is the second one for
+    /// its client (a client moves at most once).
+    pub fn validate_migrations(
+        &self,
+        migrations: &[Migration],
+        n_clients: usize,
+        ops_per_client: usize,
+    ) {
+        for (i, m) in migrations.iter().enumerate() {
+            assert!(m.client < n_clients, "migration client in range");
+            assert!(m.to_region < self.regions, "migration region in range");
+            assert!(
+                m.at_op < ops_per_client,
+                "a migration must fire before the client's workload ends"
+            );
+            assert!(
+                migrations[..i].iter().all(|other| other.client != m.client),
+                "client {} has more than one migration scheduled",
+                m.client
+            );
+        }
     }
 }
 
@@ -239,6 +313,19 @@ pub struct GeoShardConfig {
     pub retx_after: Delta,
 }
 
+/// A scripted client migration: global client `client` moves to
+/// `to_region` after completing `at_op` operations (drain → attach →
+/// resume, carrying cache and `Context_i`).
+#[derive(Clone, Copy, Debug)]
+pub struct Migration {
+    /// Global client index (`0 ≤ client < regions · clients_per_region`).
+    pub client: usize,
+    /// Operations to complete at the home region before moving.
+    pub at_op: usize,
+    /// Destination region.
+    pub to_region: usize,
+}
+
 /// A client's scripted region move: after `at_op` completed operations it
 /// drains its in-flight writes, attaches to `relay`, and continues
 /// against `servers` (the destination region's fleet) — carrying its
@@ -277,6 +364,18 @@ mod tests {
         assert_eq!(m.region_of(8), Some(2));
         assert_eq!(m.region_of(9), None);
         assert_eq!(m.region_shards(1), vec![2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "client 1 has more than one migration")]
+    fn a_client_moves_at_most_once() {
+        // The sim used to take the first and the threaded driver the last.
+        let moves = [(3, 1), (5, 2)].map(|(at_op, to_region)| Migration {
+            client: 1,
+            at_op,
+            to_region,
+        });
+        RegionMap::new(3, 2).validate_migrations(&moves, 6, 10);
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! One-call simulation harness: build a world, run a protocol under a
-//! workload, return the recorded history plus cost metrics.
+//! One-call simulation harness: build a world — one shard fleet, or one
+//! per region with relays and WAN links between them — run a protocol
+//! under a workload, return the recorded history plus cost metrics.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -14,13 +15,16 @@ use tc_sim::{
     WorldConfig,
 };
 
-use crate::control::{widen, ControllerConfig, DeltaController, DeltaSchedule};
+use crate::client::ClientNode;
+use crate::control::{ControlPolicy, ControllerConfig, DeltaSchedule, Readings};
+use crate::geo::{widened_bound_geo, GeoRelayEngine, GeoRunConfig};
+use crate::infra::InfraNode;
 use crate::oracle::widened_bound;
 use crate::store::ShardStore;
-use crate::{ClientNode, Msg, ProtocolConfig, ServerNode};
+use crate::{Msg, ProtocolConfig, ServerEngine};
 
-/// A per-shard store builder: called once per shard index to construct the
-/// [`ShardStore`] backend that shard's engine runs over.
+/// A per-shard store builder: called once per shard node index to
+/// construct the [`ShardStore`] backend that shard's engine runs over.
 pub type StoreFactory<'a> = &'a dyn Fn(usize) -> Box<dyn ShardStore>;
 
 /// Configuration of one simulation run.
@@ -38,38 +42,78 @@ pub struct RunConfig {
     pub world: WorldConfig,
 }
 
+/// What a run does beyond its configuration; the default is a fault-free,
+/// static-Δ, untraced run over in-memory stores and the world's shared
+/// sources. Every combination composes, on a flat fleet ([`run_with`])
+/// and a geo deployment ([`crate::run_geo_with`]) alike.
+#[derive(Default)]
+pub struct RunOptions<'a> {
+    /// Faults to inject. Node indices follow the harness layout: the
+    /// shards first (`0..protocol.shards`; region-major under geo,
+    /// followed by one relay per region), then the client sites. Plans
+    /// whose faults never heal (an unbounded partition, a crash with no
+    /// restart, 100% drop forever) make the protocol retry past the event
+    /// budget — quiescence requires the plan to eventually let messages
+    /// through.
+    pub plan: FaultPlan,
+    /// When set, clients draw their workload and written values from
+    /// [`crate::engine::PrivateSources`] seeded with it instead of the
+    /// world's shared RNG and the recorder's shared value counter — see
+    /// [`run_with_private_sources`].
+    pub private_seed: Option<u64>,
+    /// When set, every shard's engine is built over `stores(node)` (e.g.
+    /// `tc-durable`'s WAL store), called once per shard in node order.
+    pub stores: Option<StoreFactory<'a>>,
+    /// When set, a controller node ticks every `interval`, retuning Δ
+    /// from the streaming monitor's running `min_delta` and the run's
+    /// backpressure signals ([`ControlPolicy`]), and broadcasting
+    /// [`Msg::DeltaUpdate`] commands to every client. Needs a timed
+    /// protocol kind (`Tsc` or `Tcc`).
+    pub adaptive: Option<ControllerConfig>,
+    /// Capture every send, delivery and timer fire into
+    /// [`RunResult::net_events`], ready for `tc-trace`.
+    pub traced: bool,
+}
+
 /// Everything a run produces.
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// The recorded execution, ready for the `tc-core` checkers. Sites are
-    /// client indices.
+    /// client indices (global across regions).
     pub history: History,
     /// Protocol cost counters (fetches, validations, invalidations, cache
-    /// hits, messages, …).
+    /// hits, messages, the `geo_*` family, …).
     pub metrics: MetricsSnapshot,
-    /// The clock-synchronization bound of the run.
+    /// The run's *effective* clock bound: the world's ε plus twice the
+    /// plan's largest injected skew (region skews included), which is what
+    /// Definition 2 checkers must be given for a faulted run.
     pub epsilon: Epsilon,
     /// Events the simulator dispatched.
     pub events: usize,
     /// True time when the run went quiescent.
     pub finished_at: Time,
     /// Streaming on-time verdict, judged while the run executed by the
-    /// recorder's [`tc_core::checker::OnTimeMonitor`]. The Δ is the
-    /// fault-widened staleness bound of the run's configuration and plan
-    /// ([`crate::oracle::widened_bound`]), or [`Delta::INFINITE`] when the
-    /// level is untimed or the bound is unbounded (then the report holds
-    /// trivially but `observed_staleness` is still exact).
+    /// recorder's [`tc_core::checker::OnTimeMonitor`] at
+    /// [`RunResult::bound`], or at [`Delta::INFINITE`] when there is none
+    /// (then the report holds trivially but `observed_staleness` is still
+    /// exact).
     pub on_time: TimedReport,
     /// The monitor's running `min_delta`: the smallest Δ for which the
     /// recorded history is timed under the run's effective ε.
     pub observed_staleness: Delta,
+    /// The fault-widened staleness bound of the run's configuration and
+    /// plan — [`crate::oracle::widened_bound`], or
+    /// [`crate::widened_bound_geo`] for a geo run; `None` when the level
+    /// is untimed or the bound is unbounded.
+    pub bound: Option<Delta>,
     /// The Δ-schedule the adaptive controller committed to (`None` for
     /// static-Δ runs). When present, [`RunResult::on_time`] was judged
-    /// against this schedule (each threshold widened by the same margin as
-    /// the static bound), not against a scalar.
+    /// against this schedule — every read against the Δ in force at its
+    /// own instant, each threshold widened by the same margin as the
+    /// static bound — not against a scalar.
     pub delta_schedule: Option<DeltaSchedule>,
     /// Wire-level events captured for timeline export (`None` unless the
-    /// run was traced, e.g. via [`run_adaptive_traced`]).
+    /// run was [`RunOptions::traced`]).
     pub net_events: Option<Vec<NetEvent>>,
 }
 
@@ -103,91 +147,24 @@ impl RunResult {
 /// this harness exists to surface.
 #[must_use]
 pub fn run(config: &RunConfig) -> RunResult {
-    run_with_faults(config, FaultPlan::none())
+    run_with(config, RunOptions::default())
 }
 
-/// Runs one simulation to quiescence under an injected [`FaultPlan`].
-///
-/// Node indices in the plan follow the harness layout: nodes
-/// `0..protocol.shards` are the server shards (node 0 is *the* server in a
-/// single-shard run), the following `n_clients` nodes are the client
-/// sites.
-///
-/// The returned [`RunResult::epsilon`] is the run's *effective* clock
-/// bound: the world's ε plus twice the plan's largest injected skew, which
-/// is what Definition 2 checkers must be given for a faulted run.
+/// Runs one simulation to quiescence under an injected [`FaultPlan`]
+/// ([`RunOptions::plan`]).
 ///
 /// # Panics
 ///
-/// As [`run`]; additionally, plans whose faults never heal (an unbounded
-/// partition, a crash with no restart, 100% drop forever) make the
-/// protocol retry past the event budget — quiescence requires the plan to
-/// eventually let messages through.
+/// As [`run_with`].
 #[must_use]
 pub fn run_with_faults(config: &RunConfig, plan: FaultPlan) -> RunResult {
-    run_impl(config, plan, None, None, None, false)
-}
-
-/// Runs one simulation with the adaptive Δ control plane enabled: a
-/// [`DeltaController`] node ticks every `ctrl.interval`, retuning Δ from
-/// the streaming monitor's running `min_delta` and the run's backpressure
-/// signals, and broadcasting [`Msg::DeltaUpdate`] commands to every
-/// client. The returned [`RunResult::delta_schedule`] is the judged
-/// schedule; [`RunResult::on_time`] holds iff every read was on time
-/// against the Δ *in force at its own instant* (widened by the same
-/// fault/latency margin as a static run's bound).
-///
-/// # Panics
-///
-/// As [`run_with_faults`]; additionally if the protocol kind carries no Δ
-/// (adaptive control needs a timed level: `Tsc` or `Tcc`).
-#[must_use]
-pub fn run_adaptive(config: &RunConfig, plan: FaultPlan, ctrl: ControllerConfig) -> RunResult {
-    run_impl(config, plan, None, None, Some(ctrl), false)
-}
-
-/// [`run_adaptive`] with wire-event capture for timeline export:
-/// [`RunResult::net_events`] carries every send, delivery, and timer fire
-/// of the run, ready for `tc-trace`.
-///
-/// # Panics
-///
-/// As [`run_adaptive`].
-#[must_use]
-pub fn run_adaptive_traced(
-    config: &RunConfig,
-    plan: FaultPlan,
-    ctrl: ControllerConfig,
-) -> RunResult {
-    run_impl(config, plan, None, None, Some(ctrl), true)
-}
-
-/// Runs one (static-Δ) simulation with wire-event capture for timeline
-/// export (see [`RunResult::net_events`]).
-///
-/// # Panics
-///
-/// As [`run_with_faults`].
-#[must_use]
-pub fn run_traced(config: &RunConfig, plan: FaultPlan) -> RunResult {
-    run_impl(config, plan, None, None, None, true)
-}
-
-/// Runs one simulation to quiescence under an injected [`FaultPlan`], with
-/// every shard's engine built over a caller-provided [`ShardStore`] backend
-/// (e.g. `tc-durable`'s WAL store). `factory(shard)` is called once per
-/// shard, in shard order. Pass-through of [`run_with_faults`] otherwise.
-///
-/// # Panics
-///
-/// As [`run_with_faults`].
-#[must_use]
-pub fn run_with_stores(
-    config: &RunConfig,
-    plan: FaultPlan,
-    factory: StoreFactory<'_>,
-) -> RunResult {
-    run_impl(config, plan, None, Some(factory), None, false)
+    run_with(
+        config,
+        RunOptions {
+            plan,
+            ..RunOptions::default()
+        },
+    )
 }
 
 /// Runs one fault-free simulation whose clients draw their workload and
@@ -204,48 +181,44 @@ pub fn run_with_stores(
 /// byte-identical.
 #[must_use]
 pub fn run_with_private_sources(config: &RunConfig, base_seed: u64) -> RunResult {
-    run_impl(
+    run_with(
         config,
-        FaultPlan::none(),
-        Some(base_seed),
-        None,
-        None,
-        false,
+        RunOptions {
+            private_seed: Some(base_seed),
+            ..RunOptions::default()
+        },
     )
+}
+
+/// Runs one simulation to quiescence as `opts` asks.
+///
+/// # Panics
+///
+/// As [`run`]; additionally if `opts.adaptive` is set and the protocol
+/// kind carries no Δ.
+#[must_use]
+pub fn run_with(config: &RunConfig, opts: RunOptions<'_>) -> RunResult {
+    run_impl(config, None, opts)
 }
 
 /// The controller's timer token — distinct from every engine token (the
 /// controller node owns its own timer namespace anyway).
 const TIMER_CONTROLLER: u64 = 0xAD_AF;
 
-/// The simulated control-plane node: hosts a [`DeltaController`], reads
-/// the run's streaming monitor and metrics each tick, broadcasts
-/// [`Msg::DeltaUpdate`] commands, and forwards the judged schedule into
-/// the monitor.
+/// The simulated control-plane node: feeds a [`ControlPolicy`] the run's
+/// streaming monitor and retry counter each tick, installs its schedule
+/// changes in the monitor, and broadcasts its commands.
 struct ControllerNode {
-    controller: DeltaController,
+    policy: ControlPolicy,
     clients: Vec<NodeId>,
     recorder: Rc<RefCell<TraceRecorder>>,
-    /// Widening margin added to every judged threshold — the same
-    /// fault/latency margin the static monitor bound carries over the
-    /// configured Δ.
-    widening: Delta,
-    /// Ops the workload will record in total; the controller stops
-    /// re-arming once the monitor has ingested them all (so the world can
-    /// quiesce).
-    expected_ops: usize,
-    last_violations: usize,
-    last_retries: u64,
-    /// The judged schedule, shared with the harness (the world owns the
-    /// node, so results are passed out by cell).
-    schedule_out: Rc<RefCell<DeltaSchedule>>,
 }
 
 impl Process for ControllerNode {
     type Msg = Msg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.set_timer(self.controller.config().interval, TIMER_CONTROLLER);
+        ctx.set_timer(self.policy.interval(), TIMER_CONTROLLER);
     }
 
     fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, _msg: Msg) {
@@ -253,149 +226,184 @@ impl Process for ControllerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _token: u64) {
-        let (observed, violations, ingested) = {
+        let readings = {
             let rec = self.recorder.borrow();
             let m = rec.monitor().expect("harness always attaches a monitor");
-            (m.min_delta(), m.violations().len(), m.ingested())
+            Readings {
+                observed: m.min_delta(),
+                violations: m.violations().len(),
+                ingested: m.ingested(),
+                retries: ctx.metrics().get(names::RETRY),
+            }
         };
-        // Backpressure: new Δ violations against the widened schedule, or
-        // new client retries (lost/slow messages) since the last tick.
-        let retries = ctx.metrics().get(names::RETRY);
-        let pressure = violations > self.last_violations || retries > self.last_retries;
-        self.last_violations = violations;
-        self.last_retries = retries;
-        let prev = self.controller.current();
-        if let Some(cmd) = self.controller.tick(ctx.true_now(), observed, pressure) {
+        let decision = self.policy.sample(ctx.true_now(), readings);
+        if let Some(change) = decision.change {
             ctx.metrics().incr(names::DELTA_UPDATE);
-            ctx.metrics().incr(if cmd.delta < prev {
+            ctx.metrics().incr(if change.tightened {
                 names::DELTA_TIGHTEN
             } else {
                 names::DELTA_RELAX
             });
             self.recorder
                 .borrow_mut()
-                .monitor_schedule_change(cmd.judge_from, widen(cmd.delta, self.widening));
-            self.schedule_out
-                .borrow_mut()
-                .clone_from(self.controller.schedule());
+                .monitor_schedule_change(change.judge_from, change.threshold);
         }
-        // (Re-)broadcast the current command every tick — idempotent per
-        // seq, so a client that missed one (drop, outage) hears the next.
-        if self.controller.seq() > 0 {
+        if let Some(msg) = decision.broadcast {
             for &c in &self.clients {
-                ctx.send(
-                    c,
-                    Msg::DeltaUpdate {
-                        seq: self.controller.seq(),
-                        delta: self.controller.current(),
-                    },
-                );
+                ctx.send(c, msg.clone());
             }
         }
-        if ingested < self.expected_ops {
-            ctx.set_timer(self.controller.config().interval, TIMER_CONTROLLER);
+        // Stop re-arming once every op is in, so the world can quiesce.
+        if decision.keep_sampling {
+            ctx.set_timer(self.policy.interval(), TIMER_CONTROLLER);
         }
     }
 }
 
-fn run_impl(
+/// The one world builder, runner and result assembler. Node order is
+/// shards → relays (geo only) → clients → controller (adaptive only), so
+/// a flat run is exactly the no-geo case: same node ids, same `add_node`
+/// RNG draws.
+pub(crate) fn run_impl(
     config: &RunConfig,
-    plan: FaultPlan,
-    private_seed: Option<u64>,
-    stores: Option<StoreFactory<'_>>,
-    adaptive: Option<ControllerConfig>,
-    traced: bool,
+    geo: Option<&GeoRunConfig>,
+    opts: RunOptions<'_>,
 ) -> RunResult {
+    let RunOptions {
+        plan,
+        private_seed,
+        stores,
+        adaptive,
+        traced,
+    } = opts;
+    let plan = match geo {
+        Some(geo) => geo.plan_with_region_skew(plan),
+        None => plan,
+    };
     let mut world: World<Msg> = World::new(config.world.clone());
     // The effective ε and the fault-widened bound are both fixed before
     // the run (the world's ε comes from its clock config, the widening
     // from the plan), so the recorder can judge on-time behaviour online.
     let epsilon = Epsilon::from_ticks(world.epsilon().ticks() + 2 * plan.max_abs_skew());
-    let monitor_delta = widened_bound(config, &plan, epsilon).unwrap_or(Delta::INFINITE);
+    let bound = match geo {
+        Some(geo) => widened_bound_geo(geo, &plan, epsilon),
+        None => widened_bound(config, &plan, epsilon),
+    };
+    let monitor_delta = bound.unwrap_or(Delta::INFINITE);
     let mut initial_recorder = TraceRecorder::new();
     initial_recorder.attach_monitor(monitor_delta, epsilon);
     if traced {
         initial_recorder.enable_net_log();
     }
     let recorder = Rc::new(RefCell::new(initial_recorder));
-    // The fleet first (nodes 0..shards; with one shard this is exactly the
-    // historical "node 0 is the server" layout), then the clients.
-    let servers: Vec<_> = (0..config.protocol.shards)
-        .map(|shard| {
-            let node = match stores {
-                None => ServerNode::new(config.protocol),
-                Some(factory) => ServerNode::with_store(config.protocol, factory(shard)),
+    let net_log = || traced.then(|| recorder.clone());
+
+    // One fleet per region, region-major (a flat run is one region; with
+    // one shard this is the historical "node 0 is the server" layout).
+    let regions = geo.map_or(1, |geo| geo.regions.regions);
+    let mut fleets: Vec<Vec<NodeId>> = Vec::with_capacity(regions);
+    for region in 0..regions {
+        let fleet = (0..config.protocol.shards).map(|shard| {
+            let index = region * config.protocol.shards + shard;
+            let mut engine = match stores {
+                None => ServerEngine::new(config.protocol),
+                Some(factory) => ServerEngine::with_store(config.protocol, factory(index)),
             };
-            let node = if traced {
-                node.with_recorder(recorder.clone())
-            } else {
-                node
-            };
-            world.add_node(node)
-        })
-        .collect();
+            if let Some(geo) = geo {
+                engine = engine.with_geo(geo.regions.shard_config(
+                    region,
+                    geo.geo_batch,
+                    geo.geo_retx_after,
+                ));
+            }
+            world.add_node(InfraNode::new(
+                move |event, out| engine.handle(event, out),
+                net_log(),
+            ))
+        });
+        fleets.push(fleet.collect());
+    }
+    if let Some(geo) = geo {
+        for (region, fleet) in fleets.iter().enumerate() {
+            // The layout asserts keep RegionMap — which the engines
+            // address each other through — honest.
+            assert_eq!(*fleet, geo.regions.fleet(region));
+            let mut relay =
+                GeoRelayEngine::new(fleet.clone(), config.n_clients, geo.geo_retx_after);
+            let id = world.add_node(InfraNode::new(
+                move |event, out| relay.handle(event, out),
+                net_log(),
+            ));
+            assert_eq!(id.index(), geo.regions.relay_node(region));
+        }
+    }
     let mut clients = Vec::with_capacity(config.n_clients);
     for site in 0..config.n_clients {
-        let node = ClientNode::new(
+        let home = geo.map_or(0, |geo| geo.home_region(site));
+        let mut node = ClientNode::new(
             config.protocol,
-            servers.clone(),
+            fleets[home].clone(),
             site,
             config.n_clients,
             config.workload.clone(),
             config.ops_per_client,
             recorder.clone(),
         );
-        let node = match private_seed {
-            None => node,
-            Some(base_seed) => node.with_private_sources(base_seed, site, config.n_clients),
-        };
+        if let Some(base_seed) = private_seed {
+            node = node.with_private_sources(base_seed, site, config.n_clients);
+        }
+        if let Some(plan) = geo.and_then(|geo| geo.regions.migration_plan(&geo.migrations, site)) {
+            node = node.with_migration(plan);
+        }
         clients.push(world.add_node(node));
     }
+    if let Some(geo) = geo {
+        let map = geo.regions;
+        assert_eq!(clients[0].index(), map.client_base());
+        // WAN latency on every link the geo protocol crosses: shard →
+        // peer relay (batches) and peer relay → shard (acks).
+        for a in 0..map.regions {
+            for b in (0..map.regions).filter(|&b| b != a) {
+                for shard in map.region_shards(a) {
+                    let relay = map.relay_node(b);
+                    world.set_link_model(shard, relay, geo.wan.link(a, b));
+                    world.set_link_model(relay, shard, geo.wan.link(b, a));
+                }
+            }
+        }
+    }
     let expected_ops = config.n_clients * config.ops_per_client;
-    let schedule_out = adaptive.map(|ctrl| {
-        let base = config
-            .protocol
-            .kind
-            .delta()
-            .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
-        // The judged schedule widens each commanded Δ by the same margin
-        // the static monitor bound carries over the configured Δ.
-        let widening = if monitor_delta.is_infinite() {
-            Delta::INFINITE
-        } else {
-            Delta::from_ticks(monitor_delta.ticks() - base.ticks())
-        };
-        let out = Rc::new(RefCell::new(DeltaSchedule::fixed(base)));
+    let controller = adaptive.map(|ctrl| {
         world.add_node(ControllerNode {
-            controller: DeltaController::new(ctrl, base),
+            policy: ControlPolicy::new(ctrl, config.protocol.kind, monitor_delta, expected_ops),
             clients,
             recorder: recorder.clone(),
-            widening,
-            expected_ops,
-            last_violations: 0,
-            last_retries: 0,
-            schedule_out: out.clone(),
-        });
-        out
+        })
     });
     let faulted = !plan.is_empty();
     world.set_fault_plan(plan);
-    // Every op costs at most a handful of events even with retries; faulted
-    // runs retry more and ride out outage windows, so give them headroom.
-    // Controller ticks and command broadcasts ride on top for adaptive
-    // runs.
-    let base_budget = config.n_clients * config.ops_per_client * 200 + 10_000;
-    let mut budget = if faulted {
-        base_budget * 4
-    } else {
-        base_budget
+    // Every op costs at most a handful of events even with retries; a geo
+    // run fans every write out to R−1 regions (batch, ack, apply, ack,
+    // relay notify) on top. Faulted runs retry more and ride out outage
+    // windows; controller ticks and command broadcasts ride on top for
+    // adaptive runs.
+    let mut budget = match geo {
+        None => expected_ops * 200 + 10_000,
+        Some(_) => expected_ops * 400 * regions + 20_000,
     };
-    if schedule_out.is_some() {
+    if faulted {
+        budget *= 4;
+    }
+    if controller.is_some() {
         budget *= 4;
     }
     let events = world.run_to_quiescence(budget);
     let finished_at = world.now();
     let mut metrics = world.metrics().snapshot();
+    let delta_schedule = controller.map(|id| {
+        let node: &ControllerNode = world.node(id).expect("the controller node");
+        node.policy.schedule().clone()
+    });
     drop(world);
     let mut recorder = Rc::try_unwrap(recorder)
         .expect("all clients dropped with the world")
@@ -417,11 +425,6 @@ fn run_impl(
     metrics
         .counters
         .insert(names::MONITOR_LATE_WRITES.to_string(), late_writes);
-    let delta_schedule = schedule_out.map(|s| {
-        Rc::try_unwrap(s)
-            .expect("controller dropped with the world")
-            .into_inner()
-    });
     RunResult {
         history,
         metrics,
@@ -430,6 +433,7 @@ fn run_impl(
         finished_at,
         on_time,
         observed_staleness,
+        bound,
         delta_schedule,
         net_events,
     }

@@ -69,27 +69,25 @@ pub mod control;
 pub mod engine;
 pub mod geo;
 mod harness;
+mod infra;
 mod msg;
 pub mod oracle;
-mod server;
 pub mod store;
 
-pub use client::ClientNode;
 pub use config::{
     DurabilityMode, FsyncPolicy, Propagation, ProtocolConfig, ProtocolKind, PushBatch, StalePolicy,
     DEFAULT_RETRY_AFTER,
 };
-pub use control::{ControllerConfig, DeltaCommand, DeltaController, DeltaSchedule};
+pub use control::{ControlPolicy, ControllerConfig, DeltaCommand, DeltaController, DeltaSchedule};
 pub use engine::{ClientEngine, ServerEngine, ShardMap};
 pub use geo::{
-    conformance_geo, run_geo, widened_bound_geo, GeoMigrationPlan, GeoRelayEngine, GeoRunConfig,
-    GeoRunResult, GeoShardConfig, Migration, RegionMap, WanProfile,
+    conformance_geo, run_geo, run_geo_with, widened_bound_geo, GeoMigrationPlan, GeoRelayEngine,
+    GeoRunConfig, GeoShardConfig, Migration, RegionMap, WanProfile,
 };
 pub use harness::{
-    run, run_adaptive, run_adaptive_traced, run_traced, run_with_faults, run_with_private_sources,
-    run_with_stores, RunConfig, RunResult, StoreFactory,
+    run, run_with, run_with_faults, run_with_private_sources, RunConfig, RunOptions, RunResult,
+    StoreFactory,
 };
 pub use msg::{GeoWrite, InvalidateEntry, Msg, ValidateOutcome, WireVersion};
 pub use oracle::{conformance, Conformance, OracleVerdict};
-pub use server::ServerNode;
 pub use store::{MemStore, Recovery, ShardImage, ShardStore, StoredVersion, WalRecord};

@@ -175,24 +175,38 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
 
 /// Judges one run against the guarantees its configuration promises,
 /// widened by what `plan` may legitimately cost. `result` must come from
-/// [`crate::harness::run_with_faults`] with the same `config` and `plan`
-/// (its `epsilon` already includes injected skew).
+/// [`crate::run_with`] with the same `config` and `plan` (its `epsilon`
+/// already includes injected skew).
 #[must_use]
 pub fn conformance(config: &RunConfig, plan: &FaultPlan, result: &RunResult) -> Conformance {
+    judge(
+        result,
+        widened_bound(config, plan, result.epsilon),
+        config.n_clients * config.ops_per_client,
+        config.protocol.kind.is_causal_family(),
+    )
+}
+
+/// The one judge behind [`conformance`] and [`crate::conformance_geo`]:
+/// `bound` is the widened bound the caller's config and plan promise,
+/// `ops_expected` what the workload was to perform, and `causal` selects
+/// the untimed guarantee (causal convergence, else SC).
+pub(crate) fn judge(
+    result: &RunResult,
+    bound: Option<Delta>,
+    ops_expected: usize,
+    causal: bool,
+) -> Conformance {
     let eps = result.epsilon;
-    let ops_expected = config.n_clients * config.ops_per_client;
     let ops_recorded = result.history.len();
     // The harness's streaming monitor already judged every read as it was
     // recorded (one incremental pass over the run), so the oracle reads
-    // its outputs instead of re-scanning the history per read — the old
-    // path recomputed every read's source window twice, once for
-    // `min_delta_eps` and once for the widened-bound check. The monitor is
-    // cross-checked against the batch sweep-line checker in every build:
-    // a divergence is reported structurally (and judged Violated) instead
-    // of tripping a debug-only assertion that release experiment runs
-    // would sail past.
+    // its outputs instead of re-scanning the history per read. The monitor
+    // is cross-checked against the batch sweep-line checker in every
+    // build: a divergence is reported structurally (and judged Violated)
+    // instead of tripping a debug-only assertion that release experiment
+    // runs would sail past.
     let observed = result.observed_staleness;
-    let bound = widened_bound(config, plan, eps);
     let mut monitor_mismatch: Option<String> = None;
     // `min_delta` is Δ-independent, so this holds for adaptive runs too.
     let batch_observed = min_delta_eps(&result.history, eps);
@@ -220,18 +234,19 @@ pub fn conformance(config: &RunConfig, plan: &FaultPlan, result: &RunResult) -> 
             ));
         }
     }
-    // The harness configures the monitor with exactly the widened bound
-    // for its config and plan; a different Δ means the caller judged a
-    // result against the wrong configuration.
-    if let Some(bound) = bound {
-        if result.on_time.delta() != bound && monitor_mismatch.is_none() {
-            monitor_mismatch = Some(format!(
-                "monitor judged Δ={} but the widened bound for this config \
-                 and plan is {} — result does not match config/plan",
-                result.on_time.delta().ticks(),
-                bound.ticks()
-            ));
-        }
+    // The harness judged the run at the widened bound of *its* config and
+    // plan; a different one means the caller is judging a result against
+    // the wrong configuration.
+    if monitor_mismatch.is_none()
+        && (result.bound != bound || bound.is_some_and(|b| result.on_time.delta() != b))
+    {
+        monitor_mismatch = Some(format!(
+            "monitor judged Δ={} (run bound {:?}) but the widened bound for this config \
+             and plan is {:?} — result does not match config/plan",
+            result.on_time.delta().ticks(),
+            result.bound.map(|b| b.ticks()),
+            bound.map(|b| b.ticks()),
+        ));
     }
 
     let mut violation: Option<String> = None;
@@ -248,7 +263,7 @@ pub fn conformance(config: &RunConfig, plan: &FaultPlan, result: &RunResult) -> 
     }
 
     // Untimed safety holds unconditionally, on whatever prefix completed.
-    if config.protocol.kind.is_causal_family() {
+    if causal {
         if satisfies_ccv(&result.history) != Outcome::Satisfied {
             note("causal convergence (CCv) violated".to_string());
         }

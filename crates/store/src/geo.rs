@@ -45,8 +45,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use tc_clocks::{Delta, Time};
 use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::{
-    GeoMigrationPlan, GeoRelayEngine, GeoShardConfig, Migration, Msg, ProtocolConfig, PushBatch,
-    RegionMap, WanProfile,
+    GeoRelayEngine, Migration, Msg, ProtocolConfig, PushBatch, RegionMap, WanProfile,
 };
 use tc_sim::workload::Workload;
 use tc_sim::NodeId;
@@ -54,8 +53,9 @@ use tc_sim::NodeId;
 use crate::jitter::{splitmix64, JitterRng};
 use crate::reactor::TimerSlack;
 use crate::runtime::{
-    build_shard_engine, finish_run, run_client, ChannelNode, ClientCore, Host, RuntimeConfig,
-    RuntimeResult, ShardCore, Shared, TickClock, TimerWheel,
+    build_shard_engine, control_loop, finish_run, run_client, ChannelNode, ClientCore,
+    ControlPlane, Host, OutageGate, RuntimeConfig, RuntimeResult, ShardCore, Shared, TickClock,
+    TimerWheel,
 };
 
 /// Configuration of one threaded geo run.
@@ -63,11 +63,9 @@ use crate::runtime::{
 pub struct GeoRuntimeConfig {
     /// The common runtime knobs. `base.protocol.shards` is the *per
     /// region* fleet size and must equal `regions.shards_per_region`;
-    /// `base.n_clients` is the total across regions. The geo driver has
-    /// no shard kill/restart gate and no adaptive control plane yet:
-    /// `base.shard_outages` must be empty and `base.adaptive` `None`
-    /// ([`run_threaded_geo`] rejects anything else instead of reporting a
-    /// verdict for a fault plan or controller that never ran).
+    /// `base.n_clients` is the total across regions;
+    /// `base.shard_outages` names shards by node index
+    /// ([`RegionMap::shard_node`]).
     pub base: RuntimeConfig,
     /// Region/shard layout.
     pub regions: RegionMap,
@@ -81,7 +79,7 @@ pub struct GeoRuntimeConfig {
     pub geo_batch: PushBatch,
     /// Retransmit interval for unacked batches and forwarded applies.
     pub geo_retx_after: Delta,
-    /// Scripted client region moves.
+    /// Scripted client region moves (at most one per client).
     pub migrations: Vec<Migration>,
     /// WAN partitions: region `r` exchanges no cross-region messages
     /// during `[from, until)` ticks. Same-region traffic is unaffected.
@@ -290,9 +288,9 @@ fn infra_send<'a>(
 /// # Panics
 ///
 /// Panics if a worker thread panics, the configuration is inconsistent
-/// (see [`GeoRuntimeConfig::for_protocol`]) or asks for what the geo
-/// driver does not run (`base.shard_outages`, `base.adaptive`), or the
-/// recorded trace violates a history invariant.
+/// (see [`GeoRuntimeConfig::for_protocol`] and
+/// [`RegionMap::validate_migrations`]), or the recorded trace violates a
+/// history invariant.
 #[must_use]
 pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
     let regions = config.regions;
@@ -307,21 +305,7 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
         !config.geo_batch.max_delay.is_infinite() || config.base.monitor_delta.is_infinite(),
         "a finite monitor bound needs a finite egress flush deadline"
     );
-    for m in &config.migrations {
-        assert!(m.client < n_clients && m.to_region < n_regions);
-        assert!(m.at_op < config.base.ops_per_client);
-    }
-    // Neither is wired into the geo topology; running without them would
-    // report a clean verdict for a fault plan or controller that never
-    // ran.
-    assert!(
-        config.base.shard_outages.is_empty(),
-        "run_threaded_geo does not run base.shard_outages; use wan_outages for geo fault plans"
-    );
-    assert!(
-        config.base.adaptive.is_none(),
-        "run_threaded_geo does not run the adaptive Δ controller (base.adaptive)"
-    );
+    regions.validate_migrations(&config.migrations, n_clients, config.base.ops_per_client);
 
     let clock = TickClock::new(config.base.tick);
     let shared = Shared::new(&config.base);
@@ -343,6 +327,7 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
     let done = AtomicBool::new(false);
     let done_ref = &done;
     let cfg = config;
+    let mut delta_schedule = None;
     let (latencies, shard_requests): (Vec<Duration>, Vec<u64>) =
         crossbeam::thread::scope(|scope| {
             // WAN courier.
@@ -367,26 +352,21 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
             for region in 0..n_regions {
                 for shard in 0..shards_per_region {
                     let node = regions.shard_node(region, shard);
-                    let geo = GeoShardConfig {
-                        region: region as u32,
-                        local_relay: NodeId::new(regions.relay_node(region)),
-                        peer_relays: (0..n_regions)
-                            .filter(|r| *r != region)
-                            .map(|r| NodeId::new(regions.relay_node(r)))
-                            .collect(),
-                        client_base: regions.client_base(),
-                        batch: cfg.geo_batch,
-                        retx_after: cfg.geo_retx_after,
-                    };
                     let engine =
                         build_shard_engine(cfg.base.protocol, cfg.base.wal_dir.as_deref(), node)
-                            .with_geo(geo);
+                            .with_geo(regions.shard_config(
+                                region,
+                                cfg.geo_batch,
+                                cfg.geo_retx_after,
+                            ));
+                    let gate = OutageGate::new(node, &cfg.base.shard_outages);
                     let inbox = node_rxs[node].take().expect("receiver taken once");
                     let wan_tx = wan_tx.clone();
                     shard_workers.push(scope.spawn(move |_| {
                         let me = NodeId::new(node);
                         let send = infra_send(me, &cfg.regions, wan_tx, node_txs_ref);
                         ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, shared_ref)
+                            .gated(gate)
                             .until(done_ref)
                             .run(&inbox)
                             .engine
@@ -397,15 +377,8 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
             // Relays.
             for region in 0..n_regions {
                 let node = regions.relay_node(region);
-                let engine = GeoRelayEngine::new(
-                    regions
-                        .region_shards(region)
-                        .into_iter()
-                        .map(NodeId::new)
-                        .collect(),
-                    n_clients,
-                    cfg.geo_retx_after,
-                );
+                let engine =
+                    GeoRelayEngine::new(regions.fleet(region), n_clients, cfg.geo_retx_after);
                 let inbox = node_rxs[node].take().expect("receiver taken once");
                 let wan_tx = wan_tx.clone();
                 scope.spawn(move |_| {
@@ -421,24 +394,11 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
             // Clients, attached to their home fleet.
             let mut workers = Vec::with_capacity(n_clients);
             for site in 0..n_clients {
-                let home = cfg.home_region(site);
-                let servers = regions
-                    .region_shards(home)
-                    .into_iter()
-                    .map(NodeId::new)
-                    .collect();
+                let servers = regions.fleet(cfg.home_region(site));
                 let me = NodeId::new(regions.client_base() + site);
                 let mut core = ClientCore::for_site(&cfg.base, servers, me, site, clock);
-                for m in cfg.migrations.iter().filter(|m| m.client == site) {
-                    core.engine = core.engine.with_migration(GeoMigrationPlan {
-                        at_op: m.at_op,
-                        relay: NodeId::new(regions.relay_node(m.to_region)),
-                        servers: regions
-                            .region_shards(m.to_region)
-                            .into_iter()
-                            .map(NodeId::new)
-                            .collect(),
-                    });
+                if let Some(plan) = regions.migration_plan(&cfg.migrations, site) {
+                    core.engine = core.engine.with_migration(plan);
                 }
                 let inbox = node_rxs[me.index()].take().expect("receiver taken once");
                 workers.push(scope.spawn(move |_| {
@@ -450,14 +410,27 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                     run_client(core, send, clock, shared_ref, &inbox)
                 }));
             }
+            let controller_worker = ControlPlane::new(&cfg.base).map(|plane| {
+                scope.spawn(move |_| {
+                    let broadcast = |from: NodeId, msg: Msg| {
+                        for tx in &node_txs_ref[regions.client_base()..] {
+                            let _ = tx.send((from, msg.clone()));
+                        }
+                    };
+                    control_loop(plane, clock, shared_ref, done_ref, broadcast)
+                })
+            });
             let latencies = workers
                 .into_iter()
                 .flat_map(|w| w.join().expect("client thread panicked"))
                 .collect();
-            // Clients are done; release the infrastructure threads. Geo
-            // propagation still in flight stops with them — every
-            // recorded operation has already completed.
+            // Clients are done; release the controller and the
+            // infrastructure threads. Geo propagation still in flight
+            // stops with them — every recorded operation has already
+            // completed.
             done.store(true, Ordering::Release);
+            delta_schedule =
+                controller_worker.map(|w| w.join().expect("controller thread panicked"));
             let shard_requests = shard_workers
                 .into_iter()
                 .map(|w| w.join().expect("shard thread panicked"))
@@ -466,12 +439,15 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
         })
         .expect("a geo runtime thread panicked");
     let wall = started.elapsed();
-    finish_run(shared, latencies, shard_requests, wall, None)
+    finish_run(shared, latencies, shard_requests, wall, delta_schedule)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::tests::{
+        assert_recovered_by_replay, assert_retuned_online, temp_wal_dir, ADAPTIVE_BAND,
+    };
     use tc_lifetime::{ProtocolKind, StalePolicy};
     use tc_sim::metrics::names;
 
@@ -560,23 +536,34 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not run base.shard_outages")]
-    fn threaded_geo_rejects_shard_outages_instead_of_dropping_them() {
+    fn threaded_geo_kill_shard_over_wal_recovers_by_replay() {
+        use tc_lifetime::{DurabilityMode, FsyncPolicy};
+        let wal = temp_wal_dir("geo-killshard");
         let mut cfg = geo_config(59);
-        cfg.base.shard_outages = vec![(0, Time::from_ticks(100), Time::from_ticks(200))];
-        let _ = run_threaded_geo(&cfg);
+        cfg.base.ops_per_client = 150;
+        cfg.base.protocol = cfg.base.protocol.with_durability(DurabilityMode::Durable {
+            fsync: FsyncPolicy::PER_WRITE,
+        });
+        cfg.base.wal_dir = Some(wal.clone());
+        // Region 0's shard 0 (node 0) down during [300, 1300) ticks: 150
+        // ops × ≥5 ticks of think time cannot finish before tick 300, so
+        // the kill always lands mid-run; MONITOR_SLACK (20 000 ticks)
+        // dwarfs the 1 000-tick outage.
+        cfg.base.shard_outages = vec![(0, Time::from_ticks(300), Time::from_ticks(1_300))];
+        let r = run_threaded_geo(&cfg);
+        assert_recovered_by_replay(&r, 6 * 150);
+        assert!(r.counter(names::GEO_APPLIED) > 0);
+        let _ = std::fs::remove_dir_all(&wal);
     }
 
     #[test]
-    #[should_panic(expected = "does not run the adaptive Δ controller")]
-    fn threaded_geo_rejects_adaptive_control_instead_of_dropping_it() {
-        use tc_lifetime::control::ControllerConfig;
+    fn threaded_geo_adaptive_controller_retunes_delta_online() {
         let mut cfg = geo_config(61);
-        cfg.base.adaptive = Some(ControllerConfig::new(
-            Delta::from_ticks(50),
-            Delta::from_ticks(8_000),
-            Delta::from_ticks(20),
-        ));
-        let _ = run_threaded_geo(&cfg);
+        cfg.base.protocol.kind = ProtocolKind::Tcc {
+            delta: Delta::from_ticks(4_000),
+        };
+        cfg.base.ops_per_client = 100;
+        cfg.base.adaptive = Some(ADAPTIVE_BAND);
+        assert_retuned_online(&run_threaded_geo(&cfg), 6 * 100);
     }
 }

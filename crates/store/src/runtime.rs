@@ -62,7 +62,7 @@ use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::TimedReport;
 use tc_core::History;
 use tc_durable::WalStore;
-use tc_lifetime::control::{widen, ControllerConfig, DeltaController, DeltaSchedule};
+use tc_lifetime::control::{ControlPolicy, ControllerConfig, DeltaSchedule, Readings};
 use tc_lifetime::engine::{
     ClientEngine, Effect, Event, Now, PrivateSources, RecordOp, ServerEngine, TIMER_NEXT_OP,
 };
@@ -106,7 +106,7 @@ pub struct RuntimeConfig {
     /// rendering of [`tc_sim::FaultPlan::shard_outages`]. Empty by
     /// default.
     pub shard_outages: Vec<(usize, Time, Time)>,
-    /// When set, a [`DeltaController`] retunes Δ online: a control thread
+    /// When set, a [`tc_lifetime::DeltaController`] retunes Δ online: a control thread
     /// samples the live monitor every `interval`, broadcasts
     /// [`Msg::DeltaUpdate`] commands to every client, and shifts the
     /// monitor's judged schedule (widened by the same slack as the static
@@ -504,37 +504,7 @@ impl Shared {
     }
 
     pub(crate) fn record(&self, op: RecordOp) {
-        let mut recorder = self.recorder.lock().expect("recorder lock");
-        match op {
-            RecordOp::Write {
-                site,
-                object,
-                value,
-                at,
-                logical: Some(logical),
-            } => recorder.record_write_stamped(site, object, value, at, logical),
-            RecordOp::Write {
-                site,
-                object,
-                value,
-                at,
-                logical: None,
-            } => recorder.record_write(site, object, value, at),
-            RecordOp::Read {
-                site,
-                object,
-                value,
-                at,
-                logical: Some(logical),
-            } => recorder.record_read_stamped(site, object, value, at, logical),
-            RecordOp::Read {
-                site,
-                object,
-                value,
-                at,
-                logical: None,
-            } => recorder.record_read(site, object, value, at),
-        }
+        op.apply(&mut self.recorder.lock().expect("recorder lock"));
     }
 
     pub(crate) fn add_metric(&self, name: &'static str, add: u64) {
@@ -919,22 +889,15 @@ pub(crate) fn run_client(
     node.run(inbox).into_latencies()
 }
 
-/// The adaptive control plane, driver-independent: the controller plus the
-/// sampling state its pressure signal needs. A driver owns *when* a sample
-/// is taken (a sleeping thread, a reactor timer) and *how* the resulting
-/// command reaches the clients (their inboxes, a direct feed);
-/// [`ControlPlane::sample`] owns everything in between.
+/// The adaptive control plane as the real-time drivers host it: the
+/// shared [`ControlPolicy`] plus the locks its readings sit behind. A
+/// driver owns *when* a sample is taken (a sleeping thread, a reactor
+/// timer) and *how* the resulting command reaches the clients (their
+/// inboxes, a direct feed).
 pub(crate) struct ControlPlane {
-    controller: DeltaController,
-    /// The margin the monitor's judged schedule carries over each commanded
-    /// Δ: exactly what the static monitor bound carries over the
-    /// protocol's configured Δ.
-    widening: Delta,
-    expected_ops: usize,
-    last_violations: usize,
-    last_retries: u64,
+    policy: ControlPolicy,
     /// Sender of every command: a synthetic node id past every real node
-    /// (clients ignore the sender of a `DeltaUpdate`).
+    /// of a flat fleet (clients ignore the sender of a `DeltaUpdate`).
     from: NodeId,
 }
 
@@ -946,23 +909,13 @@ impl ControlPlane {
     ///
     /// Panics if an adaptive run is configured over an untimed protocol.
     pub(crate) fn new(config: &RuntimeConfig) -> Option<Self> {
-        let ctrl = config.adaptive?;
-        let base = config
-            .protocol
-            .kind
-            .delta()
-            .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
-        let widening = if config.monitor_delta.is_infinite() {
-            Delta::INFINITE
-        } else {
-            Delta::from_ticks(config.monitor_delta.ticks() - base.ticks())
-        };
         Some(ControlPlane {
-            controller: DeltaController::new(ctrl, base),
-            widening,
-            expected_ops: config.n_clients * config.ops_per_client,
-            last_violations: 0,
-            last_retries: 0,
+            policy: ControlPolicy::new(
+                config.adaptive?,
+                config.protocol.kind,
+                config.monitor_delta,
+                config.n_clients * config.ops_per_client,
+            ),
             from: NodeId::new(config.protocol.shards + config.n_clients),
         })
     }
@@ -970,40 +923,39 @@ impl ControlPlane {
     /// The real-time period between samples.
     pub(crate) fn interval(&self, clock: &TickClock) -> Duration {
         clock
-            .delta_to_duration(self.controller.config().interval)
+            .delta_to_duration(self.policy.interval())
             .unwrap_or(Duration::from_millis(5))
     }
 
-    /// One control tick: samples the live monitor (running `min_delta`,
-    /// violation count, ops ingested) and the retry counter, ticks the
-    /// [`DeltaController`], and applies a new command's widened threshold
-    /// to the monitor's judged schedule from its `judge_from`. Returns the
-    /// command in force for the driver to (re-)broadcast — idempotent per
-    /// sequence number, so a client that missed one hears the next — and
-    /// whether to keep sampling: `false` once every expected operation has
-    /// been ingested.
+    /// One control tick: reads the live monitor and the retry counter,
+    /// lets the policy decide, and installs a schedule change in the
+    /// monitor. Returns the command in force for the driver to
+    /// (re-)broadcast, and whether to keep sampling.
     pub(crate) fn sample(
         &mut self,
         clock: &TickClock,
         shared: &Shared,
     ) -> (Option<(NodeId, Msg)>, bool) {
-        let (observed, violations, ingested) = {
+        let retries = shared
+            .metrics
+            .lock()
+            .expect("metrics lock")
+            .get(names::RETRY);
+        let readings = {
             let rec = shared.recorder.lock().expect("recorder lock");
             let m = rec.monitor().expect("monitor attached by the driver");
-            (m.min_delta(), m.violations().len(), m.ingested())
+            Readings {
+                observed: m.min_delta(),
+                violations: m.violations().len(),
+                ingested: m.ingested(),
+                retries,
+            }
         };
-        let retries = {
-            let metrics = shared.metrics.lock().expect("metrics lock");
-            metrics.get(names::RETRY)
-        };
-        let pressure = violations > self.last_violations || retries > self.last_retries;
-        self.last_violations = violations;
-        self.last_retries = retries;
-        let prev = self.controller.current();
-        if let Some(cmd) = self.controller.tick(clock.now(), observed, pressure) {
+        let decision = self.policy.sample(clock.now(), readings);
+        if let Some(change) = decision.change {
             shared.add_metric(names::DELTA_UPDATE, 1);
             shared.add_metric(
-                if cmd.delta < prev {
+                if change.tightened {
                     names::DELTA_TIGHTEN
                 } else {
                     names::DELTA_RELAX
@@ -1014,28 +966,22 @@ impl ControlPlane {
                 .recorder
                 .lock()
                 .expect("recorder lock")
-                .monitor_schedule_change(cmd.judge_from, widen(cmd.delta, self.widening));
+                .monitor_schedule_change(change.judge_from, change.threshold);
         }
-        let command = (self.controller.seq() > 0).then(|| {
-            let msg = Msg::DeltaUpdate {
-                seq: self.controller.seq(),
-                delta: self.controller.current(),
-            };
-            (self.from, msg)
-        });
-        (command, ingested < self.expected_ops)
+        let command = decision.broadcast.map(|msg| (self.from, msg));
+        (command, decision.keep_sampling)
     }
 
     /// The Δ-schedule commanded over the run.
     pub(crate) fn into_schedule(self) -> DeltaSchedule {
-        self.controller.into_schedule()
+        self.policy.schedule().clone()
     }
 }
 
 /// The channel drivers' control thread: sleep an interval, sample,
 /// broadcast — until the plane says every operation is in or `done` is
 /// raised (whichever first). Returns the commanded schedule.
-fn control_loop(
+pub(crate) fn control_loop(
     mut plane: ControlPlane,
     clock: TickClock,
     shared: &Shared,
@@ -1207,7 +1153,7 @@ pub(crate) fn finish_run(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tc_lifetime::ProtocolKind;
     use tc_sim::metrics::names;
@@ -1222,7 +1168,7 @@ mod tests {
         )
     }
 
-    fn temp_wal_dir(tag: &str) -> PathBuf {
+    pub(crate) fn temp_wal_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
         static SEQ: AtomicU64 = AtomicU64::new(0);
         std::env::temp_dir().join(format!(
@@ -1281,8 +1227,15 @@ mod tests {
         // cannot finish before tick 300, so the kill always lands mid-run;
         // MONITOR_SLACK (20 000 ticks) dwarfs the 1 000-tick outage.
         cfg.shard_outages = vec![(0, Time::from_ticks(300), Time::from_ticks(1_300))];
-        let r = run_threaded(&cfg);
-        assert_eq!(r.ops_done, 2 * 200, "every op must complete post-restart");
+        assert_recovered_by_replay(&run_threaded(&cfg), 2 * 200);
+        let _ = std::fs::remove_dir_all(&wal);
+    }
+
+    /// What a run must show after a per-write-fsync shard was killed and
+    /// restarted mid-run: every op done, a clean verdict, state recovered
+    /// from the log with nothing lost.
+    pub(crate) fn assert_recovered_by_replay(r: &RuntimeResult, ops: usize) {
+        assert_eq!(r.ops_done, ops, "every op must complete post-restart");
         assert!(
             r.on_time.holds(),
             "violations: {}",
@@ -1301,7 +1254,6 @@ mod tests {
             "per-write fsync leaves no unsynced tail to lose"
         );
         assert!(r.counter(names::WAL_FSYNC) > 0);
-        let _ = std::fs::remove_dir_all(&wal);
     }
 
     #[test]
@@ -1379,10 +1331,25 @@ mod tests {
             41,
         );
         cfg.ops_per_client = 150;
-        let band = (Delta::from_ticks(50), Delta::from_ticks(8_000));
-        cfg.adaptive = Some(ControllerConfig::new(band.0, band.1, Delta::from_ticks(20)));
+        cfg.adaptive = Some(ADAPTIVE_BAND);
         let r = run_threaded(&cfg);
-        assert_eq!(r.ops_done, 2 * 150, "adaptive control must not drop ops");
+        assert_retuned_online(&r, 2 * 150);
+        assert!(r.net_events.is_none(), "capture was off");
+    }
+
+    /// A controller with real distance to close from a base Δ of 4 000.
+    pub(crate) const ADAPTIVE_BAND: ControllerConfig = ControllerConfig {
+        delta_min: Delta::from_ticks(50),
+        delta_max: Delta::from_ticks(8_000),
+        interval: Delta::from_ticks(20),
+        apply_lag: Delta::from_ticks(40),
+        headroom_num: 3,
+        headroom_den: 2,
+    };
+
+    /// What an [`ADAPTIVE_BAND`] run from a base Δ of 4 000 must show.
+    pub(crate) fn assert_retuned_online(r: &RuntimeResult, ops: usize) {
+        assert_eq!(r.ops_done, ops, "adaptive control must not drop ops");
         let schedule = r
             .delta_schedule
             .as_ref()
@@ -1393,7 +1360,7 @@ mod tests {
         );
         for &(_, d) in &schedule.changes {
             assert!(
-                d >= band.0 && d <= band.1,
+                d >= ADAPTIVE_BAND.delta_min && d <= ADAPTIVE_BAND.delta_max,
                 "commanded Δ {d} outside the configured band"
             );
         }
@@ -1414,7 +1381,6 @@ mod tests {
             "violations against the in-force schedule: {}",
             r.on_time.violations().len()
         );
-        assert!(r.net_events.is_none(), "capture was off");
     }
 
     #[test]

@@ -318,9 +318,9 @@ fn delta_json(delta: Delta) -> Json {
     }
 }
 
-/// Renders a simulator [`RunResult`] (ideally from
-/// [`tc_lifetime::run_adaptive_traced`] or [`tc_lifetime::run_traced`],
-/// so the net log is populated) as a complete trace. `shards` and
+/// Renders a simulator [`RunResult`] (ideally of a run with
+/// [`tc_lifetime::RunOptions::traced`] set, so the net log is populated)
+/// as a complete trace. `shards` and
 /// `clients` describe the run's fleet layout — nodes `0..shards` are
 /// shards, the next `clients` nodes are clients (history sites offset by
 /// `shards`).
@@ -453,10 +453,10 @@ mod tests {
     #[test]
     fn export_run_produces_a_loadable_document_with_all_track_kinds() {
         use tc_lifetime::{
-            run_adaptive_traced, ControllerConfig, ProtocolConfig, ProtocolKind, RunConfig,
+            run_with, ControllerConfig, ProtocolConfig, ProtocolKind, RunConfig, RunOptions,
         };
         use tc_sim::workload::Workload;
-        use tc_sim::{FaultPlan, WorldConfig};
+        use tc_sim::WorldConfig;
 
         let cfg = RunConfig {
             protocol: ProtocolConfig::of(ProtocolKind::Tsc {
@@ -472,7 +472,14 @@ mod tests {
             Delta::from_ticks(800),
             Delta::from_ticks(40),
         );
-        let result = run_adaptive_traced(&cfg, FaultPlan::default(), ctrl);
+        let result = run_with(
+            &cfg,
+            RunOptions {
+                adaptive: Some(ctrl),
+                traced: true,
+                ..RunOptions::default()
+            },
+        );
         let shards = cfg.protocol.shards;
         let out = serde_json::to_string(&export_run(&result, shards, cfg.n_clients)).unwrap();
 

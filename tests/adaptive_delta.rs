@@ -9,10 +9,10 @@
 
 use timed_consistency::clocks::Delta;
 use timed_consistency::lifetime::{
-    run_adaptive, ControllerConfig, ProtocolConfig, ProtocolKind, RunConfig,
+    run_with, ControllerConfig, ProtocolConfig, ProtocolKind, RunConfig, RunOptions, RunResult,
 };
 use timed_consistency::sim::workload::Workload;
-use timed_consistency::sim::{FaultPlan, WorldConfig};
+use timed_consistency::sim::WorldConfig;
 
 /// A deliberately loose starting Δ: the controller has real distance to
 /// close, so convergence is exercised rather than assumed.
@@ -40,6 +40,16 @@ fn controller() -> ControllerConfig {
     )
 }
 
+fn adaptive_run(cfg: &RunConfig, ctrl: ControllerConfig) -> RunResult {
+    run_with(
+        cfg,
+        RunOptions {
+            adaptive: Some(ctrl),
+            ..RunOptions::default()
+        },
+    )
+}
+
 /// Across seeds: the adaptive run issues commands, settles inside
 /// [observed, 2·target] where target = headroom · observed `min_delta`,
 /// and never violates the in-force (widened) schedule.
@@ -48,7 +58,7 @@ fn adaptive_delta_converges_to_measured_staleness_band() {
     for seed in [7_u64, 42, 1999, 31337] {
         let cfg = config(seed);
         let ctrl = controller();
-        let result = run_adaptive(&cfg, FaultPlan::default(), ctrl);
+        let result = adaptive_run(&cfg, ctrl);
 
         let schedule = result
             .delta_schedule
@@ -115,8 +125,8 @@ fn adaptive_delta_converges_to_measured_staleness_band() {
 #[test]
 fn adaptive_delta_is_deterministic() {
     let cfg = config(99);
-    let a = run_adaptive(&cfg, FaultPlan::default(), controller());
-    let b = run_adaptive(&cfg, FaultPlan::default(), controller());
+    let a = adaptive_run(&cfg, controller());
+    let b = adaptive_run(&cfg, controller());
     assert_eq!(a.delta_schedule, b.delta_schedule);
     assert_eq!(a.history.len(), b.history.len());
     assert_eq!(a.observed_staleness, b.observed_staleness);

@@ -218,8 +218,7 @@ fn sharded_causal_engines_are_driver_independent() {
 fn wal_backend_is_byte_identical_to_memory_fault_free() {
     use timed_consistency::durable::WalStore;
     use timed_consistency::lifetime::store::ShardStore;
-    use timed_consistency::lifetime::{run, run_with_stores, DurabilityMode, FsyncPolicy};
-    use timed_consistency::sim::FaultPlan;
+    use timed_consistency::lifetime::{run, run_with, DurabilityMode, FsyncPolicy, RunOptions};
 
     for kind in [
         ProtocolKind::Tsc {
@@ -253,7 +252,13 @@ fn wal_backend_is_byte_identical_to_memory_fault_free() {
                 64,
             ))
         };
-        let wal = run_with_stores(&config, FaultPlan::none(), &factory);
+        let wal = run_with(
+            &config,
+            RunOptions {
+                stores: Some(&factory),
+                ..RunOptions::default()
+            },
+        );
 
         // Operation-by-operation identity, reads and timestamps included.
         // (Comparing the whole `History` Debug output would be wrong: its
@@ -316,10 +321,16 @@ fn threaded_runs_are_reproducible_per_site() {
 /// 3-region run — WAN courier, relays, a client migrating mid-run — draws
 /// from the same `PrivateSources` as the flat threaded run of its base
 /// configuration, so each site's program must be identical. This judges
-/// the geo driver by the same fingerprint rule as the others.
+/// the geo driver by the same fingerprint rule as the others — and the
+/// simulated geo deployment of the same layout, migration and private
+/// sources with it.
 #[test]
 fn geo_topology_is_invisible_to_per_site_programs() {
-    use timed_consistency::lifetime::{Migration, RegionMap, StalePolicy, WanProfile};
+    use timed_consistency::lifetime::{
+        conformance_geo, run_geo_with, GeoRunConfig, Migration, OracleVerdict, RegionMap,
+        RunOptions, StalePolicy, WanProfile,
+    };
+    use timed_consistency::sim::FaultPlan;
     use timed_consistency::store::{run_threaded_geo, GeoRuntimeConfig};
 
     let mut protocol = ProtocolConfig::of(ProtocolKind::Tcc {
@@ -343,15 +354,43 @@ fn geo_topology_is_invisible_to_per_site_programs() {
     }];
     let geo = run_threaded_geo(&cfg);
     let flat = run_threaded(&cfg.base);
+    let sim_cfg = GeoRunConfig {
+        protocol,
+        regions: cfg.regions,
+        wan: cfg.wan,
+        clients_per_region: cfg.clients_per_region,
+        workload: workload(),
+        ops_per_client: OPS,
+        world: WorldConfig::deterministic(Delta::from_ticks(3), SEED),
+        geo_batch: cfg.geo_batch,
+        geo_retx_after: cfg.geo_retx_after,
+        migrations: cfg.migrations.clone(),
+    };
+    let sim = run_geo_with(
+        &sim_cfg,
+        RunOptions {
+            private_seed: Some(SEED),
+            ..RunOptions::default()
+        },
+    );
     let n_clients = cfg.base.n_clients;
     assert_eq!(geo.ops_done, n_clients * OPS);
     assert_eq!(flat.ops_done, n_clients * OPS);
     assert!(geo.on_time.holds() && flat.on_time.holds());
+    assert_eq!(
+        conformance_geo(&sim_cfg, &FaultPlan::none(), &sim).verdict,
+        OracleVerdict::Conforms
+    );
     for site in 0..n_clients {
         assert_eq!(
             site_fingerprint(&geo.history, site),
             site_fingerprint(&flat.history, site),
             "site {site}: the geo topology altered the operation program"
+        );
+        assert_eq!(
+            site_fingerprint(&sim.history, site),
+            site_fingerprint(&flat.history, site),
+            "site {site}: the simulated geo deployment altered the operation program"
         );
     }
 }
