@@ -93,8 +93,11 @@ pub mod names {
     /// TCP transport: failed connect/handshake attempt (refused, reset,
     /// timed out) that the backoff schedule absorbed.
     pub const TCP_CONNECT_FAILED: &str = "tcp_connect_failed";
-    /// TCP transport: protocol frame dropped because its link was down
-    /// (the engines' retry timers recover it).
+    /// TCP transport: protocol frame dropped because its destination had
+    /// no attached route at send time (the engines' retry timers recover
+    /// it). A frame queued on a link that then dies before or during the
+    /// loop pass's flush is not counted here: it is lost like any frame
+    /// in flight, and recovered the same way.
     pub const TCP_SEND_DROPPED: &str = "tcp_send_dropped";
     /// TCP transport: keep-alive frame written by an idle connection.
     pub const TCP_HEARTBEAT: &str = "tcp_heartbeat";
@@ -109,6 +112,12 @@ pub mod names {
     /// Reactor driver: a churn dial (connect that never intends to speak
     /// the protocol) reached a shard listener.
     pub const REACTOR_CHURN_DIAL: &str = "reactor_churn_dial";
+    /// Reactor driver: `write` calls the reactor threads issued.
+    pub const REACTOR_WRITES: &str = "reactor_writes";
+    /// Reactor driver: frames the reactor threads queued for writing.
+    /// `REACTOR_FRAMES_OUT / REACTOR_WRITES` is the frames one `write`
+    /// carried on average — the batching the per-pass flush achieved.
+    pub const REACTOR_FRAMES_OUT: &str = "reactor_frames_out";
 
     /// Real-time drivers: timers popped off a driver thread's wheel.
     pub const TIMER_FIRED: &str = "timer_fired";

@@ -1,7 +1,7 @@
 //! Deterministic jitter shared by the real-time drivers: the SplitMix64
-//! generator, the per-link seed derivation the reactor's redial backoff
-//! draws from, and a tiny seedable stream the geo WAN courier draws its
-//! link latencies from.
+//! generator, the per-shard-link seed derivation the reactor's redial
+//! backoff draws from, and a tiny seedable stream the geo WAN courier
+//! draws its link latencies from.
 
 /// SplitMix64 — deterministic, seedable, dependency-free; the same
 /// generator the simulator's RNG family bootstraps from.
@@ -12,12 +12,13 @@ pub(crate) fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The jitter seed of one client→shard link: deterministic per run —
-/// identical configurations replay identical backoff schedules — yet
-/// distinct per (site, shard) pair, so a restarted listener
-/// is not hit by a thundering herd of synchronized redials.
-pub(crate) fn link_seed(run_seed: u64, site: usize, shard: usize) -> u64 {
-    splitmix64(run_seed ^ ((site as u64) << 32) ^ shard as u64)
+/// The jitter seed of the client reactor's link to one shard (every
+/// hosted site shares it): deterministic per run — identical
+/// configurations replay identical backoff schedules — yet distinct per
+/// shard, so the redials of links that died together do not stay
+/// synchronized.
+pub(crate) fn link_seed(run_seed: u64, shard: usize) -> u64 {
+    splitmix64(run_seed ^ shard as u64)
 }
 
 /// A minimal SplitMix64 *stream*: each draw advances the state by the
@@ -54,12 +55,11 @@ mod tests {
 
     #[test]
     fn link_seed_is_deterministic_and_distinct_per_link() {
-        assert_eq!(link_seed(7, 1, 2), link_seed(7, 1, 2));
-        // Each coordinate matters: site, shard, and run seed all
+        assert_eq!(link_seed(7, 2), link_seed(7, 2));
+        // Both coordinates matter: shard and run seed each
         // de-synchronise the schedule.
-        assert_ne!(link_seed(7, 1, 2), link_seed(7, 2, 1));
-        assert_ne!(link_seed(7, 1, 2), link_seed(7, 1, 3));
-        assert_ne!(link_seed(7, 1, 2), link_seed(8, 1, 2));
+        assert_ne!(link_seed(7, 2), link_seed(7, 3));
+        assert_ne!(link_seed(7, 2), link_seed(8, 2));
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //! * the node loop (`ChannelNode`) — outage gate, timer wheel, blocking
 //!   receive towards the next deadline, bounded drain, step, execute;
 //! * the connection table ([`reactor`]) — epoll, a generational slab of
-//!   endpoints, readiness handling, queue-and-flush, the liveness sweep;
+//!   endpoints, readiness handling, queueing with one flush per connection
+//!   per loop pass, the liveness sweep;
 //! * the control plane (`ControlPlane`) — samples the monitor and ticks
 //!   the adaptive Δ controller.
 //!
@@ -23,7 +24,7 @@
 //! |---|---|---|
 //! | [`run_threaded`] | in-process channels, one thread per node | node loop, control plane on a sleeping thread |
 //! | [`run_threaded_geo`] | the same, as a multi-region topology with a WAN courier | node loop (shards, relays, clients) |
-//! | [`run_reactor`] / [`run_reactor_with`] | loopback TCP + `tc-wire`, two epoll threads | connection table, `Port` over it, control plane on a timer |
+//! | [`run_reactor`] / [`run_reactor_with`] | loopback TCP + `tc-wire`, two epoll threads, one link per shard | connection table, `Port` over it, control plane on a timer |
 //!
 //! Identical seeds give identical per-site operation programs under every
 //! driver and under the simulator (`tests/engine_equivalence.rs`).

@@ -76,11 +76,11 @@ impl Conn {
         }
     }
 
-    /// Encodes `msg` directly onto the outbox tail (no intermediate
-    /// frame buffer). The caller is responsible for attempting a flush
-    /// and arming write interest if it falls short.
-    pub(crate) fn queue(&mut self, shard: u16, msg: &WireMsg) {
-        encode_frame_into(&mut self.outbox, shard, msg);
+    /// Encodes `msg` on `lane` directly onto the outbox tail (no
+    /// intermediate frame buffer). The caller is responsible for
+    /// attempting a flush and arming write interest if it falls short.
+    pub(crate) fn queue(&mut self, lane: u16, msg: &WireMsg) {
+        encode_frame_into(&mut self.outbox, lane, msg);
     }
 
     /// Whether unsent bytes remain — the `EPOLLOUT` arming signal.
@@ -134,12 +134,19 @@ impl Conn {
         }
     }
 
-    /// Pushes outbox bytes into `io` until drained or `WouldBlock`.
-    /// Returns the close verdict if the connection ended; otherwise check
+    /// Pushes outbox bytes into `io` until drained or `WouldBlock`,
+    /// adding every `write` call issued to `writes`. Returns the close
+    /// verdict if the connection ended; otherwise check
     /// [`wants_write`](Self::wants_write) to know whether `EPOLLOUT` must
     /// stay armed.
-    pub(crate) fn on_writable(&mut self, io: &mut impl Write, now: Instant) -> Option<Close> {
+    pub(crate) fn on_writable(
+        &mut self,
+        io: &mut impl Write,
+        now: Instant,
+        writes: &mut u64,
+    ) -> Option<Close> {
         while self.sent < self.outbox.len() {
+            *writes += 1;
             match io.write(&self.outbox[self.sent..]) {
                 Ok(0) => return Some(Close::Io(ErrorKind::WriteZero)),
                 Ok(n) => {
@@ -440,21 +447,33 @@ mod tests {
             total: 10,
             written: Vec::new(),
         };
-        assert_eq!(conn.on_writable(&mut io, Instant::now()), None);
+        let mut writes = 0;
+        assert_eq!(conn.on_writable(&mut io, Instant::now(), &mut writes), None);
         assert!(conn.wants_write(), "partial write must re-arm EPOLLOUT");
         assert_eq!(io.written.len(), 10);
+        assert_eq!(writes, 2, "the short write and the WouldBlock both count");
 
         // Second pass: the socket drains everything; write interest drops
-        // and the buffers compact back to empty.
+        // and the buffers compact back to empty — both frames in one write.
         let mut io2 = Throttled {
             cap: usize::MAX,
             total: usize::MAX,
             written: io.written,
         };
-        assert_eq!(conn.on_writable(&mut io2, Instant::now()), None);
+        assert_eq!(
+            conn.on_writable(&mut io2, Instant::now(), &mut writes),
+            None
+        );
         assert!(!conn.wants_write(), "drained outbox must disarm EPOLLOUT");
         assert_eq!(conn.outbox.len(), 0, "drained outbox compacts");
         assert_eq!(io2.written.len(), queued);
+        assert_eq!(writes, 3);
+        // An empty outbox issues no write at all.
+        assert_eq!(
+            conn.on_writable(&mut io2, Instant::now(), &mut writes),
+            None
+        );
+        assert_eq!(writes, 3);
 
         // The byte stream the peer saw is exactly the two encoded frames.
         let mut expect = encode_frame(2, &WireMsg::HelloAck { shard: 2 });
@@ -476,7 +495,7 @@ mod tests {
         let mut conn = Conn::new(Instant::now());
         conn.queue(0, &WireMsg::Heartbeat);
         assert_eq!(
-            conn.on_writable(&mut Failing, Instant::now()),
+            conn.on_writable(&mut Failing, Instant::now(), &mut 0),
             Some(Close::Io(ErrorKind::BrokenPipe))
         );
 
@@ -495,7 +514,7 @@ mod tests {
             written: Vec::new(),
         };
         assert_eq!(
-            stuffed.on_writable(&mut blocked, Instant::now()),
+            stuffed.on_writable(&mut blocked, Instant::now(), &mut 0),
             Some(Close::OutboxOverflow)
         );
     }
@@ -511,7 +530,7 @@ mod tests {
             total: 7,
             written: Vec::new(),
         };
-        assert_eq!(conn.on_writable(&mut io, Instant::now()), None);
+        assert_eq!(conn.on_writable(&mut io, Instant::now(), &mut 0), None);
         assert!(conn.wants_write());
         conn.queue(1, &WireMsg::Bye);
         let mut io2 = Throttled {
@@ -519,7 +538,7 @@ mod tests {
             total: usize::MAX,
             written: io.written,
         };
-        assert_eq!(conn.on_writable(&mut io2, Instant::now()), None);
+        assert_eq!(conn.on_writable(&mut io2, Instant::now(), &mut 0), None);
         let mut expect = encode_frame(1, &WireMsg::Heartbeat);
         expect.extend_from_slice(&encode_frame(1, &WireMsg::Bye));
         assert_eq!(io2.written, expect);

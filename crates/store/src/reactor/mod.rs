@@ -12,8 +12,9 @@
 //!   [`tc_wire::FrameDecoder`] (see `conn`);
 //! * one **client reactor** hosting *all* `ClientCore`s: their engine
 //!   timers live in one `TimerWheel` folded into the epoll timeout, and
-//!   each (site, shard) link is a small state machine — dial, handshake,
-//!   heartbeat, redial under [`Backoff`].
+//!   all hosted sites share **one connection per shard** — a small state
+//!   machine (dial, heartbeat, redial under [`Backoff`]) over which each
+//!   site attaches with its own handshake.
 //!
 //! Both are hosts of the driver core in [`crate::runtime`]: they step the
 //! same `ClientCore` / `ShardCore`, hand the effects to the same
@@ -26,23 +27,34 @@
 //!
 //! # Links
 //!
-//! The first frame on every connection is a [`WireMsg::Hello`] carrying
+//! Every frame on a client↔shard link travels on a **lane** — the frame
+//! header's u16 routing field — naming the site it speaks for, so one
+//! socket per shard carries every hosted site. On dial the client queues
+//! each unfinished site's [`WireMsg::Hello`] on that site's lane, carrying
 //! the client's full `ProtocolConfig`; the shard compares it against its
-//! own (plus the shard index and the client id space) and answers
-//! [`WireMsg::HelloAck`] — or [`WireMsg::HelloReject`] and a close,
-//! because two processes silently disagreeing on Δ would void every timed
-//! guarantee the monitor is about to certify. An idle connection carries
-//! [`WireMsg::Heartbeat`]s so the peer's read timeout only ever fires on
-//! a genuinely dead link. A link that dies (error, EOF, heartbeat silence)
-//! is unrouted — the engine's `Effect::Send`s to it dead-letter, exactly
-//! like the simulator's lossy network — and redialled under [`Backoff`],
-//! replaying the handshake. Engine state never restarts, so server
-//! delivery cursors and client epochs resume where they left off; the
-//! protocol's retry timers re-cover anything lost in flight.
-//! [`ListenerChaos`] kills one shard's listener (and every live
+//! own (plus the shard index, the client id space, and the lane) and
+//! answers [`WireMsg::HelloAck`] on the lane, attaching the site — or
+//! [`WireMsg::HelloReject`] and a close, because two processes silently
+//! disagreeing on Δ would void every timed guarantee the monitor is about
+//! to certify. A `Proto` frame on a lane not attached on its connection
+//! closes the link. An idle connection carries [`WireMsg::Heartbeat`]s so
+//! the peer's read timeout only ever fires on a genuinely dead link. A
+//! link that dies (error, EOF, heartbeat silence) unroutes every site it
+//! carried — the engines' `Effect::Send`s to them dead-letter, exactly
+//! like the simulator's lossy network — and is redialled under
+//! [`Backoff`], replaying every site's handshake. Engine state never
+//! restarts, so server delivery cursors and client epochs resume where
+//! they left off; the protocol's retry timers re-cover anything lost in
+//! flight. [`ListenerChaos`] kills one shard's listener (and every live
 //! connection to it) mid-run, keeps the address unreachable for a while,
 //! then rebinds it — the transport-level analogue of the simulator's
 //! crash faults, driving the reconnect path under the conformance oracle.
+//!
+//! Frames are queued where engines produce them and each connection is
+//! written once per loop pass, right before the wait (see `table`): what
+//! every hosted site sends a shard in one pass leaves in one `write`.
+//! [`names::REACTOR_FRAMES_OUT`] over [`names::REACTOR_WRITES`] is the
+//! batching a run achieved.
 //!
 //! # Liveness bookkeeping
 //!
@@ -80,7 +92,6 @@ mod table;
 
 pub(crate) use sys::TimerSlack;
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -132,8 +143,8 @@ impl Backoff {
     /// The delay before retry number `attempt` (0-based): the exponential
     /// slot `base · 2^attempt`, capped at `cap`, jittered into
     /// `[50 %, 100 %)` of the slot by `seed`. Deterministic — runs are
-    /// reproducible — yet different per (site, shard) pair, so a
-    /// restarted listener is not hit by a thundering herd.
+    /// reproducible — yet different per shard link, so redials to
+    /// different shards are not synchronized.
     #[must_use]
     pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
         let slot = self.base.saturating_mul(1 << attempt.min(16)).min(self.cap);
@@ -211,12 +222,6 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// 5 ms later — inside every run's measured wall time.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-/// Initial dials are issued in waves of this many connections…
-const DIAL_WAVE: usize = 32;
-/// …spaced this far apart, so a 1k-client fleet does not overrun the
-/// listener backlog (and the single accepting core) in one burst.
-const DIAL_WAVE_EVERY: Duration = Duration::from_millis(2);
-
 // ---------------------------------------------------------------------
 // Shard side
 // ---------------------------------------------------------------------
@@ -226,8 +231,9 @@ enum ServerPeer {
     /// Accepted, no Hello yet (may be a churn dial that never sends one —
     /// the read timeout reaps those).
     AwaitHello,
-    /// Handshake complete: frames on this connection speak for `site`.
-    Up { site: usize },
+    /// At least one site attached: a client reactor's link, whose lanes
+    /// the route table names.
+    Up,
 }
 
 /// Timer tokens of the shard reactor's wheel: engine flush deadlines plus
@@ -248,9 +254,10 @@ struct ShardReactor<'a> {
     table: ConnTable<ServerPeer>,
     listener: Option<TcpListener>,
     addr: SocketAddr,
-    /// site → live connection token. A reconnect replaces the route; the
-    /// superseded connection's close leaves the new route alone.
-    routes: HashMap<usize, u64>,
+    /// site (= lane) → the connection the site is attached on. A
+    /// reconnect replaces the route; the superseded connection's close
+    /// leaves the new route alone.
+    routes: Vec<Option<u64>>,
     timers: TimerWheel<ShardTimer>,
     /// Kill/restart windows for this shard. While down, protocol messages
     /// dead-letter and engine timers fire into the void — but the wheel is
@@ -271,29 +278,27 @@ impl Links for ShardReactor<'_> {
         &mut self.table
     }
 
-    fn on_frame(&mut self, token: u64, msg: WireMsg) {
+    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg) {
         // A previous frame (Bye, protocol rot) may have closed us.
-        let peer_site = match self.table.peer_mut(token) {
-            Some(ServerPeer::AwaitHello) => None,
-            Some(ServerPeer::Up { site }) => Some(*site),
+        let up = match self.table.peer_mut(token) {
+            Some(ServerPeer::AwaitHello) => false,
+            Some(ServerPeer::Up) => true,
             None => return,
         };
-        match (peer_site, msg) {
-            (
-                None,
-                WireMsg::Hello {
-                    site,
-                    n_clients,
-                    shard: dialled,
-                    protocol,
-                },
-            ) => self.handle_hello(token, site, n_clients, dialled, protocol),
-            (None, _) => {
-                // Any frame before Hello is a protocol violation: the
-                // churn injector sends exactly this shape on purpose.
-                self.close(token);
-            }
-            (Some(site), WireMsg::Proto(msg)) => {
+        match msg {
+            WireMsg::Hello {
+                site,
+                n_clients,
+                shard: dialled,
+                protocol,
+            } => self.handle_hello(token, lane, site, n_clients, dialled, protocol),
+            WireMsg::Proto(msg) => {
+                let site = usize::from(lane);
+                // Only a lane attached on this very connection speaks.
+                if self.routes.get(site) != Some(&Some(token)) {
+                    self.close(token);
+                    return;
+                }
                 if self.net {
                     self.shared.log_net(NetEvent::Recv {
                         at: self.clock.now(),
@@ -305,20 +310,24 @@ impl Links for ShardReactor<'_> {
                 let from = NodeId::new(self.shards + site);
                 self.step_engine(Event::Message { from, msg });
             }
-            (Some(_), WireMsg::Heartbeat) => {}
-            (Some(_), WireMsg::Bye) => self.close(token),
-            (Some(_), _) => self.close(token), // a second Hello, a stray Ack
+            WireMsg::Heartbeat if up => {}
+            // A Bye or a stray ack ends the link, and so does any frame
+            // before the first Hello: the churn injector sends exactly that
+            // shape on purpose.
+            _ => self.close(token),
         }
     }
 
-    /// Deregisters and drops a connection, unrouting its site (only if the
-    /// route still names this connection — a reconnect may have replaced
-    /// it already).
+    /// Deregisters and drops a connection, unrouting every site it
+    /// carried (only where the route still names this connection — a
+    /// reconnect may have replaced it already).
     fn close(&mut self, token: u64) {
         if let Some(peer) = self.table.remove(token) {
-            if let ServerPeer::Up { site } = peer {
-                if self.routes.get(&site) == Some(&token) {
-                    self.routes.remove(&site);
+            if matches!(peer, ServerPeer::Up) {
+                for route in &mut self.routes {
+                    if *route == Some(token) {
+                        *route = None;
+                    }
                 }
             }
             self.shared.add_metric(names::REACTOR_CONN_CLOSED, 1);
@@ -326,9 +335,10 @@ impl Links for ShardReactor<'_> {
     }
 }
 
-/// The shard engine's effects: sends go out through the route table —
-/// dead-lettering, counted, when the site has no live connection — and
-/// timers into the reactor's wheel as [`ShardTimer::Engine`].
+/// The shard engine's effects: sends are queued through the route table
+/// on the site's lane — dead-lettering, counted, when the site has no
+/// attached route — and timers go into the reactor's wheel as
+/// [`ShardTimer::Engine`].
 impl Port for ShardReactor<'_> {
     fn send(&mut self, to: NodeId, msg: Msg) {
         let site = to.index() - self.shards;
@@ -340,8 +350,8 @@ impl Port for ShardReactor<'_> {
                 tag: msg.tag(),
             });
         }
-        let delivered = match self.routes.get(&site).copied() {
-            Some(token) => self.queue_and_flush(token, &WireMsg::Proto(msg)),
+        let delivered = match self.routes[site] {
+            Some(token) => self.queue(token, site as u16, &WireMsg::Proto(msg)),
             None => false,
         };
         if !delivered {
@@ -374,7 +384,7 @@ impl<'a> ShardReactor<'a> {
             table: ConnTable::new(),
             listener: Some(listener),
             addr,
-            routes: HashMap::new(),
+            routes: vec![None; rc.n_clients],
             timers: TimerWheel::new(),
             outages: OutageGate::new(shard, &rc.shard_outages),
             shared,
@@ -410,12 +420,7 @@ impl<'a> ShardReactor<'a> {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    let tag = self.shard as u16;
-                    if self
-                        .table
-                        .insert(stream, tag, ServerPeer::AwaitHello)
-                        .is_some()
-                    {
+                    if self.table.insert(stream, ServerPeer::AwaitHello).is_some() {
                         self.shared.add_metric(names::REACTOR_CONN_OPENED, 1);
                     }
                 }
@@ -426,13 +431,17 @@ impl<'a> ShardReactor<'a> {
         }
     }
 
-    /// The handshake: a Hello must match this shard's protocol config,
-    /// index and client id space exactly, or it is refused with the
-    /// reason — two processes silently disagreeing on Δ would void every
-    /// timed guarantee.
+    /// The handshake of one site on `lane`: a Hello must match this
+    /// shard's protocol config, index and client id space exactly, and
+    /// arrive on the site's own lane, or it is refused with the reason and
+    /// the link closed — two processes silently disagreeing on Δ would void
+    /// every timed guarantee, and a peer that routes by anything but the
+    /// site would mis-deliver. An accepted site is attached: routed to this
+    /// connection, and acked on its lane.
     fn handle_hello(
         &mut self,
         token: u64,
+        lane: u16,
         site: u32,
         n_clients: u32,
         dialled: u32,
@@ -445,33 +454,30 @@ impl<'a> ShardReactor<'a> {
             Some(format!("dialled shard {dialled}, reached {}", self.shard))
         } else if n_clients as usize != rc.n_clients || site >= n_clients {
             Some(format!("bad id space: site {site} of {n_clients}"))
+        } else if site != u32::from(lane) {
+            Some(format!("site {site} spoke on lane {lane}"))
         } else {
             None
         };
         match reason {
             Some(reason) => {
                 // Best-effort reject, then drop the connection.
-                self.queue_and_flush(token, &WireMsg::HelloReject { reason });
+                self.queue_and_flush(token, lane, &WireMsg::HelloReject { reason });
                 self.close(token);
             }
             None => {
-                let site = site as usize;
                 if let Some(peer) = self.table.peer_mut(token) {
-                    *peer = ServerPeer::Up { site };
+                    *peer = ServerPeer::Up;
                 }
-                self.routes.insert(site, token);
-                self.queue_and_flush(
-                    token,
-                    &WireMsg::HelloAck {
-                        shard: self.shard as u32,
-                    },
-                );
+                self.routes[site as usize] = Some(token);
+                let shard = self.shard as u32;
+                self.queue(token, lane, &WireMsg::HelloAck { shard });
             }
         }
     }
 
-    /// Chaos kill: unregister + drop the listener, hard-close every live
-    /// connection, and arm the rebind alarm.
+    /// Chaos kill: unregister + drop the listener, hard-close (and so
+    /// unroute) every live connection, and arm the rebind alarm.
     fn chaos_kill(&mut self, down_for: Duration) {
         if let Some(listener) = self.listener.take() {
             let _ = self.table.epoll.del(listener.as_raw_fd());
@@ -479,7 +485,6 @@ impl<'a> ShardReactor<'a> {
         for token in self.table.tokens() {
             self.close(token);
         }
-        self.routes.clear();
         self.timers
             .arm(Instant::now() + down_for, ShardTimer::Rebind);
     }
@@ -573,6 +578,7 @@ impl<'a> ShardReactor<'a> {
                 }
             }
             let now = self.sweep(self.cfg, self.shared);
+            let now = self.flush_queued(now);
             let mut timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
             if let Some(c) = chaos_pending {
                 let kill_at = started + c.kill_after;
@@ -602,6 +608,7 @@ impl<'a> ShardReactor<'a> {
             self.close(token);
         }
         self.timers.report(self.shared);
+        self.table.report(self.shared);
         self.core.engine.requests_served()
     }
 }
@@ -610,43 +617,37 @@ impl<'a> ShardReactor<'a> {
 // Client side
 // ---------------------------------------------------------------------
 
-/// One (site, shard) link's lifecycle state.
+/// One shard link's lifecycle state: the one connection every hosted site
+/// reaches that shard over.
 enum LinkState {
     /// No connection; a `Redial` timer is (or is about to be) armed.
     Down { attempt: u32 },
-    /// Hello written, waiting for the ack.
-    AwaitAck { token: u64 },
-    /// Handshake complete: protocol frames flow.
+    /// Connected: each site's Hello is queued on its lane, and the site is
+    /// attached once its ack returns.
     Up { token: u64 },
 }
 
-/// One hosted client: its engine core plus per-shard link states.
+/// One hosted client: its engine core plus its attachment to each shard.
 struct ClientState {
     core: ClientCore,
-    links: Vec<LinkState>,
+    /// Per shard: this site's HelloAck came back on the live link.
+    attached: Vec<bool>,
     /// Completed handshakes per shard (first = connect, rest = reconnect).
     connects: Vec<u64>,
-    /// Whether `Event::Start` has been fed (gated on every link being up,
-    /// so the opening op isn't taxed a retry round-trip).
+    /// Whether `Event::Start` has been fed (gated on being attached to
+    /// every shard, so the opening op isn't taxed a retry round-trip).
     started: bool,
     /// Workload complete with nothing in flight; excluded from `remaining`.
     finished: bool,
 }
 
-/// Which link a client-side connection serves.
-#[derive(Clone, Copy)]
-struct LinkId {
-    client: usize,
-    shard: usize,
-}
-
 /// Timer tokens of the client reactor's wheel: engine timers tagged with
-/// their owning client, per-link redial alarms, and the adaptive Δ
+/// their owning client, per-shard redial alarms, and the adaptive Δ
 /// controller's sampling tick.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum ClientTimer {
     Engine { client: usize, token: u64 },
-    Redial { client: usize, shard: usize },
+    Redial { shard: usize },
     Controller,
 }
 
@@ -655,7 +656,9 @@ struct ClientReactor<'a> {
     shards: usize,
     addrs: &'a [SocketAddr],
     clock: TickClock,
-    table: ConnTable<LinkId>,
+    /// Each connection's peer state is the shard it links to.
+    table: ConnTable<usize>,
+    links: Vec<LinkState>,
     clients: Vec<ClientState>,
     timers: TimerWheel<ClientTimer>,
     shared: &'a Shared,
@@ -674,24 +677,26 @@ struct ClientReactor<'a> {
 }
 
 impl Links for ClientReactor<'_> {
-    type Peer = LinkId;
+    type Peer = usize;
 
-    fn table(&mut self) -> &mut ConnTable<LinkId> {
+    fn table(&mut self) -> &mut ConnTable<usize> {
         &mut self.table
     }
 
-    fn on_frame(&mut self, token: u64, msg: WireMsg) {
-        let Some(&mut LinkId { client, shard }) = self.table.peer_mut(token) else {
+    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg) {
+        let Some(&mut shard) = self.table.peer_mut(token) else {
             return; // closed by an earlier frame
         };
+        let client = usize::from(lane);
+        let hosted = client < self.clients.len();
         match msg {
-            WireMsg::HelloAck { .. } => {
-                let awaiting = matches!(
-                    self.clients[client].links[shard],
-                    LinkState::AwaitAck { token: t } if t == token
-                );
-                if awaiting {
-                    self.clients[client].links[shard] = LinkState::Up { token };
+            WireMsg::Heartbeat => {}
+            WireMsg::HelloReject { reason } => {
+                panic!("shard {shard} rejected site {client}: {reason}")
+            }
+            WireMsg::HelloAck { .. } if hosted => {
+                if !self.clients[client].attached[shard] {
+                    self.clients[client].attached[shard] = true;
                     let connects = self.clients[client].connects[shard];
                     self.shared.add_metric(
                         if connects == 0 {
@@ -705,61 +710,47 @@ impl Links for ClientReactor<'_> {
                     self.maybe_start(client);
                 }
             }
-            WireMsg::HelloReject { reason } => {
-                panic!("shard {shard} rejected site {client}: {reason}")
-            }
-            WireMsg::Proto(msg) => {
-                let current = matches!(
-                    self.clients[client].links[shard],
-                    LinkState::Up { token: t } if t == token
-                );
-                // A superseded connection's stragglers are dropped —
-                // the engines' retry timers own recovery.
-                if current {
-                    if self.net {
-                        self.shared.log_net(NetEvent::Recv {
-                            at: self.clock.now(),
-                            from: shard,
-                            to: self.shards + client,
-                            tag: msg.tag(),
-                        });
-                    }
-                    let from = NodeId::new(shard);
-                    self.feed(client, Event::Message { from, msg });
+            WireMsg::Proto(msg) if hosted && self.clients[client].attached[shard] => {
+                if self.net {
+                    self.shared.log_net(NetEvent::Recv {
+                        at: self.clock.now(),
+                        from: shard,
+                        to: self.shards + client,
+                        tag: msg.tag(),
+                    });
                 }
+                let from = NodeId::new(shard);
+                self.feed(client, Event::Message { from, msg });
             }
-            WireMsg::Heartbeat => {}
-            // A server never sends Hello or Bye mid-session; treat
-            // either as the link dying.
-            WireMsg::Hello { .. } | WireMsg::Bye => self.close(token),
+            // A server never sends Hello or Bye mid-session, nor speaks on
+            // a lane no hosted site attached: treat any of it as the link
+            // dying.
+            _ => self.close(token),
         }
     }
 
-    /// Deregisters a connection and downgrades its link to `Down`, arming
-    /// an immediate redial (backoff starts on *failed* dials). A
-    /// superseded connection — one the link no longer names — just dies.
+    /// Deregisters a shard's connection, detaches every site from that
+    /// shard and downgrades the link to `Down`, arming an immediate redial
+    /// (backoff starts on *failed* dials) while any site still runs.
     fn close(&mut self, token: u64) {
-        let Some(LinkId { client, shard }) = self.table.remove(token) else {
+        let Some(shard) = self.table.remove(token) else {
             return;
         };
-        let link = &mut self.clients[client].links[shard];
-        let owns = matches!(
-            link,
-            LinkState::AwaitAck { token: t } | LinkState::Up { token: t } if *t == token
-        );
-        if owns {
-            *link = LinkState::Down { attempt: 0 };
-            if !self.clients[client].finished {
-                self.timers
-                    .arm(Instant::now(), ClientTimer::Redial { client, shard });
-            }
+        self.links[shard] = LinkState::Down { attempt: 0 };
+        for client in &mut self.clients {
+            client.attached[shard] = false;
+        }
+        if self.remaining > 0 {
+            self.timers
+                .arm(Instant::now(), ClientTimer::Redial { shard });
         }
     }
 }
 
-/// One hosted client's effects: sends go out through its link table —
-/// dead-lettering, counted, while the link is not up — and timers into the
-/// reactor's wheel tagged with the client.
+/// One hosted client's effects: sends are queued on the client's lane of
+/// the shard's link — dead-lettering, counted, while the client is not
+/// attached there — and timers go into the reactor's wheel tagged with the
+/// client.
 struct ClientPort<'r, 'a> {
     reactor: &'r mut ClientReactor<'a>,
     client: usize,
@@ -776,8 +767,10 @@ impl Port for ClientPort<'_, '_> {
                 tag: msg.tag(),
             });
         }
-        let delivered = match r.clients[client].links[shard] {
-            LinkState::Up { token } => r.queue_and_flush(token, &WireMsg::Proto(msg)),
+        let delivered = match r.links[shard] {
+            LinkState::Up { token } if r.clients[client].attached[shard] => {
+                r.queue(token, client as u16, &WireMsg::Proto(msg))
+            }
             _ => false,
         };
         if !delivered {
@@ -808,9 +801,7 @@ impl<'a> ClientReactor<'a> {
                 let me = NodeId::new(shards + site);
                 ClientState {
                     core: ClientCore::for_site(rc, servers, me, site, clock),
-                    links: (0..shards)
-                        .map(|_| LinkState::Down { attempt: 0 })
-                        .collect(),
+                    attached: vec![false; shards],
                     connects: vec![0; shards],
                     started: false,
                     finished: false,
@@ -823,6 +814,9 @@ impl<'a> ClientReactor<'a> {
             addrs,
             clock,
             table: ConnTable::new(),
+            links: (0..shards)
+                .map(|_| LinkState::Down { attempt: 0 })
+                .collect(),
             remaining: clients.len(),
             clients,
             timers: TimerWheel::new(),
@@ -873,94 +867,76 @@ impl<'a> ClientReactor<'a> {
         }
     }
 
-    /// Dials one link: blocking connect (instant on loopback — refused
-    /// connections fail immediately), blocking Hello write, then the
-    /// socket goes nonblocking and into the table awaiting its ack.
-    fn dial(&mut self, client: usize, shard: usize) {
-        if self.clients[client].finished {
-            return;
-        }
-        let attempt = match self.clients[client].links[shard] {
-            LinkState::Down { attempt } => attempt,
-            // A live connection beat the redial timer; nothing to do.
-            _ => return,
+    /// Dials one shard link: blocking connect (instant on loopback —
+    /// refused connections fail immediately), then the socket goes
+    /// nonblocking into the table with every unfinished site's Hello
+    /// queued on that site's lane; the pass-end flush sends them.
+    fn dial(&mut self, shard: usize) {
+        let LinkState::Down { attempt } = self.links[shard] else {
+            return; // a live connection beat the redial timer
         };
+        let dialled = TcpStream::connect_timeout(&self.addrs[shard], self.cfg.read_timeout)
+            .ok()
+            .and_then(|stream| {
+                let _ = stream.set_nodelay(true);
+                stream.set_nonblocking(true).ok()?;
+                Some(stream)
+            });
+        let Some(token) = dialled.and_then(|stream| self.table.insert(stream, shard)) else {
+            return self.retry(shard, attempt);
+        };
+        self.links[shard] = LinkState::Up { token };
         let rc = &self.cfg.runtime;
-        let hello = WireMsg::Hello {
-            site: client as u32,
-            n_clients: rc.n_clients as u32,
-            shard: shard as u32,
-            protocol: rc.protocol,
-        };
-        let dialled = (|| {
-            let mut stream =
-                TcpStream::connect_timeout(&self.addrs[shard], self.cfg.read_timeout).ok()?;
-            let _ = stream.set_nodelay(true);
-            write_frame(&mut stream, shard as u16, &hello).ok()?;
-            stream.set_nonblocking(true).ok()?;
-            Some(stream)
-        })();
-        let registered = dialled.and_then(|stream| {
-            self.table
-                .insert(stream, shard as u16, LinkId { client, shard })
-        });
-        match registered {
-            Some(token) => self.clients[client].links[shard] = LinkState::AwaitAck { token },
-            None => self.retry(client, shard, attempt),
+        for client in 0..self.clients.len() {
+            if !self.clients[client].finished {
+                let hello = WireMsg::Hello {
+                    site: client as u32,
+                    n_clients: rc.n_clients as u32,
+                    shard: shard as u32,
+                    protocol: rc.protocol,
+                };
+                self.queue(token, client as u16, &hello);
+            }
         }
     }
 
     /// Books a failed dial and schedules the next under the deterministic
     /// jittered [`Backoff`] schedule.
-    fn retry(&mut self, client: usize, shard: usize, attempt: u32) {
+    fn retry(&mut self, shard: usize, attempt: u32) {
         self.shared.add_metric(names::TCP_CONNECT_FAILED, 1);
         assert!(
             attempt < self.cfg.backoff.max_attempts,
             "shard {shard} unreachable after {attempt} attempts"
         );
-        let seed = link_seed(self.cfg.runtime.seed, client, shard);
+        let seed = link_seed(self.cfg.runtime.seed, shard);
         let delay = self.cfg.backoff.delay(attempt, seed);
-        self.clients[client].links[shard] = LinkState::Down {
+        self.links[shard] = LinkState::Down {
             attempt: attempt + 1,
         };
-        self.timers.arm(
-            Instant::now() + delay,
-            ClientTimer::Redial { client, shard },
-        );
+        self.timers
+            .arm(Instant::now() + delay, ClientTimer::Redial { shard });
     }
 
-    /// Feeds `Event::Start` once every link of `client` is up.
+    /// Feeds `Event::Start` once `client` is attached to every shard.
     fn maybe_start(&mut self, client: usize) {
-        if self.clients[client].started {
-            return;
-        }
-        let all_up = self.clients[client]
-            .links
-            .iter()
-            .all(|l| matches!(l, LinkState::Up { .. }));
-        if all_up {
+        let state = &self.clients[client];
+        if !state.started && state.attached.iter().all(|&a| a) {
             self.clients[client].started = true;
             self.feed(client, Event::Start);
         }
     }
 
-    /// The event loop: initial dials staggered in waves, then timers +
-    /// readiness until every client finishes, then an orderly goodbye on
-    /// every live link. Returns all per-operation latencies plus the
-    /// commanded Δ-schedule when the run was adaptive.
+    /// The event loop: one dial per shard, then timers + readiness until
+    /// every client finishes, then an orderly goodbye on every live link.
+    /// Returns all per-operation latencies plus the commanded Δ-schedule
+    /// when the run was adaptive.
     fn run(mut self) -> (Vec<Duration>, Option<DeltaSchedule>) {
         // This loop runs on the caller's thread: the guard hands the
         // thread back with the slack it came with.
         let _slack = TimerSlack::pin();
         let base = Instant::now();
-        for client in 0..self.clients.len() {
-            for shard in 0..self.shards {
-                let wave = (client * self.shards + shard) / DIAL_WAVE;
-                self.timers.arm(
-                    base + DIAL_WAVE_EVERY * wave as u32,
-                    ClientTimer::Redial { client, shard },
-                );
-            }
+        for shard in 0..self.shards {
+            self.timers.arm(base, ClientTimer::Redial { shard });
         }
         if let Some(plane) = &self.controller {
             self.timers
@@ -985,7 +961,7 @@ impl<'a> ClientReactor<'a> {
                             self.feed(client, Event::Timer { token });
                         }
                     }
-                    ClientTimer::Redial { client, shard } => self.dial(client, shard),
+                    ClientTimer::Redial { shard } => self.dial(shard),
                     ClientTimer::Controller => self.controller_tick(),
                 }
             }
@@ -993,6 +969,7 @@ impl<'a> ClientReactor<'a> {
             if self.remaining == 0 {
                 break;
             }
+            let now = self.flush_queued(now);
             let timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
             let n = self
                 .table
@@ -1008,10 +985,11 @@ impl<'a> ClientReactor<'a> {
         // socket allows, then close. A blocked socket just loses its
         // goodbye — the shard's read timeout reaps it.
         for token in self.table.tokens() {
-            self.queue_and_flush(token, &WireMsg::Bye);
+            self.queue_and_flush(token, 0, &WireMsg::Bye);
             self.close(token);
         }
         self.timers.report(self.shared);
+        self.table.report(self.shared);
         let schedule = self.controller.take().map(ControlPlane::into_schedule);
         let latencies = self
             .clients
@@ -1072,12 +1050,18 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
 ///
 /// # Panics
 ///
-/// As [`run_reactor`]; additionally if the chaos plan names a shard
-/// outside the fleet or a listener cannot be bound.
+/// As [`run_reactor`]; additionally if the fleet has more sites than a
+/// frame header's u16 lane can name (65 536), if the chaos plan names a
+/// shard outside the fleet, or if a listener cannot be bound.
 #[must_use]
 pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
     let rc = &cfg.runtime;
     let shards = rc.protocol.shards;
+    assert!(
+        rc.n_clients <= usize::from(u16::MAX) + 1,
+        "{} sites exceed the 65 536 lanes of a shard link",
+        rc.n_clients
+    );
     if let Some(c) = cfg.chaos {
         assert!(c.shard < shards, "chaos shard {} out of range", c.shard);
     }
@@ -1191,6 +1175,45 @@ mod tests {
         assert_ne!(b.delay(3, 1), b.delay(3, 2));
     }
 
+    /// Runs shard 0 of `cfg` as a live reactor on a fresh loopback
+    /// listener while `probe` talks to it, then stops it. Returns the
+    /// requests the shard's engine served and the run's metrics and
+    /// history, assembled by `finish_run`.
+    fn with_live_shard(
+        cfg: &ReactorConfig,
+        probe: impl FnOnce(SocketAddr, TickClock, &Shared),
+    ) -> (u64, RuntimeResult) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        let clock = TickClock::new(cfg.runtime.tick);
+        let shared = Shared::new(&cfg.runtime);
+        let started = Instant::now();
+        let served = crossbeam::thread::scope(|scope| {
+            let shard = scope.spawn(|_| {
+                ShardReactor::new(0, cfg, clock, listener, addr, &shared)
+                    .run(None, started, &wake_rx)
+            });
+            probe(addr, clock, &shared);
+            wake_tx.write_all(&[0]).unwrap();
+            shard.join().expect("shard reactor panicked")
+        })
+        .unwrap();
+        let r = finish_run(shared, Vec::new(), Vec::new(), started.elapsed(), None);
+        (served, r)
+    }
+
+    /// A raw connection to a live shard, reads bounded so a hung shard
+    /// fails the test instead of stalling it.
+    fn raw_dial(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+    }
+
     /// Dials a *live* shard reactor with a raw socket and a Hello that
     /// disagrees with it: the shard must answer `HelloReject` with the
     /// reason and hang up — never route the site — and a normal run on the
@@ -1209,33 +1232,20 @@ mod tests {
         let other_delta = ProtocolConfig::of(ProtocolKind::Tsc {
             delta: Delta::from_ticks(999),
         });
+        // Every probe speaks on lane 0; only the last names another site.
         let probes = [
             (good(0, 0, other_delta), "protocol config mismatch"),
             (good(0, 1, rc.protocol), "dialled shard 1, reached 0"),
             (good(2, 0, rc.protocol), "bad id space: site 2 of 2"),
+            (good(1, 0, rc.protocol), "site 1 spoke on lane 0"),
         ];
-
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
-        let clock = TickClock::new(rc.tick);
-        let shared = Shared::new(rc);
-        let started = Instant::now();
-        crossbeam::thread::scope(|scope| {
-            let shard = scope.spawn(|_| {
-                ShardReactor::new(0, &cfg, clock, listener, addr, &shared)
-                    .run(None, started, &wake_rx)
-            });
+        let (_, r) = with_live_shard(&cfg, |addr, clock, shared| {
             for (hello, reason) in &probes {
-                let mut stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .set_read_timeout(Some(Duration::from_secs(5)))
-                    .unwrap();
+                let mut stream = raw_dial(addr);
                 write_frame(&mut stream, 0, hello).unwrap();
                 match read_frame(&mut stream) {
-                    Ok((_, WireMsg::HelloReject { reason: got })) => assert_eq!(&got, reason),
-                    other => panic!("expected HelloReject({reason}), got {other:?}"),
+                    Ok((0, WireMsg::HelloReject { reason: got })) => assert_eq!(&got, reason),
+                    other => panic!("expected HelloReject({reason}) on lane 0, got {other:?}"),
                 }
                 assert!(
                     read_frame(&mut stream).is_err(),
@@ -1244,26 +1254,67 @@ mod tests {
             }
             // The refusals left nothing behind: the same listener serves a
             // well-configured fleet as if they had never dialled.
-            let (latencies, _) = ClientReactor::new(&cfg, &[addr], clock, &shared).run();
+            let (latencies, _) = ClientReactor::new(&cfg, &[addr], clock, shared).run();
             assert_eq!(latencies.len(), 2 * 12);
-            wake_tx.write_all(&[0]).unwrap();
-            shard.join().expect("shard reactor panicked");
-        })
-        .unwrap();
-        let r = finish_run(shared, Vec::new(), Vec::new(), started.elapsed(), None);
+        });
         assert_eq!(r.ops_done, 2 * 12);
         assert!(r.on_time.holds(), "the following run must be monitor-clean");
+        assert_eq!(r.counter(names::TCP_CONNECT), 2, "only real sites attach");
+        // One connection per probe, then one link carrying both sites.
         assert_eq!(
-            r.counter(names::TCP_CONNECT),
-            2,
-            "only real links handshake"
+            r.counter(names::REACTOR_CONN_OPENED),
+            probes.len() as u64 + 1
         );
-        assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 3 + 2);
         assert_eq!(
             r.counter(names::REACTOR_CONN_OPENED),
             r.counter(names::REACTOR_CONN_CLOSED),
             "rejected registrations must be reaped"
         );
+    }
+
+    /// A site attaches on its own lane only, and only attached lanes speak:
+    /// a `Proto` on a lane no Hello attached on the connection closes the
+    /// link before the engine sees it.
+    #[test]
+    fn a_proto_frame_on_an_unattached_lane_closes_the_link() {
+        use tc_core::ObjectId;
+        use tc_wire::read_frame;
+        let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 45));
+        let rc = &cfg.runtime;
+        let (served, r) = with_live_shard(&cfg, |addr, _, _| {
+            let mut stream = raw_dial(addr);
+            let hello = WireMsg::Hello {
+                site: 0,
+                n_clients: rc.n_clients as u32,
+                shard: 0,
+                protocol: rc.protocol,
+            };
+            write_frame(&mut stream, 0, &hello).unwrap();
+            match read_frame(&mut stream) {
+                Ok((0, WireMsg::HelloAck { shard: 0 })) => {}
+                other => panic!("expected HelloAck on lane 0, got {other:?}"),
+            }
+            let fetch = Msg::FetchReq {
+                object: ObjectId::new(0),
+                epoch: 1,
+            };
+            write_frame(&mut stream, 1, &WireMsg::Proto(fetch)).unwrap();
+            assert!(
+                read_frame(&mut stream).is_err(),
+                "the shard must hang up on a frame from an unattached lane"
+            );
+        });
+        assert_eq!(served, 0, "the stray request must never reach the engine");
+        assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 1);
+        assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "65537 sites exceed the 65 536 lanes")]
+    fn a_fleet_wider_than_the_lane_space_is_refused() {
+        let mut cfg = small(ProtocolKind::Sc, 43);
+        cfg.n_clients = 65_537;
+        let _ = run_reactor(&cfg);
     }
 
     #[test]
@@ -1274,7 +1325,12 @@ mod tests {
         assert_eq!(
             r.counter(names::TCP_CONNECT),
             2,
-            "every client handshakes exactly once with the single shard"
+            "every client attaches exactly once to the single shard"
+        );
+        assert_eq!(
+            r.counter(names::REACTOR_CONN_OPENED),
+            1,
+            "both sites share one link"
         );
         assert_eq!(r.counter(names::TCP_RECONNECT), 0, "no faults injected");
         // fd hygiene even on the happy path: every accepted registration
@@ -1283,6 +1339,19 @@ mod tests {
             r.counter(names::REACTOR_CONN_OPENED),
             r.counter(names::REACTOR_CONN_CLOSED),
             "registrations must drain to zero"
+        );
+        // Both reactor threads reported their output counters, and no
+        // write went out without a frame in it.
+        for name in [names::REACTOR_WRITES, names::REACTOR_FRAMES_OUT] {
+            assert!(r.metrics.counters.contains_key(name), "{name} missing");
+        }
+        let (writes, frames) = (
+            r.counter(names::REACTOR_WRITES),
+            r.counter(names::REACTOR_FRAMES_OUT),
+        );
+        assert!(
+            0 < writes && writes <= frames,
+            "{writes} writes, {frames} frames"
         );
     }
 
@@ -1305,26 +1374,35 @@ mod tests {
         .expect("caller thread");
     }
 
+    /// Two shards, at 2 sites and at 300 — the scale whose cold start once
+    /// needed dials staggered in waves — each over exactly one link per
+    /// shard.
     #[test]
     fn reactor_tsc_fleet_is_judged_by_the_monitor() {
-        let mut cfg = small(
-            ProtocolKind::Tsc {
-                delta: Delta::from_ticks(400),
-            },
-            32,
-        );
-        cfg.protocol = cfg.protocol.with_shards(2);
-        let r = run_reactor(&cfg);
-        assert_eq!(r.ops_done, 2 * 12);
-        assert!(
-            r.on_time.holds(),
-            "violations: {}",
-            r.on_time.violations().len()
-        );
-        assert_eq!(r.shard_requests.len(), 2);
-        assert!(r.shard_requests.iter().sum::<u64>() > 0);
-        // Each of 2 clients handshakes with each of 2 shards exactly once.
-        assert_eq!(r.counter(names::TCP_CONNECT), 4);
+        for sites in [2, 300] {
+            let mut cfg = small(
+                ProtocolKind::Tsc {
+                    delta: Delta::from_ticks(400),
+                },
+                32,
+            );
+            cfg.protocol = cfg.protocol.with_shards(2);
+            cfg.n_clients = sites;
+            let r = run_reactor(&cfg);
+            assert_eq!(r.ops_done, sites * 12);
+            assert!(
+                r.on_time.holds(),
+                "{sites} sites, violations: {}",
+                r.on_time.violations().len()
+            );
+            assert_eq!(r.shard_requests.len(), 2);
+            assert!(r.shard_requests.iter().sum::<u64>() > 0);
+            // Every client attaches to each of 2 shards exactly once, all
+            // of them over the same 2 connections.
+            assert_eq!(r.counter(names::TCP_CONNECT), 2 * sites as u64);
+            assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 2, "{sites} sites");
+            assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 2, "{sites} sites");
+        }
     }
 
     #[test]

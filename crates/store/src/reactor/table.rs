@@ -1,9 +1,18 @@
 //! The connection table both reactors share: an epoll instance, a
 //! generational [`Slab`] of registered endpoints, and the per-connection
-//! plumbing — readiness handling, queue-and-flush, the liveness sweep —
-//! written once over the [`Links`] trait, which names the only things a
-//! shard reactor and a client reactor do differently with a connection:
-//! what a decoded frame means, and what "close" means.
+//! plumbing — readiness handling, queueing with one flush per connection
+//! per loop pass, the liveness sweep — written once over the [`Links`]
+//! trait, which names the only things a shard reactor and a client
+//! reactor do differently with a connection: what a decoded frame means,
+//! and what "close" means.
+//!
+//! Frames are *queued*, never written where they are produced: a loop
+//! pass encodes everything its timers, sweep and events send onto the
+//! connections' outboxes, and [`Links::flush_queued`] writes each queued
+//! connection once, right before the pass waits. On a client link that
+//! multiplexes every hosted site, that is one `write` for the whole pass's
+//! traffic to a shard instead of one per frame. Coalescing never waits: the
+//! bytes leave at the end of the pass that produced them.
 
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
@@ -97,26 +106,35 @@ impl<T> Slab<T> {
     }
 }
 
-/// One registered connection's socket + buffers + current interest mask,
-/// and the shard tag its outbound frames carry.
+/// One registered connection's socket + buffers + current interest mask.
 struct Endpoint {
     stream: TcpStream,
     conn: Conn,
     interest: u32,
-    tag: u16,
+    /// Already listed in [`ConnTable::queued`] this pass.
+    queued: bool,
 }
 
 /// Every registered connection of one reactor, each with the reactor's own
 /// per-connection state `P`, plus the scratch reused across events so a
 /// steady-state pass allocates nothing: the read buffer lent to every
-/// connection and the frames one readable event decoded.
+/// connection, the frames one readable event decoded, and the connections
+/// this pass queued frames on.
 pub(super) struct ConnTable<P> {
     pub(super) epoll: Epoll,
     conns: Slab<(Endpoint, P)>,
     scratch: Vec<u8>,
     frames: Vec<(u16, WireMsg)>,
+    /// Connections with frames queued since the last
+    /// [`Links::flush_queued`], each listed once.
+    queued: Vec<u64>,
     /// When the next liveness sweep is due.
     next_sweep: Instant,
+    /// `write` calls issued and frames queued, counted here — one table,
+    /// one thread, no lock — and added to the run's metrics once by
+    /// [`ConnTable::report`]. Their ratio is the batching a run achieved.
+    writes: u64,
+    frames_out: u64,
 }
 
 impl<P> ConnTable<P> {
@@ -126,20 +144,22 @@ impl<P> ConnTable<P> {
             conns: Slab::new(),
             scratch: vec![0; READ_CHUNK],
             frames: Vec::new(),
+            queued: Vec::new(),
             next_sweep: Instant::now(),
+            writes: 0,
+            frames_out: 0,
         }
     }
 
-    /// Registers a connected, nonblocking `stream` whose outbound frames
-    /// carry `tag`. `None` if epoll refused the registration (the stream
-    /// is dropped).
-    pub(super) fn insert(&mut self, stream: TcpStream, tag: u16, peer: P) -> Option<u64> {
+    /// Registers a connected, nonblocking `stream`. `None` if epoll
+    /// refused the registration (the stream is dropped).
+    pub(super) fn insert(&mut self, stream: TcpStream, peer: P) -> Option<u64> {
         let fd = stream.as_raw_fd();
         let endpoint = Endpoint {
             stream,
             conn: Conn::new(Instant::now()),
             interest: BASE_INTEREST,
-            tag,
+            queued: false,
         };
         let token = self.conns.insert((endpoint, peer));
         if self.epoll.add(fd, BASE_INTEREST, token).is_err() {
@@ -175,6 +195,14 @@ impl<P> ConnTable<P> {
             .saturating_duration_since(now)
     }
 
+    /// Adds this table's output counters ([`names::REACTOR_WRITES`],
+    /// [`names::REACTOR_FRAMES_OUT`]) to the run's metrics. Called once,
+    /// when the owning reactor thread exits.
+    pub(super) fn report(&self, shared: &Shared) {
+        shared.add_metric(names::REACTOR_WRITES, self.writes);
+        shared.add_metric(names::REACTOR_FRAMES_OUT, self.frames_out);
+    }
+
     /// Reads and/or flushes one connection as its readiness `bits` ask,
     /// leaving the decoded frames in `self.frames`. `None` for a stale
     /// token; `Some(true)` if the connection died.
@@ -187,17 +215,23 @@ impl<P> ConnTable<P> {
                 .on_readable(&mut ep.stream, now, &mut self.scratch, &mut self.frames);
         }
         if verdict.is_none() && bits & EPOLLOUT != 0 {
-            verdict = flush(&self.epoll, ep, token, now);
+            verdict = flush(&self.epoll, ep, token, now, &mut self.writes);
         }
         Some(verdict.is_some())
     }
 }
 
-/// Pushes outbox bytes as far as the socket allows and re-syncs `EPOLLOUT`
-/// interest with the outbox state. `Some` means the connection died
-/// writing.
-fn flush(epoll: &Epoll, ep: &mut Endpoint, token: u64, now: Instant) -> Option<Close> {
-    if let Some(verdict) = ep.conn.on_writable(&mut ep.stream, now) {
+/// Pushes outbox bytes as far as the socket allows, counting the `write`
+/// calls into `writes`, and re-syncs `EPOLLOUT` interest with the outbox
+/// state. `Some` means the connection died writing.
+fn flush(
+    epoll: &Epoll,
+    ep: &mut Endpoint,
+    token: u64,
+    now: Instant,
+    writes: &mut u64,
+) -> Option<Close> {
+    if let Some(verdict) = ep.conn.on_writable(&mut ep.stream, now, writes) {
         return Some(verdict);
     }
     let want = if ep.conn.wants_write() {
@@ -220,13 +254,15 @@ pub(super) trait Links {
 
     fn table(&mut self) -> &mut ConnTable<Self::Peer>;
 
-    /// Acts on one decoded frame of connection `token` — which an earlier
-    /// frame of the same batch may already have closed.
-    fn on_frame(&mut self, token: u64, msg: WireMsg);
+    /// Acts on one frame of connection `token`, decoded from `lane` (the
+    /// frame header's routing field: the site a frame speaks for on a
+    /// client↔shard link). An earlier frame of the same batch may already
+    /// have closed the connection.
+    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg);
 
     /// Tears down connection `token` (a no-op for a stale token) with
-    /// whatever that means on this side: unrouting a site, or downgrading
-    /// a link and arming its redial.
+    /// whatever that means on this side: unrouting the sites it carried,
+    /// or downgrading a shard link and arming its redial.
     fn close(&mut self, token: u64);
 
     /// Reacts to readiness bits for one connection token. Frames decoded
@@ -236,8 +272,8 @@ pub(super) trait Links {
             return; // closed earlier in this same event batch
         };
         let mut frames = std::mem::take(&mut self.table().frames);
-        for (_tag, msg) in frames.drain(..) {
-            self.on_frame(token, msg);
+        for (lane, msg) in frames.drain(..) {
+            self.on_frame(token, lane, msg);
         }
         self.table().frames = frames;
         if died {
@@ -245,20 +281,59 @@ pub(super) trait Links {
         }
     }
 
-    /// Queues a frame and flushes as far as the socket allows. `false`
-    /// means the connection was dead (or died writing) and is gone.
-    fn queue_and_flush(&mut self, token: u64, msg: &WireMsg) -> bool {
-        let now = Instant::now();
+    /// Encodes a frame on `lane` onto connection `token`'s outbox; the
+    /// pass's [`flush_queued`](Links::flush_queued) writes it. `false` for
+    /// a dead connection. A queued frame whose connection dies before or
+    /// during that flush is lost like any frame in flight.
+    fn queue(&mut self, token: u64, lane: u16, msg: &WireMsg) -> bool {
         let table = self.table();
         let Some((ep, _)) = table.conns.get_mut(token) else {
             return false;
         };
-        ep.conn.queue(ep.tag, msg);
-        if flush(&table.epoll, ep, token, now).is_some() {
-            self.close(token);
-            return false;
+        ep.conn.queue(lane, msg);
+        table.frames_out += 1;
+        if !ep.queued {
+            ep.queued = true;
+            table.queued.push(token);
         }
         true
+    }
+
+    /// Writes every connection queued on since the last call, once each,
+    /// closing those that die writing. Called once per loop pass, right
+    /// before the wait; `now` stamps the writes. Returns the instant to
+    /// compute the wait from: `now` if nothing was queued, else a fresh
+    /// reading.
+    fn flush_queued(&mut self, now: Instant) -> Instant {
+        if self.table().queued.is_empty() {
+            return now;
+        }
+        let mut queued = std::mem::take(&mut self.table().queued);
+        for token in queued.drain(..) {
+            let table = self.table();
+            let Some((ep, _)) = table.conns.get_mut(token) else {
+                continue; // closed after queueing
+            };
+            ep.queued = false;
+            if flush(&table.epoll, ep, token, now, &mut table.writes).is_some() {
+                self.close(token);
+            }
+        }
+        self.table().queued = queued;
+        Instant::now()
+    }
+
+    /// Queues a frame and writes the connection at once, as far as the
+    /// socket allows — for the frames a close follows (`HelloReject`,
+    /// `Bye`), which the pass-end flush would never see. Best effort: the
+    /// caller closes the connection next, whether or not the write went
+    /// through.
+    fn queue_and_flush(&mut self, token: u64, lane: u16, msg: &WireMsg) {
+        if self.queue(token, lane, msg) {
+            let table = self.table();
+            let (ep, _) = table.conns.get_mut(token).expect("queued on a live token");
+            flush(&table.epoll, ep, token, Instant::now(), &mut table.writes);
+        }
     }
 
     /// Runs the read-timeout + heartbeat sweep over every live connection
@@ -280,8 +355,10 @@ pub(super) trait Links {
             if now.duration_since(ep.conn.last_read) > cfg.read_timeout {
                 self.close(token);
             } else if now.duration_since(ep.conn.last_write) >= cfg.heartbeat {
+                // A keep-alive speaks for the connection, not a site:
+                // either end ignores its lane.
                 shared.add_metric(names::TCP_HEARTBEAT, 1);
-                self.queue_and_flush(token, &WireMsg::Heartbeat);
+                self.queue(token, 0, &WireMsg::Heartbeat);
             }
         }
         let every = (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5));

@@ -3,7 +3,7 @@
 //! ```text
 //!  0        4        6        8        12       16
 //!  +--------+--------+--------+--------+--------+----------------+
-//!  | magic  | ver    | shard  | length | crc32  | payload ...    |
+//!  | magic  | ver    | lane   | length | crc32  | payload ...    |
 //!  | u32 LE | u16 LE | u16 LE | u32 LE | u32 LE | length bytes   |
 //!  +--------+--------+--------+--------+--------+----------------+
 //! ```
@@ -17,10 +17,11 @@
 //!   generation 2 writes them as varints (see [`crate::msg::put_vclock`]).
 //!   The header itself is the same in both, which is what lets a v2 reader
 //!   refuse a v1 frame or WAL record by name instead of mis-decoding it.
-//! * `shard` — the shard index this frame concerns: the destination shard
-//!   on client→server frames, the originating shard on server→client
-//!   frames. Carried in the clear so a multiplexing proxy (or a pcap
-//!   reader) can route without decoding payloads.
+//! * `lane` — the routing tag, carried in the clear so a reader can route
+//!   (and a pcap reader can follow) frames without decoding payloads. On
+//!   a reactor link, which multiplexes every site a client process hosts
+//!   over one connection per shard, it is the site the frame speaks for,
+//!   in either direction; in a WAL segment it is the owning shard.
 //! * `length` — payload byte count, capped at [`MAX_PAYLOAD`] so a
 //!   corrupted length cannot make a reader allocate gigabytes.
 //! * `crc32` — CRC-32/IEEE over the payload bytes (see [`crate::crc`]).
@@ -55,19 +56,20 @@ pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 pub struct FrameHeader {
     /// Protocol generation of the sender.
     pub version: u16,
-    /// Shard index (destination on requests, origin on replies/pushes).
-    pub shard: u16,
+    /// Routing tag: the site on a reactor link, the owning shard in a WAL
+    /// segment.
+    pub lane: u16,
     /// Payload byte count.
     pub len: u32,
     /// CRC-32 the payload must hash to.
     pub crc: u32,
 }
 
-/// Encodes `msg` into a complete frame addressed to/from `shard`.
+/// Encodes `msg` into a complete frame on `lane`.
 #[must_use]
-pub fn encode_frame(shard: u16, msg: &WireMsg) -> Vec<u8> {
+pub fn encode_frame(lane: u16, msg: &WireMsg) -> Vec<u8> {
     let mut bytes = Vec::new();
-    encode_frame_into(&mut bytes, shard, msg);
+    encode_frame_into(&mut bytes, lane, msg);
     bytes
 }
 
@@ -79,8 +81,8 @@ pub fn encode_frame(shard: u16, msg: &WireMsg) -> Vec<u8> {
 /// the length and CRC are patched into the slot in place; the bytes
 /// produced are identical to [`encode_frame`]'s. Anything already in
 /// `buf` is left untouched, so frames can be batched back to back.
-pub fn encode_frame_into(buf: &mut Vec<u8>, shard: u16, msg: &WireMsg) {
-    encode_frame_body_into(buf, shard, |w| put_wire_msg(w, msg));
+pub fn encode_frame_into(buf: &mut Vec<u8>, lane: u16, msg: &WireMsg) {
+    encode_frame_body_into(buf, lane, |w| put_wire_msg(w, msg));
 }
 
 /// Appends a complete frame whose payload is written by `body` — the
@@ -88,14 +90,14 @@ pub fn encode_frame_into(buf: &mut Vec<u8>, shard: u16, msg: &WireMsg) {
 /// [`WireMsg`]s (e.g. `tc-durable`'s WAL records ride the same
 /// magic/version/length/CRC header, so log corruption is detected by the
 /// very codec the transport already trusts). Same zero-alloc warm-buffer
-/// behaviour; `shard` carries the frame's routing tag (for a WAL segment,
+/// behaviour; `lane` carries the frame's routing tag (for a WAL segment,
 /// the owning shard).
-pub fn encode_frame_body_into(buf: &mut Vec<u8>, shard: u16, body: impl FnOnce(&mut Writer)) {
+pub fn encode_frame_body_into(buf: &mut Vec<u8>, lane: u16, body: impl FnOnce(&mut Writer)) {
     let start = buf.len();
     let mut w = Writer::over(std::mem::take(buf));
     w.u32(MAGIC);
     w.u16(WIRE_VERSION);
-    w.u16(shard);
+    w.u16(lane);
     w.u32(0); // length, patched below
     w.u32(0); // crc, patched below
     body(&mut w);
@@ -124,7 +126,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<FrameHeader, WireError> {
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion { found: version });
     }
-    let shard = r.u16("frame shard")?;
+    let lane = r.u16("frame lane")?;
     let len = r.u32("frame length")?;
     if len > MAX_PAYLOAD {
         return Err(WireError::OversizedPayload { len });
@@ -132,7 +134,7 @@ pub fn decode_header(bytes: &[u8]) -> Result<FrameHeader, WireError> {
     let crc = r.u32("frame crc")?;
     Ok(FrameHeader {
         version,
-        shard,
+        lane,
         len,
         crc,
     })
@@ -160,7 +162,7 @@ pub fn decode_payload(header: &FrameHeader, payload: &[u8]) -> Result<WireMsg, W
 }
 
 /// Decodes one complete frame from the front of `bytes`, returning the
-/// shard, the message, and the number of bytes consumed.
+/// lane, the message, and the number of bytes consumed.
 pub fn decode_frame(bytes: &[u8]) -> Result<(u16, WireMsg, usize), WireError> {
     if bytes.len() < HEADER_LEN {
         return Err(WireError::Truncated {
@@ -175,12 +177,12 @@ pub fn decode_frame(bytes: &[u8]) -> Result<(u16, WireMsg, usize), WireError> {
         });
     }
     let msg = decode_payload(&header, &bytes[HEADER_LEN..total])?;
-    Ok((header.shard, msg, total))
+    Ok((header.lane, msg, total))
 }
 
 /// Decodes one complete frame from the front of `bytes` *without*
 /// interpreting the payload: header and CRC are fully validated, the raw
-/// payload slice is returned together with the shard tag and the bytes
+/// payload slice is returned together with the lane and the bytes
 /// consumed. The counterpart of [`encode_frame_body_into`] — callers that
 /// framed something other than a [`WireMsg`] (WAL records, snapshots)
 /// decode the payload with their own `Reader`. Every corruption a
@@ -209,13 +211,13 @@ pub fn decode_frame_body(bytes: &[u8]) -> Result<(u16, &[u8], usize), WireError>
             found,
         });
     }
-    Ok((header.shard, payload, total))
+    Ok((header.lane, payload, total))
 }
 
 /// Writes one frame to `w` (a single `write_all`; the frame is already
 /// contiguous, so no interleaving with other writers of the same stream).
-pub fn write_frame<W: Write>(w: &mut W, shard: u16, msg: &WireMsg) -> std::io::Result<()> {
-    w.write_all(&encode_frame(shard, msg))
+pub fn write_frame<W: Write>(w: &mut W, lane: u16, msg: &WireMsg) -> std::io::Result<()> {
+    w.write_all(&encode_frame(lane, msg))
 }
 
 /// Reads one frame from `r` (blocking), mapping a malformed frame to
@@ -230,7 +232,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<(u16, WireMsg)> {
     r.read_exact(&mut payload)?;
     let msg = decode_payload(&header, &payload)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
-    Ok((header.shard, msg))
+    Ok((header.lane, msg))
 }
 
 #[cfg(test)]

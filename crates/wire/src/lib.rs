@@ -13,7 +13,7 @@
 //!   session messages (handshake carrying the full [`ProtocolConfig`],
 //!   heartbeats, orderly goodbye);
 //! * [`frame`] — the versioned, length-prefixed frame (magic, protocol
-//!   version — 2 since clocks went varint — shard id, payload length, CRC)
+//!   version — 2 since clocks went varint — routing lane, payload length, CRC)
 //!   and blocking
 //!   [`read_frame`]/[`write_frame`] helpers over `std::io`;
 //! * [`stream`] — [`FrameDecoder`], the incremental decoder an evented

@@ -103,7 +103,7 @@ impl FrameDecoder {
 
     /// Extracts the next complete frame, if one has fully arrived.
     ///
-    /// * `Ok(Some((shard, msg)))` — a frame was decoded and consumed.
+    /// * `Ok(Some((lane, msg)))` — a frame was decoded and consumed.
     /// * `Ok(None)` — the banked bytes end mid-header or mid-payload; feed
     ///   more with [`extend`](Self::extend) and poll again.
     /// * `Err(e)` — the stream is corrupt (bad magic, alien version,
@@ -144,7 +144,7 @@ impl FrameDecoder {
                 self.pos += header.len as usize;
                 self.pending = None;
                 self.compact();
-                Ok(Some((header.shard, msg)))
+                Ok(Some((header.lane, msg)))
             }
             Err(e) => Err(self.poison(e)),
         }

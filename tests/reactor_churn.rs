@@ -69,9 +69,10 @@ fn reactor_survives_connection_churn_without_leaking() {
         "hundreds of churn dials must land (got {})",
         soaked.counter(names::REACTOR_CHURN_DIAL)
     );
+    // The protocol traffic rides one link per shard, whatever the fleet.
     assert!(
         soaked.counter(names::REACTOR_CONN_OPENED)
-            >= (N_CLIENTS * protocol.shards) as u64 + soaked.counter(names::REACTOR_CHURN_DIAL),
+            >= protocol.shards as u64 + soaked.counter(names::REACTOR_CHURN_DIAL),
         "every landed dial must have been accepted and registered"
     );
     assert_eq!(

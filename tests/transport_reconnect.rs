@@ -96,8 +96,9 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
     );
 
     // The fault fired and was healed: one listener restart, at least one
-    // dial into the dead window, and at least one successful reconnect
-    // (both clients' shard-0 links die; each must come back).
+    // dial into the dead window, and every client re-attached (the one
+    // shard-0 link carries both clients; the reborn link must carry both
+    // again).
     assert_eq!(
         faulted.counter(names::TCP_LISTENER_RESTART),
         1,
@@ -108,8 +109,8 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
         "redials during the downtime must fail before the rebind"
     );
     assert!(
-        faulted.counter(names::TCP_RECONNECT) >= 1,
-        "a killed link must redial successfully after the rebind"
+        faulted.counter(names::TCP_RECONNECT) >= N_CLIENTS as u64,
+        "every site must re-attach over the reborn link"
     );
     // Initial handshakes are unaffected by the mid-run fault.
     assert_eq!(faulted.counter(names::TCP_CONNECT), (N_CLIENTS * 2) as u64);
