@@ -120,20 +120,17 @@ fn config(delta: u64, ops: usize, seed: u64) -> RunConfig {
     }
 }
 
-/// Controller tuned for hostile air: a 3:2 headroom ratio over the
-/// observed staleness high-water and the tight floor keep the in-force
+/// Controller tuned for hostile air: the law's 3:2 headroom ratio over
+/// the observed staleness high-water and the tight floor keep the in-force
 /// Δ ahead of the staleness front a burst can build between two
 /// controller ticks, without parking the quiet-phase equilibrium far
 /// above what the fleet needs.
 fn controller() -> ControllerConfig {
-    let mut cfg = ControllerConfig::new(
+    ControllerConfig::new(
         Delta::from_ticks(FLOOR_DELTA),
         Delta::from_ticks(BASE_DELTA),
         Delta::from_ticks(40),
-    );
-    cfg.headroom_num = 3;
-    cfg.headroom_den = 2;
-    cfg
+    )
 }
 
 /// Two fault bursts placed inside the measured horizon: drops (retry

@@ -44,9 +44,10 @@ use std::collections::BTreeSet;
 use super::{field, items, number, string, Args, Report};
 use crate::{parallel_map, Table};
 use tc_clocks::{Delta, Time};
+use tc_lifetime::geo::RETX_AFTER;
 use tc_lifetime::{
     conformance_geo, run_geo, GeoRunConfig, Migration, OracleVerdict, ProtocolConfig, ProtocolKind,
-    PushBatch, RegionMap, StalePolicy, WanProfile,
+    RegionMap, StalePolicy, WanProfile,
 };
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
@@ -127,11 +128,6 @@ fn sim_config(kind: ProtocolKind, workload: Workload, seed: u64) -> GeoRunConfig
         workload,
         ops_per_client: SIM_OPS,
         world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
-        geo_batch: PushBatch {
-            max_entries: 4,
-            max_delay: Delta::from_ticks(20),
-        },
-        geo_retx_after: Delta::from_ticks(300),
         migrations: Vec::new(),
     }
 }
@@ -223,8 +219,7 @@ fn run_threaded_scenario(scenario: &'static str, seed: u64, ops: usize) -> Cell 
             // monitor by the blackout plus a retransmit round, exactly as
             // the simulator oracle widens for disruption.
             cfg.wan_outages = vec![(REGIONS - 1, Time::from_ticks(500), Time::from_ticks(2_500))];
-            let retx = cfg.geo_retx_after.ticks();
-            cfg = cfg.widen_monitor(2_000 + 2 * retx);
+            cfg = cfg.widen_monitor(2_000 + 2 * RETX_AFTER.ticks());
         }
         "migration" => {
             cfg.migrations = vec![

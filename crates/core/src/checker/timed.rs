@@ -165,7 +165,7 @@ pub fn check_on_time(history: &History, delta: Delta, eps: Epsilon) -> TimedRepo
 /// Reference O(R·W) implementation of [`check_on_time`]: the literal
 /// per-read scan over every write to the object. Kept (not deprecated) for
 /// cross-validation of the sweep-line path and for the scaling experiment
-/// `exp_checker_scale`; production callers should use [`check_on_time`].
+/// `tc-exp checker-scale`; production callers should use [`check_on_time`].
 #[must_use]
 pub fn check_on_time_naive(history: &History, delta: Delta, eps: Epsilon) -> TimedReport {
     let mut violations = Vec::new();

@@ -27,7 +27,7 @@
 //! causally concurrent, so causal consistency survives.
 //!
 //! Unit tests in this module and the experiment harness
-//! (`exp_figures`) verify all of those constraints mechanically.
+//! (`tc-exp figures`) verify all of those constraints mechanically.
 
 use crate::History;
 

@@ -25,7 +25,7 @@
 //!   still enforcing the old, tighter Δ trivially satisfy the looser
 //!   bound while the update propagates;
 //! * a **tightening** enters the judged schedule only at
-//!   `now + apply_lag` — clients that have not yet heard the update keep
+//!   `now + 2×interval` — clients that have not yet heard the update keep
 //!   enforcing the old Δ, and judging them against the tighter one before
 //!   it could possibly reach them would manufacture violations. (A client
 //!   that applies the tighter Δ *early* is always safe: enforcing tighter
@@ -145,6 +145,15 @@ pub fn widen(delta: Delta, widening: Delta) -> Delta {
     }
 }
 
+/// Headroom ratio `num/den` of the control law: the commanded Δ targets
+/// `observed_min_delta × 3 / 2`, clamped to the configured band.
+const HEADROOM: (u64, u64) = (3, 2);
+
+/// How many controller intervals after its decision a *tightening* takes
+/// judged effect: commands are re-broadcast every interval, so the lag
+/// covers one missed broadcast plus delivery.
+const APPLY_LAG_INTERVALS: u64 = 2;
+
 /// Tuning knobs of the [`DeltaController`]. All arithmetic is integer so
 /// decisions replay identically across drivers.
 #[derive(Clone, Copy, Debug)]
@@ -154,43 +163,35 @@ pub struct ControllerConfig {
     /// Loosest Δ the controller may command (also the relaxation ceiling).
     pub delta_max: Delta,
     /// Controller tick period. Decisions (and re-broadcasts) happen at
-    /// this cadence.
+    /// this cadence, and a tightening takes judged effect two intervals
+    /// after it is decided.
     pub interval: Delta,
-    /// How far in the future a *tightening* takes judged effect — must
-    /// cover command delivery (a couple of intervals plus a round trip).
-    pub apply_lag: Delta,
-    /// Headroom ratio `num/den`: the commanded Δ targets
-    /// `observed_min_delta × num / den`, clamped to `[delta_min, delta_max]`.
-    pub headroom_num: u64,
-    /// See [`ControllerConfig::headroom_num`].
-    pub headroom_den: u64,
 }
 
 impl ControllerConfig {
-    /// A reasonable default law: 1.5× headroom over the observed
-    /// staleness, ticking every `interval`, tightenings honored after
-    /// `2×interval`.
+    /// The law over `[delta_min, delta_max]`, ticking every `interval`:
+    /// 1.5× headroom over the observed staleness, tightenings honored
+    /// after `2×interval`.
     #[must_use]
     pub fn new(delta_min: Delta, delta_max: Delta, interval: Delta) -> Self {
         ControllerConfig {
             delta_min,
             delta_max,
             interval,
-            apply_lag: Delta::from_ticks(interval.ticks().saturating_mul(2)),
-            headroom_num: 3,
-            headroom_den: 2,
         }
     }
 
     /// The Δ the law steers toward for a given observed staleness.
     #[must_use]
     pub fn target(&self, observed: Delta) -> Delta {
-        let scaled = observed
-            .ticks()
-            .saturating_mul(self.headroom_num)
-            .checked_div(self.headroom_den)
-            .unwrap_or(u64::MAX);
+        let (num, den) = HEADROOM;
+        let scaled = observed.ticks().saturating_mul(num) / den;
         Delta::from_ticks(scaled.clamp(self.delta_min.ticks(), self.delta_max.ticks()))
+    }
+
+    /// How far in the future a tightening takes judged effect.
+    fn apply_lag(&self) -> Delta {
+        Delta::from_ticks(self.interval.ticks().saturating_mul(APPLY_LAG_INTERVALS))
     }
 }
 
@@ -203,7 +204,7 @@ pub struct DeltaCommand {
     /// The Δ clients must enforce from receipt.
     pub delta: Delta,
     /// The instant the judged [`DeltaSchedule`] switches to `delta`:
-    /// `now` for relaxations, `now + apply_lag` for tightenings.
+    /// `now` for relaxations, `now + 2×interval` for tightenings.
     pub judge_from: Time,
 }
 
@@ -367,7 +368,7 @@ impl DeltaController {
         self.current = next;
         self.seq += 1;
         let judge_from = if tightening {
-            now.saturating_add_delta(self.cfg.apply_lag)
+            now.saturating_add_delta(self.cfg.apply_lag())
         } else {
             now
         };
@@ -631,7 +632,7 @@ mod tests {
         assert_eq!(
             cmd.judge_from,
             Time::from_ticks(500 + 200),
-            "tighten judges only after apply_lag"
+            "tighten judges only after 2×interval"
         );
         assert_eq!(
             c.schedule().delta_at(Time::from_ticks(699)),

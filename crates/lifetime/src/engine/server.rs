@@ -28,7 +28,7 @@ use tc_sim::metrics::names;
 use tc_sim::NodeId;
 
 use crate::engine::{Effect, Event, Now, TIMER_GEO_FLUSH_BASE, TIMER_GEO_RETX};
-use crate::geo::GeoShardConfig;
+use crate::geo::{GeoShardConfig, EGRESS_BATCH, RETX_AFTER};
 use crate::msg::{GeoWrite, InvalidateEntry, Msg, ValidateOutcome};
 use crate::store::{MemStore, ShardStore, StoredVersion, WalRecord};
 use crate::{Propagation, ProtocolConfig};
@@ -106,6 +106,14 @@ struct GeoChannel {
     unacked: VecDeque<(u64, Vec<GeoWrite>)>,
 }
 
+/// The deadline that flushes egress channel `i`'s open batch.
+fn flush_deadline(i: usize) -> Effect {
+    Effect::SetTimer {
+        after: EGRESS_BATCH.max_delay,
+        token: TIMER_GEO_FLUSH_BASE + i as u64,
+    }
+}
+
 /// Engine-resident geo replication state. Deliberately *not* behind the
 /// [`ShardStore`] seam: losing it on a crash only delays propagation
 /// (clients retransmit unacked writes, channels retransmit unacked
@@ -150,20 +158,34 @@ impl GeoState {
                 k: w.k(),
             },
         });
-        let max_entries = self.config.batch.max_entries;
-        let max_delay = self.config.batch.max_delay;
         for i in 0..self.channels.len() {
             let ch = &mut self.channels[i];
             ch.buf.push(w.clone());
             let len = ch.buf.len();
-            if len >= max_entries {
+            if len >= EGRESS_BATCH.max_entries {
                 self.flush(i, out);
             } else if len == 1 {
-                out.push(Effect::SetTimer {
-                    after: max_delay,
-                    token: TIMER_GEO_FLUSH_BASE + i as u64,
-                });
+                out.push(flush_deadline(i));
             }
+        }
+    }
+
+    /// Re-arms what a crash killed: the engine-resident channels survive a
+    /// restart, but the flush deadlines and the retransmit timer died with
+    /// the process — without this an open batch would leave only once it
+    /// fills, and a lost batch would never be retransmitted.
+    fn rearm_after_restart(&mut self, out: &mut Vec<Effect>) {
+        for (i, ch) in self.channels.iter().enumerate() {
+            if !ch.buf.is_empty() {
+                out.push(flush_deadline(i));
+            }
+        }
+        self.retx_armed = self.channels.iter().any(|ch| !ch.unacked.is_empty());
+        if self.retx_armed {
+            out.push(Effect::SetTimer {
+                after: RETX_AFTER,
+                token: TIMER_GEO_RETX,
+            });
         }
     }
 
@@ -172,7 +194,6 @@ impl GeoState {
     /// buffer and is a no-op).
     fn flush(&mut self, i: usize, out: &mut Vec<Effect>) {
         let origin = self.config.region;
-        let retx_after = self.config.retx_after;
         let Some(ch) = self.channels.get_mut(i) else {
             return;
         };
@@ -198,7 +219,7 @@ impl GeoState {
         if !self.retx_armed {
             self.retx_armed = true;
             out.push(Effect::SetTimer {
-                after: retx_after,
+                after: RETX_AFTER,
                 token: TIMER_GEO_RETX,
             });
         }
@@ -227,7 +248,7 @@ impl GeoState {
         }
         if any {
             out.push(Effect::SetTimer {
-                after: self.config.retx_after,
+                after: RETX_AFTER,
                 token: TIMER_GEO_RETX,
             });
         } else {
@@ -350,9 +371,12 @@ impl ServerEngine {
                 // Egress covering unsynced records dies with them: the
                 // writes were never acked, so their writers retransmit
                 // and the re-apply re-queues the egress. The channels'
-                // unacked windows survive (engine-resident, see
-                // `GeoState`).
+                // open batches and unacked windows survive
+                // (engine-resident, see `GeoState`); their timers do not.
                 self.deferred_geo.clear();
+                if let Some(geo) = &mut self.geo {
+                    geo.rearm_after_restart(out);
+                }
             }
             Event::Message { from, msg } => self.on_message(from, msg, out),
         }
@@ -1109,5 +1133,54 @@ mod tests {
         let out = drive(&mut s, req(1));
         assert_eq!(s.writes_applied(), 1, "duplicate not re-applied");
         assert!(matches!(sent(&out)[0], Msg::WriteAckCausal { .. }));
+    }
+
+    /// A crash kills the geo egress timers but not the channels they
+    /// serve: after a restart the open batch must get its flush deadline
+    /// back and the unacked batch its retransmit timer, or the one leaves
+    /// only once it fills and the other is never retransmitted.
+    #[test]
+    fn restart_rearms_the_geo_egress_timers() {
+        let map = crate::geo::RegionMap::new(2, 1);
+        let mut s = ServerEngine::new(cfg()).with_geo(map.shard_config(0));
+        let mut clock = VectorClock::new(0, 1);
+        let mut write = |seq: u64| Event::Message {
+            from: NodeId::new(map.client_base()),
+            msg: Msg::WriteReq {
+                object: ObjectId::from_letter('X'),
+                value: Value::new(seq),
+                alpha_v: Some(clock.tick()),
+                issued_at: Time::from_ticks(50),
+                epoch: seq,
+                shard_seq: seq,
+            },
+        };
+        let arms = |effects: &[Effect], timer: u64| {
+            effects
+                .iter()
+                .any(|e| matches!(e, Effect::SetTimer { token, .. } if *token == timer))
+        };
+        drive(&mut s, write(1));
+        let flushed = drive(
+            &mut s,
+            Event::Timer {
+                token: TIMER_GEO_FLUSH_BASE,
+            },
+        );
+        assert!(
+            arms(&flushed, TIMER_GEO_RETX),
+            "the deadline shipped a batch"
+        );
+        drive(&mut s, write(2)); // opens the next batch
+        let mut after = drive(&mut s, Event::Restart);
+        after.extend(drive(&mut s, write(3)));
+        assert!(
+            arms(&after, TIMER_GEO_FLUSH_BASE),
+            "the open batch must get its flush deadline back"
+        );
+        assert!(
+            arms(&after, TIMER_GEO_RETX),
+            "the unacked batch must get its retransmit timer back"
+        );
     }
 }

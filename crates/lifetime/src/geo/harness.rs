@@ -36,10 +36,10 @@ use tc_clocks::{Delta, Epsilon};
 use tc_sim::workload::Workload;
 use tc_sim::{FaultKind, FaultPlan, Scope, Window, WorldConfig};
 
-use super::{Migration, RegionMap, WanProfile};
+use super::{Migration, RegionMap, WanProfile, EGRESS_BATCH, RETX_AFTER};
 use crate::harness::run_impl;
 use crate::oracle::{judge, widened_bound, Conformance};
-use crate::{ProtocolConfig, PushBatch, RunConfig, RunOptions, RunResult};
+use crate::{ProtocolConfig, RunConfig, RunOptions, RunResult};
 
 /// Configuration of one geo run.
 #[derive(Clone, Debug)]
@@ -60,13 +60,6 @@ pub struct GeoRunConfig {
     pub ops_per_client: usize,
     /// Base world: the *intra-region* network model, clocks, and seed.
     pub world: WorldConfig,
-    /// Egress channel batching (the Δ-aware urgency knob: its `max_delay`
-    /// bounds how long a write may wait before leaving for peer regions).
-    pub geo_batch: PushBatch,
-    /// Retransmit interval for unacked geo frames. Keep it above one WAN
-    /// round-trip ([`WanProfile::max_latency`] × 2) or retransmissions
-    /// race their own acks.
-    pub geo_retx_after: Delta,
     /// Scripted client migrations (at most one per client).
     pub migrations: Vec<Migration>,
 }
@@ -134,9 +127,7 @@ impl GeoRunConfig {
 
 /// The geo-widened staleness bound for `config` under `plan` (see the
 /// module docs for the term-by-term derivation), or `None` when the
-/// level is untimed, a latency/outage/deadline term is unbounded, or the
-/// geo egress batches on fullness only (infinite `geo_batch.max_delay`
-/// defers propagation unboundedly).
+/// level is untimed or a latency/outage/deadline term is unbounded.
 ///
 /// `plan` is the *caller's* plan — region skew rules affect the bound
 /// only through `eps`, which the caller (or [`run_geo`]) already
@@ -144,14 +135,7 @@ impl GeoRunConfig {
 #[must_use]
 pub fn widened_bound_geo(config: &GeoRunConfig, plan: &FaultPlan, eps: Epsilon) -> Option<Delta> {
     let base = widened_bound(&config.base_run_config(), plan, eps)?;
-    let egress = if config.geo_batch.is_enabled() {
-        if config.geo_batch.max_delay.is_infinite() {
-            return None;
-        }
-        config.geo_batch.max_delay.ticks()
-    } else {
-        0
-    };
+    let egress = EGRESS_BATCH.max_delay.ticks();
     let wan = config.wan.max_latency(config.regions.regions);
     let lat = config.world.net.latency.upper_bound()?.ticks();
     // Finite whenever `base` is (an infinite fsync deadline already
@@ -176,7 +160,7 @@ pub fn widened_bound_geo(config: &GeoRunConfig, plan: &FaultPlan, eps: Epsilon) 
     let geo_retx = if disruption.ticks() > 0 {
         // The geo path loses its own frames to the same outage: charge the
         // window again plus one batch and one apply retransmit interval.
-        disruption.ticks() + 2 * config.geo_retx_after.ticks()
+        disruption.ticks() + 2 * RETX_AFTER.ticks()
     } else {
         0
     };
@@ -267,11 +251,6 @@ mod tests {
             workload: Workload::new(4, 0.8, 0.7, (Delta::from_ticks(5), Delta::from_ticks(40))),
             ops_per_client: 20,
             world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
-            geo_batch: PushBatch {
-                max_entries: 4,
-                max_delay: Delta::from_ticks(20),
-            },
-            geo_retx_after: Delta::from_ticks(300),
             migrations: Vec::new(),
         }
     }
@@ -398,13 +377,6 @@ mod tests {
         assert_eq!(
             noisy.ticks(),
             noisy_base.ticks() + 20 + 120 + 960 + 100 + 2 * 300
-        );
-        // Fullness-only geo batching defers propagation unboundedly.
-        let mut unbounded = config.clone();
-        unbounded.geo_batch.max_delay = Delta::INFINITE;
-        assert_eq!(
-            widened_bound_geo(&unbounded, &FaultPlan::none(), Epsilon::ZERO),
-            None
         );
         // Untimed levels carry no bound.
         assert_eq!(

@@ -59,6 +59,23 @@ mod relay;
 pub use harness::{conformance_geo, run_geo, run_geo_with, widened_bound_geo, GeoRunConfig};
 pub use relay::GeoRelayEngine;
 
+/// The egress discipline of every shard's outgoing cross-region channels,
+/// under every driver: flush on 4 entries or after 20 ticks, whichever
+/// comes first — the [`PushBatch`] rule. The deadline is the Δ-aware
+/// urgency term: it bounds how long a write may wait before leaving for a
+/// peer region, and [`widened_bound_geo`] widens by it.
+pub const EGRESS_BATCH: PushBatch = PushBatch {
+    max_entries: 4,
+    max_delay: Delta::from_ticks(20),
+};
+
+/// Retransmit interval for unacked egress batches (and the relay's
+/// unacked forwarded apply). Keep it above one WAN round trip
+/// ([`WanProfile::max_latency`] × 2) of every deployment it serves — 240
+/// ticks for three regions at 60 ticks a hop — or retransmissions race
+/// their own acks.
+pub const RETX_AFTER: Delta = Delta::from_ticks(300);
+
 /// The node-id layout of a geo deployment: `R·S` shards (region-major),
 /// then `R` relays, then the clients.
 ///
@@ -136,15 +153,10 @@ impl RegionMap {
             .collect()
     }
 
-    /// The geo wiring of every shard of `region`: its own relay, one
-    /// outgoing channel per peer region, and the egress discipline.
+    /// The geo wiring of every shard of `region`: its own relay and one
+    /// outgoing channel per peer region.
     #[must_use]
-    pub fn shard_config(
-        &self,
-        region: usize,
-        batch: PushBatch,
-        retx_after: Delta,
-    ) -> GeoShardConfig {
+    pub fn shard_config(&self, region: usize) -> GeoShardConfig {
         GeoShardConfig {
             region: region as u32,
             local_relay: NodeId::new(self.relay_node(region)),
@@ -153,8 +165,6 @@ impl RegionMap {
                 .map(|r| NodeId::new(self.relay_node(r)))
                 .collect(),
             client_base: self.client_base(),
-            batch,
-            retx_after,
         }
     }
 
@@ -287,8 +297,9 @@ impl WanProfile {
     }
 }
 
-/// Geo configuration of one shard engine: where its relays are and how
-/// its outgoing cross-region channels batch and retransmit.
+/// Geo configuration of one shard engine: where its relays are. Its
+/// outgoing cross-region channels batch by [`EGRESS_BATCH`] and
+/// retransmit every [`RETX_AFTER`].
 #[derive(Clone, Debug)]
 pub struct GeoShardConfig {
     /// This shard's region (carried in batch frames for observability).
@@ -303,14 +314,6 @@ pub struct GeoShardConfig {
     /// cursors by writer *node* (`client_base + site`), so direct writes
     /// after a migration line up with geo-applied ones.
     pub client_base: usize,
-    /// Outgoing-channel batching: flush on fullness or deadline, exactly
-    /// the [`PushBatch`] discipline. The deadline is the Δ-aware urgency
-    /// knob — it bounds how long a write may wait before leaving for a
-    /// peer region, and the oracle widens by it.
-    pub batch: PushBatch,
-    /// Retransmit interval for unacked batches (and the relay's unacked
-    /// forwarded apply).
-    pub retx_after: Delta,
 }
 
 /// A scripted client migration: global client `client` moves to

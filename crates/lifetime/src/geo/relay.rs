@@ -21,10 +21,11 @@
 
 use std::collections::BTreeMap;
 
-use tc_clocks::{Delta, VectorClock};
+use tc_clocks::VectorClock;
 use tc_sim::metrics::names;
 use tc_sim::NodeId;
 
+use super::RETX_AFTER;
 use crate::engine::{Effect, Event, ShardMap, TIMER_GEO_RETX};
 use crate::msg::{GeoWrite, Msg};
 
@@ -51,15 +52,15 @@ pub struct GeoRelayEngine {
     inflight: Option<(u32, u64, NodeId)>,
     /// Clients whose [`Msg::GeoAttach`] is gated on the watermarks.
     attaches: BTreeMap<NodeId, (u32, VectorClock)>,
-    retx_after: Delta,
     retx_armed: bool,
 }
 
 impl GeoRelayEngine {
     /// Creates a relay for a region with the given shard fleet, serving
-    /// `n_sites` client sites (the vector-clock width).
+    /// `n_sites` client sites (the vector-clock width). Its forwarded
+    /// apply is retransmitted every [`RETX_AFTER`] until acked.
     #[must_use]
-    pub fn new(local_shards: Vec<NodeId>, n_sites: usize, retx_after: Delta) -> Self {
+    pub fn new(local_shards: Vec<NodeId>, n_sites: usize) -> Self {
         let shard_map = ShardMap::new(local_shards.len());
         GeoRelayEngine {
             local_shards,
@@ -70,7 +71,6 @@ impl GeoRelayEngine {
             pending: BTreeMap::new(),
             inflight: None,
             attaches: BTreeMap::new(),
-            retx_after,
             retx_armed: false,
         }
     }
@@ -277,7 +277,7 @@ impl GeoRelayEngine {
         if !self.retx_armed {
             self.retx_armed = true;
             out.push(Effect::SetTimer {
-                after: self.retx_after,
+                after: RETX_AFTER,
                 token: TIMER_GEO_RETX,
             });
         }
@@ -301,7 +301,7 @@ impl GeoRelayEngine {
             });
         }
         out.push(Effect::SetTimer {
-            after: self.retx_after,
+            after: RETX_AFTER,
             token: TIMER_GEO_RETX,
         });
     }
@@ -315,7 +315,7 @@ mod tests {
 
     fn relay(shards: usize, sites: usize) -> GeoRelayEngine {
         let fleet = (0..shards).map(NodeId::new).collect();
-        GeoRelayEngine::new(fleet, sites, Delta::from_ticks(100))
+        GeoRelayEngine::new(fleet, sites)
     }
 
     fn write(site: usize, k: u64, deps: &[u64]) -> GeoWrite {

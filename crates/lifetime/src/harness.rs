@@ -310,11 +310,7 @@ pub(crate) fn run_impl(
                 Some(factory) => ServerEngine::with_store(config.protocol, factory(index)),
             };
             if let Some(geo) = geo {
-                engine = engine.with_geo(geo.regions.shard_config(
-                    region,
-                    geo.geo_batch,
-                    geo.geo_retx_after,
-                ));
+                engine = engine.with_geo(geo.regions.shard_config(region));
             }
             world.add_node(InfraNode::new(
                 move |event, out| engine.handle(event, out),
@@ -328,8 +324,7 @@ pub(crate) fn run_impl(
             // The layout asserts keep RegionMap — which the engines
             // address each other through — honest.
             assert_eq!(*fleet, geo.regions.fleet(region));
-            let mut relay =
-                GeoRelayEngine::new(fleet.clone(), config.n_clients, geo.geo_retx_after);
+            let mut relay = GeoRelayEngine::new(fleet.clone(), config.n_clients);
             let id = world.add_node(InfraNode::new(
                 move |event, out| relay.handle(event, out),
                 net_log(),

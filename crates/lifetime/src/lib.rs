@@ -32,7 +32,7 @@
 //! separating trace found by running this very protocol against the
 //! paper's own checker. The CM/CCv distinction postdates the paper by 18
 //! years (Bouajjani et al., POPL '17); no convergent single-server design
-//! can close the gap. `exp_protocol_compare` measures the empirical CM
+//! can close the gap. `tc-exp protocol-compare` measures the empirical CM
 //! rate per protocol.
 //!
 //! # Example

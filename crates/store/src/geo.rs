@@ -44,9 +44,8 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use tc_clocks::{Delta, Time};
 use tc_lifetime::engine::{Effect, Event};
-use tc_lifetime::{
-    GeoRelayEngine, Migration, Msg, ProtocolConfig, PushBatch, RegionMap, WanProfile,
-};
+use tc_lifetime::geo::EGRESS_BATCH;
+use tc_lifetime::{GeoRelayEngine, Migration, Msg, ProtocolConfig, RegionMap, WanProfile};
 use tc_sim::workload::Workload;
 use tc_sim::NodeId;
 
@@ -74,11 +73,6 @@ pub struct GeoRuntimeConfig {
     /// Clients per region; site `i` homes in region
     /// `i / clients_per_region`.
     pub clients_per_region: usize,
-    /// Cross-region egress batching (the Δ-aware urgency knob). The
-    /// flush deadline must be finite: the monitor bound depends on it.
-    pub geo_batch: PushBatch,
-    /// Retransmit interval for unacked batches and forwarded applies.
-    pub geo_retx_after: Delta,
     /// Scripted client region moves (at most one per client).
     pub migrations: Vec<Migration>,
     /// WAN partitions: region `r` exchanges no cross-region messages
@@ -89,16 +83,15 @@ pub struct GeoRuntimeConfig {
 impl GeoRuntimeConfig {
     /// A ready-to-run geo configuration: the threaded defaults of
     /// [`RuntimeConfig::for_protocol`], with the monitor widened by the
-    /// geo terms — the egress flush deadline plus two worst-case WAN
-    /// traversals (write out, invalidation knowledge back) — on top of
-    /// the usual [`crate::MONITOR_SLACK`].
+    /// geo terms — the egress flush deadline ([`EGRESS_BATCH`]) plus two
+    /// worst-case WAN traversals (write out, invalidation knowledge back)
+    /// — on top of the usual [`crate::MONITOR_SLACK`].
     ///
     /// # Panics
     ///
     /// Panics if the protocol is not in the causal family (geo composes
-    /// timed serializations causally — see DESIGN.md §17), if the
-    /// per-region shard count disagrees with `regions`, or if the batch
-    /// deadline is infinite.
+    /// timed serializations causally — see DESIGN.md §17) or if the
+    /// per-region shard count disagrees with `regions`.
     #[must_use]
     pub fn for_protocol(
         protocol: ProtocolConfig,
@@ -119,15 +112,11 @@ impl GeoRuntimeConfig {
             "protocol.shards is the per-region fleet size"
         );
         assert!(clients_per_region >= 1, "each region needs a client");
-        let geo_batch = PushBatch {
-            max_entries: 8,
-            max_delay: Delta::from_ticks(40),
-        };
         let n_clients = regions.regions * clients_per_region;
         let mut base =
             RuntimeConfig::for_protocol(protocol, n_clients, workload, ops_per_client, seed);
         if !base.monitor_delta.is_infinite() {
-            let widen = geo_batch.max_delay.ticks() + 2 * wan.max_latency(regions.regions);
+            let widen = EGRESS_BATCH.max_delay.ticks() + 2 * wan.max_latency(regions.regions);
             base.monitor_delta = base.monitor_delta + Delta::from_ticks(widen);
         }
         GeoRuntimeConfig {
@@ -135,8 +124,6 @@ impl GeoRuntimeConfig {
             regions,
             wan,
             clients_per_region,
-            geo_batch,
-            geo_retx_after: Delta::from_ticks(400),
             migrations: Vec::new(),
             wan_outages: Vec::new(),
         }
@@ -301,10 +288,6 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
         config.base.n_clients, n_clients,
         "base.n_clients must equal regions × clients_per_region"
     );
-    assert!(
-        !config.geo_batch.max_delay.is_infinite() || config.base.monitor_delta.is_infinite(),
-        "a finite monitor bound needs a finite egress flush deadline"
-    );
     regions.validate_migrations(&config.migrations, n_clients, config.base.ops_per_client);
 
     let clock = TickClock::new(config.base.tick);
@@ -354,11 +337,7 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                     let node = regions.shard_node(region, shard);
                     let engine =
                         build_shard_engine(cfg.base.protocol, cfg.base.wal_dir.as_deref(), node)
-                            .with_geo(regions.shard_config(
-                                region,
-                                cfg.geo_batch,
-                                cfg.geo_retx_after,
-                            ));
+                            .with_geo(regions.shard_config(region));
                     let gate = OutageGate::new(node, &cfg.base.shard_outages);
                     let inbox = node_rxs[node].take().expect("receiver taken once");
                     let wan_tx = wan_tx.clone();
@@ -377,8 +356,7 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
             // Relays.
             for region in 0..n_regions {
                 let node = regions.relay_node(region);
-                let engine =
-                    GeoRelayEngine::new(regions.fleet(region), n_clients, cfg.geo_retx_after);
+                let engine = GeoRelayEngine::new(regions.fleet(region), n_clients);
                 let inbox = node_rxs[node].take().expect("receiver taken once");
                 let wan_tx = wan_tx.clone();
                 scope.spawn(move |_| {
@@ -448,6 +426,7 @@ mod tests {
     use crate::runtime::tests::{
         assert_recovered_by_replay, assert_retuned_online, temp_wal_dir, ADAPTIVE_BAND,
     };
+    use tc_lifetime::geo::RETX_AFTER;
     use tc_lifetime::{ProtocolKind, StalePolicy};
     use tc_sim::metrics::names;
 
@@ -519,8 +498,7 @@ mod tests {
         // heal. The monitor is widened by the blackout plus a retransmit
         // round, exactly as the simulator oracle widens for disruption.
         cfg.wan_outages = vec![(2, Time::from_ticks(500), Time::from_ticks(2_500))];
-        let retx = cfg.geo_retx_after.ticks();
-        cfg = cfg.widen_monitor(2_000 + 2 * retx);
+        cfg = cfg.widen_monitor(2_000 + 2 * RETX_AFTER.ticks());
         let r = run_threaded_geo(&cfg);
         assert_eq!(r.ops_done, 6 * 150, "partition must not lose operations");
         assert!(

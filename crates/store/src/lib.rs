@@ -41,7 +41,5 @@ pub mod reactor;
 pub mod runtime;
 
 pub use geo::{run_threaded_geo, GeoRuntimeConfig};
-pub use reactor::{
-    run_reactor, run_reactor_with, Backoff, ConnectionChurn, ListenerChaos, ReactorConfig,
-};
+pub use reactor::{run_reactor, run_reactor_with, ListenerChaos, ReactorConfig};
 pub use runtime::{run_threaded, LatencySummary, RuntimeConfig, RuntimeResult, MONITOR_SLACK};

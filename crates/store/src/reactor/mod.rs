@@ -13,8 +13,8 @@
 //! * one **client reactor** hosting *all* `ClientCore`s: their engine
 //!   timers live in one `TimerWheel` folded into the epoll timeout, and
 //!   all hosted sites share **one connection per shard** — a small state
-//!   machine (dial, heartbeat, redial under [`Backoff`]) over which each
-//!   site attaches with its own handshake.
+//!   machine (dial, heartbeat, redial under a jittered exponential
+//!   backoff) over which each site attaches with its own handshake.
 //!
 //! Both are hosts of the driver core in [`crate::runtime`]: they step the
 //! same `ClientCore` / `ShardCore`, hand the effects to the same
@@ -37,12 +37,13 @@
 //! [`WireMsg::HelloReject`] and a close, because two processes silently
 //! disagreeing on Δ would void every timed guarantee the monitor is about
 //! to certify. A `Proto` frame on a lane not attached on its connection
-//! closes the link. An idle connection carries [`WireMsg::Heartbeat`]s so
-//! the peer's read timeout only ever fires on a genuinely dead link. A
-//! link that dies (error, EOF, heartbeat silence) unroutes every site it
-//! carried — the engines' `Effect::Send`s to them dead-letter, exactly
-//! like the simulator's lossy network — and is redialled under
-//! [`Backoff`], replaying every site's handshake. Engine state never
+//! closes the link. An idle connection carries a [`WireMsg::Heartbeat`]
+//! every 10 ms, so the peer's 250 ms read timeout only ever fires on a
+//! genuinely dead link. A link that dies (error, EOF, heartbeat silence)
+//! unroutes every site it carried — the engines' `Effect::Send`s to them
+//! dead-letter, exactly like the simulator's lossy network — and is
+//! redialled under a capped exponential backoff (2–50 ms, jittered per
+//! shard link), replaying every site's handshake. Engine state never
 //! restarts, so server delivery cursors and client epochs resume where
 //! they left off; the protocol's retry timers re-cover anything lost in
 //! flight. [`ListenerChaos`] kills one shard's listener (and every live
@@ -66,7 +67,7 @@
 //! accept as [`names::REACTOR_CONN_OPENED`] and every deregistration as
 //! [`names::REACTOR_CONN_CLOSED`]; a leak-free run ends with the two
 //! equal, which the connection-churn soak test asserts under hundreds of
-//! half-open dials ([`ConnectionChurn`]).
+//! half-open dials ([`ReactorConfig::churn_dials`]).
 //!
 //! # Time
 //!
@@ -103,7 +104,7 @@ use tc_lifetime::control::DeltaSchedule;
 use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::Msg;
 use tc_sim::metrics::names;
-use tc_sim::{NetEvent, NodeId};
+use tc_sim::NodeId;
 use tc_wire::{write_frame, WireMsg};
 
 use crate::jitter::{link_seed, splitmix64};
@@ -115,43 +116,34 @@ use crate::runtime::{
 use sys::{EpollEvent, EPOLLIN};
 use table::{ConnTable, Links};
 
-/// Capped exponential backoff with deterministic jitter for client
-/// reconnects.
-#[derive(Clone, Copy, Debug)]
-pub struct Backoff {
-    /// First retry delay; the slot doubles each failed attempt.
-    pub base: Duration,
-    /// Upper bound on any single delay.
-    pub cap: Duration,
-    /// Consecutive failed attempts before the client reactor declares the
-    /// shard unreachable and panics (a harness failure, not a protocol
-    /// outcome — a real deployment would surface an error instead).
-    pub max_attempts: u32,
-}
+/// An idle connection sends a keep-alive this often.
+const HEARTBEAT: Duration = Duration::from_millis(10);
+/// A connection with no inbound frame for this long is dead — 25 missed
+/// heartbeats, so only a genuinely dead link ever trips it. It also bounds
+/// each blocking dial.
+const READ_TIMEOUT: Duration = Duration::from_millis(250);
+/// First redial delay; the slot doubles each failed attempt.
+const REDIAL_BASE: Duration = Duration::from_millis(2);
+/// Upper bound on any single redial delay.
+const REDIAL_CAP: Duration = Duration::from_millis(50);
+/// Consecutive failed dials before the client reactor declares the shard
+/// unreachable and panics (a harness failure, not a protocol outcome — a
+/// real deployment would surface an error instead): 1.4–2.8 s of
+/// redialling.
+const REDIAL_ATTEMPTS: u32 = 60;
 
-impl Default for Backoff {
-    fn default() -> Self {
-        Backoff {
-            base: Duration::from_millis(2),
-            cap: Duration::from_millis(50),
-            max_attempts: 60,
-        }
-    }
-}
-
-impl Backoff {
-    /// The delay before retry number `attempt` (0-based): the exponential
-    /// slot `base · 2^attempt`, capped at `cap`, jittered into
-    /// `[50 %, 100 %)` of the slot by `seed`. Deterministic — runs are
-    /// reproducible — yet different per shard link, so redials to
-    /// different shards are not synchronized.
-    #[must_use]
-    pub fn delay(&self, attempt: u32, seed: u64) -> Duration {
-        let slot = self.base.saturating_mul(1 << attempt.min(16)).min(self.cap);
-        let r = splitmix64(seed ^ u64::from(attempt));
-        let frac = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
-        slot.mul_f64(frac)
-    }
+/// The delay before redial number `attempt` (0-based): the exponential
+/// slot `REDIAL_BASE · 2^attempt`, capped at [`REDIAL_CAP`], jittered into
+/// `[50 %, 100 %)` of the slot by `seed`. Deterministic — runs are
+/// reproducible — yet different per shard link, so redials to different
+/// shards are not synchronized.
+fn redial_delay(attempt: u32, seed: u64) -> Duration {
+    let slot = REDIAL_BASE
+        .saturating_mul(1 << attempt.min(16))
+        .min(REDIAL_CAP);
+    let r = splitmix64(seed ^ u64::from(attempt));
+    let frac = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
+    slot.mul_f64(frac)
 }
 
 /// Fault injection: kill one shard's listener (and every live connection
@@ -166,49 +158,30 @@ pub struct ListenerChaos {
     pub down_for: Duration,
 }
 
-/// Synthetic connection load for the churn soak test: a side thread that
-/// dials shard listeners, never completes a handshake, and hangs up — the
-/// reactor must shed these without leaking a registration or disturbing
-/// the protocol traffic sharing the listener.
-#[derive(Clone, Copy, Debug)]
-pub struct ConnectionChurn {
-    /// Total junk dials to perform over the run.
-    pub connections: usize,
-    /// Pause between dials (zero = as fast as the dialer can).
-    pub every: Duration,
-}
-
 /// Configuration of one reactor run: the common runtime knobs plus the
-/// socket driver's own link timing and fault plan.
+/// socket driver's own fault plan.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Protocol, fleet shape, workload, tick, and monitor bounds.
     pub runtime: RuntimeConfig,
-    /// An idle connection sends a keep-alive this often.
-    pub heartbeat: Duration,
-    /// A connection with no inbound frame for this long is dead (must be
-    /// several multiples of `heartbeat`).
-    pub read_timeout: Duration,
-    /// Client reconnect schedule.
-    pub backoff: Backoff,
     /// Optional listener fault injection.
     pub chaos: Option<ListenerChaos>,
-    /// Optional connection-churn injection.
-    pub churn: Option<ConnectionChurn>,
+    /// Synthetic connection load for the churn soak: a side thread dials
+    /// the shard listeners this many times, as fast as it can, never
+    /// completes a handshake, and hangs up — the reactor must shed these
+    /// without leaking a registration or disturbing the protocol traffic
+    /// sharing the listener. Zero dials nothing.
+    pub churn_dials: usize,
 }
 
 impl ReactorConfig {
-    /// Socket-driver defaults: 10 ms heartbeats, 250 ms dead-link timeout,
-    /// 2–50 ms backoff, no fault injection, no churn.
+    /// No fault injection, no churn.
     #[must_use]
     pub fn new(runtime: RuntimeConfig) -> Self {
         ReactorConfig {
             runtime,
-            heartbeat: Duration::from_millis(10),
-            read_timeout: Duration::from_millis(250),
-            backoff: Backoff::default(),
             chaos: None,
-            churn: None,
+            churn_dials: 0,
         }
     }
 }
@@ -264,8 +237,6 @@ struct ShardReactor<'a> {
     /// never cleared ([`ShardTimer::Rebind`] must survive an outage).
     outages: OutageGate,
     shared: &'a Shared,
-    /// Wire-event capture for timeline export; checked before any lock.
-    net: bool,
     /// The effects of one engine step; reused so a steady-state step
     /// allocates nothing.
     effects: Vec<Effect>,
@@ -298,14 +269,6 @@ impl Links for ShardReactor<'_> {
                 if self.routes.get(site) != Some(&Some(token)) {
                     self.close(token);
                     return;
-                }
-                if self.net {
-                    self.shared.log_net(NetEvent::Recv {
-                        at: self.clock.now(),
-                        from: self.shards + site,
-                        to: self.shard,
-                        tag: msg.tag(),
-                    });
                 }
                 let from = NodeId::new(self.shards + site);
                 self.step_engine(Event::Message { from, msg });
@@ -342,14 +305,6 @@ impl Links for ShardReactor<'_> {
 impl Port for ShardReactor<'_> {
     fn send(&mut self, to: NodeId, msg: Msg) {
         let site = to.index() - self.shards;
-        if self.net {
-            self.shared.log_net(NetEvent::Send {
-                at: self.clock.now(),
-                from: self.shard,
-                to: to.index(),
-                tag: msg.tag(),
-            });
-        }
         let delivered = match self.routes[site] {
             Some(token) => self.queue(token, site as u16, &WireMsg::Proto(msg)),
             None => false,
@@ -388,7 +343,6 @@ impl<'a> ShardReactor<'a> {
             timers: TimerWheel::new(),
             outages: OutageGate::new(shard, &rc.shard_outages),
             shared,
-            net: rc.capture_net,
             effects: Vec::new(),
         }
     }
@@ -564,20 +518,11 @@ impl<'a> ShardReactor<'a> {
                     // volatile state it would have flushed; the rebind
                     // alarm is the reactor's own and always fires.
                     ShardTimer::Engine(_) if self.outages.is_down() => {}
-                    ShardTimer::Engine(token) => {
-                        if self.net {
-                            self.shared.log_net(NetEvent::Timer {
-                                at: self.clock.now(),
-                                node: self.shard,
-                                token,
-                            });
-                        }
-                        self.step_engine(Event::Timer { token });
-                    }
+                    ShardTimer::Engine(token) => self.step_engine(Event::Timer { token }),
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
-            let now = self.sweep(self.cfg, self.shared);
+            let now = self.sweep(self.shared);
             let now = self.flush_queued(now);
             let mut timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
             if let Some(c) = chaos_pending {
@@ -669,9 +614,6 @@ struct ClientReactor<'a> {
     /// the hosted engines directly — the in-loop equivalent of the channel
     /// broadcast the channel drivers use.
     controller: Option<ControlPlane>,
-    /// Wire-event capture for timeline export (mirrors
-    /// [`RuntimeConfig::capture_net`]); checked before taking any lock.
-    net: bool,
     /// The effects of one engine step, as in [`ShardReactor`].
     effects: Vec<Effect>,
 }
@@ -711,14 +653,6 @@ impl Links for ClientReactor<'_> {
                 }
             }
             WireMsg::Proto(msg) if hosted && self.clients[client].attached[shard] => {
-                if self.net {
-                    self.shared.log_net(NetEvent::Recv {
-                        at: self.clock.now(),
-                        from: shard,
-                        to: self.shards + client,
-                        tag: msg.tag(),
-                    });
-                }
                 let from = NodeId::new(shard);
                 self.feed(client, Event::Message { from, msg });
             }
@@ -759,14 +693,6 @@ struct ClientPort<'r, 'a> {
 impl Port for ClientPort<'_, '_> {
     fn send(&mut self, to: NodeId, msg: Msg) {
         let (r, client, shard) = (&mut *self.reactor, self.client, to.index());
-        if r.net {
-            r.shared.log_net(NetEvent::Send {
-                at: r.clock.now(),
-                from: r.shards + client,
-                to: shard,
-                tag: msg.tag(),
-            });
-        }
         let delivered = match r.links[shard] {
             LinkState::Up { token } if r.clients[client].attached[shard] => {
                 r.queue(token, client as u16, &WireMsg::Proto(msg))
@@ -822,7 +748,6 @@ impl<'a> ClientReactor<'a> {
             timers: TimerWheel::new(),
             shared,
             controller: ControlPlane::new(rc),
-            net: rc.capture_net,
             effects: Vec::new(),
         }
     }
@@ -875,7 +800,7 @@ impl<'a> ClientReactor<'a> {
         let LinkState::Down { attempt } = self.links[shard] else {
             return; // a live connection beat the redial timer
         };
-        let dialled = TcpStream::connect_timeout(&self.addrs[shard], self.cfg.read_timeout)
+        let dialled = TcpStream::connect_timeout(&self.addrs[shard], READ_TIMEOUT)
             .ok()
             .and_then(|stream| {
                 let _ = stream.set_nodelay(true);
@@ -901,15 +826,14 @@ impl<'a> ClientReactor<'a> {
     }
 
     /// Books a failed dial and schedules the next under the deterministic
-    /// jittered [`Backoff`] schedule.
+    /// jittered [`redial_delay`] schedule.
     fn retry(&mut self, shard: usize, attempt: u32) {
         self.shared.add_metric(names::TCP_CONNECT_FAILED, 1);
         assert!(
-            attempt < self.cfg.backoff.max_attempts,
+            attempt < REDIAL_ATTEMPTS,
             "shard {shard} unreachable after {attempt} attempts"
         );
-        let seed = link_seed(self.cfg.runtime.seed, shard);
-        let delay = self.cfg.backoff.delay(attempt, seed);
+        let delay = redial_delay(attempt, link_seed(self.cfg.runtime.seed, shard));
         self.links[shard] = LinkState::Down {
             attempt: attempt + 1,
         };
@@ -951,13 +875,6 @@ impl<'a> ClientReactor<'a> {
                 match timer {
                     ClientTimer::Engine { client, token } => {
                         if !self.clients[client].finished {
-                            if self.net {
-                                self.shared.log_net(NetEvent::Timer {
-                                    at: self.clock.now(),
-                                    node: self.shards + client,
-                                    token,
-                                });
-                            }
                             self.feed(client, Event::Timer { token });
                         }
                     }
@@ -965,7 +882,7 @@ impl<'a> ClientReactor<'a> {
                     ClientTimer::Controller => self.controller_tick(),
                 }
             }
-            let now = self.sweep(self.cfg, self.shared);
+            let now = self.sweep(self.shared);
             if self.remaining == 0 {
                 break;
             }
@@ -1004,16 +921,12 @@ impl<'a> ClientReactor<'a> {
 // Churn injection + entry points
 // ---------------------------------------------------------------------
 
-/// The churn dialer: junk connections that never complete a handshake.
-/// Odd dials speak a protocol violation (a frame before Hello) so the
-/// reject path runs; even dials hang up silently (a pre-Hello EOF).
-fn churn_loop(
-    churn: ConnectionChurn,
-    addrs: &[SocketAddr],
-    shutdown: &AtomicBool,
-    shared: &Shared,
-) {
-    for i in 0..churn.connections {
+/// The churn dialer: `dials` junk connections, back to back, that never
+/// complete a handshake. Odd dials speak a protocol violation (a frame
+/// before Hello) so the reject path runs; even dials hang up silently (a
+/// pre-Hello EOF).
+fn churn_loop(dials: usize, addrs: &[SocketAddr], shutdown: &AtomicBool, shared: &Shared) {
+    for i in 0..dials {
         if shutdown.load(Ordering::Relaxed) {
             return;
         }
@@ -1023,9 +936,6 @@ fn churn_loop(
             if i % 2 == 1 {
                 let _ = write_frame(&mut stream, 0, &WireMsg::Heartbeat);
             }
-        }
-        if !churn.every.is_zero() {
-            std::thread::sleep(churn.every);
         }
     }
 }
@@ -1039,14 +949,13 @@ fn churn_loop(
 ///
 /// Panics if a reactor thread panics, a shard rejects a handshake (a
 /// configuration mismatch inside one process is a harness bug), or a
-/// shard stays unreachable past the backoff budget.
+/// shard stays unreachable past the redial budget.
 #[must_use]
 pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
     run_reactor_with(&ReactorConfig::new(config.clone()))
 }
 
-/// [`run_reactor`] with explicit link timing, fault-injection, and
-/// connection-churn knobs.
+/// [`run_reactor`] with listener fault injection and connection churn.
 ///
 /// # Panics
 ///
@@ -1067,13 +976,6 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
     }
     let clock = TickClock::new(rc.tick);
     let shared = Shared::new(rc);
-    if rc.capture_net {
-        shared
-            .recorder
-            .lock()
-            .expect("recorder lock")
-            .enable_net_log();
-    }
 
     // Bind every shard listener up front so clients know all addresses.
     let mut listeners = Vec::with_capacity(shards);
@@ -1116,8 +1018,8 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
                 )
             }));
         }
-        let churn_worker = cfg.churn.map(|churn| {
-            scope.spawn(move |_| churn_loop(churn, addrs_ref, shutdown_ref, shared_ref))
+        let churn_worker = (cfg.churn_dials > 0).then(|| {
+            scope.spawn(move |_| churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref, shared_ref))
         });
         // The client reactor runs on the scope's own thread: every
         // ClientCore in one evented loop.
@@ -1161,18 +1063,22 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_deterministic_capped_and_jittered() {
-        let b = Backoff::default();
+    fn redial_delay_is_deterministic_capped_and_jittered() {
         for attempt in 0..24 {
-            let d1 = b.delay(attempt, 0xFEED);
-            let d2 = b.delay(attempt, 0xFEED);
+            let d1 = redial_delay(attempt, 0xFEED);
+            let d2 = redial_delay(attempt, 0xFEED);
             assert_eq!(d1, d2, "same seed must give the same delay");
-            assert!(d1 <= b.cap, "attempt {attempt} exceeds the cap: {d1:?}");
-            let slot = b.base.saturating_mul(1 << attempt.min(16)).min(b.cap);
+            assert!(
+                d1 <= REDIAL_CAP,
+                "attempt {attempt} exceeds the cap: {d1:?}"
+            );
+            let slot = REDIAL_BASE
+                .saturating_mul(1 << attempt.min(16))
+                .min(REDIAL_CAP);
             assert!(d1 >= slot.mul_f64(0.5), "jitter must stay in [50%, 100%)");
         }
         // Different seeds de-synchronise (thundering-herd protection).
-        assert_ne!(b.delay(3, 1), b.delay(3, 2));
+        assert_ne!(redial_delay(3, 1), redial_delay(3, 2));
     }
 
     /// Runs shard 0 of `cfg` as a live reactor on a fresh loopback
@@ -1406,8 +1312,8 @@ mod tests {
     }
 
     #[test]
-    fn reactor_adaptive_run_commands_schedule_and_captures_net() {
-        use tc_lifetime::control::ControllerConfig;
+    fn reactor_adaptive_controller_retunes_delta_online() {
+        use crate::runtime::tests::{assert_retuned_online, ADAPTIVE_BAND};
         let mut cfg = small(
             ProtocolKind::Tsc {
                 delta: Delta::from_ticks(4_000),
@@ -1415,65 +1321,7 @@ mod tests {
             37,
         );
         cfg.ops_per_client = 100;
-        cfg.adaptive = Some(ControllerConfig::new(
-            Delta::from_ticks(50),
-            Delta::from_ticks(8_000),
-            Delta::from_ticks(20),
-        ));
-        cfg.capture_net = true;
-        let r = run_reactor(&cfg);
-        assert_eq!(r.ops_done, 2 * 100);
-        let schedule = r
-            .delta_schedule
-            .as_ref()
-            .expect("adaptive runs report their commanded schedule");
-        assert!(
-            !schedule.is_empty(),
-            "the loose base leaves tightening room"
-        );
-        let (_, last) = *schedule.changes.last().unwrap();
-        assert!(
-            last.ticks() < 4_000,
-            "in-loop controller must tighten below the loose base, got {last}"
-        );
-        assert!(
-            r.counter(names::DELTA_APPLIED) > 0,
-            "clients must apply at least one in-loop command"
-        );
-        assert!(
-            r.on_time.holds(),
-            "violations against the in-force schedule: {}",
-            r.on_time.violations().len()
-        );
-        // The wire-level log feeds the timeline exporter: sends, matching
-        // deliveries, and timer fires must all appear.
-        let net = r
-            .net_events
-            .as_ref()
-            .expect("capture_net must surface the event log");
-        assert!(net.iter().any(|e| matches!(e, NetEvent::Send { .. })));
-        assert!(net.iter().any(|e| matches!(e, NetEvent::Recv { .. })));
-        assert!(net.iter().any(|e| matches!(e, NetEvent::Timer { .. })));
-    }
-
-    #[test]
-    fn reactor_sheds_churn_without_leaking_registrations() {
-        let mut config = ReactorConfig::new(small(ProtocolKind::Sc, 33));
-        config.churn = Some(ConnectionChurn {
-            connections: 40,
-            every: Duration::from_millis(1),
-        });
-        let r = run_reactor_with(&config);
-        assert_eq!(r.ops_done, 2 * 12, "churn must not disturb the workload");
-        assert!(r.on_time.holds());
-        assert!(
-            r.counter(names::REACTOR_CHURN_DIAL) > 0,
-            "the churn dialer must have landed connections"
-        );
-        assert_eq!(
-            r.counter(names::REACTOR_CONN_OPENED),
-            r.counter(names::REACTOR_CONN_CLOSED),
-            "every churn registration must be reaped"
-        );
+        cfg.adaptive = Some(ADAPTIVE_BAND);
+        assert_retuned_online(&run_reactor(&cfg), 2 * 100);
     }
 }

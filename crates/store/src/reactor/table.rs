@@ -23,12 +23,18 @@ use tc_wire::WireMsg;
 
 use super::conn::{Close, Conn, READ_CHUNK};
 use super::sys::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
-use super::ReactorConfig;
+use super::{HEARTBEAT, READ_TIMEOUT};
 use crate::runtime::Shared;
 
 /// Interest every registered connection always has; `EPOLLOUT` is OR-ed
 /// in only while the outbox holds unsent bytes.
 const BASE_INTEREST: u32 = EPOLLIN | EPOLLRDHUP;
+
+/// How often the liveness sweep walks every connection: half the
+/// heartbeat period, so a keep-alive is never late by more than half its
+/// period and chaos schedules are honoured, yet coarse enough that a busy
+/// loop does not walk every connection on every pass.
+const SWEEP_EVERY: Duration = Duration::from_millis(5);
 
 /// A generational slot map: tokens are `(generation << 32) | slot`, so a
 /// token outlives neither its connection nor a slot reuse.
@@ -338,12 +344,7 @@ pub(super) trait Links {
 
     /// Runs the read-timeout + heartbeat sweep over every live connection
     /// if it is due. Returns the instant to compute this pass's wait from.
-    ///
-    /// The sweep recurs every half heartbeat, clamped to 1–5 ms: fine
-    /// enough that a heartbeat is never late by more than half its period
-    /// and chaos schedules are honoured, coarse enough that a busy loop
-    /// does not walk every connection on every pass.
-    fn sweep(&mut self, cfg: &ReactorConfig, shared: &Shared) -> Instant {
+    fn sweep(&mut self, shared: &Shared) -> Instant {
         let now = Instant::now();
         if now < self.table().next_sweep {
             return now;
@@ -352,17 +353,16 @@ pub(super) trait Links {
             let Some((ep, _)) = self.table().conns.get_mut(token) else {
                 continue;
             };
-            if now.duration_since(ep.conn.last_read) > cfg.read_timeout {
+            if now.duration_since(ep.conn.last_read) > READ_TIMEOUT {
                 self.close(token);
-            } else if now.duration_since(ep.conn.last_write) >= cfg.heartbeat {
+            } else if now.duration_since(ep.conn.last_write) >= HEARTBEAT {
                 // A keep-alive speaks for the connection, not a site:
                 // either end ignores its lane.
                 shared.add_metric(names::TCP_HEARTBEAT, 1);
                 self.queue(token, 0, &WireMsg::Heartbeat);
             }
         }
-        let every = (cfg.heartbeat / 2).clamp(Duration::from_millis(1), Duration::from_millis(5));
-        self.table().next_sweep = now + every;
+        self.table().next_sweep = now + SWEEP_EVERY;
         Instant::now()
     }
 }

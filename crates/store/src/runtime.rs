@@ -113,11 +113,6 @@ pub struct RuntimeConfig {
     /// bound) from each command's `judge_from`. `None` (the default) keeps
     /// the static Δ — and byte-identical behaviour with earlier drivers.
     pub adaptive: Option<ControllerConfig>,
-    /// Capture wire-level events (sends, deliveries, timer fires) into the
-    /// run's [`NetEvent`](tc_sim::NetEvent) log for timeline export.
-    /// Honoured by the evented reactor driver ([`crate::run_reactor`]);
-    /// off by default — capture costs a recorder lock per event.
-    pub capture_net: bool,
 }
 
 /// Extra Δ given to the monitor on top of the protocol's own threshold:
@@ -155,7 +150,6 @@ impl RuntimeConfig {
             wal_dir: None,
             shard_outages: Vec::new(),
             adaptive: None,
-            capture_net: false,
         }
     }
 }
@@ -317,9 +311,6 @@ pub struct RuntimeResult {
     /// The Δ-schedule the controller commanded, when the run was adaptive
     /// ([`RuntimeConfig::adaptive`]); `None` for static-Δ runs.
     pub delta_schedule: Option<DeltaSchedule>,
-    /// Wire-level event log for timeline export, when the driver captured
-    /// one ([`RuntimeConfig::capture_net`]); `None` otherwise.
-    pub net_events: Option<Vec<tc_sim::NetEvent>>,
 }
 
 impl RuntimeResult {
@@ -511,16 +502,6 @@ impl Shared {
         // Unconditional like the sim adapter: zero-increments materialize
         // the counter so snapshots carry it.
         self.metrics.lock().expect("metrics lock").add(name, add);
-    }
-
-    /// Appends a wire-level event to the recorder's net log (a no-op
-    /// unless the driver enabled capture). Callers gate on their own
-    /// capture flag first so disabled runs never take this lock.
-    pub(crate) fn log_net(&self, ev: tc_sim::NetEvent) {
-        let mut rec = self.recorder.lock().expect("recorder lock");
-        if rec.net_enabled() {
-            rec.log_net(ev);
-        }
     }
 }
 
@@ -1126,13 +1107,12 @@ pub(crate) fn finish_run(
     delta_schedule: Option<DeltaSchedule>,
 ) -> RuntimeResult {
     let Shared { recorder, metrics } = shared;
-    let mut recorder = recorder.into_inner().expect("recorder lock");
+    let recorder = recorder.into_inner().expect("recorder lock");
     let metrics = metrics.into_inner().expect("metrics lock").snapshot();
     let observed_staleness = recorder
         .monitor()
         .expect("monitor attached by the driver")
         .min_delta();
-    let net_events = recorder.take_net_log();
     let (history, report) = recorder
         .finish_with_report()
         .expect("protocol produced an invalid trace");
@@ -1148,7 +1128,6 @@ pub(crate) fn finish_run(
         latency: LatencySummary::from_durations(latencies),
         shard_requests,
         delta_schedule,
-        net_events,
     }
 }
 
@@ -1332,9 +1311,7 @@ pub(crate) mod tests {
         );
         cfg.ops_per_client = 150;
         cfg.adaptive = Some(ADAPTIVE_BAND);
-        let r = run_threaded(&cfg);
-        assert_retuned_online(&r, 2 * 150);
-        assert!(r.net_events.is_none(), "capture was off");
+        assert_retuned_online(&run_threaded(&cfg), 2 * 150);
     }
 
     /// A controller with real distance to close from a base Δ of 4 000.
@@ -1342,9 +1319,6 @@ pub(crate) mod tests {
         delta_min: Delta::from_ticks(50),
         delta_max: Delta::from_ticks(8_000),
         interval: Delta::from_ticks(20),
-        apply_lag: Delta::from_ticks(40),
-        headroom_num: 3,
-        headroom_den: 2,
     };
 
     /// What an [`ADAPTIVE_BAND`] run from a base Δ of 4 000 must show.

@@ -1,14 +1,13 @@
-//! `tc-trace`: renders a run as Chrome/Perfetto trace-event JSON.
+//! `tc-trace`: renders a simulator run as Chrome/Perfetto trace-event
+//! JSON.
 //!
-//! Every driver in this workspace — the deterministic simulator, the
-//! threaded runtime, the TCP fleet, the evented reactor — already
-//! produces the same artifacts: a [`History`] of reads and writes, an
-//! on-time verdict with [`OnTimeViolation`]s, optionally a
-//! [`DeltaSchedule`] the adaptive controller committed to, and optionally
-//! a wire-level [`NetEvent`] log. This crate folds those artifacts into
-//! the Trace Event Format that `chrome://tracing` and
-//! [ui.perfetto.dev](https://ui.perfetto.dev) load directly, so any run
-//! can be inspected as a timeline:
+//! A run of the deterministic simulator produces a [`History`] of reads
+//! and writes, an on-time verdict with [`OnTimeViolation`]s, optionally a
+//! [`DeltaSchedule`] the adaptive controller committed to, and — when
+//! [`tc_lifetime::RunOptions::traced`] is set — a wire-level [`NetEvent`]
+//! log. This crate folds those artifacts into the Trace Event Format that
+//! `chrome://tracing` and [ui.perfetto.dev](https://ui.perfetto.dev) load
+//! directly, so a run can be inspected as a timeline:
 //!
 //! - one *process* track per node (shards first, then clients, then the
 //!   Δ-controller), named via metadata events;
@@ -26,15 +25,13 @@
 //! engines already emit and never feeds anything back, so the sans-io
 //! engines and the byte-level equivalence between drivers are untouched.
 //!
-//! Timestamps are microseconds (the format's unit). Simulated ticks map
-//! 1 tick = 1 µs by default; real-time drivers pass their tick duration
-//! so wall-clock spacing is preserved.
+//! Timestamps are microseconds (the format's unit); one simulated tick
+//! maps to 1 µs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::collections::{HashMap, VecDeque};
-use std::time::Duration;
 
 use serde_json::{json, Map, Value as Json};
 use tc_clocks::{Delta, Time};
@@ -48,7 +45,6 @@ use tc_sim::NetEvent;
 /// whole thing as one JSON object (`{"traceEvents": [...]}`).
 pub struct TraceBuilder {
     events: Vec<Json>,
-    us_per_tick: f64,
     /// FIFO flow-id queues keyed by `(from, to, tag)`: a `Send` enqueues a
     /// fresh id, the next matching `Recv` dequeues it — the pairing a
     /// FIFO link actually performs.
@@ -68,23 +64,9 @@ impl TraceBuilder {
     pub fn new() -> Self {
         TraceBuilder {
             events: Vec::new(),
-            us_per_tick: 1.0,
             flows: HashMap::new(),
             next_flow: 0,
         }
-    }
-
-    /// A builder for a real-time run whose protocol tick lasts `tick`:
-    /// trace timestamps then reproduce wall-clock spacing.
-    #[must_use]
-    pub fn with_tick(tick: Duration) -> Self {
-        let mut b = TraceBuilder::new();
-        b.us_per_tick = tick.as_secs_f64() * 1e6;
-        b
-    }
-
-    fn ts(&self, t: Time) -> f64 {
-        t.ticks() as f64 * self.us_per_tick
     }
 
     fn push(&mut self, event: Json) {
@@ -135,7 +117,7 @@ impl TraceBuilder {
                 OpKind::Write => "W",
             };
             let name = format!("{kind} {}={}", op.object(), op.value());
-            let ts = self.ts(op.time());
+            let ts = micros(op.time());
             let pid = client_pid_base + op.site().index();
             let op_index = op.id().index();
             self.push(json!({
@@ -160,7 +142,7 @@ impl TraceBuilder {
         client_pid_base: usize,
     ) {
         for v in violations {
-            let ts = self.ts(history.time_of(v.read));
+            let ts = micros(history.time_of(v.read));
             let pid = client_pid_base + history.site_of(v.read).index();
             let read = v.read.index();
             let missed = v.missed.len();
@@ -186,7 +168,7 @@ impl TraceBuilder {
         let mut samples = vec![(Time::ZERO, schedule.initial)];
         samples.extend(schedule.changes.iter().copied());
         for (at, delta) in samples {
-            let ts = self.ts(at);
+            let ts = micros(at);
             let ticks = delta_json(delta);
             self.push(json!({
                 "name": "delta",
@@ -198,7 +180,7 @@ impl TraceBuilder {
             }));
         }
         for &(at, delta) in &schedule.changes {
-            let ts = self.ts(at);
+            let ts = micros(at);
             let ticks = delta_json(delta);
             self.push(json!({
                 "name": "delta_change",
@@ -222,7 +204,7 @@ impl TraceBuilder {
                     let id = self.next_flow;
                     self.next_flow += 1;
                     self.flows.entry((from, to, tag)).or_default().push_back(id);
-                    let ts = self.ts(at);
+                    let ts = micros(at);
                     self.push(json!({
                         "name": tag,
                         "cat": "net",
@@ -244,7 +226,7 @@ impl TraceBuilder {
                     }));
                 }
                 NetEvent::Recv { at, from, to, tag } => {
-                    let ts = self.ts(at);
+                    let ts = micros(at);
                     self.push(json!({
                         "name": tag,
                         "cat": "net",
@@ -275,7 +257,7 @@ impl TraceBuilder {
                     }
                 }
                 NetEvent::Timer { at, node, token } => {
-                    let ts = self.ts(at);
+                    let ts = micros(at);
                     self.push(json!({
                         "name": "timer",
                         "cat": "timer",
@@ -308,6 +290,11 @@ impl TraceBuilder {
     }
 }
 
+/// A trace timestamp: one tick is one microsecond.
+fn micros(t: Time) -> f64 {
+    t.ticks() as f64
+}
+
 /// Δ as a JSON value: ticks, or `null` for the unbounded Δ (JSON has no
 /// infinity).
 fn delta_json(delta: Delta) -> Json {
@@ -334,35 +321,6 @@ pub fn export_run(result: &RunResult, shards: usize, clients: usize) -> Json {
         b.add_schedule(schedule, shards + clients);
     }
     if let Some(net) = &result.net_events {
-        b.add_net(net);
-    }
-    b.finish()
-}
-
-/// Renders a real-time driver's artifacts (e.g. from
-/// `tc_store::run_reactor` with `capture_net` set) as a complete trace.
-/// The drivers share the simulator's node layout — shards `0..shards`,
-/// clients after — but report results as loose parts rather than a
-/// [`RunResult`], so this takes the parts; `tick` is the run's real-time
-/// tick duration.
-#[must_use]
-pub fn export_parts(
-    history: &History,
-    violations: &[OnTimeViolation],
-    schedule: Option<&DeltaSchedule>,
-    net: Option<&[NetEvent]>,
-    shards: usize,
-    clients: usize,
-    tick: Duration,
-) -> Json {
-    let mut b = TraceBuilder::with_tick(tick);
-    b.name_fleet(shards, clients);
-    b.add_history(history, shards);
-    b.add_violations(violations, history, shards);
-    if let Some(schedule) = schedule {
-        b.add_schedule(schedule, shards + clients);
-    }
-    if let Some(net) = net {
         b.add_net(net);
     }
     b.finish()

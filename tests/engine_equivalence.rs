@@ -362,8 +362,6 @@ fn geo_topology_is_invisible_to_per_site_programs() {
         workload: workload(),
         ops_per_client: OPS,
         world: WorldConfig::deterministic(Delta::from_ticks(3), SEED),
-        geo_batch: cfg.geo_batch,
-        geo_retx_after: cfg.geo_retx_after,
         migrations: cfg.migrations.clone(),
     };
     let sim = run_geo_with(

@@ -44,7 +44,7 @@ fn timed_kinds() -> [ProtocolKind; 2] {
 /// The six-plan matrix of the acceptance criteria. Every plan heals before
 /// quiescence (an unhealed outage would exceed the event budget, by
 /// design), and every probabilistic knob is either 0 or 1 so the *shape*
-/// of each fault is pinned; rate-based sweeps live in `exp_faults`.
+/// of each fault is pinned; rate-based sweeps live in `tc-exp faults`.
 fn fault_matrix() -> Vec<(&'static str, FaultPlan)> {
     vec![
         (
@@ -466,8 +466,8 @@ fn geo_kill_shard_over_wal_recovers_by_replay() {
     use timed_consistency::durable::WalStore;
     use timed_consistency::lifetime::store::ShardStore;
     use timed_consistency::lifetime::{
-        conformance_geo, run_geo_with, DurabilityMode, FsyncPolicy, GeoRunConfig, PushBatch,
-        RegionMap, RunOptions, WanProfile,
+        conformance_geo, run_geo_with, DurabilityMode, FsyncPolicy, GeoRunConfig, RegionMap,
+        RunOptions, WanProfile,
     };
 
     for seed in [7u64, 21, 1999] {
@@ -485,11 +485,6 @@ fn geo_kill_shard_over_wal_recovers_by_replay() {
             workload: Workload::new(4, 0.8, 0.7, (Delta::from_ticks(5), Delta::from_ticks(40))),
             ops_per_client: 20,
             world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
-            geo_batch: PushBatch {
-                max_entries: 4,
-                max_delay: Delta::from_ticks(20),
-            },
-            geo_retx_after: Delta::from_ticks(300),
             migrations: Vec::new(),
         };
         let plan = FaultPlan::none().kill_shard(Window::ticks(250, 550), 0);

@@ -19,17 +19,13 @@
 //!    satisfies the level's checker, and per-site programs match a
 //!    churn-free threaded run of the same seed.
 
-use std::time::Duration;
-
 use tc_bench::site_fingerprint;
 use timed_consistency::clocks::Delta;
 use timed_consistency::core::checker::{satisfies_sc_with, SearchOptions};
 use timed_consistency::lifetime::{ProtocolConfig, ProtocolKind};
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
-use timed_consistency::store::{
-    run_reactor_with, run_threaded, ConnectionChurn, ReactorConfig, RuntimeConfig,
-};
+use timed_consistency::store::{run_reactor_with, run_threaded, ReactorConfig, RuntimeConfig};
 
 const SEED: u64 = 91;
 const N_CLIENTS: usize = 4;
@@ -37,8 +33,8 @@ const N_CLIENTS: usize = 4;
 // still in flight: the nanosecond epoll_pwait2 waits (DESIGN.md §16)
 // finish a 60-op run too quickly for 300 full-blast dials to land.
 const OPS: usize = 120;
-/// Junk dials attempted; full blast (no pause), so they all land while
-/// the workload is still in flight.
+/// Junk dials attempted, back to back, so they all land while the
+/// workload is still in flight.
 const CHURN_DIALS: usize = 500;
 
 #[test]
@@ -55,10 +51,7 @@ fn reactor_survives_connection_churn_without_leaking() {
         SEED,
     );
     let mut config = ReactorConfig::new(runtime.clone());
-    config.churn = Some(ConnectionChurn {
-        connections: CHURN_DIALS,
-        every: Duration::ZERO,
-    });
+    config.churn_dials = CHURN_DIALS;
 
     let soaked = run_reactor_with(&config);
 

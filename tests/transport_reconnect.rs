@@ -28,8 +28,7 @@ use timed_consistency::lifetime::{ProtocolConfig, ProtocolKind};
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
 use timed_consistency::store::{
-    run_reactor_with, run_threaded, Backoff, ListenerChaos, ReactorConfig, RuntimeConfig,
-    RuntimeResult,
+    run_reactor_with, run_threaded, ListenerChaos, ReactorConfig, RuntimeConfig, RuntimeResult,
 };
 
 const SEED: u64 = 77;
@@ -38,8 +37,7 @@ const OPS: usize = 100;
 
 /// The shared chaos plan: shard 0's listener dies at 20 ms and stays down
 /// for ~100 ms — several protocol lifetimes (Δ = 400 ticks · 50 µs =
-/// 20 ms) — with fast failure detection so the outage, not the timeout,
-/// dominates.
+/// 20 ms) — over the driver's own link timing.
 fn chaos_config() -> ReactorConfig {
     let protocol = ProtocolConfig::of(ProtocolKind::Tsc {
         delta: Delta::from_ticks(400),
@@ -54,15 +52,6 @@ fn chaos_config() -> ReactorConfig {
     );
 
     let mut cfg = ReactorConfig::new(runtime);
-    // Heartbeats every 5 ms, a link with 25 ms of inbound silence is dead,
-    // redials back off 2..=20 ms.
-    cfg.heartbeat = Duration::from_millis(5);
-    cfg.read_timeout = Duration::from_millis(25);
-    cfg.backoff = Backoff {
-        base: Duration::from_millis(2),
-        cap: Duration::from_millis(20),
-        max_attempts: 60,
-    };
     // Kill shard 0 early enough that plenty of workload remains on both
     // sides of the outage, and hold it down for ~100 ms — several protocol
     // lifetimes (Δ = 400 ticks · 50 µs = 20 ms).
@@ -72,10 +61,11 @@ fn chaos_config() -> ReactorConfig {
         down_for: Duration::from_millis(100),
     });
     // A Δ-bounded protocol cannot push writes through a dead shard, so the
-    // oracle's bound must absorb the worst-case blackout: detection
-    // (read_timeout) + downtime + the last backoff slot + handshake. At a
-    // 50 µs tick that is ~3 000 ticks; 10 000 gives slow CI room without
-    // blunting the verdict — the monitor still judges every read.
+    // oracle's bound must absorb the worst-case blackout: downtime + the
+    // last redial slot (≤ 50 ms) + handshake. The kill hard-closes every
+    // link, so detection is immediate, not a read timeout. At a 50 µs tick
+    // that is ~3 000 ticks; 10 000 gives slow CI room without blunting the
+    // verdict — the monitor still judges every read.
     cfg.runtime.monitor_delta = Delta::from_ticks(cfg.runtime.monitor_delta.ticks() + 10_000);
     cfg
 }
