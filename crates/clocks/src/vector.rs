@@ -3,6 +3,7 @@
 //! and §5.4 ξ-maps are defined over.
 
 use core::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -13,6 +14,12 @@ use crate::{ClockOrdering, SiteClock, Timestamp};
 /// The value doubles as both the site-local clock (it remembers which entry
 /// it owns) and the timestamp carried on messages; comparing two values
 /// compares only their entry vectors.
+///
+/// The entries are shared, copy-on-write: a clone — a stamp handed to a
+/// cache entry, a message, a recorded operation — copies a pointer, and
+/// [`SiteClock::tick`] / [`SiteClock::observe`] copy the entries only
+/// while some clone still shares them. A clone therefore never changes
+/// when the clock it came from advances.
 ///
 /// ```
 /// use tc_clocks::{ClockOrdering, SiteClock, Timestamp, VectorClock};
@@ -27,7 +34,7 @@ use crate::{ClockOrdering, SiteClock, Timestamp};
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VectorClock {
-    entries: Vec<u64>,
+    entries: Arc<[u64]>,
     site: usize,
 }
 
@@ -45,20 +52,22 @@ impl VectorClock {
             "site index {site} out of range for {n_sites} sites"
         );
         VectorClock {
-            entries: vec![0; n_sites],
+            entries: std::iter::repeat_n(0, n_sites).collect(),
             site,
         }
     }
 
     /// Builds a timestamp directly from entry values; the owner is recorded
     /// as `site`. Intended for tests and for reconstructing persisted
-    /// timestamps.
+    /// timestamps (a decoder that fills a shared slice in place hands it
+    /// over without a copy).
     ///
     /// # Panics
     ///
     /// Panics if `entries` is empty or `site` is out of range.
     #[must_use]
-    pub fn from_entries(site: usize, entries: Vec<u64>) -> Self {
+    pub fn from_entries(site: usize, entries: impl Into<Arc<[u64]>>) -> Self {
+        let entries = entries.into();
         assert!(!entries.is_empty(), "entry vector must be non-empty");
         assert!(site < entries.len(), "owner site out of range");
         VectorClock { entries, site }
@@ -95,7 +104,10 @@ impl VectorClock {
     #[must_use]
     pub fn dominated_by(&self, other: &VectorClock) -> bool {
         debug_assert_eq!(self.entries.len(), other.entries.len());
-        self.entries.iter().zip(&other.entries).all(|(a, b)| a <= b)
+        self.entries
+            .iter()
+            .zip(other.entries.iter())
+            .all(|(a, b)| a <= b)
     }
 
     /// Total number of events this timestamp knows about — the "amount of
@@ -128,7 +140,7 @@ impl Timestamp for VectorClock {
         );
         let mut less = false;
         let mut greater = false;
-        for (a, b) in self.entries.iter().zip(&other.entries) {
+        for (a, b) in self.entries.iter().zip(other.entries.iter()) {
             if a < b {
                 less = true;
             } else if a > b {
@@ -143,15 +155,22 @@ impl Timestamp for VectorClock {
         }
     }
 
+    /// When one side dominates, the join *is* that side's entries, shared
+    /// rather than copied.
     fn join(&self, other: &Self) -> Self {
         assert_eq!(self.entries.len(), other.entries.len());
-        VectorClock {
-            entries: self
+        let entries = match self.compare(other) {
+            ClockOrdering::After | ClockOrdering::Equal => Arc::clone(&self.entries),
+            ClockOrdering::Before => Arc::clone(&other.entries),
+            ClockOrdering::Concurrent => self
                 .entries
                 .iter()
-                .zip(&other.entries)
+                .zip(other.entries.iter())
                 .map(|(a, b)| *a.max(b))
                 .collect(),
+        };
+        VectorClock {
+            entries,
             site: self.site,
         }
     }
@@ -162,7 +181,7 @@ impl Timestamp for VectorClock {
             entries: self
                 .entries
                 .iter()
-                .zip(&other.entries)
+                .zip(other.entries.iter())
                 .map(|(a, b)| *a.min(b))
                 .collect(),
             site: self.site,
@@ -174,16 +193,17 @@ impl SiteClock for VectorClock {
     type Stamp = VectorClock;
 
     fn tick(&mut self) -> VectorClock {
-        self.entries[self.site] += 1;
+        Arc::make_mut(&mut self.entries)[self.site] += 1;
         self.clone()
     }
 
     fn observe(&mut self, remote: &VectorClock) -> VectorClock {
         assert_eq!(self.entries.len(), remote.entries.len());
-        for (mine, theirs) in self.entries.iter_mut().zip(&remote.entries) {
+        let entries = Arc::make_mut(&mut self.entries);
+        for (mine, theirs) in entries.iter_mut().zip(remote.entries.iter()) {
             *mine = (*mine).max(*theirs);
         }
-        self.entries[self.site] += 1;
+        entries[self.site] += 1;
         self.clone()
     }
 
@@ -250,6 +270,33 @@ mod tests {
         assert_eq!(a.meet(&b).entries(), &[1, 0, 5]);
         // join/meet keep the receiver's owner site
         assert_eq!(a.join(&b).site, 0);
+    }
+
+    #[test]
+    fn stamps_share_entries_until_the_clock_advances() {
+        let mut clock = VectorClock::new(0, 3);
+        let stamp = clock.tick();
+        assert!(
+            Arc::ptr_eq(&stamp.entries, &clock.entries),
+            "a stamp is a shared copy"
+        );
+        clock.tick();
+        clock.observe(&vc(2, &[0, 0, 7]));
+        assert_eq!(
+            stamp.entries(),
+            &[1, 0, 0],
+            "advancing the clock copies, never mutates a stamp"
+        );
+        assert_eq!(clock.entries(), &[3, 0, 7]);
+        // A dominated join shares the dominating side's entries.
+        let joined = clock.join(&stamp);
+        assert!(Arc::ptr_eq(&joined.entries, &clock.entries));
+        assert!(Arc::ptr_eq(&stamp.join(&clock).entries, &clock.entries));
+        assert_eq!(
+            stamp.join(&clock).site(),
+            0,
+            "join keeps the receiver's owner"
+        );
     }
 
     #[test]

@@ -27,12 +27,10 @@
 //! computes on the finished history; a property test in `tests/`
 //! cross-validates this over random histories and ingestion orders.
 
-use std::collections::HashMap;
-
 use tc_clocks::{Delta, Epsilon, Time};
 
 use crate::checker::timed::{OnTimeViolation, TimedReport};
-use crate::{ObjectId, OpId, OpKind, Operation, Value};
+use crate::{FxHashMap, ObjectId, OpId, OpKind, Operation, Value};
 
 /// Incremental Definition 1/2 checker for a fixed Δ and ε.
 ///
@@ -52,13 +50,13 @@ pub struct OnTimeMonitor {
     /// scalar-Δ monitoring. A read at time `t` is judged against the last
     /// entry at or before `t` (or `delta` if none).
     schedule: Vec<(Time, Delta)>,
-    objects: HashMap<ObjectId, ObjectState>,
+    objects: FxHashMap<ObjectId, ObjectState>,
     /// `(object, value)` → the write of that value, for source resolution
     /// (written values are unique, which pins the reads-from relation).
-    writers: HashMap<(ObjectId, Value), (OpId, Time)>,
+    writers: FxHashMap<(ObjectId, Value), (OpId, Time)>,
     /// Reads waiting for their source write, keyed by the value they
     /// returned.
-    pending: HashMap<(ObjectId, Value), Vec<PendingRead>>,
+    pending: FxHashMap<(ObjectId, Value), Vec<PendingRead>>,
     violations: Vec<OnTimeViolation>,
     min_delta: Delta,
     ingested: usize,
@@ -109,9 +107,9 @@ impl OnTimeMonitor {
             delta,
             eps,
             schedule: Vec::new(),
-            objects: HashMap::new(),
-            writers: HashMap::new(),
-            pending: HashMap::new(),
+            objects: FxHashMap::default(),
+            writers: FxHashMap::default(),
+            pending: FxHashMap::default(),
             violations: Vec::new(),
             min_delta: Delta::ZERO,
             ingested: 0,

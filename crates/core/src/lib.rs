@@ -18,6 +18,8 @@
 //! * [`generator`] — random and replica-simulated history generators for
 //!   the experiments.
 //! * [`stats`] — per-read staleness statistics.
+//! * [`FxHashMap`] — the fast-hashed map the per-operation state of the
+//!   monitor and the protocol engines keys on small integer ids.
 //!
 //! # Quickstart
 //!
@@ -40,12 +42,14 @@ mod causal;
 pub mod checker;
 pub mod examples;
 pub mod generator;
+mod hash;
 mod history;
 mod op;
 mod serialization;
 pub mod stats;
 
 pub use causal::CausalOrder;
+pub use hash::{FxHashMap, FxHasher};
 pub use history::{History, HistoryBuilder, HistoryError, IntoObject, ParseHistoryError};
 pub use op::{ObjectId, OpId, OpKind, Operation, SiteId, Value};
 pub use serialization::Serialization;

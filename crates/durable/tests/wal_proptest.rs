@@ -49,7 +49,7 @@ fn arb_record(rng: &mut StdRng) -> WalRecord {
         // Clocks must share one width — `VectorClock::compare` is only
         // defined for clocks over the same site population.
         let writer = rng.gen_range(0..4usize);
-        let entries = (0..4).map(|_| rng.gen_range(0..1_000u64)).collect();
+        let entries: Vec<u64> = (0..4).map(|_| rng.gen_range(0..1_000u64)).collect();
         WalRecord::Causal {
             object: ObjectId::new(rng.gen_range(0..8)),
             writer,

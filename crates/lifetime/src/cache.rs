@@ -2,10 +2,8 @@
 //! invalidation rules, factored out of the protocol node so the rules are
 //! unit-testable in isolation.
 
-use std::collections::HashMap;
-
 use tc_clocks::{Time, VectorClock, XiMap};
-use tc_core::{ObjectId, Value};
+use tc_core::{FxHashMap, ObjectId, Value};
 
 use crate::StalePolicy;
 
@@ -51,7 +49,7 @@ impl SweepOutcome {
 /// The cache of one client site.
 #[derive(Clone, Debug, Default)]
 pub struct Cache {
-    entries: HashMap<ObjectId, CacheEntry>,
+    entries: FxHashMap<ObjectId, CacheEntry>,
 }
 
 impl Cache {
@@ -329,7 +327,7 @@ mod tests {
             let (down, up) = [(false, false), (true, false), (false, true), (true, true)]
                 [rng.gen_range(0..4usize)];
             let density = [0.05, 0.5][rng.gen_range(0..2usize)];
-            let omega = context
+            let omega: Vec<u64> = context
                 .iter()
                 .map(|&c| match (rng.gen_bool(density), rng.gen_bool(0.5)) {
                     (true, true) if down => c - 1,

@@ -7,7 +7,7 @@
 use std::collections::VecDeque;
 
 use tc_clocks::{ClockOrdering, Delta, SiteClock, SumXi, Time, Timestamp, VectorClock, XiMap};
-use tc_core::{ObjectId, SiteId, Value};
+use tc_core::{FxHashMap, ObjectId, SiteId, Value};
 use tc_sim::metrics::names;
 use tc_sim::workload::{OpChoice, Workload};
 use tc_sim::NodeId;
@@ -114,7 +114,7 @@ pub struct ClientEngine {
     /// cannot see that race, but installing such a reply would make the
     /// site read a value older than its own write. `install` arbitrates
     /// every fetched version against this map.
-    own_writes: std::collections::HashMap<ObjectId, (Value, VectorClock, Time)>,
+    own_writes: FxHashMap<ObjectId, (Value, VectorClock, Time)>,
     /// The latest driver-injected clock sample.
     now: Option<Now>,
     /// Adaptive control plane: the Δ commanded by the last applied
@@ -175,7 +175,7 @@ impl ClientEngine {
             causal_seq,
             deferred: VecDeque::new(),
             unacked: Vec::new(),
-            own_writes: std::collections::HashMap::new(),
+            own_writes: FxHashMap::default(),
             now: None,
             delta_override: None,
             delta_seq: 0,
@@ -286,6 +286,24 @@ impl ClientEngine {
     #[must_use]
     pub fn awaiting_reply(&self) -> bool {
         self.outstanding.is_some()
+    }
+
+    /// Whether firing timer `token` now would do anything. A timer is
+    /// *dead* when the state it was armed for is gone: a retry for a
+    /// request that was answered (or superseded by a later epoch), a causal
+    /// flush with nothing unacked, an attach retransmit with no attach in
+    /// flight, an op-issue timer with no operation planned. Handling a dead
+    /// timer emits no effect and changes no state, so a driver may drop it
+    /// without a step — most retry timers die this way, because the reply
+    /// beats them.
+    #[must_use]
+    pub fn timer_is_live(&self, token: u64) -> bool {
+        match token {
+            TIMER_NEXT_OP => self.planned.is_some(),
+            TIMER_FLUSH_CAUSAL => !self.unacked.is_empty(),
+            TIMER_GEO_ATTACH => self.attaching,
+            epoch => epoch == self.req_epoch && self.outstanding.is_some(),
+        }
     }
 
     /// Handles one event, appending the resulting effects to `out` (in

@@ -30,10 +30,8 @@
 //! [`crate::DurabilityMode`]), so a crash can only lose writes whose
 //! clients are still retransmitting them.
 
-use std::collections::HashMap;
-
 use tc_clocks::{ClockOrdering, Time, Timestamp, VectorClock};
-use tc_core::{ObjectId, Value};
+use tc_core::{FxHashMap, ObjectId, Value};
 
 use crate::msg::WireVersion;
 
@@ -152,15 +150,15 @@ impl Recovery {
 /// once.
 #[derive(Clone, Debug, Default)]
 pub struct ShardImage {
-    versions: HashMap<ObjectId, StoredVersion>,
+    versions: FxHashMap<ObjectId, StoredVersion>,
     /// Strictly increasing physical-family write stamp.
     last_alpha: Time,
     /// Physical writes already applied, by (globally unique) value, with
     /// the α each was assigned — the retransmit dedup map.
-    applied_physical: HashMap<Value, Time>,
+    applied_physical: FxHashMap<Value, Time>,
     /// Per-writer causal delivery cursor: the `shard_seq` of the last
     /// causal write applied from each client node.
-    causal_cursors: HashMap<usize, u64>,
+    causal_cursors: FxHashMap<usize, u64>,
     /// Writes applied (dropped LWW losers excluded).
     writes_applied: u64,
     /// Records applied (LWW losers included — every record is a durable

@@ -1,0 +1,163 @@
+//! A timer `ClientEngine::timer_is_live` calls dead must be one whose
+//! firing the engine cannot observe: drivers drop such timers without a
+//! step, so handling one has to emit nothing and complete nothing.
+//!
+//! Clients and shards run in-process under a random schedule that
+//! delivers, drops and duplicates messages, fires armed timers in any
+//! order (most retry timers die because their reply came first), fires
+//! tokens nobody armed, and crash-restarts clients.
+
+use proptest::collection;
+use proptest::prelude::*;
+use tc_clocks::{Delta, Time};
+use tc_lifetime::engine::{
+    Effect, Event, Now, PrivateSources, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH,
+};
+use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
+use tc_sim::workload::Workload;
+use tc_sim::NodeId;
+
+const SITES: usize = 2;
+
+struct Fleet {
+    shards: usize,
+    clients: Vec<(ClientEngine, PrivateSources)>,
+    servers: Vec<ServerEngine>,
+    /// (from, to, message) in flight.
+    wire: Vec<(NodeId, NodeId, Msg)>,
+    /// (node, token) armed and not yet fired.
+    timers: Vec<(usize, u64)>,
+    t: u64,
+}
+
+impl Fleet {
+    fn now(&mut self, node: usize) -> Event {
+        self.t += 1;
+        let t = Time::from_ticks(self.t);
+        Event::Now(Now {
+            me: NodeId::new(node),
+            local: t,
+            truth: t,
+        })
+    }
+
+    /// Steps `node` with `event`, collecting what it sends and arms.
+    fn step(&mut self, node: usize, event: Event) -> Vec<Effect> {
+        let now = self.now(node);
+        let mut out = Vec::new();
+        if node < self.shards {
+            let server = &mut self.servers[node];
+            server.handle(now, &mut out);
+            server.handle(event, &mut out);
+        } else {
+            let (engine, sources) = &mut self.clients[node - self.shards];
+            engine.handle(now, sources, &mut out);
+            engine.handle(event, sources, &mut out);
+        }
+        for effect in &out {
+            match effect {
+                Effect::Send { to, msg } => self.wire.push((NodeId::new(node), *to, msg.clone())),
+                Effect::SetTimer { after, token } if !after.is_infinite() => {
+                    self.timers.push((node, *token));
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    /// Fires `token` at client `site`, checking the liveness query against
+    /// what the step does.
+    fn fire_client(&mut self, site: usize, token: u64) -> Result<(), TestCaseError> {
+        let live = self.clients[site].0.timer_is_live(token);
+        let done = self.clients[site].0.ops_done();
+        let out = self.step(self.shards + site, Event::Timer { token });
+        prop_assert_eq!(
+            live,
+            !out.is_empty(),
+            "token {} called {}, but the step emitted {:?}",
+            token,
+            if live { "live" } else { "dead" },
+            out
+        );
+        if !live {
+            prop_assert_eq!(self.clients[site].0.ops_done(), done);
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn a_dead_timer_is_unobservable(
+        kind in 0usize..4,
+        shards in 1usize..3,
+        seed in 0u64..1_000,
+        schedule in collection::vec((0u8..12, 0usize..1_000), 1..400),
+    ) {
+        let delta = Delta::from_ticks(40);
+        let kind = [
+            ProtocolKind::Sc,
+            ProtocolKind::Tsc { delta },
+            ProtocolKind::Cc,
+            ProtocolKind::Tcc { delta },
+        ][kind];
+        let config = ProtocolConfig::of(kind).with_shards(shards);
+        let servers: Vec<NodeId> = (0..shards).map(NodeId::new).collect();
+        let workload = Workload::new(4, 0.8, 0.5, (Delta::ZERO, Delta::from_ticks(3)));
+        let mut fleet = Fleet {
+            shards,
+            clients: (0..SITES)
+                .map(|site| {
+                    (
+                        ClientEngine::new(config, servers.clone(), site, SITES, workload.clone(), 30),
+                        PrivateSources::new(seed, site, SITES),
+                    )
+                })
+                .collect(),
+            servers: (0..shards).map(|_| ServerEngine::new(config)).collect(),
+            wire: Vec::new(),
+            timers: Vec::new(),
+            t: 0,
+        };
+        for node in 0..shards + SITES {
+            fleet.step(node, Event::Start);
+        }
+        for (what, pick) in schedule {
+            match what {
+                // Deliver, drop or duplicate a message in flight.
+                0..=5 if !fleet.wire.is_empty() => {
+                    let i = pick % fleet.wire.len();
+                    if what == 5 {
+                        let copy = fleet.wire[i].clone();
+                        fleet.wire.push(copy);
+                    }
+                    let (from, to, msg) = fleet.wire.swap_remove(i);
+                    if what != 4 {
+                        fleet.step(to.index(), Event::Message { from, msg });
+                    }
+                }
+                // Fire an armed timer, live or dead.
+                6..=8 if !fleet.timers.is_empty() => {
+                    let (node, token) = fleet.timers.swap_remove(pick % fleet.timers.len());
+                    if node < shards {
+                        fleet.step(node, Event::Timer { token });
+                    } else {
+                        fleet.fire_client(node - shards, token)?;
+                    }
+                }
+                // Fire a token nobody armed (or not any more).
+                9 | 10 => {
+                    let token = [0, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH, (pick / 4) as u64 % 40][pick % 4];
+                    fleet.fire_client(pick % SITES, token)?;
+                }
+                11 => {
+                    fleet.step(shards + pick % SITES, Event::Restart);
+                }
+                _ => {}
+            }
+        }
+    }
+}

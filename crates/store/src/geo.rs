@@ -54,8 +54,8 @@ use crate::reactor::TimerSlack;
 use crate::runtime::{
     build_shard_engine, control_loop, finish_run, run_client, ChannelNode, ClientCore,
     ControlPlane, Host, OutageGate, RuntimeConfig, RuntimeResult, ShardCore, Shared, TickClock,
-    TimerWheel,
 };
+use crate::wheel::TimerWheel;
 
 /// Configuration of one threaded geo run.
 #[derive(Clone, Debug)]
@@ -176,7 +176,7 @@ fn wan_courier(
 ) {
     let _slack = TimerSlack::pin();
     let mut rng = JitterRng::new(splitmix64(seed ^ 0x47454F)); // "GEO"
-    let mut wheel: TimerWheel<u64> = TimerWheel::new();
+    let mut wheel: TimerWheel<u64> = TimerWheel::new(&clock);
     let mut due: Vec<u64> = Vec::new();
     let mut payloads: HashMap<u64, (NodeId, NodeId, Msg)> = HashMap::new();
     let mut seq: u64 = 0;
@@ -239,15 +239,22 @@ fn wan_courier(
             }
         }
     }
-    wheel.report(shared);
+    wheel.report(&mut shared.lock().metrics);
 }
 
 /// A geo relay is infrastructure like a shard: it steps on bare events
 /// (the relay engine time-stamps nothing, so no clock sample precedes
-/// them) and never finishes by itself.
-impl Host for GeoRelayEngine {
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>) {
-        self.handle(event, out);
+/// them; its timers count from the clock read after the step) and never
+/// finishes by itself.
+struct RelayCore {
+    engine: GeoRelayEngine,
+    clock: TickClock,
+}
+
+impl Host for RelayCore {
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time {
+        self.engine.handle(event, out);
+        self.clock.now()
     }
 }
 
@@ -361,7 +368,7 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
                 let wan_tx = wan_tx.clone();
                 scope.spawn(move |_| {
                     let send = infra_send(NodeId::new(node), &cfg.regions, wan_tx, node_txs_ref);
-                    ChannelNode::new(engine, send, clock, shared_ref)
+                    ChannelNode::new(RelayCore { engine, clock }, send, clock, shared_ref)
                         .until(done_ref)
                         .run(&inbox);
                 });
@@ -417,7 +424,14 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
         })
         .expect("a geo runtime thread panicked");
     let wall = started.elapsed();
-    finish_run(shared, latencies, shard_requests, wall, delta_schedule)
+    finish_run(
+        shared.into_inner(),
+        Vec::new(),
+        latencies,
+        shard_requests,
+        wall,
+        delta_schedule,
+    )
 }
 
 #[cfg(test)]

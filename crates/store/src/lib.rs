@@ -15,6 +15,8 @@
 //! * the connection table ([`reactor`]) — epoll, a generational slab of
 //!   endpoints, readiness handling, queueing with one flush per connection
 //!   per loop pass, the liveness sweep;
+//! * the timer wheel (`TimerWheel`) — a ring of per-tick buckets, every
+//!   engine deadline being a tick boundary;
 //! * the control plane (`ControlPlane`) — samples the monitor and ticks
 //!   the adaptive Δ controller.
 //!
@@ -39,6 +41,7 @@ pub mod geo;
 mod jitter;
 pub mod reactor;
 pub mod runtime;
+mod wheel;
 
 pub use geo::{run_threaded_geo, GeoRuntimeConfig};
 pub use reactor::{run_reactor, run_reactor_with, ListenerChaos, ReactorConfig};

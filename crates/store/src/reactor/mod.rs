@@ -104,14 +104,15 @@ use tc_lifetime::control::DeltaSchedule;
 use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::Msg;
 use tc_sim::metrics::names;
-use tc_sim::NodeId;
+use tc_sim::{Metrics, NodeId};
 use tc_wire::{write_frame, WireMsg};
 
 use crate::jitter::{link_seed, splitmix64};
 use crate::runtime::{
     build_shard_engine, execute, finish_run, ClientCore, ControlPlane, Host, OutageEdge,
-    OutageGate, Port, RuntimeConfig, RuntimeResult, ShardCore, Shared, TickClock, TimerWheel,
+    OutageGate, Port, RuntimeConfig, RuntimeResult, ShardCore, Telemetry, TickClock,
 };
+use crate::wheel::TimerWheel;
 
 use sys::{EpollEvent, EPOLLIN};
 use table::{ConnTable, Links};
@@ -210,9 +211,8 @@ enum ServerPeer {
 }
 
 /// Timer tokens of the shard reactor's wheel: engine flush deadlines plus
-/// the chaos rebind alarm. `Ord` only to satisfy the heap — deadlines and
-/// arming order decide pops.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// the chaos rebind alarm.
+#[derive(Clone, Copy)]
 enum ShardTimer {
     Engine(u64),
     Rebind,
@@ -236,7 +236,9 @@ struct ShardReactor<'a> {
     /// dead-letter and engine timers fire into the void — but the wheel is
     /// never cleared ([`ShardTimer::Rebind`] must survive an outage).
     outages: OutageGate,
-    shared: &'a Shared,
+    /// This thread's counters; [`run_reactor_with`] merges them into the
+    /// result when the thread exits.
+    telemetry: Telemetry,
     /// The effects of one engine step; reused so a steady-state step
     /// allocates nothing.
     effects: Vec<Effect>,
@@ -293,7 +295,7 @@ impl Links for ShardReactor<'_> {
                     }
                 }
             }
-            self.shared.add_metric(names::REACTOR_CONN_CLOSED, 1);
+            self.telemetry.metrics.add(names::REACTOR_CONN_CLOSED, 1);
         }
     }
 }
@@ -302,16 +304,18 @@ impl Links for ShardReactor<'_> {
 /// on the site's lane — dead-lettering, counted, when the site has no
 /// attached route — and timers go into the reactor's wheel as
 /// [`ShardTimer::Engine`].
-impl Port for ShardReactor<'_> {
+struct ShardPort<'r> {
+    shards: usize,
+    routes: &'r [Option<u64>],
+    table: &'r mut ConnTable<ServerPeer>,
+    timers: &'r mut TimerWheel<ShardTimer>,
+}
+
+impl Port for ShardPort<'_> {
     fn send(&mut self, to: NodeId, msg: Msg) {
         let site = to.index() - self.shards;
-        let delivered = match self.routes[site] {
-            Some(token) => self.queue(token, site as u16, &WireMsg::Proto(msg)),
-            None => false,
-        };
-        if !delivered {
-            self.shared.add_metric(names::TCP_SEND_DROPPED, 1);
-        }
+        self.table
+            .send_on(self.routes[site], site as u16, &WireMsg::Proto(msg));
     }
 
     fn arm(&mut self, deadline: Instant, token: u64) {
@@ -326,7 +330,6 @@ impl<'a> ShardReactor<'a> {
         clock: TickClock,
         listener: TcpListener,
         addr: SocketAddr,
-        shared: &'a Shared,
     ) -> Self {
         let rc = &cfg.runtime;
         let engine = build_shard_engine(rc.protocol, rc.wal_dir.as_deref(), shard);
@@ -340,9 +343,9 @@ impl<'a> ShardReactor<'a> {
             listener: Some(listener),
             addr,
             routes: vec![None; rc.n_clients],
-            timers: TimerWheel::new(),
+            timers: TimerWheel::new(&clock),
             outages: OutageGate::new(shard, &rc.shard_outages),
-            shared,
+            telemetry: Telemetry::counters(),
             effects: Vec::new(),
         }
     }
@@ -353,15 +356,24 @@ impl<'a> ShardReactor<'a> {
     fn step_engine(&mut self, event: Event) {
         if self.outages.is_down() {
             if matches!(event, Event::Message { .. }) {
-                self.shared.add_metric(names::FAULT_DROPPED_DOWN, 1);
+                self.telemetry.metrics.add(names::FAULT_DROPPED_DOWN, 1);
             }
             return;
         }
-        let mut out = std::mem::take(&mut self.effects);
-        self.core.step(event, &mut out);
-        let (clock, shared) = (self.clock, self.shared);
-        execute(&mut out, self, &clock, shared);
-        self.effects = out;
+        let t = self.core.step(event, &mut self.effects);
+        let mut port = ShardPort {
+            shards: self.shards,
+            routes: &self.routes,
+            table: &mut self.table,
+            timers: &mut self.timers,
+        };
+        execute(
+            &mut self.effects,
+            &mut port,
+            &self.clock,
+            t,
+            &mut self.telemetry,
+        );
     }
 
     /// Drains the accept queue, registering every new connection.
@@ -375,7 +387,7 @@ impl<'a> ShardReactor<'a> {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
                     if self.table.insert(stream, ServerPeer::AwaitHello).is_some() {
-                        self.shared.add_metric(names::REACTOR_CONN_OPENED, 1);
+                        self.telemetry.metrics.add(names::REACTOR_CONN_OPENED, 1);
                     }
                 }
                 // WouldBlock (queue drained) or a transient accept error:
@@ -425,7 +437,7 @@ impl<'a> ShardReactor<'a> {
                 }
                 self.routes[site as usize] = Some(token);
                 let shard = self.shard as u32;
-                self.queue(token, lane, &WireMsg::HelloAck { shard });
+                self.table.queue(token, lane, &WireMsg::HelloAck { shard });
             }
         }
     }
@@ -466,14 +478,19 @@ impl<'a> ShardReactor<'a> {
             .epoll
             .add(reborn.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
             .expect("register reborn listener");
-        self.shared.add_metric(names::TCP_LISTENER_RESTART, 1);
+        self.telemetry.metrics.add(names::TCP_LISTENER_RESTART, 1);
         self.listener = Some(reborn);
     }
 
     /// The event loop. Exits when `wake` becomes readable — a byte (every
     /// client said its goodbyes) or a hang-up — returning the shard's
-    /// served-request count.
-    fn run(mut self, chaos: Option<ListenerChaos>, started: Instant, wake: &UnixStream) -> u64 {
+    /// served-request count and the thread's counters.
+    fn run(
+        mut self,
+        chaos: Option<ListenerChaos>,
+        started: Instant,
+        wake: &UnixStream,
+    ) -> (u64, Metrics) {
         let _slack = TimerSlack::pin();
         let fd = self
             .listener
@@ -504,9 +521,9 @@ impl<'a> ShardReactor<'a> {
             // edge the engine restarts (replaying the WAL under a durable
             // store) before any queued traffic reaches it.
             match self.outages.poll(self.clock.now()) {
-                Some(OutageEdge::WentDown) => self.shared.add_metric(names::CRASH, 1),
+                Some(OutageEdge::WentDown) => self.telemetry.metrics.add(names::CRASH, 1),
                 Some(OutageEdge::CameUp) => {
-                    self.shared.add_metric(names::RESTART, 1);
+                    self.telemetry.metrics.add(names::RESTART, 1);
                     self.step_engine(Event::Restart);
                 }
                 None => {}
@@ -522,7 +539,7 @@ impl<'a> ShardReactor<'a> {
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
-            let now = self.sweep(self.shared);
+            let now = self.sweep();
             let now = self.flush_queued(now);
             let mut timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
             if let Some(c) = chaos_pending {
@@ -552,9 +569,10 @@ impl<'a> ShardReactor<'a> {
         for token in self.table.tokens() {
             self.close(token);
         }
-        self.timers.report(self.shared);
-        self.table.report(self.shared);
-        self.core.engine.requests_served()
+        let mut metrics = self.telemetry.metrics;
+        self.timers.report(&mut metrics);
+        self.table.report(&mut metrics);
+        (self.core.engine.requests_served(), metrics)
     }
 }
 
@@ -589,7 +607,7 @@ struct ClientState {
 /// Timer tokens of the client reactor's wheel: engine timers tagged with
 /// their owning client, per-shard redial alarms, and the adaptive Δ
 /// controller's sampling tick.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy)]
 enum ClientTimer {
     Engine { client: usize, token: u64 },
     Redial { shard: usize },
@@ -606,7 +624,9 @@ struct ClientReactor<'a> {
     links: Vec<LinkState>,
     clients: Vec<ClientState>,
     timers: TimerWheel<ClientTimer>,
-    shared: &'a Shared,
+    /// The run's recorder and live monitor, and this thread's counters —
+    /// the thread owns them, so no operation takes a lock.
+    telemetry: Telemetry,
     /// Clients not yet `finished`; the loop exits at zero.
     remaining: usize,
     /// The adaptive Δ control plane, when the run is adaptive. The
@@ -640,7 +660,7 @@ impl Links for ClientReactor<'_> {
                 if !self.clients[client].attached[shard] {
                     self.clients[client].attached[shard] = true;
                     let connects = self.clients[client].connects[shard];
-                    self.shared.add_metric(
+                    self.telemetry.metrics.add(
                         if connects == 0 {
                             names::TCP_CONNECT
                         } else {
@@ -685,40 +705,35 @@ impl Links for ClientReactor<'_> {
 /// the shard's link — dead-lettering, counted, while the client is not
 /// attached there — and timers go into the reactor's wheel tagged with the
 /// client.
-struct ClientPort<'r, 'a> {
-    reactor: &'r mut ClientReactor<'a>,
+struct ClientPort<'r> {
     client: usize,
+    links: &'r [LinkState],
+    /// Per shard: whether this client is attached there.
+    attached: &'r [bool],
+    table: &'r mut ConnTable<usize>,
+    timers: &'r mut TimerWheel<ClientTimer>,
 }
 
-impl Port for ClientPort<'_, '_> {
+impl Port for ClientPort<'_> {
     fn send(&mut self, to: NodeId, msg: Msg) {
-        let (r, client, shard) = (&mut *self.reactor, self.client, to.index());
-        let delivered = match r.links[shard] {
-            LinkState::Up { token } if r.clients[client].attached[shard] => {
-                r.queue(token, client as u16, &WireMsg::Proto(msg))
-            }
-            _ => false,
+        let shard = to.index();
+        let route = match self.links[shard] {
+            LinkState::Up { token } if self.attached[shard] => Some(token),
+            _ => None,
         };
-        if !delivered {
-            r.shared.add_metric(names::TCP_SEND_DROPPED, 1);
-        }
+        self.table
+            .send_on(route, self.client as u16, &WireMsg::Proto(msg));
     }
 
     fn arm(&mut self, deadline: Instant, token: u64) {
         let client = self.client;
-        self.reactor
-            .timers
+        self.timers
             .arm(deadline, ClientTimer::Engine { client, token });
     }
 }
 
 impl<'a> ClientReactor<'a> {
-    fn new(
-        cfg: &'a ReactorConfig,
-        addrs: &'a [SocketAddr],
-        clock: TickClock,
-        shared: &'a Shared,
-    ) -> Self {
+    fn new(cfg: &'a ReactorConfig, addrs: &'a [SocketAddr], clock: TickClock) -> Self {
         let rc = &cfg.runtime;
         let shards = rc.protocol.shards;
         let clients: Vec<ClientState> = (0..rc.n_clients)
@@ -745,8 +760,8 @@ impl<'a> ClientReactor<'a> {
                 .collect(),
             remaining: clients.len(),
             clients,
-            timers: TimerWheel::new(),
-            shared,
+            timers: TimerWheel::new(&clock),
+            telemetry: Telemetry::recording(rc),
             controller: ControlPlane::new(rc),
             effects: Vec::new(),
         }
@@ -759,7 +774,7 @@ impl<'a> ClientReactor<'a> {
         let Some(plane) = self.controller.as_mut() else {
             return;
         };
-        let (command, more) = plane.sample(&self.clock, self.shared);
+        let (command, more) = plane.sample(&self.clock, &mut self.telemetry);
         let interval = plane.interval(&self.clock);
         if let Some((from, msg)) = command {
             for client in 0..self.clients.len() {
@@ -777,17 +792,24 @@ impl<'a> ClientReactor<'a> {
 
     /// Feeds one event to a hosted client and executes the effects.
     fn feed(&mut self, client: usize, event: Event) {
-        let mut out = std::mem::take(&mut self.effects);
-        self.clients[client].core.step(event, &mut out);
-        let (clock, shared) = (self.clock, self.shared);
+        let state = &mut self.clients[client];
+        let t = state.core.step(event, &mut self.effects);
         let mut port = ClientPort {
-            reactor: self,
             client,
+            links: &self.links,
+            attached: &state.attached,
+            table: &mut self.table,
+            timers: &mut self.timers,
         };
-        execute(&mut out, &mut port, &clock, shared);
-        self.effects = out;
-        if !self.clients[client].finished && self.clients[client].core.finished() {
-            self.clients[client].finished = true;
+        execute(
+            &mut self.effects,
+            &mut port,
+            &self.clock,
+            t,
+            &mut self.telemetry,
+        );
+        if !state.finished && state.core.finished() {
+            state.finished = true;
             self.remaining -= 1;
         }
     }
@@ -820,7 +842,7 @@ impl<'a> ClientReactor<'a> {
                     shard: shard as u32,
                     protocol: rc.protocol,
                 };
-                self.queue(token, client as u16, &hello);
+                self.table.queue(token, client as u16, &hello);
             }
         }
     }
@@ -828,7 +850,7 @@ impl<'a> ClientReactor<'a> {
     /// Books a failed dial and schedules the next under the deterministic
     /// jittered [`redial_delay`] schedule.
     fn retry(&mut self, shard: usize, attempt: u32) {
-        self.shared.add_metric(names::TCP_CONNECT_FAILED, 1);
+        self.telemetry.metrics.add(names::TCP_CONNECT_FAILED, 1);
         assert!(
             attempt < REDIAL_ATTEMPTS,
             "shard {shard} unreachable after {attempt} attempts"
@@ -852,9 +874,9 @@ impl<'a> ClientReactor<'a> {
 
     /// The event loop: one dial per shard, then timers + readiness until
     /// every client finishes, then an orderly goodbye on every live link.
-    /// Returns all per-operation latencies plus the commanded Δ-schedule
-    /// when the run was adaptive.
-    fn run(mut self) -> (Vec<Duration>, Option<DeltaSchedule>) {
+    /// Returns all per-operation latencies, the commanded Δ-schedule when
+    /// the run was adaptive, and the thread's telemetry.
+    fn run(mut self) -> (Vec<Duration>, Option<DeltaSchedule>, Telemetry) {
         // This loop runs on the caller's thread: the guard hands the
         // thread back with the slack it came with.
         let _slack = TimerSlack::pin();
@@ -874,7 +896,10 @@ impl<'a> ClientReactor<'a> {
             for &timer in &due {
                 match timer {
                     ClientTimer::Engine { client, token } => {
-                        if !self.clients[client].finished {
+                        // A finished client's timers and dead timers (a
+                        // retry whose reply came first) step nothing.
+                        let state = &self.clients[client];
+                        if !state.finished && state.core.timer_is_live(token) {
                             self.feed(client, Event::Timer { token });
                         }
                     }
@@ -882,7 +907,7 @@ impl<'a> ClientReactor<'a> {
                     ClientTimer::Controller => self.controller_tick(),
                 }
             }
-            let now = self.sweep(self.shared);
+            let now = self.sweep();
             if self.remaining == 0 {
                 break;
             }
@@ -905,15 +930,15 @@ impl<'a> ClientReactor<'a> {
             self.queue_and_flush(token, 0, &WireMsg::Bye);
             self.close(token);
         }
-        self.timers.report(self.shared);
-        self.table.report(self.shared);
+        self.timers.report(&mut self.telemetry.metrics);
+        self.table.report(&mut self.telemetry.metrics);
         let schedule = self.controller.take().map(ControlPlane::into_schedule);
         let latencies = self
             .clients
             .into_iter()
             .flat_map(|c| c.core.into_latencies())
             .collect();
-        (latencies, schedule)
+        (latencies, schedule, self.telemetry)
     }
 }
 
@@ -924,20 +949,22 @@ impl<'a> ClientReactor<'a> {
 /// The churn dialer: `dials` junk connections, back to back, that never
 /// complete a handshake. Odd dials speak a protocol violation (a frame
 /// before Hello) so the reject path runs; even dials hang up silently (a
-/// pre-Hello EOF).
-fn churn_loop(dials: usize, addrs: &[SocketAddr], shutdown: &AtomicBool, shared: &Shared) {
+/// pre-Hello EOF). Returns the thread's counters.
+fn churn_loop(dials: usize, addrs: &[SocketAddr], shutdown: &AtomicBool) -> Metrics {
+    let mut metrics = Metrics::new();
     for i in 0..dials {
         if shutdown.load(Ordering::Relaxed) {
-            return;
+            break;
         }
         let addr = addrs[i % addrs.len()];
         if let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_millis(50)) {
-            shared.add_metric(names::REACTOR_CHURN_DIAL, 1);
+            metrics.add(names::REACTOR_CHURN_DIAL, 1);
             if i % 2 == 1 {
                 let _ = write_frame(&mut stream, 0, &WireMsg::Heartbeat);
             }
         }
     }
+    metrics
 }
 
 /// Runs one execution of the lifetime protocol over the evented reactor
@@ -975,7 +1002,6 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         assert!(c.shard < shards, "chaos shard {} out of range", c.shard);
     }
     let clock = TickClock::new(rc.tick);
-    let shared = Shared::new(rc);
 
     // Bind every shard listener up front so clients know all addresses.
     let mut listeners = Vec::with_capacity(shards);
@@ -996,53 +1022,62 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         .unzip();
     let shutdown = AtomicBool::new(false);
     let started = Instant::now();
-    let shared_ref = &shared;
     let shutdown_ref = &shutdown;
     let addrs_ref = &addrs[..];
     let wake_rxs_ref = &wake_rxs[..];
-    let (latencies, shard_requests, delta_schedule): (
-        Vec<Duration>,
-        Vec<u64>,
-        Option<DeltaSchedule>,
-    ) = crossbeam::thread::scope(|scope| {
-        let mut shard_workers = Vec::with_capacity(shards);
-        for (shard, slot) in listeners.iter_mut().enumerate() {
-            let listener = slot.take().expect("listener taken once");
-            let addr = addrs_ref[shard];
-            let chaos = cfg.chaos.filter(|c| c.shard == shard);
-            shard_workers.push(scope.spawn(move |_| {
-                ShardReactor::new(shard, cfg, clock, listener, addr, shared_ref).run(
-                    chaos,
-                    started,
-                    &wake_rxs_ref[shard],
-                )
-            }));
-        }
-        let churn_worker = (cfg.churn_dials > 0).then(|| {
-            scope.spawn(move |_| churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref, shared_ref))
-        });
-        // The client reactor runs on the scope's own thread: every
-        // ClientCore in one evented loop.
-        let (latencies, delta_schedule) =
-            ClientReactor::new(cfg, addrs_ref, clock, shared_ref).run();
-        shutdown.store(true, Ordering::Relaxed);
-        for mut tx in &wake_txs {
-            // Cannot fail short of a dead shard thread, which the join
-            // below reports.
-            let _ = tx.write_all(&[0]);
-        }
-        let shard_requests: Vec<u64> = shard_workers
-            .into_iter()
-            .map(|w| w.join().expect("shard reactor panicked"))
-            .collect();
-        if let Some(w) = churn_worker {
-            w.join().expect("churn thread panicked");
-        }
-        (latencies, shard_requests, delta_schedule)
-    })
-    .expect("a reactor thread panicked");
+    let (latencies, delta_schedule, telemetry, shard_requests, thread_metrics) =
+        crossbeam::thread::scope(|scope| {
+            let mut shard_workers = Vec::with_capacity(shards);
+            for (shard, slot) in listeners.iter_mut().enumerate() {
+                let listener = slot.take().expect("listener taken once");
+                let addr = addrs_ref[shard];
+                let chaos = cfg.chaos.filter(|c| c.shard == shard);
+                shard_workers.push(scope.spawn(move |_| {
+                    ShardReactor::new(shard, cfg, clock, listener, addr).run(
+                        chaos,
+                        started,
+                        &wake_rxs_ref[shard],
+                    )
+                }));
+            }
+            let churn_worker = (cfg.churn_dials > 0).then(|| {
+                scope.spawn(move |_| churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref))
+            });
+            // The client reactor runs on the scope's own thread: every
+            // ClientCore in one evented loop.
+            let (latencies, delta_schedule, telemetry) =
+                ClientReactor::new(cfg, addrs_ref, clock).run();
+            shutdown.store(true, Ordering::Relaxed);
+            for mut tx in &wake_txs {
+                // Cannot fail short of a dead shard thread, which the join
+                // below reports.
+                let _ = tx.write_all(&[0]);
+            }
+            let (shard_requests, mut thread_metrics): (Vec<u64>, Vec<Metrics>) = shard_workers
+                .into_iter()
+                .map(|w| w.join().expect("shard reactor panicked"))
+                .unzip();
+            if let Some(w) = churn_worker {
+                thread_metrics.push(w.join().expect("churn thread panicked"));
+            }
+            (
+                latencies,
+                delta_schedule,
+                telemetry,
+                shard_requests,
+                thread_metrics,
+            )
+        })
+        .expect("a reactor thread panicked");
     let wall = started.elapsed();
-    finish_run(shared, latencies, shard_requests, wall, delta_schedule)
+    finish_run(
+        telemetry,
+        thread_metrics,
+        latencies,
+        shard_requests,
+        wall,
+        delta_schedule,
+    )
 }
 
 #[cfg(test)]
@@ -1082,31 +1117,37 @@ mod tests {
     }
 
     /// Runs shard 0 of `cfg` as a live reactor on a fresh loopback
-    /// listener while `probe` talks to it, then stops it. Returns the
-    /// requests the shard's engine served and the run's metrics and
-    /// history, assembled by `finish_run`.
+    /// listener while `probe` talks to it, then stops it. `probe` returns
+    /// the telemetry of whatever client side it ran. Returns the requests
+    /// the shard's engine served and the run's metrics and history,
+    /// assembled by `finish_run`.
     fn with_live_shard(
         cfg: &ReactorConfig,
-        probe: impl FnOnce(SocketAddr, TickClock, &Shared),
+        probe: impl FnOnce(SocketAddr, TickClock) -> Telemetry,
     ) -> (u64, RuntimeResult) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
         let clock = TickClock::new(cfg.runtime.tick);
-        let shared = Shared::new(&cfg.runtime);
         let started = Instant::now();
-        let served = crossbeam::thread::scope(|scope| {
+        let ((served, shard_metrics), telemetry) = crossbeam::thread::scope(|scope| {
             let shard = scope.spawn(|_| {
-                ShardReactor::new(0, cfg, clock, listener, addr, &shared)
-                    .run(None, started, &wake_rx)
+                ShardReactor::new(0, cfg, clock, listener, addr).run(None, started, &wake_rx)
             });
-            probe(addr, clock, &shared);
+            let telemetry = probe(addr, clock);
             wake_tx.write_all(&[0]).unwrap();
-            shard.join().expect("shard reactor panicked")
+            (shard.join().expect("shard reactor panicked"), telemetry)
         })
         .unwrap();
-        let r = finish_run(shared, Vec::new(), Vec::new(), started.elapsed(), None);
+        let r = finish_run(
+            telemetry,
+            vec![shard_metrics],
+            Vec::new(),
+            Vec::new(),
+            started.elapsed(),
+            None,
+        );
         (served, r)
     }
 
@@ -1145,7 +1186,7 @@ mod tests {
             (good(2, 0, rc.protocol), "bad id space: site 2 of 2"),
             (good(1, 0, rc.protocol), "site 1 spoke on lane 0"),
         ];
-        let (_, r) = with_live_shard(&cfg, |addr, clock, shared| {
+        let (_, r) = with_live_shard(&cfg, |addr, clock| {
             for (hello, reason) in &probes {
                 let mut stream = raw_dial(addr);
                 write_frame(&mut stream, 0, hello).unwrap();
@@ -1160,8 +1201,9 @@ mod tests {
             }
             // The refusals left nothing behind: the same listener serves a
             // well-configured fleet as if they had never dialled.
-            let (latencies, _) = ClientReactor::new(&cfg, &[addr], clock, shared).run();
+            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock).run();
             assert_eq!(latencies.len(), 2 * 12);
+            telemetry
         });
         assert_eq!(r.ops_done, 2 * 12);
         assert!(r.on_time.holds(), "the following run must be monitor-clean");
@@ -1187,7 +1229,7 @@ mod tests {
         use tc_wire::read_frame;
         let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 45));
         let rc = &cfg.runtime;
-        let (served, r) = with_live_shard(&cfg, |addr, _, _| {
+        let (served, r) = with_live_shard(&cfg, |addr, _| {
             let mut stream = raw_dial(addr);
             let hello = WireMsg::Hello {
                 site: 0,
@@ -1209,6 +1251,7 @@ mod tests {
                 read_frame(&mut stream).is_err(),
                 "the shard must hang up on a frame from an unattached lane"
             );
+            Telemetry::recording(rc)
         });
         assert_eq!(served, 0, "the stray request must never reach the engine");
         assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 1);

@@ -19,12 +19,12 @@ use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 
 use tc_sim::metrics::names;
+use tc_sim::Metrics;
 use tc_wire::WireMsg;
 
 use super::conn::{Close, Conn, READ_CHUNK};
 use super::sys::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use super::{HEARTBEAT, READ_TIMEOUT};
-use crate::runtime::Shared;
 
 /// Interest every registered connection always has; `EPOLLOUT` is OR-ed
 /// in only while the outbox holds unsent bytes.
@@ -136,11 +136,15 @@ pub(super) struct ConnTable<P> {
     queued: Vec<u64>,
     /// When the next liveness sweep is due.
     next_sweep: Instant,
-    /// `write` calls issued and frames queued, counted here — one table,
-    /// one thread, no lock — and added to the run's metrics once by
-    /// [`ConnTable::report`]. Their ratio is the batching a run achieved.
+    /// `write` calls issued, frames queued, keep-alives queued and protocol
+    /// frames dropped for want of a route, counted here — one table, one
+    /// thread, no lock — and added to the run's metrics once by
+    /// [`ConnTable::report`]. Frames over writes is the batching a run
+    /// achieved.
     writes: u64,
     frames_out: u64,
+    heartbeats: u64,
+    dropped: u64,
 }
 
 impl<P> ConnTable<P> {
@@ -154,6 +158,8 @@ impl<P> ConnTable<P> {
             next_sweep: Instant::now(),
             writes: 0,
             frames_out: 0,
+            heartbeats: 0,
+            dropped: 0,
         }
     }
 
@@ -202,11 +208,41 @@ impl<P> ConnTable<P> {
     }
 
     /// Adds this table's output counters ([`names::REACTOR_WRITES`],
-    /// [`names::REACTOR_FRAMES_OUT`]) to the run's metrics. Called once,
-    /// when the owning reactor thread exits.
-    pub(super) fn report(&self, shared: &Shared) {
-        shared.add_metric(names::REACTOR_WRITES, self.writes);
-        shared.add_metric(names::REACTOR_FRAMES_OUT, self.frames_out);
+    /// [`names::REACTOR_FRAMES_OUT`], [`names::TCP_HEARTBEAT`],
+    /// [`names::TCP_SEND_DROPPED`]) to `metrics`. Called once, when the
+    /// owning reactor thread exits.
+    pub(super) fn report(&self, metrics: &mut Metrics) {
+        metrics.add(names::REACTOR_WRITES, self.writes);
+        metrics.add(names::REACTOR_FRAMES_OUT, self.frames_out);
+        metrics.add(names::TCP_HEARTBEAT, self.heartbeats);
+        metrics.add(names::TCP_SEND_DROPPED, self.dropped);
+    }
+
+    /// Encodes a frame on `lane` onto connection `token`'s outbox; the
+    /// pass's [`Links::flush_queued`] writes it. `false` for a dead
+    /// connection. A queued frame whose connection dies before or during
+    /// that flush is lost like any frame in flight.
+    pub(super) fn queue(&mut self, token: u64, lane: u16, msg: &WireMsg) -> bool {
+        let Some((ep, _)) = self.conns.get_mut(token) else {
+            return false;
+        };
+        ep.conn.queue(lane, msg);
+        self.frames_out += 1;
+        if !ep.queued {
+            ep.queued = true;
+            self.queued.push(token);
+        }
+        true
+    }
+
+    /// Queues an engine's frame on `route` — the connection its
+    /// destination is attached through, `None` while there is none — or
+    /// drops it, counted, when it cannot be queued: the engines' retry
+    /// timers own recovery, as they do for any lost message.
+    pub(super) fn send_on(&mut self, route: Option<u64>, lane: u16, msg: &WireMsg) {
+        if !route.is_some_and(|token| self.queue(token, lane, msg)) {
+            self.dropped += 1;
+        }
     }
 
     /// Reads and/or flushes one connection as its readiness `bits` ask,
@@ -287,24 +323,6 @@ pub(super) trait Links {
         }
     }
 
-    /// Encodes a frame on `lane` onto connection `token`'s outbox; the
-    /// pass's [`flush_queued`](Links::flush_queued) writes it. `false` for
-    /// a dead connection. A queued frame whose connection dies before or
-    /// during that flush is lost like any frame in flight.
-    fn queue(&mut self, token: u64, lane: u16, msg: &WireMsg) -> bool {
-        let table = self.table();
-        let Some((ep, _)) = table.conns.get_mut(token) else {
-            return false;
-        };
-        ep.conn.queue(lane, msg);
-        table.frames_out += 1;
-        if !ep.queued {
-            ep.queued = true;
-            table.queued.push(token);
-        }
-        true
-    }
-
     /// Writes every connection queued on since the last call, once each,
     /// closing those that die writing. Called once per loop pass, right
     /// before the wait; `now` stamps the writes. Returns the instant to
@@ -335,8 +353,8 @@ pub(super) trait Links {
     /// caller closes the connection next, whether or not the write went
     /// through.
     fn queue_and_flush(&mut self, token: u64, lane: u16, msg: &WireMsg) {
-        if self.queue(token, lane, msg) {
-            let table = self.table();
+        let table = self.table();
+        if table.queue(token, lane, msg) {
             let (ep, _) = table.conns.get_mut(token).expect("queued on a live token");
             flush(&table.epoll, ep, token, Instant::now(), &mut table.writes);
         }
@@ -344,7 +362,7 @@ pub(super) trait Links {
 
     /// Runs the read-timeout + heartbeat sweep over every live connection
     /// if it is due. Returns the instant to compute this pass's wait from.
-    fn sweep(&mut self, shared: &Shared) -> Instant {
+    fn sweep(&mut self) -> Instant {
         let now = Instant::now();
         if now < self.table().next_sweep {
             return now;
@@ -358,8 +376,9 @@ pub(super) trait Links {
             } else if now.duration_since(ep.conn.last_write) >= HEARTBEAT {
                 // A keep-alive speaks for the connection, not a site:
                 // either end ignores its lane.
-                shared.add_metric(names::TCP_HEARTBEAT, 1);
-                self.queue(token, 0, &WireMsg::Heartbeat);
+                let table = self.table();
+                table.heartbeats += 1;
+                table.queue(token, 0, &WireMsg::Heartbeat);
             }
         }
         self.table().next_sweep = now + SWEEP_EVERY;

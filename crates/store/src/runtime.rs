@@ -4,7 +4,7 @@
 //! `tc-lifetime`: the *same* [`ClientEngine`]/[`ServerEngine`] types run
 //! here over OS threads, crossbeam channels, and an [`Instant`]-based
 //! clock, with every recorded operation fed into a live
-//! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor) — so real-concurrency
+//! [`OnTimeMonitor`] — so real-concurrency
 //! executions get streaming timed-consistency verdicts, not just simulated
 //! ones.
 //!
@@ -23,8 +23,9 @@
 //! * **the control plane** — `ControlPlane` samples the live monitor and
 //!   ticks the adaptive Δ controller; the channel drivers call it from a
 //!   sleeping thread, the reactor from a timer;
-//! * **run state and result assembly** — `Shared`, `TickClock`,
-//!   `TimerWheel`, `OutageGate`, `finish_run`.
+//! * **run state and result assembly** — `Telemetry`, `Shared`,
+//!   `TickClock`, `TimerWheel` (in `wheel`), `OutageGate`,
+//!   `finish_run`.
 //!
 //! [`crate::run_reactor`] hosts the same cores in two epoll loops and
 //! implements `Port` over its connection table instead of channels.
@@ -50,21 +51,19 @@
 //! real-time slack; the run's *observed* staleness is still reported
 //! exactly, and the monitor verdict asserts the widened bound.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use tc_clocks::{Delta, Epsilon, Time};
-use tc_core::checker::TimedReport;
+use tc_core::checker::{OnTimeMonitor, TimedReport};
 use tc_core::History;
 use tc_durable::WalStore;
 use tc_lifetime::control::{ControlPolicy, ControllerConfig, DeltaSchedule, Readings};
 use tc_lifetime::engine::{
-    ClientEngine, Effect, Event, Now, PrivateSources, RecordOp, ServerEngine, TIMER_NEXT_OP,
+    ClientEngine, Effect, Event, Now, PrivateSources, ServerEngine, TIMER_NEXT_OP,
 };
 use tc_lifetime::{Msg, ProtocolConfig};
 use tc_sim::metrics::names;
@@ -72,6 +71,7 @@ use tc_sim::workload::Workload;
 use tc_sim::{Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
 use crate::reactor::TimerSlack;
+use crate::wheel::TimerWheel;
 
 /// Configuration of one threaded run.
 #[derive(Clone, Debug)]
@@ -344,80 +344,6 @@ impl RuntimeResult {
     }
 }
 
-/// A deadline-ordered timer wheel over real [`Instant`]s, shared by the
-/// channel node loop, the geo WAN courier and the evented reactor.
-///
-/// Timers pop in deadline order; equal deadlines pop in arming order (a
-/// monotone sequence number breaks ties), so a driver that arms `A` then
-/// `B` for the same instant fires `A` first — the property the engines'
-/// effect-order contract leans on. The old implementation was a linear
-/// `Vec` scanned per pass; the heap makes `arm` O(log n) and a pop-due
-/// sweep O(k log n) for k due timers.
-///
-/// Generic over the token type: the per-thread drivers use bare engine
-/// tokens (`u64`), while the reactor — one thread multiplexing many
-/// engines and connections — arms composite tokens naming the owner. The
-/// `Ord` bound exists only to satisfy the heap; the unique sequence number
-/// means token order never decides a pop.
-///
-/// The wheel also counts how late its owner noticed each timer (pop
-/// instant − deadline) in two plain fields — one wheel, one thread, no
-/// lock — which [`TimerWheel::report`] adds to the run's metrics once, at
-/// thread exit.
-pub(crate) struct TimerWheel<T = u64> {
-    heap: BinaryHeap<Reverse<(Instant, u64, T)>>,
-    seq: u64,
-    fired: u64,
-    late_ns: u64,
-}
-
-impl<T: Ord> TimerWheel<T> {
-    pub(crate) fn new() -> Self {
-        TimerWheel {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            fired: 0,
-            late_ns: 0,
-        }
-    }
-
-    /// Arms a timer: `token` will pop once `deadline` has passed.
-    pub(crate) fn arm(&mut self, deadline: Instant, token: T) {
-        self.seq += 1;
-        self.heap.push(Reverse((deadline, self.seq, token)));
-    }
-
-    /// The earliest armed deadline, if any timer is pending.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
-        self.heap.peek().map(|Reverse((deadline, _, _))| *deadline)
-    }
-
-    /// Clears `due` and fills it with every timer due at `now`, in
-    /// (deadline, arming) order. Due timers are collected in one sweep
-    /// *before* any fires: a firing timer may arm new ones, and those
-    /// belong to the next pass even if already due.
-    pub(crate) fn pop_due_into(&mut self, now: Instant, due: &mut Vec<T>) {
-        due.clear();
-        while let Some(Reverse((deadline, _, _))) = self.heap.peek() {
-            if *deadline > now {
-                break;
-            }
-            let Reverse((deadline, _, token)) = self.heap.pop().expect("peeked non-empty");
-            self.fired += 1;
-            self.late_ns += now.duration_since(deadline).as_nanos() as u64;
-            due.push(token);
-        }
-    }
-
-    /// Adds this wheel's lateness counters ([`names::TIMER_FIRED`],
-    /// [`names::TIMER_LATE_NS`]) to the run's metrics. Called once, when
-    /// the owning driver thread exits.
-    pub(crate) fn report(&self, shared: &Shared) {
-        shared.add_metric(names::TIMER_FIRED, self.fired);
-        shared.add_metric(names::TIMER_LATE_NS, self.late_ns);
-    }
-}
-
 /// The shared tick clock: every thread derives protocol [`Time`] from one
 /// epoch, so "local" and "true" time coincide up to rounding, and every
 /// driver timer is a deadline on that same clock
@@ -430,14 +356,39 @@ pub(crate) struct TickClock {
 
 impl TickClock {
     pub(crate) fn new(tick: Duration) -> Self {
+        TickClock::starting_at(Instant::now(), tick)
+    }
+
+    /// A clock whose tick 0 begins at `epoch`.
+    pub(crate) fn starting_at(epoch: Instant, tick: Duration) -> Self {
         TickClock {
-            epoch: Instant::now(),
+            epoch,
             tick_nanos: (tick.as_nanos() as u64).max(1),
         }
     }
 
     pub(crate) fn now(&self) -> Time {
-        Time::from_ticks(self.epoch.elapsed().as_nanos() as u64 / self.tick_nanos)
+        self.tick_at(Instant::now())
+    }
+
+    /// The tick the clock reads at `at`.
+    pub(crate) fn tick_at(&self, at: Instant) -> Time {
+        Time::from_ticks(
+            at.saturating_duration_since(self.epoch).as_nanos() as u64 / self.tick_nanos,
+        )
+    }
+
+    /// How many tick boundaries `epoch + k · tick` lie at or before `at`
+    /// (boundary 0 is the epoch itself).
+    pub(crate) fn boundaries_passed(&self, at: Instant) -> u64 {
+        at.checked_duration_since(self.epoch)
+            .map_or(0, |d| d.as_nanos() as u64 / self.tick_nanos + 1)
+    }
+
+    /// The first tick boundary at or after `at`, as its `k`.
+    pub(crate) fn boundary_at_or_after(&self, at: Instant) -> u64 {
+        at.checked_duration_since(self.epoch)
+            .map_or(0, |d| (d.as_nanos() as u64).div_ceil(self.tick_nanos))
     }
 
     /// The real-time length of `delta` — a *period* (the controller's
@@ -454,54 +405,89 @@ impl TickClock {
     }
 
     /// The instant at which this clock will have advanced by `delta` ticks
-    /// from its current reading `t`: the tick *boundary*
+    /// from the reading `t` an engine step was fed: the tick *boundary*
     /// `epoch + (t + max(delta, 1)) · tick`. This is the driver timer
     /// contract — an engine's `SetTimer { after: k }` fires when the
     /// shared clock reads `t + k`, as it does in the simulator, not `k`
-    /// ticks plus whatever was left of tick `t`. Zero rounds up to one
-    /// tick, so a timer never fires before the clock reads `t + 1` (the
-    /// per-site strictly-increasing-time invariant of a [`History`]), and
-    /// threads whose timers land on the same tick wake at the same
-    /// instant. `None` for an infinite delta: "never" arms nothing.
-    pub(crate) fn deadline_after(&self, delta: Delta) -> Option<Instant> {
+    /// ticks plus whatever was left of tick `t`, and not `k` ticks from
+    /// whatever the clock reads by the time the effect is executed. Zero
+    /// rounds up to one tick, so a timer never fires before the clock
+    /// reads `t + 1` (the per-site strictly-increasing-time invariant of a
+    /// [`History`]), and threads whose timers land on the same tick wake
+    /// at the same instant. `None` for an infinite delta: "never" arms
+    /// nothing.
+    pub(crate) fn deadline_after(&self, t: Time, delta: Delta) -> Option<Instant> {
         if delta.is_infinite() {
             return None;
         }
-        let at = self.now().ticks().saturating_add(delta.ticks().max(1));
+        let at = t.ticks().saturating_add(delta.ticks().max(1));
         Some(self.epoch + Duration::from_nanos(self.tick_nanos.saturating_mul(at)))
     }
 }
 
-/// Shared mutable run state: the trace recorder (with attached monitor)
-/// and the metric bag, each behind one coarse mutex taken per recorded
-/// operation and per counted event. What a thread can count by itself —
-/// timer lateness — it keeps in a local ([`TimerWheel`]) and adds here
-/// once, when it exits.
-pub(crate) struct Shared {
-    pub(crate) recorder: Mutex<TraceRecorder>,
-    pub(crate) metrics: Mutex<Metrics>,
+/// What engine steps leave behind besides sends and timers: the counters
+/// and, on the thread that hosts the clients, the recorded history with
+/// its live monitor. On the reactor each thread owns one — only the
+/// client thread's records — and [`finish_run`] merges them; the channel
+/// drivers share one behind [`Shared`].
+pub(crate) struct Telemetry {
+    pub(crate) metrics: Metrics,
+    recorder: Option<TraceRecorder>,
 }
 
-impl Shared {
-    /// The shared state of one run of `config`: an empty metric bag and a
-    /// recorder with the live monitor attached at the configured Δ and ε.
-    pub(crate) fn new(config: &RuntimeConfig) -> Self {
-        let mut recorder = TraceRecorder::new();
-        recorder.attach_monitor(config.monitor_delta, config.monitor_eps);
-        Shared {
-            recorder: Mutex::new(recorder),
-            metrics: Mutex::new(Metrics::new()),
+impl Telemetry {
+    /// Counters only, for a thread that hosts no client: shards and relays
+    /// record nothing.
+    pub(crate) fn counters() -> Self {
+        Telemetry {
+            metrics: Metrics::new(),
+            recorder: None,
         }
     }
 
-    pub(crate) fn record(&self, op: RecordOp) {
-        op.apply(&mut self.recorder.lock().expect("recorder lock"));
+    /// Counters plus the run's recorder, with the live monitor attached at
+    /// `config`'s Δ and ε.
+    pub(crate) fn recording(config: &RuntimeConfig) -> Self {
+        let mut recorder = TraceRecorder::new();
+        recorder.attach_monitor(config.monitor_delta, config.monitor_eps);
+        Telemetry {
+            metrics: Metrics::new(),
+            recorder: Some(recorder),
+        }
     }
 
-    pub(crate) fn add_metric(&self, name: &'static str, add: u64) {
-        // Unconditional like the sim adapter: zero-increments materialize
-        // the counter so snapshots carry it.
-        self.metrics.lock().expect("metrics lock").add(name, add);
+    fn recorder(&mut self) -> &mut TraceRecorder {
+        self.recorder
+            .as_mut()
+            .expect("only the thread hosting the clients records")
+    }
+
+    fn monitor(&self) -> &OnTimeMonitor {
+        self.recorder
+            .as_ref()
+            .and_then(TraceRecorder::monitor)
+            .expect("monitor attached by the driver")
+    }
+}
+
+/// The channel drivers' run state: the one [`Telemetry`] every node thread
+/// steps into, behind a mutex taken once per step. The reactor does not
+/// use it — its threads own their telemetry.
+pub(crate) struct Shared(Mutex<Telemetry>);
+
+impl Shared {
+    /// The shared state of one run of `config`: empty counters and a
+    /// recorder with the live monitor attached at the configured Δ and ε.
+    pub(crate) fn new(config: &RuntimeConfig) -> Self {
+        Shared(Mutex::new(Telemetry::recording(config)))
+    }
+
+    pub(crate) fn lock(&self) -> MutexGuard<'_, Telemetry> {
+        self.0.lock().expect("telemetry lock")
+    }
+
+    pub(crate) fn into_inner(self) -> Telemetry {
+        self.0.into_inner().expect("telemetry lock")
     }
 }
 
@@ -520,25 +506,29 @@ pub(crate) trait Port {
 
 /// Executes what one engine step emitted, leaving `out` empty for the next
 /// step — the one place an [`Effect`] is interpreted, whichever driver
-/// hosts the engine. A timer is a deadline on the shared tick clock
+/// hosts the engine. A timer is a deadline on the shared tick clock,
+/// counted from `t`, the tick the step was fed
 /// ([`TickClock::deadline_after`]); an infinite delta means "never" and
-/// arms nothing.
+/// arms nothing. Counters and records go into the caller's `telemetry`.
 pub(crate) fn execute(
     out: &mut Vec<Effect>,
     port: &mut impl Port,
     clock: &TickClock,
-    shared: &Shared,
+    t: Time,
+    telemetry: &mut Telemetry,
 ) {
     for effect in out.drain(..) {
         match effect {
             Effect::Send { to, msg } => port.send(to, msg),
             Effect::SetTimer { after, token } => {
-                if let Some(deadline) = clock.deadline_after(after) {
+                if let Some(deadline) = clock.deadline_after(t, after) {
                     port.arm(deadline, token);
                 }
             }
-            Effect::Metric { name, add } => shared.add_metric(name, add),
-            Effect::Record(op) => shared.record(op),
+            // Unconditional like the sim adapter: zero-increments
+            // materialize the counter so snapshots carry it.
+            Effect::Metric { name, add } => telemetry.metrics.add(name, add),
+            Effect::Record(op) => op.apply(telemetry.recorder()),
         }
     }
 }
@@ -549,13 +539,21 @@ pub(crate) fn execute(
 pub(crate) trait Host {
     /// Feeds one event to the engine — preceded by a fresh clock sample
     /// where the engine contract requires one — collecting the emitted
-    /// effects into `out` for the driver to [`execute`].
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>);
+    /// effects into `out` for the driver to [`execute`]. Returns the tick
+    /// the step ran at, which the effects' timers count from.
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time;
 
     /// Whether the host's own work is over. Only a client ever finishes by
     /// itself; infrastructure runs until it is hung up on or told to stop.
     fn finished(&self) -> bool {
         false
+    }
+
+    /// Whether timer `token` firing now would do anything. A driver drops
+    /// a dead timer instead of stepping the host with it: only a client
+    /// can tell ([`ClientEngine::timer_is_live`]).
+    fn timer_is_live(&self, _token: u64) -> bool {
+        true
     }
 }
 
@@ -612,16 +610,17 @@ impl Host for ClientCore {
     /// Latency bookkeeping rides along: the op clock starts on the
     /// op-issue timer and stops when the engine's completion count
     /// advances.
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>) {
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time {
+        let wall = Instant::now();
         if matches!(
             event,
             Event::Timer {
                 token: TIMER_NEXT_OP
             }
         ) {
-            self.op_started = Some(Instant::now());
+            self.op_started = Some(wall);
         }
-        let t = self.clock.now();
+        let t = self.clock.tick_at(wall);
         let now = Now {
             me: self.me,
             local: t,
@@ -635,11 +634,16 @@ impl Host for ClientCore {
                 self.latencies.push(started.elapsed());
             }
         }
+        t
     }
 
     /// The workload is complete with nothing in flight.
     fn finished(&self) -> bool {
         self.engine.finished() && self.engine.is_idle()
+    }
+
+    fn timer_is_live(&self, token: u64) -> bool {
+        self.engine.timer_is_live(token)
     }
 }
 
@@ -660,7 +664,7 @@ impl ShardCore {
 }
 
 impl Host for ShardCore {
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>) {
+    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time {
         let t = self.clock.now();
         let now = Now {
             me: self.me,
@@ -669,6 +673,7 @@ impl Host for ShardCore {
         };
         self.engine.handle(Event::Now(now), out);
         self.engine.handle(event, out);
+        t
     }
 }
 
@@ -722,7 +727,7 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
             host,
             port: ChannelPort {
                 send,
-                timers: TimerWheel::new(),
+                timers: TimerWheel::new(&clock),
             },
             clock,
             shared,
@@ -745,12 +750,19 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
         self
     }
 
-    /// Feeds one event to the host and executes what it emits. The
-    /// effects scratch is left empty, so a step allocates nothing once it
-    /// is warm.
+    /// Feeds one event to the host and executes what it emits, taking the
+    /// telemetry lock once. The effects scratch is left empty, so a step
+    /// allocates nothing once it is warm.
     pub(crate) fn feed(&mut self, event: Event) {
-        self.host.step(event, &mut self.effects);
-        execute(&mut self.effects, &mut self.port, &self.clock, self.shared);
+        let t = self.host.step(event, &mut self.effects);
+        let mut telemetry = self.shared.lock();
+        execute(
+            &mut self.effects,
+            &mut self.port,
+            &self.clock,
+            t,
+            &mut telemetry,
+        );
     }
 
     /// The node loop: cross any outage edge, collect the due timers, block
@@ -777,9 +789,9 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
             events.clear();
             if self.outages.is_armed() {
                 match self.outages.poll(self.clock.now()) {
-                    Some(OutageEdge::WentDown) => self.shared.add_metric(names::CRASH, 1),
+                    Some(OutageEdge::WentDown) => self.shared.lock().metrics.add(names::CRASH, 1),
                     Some(OutageEdge::CameUp) => {
-                        self.shared.add_metric(names::RESTART, 1);
+                        self.shared.lock().metrics.add(names::RESTART, 1);
                         events.push(Event::Restart);
                     }
                     None => {}
@@ -843,14 +855,20 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
                 // timers fire into the void.
                 if self.outages.is_down() {
                     if matches!(event, Event::Message { .. }) {
-                        self.shared.add_metric(names::FAULT_DROPPED_DOWN, 1);
+                        self.shared.lock().metrics.add(names::FAULT_DROPPED_DOWN, 1);
                     }
                     continue;
+                }
+                // A dead timer would step the host for nothing.
+                if let Event::Timer { token } = event {
+                    if !self.host.timer_is_live(token) {
+                        continue;
+                    }
                 }
                 self.feed(event);
             }
         }
-        self.port.timers.report(self.shared);
+        self.port.timers.report(&mut self.shared.lock().metrics);
         self.host
     }
 }
@@ -871,10 +889,10 @@ pub(crate) fn run_client(
 }
 
 /// The adaptive control plane as the real-time drivers host it: the
-/// shared [`ControlPolicy`] plus the locks its readings sit behind. A
-/// driver owns *when* a sample is taken (a sleeping thread, a reactor
-/// timer) and *how* the resulting command reaches the clients (their
-/// inboxes, a direct feed).
+/// shared [`ControlPolicy`] over the readings of the telemetry that holds
+/// the monitor. A driver owns *when* a sample is taken (a sleeping thread,
+/// a reactor timer) and *how* the resulting command reaches the clients
+/// (their inboxes, a direct feed).
 pub(crate) struct ControlPlane {
     policy: ControlPolicy,
     /// Sender of every command: a synthetic node id past every real node
@@ -908,34 +926,26 @@ impl ControlPlane {
             .unwrap_or(Duration::from_millis(5))
     }
 
-    /// One control tick: reads the live monitor and the retry counter,
-    /// lets the policy decide, and installs a schedule change in the
-    /// monitor. Returns the command in force for the driver to
-    /// (re-)broadcast, and whether to keep sampling.
+    /// One control tick: reads the live monitor and the retry counter of
+    /// the clients' `telemetry`, lets the policy decide, and installs a
+    /// schedule change in the monitor. Returns the command in force for
+    /// the driver to (re-)broadcast, and whether to keep sampling.
     pub(crate) fn sample(
         &mut self,
         clock: &TickClock,
-        shared: &Shared,
+        telemetry: &mut Telemetry,
     ) -> (Option<(NodeId, Msg)>, bool) {
-        let retries = shared
-            .metrics
-            .lock()
-            .expect("metrics lock")
-            .get(names::RETRY);
-        let readings = {
-            let rec = shared.recorder.lock().expect("recorder lock");
-            let m = rec.monitor().expect("monitor attached by the driver");
-            Readings {
-                observed: m.min_delta(),
-                violations: m.violations().len(),
-                ingested: m.ingested(),
-                retries,
-            }
+        let monitor = telemetry.monitor();
+        let readings = Readings {
+            observed: monitor.min_delta(),
+            violations: monitor.violations().len(),
+            ingested: monitor.ingested(),
+            retries: telemetry.metrics.get(names::RETRY),
         };
         let decision = self.policy.sample(clock.now(), readings);
         if let Some(change) = decision.change {
-            shared.add_metric(names::DELTA_UPDATE, 1);
-            shared.add_metric(
+            telemetry.metrics.add(names::DELTA_UPDATE, 1);
+            telemetry.metrics.add(
                 if change.tightened {
                     names::DELTA_TIGHTEN
                 } else {
@@ -943,10 +953,8 @@ impl ControlPlane {
                 },
                 1,
             );
-            shared
-                .recorder
-                .lock()
-                .expect("recorder lock")
+            telemetry
+                .recorder()
                 .monitor_schedule_change(change.judge_from, change.threshold);
         }
         let command = decision.broadcast.map(|msg| (self.from, msg));
@@ -976,7 +984,7 @@ pub(crate) fn control_loop(
         if done.load(Ordering::Acquire) {
             break;
         }
-        let (command, more) = plane.sample(&clock, shared);
+        let (command, more) = plane.sample(&clock, &mut shared.lock());
         if let Some((from, msg)) = command {
             broadcast(from, msg);
         }
@@ -1093,27 +1101,40 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
     })
     .expect("a runtime thread panicked");
     let wall = started.elapsed();
-    finish_run(shared, latencies, shard_requests, wall, delta_schedule)
+    finish_run(
+        shared.into_inner(),
+        Vec::new(),
+        latencies,
+        shard_requests,
+        wall,
+        delta_schedule,
+    )
 }
 
-/// Assembles a [`RuntimeResult`] out of a finished run's shared state —
-/// the common tail of every real-time driver, so all report through
-/// identical monitor/metrics plumbing.
+/// Assembles a [`RuntimeResult`] out of a finished run's telemetry — the
+/// one holding the recorder, plus the counters of every other thread that
+/// kept its own — the common tail of every real-time driver, so all
+/// report through identical monitor/metrics plumbing.
 pub(crate) fn finish_run(
-    shared: Shared,
+    telemetry: Telemetry,
+    thread_metrics: Vec<Metrics>,
     latencies: Vec<Duration>,
     shard_requests: Vec<u64>,
     wall: Duration,
     delta_schedule: Option<DeltaSchedule>,
 ) -> RuntimeResult {
-    let Shared { recorder, metrics } = shared;
-    let recorder = recorder.into_inner().expect("recorder lock");
-    let metrics = metrics.into_inner().expect("metrics lock").snapshot();
-    let observed_staleness = recorder
-        .monitor()
-        .expect("monitor attached by the driver")
-        .min_delta();
+    let observed_staleness = telemetry.monitor().min_delta();
+    let Telemetry { metrics, recorder } = telemetry;
+    let mut metrics = metrics.snapshot();
+    for other in thread_metrics {
+        let other = other.snapshot();
+        for (name, n) in other.counters {
+            *metrics.counters.entry(name).or_insert(0) += n;
+        }
+        metrics.histogram_means.extend(other.histogram_means);
+    }
     let (history, report) = recorder
+        .expect("the run's recorder")
         .finish_with_report()
         .expect("protocol produced an invalid trace");
     let on_time = report.expect("monitor attached by the driver");
@@ -1407,55 +1428,14 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn timer_wheel_pops_out_of_order_armings_by_deadline() {
-        let base = Instant::now();
-        let mut wheel = TimerWheel::new();
-        // Armed out of deadline order on purpose: the wheel must sort.
-        wheel.arm(base + Duration::from_millis(30), 3);
-        wheel.arm(base + Duration::from_millis(10), 1);
-        wheel.arm(base + Duration::from_millis(20), 2);
-        // Two timers for one deadline pop in arming order (stable ties).
-        wheel.arm(base + Duration::from_millis(20), 4);
-        assert_eq!(
-            wheel.next_deadline(),
-            Some(base + Duration::from_millis(10))
-        );
-
-        // Nothing is due before the earliest deadline — and a sweep
-        // clears whatever the buffer held.
-        let mut due = vec![99];
-        wheel.pop_due_into(base, &mut due);
-        assert!(due.is_empty());
-        // A cutoff mid-way pops exactly the due prefix, deadline-ordered.
-        wheel.pop_due_into(base + Duration::from_millis(25), &mut due);
-        assert_eq!(due, vec![1, 2, 4]);
-        assert_eq!(
-            wheel.next_deadline(),
-            Some(base + Duration::from_millis(30))
-        );
-        wheel.pop_due_into(base + Duration::from_millis(35), &mut due);
-        assert_eq!(due, vec![3]);
-        assert_eq!(wheel.next_deadline(), None);
-
-        // Re-arming after a drain works (seq keeps growing, order holds).
-        wheel.arm(base + Duration::from_millis(50), 9);
-        wheel.arm(base + Duration::from_millis(40), 8);
-        wheel.pop_due_into(base + Duration::from_millis(60), &mut due);
-        assert_eq!(due, vec![8, 9]);
-
-        // Lateness is pop instant − deadline, summed: 15 + 5 + 5 ms in the
-        // second sweep, 5 ms in the third, 20 + 10 ms in the last.
-        assert_eq!(wheel.fired, 6);
-        assert_eq!(wheel.late_ns, Duration::from_millis(60).as_nanos() as u64);
-    }
-
-    #[test]
     fn deadline_after_lands_on_the_tick_boundary_the_clock_will_read() {
         let tick = Duration::from_micros(50);
         let clock = TickClock::new(tick);
         for k in [1u64, 3, 40] {
             let before = clock.now().ticks();
-            let deadline = clock.deadline_after(Delta::from_ticks(k)).unwrap();
+            let deadline = clock
+                .deadline_after(clock.now(), Delta::from_ticks(k))
+                .unwrap();
             let after = clock.now().ticks();
             // On a boundary: a whole number of ticks past the epoch…
             let offset = deadline.duration_since(clock.epoch).as_nanos() as u64;
@@ -1475,7 +1455,9 @@ pub(crate) mod tests {
         // A thread woken at the deadline reads a clock that has advanced
         // by at least k: per-site times stay strictly increasing.
         let t = clock.now().ticks();
-        let deadline = clock.deadline_after(Delta::from_ticks(2)).unwrap();
+        let deadline = clock
+            .deadline_after(clock.now(), Delta::from_ticks(2))
+            .unwrap();
         while Instant::now() < deadline {
             std::hint::spin_loop();
         }
@@ -1486,14 +1468,55 @@ pub(crate) mod tests {
     fn deadline_after_rounds_zero_up_and_never_arms_infinity() {
         let clock = TickClock::new(Duration::from_micros(50));
         let t = clock.now().ticks();
-        let zero = clock.deadline_after(Delta::ZERO).unwrap();
+        let zero = clock.deadline_after(clock.now(), Delta::ZERO).unwrap();
         let t2 = clock.now().ticks();
         let at = zero.duration_since(clock.epoch).as_nanos() as u64 / clock.tick_nanos;
         assert!(
             (t + 1..=t2 + 1).contains(&at),
             "Delta::ZERO must mean the next tick boundary"
         );
-        assert_eq!(clock.deadline_after(Delta::INFINITE), None);
+        assert_eq!(clock.deadline_after(clock.now(), Delta::INFINITE), None);
+    }
+
+    /// A step's timers count from the tick the step was fed, not from
+    /// whatever the clock reads once its effects are executed: a timer
+    /// armed `k` ticks out of a step at tick `t` is due at boundary `t + k`
+    /// even when the clock has moved on to `t + 1` in between.
+    #[test]
+    fn timers_are_armed_from_the_tick_the_step_was_fed() {
+        struct Arms(Vec<Instant>);
+        impl Port for Arms {
+            fn send(&mut self, _: NodeId, _: Msg) {}
+            fn arm(&mut self, deadline: Instant, _: u64) {
+                self.0.push(deadline);
+            }
+        }
+        // One-second ticks, the epoch placed so tick 0 ends in 20 ms.
+        let tick = Duration::from_secs(1);
+        let clock = TickClock::starting_at(Instant::now() - tick + Duration::from_millis(20), tick);
+        let k = 3;
+        let mut cfg = small(ProtocolKind::Sc, 7);
+        let think = Delta::from_ticks(k);
+        cfg.workload = Workload::new(4, 0.8, 0.7, (think, think));
+        let mut core = ClientCore::for_site(&cfg, vec![NodeId::new(0)], NodeId::new(1), 0, clock);
+        let mut out = Vec::new();
+        let t = core.step(Event::Start, &mut out);
+        assert!(
+            matches!(out[..], [Effect::SetTimer { after, token: TIMER_NEXT_OP }] if after == think)
+        );
+        while clock.now() <= t {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut arms = Arms(Vec::new());
+        execute(
+            &mut out,
+            &mut arms,
+            &clock,
+            t,
+            &mut Telemetry::recording(&cfg),
+        );
+        let boundary = clock.epoch + tick * (t.ticks() + k) as u32;
+        assert_eq!(arms.0, vec![boundary], "due at t + k, not (t + 1) + k");
     }
 
     #[test]

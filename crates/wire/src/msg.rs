@@ -12,6 +12,8 @@
 //! version behind fails loudly on the frame header, never by
 //! misinterpreting fields.
 
+use std::sync::Arc;
+
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
@@ -165,9 +167,11 @@ pub fn get_vclock(r: &mut Reader<'_>) -> Result<VectorClock, WireError> {
             what: "vclock entry",
         });
     }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(r.uvar("vclock entry")?);
+    // Decoded in place into the clock's shared slice: one allocation.
+    let mut entries: Arc<[u64]> = std::iter::repeat_n(0, n).collect();
+    let slots = Arc::get_mut(&mut entries).expect("a fresh slice is unshared");
+    for slot in slots {
+        *slot = r.uvar("vclock entry")?;
     }
     Ok(VectorClock::from_entries(site as usize, entries))
 }

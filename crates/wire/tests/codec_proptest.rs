@@ -70,7 +70,7 @@ fn uvar_bytes(v: u64) -> Vec<u8> {
 fn arb_vclock(rng: &mut StdRng) -> VectorClock {
     let n = rng.gen_range(1..=6usize);
     let site = rng.gen_range(0..n);
-    let entries = (0..n).map(|_| arb_magnitude(rng)).collect();
+    let entries: Vec<u64> = (0..n).map(|_| arb_magnitude(rng)).collect();
     VectorClock::from_entries(site, entries)
 }
 
