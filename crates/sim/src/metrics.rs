@@ -118,6 +118,13 @@ pub mod names {
     /// `REACTOR_FRAMES_OUT / REACTOR_WRITES` is the frames one `write`
     /// carried on average — the batching the per-pass flush achieved.
     pub const REACTOR_FRAMES_OUT: &str = "reactor_frames_out";
+    /// Reactor driver: waits a reactor thread ended by polling, without
+    /// sleeping, because its links had moved bytes within the poll window.
+    pub const REACTOR_POLLS: &str = "reactor_polls";
+    /// Reactor driver: waits a reactor thread slept in the kernel, its
+    /// links quiet for longer than the poll window. Near zero per
+    /// operation under load; every wait of an idle fleet.
+    pub const REACTOR_SLEEPS: &str = "reactor_sleeps";
 
     /// Real-time drivers: timers popped off a driver thread's wheel.
     pub const TIMER_FIRED: &str = "timer_fired";

@@ -5,9 +5,9 @@
 //! [`tc_lifetime::run_geo`]: the *same* sans-io engines — shard
 //! ([`tc_lifetime::ServerEngine`] with geo egress), per-region relay
 //! ([`GeoRelayEngine`]), client ([`tc_lifetime::engine::ClientEngine`]
-//! with optional migration) — run here over crossbeam channels and the
-//! [`Instant`]-based tick clock, judged by the same live monitor as every
-//! other real-time driver.
+//! with optional migration) — run here over `std::sync::mpsc` channels
+//! and the [`Instant`]-based tick clock, judged by the same live monitor
+//! as every other real-time driver.
 //!
 //! # Topology
 //!
@@ -39,9 +39,9 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use tc_clocks::{Delta, Time};
 use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::geo::EGRESS_BATCH;
@@ -244,17 +244,17 @@ fn wan_courier(
 
 /// A geo relay is infrastructure like a shard: it steps on bare events
 /// (the relay engine time-stamps nothing, so no clock sample precedes
-/// them; its timers count from the clock read after the step) and never
-/// finishes by itself.
+/// them; its timers count from the tick the event was observed in) and
+/// never finishes by itself.
 struct RelayCore {
     engine: GeoRelayEngine,
     clock: TickClock,
 }
 
 impl Host for RelayCore {
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time {
+    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
         self.engine.handle(event, out);
-        self.clock.now()
+        self.clock.tick_at(at)
     }
 }
 
@@ -305,11 +305,11 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
     let mut node_txs = Vec::with_capacity(total_nodes);
     let mut node_rxs = Vec::with_capacity(total_nodes);
     for _ in 0..total_nodes {
-        let (tx, rx) = unbounded::<(NodeId, Msg)>();
+        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
         node_txs.push(tx);
         node_rxs.push(Some(rx));
     }
-    let (wan_tx, wan_rx) = unbounded::<WanPacket>();
+    let (wan_tx, wan_rx) = mpsc::channel::<WanPacket>();
 
     let started = Instant::now();
     let shared_ref = &shared;
@@ -318,111 +318,108 @@ pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
     let done_ref = &done;
     let cfg = config;
     let mut delta_schedule = None;
-    let (latencies, shard_requests): (Vec<Duration>, Vec<u64>) =
-        crossbeam::thread::scope(|scope| {
-            // WAN courier.
-            {
-                let rx = wan_rx;
-                scope.spawn(move |_| {
-                    wan_courier(
-                        &rx,
-                        node_txs_ref,
-                        &cfg.regions,
-                        &cfg.wan,
-                        &cfg.wan_outages,
-                        clock,
-                        cfg.base.seed,
-                        shared_ref,
-                        done_ref,
-                    );
-                });
-            }
-            // Shard fleets, region-major.
-            let mut shard_workers = Vec::with_capacity(n_regions * shards_per_region);
-            for region in 0..n_regions {
-                for shard in 0..shards_per_region {
-                    let node = regions.shard_node(region, shard);
-                    let engine =
-                        build_shard_engine(cfg.base.protocol, cfg.base.wal_dir.as_deref(), node)
-                            .with_geo(regions.shard_config(region));
-                    let gate = OutageGate::new(node, &cfg.base.shard_outages);
-                    let inbox = node_rxs[node].take().expect("receiver taken once");
-                    let wan_tx = wan_tx.clone();
-                    shard_workers.push(scope.spawn(move |_| {
-                        let me = NodeId::new(node);
-                        let send = infra_send(me, &cfg.regions, wan_tx, node_txs_ref);
-                        ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, shared_ref)
-                            .gated(gate)
-                            .until(done_ref)
-                            .run(&inbox)
-                            .engine
-                            .requests_served()
-                    }));
-                }
-            }
-            // Relays.
-            for region in 0..n_regions {
-                let node = regions.relay_node(region);
-                let engine = GeoRelayEngine::new(regions.fleet(region), n_clients);
+    let (latencies, shard_requests): (Vec<Duration>, Vec<u64>) = std::thread::scope(|scope| {
+        // WAN courier.
+        {
+            let rx = wan_rx;
+            scope.spawn(move || {
+                wan_courier(
+                    &rx,
+                    node_txs_ref,
+                    &cfg.regions,
+                    &cfg.wan,
+                    &cfg.wan_outages,
+                    clock,
+                    cfg.base.seed,
+                    shared_ref,
+                    done_ref,
+                );
+            });
+        }
+        // Shard fleets, region-major.
+        let mut shard_workers = Vec::with_capacity(n_regions * shards_per_region);
+        for region in 0..n_regions {
+            for shard in 0..shards_per_region {
+                let node = regions.shard_node(region, shard);
+                let engine =
+                    build_shard_engine(cfg.base.protocol, cfg.base.wal_dir.as_deref(), node)
+                        .with_geo(regions.shard_config(region));
+                let gate = OutageGate::new(node, &cfg.base.shard_outages);
                 let inbox = node_rxs[node].take().expect("receiver taken once");
                 let wan_tx = wan_tx.clone();
-                scope.spawn(move |_| {
-                    let send = infra_send(NodeId::new(node), &cfg.regions, wan_tx, node_txs_ref);
-                    ChannelNode::new(RelayCore { engine, clock }, send, clock, shared_ref)
+                shard_workers.push(scope.spawn(move || {
+                    let me = NodeId::new(node);
+                    let send = infra_send(me, &cfg.regions, wan_tx, node_txs_ref);
+                    ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, shared_ref)
+                        .gated(gate)
                         .until(done_ref)
-                        .run(&inbox);
-                });
-            }
-            // The courier's original sender: drop it so the courier can
-            // notice disconnect once every shard and relay exits.
-            drop(wan_tx);
-            // Clients, attached to their home fleet.
-            let mut workers = Vec::with_capacity(n_clients);
-            for site in 0..n_clients {
-                let servers = regions.fleet(cfg.home_region(site));
-                let me = NodeId::new(regions.client_base() + site);
-                let mut core = ClientCore::for_site(&cfg.base, servers, me, site, clock);
-                if let Some(plan) = regions.migration_plan(&cfg.migrations, site) {
-                    core.engine = core.engine.with_migration(plan);
-                }
-                let inbox = node_rxs[me.index()].take().expect("receiver taken once");
-                workers.push(scope.spawn(move |_| {
-                    // Clients speak LAN to whichever fleet they are
-                    // attached to: never through the courier.
-                    let send = move |to: NodeId, msg: Msg| {
-                        let _ = node_txs_ref[to.index()].send((me, msg));
-                    };
-                    run_client(core, send, clock, shared_ref, &inbox)
+                        .run(&inbox)
+                        .engine
+                        .requests_served()
                 }));
             }
-            let controller_worker = ControlPlane::new(&cfg.base).map(|plane| {
-                scope.spawn(move |_| {
-                    let broadcast = |from: NodeId, msg: Msg| {
-                        for tx in &node_txs_ref[regions.client_base()..] {
-                            let _ = tx.send((from, msg.clone()));
-                        }
-                    };
-                    control_loop(plane, clock, shared_ref, done_ref, broadcast)
-                })
+        }
+        // Relays.
+        for region in 0..n_regions {
+            let node = regions.relay_node(region);
+            let engine = GeoRelayEngine::new(regions.fleet(region), n_clients);
+            let inbox = node_rxs[node].take().expect("receiver taken once");
+            let wan_tx = wan_tx.clone();
+            scope.spawn(move || {
+                let send = infra_send(NodeId::new(node), &cfg.regions, wan_tx, node_txs_ref);
+                ChannelNode::new(RelayCore { engine, clock }, send, clock, shared_ref)
+                    .until(done_ref)
+                    .run(&inbox);
             });
-            let latencies = workers
-                .into_iter()
-                .flat_map(|w| w.join().expect("client thread panicked"))
-                .collect();
-            // Clients are done; release the controller and the
-            // infrastructure threads. Geo propagation still in flight
-            // stops with them — every recorded operation has already
-            // completed.
-            done.store(true, Ordering::Release);
-            delta_schedule =
-                controller_worker.map(|w| w.join().expect("controller thread panicked"));
-            let shard_requests = shard_workers
-                .into_iter()
-                .map(|w| w.join().expect("shard thread panicked"))
-                .collect();
-            (latencies, shard_requests)
-        })
-        .expect("a geo runtime thread panicked");
+        }
+        // The courier's original sender: drop it so the courier can
+        // notice disconnect once every shard and relay exits.
+        drop(wan_tx);
+        // Clients, attached to their home fleet.
+        let mut workers = Vec::with_capacity(n_clients);
+        for site in 0..n_clients {
+            let servers = regions.fleet(cfg.home_region(site));
+            let me = NodeId::new(regions.client_base() + site);
+            let mut core = ClientCore::for_site(&cfg.base, servers, me, site, clock);
+            if let Some(plan) = regions.migration_plan(&cfg.migrations, site) {
+                core.engine = core.engine.with_migration(plan);
+            }
+            let inbox = node_rxs[me.index()].take().expect("receiver taken once");
+            workers.push(scope.spawn(move || {
+                // Clients speak LAN to whichever fleet they are
+                // attached to: never through the courier.
+                let send = move |to: NodeId, msg: Msg| {
+                    let _ = node_txs_ref[to.index()].send((me, msg));
+                };
+                run_client(core, send, clock, shared_ref, &inbox)
+            }));
+        }
+        let controller_worker = ControlPlane::new(&cfg.base).map(|plane| {
+            scope.spawn(move || {
+                let broadcast = |from: NodeId, msg: Msg| {
+                    for tx in &node_txs_ref[regions.client_base()..] {
+                        let _ = tx.send((from, msg.clone()));
+                    }
+                };
+                control_loop(plane, clock, shared_ref, done_ref, broadcast)
+            })
+        });
+        let latencies = workers
+            .into_iter()
+            .flat_map(|w| w.join().expect("client thread panicked"))
+            .collect();
+        // Clients are done; release the controller and the
+        // infrastructure threads. Geo propagation still in flight
+        // stops with them — every recorded operation has already
+        // completed.
+        done.store(true, Ordering::Release);
+        delta_schedule = controller_worker.map(|w| w.join().expect("controller thread panicked"));
+        let shard_requests = shard_workers
+            .into_iter()
+            .map(|w| w.join().expect("shard thread panicked"))
+            .collect();
+        (latencies, shard_requests)
+    });
     let wall = started.elapsed();
     finish_run(
         shared.into_inner(),

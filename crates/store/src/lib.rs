@@ -14,7 +14,8 @@
 //!   receive towards the next deadline, bounded drain, step, execute;
 //! * the connection table ([`reactor`]) — epoll, a generational slab of
 //!   endpoints, readiness handling, queueing with one flush per connection
-//!   per loop pass, the liveness sweep;
+//!   per loop pass, the liveness sweep, a wait that polls while a link is
+//!   busy;
 //! * the timer wheel (`TimerWheel`) — a ring of per-tick buckets, every
 //!   engine deadline being a tick boundary;
 //! * the control plane (`ControlPlane`) — samples the monitor and ticks

@@ -89,8 +89,14 @@ impl Conn {
     }
 
     /// Reads the readable side of `io` through `scratch`, banks the
-    /// chunks, and appends every complete frame to `frames`. Returns the
+    /// chunks, and appends every complete frame to `frames`, stamped with
+    /// the instant the `read` that completed it returned. Returns the
     /// close verdict if the connection ended.
+    ///
+    /// The clock is read right after each `read` returns bytes and before
+    /// they are decoded, never before the call: a frame's instant is when
+    /// its bytes reached this host, which is never earlier than the peer's
+    /// step that sent it.
     ///
     /// A read that fills `scratch` is followed by another; a *short* read
     /// ends the pass, because the socket buffer is then empty and a
@@ -100,9 +106,8 @@ impl Conn {
     pub(crate) fn on_readable(
         &mut self,
         io: &mut impl Read,
-        now: Instant,
         scratch: &mut [u8],
-        frames: &mut Vec<(u16, WireMsg)>,
+        frames: &mut Vec<(Instant, u16, WireMsg)>,
     ) -> Option<Close> {
         loop {
             match io.read(scratch) {
@@ -114,11 +119,12 @@ impl Conn {
                     });
                 }
                 Ok(n) => {
-                    self.last_read = now;
+                    let at = Instant::now();
+                    self.last_read = at;
                     self.decoder.extend(&scratch[..n]);
                     loop {
                         match self.decoder.next_frame() {
-                            Ok(Some(frame)) => frames.push(frame),
+                            Ok(Some((lane, msg))) => frames.push((at, lane, msg)),
                             Ok(None) => break,
                             Err(e) => return Some(Close::Poisoned(e)),
                         }
@@ -172,6 +178,7 @@ impl Conn {
 mod tests {
     use super::*;
     use std::collections::VecDeque;
+    use std::time::Duration;
     use tc_wire::{encode_frame, HEADER_LEN, MAX_PAYLOAD};
 
     /// One scripted answer to a `read` call.
@@ -405,7 +412,7 @@ mod tests {
             let mut close = None;
             while close.is_none() && !io.0.is_empty() {
                 events += 1;
-                close = conn.on_readable(&mut io, Instant::now(), &mut scratch, &mut frames);
+                close = conn.on_readable(&mut io, &mut scratch, &mut frames);
             }
             assert!(io.0.is_empty(), "{}: script not consumed", case.name);
             assert_eq!(events, case.want_events, "{}: event count", case.name);
@@ -430,6 +437,55 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A frame carries the instant the `read` that completed it returned:
+    /// at least the read's own duration after the call began, at most the
+    /// moment `on_readable` returned — and a frame completed by a second
+    /// read of the same event carries the second read's instant.
+    #[test]
+    fn frames_carry_the_instant_their_read_returned() {
+        /// Each `read` takes `TAKES`: a clock read before the call would
+        /// stamp a frame too early by that much.
+        const TAKES: Duration = Duration::from_millis(2);
+        struct Timed {
+            script: Scripted,
+            began: Vec<Instant>,
+        }
+        impl Read for Timed {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.began.push(Instant::now());
+                std::thread::sleep(TAKES);
+                self.script.read(buf)
+            }
+        }
+        let hb = frame(3, &WireMsg::Heartbeat);
+        let ack = frame(1, &WireMsg::HelloAck { shard: 1 });
+        // A full-chunk read (the heartbeat and three bytes of the ack),
+        // then a short one with the rest of the ack.
+        let first = [hb.as_slice(), &ack[..3]].concat();
+        let mut io = Timed {
+            script: Scripted(vec![Step::Data(first.clone()), Step::Data(ack[3..].to_vec())].into()),
+            began: Vec::new(),
+        };
+        let mut conn = Conn::new(Instant::now());
+        let mut scratch = vec![0u8; first.len()];
+        let mut frames = Vec::new();
+        assert_eq!(conn.on_readable(&mut io, &mut scratch, &mut frames), None);
+        let returned = Instant::now();
+        let [read1, read2] = io.began[..] else {
+            panic!("two reads, got {}", io.began.len());
+        };
+        let [(at1, 3, WireMsg::Heartbeat), (at2, 1, WireMsg::HelloAck { shard: 1 })] = frames[..]
+        else {
+            panic!("the heartbeat, then the ack: {frames:?}");
+        };
+        assert!(read1 + TAKES <= at1 && at1 <= read2, "first read's instant");
+        assert!(
+            read2 + TAKES <= at2 && at2 <= returned,
+            "second read's instant"
+        );
+        assert_eq!(conn.last_read, at2);
     }
 
     #[test]

@@ -71,21 +71,34 @@
 //!
 //! # Time
 //!
+//! An event's tick is the tick at which the reactor *observed* it: a due
+//! timer steps at the instant its loop pass popped it, and a frame at the
+//! instant the `read` that returned its bytes came back — the clock is
+//! read right after that syscall and before decoding, so no reply is
+//! stamped earlier than the shard step that sent it. A reply that reaches
+//! the client within the tick its request left in completes the operation
+//! in that tick, however long the one thread hosting every site then takes
+//! to get round to it.
+//!
 //! An engine timer is a deadline on the shared tick clock: `SetTimer
-//! { after: k }` armed while the clock reads `t` is due at the tick
+//! { after: k }` armed by a step at tick `t` is due at the tick
 //! boundary `t + max(k, 1)` (`TickClock::deadline_after`) — the instant
 //! the simulator would fire it — never before the clock reads `t + 1`, and
 //! every hosted site whose timer lands on the same tick is served by one
 //! wake. Each loop pass waits in `epoll_pwait2` (nanosecond timeout; see
-//! `sys` for the millisecond fallback on old kernels) for exactly the
+//! `sys` for the millisecond fallback on old kernels) for at most the
 //! time to the earliest deadline, with the thread's kernel timer slack
 //! pinned to 1 ns for the run (`TimerSlack`; the default 50 µs slack is
-//! one whole tick at the default tick length). What still separates a
-//! deadline from the pass that serves it — scheduling, a busy thread — is
-//! counted, not assumed: [`names::TIMER_FIRED`] and
-//! [`names::TIMER_LATE_NS`] in the run's metrics. Per-site operation
-//! *sequences* never depend on any of this (they are RNG-derived, not
-//! timing-derived).
+//! one whole tick at the default tick length). While the thread's links
+//! moved bytes within the last two ticks, the wait *polls* instead —
+//! zero-timeout waits with a `yield` between them (see `table`) — so a
+//! busy round trip pays for no kernel wake-up on either side; a quiet
+//! thread sleeps. [`names::REACTOR_POLLS`] and [`names::REACTOR_SLEEPS`]
+//! count the two outcomes. What still separates a deadline from the pass
+//! that serves it — scheduling, a busy thread — is counted, not assumed:
+//! [`names::TIMER_FIRED`] and [`names::TIMER_LATE_NS`] in the run's
+//! metrics. Per-site operation *sequences* never depend on any of this
+//! (they are RNG-derived, not timing-derived).
 
 mod conn;
 mod sys;
@@ -251,7 +264,7 @@ impl Links for ShardReactor<'_> {
         &mut self.table
     }
 
-    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg) {
+    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant) {
         // A previous frame (Bye, protocol rot) may have closed us.
         let up = match self.table.peer_mut(token) {
             Some(ServerPeer::AwaitHello) => false,
@@ -273,7 +286,7 @@ impl Links for ShardReactor<'_> {
                     return;
                 }
                 let from = NodeId::new(self.shards + site);
-                self.step_engine(Event::Message { from, msg });
+                self.step_engine(Event::Message { from, msg }, at);
             }
             WireMsg::Heartbeat if up => {}
             // A Bye or a stray ack ends the link, and so does any frame
@@ -339,7 +352,7 @@ impl<'a> ShardReactor<'a> {
             cfg,
             core: ShardCore::new(engine, clock, NodeId::new(shard)),
             clock,
-            table: ConnTable::new(),
+            table: ConnTable::new(rc.tick),
             listener: Some(listener),
             addr,
             routes: vec![None; rc.n_clients],
@@ -350,17 +363,17 @@ impl<'a> ShardReactor<'a> {
         }
     }
 
-    /// Feeds one event to the shard engine and executes the effects. A
-    /// down shard serves nothing: inbound protocol messages dead-letter
-    /// here (the simulator's down-node path).
-    fn step_engine(&mut self, event: Event) {
+    /// Feeds one event, observed at `at`, to the shard engine and executes
+    /// the effects. A down shard serves nothing: inbound protocol messages
+    /// dead-letter here (the simulator's down-node path).
+    fn step_engine(&mut self, event: Event, at: Instant) {
         if self.outages.is_down() {
             if matches!(event, Event::Message { .. }) {
                 self.telemetry.metrics.add(names::FAULT_DROPPED_DOWN, 1);
             }
             return;
         }
-        let t = self.core.step(event, &mut self.effects);
+        let t = self.core.step(event, at, &mut self.effects);
         let mut port = ShardPort {
             shards: self.shards,
             routes: &self.routes,
@@ -520,11 +533,11 @@ impl<'a> ShardReactor<'a> {
             // Outage edges come before anything else this pass: on the up
             // edge the engine restarts (replaying the WAL under a durable
             // store) before any queued traffic reaches it.
-            match self.outages.poll(self.clock.now()) {
+            match self.outages.poll(self.clock.tick_at(now)) {
                 Some(OutageEdge::WentDown) => self.telemetry.metrics.add(names::CRASH, 1),
                 Some(OutageEdge::CameUp) => {
                     self.telemetry.metrics.add(names::RESTART, 1);
-                    self.step_engine(Event::Restart);
+                    self.step_engine(Event::Restart, now);
                 }
                 None => {}
             }
@@ -535,7 +548,7 @@ impl<'a> ShardReactor<'a> {
                     // volatile state it would have flushed; the rebind
                     // alarm is the reactor's own and always fires.
                     ShardTimer::Engine(_) if self.outages.is_down() => {}
-                    ShardTimer::Engine(token) => self.step_engine(Event::Timer { token }),
+                    ShardTimer::Engine(token) => self.step_engine(Event::Timer { token }, now),
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
@@ -551,11 +564,7 @@ impl<'a> ShardReactor<'a> {
                 // the wait so they are noticed promptly.
                 timeout = timeout.min(Duration::from_millis(5));
             }
-            let n = self
-                .table
-                .epoll
-                .wait(&mut events, timeout)
-                .expect("epoll wait");
+            let n = self.table.wait(&mut events, timeout, now);
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
                 match token {
@@ -645,7 +654,7 @@ impl Links for ClientReactor<'_> {
         &mut self.table
     }
 
-    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg) {
+    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant) {
         let Some(&mut shard) = self.table.peer_mut(token) else {
             return; // closed by an earlier frame
         };
@@ -669,12 +678,12 @@ impl Links for ClientReactor<'_> {
                         1,
                     );
                     self.clients[client].connects[shard] += 1;
-                    self.maybe_start(client);
+                    self.maybe_start(client, at);
                 }
             }
             WireMsg::Proto(msg) if hosted && self.clients[client].attached[shard] => {
                 let from = NodeId::new(shard);
-                self.feed(client, Event::Message { from, msg });
+                self.feed(client, Event::Message { from, msg }, at);
             }
             // A server never sends Hello or Bye mid-session, nor speaks on
             // a lane no hosted site attached: treat any of it as the link
@@ -754,7 +763,7 @@ impl<'a> ClientReactor<'a> {
             shards,
             addrs,
             clock,
-            table: ConnTable::new(),
+            table: ConnTable::new(rc.tick),
             links: (0..shards)
                 .map(|_| LinkState::Down { attempt: 0 })
                 .collect(),
@@ -767,10 +776,10 @@ impl<'a> ClientReactor<'a> {
         }
     }
 
-    /// One adaptive control tick: sample, feed the command in force to
-    /// every hosted client still running, re-arm until the plane says
-    /// every expected operation has been ingested.
-    fn controller_tick(&mut self) {
+    /// One adaptive control tick, popped at `now`: sample, feed the
+    /// command in force to every hosted client still running, re-arm until
+    /// the plane says every expected operation has been ingested.
+    fn controller_tick(&mut self, now: Instant) {
         let Some(plane) = self.controller.as_mut() else {
             return;
         };
@@ -780,20 +789,20 @@ impl<'a> ClientReactor<'a> {
             for client in 0..self.clients.len() {
                 if !self.clients[client].finished {
                     let msg = msg.clone();
-                    self.feed(client, Event::Message { from, msg });
+                    self.feed(client, Event::Message { from, msg }, now);
                 }
             }
         }
         if more {
-            self.timers
-                .arm(Instant::now() + interval, ClientTimer::Controller);
+            self.timers.arm(now + interval, ClientTimer::Controller);
         }
     }
 
-    /// Feeds one event to a hosted client and executes the effects.
-    fn feed(&mut self, client: usize, event: Event) {
+    /// Feeds one event, observed at `at`, to a hosted client and executes
+    /// the effects.
+    fn feed(&mut self, client: usize, event: Event, at: Instant) {
         let state = &mut self.clients[client];
-        let t = state.core.step(event, &mut self.effects);
+        let t = state.core.step(event, at, &mut self.effects);
         let mut port = ClientPort {
             client,
             links: &self.links,
@@ -863,12 +872,13 @@ impl<'a> ClientReactor<'a> {
             .arm(Instant::now() + delay, ClientTimer::Redial { shard });
     }
 
-    /// Feeds `Event::Start` once `client` is attached to every shard.
-    fn maybe_start(&mut self, client: usize) {
+    /// Feeds `Event::Start`, at the instant the last ack was read, once
+    /// `client` is attached to every shard.
+    fn maybe_start(&mut self, client: usize, at: Instant) {
         let state = &self.clients[client];
         if !state.started && state.attached.iter().all(|&a| a) {
             self.clients[client].started = true;
-            self.feed(client, Event::Start);
+            self.feed(client, Event::Start, at);
         }
     }
 
@@ -900,11 +910,11 @@ impl<'a> ClientReactor<'a> {
                         // retry whose reply came first) step nothing.
                         let state = &self.clients[client];
                         if !state.finished && state.core.timer_is_live(token) {
-                            self.feed(client, Event::Timer { token });
+                            self.feed(client, Event::Timer { token }, now);
                         }
                     }
                     ClientTimer::Redial { shard } => self.dial(shard),
-                    ClientTimer::Controller => self.controller_tick(),
+                    ClientTimer::Controller => self.controller_tick(now),
                 }
             }
             let now = self.sweep();
@@ -913,11 +923,7 @@ impl<'a> ClientReactor<'a> {
             }
             let now = self.flush_queued(now);
             let timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
-            let n = self
-                .table
-                .epoll
-                .wait(&mut events, timeout)
-                .expect("epoll wait");
+            let n = self.table.wait(&mut events, timeout, now);
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
                 self.handle_conn_event(token, bits);
@@ -1026,13 +1032,13 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
     let addrs_ref = &addrs[..];
     let wake_rxs_ref = &wake_rxs[..];
     let (latencies, delta_schedule, telemetry, shard_requests, thread_metrics) =
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             let mut shard_workers = Vec::with_capacity(shards);
             for (shard, slot) in listeners.iter_mut().enumerate() {
                 let listener = slot.take().expect("listener taken once");
                 let addr = addrs_ref[shard];
                 let chaos = cfg.chaos.filter(|c| c.shard == shard);
-                shard_workers.push(scope.spawn(move |_| {
+                shard_workers.push(scope.spawn(move || {
                     ShardReactor::new(shard, cfg, clock, listener, addr).run(
                         chaos,
                         started,
@@ -1040,9 +1046,8 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
                     )
                 }));
             }
-            let churn_worker = (cfg.churn_dials > 0).then(|| {
-                scope.spawn(move |_| churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref))
-            });
+            let churn_worker = (cfg.churn_dials > 0)
+                .then(|| scope.spawn(move || churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref)));
             // The client reactor runs on the scope's own thread: every
             // ClientCore in one evented loop.
             let (latencies, delta_schedule, telemetry) =
@@ -1067,8 +1072,7 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
                 shard_requests,
                 thread_metrics,
             )
-        })
-        .expect("a reactor thread panicked");
+        });
     let wall = started.elapsed();
     finish_run(
         telemetry,
@@ -1131,15 +1135,14 @@ mod tests {
         let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
         let clock = TickClock::new(cfg.runtime.tick);
         let started = Instant::now();
-        let ((served, shard_metrics), telemetry) = crossbeam::thread::scope(|scope| {
-            let shard = scope.spawn(|_| {
+        let ((served, shard_metrics), telemetry) = std::thread::scope(|scope| {
+            let shard = scope.spawn(|| {
                 ShardReactor::new(0, cfg, clock, listener, addr).run(None, started, &wake_rx)
             });
             let telemetry = probe(addr, clock);
             wake_tx.write_all(&[0]).unwrap();
             (shard.join().expect("shard reactor panicked"), telemetry)
-        })
-        .unwrap();
+        });
         let r = finish_run(
             telemetry,
             vec![shard_metrics],
@@ -1352,6 +1355,68 @@ mod tests {
             assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 2, "{sites} sites");
             assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 2, "{sites} sites");
         }
+    }
+
+    /// The poll window closes: with 40 ticks of think time between
+    /// operations, both reactor threads go back to sleeping in the kernel
+    /// once their links fall quiet, and together they keep a core busy
+    /// for under a quarter of the run — the guard against a poll that
+    /// never stops.
+    #[test]
+    fn poll_window_closes_when_the_fleet_is_quiet() {
+        let think = Delta::from_ticks(40);
+        let mut rc = small(ProtocolKind::Sc, 47);
+        rc.workload = Workload::new(4, 0.8, 0.7, (think, think));
+        rc.ops_per_client = 100;
+        let cfg = ReactorConfig::new(rc);
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        let clock = TickClock::new(cfg.runtime.tick);
+        let started = Instant::now();
+        let threads: [(&str, Metrics, Duration); 2] = std::thread::scope(|scope| {
+            let shard = scope.spawn(|| {
+                let cpu = sys::thread_cpu_time();
+                let reactor = ShardReactor::new(0, &cfg, clock, listener, addr);
+                let (_, metrics) = reactor.run(None, started, &wake_rx);
+                ("shard", metrics, sys::thread_cpu_time() - cpu)
+            });
+            let cpu = sys::thread_cpu_time();
+            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock).run();
+            assert_eq!(latencies.len(), 2 * 100);
+            let client = ("client", telemetry.metrics, sys::thread_cpu_time() - cpu);
+            wake_tx.write_all(&[0]).unwrap();
+            [shard.join().expect("shard reactor panicked"), client]
+        });
+        let wall = started.elapsed();
+        let mut cpu = Duration::ZERO;
+        for (thread, metrics, used) in &threads {
+            assert!(
+                metrics.get(names::REACTOR_SLEEPS) > 0,
+                "the {thread} thread never slept"
+            );
+            cpu += *used;
+        }
+        // A quarter of the wall time on each of the two threads.
+        assert!(
+            cpu < wall * 2 / 4,
+            "two reactor threads used {cpu:?} of processor time in {wall:?}"
+        );
+    }
+
+    /// A saturated fleet's waits poll: 32 sites with no think time keep
+    /// both links busy, so the reactor threads find their next event
+    /// without sleeping for it.
+    #[test]
+    fn poll_window_keeps_a_busy_fleet_polling() {
+        let mut cfg = small(ProtocolKind::Sc, 49);
+        cfg.workload = Workload::new(4, 0.8, 0.7, (Delta::ZERO, Delta::ZERO));
+        cfg.n_clients = 32;
+        cfg.ops_per_client = 50;
+        let r = run_reactor(&cfg);
+        assert_eq!(r.ops_done, 32 * 50);
+        assert!(r.counter(names::REACTOR_POLLS) > 0, "no wait polled");
     }
 
     #[test]

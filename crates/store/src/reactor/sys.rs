@@ -4,10 +4,10 @@
 //! The workspace vendors every third-party crate it uses and `mio` is not
 //! among them, so readiness notification is declared here directly against
 //! the C symbols libc already links into every Rust binary. The surface is
-//! deliberately tiny — create, ctl, wait, close, and one `prctl` pair —
-//! and every call site checks the return value and converts `errno`
-//! through [`std::io::Error::last_os_error`], so no error is ever invented
-//! or dropped on this side of the FFI line.
+//! deliberately tiny — create, ctl, wait, close, one `prctl` pair, and a
+//! test-only thread CPU clock — and every call site checks the return
+//! value and converts `errno` through [`std::io::Error::last_os_error`],
+//! so no error is ever invented or dropped on this side of the FFI line.
 //!
 //! Level-triggered mode only. Edge triggering saves wakeups but demands
 //! drain-to-`WouldBlock` discipline on every path; level-triggered
@@ -88,7 +88,37 @@ pub(crate) fn pwait2_engaged() -> bool {
     !PWAIT2_MISSING.load(Ordering::Relaxed)
 }
 
+/// `CLOCK_THREAD_CPUTIME_ID`: the calling thread's processor time.
+#[cfg(test)]
+const CLOCK_THREAD_CPUTIME_ID: c_int = 3;
+
+/// `struct timespec` as `clock_gettime` fills it: `time_t` is a `long`
+/// wherever the default time ABI is in use.
+#[cfg(test)]
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+/// The processor time the calling thread has used so far — what a test
+/// bounds when it asserts that a reactor thread is not spinning.
+#[cfg(test)]
+pub(crate) fn thread_cpu_time() -> Duration {
+    let mut ts = Timespec {
+        tv_sec: 0,
+        tv_nsec: 0,
+    };
+    // SAFETY: `ts` is a live, writable `struct timespec`; the return is
+    // checked.
+    let rc = unsafe { clock_gettime(CLOCK_THREAD_CPUTIME_ID, &raw mut ts) };
+    assert_eq!(rc, 0, "clock_gettime: {}", io::Error::last_os_error());
+    Duration::new(ts.tv_sec as u64, ts.tv_nsec as u32)
+}
+
 extern "C" {
+    #[cfg(test)]
+    fn clock_gettime(clock: c_int, ts: *mut Timespec) -> c_int;
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;

@@ -13,6 +13,14 @@
 //! multiplexes every hosted site, that is one `write` for the whole pass's
 //! traffic to a shard instead of one per frame. Coalescing never waits: the
 //! bytes leave at the end of the pass that produced them.
+//!
+//! The wait itself ([`ConnTable::wait`]) has an explicit policy. A table
+//! that moved bytes within the last [`POLL_WINDOW_TICKS`] ticks *polls* —
+//! zero-timeout waits with a `yield` between them — because on a busy link
+//! the answer to what it just wrote is a few microseconds away, and a
+//! kernel sleep and wake-up would cost as much again on each side of every
+//! round trip. Once the window has closed, it blocks until the next
+//! deadline, as an idle loop should.
 
 use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
@@ -23,7 +31,7 @@ use tc_sim::Metrics;
 use tc_wire::WireMsg;
 
 use super::conn::{Close, Conn, READ_CHUNK};
-use super::sys::{Epoll, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
+use super::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use super::{HEARTBEAT, READ_TIMEOUT};
 
 /// Interest every registered connection always has; `EPOLLOUT` is OR-ed
@@ -35,6 +43,13 @@ const BASE_INTEREST: u32 = EPOLLIN | EPOLLRDHUP;
 /// period and chaos schedules are honoured, yet coarse enough that a busy
 /// loop does not walk every connection on every pass.
 const SWEEP_EVERY: Duration = Duration::from_millis(5);
+
+/// How long after it last moved bytes a table polls instead of sleeping,
+/// in the run's own ticks. A one-tick window measured lower `sat-mixed`
+/// throughput than two (it closes before a late reply lands, which then
+/// costs a sleep and a wake-up after all); a longer one only keeps a quiet
+/// fleet's cores busy for longer.
+const POLL_WINDOW_TICKS: u32 = 2;
 
 /// A generational slot map: tokens are `(generation << 32) | slot`, so a
 /// token outlives neither its connection nor a slot reuse.
@@ -124,42 +139,55 @@ struct Endpoint {
 /// Every registered connection of one reactor, each with the reactor's own
 /// per-connection state `P`, plus the scratch reused across events so a
 /// steady-state pass allocates nothing: the read buffer lent to every
-/// connection, the frames one readable event decoded, and the connections
-/// this pass queued frames on.
+/// connection, the frames one readable event decoded (each with the
+/// instant its bytes were read), and the connections this pass queued
+/// frames on.
 pub(super) struct ConnTable<P> {
     pub(super) epoll: Epoll,
     conns: Slab<(Endpoint, P)>,
     scratch: Vec<u8>,
-    frames: Vec<(u16, WireMsg)>,
+    frames: Vec<(Instant, u16, WireMsg)>,
     /// Connections with frames queued since the last
     /// [`Links::flush_queued`], each listed once.
     queued: Vec<u64>,
     /// When the next liveness sweep is due.
     next_sweep: Instant,
-    /// `write` calls issued, frames queued, keep-alives queued and protocol
-    /// frames dropped for want of a route, counted here — one table, one
-    /// thread, no lock — and added to the run's metrics once by
-    /// [`ConnTable::report`]. Frames over writes is the batching a run
-    /// achieved.
+    /// When a connection last read or wrote a byte, and for how long after
+    /// that [`ConnTable::wait`] polls.
+    last_io: Instant,
+    poll_window: Duration,
+    /// `write` calls issued, frames queued, keep-alives queued, protocol
+    /// frames dropped for want of a route, and waits that polled or slept,
+    /// counted here — one table, one thread, no lock — and added to the
+    /// run's metrics once by [`ConnTable::report`]. Frames over writes is
+    /// the batching a run achieved.
     writes: u64,
     frames_out: u64,
     heartbeats: u64,
     dropped: u64,
+    polls: u64,
+    sleeps: u64,
 }
 
 impl<P> ConnTable<P> {
-    pub(super) fn new() -> Self {
+    /// An empty table for a run whose protocol tick lasts `tick`.
+    pub(super) fn new(tick: Duration) -> Self {
+        let now = Instant::now();
         ConnTable {
             epoll: Epoll::new().expect("epoll create"),
             conns: Slab::new(),
             scratch: vec![0; READ_CHUNK],
             frames: Vec::new(),
             queued: Vec::new(),
-            next_sweep: Instant::now(),
+            next_sweep: now,
+            last_io: now,
+            poll_window: tick * POLL_WINDOW_TICKS,
             writes: 0,
             frames_out: 0,
             heartbeats: 0,
             dropped: 0,
+            polls: 0,
+            sleeps: 0,
         }
     }
 
@@ -207,15 +235,60 @@ impl<P> ConnTable<P> {
             .saturating_duration_since(now)
     }
 
-    /// Adds this table's output counters ([`names::REACTOR_WRITES`],
+    /// Waits up to `timeout` from `now` for readiness events, filling
+    /// `events` and returning how many arrived.
+    ///
+    /// While a connection moved bytes within the poll window, the wait
+    /// polls: a zero-timeout `epoll` wait, and a `yield` before the next,
+    /// until an event arrives, the timeout runs out or the window closes.
+    /// The `yield` is what keeps polling cheap on a host with fewer cores
+    /// than busy threads: a poller hands its core to whichever runnable
+    /// thread shares it — the peer it waits for, among others — instead of
+    /// spinning it away. Whatever is left of the timeout once the window
+    /// has closed is slept in the kernel. A wait that slept counts one
+    /// [`names::REACTOR_SLEEPS`]; one that polled and never slept, one
+    /// [`names::REACTOR_POLLS`]; one with nothing left to wait for and its
+    /// window already closed, neither.
+    pub(super) fn wait(
+        &mut self,
+        events: &mut [EpollEvent],
+        timeout: Duration,
+        now: Instant,
+    ) -> usize {
+        let end = now + timeout;
+        let poll_end = end.min(self.last_io + self.poll_window);
+        let (mut at, mut polled) = (now, false);
+        while at < poll_end {
+            polled = true;
+            let n = self.epoll.wait(events, Duration::ZERO).expect("epoll wait");
+            if n > 0 {
+                self.polls += 1;
+                return n;
+            }
+            std::thread::yield_now();
+            at = Instant::now();
+        }
+        let rest = end.saturating_duration_since(at);
+        if !rest.is_zero() {
+            self.sleeps += 1;
+        } else if polled {
+            self.polls += 1;
+        }
+        self.epoll.wait(events, rest).expect("epoll wait")
+    }
+
+    /// Adds this table's counters ([`names::REACTOR_WRITES`],
     /// [`names::REACTOR_FRAMES_OUT`], [`names::TCP_HEARTBEAT`],
-    /// [`names::TCP_SEND_DROPPED`]) to `metrics`. Called once, when the
+    /// [`names::TCP_SEND_DROPPED`], [`names::REACTOR_POLLS`],
+    /// [`names::REACTOR_SLEEPS`]) to `metrics`. Called once, when the
     /// owning reactor thread exits.
     pub(super) fn report(&self, metrics: &mut Metrics) {
         metrics.add(names::REACTOR_WRITES, self.writes);
         metrics.add(names::REACTOR_FRAMES_OUT, self.frames_out);
         metrics.add(names::TCP_HEARTBEAT, self.heartbeats);
         metrics.add(names::TCP_SEND_DROPPED, self.dropped);
+        metrics.add(names::REACTOR_POLLS, self.polls);
+        metrics.add(names::REACTOR_SLEEPS, self.sleeps);
     }
 
     /// Encodes a frame on `lane` onto connection `token`'s outbox; the
@@ -246,19 +319,20 @@ impl<P> ConnTable<P> {
     }
 
     /// Reads and/or flushes one connection as its readiness `bits` ask,
-    /// leaving the decoded frames in `self.frames`. `None` for a stale
-    /// token; `Some(true)` if the connection died.
-    fn pump(&mut self, token: u64, bits: u32, now: Instant) -> Option<bool> {
+    /// leaving the decoded frames, stamped, in `self.frames`. `None` for a
+    /// stale token; `Some(true)` if the connection died.
+    fn pump(&mut self, token: u64, bits: u32) -> Option<bool> {
         let (ep, _) = self.conns.get_mut(token)?;
         let mut verdict = None;
         if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
             verdict = ep
                 .conn
-                .on_readable(&mut ep.stream, now, &mut self.scratch, &mut self.frames);
+                .on_readable(&mut ep.stream, &mut self.scratch, &mut self.frames);
         }
         if verdict.is_none() && bits & EPOLLOUT != 0 {
-            verdict = flush(&self.epoll, ep, token, now, &mut self.writes);
+            verdict = flush(&self.epoll, ep, token, Instant::now(), &mut self.writes);
         }
+        self.last_io = self.last_io.max(ep.conn.last_read.max(ep.conn.last_write));
         Some(verdict.is_some())
     }
 }
@@ -298,9 +372,9 @@ pub(super) trait Links {
 
     /// Acts on one frame of connection `token`, decoded from `lane` (the
     /// frame header's routing field: the site a frame speaks for on a
-    /// client↔shard link). An earlier frame of the same batch may already
-    /// have closed the connection.
-    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg);
+    /// client↔shard link) out of bytes read at `at`. An earlier frame of
+    /// the same batch may already have closed the connection.
+    fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant);
 
     /// Tears down connection `token` (a no-op for a stale token) with
     /// whatever that means on this side: unrouting the sites it carried,
@@ -310,12 +384,12 @@ pub(super) trait Links {
     /// Reacts to readiness bits for one connection token. Frames decoded
     /// before an EOF/error still count.
     fn handle_conn_event(&mut self, token: u64, bits: u32) {
-        let Some(died) = self.table().pump(token, bits, Instant::now()) else {
+        let Some(died) = self.table().pump(token, bits) else {
             return; // closed earlier in this same event batch
         };
         let mut frames = std::mem::take(&mut self.table().frames);
-        for (lane, msg) in frames.drain(..) {
-            self.on_frame(token, lane, msg);
+        for (at, lane, msg) in frames.drain(..) {
+            self.on_frame(token, lane, msg, at);
         }
         self.table().frames = frames;
         if died {
@@ -339,7 +413,9 @@ pub(super) trait Links {
                 continue; // closed after queueing
             };
             ep.queued = false;
-            if flush(&table.epoll, ep, token, now, &mut table.writes).is_some() {
+            let died = flush(&table.epoll, ep, token, now, &mut table.writes).is_some();
+            table.last_io = table.last_io.max(ep.conn.last_write);
+            if died {
                 self.close(token);
             }
         }

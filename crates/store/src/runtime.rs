@@ -2,8 +2,8 @@
 //!
 //! This is the counterpart of the deterministic simulator adapter in
 //! `tc-lifetime`: the *same* [`ClientEngine`]/[`ServerEngine`] types run
-//! here over OS threads, crossbeam channels, and an [`Instant`]-based
-//! clock, with every recorded operation fed into a live
+//! here over OS threads, `std::sync::mpsc` channels, and an
+//! [`Instant`]-based clock, with every recorded operation fed into a live
 //! [`OnTimeMonitor`] — so real-concurrency
 //! executions get streaming timed-consistency verdicts, not just simulated
 //! ones.
@@ -12,8 +12,9 @@
 //!
 //! Everything a real-time driver does around an engine exists once, here:
 //!
-//! * **stepping** — `ClientCore` / `ShardCore` (the `Host` trait): clock
-//!   sample, event, effects out;
+//! * **stepping** — `ClientCore` / `ShardCore` (the `Host` trait): the
+//!   tick of the instant the driver observed the event, event, effects
+//!   out;
 //! * **effect execution** — `execute` interprets every [`Effect`] against
 //!   a `Port` (where a send goes, which wheel a timer lands in);
 //! * **the node loop** — `ChannelNode`: outage gate, timer wheel, blocking
@@ -53,10 +54,10 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError};
 use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::{OnTimeMonitor, TimedReport};
 use tc_core::History;
@@ -537,11 +538,15 @@ pub(crate) fn execute(
 /// [`ClientCore`], [`ShardCore`] and the geo relay engine, so the channel
 /// node loop and the reactors step whatever they host the same way.
 pub(crate) trait Host {
-    /// Feeds one event to the engine — preceded by a fresh clock sample
-    /// where the engine contract requires one — collecting the emitted
-    /// effects into `out` for the driver to [`execute`]. Returns the tick
-    /// the step ran at, which the effects' timers count from.
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time;
+    /// Feeds one event to the engine — preceded by a clock sample where
+    /// the engine contract requires one — collecting the emitted effects
+    /// into `out` for the driver to [`execute`]. `at` is the instant the
+    /// driver observed the event (the pass that popped a timer, the `read`
+    /// that returned a frame's bytes), and the step runs at the tick the
+    /// clock read then: an event happens when it reaches the host, not
+    /// when the host's thread gets round to it. No host reads the clock
+    /// itself. Returns that tick, which the effects' timers count from.
+    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time;
 
     /// Whether the host's own work is over. Only a client ever finishes by
     /// itself; infrastructure runs until it is hung up on or told to stop.
@@ -607,20 +612,19 @@ impl ClientCore {
 }
 
 impl Host for ClientCore {
-    /// Latency bookkeeping rides along: the op clock starts on the
-    /// op-issue timer and stops when the engine's completion count
-    /// advances.
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time {
-        let wall = Instant::now();
+    /// Latency bookkeeping rides along: the op clock starts when the
+    /// op-issue timer was observed and stops once the step in which the
+    /// engine's completion count advances has run.
+    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
         if matches!(
             event,
             Event::Timer {
                 token: TIMER_NEXT_OP
             }
         ) {
-            self.op_started = Some(wall);
+            self.op_started = Some(at);
         }
-        let t = self.clock.tick_at(wall);
+        let t = self.clock.tick_at(at);
         let now = Now {
             me: self.me,
             local: t,
@@ -664,8 +668,8 @@ impl ShardCore {
 }
 
 impl Host for ShardCore {
-    fn step(&mut self, event: Event, out: &mut Vec<Effect>) -> Time {
-        let t = self.clock.now();
+    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
+        let t = self.clock.tick_at(at);
         let now = Now {
             me: self.me,
             local: t,
@@ -750,11 +754,11 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
         self
     }
 
-    /// Feeds one event to the host and executes what it emits, taking the
-    /// telemetry lock once. The effects scratch is left empty, so a step
-    /// allocates nothing once it is warm.
-    pub(crate) fn feed(&mut self, event: Event) {
-        let t = self.host.step(event, &mut self.effects);
+    /// Feeds one event, observed at `at`, to the host and executes what it
+    /// emits, taking the telemetry lock once. The effects scratch is left
+    /// empty, so a step allocates nothing once it is warm.
+    pub(crate) fn feed(&mut self, event: Event, at: Instant) {
+        let t = self.host.step(event, at, &mut self.effects);
         let mut telemetry = self.shared.lock();
         execute(
             &mut self.effects,
@@ -768,8 +772,9 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
     /// The node loop: cross any outage edge, collect the due timers, block
     /// on the inbox towards the next deadline when nothing is due, drain a
     /// bounded batch of what else is queued, then step the host through
-    /// the batch in order. Returns the host for the caller to read its
-    /// results off.
+    /// the batch in order — the edge and the timers at the instant the
+    /// pass began, every message at the one instant read after the drain.
+    /// Returns the host for the caller to read its results off.
     pub(crate) fn run(mut self, inbox: &Receiver<(NodeId, Msg)>) -> H {
         let _slack = TimerSlack::pin();
         // Kill/restart edges and the stop flag are not inbox events: when
@@ -787,8 +792,9 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
             // durable store, forgetting everything under the in-memory
             // one).
             events.clear();
+            let now = Instant::now();
             if self.outages.is_armed() {
-                match self.outages.poll(self.clock.now()) {
+                match self.outages.poll(self.clock.tick_at(now)) {
                     Some(OutageEdge::WentDown) => self.shared.lock().metrics.add(names::CRASH, 1),
                     Some(OutageEdge::CameUp) => {
                         self.shared.lock().metrics.add(names::RESTART, 1);
@@ -802,8 +808,9 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
             // pass. While down the due timers are popped and discarded
             // below — the volatile state they would flush is dying anyway
             // — but the wheel itself is never cleared.
-            self.port.timers.pop_due_into(Instant::now(), &mut due);
+            self.port.timers.pop_due_into(now, &mut due);
             events.extend(due.iter().map(|&token| Event::Timer { token }));
+            let popped = events.len();
             if events.is_empty() {
                 if self.stop.is_some_and(|stop| stop.load(Ordering::Acquire)) {
                     break;
@@ -815,7 +822,7 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
                     .port
                     .timers
                     .next_deadline()
-                    .map(|d| d.saturating_duration_since(Instant::now()));
+                    .map(|d| d.saturating_duration_since(now));
                 let wait = match (deadline_wait, cap) {
                     (Some(d), Some(c)) => Some(d.min(c)),
                     (Some(d), None) => Some(d),
@@ -849,7 +856,12 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
                     Err(_) => break, // empty (or disconnected: next pass exits)
                 }
             }
-            for event in events.drain(..) {
+            let received = if events.len() > popped {
+                Instant::now()
+            } else {
+                now
+            };
+            for (i, event) in events.drain(..).enumerate() {
                 // A down shard serves nothing: inbound messages
                 // dead-letter (the simulator's down-node path) and due
                 // timers fire into the void.
@@ -865,7 +877,7 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
                         continue;
                     }
                 }
-                self.feed(event);
+                self.feed(event, if i < popped { now } else { received });
             }
         }
         self.port.timers.report(&mut self.shared.lock().metrics);
@@ -884,7 +896,7 @@ pub(crate) fn run_client(
     inbox: &Receiver<(NodeId, Msg)>,
 ) -> Vec<Duration> {
     let mut node = ChannelNode::new(core, send, clock, shared);
-    node.feed(Event::Start);
+    node.feed(Event::Start, Instant::now());
     node.run(inbox).into_latencies()
 }
 
@@ -1011,14 +1023,14 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
     let mut server_txs = Vec::with_capacity(shards);
     let mut server_rxs = Vec::with_capacity(shards);
     for _ in 0..shards {
-        let (tx, rx) = unbounded::<(NodeId, Msg)>();
+        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
         server_txs.push(tx);
         server_rxs.push(Some(rx));
     }
     let mut client_txs = Vec::with_capacity(config.n_clients);
     let mut client_rxs = Vec::with_capacity(config.n_clients);
     for _ in 0..config.n_clients {
-        let (tx, rx) = unbounded::<(NodeId, Msg)>();
+        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
         client_txs.push(tx);
         client_rxs.push(Some(rx));
     }
@@ -1032,13 +1044,13 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
         Vec<Duration>,
         Vec<u64>,
         Option<DeltaSchedule>,
-    ) = crossbeam::thread::scope(|scope| {
+    ) = std::thread::scope(|scope| {
         let mut shard_workers = Vec::with_capacity(shards);
         for (shard, rx_slot) in server_rxs.iter_mut().enumerate() {
             let engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), shard);
             let gate = OutageGate::new(shard, &config.shard_outages);
             let inbox = rx_slot.take().expect("receiver taken once");
-            shard_workers.push(scope.spawn(move |_| {
+            shard_workers.push(scope.spawn(move || {
                 let me = NodeId::new(shard);
                 // A client that finished and hung up may still be
                 // pushed invalidations; dropping them mirrors the
@@ -1062,7 +1074,7 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
             let core = ClientCore::for_site(config, servers, me, site, clock);
             let server_txs = server_txs.clone();
             let inbox = rx_slot.take().expect("receiver taken once");
-            workers.push(scope.spawn(move |_| {
+            workers.push(scope.spawn(move || {
                 // Client engines only ever address server shards; a send
                 // can't fail while this client still holds its senders.
                 let send = move |to: NodeId, msg: Msg| {
@@ -1072,7 +1084,7 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
             }));
         }
         let controller_worker = ControlPlane::new(config).map(|plane| {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let broadcast = |from: NodeId, msg: Msg| {
                     for tx in client_txs_ref {
                         let _ = tx.send((from, msg.clone()));
@@ -1098,8 +1110,7 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
             .map(|w| w.join().expect("shard thread panicked"))
             .collect();
         (latencies, shard_requests, delta_schedule)
-    })
-    .expect("a runtime thread panicked");
+    });
     let wall = started.elapsed();
     finish_run(
         shared.into_inner(),
@@ -1155,6 +1166,7 @@ pub(crate) fn finish_run(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use tc_lifetime::engine::RecordOp;
     use tc_lifetime::ProtocolKind;
     use tc_sim::metrics::names;
 
@@ -1387,7 +1399,7 @@ pub(crate) mod tests {
         let cfg = small(ProtocolKind::Sc, 0);
         let engine = ServerEngine::new(cfg.protocol);
         let clock = TickClock::new(cfg.tick);
-        let (tx, rx) = unbounded::<(NodeId, Msg)>();
+        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
         let me = NodeId::new(0);
         let client = NodeId::new(1);
         let n = 500u64;
@@ -1478,35 +1490,50 @@ pub(crate) mod tests {
         assert_eq!(clock.deadline_after(clock.now(), Delta::INFINITE), None);
     }
 
+    /// A [`Port`] that keeps what is armed, (deadline, token), and drops
+    /// every send.
+    struct Arms(Vec<(Instant, u64)>);
+
+    impl Port for Arms {
+        fn send(&mut self, _: NodeId, _: Msg) {}
+        fn arm(&mut self, deadline: Instant, token: u64) {
+            self.0.push((deadline, token));
+        }
+    }
+
+    /// A clock of one-second ticks whose tick 0 ends in 20 ms, so a test
+    /// can observe an event in tick `t` and step its host once the clock
+    /// reads `t + 1`.
+    fn slow_clock() -> (TickClock, Duration) {
+        let tick = Duration::from_secs(1);
+        let epoch = Instant::now() - tick + Duration::from_millis(20);
+        (TickClock::starting_at(epoch, tick), tick)
+    }
+
+    fn wait_past(clock: &TickClock, t: Time) {
+        while clock.now() <= t {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     /// A step's timers count from the tick the step was fed, not from
     /// whatever the clock reads once its effects are executed: a timer
     /// armed `k` ticks out of a step at tick `t` is due at boundary `t + k`
     /// even when the clock has moved on to `t + 1` in between.
     #[test]
     fn timers_are_armed_from_the_tick_the_step_was_fed() {
-        struct Arms(Vec<Instant>);
-        impl Port for Arms {
-            fn send(&mut self, _: NodeId, _: Msg) {}
-            fn arm(&mut self, deadline: Instant, _: u64) {
-                self.0.push(deadline);
-            }
-        }
-        // One-second ticks, the epoch placed so tick 0 ends in 20 ms.
-        let tick = Duration::from_secs(1);
-        let clock = TickClock::starting_at(Instant::now() - tick + Duration::from_millis(20), tick);
+        let (clock, tick) = slow_clock();
         let k = 3;
         let mut cfg = small(ProtocolKind::Sc, 7);
         let think = Delta::from_ticks(k);
         cfg.workload = Workload::new(4, 0.8, 0.7, (think, think));
         let mut core = ClientCore::for_site(&cfg, vec![NodeId::new(0)], NodeId::new(1), 0, clock);
         let mut out = Vec::new();
-        let t = core.step(Event::Start, &mut out);
+        let t = core.step(Event::Start, Instant::now(), &mut out);
         assert!(
             matches!(out[..], [Effect::SetTimer { after, token: TIMER_NEXT_OP }] if after == think)
         );
-        while clock.now() <= t {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_past(&clock, t);
         let mut arms = Arms(Vec::new());
         execute(
             &mut out,
@@ -1516,7 +1543,78 @@ pub(crate) mod tests {
             &mut Telemetry::recording(&cfg),
         );
         let boundary = clock.epoch + tick * (t.ticks() + k) as u32;
-        assert_eq!(arms.0, vec![boundary], "due at t + k, not (t + 1) + k");
+        assert_eq!(
+            arms.0,
+            vec![(boundary, TIMER_NEXT_OP)],
+            "due at t + k, not (t + 1) + k"
+        );
+    }
+
+    /// An event's tick is the tick at which the driver observed it, not
+    /// the tick the clock reads by the time the host is stepped: a request
+    /// read in tick `t` is answered with `server_now = t`, and its reply,
+    /// read in tick `t` too, completes the read at `t` and arms the next
+    /// operation at boundary `t + 1` — although the clock reads `t + 1`
+    /// before either host steps.
+    #[test]
+    fn an_event_steps_at_the_tick_the_driver_observed_it() {
+        let (clock, tick) = slow_clock();
+        let mut cfg = small(ProtocolKind::Sc, 7);
+        cfg.workload = Workload::new(4, 0.8, 1.0, (Delta::ZERO, Delta::ZERO));
+        let (shard, site) = (NodeId::new(0), NodeId::new(1));
+        let mut client = ClientCore::for_site(&cfg, vec![shard], site, 0, clock);
+        let mut server = ShardCore::new(ServerEngine::new(cfg.protocol), clock, shard);
+        let sent = |out: &mut Vec<Effect>| {
+            out.drain(..)
+                .find_map(|e| match e {
+                    Effect::Send { msg, .. } => Some(msg),
+                    _ => None,
+                })
+                .expect("the step sends")
+        };
+        let mut out = Vec::new();
+        let observed = Instant::now();
+        let t = client.step(Event::Start, observed, &mut out);
+        out.clear();
+        let next_op = Event::Timer {
+            token: TIMER_NEXT_OP,
+        };
+        assert_eq!(client.step(next_op, observed, &mut out), t);
+        let request = sent(&mut out);
+        assert!(matches!(request, Msg::FetchReq { .. }), "a miss fetches");
+
+        wait_past(&clock, t);
+        let event = Event::Message {
+            from: site,
+            msg: request,
+        };
+        assert_eq!(server.step(event, observed, &mut out), t);
+        let reply = sent(&mut out);
+        assert!(
+            matches!(reply, Msg::FetchRep { server_now, .. } if server_now == t),
+            "answered at the tick the request was read: {reply:?}"
+        );
+
+        let event = Event::Message {
+            from: shard,
+            msg: reply,
+        };
+        assert_eq!(client.step(event, observed, &mut out), t);
+        let read_at = out.iter().find_map(|e| match e {
+            Effect::Record(RecordOp::Read { at, .. }) => Some(*at),
+            _ => None,
+        });
+        assert_eq!(read_at, Some(t), "the reply completes the read at t");
+        let mut arms = Arms(Vec::new());
+        execute(
+            &mut out,
+            &mut arms,
+            &clock,
+            t,
+            &mut Telemetry::recording(&cfg),
+        );
+        let boundary = clock.epoch + tick * (t.ticks() + 1) as u32;
+        assert_eq!(arms.0, vec![(boundary, TIMER_NEXT_OP)]);
     }
 
     #[test]
