@@ -7,7 +7,10 @@
 //! ([`GeoRelayEngine`]), client ([`tc_lifetime::engine::ClientEngine`]
 //! with optional migration) — run here over `std::sync::mpsc` channels
 //! and the [`Instant`]-based tick clock, judged by the same live monitor
-//! as every other real-time driver.
+//! as every other real-time driver. [`run_threaded_geo`] is the geo case
+//! of the one channel fleet builder that [`crate::run_threaded`] is the
+//! flat case of; this module holds what only geo adds: the
+//! configuration, the relay host and the courier.
 //!
 //! # Topology
 //!
@@ -38,9 +41,8 @@
 //! as always.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{Receiver, Sender};
+use std::time::Instant;
 
 use tc_clocks::{Delta, Time};
 use tc_lifetime::engine::{Effect, Event};
@@ -52,8 +54,7 @@ use tc_sim::NodeId;
 use crate::jitter::{splitmix64, JitterRng};
 use crate::reactor::TimerSlack;
 use crate::runtime::{
-    build_shard_engine, control_loop, finish_run, run_client, ChannelNode, ClientCore,
-    ControlPlane, Host, OutageGate, RuntimeConfig, RuntimeResult, ShardCore, Shared, TickClock,
+    recv_by, run_channels, Host, Inbound, RuntimeConfig, RuntimeResult, Shared, TickClock,
 };
 use crate::wheel::TimerWheel;
 
@@ -140,7 +141,7 @@ impl GeoRuntimeConfig {
         self
     }
 
-    fn home_region(&self, site: usize) -> usize {
+    pub(crate) fn home_region(&self, site: usize) -> usize {
         site / self.clients_per_region
     }
 }
@@ -149,7 +150,7 @@ impl GeoRuntimeConfig {
 /// are region infrastructure (shard or relay) of *different* regions.
 /// Client traffic never does — clients speak LAN to whichever fleet they
 /// are attached to, the same mobility abstraction the simulator uses.
-fn is_wan(regions: &RegionMap, from: NodeId, to: NodeId) -> bool {
+pub(crate) fn is_wan(regions: &RegionMap, from: NodeId, to: NodeId) -> bool {
     matches!(
         (regions.region_of(from.index()), regions.region_of(to.index())),
         (Some(a), Some(b)) if a != b
@@ -157,87 +158,62 @@ fn is_wan(regions: &RegionMap, from: NodeId, to: NodeId) -> bool {
 }
 
 /// The courier's inbox: (from, to, message) triples crossing regions.
-type WanPacket = (NodeId, NodeId, Msg);
+pub(crate) type WanPacket = (NodeId, NodeId, Msg);
 
 /// Holds each cross-region message for a jittered latency, then forwards
-/// it. Messages touching a region inside one of its outage windows (at
-/// send time) are dropped — retransmission recovers them after the heal.
-#[allow(clippy::too_many_arguments)]
-fn wan_courier(
+/// it into the receiver's inbox. Messages touching a region inside one of
+/// its `wan_outages` windows (at send time) are dropped — retransmission
+/// recovers them after the heal. Returns once every sender is gone: every
+/// shard and relay has exited, so nothing is left to deliver to.
+pub(crate) fn wan_courier(
     rx: &Receiver<WanPacket>,
-    node_txs: &[Sender<(NodeId, Msg)>],
-    regions: &RegionMap,
-    wan: &WanProfile,
-    outages: &[(usize, Time, Time)],
+    node_txs: &[Sender<Inbound>],
+    geo: &GeoRuntimeConfig,
     clock: TickClock,
-    seed: u64,
     shared: &Shared,
-    done: &AtomicBool,
 ) {
     let _slack = TimerSlack::pin();
-    let mut rng = JitterRng::new(splitmix64(seed ^ 0x47454F)); // "GEO"
+    let mut rng = JitterRng::new(splitmix64(geo.base.seed ^ 0x47454F)); // "GEO"
     let mut wheel: TimerWheel<u64> = TimerWheel::new(&clock);
     let mut due: Vec<u64> = Vec::new();
-    let mut payloads: HashMap<u64, (NodeId, NodeId, Msg)> = HashMap::new();
+    let mut payloads: HashMap<u64, WanPacket> = HashMap::new();
     let mut seq: u64 = 0;
-    let cut = |region: Option<usize>, now: Time| {
-        region.is_some_and(|r| {
-            outages
-                .iter()
-                .any(|(o, from, until)| *o == r && *from <= now && now < *until)
-        })
+    let region = |node: NodeId| {
+        geo.regions
+            .region_of(node.index())
+            .expect("WAN endpoints are region infrastructure")
+    };
+    let cut = |region: usize, now: Time| {
+        geo.wan_outages
+            .iter()
+            .any(|(r, from, until)| *r == region && *from <= now && now < *until)
     };
     loop {
         wheel.pop_due_into(Instant::now(), &mut due);
         for token in &due {
             if let Some((from, to, msg)) = payloads.remove(token) {
-                let _ = node_txs[to.index()].send((from, msg));
+                let _ = node_txs[to.index()].send(Inbound::Msg(from, msg));
             }
         }
-        if done.load(Ordering::Acquire) && payloads.is_empty() {
+        let Ok(received) = recv_by(rx, wheel.next_deadline()) else {
             break;
+        };
+        let Some((from, to, msg)) = received else {
+            continue; // a delivery is due
+        };
+        let (a, b) = (region(from), region(to));
+        let now = clock.now();
+        if cut(a, now) || cut(b, now) {
+            continue; // partitioned: the WAN eats it
         }
-        let wait = wheel
-            .next_deadline()
-            .map_or(Duration::from_millis(5), |d| {
-                d.saturating_duration_since(Instant::now())
-            })
-            .min(Duration::from_millis(5));
-        if wait.is_zero() {
-            continue; // a delivery came due while draining
-        }
-        match rx.recv_timeout(wait) {
-            Ok((from, to, msg)) => {
-                let now = clock.now();
-                if cut(regions.region_of(from.index()), now)
-                    || cut(regions.region_of(to.index()), now)
-                {
-                    continue; // partitioned: the WAN eats it
-                }
-                let hops = WanProfile::distance(
-                    regions
-                        .region_of(from.index())
-                        .expect("wan sender has a region"),
-                    regions
-                        .region_of(to.index())
-                        .expect("wan receiver has a region"),
-                )
-                .max(1);
-                let ticks = rng.range(wan.lat_lo * hops, wan.lat_hi * hops);
-                let delay = clock
-                    .delta_to_duration(Delta::from_ticks(ticks.max(1)))
-                    .expect("finite WAN latency");
-                seq += 1;
-                wheel.arm(Instant::now() + delay, seq);
-                payloads.insert(seq, (from, to, msg));
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                if payloads.is_empty() {
-                    break;
-                }
-            }
-        }
+        let hops = WanProfile::distance(a, b).max(1);
+        let ticks = rng.range(geo.wan.lat_lo * hops, geo.wan.lat_hi * hops);
+        let delay = clock
+            .delta_to_duration(Delta::from_ticks(ticks.max(1)))
+            .expect("finite WAN latency");
+        seq += 1;
+        wheel.arm(Instant::now() + delay, seq);
+        payloads.insert(seq, (from, to, msg));
     }
     wheel.report(&mut shared.lock().metrics);
 }
@@ -246,33 +222,15 @@ fn wan_courier(
 /// (the relay engine time-stamps nothing, so no clock sample precedes
 /// them; its timers count from the tick the event was observed in) and
 /// never finishes by itself.
-struct RelayCore {
-    engine: GeoRelayEngine,
-    clock: TickClock,
+pub(crate) struct RelayCore {
+    pub(crate) engine: GeoRelayEngine,
+    pub(crate) clock: TickClock,
 }
 
 impl Host for RelayCore {
     fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
         self.engine.handle(event, out);
         self.clock.tick_at(at)
-    }
-}
-
-/// The send routing of one geo shard or relay: cross-region messages
-/// detour through the courier, same-region ones go straight to the
-/// receiver's inbox.
-fn infra_send<'a>(
-    me: NodeId,
-    regions: &'a RegionMap,
-    wan_tx: Sender<WanPacket>,
-    node_txs: &'a [Sender<(NodeId, Msg)>],
-) -> impl FnMut(NodeId, Msg) + 'a {
-    move |to, msg| {
-        if is_wan(regions, me, to) {
-            let _ = wan_tx.send((me, to, msg));
-        } else {
-            let _ = node_txs[to.index()].send((me, msg));
-        }
     }
 }
 
@@ -287,148 +245,7 @@ fn infra_send<'a>(
 /// history invariant.
 #[must_use]
 pub fn run_threaded_geo(config: &GeoRuntimeConfig) -> RuntimeResult {
-    let regions = config.regions;
-    let n_regions = regions.regions;
-    let shards_per_region = regions.shards_per_region;
-    let n_clients = n_regions * config.clients_per_region;
-    assert_eq!(
-        config.base.n_clients, n_clients,
-        "base.n_clients must equal regions × clients_per_region"
-    );
-    regions.validate_migrations(&config.migrations, n_clients, config.base.ops_per_client);
-
-    let clock = TickClock::new(config.base.tick);
-    let shared = Shared::new(&config.base);
-
-    // One inbox per node, id-indexed: R·S shards, R relays, clients.
-    let total_nodes = regions.client_base() + n_clients;
-    let mut node_txs = Vec::with_capacity(total_nodes);
-    let mut node_rxs = Vec::with_capacity(total_nodes);
-    for _ in 0..total_nodes {
-        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
-        node_txs.push(tx);
-        node_rxs.push(Some(rx));
-    }
-    let (wan_tx, wan_rx) = mpsc::channel::<WanPacket>();
-
-    let started = Instant::now();
-    let shared_ref = &shared;
-    let node_txs_ref = &node_txs[..];
-    let done = AtomicBool::new(false);
-    let done_ref = &done;
-    let cfg = config;
-    let mut delta_schedule = None;
-    let (latencies, shard_requests): (Vec<Duration>, Vec<u64>) = std::thread::scope(|scope| {
-        // WAN courier.
-        {
-            let rx = wan_rx;
-            scope.spawn(move || {
-                wan_courier(
-                    &rx,
-                    node_txs_ref,
-                    &cfg.regions,
-                    &cfg.wan,
-                    &cfg.wan_outages,
-                    clock,
-                    cfg.base.seed,
-                    shared_ref,
-                    done_ref,
-                );
-            });
-        }
-        // Shard fleets, region-major.
-        let mut shard_workers = Vec::with_capacity(n_regions * shards_per_region);
-        for region in 0..n_regions {
-            for shard in 0..shards_per_region {
-                let node = regions.shard_node(region, shard);
-                let engine =
-                    build_shard_engine(cfg.base.protocol, cfg.base.wal_dir.as_deref(), node)
-                        .with_geo(regions.shard_config(region));
-                let gate = OutageGate::new(node, &cfg.base.shard_outages);
-                let inbox = node_rxs[node].take().expect("receiver taken once");
-                let wan_tx = wan_tx.clone();
-                shard_workers.push(scope.spawn(move || {
-                    let me = NodeId::new(node);
-                    let send = infra_send(me, &cfg.regions, wan_tx, node_txs_ref);
-                    ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, shared_ref)
-                        .gated(gate)
-                        .until(done_ref)
-                        .run(&inbox)
-                        .engine
-                        .requests_served()
-                }));
-            }
-        }
-        // Relays.
-        for region in 0..n_regions {
-            let node = regions.relay_node(region);
-            let engine = GeoRelayEngine::new(regions.fleet(region), n_clients);
-            let inbox = node_rxs[node].take().expect("receiver taken once");
-            let wan_tx = wan_tx.clone();
-            scope.spawn(move || {
-                let send = infra_send(NodeId::new(node), &cfg.regions, wan_tx, node_txs_ref);
-                ChannelNode::new(RelayCore { engine, clock }, send, clock, shared_ref)
-                    .until(done_ref)
-                    .run(&inbox);
-            });
-        }
-        // The courier's original sender: drop it so the courier can
-        // notice disconnect once every shard and relay exits.
-        drop(wan_tx);
-        // Clients, attached to their home fleet.
-        let mut workers = Vec::with_capacity(n_clients);
-        for site in 0..n_clients {
-            let servers = regions.fleet(cfg.home_region(site));
-            let me = NodeId::new(regions.client_base() + site);
-            let mut core = ClientCore::for_site(&cfg.base, servers, me, site, clock);
-            if let Some(plan) = regions.migration_plan(&cfg.migrations, site) {
-                core.engine = core.engine.with_migration(plan);
-            }
-            let inbox = node_rxs[me.index()].take().expect("receiver taken once");
-            workers.push(scope.spawn(move || {
-                // Clients speak LAN to whichever fleet they are
-                // attached to: never through the courier.
-                let send = move |to: NodeId, msg: Msg| {
-                    let _ = node_txs_ref[to.index()].send((me, msg));
-                };
-                run_client(core, send, clock, shared_ref, &inbox)
-            }));
-        }
-        let controller_worker = ControlPlane::new(&cfg.base).map(|plane| {
-            scope.spawn(move || {
-                let broadcast = |from: NodeId, msg: Msg| {
-                    for tx in &node_txs_ref[regions.client_base()..] {
-                        let _ = tx.send((from, msg.clone()));
-                    }
-                };
-                control_loop(plane, clock, shared_ref, done_ref, broadcast)
-            })
-        });
-        let latencies = workers
-            .into_iter()
-            .flat_map(|w| w.join().expect("client thread panicked"))
-            .collect();
-        // Clients are done; release the controller and the
-        // infrastructure threads. Geo propagation still in flight
-        // stops with them — every recorded operation has already
-        // completed.
-        done.store(true, Ordering::Release);
-        delta_schedule = controller_worker.map(|w| w.join().expect("controller thread panicked"));
-        let shard_requests = shard_workers
-            .into_iter()
-            .map(|w| w.join().expect("shard thread panicked"))
-            .collect();
-        (latencies, shard_requests)
-    });
-    let wall = started.elapsed();
-    finish_run(
-        shared.into_inner(),
-        Vec::new(),
-        latencies,
-        shard_requests,
-        wall,
-        delta_schedule,
-    )
+    run_channels(&config.base, Some(config))
 }
 
 #[cfg(test)]

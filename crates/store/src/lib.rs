@@ -10,8 +10,15 @@
 //!
 //! * `Port` + `execute` — the one place an `Effect` is interpreted; a
 //!   driver only says where a send goes and which wheel a timer lands in;
-//! * the node loop (`ChannelNode`) — outage gate, timer wheel, blocking
-//!   receive towards the next deadline, bounded drain, step, execute;
+//! * the hosts (`ClientCore`, `ShardCore`) — clock sample, event, effects
+//!   out; a shard's kill/restart policy lives in `ShardCore`, so no loop
+//!   knows about outages;
+//! * the node loop (`ChannelNode`) — timer wheel, blocking receive
+//!   towards the next deadline, bounded drain, step, execute; clients end
+//!   when their workload is done, every other node at an explicit stop on
+//!   its inbox;
+//! * the channel fleet builder (`run_channels`) — shards, relays (geo
+//!   only), clients, the WAN courier (geo only), the control thread;
 //! * the connection table ([`reactor`]) — epoll, a generational slab of
 //!   endpoints, readiness handling, queueing with one flush per connection
 //!   per loop pass, the liveness sweep, a wait that polls while a link is
@@ -25,8 +32,8 @@
 //!
 //! | driver | transport | uses |
 //! |---|---|---|
-//! | [`run_threaded`] | in-process channels, one thread per node | node loop, control plane on a sleeping thread |
-//! | [`run_threaded_geo`] | the same, as a multi-region topology with a WAN courier | node loop (shards, relays, clients) |
+//! | [`run_threaded`] | in-process channels, one thread per node | the fleet builder's flat case: node loop, control plane on a sleeping thread |
+//! | [`run_threaded_geo`] | the same, as a multi-region topology with a WAN courier | the fleet builder's geo case: relays and the courier on top |
 //! | [`run_reactor`] / [`run_reactor_with`] | loopback TCP + `tc-wire`, two epoll threads, one link per shard | connection table, `Port` over it, control plane on a timer |
 //!
 //! Identical seeds give identical per-site operation programs under every

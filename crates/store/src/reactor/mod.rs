@@ -122,8 +122,8 @@ use tc_wire::{write_frame, WireMsg};
 
 use crate::jitter::{link_seed, splitmix64};
 use crate::runtime::{
-    build_shard_engine, execute, finish_run, ClientCore, ControlPlane, Host, OutageEdge,
-    OutageGate, Port, RuntimeConfig, RuntimeResult, ShardCore, Telemetry, TickClock,
+    build_shard_engine, execute, finish_run, ClientCore, ControlPlane, Host, Port, RuntimeConfig,
+    RuntimeResult, ShardCore, Telemetry, TickClock,
 };
 use crate::wheel::TimerWheel;
 
@@ -205,8 +205,8 @@ impl ReactorConfig {
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// The shard's stop signal: its end of a socket pair whose other end
 /// [`run_reactor_with`] writes a byte to once the clients are done, so a
-/// shard waiting out its poll granularity stops at once instead of up to
-/// 5 ms later — inside every run's measured wall time.
+/// shard blocked in its wait stops at once — the reactor's rendering of
+/// the channel nodes' explicit stop.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 // ---------------------------------------------------------------------
@@ -244,11 +244,9 @@ struct ShardReactor<'a> {
     /// reconnect replaces the route; the superseded connection's close
     /// leaves the new route alone.
     routes: Vec<Option<u64>>,
+    /// Never cleared: a down shard's engine timers are popped and dropped
+    /// as dead, and [`ShardTimer::Rebind`] survives an outage.
     timers: TimerWheel<ShardTimer>,
-    /// Kill/restart windows for this shard. While down, protocol messages
-    /// dead-letter and engine timers fire into the void — but the wheel is
-    /// never cleared ([`ShardTimer::Rebind`] must survive an outage).
-    outages: OutageGate,
     /// This thread's counters; [`run_reactor_with`] merges them into the
     /// result when the thread exits.
     telemetry: Telemetry,
@@ -350,29 +348,21 @@ impl<'a> ShardReactor<'a> {
             shard,
             shards: rc.protocol.shards,
             cfg,
-            core: ShardCore::new(engine, clock, NodeId::new(shard)),
+            core: ShardCore::new(engine, clock, NodeId::new(shard), &rc.shard_outages),
             clock,
             table: ConnTable::new(rc.tick),
             listener: Some(listener),
             addr,
             routes: vec![None; rc.n_clients],
             timers: TimerWheel::new(&clock),
-            outages: OutageGate::new(shard, &rc.shard_outages),
             telemetry: Telemetry::counters(),
             effects: Vec::new(),
         }
     }
 
     /// Feeds one event, observed at `at`, to the shard engine and executes
-    /// the effects. A down shard serves nothing: inbound protocol messages
-    /// dead-letter here (the simulator's down-node path).
+    /// the effects.
     fn step_engine(&mut self, event: Event, at: Instant) {
-        if self.outages.is_down() {
-            if matches!(event, Event::Message { .. }) {
-                self.telemetry.metrics.add(names::FAULT_DROPPED_DOWN, 1);
-            }
-            return;
-        }
         let t = self.core.step(event, at, &mut self.effects);
         let mut port = ShardPort {
             shards: self.shards,
@@ -522,6 +512,7 @@ impl<'a> ShardReactor<'a> {
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
         let mut due = Vec::new();
         let mut stopping = false;
+        self.step_engine(Event::Start, Instant::now());
         while !stopping {
             let now = Instant::now();
             if let Some(c) = chaos_pending {
@@ -530,25 +521,13 @@ impl<'a> ShardReactor<'a> {
                     self.chaos_kill(c.down_for);
                 }
             }
-            // Outage edges come before anything else this pass: on the up
-            // edge the engine restarts (replaying the WAL under a durable
-            // store) before any queued traffic reaches it.
-            match self.outages.poll(self.clock.tick_at(now)) {
-                Some(OutageEdge::WentDown) => self.telemetry.metrics.add(names::CRASH, 1),
-                Some(OutageEdge::CameUp) => {
-                    self.telemetry.metrics.add(names::RESTART, 1);
-                    self.step_engine(Event::Restart, now);
-                }
-                None => {}
-            }
             self.timers.pop_due_into(now, &mut due);
             for &timer in &due {
                 match timer {
-                    // A due engine timer on a down shard dies with the
-                    // volatile state it would have flushed; the rebind
-                    // alarm is the reactor's own and always fires.
-                    ShardTimer::Engine(_) if self.outages.is_down() => {}
-                    ShardTimer::Engine(token) => self.step_engine(Event::Timer { token }, now),
+                    ShardTimer::Engine(token) if self.core.timer_is_live(token) => {
+                        self.step_engine(Event::Timer { token }, now);
+                    }
+                    ShardTimer::Engine(_) => {}
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
@@ -558,11 +537,6 @@ impl<'a> ShardReactor<'a> {
             if let Some(c) = chaos_pending {
                 let kill_at = started + c.kill_after;
                 timeout = timeout.min(kill_at.saturating_duration_since(now));
-            }
-            if self.outages.is_armed() {
-                // Kill/restart edges are clock-driven, not fd-driven: cap
-                // the wait so they are noticed promptly.
-                timeout = timeout.min(Duration::from_millis(5));
             }
             let n = self.table.wait(&mut events, timeout, now);
             for ev in &events[..n] {
@@ -1417,6 +1391,31 @@ mod tests {
         let r = run_reactor(&cfg);
         assert_eq!(r.ops_done, 32 * 50);
         assert!(r.counter(names::REACTOR_POLLS) > 0, "no wait polled");
+    }
+
+    #[test]
+    fn reactor_kill_shard_over_wal_recovers_by_replay() {
+        use crate::runtime::tests::{assert_recovered_by_replay, temp_wal_dir};
+        use tc_clocks::Time;
+        use tc_lifetime::{DurabilityMode, FsyncPolicy};
+        let wal = temp_wal_dir("reactor-killshard");
+        let mut cfg = small(
+            ProtocolKind::Tsc {
+                delta: Delta::from_ticks(400),
+            },
+            33,
+        );
+        cfg.ops_per_client = 200;
+        cfg.protocol = cfg.protocol.with_durability(DurabilityMode::Durable {
+            fsync: FsyncPolicy::PER_WRITE,
+        });
+        cfg.wal_dir = Some(wal.clone());
+        // Down during [300, 1300) ticks: 200 ops × ≥2 ticks think time
+        // cannot finish before tick 300, so the kill always lands mid-run;
+        // the link stays up throughout, only the engine dies.
+        cfg.shard_outages = vec![(0, Time::from_ticks(300), Time::from_ticks(1_300))];
+        assert_recovered_by_replay(&run_reactor(&cfg), 2 * 200);
+        let _ = std::fs::remove_dir_all(&wal);
     }
 
     #[test]

@@ -14,32 +14,31 @@
 //!
 //! * **stepping** — `ClientCore` / `ShardCore` (the `Host` trait): the
 //!   tick of the instant the driver observed the event, event, effects
-//!   out;
+//!   out; a shard's kill/restart policy rides inside `ShardCore`;
 //! * **effect execution** — `execute` interprets every [`Effect`] against
 //!   a `Port` (where a send goes, which wheel a timer lands in);
-//! * **the node loop** — `ChannelNode`: outage gate, timer wheel, blocking
-//!   receive, bounded drain, step, execute — one thread per node, used by
-//!   [`run_threaded`] and, as a topology over the same loop, by
-//!   [`crate::run_threaded_geo`];
+//! * **the node loop** — `ChannelNode`: timer wheel, blocking receive,
+//!   bounded drain, step, execute — one thread per node;
+//! * **the channel fleet builder** — `run_channels`: [`run_threaded`] is
+//!   its flat case, [`crate::run_threaded_geo`] its geo case;
 //! * **the control plane** — `ControlPlane` samples the live monitor and
 //!   ticks the adaptive Δ controller; the channel drivers call it from a
 //!   sleeping thread, the reactor from a timer;
 //! * **run state and result assembly** — `Telemetry`, `Shared`,
-//!   `TickClock`, `TimerWheel` (in `wheel`), `OutageGate`,
-//!   `finish_run`.
+//!   `TickClock`, `TimerWheel` (in `wheel`), `finish_run`.
 //!
 //! [`crate::run_reactor`] hosts the same cores in two epoll loops and
 //! implements `Port` over its connection table instead of channels.
 //!
 //! # Layout
 //!
-//! Node ids follow the simulator harness: nodes `0..shards` are the server
-//! fleet (node 0 is *the* server in a single-shard run), client site `i`
-//! is node `shards + i`. One thread per node; clients send to each shard
-//! over per-node unbounded channels, shards reply (and push invalidations)
-//! the same way. A client exits once its workload is finished and nothing
-//! is in flight, dropping its senders; a shard exits when every client has
-//! hung up.
+//! Node ids follow the simulator harness: shards first, region-major
+//! (node 0 is *the* server in a single-shard run), then one relay per
+//! region in a geo run, then client site `i`. One thread per node, each
+//! on its own unbounded inbox. A client exits once its workload is
+//! finished and nothing is in flight; once every client has, each shard
+//! and relay is sent an explicit stop on its inbox and exits after
+//! serving what was queued before it.
 //!
 //! # Time
 //!
@@ -54,7 +53,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, RecvError, RecvTimeoutError};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -66,11 +65,12 @@ use tc_lifetime::control::{ControlPolicy, ControllerConfig, DeltaSchedule, Readi
 use tc_lifetime::engine::{
     ClientEngine, Effect, Event, Now, PrivateSources, ServerEngine, TIMER_NEXT_OP,
 };
-use tc_lifetime::{Msg, ProtocolConfig};
+use tc_lifetime::{GeoRelayEngine, Msg, ProtocolConfig};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::{Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
+use crate::geo::{is_wan, wan_courier, GeoRuntimeConfig, RelayCore, WanPacket};
 use crate::reactor::TimerSlack;
 use crate::wheel::TimerWheel;
 
@@ -192,28 +192,31 @@ pub(crate) fn build_shard_engine(
 /// An edge reported by [`OutageGate::poll`]: the shard just crossed into
 /// or out of a kill window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum OutageEdge {
+enum OutageEdge {
     /// The shard just entered a kill window: volatile state dies here.
     WentDown,
     /// The shard just left a kill window: feed [`Event::Restart`].
     CameUp,
 }
 
-/// Tracks one shard's kill/restart windows against the tick clock — the
+/// One shard's kill/restart windows against the tick clock — the
 /// real-time counterpart of the simulator's scheduled crash/restart
-/// events. The driver polls the gate each pass; while down it drops
-/// inbound messages and discards due engine timers (mirroring the
-/// simulator's down-node dead-letter path), and on the up edge it feeds
-/// `Event::Restart` before anything else.
-pub(crate) struct OutageGate {
+/// events, consulted by [`ShardCore`] on every step.
+struct OutageGate {
     windows: Vec<(Time, Time)>,
+    /// Inside a kill window as of the last poll.
     down: bool,
 }
 
+/// The timer [`ShardCore`] arms at every kill-window edge: apart from
+/// every server engine token (client node indexes, the geo flush range,
+/// the `u64::MAX` family).
+const TIMER_OUTAGE_EDGE: u64 = u64::MAX - 3;
+
 impl OutageGate {
-    /// The gate for `shard`, filtering `outages` (a
+    /// The gate for shard node `shard`, filtering `outages` (a
     /// [`tc_sim::FaultPlan::shard_outages`] rendering) down to its rows.
-    pub(crate) fn new(shard: usize, outages: &[(usize, Time, Time)]) -> Self {
+    fn new(shard: usize, outages: &[(usize, Time, Time)]) -> Self {
         OutageGate {
             windows: outages
                 .iter()
@@ -224,21 +227,23 @@ impl OutageGate {
         }
     }
 
-    /// Whether any window is configured — an armed gate makes the driver
-    /// cap its blocking waits so edges are noticed promptly.
-    pub(crate) fn is_armed(&self) -> bool {
-        !self.windows.is_empty()
-    }
-
-    /// Whether the shard is currently inside a kill window.
-    pub(crate) fn is_down(&self) -> bool {
-        self.down
+    /// Arms a [`TIMER_OUTAGE_EDGE`] at every window edge, counted from the
+    /// step at `t`, so the driver steps the shard there however quiet it is.
+    fn arm_edges(&self, t: Time, out: &mut Vec<Effect>) {
+        for &(from, until) in &self.windows {
+            for edge in [from, until] {
+                out.push(Effect::SetTimer {
+                    after: Delta::from_ticks(edge.ticks().saturating_sub(t.ticks())),
+                    token: TIMER_OUTAGE_EDGE,
+                });
+            }
+        }
     }
 
     /// Advances the gate to `now`, reporting a crossed edge if any. The
     /// shard is down during `[from, until)` of each window, matching the
     /// simulator's crash-at-`from`, restart-at-`until` schedule.
-    pub(crate) fn poll(&mut self, now: Time) -> Option<OutageEdge> {
+    fn poll(&mut self, now: Time) -> Option<OutageEdge> {
         let in_window = self
             .windows
             .iter()
@@ -549,14 +554,15 @@ pub(crate) trait Host {
     fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time;
 
     /// Whether the host's own work is over. Only a client ever finishes by
-    /// itself; infrastructure runs until it is hung up on or told to stop.
+    /// itself; infrastructure runs until it is told to stop.
     fn finished(&self) -> bool {
         false
     }
 
     /// Whether timer `token` firing now would do anything. A driver drops
-    /// a dead timer instead of stepping the host with it: only a client
-    /// can tell ([`ClientEngine::timer_is_live`]).
+    /// a dead timer instead of stepping the host with it: a client's
+    /// retry whose reply came first ([`ClientEngine::timer_is_live`]), any
+    /// engine timer of a shard that is down.
     fn timer_is_live(&self, _token: u64) -> bool {
         true
     }
@@ -651,33 +657,87 @@ impl Host for ClientCore {
     }
 }
 
-/// The driver-independent heart of one shard: its engine plus the clock
-/// sample that must precede every event — shared by the channel node loop
-/// and the shard reactor, which owns its engine inside the event loop
-/// instead of behind an inbox.
+/// The driver-independent heart of one shard: its engine, the clock
+/// sample that must precede every event, and the shard's kill/restart
+/// policy — shared by the channel node loop and the shard reactor, which
+/// owns its engine inside the event loop instead of behind an inbox.
 pub(crate) struct ShardCore {
     pub(crate) engine: ServerEngine,
     clock: TickClock,
     me: NodeId,
+    outages: OutageGate,
 }
 
 impl ShardCore {
-    pub(crate) fn new(engine: ServerEngine, clock: TickClock, me: NodeId) -> Self {
-        ShardCore { engine, clock, me }
+    /// The core of shard node `me`, killed and restarted as the rows of
+    /// `outages` (shards named by node index) that name it say.
+    pub(crate) fn new(
+        engine: ServerEngine,
+        clock: TickClock,
+        me: NodeId,
+        outages: &[(usize, Time, Time)],
+    ) -> Self {
+        ShardCore {
+            engine,
+            clock,
+            me,
+            outages: OutageGate::new(me.index(), outages),
+        }
     }
 }
 
 impl Host for ShardCore {
+    /// The kill/restart policy rides along. `Event::Start` arms a timer at
+    /// every window edge. Each step first crosses any edge its tick lies
+    /// past, counting `CRASH` or `RESTART`. While down the shard serves
+    /// nothing: a message dead-letters (the simulator's down-node path)
+    /// and a timer dies with the volatile state it would have flushed. The
+    /// step that finds the shard up again feeds `Event::Restart` — a WAL
+    /// replay under a durable store — before its own event.
     fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
         let t = self.clock.tick_at(at);
+        if matches!(event, Event::Start) {
+            self.outages.arm_edges(t, out);
+        }
+        let edge = self.outages.poll(t);
+        if let Some(edge) = edge {
+            let name = match edge {
+                OutageEdge::WentDown => names::CRASH,
+                OutageEdge::CameUp => names::RESTART,
+            };
+            out.push(Effect::Metric { name, add: 1 });
+        }
+        if self.outages.down {
+            if matches!(event, Event::Message { .. }) {
+                out.push(Effect::Metric {
+                    name: names::FAULT_DROPPED_DOWN,
+                    add: 1,
+                });
+            }
+            return t;
+        }
         let now = Now {
             me: self.me,
             local: t,
             truth: t,
         };
         self.engine.handle(Event::Now(now), out);
-        self.engine.handle(event, out);
+        if edge == Some(OutageEdge::CameUp) {
+            self.engine.handle(Event::Restart, out);
+        }
+        if !matches!(
+            event,
+            Event::Timer {
+                token: TIMER_OUTAGE_EDGE
+            }
+        ) {
+            self.engine.handle(event, out);
+        }
         t
+    }
+
+    fn timer_is_live(&self, token: u64) -> bool {
+        token == TIMER_OUTAGE_EDGE || !self.outages.down
     }
 }
 
@@ -704,24 +764,46 @@ impl<S: FnMut(NodeId, Msg)> Port for ChannelPort<S> {
     }
 }
 
-/// One thread-per-node engine host over in-process channels: the single
-/// node loop of [`run_threaded`] and [`crate::run_threaded_geo`]. What a
-/// node *is* — a client, a shard, a geo relay — is its [`Host`]; where its
-/// sends go is the `send` closure; and how it ends follows from how the
-/// caller built it:
-///
-/// * a client's host reports [`Host::finished`];
-/// * a [`run_threaded`] shard's inbox disconnects once the last client
-///   dropped its senders;
-/// * geo infrastructure holds senders to itself, so it is handed a stop
-///   flag ([`ChannelNode::until`]).
+/// What a channel node's inbox carries.
+pub(crate) enum Inbound {
+    /// A protocol message from the named node.
+    Msg(NodeId, Msg),
+    /// Exit once everything queued before this is served: [`run_channels`]
+    /// sends it to every shard and relay once the clients are done.
+    Stop,
+}
+
+/// The one blocking wait of a channel thread: the next item on `inbox`,
+/// waiting until `deadline` at most (`Ok(None)` once it has passed) or,
+/// without one, until something arrives. `Err` once every sender is gone.
+pub(crate) fn recv_by<T>(
+    inbox: &Receiver<T>,
+    deadline: Option<Instant>,
+) -> Result<Option<T>, RecvError> {
+    let Some(deadline) = deadline else {
+        return inbox.recv().map(Some);
+    };
+    let wait = deadline.saturating_duration_since(Instant::now());
+    if wait.is_zero() {
+        return Ok(None);
+    }
+    match inbox.recv_timeout(wait) {
+        Ok(item) => Ok(Some(item)),
+        Err(RecvTimeoutError::Timeout) => Ok(None),
+        Err(RecvTimeoutError::Disconnected) => Err(RecvError),
+    }
+}
+
+/// One thread-per-node engine host over in-process channels: the node
+/// loop of [`run_channels`]. What a node *is* — a client, a shard, a geo
+/// relay — is its [`Host`]; where its sends go is the `send` closure. A
+/// client ends when its host reports [`Host::finished`], every other node
+/// at [`Inbound::Stop`].
 pub(crate) struct ChannelNode<'a, H, S> {
     host: H,
     port: ChannelPort<S>,
     clock: TickClock,
     shared: &'a Shared,
-    outages: OutageGate,
-    stop: Option<&'a AtomicBool>,
     effects: Vec<Effect>,
 }
 
@@ -735,29 +817,14 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
             },
             clock,
             shared,
-            outages: OutageGate::new(0, &[]),
-            stop: None,
             effects: Vec::new(),
         }
-    }
-
-    /// Subjects the node to a shard's kill/restart windows.
-    pub(crate) fn gated(mut self, outages: OutageGate) -> Self {
-        self.outages = outages;
-        self
-    }
-
-    /// Makes the node exit, once it has nothing due, after `stop` is
-    /// raised — for nodes whose inbox never disconnects.
-    pub(crate) fn until(mut self, stop: &'a AtomicBool) -> Self {
-        self.stop = Some(stop);
-        self
     }
 
     /// Feeds one event, observed at `at`, to the host and executes what it
     /// emits, taking the telemetry lock once. The effects scratch is left
     /// empty, so a step allocates nothing once it is warm.
-    pub(crate) fn feed(&mut self, event: Event, at: Instant) {
+    fn feed(&mut self, event: Event, at: Instant) {
         let t = self.host.step(event, at, &mut self.effects);
         let mut telemetry = self.shared.lock();
         execute(
@@ -769,91 +836,56 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
         );
     }
 
-    /// The node loop: cross any outage edge, collect the due timers, block
-    /// on the inbox towards the next deadline when nothing is due, drain a
-    /// bounded batch of what else is queued, then step the host through
-    /// the batch in order — the edge and the timers at the instant the
-    /// pass began, every message at the one instant read after the drain.
-    /// Returns the host for the caller to read its results off.
-    pub(crate) fn run(mut self, inbox: &Receiver<(NodeId, Msg)>) -> H {
+    /// The node loop: feed `Event::Start`, then, pass by pass, collect the
+    /// due timers, block on the inbox towards the next deadline when
+    /// nothing is due, drain a bounded batch of what else is queued, and
+    /// step the host through the batch in order — the timers at the
+    /// instant the pass began, every message at the one instant read after
+    /// the drain. Returns the host for the caller to read its results off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the inbox disconnects: the builder holds every sender
+    /// until the node has stopped.
+    pub(crate) fn run(mut self, inbox: &Receiver<Inbound>) -> H {
         let _slack = TimerSlack::pin();
-        // Kill/restart edges and the stop flag are not inbox events: when
-        // either exists, cap the blocking wait so it is noticed promptly.
-        let cap =
-            (self.outages.is_armed() || self.stop.is_some()).then(|| Duration::from_millis(5));
+        self.feed(Event::Start, Instant::now());
         // Scratch reused across passes; steady-state passes allocate
         // nothing.
         let mut due: Vec<u64> = Vec::new();
         let mut events: Vec<Event> = Vec::new();
-        while !self.host.finished() {
-            // Cross any due outage edge first: a kill discards what the
-            // shard would otherwise do this pass, a restart is fed to the
-            // engine before any queued traffic (replaying the WAL under a
-            // durable store, forgetting everything under the in-memory
-            // one).
-            events.clear();
-            let now = Instant::now();
-            if self.outages.is_armed() {
-                match self.outages.poll(self.clock.tick_at(now)) {
-                    Some(OutageEdge::WentDown) => self.shared.lock().metrics.add(names::CRASH, 1),
-                    Some(OutageEdge::CameUp) => {
-                        self.shared.lock().metrics.add(names::RESTART, 1);
-                        events.push(Event::Restart);
-                    }
-                    None => {}
-                }
-            }
+        let mut stopping = false;
+        while !stopping && !self.host.finished() {
             // The sweep collects every due timer before any fires:
             // handling one may arm new ones, which belong to the next
-            // pass. While down the due timers are popped and discarded
-            // below — the volatile state they would flush is dying anyway
-            // — but the wheel itself is never cleared.
+            // pass.
+            let now = Instant::now();
             self.port.timers.pop_due_into(now, &mut due);
             events.extend(due.iter().map(|&token| Event::Timer { token }));
             let popped = events.len();
             if events.is_empty() {
-                if self.stop.is_some_and(|stop| stop.load(Ordering::Acquire)) {
-                    break;
-                }
                 // Block towards the next deadline — indefinitely with none
-                // armed and nothing to poll for: a message wakes the
-                // thread at once (the channel wait parks on a condvar).
-                let deadline_wait = self
-                    .port
-                    .timers
-                    .next_deadline()
-                    .map(|d| d.saturating_duration_since(now));
-                let wait = match (deadline_wait, cap) {
-                    (Some(d), Some(c)) => Some(d.min(c)),
-                    (Some(d), None) => Some(d),
-                    (None, cap) => cap,
-                };
-                let received = match wait {
-                    Some(wait) if !wait.is_zero() => match inbox.recv_timeout(wait) {
-                        Ok(m) => Some(m),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    },
-                    Some(_) => None, // a deadline passed while draining
-                    None => match inbox.recv() {
-                        Ok(m) => Some(m),
-                        Err(_) => break,
-                    },
-                };
-                match received {
-                    Some((from, msg)) => events.push(Event::Message { from, msg }),
-                    None => continue, // a deadline, an edge or the flag is due
+                // armed: a message wakes the thread at once (the channel
+                // wait parks on a condvar).
+                match recv_by(inbox, self.port.timers.next_deadline())
+                    .expect("the fleet builder holds every sender")
+                {
+                    Some(Inbound::Msg(from, msg)) => events.push(Event::Message { from, msg }),
+                    Some(Inbound::Stop) => stopping = true,
+                    None => continue, // a deadline is due
                 }
             }
             // Opportunistically drain whatever else is already queued so a
             // burst is served in one pass instead of one wakeup per
             // message. The channel is FIFO and the batch is processed in
             // drain order, so per-sender ordering is exactly what
-            // sequential receives gave.
-            while events.len() < DRAIN_BATCH {
+            // sequential receives gave, and a stop comes after everything
+            // queued before it.
+            while !stopping && events.len() < DRAIN_BATCH {
                 match inbox.try_recv() {
-                    Ok((from, msg)) => events.push(Event::Message { from, msg }),
-                    Err(_) => break, // empty (or disconnected: next pass exits)
+                    Ok(Inbound::Msg(from, msg)) => events.push(Event::Message { from, msg }),
+                    Ok(Inbound::Stop) => stopping = true,
+                    Err(_) => break,
                 }
             }
             let received = if events.len() > popped {
@@ -862,15 +894,6 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
                 now
             };
             for (i, event) in events.drain(..).enumerate() {
-                // A down shard serves nothing: inbound messages
-                // dead-letter (the simulator's down-node path) and due
-                // timers fire into the void.
-                if self.outages.is_down() {
-                    if matches!(event, Event::Message { .. }) {
-                        self.shared.lock().metrics.add(names::FAULT_DROPPED_DOWN, 1);
-                    }
-                    continue;
-                }
                 // A dead timer would step the host for nothing.
                 if let Event::Timer { token } = event {
                     if !self.host.timer_is_live(token) {
@@ -883,21 +906,6 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
         self.port.timers.report(&mut self.shared.lock().metrics);
         self.host
     }
-}
-
-/// Runs one client to completion on the calling thread — `Event::Start`,
-/// then the node loop until the workload is done with nothing in flight —
-/// and returns its per-operation latencies.
-pub(crate) fn run_client(
-    core: ClientCore,
-    send: impl FnMut(NodeId, Msg),
-    clock: TickClock,
-    shared: &Shared,
-    inbox: &Receiver<(NodeId, Msg)>,
-) -> Vec<Duration> {
-    let mut node = ChannelNode::new(core, send, clock, shared);
-    node.feed(Event::Start, Instant::now());
-    node.run(inbox).into_latencies()
 }
 
 /// The adaptive control plane as the real-time drivers host it: the
@@ -1016,28 +1024,46 @@ pub(crate) fn control_loop(
 /// loop runtime exists to surface).
 #[must_use]
 pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
+    run_channels(config, None)
+}
+
+/// The one channel fleet builder, runner and result assembler, in the
+/// simulator harness's shape: node order is shards → relays (geo only) →
+/// clients, so a flat run is exactly the no-geo case — one region, no
+/// relay, no WAN courier. One thread per node on an id-indexed inbox,
+/// plus the courier for geo and the control thread for adaptive runs.
+/// Once every client is done, each shard and relay is sent
+/// [`Inbound::Stop`]; the courier ends when their senders are gone.
+pub(crate) fn run_channels(
+    config: &RuntimeConfig,
+    geo: Option<&GeoRuntimeConfig>,
+) -> RuntimeResult {
+    let shards = config.protocol.shards;
+    let fleet_shards = geo.map_or(shards, |geo| geo.regions.regions * shards);
+    // Every node a client does not finish: the shards, then the relays.
+    let infra = geo.map_or(shards, |geo| geo.regions.client_base());
+    if let Some(geo) = geo {
+        assert_eq!(
+            config.n_clients,
+            geo.regions.regions * geo.clients_per_region,
+            "base.n_clients must equal regions × clients_per_region"
+        );
+        geo.regions
+            .validate_migrations(&geo.migrations, config.n_clients, config.ops_per_client);
+    }
     let clock = TickClock::new(config.tick);
     let shared = Shared::new(config);
-
-    let shards = config.protocol.shards;
-    let mut server_txs = Vec::with_capacity(shards);
-    let mut server_rxs = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
-        server_txs.push(tx);
-        server_rxs.push(Some(rx));
-    }
-    let mut client_txs = Vec::with_capacity(config.n_clients);
-    let mut client_rxs = Vec::with_capacity(config.n_clients);
-    for _ in 0..config.n_clients {
-        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
-        client_txs.push(tx);
-        client_rxs.push(Some(rx));
-    }
+    let (node_txs, mut node_rxs): (Vec<_>, Vec<_>) = (0..infra + config.n_clients)
+        .map(|_| {
+            let (tx, rx) = mpsc::channel::<Inbound>();
+            (tx, Some(rx))
+        })
+        .unzip();
+    let (wan_tx, wan_rx) = mpsc::channel::<WanPacket>();
 
     let started = Instant::now();
     let shared_ref = &shared;
-    let client_txs_ref = &client_txs[..];
+    let node_txs = &node_txs[..];
     let done = AtomicBool::new(false);
     let done_ref = &done;
     let (latencies, shard_requests, delta_schedule): (
@@ -1045,64 +1071,88 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
         Vec<u64>,
         Option<DeltaSchedule>,
     ) = std::thread::scope(|scope| {
-        let mut shard_workers = Vec::with_capacity(shards);
-        for (shard, rx_slot) in server_rxs.iter_mut().enumerate() {
-            let engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), shard);
-            let gate = OutageGate::new(shard, &config.shard_outages);
-            let inbox = rx_slot.take().expect("receiver taken once");
+        // Where node `me`'s sends go: geo traffic between regions detours
+        // through the courier, everything else straight into the
+        // receiver's inbox. A node that has exited drops what it is sent —
+        // the simulator's dead-letter path.
+        let route = |me: NodeId| {
+            let wan_tx = wan_tx.clone();
+            move |to: NodeId, msg: Msg| {
+                if geo.is_some_and(|geo| is_wan(&geo.regions, me, to)) {
+                    let _ = wan_tx.send((me, to, msg));
+                } else {
+                    let _ = node_txs[to.index()].send(Inbound::Msg(me, msg));
+                }
+            }
+        };
+        let mut take_inbox = |node: usize| node_rxs[node].take().expect("one inbox per node");
+        let mut shard_workers = Vec::with_capacity(fleet_shards);
+        for node in 0..fleet_shards {
+            let me = NodeId::new(node);
+            let mut engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), node);
+            if let Some(geo) = geo {
+                engine = engine.with_geo(geo.regions.shard_config(node / shards));
+            }
+            let host = ShardCore::new(engine, clock, me, &config.shard_outages);
+            let (send, inbox) = (route(me), take_inbox(node));
             shard_workers.push(scope.spawn(move || {
-                let me = NodeId::new(shard);
-                // A client that finished and hung up may still be
-                // pushed invalidations; dropping them mirrors the
-                // simulator's dead-letter path.
-                let send = |to: NodeId, msg: Msg| {
-                    let _ = client_txs_ref[to.index() - shards].send((me, msg));
-                };
-                // Exits when the inbox disconnects: every client dropped
-                // its senders.
-                ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, shared_ref)
-                    .gated(gate)
-                    .run(&inbox)
-                    .engine
-                    .requests_served()
+                let node = ChannelNode::new(host, send, clock, shared_ref);
+                node.run(&inbox).engine.requests_served()
             }));
         }
-        let mut workers = Vec::with_capacity(config.n_clients);
-        for (site, rx_slot) in client_rxs.iter_mut().enumerate() {
-            let me = NodeId::new(shards + site);
-            let servers = (0..shards).map(NodeId::new).collect();
-            let core = ClientCore::for_site(config, servers, me, site, clock);
-            let server_txs = server_txs.clone();
-            let inbox = rx_slot.take().expect("receiver taken once");
-            workers.push(scope.spawn(move || {
-                // Client engines only ever address server shards; a send
-                // can't fail while this client still holds its senders.
-                let send = move |to: NodeId, msg: Msg| {
-                    let _ = server_txs[to.index()].send((me, msg));
+        if let Some(geo) = geo {
+            for region in 0..geo.regions.regions {
+                let host = RelayCore {
+                    engine: GeoRelayEngine::new(geo.regions.fleet(region), config.n_clients),
+                    clock,
                 };
-                run_client(core, send, clock, shared_ref, &inbox)
+                let node = geo.regions.relay_node(region);
+                let (send, inbox) = (route(NodeId::new(node)), take_inbox(node));
+                scope.spawn(move || ChannelNode::new(host, send, clock, shared_ref).run(&inbox));
+            }
+            scope.spawn(move || wan_courier(&wan_rx, node_txs, geo, clock, shared_ref));
+        }
+        let mut client_workers = Vec::with_capacity(config.n_clients);
+        for site in 0..config.n_clients {
+            let me = NodeId::new(infra + site);
+            let servers = match geo {
+                Some(geo) => geo.regions.fleet(geo.home_region(site)),
+                None => (0..shards).map(NodeId::new).collect(),
+            };
+            let mut host = ClientCore::for_site(config, servers, me, site, clock);
+            if let Some(plan) = geo.and_then(|g| g.regions.migration_plan(&g.migrations, site)) {
+                host.engine = host.engine.with_migration(plan);
+            }
+            let (send, inbox) = (route(me), take_inbox(me.index()));
+            client_workers.push(scope.spawn(move || {
+                let node = ChannelNode::new(host, send, clock, shared_ref);
+                node.run(&inbox).into_latencies()
             }));
         }
+        // The courier's own sender: what is left are the nodes'.
+        drop(wan_tx);
         let controller_worker = ControlPlane::new(config).map(|plane| {
             scope.spawn(move || {
                 let broadcast = |from: NodeId, msg: Msg| {
-                    for tx in client_txs_ref {
-                        let _ = tx.send((from, msg.clone()));
+                    for tx in &node_txs[infra..] {
+                        let _ = tx.send(Inbound::Msg(from, msg.clone()));
                     }
                 };
                 control_loop(plane, clock, shared_ref, done_ref, broadcast)
             })
         });
-        // Drop the original senders so each shard's recv disconnects
-        // once the last client hangs up.
-        drop(server_txs);
-        let latencies = workers
+        let latencies = client_workers
             .into_iter()
             .flat_map(|w| w.join().expect("client thread panicked"))
             .collect();
         // Clients are done: release the controller (its ingested-ops
-        // stop rule normally beats this flag; the flag covers stalls).
+        // stop rule normally beats this flag; the flag covers stalls) and
+        // stop the infrastructure. Geo propagation still in flight stops
+        // with it — every recorded operation has already completed.
         done.store(true, Ordering::Release);
+        for tx in &node_txs[..infra] {
+            let _ = tx.send(Inbound::Stop);
+        }
         let delta_schedule =
             controller_worker.map(|w| w.join().expect("controller thread panicked"));
         let shard_requests = shard_workers
@@ -1198,25 +1248,39 @@ pub(crate) mod tests {
             (1, Time::from_ticks(0), Time::from_ticks(5)), // another shard
         ];
         let mut gate = OutageGate::new(0, &outages);
-        assert!(gate.is_armed());
+        // Armed from tick 4: one edge timer due at each of 10 and 20.
+        let mut edges = Vec::new();
+        gate.arm_edges(Time::from_ticks(4), &mut edges);
+        let afters: Vec<u64> = edges
+            .iter()
+            .map(|e| match e {
+                Effect::SetTimer {
+                    after,
+                    token: TIMER_OUTAGE_EDGE,
+                } => after.ticks(),
+                other => panic!("unexpected effect {other:?}"),
+            })
+            .collect();
+        assert_eq!(afters, vec![6, 16]);
         assert_eq!(gate.poll(Time::from_ticks(0)), None);
         assert_eq!(
             gate.poll(Time::from_ticks(10)),
             Some(OutageEdge::WentDown),
             "the window is inclusive at its start"
         );
-        assert!(gate.is_down());
+        assert!(gate.down);
         assert_eq!(gate.poll(Time::from_ticks(15)), None, "edges fire once");
         assert_eq!(
             gate.poll(Time::from_ticks(20)),
             Some(OutageEdge::CameUp),
             "the shard restarts at the window's end"
         );
-        assert!(!gate.is_down());
+        assert!(!gate.down);
         assert_eq!(gate.poll(Time::from_ticks(25)), None);
 
         let mut unarmed = OutageGate::new(2, &outages);
-        assert!(!unarmed.is_armed());
+        unarmed.arm_edges(Time::ZERO, &mut edges);
+        assert_eq!(edges.len(), 2, "a shard with no window arms nothing");
         assert_eq!(unarmed.poll(Time::from_ticks(10)), None);
     }
 
@@ -1394,34 +1458,35 @@ pub(crate) mod tests {
     fn server_batch_drain_preserves_request_order() {
         // Pre-fill the inbox far beyond one drain batch before the node
         // loop runs at all, so every message is served through the batched
-        // try_recv path — then assert the replies echo the request epochs
-        // in exactly the order the requests were enqueued.
+        // try_recv path, with a stop queued behind the backlog and one more
+        // request behind the stop — then assert the replies echo the
+        // request epochs in exactly the order the requests were enqueued,
+        // and that the node stopped where it was told to.
         let cfg = small(ProtocolKind::Sc, 0);
         let engine = ServerEngine::new(cfg.protocol);
         let clock = TickClock::new(cfg.tick);
-        let (tx, rx) = mpsc::channel::<(NodeId, Msg)>();
+        let (tx, rx) = mpsc::channel::<Inbound>();
         let me = NodeId::new(0);
         let client = NodeId::new(1);
         let n = 500u64;
+        let fetch = |epoch| {
+            let object = tc_core::ObjectId::new(0);
+            Inbound::Msg(client, Msg::FetchReq { object, epoch })
+        };
         for epoch in 0..n {
-            tx.send((
-                client,
-                Msg::FetchReq {
-                    object: tc_core::ObjectId::new(0),
-                    epoch,
-                },
-            ))
-            .unwrap();
+            tx.send(fetch(epoch)).unwrap();
         }
-        drop(tx); // after the backlog drains, the shard exits cleanly
+        tx.send(Inbound::Stop).unwrap();
+        tx.send(fetch(n)).unwrap();
         let shared = Shared::new(&cfg);
         let mut replies: Vec<(NodeId, Msg)> = Vec::new();
         let send = |to: NodeId, msg: Msg| replies.push((to, msg));
-        let served = ChannelNode::new(ShardCore::new(engine, clock, me), send, clock, &shared)
+        let host = ShardCore::new(engine, clock, me, &[]);
+        let served = ChannelNode::new(host, send, clock, &shared)
             .run(&rx)
             .engine
             .requests_served();
-        assert_eq!(served, n, "every queued request must be served");
+        assert_eq!(served, n, "the backlog is served, nothing past the stop");
         let epochs: Vec<u64> = replies
             .iter()
             .map(|(to, msg)| {
@@ -1563,7 +1628,7 @@ pub(crate) mod tests {
         cfg.workload = Workload::new(4, 0.8, 1.0, (Delta::ZERO, Delta::ZERO));
         let (shard, site) = (NodeId::new(0), NodeId::new(1));
         let mut client = ClientCore::for_site(&cfg, vec![shard], site, 0, clock);
-        let mut server = ShardCore::new(ServerEngine::new(cfg.protocol), clock, shard);
+        let mut server = ShardCore::new(ServerEngine::new(cfg.protocol), clock, shard, &[]);
         let sent = |out: &mut Vec<Effect>| {
             out.drain(..)
                 .find_map(|e| match e {
