@@ -486,20 +486,6 @@ impl History {
         self.kind[id.index()]
     }
 
-    /// Whether `id` is a write (kind column).
-    #[inline]
-    #[must_use]
-    pub fn is_write_op(&self, id: OpId) -> bool {
-        self.kind[id.index()] == OpKind::Write
-    }
-
-    /// Whether `id` is a read (kind column).
-    #[inline]
-    #[must_use]
-    pub fn is_read_op(&self, id: OpId) -> bool {
-        self.kind[id.index()] == OpKind::Read
-    }
-
     /// The logical stamp `L(op)`, if the execution recorded one (§5.4).
     #[must_use]
     pub fn logical_of(&self, id: OpId) -> Option<&VectorClock> {

@@ -279,15 +279,6 @@ impl ClientEngine {
             && self.deferred.is_empty()
     }
 
-    /// Whether a synchronous request is outstanding — i.e. the engine is
-    /// blocked on a server reply. The threaded driver spins (instead of
-    /// napping) while this holds, because the reply is the only thing that
-    /// can unblock progress and it usually arrives within a few µs.
-    #[must_use]
-    pub fn awaiting_reply(&self) -> bool {
-        self.outstanding.is_some()
-    }
-
     /// Whether firing timer `token` now would do anything. A timer is
     /// *dead* when the state it was armed for is gone: a retry for a
     /// request that was answered (or superseded by a later epoch), a causal

@@ -14,8 +14,7 @@
 //!   network and clock models: scheduled message drops, duplication,
 //!   reordering, partitions, clock-skew spikes, and crash–restart.
 //! * [`workload`] — Zipf object popularity and operation-mix samplers.
-//! * [`Metrics`] — counters and power-of-two histograms shared by every
-//!   experiment.
+//! * [`Metrics`] — named counters shared by every experiment.
 //! * [`TraceRecorder`] — records the reads and writes a protocol executes
 //!   into a [`tc_core::History`], so any simulated protocol can be
 //!   *verified* against the paper's consistency checkers after the fact.

@@ -1,5 +1,4 @@
-//! Counters and histograms shared by every simulated protocol and
-//! experiment binary.
+//! Counters shared by every simulated protocol and experiment binary.
 
 use std::collections::BTreeMap;
 
@@ -86,15 +85,17 @@ pub mod names {
     /// crash (the replay gap; the covered writes were never acked).
     pub const WAL_LOST: &str = "wal_lost";
 
-    /// TCP transport: handshake completed on a fresh connection.
+    /// TCP transport: the first `HelloAck` a shard sent — one per shard
+    /// link, whatever the sites it carries.
     pub const TCP_CONNECT: &str = "tcp_connect";
-    /// TCP transport: link re-established after a drop (backoff path).
+    /// TCP transport: any later `HelloAck`: a shard link re-admitted after
+    /// a drop (backoff path).
     pub const TCP_RECONNECT: &str = "tcp_reconnect";
     /// TCP transport: failed connect/handshake attempt (refused, reset,
     /// timed out) that the backoff schedule absorbed.
     pub const TCP_CONNECT_FAILED: &str = "tcp_connect_failed";
-    /// TCP transport: protocol frame dropped because its destination had
-    /// no attached route at send time (the engines' retry timers recover
+    /// TCP transport: protocol frame dropped because no link to its
+    /// destination was up at send time (the engines' retry timers recover
     /// it). A frame queued on a link that then dies before or during the
     /// loop pass's flush is not counted here: it is lost like any frame
     /// in flight, and recovered the same way.
@@ -134,7 +135,8 @@ pub mod names {
     /// lateness a run suffered (timer slack, scheduling, a busy thread).
     pub const TIMER_LATE_NS: &str = "timer_late_ns";
 
-    /// Reads the streaming monitor flagged as Δ-violating (harness output).
+    /// Reads the streaming monitor flagged as Δ-violating, set once at the
+    /// end of a run by the simulator harness and every real driver alike.
     pub const ON_TIME_VIOLATIONS: &str = "on_time_violations";
     /// Writes the streaming monitor ingested behind a judged read.
     pub const MONITOR_LATE_WRITES: &str = "monitor_late_writes";
@@ -172,14 +174,13 @@ pub mod names {
     pub const GEO_MIGRATED: &str = "geo_migrated";
 }
 
-/// A bag of named counters plus power-of-two latency histograms.
+/// A bag of named counters.
 ///
 /// Metric names are `&'static str`s; protocols and experiments draw them
 /// from the shared [`names`] vocabulary rather than inventing literals.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
     counters: BTreeMap<&'static str, u64>,
-    histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Metrics {
@@ -205,17 +206,6 @@ impl Metrics {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records `value` into the histogram `name`.
-    pub fn observe(&mut self, name: &'static str, value: u64) {
-        self.histograms.entry(name).or_default().record(value);
-    }
-
-    /// The histogram `name`, if any value was ever observed.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// An owned snapshot suitable for serialization into experiment output.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -225,18 +215,12 @@ impl Metrics {
                 .iter()
                 .map(|(k, v)| ((*k).to_string(), *v))
                 .collect(),
-            histogram_means: self
-                .histograms
-                .iter()
-                .map(|(k, h)| ((*k).to_string(), h.mean()))
-                .collect(),
         }
     }
 
     /// Resets everything to zero.
     pub fn clear(&mut self) {
         self.counters.clear();
-        self.histograms.clear();
     }
 }
 
@@ -245,91 +229,6 @@ impl Metrics {
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,
-    /// Histogram means by name.
-    pub histogram_means: BTreeMap<String, f64>,
-}
-
-/// A histogram with power-of-two buckets: bucket `i` (for `i ≥ 1`) counts
-/// values in `[2^(i-1), 2^i)`; bucket 0 counts only zeros.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
-}
-
-impl Histogram {
-    /// Records one value.
-    pub fn record(&mut self, value: u64) {
-        let bucket = (64 - value.leading_zeros()) as usize; // 0 -> 0, 1 -> 1, 2..3 -> 2, ...
-        if self.buckets.len() <= bucket {
-            self.buckets.resize(bucket + 1, 0);
-        }
-        self.buckets[bucket] += 1;
-        self.count += 1;
-        // Saturate: near-u64::MAX samples (e.g. "infinite" deltas) must not
-        // abort the run; the mean degrades gracefully instead.
-        self.sum = self.sum.saturating_add(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of recorded values.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of recorded values (0.0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest recorded value.
-    #[must_use]
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// An upper bound on the `q`-quantile using bucket boundaries
-    /// (nearest-rank over buckets).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `[0, 1]`.
-    #[must_use]
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&q));
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                // Upper edge of bucket i: bucket 0 holds only zeros;
-                // bucket i ≥ 1 holds [2^(i-1), 2^i − 1]. Bucket 64
-                // (values ≥ 2^63) has no representable `2^64 − 1 + 1`
-                // edge — the old `(1u64 << i) - 1` wrapped to 0 there and
-                // under-reported the quantile. Capping every edge by the
-                // recorded max keeps the result a true upper bound while
-                // tightening the top bucket to an exact one.
-                let edge = match i {
-                    0 => 0,
-                    1..=63 => (1u64 << i) - 1,
-                    _ => u64::MAX,
-                };
-                return edge.min(self.max);
-            }
-        }
-        self.max
-    }
 }
 
 #[cfg(test)]
@@ -348,106 +247,18 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_values() {
-        let mut h = Histogram::default();
-        for v in [0, 1, 2, 3, 4, 100] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.max(), 100);
-        assert!((h.mean() - 110.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_bounds() {
-        let mut h = Histogram::default();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        let p50 = h.quantile_bound(0.5);
-        // The true median is 50; the bucket bound must cover it from above
-        // but stay within the next power of two.
-        assert!((50..=127).contains(&p50), "p50 bound {p50}");
-        assert!(h.quantile_bound(1.0) >= 100);
-        assert_eq!(Histogram::default().quantile_bound(0.5), 0);
-    }
-
-    #[test]
-    fn quantile_bound_survives_top_bucket_values() {
-        // Regression: values ≥ 2^63 land in bucket 64, whose upper edge
-        // `(1u64 << 64) - 1` used to wrap to 0 and report p100 = 0.
-        let mut h = Histogram::default();
-        h.record(u64::MAX);
-        h.record(1u64 << 63);
-        assert_eq!(h.quantile_bound(1.0), u64::MAX);
-        // Both samples share bucket 64; the edge is capped by the max.
-        assert_eq!(h.quantile_bound(0.5), h.max());
-    }
-
-    #[test]
-    fn quantile_bound_of_zeros_is_zero() {
-        // Regression: bucket 0 holds only zeros, but its edge was
-        // reported as 1.
-        let mut h = Histogram::default();
-        for _ in 0..5 {
-            h.record(0);
-        }
-        assert_eq!(h.quantile_bound(0.5), 0);
-        assert_eq!(h.quantile_bound(1.0), 0);
-    }
-
-    /// The exact nearest-rank quantile of a sample set.
-    fn exact_quantile(samples: &[u64], q: f64) -> u64 {
-        let mut sorted = samples.to_vec();
-        sorted.sort_unstable();
-        let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        sorted[rank - 1]
-    }
-
-    proptest::proptest! {
-        /// Cross-validation: for any sample set (including huge values)
-        /// and any quantile, the bucketed bound covers the exact
-        /// nearest-rank quantile from above, never exceeds the recorded
-        /// max, and stays within the 2× slack of power-of-two buckets.
-        #[test]
-        fn quantile_bound_covers_exact_nearest_rank(
-            small in proptest::collection::vec(0u64..1024, 0..32),
-            huge in proptest::collection::vec(0u64..=u64::MAX, 1..32),
-            q in 0.0f64..=1.0,
-        ) {
-            let samples: Vec<u64> = small.iter().chain(&huge).copied().collect();
-            let mut h = Histogram::default();
-            for &v in &samples {
-                h.record(v);
-            }
-            let exact = exact_quantile(&samples, q);
-            let bound = h.quantile_bound(q);
-            proptest::prop_assert!(bound >= exact, "bound {bound} < exact {exact}");
-            proptest::prop_assert!(bound <= h.max());
-            proptest::prop_assert!(
-                bound <= exact.saturating_mul(2).max(1),
-                "bound {bound} too loose for exact {exact}"
-            );
-        }
-    }
-
-    #[test]
     fn snapshot_captures_state() {
         let mut m = Metrics::new();
         m.incr("x");
-        m.observe("lat", 5);
         let s = m.snapshot();
         assert_eq!(s.counters["x"], 1);
-        assert!(s.histogram_means["lat"] > 0.0);
     }
 
     #[test]
     fn clear_resets() {
         let mut m = Metrics::new();
         m.incr("x");
-        m.observe("lat", 5);
         m.clear();
         assert_eq!(m.get("x"), 0);
-        assert!(m.histogram("lat").is_none());
     }
 }

@@ -355,12 +355,6 @@ impl<M: Clone + 'static> World<M> {
         self.faults = plan;
     }
 
-    /// The installed fault plan (empty by default).
-    #[must_use]
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// Overrides the network model for the directed link `from → to`
     /// (node indices). Messages on that link sample latency, drops, and
     /// FIFO behaviour from `model` instead of the world default — how a
@@ -430,11 +424,6 @@ impl<M: Clone + 'static> World<M> {
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Mutable access to the metric bag (for experiment-level counters).
-    pub fn metrics_mut(&mut self) -> &mut Metrics {
-        &mut self.metrics
     }
 
     /// Downcasts a node to its concrete type for post-run inspection.

@@ -14,7 +14,7 @@
 //!   timers live in one `TimerWheel` folded into the epoll timeout, and
 //!   all hosted sites share **one connection per shard** — a small state
 //!   machine (dial, heartbeat, redial under a jittered exponential
-//!   backoff) over which each site attaches with its own handshake.
+//!   backoff) admitted by one handshake.
 //!
 //! Both are hosts of the driver core in [`crate::runtime`]: they step the
 //! same `ClientCore` / `ShardCore`, hand the effects to the same
@@ -27,29 +27,32 @@
 //!
 //! # Links
 //!
-//! Every frame on a client↔shard link travels on a **lane** — the frame
-//! header's u16 routing field — naming the site it speaks for, so one
-//! socket per shard carries every hosted site. On dial the client queues
-//! each unfinished site's [`WireMsg::Hello`] on that site's lane, carrying
-//! the client's full `ProtocolConfig`; the shard compares it against its
-//! own (plus the shard index, the client id space, and the lane) and
-//! answers [`WireMsg::HelloAck`] on the lane, attaching the site — or
-//! [`WireMsg::HelloReject`] and a close, because two processes silently
-//! disagreeing on Δ would void every timed guarantee the monitor is about
-//! to certify. A `Proto` frame on a lane not attached on its connection
-//! closes the link. An idle connection carries a [`WireMsg::Heartbeat`]
-//! every 10 ms, so the peer's 250 ms read timeout only ever fires on a
-//! genuinely dead link. A link that dies (error, EOF, heartbeat silence)
-//! unroutes every site it carried — the engines' `Effect::Send`s to them
-//! dead-letter, exactly like the simulator's lossy network — and is
-//! redialled under a capped exponential backoff (2–50 ms, jittered per
-//! shard link), replaying every site's handshake. Engine state never
-//! restarts, so server delivery cursors and client epochs resume where
-//! they left off; the protocol's retry timers re-cover anything lost in
-//! flight. [`ListenerChaos`] kills one shard's listener (and every live
-//! connection to it) mid-run, keeps the address unreachable for a while,
-//! then rebinds it — the transport-level analogue of the simulator's
-//! crash faults, driving the reconnect path under the conformance oracle.
+//! Every `Proto` frame on a client↔shard link travels on a **lane** — the
+//! frame header's u16 routing field — naming the site it speaks for, so
+//! one socket per shard carries every hosted site. The shard admits the
+//! *link*, not each site: on dial the client queues one
+//! [`WireMsg::Hello`] carrying its full `ProtocolConfig`, and the link is
+//! usable at once — a shard serves a connection's frames in order, so
+//! nothing sent behind the Hello overtakes it. The shard compares the
+//! Hello against its own config, shard index and client id space, and
+//! either makes the connection its one route to the fleet and answers
+//! [`WireMsg::HelloAck`], or answers [`WireMsg::HelloReject`] and closes,
+//! because two processes silently disagreeing on Δ would void every timed
+//! guarantee the monitor is about to certify. A `Proto` frame off that
+//! route, or on a lane outside the id space, closes the link. An idle
+//! connection carries a [`WireMsg::Heartbeat`] every 10 ms, so the peer's
+//! 250 ms read timeout only ever fires on a genuinely dead link. A link
+//! that dies (error, EOF, heartbeat silence) leaves its shard without a
+//! route — the engines' `Effect::Send`s across it dead-letter, exactly
+//! like the simulator's lossy network — and is redialled under a capped
+//! exponential backoff (2–50 ms, jittered per shard link), with one new
+//! handshake. Engine state never restarts, so server delivery cursors and
+//! client epochs resume where they left off; the protocol's retry timers
+//! re-cover anything lost in flight. [`ListenerChaos`] kills one shard's
+//! listener (and every live connection to it) mid-run, keeps the address
+//! unreachable for a while, then rebinds it — the transport-level analogue
+//! of the simulator's crash faults, driving the reconnect path under the
+//! conformance oracle. Both edges are timers on the shard's wheel.
 //!
 //! Frames are queued where engines produce them and each connection is
 //! written once per loop pass, right before the wait (see `table`): what
@@ -213,21 +216,12 @@ const TOKEN_WAKE: u64 = u64::MAX - 1;
 // Shard side
 // ---------------------------------------------------------------------
 
-/// Peer state of one accepted connection.
-enum ServerPeer {
-    /// Accepted, no Hello yet (may be a churn dial that never sends one —
-    /// the read timeout reaps those).
-    AwaitHello,
-    /// At least one site attached: a client reactor's link, whose lanes
-    /// the route table names.
-    Up,
-}
-
 /// Timer tokens of the shard reactor's wheel: engine flush deadlines plus
-/// the chaos rebind alarm.
+/// the chaos kill and rebind alarms.
 #[derive(Clone, Copy)]
 enum ShardTimer {
     Engine(u64),
+    Kill { down_for: Duration },
     Rebind,
 }
 
@@ -237,13 +231,15 @@ struct ShardReactor<'a> {
     cfg: &'a ReactorConfig,
     core: ShardCore,
     clock: TickClock,
-    table: ConnTable<ServerPeer>,
+    /// Accepted connections; one that has not sent a Hello may be a churn
+    /// dial that never will — the read timeout reaps those.
+    table: ConnTable<()>,
     listener: Option<TcpListener>,
     addr: SocketAddr,
-    /// site (= lane) → the connection the site is attached on. A
-    /// reconnect replaces the route; the superseded connection's close
-    /// leaves the new route alone.
-    routes: Vec<Option<u64>>,
+    /// The connection whose Hello was accepted last: the client reactor's
+    /// link, every site's route. A reconnect replaces it; the superseded
+    /// connection's close leaves the new route alone.
+    link: Option<u64>,
     /// Never cleared: a down shard's engine timers are popped and dropped
     /// as dead, and [`ShardTimer::Rebind`] survives an outage.
     timers: TimerWheel<ShardTimer>,
@@ -256,77 +252,64 @@ struct ShardReactor<'a> {
 }
 
 impl Links for ShardReactor<'_> {
-    type Peer = ServerPeer;
+    type Peer = ();
 
-    fn table(&mut self) -> &mut ConnTable<ServerPeer> {
+    fn table(&mut self) -> &mut ConnTable<()> {
         &mut self.table
     }
 
     fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant) {
         // A previous frame (Bye, protocol rot) may have closed us.
-        let up = match self.table.peer_mut(token) {
-            Some(ServerPeer::AwaitHello) => false,
-            Some(ServerPeer::Up) => true,
-            None => return,
-        };
+        if self.table.peer_mut(token).is_none() {
+            return;
+        }
+        let linked = self.link == Some(token);
         match msg {
             WireMsg::Hello {
-                site,
                 n_clients,
                 shard: dialled,
                 protocol,
-            } => self.handle_hello(token, lane, site, n_clients, dialled, protocol),
-            WireMsg::Proto(msg) => {
-                let site = usize::from(lane);
-                // Only a lane attached on this very connection speaks.
-                if self.routes.get(site) != Some(&Some(token)) {
-                    self.close(token);
-                    return;
-                }
-                let from = NodeId::new(self.shards + site);
+            } => self.handle_hello(token, n_clients, dialled, protocol),
+            // Only the attached link speaks, and only for a site in the
+            // fleet's id space.
+            WireMsg::Proto(msg) if linked && usize::from(lane) < self.cfg.runtime.n_clients => {
+                let from = NodeId::new(self.shards + usize::from(lane));
                 self.step_engine(Event::Message { from, msg }, at);
             }
-            WireMsg::Heartbeat if up => {}
+            WireMsg::Heartbeat if linked => {}
             // A Bye or a stray ack ends the link, and so does any frame
-            // before the first Hello: the churn injector sends exactly that
-            // shape on purpose.
+            // before the Hello: the churn injector sends exactly that shape
+            // on purpose.
             _ => self.close(token),
         }
     }
 
-    /// Deregisters and drops a connection, unrouting every site it
-    /// carried (only where the route still names this connection — a
-    /// reconnect may have replaced it already).
+    /// Deregisters and drops a connection, unrouting the fleet if it was
+    /// the link (a reconnect may have replaced it already).
     fn close(&mut self, token: u64) {
-        if let Some(peer) = self.table.remove(token) {
-            if matches!(peer, ServerPeer::Up) {
-                for route in &mut self.routes {
-                    if *route == Some(token) {
-                        *route = None;
-                    }
-                }
+        if self.table.remove(token).is_some() {
+            if self.link == Some(token) {
+                self.link = None;
             }
             self.telemetry.metrics.add(names::REACTOR_CONN_CLOSED, 1);
         }
     }
 }
 
-/// The shard engine's effects: sends are queued through the route table
-/// on the site's lane — dead-lettering, counted, when the site has no
-/// attached route — and timers go into the reactor's wheel as
-/// [`ShardTimer::Engine`].
+/// The shard engine's effects: sends are queued on the link, on the
+/// site's lane — dead-lettering, counted, while there is no link — and
+/// timers go into the reactor's wheel as [`ShardTimer::Engine`].
 struct ShardPort<'r> {
     shards: usize,
-    routes: &'r [Option<u64>],
-    table: &'r mut ConnTable<ServerPeer>,
+    link: Option<u64>,
+    table: &'r mut ConnTable<()>,
     timers: &'r mut TimerWheel<ShardTimer>,
 }
 
 impl Port for ShardPort<'_> {
     fn send(&mut self, to: NodeId, msg: Msg) {
-        let site = to.index() - self.shards;
-        self.table
-            .send_on(self.routes[site], site as u16, &WireMsg::Proto(msg));
+        let lane = (to.index() - self.shards) as u16;
+        self.table.send_on(self.link, lane, &WireMsg::Proto(msg));
     }
 
     fn arm(&mut self, deadline: Instant, token: u64) {
@@ -353,7 +336,7 @@ impl<'a> ShardReactor<'a> {
             table: ConnTable::new(rc.tick),
             listener: Some(listener),
             addr,
-            routes: vec![None; rc.n_clients],
+            link: None,
             timers: TimerWheel::new(&clock),
             telemetry: Telemetry::counters(),
             effects: Vec::new(),
@@ -366,7 +349,7 @@ impl<'a> ShardReactor<'a> {
         let t = self.core.step(event, at, &mut self.effects);
         let mut port = ShardPort {
             shards: self.shards,
-            routes: &self.routes,
+            link: self.link,
             table: &mut self.table,
             timers: &mut self.timers,
         };
@@ -389,7 +372,7 @@ impl<'a> ShardReactor<'a> {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    if self.table.insert(stream, ServerPeer::AwaitHello).is_some() {
+                    if self.table.insert(stream, ()).is_some() {
                         self.telemetry.metrics.add(names::REACTOR_CONN_OPENED, 1);
                     }
                 }
@@ -400,18 +383,14 @@ impl<'a> ShardReactor<'a> {
         }
     }
 
-    /// The handshake of one site on `lane`: a Hello must match this
-    /// shard's protocol config, index and client id space exactly, and
-    /// arrive on the site's own lane, or it is refused with the reason and
-    /// the link closed — two processes silently disagreeing on Δ would void
-    /// every timed guarantee, and a peer that routes by anything but the
-    /// site would mis-deliver. An accepted site is attached: routed to this
-    /// connection, and acked on its lane.
+    /// The link's handshake: a Hello must match this shard's protocol
+    /// config, index and client id space exactly, or it is refused with the
+    /// reason and the connection closed — two processes silently
+    /// disagreeing on Δ would void every timed guarantee. An accepted
+    /// connection becomes the link, and is acked.
     fn handle_hello(
         &mut self,
         token: u64,
-        lane: u16,
-        site: u32,
         n_clients: u32,
         dialled: u32,
         protocol: tc_lifetime::ProtocolConfig,
@@ -421,26 +400,24 @@ impl<'a> ShardReactor<'a> {
             Some("protocol config mismatch".to_string())
         } else if dialled as usize != self.shard {
             Some(format!("dialled shard {dialled}, reached {}", self.shard))
-        } else if n_clients as usize != rc.n_clients || site >= n_clients {
-            Some(format!("bad id space: site {site} of {n_clients}"))
-        } else if site != u32::from(lane) {
-            Some(format!("site {site} spoke on lane {lane}"))
+        } else if n_clients as usize != rc.n_clients {
+            Some(format!(
+                "bad id space: {n_clients} sites, not {}",
+                rc.n_clients
+            ))
         } else {
             None
         };
         match reason {
             Some(reason) => {
                 // Best-effort reject, then drop the connection.
-                self.queue_and_flush(token, lane, &WireMsg::HelloReject { reason });
+                self.queue_and_flush(token, 0, &WireMsg::HelloReject { reason });
                 self.close(token);
             }
             None => {
-                if let Some(peer) = self.table.peer_mut(token) {
-                    *peer = ServerPeer::Up;
-                }
-                self.routes[site as usize] = Some(token);
+                self.link = Some(token);
                 let shard = self.shard as u32;
-                self.table.queue(token, lane, &WireMsg::HelloAck { shard });
+                self.table.queue(token, 0, &WireMsg::HelloAck { shard });
             }
         }
     }
@@ -485,8 +462,9 @@ impl<'a> ShardReactor<'a> {
         self.listener = Some(reborn);
     }
 
-    /// The event loop. Exits when `wake` becomes readable — a byte (every
-    /// client said its goodbyes) or a hang-up — returning the shard's
+    /// The event loop, with `chaos`'s kill armed `kill_after` past
+    /// `started`. Exits when `wake` becomes readable — a byte (every client
+    /// said its goodbyes) or a hang-up — returning the shard's
     /// served-request count and the thread's counters.
     fn run(
         mut self,
@@ -508,19 +486,18 @@ impl<'a> ShardReactor<'a> {
             .epoll
             .add(wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE)
             .expect("register wake stream");
-        let mut chaos_pending = chaos;
+        if let Some(c) = chaos {
+            let kill = ShardTimer::Kill {
+                down_for: c.down_for,
+            };
+            self.timers.arm(started + c.kill_after, kill);
+        }
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
         let mut due = Vec::new();
         let mut stopping = false;
         self.step_engine(Event::Start, Instant::now());
         while !stopping {
             let now = Instant::now();
-            if let Some(c) = chaos_pending {
-                if now.duration_since(started) >= c.kill_after {
-                    chaos_pending = None;
-                    self.chaos_kill(c.down_for);
-                }
-            }
             self.timers.pop_due_into(now, &mut due);
             for &timer in &due {
                 match timer {
@@ -528,16 +505,13 @@ impl<'a> ShardReactor<'a> {
                         self.step_engine(Event::Timer { token }, now);
                     }
                     ShardTimer::Engine(_) => {}
+                    ShardTimer::Kill { down_for } => self.chaos_kill(down_for),
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
             let now = self.sweep();
             let now = self.flush_queued(now);
-            let mut timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
-            if let Some(c) = chaos_pending {
-                let kill_at = started + c.kill_after;
-                timeout = timeout.min(kill_at.saturating_duration_since(now));
-            }
+            let timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
             let n = self.table.wait(&mut events, timeout, now);
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
@@ -568,21 +542,13 @@ impl<'a> ShardReactor<'a> {
 enum LinkState {
     /// No connection; a `Redial` timer is (or is about to be) armed.
     Down { attempt: u32 },
-    /// Connected: each site's Hello is queued on its lane, and the site is
-    /// attached once its ack returns.
+    /// Connected, with the Hello queued: every site sends over it.
     Up { token: u64 },
 }
 
-/// One hosted client: its engine core plus its attachment to each shard.
+/// One hosted client: its engine core, and whether it is done.
 struct ClientState {
     core: ClientCore,
-    /// Per shard: this site's HelloAck came back on the live link.
-    attached: Vec<bool>,
-    /// Completed handshakes per shard (first = connect, rest = reconnect).
-    connects: Vec<u64>,
-    /// Whether `Event::Start` has been fed (gated on being attached to
-    /// every shard, so the opening op isn't taxed a retry round-trip).
-    started: bool,
     /// Workload complete with nothing in flight; excluded from `remaining`.
     finished: bool,
 }
@@ -605,6 +571,11 @@ struct ClientReactor<'a> {
     /// Each connection's peer state is the shard it links to.
     table: ConnTable<usize>,
     links: Vec<LinkState>,
+    /// Per shard: some link's Hello was acked — a later ack is a reconnect.
+    acked: Vec<bool>,
+    /// Whether the sites were started: once, as soon as every shard link
+    /// is first up, so no opening op is taxed a retry round trip.
+    started: bool,
     clients: Vec<ClientState>,
     timers: TimerWheel<ClientTimer>,
     /// The run's recorder and live monitor, and this thread's counters —
@@ -633,50 +604,36 @@ impl Links for ClientReactor<'_> {
             return; // closed by an earlier frame
         };
         let client = usize::from(lane);
-        let hosted = client < self.clients.len();
         match msg {
             WireMsg::Heartbeat => {}
-            WireMsg::HelloReject { reason } => {
-                panic!("shard {shard} rejected site {client}: {reason}")
+            WireMsg::HelloReject { reason } => panic!("shard {shard} rejected the link: {reason}"),
+            WireMsg::HelloAck { .. } => {
+                let name = if self.acked[shard] {
+                    names::TCP_RECONNECT
+                } else {
+                    names::TCP_CONNECT
+                };
+                self.acked[shard] = true;
+                self.telemetry.metrics.add(name, 1);
             }
-            WireMsg::HelloAck { .. } if hosted => {
-                if !self.clients[client].attached[shard] {
-                    self.clients[client].attached[shard] = true;
-                    let connects = self.clients[client].connects[shard];
-                    self.telemetry.metrics.add(
-                        if connects == 0 {
-                            names::TCP_CONNECT
-                        } else {
-                            names::TCP_RECONNECT
-                        },
-                        1,
-                    );
-                    self.clients[client].connects[shard] += 1;
-                    self.maybe_start(client, at);
-                }
-            }
-            WireMsg::Proto(msg) if hosted && self.clients[client].attached[shard] => {
+            WireMsg::Proto(msg) if client < self.clients.len() => {
                 let from = NodeId::new(shard);
                 self.feed(client, Event::Message { from, msg }, at);
             }
             // A server never sends Hello or Bye mid-session, nor speaks on
-            // a lane no hosted site attached: treat any of it as the link
-            // dying.
+            // a lane no hosted site owns: treat any of it as the link dying.
             _ => self.close(token),
         }
     }
 
-    /// Deregisters a shard's connection, detaches every site from that
-    /// shard and downgrades the link to `Down`, arming an immediate redial
-    /// (backoff starts on *failed* dials) while any site still runs.
+    /// Deregisters a shard's connection and downgrades the link to `Down`,
+    /// arming an immediate redial (backoff starts on *failed* dials) while
+    /// any site still runs.
     fn close(&mut self, token: u64) {
         let Some(shard) = self.table.remove(token) else {
             return;
         };
         self.links[shard] = LinkState::Down { attempt: 0 };
-        for client in &mut self.clients {
-            client.attached[shard] = false;
-        }
         if self.remaining > 0 {
             self.timers
                 .arm(Instant::now(), ClientTimer::Redial { shard });
@@ -685,24 +642,20 @@ impl Links for ClientReactor<'_> {
 }
 
 /// One hosted client's effects: sends are queued on the client's lane of
-/// the shard's link — dead-lettering, counted, while the client is not
-/// attached there — and timers go into the reactor's wheel tagged with the
-/// client.
+/// the shard's link — dead-lettering, counted, while the link is down —
+/// and timers go into the reactor's wheel tagged with the client.
 struct ClientPort<'r> {
     client: usize,
     links: &'r [LinkState],
-    /// Per shard: whether this client is attached there.
-    attached: &'r [bool],
     table: &'r mut ConnTable<usize>,
     timers: &'r mut TimerWheel<ClientTimer>,
 }
 
 impl Port for ClientPort<'_> {
     fn send(&mut self, to: NodeId, msg: Msg) {
-        let shard = to.index();
-        let route = match self.links[shard] {
-            LinkState::Up { token } if self.attached[shard] => Some(token),
-            _ => None,
+        let route = match self.links[to.index()] {
+            LinkState::Up { token } => Some(token),
+            LinkState::Down { .. } => None,
         };
         self.table
             .send_on(route, self.client as u16, &WireMsg::Proto(msg));
@@ -725,9 +678,6 @@ impl<'a> ClientReactor<'a> {
                 let me = NodeId::new(shards + site);
                 ClientState {
                     core: ClientCore::for_site(rc, servers, me, site, clock),
-                    attached: vec![false; shards],
-                    connects: vec![0; shards],
-                    started: false,
                     finished: false,
                 }
             })
@@ -741,6 +691,8 @@ impl<'a> ClientReactor<'a> {
             links: (0..shards)
                 .map(|_| LinkState::Down { attempt: 0 })
                 .collect(),
+            acked: vec![false; shards],
+            started: false,
             remaining: clients.len(),
             clients,
             timers: TimerWheel::new(&clock),
@@ -780,7 +732,6 @@ impl<'a> ClientReactor<'a> {
         let mut port = ClientPort {
             client,
             links: &self.links,
-            attached: &state.attached,
             table: &mut self.table,
             timers: &mut self.timers,
         };
@@ -799,8 +750,9 @@ impl<'a> ClientReactor<'a> {
 
     /// Dials one shard link: blocking connect (instant on loopback —
     /// refused connections fail immediately), then the socket goes
-    /// nonblocking into the table with every unfinished site's Hello
-    /// queued on that site's lane; the pass-end flush sends them.
+    /// nonblocking into the table with the link's Hello queued; the
+    /// pass-end flush sends it. The link is usable from here on, and the
+    /// first time every shard's is, every site starts.
     fn dial(&mut self, shard: usize) {
         let LinkState::Down { attempt } = self.links[shard] else {
             return; // a live connection beat the redial timer
@@ -817,15 +769,21 @@ impl<'a> ClientReactor<'a> {
         };
         self.links[shard] = LinkState::Up { token };
         let rc = &self.cfg.runtime;
-        for client in 0..self.clients.len() {
-            if !self.clients[client].finished {
-                let hello = WireMsg::Hello {
-                    site: client as u32,
-                    n_clients: rc.n_clients as u32,
-                    shard: shard as u32,
-                    protocol: rc.protocol,
-                };
-                self.table.queue(token, client as u16, &hello);
+        let hello = WireMsg::Hello {
+            n_clients: rc.n_clients as u32,
+            shard: shard as u32,
+            protocol: rc.protocol,
+        };
+        self.table.queue(token, 0, &hello);
+        let all_up = self
+            .links
+            .iter()
+            .all(|link| matches!(link, LinkState::Up { .. }));
+        if all_up && !self.started {
+            self.started = true;
+            let at = Instant::now();
+            for client in 0..self.clients.len() {
+                self.feed(client, Event::Start, at);
             }
         }
     }
@@ -844,16 +802,6 @@ impl<'a> ClientReactor<'a> {
         };
         self.timers
             .arm(Instant::now() + delay, ClientTimer::Redial { shard });
-    }
-
-    /// Feeds `Event::Start`, at the instant the last ack was read, once
-    /// `client` is attached to every shard.
-    fn maybe_start(&mut self, client: usize, at: Instant) {
-        let state = &self.clients[client];
-        if !state.started && state.attached.iter().all(|&a| a) {
-            self.clients[client].started = true;
-            self.feed(client, Event::Start, at);
-        }
     }
 
     /// The event loop: one dial per shard, then timers + readiness until
@@ -1106,10 +1054,13 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
-        let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
+        let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
         let clock = TickClock::new(cfg.runtime.tick);
         let started = Instant::now();
         let ((served, shard_metrics), telemetry) = std::thread::scope(|scope| {
+            // Owned in here, so a probe that panics hangs the stream up and
+            // the shard stops instead of the scope waiting on it forever.
+            let mut wake_tx = wake_tx;
             let shard = scope.spawn(|| {
                 ShardReactor::new(0, cfg, clock, listener, addr).run(None, started, &wake_rx)
             });
@@ -1138,57 +1089,89 @@ mod tests {
         stream
     }
 
-    /// Dials a *live* shard reactor with a raw socket and a Hello that
-    /// disagrees with it: the shard must answer `HelloReject` with the
-    /// reason and hang up — never route the site — and a normal run on the
-    /// same listener afterwards must be untouched.
+    /// The next frame a live shard sends on `stream` that is not a
+    /// keep-alive (one may precede the answer on a slow host).
+    fn read_reply(stream: &mut TcpStream) -> std::io::Result<(u16, WireMsg)> {
+        loop {
+            match tc_wire::read_frame(stream)? {
+                (_, WireMsg::Heartbeat) => {}
+                frame => return Ok(frame),
+            }
+        }
+    }
+
+    /// A `FetchReq` for object 0, as a raw peer would send it.
+    fn fetch() -> WireMsg {
+        WireMsg::Proto(Msg::FetchReq {
+            object: tc_core::ObjectId::new(0),
+            epoch: 1,
+        })
+    }
+
+    /// Dials a *live* shard reactor with raw sockets. A Hello that
+    /// disagrees with it on the config, the shard or the id space must be
+    /// answered `HelloReject` with the reason and a hang-up — never routed.
+    /// A good one is acked, and a `Proto` written right behind it, before
+    /// the ack, is served. A normal run on the same listener afterwards
+    /// must be untouched.
     #[test]
     fn mismatched_hello_is_rejected_by_a_live_shard() {
-        use tc_wire::read_frame;
         let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 39));
         let rc = &cfg.runtime;
-        let good = |site: u32, shard: u32, protocol: ProtocolConfig| WireMsg::Hello {
-            site,
-            n_clients: rc.n_clients as u32,
+        let hello = |n_clients: usize, shard: u32, protocol: ProtocolConfig| WireMsg::Hello {
+            n_clients: n_clients as u32,
             shard,
             protocol,
         };
         let other_delta = ProtocolConfig::of(ProtocolKind::Tsc {
             delta: Delta::from_ticks(999),
         });
-        // Every probe speaks on lane 0; only the last names another site.
         let probes = [
-            (good(0, 0, other_delta), "protocol config mismatch"),
-            (good(0, 1, rc.protocol), "dialled shard 1, reached 0"),
-            (good(2, 0, rc.protocol), "bad id space: site 2 of 2"),
-            (good(1, 0, rc.protocol), "site 1 spoke on lane 0"),
+            (hello(2, 0, other_delta), "protocol config mismatch"),
+            (hello(2, 1, rc.protocol), "dialled shard 1, reached 0"),
+            (hello(3, 0, rc.protocol), "bad id space: 3 sites, not 2"),
         ];
         let (_, r) = with_live_shard(&cfg, |addr, clock| {
             for (hello, reason) in &probes {
                 let mut stream = raw_dial(addr);
                 write_frame(&mut stream, 0, hello).unwrap();
-                match read_frame(&mut stream) {
+                match read_reply(&mut stream) {
                     Ok((0, WireMsg::HelloReject { reason: got })) => assert_eq!(&got, reason),
                     other => panic!("expected HelloReject({reason}) on lane 0, got {other:?}"),
                 }
                 assert!(
-                    read_frame(&mut stream).is_err(),
+                    read_reply(&mut stream).is_err(),
                     "the shard must hang up after rejecting"
                 );
             }
-            // The refusals left nothing behind: the same listener serves a
-            // well-configured fleet as if they had never dialled.
+            // One write: the request cannot wait for the ack.
+            let mut stream = raw_dial(addr);
+            let mut bytes = tc_wire::encode_frame(0, &hello(2, 0, rc.protocol));
+            tc_wire::encode_frame_into(&mut bytes, 1, &fetch());
+            stream.write_all(&bytes).unwrap();
+            match read_reply(&mut stream) {
+                Ok((0, WireMsg::HelloAck { shard: 0 })) => {}
+                other => panic!("expected HelloAck on lane 0, got {other:?}"),
+            }
+            match read_reply(&mut stream) {
+                Ok((1, WireMsg::Proto(Msg::FetchRep { epoch: 1, .. }))) => {}
+                other => panic!("expected site 1's FetchRep on lane 1, got {other:?}"),
+            }
+            drop(stream);
+            // Nothing was left behind: the same listener serves a
+            // well-configured fleet as if the probes had never dialled.
             let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock).run();
             assert_eq!(latencies.len(), 2 * 12);
             telemetry
         });
         assert_eq!(r.ops_done, 2 * 12);
         assert!(r.on_time.holds(), "the following run must be monitor-clean");
-        assert_eq!(r.counter(names::TCP_CONNECT), 2, "only real sites attach");
-        // One connection per probe, then one link carrying both sites.
+        assert_eq!(r.counter(names::TCP_CONNECT), 1, "one link, one handshake");
+        // One connection per probe and for the raw link, then one link
+        // carrying both sites.
         assert_eq!(
             r.counter(names::REACTOR_CONN_OPENED),
-            probes.len() as u64 + 1
+            probes.len() as u64 + 2
         );
         assert_eq!(
             r.counter(names::REACTOR_CONN_OPENED),
@@ -1197,42 +1180,41 @@ mod tests {
         );
     }
 
-    /// A site attaches on its own lane only, and only attached lanes speak:
-    /// a `Proto` on a lane no Hello attached on the connection closes the
-    /// link before the engine sees it.
+    /// Only the attached link speaks, and only for a site in the id space:
+    /// a `Proto` before any Hello, or on a lane past the fleet, closes the
+    /// connection before the engine sees it.
     #[test]
     fn a_proto_frame_on_an_unattached_lane_closes_the_link() {
-        use tc_core::ObjectId;
-        use tc_wire::read_frame;
         let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 45));
         let rc = &cfg.runtime;
         let (served, r) = with_live_shard(&cfg, |addr, _| {
             let mut stream = raw_dial(addr);
+            write_frame(&mut stream, 0, &fetch()).unwrap();
+            assert!(
+                read_reply(&mut stream).is_err(),
+                "the shard must hang up on a frame before the Hello"
+            );
+            let mut stream = raw_dial(addr);
             let hello = WireMsg::Hello {
-                site: 0,
                 n_clients: rc.n_clients as u32,
                 shard: 0,
                 protocol: rc.protocol,
             };
             write_frame(&mut stream, 0, &hello).unwrap();
-            match read_frame(&mut stream) {
+            match read_reply(&mut stream) {
                 Ok((0, WireMsg::HelloAck { shard: 0 })) => {}
                 other => panic!("expected HelloAck on lane 0, got {other:?}"),
             }
-            let fetch = Msg::FetchReq {
-                object: ObjectId::new(0),
-                epoch: 1,
-            };
-            write_frame(&mut stream, 1, &WireMsg::Proto(fetch)).unwrap();
+            write_frame(&mut stream, rc.n_clients as u16, &fetch()).unwrap();
             assert!(
-                read_frame(&mut stream).is_err(),
-                "the shard must hang up on a frame from an unattached lane"
+                read_reply(&mut stream).is_err(),
+                "the shard must hang up on a lane outside the id space"
             );
             Telemetry::recording(rc)
         });
-        assert_eq!(served, 0, "the stray request must never reach the engine");
-        assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 1);
-        assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 1);
+        assert_eq!(served, 0, "no stray request may reach the engine");
+        assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 2);
+        assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 2);
     }
 
     #[test]
@@ -1248,10 +1230,11 @@ mod tests {
         let r = run_reactor(&small(ProtocolKind::Sc, 31));
         assert_eq!(r.ops_done, 2 * 12, "every op must be recorded");
         assert!(r.on_time.holds(), "monitor must report zero violations");
+        crate::runtime::tests::assert_monitor_counters(&r);
         assert_eq!(
             r.counter(names::TCP_CONNECT),
-            2,
-            "every client attaches exactly once to the single shard"
+            1,
+            "one handshake admits the link to the single shard"
         );
         assert_eq!(
             r.counter(names::REACTOR_CONN_OPENED),
@@ -1323,9 +1306,8 @@ mod tests {
             );
             assert_eq!(r.shard_requests.len(), 2);
             assert!(r.shard_requests.iter().sum::<u64>() > 0);
-            // Every client attaches to each of 2 shards exactly once, all
-            // of them over the same 2 connections.
-            assert_eq!(r.counter(names::TCP_CONNECT), 2 * sites as u64);
+            // One handshake per shard link, whatever the fleet size.
+            assert_eq!(r.counter(names::TCP_CONNECT), 2, "{sites} sites");
             assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 2, "{sites} sites");
             assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 2, "{sites} sites");
         }

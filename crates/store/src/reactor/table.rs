@@ -377,8 +377,8 @@ pub(super) trait Links {
     fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant);
 
     /// Tears down connection `token` (a no-op for a stale token) with
-    /// whatever that means on this side: unrouting the sites it carried,
-    /// or downgrading a shard link and arming its redial.
+    /// whatever that means on this side: unrouting the fleet if it was the
+    /// link, or downgrading a shard link and arming its redial.
     fn close(&mut self, token: u64);
 
     /// Reacts to readiness bits for one connection token. Frames decoded

@@ -1185,20 +1185,27 @@ pub(crate) fn finish_run(
     delta_schedule: Option<DeltaSchedule>,
 ) -> RuntimeResult {
     let observed_staleness = telemetry.monitor().min_delta();
+    let late_writes = telemetry.monitor().late_writes();
     let Telemetry { metrics, recorder } = telemetry;
     let mut metrics = metrics.snapshot();
     for other in thread_metrics {
-        let other = other.snapshot();
-        for (name, n) in other.counters {
+        for (name, n) in other.snapshot().counters {
             *metrics.counters.entry(name).or_insert(0) += n;
         }
-        metrics.histogram_means.extend(other.histogram_means);
     }
     let (history, report) = recorder
         .expect("the run's recorder")
         .finish_with_report()
         .expect("protocol produced an invalid trace");
     let on_time = report.expect("monitor attached by the driver");
+    // The monitor's own counters, as the simulator harness reports them.
+    metrics.counters.insert(
+        names::ON_TIME_VIOLATIONS.to_string(),
+        on_time.violations().len() as u64,
+    );
+    metrics
+        .counters
+        .insert(names::MONITOR_LATE_WRITES.to_string(), late_writes);
     let ops_done = history.len();
     RuntimeResult {
         history,
@@ -1356,10 +1363,23 @@ pub(crate) mod tests {
         let r = run_threaded(&small(ProtocolKind::Sc, 11));
         assert_eq!(r.ops_done, 2 * 15, "every op must be recorded");
         assert!(r.on_time.holds(), "monitor must report zero violations");
+        assert_monitor_counters(&r);
         assert!(r.throughput() > 0.0);
         assert!(
             r.counter(names::FETCH) > 0,
             "SC clients fetch from the server"
+        );
+    }
+
+    /// A real driver reports the monitor's counters as the simulator
+    /// harness does, read off the verdict it returns.
+    pub(crate) fn assert_monitor_counters(r: &RuntimeResult) {
+        for name in [names::ON_TIME_VIOLATIONS, names::MONITOR_LATE_WRITES] {
+            assert!(r.metrics.counters.contains_key(name), "{name} missing");
+        }
+        assert_eq!(
+            r.counter(names::ON_TIME_VIOLATIONS),
+            r.on_time.violations().len() as u64
         );
     }
 

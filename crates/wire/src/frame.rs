@@ -20,8 +20,9 @@
 //! * `lane` — the routing tag, carried in the clear so a reader can route
 //!   (and a pcap reader can follow) frames without decoding payloads. On
 //!   a reactor link, which multiplexes every site a client process hosts
-//!   over one connection per shard, it is the site the frame speaks for,
-//!   in either direction; in a WAL segment it is the owning shard.
+//!   over one connection per shard, it is the site a `Proto` frame speaks
+//!   for, in either direction (session frames speak for the link, on lane
+//!   0); in a WAL segment it is the owning shard.
 //! * `length` — payload byte count, capped at [`MAX_PAYLOAD`] so a
 //!   corrupted length cannot make a reader allocate gigabytes.
 //! * `crc32` — CRC-32/IEEE over the payload bytes (see [`crate::crc`]).

@@ -27,22 +27,23 @@ use crate::codec::{Reader, WireError, Writer};
 /// the lifetime protocol's own messages.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WireMsg {
-    /// Client → shard, first frame on every (re)connection: who is
-    /// connecting and under which protocol configuration. The shard
-    /// rejects a mismatch — two processes disagreeing on Δ, the shard
-    /// count, or the stale policy would *silently* void every timed
-    /// guarantee, so the disagreement must be loud and immediate.
+    /// Client → shard, first frame on every (re)connection — one per link,
+    /// however many sites it carries: which fleet is connecting and under
+    /// which protocol configuration. The shard rejects a mismatch — two
+    /// processes disagreeing on Δ, the shard count, or the stale policy
+    /// would *silently* void every timed guarantee, so the disagreement
+    /// must be loud and immediate.
     Hello {
-        /// The client's site index (trace site, vector-clock component).
-        site: u32,
-        /// Total clients in the run (shards validate the id space).
+        /// Total clients in the run: the lanes a link may speak on.
         n_clients: u32,
         /// The shard index the client believes it dialled.
         shard: u32,
         /// The client's full protocol configuration.
         protocol: ProtocolConfig,
     },
-    /// Shard → client: handshake accepted; frames may flow.
+    /// Shard → client: the link's `Hello` was accepted. Nothing waits for
+    /// it — a shard serves a connection's frames in order, so the client
+    /// sends right behind its `Hello` — it only counts the link connected.
     HelloAck {
         /// The shard index confirming.
         shard: u32,
@@ -63,12 +64,16 @@ pub enum WireMsg {
     Proto(Msg),
 }
 
-const TAG_HELLO: u8 = 0;
+// Tag 0 was the per-site `Hello`: a `u32` site ahead of today's fields.
+// It stays unknown rather than reused. Read as today's layout, an old Hello
+// can decode (site 0 of a TSC fleet does), and an unknown tag refuses every
+// one without a new wire generation, which would also retire every WAL.
 const TAG_HELLO_ACK: u8 = 1;
 const TAG_HELLO_REJECT: u8 = 2;
 const TAG_HEARTBEAT: u8 = 3;
 const TAG_BYE: u8 = 4;
 const TAG_PROTO: u8 = 5;
+const TAG_HELLO: u8 = 6;
 
 const TAG_FETCH_REQ: u8 = 0;
 const TAG_FETCH_REP: u8 = 1;
@@ -628,13 +633,11 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
 pub fn put_wire_msg(w: &mut Writer, msg: &WireMsg) {
     match msg {
         WireMsg::Hello {
-            site,
             n_clients,
             shard,
             protocol,
         } => {
             w.u8(TAG_HELLO);
-            w.u32(*site);
             w.u32(*n_clients);
             w.u32(*shard);
             put_protocol(w, protocol);
@@ -660,7 +663,6 @@ pub fn put_wire_msg(w: &mut Writer, msg: &WireMsg) {
 pub fn get_wire_msg(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
     Ok(match r.u8("wire msg tag")? {
         TAG_HELLO => WireMsg::Hello {
-            site: r.u32("site")?,
             n_clients: r.u32("n_clients")?,
             shard: r.u32("shard")?,
             protocol: get_protocol(r)?,
@@ -706,7 +708,6 @@ mod tests {
             reason: "Δ mismatch".to_string(),
         });
         round_trip(&WireMsg::Hello {
-            site: 2,
             n_clients: 4,
             shard: 1,
             protocol: ProtocolConfig::of(ProtocolKind::Tsc {
@@ -714,6 +715,46 @@ mod tests {
             })
             .with_shards(2),
         });
+    }
+
+    /// The per-site `Hello` (tag 0, a `u32` site before `n_clients`) went
+    /// without a new wire generation, which also names the WAL's. A peer
+    /// still sending it is refused at the tag, so a mixed pair fails its
+    /// handshake loudly. Read under today's tag, the same bytes can decode
+    /// into a misread config — which is why the tag moved.
+    #[test]
+    fn a_per_site_hello_fails_strict_decoding() {
+        let tsc = ProtocolKind::Tsc {
+            delta: Delta::from_ticks(400),
+        };
+        for kind in [ProtocolKind::Sc, tsc, ProtocolKind::Cc] {
+            for (site, n_clients, shard) in [(0, 2, 0), (1, 2, 1), (299, 300, 1)] {
+                let protocol = ProtocolConfig::of(kind).with_shards(2);
+                let per_site_hello = |tag: u8| {
+                    let mut w = Writer::new();
+                    w.u8(tag);
+                    for field in [site, n_clients, shard] {
+                        w.u32(field);
+                    }
+                    put_protocol(&mut w, &protocol);
+                    w.into_bytes()
+                };
+                let decode = |bytes: &[u8]| {
+                    let mut r = Reader::new(bytes);
+                    get_wire_msg(&mut r).and_then(|msg| r.finish().map(|()| msg))
+                };
+                assert_eq!(
+                    decode(&per_site_hello(0)),
+                    Err(WireError::UnknownTag {
+                        what: "wire msg",
+                        tag: 0
+                    })
+                );
+                if (kind, site) == (tsc, 0) {
+                    assert!(decode(&per_site_hello(TAG_HELLO)).is_ok());
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Incremental frame decoding: the streaming counterpart of
 //! [`decode_frame`](crate::decode_frame).
 //!
-//! A blocking transport can afford [`read_frame`](crate::read_frame)'s
-//! shape — "park until exactly one frame has arrived" — because it owns a
-//! thread per connection. An evented reactor cannot: a readable socket
+//! [`read_frame`](crate::read_frame) parks until exactly one frame has
+//! arrived, which only a reader with a thread to spare per connection can
+//! afford. An evented reactor cannot: a readable socket
 //! hands it an *arbitrary* chunk of bytes (half a header, three frames and
 //! a fragment, one byte), and the reactor must bank whatever arrived and
 //! resume parsing where it left off. [`FrameDecoder`] is that resumable

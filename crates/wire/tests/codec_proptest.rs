@@ -262,7 +262,6 @@ impl Strategy for ArbWireMsg {
     fn sample(&self, rng: &mut StdRng) -> WireMsg {
         match rng.gen_range(0..6u8) {
             0 => WireMsg::Hello {
-                site: rng.gen_range(0..=u32::MAX),
                 n_clients: rng.gen_range(0..=u32::MAX),
                 shard: rng.gen_range(0..=u32::MAX),
                 protocol: arb_protocol(rng),

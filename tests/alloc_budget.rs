@@ -1,6 +1,6 @@
-//! The client engine's allocation budget per operation, counted by a
-//! global allocator: what one site-op costs the thread that hosts every
-//! client is mostly what it allocates.
+//! The client engine's allocation budget per operation, counted by the
+//! benchmark crate's counting global allocator: what one site-op costs the
+//! thread that hosts every client is mostly what it allocates.
 //!
 //! The fleet runs in-process in virtual time — clients and one shard, the
 //! shapes of the benchmark's `tcc-mixed` and `sat-mixed` workloads (32
@@ -13,46 +13,15 @@
 //! The test binary holds this one test, so nothing else allocates while
 //! it counts.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
+use tc_bench::alloc;
 use tc_clocks::{Delta, Time};
 use tc_lifetime::engine::{Effect, Event, Now, PrivateSources};
 use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
 use tc_sim::workload::Workload;
 use tc_sim::NodeId;
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a relaxed atomic that never allocates.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const SITES: usize = 32;
 const LATENCY: u64 = 3;
@@ -140,10 +109,10 @@ fn client_allocs_per_op(kind: ProtocolKind, ops: usize) -> f64 {
             server.handle(event, &mut out);
         } else {
             let (engine, sources) = &mut clients[p.node - 1];
-            let before = ALLOCS.load(Relaxed);
+            let before = alloc::snapshot();
             engine.handle(now, sources, &mut out);
             engine.handle(event, sources, &mut out);
-            allocs += ALLOCS.load(Relaxed) - before;
+            allocs += alloc::since(before).allocs;
         }
         for effect in out.drain(..) {
             seq += 1;
@@ -176,6 +145,7 @@ fn client_allocs_per_op(kind: ProtocolKind, ops: usize) -> f64 {
 
 #[test]
 fn a_site_op_stays_within_its_allocation_budget() {
+    assert!(alloc::enabled(), "the counting allocator must be installed");
     let delta = Delta::from_ticks(400);
     let tcc = client_allocs_per_op(ProtocolKind::Tcc { delta }, 500);
     let tsc = client_allocs_per_op(ProtocolKind::Tsc { delta }, 1_000);

@@ -9,8 +9,8 @@
 //! message loss. Concretely this test asserts, under a listener outage:
 //!
 //! * every client still completes its full workload — the backoff dialer
-//!   reaches the reborn listener, replays the handshake, and the engines'
-//!   retry timers re-cover everything lost in flight;
+//!   reaches the reborn listener, redoes the link's one handshake, and the
+//!   engines' retry timers re-cover everything lost in flight;
 //! * the on-time monitor — with its Δ widened by the outage, since no
 //!   Δ-bounded protocol can propagate writes through a dead shard —
 //!   reports **zero** violations;
@@ -86,9 +86,8 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
     );
 
     // The fault fired and was healed: one listener restart, at least one
-    // dial into the dead window, and every client re-attached (the one
-    // shard-0 link carries both clients; the reborn link must carry both
-    // again).
+    // dial into the dead window, and the shard-0 link — which carries both
+    // clients — re-admitted by one handshake.
     assert_eq!(
         faulted.counter(names::TCP_LISTENER_RESTART),
         1,
@@ -99,11 +98,11 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
         "redials during the downtime must fail before the rebind"
     );
     assert!(
-        faulted.counter(names::TCP_RECONNECT) >= N_CLIENTS as u64,
-        "every site must re-attach over the reborn link"
+        faulted.counter(names::TCP_RECONNECT) >= 1,
+        "the reborn listener must re-admit the link"
     );
-    // Initial handshakes are unaffected by the mid-run fault.
-    assert_eq!(faulted.counter(names::TCP_CONNECT), (N_CLIENTS * 2) as u64);
+    // One initial handshake per shard link, unaffected by the mid-run fault.
+    assert_eq!(faulted.counter(names::TCP_CONNECT), 2);
     // Both shards served traffic — shard 0 again after its rebirth.
     assert_eq!(faulted.shard_requests.len(), 2);
     assert!(
