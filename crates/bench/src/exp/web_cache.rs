@@ -16,7 +16,7 @@
 
 use super::{Args, Report};
 use crate::{f3, pct, Table};
-use tc_clocks::{Delta, SiteClock, Time, Timestamp, VectorClock};
+use tc_clocks::{Delta, SiteClock, Time, VectorClock};
 use tc_core::stats::StalenessStats;
 use tc_core::{ObjectId, Value};
 use tc_lifetime::cache::{Cache, CacheEntry};
@@ -38,7 +38,9 @@ fn scripted_scenario() -> Table {
     let mut browser_ctx = VectorClock::new(0, 3);
     let mut dow_jones = VectorClock::new(1, 3);
     let mut newsroom = VectorClock::new(2, 3);
-    let mut cache = Cache::new();
+    // TCC with Δ = a few hours: the causal rule, and the β rule beside it.
+    let delta = Delta::from_ticks(500);
+    let mut cache = Cache::new(ProtocolKind::Tcc { delta }, 2);
 
     let entry = |value: u64, stamp: &VectorClock, beta: u64| CacheEntry {
         value: Value::new(value),
@@ -64,18 +66,15 @@ fn scripted_scenario() -> Table {
     // it and extends its lifetime — the §5.2 mark-old flow.
     let dj_v1 = dow_jones.tick();
     let cnn_v1 = newsroom.tick();
-    browser_ctx = browser_ctx.join(&dj_v1);
+    cache.join_context(&mut browser_ctx, &dj_v1);
     cache.insert(dj, entry(1, &browser_ctx, 100));
-    browser_ctx = browser_ctx.join(&cnn_v1);
+    cache.join_context(&mut browser_ctx, &cnn_v1);
     cache.insert(cnn, entry(2, &browser_ctx, 120));
     cache.sweep_causal(&browser_ctx, 0, StalePolicy::MarkOld);
     // Revalidate the suspect DJ page: the server still holds v1, so the
     // lifetime advances to the whole context.
-    if let Some(e) = cache.get_mut(dj) {
-        e.old = false;
-        e.omega_v = Some(browser_ctx.clone());
-        e.beta = Time::from_ticks(125);
-    }
+    let checked = Time::from_ticks(125);
+    cache.revalidate(dj, checked, checked, &browser_ctx);
     t.row(&[
         &"1: cache both, revalidate DJ (304)",
         &show(&cache, dj),
@@ -92,7 +91,6 @@ fn scripted_scenario() -> Table {
     ]);
     // ...but TCC with Δ = a few hours ages both pages out regardless.
     let hours_later = Time::from_ticks(10_000);
-    let delta = Delta::from_ticks(500);
     let mut tcc_cache = cache.clone();
     tcc_cache.sweep_beta(
         hours_later.saturating_sub_delta(delta),
@@ -112,7 +110,7 @@ fn scripted_scenario() -> Table {
     let dj_v3 = dow_jones.tick();
     newsroom.observe(&dj_v3);
     let cnn_v4 = newsroom.tick();
-    browser_ctx = browser_ctx.join(&cnn_v4);
+    cache.join_context(&mut browser_ctx, &cnn_v4);
     cache.insert(cnn, entry(4, &browser_ctx, 130));
     cache.sweep_causal(&browser_ctx, 0, StalePolicy::Invalidate);
     t.row(&[

@@ -157,6 +157,7 @@ impl ClientEngine {
         );
         let causal_seq = vec![0; servers.len()];
         let shard_map = ShardMap::new(servers.len());
+        let cache = Cache::new(config.kind, workload.n_objects());
         ClientEngine {
             config,
             servers,
@@ -165,7 +166,7 @@ impl ClientEngine {
             workload,
             ops_target,
             ops_done: 0,
-            cache: Cache::new(),
+            cache,
             context_t: Time::ZERO,
             context_v: VectorClock::new(site, n_clients),
             pending: None,
@@ -435,7 +436,7 @@ impl ClientEngine {
                 let sweep = self.cache.sweep_causal(&self.context_v, self.site, policy);
                 Self::count_sweep(out, sweep);
                 let xi_ctx = SumXi.xi(self.context_v.entries());
-                let sweep = self.cache.sweep_xi(&SumXi, xi_ctx, xi_delta, policy);
+                let sweep = self.cache.sweep_xi(xi_ctx, xi_delta, policy);
                 Self::count_sweep(out, sweep);
             }
         }
@@ -633,7 +634,7 @@ impl ClientEngine {
         }
         if self.config.kind.is_causal_family() {
             if let Some(av) = &version.alpha_v {
-                self.context_v = self.context_v.join(av);
+                self.cache.join_context(&mut self.context_v, av);
             }
             // A reply must not clobber this site's own writes: a version
             // generated before our write applied at the server (loss, a
@@ -715,7 +716,7 @@ impl ClientEngine {
         // fault being modelled), the physical context floor (safe to lose —
         // rule 3 re-raises it on the next access, and the cache it guarded
         // is empty anyway), and the not-yet-issued planned op.
-        self.cache = Cache::new();
+        self.cache = Cache::new(self.config.kind, self.workload.n_objects());
         self.context_t = Time::ZERO;
         self.planned = None;
         // An in-flight attach is volatile; the drain-then-attach path
@@ -816,11 +817,8 @@ impl ClientEngine {
                     out.push(Effect::metric(names::INVALIDATE));
                 }
                 StalePolicy::MarkOld => {
-                    if let Some(e) = self.cache.get_mut(object) {
-                        if !e.old {
-                            e.old = true;
-                            out.push(Effect::metric(names::MARK_OLD));
-                        }
+                    if self.cache.mark_old(object) {
+                        out.push(Effect::metric(names::MARK_OLD));
                     }
                 }
             }
@@ -856,33 +854,20 @@ impl ClientEngine {
                 let value = match outcome {
                     ValidateOutcome::StillValid => {
                         let t_loc = self.now().local;
-                        let context_v = self.context_v.clone();
-                        match self.cache.get_mut(object) {
-                            Some(entry) => {
-                                entry.old = false;
-                                entry.beta = t_loc;
-                                if self.config.kind.is_causal_family() {
-                                    if let Some(omega) = &entry.omega_v {
-                                        entry.omega_v = Some(omega.join(&context_v));
-                                    }
-                                } else {
-                                    entry.omega_t = entry.omega_t.max(server_now);
-                                }
-                                Some(entry.value)
-                            }
-                            None => {
-                                // The entry vanished (push race): fall back
-                                // to a fetch for the pending read.
-                                if matches!(
-                                    self.pending,
-                                    Some(Pending::Read { object: o }) if o == object
-                                ) {
-                                    out.push(Effect::metric(names::FETCH));
-                                    self.send_request(out, Msg::FetchReq { object, epoch: 0 });
-                                }
-                                None
-                            }
+                        let context_v = &self.context_v;
+                        let value = self.cache.revalidate(object, t_loc, server_now, context_v);
+                        // The entry vanished (push race): fall back to a
+                        // fetch for the pending read.
+                        if value.is_none()
+                            && matches!(
+                                self.pending,
+                                Some(Pending::Read { object: o }) if o == object
+                            )
+                        {
+                            out.push(Effect::metric(names::FETCH));
+                            self.send_request(out, Msg::FetchReq { object, epoch: 0 });
                         }
+                        value
                     }
                     ValidateOutcome::Newer(version) => {
                         Some(self.install(out, object, &version, server_now))
