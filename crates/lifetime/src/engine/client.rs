@@ -1,7 +1,7 @@
 //! The client-side §5 lifetime state machine, sans-io.
 //!
-//! All protocol logic of the former sim-bound `ClientNode` lives here,
-//! expressed over [`Event`]s and [`Effect`]s. The module-level docs of
+//! All of a client site's protocol logic lives here, expressed over
+//! [`Event`]s and [`Effect`]s. The module-level docs of
 //! [`crate::engine`] state the determinism contract.
 
 use std::collections::VecDeque;

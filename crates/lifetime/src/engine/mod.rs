@@ -4,11 +4,12 @@
 //! [`ClientEngine`] and [`ServerEngine`] hold *all* protocol state and
 //! logic, but perform no I/O: they never touch a network, a clock, a
 //! recorder, or a timer wheel. A *driver* feeds them [`Event`]s and
-//! executes the [`Effect`]s they emit. Three drivers exist:
+//! executes the [`Effect`]s they emit. Every driver steps them through
+//! the same hosts and effect executor ([`crate::node`]), and three exist:
 //!
 //! * the deterministic simulator harness ([`crate::run_with`] /
 //!   [`crate::run_geo_with`]: one world builder, flat or multi-region),
-//!   whose node adapters replay effects into a [`tc_sim::World`];
+//!   which executes effects into a [`tc_sim::World`];
 //! * the threaded runtime (`tc_store::runtime`), which runs the *same*
 //!   engine types over OS threads, channels, and `Instant`-based clocks
 //!   (`tc_store::geo` is a multi-region topology over the same loop); and
@@ -217,7 +218,7 @@ pub enum Effect {
 }
 
 impl Effect {
-    fn metric(name: &'static str) -> Effect {
+    pub(crate) fn metric(name: &'static str) -> Effect {
         Effect::Metric { name, add: 1 }
     }
 }
@@ -235,6 +236,17 @@ pub trait Inputs {
     fn rng(&mut self) -> &mut StdRng;
     /// A fresh value, globally unique across the run.
     fn next_value(&mut self) -> Value;
+}
+
+/// Lets a driver lend its sources as `&mut dyn Inputs`.
+impl<I: Inputs + ?Sized> Inputs for &mut I {
+    fn rng(&mut self) -> &mut StdRng {
+        (**self).rng()
+    }
+
+    fn next_value(&mut self) -> Value {
+        (**self).next_value()
+    }
 }
 
 /// Per-client deterministic input sources: a seeded private RNG plus a

@@ -2,26 +2,29 @@
 //! per region with relays and WAN links between them — run a protocol
 //! under a workload, return the recorded history plus cost metrics.
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
 
+use rand::rngs::StdRng;
 use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::TimedReport;
-use tc_core::History;
+use tc_core::{History, Value};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::{
-    Context, FaultPlan, MetricsSnapshot, NetEvent, NodeId, Process, TraceRecorder, World,
+    Context, FaultPlan, Metrics, MetricsSnapshot, NetEvent, NodeId, Process, TraceRecorder, World,
     WorldConfig,
 };
 
-use crate::client::ClientNode;
-use crate::control::{ControlPolicy, ControllerConfig, DeltaSchedule, Readings};
+use crate::control::{ControlPolicy, ControllerConfig, DeltaSchedule};
+use crate::engine::{Effect, Event, Inputs, PrivateSources};
 use crate::geo::{widened_bound_geo, GeoRelayEngine, GeoRunConfig};
-use crate::infra::InfraNode;
+use crate::node::{
+    control_tick, execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, SimClock,
+};
 use crate::oracle::widened_bound;
 use crate::store::ShardStore;
-use crate::{Msg, ProtocolConfig, ServerEngine};
+use crate::{ClientEngine, Msg, ProtocolConfig, ServerEngine};
 
 /// A per-shard store builder: called once per shard node index to
 /// construct the [`ShardStore`] backend that shard's engine runs over.
@@ -201,13 +204,134 @@ pub fn run_with(config: &RunConfig, opts: RunOptions<'_>) -> RunResult {
     run_impl(config, None, opts)
 }
 
+/// The run's net-event log, when `recorder` is present and traced.
+fn net_log(recorder: Option<&Rc<RefCell<TraceRecorder>>>) -> Option<RefMut<'_, TraceRecorder>> {
+    recorder
+        .map(|rec| rec.borrow_mut())
+        .filter(|rec| rec.net_enabled())
+}
+
+/// The simulator's seam under a node core: a [`Port`] over the world's
+/// [`Context`], and the shared [`Inputs`] a client without private
+/// sources draws on — the world's seeded RNG and the recorder's value
+/// counter, in exactly the order the engine asks.
+struct SimPort<'a, 'w> {
+    ctx: &'a mut Context<'w, Msg>,
+    recorder: Option<RefMut<'a, TraceRecorder>>,
+}
+
+impl Port for SimPort<'_, '_> {
+    type Deadline = Delta;
+
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        if let Some(log) = self.recorder.as_mut().filter(|rec| rec.net_enabled()) {
+            log.log_net(NetEvent::Send {
+                at: self.ctx.true_now(),
+                from: self.ctx.me().index(),
+                to: to.index(),
+                tag: msg.tag(),
+            });
+        }
+        self.ctx.send(to, msg);
+    }
+
+    fn arm(&mut self, after: Delta, token: u64) {
+        self.ctx.set_timer(after, token);
+    }
+
+    fn telemetry(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
+        (self.ctx.metrics(), self.recorder.as_deref_mut())
+    }
+}
+
+impl Inputs for SimPort<'_, '_> {
+    fn rng(&mut self) -> &mut StdRng {
+        self.ctx.rng()
+    }
+
+    fn next_value(&mut self) -> Value {
+        let recorder = self.recorder.as_mut().expect("only clients draw values");
+        recorder.next_value()
+    }
+}
+
+/// A simulated node: a node core ([`ClientCore`], [`ShardCore`] or
+/// [`RelayCore`]) stepped at its `Context`'s clock readings, its effects
+/// executed into the world. A dead timer is logged and dropped without a
+/// step, as on the real drivers.
+pub(crate) struct SimNode<H> {
+    host: H,
+    /// The run's recorder: a client's operations and value counter, and
+    /// the net-event log of a traced run (infrastructure holds it only
+    /// then).
+    recorder: Option<Rc<RefCell<TraceRecorder>>>,
+    /// The effects of one step; reused, so a warm step allocates none.
+    effects: Vec<Effect>,
+}
+
+impl<H: Host<SimClock>> SimNode<H> {
+    pub(crate) fn new(host: H, recorder: Option<Rc<RefCell<TraceRecorder>>>) -> Self {
+        SimNode {
+            host,
+            recorder,
+            effects: Vec::new(),
+        }
+    }
+
+    fn drive(&mut self, ctx: &mut Context<'_, Msg>, event: Event) {
+        let at = (ctx.local_now(), ctx.true_now());
+        let recorder = self.recorder.as_ref().map(|rec| rec.borrow_mut());
+        let mut port = SimPort { ctx, recorder };
+        let t = self
+            .host
+            .step(event, at, Some(&mut port), &mut self.effects);
+        execute(&mut self.effects, &mut port, &SimClock, t);
+    }
+}
+
+impl<H: Host<SimClock> + 'static> Process for SimNode<H> {
+    type Msg = Msg;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.drive(ctx, Event::Start);
+    }
+
+    fn on_restart(&mut self, ctx: &mut Context<'_, Msg>) {
+        self.drive(ctx, Event::Restart);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, token: u64) {
+        if let Some(mut log) = net_log(self.recorder.as_ref()) {
+            log.log_net(NetEvent::Timer {
+                at: ctx.true_now(),
+                node: ctx.me().index(),
+                token,
+            });
+        }
+        if self.host.timer_is_live(token) {
+            self.drive(ctx, Event::Timer { token });
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Msg>, from: NodeId, msg: Msg) {
+        if let Some(mut log) = net_log(self.recorder.as_ref()) {
+            log.log_net(NetEvent::Recv {
+                at: ctx.true_now(),
+                from: from.index(),
+                to: ctx.me().index(),
+                tag: msg.tag(),
+            });
+        }
+        self.drive(ctx, Event::Message { from, msg });
+    }
+}
+
 /// The controller's timer token — distinct from every engine token (the
 /// controller node owns its own timer namespace anyway).
 const TIMER_CONTROLLER: u64 = 0xAD_AF;
 
-/// The simulated control-plane node: feeds a [`ControlPolicy`] the run's
-/// streaming monitor and retry counter each tick, installs its schedule
-/// changes in the monitor, and broadcasts its commands.
+/// The simulated control plane: a [`control_tick`] every interval, its
+/// command broadcast to every client.
 struct ControllerNode {
     policy: ControlPolicy,
     clients: Vec<NodeId>,
@@ -226,35 +350,16 @@ impl Process for ControllerNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _token: u64) {
-        let readings = {
-            let rec = self.recorder.borrow();
-            let m = rec.monitor().expect("harness always attaches a monitor");
-            Readings {
-                observed: m.min_delta(),
-                violations: m.violations().len(),
-                ingested: m.ingested(),
-                retries: ctx.metrics().get(names::RETRY),
-            }
-        };
-        let decision = self.policy.sample(ctx.true_now(), readings);
-        if let Some(change) = decision.change {
-            ctx.metrics().incr(names::DELTA_UPDATE);
-            ctx.metrics().incr(if change.tightened {
-                names::DELTA_TIGHTEN
-            } else {
-                names::DELTA_RELAX
-            });
-            self.recorder
-                .borrow_mut()
-                .monitor_schedule_change(change.judge_from, change.threshold);
-        }
-        if let Some(msg) = decision.broadcast {
+        let recorder = &mut self.recorder.borrow_mut();
+        let (command, more) =
+            control_tick(&mut self.policy, ctx.true_now(), recorder, ctx.metrics());
+        if let Some(msg) = command {
             for &c in &self.clients {
                 ctx.send(c, msg.clone());
             }
         }
         // Stop re-arming once every op is in, so the world can quiesce.
-        if decision.keep_sampling {
+        if more {
             ctx.set_timer(self.policy.interval(), TIMER_CONTROLLER);
         }
     }
@@ -296,7 +401,7 @@ pub(crate) fn run_impl(
         initial_recorder.enable_net_log();
     }
     let recorder = Rc::new(RefCell::new(initial_recorder));
-    let net_log = || traced.then(|| recorder.clone());
+    let infra_recorder = || traced.then(|| recorder.clone());
 
     // One fleet per region, region-major (a flat run is one region; with
     // one shard this is the historical "node 0 is the server" layout).
@@ -304,18 +409,16 @@ pub(crate) fn run_impl(
     let mut fleets: Vec<Vec<NodeId>> = Vec::with_capacity(regions);
     for region in 0..regions {
         let fleet = (0..config.protocol.shards).map(|shard| {
-            let index = region * config.protocol.shards + shard;
+            let me = NodeId::new(region * config.protocol.shards + shard);
             let mut engine = match stores {
                 None => ServerEngine::new(config.protocol),
-                Some(factory) => ServerEngine::with_store(config.protocol, factory(index)),
+                Some(factory) => ServerEngine::with_store(config.protocol, factory(me.index())),
             };
             if let Some(geo) = geo {
                 engine = engine.with_geo(geo.regions.shard_config(region));
             }
-            world.add_node(InfraNode::new(
-                move |event, out| engine.handle(event, out),
-                net_log(),
-            ))
+            let host = ShardCore::new(engine, SimClock, me, &[]);
+            world.add_node(SimNode::new(host, infra_recorder()))
         });
         fleets.push(fleet.collect());
     }
@@ -324,37 +427,35 @@ pub(crate) fn run_impl(
             // The layout asserts keep RegionMap — which the engines
             // address each other through — honest.
             assert_eq!(*fleet, geo.regions.fleet(region));
-            let mut relay = GeoRelayEngine::new(fleet.clone(), config.n_clients);
-            let id = world.add_node(InfraNode::new(
-                move |event, out| relay.handle(event, out),
-                net_log(),
-            ));
+            let relay = GeoRelayEngine::new(fleet.clone(), config.n_clients);
+            let host = RelayCore::new(relay, SimClock);
+            let id = world.add_node(SimNode::new(host, infra_recorder()));
             assert_eq!(id.index(), geo.regions.relay_node(region));
         }
     }
+    let client_base = geo.map_or(config.protocol.shards, |geo| geo.regions.client_base());
     let mut clients = Vec::with_capacity(config.n_clients);
     for site in 0..config.n_clients {
         let home = geo.map_or(0, |geo| geo.home_region(site));
-        let mut node = ClientNode::new(
+        let mut engine = ClientEngine::new(
             config.protocol,
             fleets[home].clone(),
             site,
             config.n_clients,
             config.workload.clone(),
             config.ops_per_client,
-            recorder.clone(),
         );
-        if let Some(base_seed) = private_seed {
-            node = node.with_private_sources(base_seed, site, config.n_clients);
-        }
         if let Some(plan) = geo.and_then(|geo| geo.regions.migration_plan(&geo.migrations, site)) {
-            node = node.with_migration(plan);
+            engine = engine.with_migration(plan);
         }
-        clients.push(world.add_node(node));
+        let sources = private_seed.map(|seed| PrivateSources::new(seed, site, config.n_clients));
+        let me = NodeId::new(client_base + site);
+        let host = ClientCore::new(engine, sources, SimClock, me);
+        clients.push(world.add_node(SimNode::new(host, Some(recorder.clone()))));
+        assert_eq!(clients[site], me);
     }
     if let Some(geo) = geo {
         let map = geo.regions;
-        assert_eq!(clients[0].index(), map.client_base());
         // WAN latency on every link the geo protocol crosses: shard →
         // peer relay (batches) and peer relay → shard (acks).
         for a in 0..map.regions {
@@ -403,23 +504,8 @@ pub(crate) fn run_impl(
     let mut recorder = Rc::try_unwrap(recorder)
         .expect("all clients dropped with the world")
         .into_inner();
-    let monitor = recorder
-        .monitor()
-        .expect("harness always attaches a monitor");
-    let observed_staleness = monitor.min_delta();
-    let late_writes = monitor.late_writes();
     let net_events = recorder.take_net_log();
-    let (history, report) = recorder
-        .finish_with_report()
-        .expect("protocol produced an invalid trace");
-    let on_time = report.expect("harness always attaches a monitor");
-    metrics.counters.insert(
-        names::ON_TIME_VIOLATIONS.to_string(),
-        on_time.violations().len() as u64,
-    );
-    metrics
-        .counters
-        .insert(names::MONITOR_LATE_WRITES.to_string(), late_writes);
+    let (history, on_time, observed_staleness) = judge_run(recorder, &mut metrics);
     RunResult {
         history,
         metrics,
@@ -452,6 +538,51 @@ mod tests {
             ops_per_client: 40,
             world: WorldConfig::deterministic(Delta::from_ticks(3), seed),
         }
+    }
+
+    /// A host that arms one timer at start and calls every timer dead.
+    struct DeadTimers(Vec<Event>);
+
+    impl Host<SimClock> for DeadTimers {
+        fn step(
+            &mut self,
+            event: Event,
+            (_, truth): (Time, Time),
+            _: Option<&mut dyn Inputs>,
+            out: &mut Vec<Effect>,
+        ) -> Time {
+            if event == Event::Start {
+                out.push(Effect::SetTimer {
+                    after: Delta::from_ticks(5),
+                    token: 7,
+                });
+            }
+            self.0.push(event);
+            truth
+        }
+
+        fn timer_is_live(&self, _: u64) -> bool {
+            false
+        }
+    }
+
+    /// The simulator drops a dead timer as the real drivers do: the timer
+    /// fires, its mark is logged, and the host is never stepped with it.
+    #[test]
+    fn sim_node_never_steps_a_dead_timer() {
+        let mut world: World<Msg> = World::new(WorldConfig::deterministic(Delta::from_ticks(1), 1));
+        let mut recorder = TraceRecorder::new();
+        recorder.enable_net_log();
+        let recorder = Rc::new(RefCell::new(recorder));
+        let id = world.add_node(SimNode::new(DeadTimers(Vec::new()), Some(recorder.clone())));
+        assert_eq!(world.run_to_quiescence(10), 2, "the start and the timer");
+        let node: &SimNode<DeadTimers> = world.node(id).unwrap();
+        assert_eq!(node.host.0, [Event::Start]);
+        let log = recorder.borrow_mut().take_net_log().unwrap();
+        assert!(matches!(
+            log[..],
+            [NetEvent::Timer { at, token: 7, .. }] if at == Time::from_ticks(5)
+        ));
     }
 
     #[test]

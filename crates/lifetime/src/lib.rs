@@ -63,14 +63,13 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-mod client;
 mod config;
 pub mod control;
 pub mod engine;
 pub mod geo;
 mod harness;
-mod infra;
 mod msg;
+pub mod node;
 pub mod oracle;
 pub mod store;
 

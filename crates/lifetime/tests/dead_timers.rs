@@ -10,9 +10,8 @@
 use proptest::collection;
 use proptest::prelude::*;
 use tc_clocks::{Delta, Time};
-use tc_lifetime::engine::{
-    Effect, Event, Now, PrivateSources, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH,
-};
+use tc_lifetime::engine::{Effect, Event, PrivateSources, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH};
+use tc_lifetime::node::{ClientCore, Host, ShardCore, SimClock};
 use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
 use tc_sim::workload::Workload;
 use tc_sim::NodeId;
@@ -21,8 +20,8 @@ const SITES: usize = 2;
 
 struct Fleet {
     shards: usize,
-    clients: Vec<(ClientEngine, PrivateSources)>,
-    servers: Vec<ServerEngine>,
+    clients: Vec<ClientCore<SimClock>>,
+    servers: Vec<ShardCore<SimClock>>,
     /// (from, to, message) in flight.
     wire: Vec<(NodeId, NodeId, Msg)>,
     /// (node, token) armed and not yet fired.
@@ -31,28 +30,16 @@ struct Fleet {
 }
 
 impl Fleet {
-    fn now(&mut self, node: usize) -> Event {
-        self.t += 1;
-        let t = Time::from_ticks(self.t);
-        Event::Now(Now {
-            me: NodeId::new(node),
-            local: t,
-            truth: t,
-        })
-    }
-
-    /// Steps `node` with `event`, collecting what it sends and arms.
+    /// Steps `node`'s node core with `event` a tick after the last step,
+    /// collecting what it sends and arms.
     fn step(&mut self, node: usize, event: Event) -> Vec<Effect> {
-        let now = self.now(node);
+        self.t += 1;
+        let at = (Time::from_ticks(self.t), Time::from_ticks(self.t));
         let mut out = Vec::new();
         if node < self.shards {
-            let server = &mut self.servers[node];
-            server.handle(now, &mut out);
-            server.handle(event, &mut out);
+            self.servers[node].step(event, at, None, &mut out);
         } else {
-            let (engine, sources) = &mut self.clients[node - self.shards];
-            engine.handle(now, sources, &mut out);
-            engine.handle(event, sources, &mut out);
+            self.clients[node - self.shards].step(event, at, None, &mut out);
         }
         for effect in &out {
             match effect {
@@ -69,8 +56,8 @@ impl Fleet {
     /// Fires `token` at client `site`, checking the liveness query against
     /// what the step does.
     fn fire_client(&mut self, site: usize, token: u64) -> Result<(), TestCaseError> {
-        let live = self.clients[site].0.timer_is_live(token);
-        let done = self.clients[site].0.ops_done();
+        let live = self.clients[site].timer_is_live(token);
+        let done = self.clients[site].engine.ops_done();
         let out = self.step(self.shards + site, Event::Timer { token });
         prop_assert_eq!(
             live,
@@ -81,7 +68,7 @@ impl Fleet {
             out
         );
         if !live {
-            prop_assert_eq!(self.clients[site].0.ops_done(), done);
+            prop_assert_eq!(self.clients[site].engine.ops_done(), done);
         }
         Ok(())
     }
@@ -111,13 +98,15 @@ proptest! {
             shards,
             clients: (0..SITES)
                 .map(|site| {
-                    (
-                        ClientEngine::new(config, servers.clone(), site, SITES, workload.clone(), 30),
-                        PrivateSources::new(seed, site, SITES),
-                    )
+                    let engine = ClientEngine::new(config, servers.clone(), site, SITES, workload.clone(), 30);
+                    let sources = Some(PrivateSources::new(seed, site, SITES));
+                    ClientCore::new(engine, sources, SimClock, NodeId::new(shards + site))
                 })
                 .collect(),
-            servers: (0..shards).map(|_| ServerEngine::new(config)).collect(),
+            servers: servers
+                .iter()
+                .map(|&me| ShardCore::new(ServerEngine::new(config), SimClock, me, &[]))
+                .collect(),
             wire: Vec::new(),
             timers: Vec::new(),
             t: 0,

@@ -4,13 +4,13 @@
 //! This is the real-concurrency counterpart of
 //! [`tc_lifetime::run_geo`]: the *same* sans-io engines — shard
 //! ([`tc_lifetime::ServerEngine`] with geo egress), per-region relay
-//! ([`GeoRelayEngine`]), client ([`tc_lifetime::engine::ClientEngine`]
+//! ([`tc_lifetime::GeoRelayEngine`]), client ([`tc_lifetime::engine::ClientEngine`]
 //! with optional migration) — run here over `std::sync::mpsc` channels
 //! and the [`Instant`]-based tick clock, judged by the same live monitor
 //! as every other real-time driver. [`run_threaded_geo`] is the geo case
 //! of the one channel fleet builder that [`crate::run_threaded`] is the
 //! flat case of; this module holds what only geo adds: the
-//! configuration, the relay host and the courier.
+//! configuration and the courier.
 //!
 //! # Topology
 //!
@@ -45,16 +45,15 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 use tc_clocks::{Delta, Time};
-use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::geo::EGRESS_BATCH;
-use tc_lifetime::{GeoRelayEngine, Migration, Msg, ProtocolConfig, RegionMap, WanProfile};
+use tc_lifetime::{Migration, Msg, ProtocolConfig, RegionMap, WanProfile};
 use tc_sim::workload::Workload;
 use tc_sim::NodeId;
 
 use crate::jitter::{splitmix64, JitterRng};
 use crate::reactor::TimerSlack;
 use crate::runtime::{
-    recv_by, run_channels, Host, Inbound, RuntimeConfig, RuntimeResult, Shared, TickClock,
+    recv_by, run_channels, Inbound, RuntimeConfig, RuntimeResult, Shared, TickClock,
 };
 use crate::wheel::TimerWheel;
 
@@ -216,22 +215,6 @@ pub(crate) fn wan_courier(
         payloads.insert(seq, (from, to, msg));
     }
     wheel.report(&mut shared.lock().metrics);
-}
-
-/// A geo relay is infrastructure like a shard: it steps on bare events
-/// (the relay engine time-stamps nothing, so no clock sample precedes
-/// them; its timers count from the tick the event was observed in) and
-/// never finishes by itself.
-pub(crate) struct RelayCore {
-    pub(crate) engine: GeoRelayEngine,
-    pub(crate) clock: TickClock,
-}
-
-impl Host for RelayCore {
-    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
-        self.engine.handle(event, out);
-        self.clock.tick_at(at)
-    }
 }
 
 /// Runs one threaded geo execution to completion and judges it with the

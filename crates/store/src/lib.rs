@@ -5,14 +5,13 @@
 //! (`ClientEngine`, `ServerEngine`, the geo relay): events in, effects
 //! out. This crate is what turns those effects into sends and timers on
 //! real threads, judged by a live
-//! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor). There is one copy
-//! of each piece (the *driver core*, in [`runtime`]):
+//! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor). The hosts, the
+//! effect executor, the control tick and the judged result tail are
+//! `tc_lifetime::node`'s, the same code the simulator steps; this crate
+//! holds what only real drivers have, one copy of each:
 //!
-//! * `Port` + `execute` — the one place an `Effect` is interpreted; a
-//!   driver only says where a send goes and which wheel a timer lands in;
-//! * the hosts (`ClientCore`, `ShardCore`) — clock sample, event, effects
-//!   out; a shard's kill/restart policy lives in `ShardCore`, so no loop
-//!   knows about outages;
+//! * the tick clock (`TickClock`, in [`runtime`]) — the node core's time
+//!   source: an `Instant` ticked down against one shared epoch;
 //! * the node loop (`ChannelNode`) — timer wheel, blocking receive
 //!   towards the next deadline, bounded drain, step, execute; clients end
 //!   when their workload is done, every other node at an explicit stop on
@@ -25,8 +24,8 @@
 //!   busy;
 //! * the timer wheel (`TimerWheel`) — a ring of per-tick buckets, every
 //!   engine deadline being a tick boundary;
-//! * the control plane (`ControlPlane`) — samples the monitor and ticks
-//!   the adaptive Δ controller.
+//! * the control plane (`ControlPlane`) — when the node core's control
+//!   tick runs, and where its command goes.
 //!
 //! Three entry points sit on top, all returning a [`RuntimeResult`]:
 //!

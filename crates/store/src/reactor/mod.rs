@@ -16,10 +16,10 @@
 //!   machine (dial, heartbeat, redial under a jittered exponential
 //!   backoff) admitted by one handshake.
 //!
-//! Both are hosts of the driver core in [`crate::runtime`]: they step the
-//! same `ClientCore` / `ShardCore`, hand the effects to the same
-//! `execute` through a `Port` over their connection table, and share the
-//! per-connection plumbing itself (see `table`). The result is the same
+//! Both step the node core's `ClientCore` / `ShardCore`
+//! (`tc_lifetime::node`, shared with the simulator), hand the effects to
+//! its `execute` through a `Port` over their connection table, and share
+//! the per-connection plumbing itself (see `table`). The result is the same
 //! [`RuntimeResult`] shape the channel drivers return, so the conformance
 //! oracle, the [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor), and the
 //! metrics pipeline apply unchanged; `tests/engine_equivalence.rs` pins
@@ -85,7 +85,7 @@
 //!
 //! An engine timer is a deadline on the shared tick clock: `SetTimer
 //! { after: k }` armed by a step at tick `t` is due at the tick
-//! boundary `t + max(k, 1)` (`TickClock::deadline_after`) — the instant
+//! boundary `t + max(k, 1)` (`TickClock::deadline`) — the instant
 //! the simulator would fire it — never before the clock reads `t + 1`, and
 //! every hosted site whose timer lands on the same tick is served by one
 //! wake. Each loop pass waits in `epoll_pwait2` (nanosecond timeout; see
@@ -118,15 +118,16 @@ use std::time::{Duration, Instant};
 
 use tc_lifetime::control::DeltaSchedule;
 use tc_lifetime::engine::{Effect, Event};
+use tc_lifetime::node::{execute, ClientCore, Host, Port, ShardCore};
 use tc_lifetime::Msg;
 use tc_sim::metrics::names;
-use tc_sim::{Metrics, NodeId};
+use tc_sim::{Metrics, NodeId, TraceRecorder};
 use tc_wire::{write_frame, WireMsg};
 
 use crate::jitter::{link_seed, splitmix64};
 use crate::runtime::{
-    build_shard_engine, execute, finish_run, ClientCore, ControlPlane, Host, Port, RuntimeConfig,
-    RuntimeResult, ShardCore, Telemetry, TickClock,
+    build_shard_engine, finish_run, site_core, ControlPlane, RuntimeConfig, RuntimeResult,
+    Telemetry, TickClock,
 };
 use crate::wheel::TimerWheel;
 
@@ -229,7 +230,7 @@ struct ShardReactor<'a> {
     shard: usize,
     shards: usize,
     cfg: &'a ReactorConfig,
-    core: ShardCore,
+    core: ShardCore<TickClock>,
     clock: TickClock,
     /// Accepted connections; one that has not sent a Hello may be a churn
     /// dial that never will — the read timeout reaps those.
@@ -297,16 +298,20 @@ impl Links for ShardReactor<'_> {
 }
 
 /// The shard engine's effects: sends are queued on the link, on the
-/// site's lane — dead-lettering, counted, while there is no link — and
-/// timers go into the reactor's wheel as [`ShardTimer::Engine`].
+/// site's lane — dead-lettering, counted, while there is no link — timers
+/// go into the reactor's wheel as [`ShardTimer::Engine`], and counters
+/// into the thread's own telemetry.
 struct ShardPort<'r> {
     shards: usize,
     link: Option<u64>,
     table: &'r mut ConnTable<()>,
     timers: &'r mut TimerWheel<ShardTimer>,
+    telemetry: &'r mut Telemetry,
 }
 
 impl Port for ShardPort<'_> {
+    type Deadline = Instant;
+
     fn send(&mut self, to: NodeId, msg: Msg) {
         let lane = (to.index() - self.shards) as u16;
         self.table.send_on(self.link, lane, &WireMsg::Proto(msg));
@@ -314,6 +319,10 @@ impl Port for ShardPort<'_> {
 
     fn arm(&mut self, deadline: Instant, token: u64) {
         self.timers.arm(deadline, ShardTimer::Engine(token));
+    }
+
+    fn telemetry(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
+        self.telemetry.parts()
     }
 }
 
@@ -338,7 +347,7 @@ impl<'a> ShardReactor<'a> {
             addr,
             link: None,
             timers: TimerWheel::new(&clock),
-            telemetry: Telemetry::counters(),
+            telemetry: Telemetry::default(), // a shard records nothing
             effects: Vec::new(),
         }
     }
@@ -346,20 +355,15 @@ impl<'a> ShardReactor<'a> {
     /// Feeds one event, observed at `at`, to the shard engine and executes
     /// the effects.
     fn step_engine(&mut self, event: Event, at: Instant) {
-        let t = self.core.step(event, at, &mut self.effects);
+        let t = self.core.step(event, at, None, &mut self.effects);
         let mut port = ShardPort {
             shards: self.shards,
             link: self.link,
             table: &mut self.table,
             timers: &mut self.timers,
+            telemetry: &mut self.telemetry,
         };
-        execute(
-            &mut self.effects,
-            &mut port,
-            &self.clock,
-            t,
-            &mut self.telemetry,
-        );
+        execute(&mut self.effects, &mut port, &self.clock, t);
     }
 
     /// Drains the accept queue, registering every new connection.
@@ -548,7 +552,7 @@ enum LinkState {
 
 /// One hosted client: its engine core, and whether it is done.
 struct ClientState {
-    core: ClientCore,
+    core: ClientCore<TickClock>,
     /// Workload complete with nothing in flight; excluded from `remaining`.
     finished: bool,
 }
@@ -643,15 +647,19 @@ impl Links for ClientReactor<'_> {
 
 /// One hosted client's effects: sends are queued on the client's lane of
 /// the shard's link — dead-lettering, counted, while the link is down —
-/// and timers go into the reactor's wheel tagged with the client.
+/// timers go into the reactor's wheel tagged with the client, and counters
+/// and records into the thread's telemetry.
 struct ClientPort<'r> {
     client: usize,
     links: &'r [LinkState],
     table: &'r mut ConnTable<usize>,
     timers: &'r mut TimerWheel<ClientTimer>,
+    telemetry: &'r mut Telemetry,
 }
 
 impl Port for ClientPort<'_> {
+    type Deadline = Instant;
+
     fn send(&mut self, to: NodeId, msg: Msg) {
         let route = match self.links[to.index()] {
             LinkState::Up { token } => Some(token),
@@ -666,6 +674,10 @@ impl Port for ClientPort<'_> {
         self.timers
             .arm(deadline, ClientTimer::Engine { client, token });
     }
+
+    fn telemetry(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
+        self.telemetry.parts()
+    }
 }
 
 impl<'a> ClientReactor<'a> {
@@ -677,7 +689,7 @@ impl<'a> ClientReactor<'a> {
                 let servers = (0..shards).map(NodeId::new).collect();
                 let me = NodeId::new(shards + site);
                 ClientState {
-                    core: ClientCore::for_site(rc, servers, me, site, clock),
+                    core: site_core(rc, servers, me, site, clock),
                     finished: false,
                 }
             })
@@ -728,20 +740,15 @@ impl<'a> ClientReactor<'a> {
     /// the effects.
     fn feed(&mut self, client: usize, event: Event, at: Instant) {
         let state = &mut self.clients[client];
-        let t = state.core.step(event, at, &mut self.effects);
+        let t = state.core.step(event, at, None, &mut self.effects);
         let mut port = ClientPort {
             client,
             links: &self.links,
             table: &mut self.table,
             timers: &mut self.timers,
+            telemetry: &mut self.telemetry,
         };
-        execute(
-            &mut self.effects,
-            &mut port,
-            &self.clock,
-            t,
-            &mut self.telemetry,
-        );
+        execute(&mut self.effects, &mut port, &self.clock, t);
         if !state.finished && state.core.finished() {
             state.finished = true;
             self.remaining -= 1;

@@ -1,31 +1,22 @@
-//! The real-time driver core, and the channel driver built on it.
+//! The channel driver, and what every real-time driver adds to the node
+//! core.
 //!
-//! This is the counterpart of the deterministic simulator adapter in
-//! `tc-lifetime`: the *same* [`ClientEngine`]/[`ServerEngine`] types run
-//! here over OS threads, `std::sync::mpsc` channels, and an
-//! [`Instant`]-based clock, with every recorded operation fed into a live
-//! [`OnTimeMonitor`] — so real-concurrency
-//! executions get streaming timed-consistency verdicts, not just simulated
-//! ones.
+//! The hosts, the effect executor, the control tick and the tail that
+//! judges a run are `tc_lifetime::node`'s, shared with the simulator; this
+//! module gives them real time and threads:
 //!
-//! # The driver core
-//!
-//! Everything a real-time driver does around an engine exists once, here:
-//!
-//! * **stepping** — `ClientCore` / `ShardCore` (the `Host` trait): the
-//!   tick of the instant the driver observed the event, event, effects
-//!   out; a shard's kill/restart policy rides inside `ShardCore`;
-//! * **effect execution** — `execute` interprets every [`Effect`] against
-//!   a `Port` (where a send goes, which wheel a timer lands in);
+//! * **time** — `TickClock`, the node core's `TimeSource` on every real
+//!   driver: the [`Instant`] an event was observed at, ticked down against
+//!   one shared epoch;
 //! * **the node loop** — `ChannelNode`: timer wheel, blocking receive,
 //!   bounded drain, step, execute — one thread per node;
 //! * **the channel fleet builder** — `run_channels`: [`run_threaded`] is
 //!   its flat case, [`crate::run_threaded_geo`] its geo case;
-//! * **the control plane** — `ControlPlane` samples the live monitor and
-//!   ticks the adaptive Δ controller; the channel drivers call it from a
-//!   sleeping thread, the reactor from a timer;
+//! * **the control plane** — `ControlPlane` runs the control tick over the
+//!   clients' telemetry; the channel drivers call it from a sleeping
+//!   thread, the reactor from a timer;
 //! * **run state and result assembly** — `Telemetry`, `Shared`,
-//!   `TickClock`, `TimerWheel` (in `wheel`), `finish_run`.
+//!   `TimerWheel` (in `wheel`), `finish_run`.
 //!
 //! [`crate::run_reactor`] hosts the same cores in two epoll loops and
 //! implements `Port` over its connection table instead of channels.
@@ -58,19 +49,20 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use tc_clocks::{Delta, Epsilon, Time};
-use tc_core::checker::{OnTimeMonitor, TimedReport};
+use tc_core::checker::TimedReport;
 use tc_core::History;
 use tc_durable::WalStore;
-use tc_lifetime::control::{ControlPolicy, ControllerConfig, DeltaSchedule, Readings};
-use tc_lifetime::engine::{
-    ClientEngine, Effect, Event, Now, PrivateSources, ServerEngine, TIMER_NEXT_OP,
+use tc_lifetime::control::{ControlPolicy, ControllerConfig, DeltaSchedule};
+use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources, ServerEngine};
+use tc_lifetime::node::{
+    control_tick, execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, TimeSource,
 };
 use tc_lifetime::{GeoRelayEngine, Msg, ProtocolConfig};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::{Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
-use crate::geo::{is_wan, wan_courier, GeoRuntimeConfig, RelayCore, WanPacket};
+use crate::geo::{is_wan, wan_courier, GeoRuntimeConfig, WanPacket};
 use crate::reactor::TimerSlack;
 use crate::wheel::TimerWheel;
 
@@ -189,77 +181,26 @@ pub(crate) fn build_shard_engine(
     }
 }
 
-/// An edge reported by [`OutageGate::poll`]: the shard just crossed into
-/// or out of a kill window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum OutageEdge {
-    /// The shard just entered a kill window: volatile state dies here.
-    WentDown,
-    /// The shard just left a kill window: feed [`Event::Restart`].
-    CameUp,
-}
-
-/// One shard's kill/restart windows against the tick clock — the
-/// real-time counterpart of the simulator's scheduled crash/restart
-/// events, consulted by [`ShardCore`] on every step.
-struct OutageGate {
-    windows: Vec<(Time, Time)>,
-    /// Inside a kill window as of the last poll.
-    down: bool,
-}
-
-/// The timer [`ShardCore`] arms at every kill-window edge: apart from
-/// every server engine token (client node indexes, the geo flush range,
-/// the `u64::MAX` family).
-const TIMER_OUTAGE_EDGE: u64 = u64::MAX - 3;
-
-impl OutageGate {
-    /// The gate for shard node `shard`, filtering `outages` (a
-    /// [`tc_sim::FaultPlan::shard_outages`] rendering) down to its rows.
-    fn new(shard: usize, outages: &[(usize, Time, Time)]) -> Self {
-        OutageGate {
-            windows: outages
-                .iter()
-                .filter(|(s, _, _)| *s == shard)
-                .map(|(_, from, until)| (*from, *until))
-                .collect(),
-            down: false,
-        }
-    }
-
-    /// Arms a [`TIMER_OUTAGE_EDGE`] at every window edge, counted from the
-    /// step at `t`, so the driver steps the shard there however quiet it is.
-    fn arm_edges(&self, t: Time, out: &mut Vec<Effect>) {
-        for &(from, until) in &self.windows {
-            for edge in [from, until] {
-                out.push(Effect::SetTimer {
-                    after: Delta::from_ticks(edge.ticks().saturating_sub(t.ticks())),
-                    token: TIMER_OUTAGE_EDGE,
-                });
-            }
-        }
-    }
-
-    /// Advances the gate to `now`, reporting a crossed edge if any. The
-    /// shard is down during `[from, until)` of each window, matching the
-    /// simulator's crash-at-`from`, restart-at-`until` schedule.
-    fn poll(&mut self, now: Time) -> Option<OutageEdge> {
-        let in_window = self
-            .windows
-            .iter()
-            .any(|(from, until)| *from <= now && now < *until);
-        match (self.down, in_window) {
-            (false, true) => {
-                self.down = true;
-                Some(OutageEdge::WentDown)
-            }
-            (true, false) => {
-                self.down = false;
-                Some(OutageEdge::CameUp)
-            }
-            _ => None,
-        }
-    }
+/// The core of client `site` (node `me`) of `config`'s fleet, speaking to
+/// `servers`, drawing on the site's private sources derived from the run
+/// seed.
+pub(crate) fn site_core(
+    config: &RuntimeConfig,
+    servers: Vec<NodeId>,
+    me: NodeId,
+    site: usize,
+    clock: TickClock,
+) -> ClientCore<TickClock> {
+    let engine = ClientEngine::new(
+        config.protocol,
+        servers,
+        site,
+        config.n_clients,
+        config.workload.clone(),
+        config.ops_per_client,
+    );
+    let sources = PrivateSources::new(config.seed, site, config.n_clients);
+    ClientCore::new(engine, Some(sources), clock, me)
 }
 
 /// Latency distribution of completed operations (issue → completion).
@@ -353,7 +294,7 @@ impl RuntimeResult {
 /// The shared tick clock: every thread derives protocol [`Time`] from one
 /// epoch, so "local" and "true" time coincide up to rounding, and every
 /// driver timer is a deadline on that same clock
-/// ([`TickClock::deadline_after`]).
+/// ([`TickClock::deadline`]).
 #[derive(Clone, Copy)]
 pub(crate) struct TickClock {
     epoch: Instant,
@@ -399,7 +340,7 @@ impl TickClock {
 
     /// The real-time length of `delta` — a *period* (the controller's
     /// sampling interval, a WAN hold), not a timer: engine timers are
-    /// deadlines on the clock itself, see [`TickClock::deadline_after`].
+    /// deadlines on the clock itself, see [`TickClock::deadline`].
     /// `None` for an infinite delta.
     pub(crate) fn delta_to_duration(&self, delta: Delta) -> Option<Duration> {
         if delta.is_infinite() {
@@ -408,6 +349,19 @@ impl TickClock {
         Some(Duration::from_nanos(
             self.tick_nanos.saturating_mul(delta.ticks().max(1)),
         ))
+    }
+}
+
+/// Real time for the node core: an event steps at the tick the clock read
+/// at the instant the driver observed it, local time equal to true time,
+/// and a timer is a deadline on the clock itself.
+impl TimeSource for TickClock {
+    type At = Instant;
+    type Deadline = Instant;
+
+    fn read(&self, at: Instant) -> (Time, Time) {
+        let t = self.tick_at(at);
+        (t, t)
     }
 
     /// The instant at which this clock will have advanced by `delta` ticks
@@ -422,12 +376,16 @@ impl TickClock {
     /// [`History`]), and threads whose timers land on the same tick wake
     /// at the same instant. `None` for an infinite delta: "never" arms
     /// nothing.
-    pub(crate) fn deadline_after(&self, t: Time, delta: Delta) -> Option<Instant> {
+    fn deadline(&self, t: Time, delta: Delta) -> Option<Instant> {
         if delta.is_infinite() {
             return None;
         }
         let at = t.ticks().saturating_add(delta.ticks().max(1));
         Some(self.epoch + Duration::from_nanos(self.tick_nanos.saturating_mul(at)))
+    }
+
+    fn elapsed(&self, issued: Instant) -> Option<Duration> {
+        Some(issued.elapsed())
     }
 }
 
@@ -436,21 +394,13 @@ impl TickClock {
 /// its live monitor. On the reactor each thread owns one — only the
 /// client thread's records — and [`finish_run`] merges them; the channel
 /// drivers share one behind [`Shared`].
+#[derive(Default)]
 pub(crate) struct Telemetry {
     pub(crate) metrics: Metrics,
     recorder: Option<TraceRecorder>,
 }
 
 impl Telemetry {
-    /// Counters only, for a thread that hosts no client: shards and relays
-    /// record nothing.
-    pub(crate) fn counters() -> Self {
-        Telemetry {
-            metrics: Metrics::new(),
-            recorder: None,
-        }
-    }
-
     /// Counters plus the run's recorder, with the live monitor attached at
     /// `config`'s Δ and ε.
     pub(crate) fn recording(config: &RuntimeConfig) -> Self {
@@ -462,17 +412,9 @@ impl Telemetry {
         }
     }
 
-    fn recorder(&mut self) -> &mut TraceRecorder {
-        self.recorder
-            .as_mut()
-            .expect("only the thread hosting the clients records")
-    }
-
-    fn monitor(&self) -> &OnTimeMonitor {
-        self.recorder
-            .as_ref()
-            .and_then(TraceRecorder::monitor)
-            .expect("monitor attached by the driver")
+    /// Its counters and recorder, as a port hands them to the executor.
+    pub(crate) fn parts(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
+        (&mut self.metrics, self.recorder.as_mut())
     }
 }
 
@@ -497,250 +439,6 @@ impl Shared {
     }
 }
 
-/// Where one engine's effects land — the only seam between the shared
-/// effect executor ([`execute`]) and a concrete driver: a channel node's
-/// senders and wheel ([`ChannelNode`]), or a reactor's connection table
-/// and composite timer tokens ([`crate::reactor`]).
-pub(crate) trait Port {
-    /// Delivers `msg` to node `to`. Delivery may silently fail (a hung-up
-    /// channel, a link mid-reconnect): the engines' retry timers own
-    /// recovery, so a lost send is never an error here.
-    fn send(&mut self, to: NodeId, msg: Msg);
-    /// Arms engine timer `token` to fire once `deadline` has passed.
-    fn arm(&mut self, deadline: Instant, token: u64);
-}
-
-/// Executes what one engine step emitted, leaving `out` empty for the next
-/// step — the one place an [`Effect`] is interpreted, whichever driver
-/// hosts the engine. A timer is a deadline on the shared tick clock,
-/// counted from `t`, the tick the step was fed
-/// ([`TickClock::deadline_after`]); an infinite delta means "never" and
-/// arms nothing. Counters and records go into the caller's `telemetry`.
-pub(crate) fn execute(
-    out: &mut Vec<Effect>,
-    port: &mut impl Port,
-    clock: &TickClock,
-    t: Time,
-    telemetry: &mut Telemetry,
-) {
-    for effect in out.drain(..) {
-        match effect {
-            Effect::Send { to, msg } => port.send(to, msg),
-            Effect::SetTimer { after, token } => {
-                if let Some(deadline) = clock.deadline_after(t, after) {
-                    port.arm(deadline, token);
-                }
-            }
-            // Unconditional like the sim adapter: zero-increments
-            // materialize the counter so snapshots carry it.
-            Effect::Metric { name, add } => telemetry.metrics.add(name, add),
-            Effect::Record(op) => op.apply(telemetry.recorder()),
-        }
-    }
-}
-
-/// An engine as a driver sees it: events in, effects out. Implemented by
-/// [`ClientCore`], [`ShardCore`] and the geo relay engine, so the channel
-/// node loop and the reactors step whatever they host the same way.
-pub(crate) trait Host {
-    /// Feeds one event to the engine — preceded by a clock sample where
-    /// the engine contract requires one — collecting the emitted effects
-    /// into `out` for the driver to [`execute`]. `at` is the instant the
-    /// driver observed the event (the pass that popped a timer, the `read`
-    /// that returned a frame's bytes), and the step runs at the tick the
-    /// clock read then: an event happens when it reaches the host, not
-    /// when the host's thread gets round to it. No host reads the clock
-    /// itself. Returns that tick, which the effects' timers count from.
-    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time;
-
-    /// Whether the host's own work is over. Only a client ever finishes by
-    /// itself; infrastructure runs until it is told to stop.
-    fn finished(&self) -> bool {
-        false
-    }
-
-    /// Whether timer `token` firing now would do anything. A driver drops
-    /// a dead timer instead of stepping the host with it: a client's
-    /// retry whose reply came first ([`ClientEngine::timer_is_live`]), any
-    /// engine timer of a shard that is down.
-    fn timer_is_live(&self, _token: u64) -> bool {
-        true
-    }
-}
-
-/// The driver-independent heart of one client: the engine, its private
-/// input sources, the shared tick clock, and per-operation latency
-/// bookkeeping. Every real-time driver steps clients through this one
-/// type, so "what a client does per event" (clock injection order,
-/// op-issue latency stamps, completion counting) is defined exactly once.
-pub(crate) struct ClientCore {
-    pub(crate) engine: ClientEngine,
-    sources: PrivateSources,
-    clock: TickClock,
-    me: NodeId,
-    latencies: Vec<Duration>,
-    op_started: Option<Instant>,
-    completed: usize,
-}
-
-impl ClientCore {
-    /// The core of client `site` (node `me`) of `config`'s fleet, speaking
-    /// to `servers`; its operation stream is derived from the run seed.
-    pub(crate) fn for_site(
-        config: &RuntimeConfig,
-        servers: Vec<NodeId>,
-        me: NodeId,
-        site: usize,
-        clock: TickClock,
-    ) -> Self {
-        ClientCore {
-            engine: ClientEngine::new(
-                config.protocol,
-                servers,
-                site,
-                config.n_clients,
-                config.workload.clone(),
-                config.ops_per_client,
-            ),
-            sources: PrivateSources::new(config.seed, site, config.n_clients),
-            clock,
-            me,
-            latencies: Vec::new(),
-            op_started: None,
-            completed: 0,
-        }
-    }
-
-    /// Surrenders the recorded per-operation latencies.
-    pub(crate) fn into_latencies(self) -> Vec<Duration> {
-        self.latencies
-    }
-}
-
-impl Host for ClientCore {
-    /// Latency bookkeeping rides along: the op clock starts when the
-    /// op-issue timer was observed and stops once the step in which the
-    /// engine's completion count advances has run.
-    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
-        if matches!(
-            event,
-            Event::Timer {
-                token: TIMER_NEXT_OP
-            }
-        ) {
-            self.op_started = Some(at);
-        }
-        let t = self.clock.tick_at(at);
-        let now = Now {
-            me: self.me,
-            local: t,
-            truth: t,
-        };
-        self.engine.handle(Event::Now(now), &mut self.sources, out);
-        self.engine.handle(event, &mut self.sources, out);
-        if self.engine.ops_done() > self.completed {
-            self.completed = self.engine.ops_done();
-            if let Some(started) = self.op_started.take() {
-                self.latencies.push(started.elapsed());
-            }
-        }
-        t
-    }
-
-    /// The workload is complete with nothing in flight.
-    fn finished(&self) -> bool {
-        self.engine.finished() && self.engine.is_idle()
-    }
-
-    fn timer_is_live(&self, token: u64) -> bool {
-        self.engine.timer_is_live(token)
-    }
-}
-
-/// The driver-independent heart of one shard: its engine, the clock
-/// sample that must precede every event, and the shard's kill/restart
-/// policy — shared by the channel node loop and the shard reactor, which
-/// owns its engine inside the event loop instead of behind an inbox.
-pub(crate) struct ShardCore {
-    pub(crate) engine: ServerEngine,
-    clock: TickClock,
-    me: NodeId,
-    outages: OutageGate,
-}
-
-impl ShardCore {
-    /// The core of shard node `me`, killed and restarted as the rows of
-    /// `outages` (shards named by node index) that name it say.
-    pub(crate) fn new(
-        engine: ServerEngine,
-        clock: TickClock,
-        me: NodeId,
-        outages: &[(usize, Time, Time)],
-    ) -> Self {
-        ShardCore {
-            engine,
-            clock,
-            me,
-            outages: OutageGate::new(me.index(), outages),
-        }
-    }
-}
-
-impl Host for ShardCore {
-    /// The kill/restart policy rides along. `Event::Start` arms a timer at
-    /// every window edge. Each step first crosses any edge its tick lies
-    /// past, counting `CRASH` or `RESTART`. While down the shard serves
-    /// nothing: a message dead-letters (the simulator's down-node path)
-    /// and a timer dies with the volatile state it would have flushed. The
-    /// step that finds the shard up again feeds `Event::Restart` — a WAL
-    /// replay under a durable store — before its own event.
-    fn step(&mut self, event: Event, at: Instant, out: &mut Vec<Effect>) -> Time {
-        let t = self.clock.tick_at(at);
-        if matches!(event, Event::Start) {
-            self.outages.arm_edges(t, out);
-        }
-        let edge = self.outages.poll(t);
-        if let Some(edge) = edge {
-            let name = match edge {
-                OutageEdge::WentDown => names::CRASH,
-                OutageEdge::CameUp => names::RESTART,
-            };
-            out.push(Effect::Metric { name, add: 1 });
-        }
-        if self.outages.down {
-            if matches!(event, Event::Message { .. }) {
-                out.push(Effect::Metric {
-                    name: names::FAULT_DROPPED_DOWN,
-                    add: 1,
-                });
-            }
-            return t;
-        }
-        let now = Now {
-            me: self.me,
-            local: t,
-            truth: t,
-        };
-        self.engine.handle(Event::Now(now), out);
-        if edge == Some(OutageEdge::CameUp) {
-            self.engine.handle(Event::Restart, out);
-        }
-        if !matches!(
-            event,
-            Event::Timer {
-                token: TIMER_OUTAGE_EDGE
-            }
-        ) {
-            self.engine.handle(event, out);
-        }
-        t
-    }
-
-    fn timer_is_live(&self, token: u64) -> bool {
-        token == TIMER_OUTAGE_EDGE || !self.outages.down
-    }
-}
-
 /// Cap on how many already-queued messages one node-loop pass drains
 /// beyond the blocking receive. Bounded so a request flood cannot postpone
 /// a due timer indefinitely; 128 messages is far past any burst a fleet
@@ -748,19 +446,27 @@ impl Host for ShardCore {
 const DRAIN_BATCH: usize = 128;
 
 /// A channel node's [`Port`]: sends go through the driver's routing
-/// closure, timers into the node's own wheel.
-struct ChannelPort<S> {
-    send: S,
-    timers: TimerWheel,
+/// closure, timers into the node's own wheel, counters and records into
+/// the run's shared telemetry.
+struct ChannelPort<'r, S> {
+    send: &'r mut S,
+    timers: &'r mut TimerWheel,
+    telemetry: &'r mut Telemetry,
 }
 
-impl<S: FnMut(NodeId, Msg)> Port for ChannelPort<S> {
+impl<S: FnMut(NodeId, Msg)> Port for ChannelPort<'_, S> {
+    type Deadline = Instant;
+
     fn send(&mut self, to: NodeId, msg: Msg) {
         (self.send)(to, msg);
     }
 
     fn arm(&mut self, deadline: Instant, token: u64) {
         self.timers.arm(deadline, token);
+    }
+
+    fn telemetry(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
+        self.telemetry.parts()
     }
 }
 
@@ -801,20 +507,19 @@ pub(crate) fn recv_by<T>(
 /// at [`Inbound::Stop`].
 pub(crate) struct ChannelNode<'a, H, S> {
     host: H,
-    port: ChannelPort<S>,
+    send: S,
+    timers: TimerWheel,
     clock: TickClock,
     shared: &'a Shared,
     effects: Vec<Effect>,
 }
 
-impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
+impl<'a, H: Host<TickClock>, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
     pub(crate) fn new(host: H, send: S, clock: TickClock, shared: &'a Shared) -> Self {
         ChannelNode {
             host,
-            port: ChannelPort {
-                send,
-                timers: TimerWheel::new(&clock),
-            },
+            send,
+            timers: TimerWheel::new(&clock),
             clock,
             shared,
             effects: Vec::new(),
@@ -825,15 +530,13 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
     /// emits, taking the telemetry lock once. The effects scratch is left
     /// empty, so a step allocates nothing once it is warm.
     fn feed(&mut self, event: Event, at: Instant) {
-        let t = self.host.step(event, at, &mut self.effects);
-        let mut telemetry = self.shared.lock();
-        execute(
-            &mut self.effects,
-            &mut self.port,
-            &self.clock,
-            t,
-            &mut telemetry,
-        );
+        let t = self.host.step(event, at, None, &mut self.effects);
+        let mut port = ChannelPort {
+            send: &mut self.send,
+            timers: &mut self.timers,
+            telemetry: &mut self.shared.lock(),
+        };
+        execute(&mut self.effects, &mut port, &self.clock, t);
     }
 
     /// The node loop: feed `Event::Start`, then, pass by pass, collect the
@@ -860,14 +563,14 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
             // handling one may arm new ones, which belong to the next
             // pass.
             let now = Instant::now();
-            self.port.timers.pop_due_into(now, &mut due);
+            self.timers.pop_due_into(now, &mut due);
             events.extend(due.iter().map(|&token| Event::Timer { token }));
             let popped = events.len();
             if events.is_empty() {
                 // Block towards the next deadline — indefinitely with none
                 // armed: a message wakes the thread at once (the channel
                 // wait parks on a condvar).
-                match recv_by(inbox, self.port.timers.next_deadline())
+                match recv_by(inbox, self.timers.next_deadline())
                     .expect("the fleet builder holds every sender")
                 {
                     Some(Inbound::Msg(from, msg)) => events.push(Event::Message { from, msg }),
@@ -903,7 +606,7 @@ impl<'a, H: Host, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
                 self.feed(event, if i < popped { now } else { received });
             }
         }
-        self.port.timers.report(&mut self.shared.lock().metrics);
+        self.timers.report(&mut self.shared.lock().metrics);
         self.host
     }
 }
@@ -946,39 +649,18 @@ impl ControlPlane {
             .unwrap_or(Duration::from_millis(5))
     }
 
-    /// One control tick: reads the live monitor and the retry counter of
-    /// the clients' `telemetry`, lets the policy decide, and installs a
-    /// schedule change in the monitor. Returns the command in force for
-    /// the driver to (re-)broadcast, and whether to keep sampling.
+    /// One [`control_tick`] now, over the clients' `telemetry`. Returns the
+    /// command in force for the driver to (re-)broadcast, and whether to
+    /// keep sampling.
     pub(crate) fn sample(
         &mut self,
         clock: &TickClock,
         telemetry: &mut Telemetry,
     ) -> (Option<(NodeId, Msg)>, bool) {
-        let monitor = telemetry.monitor();
-        let readings = Readings {
-            observed: monitor.min_delta(),
-            violations: monitor.violations().len(),
-            ingested: monitor.ingested(),
-            retries: telemetry.metrics.get(names::RETRY),
-        };
-        let decision = self.policy.sample(clock.now(), readings);
-        if let Some(change) = decision.change {
-            telemetry.metrics.add(names::DELTA_UPDATE, 1);
-            telemetry.metrics.add(
-                if change.tightened {
-                    names::DELTA_TIGHTEN
-                } else {
-                    names::DELTA_RELAX
-                },
-                1,
-            );
-            telemetry
-                .recorder()
-                .monitor_schedule_change(change.judge_from, change.threshold);
-        }
-        let command = decision.broadcast.map(|msg| (self.from, msg));
-        (command, decision.keep_sampling)
+        let Telemetry { metrics, recorder } = telemetry;
+        let recorder = recorder.as_mut().expect("the clients' telemetry records");
+        let (command, more) = control_tick(&mut self.policy, clock.now(), recorder, metrics);
+        (command.map(|msg| (self.from, msg)), more)
     }
 
     /// The Δ-schedule commanded over the run.
@@ -1102,10 +784,8 @@ pub(crate) fn run_channels(
         }
         if let Some(geo) = geo {
             for region in 0..geo.regions.regions {
-                let host = RelayCore {
-                    engine: GeoRelayEngine::new(geo.regions.fleet(region), config.n_clients),
-                    clock,
-                };
+                let relay = GeoRelayEngine::new(geo.regions.fleet(region), config.n_clients);
+                let host = RelayCore::new(relay, clock);
                 let node = geo.regions.relay_node(region);
                 let (send, inbox) = (route(NodeId::new(node)), take_inbox(node));
                 scope.spawn(move || ChannelNode::new(host, send, clock, shared_ref).run(&inbox));
@@ -1119,7 +799,7 @@ pub(crate) fn run_channels(
                 Some(geo) => geo.regions.fleet(geo.home_region(site)),
                 None => (0..shards).map(NodeId::new).collect(),
             };
-            let mut host = ClientCore::for_site(config, servers, me, site, clock);
+            let mut host = site_core(config, servers, me, site, clock);
             if let Some(plan) = geo.and_then(|g| g.regions.migration_plan(&g.migrations, site)) {
                 host.engine = host.engine.with_migration(plan);
             }
@@ -1174,8 +854,8 @@ pub(crate) fn run_channels(
 
 /// Assembles a [`RuntimeResult`] out of a finished run's telemetry — the
 /// one holding the recorder, plus the counters of every other thread that
-/// kept its own — the common tail of every real-time driver, so all
-/// report through identical monitor/metrics plumbing.
+/// kept its own — judged by the node core's [`judge_run`], the tail the
+/// simulator ends with too.
 pub(crate) fn finish_run(
     telemetry: Telemetry,
     thread_metrics: Vec<Metrics>,
@@ -1184,8 +864,6 @@ pub(crate) fn finish_run(
     wall: Duration,
     delta_schedule: Option<DeltaSchedule>,
 ) -> RuntimeResult {
-    let observed_staleness = telemetry.monitor().min_delta();
-    let late_writes = telemetry.monitor().late_writes();
     let Telemetry { metrics, recorder } = telemetry;
     let mut metrics = metrics.snapshot();
     for other in thread_metrics {
@@ -1193,19 +871,8 @@ pub(crate) fn finish_run(
             *metrics.counters.entry(name).or_insert(0) += n;
         }
     }
-    let (history, report) = recorder
-        .expect("the run's recorder")
-        .finish_with_report()
-        .expect("protocol produced an invalid trace");
-    let on_time = report.expect("monitor attached by the driver");
-    // The monitor's own counters, as the simulator harness reports them.
-    metrics.counters.insert(
-        names::ON_TIME_VIOLATIONS.to_string(),
-        on_time.violations().len() as u64,
-    );
-    metrics
-        .counters
-        .insert(names::MONITOR_LATE_WRITES.to_string(), late_writes);
+    let recorder = recorder.expect("the run's recorder");
+    let (history, on_time, observed_staleness) = judge_run(recorder, &mut metrics);
     let ops_done = history.len();
     RuntimeResult {
         history,
@@ -1223,8 +890,9 @@ pub(crate) fn finish_run(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use tc_lifetime::engine::RecordOp;
-    use tc_lifetime::ProtocolKind;
+    use tc_lifetime::engine::{RecordOp, TIMER_NEXT_OP, TIMER_WAL_FLUSH};
+    use tc_lifetime::node::SimClock;
+    use tc_lifetime::{ProtocolKind, DEFAULT_RETRY_AFTER};
     use tc_sim::metrics::names;
 
     fn small(kind: ProtocolKind, seed: u64) -> RuntimeConfig {
@@ -1246,49 +914,6 @@ pub(crate) mod tests {
             tag,
             SEQ.fetch_add(1, Ordering::Relaxed)
         ))
-    }
-
-    #[test]
-    fn outage_gate_reports_edges_once_per_window() {
-        let outages = vec![
-            (0, Time::from_ticks(10), Time::from_ticks(20)),
-            (1, Time::from_ticks(0), Time::from_ticks(5)), // another shard
-        ];
-        let mut gate = OutageGate::new(0, &outages);
-        // Armed from tick 4: one edge timer due at each of 10 and 20.
-        let mut edges = Vec::new();
-        gate.arm_edges(Time::from_ticks(4), &mut edges);
-        let afters: Vec<u64> = edges
-            .iter()
-            .map(|e| match e {
-                Effect::SetTimer {
-                    after,
-                    token: TIMER_OUTAGE_EDGE,
-                } => after.ticks(),
-                other => panic!("unexpected effect {other:?}"),
-            })
-            .collect();
-        assert_eq!(afters, vec![6, 16]);
-        assert_eq!(gate.poll(Time::from_ticks(0)), None);
-        assert_eq!(
-            gate.poll(Time::from_ticks(10)),
-            Some(OutageEdge::WentDown),
-            "the window is inclusive at its start"
-        );
-        assert!(gate.down);
-        assert_eq!(gate.poll(Time::from_ticks(15)), None, "edges fire once");
-        assert_eq!(
-            gate.poll(Time::from_ticks(20)),
-            Some(OutageEdge::CameUp),
-            "the shard restarts at the window's end"
-        );
-        assert!(!gate.down);
-        assert_eq!(gate.poll(Time::from_ticks(25)), None);
-
-        let mut unarmed = OutageGate::new(2, &outages);
-        unarmed.arm_edges(Time::ZERO, &mut edges);
-        assert_eq!(edges.len(), 2, "a shard with no window arms nothing");
-        assert_eq!(unarmed.poll(Time::from_ticks(10)), None);
     }
 
     #[test]
@@ -1525,14 +1150,12 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn deadline_after_lands_on_the_tick_boundary_the_clock_will_read() {
+    fn deadline_lands_on_the_tick_boundary_the_clock_will_read() {
         let tick = Duration::from_micros(50);
         let clock = TickClock::new(tick);
         for k in [1u64, 3, 40] {
             let before = clock.now().ticks();
-            let deadline = clock
-                .deadline_after(clock.now(), Delta::from_ticks(k))
-                .unwrap();
+            let deadline = clock.deadline(clock.now(), Delta::from_ticks(k)).unwrap();
             let after = clock.now().ticks();
             // On a boundary: a whole number of ticks past the epoch…
             let offset = deadline.duration_since(clock.epoch).as_nanos() as u64;
@@ -1552,9 +1175,7 @@ pub(crate) mod tests {
         // A thread woken at the deadline reads a clock that has advanced
         // by at least k: per-site times stay strictly increasing.
         let t = clock.now().ticks();
-        let deadline = clock
-            .deadline_after(clock.now(), Delta::from_ticks(2))
-            .unwrap();
+        let deadline = clock.deadline(clock.now(), Delta::from_ticks(2)).unwrap();
         while Instant::now() < deadline {
             std::hint::spin_loop();
         }
@@ -1562,144 +1183,111 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn deadline_after_rounds_zero_up_and_never_arms_infinity() {
+    fn deadline_rounds_zero_up_and_never_arms_infinity() {
         let clock = TickClock::new(Duration::from_micros(50));
         let t = clock.now().ticks();
-        let zero = clock.deadline_after(clock.now(), Delta::ZERO).unwrap();
+        let zero = clock.deadline(clock.now(), Delta::ZERO).unwrap();
         let t2 = clock.now().ticks();
         let at = zero.duration_since(clock.epoch).as_nanos() as u64 / clock.tick_nanos;
         assert!(
             (t + 1..=t2 + 1).contains(&at),
             "Delta::ZERO must mean the next tick boundary"
         );
-        assert_eq!(clock.deadline_after(clock.now(), Delta::INFINITE), None);
+        assert_eq!(clock.deadline(clock.now(), Delta::INFINITE), None);
     }
 
-    /// A [`Port`] that keeps what is armed, (deadline, token), and drops
-    /// every send.
-    struct Arms(Vec<(Instant, u64)>);
-
-    impl Port for Arms {
-        fn send(&mut self, _: NodeId, _: Msg) {}
-        fn arm(&mut self, deadline: Instant, token: u64) {
-            self.0.push((deadline, token));
-        }
-    }
-
-    /// A clock of one-second ticks whose tick 0 ends in 20 ms, so a test
-    /// can observe an event in tick `t` and step its host once the clock
-    /// reads `t + 1`.
-    fn slow_clock() -> (TickClock, Duration) {
-        let tick = Duration::from_secs(1);
-        let epoch = Instant::now() - tick + Duration::from_millis(20);
-        (TickClock::starting_at(epoch, tick), tick)
-    }
-
-    fn wait_past(clock: &TickClock, t: Time) {
-        while clock.now() <= t {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    /// A step's timers count from the tick the step was fed, not from
-    /// whatever the clock reads once its effects are executed: a timer
-    /// armed `k` ticks out of a step at tick `t` is due at boundary `t + k`
-    /// even when the clock has moved on to `t + 1` in between.
-    #[test]
-    fn timers_are_armed_from_the_tick_the_step_was_fed() {
-        let (clock, tick) = slow_clock();
-        let k = 3;
-        let mut cfg = small(ProtocolKind::Sc, 7);
-        let think = Delta::from_ticks(k);
-        cfg.workload = Workload::new(4, 0.8, 0.7, (think, think));
-        let mut core = ClientCore::for_site(&cfg, vec![NodeId::new(0)], NodeId::new(1), 0, clock);
-        let mut out = Vec::new();
-        let t = core.step(Event::Start, Instant::now(), &mut out);
-        assert!(
-            matches!(out[..], [Effect::SetTimer { after, token: TIMER_NEXT_OP }] if after == think)
-        );
-        wait_past(&clock, t);
-        let mut arms = Arms(Vec::new());
-        execute(
-            &mut out,
-            &mut arms,
-            &clock,
-            t,
-            &mut Telemetry::recording(&cfg),
-        );
-        let boundary = clock.epoch + tick * (t.ticks() + k) as u32;
-        assert_eq!(
-            arms.0,
-            vec![(boundary, TIMER_NEXT_OP)],
-            "due at t + k, not (t + 1) + k"
-        );
-    }
-
-    /// An event's tick is the tick at which the driver observed it, not
-    /// the tick the clock reads by the time the host is stepped: a request
-    /// read in tick `t` is answered with `server_now = t`, and its reply,
-    /// read in tick `t` too, completes the read at `t` and arms the next
-    /// operation at boundary `t + 1` — although the clock reads `t + 1`
-    /// before either host steps.
-    #[test]
-    fn an_event_steps_at_the_tick_the_driver_observed_it() {
-        let (clock, tick) = slow_clock();
-        let mut cfg = small(ProtocolKind::Sc, 7);
-        cfg.workload = Workload::new(4, 0.8, 1.0, (Delta::ZERO, Delta::ZERO));
+    /// One client and one shard of a fleet of one, stepped through `time`
+    /// at fixed ticks: `Start` at 10, the op-issue timer at 13, the
+    /// request at 14, the reply at 15. `at` renders a tick as the moment a
+    /// driver observed it, `due` a deadline armed by a step at a tick as
+    /// the tick it falls due at. Returns every effect but the timers, the
+    /// timers as (tick due, token), and the liveness answers asked once the
+    /// reply is in.
+    fn exchange<T: TimeSource + Copy>(
+        time: T,
+        at: impl Fn(u64) -> T::At,
+        due: impl Fn(u64, T::Deadline) -> u64,
+    ) -> (Vec<Effect>, Vec<(u64, u64)>, [bool; 3]) {
         let (shard, site) = (NodeId::new(0), NodeId::new(1));
-        let mut client = ClientCore::for_site(&cfg, vec![shard], site, 0, clock);
-        let mut server = ShardCore::new(ServerEngine::new(cfg.protocol), clock, shard, &[]);
-        let sent = |out: &mut Vec<Effect>| {
-            out.drain(..)
-                .find_map(|e| match e {
-                    Effect::Send { msg, .. } => Some(msg),
-                    _ => None,
-                })
-                .expect("the step sends")
-        };
-        let mut out = Vec::new();
-        let observed = Instant::now();
-        let t = client.step(Event::Start, observed, &mut out);
-        out.clear();
-        let next_op = Event::Timer {
-            token: TIMER_NEXT_OP,
-        };
-        assert_eq!(client.step(next_op, observed, &mut out), t);
-        let request = sent(&mut out);
-        assert!(matches!(request, Msg::FetchReq { .. }), "a miss fetches");
+        let protocol = ProtocolConfig::of(ProtocolKind::Sc);
+        let think = Delta::from_ticks(3);
+        let workload = Workload::new(4, 0.8, 1.0, (think, think));
+        let engine = ClientEngine::new(protocol, vec![shard], 0, 1, workload, 2);
+        let mut client = ClientCore::new(engine, Some(PrivateSources::new(7, 0, 1)), time, site);
+        let mut server = ShardCore::new(ServerEngine::new(protocol), time, shard, &[]);
+        let (mut effects, mut arms, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        // Each step's event is the op-issue timer or the previous step's send.
+        let mut event = Event::Start;
+        for tick in [10, 13, 14, 15] {
+            let t = match tick {
+                14 => server.step(event, at(tick), None, &mut out),
+                _ => client.step(event, at(tick), None, &mut out),
+            };
+            assert_eq!(
+                t,
+                Time::from_ticks(tick),
+                "a step runs at its observed tick"
+            );
+            event = Event::Timer {
+                token: TIMER_NEXT_OP,
+            };
+            for effect in out.drain(..) {
+                match effect {
+                    Effect::SetTimer { after, token } => {
+                        arms.push((due(tick, time.deadline(t, after).unwrap()), token));
+                    }
+                    Effect::Send { to, ref msg } => {
+                        let from = if to == shard { site } else { shard };
+                        let msg = msg.clone();
+                        event = Event::Message { from, msg };
+                        effects.push(effect);
+                    }
+                    _ => effects.push(effect),
+                }
+            }
+        }
+        let live = [
+            client.timer_is_live(1), // the request's retry
+            client.timer_is_live(TIMER_NEXT_OP),
+            server.timer_is_live(TIMER_WAL_FLUSH),
+        ];
+        (effects, arms, live)
+    }
 
-        wait_past(&clock, t);
-        let event = Event::Message {
-            from: site,
-            msg: request,
-        };
-        assert_eq!(server.step(event, observed, &mut out), t);
-        let reply = sent(&mut out);
+    /// The node core steps alike under both time sources, at the tick the
+    /// driver observed each event: the simulator's `(local, true)` readings
+    /// and `Instant`s on a `TickClock` that already reads past tick 1 000
+    /// give the same effects, the same timers due at the same ticks —
+    /// counted from the step's tick, not the clock's — and the same
+    /// liveness answers: the retry, due after the reply, is dead.
+    #[test]
+    fn a_node_steps_at_the_tick_the_driver_observed_it_under_both_clocks() {
+        let tick = Duration::from_micros(50);
+        let clock = TickClock::starting_at(Instant::now() - tick * 1_000, tick);
+        let real = exchange(
+            clock,
+            |t| clock.epoch + tick * t as u32,
+            |_, deadline| clock.tick_at(deadline).ticks(),
+        );
+        let simulated = exchange(
+            SimClock,
+            |t| (Time::from_ticks(t), Time::from_ticks(t)),
+            |t, after| t + after.ticks().max(1),
+        );
+        assert_eq!(real, simulated);
+        let (effects, arms, live) = real;
+        let read_at_15 =
+            |e: &Effect| matches!(e, Effect::Record(RecordOp::Read { at, .. }) if at.ticks() == 15);
         assert!(
-            matches!(reply, Msg::FetchRep { server_now, .. } if server_now == t),
-            "answered at the tick the request was read: {reply:?}"
+            effects.iter().any(read_at_15),
+            "the reply completes the read"
         );
-
-        let event = Event::Message {
-            from: shard,
-            msg: reply,
-        };
-        assert_eq!(client.step(event, observed, &mut out), t);
-        let read_at = out.iter().find_map(|e| match e {
-            Effect::Record(RecordOp::Read { at, .. }) => Some(*at),
-            _ => None,
-        });
-        assert_eq!(read_at, Some(t), "the reply completes the read at t");
-        let mut arms = Arms(Vec::new());
-        execute(
-            &mut out,
-            &mut arms,
-            &clock,
-            t,
-            &mut Telemetry::recording(&cfg),
+        let retry_due = 13 + DEFAULT_RETRY_AFTER.ticks();
+        assert_eq!(
+            arms,
+            [(13, TIMER_NEXT_OP), (retry_due, 1), (18, TIMER_NEXT_OP)]
         );
-        let boundary = clock.epoch + tick * (t.ticks() + 1) as u32;
-        assert_eq!(arms.0, vec![(boundary, TIMER_NEXT_OP)]);
+        assert_eq!(live, [false, true, true]);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The driver timer wheel: a ring of per-tick buckets.
 //!
 //! Every engine deadline is a tick boundary by construction
-//! ([`TickClock::deadline_after`]), so a bucket per tick holds timers that
+//! ([`TickClock::deadline`]), so a bucket per tick holds timers that
 //! all fall due at once, and arming or popping one is O(1) — where a
 //! binary heap paid a sift through ~13 cache-missing levels per timer, for
 //! the thousands of retry timers a busy client reactor keeps pending (most
