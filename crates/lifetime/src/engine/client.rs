@@ -39,6 +39,9 @@ struct CausalWrite {
     shard: usize,
     /// Position in this client's per-shard write stream (starts at 1).
     shard_seq: u64,
+    /// True time the write last left on its own account: shipped, or
+    /// resent because it was overdue. It is overdue `retry_after` later.
+    sent_at: Time,
 }
 
 impl CausalWrite {
@@ -104,10 +107,17 @@ pub struct ClientEngine {
     /// targets the same shard, so a shard never applies a write whose
     /// causal dependencies are still in flight to a different shard.
     deferred: VecDeque<CausalWrite>,
-    /// Causal writes shipped but not yet acked. Retransmitted until
+    /// Causal writes shipped but not yet acked, in shard-sequence order.
+    /// Retransmitted, all of them in order, whenever one has gone
+    /// `retry_after` unacked since its own last send, until
     /// [`Msg::WriteAckCausal`] clears them; the server's LWW application
     /// is idempotent, so retransmits are harmless.
     unacked: Vec<CausalWrite>,
+    /// Generation of the one live causal flush timer, armed with token
+    /// `TIMER_FLUSH_CAUSAL + flush_gen`. Bumped whenever a write ships
+    /// into an empty `unacked` (and on restart), so a timer armed before
+    /// the set last drained is dead.
+    flush_gen: u64,
     /// This site's newest causal write per object, kept past the ack
     /// (durable, like `unacked`). A server reply can be generated before
     /// our write applied yet delivered after its ack — `unacked` alone
@@ -176,6 +186,7 @@ impl ClientEngine {
             causal_seq,
             deferred: VecDeque::new(),
             unacked: Vec::new(),
+            flush_gen: 0,
             own_writes: FxHashMap::default(),
             now: None,
             delta_override: None,
@@ -283,19 +294,26 @@ impl ClientEngine {
     /// Whether firing timer `token` now would do anything. A timer is
     /// *dead* when the state it was armed for is gone: a retry for a
     /// request that was answered (or superseded by a later epoch), a causal
-    /// flush with nothing unacked, an attach retransmit with no attach in
-    /// flight, an op-issue timer with no operation planned. Handling a dead
-    /// timer emits no effect and changes no state, so a driver may drop it
-    /// without a step — most retry timers die this way, because the reply
-    /// beats them.
+    /// flush of a superseded generation or with nothing unacked, an attach
+    /// retransmit with no attach in flight, an op-issue timer with no
+    /// operation planned. Handling a dead timer emits no effect and changes
+    /// no state, so a driver may drop it without a step — most retry timers
+    /// die this way, because the reply beats them.
     #[must_use]
     pub fn timer_is_live(&self, token: u64) -> bool {
         match token {
             TIMER_NEXT_OP => self.planned.is_some(),
-            TIMER_FLUSH_CAUSAL => !self.unacked.is_empty(),
             TIMER_GEO_ATTACH => self.attaching,
+            flush if flush == self.flush_token() => !self.unacked.is_empty(),
             epoch => epoch == self.req_epoch && self.outstanding.is_some(),
         }
+    }
+
+    /// The token of the live causal flush timer. Tokens of superseded
+    /// generations sit below it, far above any request epoch, so they
+    /// match nothing.
+    fn flush_token(&self) -> u64 {
+        TIMER_FLUSH_CAUSAL + self.flush_gen
     }
 
     /// Handles one event, appending the resulting effects to `out` (in
@@ -517,6 +535,7 @@ impl ClientEngine {
                 issued_at: t_loc,
                 shard,
                 shard_seq: self.causal_seq[shard],
+                sent_at: Time::ZERO, // stamped when it ships
             });
             self.ship_deferred(out);
             if !self.deferred.is_empty() {
@@ -558,42 +577,82 @@ impl ClientEngine {
     /// applied it — keeps each shard's store causally closed with no
     /// inter-shard protocol. With one shard the barrier never holds
     /// anything back.
+    ///
+    /// A write shipping into an empty `unacked` starts a new flush
+    /// generation and arms its timer for the write's deadline; later
+    /// writes ride on that timer.
     fn ship_deferred(&mut self, out: &mut Vec<Effect>) {
+        let now = self.now().truth;
         while let Some(head) = self.deferred.front() {
             if self.unacked.iter().any(|w| w.shard != head.shard) {
                 break;
             }
-            let w = self.deferred.pop_front().expect("checked non-empty");
+            let mut w = self.deferred.pop_front().expect("checked non-empty");
             let was_idle = self.unacked.is_empty();
             out.push(Effect::Send {
                 to: self.servers[w.shard],
                 msg: w.wire(),
             });
-            if was_idle {
-                out.push(Effect::SetTimer {
-                    after: self.config.retry_after,
-                    token: TIMER_FLUSH_CAUSAL,
-                });
-            }
+            w.sent_at = now;
             self.unacked.push(w);
+            if was_idle {
+                self.flush_gen += 1;
+                self.arm_flush(out, now);
+            }
         }
     }
 
-    /// Retransmits every unacked causal write (idempotent at the shard).
-    fn flush_unacked(&mut self, out: &mut Vec<Effect>) {
-        for w in self.unacked.clone() {
+    /// Arms the live flush timer for the earliest deadline among the
+    /// unacked writes.
+    fn arm_flush(&self, out: &mut Vec<Effect>, now: Time) {
+        out.push(Effect::SetTimer {
+            after: self.next_deadline().saturating_since(now),
+            token: self.flush_token(),
+        });
+    }
+
+    fn next_deadline(&self) -> Time {
+        let oldest = self.unacked.iter().map(|w| w.sent_at).min();
+        let oldest = oldest.expect("a flush deadline needs an unacked write");
+        oldest.saturating_add_delta(self.config.retry_after)
+    }
+
+    /// The live flush timer fired. Once some unacked write is overdue
+    /// (`retry_after` past its own last send), every unacked write is
+    /// resent; until then nothing is sent and the timer waits for the
+    /// earliest deadline. A write acked in time is never resent.
+    fn on_flush_timer(&mut self, out: &mut Vec<Effect>) {
+        if self.unacked.is_empty() {
+            return;
+        }
+        let now = self.now().truth;
+        if self.next_deadline() <= now {
+            self.resend_unacked(out, now);
+        } else {
+            self.arm_flush(out, now);
+        }
+    }
+
+    /// Retransmits every unacked causal write in order (idempotent at the
+    /// shard) and re-arms the live flush timer. Go-back-N: the shard drops
+    /// a write beyond a gap in its stream unacked, so the younger writes
+    /// behind a lost one must follow it again. Only an overdue write's
+    /// deadline moves: a younger copy riding along can land behind a gap
+    /// once more if the network reorders the burst, and it is then still
+    /// resent `retry_after` after its own last send, not after the ride.
+    fn resend_unacked(&mut self, out: &mut Vec<Effect>, now: Time) {
+        let retry_after = self.config.retry_after;
+        for w in &mut self.unacked {
             out.push(Effect::metric(names::CAUSAL_RETRANSMIT));
             out.push(Effect::Send {
                 to: self.servers[w.shard],
                 msg: w.wire(),
             });
+            if w.sent_at.saturating_add_delta(retry_after) <= now {
+                w.sent_at = now;
+            }
         }
-        if !self.unacked.is_empty() {
-            out.push(Effect::SetTimer {
-                after: self.config.retry_after,
-                token: TIMER_FLUSH_CAUSAL,
-            });
-        }
+        self.arm_flush(out, now);
     }
 
     fn record_read(&mut self, out: &mut Vec<Effect>, object: ObjectId, value: Value) {
@@ -648,14 +707,19 @@ impl ClientEngine {
             // server already has it or the retransmit loop will land it,
             // and the discarded server version never becomes visible here,
             // keeping the recorded history causally consistent.
-            if let Some((value, alpha_v, issued_at)) = self.own_writes.get(&object).cloned() {
+            if let Some((value, alpha_v, issued_at)) = self.own_writes.get(&object) {
                 let ours_wins = match version.alpha_v.as_ref() {
                     None => true,
-                    Some(av) if alpha_v.dominated_by(av) => false,
-                    Some(av) if av.dominated_by(&alpha_v) => true,
-                    Some(_) => (issued_at, self.now().me.index()) > version.tiebreak,
+                    Some(av) => match alpha_v.compare(av) {
+                        ClockOrdering::After => true,
+                        ClockOrdering::Before | ClockOrdering::Equal => false,
+                        ClockOrdering::Concurrent => {
+                            (*issued_at, self.now().me.index()) > version.tiebreak
+                        }
+                    },
                 };
                 if ours_wins {
+                    let (value, issued_at, alpha_v) = (*value, *issued_at, alpha_v.clone());
                     out.push(Effect::metric(names::OWN_WRITE_PRESERVED));
                     let omega_v = self.context_v.clone();
                     self.cache.insert(
@@ -724,11 +788,15 @@ impl ClientEngine {
         // migration is due).
         self.attaching = false;
         // Durable state drives recovery: finish the in-flight request if
-        // one was logged, flush unacked causal writes (then let the
-        // barrier ship anything it can), and resume the workload. The
-        // server deduplicates replayed physical writes, so re-driving
-        // `outstanding` is safe even if it was already applied.
-        self.flush_unacked(out);
+        // one was logged, resend every unacked causal write under a fresh
+        // flush generation (then let the barrier ship anything it can),
+        // and resume the workload. The server deduplicates replayed
+        // physical writes, so re-driving `outstanding` is safe even if it
+        // was already applied.
+        if !self.unacked.is_empty() {
+            self.flush_gen += 1;
+            self.resend_unacked(out, self.now().truth);
+        }
         self.ship_deferred(out);
         if let Some(msg) = self.outstanding.clone() {
             out.push(Effect::metric(names::RETRY));
@@ -751,8 +819,8 @@ impl ClientEngine {
                     OpChoice::Write => self.start_write(object, io, out),
                 }
             }
-        } else if token == TIMER_FLUSH_CAUSAL {
-            self.flush_unacked(out);
+        } else if token == self.flush_token() {
+            self.on_flush_timer(out);
         } else if token == TIMER_GEO_ATTACH {
             // Retransmit an unanswered attach (the relay handles
             // duplicates idempotently).

@@ -55,14 +55,19 @@ pub use shard::ShardMap;
 /// per-operation latency clock here).
 pub const TIMER_NEXT_OP: u64 = 0;
 
-/// Timer token for "retransmit unacked causal writes". Request-retry timers
-/// use the request epoch (which starts at 1) as their token, so `u64::MAX`
-/// can never collide.
-pub const TIMER_FLUSH_CAUSAL: u64 = u64::MAX;
+/// Base of the client's causal flush tokens: "resend the unacked causal
+/// writes once one is overdue". A client has one live flush timer,
+/// armed with token `TIMER_FLUSH_CAUSAL + g` for its current generation
+/// `g ≥ 1`; the generation moves on whenever a write ships into an empty
+/// unacked set and on restart, so a timer armed before the set last drained
+/// is dead ([`ClientEngine::timer_is_live`]). Request-retry timers use the
+/// request epoch (which starts at 1) as their token, and no run reaches
+/// 2⁶² requests, so the ranges never collide.
+pub const TIMER_FLUSH_CAUSAL: u64 = 1 << 62;
 
 /// Client timer token for "retransmit the pending [`Msg::GeoAttach`]"
-/// during a region migration. Like [`TIMER_FLUSH_CAUSAL`], far above any
-/// request epoch a run can reach.
+/// during a region migration. Like the [`TIMER_FLUSH_CAUSAL`] range, far
+/// above any request epoch a run can reach.
 pub const TIMER_GEO_ATTACH: u64 = u64::MAX - 1;
 
 /// Server timer token for "retransmit unacked cross-region batches".
@@ -85,8 +90,10 @@ pub struct Now {
     pub me: tc_sim::NodeId,
     /// The node's local clock — what the protocol may timestamp with.
     pub local: Time,
-    /// Ground-truth time, used only for trace recording (the checkers
-    /// judge real staleness, so traces must carry honest times).
+    /// Ground-truth time: what recorded operations carry (the checkers
+    /// judge real staleness, so traces must carry honest times) and what
+    /// an armed timer counts in, so a deadline an engine reckons against
+    /// it falls when the timer does.
     pub truth: Time,
 }
 

@@ -10,7 +10,9 @@
 use proptest::collection;
 use proptest::prelude::*;
 use tc_clocks::{Delta, Time};
-use tc_lifetime::engine::{Effect, Event, PrivateSources, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH};
+use tc_lifetime::engine::{
+    Effect, Event, PrivateSources, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH, TIMER_NEXT_OP,
+};
 use tc_lifetime::node::{ClientCore, Host, ShardCore, SimClock};
 use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
 use tc_sim::workload::Workload;
@@ -30,6 +32,40 @@ struct Fleet {
 }
 
 impl Fleet {
+    /// `SITES` clients of `kind` and `shards` shards, every node started.
+    fn new(kind: ProtocolKind, shards: usize, seed: u64, workload: Workload) -> Self {
+        let config = ProtocolConfig::of(kind).with_shards(shards);
+        let servers: Vec<NodeId> = (0..shards).map(NodeId::new).collect();
+        let mut fleet = Fleet {
+            shards,
+            clients: (0..SITES)
+                .map(|site| {
+                    let engine = ClientEngine::new(
+                        config,
+                        servers.clone(),
+                        site,
+                        SITES,
+                        workload.clone(),
+                        30,
+                    );
+                    let sources = Some(PrivateSources::new(seed, site, SITES));
+                    ClientCore::new(engine, sources, SimClock, NodeId::new(shards + site))
+                })
+                .collect(),
+            servers: servers
+                .iter()
+                .map(|&me| ShardCore::new(ServerEngine::new(config), SimClock, me, &[]))
+                .collect(),
+            wire: Vec::new(),
+            timers: Vec::new(),
+            t: 0,
+        };
+        for node in 0..shards + SITES {
+            fleet.step(node, Event::Start);
+        }
+        fleet
+    }
+
     /// Steps `node`'s node core with `event` a tick after the last step,
     /// collecting what it sends and arms.
     fn step(&mut self, node: usize, event: Event) -> Vec<Effect> {
@@ -91,29 +127,8 @@ proptest! {
             ProtocolKind::Cc,
             ProtocolKind::Tcc { delta },
         ][kind];
-        let config = ProtocolConfig::of(kind).with_shards(shards);
-        let servers: Vec<NodeId> = (0..shards).map(NodeId::new).collect();
         let workload = Workload::new(4, 0.8, 0.5, (Delta::ZERO, Delta::from_ticks(3)));
-        let mut fleet = Fleet {
-            shards,
-            clients: (0..SITES)
-                .map(|site| {
-                    let engine = ClientEngine::new(config, servers.clone(), site, SITES, workload.clone(), 30);
-                    let sources = Some(PrivateSources::new(seed, site, SITES));
-                    ClientCore::new(engine, sources, SimClock, NodeId::new(shards + site))
-                })
-                .collect(),
-            servers: servers
-                .iter()
-                .map(|&me| ShardCore::new(ServerEngine::new(config), SimClock, me, &[]))
-                .collect(),
-            wire: Vec::new(),
-            timers: Vec::new(),
-            t: 0,
-        };
-        for node in 0..shards + SITES {
-            fleet.step(node, Event::Start);
-        }
+        let mut fleet = Fleet::new(kind, shards, seed, workload);
         for (what, pick) in schedule {
             match what {
                 // Deliver, drop or duplicate a message in flight.
@@ -137,9 +152,11 @@ proptest! {
                         fleet.fire_client(node - shards, token)?;
                     }
                 }
-                // Fire a token nobody armed (or not any more).
+                // Fire a token nobody armed (or not any more): among them
+                // flush generations the site has moved past.
                 9 | 10 => {
-                    let token = [0, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH, (pick / 4) as u64 % 40][pick % 4];
+                    let nth = (pick / 4) as u64;
+                    let token = [0, TIMER_FLUSH_CAUSAL + nth % 12, TIMER_GEO_ATTACH, nth % 40][pick % 4];
                     fleet.fire_client(pick % SITES, token)?;
                 }
                 11 => {
@@ -149,4 +166,46 @@ proptest! {
             }
         }
     }
+}
+
+/// A causal flush timer outlives the ack that drained its set: dead while
+/// nothing is unacked, and still dead once the next write has started a
+/// new generation with its own timer.
+#[test]
+fn a_flush_timer_dies_with_the_set_it_was_armed_for() {
+    let writes_only = Workload::new(4, 0.8, 0.0, (Delta::ZERO, Delta::ZERO));
+    let tcc = ProtocolKind::Tcc {
+        delta: Delta::from_ticks(40),
+    };
+    let mut fleet = Fleet::new(tcc, 1, 3, writes_only);
+    let client = fleet.shards; // site 0's node
+    let write = |fleet: &mut Fleet| -> u64 {
+        let out = fleet.step(
+            client,
+            Event::Timer {
+                token: TIMER_NEXT_OP,
+            },
+        );
+        let flush = out.iter().find_map(|e| match e {
+            Effect::SetTimer { token, .. } if *token != TIMER_NEXT_OP => Some(*token),
+            _ => None,
+        });
+        flush.expect("a write into an empty set arms a flush timer")
+    };
+    let first = write(&mut fleet);
+    // The shard applies the write and its ack drains the set.
+    for _ in 0..2 {
+        let (from, to, msg) = fleet.wire.pop().expect("the write, then its ack");
+        fleet.step(to.index(), Event::Message { from, msg });
+    }
+    assert!(fleet.wire.is_empty());
+    assert!(!fleet.clients[0].timer_is_live(first));
+    fleet.fire_client(0, first).unwrap();
+
+    let second = write(&mut fleet);
+    assert_ne!(second, first, "a new generation");
+    assert!(fleet.clients[0].timer_is_live(second));
+    assert!(!fleet.clients[0].timer_is_live(first));
+    fleet.fire_client(0, first).unwrap();
+    fleet.fire_client(0, second).unwrap();
 }
