@@ -49,11 +49,11 @@
 //! magic but another generation's version ([`WireError::BadVersion`]). A
 //! torn write leaves a short frame or a failed CRC, never a well-formed
 //! header of a different generation — that is a log written by another
-//! build (generation 1 wrote vector clocks fixed-width), every record of
-//! which was acknowledged. [`WalStore::try_open`] refuses such a directory
-//! with [`AlienVersion`] and touches no file. (A bit flip that lands
-//! exactly in a version field reads the same and is refused too; refusal
-//! destroys nothing.)
+//! build (generation 1 wrote every integer fixed-width, generation 2 all
+//! but the clock entries), every record of which was acknowledged.
+//! [`WalStore::try_open`] refuses such a directory with [`AlienVersion`]
+//! and touches no file. (A bit flip that lands exactly in a version field
+//! reads the same and is refused too; refusal destroys nothing.)
 //!
 //! Segment rotation happens at sync time: once the live segment holds
 //! `snapshot_every` records, the durable image is snapshotted, a fresh
@@ -106,7 +106,7 @@ fn file_seq(name: &str, prefix: &str, ext: &str) -> Option<u64> {
 /// Encodes one record frame (global index + record) onto `buf`.
 fn encode_record(buf: &mut Vec<u8>, shard: u16, index: u64, record: &WalRecord) {
     encode_frame_body_into(buf, shard, |w| {
-        w.u64(index);
+        w.uvar(index);
         match record {
             WalRecord::Physical {
                 object,
@@ -120,7 +120,7 @@ fn encode_record(buf: &mut Vec<u8>, shard: u16, index: u64, record: &WalRecord) 
                 put_value(w, *value);
                 put_time(w, *alpha);
                 put_time(w, *issued_at);
-                w.u64(*writer as u64);
+                w.uvar(*writer as u64);
             }
             WalRecord::Causal {
                 object,
@@ -132,8 +132,8 @@ fn encode_record(buf: &mut Vec<u8>, shard: u16, index: u64, record: &WalRecord) 
             } => {
                 w.u8(RECORD_CAUSAL);
                 put_object(w, *object);
-                w.u64(*writer as u64);
-                w.u64(*seq);
+                w.uvar(*writer as u64);
+                w.uvar(*seq);
                 put_value(w, *value);
                 put_time(w, *alpha_t);
                 put_vclock(w, alpha_v);
@@ -145,19 +145,19 @@ fn encode_record(buf: &mut Vec<u8>, shard: u16, index: u64, record: &WalRecord) 
 /// Decodes one record frame payload.
 fn decode_record(payload: &[u8]) -> Result<(u64, WalRecord), WireError> {
     let mut r = Reader::new(payload);
-    let index = r.u64("record index")?;
+    let index = r.uvar("record index")?;
     let record = match r.u8("record kind")? {
         RECORD_PHYSICAL => WalRecord::Physical {
             object: get_object(&mut r)?,
             value: get_value(&mut r)?,
             alpha: get_time(&mut r, "alpha")?,
             issued_at: get_time(&mut r, "issued_at")?,
-            writer: r.u64("writer")? as usize,
+            writer: r.uvar_u32("writer")? as usize,
         },
         RECORD_CAUSAL => WalRecord::Causal {
             object: get_object(&mut r)?,
-            writer: r.u64("writer")? as usize,
-            seq: r.u64("seq")?,
+            writer: r.uvar_u32("writer")? as usize,
+            seq: r.uvar("seq")?,
             value: get_value(&mut r)?,
             alpha_t: get_time(&mut r, "alpha_t")?,
             alpha_v: get_vclock(&mut r)?,
@@ -178,7 +178,7 @@ fn put_stored(w: &mut Writer, v: &StoredVersion) {
     put_time(w, v.alpha_t);
     put_opt_vclock(w, v.alpha_v.as_ref());
     put_time(w, v.tiebreak.0);
-    w.u64(v.tiebreak.1 as u64);
+    w.uvar(v.tiebreak.1 as u64);
 }
 
 fn get_stored(r: &mut Reader<'_>) -> Result<StoredVersion, WireError> {
@@ -188,7 +188,7 @@ fn get_stored(r: &mut Reader<'_>) -> Result<StoredVersion, WireError> {
         alpha_v: get_opt_vclock(r)?,
         tiebreak: (
             get_time(r, "tiebreak time")?,
-            r.u64("tiebreak writer")? as usize,
+            r.uvar("tiebreak writer")? as usize,
         ),
     })
 }
@@ -196,26 +196,26 @@ fn get_stored(r: &mut Reader<'_>) -> Result<StoredVersion, WireError> {
 /// Encodes a snapshot frame of `image` onto `buf`.
 fn encode_snapshot(buf: &mut Vec<u8>, shard: u16, image: &ShardImage) {
     encode_frame_body_into(buf, shard, |w| {
-        w.u64(image.records());
-        w.u64(image.writes_applied());
+        w.uvar(image.records());
+        w.uvar(image.writes_applied());
         put_time(w, image.last_alpha());
         let versions = image.versions_sorted();
-        w.u32(versions.len() as u32);
+        w.uvar(versions.len() as u64);
         for (object, stored) in &versions {
             put_object(w, *object);
             put_stored(w, stored);
         }
         let physical = image.physical_sorted();
-        w.u32(physical.len() as u32);
+        w.uvar(physical.len() as u64);
         for (value, alpha) in &physical {
             put_value(w, *value);
             put_time(w, *alpha);
         }
         let cursors = image.cursors_sorted();
-        w.u32(cursors.len() as u32);
+        w.uvar(cursors.len() as u64);
         for (writer, seq) in &cursors {
-            w.u64(*writer as u64);
-            w.u64(*seq);
+            w.uvar(*writer as u64);
+            w.uvar(*seq);
         }
     });
 }
@@ -223,23 +223,23 @@ fn encode_snapshot(buf: &mut Vec<u8>, shard: u16, image: &ShardImage) {
 /// Decodes a snapshot frame payload back into a [`ShardImage`].
 fn decode_snapshot(payload: &[u8]) -> Result<ShardImage, WireError> {
     let mut r = Reader::new(payload);
-    let records = r.u64("snapshot records")?;
-    let writes_applied = r.u64("snapshot writes")?;
+    let records = r.uvar("snapshot records")?;
+    let writes_applied = r.uvar("snapshot writes")?;
     let last_alpha = get_time(&mut r, "snapshot last_alpha")?;
-    let n = r.u32("snapshot versions")?;
+    let n = r.uvar_u32("snapshot versions")?;
     let mut versions = Vec::with_capacity(n as usize);
     for _ in 0..n {
         versions.push((get_object(&mut r)?, get_stored(&mut r)?));
     }
-    let n = r.u32("snapshot physical")?;
+    let n = r.uvar_u32("snapshot physical")?;
     let mut physical = Vec::with_capacity(n as usize);
     for _ in 0..n {
         physical.push((get_value(&mut r)?, get_time(&mut r, "physical alpha")?));
     }
-    let n = r.u32("snapshot cursors")?;
+    let n = r.uvar_u32("snapshot cursors")?;
     let mut cursors = Vec::with_capacity(n as usize);
     for _ in 0..n {
-        cursors.push((r.u64("cursor writer")? as usize, r.u64("cursor seq")?));
+        cursors.push((r.uvar_u32("cursor writer")? as usize, r.uvar("cursor seq")?));
     }
     r.finish()?;
     Ok(ShardImage::from_parts(
@@ -833,6 +833,36 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Frames `payload` under wire generation `version` as a one-record
+    /// segment, and checks that opening its directory refuses it by name
+    /// and leaves every file as it was.
+    fn assert_refused_untouched(tag: &str, version: u16, payload: &[u8]) {
+        let mut frame = Writer::new();
+        frame.u32(tc_wire::MAGIC);
+        frame.u16(version);
+        frame.u16(0);
+        frame.u32(payload.len() as u32);
+        frame.u32(tc_wire::crc32(payload));
+        let mut old_log = frame.into_bytes();
+        old_log.extend_from_slice(payload);
+
+        let dir = temp_dir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        let seg = seg_path(&dir, 0);
+        fs::write(&seg, &old_log).unwrap();
+        let refused = WalStore::try_open(&dir, 0, 1024).err();
+        assert_eq!(
+            refused,
+            Some(AlienVersion {
+                path: seg.clone(),
+                found: version
+            })
+        );
+        assert_eq!(fs::read(&seg).unwrap(), old_log, "a refused log is intact");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "and nothing new");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// A segment exactly as generation 1 wrote it — version 1 in the
     /// header, the clock as `u32 site, u32 width, u64 entries` — must be
     /// refused by name. Before the version gate was told apart from
@@ -852,31 +882,28 @@ mod tests {
         for entry in [0u64, 1, 0, 0] {
             payload.u64(entry); // ... fixed-width entries
         }
-        let payload = payload.into_bytes();
-        let mut frame = Writer::new();
-        frame.u32(tc_wire::MAGIC);
-        frame.u16(1);
-        frame.u16(0);
-        frame.u32(payload.len() as u32);
-        frame.u32(tc_wire::crc32(&payload));
-        let mut v1_log = frame.into_bytes();
-        v1_log.extend_from_slice(&payload);
+        assert_refused_untouched("v1", 1, &payload.into_bytes());
+    }
 
-        let dir = temp_dir("v1");
-        fs::create_dir_all(&dir).unwrap();
-        let seg = seg_path(&dir, 0);
-        fs::write(&seg, &v1_log).unwrap();
-        let refused = WalStore::try_open(&dir, 0, 1024).err();
-        assert_eq!(
-            refused,
-            Some(AlienVersion {
-                path: seg.clone(),
-                found: 1
-            })
-        );
-        assert_eq!(fs::read(&seg).unwrap(), v1_log, "a refused log is intact");
-        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "and nothing new");
-        let _ = fs::remove_dir_all(&dir);
+    /// A segment as generation 2 wrote it — fixed-width scalars, the
+    /// clock's entries plain varints — is refused the same way: there is
+    /// no v2 decode path.
+    #[test]
+    fn a_v2_segment_is_refused_and_left_untouched() {
+        let mut payload = Writer::new();
+        payload.u64(1); // record index
+        payload.u8(RECORD_CAUSAL);
+        payload.u32(2); // object
+        payload.u64(1); // writer
+        payload.u64(1); // seq
+        payload.u64(21); // value
+        payload.u64(8); // alpha_t
+        payload.uvar(1); // v2 clock: owner site ...
+        payload.uvar(4); // ... width ...
+        for entry in [0u64, 1, 0, 0] {
+            payload.uvar(entry); // ... varint entries, no base
+        }
+        assert_refused_untouched("v2", 2, &payload.into_bytes());
     }
 
     #[test]

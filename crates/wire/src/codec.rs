@@ -1,11 +1,11 @@
 //! Primitive byte codec: a growable write buffer and a checked cursor
 //! reader, plus the error vocabulary every decode path reports through.
 //!
-//! Fixed-width integers are little-endian. Floats travel as their IEEE-754
-//! bit patterns so encode→decode is the identity even for NaN payloads.
-//! Vector-clock components travel as LEB128 varints ([`Writer::uvar`] /
+//! Payload integers travel as LEB128 varints ([`Writer::uvar`] /
 //! [`Reader::uvar`]) in canonical form only, so every value has exactly
-//! one encoding.
+//! one encoding. Fixed-width little-endian integers are left to the frame
+//! header, which WAL segments share. Floats travel as their IEEE-754 bit
+//! patterns so encode→decode is the identity even for NaN payloads.
 //! Decoding never panics: every shortfall or malformed field becomes a
 //! [`WireError`].
 
@@ -66,6 +66,13 @@ pub enum WireError {
         /// What was being decoded.
         what: &'static str,
     },
+    /// A canonical varint whose value does not fit the field: an object,
+    /// site, writer or length above `u32::MAX`. Refused rather than
+    /// truncated, so no id wraps onto another.
+    OutOfRange {
+        /// What was being decoded.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for WireError {
@@ -90,6 +97,7 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::BadVectorClock => write!(f, "malformed vector clock"),
             WireError::BadVarint { what } => write!(f, "non-canonical varint in {what}"),
+            WireError::OutOfRange { what } => write!(f, "{what} exceeds u32::MAX"),
         }
     }
 }
@@ -173,14 +181,20 @@ impl<'a> Reader<'a> {
         Err(WireError::Truncated { what })
     }
 
+    /// Reads a varint that must fit a `u32` — an object, site or writer id,
+    /// or a length. A larger value is [`WireError::OutOfRange`].
+    pub fn uvar_u32(&mut self, what: &'static str) -> Result<u32, WireError> {
+        u32::try_from(self.uvar(what)?).map_err(|_| WireError::OutOfRange { what })
+    }
+
     /// Reads an `f64` from its IEEE-754 bit pattern.
     pub fn f64(&mut self, what: &'static str) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
-    /// Reads a `u32`-length-prefixed UTF-8 string.
+    /// Reads a varint-length-prefixed UTF-8 string.
     pub fn string(&mut self, what: &'static str) -> Result<String, WireError> {
-        let len = self.u32(what)? as usize;
+        let len = self.uvar_u32(what)? as usize;
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadUtf8)
     }
@@ -273,9 +287,9 @@ impl Writer {
         self.u64(v.to_bits());
     }
 
-    /// Appends a `u32`-length-prefixed UTF-8 string.
+    /// Appends a varint-length-prefixed UTF-8 string.
     pub fn string(&mut self, v: &str) {
-        self.u32(v.len() as u32);
+        self.uvar(v.len() as u64);
         self.buf.extend_from_slice(v.as_bytes());
     }
 }
@@ -366,9 +380,24 @@ mod tests {
     }
 
     #[test]
+    fn uvar_u32_refuses_what_would_wrap() {
+        for v in [0, 1, u64::from(u32::MAX)] {
+            let bytes = uvar_bytes(v);
+            assert_eq!(Reader::new(&bytes).uvar_u32("id"), Ok(v as u32));
+        }
+        for v in [u64::from(u32::MAX) + 1, 1 << 40, u64::MAX] {
+            let bytes = uvar_bytes(v);
+            assert_eq!(
+                Reader::new(&bytes).uvar_u32("id"),
+                Err(WireError::OutOfRange { what: "id" })
+            );
+        }
+    }
+
+    #[test]
     fn bad_utf8_is_rejected() {
         let mut w = Writer::new();
-        w.u32(2);
+        w.uvar(2);
         w.u8(0xFF);
         w.u8(0xFE);
         let bytes = w.into_bytes();

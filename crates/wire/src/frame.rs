@@ -11,12 +11,15 @@
 //! * `magic` — `0x54435752` (`"TCWR"` read as little-endian bytes
 //!   `52 57 43 54`); anything else means the stream is not speaking this
 //!   protocol and must be dropped before a byte of payload is trusted.
-//! * `ver` — [`WIRE_VERSION`], currently 2; a reader rejects frames from a
+//! * `ver` — [`WIRE_VERSION`], currently 3; a reader rejects frames from a
 //!   different protocol generation instead of guessing at field layouts.
-//!   Generation 1 wrote vector clocks as fixed-width `u32 u32 u64…`;
-//!   generation 2 writes them as varints (see [`crate::msg::put_vclock`]).
-//!   The header itself is the same in both, which is what lets a v2 reader
-//!   refuse a v1 frame or WAL record by name instead of mis-decoding it.
+//!   Generation 1 wrote every payload integer fixed-width, vector clocks
+//!   as `u32 u32 u64…`; generation 2 made the clock's entries varints;
+//!   generation 3 makes every payload integer a varint and writes a clock
+//!   as its smallest entry plus offsets (see [`crate::msg::put_vclock`]).
+//!   The header itself is the same in all three, which is what lets a v3
+//!   reader refuse a v1 or v2 frame or WAL record by name instead of
+//!   mis-decoding it.
 //! * `lane` — the routing tag, carried in the clear so a reader can route
 //!   (and a pcap reader can follow) frames without decoding payloads. On
 //!   a reactor link, which multiplexes every site a client process hosts
@@ -42,7 +45,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"TCWR");
 
 /// The wire-protocol generation this build speaks — and the only one it
 /// decodes: every other value is [`WireError::BadVersion`].
-pub const WIRE_VERSION: u16 = 2;
+pub const WIRE_VERSION: u16 = 3;
 
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -239,6 +242,9 @@ pub fn read_frame<R: Read>(r: &mut R) -> std::io::Result<(u16, WireMsg)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_clocks::{Time, VectorClock};
+    use tc_core::{ObjectId, Value};
+    use tc_lifetime::{Msg, WireVersion};
 
     #[test]
     fn frame_round_trips_with_exact_consumption() {
@@ -261,10 +267,10 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        // 1 is the previous generation: it differs only in the clock
-        // layout, so the header gate is all that keeps a v2 reader from
-        // guessing at it.
-        for found in [1u16, 0xFE] {
+        // 1 and 2 are the previous generations: their headers are this
+        // one's, so the header gate is all that keeps a v3 reader from
+        // guessing at their fixed-width fields.
+        for found in [1u16, 2, 0xFE] {
             let mut frame = encode_frame(0, &WireMsg::Bye);
             frame[4..6].copy_from_slice(&found.to_le_bytes());
             assert_eq!(decode_frame(&frame), Err(WireError::BadVersion { found }));
@@ -275,17 +281,124 @@ mod tests {
         }
     }
 
+    /// A 32-entry clock at the benchmark's shape: a few thousand events
+    /// per site, every entry within 64 of the others.
+    fn bench_clock() -> VectorClock {
+        VectorClock::from_entries(
+            31,
+            (0..32u64)
+                .map(|i| 5_000 + (i * 37) % 64)
+                .collect::<Vec<_>>(),
+        )
+    }
+
+    /// A version at the benchmark's shape: tick ≈ 2·10⁵, value ≈ 3·10⁴.
+    fn bench_version(alpha_v: Option<VectorClock>) -> WireVersion {
+        WireVersion {
+            value: Value::new(30_017),
+            alpha_t: Time::from_ticks(200_003),
+            alpha_v,
+            tiebreak: (Time::from_ticks(199_990), 17),
+        }
+    }
+
+    fn framed_len(msg: Msg) -> usize {
+        let msg = WireMsg::Proto(msg);
+        let frame = encode_frame(0, &msg);
+        assert_eq!(decode_frame(&frame), Ok((0, msg, frame.len())));
+        frame.len()
+    }
+
     /// The bytes analogue of the allocs/op ceiling: a causal read reply in
-    /// a 32-site fleet whose sites have each done fewer than 16 384 events
-    /// fits 140 bytes framed. Generation 1 spent 335 on it.
+    /// a 32-site fleet at the benchmark's shape (tick ≈ 2·10⁵, epoch ≈
+    /// 10³, value ≈ 3·10⁴, entries within 64 of each other) fits 72 bytes
+    /// framed. Generation 2 spent 137 on it and held it under 140;
+    /// generation 1 spent 335.
     #[test]
     fn a_32_wide_causal_fetch_reply_fits_its_byte_budget() {
-        use tc_clocks::{Time, VectorClock};
-        use tc_core::{ObjectId, Value};
-        use tc_lifetime::{Msg, WireVersion};
+        let len = framed_len(Msg::FetchRep {
+            object: ObjectId::new(41),
+            version: bench_version(Some(bench_clock())),
+            server_now: Time::from_ticks(200_011),
+            epoch: 1_003,
+        });
+        assert!(len <= 72, "{len} bytes");
+    }
 
-        let entries: Vec<u64> = (0..32).map(|i| 16_383 - i).collect();
-        let msg = WireMsg::Proto(Msg::FetchRep {
+    /// The other frames of a benchmark op at the same shape, each with its
+    /// ceiling and (in the comment) what generation 2 spent on it.
+    #[test]
+    fn the_other_op_frames_fit_their_byte_budgets() {
+        let budgets = [
+            // A causal write: 121 bytes in v2.
+            (
+                "causal WriteReq",
+                Msg::WriteReq {
+                    object: ObjectId::new(41),
+                    value: Value::new(30_017),
+                    alpha_v: Some(bench_clock()),
+                    issued_at: Time::from_ticks(200_003),
+                    epoch: 1_003,
+                    shard_seq: 2_411,
+                },
+                68,
+            ),
+            // A read miss: 30 bytes in v2.
+            (
+                "FetchReq",
+                Msg::FetchReq {
+                    object: ObjectId::new(41),
+                    epoch: 1_003,
+                },
+                22,
+            ),
+            // A causal write's ack: 30 bytes in v2.
+            (
+                "WriteAckCausal",
+                Msg::WriteAckCausal {
+                    object: ObjectId::new(41),
+                    value: Value::new(30_017),
+                },
+                22,
+            ),
+            // A physical read reply, no clock: 71 bytes in v2.
+            (
+                "physical FetchRep",
+                Msg::FetchRep {
+                    object: ObjectId::new(41),
+                    version: bench_version(None),
+                    server_now: Time::from_ticks(200_011),
+                    epoch: 1_003,
+                },
+                36,
+            ),
+            // A physical write's ack: 38 bytes in v2.
+            (
+                "WriteAck",
+                Msg::WriteAck {
+                    object: ObjectId::new(41),
+                    alpha_t: Time::from_ticks(200_003),
+                    epoch: 1_003,
+                },
+                24,
+            ),
+        ];
+        for (name, msg, ceiling) in budgets {
+            let len = framed_len(msg);
+            assert!(len <= ceiling, "{name}: {len} bytes, budget {ceiling}");
+        }
+    }
+
+    /// The documented worst case: with every scalar at its maximum a
+    /// varint costs 10 bytes where v2 spent 8 (5 where it spent 4 on an
+    /// object), and the clock adds its base, one byte when an entry is 0.
+    /// So a v3 frame is at most 2 bytes per `u64` field, 1 per `u32` and
+    /// one base per clock larger than its v2 form.
+    #[test]
+    fn an_all_ones_fetch_reply_costs_at_most_two_bytes_more_per_u64_field() {
+        let mut entries = vec![u64::MAX; 32];
+        entries[0] = 0;
+        let len = framed_len(Msg::FetchRep {
             object: ObjectId::new(u32::MAX),
             version: WireVersion {
                 value: Value::new(u64::MAX),
@@ -296,9 +409,12 @@ mod tests {
             server_now: Time::from_ticks(u64::MAX),
             epoch: u64::MAX,
         });
-        let frame = encode_frame(0, &msg);
-        assert!(frame.len() <= 140, "{} bytes", frame.len());
-        assert_eq!(decode_frame(&frame), Ok((0, msg, frame.len())));
+        // v2: header, two tags, u32 object, four u64s, presence, clock
+        // (site, width, a 1-byte 0 and 31 ten-byte entries), two u64s.
+        let v2 = 16 + 2 + 4 + 4 * 8 + 1 + (1 + 1 + 1 + 31 * 10) + 2 * 8;
+        let u64_fields = 6;
+        assert_eq!(v2, 384);
+        assert_eq!(len, v2 + 2 * u64_fields + 1 + 1);
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! explicit one-byte variant tags.
 //!
 //! The encoding is deliberately boring: tag byte, then fields in
-//! declaration order, little-endian, `Option` as a presence byte,
-//! `Vec` as a `u32` length prefix. The one variable-width field is the
-//! vector clock ([`put_vclock`]): its components are varints, because an
-//! N-entry clock of small event counts is most of a causal frame. Scalars
-//! (epoch, time, value, seq) stay fixed-width, so frames that carry no
-//! clock have one size per kind. Boring survives: a reader one protocol
-//! version behind fails loudly on the frame header, never by
-//! misinterpreting fields.
+//! declaration order, every integer a canonical LEB128 varint (object,
+//! value, time, Δ, epoch, seq, ids, `Vec` lengths), `Option` as a presence
+//! byte, `f64` as its bit pattern. A vector clock ([`put_vclock`]) is
+//! written as its smallest entry plus each entry's offset from it, because
+//! the N entries of a causal stamp sit within a few dozen of each other.
+//! Boring survives: a reader of another wire generation fails loudly on
+//! the frame header, never by misinterpreting fields.
+//!
+//! Generations: 1 wrote every integer fixed-width (a clock as
+//! `u32 u32 u64…`); 2 made only the clock's entries varints; 3 (this one)
+//! makes every payload integer a varint and offsets clock entries from
+//! their base.
 
 use std::sync::Arc;
 
@@ -64,9 +68,9 @@ pub enum WireMsg {
     Proto(Msg),
 }
 
-// Tag 0 was the per-site `Hello`: a `u32` site ahead of today's fields.
+// Tag 0 was the per-site `Hello`: a site id ahead of today's fields.
 // It stays unknown rather than reused. Read as today's layout, an old Hello
-// can decode (site 0 of a TSC fleet does), and an unknown tag refuses every
+// can decode (an SC site dialling shard 1 does), and an unknown tag refuses every
 // one without a new wire generation, which would also retire every WAL.
 const TAG_HELLO_ACK: u8 = 1;
 const TAG_HELLO_REJECT: u8 = 2;
@@ -93,71 +97,81 @@ const TAG_GEO_LOCAL_APPLY: u8 = 14;
 const TAG_GEO_ATTACH: u8 = 15;
 const TAG_GEO_ATTACH_OK: u8 = 16;
 
-/// Encodes a [`Time`] (u64 ticks, LE).
+/// Encodes a [`Time`] (ticks, varint).
 pub fn put_time(w: &mut Writer, t: Time) {
-    w.u64(t.ticks());
+    w.uvar(t.ticks());
 }
 
 /// Decodes a [`Time`].
 pub fn get_time(r: &mut Reader<'_>, what: &'static str) -> Result<Time, WireError> {
-    Ok(Time::from_ticks(r.u64(what)?))
+    Ok(Time::from_ticks(r.uvar(what)?))
 }
 
-/// Encodes a [`Delta`] (u64 ticks, LE).
+/// Encodes a [`Delta`] (ticks, varint; `INFINITE` is ten bytes).
 pub fn put_delta(w: &mut Writer, d: Delta) {
-    w.u64(d.ticks());
+    w.uvar(d.ticks());
 }
 
 /// Decodes a [`Delta`].
 pub fn get_delta(r: &mut Reader<'_>, what: &'static str) -> Result<Delta, WireError> {
-    Ok(Delta::from_ticks(r.u64(what)?))
+    Ok(Delta::from_ticks(r.uvar(what)?))
 }
 
-/// Encodes an [`ObjectId`] (u32 index, LE).
+/// Encodes an [`ObjectId`] (index, varint).
 pub fn put_object(w: &mut Writer, o: ObjectId) {
-    w.u32(o.index());
+    w.uvar(u64::from(o.index()));
 }
 
-/// Decodes an [`ObjectId`].
+/// Decodes an [`ObjectId`]; an index above `u32::MAX` is
+/// [`WireError::OutOfRange`].
 pub fn get_object(r: &mut Reader<'_>) -> Result<ObjectId, WireError> {
-    Ok(ObjectId::new(r.u32("object")?))
+    Ok(ObjectId::new(r.uvar_u32("object")?))
 }
 
-/// Encodes a [`Value`] (u64 raw, LE).
+/// Encodes a [`Value`] (raw word, varint).
 pub fn put_value(w: &mut Writer, v: Value) {
-    w.u64(v.raw());
+    w.uvar(v.raw());
 }
 
 /// Decodes a [`Value`].
 pub fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
-    Ok(Value::new(r.u64("value")?))
+    Ok(Value::new(r.uvar("value")?))
 }
 
-/// Fewest bytes a [`VectorClock`] can occupy: owner, width and one entry,
-/// a one-byte varint each.
-const MIN_VCLOCK: usize = 3;
+/// Fewest bytes a [`VectorClock`] can occupy: owner, width, base and one
+/// offset, a one-byte varint each.
+const MIN_VCLOCK: usize = 4;
 
 /// Fewest bytes an [`InvalidateEntry`] can occupy: object, `alpha_t` and
 /// the presence byte of an absent clock.
-const MIN_INVALIDATE_ENTRY: usize = 4 + 8 + 1;
+const MIN_INVALIDATE_ENTRY: usize = 1 + 1 + 1;
 
 /// Fewest bytes a [`GeoWrite`] can occupy: object, value, a minimal clock,
 /// `issued_at` and `shard_seq`.
-const MIN_GEO_WRITE: usize = 4 + 8 + MIN_VCLOCK + 8 + 8;
+const MIN_GEO_WRITE: usize = 1 + 1 + MIN_VCLOCK + 1 + 1;
 
-/// Encodes a [`VectorClock`] as `uvar(site) uvar(width) uvar(entry)…`:
-/// components are event counts, so a clock costs about a byte or two per
-/// site instead of eight. The one place a causal timestamp becomes bytes —
-/// frames, WAL records and snapshots all come through here.
+/// Encodes a [`VectorClock`] as `uvar(site) uvar(width) uvar(base)
+/// uvar(entry − base)…` with `base` its smallest entry: the entries of a
+/// causal stamp are event counts that sit close together, so an offset
+/// costs a byte where the count itself would cost two or three, and a
+/// clock never costs more than its plain varint entries plus the base.
+/// The one place a causal timestamp becomes bytes — frames, WAL records
+/// and snapshots all come through here.
 pub fn put_vclock(w: &mut Writer, vc: &VectorClock) {
+    let entries = vc.entries();
+    let base = entries.iter().copied().min().unwrap_or(0);
     w.uvar(vc.site() as u64);
-    w.uvar(vc.n_sites() as u64);
-    for &e in vc.entries() {
-        w.uvar(e);
+    w.uvar(entries.len() as u64);
+    w.uvar(base);
+    for &e in entries {
+        w.uvar(e - base);
     }
 }
 
-/// Decodes a [`VectorClock`], validating site/width sanity.
+/// Decodes a [`VectorClock`], validating site/width sanity and the base
+/// form: an entry past `u64::MAX`, or a base that is not the smallest
+/// entry (no offset is zero, so the clock has a shorter encoding), is
+/// [`WireError::BadVectorClock`].
 pub fn get_vclock(r: &mut Reader<'_>) -> Result<VectorClock, WireError> {
     let site = r.uvar("vclock site")?;
     let n = r.uvar("vclock width")?;
@@ -165,7 +179,8 @@ pub fn get_vclock(r: &mut Reader<'_>) -> Result<VectorClock, WireError> {
         return Err(WireError::BadVectorClock);
     }
     let n = n as usize;
-    // Every entry is at least one byte: a forged width fails here, before
+    let base = r.uvar("vclock base")?;
+    // Every offset is at least one byte: a forged width fails here, before
     // it can size an allocation.
     if n > r.remaining() {
         return Err(WireError::Truncated {
@@ -175,8 +190,14 @@ pub fn get_vclock(r: &mut Reader<'_>) -> Result<VectorClock, WireError> {
     // Decoded in place into the clock's shared slice: one allocation.
     let mut entries: Arc<[u64]> = std::iter::repeat_n(0, n).collect();
     let slots = Arc::get_mut(&mut entries).expect("a fresh slice is unshared");
+    let mut least = u64::MAX;
     for slot in slots {
-        *slot = r.uvar("vclock entry")?;
+        let offset = r.uvar("vclock entry")?;
+        least = least.min(offset);
+        *slot = base.checked_add(offset).ok_or(WireError::BadVectorClock)?;
+    }
+    if least != 0 {
+        return Err(WireError::BadVectorClock);
     }
     Ok(VectorClock::from_entries(site as usize, entries))
 }
@@ -209,7 +230,7 @@ fn put_version(w: &mut Writer, v: &WireVersion) {
     put_time(w, v.alpha_t);
     put_opt_vclock(w, v.alpha_v.as_ref());
     put_time(w, v.tiebreak.0);
-    w.u64(v.tiebreak.1 as u64);
+    w.uvar(v.tiebreak.1 as u64);
 }
 
 fn get_version(r: &mut Reader<'_>) -> Result<WireVersion, WireError> {
@@ -219,7 +240,7 @@ fn get_version(r: &mut Reader<'_>) -> Result<WireVersion, WireError> {
         alpha_v: get_opt_vclock(r)?,
         tiebreak: (
             get_time(r, "tiebreak time")?,
-            r.u64("tiebreak node")? as usize,
+            r.uvar("tiebreak node")? as usize,
         ),
     })
 }
@@ -229,7 +250,7 @@ fn put_geo_write(w: &mut Writer, g: &GeoWrite) {
     put_value(w, g.value);
     put_vclock(w, &g.alpha_v);
     put_time(w, g.issued_at);
-    w.u64(g.shard_seq);
+    w.uvar(g.shard_seq);
 }
 
 fn get_geo_write(r: &mut Reader<'_>) -> Result<GeoWrite, WireError> {
@@ -238,7 +259,7 @@ fn get_geo_write(r: &mut Reader<'_>) -> Result<GeoWrite, WireError> {
         value: get_value(r)?,
         alpha_v: get_vclock(r)?,
         issued_at: get_time(r, "issued_at")?,
-        shard_seq: r.u64("shard_seq")?,
+        shard_seq: r.uvar("shard_seq")?,
     })
 }
 
@@ -284,14 +305,14 @@ pub fn put_protocol(w: &mut Writer, c: &ProtocolConfig) {
         Propagation::PushInvalidate => 1,
     });
     put_delta(w, c.retry_after);
-    w.u32(c.shards as u32);
-    w.u32(c.push_batch.max_entries as u32);
+    w.uvar(c.shards as u64);
+    w.uvar(c.push_batch.max_entries as u64);
     put_delta(w, c.push_batch.max_delay);
     match c.durability {
         DurabilityMode::Ephemeral => w.u8(0),
         DurabilityMode::Durable { fsync } => {
             w.u8(1);
-            w.u32(fsync.max_pending as u32);
+            w.uvar(fsync.max_pending as u64);
             put_delta(w, fsync.max_delay);
         }
     }
@@ -340,16 +361,16 @@ pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
         }
     };
     let retry_after = get_delta(r, "retry_after")?;
-    let shards = r.u32("shards")? as usize;
+    let shards = r.uvar_u32("shards")? as usize;
     let push_batch = PushBatch {
-        max_entries: r.u32("push batch entries")? as usize,
+        max_entries: r.uvar_u32("push batch entries")? as usize,
         max_delay: get_delta(r, "push batch delay")?,
     };
     let durability = match r.u8("durability mode")? {
         0 => DurabilityMode::Ephemeral,
         1 => DurabilityMode::Durable {
             fsync: FsyncPolicy {
-                max_pending: r.u32("fsync max pending")? as usize,
+                max_pending: r.uvar_u32("fsync max pending")? as usize,
                 max_delay: get_delta(r, "fsync max delay")?,
             },
         },
@@ -377,7 +398,7 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
         Msg::FetchReq { object, epoch } => {
             w.u8(TAG_FETCH_REQ);
             put_object(w, *object);
-            w.u64(*epoch);
+            w.uvar(*epoch);
         }
         Msg::FetchRep {
             object,
@@ -389,7 +410,7 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             put_object(w, *object);
             put_version(w, version);
             put_time(w, *server_now);
-            w.u64(*epoch);
+            w.uvar(*epoch);
         }
         Msg::ValidateReq {
             object,
@@ -399,7 +420,7 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             w.u8(TAG_VALIDATE_REQ);
             put_object(w, *object);
             put_value(w, *value);
-            w.u64(*epoch);
+            w.uvar(*epoch);
         }
         Msg::ValidateRep {
             object,
@@ -417,7 +438,7 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
                 }
             }
             put_time(w, *server_now);
-            w.u64(*epoch);
+            w.uvar(*epoch);
         }
         Msg::WriteReq {
             object,
@@ -432,8 +453,8 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             put_value(w, *value);
             put_opt_vclock(w, alpha_v.as_ref());
             put_time(w, *issued_at);
-            w.u64(*epoch);
-            w.u64(*shard_seq);
+            w.uvar(*epoch);
+            w.uvar(*shard_seq);
         }
         Msg::WriteAck {
             object,
@@ -443,7 +464,7 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             w.u8(TAG_WRITE_ACK);
             put_object(w, *object);
             put_time(w, *alpha_t);
-            w.u64(*epoch);
+            w.uvar(*epoch);
         }
         Msg::WriteAckCausal { object, value } => {
             w.u8(TAG_WRITE_ACK_CAUSAL);
@@ -462,14 +483,14 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
         }
         Msg::InvalidateBatch { entries } => {
             w.u8(TAG_INVALIDATE_BATCH);
-            w.u32(entries.len() as u32);
+            w.uvar(entries.len() as u64);
             for e in entries {
                 put_entry(w, e);
             }
         }
         Msg::DeltaUpdate { seq, delta } => {
             w.u8(TAG_DELTA_UPDATE);
-            w.u64(*seq);
+            w.uvar(*seq);
             put_delta(w, *delta);
         }
         Msg::GeoBatch {
@@ -478,16 +499,16 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             entries,
         } => {
             w.u8(TAG_GEO_BATCH);
-            w.u32(*origin);
-            w.u64(*seq);
-            w.u32(entries.len() as u32);
+            w.uvar(u64::from(*origin));
+            w.uvar(*seq);
+            w.uvar(entries.len() as u64);
             for e in entries {
                 put_geo_write(w, e);
             }
         }
         Msg::GeoBatchAck { upto } => {
             w.u8(TAG_GEO_BATCH_ACK);
-            w.u64(*upto);
+            w.uvar(*upto);
         }
         Msg::GeoApply { entry } => {
             w.u8(TAG_GEO_APPLY);
@@ -495,22 +516,22 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
         }
         Msg::GeoApplyAck { writer, k } => {
             w.u8(TAG_GEO_APPLY_ACK);
-            w.u32(*writer);
-            w.u64(*k);
+            w.uvar(u64::from(*writer));
+            w.uvar(*k);
         }
         Msg::GeoLocalApply { writer, k } => {
             w.u8(TAG_GEO_LOCAL_APPLY);
-            w.u32(*writer);
-            w.u64(*k);
+            w.uvar(u64::from(*writer));
+            w.uvar(*k);
         }
         Msg::GeoAttach { site, context_v } => {
             w.u8(TAG_GEO_ATTACH);
-            w.u32(*site);
+            w.uvar(u64::from(*site));
             put_vclock(w, context_v);
         }
         Msg::GeoAttachOk { site } => {
             w.u8(TAG_GEO_ATTACH_OK);
-            w.u32(*site);
+            w.uvar(u64::from(*site));
         }
     }
 }
@@ -520,18 +541,18 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
     Ok(match r.u8("msg tag")? {
         TAG_FETCH_REQ => Msg::FetchReq {
             object: get_object(r)?,
-            epoch: r.u64("epoch")?,
+            epoch: r.uvar("epoch")?,
         },
         TAG_FETCH_REP => Msg::FetchRep {
             object: get_object(r)?,
             version: get_version(r)?,
             server_now: get_time(r, "server_now")?,
-            epoch: r.u64("epoch")?,
+            epoch: r.uvar("epoch")?,
         },
         TAG_VALIDATE_REQ => Msg::ValidateReq {
             object: get_object(r)?,
             value: get_value(r)?,
-            epoch: r.u64("epoch")?,
+            epoch: r.uvar("epoch")?,
         },
         TAG_VALIDATE_REP => {
             let object = get_object(r)?;
@@ -549,7 +570,7 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
                 object,
                 outcome,
                 server_now: get_time(r, "server_now")?,
-                epoch: r.u64("epoch")?,
+                epoch: r.uvar("epoch")?,
             }
         }
         TAG_WRITE_REQ => Msg::WriteReq {
@@ -557,13 +578,13 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             value: get_value(r)?,
             alpha_v: get_opt_vclock(r)?,
             issued_at: get_time(r, "issued_at")?,
-            epoch: r.u64("epoch")?,
-            shard_seq: r.u64("shard_seq")?,
+            epoch: r.uvar("epoch")?,
+            shard_seq: r.uvar("shard_seq")?,
         },
         TAG_WRITE_ACK => Msg::WriteAck {
             object: get_object(r)?,
             alpha_t: get_time(r, "alpha_t")?,
-            epoch: r.u64("epoch")?,
+            epoch: r.uvar("epoch")?,
         },
         TAG_WRITE_ACK_CAUSAL => Msg::WriteAckCausal {
             object: get_object(r)?,
@@ -575,7 +596,7 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             alpha_v: get_opt_vclock(r)?,
         },
         TAG_INVALIDATE_BATCH => {
-            let n = r.u32("batch length")? as usize;
+            let n = r.uvar_u32("batch length")? as usize;
             // Cap preallocation by what the buffer could possibly hold so
             // a forged length cannot force a huge allocation before
             // Truncated fires.
@@ -586,13 +607,13 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             Msg::InvalidateBatch { entries }
         }
         TAG_DELTA_UPDATE => Msg::DeltaUpdate {
-            seq: r.u64("seq")?,
+            seq: r.uvar("seq")?,
             delta: get_delta(r, "delta")?,
         },
         TAG_GEO_BATCH => {
-            let origin = r.u32("geo origin")?;
-            let seq = r.u64("geo batch seq")?;
-            let n = r.u32("geo batch length")? as usize;
+            let origin = r.uvar_u32("geo origin")?;
+            let seq = r.uvar("geo batch seq")?;
+            let n = r.uvar_u32("geo batch length")? as usize;
             // Same forged-length guard as InvalidateBatch.
             let mut entries = Vec::with_capacity(n.min(r.remaining() / MIN_GEO_WRITE + 1));
             for _ in 0..n {
@@ -605,25 +626,25 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             }
         }
         TAG_GEO_BATCH_ACK => Msg::GeoBatchAck {
-            upto: r.u64("geo upto")?,
+            upto: r.uvar("geo upto")?,
         },
         TAG_GEO_APPLY => Msg::GeoApply {
             entry: get_geo_write(r)?,
         },
         TAG_GEO_APPLY_ACK => Msg::GeoApplyAck {
-            writer: r.u32("geo writer")?,
-            k: r.u64("geo k")?,
+            writer: r.uvar_u32("geo writer")?,
+            k: r.uvar("geo k")?,
         },
         TAG_GEO_LOCAL_APPLY => Msg::GeoLocalApply {
-            writer: r.u32("geo writer")?,
-            k: r.u64("geo k")?,
+            writer: r.uvar_u32("geo writer")?,
+            k: r.uvar("geo k")?,
         },
         TAG_GEO_ATTACH => Msg::GeoAttach {
-            site: r.u32("geo site")?,
+            site: r.uvar_u32("geo site")?,
             context_v: get_vclock(r)?,
         },
         TAG_GEO_ATTACH_OK => Msg::GeoAttachOk {
-            site: r.u32("geo site")?,
+            site: r.uvar_u32("geo site")?,
         },
         tag => return Err(WireError::UnknownTag { what: "msg", tag }),
     })
@@ -638,13 +659,13 @@ pub fn put_wire_msg(w: &mut Writer, msg: &WireMsg) {
             protocol,
         } => {
             w.u8(TAG_HELLO);
-            w.u32(*n_clients);
-            w.u32(*shard);
+            w.uvar(u64::from(*n_clients));
+            w.uvar(u64::from(*shard));
             put_protocol(w, protocol);
         }
         WireMsg::HelloAck { shard } => {
             w.u8(TAG_HELLO_ACK);
-            w.u32(*shard);
+            w.uvar(u64::from(*shard));
         }
         WireMsg::HelloReject { reason } => {
             w.u8(TAG_HELLO_REJECT);
@@ -663,12 +684,12 @@ pub fn put_wire_msg(w: &mut Writer, msg: &WireMsg) {
 pub fn get_wire_msg(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
     Ok(match r.u8("wire msg tag")? {
         TAG_HELLO => WireMsg::Hello {
-            n_clients: r.u32("n_clients")?,
-            shard: r.u32("shard")?,
+            n_clients: r.uvar_u32("n_clients")?,
+            shard: r.uvar_u32("shard")?,
             protocol: get_protocol(r)?,
         },
         TAG_HELLO_ACK => WireMsg::HelloAck {
-            shard: r.u32("shard")?,
+            shard: r.uvar_u32("shard")?,
         },
         TAG_HELLO_REJECT => WireMsg::HelloReject {
             reason: r.string("reason")?,
@@ -717,11 +738,12 @@ mod tests {
         });
     }
 
-    /// The per-site `Hello` (tag 0, a `u32` site before `n_clients`) went
+    /// The per-site `Hello` (tag 0, a site id before `n_clients`) went
     /// without a new wire generation, which also names the WAL's. A peer
     /// still sending it is refused at the tag, so a mixed pair fails its
     /// handshake loudly. Read under today's tag, the same bytes can decode
-    /// into a misread config — which is why the tag moved.
+    /// into a misread config — an SC site dialling shard 1 reads as a TSC
+    /// fleet with Δ = 0 — which is why the tag moved.
     #[test]
     fn a_per_site_hello_fails_strict_decoding() {
         let tsc = ProtocolKind::Tsc {
@@ -734,7 +756,7 @@ mod tests {
                     let mut w = Writer::new();
                     w.u8(tag);
                     for field in [site, n_clients, shard] {
-                        w.u32(field);
+                        w.uvar(field);
                     }
                     put_protocol(&mut w, &protocol);
                     w.into_bytes()
@@ -750,8 +772,12 @@ mod tests {
                         tag: 0
                     })
                 );
-                if (kind, site) == (tsc, 0) {
-                    assert!(decode(&per_site_hello(TAG_HELLO)).is_ok());
+                if (kind, shard) == (ProtocolKind::Sc, 1) {
+                    let misread = decode(&per_site_hello(TAG_HELLO)).map(|msg| match msg {
+                        WireMsg::Hello { protocol, .. } => protocol.kind,
+                        other => panic!("decoded {other:?}"),
+                    });
+                    assert_eq!(misread, Ok(ProtocolKind::Tsc { delta: Delta::ZERO }));
                 }
             }
         }
@@ -839,22 +865,112 @@ mod tests {
         round_trip(&WireMsg::Proto(Msg::GeoAttachOk { site: 4 }));
     }
 
+    fn vclock_bytes(vc: &VectorClock) -> Vec<u8> {
+        let mut w = Writer::new();
+        put_vclock(&mut w, vc);
+        w.into_bytes()
+    }
+
     #[test]
     fn vclock_costs_what_its_entries_carry() {
-        let vc = VectorClock::from_entries(1, vec![0, 127, 128, 16_384]);
+        // Owner, width and base, then each entry's offset from the base:
+        // a clock whose entries sit close together costs a byte an entry
+        // however large they are.
+        for (entries, len) in [
+            (vec![0, 127, 128, 16_384], 1 + 1 + 1 + (1 + 1 + 2 + 3)),
+            (
+                vec![16_400, 16_527, 16_528, 16_384],
+                1 + 1 + 3 + (1 + 2 + 2 + 1),
+            ),
+            (vec![200_000; 4], 1 + 1 + 3 + 4),
+        ] {
+            let vc = VectorClock::from_entries(1, entries);
+            let bytes = vclock_bytes(&vc);
+            assert_eq!(bytes.len(), len, "{vc:?}");
+            let mut r = Reader::new(&bytes);
+            assert_eq!(get_vclock(&mut r), Ok(vc));
+            r.finish().unwrap();
+        }
+    }
+
+    #[test]
+    fn vclock_entries_past_u64_max_are_refused() {
+        // Base u64::MAX − 1 of a 2-wide clock, offsets 0 and 2: the second
+        // entry would be u64::MAX + 1.
         let mut w = Writer::new();
-        put_vclock(&mut w, &vc);
+        for field in [0, 2, u64::MAX - 1, 0, 2] {
+            w.uvar(field);
+        }
         let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 1 + 1 + 1 + 1 + 2 + 3);
-        let mut r = Reader::new(&bytes);
-        assert_eq!(get_vclock(&mut r), Ok(vc));
-        r.finish().unwrap();
+        assert_eq!(
+            get_vclock(&mut Reader::new(&bytes)),
+            Err(WireError::BadVectorClock)
+        );
+        // The largest entries that fit decode.
+        let vc = VectorClock::from_entries(0, vec![u64::MAX - 1, u64::MAX]);
+        assert_eq!(get_vclock(&mut Reader::new(&vclock_bytes(&vc))), Ok(vc));
+    }
+
+    #[test]
+    fn a_base_that_is_not_the_smallest_entry_is_refused() {
+        // Entries 5 and 7 have one encoding, base 5 and offsets 0 and 2;
+        // base 4 with offsets 1 and 3 spells the same clock another way.
+        let mut w = Writer::new();
+        for field in [0, 2, 4, 1, 3] {
+            w.uvar(field);
+        }
+        let bytes = w.into_bytes();
+        assert_eq!(
+            get_vclock(&mut Reader::new(&bytes)),
+            Err(WireError::BadVectorClock)
+        );
+        let vc = VectorClock::from_entries(0, vec![5, 7]);
+        assert_eq!(vclock_bytes(&vc), [0, 2, 5, 0, 2]);
+    }
+
+    /// Ids and lengths are `u32` in memory and varints on the wire: a
+    /// value that does not fit is refused, never wrapped onto another id.
+    #[test]
+    fn ids_above_u32_max_are_refused_not_wrapped() {
+        let too_big = u64::from(u32::MAX) + 1;
+        let out_of_range = |what| Err(WireError::OutOfRange { what });
+        for (tag, what) in [
+            (TAG_FETCH_REQ, "object"),
+            (TAG_GEO_APPLY_ACK, "geo writer"),
+            (TAG_GEO_LOCAL_APPLY, "geo writer"),
+            (TAG_GEO_ATTACH_OK, "geo site"),
+            (TAG_GEO_BATCH, "geo origin"),
+            (TAG_INVALIDATE_BATCH, "batch length"),
+        ] {
+            let mut w = Writer::new();
+            w.u8(tag);
+            w.uvar(too_big);
+            w.uvar(1);
+            let bytes = w.into_bytes();
+            assert_eq!(get_msg(&mut Reader::new(&bytes)), out_of_range(what));
+            // One less is an id like any other.
+            let mut w = Writer::new();
+            w.u8(tag);
+            w.uvar(too_big - 1);
+            assert!(!matches!(
+                get_msg(&mut Reader::new(&w.into_bytes())),
+                Err(WireError::OutOfRange { .. })
+            ));
+        }
+        let mut w = Writer::new();
+        w.u8(TAG_HELLO_ACK);
+        w.uvar(too_big);
+        assert_eq!(
+            get_wire_msg(&mut Reader::new(&w.into_bytes())),
+            Err(WireError::OutOfRange { what: "shard" })
+        );
     }
 
     #[test]
     fn vclock_forged_width_fails_before_it_sizes_an_allocation() {
-        // Owner 0 of a clock claiming 65 535 entries, a dozen bytes long.
-        let mut bytes = vec![0x00, 0xFF, 0xFF, 0x03];
+        // Owner 0 of a clock claiming 65 535 entries over base 0, a dozen
+        // bytes long.
+        let mut bytes = vec![0x00, 0xFF, 0xFF, 0x03, 0x00];
         bytes.extend_from_slice(&[1; 8]);
         let mut r = Reader::new(&bytes);
         assert_eq!(
@@ -898,10 +1014,10 @@ mod tests {
             let mut w = Writer::new();
             w.u8(tag);
             if tag == TAG_GEO_BATCH {
-                w.u32(0); // origin
-                w.u64(1); // seq
+                w.uvar(0); // origin
+                w.uvar(1); // seq
             }
-            w.u32(u32::MAX);
+            w.uvar(u64::from(u32::MAX));
             let bytes = w.into_bytes();
             assert!(matches!(
                 get_msg(&mut Reader::new(&bytes)),
@@ -913,7 +1029,7 @@ mod tests {
     #[test]
     fn vclock_rejects_owner_out_of_range() {
         // Site 5 of a 2-wide clock.
-        let mut r = Reader::new(&[5, 2, 0, 0]);
+        let mut r = Reader::new(&[5, 2, 0, 0, 0]);
         assert_eq!(get_vclock(&mut r), Err(WireError::BadVectorClock));
     }
 }

@@ -4,10 +4,13 @@
 //! version skew, or outright garbage — ever panics the decoder.
 //!
 //! The generators draw from the *full* message space (all six `WireMsg`
-//! variants, all nine protocol `Msg` variants, every `ProtocolKind`,
+//! variants, every protocol `Msg` variant, every `ProtocolKind`,
 //! optional vector clocks of varying width, non-ASCII reject reasons), so
 //! a round-trip failure in any field of any variant surfaces here without
-//! a hand-written case per field.
+//! a hand-written case per field. Every integer is a varint, so scalars
+//! are drawn from the whole `u64` range at a uniformly random magnitude:
+//! every encoded width from 1 to 10 bytes turns up, and so do `0` and
+//! `u64::MAX`.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,7 +27,7 @@ use tc_wire::{
 };
 
 fn arb_time(rng: &mut StdRng) -> Time {
-    Time::from_ticks(rng.gen_range(0..=u64::MAX))
+    Time::from_ticks(arb_magnitude(rng))
 }
 
 fn arb_delta(rng: &mut StdRng) -> Delta {
@@ -36,11 +39,11 @@ fn arb_delta(rng: &mut StdRng) -> Delta {
 }
 
 fn arb_object(rng: &mut StdRng) -> ObjectId {
-    ObjectId::new(rng.gen_range(0..=u32::MAX))
+    ObjectId::new(arb_u32(rng))
 }
 
 fn arb_value(rng: &mut StdRng) -> Value {
-    Value::new(rng.gen_range(0..=u64::MAX))
+    Value::new(arb_magnitude(rng))
 }
 
 /// A `u64` of uniformly random *magnitude*: every varint width 1..=10 is
@@ -49,6 +52,14 @@ fn arb_magnitude(rng: &mut StdRng) -> u64 {
     match rng.gen_range(0..=64u32) {
         0 => 0,
         bits => rng.gen_range(0..=u64::MAX) >> (64 - bits),
+    }
+}
+
+/// An id or length: `u32` in memory, of uniformly random magnitude.
+fn arb_u32(rng: &mut StdRng) -> u32 {
+    match rng.gen_range(0..=32u32) {
+        0 => 0,
+        bits => rng.gen_range(0..=u32::MAX) >> (32 - bits),
     }
 }
 
@@ -67,11 +78,23 @@ fn uvar_bytes(v: u64) -> Vec<u8> {
     w.into_bytes()
 }
 
+/// Entries of mixed magnitude, or — as a live fleet's are — clustered a
+/// few dozen above a common base, which is what the base form saves on.
+fn arb_entries(rng: &mut StdRng, n: usize) -> Vec<u64> {
+    if rng.gen_bool(0.5) {
+        (0..n).map(|_| arb_magnitude(rng)).collect()
+    } else {
+        let base = arb_magnitude(rng);
+        (0..n)
+            .map(|_| base.saturating_add(rng.gen_range(0..64)))
+            .collect()
+    }
+}
+
 fn arb_vclock(rng: &mut StdRng) -> VectorClock {
     let n = rng.gen_range(1..=6usize);
     let site = rng.gen_range(0..n);
-    let entries: Vec<u64> = (0..n).map(|_| arb_magnitude(rng)).collect();
-    VectorClock::from_entries(site, entries)
+    VectorClock::from_entries(site, arb_entries(rng, n))
 }
 
 fn arb_opt_vclock(rng: &mut StdRng) -> Option<VectorClock> {
@@ -83,7 +106,7 @@ fn arb_version(rng: &mut StdRng) -> WireVersion {
         value: arb_value(rng),
         alpha_t: arb_time(rng),
         alpha_v: arb_opt_vclock(rng),
-        tiebreak: (arb_time(rng), rng.gen_range(0..64usize)),
+        tiebreak: (arb_time(rng), arb_magnitude(rng) as usize),
     }
 }
 
@@ -151,7 +174,7 @@ fn arb_geo_write(rng: &mut StdRng) -> GeoWrite {
         value: arb_value(rng),
         alpha_v: arb_vclock(rng),
         issued_at: arb_time(rng),
-        shard_seq: rng.gen_range(0..=u64::MAX),
+        shard_seq: arb_magnitude(rng),
     }
 }
 
@@ -159,18 +182,18 @@ fn arb_proto_msg(rng: &mut StdRng) -> Msg {
     match rng.gen_range(0..17u8) {
         0 => Msg::FetchReq {
             object: arb_object(rng),
-            epoch: rng.gen_range(0..=u64::MAX),
+            epoch: arb_magnitude(rng),
         },
         1 => Msg::FetchRep {
             object: arb_object(rng),
             version: arb_version(rng),
             server_now: arb_time(rng),
-            epoch: rng.gen_range(0..=u64::MAX),
+            epoch: arb_magnitude(rng),
         },
         2 => Msg::ValidateReq {
             object: arb_object(rng),
             value: arb_value(rng),
-            epoch: rng.gen_range(0..=u64::MAX),
+            epoch: arb_magnitude(rng),
         },
         3 => Msg::ValidateRep {
             object: arb_object(rng),
@@ -180,20 +203,20 @@ fn arb_proto_msg(rng: &mut StdRng) -> Msg {
                 ValidateOutcome::Newer(arb_version(rng))
             },
             server_now: arb_time(rng),
-            epoch: rng.gen_range(0..=u64::MAX),
+            epoch: arb_magnitude(rng),
         },
         4 => Msg::WriteReq {
             object: arb_object(rng),
             value: arb_value(rng),
             alpha_v: arb_opt_vclock(rng),
             issued_at: arb_time(rng),
-            epoch: rng.gen_range(0..=u64::MAX),
-            shard_seq: rng.gen_range(0..=u64::MAX),
+            epoch: arb_magnitude(rng),
+            shard_seq: arb_magnitude(rng),
         },
         5 => Msg::WriteAck {
             object: arb_object(rng),
             alpha_t: arb_time(rng),
-            epoch: rng.gen_range(0..=u64::MAX),
+            epoch: arb_magnitude(rng),
         },
         6 => Msg::WriteAckCausal {
             object: arb_object(rng),
@@ -211,38 +234,36 @@ fn arb_proto_msg(rng: &mut StdRng) -> Msg {
             }
         }
         9 => Msg::DeltaUpdate {
-            seq: rng.gen_range(0..=u64::MAX),
+            seq: arb_magnitude(rng),
             delta: arb_delta(rng),
         },
         10 => {
             let n = rng.gen_range(0..6usize);
             Msg::GeoBatch {
-                origin: rng.gen_range(0..=u32::MAX),
-                seq: rng.gen_range(0..=u64::MAX),
+                origin: arb_u32(rng),
+                seq: arb_magnitude(rng),
                 entries: (0..n).map(|_| arb_geo_write(rng)).collect(),
             }
         }
         11 => Msg::GeoBatchAck {
-            upto: rng.gen_range(0..=u64::MAX),
+            upto: arb_magnitude(rng),
         },
         12 => Msg::GeoApply {
             entry: arb_geo_write(rng),
         },
         13 => Msg::GeoApplyAck {
-            writer: rng.gen_range(0..=u32::MAX),
-            k: rng.gen_range(0..=u64::MAX),
+            writer: arb_u32(rng),
+            k: arb_magnitude(rng),
         },
         14 => Msg::GeoLocalApply {
-            writer: rng.gen_range(0..=u32::MAX),
-            k: rng.gen_range(0..=u64::MAX),
+            writer: arb_u32(rng),
+            k: arb_magnitude(rng),
         },
         15 => Msg::GeoAttach {
-            site: rng.gen_range(0..=u32::MAX),
+            site: arb_u32(rng),
             context_v: arb_vclock(rng),
         },
-        _ => Msg::GeoAttachOk {
-            site: rng.gen_range(0..=u32::MAX),
-        },
+        _ => Msg::GeoAttachOk { site: arb_u32(rng) },
     }
 }
 
@@ -262,12 +283,12 @@ impl Strategy for ArbWireMsg {
     fn sample(&self, rng: &mut StdRng) -> WireMsg {
         match rng.gen_range(0..6u8) {
             0 => WireMsg::Hello {
-                n_clients: rng.gen_range(0..=u32::MAX),
-                shard: rng.gen_range(0..=u32::MAX),
+                n_clients: arb_u32(rng),
+                shard: arb_u32(rng),
                 protocol: arb_protocol(rng),
             },
             1 => WireMsg::HelloAck {
-                shard: rng.gen_range(0..=u32::MAX),
+                shard: arb_u32(rng),
             },
             2 => WireMsg::HelloReject {
                 reason: arb_reason(rng),
@@ -477,7 +498,7 @@ proptest! {
 
     /// Clocks of any width up to 1 024 with entries of mixed magnitude
     /// round-trip exactly, owner included, and cost at most ten bytes an
-    /// entry.
+    /// entry plus the base.
     #[test]
     fn vclock_round_trips_at_any_width(
         width in 1usize..=1_024,
@@ -488,7 +509,7 @@ proptest! {
         let mut w = Writer::new();
         put_vclock(&mut w, &vc);
         let bytes = w.into_bytes();
-        prop_assert!(bytes.len() <= 2 + 2 + 10 * width);
+        prop_assert!(bytes.len() <= 2 + 2 + 10 + 10 * width);
         let mut r = Reader::new(&bytes);
         prop_assert_eq!(get_vclock(&mut r), Ok(vc));
         prop_assert_eq!(r.remaining(), 0);
@@ -497,6 +518,33 @@ proptest! {
         for cut in (0..bytes.len()).step_by(1 + bytes.len() / 64) {
             prop_assert!(get_vclock(&mut Reader::new(&bytes[..cut])).is_err());
         }
+    }
+
+    /// Offsetting from the base never costs more than the base itself: a
+    /// clock is at most its generation-2 encoding (owner, width, each
+    /// entry a plain varint) plus its base's varint, whatever its entries.
+    #[test]
+    fn a_clock_costs_at_most_its_v2_form_plus_its_base(
+        width in 1usize..=64,
+        site_seed in 0usize..64,
+        clustered in 0u8..2,
+        base in ArbMagnitude,
+        raw in proptest::collection::vec(ArbMagnitude, 64),
+    ) {
+        let entries: Vec<u64> = if clustered == 1 {
+            raw[..width].iter().map(|r| base.saturating_add(r % 64)).collect()
+        } else {
+            raw[..width].to_vec()
+        };
+        let vc = VectorClock::from_entries(site_seed % width, entries.clone());
+        let mut w = Writer::new();
+        put_vclock(&mut w, &vc);
+        let v3 = w.into_bytes().len();
+        let v2 = uvar_bytes(vc.site() as u64).len()
+            + uvar_bytes(width as u64).len()
+            + entries.iter().map(|&e| uvar_bytes(e).len()).sum::<usize>();
+        let least = *entries.iter().min().unwrap();
+        prop_assert!(v3 <= v2 + uvar_bytes(least).len(), "v3 {} v2 {}", v3, v2);
     }
 
     /// Pure garbage never panics the decoder.

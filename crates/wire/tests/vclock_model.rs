@@ -43,12 +43,15 @@ impl Model {
         }
     }
 
+    /// Owner, width, the smallest entry, then each entry's offset from it.
     fn bytes(&self) -> Vec<u8> {
+        let base = *self.entries.iter().min().expect("a clock has an entry");
         let mut w = Writer::new();
         w.uvar(self.site as u64);
         w.uvar(self.entries.len() as u64);
+        w.uvar(base);
         for &e in &self.entries {
-            w.uvar(e);
+            w.uvar(e - base);
         }
         w.into_bytes()
     }
