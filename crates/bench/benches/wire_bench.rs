@@ -60,6 +60,7 @@ fn causal_fetch_reply() -> WireMsg {
         },
         server_now: Time::from_ticks(200_011),
         epoch: 1_003,
+        acked: None,
     })
 }
 

@@ -277,7 +277,10 @@ pub fn run(args: &Args) -> Report {
 
     let sim_seeds: Vec<u64> = if smoke { vec![7] } else { vec![7, 21, 99] };
     let threaded_seeds: Vec<u64> = if smoke { vec![51] } else { vec![51, 57] };
-    let threaded_ops = if smoke { 20 } else { 30 };
+    // Long enough (about 4 000 ticks) that the partition's [500, 2 500)
+    // blackout falls mid-run: batches lost in it come due, are resent and
+    // drain after the heal, as in tc-store's own partition test.
+    let threaded_ops = 150;
     let deltas: Vec<Option<u64>> = if smoke {
         vec![Some(100), Some(400), None]
     } else {

@@ -50,7 +50,10 @@
 //! torn write leaves a short frame or a failed CRC, never a well-formed
 //! header of a different generation — that is a log written by another
 //! build (generation 1 wrote every integer fixed-width, generation 2 all
-//! but the clock entries), every record of which was acknowledged.
+//! but the clock entries; generation 3 wrote records exactly as this one
+//! does and differs only in the protocol's ack messages, but the header
+//! names one generation for frames and logs alike), every record of which
+//! was acknowledged.
 //! [`WalStore::try_open`] refuses such a directory with [`AlienVersion`]
 //! and touches no file. (A bit flip that lands exactly in a version field
 //! reads the same and is refused too; refusal destroys nothing.)
@@ -904,6 +907,25 @@ mod tests {
             payload.uvar(entry); // ... varint entries, no base
         }
         assert_refused_untouched("v2", 2, &payload.into_bytes());
+    }
+
+    /// A segment as generation 3 wrote it: the record layout is this
+    /// generation's, only the header's version differs — and that alone
+    /// refuses it, untouched.
+    #[test]
+    fn a_v3_segment_is_refused_and_left_untouched() {
+        let record = WalRecord::Causal {
+            object: ObjectId::new(2),
+            writer: 1,
+            seq: 1,
+            value: Value::new(21),
+            alpha_t: Time::from_ticks(8),
+            alpha_v: VectorClock::from_entries(1, vec![0, 1, 0, 0]),
+        };
+        let mut frame = Vec::new();
+        encode_record(&mut frame, 0, 1, &record);
+        let payload = &frame[tc_wire::HEADER_LEN..];
+        assert_refused_untouched("v3", 3, payload);
     }
 
     #[test]

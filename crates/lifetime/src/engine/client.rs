@@ -39,6 +39,9 @@ struct CausalWrite {
     shard: usize,
     /// Position in this client's per-shard write stream (starts at 1).
     shard_seq: u64,
+    /// The client drains after this write, so it asks for the ack at
+    /// once ([`Msg::WriteReq`]'s `ack_now`).
+    ack_now: bool,
     /// True time the write last left on its own account: shipped, or
     /// resent because it was overdue. It is overdue `retry_after` later.
     sent_at: Time,
@@ -53,6 +56,7 @@ impl CausalWrite {
             issued_at: self.issued_at,
             epoch: 0,
             shard_seq: self.shard_seq,
+            ack_now: self.ack_now,
         }
     }
 }
@@ -109,9 +113,9 @@ pub struct ClientEngine {
     deferred: VecDeque<CausalWrite>,
     /// Causal writes shipped but not yet acked, in shard-sequence order.
     /// Retransmitted, all of them in order, whenever one has gone
-    /// `retry_after` unacked since its own last send, until
-    /// [`Msg::WriteAckCausal`] clears them; the server's LWW application
-    /// is idempotent, so retransmits are harmless.
+    /// `retry_after` unacked since its own last send, until a cumulative
+    /// ack from their shard ([`Msg::acked`]) covers them; the server's LWW
+    /// application is idempotent, so retransmits are harmless.
     unacked: Vec<CausalWrite>,
     /// Generation of the one live causal flush timer, armed with token
     /// `TIMER_FLUSH_CAUSAL + flush_gen`. Bumped whenever a write ships
@@ -231,6 +235,12 @@ impl ClientEngine {
             .is_some_and(|m| self.ops_done >= m.at_op)
     }
 
+    /// Whether the client stops issuing once `ops_done` operations have
+    /// completed: its workload is over, or its migration falls due.
+    fn drains_at(&self, ops_done: usize) -> bool {
+        ops_done >= self.ops_target || self.migration.as_ref().is_some_and(|m| ops_done >= m.at_op)
+    }
+
     /// Advances the migration once due: wait for the drain (the barrier
     /// and retransmit machinery empties `unacked`/`deferred` on its own),
     /// then send the attach. Idempotent — callable from every point where
@@ -329,7 +339,7 @@ impl ClientEngine {
             Event::Start => self.plan_next(io, out),
             Event::Restart => self.on_restart(io, out),
             Event::Timer { token } => self.on_timer(token, io, out),
-            Event::Message { msg, .. } => self.on_message(msg, io, out),
+            Event::Message { from, msg } => self.on_message(from, msg, io, out),
         }
     }
 
@@ -535,6 +545,9 @@ impl ClientEngine {
                 issued_at: t_loc,
                 shard,
                 shard_seq: self.causal_seq[shard],
+                // The client waits on this write's ack if it drains right
+                // after it: no later request would carry the ack home.
+                ack_now: self.drains_at(self.ops_done + 1),
                 sent_at: Time::ZERO, // stamped when it ships
             });
             self.ship_deferred(out);
@@ -563,6 +576,7 @@ impl ClientEngine {
                     issued_at: t_loc,
                     epoch: 0,
                     shard_seq: 0,
+                    ack_now: false,
                 },
             );
         }
@@ -893,13 +907,42 @@ impl ClientEngine {
         }
     }
 
-    fn on_message(&mut self, msg: Msg, io: &mut impl Inputs, out: &mut Vec<Effect>) {
+    /// Applies a cumulative ack from shard node `from`: every unacked write
+    /// to that shard with `shard_seq <= upto` is durable there. Delivery is
+    /// prefix-closed (the shard drops a write beyond a gap), so the cursor
+    /// covers the whole prefix, and under max it is monotone: a late or
+    /// duplicated ack with an older cursor finds nothing to clear and
+    /// changes nothing.
+    fn on_causal_ack(&mut self, from: NodeId, upto: u64, out: &mut Vec<Effect>) {
+        let Some(shard) = self.servers.iter().position(|&s| s == from) else {
+            return; // a shard of the region this client migrated away from
+        };
+        let before = self.unacked.len();
+        self.unacked
+            .retain(|w| w.shard != shard || w.shard_seq > upto);
+        if self.unacked.len() == before {
+            return;
+        }
+        // An ack may clear the cross-shard barrier for queued writes…
+        self.ship_deferred(out);
+        // …or complete a migration drain.
+        self.maybe_attach(out);
+    }
+
+    fn on_message(&mut self, from: NodeId, msg: Msg, io: &mut impl Inputs, out: &mut Vec<Effect>) {
+        // An ack is a fact about the shard's store, not an answer to the
+        // request in flight, so it counts before the epoch filter: a late
+        // or duplicated reply's cursor is as true as a current one's.
+        if let Some(upto) = msg.acked() {
+            self.on_causal_ack(from, upto, out);
+        }
         match msg {
             Msg::FetchRep {
                 object,
                 version,
                 server_now,
                 epoch,
+                ..
             } => {
                 if !self.reply_is_current(out, epoch) {
                     return;
@@ -915,6 +958,7 @@ impl ClientEngine {
                 outcome,
                 server_now,
                 epoch,
+                ..
             } => {
                 if !self.reply_is_current(out, epoch) {
                     return;
@@ -952,6 +996,7 @@ impl ClientEngine {
                 object,
                 alpha_t,
                 epoch,
+                ..
             } => {
                 if !self.reply_is_current(out, epoch) {
                     return;
@@ -993,14 +1038,8 @@ impl ClientEngine {
                     }
                 }
             }
-            Msg::WriteAckCausal { value, .. } => {
-                self.unacked.retain(|w| w.value != value);
-                // An ack may clear the cross-shard barrier for queued
-                // writes.
-                self.ship_deferred(out);
-                // …or complete a migration drain.
-                self.maybe_attach(out);
-            }
+            // Applied above, like every reply's ack.
+            Msg::WriteAckCausal { .. } => {}
             Msg::InvalidatePush {
                 object,
                 alpha_t,

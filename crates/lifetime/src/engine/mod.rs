@@ -47,7 +47,7 @@ mod server;
 mod shard;
 
 pub use client::ClientEngine;
-pub use server::{ServerEngine, TIMER_WAL_FLUSH};
+pub use server::{ServerEngine, ACK_DELAY, TIMER_WAL_FLUSH};
 pub use shard::ShardMap;
 
 /// Timer token for "issue the next planned operation". Exposed so drivers
@@ -79,6 +79,12 @@ pub const TIMER_GEO_RETX: u64 = u64::MAX - 2;
 /// flushes on token `TIMER_GEO_FLUSH_BASE + i`. The range sits far above
 /// client node indexes and below the `u64::MAX`-family singleton tokens.
 pub const TIMER_GEO_FLUSH_BASE: u64 = 1 << 60;
+
+/// Base of the server's per-client ack deadline tokens: the causal ack a
+/// shard owes client node `c` goes standalone on token
+/// `TIMER_ACK_BASE + c` if no reply carried it first ([`ACK_DELAY`]).
+/// Above the geo flush range, below the `u64::MAX`-family singletons.
+pub const TIMER_ACK_BASE: u64 = 1 << 61;
 
 /// A clock sample injected by the driver via [`Event::Now`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -19,15 +19,21 @@
 //! [`WalRecord`], reads are served from the store's *durable* image, and
 //! write acks are deferred until the covering fsync — so a crash can only
 //! lose writes whose clients are still retransmitting them.
+//!
+//! Causal write acks are cumulative and *owed*: where a physical ack would
+//! ship, the shard instead owes the writer its per-writer delivery cursor.
+//! The next reply to that site carries the owed cursor; only if none
+//! leaves within [`ACK_DELAY`] does a standalone [`Msg::WriteAckCausal`]
+//! go out.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use tc_clocks::Time;
+use tc_clocks::{Delta, Time};
 use tc_core::ObjectId;
 use tc_sim::metrics::names;
 use tc_sim::NodeId;
 
-use crate::engine::{Effect, Event, Now, TIMER_GEO_FLUSH_BASE, TIMER_GEO_RETX};
+use crate::engine::{Effect, Event, Now, TIMER_ACK_BASE, TIMER_GEO_FLUSH_BASE, TIMER_GEO_RETX};
 use crate::geo::{GeoShardConfig, EGRESS_BATCH, RETX_AFTER};
 use crate::msg::{GeoWrite, InvalidateEntry, Msg, ValidateOutcome};
 use crate::store::{MemStore, ShardStore, StoredVersion, WalRecord};
@@ -48,6 +54,48 @@ pub(crate) fn flush_token(client: NodeId) -> u64 {
 /// but client and server token spaces never meet.)
 pub const TIMER_WAL_FLUSH: u64 = u64::MAX;
 
+/// How long a causal ack a shard owes a site waits for a reply to that
+/// site to ride on before it leaves as a standalone
+/// [`Msg::WriteAckCausal`]. A closed-loop site issues its next operation a
+/// tick after a write, so four ticks put nearly every ack on the site's
+/// next reply (DESIGN.md §8 and EXPERIMENTS.md give the measured curve).
+/// The cross-shard write barrier is the one place a client waits on an
+/// ack, and the conformance oracle charges this delay there.
+pub const ACK_DELAY: Delta = Delta::from_ticks(4);
+
+/// The timer token on which the ack owed to `client` falls due.
+fn ack_token(client: NodeId) -> u64 {
+    TIMER_ACK_BASE + client.index() as u64
+}
+
+/// The client whose ack deadline `token` is, if it is one: the range
+/// sits between the geo flush tokens and the `u64::MAX`-family ones.
+fn ack_client(token: u64) -> Option<NodeId> {
+    (TIMER_ACK_BASE..TIMER_GEO_RETX)
+        .contains(&token)
+        .then(|| NodeId::new((token - TIMER_ACK_BASE) as usize))
+}
+
+/// A write ack held until the records it covers are durable.
+enum Ack {
+    /// Sent as it is once durable: a physical write's ack, a geo apply's.
+    Send(Msg),
+    /// A cumulative causal ack up to `upto`: owed once durable, or sent at
+    /// once when the writer waits on it (`at_once`, the write's
+    /// `ack_now`).
+    Causal { upto: u64, at_once: bool },
+}
+
+/// A cumulative causal ack the shard owes one client.
+struct OwedAck {
+    /// Every write of the client to this shard with `shard_seq <= upto` is
+    /// durable here.
+    upto: u64,
+    /// True time at which the ack leaves on its own, [`ACK_DELAY`] after
+    /// it was first owed, unless a reply carried it first.
+    due: Time,
+}
+
 /// The server (shard) engine.
 ///
 /// # Crash durability
@@ -57,8 +105,9 @@ pub const TIMER_WAL_FLUSH: u64 = u64::MAX;
 /// [`MemStore`] (which models an infinitely fast disk), everything up to
 /// the last fsync for a WAL-backed store (which replays its log and drops
 /// the unsynced tail — safe, because those writes were never acked).
-/// `known_clients`, the pending invalidation batches and the deferred acks
-/// are volatile session state: after a restart, push invalidations flow
+/// `known_clients`, the pending invalidation batches and the deferred and
+/// owed acks are volatile session state (a writer retransmits whatever a
+/// lost ack left unacked): after a restart, push invalidations flow
 /// only to clients that contact the shard again, and any coalesced but
 /// unflushed batch is simply lost. That is safe for the timed guarantees
 /// because pushes are an optimization; the Δ bound is enforced by the
@@ -78,7 +127,12 @@ pub struct ServerEngine {
     /// Write acks awaiting durability of their records (volatile: a crash
     /// drops them together with the unsynced records they cover, and the
     /// clients retransmit). FIFO — drained in append order at each sync.
-    deferred_acks: Vec<(NodeId, Msg)>,
+    deferred_acks: Vec<(NodeId, Ack)>,
+    /// Causal acks owed, indexed by client node (volatile, like
+    /// `deferred_acks`: the client retransmits what a crash left unacked).
+    /// Each rides on the next reply to its client or goes standalone when
+    /// due. A slot per node, so owing and paying never allocate.
+    owed: Vec<Option<OwedAck>>,
     /// Total client requests served (fetch + validate + write), the
     /// per-shard load statistic the threaded runtime reports.
     requests_served: u64,
@@ -103,7 +157,22 @@ struct GeoChannel {
     peer: NodeId,
     next_seq: u64,
     buf: Vec<GeoWrite>,
-    unacked: VecDeque<(u64, Vec<GeoWrite>)>,
+    unacked: VecDeque<InFlight>,
+}
+
+/// A shipped batch awaiting the relay's cumulative ack.
+struct InFlight {
+    seq: u64,
+    entries: Vec<GeoWrite>,
+    /// True time the batch last left: shipped, or resent with its
+    /// window. It is overdue [`RETX_AFTER`] later.
+    sent_at: Time,
+}
+
+impl InFlight {
+    fn overdue(&self, now: Time) -> bool {
+        self.sent_at.saturating_add_delta(RETX_AFTER) <= now
+    }
 }
 
 /// The deadline that flushes egress channel `i`'s open batch.
@@ -121,6 +190,8 @@ fn flush_deadline(i: usize) -> Effect {
 struct GeoState {
     config: GeoShardConfig,
     channels: Vec<GeoChannel>,
+    /// Whether the one retransmit timer is armed (for the earliest
+    /// deadline among the unacked batches).
     retx_armed: bool,
 }
 
@@ -146,7 +217,7 @@ impl GeoState {
     /// Queues one freshly applied local write on every peer channel and
     /// notifies the local relay (its dependency watermarks must cover
     /// local writes, or remote writes depending on them would stall).
-    fn egress(&mut self, w: &GeoWrite, out: &mut Vec<Effect>) {
+    fn egress(&mut self, w: &GeoWrite, now: Time, out: &mut Vec<Effect>) {
         out.push(Effect::Metric {
             name: names::GEO_LOCAL_NOTIFY,
             add: 1,
@@ -163,7 +234,7 @@ impl GeoState {
             ch.buf.push(w.clone());
             let len = ch.buf.len();
             if len >= EGRESS_BATCH.max_entries {
-                self.flush(i, out);
+                self.flush(i, now, out);
             } else if len == 1 {
                 out.push(flush_deadline(i));
             }
@@ -174,16 +245,29 @@ impl GeoState {
     /// restart, but the flush deadlines and the retransmit timer died with
     /// the process — without this an open batch would leave only once it
     /// fills, and a lost batch would never be retransmitted.
-    fn rearm_after_restart(&mut self, out: &mut Vec<Effect>) {
+    fn rearm_after_restart(&mut self, now: Time, out: &mut Vec<Effect>) {
         for (i, ch) in self.channels.iter().enumerate() {
             if !ch.buf.is_empty() {
                 out.push(flush_deadline(i));
             }
         }
-        self.retx_armed = self.channels.iter().any(|ch| !ch.unacked.is_empty());
-        if self.retx_armed {
+        self.arm_retx(now, out);
+    }
+
+    /// Arms the retransmit timer for the earliest deadline among the
+    /// unacked batches; with none in flight the timer stays disarmed.
+    fn arm_retx(&mut self, now: Time, out: &mut Vec<Effect>) {
+        let oldest = self
+            .channels
+            .iter()
+            .flat_map(|ch| ch.unacked.iter().map(|b| b.sent_at))
+            .min();
+        self.retx_armed = oldest.is_some();
+        if let Some(oldest) = oldest {
             out.push(Effect::SetTimer {
-                after: RETX_AFTER,
+                after: oldest
+                    .saturating_add_delta(RETX_AFTER)
+                    .saturating_since(now),
                 token: TIMER_GEO_RETX,
             });
         }
@@ -192,7 +276,7 @@ impl GeoState {
     /// Seals and transmits channel `i`'s open batch (fullness or
     /// deadline — whichever came first; a stale deadline finds an empty
     /// buffer and is a no-op).
-    fn flush(&mut self, i: usize, out: &mut Vec<Effect>) {
+    fn flush(&mut self, i: usize, now: Time, out: &mut Vec<Effect>) {
         let origin = self.config.region;
         let Some(ch) = self.channels.get_mut(i) else {
             return;
@@ -215,23 +299,30 @@ impl GeoState {
                 entries: entries.clone(),
             },
         });
-        ch.unacked.push_back((seq, entries));
+        ch.unacked.push_back(InFlight {
+            seq,
+            entries,
+            sent_at: now,
+        });
         if !self.retx_armed {
-            self.retx_armed = true;
-            out.push(Effect::SetTimer {
-                after: RETX_AFTER,
-                token: TIMER_GEO_RETX,
-            });
+            self.arm_retx(now, out);
         }
     }
 
-    /// Retransmits every unacked batch on every channel, in order.
-    fn retransmit(&mut self, out: &mut Vec<Effect>) {
+    /// The retransmit timer fired. A channel with an overdue batch
+    /// ([`RETX_AFTER`] past its last send) resends its whole unacked
+    /// window in order — go-back-N, since the relay discards every batch
+    /// behind a gap — and every batch of the window starts a new deadline,
+    /// so a long outage costs one window per interval, not one per batch.
+    /// A channel with nothing overdue sends nothing. The timer then waits
+    /// for the earliest deadline left.
+    fn retransmit(&mut self, now: Time, out: &mut Vec<Effect>) {
         let origin = self.config.region;
-        let mut any = false;
         for ch in &mut self.channels {
-            for (seq, entries) in &ch.unacked {
-                any = true;
+            if !ch.unacked.iter().any(|b| b.overdue(now)) {
+                continue;
+            }
+            for b in &mut ch.unacked {
                 out.push(Effect::Metric {
                     name: names::GEO_BATCH_RETRANSMIT,
                     add: 1,
@@ -240,27 +331,21 @@ impl GeoState {
                     to: ch.peer,
                     msg: Msg::GeoBatch {
                         origin,
-                        seq: *seq,
-                        entries: entries.clone(),
+                        seq: b.seq,
+                        entries: b.entries.clone(),
                     },
                 });
+                b.sent_at = now;
             }
         }
-        if any {
-            out.push(Effect::SetTimer {
-                after: RETX_AFTER,
-                token: TIMER_GEO_RETX,
-            });
-        } else {
-            self.retx_armed = false;
-        }
+        self.arm_retx(now, out);
     }
 
     /// Prunes the unacked window of the channel to `from` up to the
     /// relay's cumulative ack.
     fn on_batch_ack(&mut self, from: NodeId, upto: u64) {
         if let Some(ch) = self.channels.iter_mut().find(|c| c.peer == from) {
-            while matches!(ch.unacked.front(), Some((seq, _)) if *seq <= upto) {
+            while ch.unacked.front().is_some_and(|b| b.seq <= upto) {
                 ch.unacked.pop_front();
             }
         }
@@ -284,6 +369,7 @@ impl ServerEngine {
             known_clients: BTreeSet::new(),
             pending: BTreeMap::new(),
             deferred_acks: Vec::new(),
+            owed: Vec::new(),
             requests_served: 0,
             geo: None,
             deferred_geo: Vec::new(),
@@ -318,6 +404,18 @@ impl ServerEngine {
         self.requests_served
     }
 
+    /// Whether firing timer `token` now could do anything. An ack deadline
+    /// is dead once nothing is owed to its client — a reply carried the
+    /// ack first, as it does for most — and a driver may drop it without
+    /// a step. Every other shard timer counts as live.
+    #[must_use]
+    pub fn timer_is_live(&self, token: u64) -> bool {
+        match ack_client(token) {
+            Some(client) => self.owed_to(client).is_some(),
+            None => true,
+        }
+    }
+
     /// Handles one event, appending the resulting effects to `out`.
     ///
     /// # Panics
@@ -333,13 +431,17 @@ impl ServerEngine {
                     // fullness-triggered sync finds nothing pending.
                     self.sync_store(out);
                 } else if token == TIMER_GEO_RETX {
+                    let now = self.truth();
                     if let Some(geo) = &mut self.geo {
-                        geo.retransmit(out);
+                        geo.retransmit(now, out);
                     }
+                } else if let Some(client) = ack_client(token) {
+                    self.on_ack_due(client, out);
                 } else if token >= TIMER_GEO_FLUSH_BASE {
                     let i = (token - TIMER_GEO_FLUSH_BASE) as usize;
+                    let now = self.truth();
                     if let Some(geo) = &mut self.geo {
-                        geo.flush(i, out);
+                        geo.flush(i, now, out);
                     }
                 } else {
                     // The other shard timers are batch-flush deadlines; a
@@ -368,18 +470,27 @@ impl ServerEngine {
                 self.known_clients.clear();
                 self.pending.clear();
                 self.deferred_acks.clear();
+                self.owed.clear();
                 // Egress covering unsynced records dies with them: the
                 // writes were never acked, so their writers retransmit
                 // and the re-apply re-queues the egress. The channels'
                 // open batches and unacked windows survive
                 // (engine-resident, see `GeoState`); their timers do not.
                 self.deferred_geo.clear();
+                let now = self.truth();
                 if let Some(geo) = &mut self.geo {
-                    geo.rearm_after_restart(out);
+                    geo.rearm_after_restart(now, out);
                 }
             }
             Event::Message { from, msg } => self.on_message(from, msg, out),
         }
+    }
+
+    /// The true time of the latest clock sample: what deadlines reckon in.
+    fn truth(&self) -> Time {
+        self.now
+            .expect("driver must inject Event::Now before lifecycle events")
+            .truth
     }
 
     /// The durable version served to readers. Never exposes unsynced
@@ -399,13 +510,14 @@ impl ServerEngine {
             name: names::WAL_FSYNC,
             add: 1,
         });
-        for (to, msg) in std::mem::take(&mut self.deferred_acks) {
-            out.push(Effect::Send { to, msg });
+        for (to, ack) in std::mem::take(&mut self.deferred_acks) {
+            self.release(to, ack, out);
         }
         // The sync also made the held-back geo egress safe to ship.
+        let now = self.truth();
         for w in std::mem::take(&mut self.deferred_geo) {
             if let Some(geo) = &mut self.geo {
-                geo.egress(&w, out);
+                geo.egress(&w, now, out);
             }
         }
     }
@@ -413,11 +525,12 @@ impl ServerEngine {
     /// Routes one freshly applied local write into geo egress: inline if
     /// already durable, held until the covering fsync otherwise.
     fn geo_after_apply(&mut self, w: GeoWrite, out: &mut Vec<Effect>) {
-        if self.geo.is_none() {
+        let now = self.truth();
+        let Some(geo) = &mut self.geo else {
             return;
-        }
+        };
         if self.store.pending() == 0 {
-            self.geo.as_mut().expect("checked above").egress(&w, out);
+            geo.egress(&w, now, out);
         } else {
             self.deferred_geo.push(w);
         }
@@ -446,15 +559,99 @@ impl ServerEngine {
         }
     }
 
-    /// Sends a write ack now if its record is durable, else holds it until
-    /// the covering sync. (With the in-memory store `pending()` is always
-    /// zero, so acks always ship inline — the historical behaviour.)
-    fn ship_or_defer(&mut self, to: NodeId, msg: Msg, out: &mut Vec<Effect>) {
+    /// Releases a write ack now if its record is durable, else holds it
+    /// until the covering sync. (With the in-memory store `pending()` is
+    /// always zero, so acks always release inline.)
+    fn ship_or_defer(&mut self, to: NodeId, ack: Ack, out: &mut Vec<Effect>) {
         if self.store.pending() == 0 {
-            out.push(Effect::Send { to, msg });
+            self.release(to, ack, out);
         } else {
-            self.deferred_acks.push((to, msg));
+            self.deferred_acks.push((to, ack));
         }
+    }
+
+    /// Lets an ack whose records are durable go: a causal one becomes
+    /// owed unless its writer waits on it, any other is sent.
+    fn release(&mut self, to: NodeId, ack: Ack, out: &mut Vec<Effect>) {
+        match ack {
+            Ack::Send(msg) => self.reply(to, msg, out),
+            Ack::Causal {
+                upto,
+                at_once: false,
+            } => self.owe(to, upto, out),
+            Ack::Causal {
+                upto,
+                at_once: true,
+            } => {
+                // It covers whatever was owed, which then leaves with it.
+                let upto = self.take_owed(to).map_or(upto, |o| o.upto.max(upto));
+                Self::send_ack(to, upto, out);
+            }
+        }
+    }
+
+    /// Owes `client` a cumulative ack up to `upto`. The first ack owed
+    /// since the last one left arms its [`ACK_DELAY`] deadline; a later
+    /// one only raises the cursor and keeps that deadline.
+    fn owe(&mut self, client: NodeId, upto: u64, out: &mut Vec<Effect>) {
+        let due = self.truth().saturating_add_delta(ACK_DELAY);
+        let i = client.index();
+        if i >= self.owed.len() {
+            self.owed.resize_with(i + 1, || None);
+        }
+        match &mut self.owed[i] {
+            Some(owed) => owed.upto = owed.upto.max(upto),
+            slot @ None => {
+                *slot = Some(OwedAck { upto, due });
+                out.push(Effect::SetTimer {
+                    after: ACK_DELAY,
+                    token: ack_token(client),
+                });
+            }
+        }
+    }
+
+    /// The ack owed to `client`, if any.
+    fn owed_to(&self, client: NodeId) -> Option<&OwedAck> {
+        self.owed.get(client.index()).and_then(Option::as_ref)
+    }
+
+    /// Clears and returns the ack owed to `client`, if any.
+    fn take_owed(&mut self, client: NodeId) -> Option<OwedAck> {
+        self.owed.get_mut(client.index()).and_then(Option::take)
+    }
+
+    /// Sends `msg` to `to`, carrying the causal ack owed to `to` if `msg`
+    /// is a reply.
+    fn reply(&mut self, to: NodeId, mut msg: Msg, out: &mut Vec<Effect>) {
+        if let Some(owed) = self.owed_to(to) {
+            if msg.carry_ack(owed.upto) {
+                self.take_owed(to);
+                out.push(Effect::metric(names::SERVER_ACK_PIGGYBACKED));
+            }
+        }
+        out.push(Effect::Send { to, msg });
+    }
+
+    /// An ack deadline fired: the ack owed to `client` leaves on its own
+    /// if it is due. A reply that carried it first left nothing owed, and
+    /// a deadline armed for an ack a reply already carried finds a younger
+    /// one not yet due, whose own deadline is armed.
+    fn on_ack_due(&mut self, client: NodeId, out: &mut Vec<Effect>) {
+        let now = self.truth();
+        if self.owed_to(client).is_some_and(|o| o.due <= now) {
+            let owed = self.take_owed(client).expect("checked above");
+            Self::send_ack(client, owed.upto, out);
+        }
+    }
+
+    /// Sends a standalone cumulative causal ack.
+    fn send_ack(to: NodeId, upto: u64, out: &mut Vec<Effect>) {
+        out.push(Effect::metric(names::SERVER_ACK_STANDALONE));
+        out.push(Effect::Send {
+            to,
+            msg: Msg::WriteAckCausal { upto },
+        });
     }
 
     /// Appends one record to the store and emits the WAL telemetry.
@@ -573,15 +770,14 @@ impl ServerEngine {
                     add: 1,
                 });
                 let version = self.current(object).wire();
-                out.push(Effect::Send {
-                    to: from,
-                    msg: Msg::FetchRep {
-                        object,
-                        version,
-                        server_now,
-                        epoch,
-                    },
-                });
+                let msg = Msg::FetchRep {
+                    object,
+                    version,
+                    server_now,
+                    epoch,
+                    acked: None,
+                };
+                self.reply(from, msg, out);
             }
             Msg::ValidateReq {
                 object,
@@ -598,15 +794,14 @@ impl ServerEngine {
                 } else {
                     ValidateOutcome::Newer(current.wire())
                 };
-                out.push(Effect::Send {
-                    to: from,
-                    msg: Msg::ValidateRep {
-                        object,
-                        outcome,
-                        server_now,
-                        epoch,
-                    },
-                });
+                let msg = Msg::ValidateRep {
+                    object,
+                    outcome,
+                    server_now,
+                    epoch,
+                    acked: None,
+                };
+                self.reply(from, msg, out);
             }
             Msg::WriteReq {
                 object,
@@ -615,6 +810,7 @@ impl ServerEngine {
                 issued_at,
                 epoch,
                 shard_seq,
+                ack_now,
             } => {
                 out.push(Effect::Metric {
                     name: names::SERVER_WRITE,
@@ -684,7 +880,14 @@ impl ServerEngine {
                             add: 1,
                         });
                     }
-                    self.ship_or_defer(from, Msg::WriteAckCausal { object, value }, out);
+                    // Cumulative: the cursor covers this write and every
+                    // earlier one of the writer's stream to this shard.
+                    let upto = self.store.causal_cursor(from.index());
+                    let ack = Ack::Causal {
+                        upto,
+                        at_once: ack_now,
+                    };
+                    self.ship_or_defer(from, ack, out);
                     self.maybe_arm_wal_timer(out);
                 } else {
                     // Physical family: the server linearizes writes by
@@ -699,15 +902,13 @@ impl ServerEngine {
                             name: names::SERVER_WRITE_DUP,
                             add: 1,
                         });
-                        self.ship_or_defer(
-                            from,
-                            Msg::WriteAck {
-                                object,
-                                alpha_t: alpha,
-                                epoch,
-                            },
-                            out,
-                        );
+                        let ack = Msg::WriteAck {
+                            object,
+                            alpha_t: alpha,
+                            epoch,
+                            acked: None,
+                        };
+                        self.ship_or_defer(from, Ack::Send(ack), out);
                         return;
                     }
                     let alpha = Time::from_ticks(
@@ -722,15 +923,13 @@ impl ServerEngine {
                     };
                     self.append(&record, out);
                     self.maybe_sync_after_append(out);
-                    self.ship_or_defer(
-                        from,
-                        Msg::WriteAck {
-                            object,
-                            alpha_t: alpha,
-                            epoch,
-                        },
-                        out,
-                    );
+                    let ack = Msg::WriteAck {
+                        object,
+                        alpha_t: alpha,
+                        epoch,
+                        acked: None,
+                    };
+                    self.ship_or_defer(from, Ack::Send(ack), out);
                     let snapshot = StoredVersion {
                         value,
                         alpha_t: alpha,
@@ -833,14 +1032,11 @@ impl ServerEngine {
         // The ack rides the durability gate exactly like a client write
         // ack: the relay may release the next dependent apply only once
         // this one can no longer be un-happened by a crash.
-        self.ship_or_defer(
-            relay,
-            Msg::GeoApplyAck {
-                writer: entry.writer() as u32,
-                k: entry.k(),
-            },
-            out,
-        );
+        let ack = Msg::GeoApplyAck {
+            writer: entry.writer() as u32,
+            k: entry.k(),
+        };
+        self.ship_or_defer(relay, Ack::Send(ack), out);
         self.maybe_arm_wal_timer(out);
     }
 }
@@ -917,17 +1113,71 @@ mod tests {
     }
 
     fn drive(s: &mut ServerEngine, event: Event) -> Vec<Effect> {
+        drive_at(s, 100, event)
+    }
+
+    fn drive_at(s: &mut ServerEngine, t: u64, event: Event) -> Vec<Effect> {
         let mut out = Vec::new();
         s.handle(
             Event::Now(Now {
                 me: NodeId::new(0),
-                local: Time::from_ticks(100),
-                truth: Time::from_ticks(100),
+                local: Time::from_ticks(t),
+                truth: Time::from_ticks(t),
             }),
             &mut out,
         );
         s.handle(event, &mut out);
         out
+    }
+
+    /// Client node 1's causal write with `shard_seq` `seq`.
+    fn causal_write(seq: u64) -> Event {
+        let mut clock = VectorClock::new(1, 2);
+        for _ in 0..seq {
+            clock.tick();
+        }
+        Event::Message {
+            from: NodeId::new(1),
+            msg: Msg::WriteReq {
+                object: ObjectId::from_letter('X'),
+                value: Value::new(10 + seq),
+                alpha_v: Some(clock),
+                issued_at: Time::from_ticks(50),
+                epoch: 0,
+                shard_seq: seq,
+                ack_now: false,
+            },
+        }
+    }
+
+    /// Client node 1 fetches `Y`.
+    fn fetch() -> Event {
+        Event::Message {
+            from: NodeId::new(1),
+            msg: Msg::FetchReq {
+                object: ObjectId::from_letter('Y'),
+                epoch: 1,
+            },
+        }
+    }
+
+    /// The ack deadline of client node 1.
+    fn ack_due() -> Event {
+        Event::Timer {
+            token: ack_token(NodeId::new(1)),
+        }
+    }
+
+    /// The causal ack every message sent carries (`None` for one without).
+    fn acks(effects: &[Effect]) -> Vec<Option<u64>> {
+        sent(effects).iter().map(|m| m.acked()).collect()
+    }
+
+    fn counted(effects: &[Effect], metric: &str) -> usize {
+        effects
+            .iter()
+            .filter(|e| matches!(e, Effect::Metric { name, .. } if *name == metric))
+            .count()
     }
 
     fn write_req(value: u64) -> Event {
@@ -940,6 +1190,7 @@ mod tests {
                 issued_at: Time::from_ticks(50),
                 epoch: value,
                 shard_seq: 0,
+                ack_now: false,
             },
         }
     }
@@ -1115,24 +1366,221 @@ mod tests {
     #[test]
     fn causal_dup_is_acked_without_reapply() {
         let mut s = ServerEngine::new(cfg());
-        let mut clock = VectorClock::new(1, 2);
-        let stamp = clock.tick();
-        let req = |seq: u64| Event::Message {
-            from: NodeId::new(1),
+        drive_at(&mut s, 100, causal_write(1));
+        assert_eq!(s.writes_applied(), 1);
+        let out = drive_at(&mut s, 101, causal_write(1));
+        assert_eq!(s.writes_applied(), 1, "duplicate not re-applied");
+        assert!(sent(&out).is_empty(), "its ack is owed, not sent");
+        let out = drive_at(&mut s, 104, ack_due());
+        assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 1 }]);
+    }
+
+    /// A causal write's ack is owed, not sent: the site's next reply
+    /// carries it, and the deadline it armed then finds nothing to send.
+    #[test]
+    fn an_owed_ack_rides_on_the_next_reply() {
+        let mut s = ServerEngine::new(cfg());
+        let out = drive_at(&mut s, 100, causal_write(1));
+        assert!(sent(&out).is_empty());
+        assert!(out.contains(&Effect::SetTimer {
+            after: ACK_DELAY,
+            token: ack_token(NodeId::new(1)),
+        }));
+        assert!(s.timer_is_live(ack_token(NodeId::new(1))));
+        let out = drive_at(&mut s, 102, fetch());
+        assert_eq!(acks(&out), [Some(1)]);
+        assert_eq!(counted(&out, names::SERVER_ACK_PIGGYBACKED), 1);
+        // Dead: a driver may drop it, and stepping it anyway does nothing.
+        assert!(!s.timer_is_live(ack_token(NodeId::new(1))));
+        assert!(drive_at(&mut s, 104, ack_due()).is_empty());
+        // Paid: the next reply carries nothing.
+        assert_eq!(acks(&drive_at(&mut s, 105, fetch())), [None]);
+    }
+
+    /// No reply within `ACK_DELAY`: the ack leaves on its own, cumulative
+    /// over every write owed since, at the first one's deadline.
+    #[test]
+    fn an_owed_ack_goes_standalone_at_its_deadline() {
+        let mut s = ServerEngine::new(cfg());
+        drive_at(&mut s, 100, causal_write(1));
+        let out = drive_at(&mut s, 102, causal_write(2));
+        assert!(
+            !out.iter().any(|e| matches!(e, Effect::SetTimer { .. })),
+            "a second owed write keeps the first one's deadline"
+        );
+        let out = drive_at(&mut s, 104, ack_due());
+        assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 2 }]);
+        assert_eq!(counted(&out, names::SERVER_ACK_STANDALONE), 1);
+        assert_eq!(acks(&drive_at(&mut s, 105, fetch())), [None]);
+    }
+
+    /// A deadline armed for an ack a reply already carried fires while a
+    /// younger ack is owed: it sends nothing, and the younger ack leaves
+    /// at its own deadline.
+    #[test]
+    fn a_deadline_outlived_by_its_ack_sends_nothing() {
+        let mut s = ServerEngine::new(cfg());
+        drive_at(&mut s, 100, causal_write(1));
+        assert_eq!(acks(&drive_at(&mut s, 101, fetch())), [Some(1)]);
+        drive_at(&mut s, 102, causal_write(2));
+        assert!(drive_at(&mut s, 104, ack_due()).is_empty());
+        let out = drive_at(&mut s, 106, ack_due());
+        assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 2 }]);
+    }
+
+    /// A write its writer waits on (`ack_now`: it drains next) is acked
+    /// at once, and its ack covers whatever was owed before it.
+    #[test]
+    fn a_write_its_writer_waits_on_is_acked_at_once() {
+        let mut s = ServerEngine::new(cfg());
+        drive_at(&mut s, 100, causal_write(1));
+        let mut last = causal_write(2);
+        if let Event::Message {
+            msg: Msg::WriteReq { ack_now, .. },
+            ..
+        } = &mut last
+        {
+            *ack_now = true;
+        }
+        let out = drive_at(&mut s, 101, last);
+        assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 2 }]);
+        assert_eq!(counted(&out, names::SERVER_ACK_STANDALONE), 1);
+        assert!(drive_at(&mut s, 104, ack_due()).is_empty(), "nothing owed");
+    }
+
+    /// A write beyond a gap is not acked: nothing is owed for it, and the
+    /// cursor an earlier ack owed does not move past the gap.
+    #[test]
+    fn a_gapped_write_owes_nothing() {
+        let mut s = ServerEngine::new(cfg());
+        let out = drive_at(&mut s, 100, causal_write(2));
+        assert_eq!(counted(&out, names::SERVER_WRITE_GAP), 1);
+        assert!(!out.iter().any(|e| matches!(e, Effect::SetTimer { .. })));
+        assert_eq!(acks(&drive_at(&mut s, 101, fetch())), [None]);
+    }
+
+    /// Under group commit the owed cursor only ever covers the fsynced
+    /// prefix: a reply leaving while writes are unsynced carries nothing
+    /// for them, the sync owes the synced cursor, and a crash before the
+    /// next sync loses no ack it sent.
+    #[test]
+    fn under_group_commit_a_reply_never_acks_past_the_synced_prefix() {
+        let fsync = FsyncPolicy {
+            max_pending: 8,
+            max_delay: Delta::from_ticks(20),
+        };
+        let mut s = ServerEngine::with_store(
+            durable_cfg(ProtocolKind::Cc, fsync),
+            Box::new(TailStore::default()),
+        );
+        drive_at(&mut s, 100, causal_write(1));
+        drive_at(&mut s, 101, causal_write(2));
+        assert_eq!(acks(&drive_at(&mut s, 102, fetch())), [None], "unsynced");
+        let synced = drive_at(
+            &mut s,
+            120,
+            Event::Timer {
+                token: TIMER_WAL_FLUSH,
+            },
+        );
+        assert!(sent(&synced).is_empty(), "the sync owes, it does not send");
+        drive_at(&mut s, 121, causal_write(3));
+        assert_eq!(
+            acks(&drive_at(&mut s, 122, fetch())),
+            [Some(2)],
+            "the synced prefix, not write 3"
+        );
+        drive_at(&mut s, 123, Event::Restart);
+        assert!(drive_at(&mut s, 125, ack_due()).is_empty());
+        assert_eq!(s.store.causal_cursor(1), 2, "write 3 died unacked");
+    }
+
+    /// The shard's one geo retransmit timer, driven at `t`.
+    fn geo_retx_at(s: &mut ServerEngine, t: u64) -> Vec<Effect> {
+        drive_at(
+            s,
+            t,
+            Event::Timer {
+                token: TIMER_GEO_RETX,
+            },
+        )
+    }
+
+    /// `seq` of every geo batch sent.
+    fn batches(effects: &[Effect]) -> Vec<u64> {
+        sent(effects)
+            .iter()
+            .filter_map(|m| match m {
+                Msg::GeoBatch { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn retx_timer(effects: &[Effect]) -> Option<u64> {
+        effects.iter().find_map(|e| match e {
+            Effect::SetTimer { after, token } if *token == TIMER_GEO_RETX => Some(after.ticks()),
+            _ => None,
+        })
+    }
+
+    /// Each egress batch has its own `RETX_AFTER` deadline: the timer
+    /// firing with nothing overdue sends nothing and waits for the
+    /// earliest deadline; an overdue batch goes again with the window
+    /// behind it (go-back-N) and only its own deadline moves.
+    #[test]
+    fn geo_batches_are_resent_only_once_overdue() {
+        let map = crate::geo::RegionMap::new(2, 1);
+        let mut s = ServerEngine::new(cfg()).with_geo(map.shard_config(0));
+        let relay = NodeId::new(map.relay_node(1));
+        let mut clock = VectorClock::new(0, 1);
+        let mut write = |seq: u64| Event::Message {
+            from: NodeId::new(map.client_base()),
             msg: Msg::WriteReq {
                 object: ObjectId::from_letter('X'),
-                value: Value::new(9),
-                alpha_v: Some(stamp.clone()),
+                value: Value::new(seq),
+                alpha_v: Some(clock.tick()),
                 issued_at: Time::from_ticks(50),
-                epoch: 1,
+                epoch: 0,
                 shard_seq: seq,
+                ack_now: false,
             },
         };
-        drive(&mut s, req(1));
-        assert_eq!(s.writes_applied(), 1);
-        let out = drive(&mut s, req(1));
-        assert_eq!(s.writes_applied(), 1, "duplicate not re-applied");
-        assert!(matches!(sent(&out)[0], Msg::WriteAckCausal { .. }));
+        let flush = Event::Timer {
+            token: TIMER_GEO_FLUSH_BASE,
+        };
+        let retx = RETX_AFTER.ticks();
+        drive_at(&mut s, 0, write(1));
+        let out = drive_at(&mut s, 10, flush.clone());
+        assert_eq!((batches(&out), retx_timer(&out)), (vec![1], Some(retx)));
+        drive_at(&mut s, 100, write(2));
+        let out = drive_at(&mut s, 110, flush);
+        assert_eq!((batches(&out), retx_timer(&out)), (vec![2], None));
+        // Batch 1 is acked in time: the fire at its deadline sends
+        // nothing and waits for batch 2's.
+        drive_at(
+            &mut s,
+            120,
+            Event::Message {
+                from: relay,
+                msg: Msg::GeoBatchAck { upto: 1 },
+            },
+        );
+        let out = geo_retx_at(&mut s, 10 + retx);
+        assert_eq!((batches(&out), retx_timer(&out)), (vec![], Some(100)));
+        // Batch 2 is not: it goes again at its own deadline, and batch 3
+        // (young, shipped since) rides along and restarts its deadline.
+        drive_at(&mut s, 350, write(3));
+        drive_at(
+            &mut s,
+            360,
+            Event::Timer {
+                token: TIMER_GEO_FLUSH_BASE,
+            },
+        );
+        let out = geo_retx_at(&mut s, 110 + retx);
+        assert_eq!((batches(&out), retx_timer(&out)), (vec![2, 3], Some(retx)));
+        assert_eq!(counted(&out, names::GEO_BATCH_RETRANSMIT), 2);
     }
 
     /// A crash kills the geo egress timers but not the channels they
@@ -1153,6 +1601,7 @@ mod tests {
                 issued_at: Time::from_ticks(50),
                 epoch: seq,
                 shard_seq: seq,
+                ack_now: false,
             },
         };
         let arms = |effects: &[Effect], timer: u64| {

@@ -41,9 +41,14 @@ pub enum ValidateOutcome {
 /// reply whose epoch is not its current one, which is what makes the
 /// protocol safe under message duplication and arbitrarily delayed replies:
 /// a late duplicate of an old reply can never complete a newer operation
-/// with stale data. Causal-family writes are asynchronous and instead carry
-/// their globally unique value as the identity that [`Msg::WriteAckCausal`]
-/// echoes.
+/// with stale data. Causal-family writes are asynchronous and are acked
+/// cumulatively instead: a shard owes each writer its per-writer delivery
+/// cursor, and the owed cursor rides as `acked` on the next reply the
+/// shard sends that site ([`Msg::FetchRep`], [`Msg::ValidateRep`],
+/// [`Msg::WriteAck`]), or leaves as a standalone [`Msg::WriteAckCausal`]
+/// once it has waited [`crate::engine::ACK_DELAY`]. An ack is a fact about
+/// the shard's store, not an answer to a request, so the client applies it
+/// whatever the reply's epoch.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Msg {
     /// Client → server: cache miss on `object`.
@@ -64,6 +69,9 @@ pub enum Msg {
         server_now: Time,
         /// Epoch of the request being answered.
         epoch: u64,
+        /// The cumulative causal ack this reply carries, if the shard owed
+        /// the site one (see [`Msg::WriteAckCausal`]).
+        acked: Option<u64>,
     },
     /// Client → server: is my cached version still current? Versions are
     /// identified by their (globally unique) value — the if-modified-since
@@ -86,6 +94,8 @@ pub enum Msg {
         server_now: Time,
         /// Epoch of the request being answered.
         epoch: u64,
+        /// The cumulative causal ack this reply carries, if any.
+        acked: Option<u64>,
     },
     /// Client → server: a write. In the physical family the server assigns
     /// `α` and acks; in the causal family `alpha_v` carries the writer's
@@ -110,6 +120,12 @@ pub enum Msg {
         /// object-partitioned fleet. With one shard it equals the writer's
         /// own vector-clock entry.
         shard_seq: u64,
+        /// Causal family: the writer drains after this write — it ends
+        /// the writer's workload, or a region migration falls due — and so
+        /// will wait on its ack. The shard sends that ack as soon as the
+        /// write is durable instead of holding it for a reply to ride on.
+        /// Physical writes send `false` (their ack is the reply).
+        ack_now: bool,
     },
     /// Server → client: physical-family write acknowledgement carrying the
     /// server-assigned `α`.
@@ -120,16 +136,22 @@ pub enum Msg {
         alpha_t: Time,
         /// Epoch of the request being answered.
         epoch: u64,
+        /// The cumulative causal ack this reply carries, if any.
+        acked: Option<u64>,
     },
-    /// Server → client: causal-family write acknowledgement. Purely a
-    /// retransmission stopper — the write was already applied locally and
-    /// recorded by the writer; the ack confirms the server has (or had)
-    /// received it, so the writer may drop it from its unacked buffer.
+    /// Server → client: a standalone cumulative causal-family write
+    /// acknowledgement, sent when no reply to the site left within
+    /// [`crate::engine::ACK_DELAY`] of the ack being owed, or at once for
+    /// a write its writer waits on (`ack_now`). Purely a
+    /// retransmission stopper — the writes were already applied locally and
+    /// recorded by the writer; the ack says every write of this site to the
+    /// sending shard with `shard_seq <= upto` is durable there, so the
+    /// writer may drop them from its unacked buffer. Delivery is
+    /// prefix-closed (the shard drops a write beyond a gap), so one cursor
+    /// covers the whole prefix, and a late or duplicated ack is harmless.
     WriteAckCausal {
-        /// The written object.
-        object: ObjectId,
-        /// The acknowledged write's (globally unique) value.
-        value: Value,
+        /// The shard's delivery cursor for the addressed writer.
+        upto: u64,
     },
     /// Server → clients: push-mode invalidation of `object` (any cached
     /// version with an older `α` is dead).
@@ -254,6 +276,33 @@ impl Msg {
         }
     }
 
+    /// The cumulative causal ack this message carries: a standalone
+    /// [`Msg::WriteAckCausal`]'s cursor, or one riding on a reply.
+    #[must_use]
+    pub fn acked(&self) -> Option<u64> {
+        match self {
+            Msg::WriteAckCausal { upto } => Some(*upto),
+            Msg::FetchRep { acked, .. }
+            | Msg::ValidateRep { acked, .. }
+            | Msg::WriteAck { acked, .. } => *acked,
+            _ => None,
+        }
+    }
+
+    /// Lets an owed causal ack ride on this message: sets `acked` on a
+    /// reply and returns `true`; any other kind is left as it is.
+    pub fn carry_ack(&mut self, upto: u64) -> bool {
+        match self {
+            Msg::FetchRep { acked, .. }
+            | Msg::ValidateRep { acked, .. }
+            | Msg::WriteAck { acked, .. } => {
+                *acked = Some(upto);
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Whether this is a geo-replication control message (server↔relay or
     /// migrating-client↔relay traffic), as opposed to the client↔server
     /// protocol proper.
@@ -343,6 +392,7 @@ mod tests {
             version: v.clone(),
             server_now: Time::from_ticks(11),
             epoch: 1,
+            acked: None,
         };
         assert_ne!(rep, m);
         assert_eq!(ValidateOutcome::Newer(v.clone()), ValidateOutcome::Newer(v));

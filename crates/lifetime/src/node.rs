@@ -137,8 +137,10 @@ pub trait Host<T: TimeSource> {
 
     /// Whether timer `token` firing now would do anything. A driver drops
     /// a dead timer instead of stepping the host with it: a client's
-    /// retry whose reply came first ([`ClientEngine::timer_is_live`]), any
-    /// engine timer of a shard that is down.
+    /// retry whose reply came first ([`ClientEngine::timer_is_live`]), a
+    /// shard's ack deadline whose ack a reply carried first
+    /// ([`ServerEngine::timer_is_live`]), any engine timer of a shard that
+    /// is down.
     fn timer_is_live(&self, _token: u64) -> bool {
         true
     }
@@ -363,7 +365,7 @@ impl<T: TimeSource> Host<T> for ShardCore<T> {
     }
 
     fn timer_is_live(&self, token: u64) -> bool {
-        token == TIMER_OUTAGE_EDGE || !self.outages.down
+        token == TIMER_OUTAGE_EDGE || (!self.outages.down && self.engine.timer_is_live(token))
     }
 }
 

@@ -12,7 +12,7 @@
 //! The widened bound for a run with threshold Δ is
 //!
 //! ```text
-//! Δ + k·lat + 2·ε_eff + disruption + batch_delay + fsync_delay + slack
+//! Δ + k·lat + 2·ε_eff + disruption + batch_delay + fsync_delay + ack_delay + slack
 //! ```
 //!
 //! where `k` is the protocol's round-trip factor (2 for TSC, 4 for TCC —
@@ -31,8 +31,13 @@
 //! image only, so a write may stay invisible for up to one fsync deadline
 //! after the shard applied it — zero for the per-write policy, and zero
 //! for [`crate::DurabilityMode::Ephemeral`], whose store is durable
-//! instantly), and `slack` absorbs the ±1 rounding of event scheduling and
-//! trace recording.
+//! instantly), `ack_delay` is [`crate::engine::ACK_DELAY`] for a causal run
+//! over more than one shard (a shard may hold a causal write's ack that
+//! long for a reply to ride on, and the client-side cross-shard write
+//! barrier — the one place a client waits on an ack — holds the next write
+//! to another shard until it arrives; with one shard nothing waits, and the
+//! term is zero), and `slack` absorbs the ±1 rounding of event scheduling
+//! and trace recording.
 //!
 //! Note what crash–restart does **not** add under the durable backend: a
 //! killed shard's recovery widens the bound only through `disruption` (the
@@ -58,6 +63,7 @@ use tc_core::checker::{
 };
 use tc_sim::FaultPlan;
 
+use crate::engine::ACK_DELAY;
 use crate::{ProtocolKind, RunConfig, RunResult};
 
 /// The oracle's judgement of one run.
@@ -161,6 +167,13 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
             policy.max_delay.ticks()
         }
     };
+    // A causal write held by the cross-shard barrier waits for its
+    // predecessor's ack, which its shard may owe for up to ACK_DELAY.
+    let ack_delay = if config.protocol.kind.is_causal_family() && config.protocol.shards > 1 {
+        ACK_DELAY.ticks()
+    } else {
+        0
+    };
     Some(Delta::from_ticks(
         delta.ticks()
             + round_trips * lat.ticks()
@@ -169,6 +182,7 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
             + retry
             + batch_delay
             + fsync_delay
+            + ack_delay
             + 4,
     ))
 }
@@ -409,6 +423,28 @@ mod tests {
             widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO).unwrap(),
             quiet
         );
+    }
+
+    /// The ack wait is charged where a client can wait on an ack: a
+    /// causal run's cross-shard barrier. One shard has no barrier, and a
+    /// physical write's ack is never owed.
+    #[test]
+    fn widened_bound_charges_the_ack_delay_behind_the_write_barrier() {
+        let tcc = ProtocolKind::Tcc {
+            delta: Delta::from_ticks(60),
+        };
+        let tsc = ProtocolKind::Tsc {
+            delta: Delta::from_ticks(60),
+        };
+        let bound = |kind, shards| {
+            let mut config = cfg(kind, 0);
+            config.protocol = config.protocol.with_shards(shards);
+            widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO)
+                .unwrap()
+                .ticks()
+        };
+        assert_eq!(bound(tcc, 3), bound(tcc, 1) + ACK_DELAY.ticks());
+        assert_eq!(bound(tsc, 3), bound(tsc, 1));
     }
 
     #[test]

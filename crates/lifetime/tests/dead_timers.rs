@@ -1,6 +1,7 @@
-//! A timer `ClientEngine::timer_is_live` calls dead must be one whose
-//! firing the engine cannot observe: drivers drop such timers without a
-//! step, so handling one has to emit nothing and complete nothing.
+//! A timer `ClientEngine::timer_is_live` (or a shard's
+//! `ServerEngine::timer_is_live`) calls dead must be one whose firing the
+//! engine cannot observe: drivers drop such timers without a step, so
+//! handling one has to emit nothing and complete nothing.
 //!
 //! Clients and shards run in-process under a random schedule that
 //! delivers, drops and duplicates messages, fires armed timers in any
@@ -11,7 +12,7 @@ use proptest::collection;
 use proptest::prelude::*;
 use tc_clocks::{Delta, Time};
 use tc_lifetime::engine::{
-    Effect, Event, PrivateSources, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH, TIMER_NEXT_OP,
+    Effect, Event, PrivateSources, ACK_DELAY, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH, TIMER_NEXT_OP,
 };
 use tc_lifetime::node::{ClientCore, Host, ShardCore, SimClock};
 use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
@@ -147,7 +148,10 @@ proptest! {
                 6..=8 if !fleet.timers.is_empty() => {
                     let (node, token) = fleet.timers.swap_remove(pick % fleet.timers.len());
                     if node < shards {
-                        fleet.step(node, Event::Timer { token });
+                        // A shard's dead ack deadline must do nothing.
+                        let live = fleet.servers[node].timer_is_live(token);
+                        let out = fleet.step(node, Event::Timer { token });
+                        prop_assert!(live || out.is_empty(), "dead token {} emitted {:?}", token, out);
                     } else {
                         fleet.fire_client(node - shards, token)?;
                     }
@@ -193,11 +197,17 @@ fn a_flush_timer_dies_with_the_set_it_was_armed_for() {
         flush.expect("a write into an empty set arms a flush timer")
     };
     let first = write(&mut fleet);
-    // The shard applies the write and its ack drains the set.
-    for _ in 0..2 {
-        let (from, to, msg) = fleet.wire.pop().expect("the write, then its ack");
-        fleet.step(to.index(), Event::Message { from, msg });
-    }
+    // The shard applies the write. No reply is coming for its ack to ride
+    // on, so the ack leaves alone at its deadline and drains the set.
+    let (from, to, msg) = fleet.wire.pop().expect("the write");
+    fleet.step(to.index(), Event::Message { from, msg });
+    let (shard, ack_due) = fleet.timers.pop().expect("the ack's deadline");
+    assert_eq!(shard, to.index());
+    fleet.t += ACK_DELAY.ticks();
+    fleet.step(shard, Event::Timer { token: ack_due });
+    let (from, to, msg) = fleet.wire.pop().expect("the ack");
+    assert!(matches!(msg, Msg::WriteAckCausal { upto: 1 }));
+    fleet.step(to.index(), Event::Message { from, msg });
     assert!(fleet.wire.is_empty());
     assert!(!fleet.clients[0].timer_is_live(first));
     fleet.fire_client(0, first).unwrap();

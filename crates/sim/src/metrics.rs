@@ -92,6 +92,11 @@ counter_names! {
     SERVER_WRITE_GAP = "server_write_gap";
     /// Duplicate write answered without re-applying.
     SERVER_WRITE_DUP = "server_write_dup";
+    /// Owed cumulative causal ack that rode on a reply to its site.
+    SERVER_ACK_PIGGYBACKED = "server_ack_piggybacked";
+    /// Owed cumulative causal ack sent on its own because no reply to its
+    /// site left within the ack delay.
+    SERVER_ACK_STANDALONE = "server_ack_standalone";
     /// Push invalidation sent by the server.
     PUSH = "push";
     /// Coalesced invalidation batch flushed by the server (deadline or

@@ -11,14 +11,16 @@
 //! * `magic` — `0x54435752` (`"TCWR"` read as little-endian bytes
 //!   `52 57 43 54`); anything else means the stream is not speaking this
 //!   protocol and must be dropped before a byte of payload is trusted.
-//! * `ver` — [`WIRE_VERSION`], currently 3; a reader rejects frames from a
+//! * `ver` — [`WIRE_VERSION`], currently 4; a reader rejects frames from a
 //!   different protocol generation instead of guessing at field layouts.
 //!   Generation 1 wrote every payload integer fixed-width, vector clocks
 //!   as `u32 u32 u64…`; generation 2 made the clock's entries varints;
-//!   generation 3 makes every payload integer a varint and writes a clock
-//!   as its smallest entry plus offsets (see [`crate::msg::put_vclock`]).
-//!   The header itself is the same in all three, which is what lets a v3
-//!   reader refuse a v1 or v2 frame or WAL record by name instead of
+//!   generation 3 made every payload integer a varint and writes a clock
+//!   as its smallest entry plus offsets (see [`crate::msg::put_vclock`]);
+//!   generation 4 makes the causal write ack cumulative, standalone under
+//!   tag 6 or riding on a reply under an "acked" tag.
+//!   The header itself is the same in all four, which is what lets a v4
+//!   reader refuse a v1, v2 or v3 frame or WAL record by name instead of
 //!   mis-decoding it.
 //! * `lane` — the routing tag, carried in the clear so a reader can route
 //!   (and a pcap reader can follow) frames without decoding payloads. On
@@ -45,7 +47,7 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"TCWR");
 
 /// The wire-protocol generation this build speaks — and the only one it
 /// decodes: every other value is [`WireError::BadVersion`].
-pub const WIRE_VERSION: u16 = 3;
+pub const WIRE_VERSION: u16 = 4;
 
 /// Header length in bytes.
 pub const HEADER_LEN: usize = 16;
@@ -244,7 +246,7 @@ mod tests {
     use super::*;
     use tc_clocks::{Time, VectorClock};
     use tc_core::{ObjectId, Value};
-    use tc_lifetime::{Msg, WireVersion};
+    use tc_lifetime::{Msg, ValidateOutcome, WireVersion};
 
     #[test]
     fn frame_round_trips_with_exact_consumption() {
@@ -267,10 +269,11 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        // 1 and 2 are the previous generations: their headers are this
-        // one's, so the header gate is all that keeps a v3 reader from
-        // guessing at their fixed-width fields.
-        for found in [1u16, 2, 0xFE] {
+        // 1, 2 and 3 are the previous generations: their headers are this
+        // one's, so the header gate is all that keeps a v4 reader from
+        // guessing at their fixed-width fields or reading a v3 ack's
+        // object and value as a cursor.
+        for found in [1u16, 2, 3, 0xFE] {
             let mut frame = encode_frame(0, &WireMsg::Bye);
             frame[4..6].copy_from_slice(&found.to_le_bytes());
             assert_eq!(decode_frame(&frame), Err(WireError::BadVersion { found }));
@@ -321,6 +324,7 @@ mod tests {
             version: bench_version(Some(bench_clock())),
             server_now: Time::from_ticks(200_011),
             epoch: 1_003,
+            acked: None,
         });
         assert!(len <= 72, "{len} bytes");
     }
@@ -340,6 +344,7 @@ mod tests {
                     issued_at: Time::from_ticks(200_003),
                     epoch: 1_003,
                     shard_seq: 2_411,
+                    ack_now: false,
                 },
                 68,
             ),
@@ -352,14 +357,34 @@ mod tests {
                 },
                 22,
             ),
-            // A causal write's ack: 30 bytes in v2.
+            // A standalone cumulative causal ack, cursor ≈ 10³ (a site's
+            // writes to its shard): 22 bytes in v3, which named the write
+            // by object and value; 30 in v2.
+            ("WriteAckCausal", Msg::WriteAckCausal { upto: 1_003 }, 20),
+            // A causal read reply carrying an owed ack: the plain reply's
+            // 71 bytes plus the cursor.
             (
-                "WriteAckCausal",
-                Msg::WriteAckCausal {
+                "acked causal FetchRep",
+                Msg::FetchRep {
                     object: ObjectId::new(41),
-                    value: Value::new(30_017),
+                    version: bench_version(Some(bench_clock())),
+                    server_now: Time::from_ticks(200_011),
+                    epoch: 1_003,
+                    acked: Some(1_003),
                 },
-                22,
+                74,
+            ),
+            // A revalidation verdict carrying an owed ack.
+            (
+                "acked ValidateRep",
+                Msg::ValidateRep {
+                    object: ObjectId::new(41),
+                    outcome: ValidateOutcome::StillValid,
+                    server_now: Time::from_ticks(200_011),
+                    epoch: 1_003,
+                    acked: Some(1_003),
+                },
+                28,
             ),
             // A physical read reply, no clock: 71 bytes in v2.
             (
@@ -369,6 +394,7 @@ mod tests {
                     version: bench_version(None),
                     server_now: Time::from_ticks(200_011),
                     epoch: 1_003,
+                    acked: None,
                 },
                 36,
             ),
@@ -379,8 +405,20 @@ mod tests {
                     object: ObjectId::new(41),
                     alpha_t: Time::from_ticks(200_003),
                     epoch: 1_003,
+                    acked: None,
                 },
                 24,
+            ),
+            // The same ack with a causal ack riding on it.
+            (
+                "acked WriteAck",
+                Msg::WriteAck {
+                    object: ObjectId::new(41),
+                    alpha_t: Time::from_ticks(200_003),
+                    epoch: 1_003,
+                    acked: Some(1_003),
+                },
+                26,
             ),
         ];
         for (name, msg, ceiling) in budgets {
@@ -408,6 +446,7 @@ mod tests {
             },
             server_now: Time::from_ticks(u64::MAX),
             epoch: u64::MAX,
+            acked: None,
         });
         // v2: header, two tags, u32 object, four u64s, presence, clock
         // (site, width, a 1-byte 0 and 31 ten-byte entries), two u64s.

@@ -12,9 +12,13 @@
 //! the frame header, never by misinterpreting fields.
 //!
 //! Generations: 1 wrote every integer fixed-width (a clock as
-//! `u32 u32 u64…`); 2 made only the clock's entries varints; 3 (this one)
-//! makes every payload integer a varint and offsets clock entries from
-//! their base.
+//! `u32 u32 u64…`); 2 made only the clock's entries varints; 3 made every
+//! payload integer a varint and offsets clock entries from their base; 4
+//! (this one) makes the causal ack cumulative — tag 6 carries a cursor
+//! where it carried an object and a value — and gives each reply an
+//! "acked" tag whose layout is the plain reply's plus that cursor, and the
+//! write an "ack now" tag with the plain write's layout, so a message
+//! using neither is byte-identical to generation 3's.
 
 use std::sync::Arc;
 
@@ -96,6 +100,35 @@ const TAG_GEO_APPLY_ACK: u8 = 13;
 const TAG_GEO_LOCAL_APPLY: u8 = 14;
 const TAG_GEO_ATTACH: u8 = 15;
 const TAG_GEO_ATTACH_OK: u8 = 16;
+// A reply with an owed causal ack riding on it: the plain reply's fields,
+// then the cursor.
+const TAG_FETCH_REP_ACKED: u8 = 17;
+const TAG_VALIDATE_REP_ACKED: u8 = 18;
+const TAG_WRITE_ACK_ACKED: u8 = 19;
+// A causal write whose writer waits on its ack: a plain write's fields.
+const TAG_WRITE_REQ_ACK_NOW: u8 = 20;
+
+/// A message's tag: `plain`, or its `twin` when the message is flagged
+/// (an ack rides on the reply, or the write wants its ack now).
+fn flagged_tag(flagged: bool, plain: u8, twin: u8) -> u8 {
+    if flagged {
+        twin
+    } else {
+        plain
+    }
+}
+
+/// Encodes the cursor of a reply's riding ack, if any (last field).
+fn put_acked(w: &mut Writer, acked: Option<u64>) {
+    if let Some(upto) = acked {
+        w.uvar(upto);
+    }
+}
+
+/// Decodes the cursor an acked reply tag promises.
+fn get_acked(r: &mut Reader<'_>, with_ack: bool) -> Result<Option<u64>, WireError> {
+    with_ack.then(|| r.uvar("acked")).transpose()
+}
 
 /// Encodes a [`Time`] (ticks, varint).
 pub fn put_time(w: &mut Writer, t: Time) {
@@ -405,12 +438,18 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             version,
             server_now,
             epoch,
+            acked,
         } => {
-            w.u8(TAG_FETCH_REP);
+            w.u8(flagged_tag(
+                acked.is_some(),
+                TAG_FETCH_REP,
+                TAG_FETCH_REP_ACKED,
+            ));
             put_object(w, *object);
             put_version(w, version);
             put_time(w, *server_now);
             w.uvar(*epoch);
+            put_acked(w, *acked);
         }
         Msg::ValidateReq {
             object,
@@ -427,8 +466,13 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             outcome,
             server_now,
             epoch,
+            acked,
         } => {
-            w.u8(TAG_VALIDATE_REP);
+            w.u8(flagged_tag(
+                acked.is_some(),
+                TAG_VALIDATE_REP,
+                TAG_VALIDATE_REP_ACKED,
+            ));
             put_object(w, *object);
             match outcome {
                 ValidateOutcome::StillValid => w.u8(0),
@@ -439,6 +483,7 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             }
             put_time(w, *server_now);
             w.uvar(*epoch);
+            put_acked(w, *acked);
         }
         Msg::WriteReq {
             object,
@@ -447,8 +492,9 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             issued_at,
             epoch,
             shard_seq,
+            ack_now,
         } => {
-            w.u8(TAG_WRITE_REQ);
+            w.u8(flagged_tag(*ack_now, TAG_WRITE_REQ, TAG_WRITE_REQ_ACK_NOW));
             put_object(w, *object);
             put_value(w, *value);
             put_opt_vclock(w, alpha_v.as_ref());
@@ -460,16 +506,21 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             object,
             alpha_t,
             epoch,
+            acked,
         } => {
-            w.u8(TAG_WRITE_ACK);
+            w.u8(flagged_tag(
+                acked.is_some(),
+                TAG_WRITE_ACK,
+                TAG_WRITE_ACK_ACKED,
+            ));
             put_object(w, *object);
             put_time(w, *alpha_t);
             w.uvar(*epoch);
+            put_acked(w, *acked);
         }
-        Msg::WriteAckCausal { object, value } => {
+        Msg::WriteAckCausal { upto } => {
             w.u8(TAG_WRITE_ACK_CAUSAL);
-            put_object(w, *object);
-            put_value(w, *value);
+            w.uvar(*upto);
         }
         Msg::InvalidatePush {
             object,
@@ -543,18 +594,19 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             object: get_object(r)?,
             epoch: r.uvar("epoch")?,
         },
-        TAG_FETCH_REP => Msg::FetchRep {
+        tag @ (TAG_FETCH_REP | TAG_FETCH_REP_ACKED) => Msg::FetchRep {
             object: get_object(r)?,
             version: get_version(r)?,
             server_now: get_time(r, "server_now")?,
             epoch: r.uvar("epoch")?,
+            acked: get_acked(r, tag == TAG_FETCH_REP_ACKED)?,
         },
         TAG_VALIDATE_REQ => Msg::ValidateReq {
             object: get_object(r)?,
             value: get_value(r)?,
             epoch: r.uvar("epoch")?,
         },
-        TAG_VALIDATE_REP => {
+        tag @ (TAG_VALIDATE_REP | TAG_VALIDATE_REP_ACKED) => {
             let object = get_object(r)?;
             let outcome = match r.u8("validate outcome")? {
                 0 => ValidateOutcome::StillValid,
@@ -571,24 +623,26 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
                 outcome,
                 server_now: get_time(r, "server_now")?,
                 epoch: r.uvar("epoch")?,
+                acked: get_acked(r, tag == TAG_VALIDATE_REP_ACKED)?,
             }
         }
-        TAG_WRITE_REQ => Msg::WriteReq {
+        tag @ (TAG_WRITE_REQ | TAG_WRITE_REQ_ACK_NOW) => Msg::WriteReq {
             object: get_object(r)?,
             value: get_value(r)?,
             alpha_v: get_opt_vclock(r)?,
             issued_at: get_time(r, "issued_at")?,
             epoch: r.uvar("epoch")?,
             shard_seq: r.uvar("shard_seq")?,
+            ack_now: tag == TAG_WRITE_REQ_ACK_NOW,
         },
-        TAG_WRITE_ACK => Msg::WriteAck {
+        tag @ (TAG_WRITE_ACK | TAG_WRITE_ACK_ACKED) => Msg::WriteAck {
             object: get_object(r)?,
             alpha_t: get_time(r, "alpha_t")?,
             epoch: r.uvar("epoch")?,
+            acked: get_acked(r, tag == TAG_WRITE_ACK_ACKED)?,
         },
         TAG_WRITE_ACK_CAUSAL => Msg::WriteAckCausal {
-            object: get_object(r)?,
-            value: get_value(r)?,
+            upto: r.uvar("ack upto")?,
         },
         TAG_INVALIDATE_PUSH => Msg::InvalidatePush {
             object: get_object(r)?,
@@ -863,6 +917,122 @@ mod tests {
             context_v: VectorClock::from_entries(4, vec![1, 2, 3, 4, 5]),
         }));
         round_trip(&WireMsg::Proto(Msg::GeoAttachOk { site: 4 }));
+    }
+
+    fn msg_bytes(msg: &Msg) -> Vec<u8> {
+        let mut w = Writer::new();
+        put_msg(&mut w, msg);
+        w.into_bytes()
+    }
+
+    /// A reply that carries no ack is the plain reply byte for byte, so
+    /// no physical-family frame moved with generation 4; an acked one
+    /// differs in its tag and the cursor after the last field, and round
+    /// trips. The standalone ack is its tag and the cursor.
+    #[test]
+    fn an_acked_reply_is_the_plain_reply_plus_its_cursor() {
+        let version = WireVersion {
+            value: Value::new(30_017),
+            alpha_t: Time::from_ticks(200_003),
+            alpha_v: Some(VectorClock::from_entries(1, vec![40, 41, 39])),
+            tiebreak: (Time::from_ticks(199_990), 17),
+        };
+        let replies = [
+            (
+                Msg::FetchRep {
+                    object: ObjectId::new(41),
+                    version: version.clone(),
+                    server_now: Time::from_ticks(200_011),
+                    epoch: 1_003,
+                    acked: None,
+                },
+                TAG_FETCH_REP_ACKED,
+            ),
+            (
+                Msg::ValidateRep {
+                    object: ObjectId::new(41),
+                    outcome: ValidateOutcome::Newer(version),
+                    server_now: Time::from_ticks(200_011),
+                    epoch: 1_003,
+                    acked: None,
+                },
+                TAG_VALIDATE_REP_ACKED,
+            ),
+            (
+                Msg::WriteAck {
+                    object: ObjectId::new(41),
+                    alpha_t: Time::from_ticks(200_003),
+                    epoch: 1_003,
+                    acked: None,
+                },
+                TAG_WRITE_ACK_ACKED,
+            ),
+        ];
+        for (plain, acked_tag) in replies {
+            let plain_bytes = msg_bytes(&plain);
+            round_trip(&WireMsg::Proto(plain.clone()));
+            for upto in [0, 1, 300, u64::MAX] {
+                let mut acked = plain.clone();
+                assert!(acked.carry_ack(upto));
+                let bytes = msg_bytes(&acked);
+                let mut expected = vec![acked_tag];
+                expected.extend_from_slice(&plain_bytes[1..]);
+                let mut cursor = Writer::new();
+                cursor.uvar(upto);
+                expected.extend_from_slice(&cursor.into_bytes());
+                assert_eq!(bytes, expected, "{plain:?} acked to {upto}");
+                round_trip(&WireMsg::Proto(acked));
+            }
+        }
+        assert_eq!(
+            msg_bytes(&Msg::WriteAckCausal { upto: 300 }),
+            [TAG_WRITE_ACK_CAUSAL, 0xAC, 0x02]
+        );
+        round_trip(&WireMsg::Proto(Msg::WriteAckCausal { upto: 0 }));
+    }
+
+    /// A write whose writer waits on its ack is the plain write under
+    /// its own tag.
+    #[test]
+    fn an_ack_now_write_is_the_plain_write_under_its_own_tag() {
+        let plain = Msg::WriteReq {
+            object: ObjectId::new(41),
+            value: Value::new(30_017),
+            alpha_v: Some(VectorClock::from_entries(1, vec![40, 41, 39])),
+            issued_at: Time::from_ticks(200_003),
+            epoch: 0,
+            shard_seq: 2_411,
+            ack_now: false,
+        };
+        let mut urgent = plain.clone();
+        if let Msg::WriteReq { ack_now, .. } = &mut urgent {
+            *ack_now = true;
+        }
+        let (plain_bytes, urgent_bytes) = (msg_bytes(&plain), msg_bytes(&urgent));
+        assert_eq!(
+            (plain_bytes[0], urgent_bytes[0]),
+            (TAG_WRITE_REQ, TAG_WRITE_REQ_ACK_NOW)
+        );
+        assert_eq!(plain_bytes[1..], urgent_bytes[1..]);
+        round_trip(&WireMsg::Proto(urgent));
+    }
+
+    /// An acked tag promises a cursor: a frame cut before it is
+    /// `Truncated`, never a reply without its ack.
+    #[test]
+    fn an_acked_reply_without_its_cursor_is_truncated() {
+        let plain = msg_bytes(&Msg::WriteAck {
+            object: ObjectId::new(1),
+            alpha_t: Time::from_ticks(5),
+            epoch: 2,
+            acked: None,
+        });
+        let mut cut = plain;
+        cut[0] = TAG_WRITE_ACK_ACKED;
+        assert_eq!(
+            get_msg(&mut Reader::new(&cut)),
+            Err(WireError::Truncated { what: "acked" })
+        );
     }
 
     fn vclock_bytes(vc: &VectorClock) -> Vec<u8> {

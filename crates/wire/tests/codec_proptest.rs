@@ -178,8 +178,22 @@ fn arb_geo_write(rng: &mut StdRng) -> GeoWrite {
     }
 }
 
+/// Every message kind, plus (kinds 17–19) the three replies with a
+/// cumulative causal ack riding on them.
 fn arb_proto_msg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0..17u8) {
+    match rng.gen_range(0..20u8) {
+        kind @ 17..=19 => {
+            let mut reply = arb_plain_msg(rng, [1, 3, 5][usize::from(kind - 17)]);
+            assert!(reply.carry_ack(arb_magnitude(rng)));
+            reply
+        }
+        kind => arb_plain_msg(rng, kind),
+    }
+}
+
+/// Message kind `kind` (its wire tag), with no ack riding on a reply.
+fn arb_plain_msg(rng: &mut StdRng, kind: u8) -> Msg {
+    match kind {
         0 => Msg::FetchReq {
             object: arb_object(rng),
             epoch: arb_magnitude(rng),
@@ -189,6 +203,7 @@ fn arb_proto_msg(rng: &mut StdRng) -> Msg {
             version: arb_version(rng),
             server_now: arb_time(rng),
             epoch: arb_magnitude(rng),
+            acked: None,
         },
         2 => Msg::ValidateReq {
             object: arb_object(rng),
@@ -204,6 +219,7 @@ fn arb_proto_msg(rng: &mut StdRng) -> Msg {
             },
             server_now: arb_time(rng),
             epoch: arb_magnitude(rng),
+            acked: None,
         },
         4 => Msg::WriteReq {
             object: arb_object(rng),
@@ -212,15 +228,16 @@ fn arb_proto_msg(rng: &mut StdRng) -> Msg {
             issued_at: arb_time(rng),
             epoch: arb_magnitude(rng),
             shard_seq: arb_magnitude(rng),
+            ack_now: rng.gen_bool(0.5),
         },
         5 => Msg::WriteAck {
             object: arb_object(rng),
             alpha_t: arb_time(rng),
             epoch: arb_magnitude(rng),
+            acked: None,
         },
         6 => Msg::WriteAckCausal {
-            object: arb_object(rng),
-            value: arb_value(rng),
+            upto: arb_magnitude(rng),
         },
         7 => Msg::InvalidatePush {
             object: arb_object(rng),

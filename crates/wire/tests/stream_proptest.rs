@@ -121,6 +121,7 @@ fn arb_msg(rng: &mut StdRng) -> WireMsg {
             issued_at: Time::from_ticks(rng.gen_range(0..=u64::MAX)),
             epoch: rng.gen_range(0..=u64::MAX),
             shard_seq: rng.gen_range(0..=u64::MAX),
+            ack_now: false,
         }),
     }
 }

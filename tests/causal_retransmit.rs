@@ -10,6 +10,15 @@
 //! a lost write goes again exactly at its deadline with the writes behind
 //! it, and a timer firing with nothing overdue sends nothing and waits for
 //! the earliest deadline.
+//!
+//! The ack is cumulative — a shard's delivery cursor for the writer — and
+//! rides on the site's next reply, going standalone only when no reply
+//! left within `ACK_DELAY`. The scripts below pin what the client makes of
+//! a cursor: a lost one is covered by the next, a late older one changes
+//! nothing, a stale reply's newer one still counts. A one-site fleet wired
+//! by hand over a group-committed WAL pins the shard side: no ack covers a
+//! write past the fsynced prefix, and a kill before the sync makes the
+//! client resend exactly the unsynced tail.
 
 use std::time::Duration;
 
@@ -20,7 +29,7 @@ use timed_consistency::lifetime::engine::{Effect, Event, Now, PrivateSources, TI
 use timed_consistency::lifetime::store::ShardStore;
 use timed_consistency::lifetime::{
     run_with, ClientEngine, DurabilityMode, FsyncPolicy, Msg, ProtocolConfig, ProtocolKind,
-    RunConfig, RunOptions, StoreFactory,
+    RunConfig, RunOptions, ServerEngine, StoreFactory, WireVersion,
 };
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
@@ -129,8 +138,19 @@ fn a_saturated_tcc_fleet_sends_no_retransmissions() {
         },
     );
     assert_eq!(result.history.len(), 32 * 500);
-    assert!(result.counter(names::SERVER_WRITE) > 4_000);
+    let writes = result.counter(names::SERVER_WRITE);
+    assert!(writes > 4_000);
     assert_eq!(retransmission_counters(&result.metrics), [0; 3]);
+    // Every write's ack is counted once, on a reply or alone, and almost
+    // all of them ride: a site's next request follows its write by a
+    // tick, well inside ACK_DELAY.
+    let piggybacked = result.counter(names::SERVER_ACK_PIGGYBACKED);
+    let standalone = result.counter(names::SERVER_ACK_STANDALONE);
+    assert!(piggybacked + standalone <= writes);
+    assert!(
+        standalone * 20 <= writes,
+        "{standalone} standalone acks for {writes} causal writes"
+    );
 }
 
 /// The same rule over real sockets. A 1 ms tick puts the retry interval at
@@ -148,6 +168,8 @@ fn a_reactor_tcc_fleet_sends_no_retransmissions() {
     assert_eq!(result.ops_done, 3 * 40);
     assert!(result.metrics.counters.get(names::SERVER_WRITE) > Some(&0));
     assert_eq!(retransmission_counters(&result.metrics), [0; 3]);
+    // The socket driver reports the ack split like the simulator.
+    assert!(result.metrics.counters.get(names::SERVER_ACK_PIGGYBACKED) > Some(&0));
 }
 
 /// One client engine writing to shard node 0, stepped by hand.
@@ -203,12 +225,10 @@ impl Script {
         (sent[0], flush_armed(&out))
     }
 
-    fn ack(&mut self, t: u64, value: Value) -> Vec<Effect> {
-        // The client matches an ack by its write's unique value.
-        let msg = Msg::WriteAckCausal {
-            object: ObjectId::new(0),
-            value,
-        };
+    /// A standalone cumulative ack from the shard: every write with
+    /// `shard_seq <= upto` is durable there.
+    fn ack(&mut self, t: u64, upto: u64) -> Vec<Effect> {
+        let msg = Msg::WriteAckCausal { upto };
         self.step(
             t,
             Event::Message {
@@ -282,7 +302,7 @@ fn a_lost_write_is_resent_at_its_deadline_with_the_writes_behind_it() {
     // The resend reorders on the way: write 1 lands, 2 and 3 fall behind
     // a gap again. Write 2 goes again at its own deadline (40 + 500), and
     // 3 rides along once more.
-    s.ack(1 + RETRY + 6, v1);
+    s.ack(1 + RETRY + 6, 1);
     let out = s.step(40 + RETRY, Event::Timer { token: flush });
     assert_eq!(writes_sent(&out), [(2, v2), (3, v3)]);
     assert_eq!(
@@ -292,8 +312,8 @@ fn a_lost_write_is_resent_at_its_deadline_with_the_writes_behind_it() {
     );
 
     // Both land; the drained set kills the timer.
-    assert!(s.ack(40 + RETRY + 6, v2).is_empty());
-    assert!(s.ack(40 + RETRY + 7, v3).is_empty());
+    assert!(s.ack(40 + RETRY + 6, 2).is_empty());
+    assert!(s.ack(40 + RETRY + 7, 3).is_empty());
     assert!(!s.engine.timer_is_live(flush));
     assert!(s.step(80 + RETRY, Event::Timer { token: flush }).is_empty());
 }
@@ -304,13 +324,13 @@ fn a_lost_write_is_resent_at_its_deadline_with_the_writes_behind_it() {
 #[test]
 fn a_fire_with_nothing_overdue_sends_nothing_and_waits_for_the_oldest_deadline() {
     let mut s = Script::new();
-    let ((_, v1), Some((_, flush))) = s.write(1) else {
+    let ((1, _), Some((_, flush))) = s.write(1) else {
         panic!("the first write arms the flush timer")
     };
     let ((2, v2), None) = s.write(40) else {
         panic!("a write into a non-empty set arms nothing")
     };
-    assert!(s.ack(7, v1).is_empty());
+    assert!(s.ack(7, 1).is_empty());
 
     let out = s.step(1 + RETRY, Event::Timer { token: flush });
     assert_eq!(
@@ -324,4 +344,250 @@ fn a_fire_with_nothing_overdue_sends_nothing_and_waits_for_the_oldest_deadline()
     let out = s.step(40 + RETRY, Event::Timer { token: flush });
     assert_eq!(writes_sent(&out), [(2, v2)]);
     assert_eq!(flush_armed(&out), Some((RETRY, flush)));
+}
+
+/// A reply from the shard, too late for any request: epoch 0 answers
+/// nothing this client sent.
+fn stale_reply(acked: Option<u64>) -> Msg {
+    Msg::FetchRep {
+        object: ObjectId::new(1),
+        version: WireVersion {
+            value: Value::INITIAL,
+            alpha_t: Time::ZERO,
+            alpha_v: None,
+            tiebreak: (Time::ZERO, 0),
+        },
+        server_now: Time::from_ticks(10),
+        epoch: 0,
+        acked,
+    }
+}
+
+impl Script {
+    fn deliver(&mut self, t: u64, msg: Msg) -> Vec<Effect> {
+        self.step(
+            t,
+            Event::Message {
+                from: NodeId::new(0),
+                msg,
+            },
+        )
+    }
+}
+
+/// The reply carrying write 1's ack is lost on the way; the next one
+/// carries the shard's cursor, 2, which covers both writes: the flush
+/// timer dies and nothing is resent at write 1's deadline.
+#[test]
+fn a_lost_ack_is_covered_by_the_next_replys_cursor() {
+    let mut s = Script::new();
+    let ((1, _), Some((_, flush))) = s.write(1) else {
+        panic!("the first write arms the flush timer")
+    };
+    s.write(2);
+    // Lost: stale_reply(Some(1)).
+    s.deliver(8, stale_reply(Some(2)));
+    assert!(!s.engine.timer_is_live(flush), "nothing left unacked");
+    let out = s.step(1 + RETRY, Event::Timer { token: flush });
+    assert!(writes_sent(&out).is_empty());
+    assert_eq!(retransmits(&out), 0);
+}
+
+/// A duplicated reply arriving after a newer cursor, or an older
+/// standalone ack, finds every write it covers gone: it changes nothing
+/// and emits nothing but the stale-reply count.
+#[test]
+fn a_late_duplicate_with_an_older_cursor_changes_nothing() {
+    let mut s = Script::new();
+    let ((1, _), Some((_, flush))) = s.write(1) else {
+        panic!("the first write arms the flush timer")
+    };
+    let ((2, v2), None) = s.write(2) else {
+        panic!("a write into a non-empty set arms nothing")
+    };
+    let ((3, v3), None) = s.write(3) else {
+        panic!("a write into a non-empty set arms nothing")
+    };
+    assert!(s.ack(8, 1).is_empty());
+    assert_eq!(
+        s.deliver(9, stale_reply(Some(1))),
+        [Effect::Metric {
+            name: names::STALE_REPLY,
+            add: 1
+        }]
+    );
+    assert!(s.ack(10, 0).is_empty());
+    // Writes 2 and 3 are still unacked, and go again at write 2's own
+    // deadline.
+    assert!(s.engine.timer_is_live(flush));
+    s.step(1 + RETRY, Event::Timer { token: flush });
+    let out = s.step(2 + RETRY, Event::Timer { token: flush });
+    assert_eq!(writes_sent(&out), [(2, v2), (3, v3)]);
+}
+
+/// A reply to a request the client has moved past is dropped — its
+/// payload could complete a newer operation with stale data — but the
+/// cursor it carries is a fact about the shard's store, so it counts.
+#[test]
+fn a_stale_replys_newer_cursor_still_clears_unacked() {
+    let mut s = Script::new();
+    let ((1, _), Some((_, flush))) = s.write(1) else {
+        panic!("the first write arms the flush timer")
+    };
+    s.write(2);
+    let out = s.deliver(8, stale_reply(Some(2)));
+    assert!(out.contains(&Effect::Metric {
+        name: names::STALE_REPLY,
+        add: 1
+    }));
+    assert!(!s.engine.timer_is_live(flush), "both writes acked");
+    // A stale reply with no ack on it clears nothing.
+    let ((3, _), Some((_, flush))) = s.write(20) else {
+        panic!("a write into the drained set arms a new flush timer")
+    };
+    s.deliver(21, stale_reply(None));
+    assert!(s.engine.timer_is_live(flush));
+}
+
+/// A one-site fleet wired by hand: shard node 0, client node 1, every
+/// message one tick on the wire, every timer firing at its deadline.
+struct Pair {
+    client: ClientEngine,
+    sources: PrivateSources,
+    shard: ServerEngine,
+    /// Pending `(tick, arming order, to the shard?, event)`.
+    queue: Vec<(u64, u64, bool, Event)>,
+    armed: u64,
+}
+
+impl Pair {
+    fn new(protocol: ProtocolConfig, store: Box<dyn ShardStore>, ops: usize) -> Self {
+        let workload = Workload::new(6, 0.8, 0.0, (Delta::ZERO, Delta::ZERO));
+        let client = ClientEngine::new(protocol, vec![NodeId::new(0)], 0, 1, workload, ops);
+        let mut pair = Pair {
+            client,
+            sources: PrivateSources::new(5, 0, 1),
+            shard: ServerEngine::with_store(protocol, store),
+            queue: Vec::new(),
+            armed: 0,
+        };
+        pair.push(0, false, Event::Start);
+        pair
+    }
+
+    fn push(&mut self, at: u64, to_shard: bool, event: Event) {
+        self.armed += 1;
+        self.queue.push((at, self.armed, to_shard, event));
+    }
+
+    /// Steps the earliest pending event, returning its tick, whether the
+    /// shard took it, and what it emitted; `None` once the fleet is quiet.
+    fn step(&mut self) -> Option<(u64, bool, Vec<Effect>)> {
+        let next = (0..self.queue.len()).min_by_key(|&i| (self.queue[i].0, self.queue[i].1))?;
+        let (at, _, to_shard, event) = self.queue.remove(next);
+        let t = Time::from_ticks(at);
+        let me = NodeId::new(usize::from(!to_shard));
+        let now = Event::Now(Now {
+            me,
+            local: t,
+            truth: t,
+        });
+        let mut out = Vec::new();
+        if to_shard {
+            self.shard.handle(now, &mut out);
+            self.shard.handle(event, &mut out);
+        } else {
+            self.client.handle(now, &mut self.sources, &mut out);
+            self.client.handle(event, &mut self.sources, &mut out);
+        }
+        for effect in &out {
+            match effect {
+                Effect::Send { msg, .. } => {
+                    let msg = msg.clone();
+                    self.push(at + 1, !to_shard, Event::Message { from: me, msg });
+                }
+                Effect::SetTimer { after, token } => {
+                    let token = *token;
+                    self.push(at + after.ticks().max(1), to_shard, Event::Timer { token });
+                }
+                _ => {}
+            }
+        }
+        Some((at, to_shard, out))
+    }
+}
+
+fn counted(effects: &[Effect], metric: &str) -> usize {
+    effects
+        .iter()
+        .filter(|e| matches!(e, Effect::Metric { name, .. } if *name == metric))
+        .count()
+}
+
+/// Group commit (8 pending / 20 ticks) over the real WAL: a site writes
+/// twelve times, one write a tick. The eighth fills the group; the sync
+/// owes its cursor, which goes out alone (no reply is coming). Writes 9
+/// to 12 are still unsynced when the shard is killed, so no ack ever
+/// named them, and the client resends exactly those four — at write 9's
+/// deadline, in order — and nothing it was told is durable.
+#[test]
+fn a_kill_before_the_sync_makes_the_client_resend_exactly_the_unsynced_tail() {
+    let protocol = ProtocolConfig::of(ProtocolKind::Tcc {
+        delta: Delta::from_ticks(60),
+    })
+    .with_durability(DurabilityMode::Durable {
+        fsync: FsyncPolicy {
+            max_pending: 8,
+            max_delay: Delta::from_ticks(20),
+        },
+    });
+    let dir = std::env::temp_dir().join(format!("tc-ack-tail-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut pair = Pair::new(protocol, Box::new(WalStore::open(&dir, 0, 64)), 12);
+    const KILL: u64 = 20;
+    pair.push(KILL, true, Event::Restart);
+    // What the shard has appended and fsynced: its cursor and the prefix
+    // of it that survives a kill.
+    let (mut appended, mut synced) = (0, 0);
+    let mut acks = Vec::new();
+    let mut resent = Vec::new();
+    while let Some((at, to_shard, out)) = pair.step() {
+        if to_shard {
+            if counted(&out, names::SERVER_RESTART) > 0 {
+                assert!(out.contains(&Effect::Metric {
+                    name: names::WAL_LOST,
+                    add: appended - synced,
+                }));
+                appended = synced;
+            }
+            appended += counted(&out, names::WAL_APPEND) as u64;
+            if counted(&out, names::WAL_FSYNC) > 0 {
+                synced = appended;
+            }
+            for effect in &out {
+                if let Effect::Send { msg, .. } = effect {
+                    if let Some(upto) = msg.acked() {
+                        assert!(
+                            upto <= synced,
+                            "t={at}: ack {upto} past the synced {synced}"
+                        );
+                        acks.push((at, upto));
+                    }
+                }
+            }
+        } else if counted(&out, names::CAUSAL_RETRANSMIT) > 0 {
+            resent.extend(writes_sent(&out).into_iter().map(|(seq, _)| seq));
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(pair.client.finished() && pair.client.is_idle());
+    assert!(
+        matches!(acks[..], [(at, 8), .., (_, 12)] if at < KILL),
+        "the synced prefix acked before the kill, the tail after: {acks:?}"
+    );
+    assert_eq!(resent[..4], [9, 10, 11, 12], "the tail, in order");
+    assert!(
+        resent.iter().all(|seq| (9..=12).contains(seq)),
+        "nothing acked is resent: {resent:?}"
+    );
 }
