@@ -13,16 +13,16 @@
 //! ```
 //!
 //! Both file kinds are sequences of **tc-wire frames** — the same
-//! magic/version/length/CRC-32 header the TCP transport speaks
+//! magic/version/lane/length/CRC-32 header the TCP transport speaks
 //! ([`tc_wire::encode_frame_body_into`] /
 //! [`tc_wire::decode_frame_body`]) — so log corruption is detected by the
 //! codec the rest of the system already trusts, and a WAL segment is
 //! inspectable with the same tooling as a packet capture. A record frame's
 //! payload is a global record index plus one [`WalRecord`]; a snapshot
-//! frame's payload is a serialized [`ShardImage`]. The numeric suffix of
-//! every file is the count of records it presupposes: segment `seg-N`
-//! holds records `N+1, N+2, …`; snapshot `snap-N` holds the image after
-//! applying records `1..=N`.
+//! frame's payload is a serialized [`ShardImage`]; every frame's lane is
+//! the shard that wrote it. The numeric suffix of every file is the count
+//! of records it presupposes: segment `seg-N` holds records `N+1, N+2, …`;
+//! snapshot `snap-N` holds the image after applying records `1..=N`.
 //!
 //! # Durability contract
 //!
@@ -45,18 +45,24 @@
 //! (the corruption proptests pin this). The segment is then truncated back
 //! to the valid prefix so new appends extend a clean log.
 //!
-//! One invalid frame is *not* a tail to cut: a frame that carries the wire
-//! magic but another generation's version ([`WireError::BadVersion`]). A
-//! torn write leaves a short frame or a failed CRC, never a well-formed
-//! header of a different generation — that is a log written by another
-//! build (generation 1 wrote every integer fixed-width, generation 2 all
-//! but the clock entries; generation 3 wrote records exactly as this one
-//! does and differs only in the protocol's ack messages, but the header
-//! names one generation for frames and logs alike), every record of which
-//! was acknowledged.
-//! [`WalStore::try_open`] refuses such a directory with [`AlienVersion`]
-//! and touches no file. (A bit flip that lands exactly in a version field
-//! reads the same and is refused too; refusal destroys nothing.)
+//! Two kinds of frame are *not* a tail to cut, and [`WalStore::try_open`]
+//! refuses a directory holding either, touching no file:
+//!
+//! * a frame of another wire generation ([`WireError::BadVersion`], and
+//!   [`Refusal::AlienVersion`]): a v5 header naming another version, or a
+//!   generation 1–4 frame, which tc-wire's legacy gate reads by its old
+//!   16-byte header. A torn write leaves a short frame or a failed CRC,
+//!   never a well-formed header of a different generation — that is a log
+//!   written by another build (generation 1 wrote every integer
+//!   fixed-width, generation 2 all but the clock entries; generations 3
+//!   and 4 wrote records exactly as this one does behind the old header),
+//!   every record of which was acknowledged. A bit flip that lands exactly
+//!   in the version byte reads the same and is refused too; refusal
+//!   destroys nothing.
+//! * a valid frame whose lane names another shard
+//!   ([`Refusal::ForeignShard`]): the CRC covers the lane, so this is no
+//!   bit flip but another shard's log, and replaying it would graft that
+//!   shard's records onto this one's image.
 //!
 //! Segment rotation happens at sync time: once the live segment holds
 //! `snapshot_every` records, the durable image is snapshotted, a fresh
@@ -255,41 +261,64 @@ fn decode_snapshot(payload: &[u8]) -> Result<ShardImage, WireError> {
     ))
 }
 
-/// Why [`WalStore::try_open`] refused a directory: a file in it holds a
-/// frame of another wire generation. Nothing was truncated or deleted.
+/// Why [`WalStore::try_open`] refused a directory. Nothing was truncated,
+/// created or deleted.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AlienVersion {
-    /// The segment or snapshot holding the frame.
-    pub path: PathBuf,
-    /// The version its header declares.
-    pub found: u16,
+pub enum Refusal {
+    /// A file holds a frame of another wire generation.
+    AlienVersion {
+        /// The segment or snapshot holding the frame.
+        path: PathBuf,
+        /// The version its header declares.
+        found: u16,
+    },
+    /// A file holds a frame another shard wrote.
+    ForeignShard {
+        /// The segment or snapshot holding the frame.
+        path: PathBuf,
+        /// The shard its lane names.
+        lane: u16,
+        /// The shard the directory was opened for.
+        shard: u16,
+    },
 }
 
-impl fmt::Display for AlienVersion {
+impl fmt::Display for Refusal {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:?} holds a wire v{} frame; this build reads v{} only — refusing the \
-             directory rather than truncating a log another build wrote",
-            self.path,
-            self.found,
-            tc_wire::WIRE_VERSION
-        )
+        match self {
+            Refusal::AlienVersion { path, found } => write!(
+                f,
+                "{path:?} holds a wire v{found} frame; this build reads v{} only — refusing \
+                 the directory rather than truncating a log another build wrote",
+                tc_wire::WIRE_VERSION
+            ),
+            Refusal::ForeignShard { path, lane, shard } => write!(
+                f,
+                "{path:?} holds a frame of shard {lane}, opened for shard {shard} — refusing \
+                 the directory rather than replaying another shard's log"
+            ),
+        }
     }
 }
 
-impl std::error::Error for AlienVersion {}
+impl std::error::Error for Refusal {}
 
-/// [`decode_frame_body`] for recovery: an alien version refuses the whole
-/// directory (`Err`), every other failure is corruption to stop at
-/// (`Ok(None)`).
+/// [`decode_frame_body`] for recovery: an alien version or another shard's
+/// frame refuses the whole directory (`Err`), every other failure is
+/// corruption to stop at (`Ok(None)`).
 fn decode_or_refuse<'a>(
     bytes: &'a [u8],
     path: &Path,
-) -> Result<Option<(&'a [u8], usize)>, AlienVersion> {
+    shard: u16,
+) -> Result<Option<(&'a [u8], usize)>, Refusal> {
     match decode_frame_body(bytes) {
+        Ok((lane, _, _)) if lane != shard => Err(Refusal::ForeignShard {
+            path: path.to_path_buf(),
+            lane,
+            shard,
+        }),
         Ok((_, payload, used)) => Ok(Some((payload, used))),
-        Err(WireError::BadVersion { found }) => Err(AlienVersion {
+        Err(WireError::BadVersion { found }) => Err(Refusal::AlienVersion {
             path: path.to_path_buf(),
             found,
         }),
@@ -341,10 +370,10 @@ fn count_torn_records(bytes: &[u8], start: usize) -> u64 {
     lost
 }
 
-/// Rebuilds the durable image from `dir`: newest decodable snapshot, then
-/// the segments after it, stopping at the first invalid frame — or
-/// refusing outright at a frame of another wire generation.
-fn recover(dir: &Path) -> Result<Recovered, AlienVersion> {
+/// Rebuilds `shard`'s durable image from `dir`: newest decodable snapshot,
+/// then the segments after it, stopping at the first invalid frame — or
+/// refusing outright at a frame of another wire generation or shard.
+fn recover(dir: &Path, shard: u16) -> Result<Recovered, Refusal> {
     let mut seg_seqs: Vec<u64> = Vec::new();
     let mut snap_seqs: Vec<u64> = Vec::new();
     for entry in fs::read_dir(dir).unwrap_or_else(|e| panic!("read wal dir {dir:?}: {e}")) {
@@ -370,7 +399,7 @@ fn recover(dir: &Path) -> Result<Recovered, AlienVersion> {
         let Ok(bytes) = fs::read(&path) else {
             continue;
         };
-        let Some((payload, used)) = decode_or_refuse(&bytes, &path)? else {
+        let Some((payload, used)) = decode_or_refuse(&bytes, &path, shard)? else {
             continue;
         };
         if used != bytes.len() {
@@ -401,7 +430,7 @@ fn recover(dir: &Path) -> Result<Recovered, AlienVersion> {
         let bytes = fs::read(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
         let mut offset = 0usize;
         while offset < bytes.len() {
-            let Some((payload, used)) = decode_or_refuse(&bytes[offset..], &path)? else {
+            let Some((payload, used)) = decode_or_refuse(&bytes[offset..], &path, shard)? else {
                 // Torn or corrupted frame: replay ends at the last valid
                 // record; everything after was never acknowledged durable.
                 corrupted_tail = true;
@@ -479,20 +508,20 @@ impl WalStore {
     /// # Panics
     ///
     /// Panics on any filesystem error, and on a directory written by
-    /// another wire generation (see [`WalStore::try_open`]).
+    /// another wire generation or shard (see [`WalStore::try_open`]).
     #[must_use]
     pub fn open(dir: impl Into<PathBuf>, shard: u16, snapshot_every: u64) -> WalStore {
         WalStore::try_open(dir, shard, snapshot_every).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// [`WalStore::open`], except that a directory holding a frame of
-    /// another wire generation is an error instead of a panic. Either way
-    /// the refusal happens before any file is truncated, created or
-    /// deleted.
+    /// another wire generation or another shard is an error instead of a
+    /// panic. Either way the refusal happens before any file is truncated,
+    /// created or deleted.
     ///
     /// # Errors
     ///
-    /// [`AlienVersion`] naming the file and the version found.
+    /// A [`Refusal`] naming the file and the version or shard found.
     ///
     /// # Panics
     ///
@@ -501,11 +530,11 @@ impl WalStore {
         dir: impl Into<PathBuf>,
         shard: u16,
         snapshot_every: u64,
-    ) -> Result<WalStore, AlienVersion> {
+    ) -> Result<WalStore, Refusal> {
         let dir = dir.into();
         assert!(snapshot_every >= 1, "rotation needs at least one record");
         fs::create_dir_all(&dir).unwrap_or_else(|e| panic!("create wal dir {dir:?}: {e}"));
-        let recovered = recover(&dir)?;
+        let recovered = recover(&dir, shard)?;
         let (seg_base, valid_len) = recovered.live_segment;
         let path = seg_path(&dir, seg_base);
         let file = OpenOptions::new()
@@ -836,12 +865,15 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Frames `payload` under wire generation `version` as a one-record
-    /// segment, and checks that opening its directory refuses it by name
-    /// and leaves every file as it was.
+    /// Frames `payload` as generation `version` (1–4) did, behind the old
+    /// fixed 16-byte header, as a one-record segment, and checks that
+    /// opening its directory refuses it by name and leaves every file as it
+    /// was.
     fn assert_refused_untouched(tag: &str, version: u16, payload: &[u8]) {
         let mut frame = Writer::new();
-        frame.u32(tc_wire::MAGIC);
+        for b in tc_wire::LEGACY_MAGIC {
+            frame.u8(b);
+        }
         frame.u16(version);
         frame.u16(0);
         frame.u32(payload.len() as u32);
@@ -856,7 +888,7 @@ mod tests {
         let refused = WalStore::try_open(&dir, 0, 1024).err();
         assert_eq!(
             refused,
-            Some(AlienVersion {
+            Some(Refusal::AlienVersion {
                 path: seg.clone(),
                 found: version
             })
@@ -909,11 +941,8 @@ mod tests {
         assert_refused_untouched("v2", 2, &payload.into_bytes());
     }
 
-    /// A segment as generation 3 wrote it: the record layout is this
-    /// generation's, only the header's version differs — and that alone
-    /// refuses it, untouched.
-    #[test]
-    fn a_v3_segment_is_refused_and_left_untouched() {
+    /// A record payload as generations 3, 4 and 5 all lay it out.
+    fn current_record_payload() -> Vec<u8> {
         let record = WalRecord::Causal {
             object: ObjectId::new(2),
             writer: 1,
@@ -924,8 +953,76 @@ mod tests {
         };
         let mut frame = Vec::new();
         encode_record(&mut frame, 0, 1, &record);
-        let payload = &frame[tc_wire::HEADER_LEN..];
-        assert_refused_untouched("v3", 3, payload);
+        decode_frame_body(&frame).unwrap().1.to_vec()
+    }
+
+    /// A segment as generation 3 wrote it: the record layout is this
+    /// generation's, only the header differs — and that alone refuses it,
+    /// untouched.
+    #[test]
+    fn a_v3_segment_is_refused_and_left_untouched() {
+        assert_refused_untouched("v3", 3, &current_record_payload());
+    }
+
+    /// Generation 4 changed only the protocol's ack messages: its records
+    /// are this generation's too, and its 16-byte header refuses it all the
+    /// same.
+    #[test]
+    fn a_v4_segment_is_refused_and_left_untouched() {
+        assert_refused_untouched("v4", 4, &current_record_payload());
+    }
+
+    /// Every frame names the shard that wrote it, under the CRC: a
+    /// directory holding another shard's segment or snapshot is refused by
+    /// name, not replayed into this shard's image, and left as it was.
+    #[test]
+    fn another_shards_log_is_refused_and_left_untouched() {
+        // The newest snapshot is read first, so a rotated directory is
+        // refused at it, an unrotated one at its only segment.
+        for (tag, snapshot_every, refused_file, seq) in [
+            (
+                "foreign-seg",
+                1024,
+                seg_path as fn(&Path, u64) -> PathBuf,
+                0,
+            ),
+            ("foreign-snap", 2, snap_path, 2),
+        ] {
+            let dir = temp_dir(tag);
+            {
+                let mut store = WalStore::open(&dir, 3, snapshot_every);
+                for i in 0..3u64 {
+                    store.apply(&phys(1, 10 + i, 5 + i));
+                    store.sync();
+                }
+            }
+            let listing = |dir: &Path| {
+                let mut files: Vec<(PathBuf, Vec<u8>)> = fs::read_dir(dir)
+                    .unwrap()
+                    .map(|e| {
+                        let path = e.unwrap().path();
+                        let bytes = fs::read(&path).unwrap();
+                        (path, bytes)
+                    })
+                    .collect();
+                files.sort();
+                files
+            };
+            let before = listing(&dir);
+            assert_eq!(
+                WalStore::try_open(&dir, 4, snapshot_every).err(),
+                Some(Refusal::ForeignShard {
+                    path: refused_file(&dir, seq),
+                    lane: 3,
+                    shard: 4
+                }),
+                "{tag}"
+            );
+            assert_eq!(listing(&dir), before, "{tag}: a refused log is intact");
+            // Its own shard still opens it.
+            assert_eq!(WalStore::open(&dir, 3, snapshot_every).records(), 3);
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

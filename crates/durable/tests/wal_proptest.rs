@@ -22,7 +22,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use tc_clocks::{Time, VectorClock};
 use tc_core::{ObjectId, Value};
-use tc_durable::{AlienVersion, WalStore};
+use tc_durable::{Refusal, WalStore};
 use tc_lifetime::store::{ShardImage, ShardStore, WalRecord};
 use tc_wire::{decode_frame_body, WIRE_VERSION};
 
@@ -183,12 +183,12 @@ proptest! {
     }
 
     /// Flipping any single bit never panics and never corrupts the image:
-    /// recovery still yields a valid prefix of the written history. (A
-    /// flip in an ignored header field — the shard routing tag — may be
-    /// invisible; a flip anywhere else trips the CRC or header checks.)
-    /// A flip in a frame's *version* field makes it read as another wire
-    /// generation, which recovery cannot tell from a log another build
-    /// wrote: the directory is refused and not a byte of it changes.
+    /// recovery still yields a valid prefix of the written history. The
+    /// CRC covers the whole frame, header included, so every flip is seen:
+    /// one in a frame's *version* byte (header byte 1) makes it read as
+    /// another wire generation, which recovery cannot tell from a log
+    /// another build wrote, so the directory is refused and not a byte of
+    /// it changes; any other flip is corruption, and replay stops at it.
     #[test]
     fn a_flipped_bit_never_poisons_replay(
         records in ArbHistory,
@@ -198,39 +198,37 @@ proptest! {
         let (dir, seg) = write_history("flip", &records);
         let mut bytes = fs::read(&seg).unwrap();
         let at = pos % bytes.len();
-        let mut frame_start = 0;
+        let (mut frame_start, mut hit) = (0, 0);
         while let Ok((_, _, used)) = decode_frame_body(&bytes[frame_start..]) {
             if at < frame_start + used {
                 break;
             }
             frame_start += used;
+            hit += 1;
         }
         bytes[at] ^= 1 << bit;
         fs::write(&seg, &bytes).unwrap();
 
-        // The version field is header bytes 4..6.
-        if (4..6).contains(&(at - frame_start)) {
-            let flipped = WIRE_VERSION ^ (1 << (8 * (at - frame_start - 4) + bit as usize));
+        // The version is header byte 1.
+        if at - frame_start == 1 {
+            let found = u16::from(WIRE_VERSION ^ (1 << bit));
             let refused = WalStore::try_open(&dir, 0, u64::MAX).err();
-            prop_assert_eq!(refused, Some(AlienVersion { path: seg.clone(), found: flipped }));
+            prop_assert_eq!(refused, Some(Refusal::AlienVersion { path: seg.clone(), found }));
             prop_assert_eq!(fs::read(&seg).unwrap(), bytes);
             let _ = fs::remove_dir_all(&dir);
             return Ok(());
         }
 
-        // Exact loss accounting on the first open: a mid-log flip kills
-        // exactly one frame, and every intact frame after it is
-        // unreplayable (the index chain is broken) — so the store must
-        // report precisely `written − recovered` records lost.
+        // Exact loss accounting on the first open: the flip kills exactly
+        // the frame it hit, replay keeps every frame before it, and every
+        // intact frame after it is unreplayable (the index chain is
+        // broken) — so the store must report precisely `written −
+        // recovered` records lost.
         let store = WalStore::open(&dir, 0, u64::MAX);
         let k = store.records() as usize;
-        if store.last_recovery().corrupted_tail {
-            prop_assert_eq!(store.last_recovery().lost as usize, records.len() - k);
-        } else {
-            // The flip landed in an ignored header field: nothing lost.
-            prop_assert_eq!(store.last_recovery().lost, 0);
-            prop_assert_eq!(k, records.len());
-        }
+        prop_assert!(store.last_recovery().corrupted_tail, "flip at {} unseen", at);
+        prop_assert_eq!(k, hit);
+        prop_assert_eq!(store.last_recovery().lost as usize, records.len() - k);
         drop(store);
 
         assert_clean_prefix(&dir, &records);
@@ -247,9 +245,10 @@ proptest! {
     ) {
         let (dir, seg) = write_history("torn", &records);
         let bytes = fs::read(&seg).unwrap();
-        // Frames start with the fixed magic; a prefix of the first frame
-        // is exactly what a torn append of a next record looks like.
-        let torn_len = 1 + tear % (bytes.len().min(40) - 1);
+        // Frames start with the fixed magic; a strict prefix of the first
+        // frame is exactly what a torn append of a next record looks like.
+        let first_frame = decode_frame_body(&bytes).unwrap().2;
+        let torn_len = 1 + tear % (first_frame - 1);
         let mut f = OpenOptions::new().append(true).open(&seg).unwrap();
         f.write_all(&bytes[..torn_len]).unwrap();
         f.sync_data().unwrap();

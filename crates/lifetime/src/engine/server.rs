@@ -906,7 +906,6 @@ impl ServerEngine {
                             object,
                             alpha_t: alpha,
                             epoch,
-                            acked: None,
                         };
                         self.ship_or_defer(from, Ack::Send(ack), out);
                         return;
@@ -927,7 +926,6 @@ impl ServerEngine {
                         object,
                         alpha_t: alpha,
                         epoch,
-                        acked: None,
                     };
                     self.ship_or_defer(from, Ack::Send(ack), out);
                     let snapshot = StoredVersion {

@@ -44,8 +44,9 @@ pub enum ValidateOutcome {
 /// with stale data. Causal-family writes are asynchronous and are acked
 /// cumulatively instead: a shard owes each writer its per-writer delivery
 /// cursor, and the owed cursor rides as `acked` on the next reply the
-/// shard sends that site ([`Msg::FetchRep`], [`Msg::ValidateRep`],
-/// [`Msg::WriteAck`]), or leaves as a standalone [`Msg::WriteAckCausal`]
+/// shard sends that site ([`Msg::FetchRep`], [`Msg::ValidateRep`]; a
+/// [`Msg::WriteAck`] goes only to physical-family writers, who are never
+/// owed one), or leaves as a standalone [`Msg::WriteAckCausal`]
 /// once it has waited [`crate::engine::ACK_DELAY`]. An ack is a fact about
 /// the shard's store, not an answer to a request, so the client applies it
 /// whatever the reply's epoch.
@@ -136,8 +137,6 @@ pub enum Msg {
         alpha_t: Time,
         /// Epoch of the request being answered.
         epoch: u64,
-        /// The cumulative causal ack this reply carries, if any.
-        acked: Option<u64>,
     },
     /// Server → client: a standalone cumulative causal-family write
     /// acknowledgement, sent when no reply to the site left within
@@ -282,9 +281,7 @@ impl Msg {
     pub fn acked(&self) -> Option<u64> {
         match self {
             Msg::WriteAckCausal { upto } => Some(*upto),
-            Msg::FetchRep { acked, .. }
-            | Msg::ValidateRep { acked, .. }
-            | Msg::WriteAck { acked, .. } => *acked,
+            Msg::FetchRep { acked, .. } | Msg::ValidateRep { acked, .. } => *acked,
             _ => None,
         }
     }
@@ -293,9 +290,7 @@ impl Msg {
     /// reply and returns `true`; any other kind is left as it is.
     pub fn carry_ack(&mut self, upto: u64) -> bool {
         match self {
-            Msg::FetchRep { acked, .. }
-            | Msg::ValidateRep { acked, .. }
-            | Msg::WriteAck { acked, .. } => {
+            Msg::FetchRep { acked, .. } | Msg::ValidateRep { acked, .. } => {
                 *acked = Some(upto);
                 true
             }

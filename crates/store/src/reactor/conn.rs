@@ -179,7 +179,7 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
     use std::time::Duration;
-    use tc_wire::{encode_frame, HEADER_LEN, MAX_PAYLOAD};
+    use tc_wire::{encode_frame, uvar_encoding, MAGIC, MAX_PAYLOAD, MIN_HEADER_LEN, WIRE_VERSION};
 
     /// One scripted answer to a `read` call.
     #[derive(Clone)]
@@ -240,10 +240,13 @@ mod tests {
         encode_frame(shard, msg)
     }
 
+    /// A header declaring one byte past the payload cap, up to its length:
+    /// enough to refuse it.
     fn oversized_header() -> Vec<u8> {
-        let mut f = frame(0, &WireMsg::Heartbeat);
-        f[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
-        f[..HEADER_LEN].to_vec()
+        let (len, width) = uvar_encoding(u64::from(MAX_PAYLOAD) + 1);
+        let mut f = vec![MAGIC, WIRE_VERSION, 0];
+        f.extend_from_slice(&len[..width]);
+        f
     }
 
     fn corrupt_crc() -> Vec<u8> {
@@ -305,8 +308,8 @@ mod tests {
                 name: "partial read splits the frame header",
                 scratch: READ_CHUNK,
                 script: vec![
-                    Step::Data(hb[..HEADER_LEN / 2].to_vec()),
-                    Step::Data(hb[HEADER_LEN / 2..].to_vec()),
+                    Step::Data(hb[..MIN_HEADER_LEN / 2].to_vec()),
+                    Step::Data(hb[MIN_HEADER_LEN / 2..].to_vec()),
                 ],
                 want_frames: 1,
                 want_events: 2,
@@ -315,7 +318,7 @@ mod tests {
             Case {
                 name: "header-only chunk yields nothing until the payload lands",
                 scratch: READ_CHUNK,
-                script: vec![Step::Data(ack[..HEADER_LEN].to_vec())],
+                script: vec![Step::Data(ack[..MIN_HEADER_LEN].to_vec())],
                 want_frames: 0,
                 want_events: 1,
                 want_close: None,

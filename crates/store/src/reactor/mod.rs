@@ -28,7 +28,8 @@
 //! # Links
 //!
 //! Every `Proto` frame on a client↔shard link travels on a **lane** — the
-//! frame header's u16 routing field — naming the site it speaks for, so
+//! frame header's routing varint, at most `u16::MAX`, one byte below 128 —
+//! naming the site it speaks for, so
 //! one socket per shard carries every hosted site. The shard admits the
 //! *link*, not each site: on dial the client queues one
 //! [`WireMsg::Hello`] carrying its full `ProtocolConfig`, and the link is
@@ -922,8 +923,9 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
 /// # Panics
 ///
 /// As [`run_reactor`]; additionally if the fleet has more sites than a
-/// frame header's u16 lane can name (65 536), if the chaos plan names a
-/// shard outside the fleet, or if a listener cannot be bound.
+/// frame header's lane can name (65 536, lanes `0..=u16::MAX`), if the
+/// chaos plan names a shard outside the fleet, or if a listener cannot be
+/// bound.
 #[must_use]
 pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
     let rc = &cfg.runtime;

@@ -371,7 +371,7 @@ pub(super) trait Links {
     fn table(&mut self) -> &mut ConnTable<Self::Peer>;
 
     /// Acts on one frame of connection `token`, decoded from `lane` (the
-    /// frame header's routing field: the site a frame speaks for on a
+    /// frame header's routing varint: the site a frame speaks for on a
     /// client↔shard link) out of bytes read at `at`. An earlier frame of
     /// the same batch may already have closed the connection.
     fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant);

@@ -3,9 +3,10 @@
 //!
 //! Payload integers travel as LEB128 varints ([`Writer::uvar`] /
 //! [`Reader::uvar`]) in canonical form only, so every value has exactly
-//! one encoding. Fixed-width little-endian integers are left to the frame
-//! header, which WAL segments share. Floats travel as their IEEE-754 bit
-//! patterns so encode→decode is the identity even for NaN payloads.
+//! one encoding; the frame header's lane and length are varints too. The
+//! only fixed-width little-endian integers are the frame's CRC and the
+//! version a pre-v5 header is refused by. Floats travel as their IEEE-754
+//! bit patterns so encode→decode is the identity even for NaN payloads.
 //! Decoding never panics: every shortfall or malformed field becomes a
 //! [`WireError`].
 
@@ -21,19 +22,20 @@ pub enum WireError {
     },
     /// The frame does not start with the protocol magic.
     BadMagic {
-        /// The four bytes found instead.
-        found: u32,
+        /// The byte found instead.
+        found: u8,
     },
     /// The frame's protocol version is not ours.
     BadVersion {
         /// The version found in the header.
         found: u16,
     },
-    /// The payload checksum does not match the header.
+    /// The frame's checksum (over its header and payload) does not match
+    /// the one it carries.
     BadCrc {
-        /// CRC the header promised.
+        /// CRC the frame carries.
         expected: u32,
-        /// CRC the payload actually has.
+        /// CRC its header and payload actually hash to.
         found: u32,
     },
     /// The header declares a payload larger than the codec allows.
@@ -67,8 +69,9 @@ pub enum WireError {
         what: &'static str,
     },
     /// A canonical varint whose value does not fit the field: an object,
-    /// site, writer or length above `u32::MAX`. Refused rather than
-    /// truncated, so no id wraps onto another.
+    /// site, writer or length above `u32::MAX`, or a frame lane above
+    /// `u16::MAX`. Refused rather than truncated, so no id wraps onto
+    /// another.
     OutOfRange {
         /// What was being decoded.
         what: &'static str,
@@ -79,12 +82,12 @@ impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             WireError::Truncated { what } => write!(f, "truncated while decoding {what}"),
-            WireError::BadMagic { found } => write!(f, "bad frame magic {found:#010x}"),
+            WireError::BadMagic { found } => write!(f, "bad frame magic {found:#04x}"),
             WireError::BadVersion { found } => write!(f, "unsupported protocol version {found}"),
             WireError::BadCrc { expected, found } => {
                 write!(
                     f,
-                    "payload CRC mismatch: header {expected:#010x}, payload {found:#010x}"
+                    "frame CRC mismatch: carried {expected:#010x}, computed {found:#010x}"
                 )
             }
             WireError::OversizedPayload { len } => {
@@ -97,7 +100,7 @@ impl fmt::Display for WireError {
             WireError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             WireError::BadVectorClock => write!(f, "malformed vector clock"),
             WireError::BadVarint { what } => write!(f, "non-canonical varint in {what}"),
-            WireError::OutOfRange { what } => write!(f, "{what} exceeds u32::MAX"),
+            WireError::OutOfRange { what } => write!(f, "{what} is out of range for its field"),
         }
     }
 }
@@ -209,6 +212,23 @@ impl<'a> Reader<'a> {
             })
         }
     }
+}
+
+/// The canonical LEB128 encoding of `v` and its width: the bytes
+/// [`Writer::uvar`] appends (a unit test holds the two equal), for a caller
+/// that patches a varint into bytes already written (a frame's length,
+/// known only once its payload is).
+#[must_use]
+pub fn uvar_encoding(mut v: u64) -> ([u8; 10], usize) {
+    let mut bytes = [0u8; 10];
+    let mut width = 0;
+    while v >= 0x80 {
+        bytes[width] = v as u8 | 0x80;
+        v >>= 7;
+        width += 1;
+    }
+    bytes[width] = v as u8;
+    (bytes, width + 1)
 }
 
 /// A growable write buffer mirroring [`Reader`].
@@ -358,6 +378,16 @@ mod tests {
                     Err(WireError::Truncated { what: "v" }),
                     "{v} cut at {cut}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn uvar_encoding_is_what_the_writer_appends() {
+        for shift in 0..64 {
+            for v in [1u64 << shift, (1u64 << shift) - 1, u64::MAX >> shift] {
+                let (bytes, width) = uvar_encoding(v);
+                assert_eq!(&bytes[..width], &uvar_bytes(v)[..], "{v}");
             }
         }
     }

@@ -6,16 +6,18 @@
 //! this crate defines exactly those bytes:
 //!
 //! * [`codec`] — primitive encode/decode: the canonical LEB128 varint every
-//!   payload integer is written in, the little-endian words of the frame
-//!   header, and a panic-free error vocabulary ([`WireError`]);
-//! * [`crc`] — a hand-rolled CRC-32/IEEE for payload integrity;
+//!   integer is written in, the little-endian word of the frame's CRC, and
+//!   a panic-free error vocabulary ([`WireError`]);
+//! * [`crc`] — a hand-rolled CRC-32/IEEE for frame integrity;
 //! * [`msg`] — [`WireMsg`]: every protocol message plus the transport's
 //!   session messages (handshake carrying the full [`ProtocolConfig`],
 //!   heartbeats, orderly goodbye);
-//! * [`frame`] — the versioned, length-prefixed frame (magic, protocol
-//!   version — 3 since every payload integer went varint — routing lane,
-//!   payload length, CRC) and blocking
-//!   [`read_frame`]/[`write_frame`] helpers over `std::io`;
+//! * [`frame`] — the versioned, length-prefixed frame (magic byte,
+//!   protocol version — 5 since the header went self-delimiting — varint
+//!   routing lane and payload length, a CRC over header and payload, and a
+//!   legacy gate that refuses the fixed 16-byte headers of versions 1–4 by
+//!   name) and blocking [`read_frame`]/[`write_frame`] helpers over
+//!   `std::io`;
 //! * [`stream`] — [`FrameDecoder`], the incremental decoder an evented
 //!   transport feeds arbitrary byte chunks; chunk boundaries are provably
 //!   invisible (identity with the one-shot decoder is proptested).
@@ -42,12 +44,12 @@ pub mod frame;
 pub mod msg;
 pub mod stream;
 
-pub use codec::{Reader, WireError, Writer};
-pub use crc::{crc32, crc32_bytewise};
+pub use codec::{uvar_encoding, Reader, WireError, Writer};
+pub use crc::{crc32, crc32_bytewise, crc32_pair};
 pub use frame::{
-    decode_frame, decode_frame_body, decode_header, decode_payload, encode_frame,
-    encode_frame_body_into, encode_frame_into, read_frame, write_frame, FrameHeader, HEADER_LEN,
-    MAGIC, MAX_PAYLOAD, WIRE_VERSION,
+    decode_frame, decode_frame_body, decode_header, encode_frame, encode_frame_body_into,
+    encode_frame_into, read_frame, write_frame, FrameHeader, LEGACY_HEADER_LEN, LEGACY_MAGIC,
+    MAGIC, MAX_HEADER_LEN, MAX_PAYLOAD, MIN_HEADER_LEN, WIRE_VERSION,
 };
 pub use msg::{
     get_delta, get_msg, get_object, get_opt_vclock, get_protocol, get_time, get_value, get_vclock,

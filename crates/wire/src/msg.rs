@@ -104,7 +104,8 @@ const TAG_GEO_ATTACH_OK: u8 = 16;
 // then the cursor.
 const TAG_FETCH_REP_ACKED: u8 = 17;
 const TAG_VALIDATE_REP_ACKED: u8 = 18;
-const TAG_WRITE_ACK_ACKED: u8 = 19;
+// Tag 19 was an acked `WriteAck` until generation 5: only physical writers
+// get a `WriteAck`, and they are never owed a causal ack.
 // A causal write whose writer waits on its ack: a plain write's fields.
 const TAG_WRITE_REQ_ACK_NOW: u8 = 20;
 
@@ -506,17 +507,11 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             object,
             alpha_t,
             epoch,
-            acked,
         } => {
-            w.u8(flagged_tag(
-                acked.is_some(),
-                TAG_WRITE_ACK,
-                TAG_WRITE_ACK_ACKED,
-            ));
+            w.u8(TAG_WRITE_ACK);
             put_object(w, *object);
             put_time(w, *alpha_t);
             w.uvar(*epoch);
-            put_acked(w, *acked);
         }
         Msg::WriteAckCausal { upto } => {
             w.u8(TAG_WRITE_ACK_CAUSAL);
@@ -635,11 +630,10 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             shard_seq: r.uvar("shard_seq")?,
             ack_now: tag == TAG_WRITE_REQ_ACK_NOW,
         },
-        tag @ (TAG_WRITE_ACK | TAG_WRITE_ACK_ACKED) => Msg::WriteAck {
+        TAG_WRITE_ACK => Msg::WriteAck {
             object: get_object(r)?,
             alpha_t: get_time(r, "alpha_t")?,
             epoch: r.uvar("epoch")?,
-            acked: get_acked(r, tag == TAG_WRITE_ACK_ACKED)?,
         },
         TAG_WRITE_ACK_CAUSAL => Msg::WriteAckCausal {
             upto: r.uvar("ack upto")?,
@@ -958,15 +952,6 @@ mod tests {
                 },
                 TAG_VALIDATE_REP_ACKED,
             ),
-            (
-                Msg::WriteAck {
-                    object: ObjectId::new(41),
-                    alpha_t: Time::from_ticks(200_003),
-                    epoch: 1_003,
-                    acked: None,
-                },
-                TAG_WRITE_ACK_ACKED,
-            ),
         ];
         for (plain, acked_tag) in replies {
             let plain_bytes = msg_bytes(&plain);
@@ -1021,14 +1006,15 @@ mod tests {
     /// `Truncated`, never a reply without its ack.
     #[test]
     fn an_acked_reply_without_its_cursor_is_truncated() {
-        let plain = msg_bytes(&Msg::WriteAck {
+        let plain = msg_bytes(&Msg::ValidateRep {
             object: ObjectId::new(1),
-            alpha_t: Time::from_ticks(5),
+            outcome: ValidateOutcome::StillValid,
+            server_now: Time::from_ticks(5),
             epoch: 2,
             acked: None,
         });
         let mut cut = plain;
-        cut[0] = TAG_WRITE_ACK_ACKED;
+        cut[0] = TAG_VALIDATE_REP_ACKED;
         assert_eq!(
             get_msg(&mut Reader::new(&cut)),
             Err(WireError::Truncated { what: "acked" })

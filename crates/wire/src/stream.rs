@@ -16,8 +16,11 @@
 //! error, if the stream is corrupt) that the one-shot
 //! [`decode_frame`](crate::decode_frame) extracts from the contiguous
 //! bytes. Validation is byte-for-byte the same code: headers go through
-//! [`decode_header`], payloads through [`decode_payload`], so magic,
-//! version, length-cap, and CRC rejection are shared, not re-implemented.
+//! [`decode_header`] and the rest through the one-shot decoder's own
+//! continuation, so magic, version, lane, varint, length-cap, and CRC
+//! rejection are shared, not re-implemented. A header is self-delimiting:
+//! where the one-shot decoder reports a header cut short as `Truncated`,
+//! this one waits for more.
 //!
 //! Errors are sticky. A stream whose header fails validation (or whose
 //! payload fails its CRC) has lost framing — there is no way to know where
@@ -26,7 +29,7 @@
 //! failed [`read_frame`](crate::read_frame).
 
 use crate::codec::WireError;
-use crate::frame::{decode_header, decode_payload, FrameHeader, HEADER_LEN};
+use crate::frame::{decode_after_header, decode_header, FrameHeader};
 use crate::msg::WireMsg;
 
 /// How much consumed prefix may accumulate before the buffer is compacted.
@@ -34,6 +37,11 @@ use crate::msg::WireMsg;
 /// kilobytes keeps the decoder O(bytes) overall instead of O(bytes²) under
 /// byte-at-a-time feeding.
 const COMPACT_THRESHOLD: usize = 8 * 1024;
+
+/// The buffer a stream's first bytes get: room for a few protocol frames
+/// (most are under 64 B), so a stream of small frames does not regrow it
+/// frame by frame as their sizes creep up.
+const FIRST_CAPACITY: usize = 256;
 
 /// A resumable frame parser over an append-only byte stream.
 ///
@@ -55,9 +63,11 @@ pub struct FrameDecoder {
     buf: Vec<u8>,
     /// Consumed prefix of `buf`.
     pos: usize,
-    /// A header that validated but whose payload has not fully arrived.
-    /// Caching it avoids re-validating on every `next_frame` poll.
-    pending: Option<FrameHeader>,
+    /// A header that validated, and its length, while the rest of its
+    /// frame has not fully arrived. Caching it avoids re-validating on
+    /// every `next_frame` poll; its bytes stay banked at `pos`, because
+    /// the CRC covers them.
+    pending: Option<(FrameHeader, usize)>,
     /// The first error the stream produced; sticky thereafter.
     poisoned: Option<WireError>,
 }
@@ -76,6 +86,9 @@ impl FrameDecoder {
         if self.poisoned.is_some() {
             // A poisoned stream's bytes are unframeable; don't hoard them.
             return;
+        }
+        if self.buf.capacity() == 0 {
+            self.buf.reserve(chunk.len().max(FIRST_CAPACITY));
         }
         self.buf.extend_from_slice(chunk);
     }
@@ -118,30 +131,25 @@ impl FrameDecoder {
         if let Some(e) = &self.poisoned {
             return Err(e.clone());
         }
-        let header = match self.pending {
-            Some(h) => h,
-            None => {
-                if self.buffered() < HEADER_LEN {
-                    return Ok(None);
+        let (header, head_len) = match self.pending {
+            Some(pending) => pending,
+            None => match decode_header(&self.buf[self.pos..]) {
+                Ok(pending) => {
+                    self.pending = Some(pending);
+                    pending
                 }
-                match decode_header(&self.buf[self.pos..self.pos + HEADER_LEN]) {
-                    Ok(h) => {
-                        self.pos += HEADER_LEN;
-                        self.pending = Some(h);
-                        h
-                    }
-                    Err(e) => return Err(self.poison(e)),
-                }
-            }
+                Err(WireError::Truncated { .. }) => return Ok(None),
+                Err(e) => return Err(self.poison(e)),
+            },
         };
-        if self.buffered() < header.len as usize {
+        let total = head_len + header.len as usize;
+        if self.buffered() < total {
             self.compact();
             return Ok(None);
         }
-        let payload = &self.buf[self.pos..self.pos + header.len as usize];
-        match decode_payload(&header, payload) {
+        match decode_after_header(&self.buf[self.pos..], &header, head_len) {
             Ok(msg) => {
-                self.pos += header.len as usize;
+                self.pos += total;
                 self.pending = None;
                 self.compact();
                 Ok(Some((header.lane, msg)))
@@ -172,7 +180,8 @@ impl FrameDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{encode_frame, MAX_PAYLOAD};
+    use crate::codec::{uvar_encoding, Writer};
+    use crate::frame::{encode_frame, LEGACY_HEADER_LEN, LEGACY_MAGIC, MAX_PAYLOAD};
 
     #[test]
     fn byte_at_a_time_yields_every_frame() {
@@ -235,26 +244,44 @@ mod tests {
         assert_eq!(dec.next_frame(), Err(first));
     }
 
+    /// A peer of generation 1–4 sends the old fixed 16-byte header: the
+    /// legacy gate refuses it by its version once the header is in, fed a
+    /// byte at a time or whole, and the stream stays poisoned.
     #[test]
-    fn a_v1_peer_poisons_the_stream_with_bad_version() {
-        let mut frame = encode_frame(0, &WireMsg::Heartbeat);
-        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let mut dec = FrameDecoder::new();
-        // The header alone is enough to refuse the peer.
-        dec.extend(&frame[..HEADER_LEN]);
-        assert_eq!(dec.next_frame(), Err(WireError::BadVersion { found: 1 }));
-        dec.extend(&encode_frame(0, &WireMsg::Bye));
-        assert_eq!(dec.next_frame(), Err(WireError::BadVersion { found: 1 }));
+    fn a_v1_to_v4_peer_poisons_the_stream_with_bad_version() {
+        for found in 1u16..=4 {
+            let mut w = Writer::new();
+            for b in LEGACY_MAGIC {
+                w.u8(b);
+            }
+            w.u16(found);
+            w.u16(0); // lane
+            w.u32(1); // length
+            w.u32(crate::crc32(&[3])); // payload-only crc
+            w.u8(3); // a heartbeat
+            let frame = w.into_bytes();
+            let mut dec = FrameDecoder::new();
+            for &b in &frame[..LEGACY_HEADER_LEN - 1] {
+                dec.extend(&[b]);
+                assert_eq!(dec.next_frame(), Ok(None), "v{found} header incomplete");
+            }
+            // The header alone is enough to refuse the peer.
+            dec.extend(&frame[LEGACY_HEADER_LEN - 1..LEGACY_HEADER_LEN]);
+            assert_eq!(dec.next_frame(), Err(WireError::BadVersion { found }));
+            dec.extend(&encode_frame(0, &WireMsg::Bye));
+            assert_eq!(dec.next_frame(), Err(WireError::BadVersion { found }));
+        }
     }
 
     #[test]
     fn oversized_length_is_rejected_before_payload_arrives() {
-        let mut frame = encode_frame(0, &WireMsg::Heartbeat);
-        frame[8..12].copy_from_slice(&(MAX_PAYLOAD + 1).to_le_bytes());
+        let (len, width) = uvar_encoding(u64::from(MAX_PAYLOAD) + 1);
+        let mut frame = vec![crate::MAGIC, crate::WIRE_VERSION, 0];
+        frame.extend_from_slice(&len[..width]);
         let mut dec = FrameDecoder::new();
-        // Only the header is fed: the length cap must trip without waiting
-        // for (or allocating) the declared gigabytes.
-        dec.extend(&frame[..HEADER_LEN]);
+        // The header up to its length is fed: the cap must trip without
+        // waiting for the CRC, the payload, or an allocation of the declared size.
+        dec.extend(&frame);
         assert_eq!(
             dec.next_frame(),
             Err(WireError::OversizedPayload {

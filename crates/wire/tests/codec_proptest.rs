@@ -1,7 +1,8 @@
 //! Property tests for the tc-wire codec: every message the transport can
 //! utter survives an encode→decode round trip bit-exactly, and no
-//! corruption of the byte stream — truncation, bit flips, alien magic,
-//! version skew, or outright garbage — ever panics the decoder.
+//! corruption of the byte stream — truncation, bit flips anywhere in a
+//! frame, alien magic, version skew, a generation 1–4 header, or outright
+//! garbage — ever panics the decoder or is misread as a frame.
 //!
 //! The generators draw from the *full* message space (all six `WireMsg`
 //! variants, every protocol `Msg` variant, every `ProtocolKind`,
@@ -22,8 +23,9 @@ use tc_lifetime::{
     ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
 };
 use tc_wire::{
-    crc32, decode_frame, encode_frame, get_vclock, put_vclock, read_frame, write_frame, Reader,
-    WireError, WireMsg, Writer, HEADER_LEN, MAGIC, WIRE_VERSION,
+    crc32_pair, decode_frame, decode_header, encode_frame, get_vclock, put_vclock, read_frame,
+    uvar_encoding, write_frame, Reader, WireError, WireMsg, Writer, LEGACY_MAGIC, MAGIC,
+    WIRE_VERSION,
 };
 
 fn arb_time(rng: &mut StdRng) -> Time {
@@ -64,6 +66,21 @@ fn arb_u32(rng: &mut StdRng) -> u32 {
 }
 
 struct ArbMagnitude;
+
+/// A lane of one, two or three varint bytes, equally likely, edges
+/// included.
+struct ArbLane;
+
+impl Strategy for ArbLane {
+    type Value = u16;
+    fn sample(&self, rng: &mut StdRng) -> u16 {
+        match rng.gen_range(0..3u8) {
+            0 => rng.gen_range(0..=127),
+            1 => rng.gen_range(128..=16_383),
+            _ => rng.gen_range(16_384..=u16::MAX),
+        }
+    }
+}
 
 impl Strategy for ArbMagnitude {
     type Value = u64;
@@ -178,12 +195,12 @@ fn arb_geo_write(rng: &mut StdRng) -> GeoWrite {
     }
 }
 
-/// Every message kind, plus (kinds 17–19) the three replies with a
+/// Every message kind, plus (kinds 17 and 18) the two replies with a
 /// cumulative causal ack riding on them.
 fn arb_proto_msg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0..20u8) {
-        kind @ 17..=19 => {
-            let mut reply = arb_plain_msg(rng, [1, 3, 5][usize::from(kind - 17)]);
+    match rng.gen_range(0..19u8) {
+        kind @ 17..=18 => {
+            let mut reply = arb_plain_msg(rng, [1, 3][usize::from(kind - 17)]);
             assert!(reply.carry_ack(arb_magnitude(rng)));
             reply
         }
@@ -234,7 +251,6 @@ fn arb_plain_msg(rng: &mut StdRng, kind: u8) -> Msg {
             object: arb_object(rng),
             alpha_t: arb_time(rng),
             epoch: arb_magnitude(rng),
-            acked: None,
         },
         6 => Msg::WriteAckCausal {
             upto: arb_magnitude(rng),
@@ -320,11 +336,11 @@ impl Strategy for ArbWireMsg {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Any message, any shard tag: encode → decode is the identity, the
+    /// Any message, any lane: encode → decode is the identity, the
     /// whole frame is consumed, and the blocking `std::io` path agrees
     /// with the in-memory path.
     #[test]
-    fn every_variant_round_trips(shard in 0u16..=u16::MAX, msg in ArbWireMsg) {
+    fn every_variant_round_trips(shard in ArbLane, msg in ArbWireMsg) {
         let frame = encode_frame(shard, &msg);
         prop_assert_eq!(
             decode_frame(&frame),
@@ -350,7 +366,7 @@ proptest! {
     /// payload the codec can produce.
     #[test]
     fn encode_into_is_byte_identical(
-        shard in 0u16..=u16::MAX,
+        shard in ArbLane,
         msg in ArbWireMsg,
         prefix in proptest::collection::vec(0u8..=255, 0..64),
     ) {
@@ -395,41 +411,87 @@ proptest! {
     /// detects all single-burst errors shorter than the polynomial).
     #[test]
     fn payload_bit_flips_fail_the_crc(
+        lane in ArbLane,
         msg in ArbWireMsg,
         pos in 0usize..1_000_000,
         bit in 0u8..8,
     ) {
-        let mut frame = encode_frame(2, &msg);
-        let payload_len = frame.len() - HEADER_LEN;
-        let idx = HEADER_LEN + pos % payload_len;
+        let mut frame = encode_frame(lane, &msg);
+        let header_len = decode_header(&frame).unwrap().1;
+        let idx = header_len + pos % (frame.len() - header_len);
         frame[idx] ^= 1 << bit;
         prop_assert!(
             matches!(decode_frame(&frame), Err(WireError::BadCrc { .. })),
-            "flip at payload byte {} bit {}", idx - HEADER_LEN, bit
+            "flip at payload byte {} bit {}", idx - header_len, bit
         );
     }
 
-    /// A stream that does not open with the magic is rejected before any
-    /// payload byte is interpreted.
+    /// Every single-bit flip anywhere in a frame, header included, is an
+    /// `Err`: never a frame, not even the intended one on another lane.
+    /// The CRC covers every header byte before it, so a flip that leaves
+    /// the header's layout alone fails it; one that turns the magic,
+    /// version or a varint's continuation bit is refused by the header
+    /// checks or shifts every later field, and the CRC then read out of
+    /// the shifted bytes does not match.
     #[test]
-    fn alien_magic_is_rejected(msg in ArbWireMsg, magic in 0u32..=u32::MAX) {
+    fn every_single_bit_flip_anywhere_is_rejected(lane in ArbLane, msg in ArbWireMsg) {
+        let frame = encode_frame(lane, &msg);
+        for idx in 0..frame.len() {
+            for bit in 0..8 {
+                let mut flipped = frame.clone();
+                flipped[idx] ^= 1 << bit;
+                let got = decode_frame(&flipped);
+                prop_assert!(got.is_err(), "flip at byte {} bit {} read as {:?}", idx, bit, got);
+            }
+        }
+    }
+
+    /// A stream that does not open with the magic is rejected before any
+    /// payload byte is interpreted. (`0x52` opens a generation 1–4 header
+    /// only when `"WCT"` follows; here the version byte follows.)
+    #[test]
+    fn alien_magic_is_rejected(msg in ArbWireMsg, magic in 0u8..=255) {
         prop_assume!(magic != MAGIC);
         let mut frame = encode_frame(0, &msg);
-        frame[..4].copy_from_slice(&magic.to_le_bytes());
+        frame[0] = magic;
         prop_assert_eq!(decode_frame(&frame), Err(WireError::BadMagic { found: magic }));
     }
 
     /// A frame from any other protocol generation is rejected instead of
     /// being field-guessed.
     #[test]
-    fn alien_version_is_rejected(msg in ArbWireMsg, version in 0u16..=u16::MAX) {
+    fn alien_version_is_rejected(msg in ArbWireMsg, version in 0u8..=255) {
         prop_assume!(version != WIRE_VERSION);
         let mut frame = encode_frame(0, &msg);
-        frame[4..6].copy_from_slice(&version.to_le_bytes());
+        frame[1] = version;
         prop_assert_eq!(
             decode_frame(&frame),
-            Err(WireError::BadVersion { found: version })
+            Err(WireError::BadVersion { found: u16::from(version) })
         );
+    }
+
+    /// The legacy gate: whatever a generation 1–4 header says after
+    /// `"TCWR"` — any version, lane, length or CRC — the frame is refused
+    /// by the version it names, never read as a v5 frame.
+    #[test]
+    fn a_legacy_header_is_refused_by_its_version(
+        version in 0u16..=u16::MAX,
+        lane in 0u16..=u16::MAX,
+        len in 0u32..=u32::MAX,
+        crc in 0u32..=u32::MAX,
+        payload in proptest::collection::vec(0u8..=255, 0..32),
+    ) {
+        let mut w = Writer::new();
+        for b in LEGACY_MAGIC {
+            w.u8(b);
+        }
+        w.u16(version);
+        w.u16(lane);
+        w.u32(len);
+        w.u32(crc);
+        let mut frame = w.into_bytes();
+        frame.extend_from_slice(&payload);
+        prop_assert_eq!(decode_frame(&frame), Err(WireError::BadVersion { found: version }));
     }
 
     /// The `Context_i` a client carries across regions (rule 3 state plus
@@ -439,7 +501,7 @@ proptest! {
     /// weaken the timed guarantee at the destination region.
     #[test]
     fn migration_context_round_trips_exactly(
-        shard in 0u16..=u16::MAX,
+        shard in ArbLane,
         width in 1usize..=32,
         raw in proptest::collection::vec(0u64..=u64::MAX, 32),
         site_seed in 0usize..32,
@@ -578,15 +640,13 @@ proptest! {
     /// check still guarantees the whole frame was consumed.
     #[test]
     fn garbage_payload_with_honest_envelope_never_panics(
-        payload in proptest::collection::vec(0u8..=255, 1..96),
+        payload in proptest::collection::vec(0u8..=255, 1..192),
     ) {
-        let mut w = Writer::new();
-        w.u32(MAGIC);
-        w.u16(WIRE_VERSION);
-        w.u16(0);
-        w.u32(payload.len() as u32);
-        w.u32(crc32(&payload));
-        let mut bytes = w.into_bytes();
+        let (len, width) = uvar_encoding(payload.len() as u64);
+        let mut bytes = vec![MAGIC, WIRE_VERSION, 0];
+        bytes.extend_from_slice(&len[..width]);
+        let crc = crc32_pair(&bytes, &payload);
+        bytes.extend_from_slice(&crc.to_le_bytes());
         bytes.extend_from_slice(&payload);
         if let Ok((_, _, used)) = decode_frame(&bytes) {
             prop_assert_eq!(used, bytes.len());

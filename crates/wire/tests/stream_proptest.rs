@@ -102,9 +102,10 @@ fn chunk_up(bytes: &[u8], seed: u64, bias: u8) -> Vec<&[u8]> {
 fn arb_msg(rng: &mut StdRng) -> WireMsg {
     // A compact message sampler: the full-space round-trip coverage lives
     // in codec_proptest.rs; here the property under test is *chunking*, so
-    // a few size-diverse shapes (empty-payload heartbeats through
-    // batch-sized protos) suffice.
-    match rng.gen_range(0..5u8) {
+    // a few size-diverse shapes suffice — one-byte heartbeats, protos, and
+    // reject reasons long enough that the header's length takes two bytes
+    // (≥ 128 B) or, now and then, three (≥ 16 384 B).
+    match rng.gen_range(0..6u8) {
         0 => WireMsg::Heartbeat,
         1 => WireMsg::Bye,
         2 => WireMsg::HelloAck {
@@ -114,7 +115,7 @@ fn arb_msg(rng: &mut StdRng) -> WireMsg {
             object: ObjectId::new(rng.gen_range(0..1024)),
             epoch: rng.gen_range(0..=u64::MAX),
         }),
-        _ => WireMsg::Proto(Msg::WriteReq {
+        4 => WireMsg::Proto(Msg::WriteReq {
             object: ObjectId::new(rng.gen_range(0..1024)),
             value: Value::new(rng.gen_range(0..=u64::MAX)),
             alpha_v: None,
@@ -123,10 +124,26 @@ fn arb_msg(rng: &mut StdRng) -> WireMsg {
             shard_seq: rng.gen_range(0..=u64::MAX),
             ack_now: false,
         }),
+        _ => WireMsg::HelloReject {
+            reason: "r".repeat(if rng.gen_bool(0.1) {
+                rng.gen_range(16_384..=17_000)
+            } else {
+                rng.gen_range(126..=300)
+            }),
+        },
     }
 }
 
-/// A random multi-frame stream (0–8 messages, random shard tags).
+/// A lane of one, two or three varint bytes, equally likely.
+fn arb_lane(rng: &mut StdRng) -> u16 {
+    match rng.gen_range(0..3u8) {
+        0 => rng.gen_range(0..=127),
+        1 => rng.gen_range(128..=16_383),
+        _ => rng.gen_range(16_384..=u16::MAX),
+    }
+}
+
+/// A random multi-frame stream (0–8 messages, lanes of every width).
 struct ArbStream;
 
 impl Strategy for ArbStream {
@@ -135,9 +152,9 @@ impl Strategy for ArbStream {
         let n = rng.gen_range(0..=8usize);
         let mut bytes = Vec::new();
         for _ in 0..n {
-            let shard = rng.gen_range(0..=u16::MAX);
+            let lane = arb_lane(rng);
             let msg = arb_msg(rng);
-            bytes.extend_from_slice(&encode_frame(shard, &msg));
+            bytes.extend_from_slice(&encode_frame(lane, &msg));
         }
         bytes
     }
