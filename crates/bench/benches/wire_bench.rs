@@ -1,11 +1,12 @@
 //! tc-wire hot paths: CRC-32 throughput and frame encoding, including the
 //! buffer-reusing zero-copy path the socket drivers run per message, and
-//! the varint path a causal read reply takes both ways.
+//! the varint path both ways of a causal read reply and of a physical
+//! revalidation that finds a newer version.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use tc_clocks::{Time, VectorClock};
 use tc_core::{ObjectId, Value};
-use tc_lifetime::{Msg, WireVersion};
+use tc_lifetime::{CausalStamp, Msg, ValidateOutcome, WireVersion};
 use tc_wire::{crc32, decode_frame, encode_frame, encode_frame_into, WireMsg};
 
 fn payload_msg() -> WireMsg {
@@ -50,13 +51,15 @@ fn causal_fetch_reply() -> WireMsg {
         version: WireVersion {
             value: Value::new(30_017),
             alpha_t: Time::from_ticks(200_003),
-            alpha_v: Some(VectorClock::from_entries(
-                31,
-                (0..32u64)
-                    .map(|i| 5_000 + (i * 37) % 64)
-                    .collect::<Vec<_>>(),
-            )),
-            tiebreak: (Time::from_ticks(199_990), 17),
+            causal: Some(CausalStamp {
+                alpha_v: VectorClock::from_entries(
+                    31,
+                    (0..32u64)
+                        .map(|i| 5_000 + (i * 37) % 64)
+                        .collect::<Vec<_>>(),
+                ),
+                writer: 17,
+            }),
         },
         server_now: Time::from_ticks(200_011),
         epoch: 1_003,
@@ -64,15 +67,31 @@ fn causal_fetch_reply() -> WireMsg {
     })
 }
 
-fn bench_causal_fetch_reply(c: &mut Criterion) {
-    let msg = causal_fetch_reply();
-    let frame = encode_frame(0, &msg);
-    let mut g = c.benchmark_group("wire_causal_fetch_rep_32");
+/// A physical revalidation that finds a newer version, at `sat-mixed`'s
+/// shape: that workload's most frequent frame.
+fn physical_validate_reply() -> WireMsg {
+    WireMsg::Proto(Msg::ValidateRep {
+        object: ObjectId::new(41),
+        outcome: ValidateOutcome::Newer(WireVersion {
+            value: Value::new(30_017),
+            alpha_t: Time::from_ticks(200_003),
+            causal: None,
+        }),
+        server_now: Time::from_ticks(200_011),
+        epoch: 1_003,
+        acked: None,
+    })
+}
+
+/// Encode into a reused buffer and decode, for one message.
+fn bench_round_trip(c: &mut Criterion, group: &str, msg: &WireMsg) {
+    let frame = encode_frame(0, msg);
+    let mut g = c.benchmark_group(group);
     g.bench_function("encode_into_reused", |b| {
         let mut buf = Vec::with_capacity(1024);
         b.iter(|| {
             buf.clear();
-            encode_frame_into(black_box(&mut buf), black_box(0), black_box(&msg));
+            encode_frame_into(black_box(&mut buf), black_box(0), black_box(msg));
             black_box(buf.len())
         })
     });
@@ -82,5 +101,10 @@ fn bench_causal_fetch_reply(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_crc, bench_encode, bench_causal_fetch_reply);
+fn bench_replies(c: &mut Criterion) {
+    bench_round_trip(c, "wire_causal_fetch_rep_32", &causal_fetch_reply());
+    bench_round_trip(c, "wire_physical_validate_rep", &physical_validate_reply());
+}
+
+criterion_group!(benches, bench_crc, bench_encode, bench_replies);
 criterion_main!(benches);

@@ -49,16 +49,17 @@
 //! refuses a directory holding either, touching no file:
 //!
 //! * a frame of another wire generation ([`WireError::BadVersion`], and
-//!   [`Refusal::AlienVersion`]): a v5 header naming another version, or a
-//!   generation 1–4 frame, which tc-wire's legacy gate reads by its old
-//!   16-byte header. A torn write leaves a short frame or a failed CRC,
-//!   never a well-formed header of a different generation — that is a log
-//!   written by another build (generation 1 wrote every integer
-//!   fixed-width, generation 2 all but the clock entries; generations 3
-//!   and 4 wrote records exactly as this one does behind the old header),
-//!   every record of which was acknowledged. A bit flip that lands exactly
-//!   in the version byte reads the same and is refused too; refusal
-//!   destroys nothing.
+//!   [`Refusal::AlienVersion`]): a header of today's form naming another
+//!   version (generation 5's among them), or a generation 1–4 frame, which
+//!   tc-wire's legacy gate reads by its old 16-byte header. A torn write
+//!   leaves a short frame or a failed CRC, never a well-formed header of a
+//!   different generation — that is a log written by another build
+//!   (generation 1 wrote every integer fixed-width, generation 2 all but
+//!   the clock entries; generations 3 to 5 wrote causal records as this
+//!   one does, and physical ones with the writer's issue time and node
+//!   index after α), every record of which was acknowledged. A bit flip
+//!   that lands exactly in the version byte reads the same and is refused
+//!   too; refusal destroys nothing.
 //! * a valid frame whose lane names another shard
 //!   ([`Refusal::ForeignShard`]): the CRC covers the lane, so this is no
 //!   bit flip but another shard's log, and replaying it would graft that
@@ -84,10 +85,10 @@ use std::path::{Path, PathBuf};
 use tc_clocks::Time;
 use tc_core::{ObjectId, Value};
 use tc_lifetime::store::{Recovery, ShardImage, ShardStore, StoredVersion, WalRecord};
+use tc_lifetime::CausalStamp;
 use tc_wire::{
-    decode_frame_body, encode_frame_body_into, get_object, get_opt_vclock, get_time, get_value,
-    get_vclock, put_object, put_opt_vclock, put_time, put_value, put_vclock, Reader, WireError,
-    Writer,
+    decode_frame_body, encode_frame_body_into, get_object, get_time, get_value, get_vclock,
+    put_object, put_time, put_value, put_vclock, Reader, WireError, Writer,
 };
 
 const RECORD_PHYSICAL: u8 = 0;
@@ -121,15 +122,12 @@ fn encode_record(buf: &mut Vec<u8>, shard: u16, index: u64, record: &WalRecord) 
                 object,
                 value,
                 alpha,
-                issued_at,
-                writer,
+                ..
             } => {
                 w.u8(RECORD_PHYSICAL);
                 put_object(w, *object);
                 put_value(w, *value);
                 put_time(w, *alpha);
-                put_time(w, *issued_at);
-                w.uvar(*writer as u64);
             }
             WalRecord::Causal {
                 object,
@@ -156,13 +154,11 @@ fn decode_record(payload: &[u8]) -> Result<(u64, WalRecord), WireError> {
     let mut r = Reader::new(payload);
     let index = r.uvar("record index")?;
     let record = match r.u8("record kind")? {
-        RECORD_PHYSICAL => WalRecord::Physical {
-            object: get_object(&mut r)?,
-            value: get_value(&mut r)?,
-            alpha: get_time(&mut r, "alpha")?,
-            issued_at: get_time(&mut r, "issued_at")?,
-            writer: r.uvar_u32("writer")? as usize,
-        },
+        RECORD_PHYSICAL => WalRecord::physical(
+            get_object(&mut r)?,
+            get_value(&mut r)?,
+            get_time(&mut r, "alpha")?,
+        ),
         RECORD_CAUSAL => WalRecord::Causal {
             object: get_object(&mut r)?,
             writer: r.uvar_u32("writer")? as usize,
@@ -182,23 +178,38 @@ fn decode_record(payload: &[u8]) -> Result<(u64, WalRecord), WireError> {
     Ok((index, record))
 }
 
+/// A snapshot's version: value and α, then a presence byte and, for a
+/// causal version, its clock and writer.
 fn put_stored(w: &mut Writer, v: &StoredVersion) {
     put_value(w, v.value);
     put_time(w, v.alpha_t);
-    put_opt_vclock(w, v.alpha_v.as_ref());
-    put_time(w, v.tiebreak.0);
-    w.uvar(v.tiebreak.1 as u64);
+    match &v.causal {
+        None => w.u8(0),
+        Some(stamp) => {
+            w.u8(1);
+            put_vclock(w, &stamp.alpha_v);
+            w.uvar(stamp.writer as u64);
+        }
+    }
 }
 
 fn get_stored(r: &mut Reader<'_>) -> Result<StoredVersion, WireError> {
     Ok(StoredVersion {
         value: get_value(r)?,
         alpha_t: get_time(r, "alpha_t")?,
-        alpha_v: get_opt_vclock(r)?,
-        tiebreak: (
-            get_time(r, "tiebreak time")?,
-            r.uvar("tiebreak writer")? as usize,
-        ),
+        causal: match r.u8("stamp presence")? {
+            0 => None,
+            1 => Some(CausalStamp {
+                alpha_v: get_vclock(r)?,
+                writer: r.uvar_u32("writer")? as usize,
+            }),
+            tag => {
+                return Err(WireError::UnknownTag {
+                    what: "stamp presence",
+                    tag,
+                })
+            }
+        },
     })
 }
 
@@ -716,13 +727,11 @@ mod tests {
     }
 
     fn phys(object: u32, value: u64, alpha: u64) -> WalRecord {
-        WalRecord::Physical {
-            object: ObjectId::new(object),
-            value: Value::new(value),
-            alpha: Time::from_ticks(alpha),
-            issued_at: Time::from_ticks(alpha),
-            writer: 1,
-        }
+        WalRecord::physical(
+            ObjectId::new(object),
+            Value::new(value),
+            Time::from_ticks(alpha),
+        )
     }
 
     fn causal(object: u32, value: u64, at: u64, writer: usize, seq: u64) -> WalRecord {
@@ -941,7 +950,7 @@ mod tests {
         assert_refused_untouched("v2", 2, &payload.into_bytes());
     }
 
-    /// A record payload as generations 3, 4 and 5 all lay it out.
+    /// A causal record payload as generations 3 to 6 all lay it out.
     fn current_record_payload() -> Vec<u8> {
         let record = WalRecord::Causal {
             object: ObjectId::new(2),
@@ -970,6 +979,51 @@ mod tests {
     #[test]
     fn a_v4_segment_is_refused_and_left_untouched() {
         assert_refused_untouched("v4", 4, &current_record_payload());
+    }
+
+    /// A segment as generation 5 wrote it: today's header with version 5,
+    /// and a physical record still carrying the writer's issue time and
+    /// node index. Decoded as this generation's record it would not even
+    /// end where its frame does; its version refuses it first, untouched.
+    #[test]
+    fn a_v5_segment_is_refused_and_left_untouched() {
+        let mut payload = Writer::new();
+        payload.uvar(1); // record index
+        payload.u8(RECORD_PHYSICAL);
+        for field in [2, 21, 8, 7, 1] {
+            payload.uvar(field); // object, value, alpha, issued_at, writer
+        }
+        let payload = payload.into_bytes();
+        let mut old_log = vec![tc_wire::MAGIC, 5, 0, payload.len() as u8];
+        let crc = tc_wire::crc32_pair(&old_log, &payload);
+        old_log.extend_from_slice(&crc.to_le_bytes());
+        old_log.extend_from_slice(&payload);
+
+        let dir = temp_dir("v5");
+        fs::create_dir_all(&dir).unwrap();
+        let seg = seg_path(&dir, 0);
+        fs::write(&seg, &old_log).unwrap();
+        assert_eq!(
+            WalStore::try_open(&dir, 0, 1024).err(),
+            Some(Refusal::AlienVersion {
+                path: seg.clone(),
+                found: 5
+            })
+        );
+        assert_eq!(fs::read(&seg).unwrap(), old_log, "a refused log is intact");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "and nothing new");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// This generation's physical record is its index, kind, object, value
+    /// and α, and nothing else.
+    #[test]
+    fn a_physical_record_is_its_object_value_and_alpha() {
+        let mut frame = Vec::new();
+        encode_record(&mut frame, 0, 3, &phys(2, 21, 8));
+        let payload = decode_frame_body(&frame).unwrap().1;
+        assert_eq!(payload, [3, RECORD_PHYSICAL, 2, 21, 8]);
+        assert_eq!(decode_record(payload), Ok((3, phys(2, 21, 8))));
     }
 
     /// Every frame names the shard that wrote it, under the CRC: a

@@ -7,10 +7,11 @@
 //! equal to some *prefix* of the synced history — with the recovery
 //! point reporting exactly which prefix. The one exception is a frame that
 //! reads as another wire generation: that is refused, files untouched,
-//! never truncated. These generators write a random
-//! mixed physical/causal history, mutilate the segment file, and check
-//! the reopened store against a reference image built from the surviving
-//! prefix.
+//! never truncated — a generation 5 log included, whose physical records
+//! still carried the writer's issue time and node index. These generators
+//! write a random mixed physical/causal history, mutilate the segment
+//! file, and check the reopened store against a reference image built
+//! from the surviving prefix.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
@@ -24,7 +25,10 @@ use tc_clocks::{Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_durable::{Refusal, WalStore};
 use tc_lifetime::store::{ShardImage, ShardStore, WalRecord};
-use tc_wire::{decode_frame_body, WIRE_VERSION};
+use tc_wire::{
+    crc32_pair, decode_frame_body, put_object, put_time, put_value, put_vclock, uvar_encoding,
+    Writer, MAGIC, WIRE_VERSION,
+};
 
 fn temp_dir(tag: &str) -> PathBuf {
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -38,13 +42,11 @@ fn temp_dir(tag: &str) -> PathBuf {
 
 fn arb_record(rng: &mut StdRng) -> WalRecord {
     if rng.gen_bool(0.5) {
-        WalRecord::Physical {
-            object: ObjectId::new(rng.gen_range(0..8)),
-            value: Value::new(rng.gen_range(0..=u64::MAX)),
-            alpha: Time::from_ticks(rng.gen_range(0..1_000_000)),
-            issued_at: Time::from_ticks(rng.gen_range(0..1_000_000)),
-            writer: rng.gen_range(0..4),
-        }
+        WalRecord::physical(
+            ObjectId::new(rng.gen_range(0..8)),
+            Value::new(rng.gen_range(0..=u64::MAX)),
+            Time::from_ticks(rng.gen_range(0..1_000_000)),
+        )
     } else {
         // Clocks must share one width — `VectorClock::compare` is only
         // defined for clocks over the same site population.
@@ -127,13 +129,11 @@ fn assert_clean_prefix(dir: &PathBuf, records: &[WalRecord]) {
 
     // The corrupted suffix was truncated away: the log is appendable and a
     // further restart still recovers.
-    let probe = WalRecord::Physical {
-        object: ObjectId::new(0),
-        value: Value::new(424_242),
-        alpha: Time::from_ticks(2_000_000),
-        issued_at: Time::from_ticks(2_000_000),
-        writer: 0,
-    };
+    let probe = WalRecord::physical(
+        ObjectId::new(0),
+        Value::new(424_242),
+        Time::from_ticks(2_000_000),
+    );
     store.apply(&probe);
     store.sync();
     drop(store);
@@ -146,8 +146,74 @@ fn assert_clean_prefix(dir: &PathBuf, records: &[WalRecord]) {
     );
 }
 
+/// `records` as generation 5 logged them: today's header under version 5,
+/// each physical record with the issue time and writer it then carried.
+fn v5_log(records: &[WalRecord]) -> Vec<u8> {
+    let mut log = Vec::new();
+    for (i, record) in records.iter().enumerate() {
+        let mut w = Writer::new();
+        w.uvar(i as u64 + 1);
+        match record {
+            WalRecord::Physical {
+                object,
+                value,
+                alpha,
+                ..
+            } => {
+                w.u8(0);
+                put_object(&mut w, *object);
+                put_value(&mut w, *value);
+                put_time(&mut w, *alpha);
+                put_time(&mut w, *alpha); // issued_at
+                w.uvar(1); // writer
+            }
+            WalRecord::Causal {
+                object,
+                writer,
+                seq,
+                value,
+                alpha_t,
+                alpha_v,
+            } => {
+                w.u8(1);
+                put_object(&mut w, *object);
+                w.uvar(*writer as u64);
+                w.uvar(*seq);
+                put_value(&mut w, *value);
+                put_time(&mut w, *alpha_t);
+                put_vclock(&mut w, alpha_v);
+            }
+        }
+        let payload = w.into_bytes();
+        let (len, width) = uvar_encoding(payload.len() as u64);
+        let mut header = vec![MAGIC, 5, 0];
+        header.extend_from_slice(&len[..width]);
+        let crc = crc32_pair(&header, &payload);
+        log.extend_from_slice(&header);
+        log.extend_from_slice(&crc.to_le_bytes());
+        log.extend_from_slice(&payload);
+    }
+    log
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A log generation 5 wrote is refused by its version and left as it
+    /// was: no record of it is replayed, and none truncated away.
+    #[test]
+    fn a_v5_log_is_refused_untouched(records in ArbHistory) {
+        let dir = temp_dir("v5");
+        fs::create_dir_all(&dir).unwrap();
+        let seg = dir.join(format!("seg-{:020}.wal", 0));
+        let log = v5_log(&records);
+        fs::write(&seg, &log).unwrap();
+        let refused = WalStore::try_open(&dir, 0, u64::MAX).err();
+        prop_assert_eq!(refused, Some(Refusal::AlienVersion { path: seg.clone(), found: 5 }));
+        prop_assert_eq!(fs::read(&seg).unwrap(), log);
+        prop_assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     /// Chopping the segment at any byte offset leaves a recoverable
     /// prefix: replay stops at the last whole valid frame.

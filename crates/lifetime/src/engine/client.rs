@@ -40,7 +40,7 @@ struct CausalWrite {
     /// Position in this client's per-shard write stream (starts at 1).
     shard_seq: u64,
     /// The client drains after this write, so it asks for the ack at
-    /// once ([`Msg::WriteReq`]'s `ack_now`).
+    /// once ([`Msg::WriteReqCausal`]'s `ack_now`).
     ack_now: bool,
     /// True time the write last left on its own account: shipped, or
     /// resent because it was overdue. It is overdue `retry_after` later.
@@ -49,12 +49,11 @@ struct CausalWrite {
 
 impl CausalWrite {
     fn wire(&self) -> Msg {
-        Msg::WriteReq {
+        Msg::WriteReqCausal {
             object: self.object,
             value: self.value,
-            alpha_v: Some(self.alpha_v.clone()),
+            alpha_v: self.alpha_v.clone(),
             issued_at: self.issued_at,
-            epoch: 0,
             shard_seq: self.shard_seq,
             ack_now: self.ack_now,
         }
@@ -528,7 +527,7 @@ impl ClientEngine {
                     old: false,
                 },
             );
-            // Buffer until the owning shard acks: a dropped WriteReq would
+            // Buffer until the owning shard acks: a dropped write would
             // otherwise leave a recorded write invisible forever, silently
             // violating the causal family's Δ bound. The write enters the
             // deferred queue first; the barrier ships it the moment no
@@ -572,11 +571,7 @@ impl ClientEngine {
                 Msg::WriteReq {
                     object,
                     value,
-                    alpha_v: None,
-                    issued_at: t_loc,
                     epoch: 0,
-                    shard_seq: 0,
-                    ack_now: false,
                 },
             );
         }
@@ -706,7 +701,7 @@ impl ClientEngine {
             return version.value;
         }
         if self.config.kind.is_causal_family() {
-            if let Some(av) = &version.alpha_v {
+            if let Some(av) = version.alpha_v() {
                 self.cache.join_context(&mut self.context_v, av);
             }
             // A reply must not clobber this site's own writes: a version
@@ -722,16 +717,7 @@ impl ClientEngine {
             // and the discarded server version never becomes visible here,
             // keeping the recorded history causally consistent.
             if let Some((value, alpha_v, issued_at)) = self.own_writes.get(&object) {
-                let ours_wins = match version.alpha_v.as_ref() {
-                    None => true,
-                    Some(av) => match alpha_v.compare(av) {
-                        ClockOrdering::After => true,
-                        ClockOrdering::Before | ClockOrdering::Equal => false,
-                        ClockOrdering::Concurrent => {
-                            (*issued_at, self.now().me.index()) > version.tiebreak
-                        }
-                    },
-                };
+                let ours_wins = version.loses_to(alpha_v, *issued_at, self.now().me.index());
                 if ours_wins {
                     let (value, issued_at, alpha_v) = (*value, *issued_at, alpha_v.clone());
                     out.push(Effect::metric(names::OWN_WRITE_PRESERVED));
@@ -764,7 +750,7 @@ impl ClientEngine {
                     value: version.value,
                     alpha_t: version.alpha_t,
                     omega_t: server_now,
-                    alpha_v: version.alpha_v.clone(),
+                    alpha_v: version.alpha_v().cloned(),
                     omega_v: Some(omega_v),
                     beta: t_loc,
                     old: false,
@@ -1091,6 +1077,7 @@ impl ClientEngine {
             Msg::FetchReq { .. }
             | Msg::ValidateReq { .. }
             | Msg::WriteReq { .. }
+            | Msg::WriteReqCausal { .. }
             | Msg::GeoBatch { .. }
             | Msg::GeoBatchAck { .. }
             | Msg::GeoApply { .. }

@@ -28,7 +28,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use tc_clocks::{Delta, Time};
+use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::ObjectId;
 use tc_sim::metrics::names;
 use tc_sim::NodeId;
@@ -666,12 +666,15 @@ impl ServerEngine {
         won
     }
 
+    /// Tells every other known client that `object`'s current version now
+    /// starts at `alpha_t` (and `alpha_v`, in the causal family).
     fn push_invalidations(
         &mut self,
         out: &mut Vec<Effect>,
         object: ObjectId,
         except: NodeId,
-        stored: &StoredVersion,
+        alpha_t: Time,
+        alpha_v: Option<&VectorClock>,
     ) {
         if self.config.propagation != Propagation::PushInvalidate {
             return;
@@ -689,8 +692,8 @@ impl ServerEngine {
                         to: client,
                         msg: Msg::InvalidatePush {
                             object,
-                            alpha_t: stored.alpha_t,
-                            alpha_v: stored.alpha_v.clone(),
+                            alpha_t,
+                            alpha_v: alpha_v.cloned(),
                         },
                     });
                 }
@@ -717,8 +720,8 @@ impl ServerEngine {
             let was_empty = batch.is_empty();
             batch.push(InvalidateEntry {
                 object,
-                alpha_t: stored.alpha_t,
-                alpha_v: stored.alpha_v.clone(),
+                alpha_t,
+                alpha_v: alpha_v.cloned(),
             });
             if batch.len() >= self.config.push_batch.max_entries {
                 self.flush_batch(client, out);
@@ -769,7 +772,7 @@ impl ServerEngine {
                     name: names::SERVER_FETCH,
                     add: 1,
                 });
-                let version = self.current(object).wire();
+                let version = self.current(object);
                 let msg = Msg::FetchRep {
                     object,
                     version,
@@ -792,7 +795,7 @@ impl ServerEngine {
                 let outcome = if current.value == value {
                     ValidateOutcome::StillValid
                 } else {
-                    ValidateOutcome::Newer(current.wire())
+                    ValidateOutcome::Newer(current)
                 };
                 let msg = Msg::ValidateRep {
                     object,
@@ -803,140 +806,125 @@ impl ServerEngine {
                 };
                 self.reply(from, msg, out);
             }
-            Msg::WriteReq {
+            Msg::WriteReqCausal {
                 object,
                 value,
                 alpha_v,
                 issued_at,
-                epoch,
-                shard_seq,
+                shard_seq: seq,
                 ack_now,
             } => {
                 out.push(Effect::Metric {
                     name: names::SERVER_WRITE,
                     add: 1,
                 });
-                if let Some(alpha_v) = alpha_v {
-                    // Causal family: the writer already stamped the version.
-                    // Every causal dependency a client can acquire flows
-                    // through the dependency's owning shard, and the
-                    // client-side write barrier guarantees a write reaches
-                    // this shard only after all its cross-shard
-                    // dependencies were acked by theirs — so the fleet
-                    // stays causally closed iff each client's writes to
-                    // *this shard* apply in per-writer order. Enforce that
-                    // with the delivery cursor over `shard_seq` before the
-                    // LWW apply (which stays idempotent under duplicates:
-                    // an Equal stamp never wins).
-                    let seq = shard_seq;
-                    let cursor = self.store.causal_cursor(from.index());
-                    if seq > cursor + 1 {
-                        // A causal gap: an earlier write of this client was
-                        // lost or detoured. No ack — the client retransmits
-                        // its unacked writes in order until the gap closes.
-                        out.push(Effect::Metric {
-                            name: names::SERVER_WRITE_GAP,
-                            add: 1,
-                        });
-                        return;
-                    }
-                    if seq == cursor + 1 {
-                        let record = WalRecord::Causal {
-                            object,
-                            writer: from.index(),
-                            seq,
-                            value,
-                            alpha_t: issued_at,
-                            alpha_v: alpha_v.clone(),
-                        };
-                        let won = self.append(&record, out);
-                        // Geo egress regardless of the LWW outcome: remote
-                        // cursors count this writer's per-shard stream, so
-                        // skipping a losing write would open a permanent
-                        // gap there (the remote LWW drops it identically).
-                        self.geo_after_apply(
-                            GeoWrite {
-                                object,
-                                value,
-                                alpha_v: alpha_v.clone(),
-                                issued_at,
-                                shard_seq: seq,
-                            },
-                            out,
-                        );
-                        self.maybe_sync_after_append(out);
-                        if won {
-                            let snapshot = StoredVersion {
-                                value,
-                                alpha_t: issued_at,
-                                alpha_v: Some(alpha_v),
-                                tiebreak: (issued_at, from.index()),
-                            };
-                            self.push_invalidations(out, object, from, &snapshot);
-                        }
-                    } else {
-                        out.push(Effect::Metric {
-                            name: names::SERVER_WRITE_DUP,
-                            add: 1,
-                        });
-                    }
-                    // Cumulative: the cursor covers this write and every
-                    // earlier one of the writer's stream to this shard.
-                    let upto = self.store.causal_cursor(from.index());
-                    let ack = Ack::Causal {
-                        upto,
-                        at_once: ack_now,
-                    };
-                    self.ship_or_defer(from, ack, out);
-                    self.maybe_arm_wal_timer(out);
-                } else {
-                    // Physical family: the server linearizes writes by
-                    // assigning strictly increasing start times, then acks.
-                    // A replayed write keeps its original α (re-applying
-                    // would assign a fresh α and clobber newer writes to
-                    // the same object). The dup's ack still waits for
-                    // durability if anything is pending — cheap, and it
-                    // keeps "acked ⇒ durable" unconditional.
-                    if let Some(alpha) = self.store.physical_alpha(value) {
-                        out.push(Effect::Metric {
-                            name: names::SERVER_WRITE_DUP,
-                            add: 1,
-                        });
-                        let ack = Msg::WriteAck {
-                            object,
-                            alpha_t: alpha,
-                            epoch,
-                        };
-                        self.ship_or_defer(from, Ack::Send(ack), out);
-                        return;
-                    }
-                    let alpha = Time::from_ticks(
-                        server_now.ticks().max(self.store.last_alpha().ticks() + 1),
-                    );
-                    let record = WalRecord::Physical {
+                // Causal family: the writer already stamped the version.
+                // Every causal dependency a client can acquire flows
+                // through the dependency's owning shard, and the
+                // client-side write barrier guarantees a write reaches
+                // this shard only after all its cross-shard
+                // dependencies were acked by theirs — so the fleet
+                // stays causally closed iff each client's writes to
+                // *this shard* apply in per-writer order. Enforce that
+                // with the delivery cursor over `shard_seq` before the
+                // LWW apply (which stays idempotent under duplicates:
+                // an Equal stamp never wins).
+                let cursor = self.store.causal_cursor(from.index());
+                if seq > cursor + 1 {
+                    // A causal gap: an earlier write of this client was
+                    // lost or detoured. No ack — the client retransmits
+                    // its unacked writes in order until the gap closes.
+                    out.push(Effect::Metric {
+                        name: names::SERVER_WRITE_GAP,
+                        add: 1,
+                    });
+                    return;
+                }
+                if seq == cursor + 1 {
+                    let record = WalRecord::Causal {
                         object,
-                        value,
-                        alpha,
-                        issued_at,
                         writer: from.index(),
+                        seq,
+                        value,
+                        alpha_t: issued_at,
+                        alpha_v: alpha_v.clone(),
                     };
-                    self.append(&record, out);
+                    let won = self.append(&record, out);
+                    // Geo egress regardless of the LWW outcome: remote
+                    // cursors count this writer's per-shard stream, so
+                    // skipping a losing write would open a permanent
+                    // gap there (the remote LWW drops it identically).
+                    self.geo_after_apply(
+                        GeoWrite {
+                            object,
+                            value,
+                            alpha_v: alpha_v.clone(),
+                            issued_at,
+                            shard_seq: seq,
+                        },
+                        out,
+                    );
                     self.maybe_sync_after_append(out);
+                    if won {
+                        self.push_invalidations(out, object, from, issued_at, Some(&alpha_v));
+                    }
+                } else {
+                    out.push(Effect::Metric {
+                        name: names::SERVER_WRITE_DUP,
+                        add: 1,
+                    });
+                }
+                // Cumulative: the cursor covers this write and every
+                // earlier one of the writer's stream to this shard.
+                let upto = self.store.causal_cursor(from.index());
+                let ack = Ack::Causal {
+                    upto,
+                    at_once: ack_now,
+                };
+                self.ship_or_defer(from, ack, out);
+                self.maybe_arm_wal_timer(out);
+            }
+            Msg::WriteReq {
+                object,
+                value,
+                epoch,
+            } => {
+                out.push(Effect::Metric {
+                    name: names::SERVER_WRITE,
+                    add: 1,
+                });
+                // Physical family: the server linearizes writes by
+                // assigning strictly increasing start times, then acks.
+                // A replayed write keeps its original α (re-applying
+                // would assign a fresh α and clobber newer writes to
+                // the same object). The dup's ack still waits for
+                // durability if anything is pending — cheap, and it
+                // keeps "acked ⇒ durable" unconditional.
+                if let Some(alpha) = self.store.physical_alpha(value) {
+                    out.push(Effect::Metric {
+                        name: names::SERVER_WRITE_DUP,
+                        add: 1,
+                    });
                     let ack = Msg::WriteAck {
                         object,
                         alpha_t: alpha,
                         epoch,
                     };
                     self.ship_or_defer(from, Ack::Send(ack), out);
-                    let snapshot = StoredVersion {
-                        value,
-                        alpha_t: alpha,
-                        alpha_v: None,
-                        tiebreak: (issued_at, from.index()),
-                    };
-                    self.push_invalidations(out, object, from, &snapshot);
-                    self.maybe_arm_wal_timer(out);
+                    return;
                 }
+                let alpha =
+                    Time::from_ticks(server_now.ticks().max(self.store.last_alpha().ticks() + 1));
+                self.append(&WalRecord::physical(object, value, alpha), out);
+                self.maybe_sync_after_append(out);
+                let ack = Msg::WriteAck {
+                    object,
+                    alpha_t: alpha,
+                    epoch,
+                };
+                self.ship_or_defer(from, Ack::Send(ack), out);
+                self.push_invalidations(out, object, from, alpha, None);
+                self.maybe_arm_wal_timer(out);
             }
             // Server never receives replies, pushes, or Δ commands; geo
             // frames were routed to `on_geo_message` above.
@@ -1013,13 +1001,13 @@ impl ServerEngine {
                 add: 1,
             });
             if won {
-                let snapshot = StoredVersion {
-                    value: entry.value,
-                    alpha_t: entry.issued_at,
-                    alpha_v: Some(entry.alpha_v.clone()),
-                    tiebreak: (entry.issued_at, writer_node),
-                };
-                self.push_invalidations(out, entry.object, NodeId::new(writer_node), &snapshot);
+                self.push_invalidations(
+                    out,
+                    entry.object,
+                    NodeId::new(writer_node),
+                    entry.issued_at,
+                    Some(&entry.alpha_v),
+                );
             }
         } else {
             out.push(Effect::Metric {
@@ -1136,12 +1124,11 @@ mod tests {
         }
         Event::Message {
             from: NodeId::new(1),
-            msg: Msg::WriteReq {
+            msg: Msg::WriteReqCausal {
                 object: ObjectId::from_letter('X'),
                 value: Value::new(10 + seq),
-                alpha_v: Some(clock),
+                alpha_v: clock,
                 issued_at: Time::from_ticks(50),
-                epoch: 0,
                 shard_seq: seq,
                 ack_now: false,
             },
@@ -1184,11 +1171,7 @@ mod tests {
             msg: Msg::WriteReq {
                 object: ObjectId::from_letter('X'),
                 value: Value::new(value),
-                alpha_v: None,
-                issued_at: Time::from_ticks(50),
                 epoch: value,
-                shard_seq: 0,
-                ack_now: false,
             },
         }
     }
@@ -1434,7 +1417,7 @@ mod tests {
         drive_at(&mut s, 100, causal_write(1));
         let mut last = causal_write(2);
         if let Event::Message {
-            msg: Msg::WriteReq { ack_now, .. },
+            msg: Msg::WriteReqCausal { ack_now, .. },
             ..
         } = &mut last
         {
@@ -1534,12 +1517,11 @@ mod tests {
         let mut clock = VectorClock::new(0, 1);
         let mut write = |seq: u64| Event::Message {
             from: NodeId::new(map.client_base()),
-            msg: Msg::WriteReq {
+            msg: Msg::WriteReqCausal {
                 object: ObjectId::from_letter('X'),
                 value: Value::new(seq),
-                alpha_v: Some(clock.tick()),
+                alpha_v: clock.tick(),
                 issued_at: Time::from_ticks(50),
-                epoch: 0,
                 shard_seq: seq,
                 ack_now: false,
             },
@@ -1592,12 +1574,11 @@ mod tests {
         let mut clock = VectorClock::new(0, 1);
         let mut write = |seq: u64| Event::Message {
             from: NodeId::new(map.client_base()),
-            msg: Msg::WriteReq {
+            msg: Msg::WriteReqCausal {
                 object: ObjectId::from_letter('X'),
                 value: Value::new(seq),
-                alpha_v: Some(clock.tick()),
+                alpha_v: clock.tick(),
                 issued_at: Time::from_ticks(50),
-                epoch: seq,
                 shard_seq: seq,
                 ack_now: false,
             },

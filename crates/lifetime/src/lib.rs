@@ -87,6 +87,6 @@ pub use harness::{
     run, run_with, run_with_faults, run_with_private_sources, RunConfig, RunOptions, RunResult,
     StoreFactory,
 };
-pub use msg::{GeoWrite, InvalidateEntry, Msg, ValidateOutcome, WireVersion};
+pub use msg::{CausalStamp, GeoWrite, InvalidateEntry, Msg, ValidateOutcome, WireVersion};
 pub use oracle::{conformance, Conformance, OracleVerdict};
 pub use store::{MemStore, Recovery, ShardImage, ShardStore, StoredVersion, WalRecord};

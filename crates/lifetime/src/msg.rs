@@ -1,25 +1,68 @@
 //! The wire protocol between client caches and the object server.
 
 use serde::{Deserialize, Serialize};
-use tc_clocks::{Time, VectorClock};
+use tc_clocks::{ClockOrdering, Time, Timestamp, VectorClock};
 use tc_core::{ObjectId, Value};
 
-/// A version as shipped over the wire: the value plus its start-time
-/// timestamps in whichever clock family the run uses.
+/// A version as stored by a shard and shipped in its replies: the value
+/// plus its start-time stamps in whichever clock family the run uses.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WireVersion {
     /// The stored value.
     pub value: Value,
-    /// Physical start time `X^α` (server-assigned in the physical family;
-    /// the writer's local stamp in the causal family).
+    /// Physical start time `X^α`: the server-assigned stamp in the physical
+    /// family, the writer's issue time in the causal family.
     pub alpha_t: Time,
-    /// Logical start time (causal family only).
-    pub alpha_v: Option<VectorClock>,
-    /// The server's last-writer-wins tie-break key for this version,
-    /// `(issue time, writer node)`. Lets a client resolve a fetched
-    /// version against its own still-unacked writes with *exactly* the
-    /// arbitration the server will apply once they land.
-    pub tiebreak: (Time, usize),
+    /// The causal family's stamp. `None` for a physical version, which is
+    /// ordered by `alpha_t` alone, and for the initial version.
+    pub causal: Option<CausalStamp>,
+}
+
+/// What a causal version carries beyond its value and `α_t`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CausalStamp {
+    /// Logical start time: the writer's vector stamp.
+    pub alpha_v: VectorClock,
+    /// The writing client's node index. Concurrent versions are ordered by
+    /// `(alpha_t, writer)`, last writer wins.
+    pub writer: usize,
+}
+
+impl WireVersion {
+    /// The version every object starts with: no stamp, so any causal write
+    /// replaces it.
+    #[must_use]
+    pub fn initial() -> WireVersion {
+        WireVersion {
+            value: Value::INITIAL,
+            alpha_t: Time::ZERO,
+            causal: None,
+        }
+    }
+
+    /// The vector stamp (causal family only).
+    #[must_use]
+    pub fn alpha_v(&self) -> Option<&VectorClock> {
+        self.causal.as_ref().map(|c| &c.alpha_v)
+    }
+
+    /// Whether a causal write by `writer`, stamped `alpha_v` at `alpha_t`,
+    /// replaces this version under the shard's last-writer-wins rule: a
+    /// version without a stamp always yields, a causally later write wins,
+    /// an earlier or equal one never does, and between concurrent ones the
+    /// larger `(alpha_t, writer)` wins. Clients resolve a fetched version
+    /// against their own unacked writes with this same rule.
+    #[must_use]
+    pub fn loses_to(&self, alpha_v: &VectorClock, alpha_t: Time, writer: usize) -> bool {
+        let Some(current) = &self.causal else {
+            return true;
+        };
+        match alpha_v.compare(&current.alpha_v) {
+            ClockOrdering::After => true,
+            ClockOrdering::Before | ClockOrdering::Equal => false,
+            ClockOrdering::Concurrent => (alpha_t, writer) > (self.alpha_t, current.writer),
+        }
+    }
 }
 
 /// Server's answer to a validation request.
@@ -98,34 +141,38 @@ pub enum Msg {
         /// The cumulative causal ack this reply carries, if any.
         acked: Option<u64>,
     },
-    /// Client → server: a write. In the physical family the server assigns
-    /// `α` and acks; in the causal family `alpha_v` carries the writer's
-    /// vector stamp and the ack only stops retransmission.
+    /// Client → server: a physical-family write. The server assigns `α`,
+    /// which orders it, and answers with a [`Msg::WriteAck`].
     WriteReq {
         /// The written object.
         object: ObjectId,
         /// The (globally unique) value.
         value: Value,
-        /// Writer's vector stamp (causal family).
-        alpha_v: Option<VectorClock>,
-        /// Writer's local physical time (used as a tie-breaking hint and as
-        /// the causal-family `α_t`).
-        issued_at: Time,
-        /// The client's request epoch (physical family; causal writes are
-        /// asynchronous and send 0).
+        /// The client's request epoch (echoed in the ack).
         epoch: u64,
+    },
+    /// Client → server: a causal-family write, stamped by its writer and
+    /// shipped asynchronously; the cumulative ack ([`Msg::WriteAckCausal`],
+    /// or one riding on a reply) only stops retransmission.
+    WriteReqCausal {
+        /// The written object.
+        object: ObjectId,
+        /// The (globally unique) value.
+        value: Value,
+        /// Writer's vector stamp.
+        alpha_v: VectorClock,
+        /// Writer's local physical time: the version's `α_t`.
+        issued_at: Time,
         /// Position of this write in the writer's per-shard stream,
-        /// starting at 1 (causal family; physical writes send 0). Each
-        /// shard's delivery cursor advances over *this* sequence, so the
-        /// gap check survives the writer's stream being striped across an
-        /// object-partitioned fleet. With one shard it equals the writer's
-        /// own vector-clock entry.
+        /// starting at 1. Each shard's delivery cursor advances over *this*
+        /// sequence, so the gap check survives the writer's stream being
+        /// striped across an object-partitioned fleet. With one shard it
+        /// equals the writer's own vector-clock entry.
         shard_seq: u64,
-        /// Causal family: the writer drains after this write — it ends
-        /// the writer's workload, or a region migration falls due — and so
-        /// will wait on its ack. The shard sends that ack as soon as the
-        /// write is durable instead of holding it for a reply to ride on.
-        /// Physical writes send `false` (their ack is the reply).
+        /// The writer drains after this write — it ends the writer's
+        /// workload, or a region migration falls due — and so will wait on
+        /// its ack. The shard sends that ack as soon as the write is
+        /// durable instead of holding it for a reply to ride on.
         ack_now: bool,
     },
     /// Server → client: physical-family write acknowledgement carrying the
@@ -260,6 +307,7 @@ impl Msg {
             Msg::ValidateReq { .. } => "validate_req",
             Msg::ValidateRep { .. } => "validate_rep",
             Msg::WriteReq { .. } => "write_req",
+            Msg::WriteReqCausal { .. } => "write_req_causal",
             Msg::WriteAck { .. } => "write_ack",
             Msg::WriteAckCausal { .. } => "write_ack_causal",
             Msg::InvalidatePush { .. } => "invalidate_push",
@@ -319,7 +367,7 @@ impl Msg {
 /// One replicated write inside a [`Msg::GeoBatch`] (and the payload of a
 /// [`Msg::GeoApply`]): everything a remote region needs to apply the write
 /// through the standard causal path, byte-for-byte what the writer's own
-/// [`Msg::WriteReq`] carried. The vector stamp names the writer
+/// [`Msg::WriteReqCausal`] carried. The vector stamp names the writer
 /// (`alpha_v.site()`) and the writer's global write index (the writer's
 /// own component), and `shard_seq` lines up with the destination shard's
 /// per-writer delivery cursor because every region runs the same
@@ -332,7 +380,7 @@ pub struct GeoWrite {
     pub value: Value,
     /// The writer's vector stamp (site = writer, own entry = global index).
     pub alpha_v: VectorClock,
-    /// The writer's local physical time at issue (LWW tie-break, `α_t`).
+    /// The writer's local physical time at issue: the version's `α_t`.
     pub issued_at: Time,
     /// Position of the write in the writer's per-shard stream (starting
     /// at 1), against the object's owning shard — identical in every
@@ -379,8 +427,7 @@ mod tests {
         let v = WireVersion {
             value: Value::new(5),
             alpha_t: Time::from_ticks(10),
-            alpha_v: None,
-            tiebreak: (Time::from_ticks(10), 1),
+            causal: None,
         };
         let rep = Msg::FetchRep {
             object: ObjectId::from_letter('A'),
@@ -393,12 +440,37 @@ mod tests {
         assert_eq!(ValidateOutcome::Newer(v.clone()), ValidateOutcome::Newer(v));
         assert_ne!(
             ValidateOutcome::StillValid,
-            ValidateOutcome::Newer(WireVersion {
-                value: Value::new(1),
-                alpha_t: Time::ZERO,
-                alpha_v: None,
-                tiebreak: (Time::ZERO, 0)
-            })
+            ValidateOutcome::Newer(WireVersion::initial())
         );
+    }
+
+    /// Last-writer-wins between a stored version and a causal write: a
+    /// version without a stamp (physical or initial) always yields, a
+    /// causally later write wins and an earlier or equal one never does,
+    /// and between concurrent ones `(alpha_t, writer)` decides — the
+    /// version's own α and writer, no separate tie-break.
+    #[test]
+    fn a_causal_write_replaces_a_version_by_clock_then_time_then_writer() {
+        let at = Time::from_ticks;
+        let clock = |site, entries: &[u64]| VectorClock::from_entries(site, entries.to_vec());
+        let stored = WireVersion {
+            value: Value::new(5),
+            alpha_t: at(10),
+            causal: Some(CausalStamp {
+                alpha_v: clock(0, &[2, 1]),
+                writer: 3,
+            }),
+        };
+        let later = clock(1, &[2, 2]);
+        let earlier = clock(1, &[1, 1]);
+        let concurrent = clock(1, &[1, 2]);
+        assert!(WireVersion::initial().loses_to(&earlier, at(0), 0));
+        assert!(stored.loses_to(&later, at(0), 0));
+        assert!(!stored.loses_to(&earlier, at(99), 9));
+        assert!(!stored.loses_to(&clock(1, &[2, 1]), at(99), 9));
+        assert!(stored.loses_to(&concurrent, at(11), 0));
+        assert!(!stored.loses_to(&concurrent, at(9), 9));
+        assert!(stored.loses_to(&concurrent, at(10), 4));
+        assert!(!stored.loses_to(&concurrent, at(10), 3));
     }
 }

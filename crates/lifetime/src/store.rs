@@ -30,56 +30,26 @@
 //! [`crate::DurabilityMode`]), so a crash can only lose writes whose
 //! clients are still retransmitting them.
 
-use tc_clocks::{ClockOrdering, Time, Timestamp, VectorClock};
+use tc_clocks::{Time, VectorClock};
 use tc_core::{FxHashMap, ObjectId, Value};
 
-use crate::msg::WireVersion;
+use crate::msg::{CausalStamp, WireVersion};
 
-/// A stored object version: the value plus the lifetime stamps the
-/// protocols arbitrate with.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StoredVersion {
-    /// The stored value.
-    pub value: Value,
-    /// Physical start-of-lifetime stamp (the server-assigned α for the
-    /// physical family, the writer's issue time for the causal family).
-    pub alpha_t: Time,
-    /// Vector stamp (causal family only).
-    pub alpha_v: Option<VectorClock>,
-    /// Tie-break key for concurrent causal writes: (issue time, writer).
-    pub tiebreak: (Time, usize),
-}
-
-impl StoredVersion {
-    /// The version every object starts with.
-    #[must_use]
-    pub fn initial() -> StoredVersion {
-        StoredVersion {
-            value: Value::INITIAL,
-            alpha_t: Time::ZERO,
-            alpha_v: None,
-            tiebreak: (Time::ZERO, usize::MAX),
-        }
-    }
-
-    /// The wire form sent in fetch/validate replies.
-    #[must_use]
-    pub fn wire(&self) -> WireVersion {
-        WireVersion {
-            value: self.value,
-            alpha_t: self.alpha_t,
-            alpha_v: self.alpha_v.clone(),
-            tiebreak: self.tiebreak,
-        }
-    }
-}
+/// A stored object version: exactly what a reply ships, so a read sends
+/// the shard's copy as it is. A physical version is its value and α; a
+/// causal one adds its writer's vector stamp and node index, the
+/// last-writer-wins key between concurrent writes (see
+/// [`WireVersion::loses_to`]).
+pub type StoredVersion = WireVersion;
 
 /// One durable state transition — the unit a WAL appends and replay
 /// re-applies. A record carries everything [`ShardImage::apply`] needs, so
 /// "apply live" and "apply during replay" are the same code path.
 #[derive(Clone, Debug, PartialEq)]
 pub enum WalRecord {
-    /// A physical-family write, already linearized by the server.
+    /// A physical-family write, already linearized by the server: its
+    /// version is `value` at `alpha`, and nothing else orders it.
+    /// [`WalRecord::physical`] builds one.
     Physical {
         /// The written object.
         object: ObjectId,
@@ -87,9 +57,11 @@ pub enum WalRecord {
         value: Value,
         /// The server-assigned, strictly increasing α.
         alpha: Time,
-        /// The writer's issue time (tie-break component).
+        /// Inert: no store persists or reads it, and replay yields `alpha`.
+        /// It stays only while `perf/src/probes.rs` still builds the
+        /// five-field record.
         issued_at: Time,
-        /// The writing client's node index (tie-break component).
+        /// Inert, like `issued_at`; replay yields 0.
         writer: usize,
     },
     /// A causal-family write, stamped by its writer.
@@ -102,11 +74,26 @@ pub enum WalRecord {
         seq: u64,
         /// The (globally unique) written value.
         value: Value,
-        /// The writer's issue time (α and tie-break component).
+        /// The writer's issue time (the version's α).
         alpha_t: Time,
         /// The writer's vector stamp.
         alpha_v: VectorClock,
     },
+}
+
+impl WalRecord {
+    /// A physical write of `value` to `object` at the server-assigned
+    /// `alpha`: the record replay rebuilds from a log.
+    #[must_use]
+    pub fn physical(object: ObjectId, value: Value, alpha: Time) -> WalRecord {
+        WalRecord::Physical {
+            object,
+            value,
+            alpha,
+            issued_at: alpha,
+            writer: 0,
+        }
+    }
 }
 
 /// What a restart recovered (and lost). Returned by
@@ -222,8 +209,7 @@ impl ShardImage {
                 object,
                 value,
                 alpha,
-                issued_at,
-                writer,
+                ..
             } => {
                 self.last_alpha = self.last_alpha.max(*alpha);
                 self.applied_physical.insert(*value, *alpha);
@@ -232,8 +218,7 @@ impl ShardImage {
                     StoredVersion {
                         value: *value,
                         alpha_t: *alpha,
-                        alpha_v: None,
-                        tiebreak: (*issued_at, *writer),
+                        causal: None,
                     },
                 );
                 self.writes_applied += 1;
@@ -248,24 +233,22 @@ impl ShardImage {
                 alpha_v,
             } => {
                 self.causal_cursors.insert(*writer, *seq);
-                let incoming = StoredVersion {
-                    value: *value,
-                    alpha_t: *alpha_t,
-                    alpha_v: Some(alpha_v.clone()),
-                    tiebreak: (*alpha_t, *writer),
-                };
-                let current = self.current(*object);
-                let wins = match (&incoming.alpha_v, &current.alpha_v) {
-                    (_, None) => true, // anything beats the initial version
-                    (None, Some(_)) => false,
-                    (Some(new), Some(cur)) => match new.compare(cur) {
-                        ClockOrdering::After => true,
-                        ClockOrdering::Before | ClockOrdering::Equal => false,
-                        ClockOrdering::Concurrent => incoming.tiebreak > current.tiebreak,
-                    },
-                };
+                let wins = self
+                    .versions
+                    .get(object)
+                    .is_none_or(|current| current.loses_to(alpha_v, *alpha_t, *writer));
                 if wins {
-                    self.versions.insert(*object, incoming);
+                    self.versions.insert(
+                        *object,
+                        StoredVersion {
+                            value: *value,
+                            alpha_t: *alpha_t,
+                            causal: Some(CausalStamp {
+                                alpha_v: alpha_v.clone(),
+                                writer: *writer,
+                            }),
+                        },
+                    );
                     self.writes_applied += 1;
                 }
                 wins
@@ -427,14 +410,12 @@ mod tests {
     use super::*;
     use tc_clocks::SiteClock;
 
-    fn phys(object: u32, value: u64, alpha: u64, writer: usize) -> WalRecord {
-        WalRecord::Physical {
-            object: ObjectId::new(object),
-            value: Value::new(value),
-            alpha: Time::from_ticks(alpha),
-            issued_at: Time::from_ticks(alpha),
-            writer,
-        }
+    fn phys(object: u32, value: u64, alpha: u64) -> WalRecord {
+        WalRecord::physical(
+            ObjectId::new(object),
+            Value::new(value),
+            Time::from_ticks(alpha),
+        )
     }
 
     fn causal(
@@ -458,8 +439,8 @@ mod tests {
     #[test]
     fn physical_records_always_win_and_advance_alpha() {
         let mut img = ShardImage::new();
-        assert!(img.apply(&phys(1, 10, 5, 3)));
-        assert!(img.apply(&phys(1, 11, 9, 4)));
+        assert!(img.apply(&phys(1, 10, 5)));
+        assert!(img.apply(&phys(1, 11, 9)));
         assert_eq!(img.current(ObjectId::new(1)).value, Value::new(11));
         assert_eq!(img.last_alpha(), Time::from_ticks(9));
         assert_eq!(
@@ -511,7 +492,7 @@ mod tests {
     #[test]
     fn snapshot_parts_round_trip() {
         let mut img = ShardImage::new();
-        img.apply(&phys(1, 10, 5, 3));
+        img.apply(&phys(1, 10, 5));
         let mut clock = VectorClock::new(1, 2);
         img.apply(&causal(2, 20, 8, 1, 1, clock.tick()));
         let rebuilt = ShardImage::from_parts(
@@ -537,7 +518,7 @@ mod tests {
     #[test]
     fn mem_store_restart_retains_everything() {
         let mut store = MemStore::new();
-        store.apply(&phys(1, 10, 5, 3));
+        store.apply(&phys(1, 10, 5));
         assert_eq!(store.pending(), 0);
         let rec = store.restart();
         assert_eq!(rec, Recovery::retained(1));

@@ -1,5 +1,5 @@
-//! Framing: wire generation 5's self-delimiting header, 8 to 13 bytes in
-//! front of every payload.
+//! Framing: the self-delimiting header wire generation 5 introduced and
+//! generation 6 keeps, 8 to 13 bytes in front of every payload.
 //!
 //! ```text
 //!  0       1       2
@@ -14,8 +14,9 @@
 //!   (nor seven) turns one into the other. Anything else means the stream
 //!   is not speaking this protocol and is dropped before a payload byte is
 //!   trusted.
-//! * `ver` — [`WIRE_VERSION`], 5: a reader refuses frames of another
-//!   protocol generation instead of guessing at field layouts.
+//! * `ver` — [`WIRE_VERSION`], 6: a reader refuses frames of another
+//!   protocol generation instead of guessing at field layouts (a
+//!   generation 5 frame has this header, and is refused by its version).
 //! * `lane` — the routing tag, a varint at most `u16::MAX`, carried in the
 //!   clear so a reader can route (and a pcap reader can follow) frames
 //!   without decoding payloads. On a reactor link, which multiplexes every
@@ -59,7 +60,7 @@ pub const MAGIC: u8 = 0xAD;
 
 /// The wire-protocol generation this build speaks — and the only one it
 /// decodes: every other value is [`WireError::BadVersion`].
-pub const WIRE_VERSION: u8 = 5;
+pub const WIRE_VERSION: u8 = 6;
 
 /// The shortest header: lane and length one varint byte each.
 pub const MIN_HEADER_LEN: usize = 8;
@@ -325,9 +326,9 @@ mod tests {
     use super::*;
     use tc_clocks::{Time, VectorClock};
     use tc_core::{ObjectId, Value};
-    use tc_lifetime::{Msg, ValidateOutcome, WireVersion};
+    use tc_lifetime::{CausalStamp, Msg, ValidateOutcome, WireVersion};
 
-    /// A v5 header from raw lane and length varint bytes, with the CRC a
+    /// A header of this generation from raw lane and length varint bytes, with the CRC a
     /// writer would give it over `payload`.
     fn raw_frame(lane: &[u8], len: &[u8], payload: &[u8]) -> Vec<u8> {
         let mut frame = vec![MAGIC, WIRE_VERSION];
@@ -424,7 +425,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        for found in [0u8, 1, 4, 6, 0xFF] {
+        for found in [0u8, 1, 4, 5, 7, 0xFF] {
             let mut frame = encode_frame(0, &WireMsg::Bye);
             frame[1] = found;
             let found = u16::from(found);
@@ -506,13 +507,16 @@ mod tests {
         )
     }
 
-    /// A version at the benchmark's shape: tick ≈ 2·10⁵, value ≈ 3·10⁴.
-    fn bench_version(alpha_v: Option<VectorClock>) -> WireVersion {
+    /// A version at the benchmark's shape: tick ≈ 2·10⁵, value ≈ 3·10⁴,
+    /// and (causal) a 32-wide stamp by client node 17.
+    fn bench_version(causal: bool) -> WireVersion {
         WireVersion {
             value: Value::new(30_017),
             alpha_t: Time::from_ticks(200_003),
-            alpha_v,
-            tiebreak: (Time::from_ticks(199_990), 17),
+            causal: causal.then(|| CausalStamp {
+                alpha_v: bench_clock(),
+                writer: 17,
+            }),
         }
     }
 
@@ -523,68 +527,74 @@ mod tests {
         frame.len()
     }
 
-    /// The bytes analogue of the allocs/op ceiling: a causal read reply in
-    /// a 32-site fleet at the benchmark's shape (tick ≈ 2·10⁵, epoch ≈
-    /// 10³, value ≈ 3·10⁴, entries within 64 of each other) fits 64 bytes
-    /// framed. Generation 4 spent 71 on it behind the 16-byte header,
-    /// generation 2 spent 137 and generation 1 spent 335.
-    #[test]
-    fn a_32_wide_causal_fetch_reply_fits_its_byte_budget() {
-        let len = framed_len(Msg::FetchRep {
+    fn fetch_rep(causal: bool, acked: Option<u64>) -> Msg {
+        Msg::FetchRep {
             object: ObjectId::new(41),
-            version: bench_version(Some(bench_clock())),
+            version: bench_version(causal),
             server_now: Time::from_ticks(200_011),
             epoch: 1_003,
-            acked: None,
-        });
-        assert!(len <= 64, "{len} bytes");
+            acked,
+        }
+    }
+
+    /// The bytes analogue of the allocs/op ceiling: a causal read reply in
+    /// a 32-site fleet at the benchmark's shape (tick ≈ 2·10⁵, epoch ≈
+    /// 10³, value ≈ 3·10⁴, entries within 64 of each other) fits 59 bytes
+    /// framed. Generation 5 spent 63 on it, generation 4 spent 71 behind
+    /// the 16-byte header, generation 2 spent 137 and generation 1 spent
+    /// 335.
+    #[test]
+    fn a_32_wide_causal_fetch_reply_fits_its_byte_budget() {
+        let len = framed_len(fetch_rep(true, None));
+        assert!(len <= 59, "{len} bytes");
     }
 
     /// The other frames of a benchmark op at the same shape, each with its
-    /// ceiling and (in the comment) what generation 4 spent on it.
+    /// ceiling — the size it measures — and (in the comment) what
+    /// generation 5 spent on it.
     #[test]
     fn the_other_op_frames_fit_their_byte_budgets() {
         let budgets = [
-            // A causal write: 66 bytes in v4, 121 in v2.
+            // A causal write: 57 bytes in v5 (which also sent its epoch, 0),
+            // 66 in v4, 121 in v2.
             (
                 "causal WriteReq",
-                Msg::WriteReq {
+                Msg::WriteReqCausal {
                     object: ObjectId::new(41),
                     value: Value::new(30_017),
-                    alpha_v: Some(bench_clock()),
+                    alpha_v: bench_clock(),
                     issued_at: Time::from_ticks(200_003),
-                    epoch: 1_003,
                     shard_seq: 2_411,
                     ack_now: false,
                 },
-                60,
+                55,
             ),
-            // A read miss: 21 bytes in v4.
+            // A physical write: 21 bytes in v5.
+            (
+                "physical WriteReq",
+                Msg::WriteReq {
+                    object: ObjectId::new(41),
+                    value: Value::new(30_017),
+                    epoch: 1_003,
+                },
+                16,
+            ),
+            // A read miss: 13 bytes in v5.
             (
                 "FetchReq",
                 Msg::FetchReq {
                     object: ObjectId::new(41),
                     epoch: 1_003,
                 },
-                14,
+                13,
             ),
             // A standalone cumulative causal ack, cursor ≈ 10³ (a site's
-            // writes to its shard): 20 bytes in v4.
+            // writes to its shard): 12 bytes in v5.
             ("WriteAckCausal", Msg::WriteAckCausal { upto: 1_003 }, 12),
             // A causal read reply carrying an owed ack: the plain reply's
-            // bytes plus the cursor, 73 in v4.
-            (
-                "acked causal FetchRep",
-                Msg::FetchRep {
-                    object: ObjectId::new(41),
-                    version: bench_version(Some(bench_clock())),
-                    server_now: Time::from_ticks(200_011),
-                    epoch: 1_003,
-                    acked: Some(1_003),
-                },
-                66,
-            ),
-            // A revalidation verdict carrying an owed ack: 27 in v4.
+            // bytes plus the cursor, 65 in v5.
+            ("acked causal FetchRep", fetch_rep(true, Some(1_003)), 61),
+            // A revalidation verdict carrying an owed ack: 19 in v5.
             (
                 "acked ValidateRep",
                 Msg::ValidateRep {
@@ -594,21 +604,24 @@ mod tests {
                     epoch: 1_003,
                     acked: Some(1_003),
                 },
-                20,
+                18,
             ),
-            // A physical read reply, no clock: 35 bytes in v4.
+            // A physical revalidation finding a newer version, the most
+            // frequent frame of a physical op: 28 bytes in v5.
             (
-                "physical FetchRep",
-                Msg::FetchRep {
+                "physical ValidateRep, newer",
+                Msg::ValidateRep {
                     object: ObjectId::new(41),
-                    version: bench_version(None),
+                    outcome: ValidateOutcome::Newer(bench_version(false)),
                     server_now: Time::from_ticks(200_011),
                     epoch: 1_003,
                     acked: None,
                 },
-                28,
+                22,
             ),
-            // A physical write's ack: 24 bytes in v4.
+            // A physical read reply: 27 bytes in v5.
+            ("physical FetchRep", fetch_rep(false, None), 22),
+            // A physical write's ack: 16 bytes in v5.
             (
                 "WriteAck",
                 Msg::WriteAck {
@@ -628,9 +641,11 @@ mod tests {
     /// The documented worst case: with every scalar at its maximum a
     /// varint costs 10 bytes where v2 spent 8 (5 where it spent 4 on an
     /// object), and the clock adds its base, one byte when an entry is 0.
-    /// So a payload is at most 2 bytes per `u64` field, 1 per `u32` and
-    /// one base per clock larger than its v2 form; the header around it is
-    /// 9 bytes here (lane 0, a 2-byte length).
+    /// Against v2's layout, generation 6 drops the presence byte and the
+    /// tie-break's time, and writes the writer where v2 wrote the
+    /// tie-break's node. So a payload is at most 2 bytes per `u64` field, 1
+    /// per `u32` and one base per clock larger than v2's same fields; the
+    /// header around it is 9 bytes here (lane 0, a 2-byte length).
     #[test]
     fn an_all_ones_fetch_reply_costs_at_most_two_bytes_more_per_u64_field() {
         let mut entries = vec![u64::MAX; 32];
@@ -640,19 +655,23 @@ mod tests {
             version: WireVersion {
                 value: Value::new(u64::MAX),
                 alpha_t: Time::from_ticks(u64::MAX),
-                alpha_v: Some(VectorClock::from_entries(31, entries)),
-                tiebreak: (Time::from_ticks(u64::MAX), usize::MAX),
+                causal: Some(CausalStamp {
+                    alpha_v: VectorClock::from_entries(31, entries),
+                    writer: u32::MAX as usize,
+                }),
             },
             server_now: Time::from_ticks(u64::MAX),
             epoch: u64::MAX,
             acked: None,
         });
-        // v2 payload: two tags, u32 object, four u64s, presence, clock
-        // (site, width, a 1-byte 0 and 31 ten-byte entries), two u64s.
-        let v2_payload = 2 + 4 + 4 * 8 + 1 + (1 + 1 + 1 + 31 * 10) + 2 * 8;
-        assert_eq!(v2_payload, 368);
-        let u64_fields = 6;
-        let payload = v2_payload + 2 * u64_fields + 1 + 1;
+        // v2's payload for the same fields: two tags, u32 object, two u64s,
+        // clock (site, width, a 1-byte 0 and 31 ten-byte entries), the
+        // writer as a u64, two u64s.
+        let v2_payload = 2 + 4 + 2 * 8 + (1 + 1 + 1 + 31 * 10) + 8 + 2 * 8;
+        assert_eq!(v2_payload, 359);
+        let (u64_fields, u32_fields) = (4, 1);
+        // The writer: a `u32`'s 5 varint bytes where v2 spent 8.
+        let payload = v2_payload + 2 * u64_fields + u32_fields + 1 - 3;
         // Magic, version, lane 0, the payload's 2-byte length, crc.
         let header = 1 + 1 + 1 + 2 + 4;
         assert_eq!(len, header + payload);

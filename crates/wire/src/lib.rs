@@ -13,7 +13,7 @@
 //!   session messages (handshake carrying the full [`ProtocolConfig`],
 //!   heartbeats, orderly goodbye);
 //! * [`frame`] — the versioned, length-prefixed frame (magic byte,
-//!   protocol version — 5 since the header went self-delimiting — varint
+//!   protocol version — 6 since a message carries only its family's fields — varint
 //!   routing lane and payload length, a CRC over header and payload, and a
 //!   legacy gate that refuses the fixed 16-byte headers of versions 1–4 by
 //!   name) and blocking [`read_frame`]/[`write_frame`] helpers over
@@ -52,8 +52,8 @@ pub use frame::{
     MAGIC, MAX_HEADER_LEN, MAX_PAYLOAD, MIN_HEADER_LEN, WIRE_VERSION,
 };
 pub use msg::{
-    get_delta, get_msg, get_object, get_opt_vclock, get_protocol, get_time, get_value, get_vclock,
-    get_wire_msg, put_delta, put_msg, put_object, put_opt_vclock, put_protocol, put_time,
-    put_value, put_vclock, put_wire_msg, WireMsg,
+    get_delta, get_msg, get_object, get_protocol, get_time, get_value, get_vclock, get_wire_msg,
+    put_delta, put_msg, put_object, put_protocol, put_time, put_value, put_vclock, put_wire_msg,
+    WireMsg,
 };
 pub use stream::FrameDecoder;

@@ -1,32 +1,36 @@
 //! Payload codec: every [`tc_lifetime::Msg`] variant plus the transport's
 //! own session messages (handshake, heartbeat, goodbye), encoded with
-//! explicit one-byte variant tags.
+//! explicit one-byte tags.
 //!
 //! The encoding is deliberately boring: tag byte, then fields in
 //! declaration order, every integer a canonical LEB128 varint (object,
-//! value, time, Δ, epoch, seq, ids, `Vec` lengths), `Option` as a presence
-//! byte, `f64` as its bit pattern. A vector clock ([`put_vclock`]) is
-//! written as its smallest entry plus each entry's offset from it, because
-//! the N entries of a causal stamp sit within a few dozen of each other.
-//! Boring survives: a reader of another wire generation fails loudly on
-//! the frame header, never by misinterpreting fields.
+//! value, time, Δ, epoch, seq, ids, `Vec` lengths), `f64` as its bit
+//! pattern. A vector clock ([`put_vclock`]) is written as its smallest
+//! entry plus each entry's offset from it, because the N entries of a
+//! causal stamp sit within a few dozen of each other. A protocol message
+//! writes only the fields its family reads: the low five bits of its tag
+//! name its kind, the high three say which optional parts follow (an ack
+//! riding on a reply, a causal write's ack-now, a causal stamp, a
+//! validation's newer version), and a bit its kind does not define is an
+//! unknown tag. Boring survives: a reader of another wire generation fails
+//! loudly on the frame header, never by misinterpreting fields.
 //!
 //! Generations: 1 wrote every integer fixed-width (a clock as
 //! `u32 u32 u64…`); 2 made only the clock's entries varints; 3 made every
 //! payload integer a varint and offsets clock entries from their base; 4
-//! (this one) makes the causal ack cumulative — tag 6 carries a cursor
-//! where it carried an object and a value — and gives each reply an
-//! "acked" tag whose layout is the plain reply's plus that cursor, and the
-//! write an "ack now" tag with the plain write's layout, so a message
-//! using neither is byte-identical to generation 3's.
+//! made the causal ack cumulative, with twin tags for an acked reply and
+//! an ack-now write; 5 shrank the frame header; 6 (this one) drops what
+//! the other family reads — a physical version's tie-break, a physical
+//! write's clock, issue time and stream position, a causal write's epoch
+//! — and moves every presence and outcome byte into the tag.
 
 use std::sync::Arc;
 
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
-    DurabilityMode, FsyncPolicy, GeoWrite, InvalidateEntry, Msg, Propagation, ProtocolConfig,
-    ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
+    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, InvalidateEntry, Msg, Propagation,
+    ProtocolConfig, ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
 };
 
 use crate::codec::{Reader, WireError, Writer};
@@ -100,22 +104,39 @@ const TAG_GEO_APPLY_ACK: u8 = 13;
 const TAG_GEO_LOCAL_APPLY: u8 = 14;
 const TAG_GEO_ATTACH: u8 = 15;
 const TAG_GEO_ATTACH_OK: u8 = 16;
-// A reply with an owed causal ack riding on it: the plain reply's fields,
-// then the cursor.
-const TAG_FETCH_REP_ACKED: u8 = 17;
-const TAG_VALIDATE_REP_ACKED: u8 = 18;
-// Tag 19 was an acked `WriteAck` until generation 5: only physical writers
-// get a `WriteAck`, and they are never owed a causal ack.
-// A causal write whose writer waits on its ack: a plain write's fields.
-const TAG_WRITE_REQ_ACK_NOW: u8 = 20;
+// Kinds 17–20 were generation 4's and 5's twin tags (an acked reply, an
+// acked `WriteAck`, an ack-now write); the flags below replaced them.
 
-/// A message's tag: `plain`, or its `twin` when the message is flagged
-/// (an ack rides on the reply, or the write wants its ack now).
-fn flagged_tag(flagged: bool, plain: u8, twin: u8) -> u8 {
-    if flagged {
-        twin
+/// The kind bits of a protocol message's tag; the rest are flags.
+const KIND: u8 = 0x1F;
+/// `FetchRep`, `ValidateRep`: an owed causal ack rides as the last field.
+const FLAG_ACKED: u8 = 0x20;
+/// A causal write (with [`FLAG_CAUSAL`]): its writer waits on the ack.
+const FLAG_ACK_NOW: u8 = 0x20;
+/// The version, write or invalidation carries a causal stamp.
+const FLAG_CAUSAL: u8 = 0x40;
+/// `ValidateRep`: a newer version follows (without it, still valid).
+const FLAG_NEWER: u8 = 0x80;
+
+/// Whether `flags` is a combination of flags that `kind` defines.
+fn defines(kind: u8, flags: u8) -> bool {
+    match kind {
+        TAG_FETCH_REP => flags & !(FLAG_ACKED | FLAG_CAUSAL) == 0,
+        // A stamp only on a newer version.
+        TAG_VALIDATE_REP => flags & (FLAG_NEWER | FLAG_CAUSAL) != FLAG_CAUSAL,
+        // Ack-now only on a causal write.
+        TAG_WRITE_REQ => flags & !(FLAG_CAUSAL | FLAG_ACK_NOW) == 0 && flags != FLAG_ACK_NOW,
+        TAG_INVALIDATE_PUSH => flags & !FLAG_CAUSAL == 0,
+        _ => flags == 0,
+    }
+}
+
+/// `bits` if `set`, else none.
+fn flag(set: bool, bits: u8) -> u8 {
+    if set {
+        bits
     } else {
-        plain
+        0
     }
 }
 
@@ -127,8 +148,10 @@ fn put_acked(w: &mut Writer, acked: Option<u64>) {
 }
 
 /// Decodes the cursor an acked reply tag promises.
-fn get_acked(r: &mut Reader<'_>, with_ack: bool) -> Result<Option<u64>, WireError> {
-    with_ack.then(|| r.uvar("acked")).transpose()
+fn get_acked(r: &mut Reader<'_>, flags: u8) -> Result<Option<u64>, WireError> {
+    (flags & FLAG_ACKED != 0)
+        .then(|| r.uvar("acked"))
+        .transpose()
 }
 
 /// Encodes a [`Time`] (ticks, varint).
@@ -176,9 +199,9 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
 /// offset, a one-byte varint each.
 const MIN_VCLOCK: usize = 4;
 
-/// Fewest bytes an [`InvalidateEntry`] can occupy: object, `alpha_t` and
-/// the presence byte of an absent clock.
-const MIN_INVALIDATE_ENTRY: usize = 1 + 1 + 1;
+/// Fewest bytes an [`InvalidateEntry`] can occupy: object (with its
+/// stamp bit) and `alpha_t`.
+const MIN_INVALIDATE_ENTRY: usize = 1 + 1;
 
 /// Fewest bytes a [`GeoWrite`] can occupy: object, value, a minimal clock,
 /// `issued_at` and `shard_seq`.
@@ -236,47 +259,44 @@ pub fn get_vclock(r: &mut Reader<'_>) -> Result<VectorClock, WireError> {
     Ok(VectorClock::from_entries(site as usize, entries))
 }
 
-/// Encodes an optional [`VectorClock`] behind a presence byte.
-pub fn put_opt_vclock(w: &mut Writer, vc: Option<&VectorClock>) {
-    match vc {
-        None => w.u8(0),
-        Some(vc) => {
-            w.u8(1);
-            put_vclock(w, vc);
-        }
-    }
-}
-
-/// Decodes an optional [`VectorClock`].
-pub fn get_opt_vclock(r: &mut Reader<'_>) -> Result<Option<VectorClock>, WireError> {
-    match r.u8("vclock presence")? {
-        0 => Ok(None),
-        1 => Ok(Some(get_vclock(r)?)),
-        tag => Err(WireError::UnknownTag {
-            what: "vclock presence",
-            tag,
-        }),
-    }
-}
-
+/// Encodes a version: value and `α_t`, then its causal stamp if it has
+/// one (the tag's [`FLAG_CAUSAL`] says so).
 fn put_version(w: &mut Writer, v: &WireVersion) {
     put_value(w, v.value);
     put_time(w, v.alpha_t);
-    put_opt_vclock(w, v.alpha_v.as_ref());
-    put_time(w, v.tiebreak.0);
-    w.uvar(v.tiebreak.1 as u64);
+    if let Some(stamp) = &v.causal {
+        put_vclock(w, &stamp.alpha_v);
+        w.uvar(stamp.writer as u64);
+    }
 }
 
-fn get_version(r: &mut Reader<'_>) -> Result<WireVersion, WireError> {
+/// Decodes a version, with a causal stamp if `flags` promises one.
+fn get_version(r: &mut Reader<'_>, flags: u8) -> Result<WireVersion, WireError> {
     Ok(WireVersion {
         value: get_value(r)?,
         alpha_t: get_time(r, "alpha_t")?,
-        alpha_v: get_opt_vclock(r)?,
-        tiebreak: (
-            get_time(r, "tiebreak time")?,
-            r.uvar("tiebreak node")? as usize,
-        ),
+        causal: if flags & FLAG_CAUSAL != 0 {
+            Some(CausalStamp {
+                alpha_v: get_vclock(r)?,
+                writer: r.uvar_u32("writer")? as usize,
+            })
+        } else {
+            None
+        },
     })
+}
+
+/// Encodes the clock of an invalidation, if it has one; the tag (or an
+/// entry's object bit) says whether it does.
+fn put_stamp(w: &mut Writer, vc: Option<&VectorClock>) {
+    if let Some(vc) = vc {
+        put_vclock(w, vc);
+    }
+}
+
+/// Decodes the clock `present` promises.
+fn get_stamp(r: &mut Reader<'_>, present: bool) -> Result<Option<VectorClock>, WireError> {
+    present.then(|| get_vclock(r)).transpose()
 }
 
 fn put_geo_write(w: &mut Writer, g: &GeoWrite) {
@@ -297,17 +317,21 @@ fn get_geo_write(r: &mut Reader<'_>) -> Result<GeoWrite, WireError> {
     })
 }
 
+/// An invalidation entry: the object shifted left one bit, its low bit
+/// set when a vector clock follows `alpha_t`.
 fn put_entry(w: &mut Writer, e: &InvalidateEntry) {
-    put_object(w, e.object);
+    w.uvar(u64::from(e.object.index()) << 1 | u64::from(e.alpha_v.is_some()));
     put_time(w, e.alpha_t);
-    put_opt_vclock(w, e.alpha_v.as_ref());
+    put_stamp(w, e.alpha_v.as_ref());
 }
 
 fn get_entry(r: &mut Reader<'_>) -> Result<InvalidateEntry, WireError> {
+    let head = r.uvar("object")?;
+    let object = u32::try_from(head >> 1).map_err(|_| WireError::OutOfRange { what: "object" })?;
     Ok(InvalidateEntry {
-        object: get_object(r)?,
+        object: ObjectId::new(object),
         alpha_t: get_time(r, "alpha_t")?,
-        alpha_v: get_opt_vclock(r)?,
+        alpha_v: get_stamp(r, head & 1 == 1)?,
     })
 }
 
@@ -441,11 +465,9 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             epoch,
             acked,
         } => {
-            w.u8(flagged_tag(
-                acked.is_some(),
-                TAG_FETCH_REP,
-                TAG_FETCH_REP_ACKED,
-            ));
+            w.u8(TAG_FETCH_REP
+                | flag(acked.is_some(), FLAG_ACKED)
+                | flag(version.causal.is_some(), FLAG_CAUSAL));
             put_object(w, *object);
             put_version(w, version);
             put_time(w, *server_now);
@@ -469,18 +491,17 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             epoch,
             acked,
         } => {
-            w.u8(flagged_tag(
-                acked.is_some(),
-                TAG_VALIDATE_REP,
-                TAG_VALIDATE_REP_ACKED,
-            ));
+            let newer = match outcome {
+                ValidateOutcome::StillValid => None,
+                ValidateOutcome::Newer(version) => Some(version),
+            };
+            w.u8(TAG_VALIDATE_REP
+                | flag(acked.is_some(), FLAG_ACKED)
+                | flag(newer.is_some(), FLAG_NEWER)
+                | flag(newer.is_some_and(|v| v.causal.is_some()), FLAG_CAUSAL));
             put_object(w, *object);
-            match outcome {
-                ValidateOutcome::StillValid => w.u8(0),
-                ValidateOutcome::Newer(version) => {
-                    w.u8(1);
-                    put_version(w, version);
-                }
+            if let Some(version) = newer {
+                put_version(w, version);
             }
             put_time(w, *server_now);
             w.uvar(*epoch);
@@ -489,18 +510,26 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
         Msg::WriteReq {
             object,
             value,
+            epoch,
+        } => {
+            w.u8(TAG_WRITE_REQ);
+            put_object(w, *object);
+            put_value(w, *value);
+            w.uvar(*epoch);
+        }
+        Msg::WriteReqCausal {
+            object,
+            value,
             alpha_v,
             issued_at,
-            epoch,
             shard_seq,
             ack_now,
         } => {
-            w.u8(flagged_tag(*ack_now, TAG_WRITE_REQ, TAG_WRITE_REQ_ACK_NOW));
+            w.u8(TAG_WRITE_REQ | FLAG_CAUSAL | flag(*ack_now, FLAG_ACK_NOW));
             put_object(w, *object);
             put_value(w, *value);
-            put_opt_vclock(w, alpha_v.as_ref());
+            put_vclock(w, alpha_v);
             put_time(w, *issued_at);
-            w.uvar(*epoch);
             w.uvar(*shard_seq);
         }
         Msg::WriteAck {
@@ -522,10 +551,10 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             alpha_t,
             alpha_v,
         } => {
-            w.u8(TAG_INVALIDATE_PUSH);
+            w.u8(TAG_INVALIDATE_PUSH | flag(alpha_v.is_some(), FLAG_CAUSAL));
             put_object(w, *object);
             put_time(w, *alpha_t);
-            put_opt_vclock(w, alpha_v.as_ref());
+            put_stamp(w, alpha_v.as_ref());
         }
         Msg::InvalidateBatch { entries } => {
             w.u8(TAG_INVALIDATE_BATCH);
@@ -582,53 +611,54 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
     }
 }
 
-/// Decodes a lifetime-protocol message.
+/// Decodes a lifetime-protocol message. A tag whose flags its kind does
+/// not define is [`WireError::UnknownTag`].
 pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
-    Ok(match r.u8("msg tag")? {
+    let tag = r.u8("msg tag")?;
+    let (kind, flags) = (tag & KIND, tag & !KIND);
+    if !defines(kind, flags) {
+        return Err(WireError::UnknownTag { what: "msg", tag });
+    }
+    Ok(match kind {
         TAG_FETCH_REQ => Msg::FetchReq {
             object: get_object(r)?,
             epoch: r.uvar("epoch")?,
         },
-        tag @ (TAG_FETCH_REP | TAG_FETCH_REP_ACKED) => Msg::FetchRep {
+        TAG_FETCH_REP => Msg::FetchRep {
             object: get_object(r)?,
-            version: get_version(r)?,
+            version: get_version(r, flags)?,
             server_now: get_time(r, "server_now")?,
             epoch: r.uvar("epoch")?,
-            acked: get_acked(r, tag == TAG_FETCH_REP_ACKED)?,
+            acked: get_acked(r, flags)?,
         },
         TAG_VALIDATE_REQ => Msg::ValidateReq {
             object: get_object(r)?,
             value: get_value(r)?,
             epoch: r.uvar("epoch")?,
         },
-        tag @ (TAG_VALIDATE_REP | TAG_VALIDATE_REP_ACKED) => {
-            let object = get_object(r)?;
-            let outcome = match r.u8("validate outcome")? {
-                0 => ValidateOutcome::StillValid,
-                1 => ValidateOutcome::Newer(get_version(r)?),
-                tag => {
-                    return Err(WireError::UnknownTag {
-                        what: "validate outcome",
-                        tag,
-                    })
-                }
-            };
-            Msg::ValidateRep {
-                object,
-                outcome,
-                server_now: get_time(r, "server_now")?,
-                epoch: r.uvar("epoch")?,
-                acked: get_acked(r, tag == TAG_VALIDATE_REP_ACKED)?,
-            }
-        }
-        tag @ (TAG_WRITE_REQ | TAG_WRITE_REQ_ACK_NOW) => Msg::WriteReq {
+        TAG_VALIDATE_REP => Msg::ValidateRep {
+            object: get_object(r)?,
+            outcome: if flags & FLAG_NEWER != 0 {
+                ValidateOutcome::Newer(get_version(r, flags)?)
+            } else {
+                ValidateOutcome::StillValid
+            },
+            server_now: get_time(r, "server_now")?,
+            epoch: r.uvar("epoch")?,
+            acked: get_acked(r, flags)?,
+        },
+        TAG_WRITE_REQ if flags & FLAG_CAUSAL != 0 => Msg::WriteReqCausal {
             object: get_object(r)?,
             value: get_value(r)?,
-            alpha_v: get_opt_vclock(r)?,
+            alpha_v: get_vclock(r)?,
             issued_at: get_time(r, "issued_at")?,
-            epoch: r.uvar("epoch")?,
             shard_seq: r.uvar("shard_seq")?,
-            ack_now: tag == TAG_WRITE_REQ_ACK_NOW,
+            ack_now: flags & FLAG_ACK_NOW != 0,
+        },
+        TAG_WRITE_REQ => Msg::WriteReq {
+            object: get_object(r)?,
+            value: get_value(r)?,
+            epoch: r.uvar("epoch")?,
         },
         TAG_WRITE_ACK => Msg::WriteAck {
             object: get_object(r)?,
@@ -641,7 +671,7 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         TAG_INVALIDATE_PUSH => Msg::InvalidatePush {
             object: get_object(r)?,
             alpha_t: get_time(r, "alpha_t")?,
-            alpha_v: get_opt_vclock(r)?,
+            alpha_v: get_stamp(r, flags & FLAG_CAUSAL != 0)?,
         },
         TAG_INVALIDATE_BATCH => {
             let n = r.uvar_u32("batch length")? as usize;
@@ -694,7 +724,7 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         TAG_GEO_ATTACH_OK => Msg::GeoAttachOk {
             site: r.uvar_u32("geo site")?,
         },
-        tag => return Err(WireError::UnknownTag { what: "msg", tag }),
+        _ => return Err(WireError::UnknownTag { what: "msg", tag }),
     })
 }
 
@@ -919,53 +949,166 @@ mod tests {
         w.into_bytes()
     }
 
-    /// A reply that carries no ack is the plain reply byte for byte, so
-    /// no physical-family frame moved with generation 4; an acked one
-    /// differs in its tag and the cursor after the last field, and round
-    /// trips. The standalone ack is its tag and the cursor.
+    fn varints(fields: &[u64]) -> Vec<u8> {
+        let mut w = Writer::new();
+        for &field in fields {
+            w.uvar(field);
+        }
+        w.into_bytes()
+    }
+
+    fn causal_version() -> WireVersion {
+        WireVersion {
+            value: Value::new(30_017),
+            alpha_t: Time::from_ticks(200_003),
+            causal: Some(CausalStamp {
+                alpha_v: VectorClock::from_entries(1, vec![40, 41, 39]),
+                writer: 17,
+            }),
+        }
+    }
+
+    /// A physical message is its family's fields and nothing else: a
+    /// version is its value and α, a write its object, value and epoch,
+    /// and a verdict's outcome is in the tag.
     #[test]
-    fn an_acked_reply_is_the_plain_reply_plus_its_cursor() {
+    fn a_physical_message_carries_only_what_the_physical_family_reads() {
         let version = WireVersion {
             value: Value::new(30_017),
             alpha_t: Time::from_ticks(200_003),
-            alpha_v: Some(VectorClock::from_entries(1, vec![40, 41, 39])),
-            tiebreak: (Time::from_ticks(199_990), 17),
+            causal: None,
         };
-        let replies = [
+        let (object, value, alpha, now, epoch) = (41, 30_017, 200_003, 200_011, 1_003);
+        for (msg, tag, fields) in [
             (
                 Msg::FetchRep {
                     object: ObjectId::new(41),
                     version: version.clone(),
-                    server_now: Time::from_ticks(200_011),
-                    epoch: 1_003,
+                    server_now: Time::from_ticks(now),
+                    epoch,
                     acked: None,
                 },
-                TAG_FETCH_REP_ACKED,
+                TAG_FETCH_REP,
+                vec![object, value, alpha, now, epoch],
             ),
             (
                 Msg::ValidateRep {
                     object: ObjectId::new(41),
                     outcome: ValidateOutcome::Newer(version),
-                    server_now: Time::from_ticks(200_011),
-                    epoch: 1_003,
+                    server_now: Time::from_ticks(now),
+                    epoch,
                     acked: None,
                 },
-                TAG_VALIDATE_REP_ACKED,
+                TAG_VALIDATE_REP | FLAG_NEWER,
+                vec![object, value, alpha, now, epoch],
             ),
+            (
+                Msg::ValidateRep {
+                    object: ObjectId::new(41),
+                    outcome: ValidateOutcome::StillValid,
+                    server_now: Time::from_ticks(now),
+                    epoch,
+                    acked: None,
+                },
+                TAG_VALIDATE_REP,
+                vec![object, now, epoch],
+            ),
+            (
+                Msg::WriteReq {
+                    object: ObjectId::new(41),
+                    value: Value::new(value),
+                    epoch,
+                },
+                TAG_WRITE_REQ,
+                vec![object, value, epoch],
+            ),
+            (
+                Msg::InvalidatePush {
+                    object: ObjectId::new(41),
+                    alpha_t: Time::from_ticks(alpha),
+                    alpha_v: None,
+                },
+                TAG_INVALIDATE_PUSH,
+                vec![object, alpha],
+            ),
+        ] {
+            let mut expected = vec![tag];
+            expected.extend(varints(&fields));
+            assert_eq!(msg_bytes(&msg), expected, "{msg:?}");
+            round_trip(&WireMsg::Proto(msg));
+        }
+    }
+
+    /// A causal version is the physical layout plus its stamp, which the
+    /// tag announces: the clock and the writer, with `α_t` the one time.
+    #[test]
+    fn a_causal_version_adds_its_stamp_under_the_causal_flag() {
+        let version = causal_version();
+        let fetch = Msg::FetchRep {
+            object: ObjectId::new(41),
+            version: version.clone(),
+            server_now: Time::from_ticks(200_011),
+            epoch: 1_003,
+            acked: None,
+        };
+        let mut expected = vec![TAG_FETCH_REP | FLAG_CAUSAL];
+        expected.extend(varints(&[41, 30_017, 200_003]));
+        let stamp = version.causal.as_ref().unwrap();
+        let mut w = Writer::new();
+        put_vclock(&mut w, &stamp.alpha_v);
+        expected.extend(w.into_bytes());
+        expected.extend(varints(&[17, 200_011, 1_003]));
+        assert_eq!(msg_bytes(&fetch), expected);
+        round_trip(&WireMsg::Proto(fetch));
+        // The initial version of a causal run has no stamp, so it costs
+        // what a physical version does.
+        round_trip(&WireMsg::Proto(Msg::ValidateRep {
+            object: ObjectId::new(41),
+            outcome: ValidateOutcome::Newer(WireVersion::initial()),
+            server_now: Time::from_ticks(3),
+            epoch: 2,
+            acked: None,
+        }));
+    }
+
+    /// A reply with an ack riding on it is the plain reply under the acked
+    /// flag, plus the cursor after the last field. The standalone ack is
+    /// its tag and the cursor.
+    #[test]
+    fn an_acked_reply_is_the_plain_reply_plus_its_cursor() {
+        let replies = [
+            Msg::FetchRep {
+                object: ObjectId::new(41),
+                version: causal_version(),
+                server_now: Time::from_ticks(200_011),
+                epoch: 1_003,
+                acked: None,
+            },
+            Msg::ValidateRep {
+                object: ObjectId::new(41),
+                outcome: ValidateOutcome::Newer(causal_version()),
+                server_now: Time::from_ticks(200_011),
+                epoch: 1_003,
+                acked: None,
+            },
+            Msg::ValidateRep {
+                object: ObjectId::new(41),
+                outcome: ValidateOutcome::StillValid,
+                server_now: Time::from_ticks(200_011),
+                epoch: 1_003,
+                acked: None,
+            },
         ];
-        for (plain, acked_tag) in replies {
+        for plain in replies {
             let plain_bytes = msg_bytes(&plain);
             round_trip(&WireMsg::Proto(plain.clone()));
             for upto in [0, 1, 300, u64::MAX] {
                 let mut acked = plain.clone();
                 assert!(acked.carry_ack(upto));
-                let bytes = msg_bytes(&acked);
-                let mut expected = vec![acked_tag];
-                expected.extend_from_slice(&plain_bytes[1..]);
-                let mut cursor = Writer::new();
-                cursor.uvar(upto);
-                expected.extend_from_slice(&cursor.into_bytes());
-                assert_eq!(bytes, expected, "{plain:?} acked to {upto}");
+                let mut expected = plain_bytes.clone();
+                expected[0] |= FLAG_ACKED;
+                expected.extend(varints(&[upto]));
+                assert_eq!(msg_bytes(&acked), expected, "{plain:?} acked to {upto}");
                 round_trip(&WireMsg::Proto(acked));
             }
         }
@@ -976,48 +1119,126 @@ mod tests {
         round_trip(&WireMsg::Proto(Msg::WriteAckCausal { upto: 0 }));
     }
 
-    /// A write whose writer waits on its ack is the plain write under
-    /// its own tag.
+    /// A causal write is its object, value, stamp, issue time and stream
+    /// position, no epoch; one whose writer waits on its ack differs only
+    /// in the ack-now flag.
     #[test]
-    fn an_ack_now_write_is_the_plain_write_under_its_own_tag() {
-        let plain = Msg::WriteReq {
+    fn an_ack_now_write_is_the_plain_causal_write_under_its_flag() {
+        let alpha_v = VectorClock::from_entries(1, vec![40, 41, 39]);
+        let plain = Msg::WriteReqCausal {
             object: ObjectId::new(41),
             value: Value::new(30_017),
-            alpha_v: Some(VectorClock::from_entries(1, vec![40, 41, 39])),
+            alpha_v: alpha_v.clone(),
             issued_at: Time::from_ticks(200_003),
-            epoch: 0,
             shard_seq: 2_411,
             ack_now: false,
         };
+        let mut expected = vec![TAG_WRITE_REQ | FLAG_CAUSAL];
+        expected.extend(varints(&[41, 30_017]));
+        expected.extend(vclock_bytes(&alpha_v));
+        expected.extend(varints(&[200_003, 2_411]));
+        assert_eq!(msg_bytes(&plain), expected);
         let mut urgent = plain.clone();
-        if let Msg::WriteReq { ack_now, .. } = &mut urgent {
+        if let Msg::WriteReqCausal { ack_now, .. } = &mut urgent {
             *ack_now = true;
         }
-        let (plain_bytes, urgent_bytes) = (msg_bytes(&plain), msg_bytes(&urgent));
-        assert_eq!(
-            (plain_bytes[0], urgent_bytes[0]),
-            (TAG_WRITE_REQ, TAG_WRITE_REQ_ACK_NOW)
-        );
-        assert_eq!(plain_bytes[1..], urgent_bytes[1..]);
+        expected[0] |= FLAG_ACK_NOW;
+        assert_eq!(msg_bytes(&urgent), expected);
+        round_trip(&WireMsg::Proto(plain));
         round_trip(&WireMsg::Proto(urgent));
     }
 
-    /// An acked tag promises a cursor: a frame cut before it is
+    /// An acked flag promises a cursor: a frame cut before it is
     /// `Truncated`, never a reply without its ack.
     #[test]
     fn an_acked_reply_without_its_cursor_is_truncated() {
-        let plain = msg_bytes(&Msg::ValidateRep {
+        let mut cut = msg_bytes(&Msg::ValidateRep {
             object: ObjectId::new(1),
             outcome: ValidateOutcome::StillValid,
             server_now: Time::from_ticks(5),
             epoch: 2,
             acked: None,
         });
-        let mut cut = plain;
-        cut[0] = TAG_VALIDATE_REP_ACKED;
+        cut[0] |= FLAG_ACKED;
         assert_eq!(
             get_msg(&mut Reader::new(&cut)),
             Err(WireError::Truncated { what: "acked" })
+        );
+    }
+
+    /// Every tag byte decodes by what it says or is refused: a kind no
+    /// generation 6 message has, or a flag its kind does not define (an
+    /// ack on a request, a stamp on a still-valid verdict, ack-now on a
+    /// physical write), is `UnknownTag` naming the whole byte — never a
+    /// panic, never a bit silently ignored.
+    #[test]
+    fn every_tag_with_a_flag_its_kind_does_not_define_is_an_unknown_tag() {
+        // Enough bytes after the tag for any message's fields to decode.
+        let mut body = vec![1u8; 8];
+        body.extend(vclock_bytes(&VectorClock::from_entries(0, vec![3, 4])));
+        body.extend([1u8; 8]);
+        let mut defined = 0;
+        for tag in 0..=u8::MAX {
+            let (kind, flags) = (tag & KIND, tag & !KIND);
+            let legal: &[u8] = match kind {
+                TAG_FETCH_REP => &[0x00, 0x20, 0x40, 0x60],
+                TAG_VALIDATE_REP => &[0x00, 0x20, 0x80, 0xA0, 0xC0, 0xE0],
+                TAG_WRITE_REQ => &[0x00, 0x40, 0x60],
+                TAG_INVALIDATE_PUSH => &[0x00, 0x40],
+                0..=TAG_GEO_ATTACH_OK => &[0x00],
+                _ => &[],
+            };
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&body);
+            let decoded = get_msg(&mut Reader::new(&bytes));
+            if legal.contains(&flags) {
+                defined += 1;
+                assert!(
+                    !matches!(decoded, Err(WireError::UnknownTag { .. })),
+                    "tag {tag:#04x}: {decoded:?}"
+                );
+            } else {
+                assert_eq!(
+                    decoded,
+                    Err(WireError::UnknownTag { what: "msg", tag }),
+                    "tag {tag:#04x}"
+                );
+            }
+        }
+        // 17 kinds, four of them with flags: 13 + 4 + 6 + 3 + 2 tags.
+        assert_eq!(defined, 28);
+    }
+
+    /// An invalidation entry's stamp bit rides in its object varint: an
+    /// entry of either family round trips, one costs a byte less than a
+    /// presence byte would, and an object that does not fit `u32` once the
+    /// bit is off is refused.
+    #[test]
+    fn an_invalidation_entry_carries_its_stamp_bit_in_the_object() {
+        let entry = |object, alpha_v| InvalidateEntry {
+            object: ObjectId::new(object),
+            alpha_t: Time::from_ticks(9),
+            alpha_v,
+        };
+        let batch = Msg::InvalidateBatch {
+            entries: vec![
+                entry(0, None),
+                entry(u32::MAX, Some(VectorClock::from_entries(0, vec![1, 2]))),
+                entry(63, None),
+            ],
+        };
+        round_trip(&WireMsg::Proto(batch));
+        let mut w = Writer::new();
+        put_entry(&mut w, &entry(63, None));
+        assert_eq!(w.into_bytes(), [126, 9]);
+        let mut w = Writer::new();
+        w.u8(TAG_INVALIDATE_BATCH);
+        w.uvar(1);
+        w.uvar((u64::from(u32::MAX) + 1) << 1);
+        w.uvar(9);
+        assert_eq!(
+            get_msg(&mut Reader::new(&w.into_bytes())),
+            Err(WireError::OutOfRange { what: "object" })
         );
     }
 

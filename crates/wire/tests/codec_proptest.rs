@@ -5,8 +5,9 @@
 //! garbage — ever panics the decoder or is misread as a frame.
 //!
 //! The generators draw from the *full* message space (all six `WireMsg`
-//! variants, every protocol `Msg` variant, every `ProtocolKind`,
-//! optional vector clocks of varying width, non-ASCII reject reasons), so
+//! variants, every protocol `Msg` variant, every `ProtocolKind`, physical
+//! and causal versions, vector clocks of varying width, non-ASCII reject
+//! reasons), so
 //! a round-trip failure in any field of any variant surfaces here without
 //! a hand-written case per field. Every integer is a varint, so scalars
 //! are drawn from the whole `u64` range at a uniformly random magnitude:
@@ -19,8 +20,8 @@ use rand::Rng;
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
-    DurabilityMode, FsyncPolicy, GeoWrite, InvalidateEntry, Msg, Propagation, ProtocolConfig,
-    ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
+    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, InvalidateEntry, Msg, Propagation,
+    ProtocolConfig, ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
 };
 use tc_wire::{
     crc32_pair, decode_frame, decode_header, encode_frame, get_vclock, put_vclock, read_frame,
@@ -118,12 +119,16 @@ fn arb_opt_vclock(rng: &mut StdRng) -> Option<VectorClock> {
     rng.gen_bool(0.5).then(|| arb_vclock(rng))
 }
 
+/// A physical version (value and α) or a causal one (plus the writer's
+/// stamp), equally likely.
 fn arb_version(rng: &mut StdRng) -> WireVersion {
     WireVersion {
         value: arb_value(rng),
         alpha_t: arb_time(rng),
-        alpha_v: arb_opt_vclock(rng),
-        tiebreak: (arb_time(rng), arb_magnitude(rng) as usize),
+        causal: rng.gen_bool(0.5).then(|| CausalStamp {
+            alpha_v: arb_vclock(rng),
+            writer: arb_u32(rng) as usize,
+        }),
     }
 }
 
@@ -195,12 +200,12 @@ fn arb_geo_write(rng: &mut StdRng) -> GeoWrite {
     }
 }
 
-/// Every message kind, plus (kinds 17 and 18) the two replies with a
+/// Every message kind, plus (kinds 18 and 19) the two replies with a
 /// cumulative causal ack riding on them.
 fn arb_proto_msg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0..19u8) {
-        kind @ 17..=18 => {
-            let mut reply = arb_plain_msg(rng, [1, 3][usize::from(kind - 17)]);
+    match rng.gen_range(0..20u8) {
+        kind @ 18..=19 => {
+            let mut reply = arb_plain_msg(rng, [1, 3][usize::from(kind - 18)]);
             assert!(reply.carry_ack(arb_magnitude(rng)));
             reply
         }
@@ -208,7 +213,8 @@ fn arb_proto_msg(rng: &mut StdRng) -> Msg {
     }
 }
 
-/// Message kind `kind` (its wire tag), with no ack riding on a reply.
+/// Message kind `kind` (its wire tag's kind bits; 17 is the causal write),
+/// with no ack riding on a reply.
 fn arb_plain_msg(rng: &mut StdRng, kind: u8) -> Msg {
     match kind {
         0 => Msg::FetchReq {
@@ -241,9 +247,13 @@ fn arb_plain_msg(rng: &mut StdRng, kind: u8) -> Msg {
         4 => Msg::WriteReq {
             object: arb_object(rng),
             value: arb_value(rng),
-            alpha_v: arb_opt_vclock(rng),
-            issued_at: arb_time(rng),
             epoch: arb_magnitude(rng),
+        },
+        17 => Msg::WriteReqCausal {
+            object: arb_object(rng),
+            value: arb_value(rng),
+            alpha_v: arb_vclock(rng),
+            issued_at: arb_time(rng),
             shard_seq: arb_magnitude(rng),
             ack_now: rng.gen_bool(0.5),
         },
@@ -296,7 +306,8 @@ fn arb_plain_msg(rng: &mut StdRng, kind: u8) -> Msg {
             site: arb_u32(rng),
             context_v: arb_vclock(rng),
         },
-        _ => Msg::GeoAttachOk { site: arb_u32(rng) },
+        16 => Msg::GeoAttachOk { site: arb_u32(rng) },
+        _ => unreachable!("no message kind {kind}"),
     }
 }
 
@@ -472,7 +483,7 @@ proptest! {
 
     /// The legacy gate: whatever a generation 1–4 header says after
     /// `"TCWR"` — any version, lane, length or CRC — the frame is refused
-    /// by the version it names, never read as a v5 frame.
+    /// by the version it names, never read as a frame of this generation.
     #[test]
     fn a_legacy_header_is_refused_by_its_version(
         version in 0u16..=u16::MAX,
@@ -634,7 +645,7 @@ proptest! {
 
     /// Garbage wrapped in an honest envelope (valid magic, version,
     /// length, CRC) drives the *message* decoder through its deep error
-    /// paths — unknown tags, bad presence bytes, truncated fields,
+    /// paths — unknown tags and undefined tag flags, truncated fields,
     /// malformed vector clocks — which must all return `Err`, not panic.
     /// When such a payload happens to parse, the strict trailing-bytes
     /// check still guarantees the whole frame was consumed.

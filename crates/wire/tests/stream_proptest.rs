@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
-use tc_clocks::{Delta, Time};
+use tc_clocks::Delta;
 use tc_core::{ObjectId, Value};
 use tc_lifetime::Msg;
 use tc_wire::{decode_frame, encode_frame, FrameDecoder, WireError, WireMsg};
@@ -118,11 +118,7 @@ fn arb_msg(rng: &mut StdRng) -> WireMsg {
         4 => WireMsg::Proto(Msg::WriteReq {
             object: ObjectId::new(rng.gen_range(0..1024)),
             value: Value::new(rng.gen_range(0..=u64::MAX)),
-            alpha_v: None,
-            issued_at: Time::from_ticks(rng.gen_range(0..=u64::MAX)),
             epoch: rng.gen_range(0..=u64::MAX),
-            shard_seq: rng.gen_range(0..=u64::MAX),
-            ack_now: false,
         }),
         _ => WireMsg::HelloReject {
             reason: "r".repeat(if rng.gen_bool(0.1) {

@@ -244,9 +244,10 @@ fn writes_sent(out: &[Effect]) -> Vec<(u64, Value)> {
     out.iter()
         .filter_map(|e| match e {
             Effect::Send {
-                msg: Msg::WriteReq {
-                    shard_seq, value, ..
-                },
+                msg:
+                    Msg::WriteReqCausal {
+                        shard_seq, value, ..
+                    },
                 ..
             } => Some((*shard_seq, *value)),
             _ => None,
@@ -351,12 +352,7 @@ fn a_fire_with_nothing_overdue_sends_nothing_and_waits_for_the_oldest_deadline()
 fn stale_reply(acked: Option<u64>) -> Msg {
     Msg::FetchRep {
         object: ObjectId::new(1),
-        version: WireVersion {
-            value: Value::INITIAL,
-            alpha_t: Time::ZERO,
-            alpha_v: None,
-            tiebreak: (Time::ZERO, 0),
-        },
+        version: WireVersion::initial(),
         server_now: Time::from_ticks(10),
         epoch: 0,
         acked,
