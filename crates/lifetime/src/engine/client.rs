@@ -13,9 +13,9 @@ use tc_sim::workload::{OpChoice, Workload};
 use tc_sim::NodeId;
 
 use crate::cache::{Cache, CacheEntry, SweepOutcome};
+use crate::channel::SendWindow;
 use crate::engine::{
-    Effect, Event, Inputs, Now, RecordOp, ShardMap, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH,
-    TIMER_NEXT_OP,
+    Effect, Event, Inputs, Now, RecordOp, ShardMap, TIMER_GEO_ATTACH, TIMER_NEXT_OP, TIMER_RESEND,
 };
 use crate::geo::GeoMigrationPlan;
 use crate::msg::{Msg, ValidateOutcome, WireVersion};
@@ -26,9 +26,9 @@ enum Pending {
     Write { object: ObjectId, value: Value },
 }
 
-/// A causal write on its way to (or through) its owning shard: queued
-/// behind the cross-shard barrier in `deferred`, then retransmitted from
-/// `unacked` until the shard acks it.
+/// A causal write on its way to its owning shard: queued behind the
+/// cross-shard barrier in `deferred`, then in the shard's send window
+/// until the shard acks it.
 #[derive(Clone, Debug)]
 struct CausalWrite {
     object: ObjectId,
@@ -37,24 +37,21 @@ struct CausalWrite {
     issued_at: Time,
     /// The owning shard (index into `servers`).
     shard: usize,
-    /// Position in this client's per-shard write stream (starts at 1).
-    shard_seq: u64,
     /// The client drains after this write, so it asks for the ack at
     /// once ([`Msg::WriteReqCausal`]'s `ack_now`).
     ack_now: bool,
-    /// True time the write last left on its own account: shipped, or
-    /// resent because it was overdue. It is overdue `retry_after` later.
-    sent_at: Time,
 }
 
 impl CausalWrite {
-    fn wire(&self) -> Msg {
+    /// The write as number `shard_seq` of this client's stream to its
+    /// shard.
+    fn wire(&self, shard_seq: u64) -> Msg {
         Msg::WriteReqCausal {
             object: self.object,
             value: self.value,
             alpha_v: self.alpha_v.clone(),
             issued_at: self.issued_at,
-            shard_seq: self.shard_seq,
+            shard_seq,
             ack_now: self.ack_now,
         }
     }
@@ -81,9 +78,9 @@ impl CausalWrite {
 /// * `pending` / `outstanding` / `req_epoch` — a physical write the server
 ///   may already have applied must be re-driven to completion, or other
 ///   sites could read a value whose write was never recorded;
-/// * `unacked` / `deferred` / `causal_seq` — causal writes are recorded at
-///   issue time, so they must eventually reach their owning shard, in
-///   per-shard sequence order;
+/// * `windows` / `deferred` — causal writes are recorded at issue time,
+///   so they must eventually reach their owning shard, in per-shard
+///   sequence order;
 /// * `ops_done` and the workload position.
 pub struct ClientEngine {
     config: ProtocolConfig,
@@ -102,28 +99,21 @@ pub struct ClientEngine {
     outstanding: Option<Msg>,
     req_epoch: u64,
     planned: Option<(OpChoice, ObjectId)>,
-    /// Next `shard_seq` per shard (durable): `causal_seq[s]` is the number
-    /// of causal writes this client has issued to shard `s`.
-    causal_seq: Vec<u64>,
     /// Causal writes issued but held back by the cross-shard write barrier
     /// (durable, FIFO): the head ships only once every unacked write
     /// targets the same shard, so a shard never applies a write whose
     /// causal dependencies are still in flight to a different shard.
     deferred: VecDeque<CausalWrite>,
-    /// Causal writes shipped but not yet acked, in shard-sequence order.
-    /// Retransmitted, all of them in order, whenever one has gone
-    /// `retry_after` unacked since its own last send, until a cumulative
-    /// ack from their shard ([`Msg::acked`]) covers them; the server's LWW
-    /// application is idempotent, so retransmits are harmless.
-    unacked: Vec<CausalWrite>,
-    /// Generation of the one live causal flush timer, armed with token
-    /// `TIMER_FLUSH_CAUSAL + flush_gen`. Bumped whenever a write ships
-    /// into an empty `unacked` (and on restart), so a timer armed before
-    /// the set last drained is dead.
-    flush_gen: u64,
+    /// Per shard, this client's causal write stream to it: the writes
+    /// shipped and not yet covered by the shard's cumulative ack
+    /// ([`Msg::acked`]), each resent `retry_after` after its own last send,
+    /// or sooner once the shard reports it missing ([`Msg::Gap`]), until
+    /// then ([`crate::channel`]). Durable; its sequence numbers are the
+    /// writes' `shard_seq`.
+    windows: Vec<SendWindow<CausalWrite>>,
     /// This site's newest causal write per object, kept past the ack
-    /// (durable, like `unacked`). A server reply can be generated before
-    /// our write applied yet delivered after its ack — `unacked` alone
+    /// (durable, like `windows`). A server reply can be generated before
+    /// our write applied yet delivered after its ack — `windows` alone
     /// cannot see that race, but installing such a reply would make the
     /// site read a value older than its own write. `install` arbitrates
     /// every fetched version against this map.
@@ -168,7 +158,9 @@ impl ClientEngine {
             config.shards,
             "fleet addresses must match the configured shard count"
         );
-        let causal_seq = vec![0; servers.len()];
+        let windows = (0..servers.len())
+            .map(|_| SendWindow::new(config.retry_after))
+            .collect();
         let shard_map = ShardMap::new(servers.len());
         let cache = Cache::new(config.kind, workload.n_objects());
         ClientEngine {
@@ -186,10 +178,8 @@ impl ClientEngine {
             outstanding: None,
             req_epoch: 0,
             planned: None,
-            causal_seq,
             deferred: VecDeque::new(),
-            unacked: Vec::new(),
-            flush_gen: 0,
+            windows,
             own_writes: FxHashMap::default(),
             now: None,
             delta_override: None,
@@ -241,7 +231,7 @@ impl ClientEngine {
     }
 
     /// Advances the migration once due: wait for the drain (the barrier
-    /// and retransmit machinery empties `unacked`/`deferred` on its own),
+    /// and the send windows empty `deferred`/`windows` on their own),
     /// then send the attach. Idempotent — callable from every point where
     /// in-flight work may have completed.
     fn maybe_attach(&mut self, out: &mut Vec<Effect>) {
@@ -296,15 +286,15 @@ impl ClientEngine {
     pub fn is_idle(&self) -> bool {
         self.pending.is_none()
             && self.outstanding.is_none()
-            && self.unacked.is_empty()
             && self.deferred.is_empty()
+            && self.windows.iter().all(SendWindow::is_empty)
     }
 
     /// Whether firing timer `token` now would do anything. A timer is
     /// *dead* when the state it was armed for is gone: a retry for a
     /// request that was answered (or superseded by a later epoch), a causal
-    /// flush of a superseded generation or with nothing unacked, an attach
-    /// retransmit with no attach in flight, an op-issue timer with no
+    /// resend deadline no send window waits for ([`crate::channel`]), an
+    /// attach retransmit with no attach in flight, an op-issue timer with no
     /// operation planned. Handling a dead timer emits no effect and changes
     /// no state, so a driver may drop it without a step — most retry timers
     /// die this way, because the reply beats them.
@@ -313,16 +303,9 @@ impl ClientEngine {
         match token {
             TIMER_NEXT_OP => self.planned.is_some(),
             TIMER_GEO_ATTACH => self.attaching,
-            flush if flush == self.flush_token() => !self.unacked.is_empty(),
+            resend if resend >= TIMER_RESEND => self.windows.iter().any(|w| w.is_timer(resend)),
             epoch => epoch == self.req_epoch && self.outstanding.is_some(),
         }
-    }
-
-    /// The token of the live causal flush timer. Tokens of superseded
-    /// generations sit below it, far above any request epoch, so they
-    /// match nothing.
-    fn flush_token(&self) -> u64 {
-        TIMER_FLUSH_CAUSAL + self.flush_gen
     }
 
     /// Handles one event, appending the resulting effects to `out` (in
@@ -534,7 +517,6 @@ impl ClientEngine {
             // other shard's write is unacked (immediately, with one
             // shard).
             let shard = self.shard_map.shard_of(object);
-            self.causal_seq[shard] += 1;
             self.own_writes
                 .insert(object, (value, alpha_v.clone(), t_loc));
             self.deferred.push_back(CausalWrite {
@@ -543,11 +525,9 @@ impl ClientEngine {
                 alpha_v: alpha_v.clone(),
                 issued_at: t_loc,
                 shard,
-                shard_seq: self.causal_seq[shard],
                 // The client waits on this write's ack if it drains right
                 // after it: no later request would carry the ack home.
                 ack_now: self.drains_at(self.ops_done + 1),
-                sent_at: Time::ZERO, // stamped when it ships
             });
             self.ship_deferred(out);
             if !self.deferred.is_empty() {
@@ -585,83 +565,39 @@ impl ClientEngine {
     /// version a client can depend on was read from a shard that had
     /// applied it — keeps each shard's store causally closed with no
     /// inter-shard protocol. With one shard the barrier never holds
-    /// anything back.
-    ///
-    /// A write shipping into an empty `unacked` starts a new flush
-    /// generation and arms its timer for the write's deadline; later
-    /// writes ride on that timer.
+    /// anything back. A shipped write enters its shard's send window,
+    /// which resends it until acked.
     fn ship_deferred(&mut self, out: &mut Vec<Effect>) {
         let now = self.now().truth;
         while let Some(head) = self.deferred.front() {
-            if self.unacked.iter().any(|w| w.shard != head.shard) {
+            let shard = head.shard;
+            let busy = |(s, w): (usize, &SendWindow<_>)| s != shard && !w.is_empty();
+            if self.windows.iter().enumerate().any(busy) {
                 break;
             }
-            let mut w = self.deferred.pop_front().expect("checked non-empty");
-            let was_idle = self.unacked.is_empty();
+            let w = self.deferred.pop_front().expect("checked non-empty");
+            let window = &mut self.windows[shard];
             out.push(Effect::Send {
-                to: self.servers[w.shard],
-                msg: w.wire(),
+                to: self.servers[shard],
+                msg: w.wire(window.next_seq()),
             });
-            w.sent_at = now;
-            self.unacked.push(w);
-            if was_idle {
-                self.flush_gen += 1;
-                self.arm_flush(out, now);
-            }
+            window.push(w, now, out);
         }
     }
 
-    /// Arms the live flush timer for the earliest deadline among the
-    /// unacked writes.
-    fn arm_flush(&self, out: &mut Vec<Effect>, now: Time) {
-        out.push(Effect::SetTimer {
-            after: self.next_deadline().saturating_since(now),
-            token: self.flush_token(),
-        });
-    }
-
-    fn next_deadline(&self) -> Time {
-        let oldest = self.unacked.iter().map(|w| w.sent_at).min();
-        let oldest = oldest.expect("a flush deadline needs an unacked write");
-        oldest.saturating_add_delta(self.config.retry_after)
-    }
-
-    /// The live flush timer fired. Once some unacked write is overdue
-    /// (`retry_after` past its own last send), every unacked write is
-    /// resent; until then nothing is sent and the timer waits for the
-    /// earliest deadline. A write acked in time is never resent.
-    fn on_flush_timer(&mut self, out: &mut Vec<Effect>) {
-        if self.unacked.is_empty() {
-            return;
-        }
+    /// A resend deadline fired: each send window it belongs to resends
+    /// its overdue writes (idempotent at the shard).
+    fn on_resend_timer(&mut self, token: u64, out: &mut Vec<Effect>) {
         let now = self.now().truth;
-        if self.next_deadline() <= now {
-            self.resend_unacked(out, now);
-        } else {
-            self.arm_flush(out, now);
-        }
-    }
-
-    /// Retransmits every unacked causal write in order (idempotent at the
-    /// shard) and re-arms the live flush timer. Go-back-N: the shard drops
-    /// a write beyond a gap in its stream unacked, so the younger writes
-    /// behind a lost one must follow it again. Only an overdue write's
-    /// deadline moves: a younger copy riding along can land behind a gap
-    /// once more if the network reorders the burst, and it is then still
-    /// resent `retry_after` after its own last send, not after the ride.
-    fn resend_unacked(&mut self, out: &mut Vec<Effect>, now: Time) {
-        let retry_after = self.config.retry_after;
-        for w in &mut self.unacked {
-            out.push(Effect::metric(names::CAUSAL_RETRANSMIT));
-            out.push(Effect::Send {
-                to: self.servers[w.shard],
-                msg: w.wire(),
+        for (window, &to) in self.windows.iter_mut().zip(&self.servers) {
+            window.fire(token, now, out, |shard_seq, w, out| {
+                out.push(Effect::metric(names::CAUSAL_RETRANSMIT));
+                out.push(Effect::Send {
+                    to,
+                    msg: w.wire(shard_seq),
+                });
             });
-            if w.sent_at.saturating_add_delta(retry_after) <= now {
-                w.sent_at = now;
-            }
         }
-        self.arm_flush(out, now);
     }
 
     fn record_read(&mut self, out: &mut Vec<Effect>, object: ObjectId, value: Value) {
@@ -713,7 +649,7 @@ impl ClientEngine {
             // server's last-writer-wins arbitration (vector clocks, then
             // the (issue time, writer) tie-break), so the value we keep is
             // the one the store will converge to. If ours wins, either the
-            // server already has it or the retransmit loop will land it,
+            // server already has it or its send window will land it,
             // and the discarded server version never becomes visible here,
             // keeping the recorded history causally consistent.
             if let Some((value, alpha_v, issued_at)) = self.own_writes.get(&object) {
@@ -788,14 +724,14 @@ impl ClientEngine {
         // migration is due).
         self.attaching = false;
         // Durable state drives recovery: finish the in-flight request if
-        // one was logged, resend every unacked causal write under a fresh
-        // flush generation (then let the barrier ship anything it can),
-        // and resume the workload. The server deduplicates replayed
-        // physical writes, so re-driving `outstanding` is safe even if it
-        // was already applied.
-        if !self.unacked.is_empty() {
-            self.flush_gen += 1;
-            self.resend_unacked(out, self.now().truth);
+        // one was logged, re-arm the send windows' timers, which died
+        // with the process (an overdue write goes at once), let the
+        // barrier ship anything it can, and resume the workload. The
+        // server deduplicates replayed physical writes, so re-driving
+        // `outstanding` is safe even if it was already applied.
+        let now = self.now().truth;
+        for window in &mut self.windows {
+            window.rearm(now, out);
         }
         self.ship_deferred(out);
         if let Some(msg) = self.outstanding.clone() {
@@ -819,8 +755,6 @@ impl ClientEngine {
                     OpChoice::Write => self.start_write(object, io, out),
                 }
             }
-        } else if token == self.flush_token() {
-            self.on_flush_timer(out);
         } else if token == TIMER_GEO_ATTACH {
             // Retransmit an unanswered attach (the relay handles
             // duplicates idempotently).
@@ -839,6 +773,8 @@ impl ClientEngine {
                     token: TIMER_GEO_ATTACH,
                 });
             }
+        } else if token >= TIMER_RESEND {
+            self.on_resend_timer(token, out);
         } else if token == self.req_epoch {
             // Retry an unanswered request (lost message).
             if let Some(msg) = self.outstanding.clone() {
@@ -893,20 +829,15 @@ impl ClientEngine {
         }
     }
 
-    /// Applies a cumulative ack from shard node `from`: every unacked write
-    /// to that shard with `shard_seq <= upto` is durable there. Delivery is
-    /// prefix-closed (the shard drops a write beyond a gap), so the cursor
-    /// covers the whole prefix, and under max it is monotone: a late or
-    /// duplicated ack with an older cursor finds nothing to clear and
-    /// changes nothing.
+    /// Applies a cumulative ack from shard node `from`: every write to
+    /// that shard with `shard_seq <= upto` is durable there. A late or
+    /// duplicated ack with an older cursor acks nothing and changes
+    /// nothing.
     fn on_causal_ack(&mut self, from: NodeId, upto: u64, out: &mut Vec<Effect>) {
         let Some(shard) = self.servers.iter().position(|&s| s == from) else {
             return; // a shard of the region this client migrated away from
         };
-        let before = self.unacked.len();
-        self.unacked
-            .retain(|w| w.shard != shard || w.shard_seq > upto);
-        if self.unacked.len() == before {
+        if !self.windows[shard].ack(upto) {
             return;
         }
         // An ack may clear the cross-shard barrier for queued writes…
@@ -1026,6 +957,12 @@ impl ClientEngine {
             }
             // Applied above, like every reply's ack.
             Msg::WriteAckCausal { .. } => {}
+            Msg::Gap { upto } => {
+                let now = self.now().truth;
+                if let Some(shard) = self.servers.iter().position(|&s| s == from) {
+                    self.windows[shard].gap(upto, now, out);
+                }
+            }
             Msg::InvalidatePush {
                 object,
                 alpha_t,

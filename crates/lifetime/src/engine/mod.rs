@@ -55,25 +55,20 @@ pub use shard::ShardMap;
 /// per-operation latency clock here).
 pub const TIMER_NEXT_OP: u64 = 0;
 
-/// Base of the client's causal flush tokens: "resend the unacked causal
-/// writes once one is overdue". A client has one live flush timer,
-/// armed with token `TIMER_FLUSH_CAUSAL + g` for its current generation
-/// `g ≥ 1`; the generation moves on whenever a write ships into an empty
-/// unacked set and on restart, so a timer armed before the set last drained
-/// is dead ([`ClientEngine::timer_is_live`]). Request-retry timers use the
-/// request epoch (which starts at 1) as their token, and no run reaches
-/// 2⁶² requests, so the ranges never collide.
-pub const TIMER_FLUSH_CAUSAL: u64 = 1 << 62;
+/// Base of the resend deadline tokens of a send window
+/// ([`crate::channel`]): a client's causal write stream to a shard, a
+/// shard's geo egress to a peer region, a relay's forwarded apply. The
+/// timer waiting for deadline `t` has token `TIMER_RESEND + t`, and it is
+/// live while its window waits for that deadline
+/// ([`ClientEngine::timer_is_live`]). Request-retry timers
+/// use the request epoch (which starts at 1) as their token, and no run
+/// reaches 2⁶² requests or ticks, so the ranges never collide.
+pub const TIMER_RESEND: u64 = 1 << 62;
 
 /// Client timer token for "retransmit the pending [`Msg::GeoAttach`]"
-/// during a region migration. Like the [`TIMER_FLUSH_CAUSAL`] range, far
-/// above any request epoch a run can reach.
+/// during a region migration. Like the [`TIMER_RESEND`] range, far above
+/// any request epoch a run can reach.
 pub const TIMER_GEO_ATTACH: u64 = u64::MAX - 1;
-
-/// Server timer token for "retransmit unacked cross-region batches".
-/// Distinct from [`TIMER_WAL_FLUSH`] (`u64::MAX`) and far above every
-/// per-client flush token (client node indexes).
-pub const TIMER_GEO_RETX: u64 = u64::MAX - 2;
 
 /// Base of the server's per-peer-region geo flush tokens: peer channel `i`
 /// flushes on token `TIMER_GEO_FLUSH_BASE + i`. The range sits far above
@@ -83,7 +78,7 @@ pub const TIMER_GEO_FLUSH_BASE: u64 = 1 << 60;
 /// Base of the server's per-client ack deadline tokens: the causal ack a
 /// shard owes client node `c` goes standalone on token
 /// `TIMER_ACK_BASE + c` if no reply carried it first ([`ACK_DELAY`]).
-/// Above the geo flush range, below the `u64::MAX`-family singletons.
+/// Above the geo flush range, below the [`TIMER_RESEND`] range.
 pub const TIMER_ACK_BASE: u64 = 1 << 61;
 
 /// A clock sample injected by the driver via [`Event::Now`].

@@ -20,20 +20,23 @@
 //! write acks are deferred until the covering fsync — so a crash can only
 //! lose writes whose clients are still retransmitting them.
 //!
-//! Causal write acks are cumulative and *owed*: where a physical ack would
-//! ship, the shard instead owes the writer its per-writer delivery cursor.
-//! The next reply to that site carries the owed cursor; only if none
-//! leaves within [`ACK_DELAY`] does a standalone [`Msg::WriteAckCausal`]
-//! go out.
+//! A client's causal writes to the shard are one ordered stream
+//! ([`crate::channel`]): a write ahead of a gap waits in the writer's
+//! receiver until the gap closes, and the store's per-writer causal cursor
+//! is the stream's cursor. Causal write acks are cumulative and *owed*:
+//! where a physical ack would ship, the shard instead owes the writer that
+//! cursor. The next reply to that site carries it; only if none leaves
+//! within [`ACK_DELAY`] does a standalone [`Msg::WriteAckCausal`] go out.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::ObjectId;
 use tc_sim::metrics::names;
 use tc_sim::NodeId;
 
-use crate::engine::{Effect, Event, Now, TIMER_ACK_BASE, TIMER_GEO_FLUSH_BASE, TIMER_GEO_RETX};
+use crate::channel::{Arrival, Receiver, SendWindow};
+use crate::engine::{Effect, Event, Now, TIMER_ACK_BASE, TIMER_GEO_FLUSH_BASE, TIMER_RESEND};
 use crate::geo::{GeoShardConfig, EGRESS_BATCH, RETX_AFTER};
 use crate::msg::{GeoWrite, InvalidateEntry, Msg, ValidateOutcome};
 use crate::store::{MemStore, ShardStore, StoredVersion, WalRecord};
@@ -49,9 +52,7 @@ pub(crate) fn flush_token(client: NodeId) -> u64 {
 
 /// The timer token a shard arms for a deadline-batched WAL fsync
 /// ([`crate::FsyncPolicy::max_delay`]). Distinct from every
-/// `flush_token`: client node indexes never reach `u64::MAX`. (Client
-/// engines use the same numeric value for their own causal-flush timer,
-/// but client and server token spaces never meet.)
+/// `flush_token`: client node indexes never reach `u64::MAX`.
 pub const TIMER_WAL_FLUSH: u64 = u64::MAX;
 
 /// How long a causal ack a shard owes a site waits for a reply to that
@@ -69,9 +70,9 @@ fn ack_token(client: NodeId) -> u64 {
 }
 
 /// The client whose ack deadline `token` is, if it is one: the range
-/// sits between the geo flush tokens and the `u64::MAX`-family ones.
+/// sits between the geo flush tokens and the resend deadlines.
 fn ack_client(token: u64) -> Option<NodeId> {
-    (TIMER_ACK_BASE..TIMER_GEO_RETX)
+    (TIMER_ACK_BASE..TIMER_RESEND)
         .contains(&token)
         .then(|| NodeId::new((token - TIMER_ACK_BASE) as usize))
 }
@@ -133,6 +134,10 @@ pub struct ServerEngine {
     /// Each rides on the next reply to its client or goes standalone when
     /// due. A slot per node, so owing and paying never allocate.
     owed: Vec<Option<OwedAck>>,
+    /// Causal writes held ahead of a gap in their writer's stream, indexed
+    /// by client node (volatile: they are neither applied nor acked, so
+    /// the writer resends what a crash loses).
+    inbound: Vec<Receiver<GeoWrite>>,
     /// Total client requests served (fetch + validate + write), the
     /// per-shard load statistic the threaded runtime reports.
     requests_served: u64,
@@ -149,32 +154,6 @@ pub struct ServerEngine {
     now: Option<Now>,
 }
 
-/// One outgoing cross-region channel: an open batch plus the unacked
-/// window, sequenced from 1 with cumulative acks (the relay discards
-/// out-of-order batches, so retransmitting the whole window in order
-/// always closes a gap).
-struct GeoChannel {
-    peer: NodeId,
-    next_seq: u64,
-    buf: Vec<GeoWrite>,
-    unacked: VecDeque<InFlight>,
-}
-
-/// A shipped batch awaiting the relay's cumulative ack.
-struct InFlight {
-    seq: u64,
-    entries: Vec<GeoWrite>,
-    /// True time the batch last left: shipped, or resent with its
-    /// window. It is overdue [`RETX_AFTER`] later.
-    sent_at: Time,
-}
-
-impl InFlight {
-    fn overdue(&self, now: Time) -> bool {
-        self.sent_at.saturating_add_delta(RETX_AFTER) <= now
-    }
-}
-
 /// The deadline that flushes egress channel `i`'s open batch.
 fn flush_deadline(i: usize) -> Effect {
     Effect::SetTimer {
@@ -185,32 +164,25 @@ fn flush_deadline(i: usize) -> Effect {
 
 /// Engine-resident geo replication state. Deliberately *not* behind the
 /// [`ShardStore`] seam: losing it on a crash only delays propagation
-/// (clients retransmit unacked writes, channels retransmit unacked
-/// batches), never forges it — see DESIGN.md §17 for the recovery story.
+/// (clients resend unacked writes, send windows resend unacked batches),
+/// never forges it — see DESIGN.md §17 for the recovery story.
 struct GeoState {
     config: GeoShardConfig,
-    channels: Vec<GeoChannel>,
-    /// Whether the one retransmit timer is armed (for the earliest
-    /// deadline among the unacked batches).
-    retx_armed: bool,
+    /// Per peer region, in `config.peer_relays` order: the open batch…
+    open: Vec<Vec<GeoWrite>>,
+    /// …and the stream of sealed batches to that region's relay, each
+    /// resent [`RETX_AFTER`] after its own last send until the relay's
+    /// cumulative ack covers it ([`crate::channel`]).
+    sent: Vec<SendWindow<Vec<GeoWrite>>>,
 }
 
 impl GeoState {
     fn new(config: GeoShardConfig) -> Self {
-        let channels = config
-            .peer_relays
-            .iter()
-            .map(|&peer| GeoChannel {
-                peer,
-                next_seq: 1,
-                buf: Vec::new(),
-                unacked: VecDeque::new(),
-            })
-            .collect();
+        let peers = config.peer_relays.len();
         GeoState {
             config,
-            channels,
-            retx_armed: false,
+            open: vec![Vec::new(); peers],
+            sent: (0..peers).map(|_| SendWindow::new(RETX_AFTER)).collect(),
         }
     }
 
@@ -229,10 +201,9 @@ impl GeoState {
                 k: w.k(),
             },
         });
-        for i in 0..self.channels.len() {
-            let ch = &mut self.channels[i];
-            ch.buf.push(w.clone());
-            let len = ch.buf.len();
+        for i in 0..self.open.len() {
+            self.open[i].push(w.clone());
+            let len = self.open[i].len();
             if len >= EGRESS_BATCH.max_entries {
                 self.flush(i, now, out);
             } else if len == 1 {
@@ -241,113 +212,61 @@ impl GeoState {
         }
     }
 
-    /// Re-arms what a crash killed: the engine-resident channels survive a
-    /// restart, but the flush deadlines and the retransmit timer died with
-    /// the process — without this an open batch would leave only once it
-    /// fills, and a lost batch would never be retransmitted.
+    /// Re-arms what a crash killed: the open batches and send windows
+    /// survive a restart, but their flush deadlines and resend timers
+    /// died with the process — without this an open batch would leave
+    /// only once it fills, and a lost batch would never be resent.
     fn rearm_after_restart(&mut self, now: Time, out: &mut Vec<Effect>) {
-        for (i, ch) in self.channels.iter().enumerate() {
-            if !ch.buf.is_empty() {
+        for (i, open) in self.open.iter().enumerate() {
+            if !open.is_empty() {
                 out.push(flush_deadline(i));
             }
         }
-        self.arm_retx(now, out);
-    }
-
-    /// Arms the retransmit timer for the earliest deadline among the
-    /// unacked batches; with none in flight the timer stays disarmed.
-    fn arm_retx(&mut self, now: Time, out: &mut Vec<Effect>) {
-        let oldest = self
-            .channels
-            .iter()
-            .flat_map(|ch| ch.unacked.iter().map(|b| b.sent_at))
-            .min();
-        self.retx_armed = oldest.is_some();
-        if let Some(oldest) = oldest {
-            out.push(Effect::SetTimer {
-                after: oldest
-                    .saturating_add_delta(RETX_AFTER)
-                    .saturating_since(now),
-                token: TIMER_GEO_RETX,
-            });
+        for window in &mut self.sent {
+            window.rearm(now, out);
         }
     }
 
-    /// Seals and transmits channel `i`'s open batch (fullness or
-    /// deadline — whichever came first; a stale deadline finds an empty
-    /// buffer and is a no-op).
+    /// Seals and transmits peer `i`'s open batch (fullness or deadline —
+    /// whichever came first; a stale deadline finds an empty buffer and
+    /// is a no-op).
     fn flush(&mut self, i: usize, now: Time, out: &mut Vec<Effect>) {
-        let origin = self.config.region;
-        let Some(ch) = self.channels.get_mut(i) else {
+        let Some(open) = self.open.get_mut(i) else {
             return;
         };
-        if ch.buf.is_empty() {
+        if open.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut ch.buf);
-        let seq = ch.next_seq;
-        ch.next_seq += 1;
-        out.push(Effect::Metric {
-            name: names::GEO_BATCH,
-            add: 1,
-        });
+        let entries = std::mem::take(open);
+        let window = &mut self.sent[i];
+        out.push(Effect::metric(names::GEO_BATCH));
         out.push(Effect::Send {
-            to: ch.peer,
+            to: self.config.peer_relays[i],
             msg: Msg::GeoBatch {
-                origin,
-                seq,
+                origin: self.config.region,
+                seq: window.next_seq(),
                 entries: entries.clone(),
             },
         });
-        ch.unacked.push_back(InFlight {
-            seq,
-            entries,
-            sent_at: now,
-        });
-        if !self.retx_armed {
-            self.arm_retx(now, out);
-        }
+        window.push(entries, now, out);
     }
 
-    /// The retransmit timer fired. A channel with an overdue batch
-    /// ([`RETX_AFTER`] past its last send) resends its whole unacked
-    /// window in order — go-back-N, since the relay discards every batch
-    /// behind a gap — and every batch of the window starts a new deadline,
-    /// so a long outage costs one window per interval, not one per batch.
-    /// A channel with nothing overdue sends nothing. The timer then waits
-    /// for the earliest deadline left.
-    fn retransmit(&mut self, now: Time, out: &mut Vec<Effect>) {
+    /// A resend deadline fired: each send window it belongs to resends
+    /// its overdue batches.
+    fn on_resend_deadline(&mut self, token: u64, now: Time, out: &mut Vec<Effect>) {
         let origin = self.config.region;
-        for ch in &mut self.channels {
-            if !ch.unacked.iter().any(|b| b.overdue(now)) {
-                continue;
-            }
-            for b in &mut ch.unacked {
-                out.push(Effect::Metric {
-                    name: names::GEO_BATCH_RETRANSMIT,
-                    add: 1,
-                });
+        for (window, &peer) in self.sent.iter_mut().zip(&self.config.peer_relays) {
+            window.fire(token, now, out, |seq, entries, out| {
+                out.push(Effect::metric(names::GEO_BATCH_RETRANSMIT));
                 out.push(Effect::Send {
-                    to: ch.peer,
+                    to: peer,
                     msg: Msg::GeoBatch {
                         origin,
-                        seq: b.seq,
-                        entries: b.entries.clone(),
+                        seq,
+                        entries: entries.clone(),
                     },
                 });
-                b.sent_at = now;
-            }
-        }
-        self.arm_retx(now, out);
-    }
-
-    /// Prunes the unacked window of the channel to `from` up to the
-    /// relay's cumulative ack.
-    fn on_batch_ack(&mut self, from: NodeId, upto: u64) {
-        if let Some(ch) = self.channels.iter_mut().find(|c| c.peer == from) {
-            while ch.unacked.front().is_some_and(|b| b.seq <= upto) {
-                ch.unacked.pop_front();
-            }
+            });
         }
     }
 }
@@ -370,6 +289,7 @@ impl ServerEngine {
             pending: BTreeMap::new(),
             deferred_acks: Vec::new(),
             owed: Vec::new(),
+            inbound: Vec::new(),
             requests_served: 0,
             geo: None,
             deferred_geo: Vec::new(),
@@ -406,10 +326,17 @@ impl ServerEngine {
 
     /// Whether firing timer `token` now could do anything. An ack deadline
     /// is dead once nothing is owed to its client — a reply carried the
-    /// ack first, as it does for most — and a driver may drop it without
-    /// a step. Every other shard timer counts as live.
+    /// ack first, as it does for most — and a geo resend deadline once no
+    /// send window waits for it; a driver may drop either without a step.
+    /// Every other shard timer counts as live.
     #[must_use]
     pub fn timer_is_live(&self, token: u64) -> bool {
+        if token >= TIMER_RESEND && token != TIMER_WAL_FLUSH {
+            return self
+                .geo
+                .as_ref()
+                .is_some_and(|geo| geo.sent.iter().any(|w| w.is_timer(token)));
+        }
         match ack_client(token) {
             Some(client) => self.owed_to(client).is_some(),
             None => true,
@@ -430,10 +357,10 @@ impl ServerEngine {
                     // Deadline-batched fsync; a timer raced past a
                     // fullness-triggered sync finds nothing pending.
                     self.sync_store(out);
-                } else if token == TIMER_GEO_RETX {
+                } else if token >= TIMER_RESEND {
                     let now = self.truth();
                     if let Some(geo) = &mut self.geo {
-                        geo.retransmit(now, out);
+                        geo.on_resend_deadline(token, now, out);
                     }
                 } else if let Some(client) = ack_client(token) {
                     self.on_ack_due(client, out);
@@ -471,11 +398,12 @@ impl ServerEngine {
                 self.pending.clear();
                 self.deferred_acks.clear();
                 self.owed.clear();
+                self.inbound.clear();
                 // Egress covering unsynced records dies with them: the
                 // writes were never acked, so their writers retransmit
-                // and the re-apply re-queues the egress. The channels'
-                // open batches and unacked windows survive
-                // (engine-resident, see `GeoState`); their timers do not.
+                // and the re-apply re-queues the egress. The open batches
+                // and send windows survive (engine-resident, see
+                // `GeoState`); their timers do not.
                 self.deferred_geo.clear();
                 let now = self.truth();
                 if let Some(geo) = &mut self.geo {
@@ -811,78 +739,21 @@ impl ServerEngine {
                 value,
                 alpha_v,
                 issued_at,
-                shard_seq: seq,
+                shard_seq,
                 ack_now,
             } => {
                 out.push(Effect::Metric {
                     name: names::SERVER_WRITE,
                     add: 1,
                 });
-                // Causal family: the writer already stamped the version.
-                // Every causal dependency a client can acquire flows
-                // through the dependency's owning shard, and the
-                // client-side write barrier guarantees a write reaches
-                // this shard only after all its cross-shard
-                // dependencies were acked by theirs — so the fleet
-                // stays causally closed iff each client's writes to
-                // *this shard* apply in per-writer order. Enforce that
-                // with the delivery cursor over `shard_seq` before the
-                // LWW apply (which stays idempotent under duplicates:
-                // an Equal stamp never wins).
-                let cursor = self.store.causal_cursor(from.index());
-                if seq > cursor + 1 {
-                    // A causal gap: an earlier write of this client was
-                    // lost or detoured. No ack — the client retransmits
-                    // its unacked writes in order until the gap closes.
-                    out.push(Effect::Metric {
-                        name: names::SERVER_WRITE_GAP,
-                        add: 1,
-                    });
-                    return;
-                }
-                if seq == cursor + 1 {
-                    let record = WalRecord::Causal {
-                        object,
-                        writer: from.index(),
-                        seq,
-                        value,
-                        alpha_t: issued_at,
-                        alpha_v: alpha_v.clone(),
-                    };
-                    let won = self.append(&record, out);
-                    // Geo egress regardless of the LWW outcome: remote
-                    // cursors count this writer's per-shard stream, so
-                    // skipping a losing write would open a permanent
-                    // gap there (the remote LWW drops it identically).
-                    self.geo_after_apply(
-                        GeoWrite {
-                            object,
-                            value,
-                            alpha_v: alpha_v.clone(),
-                            issued_at,
-                            shard_seq: seq,
-                        },
-                        out,
-                    );
-                    self.maybe_sync_after_append(out);
-                    if won {
-                        self.push_invalidations(out, object, from, issued_at, Some(&alpha_v));
-                    }
-                } else {
-                    out.push(Effect::Metric {
-                        name: names::SERVER_WRITE_DUP,
-                        add: 1,
-                    });
-                }
-                // Cumulative: the cursor covers this write and every
-                // earlier one of the writer's stream to this shard.
-                let upto = self.store.causal_cursor(from.index());
-                let ack = Ack::Causal {
-                    upto,
-                    at_once: ack_now,
+                let write = GeoWrite {
+                    object,
+                    value,
+                    alpha_v,
+                    issued_at,
+                    shard_seq,
                 };
-                self.ship_or_defer(from, ack, out);
-                self.maybe_arm_wal_timer(out);
+                self.on_causal_write(from, write, ack_now, out);
             }
             Msg::WriteReq {
                 object,
@@ -932,6 +803,7 @@ impl ServerEngine {
             | Msg::ValidateRep { .. }
             | Msg::WriteAck { .. }
             | Msg::WriteAckCausal { .. }
+            | Msg::Gap { .. }
             | Msg::InvalidatePush { .. }
             | Msg::InvalidateBatch { .. }
             | Msg::DeltaUpdate { .. }
@@ -945,13 +817,113 @@ impl ServerEngine {
                 unreachable!("server received a client-bound message")
             }
         }
+        self.report_gap(from, out);
+    }
+
+    /// Receives client `from`'s causal write, number `write.shard_seq` of
+    /// its stream to this shard. The writer already stamped the version.
+    /// Every causal dependency a client can acquire flows through the
+    /// dependency's owning shard, and the client-side write barrier
+    /// guarantees a write reaches this shard only after all its
+    /// cross-shard dependencies were acked by theirs — so the fleet stays
+    /// causally closed iff each client's writes to *this shard* apply in
+    /// per-writer order. The writer's receiver enforces that against the
+    /// store's causal cursor: a write ahead of a gap waits there, owing
+    /// nothing, and the gap is reported ([`Self::report_gap`]); when it
+    /// closes, the writes held behind it apply and the ack leaves at once.
+    /// A duplicate is acked again without re-applying.
+    fn on_causal_write(
+        &mut self,
+        from: NodeId,
+        write: GeoWrite,
+        ack_now: bool,
+        out: &mut Vec<Effect>,
+    ) {
+        let writer = from.index();
+        if writer >= self.inbound.len() {
+            self.inbound.resize_with(writer + 1, Receiver::default);
+        }
+        let cursor = self.store.causal_cursor(writer);
+        let mut at_once = ack_now;
+        match self.inbound[writer].arrive(cursor, write.shard_seq, write) {
+            Arrival::Next(write) => {
+                self.apply_causal(from, write, true, out);
+                let mut cursor = self.store.causal_cursor(writer);
+                while let Some(write) = self.inbound[writer].next(cursor) {
+                    self.maybe_arm_wal_timer(out);
+                    at_once = true;
+                    self.apply_causal(from, write, true, out);
+                    cursor = self.store.causal_cursor(writer);
+                }
+            }
+            Arrival::Duplicate => out.push(Effect::metric(names::SERVER_WRITE_DUP)),
+            Arrival::Held => {
+                out.push(Effect::metric(names::SERVER_WRITE_GAP));
+                return;
+            }
+            Arrival::Overflow => {
+                out.push(Effect::metric(names::AHEAD_DROPPED));
+                return;
+            }
+        }
+        // Cumulative: the cursor covers this write and every earlier one
+        // of the writer's stream to this shard.
+        let upto = self.store.causal_cursor(writer);
+        self.ship_or_defer(from, Ack::Causal { upto, at_once }, out);
+        self.maybe_arm_wal_timer(out);
+    }
+
+    /// Reports the gap in `client`'s write stream, if writes wait behind
+    /// one, on every message from it: the writer then resends the missing
+    /// write within a round trip ([`SendWindow::gap`]), not at its
+    /// deadline.
+    fn report_gap(&self, client: NodeId, out: &mut Vec<Effect>) {
+        let writer = client.index();
+        if self.inbound.get(writer).is_some_and(Receiver::is_holding) {
+            let upto = self.store.causal_cursor(writer);
+            out.push(Effect::Send {
+                to: client,
+                msg: Msg::Gap { upto },
+            });
+        }
+    }
+
+    /// Appends `writer`'s causal write `w`, next in its stream, and sends
+    /// it on: to the other regions if `egress` (a client's write, not a
+    /// relay's forward — every origin region sends to every peer directly,
+    /// so forwarding a geo apply onward would loop), and as push
+    /// invalidations if it won last-writer-wins.
+    fn apply_causal(&mut self, writer: NodeId, w: GeoWrite, egress: bool, out: &mut Vec<Effect>) {
+        let record = WalRecord::Causal {
+            object: w.object,
+            writer: writer.index(),
+            seq: w.shard_seq,
+            value: w.value,
+            alpha_t: w.issued_at,
+            alpha_v: w.alpha_v.clone(),
+        };
+        let won = self.append(&record, out);
+        let (object, issued_at, alpha_v) = (w.object, w.issued_at, w.alpha_v.clone());
+        // Geo egress regardless of the LWW outcome: remote cursors count
+        // this writer's per-shard stream, so skipping a losing write would
+        // open a permanent gap there (the remote LWW drops it identically).
+        if egress {
+            self.geo_after_apply(w, out);
+        }
+        self.maybe_sync_after_append(out);
+        if won {
+            self.push_invalidations(out, object, writer, issued_at, Some(&alpha_v));
+        }
     }
 
     fn on_geo_message(&mut self, from: NodeId, msg: Msg, out: &mut Vec<Effect>) {
         match msg {
             Msg::GeoBatchAck { upto } => {
                 if let Some(geo) = &mut self.geo {
-                    geo.on_batch_ack(from, upto);
+                    let peer = geo.config.peer_relays.iter().position(|&p| p == from);
+                    if let Some(i) = peer {
+                        geo.sent[i].ack(upto);
+                    }
                 }
             }
             Msg::GeoApply { entry } => self.on_geo_apply(from, entry, out),
@@ -962,66 +934,38 @@ impl ServerEngine {
         }
     }
 
-    /// Applies one remote write forwarded by the local relay. Mirrors the
-    /// causal [`Msg::WriteReq`] path — same cursor discipline, same WAL
-    /// record, same LWW arbitration — keyed by the writer's *node* index
-    /// so a migrated client's direct writes continue the same stream.
+    /// Applies one remote write forwarded by the local relay: the same
+    /// cursor, WAL record and LWW arbitration as a client's causal write,
+    /// keyed by the writer's *node* index so a migrated client's direct
+    /// writes continue the same stream.
     fn on_geo_apply(&mut self, relay: NodeId, entry: GeoWrite, out: &mut Vec<Effect>) {
         let Some(geo) = &self.geo else {
             unreachable!("geo apply on a non-geo shard");
         };
-        let writer_node = geo.config.client_base + entry.writer();
-        let seq = entry.shard_seq;
-        let cursor = self.store.causal_cursor(writer_node);
-        if seq > cursor + 1 {
-            // Cannot happen while the relay forwards one apply at a time
-            // in dependency order, but a gap must never apply: no ack,
-            // the relay's retransmit redelivers in order.
-            out.push(Effect::Metric {
-                name: names::SERVER_WRITE_GAP,
-                add: 1,
-            });
-            return;
-        }
-        if seq == cursor + 1 {
-            let record = WalRecord::Causal {
-                object: entry.object,
-                writer: writer_node,
-                seq,
-                value: entry.value,
-                alpha_t: entry.issued_at,
-                alpha_v: entry.alpha_v.clone(),
-            };
-            let won = self.append(&record, out);
-            // No re-egress: every origin region sends to every peer
-            // directly, so forwarding geo applies onward would loop.
-            self.maybe_sync_after_append(out);
-            out.push(Effect::Metric {
-                name: names::GEO_APPLIED,
-                add: 1,
-            });
-            if won {
-                self.push_invalidations(
-                    out,
-                    entry.object,
-                    NodeId::new(writer_node),
-                    entry.issued_at,
-                    Some(&entry.alpha_v),
-                );
-            }
-        } else {
-            out.push(Effect::Metric {
-                name: names::GEO_APPLY_DUP,
-                add: 1,
-            });
-        }
-        // The ack rides the durability gate exactly like a client write
-        // ack: the relay may release the next dependent apply only once
-        // this one can no longer be un-happened by a crash.
+        let writer = NodeId::new(geo.config.client_base + entry.writer());
+        let cursor = self.store.causal_cursor(writer.index());
         let ack = Msg::GeoApplyAck {
             writer: entry.writer() as u32,
             k: entry.k(),
         };
+        // The relay forwards a write only once the writer's earlier ones
+        // are applied here, so none waits behind a gap: a receiver holding
+        // nothing judges it, and one it would hold is refused unacked
+        // until the relay resends it.
+        match Receiver::default().arrive(cursor, entry.shard_seq, entry) {
+            Arrival::Next(entry) => {
+                self.apply_causal(writer, entry, false, out);
+                out.push(Effect::metric(names::GEO_APPLIED));
+            }
+            Arrival::Duplicate => out.push(Effect::metric(names::GEO_APPLY_DUP)),
+            Arrival::Held | Arrival::Overflow => {
+                out.push(Effect::metric(names::SERVER_WRITE_GAP));
+                return;
+            }
+        }
+        // The ack rides the durability gate exactly like a client write
+        // ack: the relay may release the next dependent apply only once
+        // this one can no longer be un-happened by a crash.
         self.ship_or_defer(relay, Ack::Send(ack), out);
         self.maybe_arm_wal_timer(out);
     }
@@ -1429,15 +1373,35 @@ mod tests {
         assert!(drive_at(&mut s, 104, ack_due()).is_empty(), "nothing owed");
     }
 
-    /// A write beyond a gap is not acked: nothing is owed for it, and the
-    /// cursor an earlier ack owed does not move past the gap.
+    /// A write ahead of a gap is held: nothing is owed for it, the cursor
+    /// does not move past the gap, and every message from the writer
+    /// reports the gap. A write past the ahead bound is dropped and
+    /// counted. Once the gap closes the held write applies too, and the
+    /// ack covering both leaves at once.
     #[test]
-    fn a_gapped_write_owes_nothing() {
+    fn a_gapped_write_is_held_and_applied_once_the_gap_closes() {
+        let gaps = |out: &[Effect]| -> Vec<u64> {
+            let gap = |m: &&Msg| match m {
+                Msg::Gap { upto } => Some(*upto),
+                _ => None,
+            };
+            sent(out).iter().filter_map(gap).collect()
+        };
         let mut s = ServerEngine::new(cfg());
         let out = drive_at(&mut s, 100, causal_write(2));
         assert_eq!(counted(&out, names::SERVER_WRITE_GAP), 1);
         assert!(!out.iter().any(|e| matches!(e, Effect::SetTimer { .. })));
-        assert_eq!(acks(&drive_at(&mut s, 101, fetch())), [None]);
+        assert_eq!(gaps(&out), [0]);
+        let out = drive_at(&mut s, 101, fetch());
+        assert_eq!((acks(&out), gaps(&out)), (vec![None, None], vec![0]));
+        assert_eq!(s.writes_applied(), 0);
+        let out = drive_at(&mut s, 102, causal_write(3 + crate::channel::AHEAD));
+        assert_eq!(counted(&out, names::AHEAD_DROPPED), 1);
+        assert_eq!(gaps(&out), [0]);
+        let out = drive_at(&mut s, 103, causal_write(1));
+        assert_eq!((s.writes_applied(), s.store.causal_cursor(1)), (2, 2));
+        assert_eq!((acks(&out), gaps(&out)), (vec![Some(2)], vec![]));
+        assert_eq!(acks(&drive_at(&mut s, 104, fetch())), [None]);
     }
 
     /// Under group commit the owed cursor only ever covers the fsynced
@@ -1476,97 +1440,10 @@ mod tests {
         assert_eq!(s.store.causal_cursor(1), 2, "write 3 died unacked");
     }
 
-    /// The shard's one geo retransmit timer, driven at `t`.
-    fn geo_retx_at(s: &mut ServerEngine, t: u64) -> Vec<Effect> {
-        drive_at(
-            s,
-            t,
-            Event::Timer {
-                token: TIMER_GEO_RETX,
-            },
-        )
-    }
-
-    /// `seq` of every geo batch sent.
-    fn batches(effects: &[Effect]) -> Vec<u64> {
-        sent(effects)
-            .iter()
-            .filter_map(|m| match m {
-                Msg::GeoBatch { seq, .. } => Some(*seq),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn retx_timer(effects: &[Effect]) -> Option<u64> {
-        effects.iter().find_map(|e| match e {
-            Effect::SetTimer { after, token } if *token == TIMER_GEO_RETX => Some(after.ticks()),
-            _ => None,
-        })
-    }
-
-    /// Each egress batch has its own `RETX_AFTER` deadline: the timer
-    /// firing with nothing overdue sends nothing and waits for the
-    /// earliest deadline; an overdue batch goes again with the window
-    /// behind it (go-back-N) and only its own deadline moves.
-    #[test]
-    fn geo_batches_are_resent_only_once_overdue() {
-        let map = crate::geo::RegionMap::new(2, 1);
-        let mut s = ServerEngine::new(cfg()).with_geo(map.shard_config(0));
-        let relay = NodeId::new(map.relay_node(1));
-        let mut clock = VectorClock::new(0, 1);
-        let mut write = |seq: u64| Event::Message {
-            from: NodeId::new(map.client_base()),
-            msg: Msg::WriteReqCausal {
-                object: ObjectId::from_letter('X'),
-                value: Value::new(seq),
-                alpha_v: clock.tick(),
-                issued_at: Time::from_ticks(50),
-                shard_seq: seq,
-                ack_now: false,
-            },
-        };
-        let flush = Event::Timer {
-            token: TIMER_GEO_FLUSH_BASE,
-        };
-        let retx = RETX_AFTER.ticks();
-        drive_at(&mut s, 0, write(1));
-        let out = drive_at(&mut s, 10, flush.clone());
-        assert_eq!((batches(&out), retx_timer(&out)), (vec![1], Some(retx)));
-        drive_at(&mut s, 100, write(2));
-        let out = drive_at(&mut s, 110, flush);
-        assert_eq!((batches(&out), retx_timer(&out)), (vec![2], None));
-        // Batch 1 is acked in time: the fire at its deadline sends
-        // nothing and waits for batch 2's.
-        drive_at(
-            &mut s,
-            120,
-            Event::Message {
-                from: relay,
-                msg: Msg::GeoBatchAck { upto: 1 },
-            },
-        );
-        let out = geo_retx_at(&mut s, 10 + retx);
-        assert_eq!((batches(&out), retx_timer(&out)), (vec![], Some(100)));
-        // Batch 2 is not: it goes again at its own deadline, and batch 3
-        // (young, shipped since) rides along and restarts its deadline.
-        drive_at(&mut s, 350, write(3));
-        drive_at(
-            &mut s,
-            360,
-            Event::Timer {
-                token: TIMER_GEO_FLUSH_BASE,
-            },
-        );
-        let out = geo_retx_at(&mut s, 110 + retx);
-        assert_eq!((batches(&out), retx_timer(&out)), (vec![2, 3], Some(retx)));
-        assert_eq!(counted(&out, names::GEO_BATCH_RETRANSMIT), 2);
-    }
-
-    /// A crash kills the geo egress timers but not the channels they
+    /// A crash kills the geo egress timers but not the batches they
     /// serve: after a restart the open batch must get its flush deadline
-    /// back and the unacked batch its retransmit timer, or the one leaves
-    /// only once it fills and the other is never retransmitted.
+    /// back and the unacked batch its resend deadline, or the one leaves
+    /// only once it fills and the other is never resent.
     #[test]
     fn restart_rearms_the_geo_egress_timers() {
         let map = crate::geo::RegionMap::new(2, 1);
@@ -1583,11 +1460,13 @@ mod tests {
                 ack_now: false,
             },
         };
-        let arms = |effects: &[Effect], timer: u64| {
+        let arms = |effects: &[Effect], timers: std::ops::RangeInclusive<u64>| {
             effects
                 .iter()
-                .any(|e| matches!(e, Effect::SetTimer { token, .. } if *token == timer))
+                .any(|e| matches!(e, Effect::SetTimer { token, .. } if timers.contains(token)))
         };
+        let flush = TIMER_GEO_FLUSH_BASE..=TIMER_GEO_FLUSH_BASE;
+        let resend = TIMER_RESEND..=TIMER_WAL_FLUSH - 1;
         drive(&mut s, write(1));
         let flushed = drive(
             &mut s,
@@ -1596,19 +1475,75 @@ mod tests {
             },
         );
         assert!(
-            arms(&flushed, TIMER_GEO_RETX),
+            arms(&flushed, resend.clone()),
             "the deadline shipped a batch"
         );
         drive(&mut s, write(2)); // opens the next batch
         let mut after = drive(&mut s, Event::Restart);
         after.extend(drive(&mut s, write(3)));
         assert!(
-            arms(&after, TIMER_GEO_FLUSH_BASE),
+            arms(&after, flush),
             "the open batch must get its flush deadline back"
         );
         assert!(
-            arms(&after, TIMER_GEO_RETX),
-            "the unacked batch must get its retransmit timer back"
+            arms(&after, resend),
+            "the unacked batch must get its resend deadline back"
         );
+    }
+
+    /// Each peer region's batches form their own stream: an ack prunes
+    /// only its sender's window, so at the shared deadline only the
+    /// unacked peer's batch goes again.
+    #[test]
+    fn a_geo_resend_goes_only_to_the_peer_that_has_not_acked() {
+        let map = crate::geo::RegionMap::new(3, 1);
+        let mut s = ServerEngine::new(cfg()).with_geo(map.shard_config(0));
+        let (acked, unacked) = (map.relay_node(1), map.relay_node(2));
+        drive_at(
+            &mut s,
+            100,
+            Event::Message {
+                from: NodeId::new(map.client_base()),
+                msg: Msg::WriteReqCausal {
+                    object: ObjectId::from_letter('X'),
+                    value: Value::new(7),
+                    alpha_v: VectorClock::new(0, 1).tick(),
+                    issued_at: Time::from_ticks(50),
+                    shard_seq: 1,
+                    ack_now: false,
+                },
+            },
+        );
+        let mut flushed = Vec::new();
+        for token in [TIMER_GEO_FLUSH_BASE, TIMER_GEO_FLUSH_BASE + 1] {
+            flushed.extend(drive_at(&mut s, 120, Event::Timer { token }));
+        }
+        assert_eq!(counted(&flushed, names::GEO_BATCH), 2);
+        let deadline = 120 + RETX_AFTER.ticks();
+        let token = TIMER_RESEND + deadline;
+        let armed: Vec<u64> = flushed
+            .iter()
+            .filter_map(|e| match e {
+                Effect::SetTimer { token, .. } if *token >= TIMER_RESEND => Some(*token),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(armed, [token, token], "both windows wait for one deadline");
+        let ack = Msg::GeoBatchAck { upto: 1 };
+        let from = NodeId::new(acked);
+        drive_at(&mut s, 150, Event::Message { from, msg: ack });
+        let out = drive_at(&mut s, deadline, Event::Timer { token });
+        let batches: Vec<_> = out
+            .iter()
+            .filter_map(|e| match e {
+                Effect::Send {
+                    to,
+                    msg: Msg::GeoBatch { seq, .. },
+                } => Some((to.index(), *seq)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(batches, [(unacked, 1)]);
+        assert_eq!(counted(&out, names::GEO_BATCH_RETRANSMIT), 1);
     }
 }

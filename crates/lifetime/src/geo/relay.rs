@@ -2,31 +2,33 @@
 //! attach point for migrating clients.
 //!
 //! One relay per region. It ingests [`Msg::GeoBatch`] frames from remote
-//! shards (per-sender cumulative-ack channels), buffers each remote write
-//! until its causal dependencies are applied in this region, and forwards
-//! **one** [`Msg::GeoApply`] at a time to the owning local shard, waiting
-//! for the durability-gated [`Msg::GeoApplyAck`] before dispatching the
-//! next. Forwarding one-at-a-time is what makes the region's ingest a
-//! *serialization*: a dependent write can never overtake its dependency
-//! into a different shard's store, mirroring the client-side cross-shard
-//! write barrier (DESIGN.md §11 and §17).
+//! shards (one ordered stream per sender, [`crate::channel`]), buffers
+//! each remote write until its causal dependencies are applied in this
+//! region, and forwards **one** [`Msg::GeoApply`] at a time to the owning
+//! local shard — a send window of one ([`crate::channel`]), resent every
+//! [`RETX_AFTER`] — waiting for the durability-gated [`Msg::GeoApplyAck`]
+//! before dispatching the next. Forwarding one-at-a-time is what makes
+//! the region's ingest a *serialization*: a dependent write can never
+//! overtake its dependency into a different shard's store, mirroring the
+//! client-side cross-shard write barrier (DESIGN.md §11 and §17).
 //!
 //! Local shards report their own applies via [`Msg::GeoLocalApply`], so
 //! the relay's per-writer watermarks cover local and remote writes alike —
 //! without it, a remote write depending on a *local* write of this region
 //! would wait forever.
 //!
-//! The relay is sans-io like the other engines; it never reads a clock
-//! (all its behaviour is message- and timer-driven).
+//! The relay is sans-io like the other engines: the driver's clock sample
+//! ([`Event::Now`]) times its resend deadline.
 
 use std::collections::BTreeMap;
 
-use tc_clocks::VectorClock;
+use tc_clocks::{Time, VectorClock};
 use tc_sim::metrics::names;
 use tc_sim::NodeId;
 
 use super::RETX_AFTER;
-use crate::engine::{Effect, Event, ShardMap, TIMER_GEO_RETX};
+use crate::channel::{Arrival, Receiver, SendWindow};
+use crate::engine::{Effect, Event, ShardMap};
 use crate::msg::{GeoWrite, Msg};
 
 /// The relay engine for one region. See the module docs for the protocol.
@@ -37,28 +39,24 @@ pub struct GeoRelayEngine {
     /// Per-writer-site applied watermark: `applied[j] = k` means writes
     /// `1..=k` of site `j` are applied in this region (local and remote).
     applied: Vec<u64>,
-    /// Per-sender batch channel cursor: highest contiguous batch sequence
-    /// ingested from each remote shard.
-    batch_cursor: BTreeMap<NodeId, u64>,
-    /// Batches that arrived ahead of their channel cursor (the WAN is
-    /// non-FIFO), buffered until the gap fills. Without this, a
-    /// post-partition drain would cost one retransmit round per reordered
-    /// batch; with it, one retransmit round delivers everything.
-    ahead: BTreeMap<(NodeId, u64), Vec<GeoWrite>>,
+    /// Per remote shard, its batch stream: the highest batch number
+    /// ingested in order (the cursor its acks carry), and the batches
+    /// held ahead of a gap (the WAN is non-FIFO) until it closes.
+    inbound: BTreeMap<NodeId, (u64, Receiver<Vec<GeoWrite>>)>,
     /// Remote writes awaiting dependencies, keyed `(writer, k)` — the
     /// BTreeMap order makes the dependency scan deterministic.
     pending: BTreeMap<(u32, u64), GeoWrite>,
-    /// The one forwarded apply awaiting its shard ack.
-    inflight: Option<(u32, u64, NodeId)>,
+    /// The one forwarded apply awaiting its shard's ack.
+    forwarded: SendWindow<GeoWrite>,
     /// Clients whose [`Msg::GeoAttach`] is gated on the watermarks.
     attaches: BTreeMap<NodeId, (u32, VectorClock)>,
-    retx_armed: bool,
+    /// The true time of the latest clock sample.
+    now: Time,
 }
 
 impl GeoRelayEngine {
     /// Creates a relay for a region with the given shard fleet, serving
-    /// `n_sites` client sites (the vector-clock width). Its forwarded
-    /// apply is retransmitted every [`RETX_AFTER`] until acked.
+    /// `n_sites` client sites (the vector-clock width).
     #[must_use]
     pub fn new(local_shards: Vec<NodeId>, n_sites: usize) -> Self {
         let shard_map = ShardMap::new(local_shards.len());
@@ -66,12 +64,11 @@ impl GeoRelayEngine {
             local_shards,
             shard_map,
             applied: vec![0; n_sites],
-            batch_cursor: BTreeMap::new(),
-            ahead: BTreeMap::new(),
+            inbound: BTreeMap::new(),
             pending: BTreeMap::new(),
-            inflight: None,
+            forwarded: SendWindow::new(RETX_AFTER),
             attaches: BTreeMap::new(),
-            retx_armed: false,
+            now: Time::ZERO,
         }
     }
 
@@ -90,16 +87,24 @@ impl GeoRelayEngine {
     /// Handles one event, appending the resulting effects to `out`.
     pub fn handle(&mut self, event: Event, out: &mut Vec<Effect>) {
         match event {
-            // The relay's protocol is purely message/timer-driven.
-            Event::Now(_) | Event::Start => {}
+            Event::Now(now) => self.now = now.truth,
+            Event::Start => {}
             // Relay state is engine-resident: a driver Restart keeps it
             // (geo fault scenarios crash clients and partition links;
-            // relay crash-recovery is future work, see DESIGN.md §17).
-            Event::Restart => {}
+            // relay crash-recovery is future work, see DESIGN.md §17),
+            // but not its timer.
+            Event::Restart => self.forwarded.rearm(self.now, out),
             Event::Timer { token } => {
-                if token == TIMER_GEO_RETX {
-                    self.on_retx(out);
-                }
+                let (shards, map) = (&self.local_shards, &self.shard_map);
+                self.forwarded.fire(token, self.now, out, |_, entry, out| {
+                    out.push(Effect::metric(names::GEO_APPLY_RETRANSMIT));
+                    out.push(Effect::Send {
+                        to: shards[map.shard_of(entry.object)],
+                        msg: Msg::GeoApply {
+                            entry: entry.clone(),
+                        },
+                    });
+                });
             }
             Event::Message { from, msg } => self.on_message(from, msg, out),
         }
@@ -116,41 +121,35 @@ impl GeoRelayEngine {
     }
 
     fn on_batch(&mut self, from: NodeId, seq: u64, entries: Vec<GeoWrite>, out: &mut Vec<Effect>) {
-        let mut cursor = self.batch_cursor.get(&from).copied().unwrap_or(0);
-        if seq <= cursor {
-            // Duplicate: re-ack the cumulative cursor so the sender prunes.
-            out.push(Effect::Metric {
-                name: names::GEO_BATCH_DUP,
-                add: 1,
-            });
-            out.push(Effect::Send {
-                to: from,
-                msg: Msg::GeoBatchAck { upto: cursor },
-            });
-            return;
-        }
-        // Buffer (idempotently — a retransmit carries identical entries),
-        // then drain everything now contiguous. A gap-jumping batch waits
-        // here until the sender's retransmission fills the hole.
-        self.ahead.insert((from, seq), entries);
-        while let Some(entries) = self.ahead.remove(&(from, cursor + 1)) {
-            cursor += 1;
-            for entry in entries {
-                let site = entry.writer();
-                // Already applied here (e.g. seen before a partition
-                // dropped the ack): nothing to buffer.
-                if entry.k() <= self.applied[site] {
-                    continue;
+        let (cursor, rx) = self.inbound.entry(from).or_default();
+        match rx.arrive(*cursor, seq, entries) {
+            Arrival::Next(entries) => {
+                let mut next = Some(entries);
+                while let Some(entries) = next {
+                    *cursor += 1;
+                    for entry in entries {
+                        let site = entry.writer();
+                        // Already applied here (e.g. seen before a
+                        // partition dropped the ack): nothing to buffer.
+                        if entry.k() <= self.applied[site] {
+                            continue;
+                        }
+                        self.pending
+                            .entry((site as u32, entry.k()))
+                            .or_insert(entry);
+                    }
+                    next = rx.next(*cursor);
                 }
-                self.pending
-                    .entry((site as u32, entry.k()))
-                    .or_insert(entry);
             }
+            Arrival::Held => {}
+            Arrival::Duplicate => out.push(Effect::metric(names::GEO_BATCH_DUP)),
+            Arrival::Overflow => out.push(Effect::metric(names::AHEAD_DROPPED)),
         }
-        self.batch_cursor.insert(from, cursor);
+        // Every arrival is acked with the cursor at once: a duplicate's
+        // ack lets the sender prune, a held batch's names the gap.
         out.push(Effect::Send {
             to: from,
-            msg: Msg::GeoBatchAck { upto: cursor },
+            msg: Msg::GeoBatchAck { upto: *cursor },
         });
         self.try_dispatch(out);
     }
@@ -158,8 +157,9 @@ impl GeoRelayEngine {
     fn on_apply_ack(&mut self, writer: u32, k: u64, out: &mut Vec<Effect>) {
         let w = writer as usize;
         self.applied[w] = self.applied[w].max(k);
-        if matches!(self.inflight, Some((iw, ik, _)) if iw == writer && ik == k) {
-            self.inflight = None;
+        let acks = |e: &GeoWrite| e.writer() == w && e.k() == k;
+        if self.forwarded.oldest().is_some_and(acks) {
+            self.forwarded.ack(self.forwarded.next_seq() - 1);
         }
         self.pending.remove(&(writer, k));
         self.prune();
@@ -240,7 +240,7 @@ impl GeoRelayEngine {
     /// == k − 1`) and every cross-writer dependency of its vector stamp
     /// is applied.
     fn try_dispatch(&mut self, out: &mut Vec<Effect>) {
-        if self.inflight.is_some() {
+        if !self.forwarded.is_empty() {
             return;
         }
         let mut target = None;
@@ -264,53 +264,21 @@ impl GeoRelayEngine {
             return;
         };
         let entry = self.pending[&(writer, k)].clone();
-        let shard = self.local_shards[self.shard_map.shard_of(entry.object)];
-        self.inflight = Some((writer, k, shard));
-        out.push(Effect::Metric {
-            name: names::GEO_APPLY,
-            add: 1,
-        });
+        out.push(Effect::metric(names::GEO_APPLY));
         out.push(Effect::Send {
-            to: shard,
-            msg: Msg::GeoApply { entry },
+            to: self.local_shards[self.shard_map.shard_of(entry.object)],
+            msg: Msg::GeoApply {
+                entry: entry.clone(),
+            },
         });
-        if !self.retx_armed {
-            self.retx_armed = true;
-            out.push(Effect::SetTimer {
-                after: RETX_AFTER,
-                token: TIMER_GEO_RETX,
-            });
-        }
-    }
-
-    fn on_retx(&mut self, out: &mut Vec<Effect>) {
-        let Some((writer, k, shard)) = self.inflight else {
-            self.retx_armed = false;
-            return;
-        };
-        if let Some(entry) = self.pending.get(&(writer, k)) {
-            out.push(Effect::Metric {
-                name: names::GEO_APPLY_RETRANSMIT,
-                add: 1,
-            });
-            out.push(Effect::Send {
-                to: shard,
-                msg: Msg::GeoApply {
-                    entry: entry.clone(),
-                },
-            });
-        }
-        out.push(Effect::SetTimer {
-            after: RETX_AFTER,
-            token: TIMER_GEO_RETX,
-        });
+        self.forwarded.push(entry, self.now, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_clocks::Time;
+    use crate::engine::{Now, TIMER_RESEND};
     use tc_core::{ObjectId, Value};
 
     fn relay(shards: usize, sites: usize) -> GeoRelayEngine {
@@ -330,20 +298,39 @@ mod tests {
         }
     }
 
-    fn batch(r: &mut GeoRelayEngine, from: usize, seq: u64, entries: Vec<GeoWrite>) -> Vec<Effect> {
+    /// Steps `r` with `event` at true time `at`.
+    fn step(r: &mut GeoRelayEngine, at: u64, event: Event) -> Vec<Effect> {
+        let (me, t) = (NodeId::new(99), Time::from_ticks(at));
         let mut out = Vec::new();
         r.handle(
-            Event::Message {
-                from: NodeId::new(from),
-                msg: Msg::GeoBatch {
-                    origin: 1,
-                    seq,
-                    entries,
-                },
-            },
+            Event::Now(Now {
+                me,
+                local: t,
+                truth: t,
+            }),
             &mut out,
         );
+        r.handle(event, &mut out);
         out
+    }
+
+    fn recv(r: &mut GeoRelayEngine, at: u64, from: usize, msg: Msg) -> Vec<Effect> {
+        let from = NodeId::new(from);
+        step(r, at, Event::Message { from, msg })
+    }
+
+    fn batch(r: &mut GeoRelayEngine, from: usize, seq: u64, entries: Vec<GeoWrite>) -> Vec<Effect> {
+        let origin = 1;
+        recv(
+            r,
+            0,
+            from,
+            Msg::GeoBatch {
+                origin,
+                seq,
+                entries,
+            },
+        )
     }
 
     fn sent(effects: &[Effect]) -> Vec<(NodeId, &Msg)> {
@@ -351,6 +338,16 @@ mod tests {
             .iter()
             .filter_map(|e| match e {
                 Effect::Send { to, msg } => Some((*to, msg)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    fn applies(effects: &[Effect]) -> Vec<u64> {
+        sent(effects)
+            .iter()
+            .filter_map(|(_, m)| match m {
+                Msg::GeoApply { entry } => Some(entry.k()),
                 _ => None,
             })
             .collect()
@@ -375,21 +372,17 @@ mod tests {
     #[test]
     fn gap_batch_is_buffered_until_contiguous() {
         let mut r = relay(1, 2);
-        // Batch 2 overtakes batch 1 on the non-FIFO WAN: held, cursor
-        // unmoved, so the ack tells the sender to retransmit batch 1.
+        // Batch 2 overtakes batch 1 on the non-FIFO WAN: held, and the
+        // ack names the unmoved cursor.
         let out = batch(&mut r, 9, 2, vec![write(0, 2, &[0, 0])]);
         let msgs = sent(&out);
-        assert_eq!(msgs.len(), 1);
-        assert!(matches!(msgs[0].1, Msg::GeoBatchAck { upto: 0 }));
+        assert!(matches!(msgs[..], [(_, Msg::GeoBatchAck { upto: 0 })]));
         assert_eq!(r.pending_len(), 0, "gap batch held, not ingested");
         // The gap fills: both batches ingest in one step, the ack jumps,
         // and the writer's first write dispatches.
         let out = batch(&mut r, 9, 1, vec![write(0, 1, &[0, 0])]);
-        let msgs = sent(&out);
-        assert!(matches!(msgs[0].1, Msg::GeoBatchAck { upto: 2 }));
-        assert!(msgs
-            .iter()
-            .any(|(_, m)| matches!(m, Msg::GeoApply { entry } if entry.k() == 1)));
+        assert!(matches!(sent(&out)[0].1, Msg::GeoBatchAck { upto: 2 }));
+        assert_eq!(applies(&out), [1]);
         assert_eq!(r.pending_len(), 2, "both writes ingested");
     }
 
@@ -401,92 +394,46 @@ mod tests {
         assert_eq!(sent(&out).len(), 1, "only the ack: the dependency is unmet");
         assert_eq!(r.pending_len(), 1);
         // The dependency applies locally → the buffered write dispatches.
-        let mut out = Vec::new();
-        r.handle(
-            Event::Message {
-                from: NodeId::new(0),
-                msg: Msg::GeoLocalApply { writer: 0, k: 1 },
-            },
-            &mut out,
-        );
-        assert!(sent(&out)
-            .iter()
-            .any(|(_, m)| matches!(m, Msg::GeoApply { .. })));
+        let out = recv(&mut r, 0, 0, Msg::GeoLocalApply { writer: 0, k: 1 });
+        assert_eq!(applies(&out), [1]);
     }
 
+    /// One apply in flight until its shard acks it; unacked, it goes
+    /// again at its deadline, and a stale ack releases nothing.
     #[test]
     fn one_apply_in_flight_until_acked() {
         let mut r = relay(1, 2);
-        let out = batch(
-            &mut r,
-            9,
-            1,
-            vec![write(0, 1, &[0, 0]), write(0, 2, &[0, 0])],
-        );
-        let applies = sent(&out)
+        let writes = vec![write(0, 1, &[0, 0]), write(0, 2, &[0, 0])];
+        let out = batch(&mut r, 9, 1, writes);
+        assert_eq!(applies(&out), [1], "second write waits for the first's ack");
+        let token = TIMER_RESEND + RETX_AFTER.ticks();
+        assert!(out
             .iter()
-            .filter(|(_, m)| matches!(m, Msg::GeoApply { .. }))
-            .count();
-        assert_eq!(applies, 1, "second write waits for the first's ack");
-        let mut out = Vec::new();
-        r.handle(
-            Event::Message {
-                from: NodeId::new(0),
-                msg: Msg::GeoApplyAck { writer: 0, k: 1 },
-            },
-            &mut out,
-        );
-        assert_eq!(r.applied()[0], 1);
-        assert!(sent(&out)
-            .iter()
-            .any(|(_, m)| matches!(m, Msg::GeoApply { entry } if entry.k() == 2)));
-    }
-
-    #[test]
-    fn retx_timer_resends_the_inflight_apply() {
-        let mut r = relay(1, 2);
-        batch(&mut r, 9, 1, vec![write(0, 1, &[0, 0])]);
-        let mut out = Vec::new();
-        r.handle(
-            Event::Timer {
-                token: TIMER_GEO_RETX,
-            },
-            &mut out,
-        );
-        assert!(sent(&out)
-            .iter()
-            .any(|(_, m)| matches!(m, Msg::GeoApply { .. })));
+            .any(|e| matches!(e, Effect::SetTimer { token: t, .. } if *t == token)));
+        let out = step(&mut r, 300, Event::Timer { token });
+        assert_eq!(applies(&out), [1], "resent at its deadline");
         assert!(out.iter().any(
             |e| matches!(e, Effect::Metric { name, .. } if *name == names::GEO_APPLY_RETRANSMIT)
         ));
+        let out = recv(&mut r, 400, 0, Msg::GeoApplyAck { writer: 1, k: 1 });
+        assert!(applies(&out).is_empty(), "not the forwarded write's ack");
+        let out = recv(&mut r, 400, 0, Msg::GeoApplyAck { writer: 0, k: 1 });
+        assert_eq!(r.applied()[0], 1);
+        assert_eq!(applies(&out), [2]);
+        let token = TIMER_RESEND + 2 * RETX_AFTER.ticks();
+        let out = step(&mut r, 600, Event::Timer { token });
+        assert!(applies(&out).is_empty(), "the acked apply's timer is dead");
     }
 
     #[test]
     fn attach_gates_on_the_watermarks() {
         let mut r = relay(1, 2);
-        let ctx = VectorClock::from_entries(1, vec![1, 0]);
-        let mut out = Vec::new();
-        r.handle(
-            Event::Message {
-                from: NodeId::new(7),
-                msg: Msg::GeoAttach {
-                    site: 1,
-                    context_v: ctx,
-                },
-            },
-            &mut out,
-        );
+        let context_v = VectorClock::from_entries(1, vec![1, 0]);
+        let out = recv(&mut r, 0, 7, Msg::GeoAttach { site: 1, context_v });
         assert!(sent(&out).is_empty(), "attach waits: site 0's write unseen");
         // The covering write applies → the attach confirms.
         batch(&mut r, 9, 1, vec![write(0, 1, &[0, 0])]);
-        let mut out = Vec::new();
-        r.handle(
-            Event::Message {
-                from: NodeId::new(0),
-                msg: Msg::GeoApplyAck { writer: 0, k: 1 },
-            },
-            &mut out,
-        );
+        let out = recv(&mut r, 0, 0, Msg::GeoApplyAck { writer: 0, k: 1 });
         assert!(sent(&out)
             .iter()
             .any(|(to, m)| *to == NodeId::new(7) && matches!(m, Msg::GeoAttachOk { site: 1 })));
@@ -495,17 +442,8 @@ mod tests {
     #[test]
     fn covered_attach_confirms_immediately() {
         let mut r = relay(1, 2);
-        let mut out = Vec::new();
-        r.handle(
-            Event::Message {
-                from: NodeId::new(7),
-                msg: Msg::GeoAttach {
-                    site: 1,
-                    context_v: VectorClock::new(1, 2),
-                },
-            },
-            &mut out,
-        );
+        let context_v = VectorClock::new(1, 2);
+        let out = recv(&mut r, 0, 7, Msg::GeoAttach { site: 1, context_v });
         assert!(matches!(sent(&out)[0].1, Msg::GeoAttachOk { site: 1 }));
     }
 

@@ -428,7 +428,8 @@ pub(crate) fn run_impl(
             // address each other through — honest.
             assert_eq!(*fleet, geo.regions.fleet(region));
             let relay = GeoRelayEngine::new(fleet.clone(), config.n_clients);
-            let host = RelayCore::new(relay, SimClock);
+            let me = NodeId::new(geo.regions.relay_node(region));
+            let host = RelayCore::new(relay, SimClock, me);
             let id = world.add_node(SimNode::new(host, infra_recorder()));
             assert_eq!(id.index(), geo.regions.relay_node(region));
         }

@@ -63,6 +63,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod channel;
 mod config;
 pub mod control;
 pub mod engine;

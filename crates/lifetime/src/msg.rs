@@ -165,7 +165,7 @@ pub enum Msg {
         issued_at: Time,
         /// Position of this write in the writer's per-shard stream,
         /// starting at 1. Each shard's delivery cursor advances over *this*
-        /// sequence, so the gap check survives the writer's stream being
+        /// sequence, so in-order delivery survives the writer's stream being
         /// striped across an object-partitioned fleet. With one shard it
         /// equals the writer's own vector-clock entry.
         shard_seq: u64,
@@ -192,11 +192,20 @@ pub enum Msg {
     /// retransmission stopper — the writes were already applied locally and
     /// recorded by the writer; the ack says every write of this site to the
     /// sending shard with `shard_seq <= upto` is durable there, so the
-    /// writer may drop them from its unacked buffer. Delivery is
-    /// prefix-closed (the shard drops a write beyond a gap), so one cursor
-    /// covers the whole prefix, and a late or duplicated ack is harmless.
+    /// writer may drop them from its send window. The shard delivers a
+    /// writer's stream in order ([`crate::channel`]), so one cursor covers
+    /// the whole prefix, and a late or duplicated ack is harmless.
     WriteAckCausal {
         /// The shard's delivery cursor for the addressed writer.
+        upto: u64,
+    },
+    /// Receiver → sender of an ordered stream ([`crate::channel`]): items
+    /// past `upto` wait here for item `upto + 1`, which has not arrived.
+    /// Sent at once by a shard holding a writer's causal writes and by a
+    /// relay holding a peer's batches; the sender resends that item within
+    /// a round trip instead of at its deadline. It acks nothing.
+    Gap {
+        /// The receiver's cursor: the highest item delivered in order.
         upto: u64,
     },
     /// Server → clients: push-mode invalidation of `object` (any cached
@@ -231,9 +240,9 @@ pub enum Msg {
     /// Origin shard → remote region's relay: a deadline-batched run of
     /// locally-originated causal writes crossing the WAN (see
     /// [`crate::geo`]). Each (origin shard, destination relay) channel
-    /// numbers its batches from 1; the shard retransmits every
-    /// unacknowledged batch on a timer, and the relay's cumulative
-    /// [`Msg::GeoBatchAck`] cursor makes redelivery idempotent.
+    /// numbers its batches from 1; the shard resends each batch the
+    /// relay's cumulative [`Msg::GeoBatchAck`] leaves unacked past its
+    /// deadline ([`crate::channel`]).
     GeoBatch {
         /// Region index of the originating fleet (metrics/debug only).
         origin: u32,
@@ -310,6 +319,7 @@ impl Msg {
             Msg::WriteReqCausal { .. } => "write_req_causal",
             Msg::WriteAck { .. } => "write_ack",
             Msg::WriteAckCausal { .. } => "write_ack_causal",
+            Msg::Gap { .. } => "gap",
             Msg::InvalidatePush { .. } => "invalidate_push",
             Msg::InvalidateBatch { .. } => "invalidate_batch",
             Msg::DeltaUpdate { .. } => "delta_update",

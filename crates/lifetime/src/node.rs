@@ -243,8 +243,9 @@ struct OutageGate {
 }
 
 /// The timer [`ShardCore`] arms at every kill-window edge: apart from
-/// every server engine token (client node indexes, the geo flush range,
-/// the `u64::MAX` family).
+/// every server engine token (client node indexes, the geo flush and ack
+/// ranges, the resend deadlines of any run shorter than 2⁶² ticks, the
+/// `u64::MAX` family).
 const TIMER_OUTAGE_EDGE: u64 = u64::MAX - 3;
 
 impl OutageGate {
@@ -369,19 +370,19 @@ impl<T: TimeSource> Host<T> for ShardCore<T> {
     }
 }
 
-/// A geo relay is infrastructure like a shard: it steps on bare events
-/// (the relay engine time-stamps nothing, so no clock sample precedes
-/// them; its timers count from the time the event was observed at) and
-/// never finishes by itself.
+/// A geo relay is infrastructure like a shard: a clock sample precedes
+/// every event (the relay time-stamps nothing; its resend deadline counts
+/// in true time), and it never finishes by itself.
 pub struct RelayCore<T> {
     engine: GeoRelayEngine,
     time: T,
+    me: NodeId,
 }
 
 impl<T: TimeSource> RelayCore<T> {
-    /// The core hosting `engine`.
-    pub fn new(engine: GeoRelayEngine, time: T) -> Self {
-        RelayCore { engine, time }
+    /// The core hosting `engine` as node `me`.
+    pub fn new(engine: GeoRelayEngine, time: T, me: NodeId) -> Self {
+        RelayCore { engine, time, me }
     }
 }
 
@@ -393,8 +394,12 @@ impl<T: TimeSource> Host<T> for RelayCore<T> {
         _shared: Option<&mut dyn Inputs>,
         out: &mut Vec<Effect>,
     ) -> Time {
+        let (local, truth) = self.time.read(at);
+        let me = self.me;
+        self.engine
+            .handle(Event::Now(Now { me, local, truth }), out);
         self.engine.handle(event, out);
-        self.time.read(at).1
+        truth
     }
 }
 

@@ -12,7 +12,7 @@ use proptest::collection;
 use proptest::prelude::*;
 use tc_clocks::{Delta, Time};
 use tc_lifetime::engine::{
-    Effect, Event, PrivateSources, ACK_DELAY, TIMER_FLUSH_CAUSAL, TIMER_GEO_ATTACH, TIMER_NEXT_OP,
+    Effect, Event, PrivateSources, TIMER_GEO_ATTACH, TIMER_NEXT_OP, TIMER_RESEND,
 };
 use tc_lifetime::node::{ClientCore, Host, ShardCore, SimClock};
 use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
@@ -157,10 +157,11 @@ proptest! {
                     }
                 }
                 // Fire a token nobody armed (or not any more): among them
-                // flush generations the site has moved past.
+                // resend deadlines no send window waits for.
                 9 | 10 => {
                     let nth = (pick / 4) as u64;
-                    let token = [0, TIMER_FLUSH_CAUSAL + nth % 12, TIMER_GEO_ATTACH, nth % 40][pick % 4];
+                    let resend = TIMER_RESEND + 500 + nth;
+                    let token = [TIMER_NEXT_OP, resend, TIMER_GEO_ATTACH, nth % 40][pick % 4];
                     fleet.fire_client(pick % SITES, token)?;
                 }
                 11 => {
@@ -170,52 +171,4 @@ proptest! {
             }
         }
     }
-}
-
-/// A causal flush timer outlives the ack that drained its set: dead while
-/// nothing is unacked, and still dead once the next write has started a
-/// new generation with its own timer.
-#[test]
-fn a_flush_timer_dies_with_the_set_it_was_armed_for() {
-    let writes_only = Workload::new(4, 0.8, 0.0, (Delta::ZERO, Delta::ZERO));
-    let tcc = ProtocolKind::Tcc {
-        delta: Delta::from_ticks(40),
-    };
-    let mut fleet = Fleet::new(tcc, 1, 3, writes_only);
-    let client = fleet.shards; // site 0's node
-    let write = |fleet: &mut Fleet| -> u64 {
-        let out = fleet.step(
-            client,
-            Event::Timer {
-                token: TIMER_NEXT_OP,
-            },
-        );
-        let flush = out.iter().find_map(|e| match e {
-            Effect::SetTimer { token, .. } if *token != TIMER_NEXT_OP => Some(*token),
-            _ => None,
-        });
-        flush.expect("a write into an empty set arms a flush timer")
-    };
-    let first = write(&mut fleet);
-    // The shard applies the write. No reply is coming for its ack to ride
-    // on, so the ack leaves alone at its deadline and drains the set.
-    let (from, to, msg) = fleet.wire.pop().expect("the write");
-    fleet.step(to.index(), Event::Message { from, msg });
-    let (shard, ack_due) = fleet.timers.pop().expect("the ack's deadline");
-    assert_eq!(shard, to.index());
-    fleet.t += ACK_DELAY.ticks();
-    fleet.step(shard, Event::Timer { token: ack_due });
-    let (from, to, msg) = fleet.wire.pop().expect("the ack");
-    assert!(matches!(msg, Msg::WriteAckCausal { upto: 1 }));
-    fleet.step(to.index(), Event::Message { from, msg });
-    assert!(fleet.wire.is_empty());
-    assert!(!fleet.clients[0].timer_is_live(first));
-    fleet.fire_client(0, first).unwrap();
-
-    let second = write(&mut fleet);
-    assert_ne!(second, first, "a new generation");
-    assert!(fleet.clients[0].timer_is_live(second));
-    assert!(!fleet.clients[0].timer_is_live(first));
-    fleet.fire_client(0, first).unwrap();
-    fleet.fire_client(0, second).unwrap();
 }

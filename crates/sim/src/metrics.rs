@@ -88,7 +88,8 @@ counter_names! {
     SERVER_VALIDATE = "server_validate";
     /// Server-side write received.
     SERVER_WRITE = "server_write";
-    /// Causal write ignored because of a per-writer delivery gap.
+    /// Causal write that arrived ahead of a gap in its writer's stream:
+    /// a client's is held until the gap closes, a relay's forward refused.
     SERVER_WRITE_GAP = "server_write_gap";
     /// Duplicate write answered without re-applying.
     SERVER_WRITE_DUP = "server_write_dup";
@@ -183,6 +184,10 @@ counter_names! {
     DELTA_RELAX = "delta_relax";
     /// Adaptive control plane: Δ revisions a client engine applied.
     DELTA_APPLIED = "delta_applied";
+
+    /// An arrival a channel receiver dropped because it landed more than
+    /// its ahead bound past the cursor; the sender's deadline resends it.
+    AHEAD_DROPPED = "ahead_dropped";
 
     /// Geo replication: cross-region write batches shipped by a shard.
     GEO_BATCH = "geo_batch";

@@ -785,8 +785,8 @@ pub(crate) fn run_channels(
         if let Some(geo) = geo {
             for region in 0..geo.regions.regions {
                 let relay = GeoRelayEngine::new(geo.regions.fleet(region), config.n_clients);
-                let host = RelayCore::new(relay, clock);
                 let node = geo.regions.relay_node(region);
+                let host = RelayCore::new(relay, clock, NodeId::new(node));
                 let (send, inbox) = (route(NodeId::new(node)), take_inbox(node));
                 scope.spawn(move || ChannelNode::new(host, send, clock, shared_ref).run(&inbox));
             }

@@ -104,6 +104,7 @@ const TAG_GEO_APPLY_ACK: u8 = 13;
 const TAG_GEO_LOCAL_APPLY: u8 = 14;
 const TAG_GEO_ATTACH: u8 = 15;
 const TAG_GEO_ATTACH_OK: u8 = 16;
+const TAG_GAP: u8 = 17;
 // Kinds 17–20 were generation 4's and 5's twin tags (an acked reply, an
 // acked `WriteAck`, an ack-now write); the flags below replaced them.
 
@@ -546,6 +547,10 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             w.u8(TAG_WRITE_ACK_CAUSAL);
             w.uvar(*upto);
         }
+        Msg::Gap { upto } => {
+            w.u8(TAG_GAP);
+            w.uvar(*upto);
+        }
         Msg::InvalidatePush {
             object,
             alpha_t,
@@ -667,6 +672,9 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         },
         TAG_WRITE_ACK_CAUSAL => Msg::WriteAckCausal {
             upto: r.uvar("ack upto")?,
+        },
+        TAG_GAP => Msg::Gap {
+            upto: r.uvar("gap upto")?,
         },
         TAG_INVALIDATE_PUSH => Msg::InvalidatePush {
             object: get_object(r)?,
@@ -933,6 +941,7 @@ mod tests {
             entries: Vec::new(),
         }));
         round_trip(&WireMsg::Proto(Msg::GeoBatchAck { upto: 41 }));
+        round_trip(&WireMsg::Proto(Msg::Gap { upto: 41 }));
         round_trip(&WireMsg::Proto(Msg::GeoApply { entry }));
         round_trip(&WireMsg::Proto(Msg::GeoApplyAck { writer: 1, k: 9 }));
         round_trip(&WireMsg::Proto(Msg::GeoLocalApply { writer: 0, k: 2 }));
@@ -1185,7 +1194,7 @@ mod tests {
                 TAG_VALIDATE_REP => &[0x00, 0x20, 0x80, 0xA0, 0xC0, 0xE0],
                 TAG_WRITE_REQ => &[0x00, 0x40, 0x60],
                 TAG_INVALIDATE_PUSH => &[0x00, 0x40],
-                0..=TAG_GEO_ATTACH_OK => &[0x00],
+                0..=TAG_GAP => &[0x00],
                 _ => &[],
             };
             let mut bytes = vec![tag];
@@ -1205,8 +1214,8 @@ mod tests {
                 );
             }
         }
-        // 17 kinds, four of them with flags: 13 + 4 + 6 + 3 + 2 tags.
-        assert_eq!(defined, 28);
+        // 18 kinds, four of them with flags: 14 + 4 + 6 + 3 + 2 tags.
+        assert_eq!(defined, 29);
     }
 
     /// An invalidation entry's stamp bit rides in its object varint: an

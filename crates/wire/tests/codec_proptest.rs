@@ -201,9 +201,12 @@ fn arb_geo_write(rng: &mut StdRng) -> GeoWrite {
 }
 
 /// Every message kind, plus (kinds 18 and 19) the two replies with a
-/// cumulative causal ack riding on them.
+/// cumulative causal ack riding on them, and (20) a gap report.
 fn arb_proto_msg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0..20u8) {
+    match rng.gen_range(0..21u8) {
+        20 => Msg::Gap {
+            upto: arb_magnitude(rng),
+        },
         kind @ 18..=19 => {
             let mut reply = arb_plain_msg(rng, [1, 3][usize::from(kind - 18)]);
             assert!(reply.carry_ack(arb_magnitude(rng)));

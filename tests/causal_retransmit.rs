@@ -1,15 +1,18 @@
-//! The causal retransmission rule: a client resends its unacked causal
-//! writes only once one of them is overdue — `retry_after` past its own
-//! last send — and then resends all of them in order (go-back-N), because
-//! a shard drops a write beyond a gap in its stream without acking it.
+//! The causal write stream: a client's writes to a shard ride one
+//! ordered, acknowledged channel (`tc_lifetime::channel`). The shard holds
+//! a write that lands ahead of a gap until the gap closes and reports the
+//! gap, and the client resends a write only once it is overdue —
+//! `retry_after` past its own last send, or sooner once a gap report
+//! names it — and then that write alone.
 //!
 //! So a fault-free run sends no retransmission, and no shard sees a
 //! duplicate or a gap, under every causal level, with one shard or three,
 //! over the in-memory store and over a group-committed WAL, in the
-//! simulator and on the socket driver. Two engine scripts pin the timing:
-//! a lost write goes again exactly at its deadline with the writes behind
-//! it, and a timer firing with nothing overdue sends nothing and waits for
-//! the earliest deadline.
+//! simulator and on the socket driver. Three engine scripts pin the
+//! timing: a lost write goes again exactly at its deadline, alone; a timer
+//! firing with nothing overdue sends nothing and waits for the earliest
+//! deadline; and a shard's gap report brings the missing write's resend
+//! forward to within a round trip.
 //!
 //! The ack is cumulative — a shard's delivery cursor for the writer — and
 //! rides on the site's next reply, going standalone only when no reply
@@ -18,7 +21,7 @@
 //! nothing, a stale reply's newer one still counts. A one-site fleet wired
 //! by hand over a group-committed WAL pins the shard side: no ack covers a
 //! write past the fsynced prefix, and a kill before the sync makes the
-//! client resend exactly the unsynced tail.
+//! client resend exactly the unsynced tail, each write once.
 
 use std::time::Duration;
 
@@ -36,8 +39,8 @@ use timed_consistency::sim::workload::Workload;
 use timed_consistency::sim::{MetricsSnapshot, NodeId, WorldConfig};
 use timed_consistency::store::{run_reactor, RuntimeConfig};
 
-/// The three counters a needless retransmission moves: the client's own,
-/// and the shard's duplicate and gap drops.
+/// The three counters a needless retransmission or a reordered write
+/// moves: the client's own, and the shard's duplicates and held writes.
 fn retransmission_counters(metrics: &MetricsSnapshot) -> [u64; 3] {
     [
         names::CAUSAL_RETRANSMIT,
@@ -212,7 +215,7 @@ impl Script {
     }
 
     /// Issues one write at `t`, returning its `(shard_seq, value)` and the
-    /// flush timer it armed, if it shipped into an empty unacked set.
+    /// resend timer it armed, if it shipped into an empty send window.
     fn write(&mut self, t: u64) -> ((u64, Value), Option<(u64, u64)>) {
         let out = self.step(
             t,
@@ -222,7 +225,7 @@ impl Script {
         );
         let sent = writes_sent(&out);
         assert_eq!(sent.len(), 1, "one write ships: {out:?}");
-        (sent[0], flush_armed(&out))
+        (sent[0], resend_armed(&out))
     }
 
     /// A standalone cumulative ack from the shard: every write with
@@ -255,8 +258,8 @@ fn writes_sent(out: &[Effect]) -> Vec<(u64, Value)> {
         .collect()
 }
 
-/// `(after, token)` of the flush timer armed, if any.
-fn flush_armed(out: &[Effect]) -> Option<(u64, u64)> {
+/// `(after, token)` of the resend timer armed, if any.
+fn resend_armed(out: &[Effect]) -> Option<(u64, u64)> {
     out.iter().find_map(|e| match e {
         Effect::SetTimer { after, token } if *token != TIMER_NEXT_OP => {
             Some((after.ticks(), *token))
@@ -271,52 +274,81 @@ fn retransmits(out: &[Effect]) -> usize {
         .count()
 }
 
-/// The first write is lost; the two behind it reach the shard but land
-/// beyond the gap, so nothing is acked. Exactly `retry_after` after the
-/// first write's send all three go again, in order, and the timer waits
-/// for the next deadline: the second write's own, since a copy riding
-/// along in another write's resend does not move it.
+/// The first write is lost; the two behind it reach the shard and wait
+/// there ahead of the gap, so nothing is acked. Exactly `retry_after`
+/// after the first write's send it alone goes again, and the timer waits
+/// for the second write's deadline. The second is lost too: it goes alone
+/// at its own deadline, and its arrival closes the gap, so one cumulative
+/// ack covers all three and the third is never resent.
 #[test]
-fn a_lost_write_is_resent_at_its_deadline_with_the_writes_behind_it() {
+fn a_lost_write_is_resent_alone_at_its_own_deadline() {
     let mut s = Script::new();
-    let ((1, v1), Some((after, flush))) = s.write(1) else {
-        panic!("the first write arms the flush timer")
+    let ((1, v1), Some((after, first))) = s.write(1) else {
+        panic!("the first write arms the resend timer")
     };
     assert_eq!(after, RETRY);
     let ((2, v2), None) = s.write(40) else {
-        panic!("a write into a non-empty set arms nothing")
+        panic!("a write into a non-empty window arms nothing")
     };
-    let ((3, v3), None) = s.write(80) else {
-        panic!("a write into a non-empty set arms nothing")
+    let ((3, _), None) = s.write(80) else {
+        panic!("a write into a non-empty window arms nothing")
     };
-    assert!(s.engine.timer_is_live(flush));
+    assert!(s.engine.timer_is_live(first));
 
-    let out = s.step(1 + RETRY, Event::Timer { token: flush });
-    assert_eq!(writes_sent(&out), [(1, v1), (2, v2), (3, v3)]);
-    assert_eq!(retransmits(&out), 3);
+    let out = s.step(1 + RETRY, Event::Timer { token: first });
+    assert_eq!(writes_sent(&out), [(1, v1)]);
+    assert_eq!(retransmits(&out), 1);
+    let Some((39, second)) = resend_armed(&out) else {
+        panic!("next: write 2's deadline: {out:?}")
+    };
+    assert!(!s.engine.timer_is_live(first));
+
+    // Write 1 lands and is acked; write 2 was lost as well.
+    assert!(s.ack(1 + RETRY + 6, 1).is_empty());
+    let out = s.step(40 + RETRY, Event::Timer { token: second });
+    assert_eq!(writes_sent(&out), [(2, v2)]);
+    let Some((40, third)) = resend_armed(&out) else {
+        panic!("next: write 3's deadline: {out:?}")
+    };
+
+    // Write 2 closes the gap; the shard applies 2 and 3 and acks both.
+    assert!(s.ack(40 + RETRY + 6, 3).is_empty());
+    assert!(!s.engine.timer_is_live(third));
+    assert!(s.step(80 + RETRY, Event::Timer { token: third }).is_empty());
+}
+
+/// The first write is lost and the second lands ahead of the gap, so the
+/// shard reports its cursor (`Msg::Gap`). The client then resends the
+/// missing write its age after the report, not at its deadline; lost
+/// again, it goes at once on the next report; and the ack covering both
+/// kills the timer.
+#[test]
+fn a_gap_report_resends_the_missing_write_within_a_round_trip() {
+    let mut s = Script::new();
+    let ((1, v1), Some((_, first))) = s.write(1) else {
+        panic!("the first write arms the resend timer")
+    };
+    s.write(40);
+    let gap = |s: &mut Script, t| {
+        let msg = Msg::Gap { upto: 0 };
+        let from = NodeId::new(0);
+        s.step(t, Event::Message { from, msg })
+    };
+    let Some((45, pulled)) = resend_armed(&gap(&mut s, 46)) else {
+        panic!("write 1, sent 45 ticks before the report, goes 45 after it")
+    };
+    assert!(!s.engine.timer_is_live(first));
+    let out = s.step(91, Event::Timer { token: pulled });
+    assert_eq!((writes_sent(&out), retransmits(&out)), (vec![(1, v1)], 1));
+    let Some((0, at_once)) = resend_armed(&gap(&mut s, 120)) else {
+        panic!("a resent write goes at once on the next report")
+    };
     assert_eq!(
-        flush_armed(&out),
-        Some((40 - 1, flush)),
-        "next: write 2's deadline"
+        writes_sent(&s.step(120, Event::Timer { token: at_once })),
+        [(1, v1)]
     );
-
-    // The resend reorders on the way: write 1 lands, 2 and 3 fall behind
-    // a gap again. Write 2 goes again at its own deadline (40 + 500), and
-    // 3 rides along once more.
-    s.ack(1 + RETRY + 6, 1);
-    let out = s.step(40 + RETRY, Event::Timer { token: flush });
-    assert_eq!(writes_sent(&out), [(2, v2), (3, v3)]);
-    assert_eq!(
-        flush_armed(&out),
-        Some((40, flush)),
-        "next: write 3's deadline"
-    );
-
-    // Both land; the drained set kills the timer.
-    assert!(s.ack(40 + RETRY + 6, 2).is_empty());
-    assert!(s.ack(40 + RETRY + 7, 3).is_empty());
-    assert!(!s.engine.timer_is_live(flush));
-    assert!(s.step(80 + RETRY, Event::Timer { token: flush }).is_empty());
+    assert!(s.ack(130, 2).is_empty());
+    assert!(!s.engine.timer_is_live(at_once));
 }
 
 /// The write that armed the timer is acked in time, the one behind it is
@@ -325,26 +357,23 @@ fn a_lost_write_is_resent_at_its_deadline_with_the_writes_behind_it() {
 #[test]
 fn a_fire_with_nothing_overdue_sends_nothing_and_waits_for_the_oldest_deadline() {
     let mut s = Script::new();
-    let ((1, _), Some((_, flush))) = s.write(1) else {
-        panic!("the first write arms the flush timer")
+    let ((1, _), Some((_, first))) = s.write(1) else {
+        panic!("the first write arms the resend timer")
     };
     let ((2, v2), None) = s.write(40) else {
-        panic!("a write into a non-empty set arms nothing")
+        panic!("a write into a non-empty window arms nothing")
     };
     assert!(s.ack(7, 1).is_empty());
 
-    let out = s.step(1 + RETRY, Event::Timer { token: flush });
-    assert_eq!(
-        out,
-        [Effect::SetTimer {
-            after: Delta::from_ticks(39),
-            token: flush,
-        }]
-    );
+    let out = s.step(1 + RETRY, Event::Timer { token: first });
+    let [Effect::SetTimer { after, token: next }] = out[..] else {
+        panic!("only a re-arm: {out:?}")
+    };
+    assert_eq!(after, Delta::from_ticks(39));
 
-    let out = s.step(40 + RETRY, Event::Timer { token: flush });
+    let out = s.step(40 + RETRY, Event::Timer { token: next });
     assert_eq!(writes_sent(&out), [(2, v2)]);
-    assert_eq!(flush_armed(&out), Some((RETRY, flush)));
+    assert!(matches!(resend_armed(&out), Some((RETRY, _))));
 }
 
 /// A reply from the shard, too late for any request: epoch 0 answers
@@ -372,19 +401,19 @@ impl Script {
 }
 
 /// The reply carrying write 1's ack is lost on the way; the next one
-/// carries the shard's cursor, 2, which covers both writes: the flush
+/// carries the shard's cursor, 2, which covers both writes: the resend
 /// timer dies and nothing is resent at write 1's deadline.
 #[test]
 fn a_lost_ack_is_covered_by_the_next_replys_cursor() {
     let mut s = Script::new();
-    let ((1, _), Some((_, flush))) = s.write(1) else {
-        panic!("the first write arms the flush timer")
+    let ((1, _), Some((_, timer))) = s.write(1) else {
+        panic!("the first write arms the resend timer")
     };
     s.write(2);
     // Lost: stale_reply(Some(1)).
     s.deliver(8, stale_reply(Some(2)));
-    assert!(!s.engine.timer_is_live(flush), "nothing left unacked");
-    let out = s.step(1 + RETRY, Event::Timer { token: flush });
+    assert!(!s.engine.timer_is_live(timer), "nothing left unacked");
+    let out = s.step(1 + RETRY, Event::Timer { token: timer });
     assert!(writes_sent(&out).is_empty());
     assert_eq!(retransmits(&out), 0);
 }
@@ -395,14 +424,14 @@ fn a_lost_ack_is_covered_by_the_next_replys_cursor() {
 #[test]
 fn a_late_duplicate_with_an_older_cursor_changes_nothing() {
     let mut s = Script::new();
-    let ((1, _), Some((_, flush))) = s.write(1) else {
-        panic!("the first write arms the flush timer")
+    let ((1, _), Some((_, timer))) = s.write(1) else {
+        panic!("the first write arms the resend timer")
     };
     let ((2, v2), None) = s.write(2) else {
-        panic!("a write into a non-empty set arms nothing")
+        panic!("a write into a non-empty window arms nothing")
     };
     let ((3, v3), None) = s.write(3) else {
-        panic!("a write into a non-empty set arms nothing")
+        panic!("a write into a non-empty window arms nothing")
     };
     assert!(s.ack(8, 1).is_empty());
     assert_eq!(
@@ -413,12 +442,20 @@ fn a_late_duplicate_with_an_older_cursor_changes_nothing() {
         }]
     );
     assert!(s.ack(10, 0).is_empty());
-    // Writes 2 and 3 are still unacked, and go again at write 2's own
+    // Writes 2 and 3 are still unacked, and each goes again at its own
     // deadline.
-    assert!(s.engine.timer_is_live(flush));
-    s.step(1 + RETRY, Event::Timer { token: flush });
-    let out = s.step(2 + RETRY, Event::Timer { token: flush });
-    assert_eq!(writes_sent(&out), [(2, v2), (3, v3)]);
+    assert!(s.engine.timer_is_live(timer));
+    let out = s.step(1 + RETRY, Event::Timer { token: timer });
+    let Some((_, timer)) = resend_armed(&out) else {
+        panic!("re-armed for write 2's deadline: {out:?}")
+    };
+    let out = s.step(2 + RETRY, Event::Timer { token: timer });
+    assert_eq!(writes_sent(&out), [(2, v2)]);
+    let Some((_, timer)) = resend_armed(&out) else {
+        panic!("re-armed for write 3's deadline: {out:?}")
+    };
+    let out = s.step(3 + RETRY, Event::Timer { token: timer });
+    assert_eq!(writes_sent(&out), [(3, v3)]);
 }
 
 /// A reply to a request the client has moved past is dropped — its
@@ -427,8 +464,8 @@ fn a_late_duplicate_with_an_older_cursor_changes_nothing() {
 #[test]
 fn a_stale_replys_newer_cursor_still_clears_unacked() {
     let mut s = Script::new();
-    let ((1, _), Some((_, flush))) = s.write(1) else {
-        panic!("the first write arms the flush timer")
+    let ((1, _), Some((_, timer))) = s.write(1) else {
+        panic!("the first write arms the resend timer")
     };
     s.write(2);
     let out = s.deliver(8, stale_reply(Some(2)));
@@ -436,13 +473,13 @@ fn a_stale_replys_newer_cursor_still_clears_unacked() {
         name: names::STALE_REPLY,
         add: 1
     }));
-    assert!(!s.engine.timer_is_live(flush), "both writes acked");
+    assert!(!s.engine.timer_is_live(timer), "both writes acked");
     // A stale reply with no ack on it clears nothing.
-    let ((3, _), Some((_, flush))) = s.write(20) else {
-        panic!("a write into the drained set arms a new flush timer")
+    let ((3, _), Some((_, timer))) = s.write(20) else {
+        panic!("a write into the drained window arms a new resend timer")
     };
     s.deliver(21, stale_reply(None));
-    assert!(s.engine.timer_is_live(flush));
+    assert!(s.engine.timer_is_live(timer));
 }
 
 /// A one-site fleet wired by hand: shard node 0, client node 1, every
@@ -524,8 +561,8 @@ fn counted(effects: &[Effect], metric: &str) -> usize {
 /// twelve times, one write a tick. The eighth fills the group; the sync
 /// owes its cursor, which goes out alone (no reply is coming). Writes 9
 /// to 12 are still unsynced when the shard is killed, so no ack ever
-/// named them, and the client resends exactly those four — at write 9's
-/// deadline, in order — and nothing it was told is durable.
+/// named them, and the client resends exactly those four, each once at
+/// its own deadline, and nothing it was told is durable.
 #[test]
 fn a_kill_before_the_sync_makes_the_client_resend_exactly_the_unsynced_tail() {
     let protocol = ProtocolConfig::of(ProtocolKind::Tcc {
@@ -581,9 +618,5 @@ fn a_kill_before_the_sync_makes_the_client_resend_exactly_the_unsynced_tail() {
         matches!(acks[..], [(at, 8), .., (_, 12)] if at < KILL),
         "the synced prefix acked before the kill, the tail after: {acks:?}"
     );
-    assert_eq!(resent[..4], [9, 10, 11, 12], "the tail, in order");
-    assert!(
-        resent.iter().all(|seq| (9..=12).contains(seq)),
-        "nothing acked is resent: {resent:?}"
-    );
+    assert_eq!(resent, [9, 10, 11, 12], "the tail, in order, each once");
 }
