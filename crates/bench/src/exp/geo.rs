@@ -43,16 +43,15 @@ use std::collections::BTreeSet;
 
 use super::{field, items, number, string, Args, Report};
 use crate::{parallel_map, Table};
-use tc_clocks::{Delta, Time};
-use tc_lifetime::geo::RETX_AFTER;
+use tc_clocks::Delta;
 use tc_lifetime::{
-    conformance_geo, run_geo, GeoRunConfig, Migration, OracleVerdict, ProtocolConfig, ProtocolKind,
-    RegionMap, StalePolicy, WanProfile,
+    conformance_geo, geo_retx, run_geo_with, GeoLayout, Migration, OracleVerdict, ProtocolConfig,
+    ProtocolKind, RegionMap, RunConfig, RunOptions, StalePolicy, WanProfile,
 };
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::{FaultPlan, Window, WorldConfig};
-use tc_store::{run_threaded_geo, GeoRuntimeConfig};
+use tc_store::{run_threaded_geo, RuntimeConfig};
 
 const REGIONS: usize = 3;
 const SHARDS_PER_REGION: usize = 2;
@@ -115,21 +114,52 @@ fn mixed_workload() -> Workload {
     Workload::new(4, 0.8, 0.7, (Delta::from_ticks(5), Delta::from_ticks(40)))
 }
 
-fn sim_config(kind: ProtocolKind, workload: Workload, seed: u64) -> GeoRunConfig {
-    GeoRunConfig {
-        protocol: ProtocolConfig::of(kind).with_shards(SHARDS_PER_REGION),
+/// The 3-region layout every scenario runs on, with `migrations`.
+fn layout(wan: WanProfile, migrations: Vec<Migration>) -> GeoLayout {
+    GeoLayout {
         regions: RegionMap::new(REGIONS, SHARDS_PER_REGION),
-        wan: WanProfile {
-            lat_lo: 40,
-            lat_hi: 60,
-            skew_step: 3,
-        },
+        wan,
         clients_per_region: CLIENTS_PER_REGION,
+        migrations,
+    }
+}
+
+/// The simulator's WAN: 40–60 ticks a hop, regions skewed 3 ticks apart.
+const SIM_WAN: WanProfile = WanProfile {
+    lat_lo: 40,
+    lat_hi: 60,
+    skew_step: 3,
+};
+
+fn sim_config(kind: ProtocolKind, workload: Workload, seed: u64) -> RunConfig {
+    RunConfig {
+        protocol: ProtocolConfig::of(kind).with_shards(SHARDS_PER_REGION),
+        n_clients: N_CLIENTS,
         workload,
         ops_per_client: SIM_OPS,
         world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
-        migrations: Vec::new(),
     }
+}
+
+/// The migration scenario's two scripted moves — client 0 to region 2
+/// after `first` ops, the last client to region 1 after `second` — and
+/// no move in any other scenario.
+fn moves(scenario: &str, first: usize, second: usize) -> Vec<Migration> {
+    if scenario != "migration" {
+        return Vec::new();
+    }
+    vec![
+        Migration {
+            client: 0,
+            at_op: first,
+            to_region: 2,
+        },
+        Migration {
+            client: N_CLIENTS - 1,
+            at_op: second,
+            to_region: 1,
+        },
+    ]
 }
 
 /// One simulator run, judged by the geo oracle.
@@ -137,11 +167,15 @@ fn sim_cell(
     scenario: &'static str,
     delta: String,
     seed: u64,
-    config: &GeoRunConfig,
+    (config, layout): (&RunConfig, &GeoLayout),
     plan: &FaultPlan,
 ) -> Cell {
-    let result = run_geo(config, plan.clone());
-    let c = conformance_geo(config, plan, &result);
+    let opts = RunOptions {
+        plan: plan.clone(),
+        ..RunOptions::default()
+    };
+    let result = run_geo_with(config, layout, opts);
+    let c = conformance_geo(config, layout, plan, &result);
     Cell {
         scenario,
         driver: "sim",
@@ -159,39 +193,24 @@ fn sim_cell(
 fn run_sim_scenario(scenario: &'static str, seed: u64) -> Cell {
     let delta = Delta::from_ticks(200);
     let kind = ProtocolKind::Tcc { delta };
-    let mut config = match scenario {
+    let config = match scenario {
         "flash-crowd" => sim_config(kind, flash_workload(), seed),
         _ => sim_config(kind, mixed_workload(), seed),
     };
+    let layout = layout(SIM_WAN, moves(scenario, 8, 12));
     let plan = match scenario {
-        "partition" => {
-            // Cut region 2 — shards, relay, and home clients — off the
-            // world for 600 ticks; its clients keep operating locally.
-            let map = config.regions;
-            let mut isolated = map.region_shards(REGIONS - 1);
-            isolated.push(map.relay_node(REGIONS - 1));
-            for c in 0..CLIENTS_PER_REGION {
-                isolated.push(map.client_base() + (REGIONS - 1) * CLIENTS_PER_REGION + c);
-            }
-            FaultPlan::none().partition(Window::ticks(200, 800), isolated)
-        }
+        // Region 2 — shards, relay and home clients — cut off the world
+        // for 600 ticks; its clients keep operating locally.
+        "partition" => FaultPlan::none().partition(Window::ticks(200, 800), layout.region_nodes(2)),
         _ => FaultPlan::none(),
     };
-    if scenario == "migration" {
-        config.migrations = vec![
-            Migration {
-                client: 0,
-                at_op: 8,
-                to_region: 2,
-            },
-            Migration {
-                client: N_CLIENTS - 1,
-                at_op: 12,
-                to_region: 1,
-            },
-        ];
-    }
-    sim_cell(scenario, delta.ticks().to_string(), seed, &config, &plan)
+    sim_cell(
+        scenario,
+        delta.ticks().to_string(),
+        seed,
+        (&config, &layout),
+        &plan,
+    )
 }
 
 /// The three scenarios, threaded real-time driver.
@@ -204,40 +223,20 @@ fn run_threaded_scenario(scenario: &'static str, seed: u64, ops: usize) -> Cell 
         "flash-crowd" => flash_workload(),
         _ => mixed_workload(),
     };
-    let mut cfg = GeoRuntimeConfig::for_protocol(
-        protocol,
-        RegionMap::new(REGIONS, SHARDS_PER_REGION),
+    let layout = layout(
         WanProfile::symmetric(20, 60),
-        CLIENTS_PER_REGION,
-        workload,
-        ops,
-        seed,
+        moves(scenario, ops / 3, ops / 2),
     );
-    match scenario {
-        "partition" => {
-            // Region 2 off the WAN for 2 000 ticks mid-run; widen the
-            // monitor by the blackout plus a retransmit round, exactly as
-            // the simulator oracle widens for disruption.
-            cfg.wan_outages = vec![(REGIONS - 1, Time::from_ticks(500), Time::from_ticks(2_500))];
-            cfg = cfg.widen_monitor(2_000 + 2 * RETX_AFTER.ticks());
-        }
-        "migration" => {
-            cfg.migrations = vec![
-                Migration {
-                    client: 0,
-                    at_op: ops / 3,
-                    to_region: 2,
-                },
-                Migration {
-                    client: N_CLIENTS - 1,
-                    at_op: ops / 2,
-                    to_region: 1,
-                },
-            ];
-        }
-        _ => {}
+    let mut cfg = RuntimeConfig::for_geo(protocol, &layout, workload, ops, seed);
+    if scenario == "partition" {
+        // Region 2 cut off for 2 000 ticks mid-run; the monitor is
+        // widened by the geo path's fault term, the one the simulator
+        // oracle charges for the same plan.
+        let plan = FaultPlan::none().partition(Window::ticks(500, 2_500), layout.region_nodes(2));
+        cfg.monitor_delta = cfg.monitor_delta + geo_retx(&plan).expect("the partition heals");
+        cfg.faults = plan;
     }
-    let r = run_threaded_geo(&cfg);
+    let r = run_threaded_geo(&cfg, &layout);
     let verdict = if r.on_time.holds() {
         "Conforms".to_string()
     } else {
@@ -267,7 +266,8 @@ fn run_curve_point(delta: Option<u64>, seed: u64) -> Cell {
     };
     let label = delta.map_or_else(|| "inf".to_string(), |t| t.to_string());
     let config = sim_config(kind, flash_workload(), seed);
-    sim_cell("curve", label, seed, &config, &FaultPlan::none())
+    let layout = layout(SIM_WAN, Vec::new());
+    sim_cell("curve", label, seed, (&config, &layout), &FaultPlan::none())
 }
 
 const SCENARIOS: [&str; 3] = ["flash-crowd", "partition", "migration"];

@@ -1,14 +1,16 @@
 //! One ordered, acknowledged channel, sans-io: the sender window and the
 //! receiver under every reliable stream of the protocol — a client's
-//! causal writes to a shard, and a shard's geo egress batches to a peer
-//! region's relay (DESIGN.md §10).
+//! causal writes to a shard, a shard's geo egress batches to a peer
+//! region's relay, and a relay's forwarded applies to its shards, a window
+//! of one (DESIGN.md §10).
 //!
 //! A stream numbers its items from 1. The [`Receiver`] judges each
 //! arrival against a cursor its caller keeps (the highest number
 //! delivered): a duplicate, the next item, one held ahead of a gap, or
 //! one past [`AHEAD`], dropped. The ack is the cursor; when it leaves is
-//! the caller's policy. A receiver left holding items reports its gap at
-//! once ([`Receiver::is_holding`], [`crate::msg::Msg::Gap`]). The
+//! the caller's policy, and so is whether a receiver left holding items
+//! reports its gap ([`Receiver::is_holding`]): a shard reports a writer's
+//! at once ([`crate::msg::Msg::Gap`]), a relay reports none. The
 //! [`SendWindow`] resends exactly the items overdue `after` past their own
 //! last send (selective repeat), or sooner once a gap report names them
 //! ([`SendWindow::gap`]), on one timer named by the deadline it waits for

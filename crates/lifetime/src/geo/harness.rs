@@ -2,7 +2,7 @@
 //! over the one world builder ([`crate::run_with`] is its no-geo case),
 //! judged by the one oracle at a region-aware widened bound.
 //!
-//! The node layout follows [`RegionMap`]: `R·S` shards (region-major),
+//! The node layout follows [`super::RegionMap`]: `R·S` shards (region-major),
 //! then `R` relays, then the clients (region-major,
 //! `clients_per_region` each). WAN latency applies to exactly the links
 //! the geo protocol crosses — shard→peer-relay batches and the acks
@@ -33,87 +33,32 @@
 //! ```
 
 use tc_clocks::{Delta, Epsilon};
-use tc_sim::workload::Workload;
-use tc_sim::{FaultKind, FaultPlan, Scope, Window, WorldConfig};
+use tc_sim::{FaultKind, FaultPlan, Scope, Window};
 
-use super::{Migration, RegionMap, WanProfile, EGRESS_BATCH, RETX_AFTER};
+use super::{GeoLayout, EGRESS_BATCH, RETX_AFTER};
 use crate::harness::run_impl;
-use crate::oracle::{judge, widened_bound, Conformance};
-use crate::{ProtocolConfig, RunConfig, RunOptions, RunResult};
+use crate::oracle::{fsync_delay, judge, widened_bound, Conformance};
+use crate::{RunConfig, RunOptions, RunResult};
 
-/// Configuration of one geo run.
-#[derive(Clone, Debug)]
-pub struct GeoRunConfig {
-    /// The protocol under test — must be causal-family, with
-    /// `protocol.shards == regions.shards_per_region`.
-    pub protocol: ProtocolConfig,
-    /// Region/shard layout.
-    pub regions: RegionMap,
-    /// Cross-region latency and skew profile.
-    pub wan: WanProfile,
-    /// Clients attached to each region (sites are region-major: client
-    /// `c` of region `r` is site `r · clients_per_region + c`).
-    pub clients_per_region: usize,
-    /// The workload every client runs.
-    pub workload: Workload,
-    /// Operations each client performs.
-    pub ops_per_client: usize,
-    /// Base world: the *intra-region* network model, clocks, and seed.
-    pub world: WorldConfig,
-    /// Scripted client migrations (at most one per client).
-    pub migrations: Vec<Migration>,
-}
-
-impl GeoRunConfig {
-    /// Total clients across all regions.
-    #[must_use]
-    pub fn n_clients(&self) -> usize {
-        self.regions.regions * self.clients_per_region
-    }
-
-    /// The home region of a client site.
-    #[must_use]
-    pub fn home_region(&self, site: usize) -> usize {
-        site / self.clients_per_region
-    }
-
-    /// The single-region [`RunConfig`] view of this configuration — what
-    /// the base oracle terms (Δ, round trips, LAN latency, retry, push
-    /// batch, fsync) are computed from.
-    #[must_use]
-    pub fn base_run_config(&self) -> RunConfig {
-        RunConfig {
-            protocol: self.protocol,
-            n_clients: self.n_clients(),
-            workload: self.workload.clone(),
-            ops_per_client: self.ops_per_client,
-            world: self.world.clone(),
-        }
-    }
-
+impl GeoLayout {
     /// Merges this profile's per-region clock skews into `plan` as
     /// whole-run [`FaultKind::ClockSkew`] rules over every node of each
     /// region (shards, relay, and home clients). Run and oracle both see
     /// the skew through the plan, so the effective ε they agree on
     /// (`world ε + 2·max_abs_skew`) is inflated by exactly the injected
-    /// divergence.
+    /// divergence. Simulator only: a real driver's threads share one
+    /// clock.
     #[must_use]
     pub fn plan_with_region_skew(&self, mut plan: FaultPlan) -> FaultPlan {
         if self.wan.skew_step == 0 {
             return plan;
         }
-        let map = self.regions;
-        for region in 0..map.regions {
+        for region in 0..self.regions.regions {
             let offset = self.wan.region_skew(region);
             if offset == 0 {
                 continue;
             }
-            let mut nodes = map.region_shards(region);
-            nodes.push(map.relay_node(region));
-            for c in 0..self.clients_per_region {
-                nodes.push(map.client_base() + region * self.clients_per_region + c);
-            }
-            for node in nodes {
+            for node in self.region_nodes(region) {
                 plan = plan.with(
                     Window::always(),
                     Scope::All,
@@ -125,45 +70,49 @@ impl GeoRunConfig {
     }
 }
 
-/// The geo-widened staleness bound for `config` under `plan` (see the
-/// module docs for the term-by-term derivation), or `None` when the
-/// level is untimed or a latency/outage/deadline term is unbounded.
+/// The geo path's own fault term: a plan that can black-hole a geo frame
+/// costs its longest outage once more, plus one batch and one apply
+/// retransmit interval ([`RETX_AFTER`] each); a plan that cannot costs
+/// nothing. `None` when the disruption is unbounded. [`widened_bound_geo`]
+/// adds it to the simulator's bound, and a real-driver caller injecting a
+/// WAN partition adds it to its monitor's Δ — one term, both drivers.
+#[must_use]
+pub fn geo_retx(plan: &FaultPlan) -> Option<Delta> {
+    let disruption = plan.max_disruption()?.ticks();
+    Some(Delta::from_ticks(if disruption > 0 {
+        disruption + 2 * RETX_AFTER.ticks()
+    } else {
+        0
+    }))
+}
+
+/// The geo-widened staleness bound of `config` laid out as `layout`
+/// under `plan` (see the module docs for the term-by-term derivation),
+/// or `None` when the level is untimed or a latency/outage/deadline term
+/// is unbounded.
 ///
 /// `plan` is the *caller's* plan — region skew rules affect the bound
-/// only through `eps`, which the caller (or [`run_geo`]) already
+/// only through `eps`, which the caller (or [`run_geo_with`]) already
 /// inflated.
 #[must_use]
-pub fn widened_bound_geo(config: &GeoRunConfig, plan: &FaultPlan, eps: Epsilon) -> Option<Delta> {
-    let base = widened_bound(&config.base_run_config(), plan, eps)?;
+pub fn widened_bound_geo(
+    config: &RunConfig,
+    layout: &GeoLayout,
+    plan: &FaultPlan,
+    eps: Epsilon,
+) -> Option<Delta> {
+    let base = widened_bound(config, plan, eps)?;
     let egress = EGRESS_BATCH.max_delay.ticks();
-    let wan = config.wan.max_latency(config.regions.regions);
+    let wan = layout.wan.max_latency(layout.regions.regions);
     let lat = config.world.net.latency.upper_bound()?.ticks();
-    // Finite whenever `base` is (an infinite fsync deadline already
-    // returned `None` above); zero for ephemeral stores and per-write
-    // syncing.
-    let fsync = match config.protocol.durability.fsync() {
-        None => 0,
-        Some(policy) => {
-            if policy.max_delay.is_infinite() {
-                return None;
-            }
-            policy.max_delay.ticks()
-        }
-    };
+    let fsync = fsync_delay(&config.protocol)?;
     // Relay ingress serialization: one apply in flight at a time, so in
     // the worst case every other write of the run drains ahead of this
     // one, each costing a local round-trip, a destination fsync window,
     // and scheduling slack.
     let per_apply = 2 * lat + fsync + 4;
-    let queue = (config.n_clients() * config.ops_per_client) as u64 * per_apply;
-    let disruption = plan.max_disruption()?;
-    let geo_retx = if disruption.ticks() > 0 {
-        // The geo path loses its own frames to the same outage: charge the
-        // window again plus one batch and one apply retransmit interval.
-        disruption.ticks() + 2 * RETX_AFTER.ticks()
-    } else {
-        0
-    };
+    let queue = (config.n_clients * config.ops_per_client) as u64 * per_apply;
+    let geo_retx = geo_retx(plan)?.ticks();
     Some(Delta::from_ticks(
         base.ticks() + fsync + egress + wan + queue + geo_retx,
     ))
@@ -172,75 +121,59 @@ pub fn widened_bound_geo(config: &GeoRunConfig, plan: &FaultPlan, eps: Epsilon) 
 /// Judges one geo run the way [`crate::oracle::conformance`] judges a
 /// single-region run, with [`widened_bound_geo`] as the timed bound and
 /// causal convergence across every region's clients as the untimed
-/// guarantee. `plan` must be the same plan passed to [`run_geo`]
-/// (pre-skew-merge: skew enters through `result.epsilon`).
+/// guarantee. `plan` must be the plan the run was given (pre-skew-merge:
+/// skew enters through `result.epsilon`).
 #[must_use]
-pub fn conformance_geo(config: &GeoRunConfig, plan: &FaultPlan, result: &RunResult) -> Conformance {
+pub fn conformance_geo(
+    config: &RunConfig,
+    layout: &GeoLayout,
+    plan: &FaultPlan,
+    result: &RunResult,
+) -> Conformance {
     judge(
         result,
-        widened_bound_geo(config, plan, result.epsilon),
-        config.n_clients() * config.ops_per_client,
+        widened_bound_geo(config, layout, plan, result.epsilon),
+        config.n_clients * config.ops_per_client,
         true,
     )
 }
 
-/// Runs one geo deployment to quiescence under an injected [`FaultPlan`]
-/// (node indices follow [`RegionMap`]; [`WanProfile`] skews are merged in
-/// automatically).
+/// Runs `config` laid out as `layout` to quiescence as `opts` asks —
+/// everything [`crate::run_with`] offers a flat fleet (fault plans, WAL
+/// stores, adaptive Δ, traces, private sources) composes with regions.
+/// Plan node indices follow [`super::RegionMap`]; the [`super::WanProfile`]
+/// skews are merged into the plan.
 ///
 /// # Panics
 ///
-/// As [`run_geo_with`].
+/// Panics if `layout` does not fit `config` ([`GeoLayout::validate`]),
+/// the run fails to quiesce within its event budget, or the protocol
+/// produced an invalid trace.
 #[must_use]
-pub fn run_geo(config: &GeoRunConfig, plan: FaultPlan) -> RunResult {
-    run_geo_with(
-        config,
-        RunOptions {
-            plan,
-            ..RunOptions::default()
-        },
-    )
-}
-
-/// Runs one geo deployment to quiescence as `opts` asks — everything
-/// [`crate::run_with`] offers a flat fleet (WAL stores, adaptive Δ,
-/// traces, private sources) composes with regions.
-///
-/// # Panics
-///
-/// Panics if the protocol is not causal-family, the shard counts
-/// disagree, the migration script is invalid
-/// ([`RegionMap::validate_migrations`]), the run fails to quiesce within
-/// its event budget, or the protocol produced an invalid trace.
-#[must_use]
-pub fn run_geo_with(config: &GeoRunConfig, opts: RunOptions<'_>) -> RunResult {
-    assert!(
-        config.protocol.kind.is_causal_family(),
-        "geo replication composes causally; physical-family levels cannot span regions"
-    );
-    assert_eq!(
-        config.protocol.shards, config.regions.shards_per_region,
-        "protocol shard count must match the per-region fleet size"
-    );
-    assert!(config.clients_per_region >= 1, "regions need clients");
-    config.regions.validate_migrations(
-        &config.migrations,
-        config.n_clients(),
-        config.ops_per_client,
-    );
-    run_impl(&config.base_run_config(), Some(config), opts)
+pub fn run_geo_with(config: &RunConfig, layout: &GeoLayout, opts: RunOptions<'_>) -> RunResult {
+    layout.validate(&config.protocol, config.n_clients, config.ops_per_client);
+    run_impl(config, Some(layout), opts)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OracleVerdict, ProtocolKind};
+    use crate::geo::{Migration, RegionMap, WanProfile};
+    use crate::{OracleVerdict, ProtocolConfig, ProtocolKind};
     use tc_core::checker::{satisfies_ccv, Outcome};
     use tc_sim::metrics::names;
+    use tc_sim::workload::Workload;
+    use tc_sim::WorldConfig;
 
-    fn geo_config(kind: ProtocolKind, seed: u64) -> GeoRunConfig {
-        GeoRunConfig {
+    fn geo_config(kind: ProtocolKind, seed: u64) -> (RunConfig, GeoLayout) {
+        let config = RunConfig {
             protocol: ProtocolConfig::of(kind).with_shards(2),
+            n_clients: 6,
+            workload: Workload::new(4, 0.8, 0.7, (Delta::from_ticks(5), Delta::from_ticks(40))),
+            ops_per_client: 20,
+            world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
+        };
+        let layout = GeoLayout {
             regions: RegionMap::new(3, 2),
             wan: WanProfile {
                 lat_lo: 40,
@@ -248,22 +181,20 @@ mod tests {
                 skew_step: 3,
             },
             clients_per_region: 2,
-            workload: Workload::new(4, 0.8, 0.7, (Delta::from_ticks(5), Delta::from_ticks(40))),
-            ops_per_client: 20,
-            world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
             migrations: Vec::new(),
-        }
+        };
+        (config, layout)
     }
 
     #[test]
     fn three_region_tcc_run_conforms() {
-        let config = geo_config(
+        let (config, layout) = geo_config(
             ProtocolKind::Tcc {
                 delta: Delta::from_ticks(200),
             },
             7,
         );
-        let result = run_geo(&config, FaultPlan::none());
+        let result = run_geo_with(&config, &layout, RunOptions::default());
         assert_eq!(result.history.len(), 6 * 20, "every op recorded");
         assert!(result.counter(names::GEO_BATCH) > 0, "batches flowed");
         assert!(
@@ -271,68 +202,40 @@ mod tests {
             "remote writes landed: {:?}",
             result.metrics.counters
         );
-        let c = conformance_geo(&config, &FaultPlan::none(), &result);
+        let c = conformance_geo(&config, &layout, &FaultPlan::none(), &result);
         assert_eq!(c.verdict, OracleVerdict::Conforms, "{:?}", c.verdict);
         assert!(c.observed_staleness <= c.bound.unwrap());
     }
 
     #[test]
     fn untimed_cc_geo_run_converges() {
-        let config = geo_config(ProtocolKind::Cc, 11);
-        let result = run_geo(&config, FaultPlan::none());
+        let (config, layout) = geo_config(ProtocolKind::Cc, 11);
+        let result = run_geo_with(&config, &layout, RunOptions::default());
         assert_eq!(result.bound, None, "Cc carries no timed bound");
         assert_eq!(satisfies_ccv(&result.history), Outcome::Satisfied);
-        let c = conformance_geo(&config, &FaultPlan::none(), &result);
+        let c = conformance_geo(&config, &layout, &FaultPlan::none(), &result);
         assert_eq!(c.verdict, OracleVerdict::Conforms);
     }
 
     #[test]
     fn geo_runs_are_deterministic() {
-        let config = geo_config(ProtocolKind::Cc, 5);
-        let a = run_geo(&config, FaultPlan::none());
-        let b = run_geo(&config, FaultPlan::none());
+        let (config, layout) = geo_config(ProtocolKind::Cc, 5);
+        let a = run_geo_with(&config, &layout, RunOptions::default());
+        let b = run_geo_with(&config, &layout, RunOptions::default());
         assert_eq!(a.history.to_string(), b.history.to_string());
         assert_eq!(a.metrics, b.metrics);
     }
 
     #[test]
-    fn region_partition_heals_and_conforms() {
-        let config = geo_config(
-            ProtocolKind::Tcc {
-                delta: Delta::from_ticks(200),
-            },
-            13,
-        );
-        // Cut region 2 (shards 4–5, relay 8, clients 13–14) off from the
-        // world for 600 ticks. Its clients keep writing locally
-        // (availability); the backlog drains after the heal.
-        let map = config.regions;
-        let mut isolated = map.region_shards(2);
-        isolated.push(map.relay_node(2));
-        isolated.push(map.client_base() + 4);
-        isolated.push(map.client_base() + 5);
-        let plan = FaultPlan::none().partition(Window::ticks(200, 800), isolated);
-        let result = run_geo(&config, plan.clone());
-        assert_eq!(result.history.len(), 6 * 20, "no op lost to the outage");
-        assert!(
-            result.counter(names::GEO_BATCH_RETRANSMIT) > 0,
-            "the outage must have forced retransmissions: {:?}",
-            result.metrics.counters
-        );
-        let c = conformance_geo(&config, &plan, &result);
-        assert_eq!(c.verdict, OracleVerdict::Conforms, "{:?}", c.verdict);
-    }
-
-    #[test]
     fn client_migration_carries_context_and_conforms() {
-        let mut config = geo_config(
+        let (config, mut layout) = geo_config(
             ProtocolKind::Tcc {
                 delta: Delta::from_ticks(200),
             },
             17,
         );
         // Client 0 moves region 0 → 2 mid-workload; client 5 moves 2 → 1.
-        config.migrations = vec![
+        layout.migrations = vec![
             Migration {
                 client: 0,
                 at_op: 8,
@@ -344,7 +247,7 @@ mod tests {
                 to_region: 1,
             },
         ];
-        let result = run_geo(&config, FaultPlan::none());
+        let result = run_geo_with(&config, &layout, RunOptions::default());
         assert_eq!(result.history.len(), 6 * 20, "migrants finish elsewhere");
         assert_eq!(
             result.counter(names::GEO_MIGRATED),
@@ -352,39 +255,37 @@ mod tests {
             "both migrations completed: {:?}",
             result.metrics.counters
         );
-        let c = conformance_geo(&config, &FaultPlan::none(), &result);
+        let c = conformance_geo(&config, &layout, &FaultPlan::none(), &result);
         assert_eq!(c.verdict, OracleVerdict::Conforms, "{:?}", c.verdict);
     }
 
     #[test]
     fn widened_bound_geo_extends_the_base_bound() {
-        let config = geo_config(
+        let (config, layout) = geo_config(
             ProtocolKind::Tcc {
                 delta: Delta::from_ticks(200),
             },
             0,
         );
-        let base =
-            widened_bound(&config.base_run_config(), &FaultPlan::none(), Epsilon::ZERO).unwrap();
-        let geo = widened_bound_geo(&config, &FaultPlan::none(), Epsilon::ZERO).unwrap();
+        let base = widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO).unwrap();
+        let geo = widened_bound_geo(&config, &layout, &FaultPlan::none(), Epsilon::ZERO).unwrap();
         // egress 20 + wan 120 + queue 120·(2·2+4) = 960.
         assert_eq!(geo.ticks(), base.ticks() + 20 + 120 + 960);
         // A disruptive plan charges its window once in the base bound and
         // once more (plus two retransmit intervals) for the geo path.
         let plan = FaultPlan::none().partition(Window::ticks(0, 100), vec![0]);
-        let noisy = widened_bound_geo(&config, &plan, Epsilon::ZERO).unwrap();
-        let noisy_base = widened_bound(&config.base_run_config(), &plan, Epsilon::ZERO).unwrap();
+        let noisy = widened_bound_geo(&config, &layout, &plan, Epsilon::ZERO).unwrap();
+        let noisy_base = widened_bound(&config, &plan, Epsilon::ZERO).unwrap();
+        assert_eq!(geo_retx(&plan), Some(Delta::from_ticks(100 + 2 * 300)));
+        assert_eq!(geo_retx(&FaultPlan::none()), Some(Delta::ZERO));
         assert_eq!(
             noisy.ticks(),
             noisy_base.ticks() + 20 + 120 + 960 + 100 + 2 * 300
         );
         // Untimed levels carry no bound.
+        let (cc, layout) = geo_config(ProtocolKind::Cc, 0);
         assert_eq!(
-            widened_bound_geo(
-                &geo_config(ProtocolKind::Cc, 0),
-                &FaultPlan::none(),
-                Epsilon::ZERO
-            ),
+            widened_bound_geo(&cc, &layout, &FaultPlan::none(), Epsilon::ZERO),
             None
         );
     }

@@ -51,12 +51,12 @@ use serde::{Deserialize, Serialize};
 use tc_clocks::Delta;
 use tc_sim::{LatencyModel, NetworkModel, NodeId};
 
-use crate::PushBatch;
+use crate::{ProtocolConfig, PushBatch};
 
 mod harness;
 mod relay;
 
-pub use harness::{conformance_geo, run_geo, run_geo_with, widened_bound_geo, GeoRunConfig};
+pub use harness::{conformance_geo, geo_retx, run_geo_with, widened_bound_geo};
 pub use relay::GeoRelayEngine;
 
 /// The egress discipline of every shard's outgoing cross-region channels,
@@ -167,45 +167,102 @@ impl RegionMap {
             client_base: self.client_base(),
         }
     }
+}
 
-    /// The engine-level plan of `site`'s scripted move, if `migrations`
-    /// holds one.
+/// What a geo deployment adds to a flat run's configuration, under every
+/// driver: the region layout, the WAN between regions, how many clients
+/// each region homes, and the scripted moves. The protocol, the workload,
+/// the total client count and the seed stay in the driver's own
+/// configuration ([`crate::RunConfig`], `tc_store::RuntimeConfig`), and
+/// [`GeoLayout::validate`] checks the two agree.
+#[derive(Clone, Debug)]
+pub struct GeoLayout {
+    /// Region/shard layout.
+    pub regions: RegionMap,
+    /// Cross-region latency and skew profile. Real drivers ignore the
+    /// skew: their threads read one shared epoch.
+    pub wan: WanProfile,
+    /// Clients attached to each region (sites are region-major: client
+    /// `c` of region `r` is site `r · clients_per_region + c`).
+    pub clients_per_region: usize,
+    /// Scripted client migrations (at most one per client).
+    pub migrations: Vec<Migration>,
+}
+
+impl GeoLayout {
+    /// Total clients across all regions.
     #[must_use]
-    pub fn migration_plan(
-        &self,
-        migrations: &[Migration],
-        site: usize,
-    ) -> Option<GeoMigrationPlan> {
-        let m = migrations.iter().find(|m| m.client == site)?;
+    pub fn n_clients(&self) -> usize {
+        self.regions.regions * self.clients_per_region
+    }
+
+    /// The home region of a client site.
+    #[must_use]
+    pub fn home_region(&self, site: usize) -> usize {
+        site / self.clients_per_region
+    }
+
+    /// Every node of `region`: its shards, its relay and its home clients
+    /// — the isolated side of a region partition.
+    #[must_use]
+    pub fn region_nodes(&self, region: usize) -> Vec<usize> {
+        let clients = self.regions.client_base() + region * self.clients_per_region;
+        let mut nodes = self.regions.region_shards(region);
+        nodes.push(self.regions.relay_node(region));
+        nodes.extend(clients..clients + self.clients_per_region);
+        nodes
+    }
+
+    /// The engine-level plan of `site`'s scripted move, if it has one.
+    #[must_use]
+    pub fn migration_plan(&self, site: usize) -> Option<GeoMigrationPlan> {
+        let m = self.migrations.iter().find(|m| m.client == site)?;
         Some(GeoMigrationPlan {
             at_op: m.at_op,
-            relay: NodeId::new(self.relay_node(m.to_region)),
-            servers: self.fleet(m.to_region),
+            relay: NodeId::new(self.regions.relay_node(m.to_region)),
+            servers: self.regions.fleet(m.to_region),
         })
     }
 
-    /// Checks a migration script against the deployment it will run on.
+    /// Checks the layout against the run it will carry: `n_clients` sites
+    /// of `ops_per_client` operations each, under `protocol`. Every geo
+    /// driver calls it before building a node.
     ///
     /// # Panics
     ///
-    /// Panics if a migration names a client or region out of range, is
-    /// scheduled at or after the workload's end, or is the second one for
-    /// its client (a client moves at most once).
-    pub fn validate_migrations(
-        &self,
-        migrations: &[Migration],
-        n_clients: usize,
-        ops_per_client: usize,
-    ) {
-        for (i, m) in migrations.iter().enumerate() {
+    /// Panics, naming the check, unless the protocol is causal-family
+    /// (DESIGN.md §17), `protocol.shards` is the per-region fleet size,
+    /// every region homes a client, `n_clients` is `regions ×
+    /// clients_per_region`, and each client moves at most once, in range
+    /// and before its workload ends.
+    pub fn validate(&self, protocol: &ProtocolConfig, n_clients: usize, ops_per_client: usize) {
+        assert!(
+            protocol.kind.is_causal_family(),
+            "geo replication needs the causal family (Cc/Tcc), got {:?}",
+            protocol.kind
+        );
+        assert_eq!(
+            protocol.shards, self.regions.shards_per_region,
+            "protocol.shards is the per-region fleet size"
+        );
+        assert!(self.clients_per_region >= 1, "each region needs a client");
+        assert_eq!(
+            n_clients,
+            self.n_clients(),
+            "n_clients must equal regions × clients_per_region"
+        );
+        for (i, m) in self.migrations.iter().enumerate() {
             assert!(m.client < n_clients, "migration client in range");
-            assert!(m.to_region < self.regions, "migration region in range");
+            assert!(
+                m.to_region < self.regions.regions,
+                "migration region in range"
+            );
             assert!(
                 m.at_op < ops_per_client,
                 "a migration must fire before the client's workload ends"
             );
             assert!(
-                migrations[..i].iter().all(|other| other.client != m.client),
+                self.migrations[..i].iter().all(|o| o.client != m.client),
                 "client {} has more than one migration scheduled",
                 m.client
             );
@@ -286,15 +343,6 @@ impl WanProfile {
             -magnitude
         }
     }
-
-    /// The largest `|region_skew|` across `regions` regions.
-    #[must_use]
-    pub fn max_abs_skew(&self, regions: usize) -> i64 {
-        (0..regions)
-            .map(|r| self.region_skew(r).abs())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Geo configuration of one shard engine: where its relays are. Its
@@ -369,16 +417,79 @@ mod tests {
         assert_eq!(m.region_shards(1), vec![2, 3]);
     }
 
+    /// A 3-region, 2-shard, 2-clients-per-region layout with `moves`
+    /// (client, at op, to region).
+    fn layout(moves: &[(usize, usize, usize)]) -> GeoLayout {
+        let migrations = moves.iter().map(|&(client, at_op, to_region)| Migration {
+            client,
+            at_op,
+            to_region,
+        });
+        GeoLayout {
+            regions: RegionMap::new(3, 2),
+            wan: WanProfile::symmetric(40, 60),
+            clients_per_region: 2,
+            migrations: migrations.collect(),
+        }
+    }
+
+    fn tcc(shards: usize) -> ProtocolConfig {
+        let delta = Delta::from_ticks(200);
+        ProtocolConfig::of(crate::ProtocolKind::Tcc { delta }).with_shards(shards)
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the causal family")]
+    fn a_physical_level_cannot_span_regions() {
+        let sc = ProtocolConfig::of(crate::ProtocolKind::Sc).with_shards(2);
+        layout(&[]).validate(&sc, 6, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "per-region fleet size")]
+    fn the_protocol_names_the_per_region_shard_count() {
+        layout(&[]).validate(&tcc(6), 6, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "each region needs a client")]
+    fn a_region_without_clients_is_refused() {
+        let empty = GeoLayout {
+            clients_per_region: 0,
+            ..layout(&[])
+        };
+        empty.validate(&tcc(2), 0, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "n_clients must equal regions × clients_per_region")]
+    fn the_client_count_matches_the_layout() {
+        layout(&[]).validate(&tcc(2), 5, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "migration client in range")]
+    fn a_migration_names_a_client_of_the_run() {
+        layout(&[(6, 3, 1)]).validate(&tcc(2), 6, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "migration region in range")]
+    fn a_migration_names_a_region_of_the_layout() {
+        layout(&[(0, 3, 3)]).validate(&tcc(2), 6, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "before the client's workload ends")]
+    fn a_migration_fires_before_the_workload_ends() {
+        layout(&[(0, 10, 1)]).validate(&tcc(2), 6, 10);
+    }
+
     #[test]
     #[should_panic(expected = "client 1 has more than one migration")]
     fn a_client_moves_at_most_once() {
         // The sim used to take the first and the threaded driver the last.
-        let moves = [(3, 1), (5, 2)].map(|(at_op, to_region)| Migration {
-            client: 1,
-            at_op,
-            to_region,
-        });
-        RegionMap::new(3, 2).validate_migrations(&moves, 6, 10);
+        layout(&[(1, 3, 1), (1, 5, 2)]).validate(&tcc(2), 6, 10);
     }
 
     #[test]
@@ -398,7 +509,7 @@ mod tests {
     }
 
     #[test]
-    fn skew_alternates_and_bounds() {
+    fn skew_alternates_in_sign() {
         let p = WanProfile {
             lat_lo: 1,
             lat_hi: 2,
@@ -408,6 +519,5 @@ mod tests {
         assert_eq!(p.region_skew(1), -5);
         assert_eq!(p.region_skew(2), 5);
         assert_eq!(p.region_skew(3), -10);
-        assert_eq!(p.max_abs_skew(4), 10);
     }
 }

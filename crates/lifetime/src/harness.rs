@@ -18,7 +18,7 @@ use tc_sim::{
 
 use crate::control::{ControlPolicy, ControllerConfig, DeltaSchedule};
 use crate::engine::{Effect, Event, Inputs, PrivateSources};
-use crate::geo::{widened_bound_geo, GeoRelayEngine, GeoRunConfig};
+use crate::geo::{widened_bound_geo, GeoLayout, GeoRelayEngine};
 use crate::node::{
     control_tick, execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, SimClock,
 };
@@ -371,7 +371,7 @@ impl Process for ControllerNode {
 /// RNG draws.
 pub(crate) fn run_impl(
     config: &RunConfig,
-    geo: Option<&GeoRunConfig>,
+    geo: Option<&GeoLayout>,
     opts: RunOptions<'_>,
 ) -> RunResult {
     let RunOptions {
@@ -391,7 +391,7 @@ pub(crate) fn run_impl(
     // from the plan), so the recorder can judge on-time behaviour online.
     let epsilon = Epsilon::from_ticks(world.epsilon().ticks() + 2 * plan.max_abs_skew());
     let bound = match geo {
-        Some(geo) => widened_bound_geo(geo, &plan, epsilon),
+        Some(geo) => widened_bound_geo(config, geo, &plan, epsilon),
         None => widened_bound(config, &plan, epsilon),
     };
     let monitor_delta = bound.unwrap_or(Delta::INFINITE);
@@ -417,7 +417,7 @@ pub(crate) fn run_impl(
             if let Some(geo) = geo {
                 engine = engine.with_geo(geo.regions.shard_config(region));
             }
-            let host = ShardCore::new(engine, SimClock, me, &[]);
+            let host = ShardCore::new(engine, SimClock, me, &FaultPlan::none());
             world.add_node(SimNode::new(host, infra_recorder()))
         });
         fleets.push(fleet.collect());
@@ -446,7 +446,7 @@ pub(crate) fn run_impl(
             config.workload.clone(),
             config.ops_per_client,
         );
-        if let Some(plan) = geo.and_then(|geo| geo.regions.migration_plan(&geo.migrations, site)) {
+        if let Some(plan) = geo.and_then(|geo| geo.migration_plan(site)) {
             engine = engine.with_migration(plan);
         }
         let sources = private_seed.map(|seed| PrivateSources::new(seed, site, config.n_clients));

@@ -81,8 +81,8 @@ pub use config::{
 pub use control::{ControlPolicy, ControllerConfig, DeltaCommand, DeltaController, DeltaSchedule};
 pub use engine::{ClientEngine, ServerEngine, ShardMap};
 pub use geo::{
-    conformance_geo, run_geo, run_geo_with, widened_bound_geo, GeoMigrationPlan, GeoRelayEngine,
-    GeoRunConfig, GeoShardConfig, Migration, RegionMap, WanProfile,
+    conformance_geo, geo_retx, run_geo_with, widened_bound_geo, GeoLayout, GeoMigrationPlan,
+    GeoRelayEngine, GeoShardConfig, Migration, RegionMap, WanProfile,
 };
 pub use harness::{
     run, run_with, run_with_faults, run_with_private_sources, RunConfig, RunOptions, RunResult,

@@ -201,9 +201,10 @@ pub enum Msg {
     },
     /// Receiver → sender of an ordered stream ([`crate::channel`]): items
     /// past `upto` wait here for item `upto + 1`, which has not arrived.
-    /// Sent at once by a shard holding a writer's causal writes and by a
-    /// relay holding a peer's batches; the sender resends that item within
-    /// a round trip instead of at its deadline. It acks nothing.
+    /// A shard sends it at once while it holds a writer's causal writes,
+    /// and the writer resends that item within a round trip instead of at
+    /// its deadline. A relay sends none: geo gap reports were measured and
+    /// dropped (EXPERIMENTS.md, "One channel"). It acks nothing.
     Gap {
         /// The receiver's cursor: the highest item delivered in order.
         upto: u64,

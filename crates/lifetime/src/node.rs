@@ -16,7 +16,7 @@ use tc_clocks::{Delta, Time};
 use tc_core::checker::TimedReport;
 use tc_core::History;
 use tc_sim::metrics::names;
-use tc_sim::{Metrics, MetricsSnapshot, NodeId, TraceRecorder};
+use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
 use crate::control::{ControlPolicy, Readings};
 use crate::engine::{Effect, Event, Inputs, Now, PrivateSources, TIMER_NEXT_OP};
@@ -249,14 +249,15 @@ struct OutageGate {
 const TIMER_OUTAGE_EDGE: u64 = u64::MAX - 3;
 
 impl OutageGate {
-    /// The gate for shard node `shard`, filtering `outages` (a
-    /// [`tc_sim::FaultPlan::shard_outages`] rendering) down to its rows.
-    fn new(shard: usize, outages: &[(usize, Time, Time)]) -> Self {
+    /// The gate for shard node `shard`: the windows of `faults`'
+    /// [`FaultKind::KillShard`] rules that name it.
+    fn new(shard: usize, faults: &FaultPlan) -> Self {
         OutageGate {
-            windows: outages
+            windows: faults
+                .rules
                 .iter()
-                .filter(|(s, _, _)| *s == shard)
-                .map(|(_, from, until)| (*from, *until))
+                .filter(|rule| rule.kind == FaultKind::KillShard { shard })
+                .map(|rule| (rule.window.from, rule.window.until))
                 .collect(),
             down: false,
         }
@@ -310,14 +311,14 @@ pub struct ShardCore<T> {
 }
 
 impl<T: TimeSource> ShardCore<T> {
-    /// The core of shard node `me`, killed and restarted as the rows of
-    /// `outages` (shards named by node index) that name it say.
-    pub fn new(engine: ServerEngine, time: T, me: NodeId, outages: &[(usize, Time, Time)]) -> Self {
+    /// The core of shard node `me`, killed and restarted as the
+    /// [`FaultKind::KillShard`] rules of `faults` that name it say.
+    pub fn new(engine: ServerEngine, time: T, me: NodeId, faults: &FaultPlan) -> Self {
         ShardCore {
             engine,
             time,
             me,
-            outages: OutageGate::new(me.index(), outages),
+            outages: OutageGate::new(me.index(), faults),
         }
     }
 }
@@ -474,13 +475,14 @@ mod tests {
     use crate::control::ControllerConfig;
     use crate::ProtocolKind;
     use tc_clocks::Epsilon;
+    use tc_sim::Window;
 
     #[test]
     fn outage_gate_reports_edges_once_per_window() {
-        let outages = vec![
-            (0, Time::from_ticks(10), Time::from_ticks(20)),
-            (1, Time::from_ticks(0), Time::from_ticks(5)), // another shard
-        ];
+        let outages = FaultPlan::none()
+            .kill_shard(Window::ticks(10, 20), 0)
+            .kill_shard(Window::ticks(0, 5), 1) // another shard
+            .crash(Window::ticks(0, 5), 0); // the simulator's alone
         let mut gate = OutageGate::new(0, &outages);
         // Armed from tick 4: one edge timer due at each of 10 and 20.
         let mut edges = Vec::new();

@@ -64,7 +64,7 @@ use tc_core::checker::{
 use tc_sim::FaultPlan;
 
 use crate::engine::ACK_DELAY;
-use crate::{ProtocolKind, RunConfig, RunResult};
+use crate::{ProtocolConfig, ProtocolKind, RunConfig, RunResult};
 
 /// The oracle's judgement of one run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -154,19 +154,7 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
     } else {
         0
     };
-    // A durable store serves readers from its fsynced image only, so an
-    // applied write may stay invisible for up to one fsync deadline. An
-    // infinite deadline (group-fullness-only syncing) can delay visibility
-    // arbitrarily — no finite bound exists.
-    let fsync_delay = match config.protocol.durability.fsync() {
-        None => 0,
-        Some(policy) => {
-            if policy.max_delay.is_infinite() {
-                return None;
-            }
-            policy.max_delay.ticks()
-        }
-    };
+    let fsync_delay = fsync_delay(&config.protocol)?;
     // A causal write held by the cross-shard barrier waits for its
     // predecessor's ack, which its shard may owe for up to ACK_DELAY.
     let ack_delay = if config.protocol.kind.is_causal_family() && config.protocol.shards > 1 {
@@ -185,6 +173,19 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
             + ack_delay
             + 4,
     ))
+}
+
+/// A durable store serves readers from its fsynced image only, so an
+/// applied write may stay invisible for up to one fsync deadline: that
+/// many ticks, 0 for an ephemeral store. `None` for an infinite deadline
+/// (group-fullness-only syncing), which can delay visibility arbitrarily —
+/// no finite bound exists.
+pub(crate) fn fsync_delay(protocol: &ProtocolConfig) -> Option<u64> {
+    match protocol.durability.fsync() {
+        None => Some(0),
+        Some(policy) if policy.max_delay.is_infinite() => None,
+        Some(policy) => Some(policy.max_delay.ticks()),
+    }
 }
 
 /// Judges one run against the guarantees its configuration promises,

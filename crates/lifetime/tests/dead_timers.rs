@@ -17,7 +17,7 @@ use tc_lifetime::engine::{
 use tc_lifetime::node::{ClientCore, Host, ShardCore, SimClock};
 use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
 use tc_sim::workload::Workload;
-use tc_sim::NodeId;
+use tc_sim::{FaultPlan, NodeId};
 
 const SITES: usize = 2;
 
@@ -55,7 +55,9 @@ impl Fleet {
                 .collect(),
             servers: servers
                 .iter()
-                .map(|&me| ShardCore::new(ServerEngine::new(config), SimClock, me, &[]))
+                .map(|&me| {
+                    ShardCore::new(ServerEngine::new(config), SimClock, me, &FaultPlan::none())
+                })
                 .collect(),
             wire: Vec::new(),
             timers: Vec::new(),

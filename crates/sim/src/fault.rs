@@ -165,8 +165,8 @@ pub enum FaultKind {
     /// recovery replay?"). The node index *is* the shard index under the
     /// harness layout (nodes `0..shards` are the server shards, in every
     /// driver). Drivers honour it like a crash: the simulator through the
-    /// crash schedule, the threaded and reactor runtimes through
-    /// [`FaultPlan::shard_outages`].
+    /// crash schedule, the real-time drivers through their shard core's
+    /// outage gate.
     KillShard {
         /// The killed shard (= node index).
         shard: usize,
@@ -182,6 +182,11 @@ pub struct FaultRule {
     pub scope: Scope,
     /// What it does.
     pub kind: FaultKind,
+}
+
+/// Whether a `src → dst` message crosses the cut around `isolated`.
+fn severs(isolated: &[usize], src: usize, dst: usize) -> bool {
+    isolated.contains(&src) != isolated.contains(&dst)
 }
 
 /// A deterministic, schedulable set of fault rules.
@@ -259,15 +264,22 @@ impl FaultPlan {
                 {
                     return true;
                 }
-                FaultKind::Partition { isolated }
-                    if isolated.contains(&src) != isolated.contains(&dst) =>
-                {
-                    return true;
-                }
+                FaultKind::Partition { isolated } if severs(isolated, src, dst) => return true,
                 _ => {}
             }
         }
         false
+    }
+
+    /// Whether an active partition rule cuts `src` off from `dst` at
+    /// `now` — the one per-send fault check of a real driver, which
+    /// renders no probabilistic kind.
+    #[must_use]
+    pub fn partitions(&self, now: Time, src: usize, dst: usize) -> bool {
+        self.rules.iter().any(|rule| {
+            rule.window.contains(now)
+                && matches!(&rule.kind, FaultKind::Partition { isolated } if severs(isolated, src, dst))
+        })
     }
 
     /// Extra delay to add to a `src → dst` message sent at `now` (sum of
@@ -336,22 +348,6 @@ impl FaultPlan {
                 FaultKind::Crash { node } | FaultKind::KillShard { shard: node } => {
                     Some((node, r.window.from, r.window.until))
                 }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// Shard kill/restart windows, per [`FaultKind::KillShard`] rule:
-    /// `(shard, killed_at, restarted_at)`. The real-time drivers (threaded
-    /// runtime, reactor) consult this to take a shard down and feed it a
-    /// restart event; the simulator honours the same rules through
-    /// [`FaultPlan::crash_schedule`].
-    #[must_use]
-    pub fn shard_outages(&self) -> Vec<(usize, Time, Time)> {
-        self.rules
-            .iter()
-            .filter_map(|r| match r.kind {
-                FaultKind::KillShard { shard } => Some((shard, r.window.from, r.window.until)),
                 _ => None,
             })
             .collect()
@@ -555,7 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn kill_shard_joins_the_crash_schedule_and_reports_outages() {
+    fn kill_shard_joins_the_crash_schedule() {
         let plan = FaultPlan::none()
             .crash(Window::ticks(10, 50), 3)
             .kill_shard(Window::ticks(100, 250), 0);
@@ -566,11 +562,6 @@ mod tests {
                 (3, Time::from_ticks(10), Time::from_ticks(50)),
                 (0, Time::from_ticks(100), Time::from_ticks(250)),
             ]
-        );
-        // The real-time drivers see only the shard outages.
-        assert_eq!(
-            plan.shard_outages(),
-            vec![(0, Time::from_ticks(100), Time::from_ticks(250))]
         );
         // The outage window is charged like any crash.
         assert_eq!(plan.max_disruption(), Some(Delta::from_ticks(150)));

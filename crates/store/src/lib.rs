@@ -50,6 +50,6 @@ pub mod reactor;
 pub mod runtime;
 mod wheel;
 
-pub use geo::{run_threaded_geo, GeoRuntimeConfig};
-pub use reactor::{run_reactor, run_reactor_with, ListenerChaos, ReactorConfig};
+pub use geo::run_threaded_geo;
+pub use reactor::{run_reactor, run_reactor_with, ReactorConfig};
 pub use runtime::{run_threaded, LatencySummary, RuntimeConfig, RuntimeResult, MONITOR_SLACK};

@@ -49,11 +49,12 @@
 //! exponential backoff (2–50 ms, jittered per shard link), with one new
 //! handshake. Engine state never restarts, so server delivery cursors and
 //! client epochs resume where they left off; the protocol's retry timers
-//! re-cover anything lost in flight. [`ListenerChaos`] kills one shard's
-//! listener (and every live connection to it) mid-run, keeps the address
-//! unreachable for a while, then rebinds it — the transport-level analogue
-//! of the simulator's crash faults, driving the reconnect path under the
-//! conformance oracle. Both edges are timers on the shard's wheel.
+//! re-cover anything lost in flight. A [`tc_sim::FaultKind::Partition`]
+//! of one shard in [`RuntimeConfig::faults`] is rendered as a real
+//! partition severs TCP: at `window.from` the shard's listener and every
+//! live connection to it die, and at `window.until` the listener rebinds
+//! the same address, driving the reconnect path under the monitor. Both
+//! edges are timers on the shard's wheel.
 //!
 //! Frames are queued where engines produce them and each connection is
 //! written once per loop pass, right before the wait (see `table`): what
@@ -122,13 +123,13 @@ use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::node::{execute, ClientCore, Host, Port, ShardCore};
 use tc_lifetime::Msg;
 use tc_sim::metrics::names;
-use tc_sim::{Metrics, NodeId, TraceRecorder};
+use tc_sim::{FaultKind, Metrics, NodeId, TraceRecorder};
 use tc_wire::{write_frame, WireMsg};
 
 use crate::jitter::{link_seed, splitmix64};
 use crate::runtime::{
-    build_shard_engine, finish_run, site_core, ControlPlane, RuntimeConfig, RuntimeResult,
-    Telemetry, TickClock,
+    build_shard_engine, finish_run, refuse_unrenderable, site_core, ControlPlane, RuntimeConfig,
+    RuntimeResult, Telemetry, TickClock,
 };
 use crate::wheel::TimerWheel;
 
@@ -165,26 +166,12 @@ fn redial_delay(attempt: u32, seed: u64) -> Duration {
     slot.mul_f64(frac)
 }
 
-/// Fault injection: kill one shard's listener (and every live connection
-/// to it) mid-run, hold the address down, then rebind it.
-#[derive(Clone, Copy, Debug)]
-pub struct ListenerChaos {
-    /// Which shard to kill.
-    pub shard: usize,
-    /// Run time after which the listener dies.
-    pub kill_after: Duration,
-    /// How long the shard stays unreachable before rebinding.
-    pub down_for: Duration,
-}
-
 /// Configuration of one reactor run: the common runtime knobs plus the
-/// socket driver's own fault plan.
+/// socket driver's own load.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
-    /// Protocol, fleet shape, workload, tick, and monitor bounds.
+    /// Protocol, fleet shape, workload, tick, monitor bounds and faults.
     pub runtime: RuntimeConfig,
-    /// Optional listener fault injection.
-    pub chaos: Option<ListenerChaos>,
     /// Synthetic connection load for the churn soak: a side thread dials
     /// the shard listeners this many times, as fast as it can, never
     /// completes a handshake, and hangs up — the reactor must shed these
@@ -194,12 +181,11 @@ pub struct ReactorConfig {
 }
 
 impl ReactorConfig {
-    /// No fault injection, no churn.
+    /// No churn.
     #[must_use]
     pub fn new(runtime: RuntimeConfig) -> Self {
         ReactorConfig {
             runtime,
-            chaos: None,
             churn_dials: 0,
         }
     }
@@ -219,11 +205,11 @@ const TOKEN_WAKE: u64 = u64::MAX - 1;
 // ---------------------------------------------------------------------
 
 /// Timer tokens of the shard reactor's wheel: engine flush deadlines plus
-/// the chaos kill and rebind alarms.
+/// the two edges of a partition of the shard.
 #[derive(Clone, Copy)]
 enum ShardTimer {
     Engine(u64),
-    Kill { down_for: Duration },
+    Kill,
     Rebind,
 }
 
@@ -341,7 +327,7 @@ impl<'a> ShardReactor<'a> {
             shard,
             shards: rc.protocol.shards,
             cfg,
-            core: ShardCore::new(engine, clock, NodeId::new(shard), &rc.shard_outages),
+            core: ShardCore::new(engine, clock, NodeId::new(shard), &rc.faults),
             clock,
             table: ConnTable::new(rc.tick),
             listener: Some(listener),
@@ -427,22 +413,21 @@ impl<'a> ShardReactor<'a> {
         }
     }
 
-    /// Chaos kill: unregister + drop the listener, hard-close (and so
-    /// unroute) every live connection, and arm the rebind alarm.
-    fn chaos_kill(&mut self, down_for: Duration) {
+    /// A partition's first edge: unregister + drop the listener and
+    /// hard-close (and so unroute) every live connection.
+    fn kill(&mut self) {
         if let Some(listener) = self.listener.take() {
             let _ = self.table.epoll.del(listener.as_raw_fd());
         }
         for token in self.table.tokens() {
             self.close(token);
         }
-        self.timers
-            .arm(Instant::now() + down_for, ShardTimer::Rebind);
     }
 
-    /// Chaos rebind: the same address (std sets `SO_REUSEADDR` on Unix
-    /// listeners, so the killed connections' TIME_WAIT entries don't block
-    /// it), with a grace loop in case the OS lags.
+    /// A partition's heal: rebind the same address (std sets
+    /// `SO_REUSEADDR` on Unix listeners, so the killed connections'
+    /// TIME_WAIT entries don't block it), with a grace loop in case the OS
+    /// lags.
     fn rebind(&mut self) {
         let deadline = Instant::now() + Duration::from_secs(5);
         let reborn = loop {
@@ -467,16 +452,11 @@ impl<'a> ShardReactor<'a> {
         self.listener = Some(reborn);
     }
 
-    /// The event loop, with `chaos`'s kill armed `kill_after` past
-    /// `started`. Exits when `wake` becomes readable — a byte (every client
+    /// The event loop, with the edges of every partition of this shard
+    /// armed. Exits when `wake` becomes readable — a byte (every client
     /// said its goodbyes) or a hang-up — returning the shard's
     /// served-request count and the thread's counters.
-    fn run(
-        mut self,
-        chaos: Option<ListenerChaos>,
-        started: Instant,
-        wake: &UnixStream,
-    ) -> (u64, Metrics) {
+    fn run(mut self, wake: &UnixStream) -> (u64, Metrics) {
         let _slack = TimerSlack::pin();
         let fd = self
             .listener
@@ -491,11 +471,22 @@ impl<'a> ShardReactor<'a> {
             .epoll
             .add(wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE)
             .expect("register wake stream");
-        if let Some(c) = chaos {
-            let kill = ShardTimer::Kill {
-                down_for: c.down_for,
-            };
-            self.timers.arm(started + c.kill_after, kill);
+        let cut = FaultKind::Partition {
+            isolated: vec![self.shard],
+        };
+        for rule in self
+            .cfg
+            .runtime
+            .faults
+            .rules
+            .iter()
+            .filter(|r| r.kind == cut)
+        {
+            let (from, until) = (rule.window.from, rule.window.until);
+            self.timers
+                .arm(self.clock.instant_of(from), ShardTimer::Kill);
+            self.timers
+                .arm(self.clock.instant_of(until), ShardTimer::Rebind);
         }
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
         let mut due = Vec::new();
@@ -510,7 +501,7 @@ impl<'a> ShardReactor<'a> {
                         self.step_engine(Event::Timer { token }, now);
                     }
                     ShardTimer::Engine(_) => {}
-                    ShardTimer::Kill { down_for } => self.chaos_kill(down_for),
+                    ShardTimer::Kill => self.kill(),
                     ShardTimer::Rebind => self.rebind(),
                 }
             }
@@ -918,14 +909,15 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
     run_reactor_with(&ReactorConfig::new(config.clone()))
 }
 
-/// [`run_reactor`] with listener fault injection and connection churn.
+/// [`run_reactor`] with connection churn.
 ///
 /// # Panics
 ///
 /// As [`run_reactor`]; additionally if the fleet has more sites than a
-/// frame header's lane can name (65 536, lanes `0..=u16::MAX`), if the
-/// chaos plan names a shard outside the fleet, or if a listener cannot be
-/// bound.
+/// frame header's lane can name (65 536, lanes `0..=u16::MAX`), if
+/// [`RuntimeConfig::faults`] holds a kind the reactor cannot render —
+/// anything but `KillShard` and a `Partition` of exactly one shard — or
+/// if a listener cannot be bound.
 #[must_use]
 pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
     let rc = &cfg.runtime;
@@ -935,9 +927,11 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         "{} sites exceed the 65 536 lanes of a shard link",
         rc.n_clients
     );
-    if let Some(c) = cfg.chaos {
-        assert!(c.shard < shards, "chaos shard {} out of range", c.shard);
-    }
+    refuse_unrenderable(
+        &rc.faults,
+        "reactor",
+        |isolated| matches!(isolated, [node] if *node < shards),
+    );
     let clock = TickClock::new(rc.tick);
 
     // Bind every shard listener up front so clients know all addresses.
@@ -968,13 +962,8 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
             for (shard, slot) in listeners.iter_mut().enumerate() {
                 let listener = slot.take().expect("listener taken once");
                 let addr = addrs_ref[shard];
-                let chaos = cfg.chaos.filter(|c| c.shard == shard);
                 shard_workers.push(scope.spawn(move || {
-                    ShardReactor::new(shard, cfg, clock, listener, addr).run(
-                        chaos,
-                        started,
-                        &wake_rxs_ref[shard],
-                    )
+                    ShardReactor::new(shard, cfg, clock, listener, addr).run(&wake_rxs_ref[shard])
                 }));
             }
             let churn_worker = (cfg.churn_dials > 0)
@@ -1070,9 +1059,8 @@ mod tests {
             // Owned in here, so a probe that panics hangs the stream up and
             // the shard stops instead of the scope waiting on it forever.
             let mut wake_tx = wake_tx;
-            let shard = scope.spawn(|| {
-                ShardReactor::new(0, cfg, clock, listener, addr).run(None, started, &wake_rx)
-            });
+            let shard =
+                scope.spawn(|| ShardReactor::new(0, cfg, clock, listener, addr).run(&wake_rx));
             let telemetry = probe(addr, clock);
             wake_tx.write_all(&[0]).unwrap();
             (shard.join().expect("shard reactor panicked"), telemetry)
@@ -1235,6 +1223,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "the reactor driver cannot render Partition { isolated: [0, 1] }")]
+    fn a_partition_of_two_nodes_is_refused_by_the_reactor() {
+        let mut cfg = small(ProtocolKind::Sc, 47);
+        cfg.protocol = cfg.protocol.with_shards(2);
+        cfg.faults = tc_sim::FaultPlan::none().partition(tc_sim::Window::ticks(10, 20), vec![0, 1]);
+        let _ = run_reactor_with(&ReactorConfig::new(cfg));
+    }
+
+    #[test]
     fn reactor_sc_completes_and_holds() {
         let r = run_reactor(&small(ProtocolKind::Sc, 31));
         assert_eq!(r.ops_done, 2 * 12, "every op must be recorded");
@@ -1344,7 +1341,7 @@ mod tests {
             let shard = scope.spawn(|| {
                 let cpu = sys::thread_cpu_time();
                 let reactor = ShardReactor::new(0, &cfg, clock, listener, addr);
-                let (_, metrics) = reactor.run(None, started, &wake_rx);
+                let (_, metrics) = reactor.run(&wake_rx);
                 ("shard", metrics, sys::thread_cpu_time() - cpu)
             });
             let cpu = sys::thread_cpu_time();
@@ -1387,8 +1384,8 @@ mod tests {
     #[test]
     fn reactor_kill_shard_over_wal_recovers_by_replay() {
         use crate::runtime::tests::{assert_recovered_by_replay, temp_wal_dir};
-        use tc_clocks::Time;
         use tc_lifetime::{DurabilityMode, FsyncPolicy};
+        use tc_sim::{FaultPlan, Window};
         let wal = temp_wal_dir("reactor-killshard");
         let mut cfg = small(
             ProtocolKind::Tsc {
@@ -1404,7 +1401,7 @@ mod tests {
         // Down during [300, 1300) ticks: 200 ops × ≥2 ticks think time
         // cannot finish before tick 300, so the kill always lands mid-run;
         // the link stays up throughout, only the engine dies.
-        cfg.shard_outages = vec![(0, Time::from_ticks(300), Time::from_ticks(1_300))];
+        cfg.faults = FaultPlan::none().kill_shard(Window::ticks(300, 1_300), 0);
         assert_recovered_by_replay(&run_reactor(&cfg), 2 * 200);
         let _ = std::fs::remove_dir_all(&wal);
     }

@@ -57,12 +57,12 @@ use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources, ServerEng
 use tc_lifetime::node::{
     control_tick, execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, TimeSource,
 };
-use tc_lifetime::{GeoRelayEngine, Msg, ProtocolConfig};
+use tc_lifetime::{GeoLayout, GeoRelayEngine, Msg, ProtocolConfig};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
-use tc_sim::{Metrics, MetricsSnapshot, NodeId, TraceRecorder};
+use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
-use crate::geo::{is_wan, wan_courier, GeoRuntimeConfig, WanPacket};
+use crate::geo::{is_wan, wan_courier, WanPacket};
 use crate::reactor::TimerSlack;
 use crate::wheel::TimerWheel;
 
@@ -94,11 +94,14 @@ pub struct RuntimeConfig {
     /// crash/restart then *recovers* durable state by replay instead of
     /// forgetting it. `None` keeps the default in-memory backend.
     pub wal_dir: Option<PathBuf>,
-    /// Shard kill/restart windows in protocol ticks (shard down during
-    /// `[from, until)`, restarted at `until`) — the real-time drivers'
-    /// rendering of [`tc_sim::FaultPlan::shard_outages`]. Empty by
-    /// default.
-    pub shard_outages: Vec<(usize, Time, Time)>,
+    /// Faults to inject, in protocol ticks, with node indices in the
+    /// simulator harness's layout — the simulator's own plan type. A real
+    /// driver renders [`FaultKind::KillShard`] through the shard core's
+    /// outage gate and [`FaultKind::Partition`] on its transport (the
+    /// channel drivers drop a send across the cut; the reactor kills and
+    /// rebinds one shard's listener and links), and refuses every other
+    /// kind with a panic naming it. Empty by default.
+    pub faults: FaultPlan,
     /// When set, a [`tc_lifetime::DeltaController`] retunes Δ online: a control thread
     /// samples the live monitor every `interval`, broadcasts
     /// [`Msg::DeltaUpdate`] commands to every client, and shifts the
@@ -141,9 +144,29 @@ impl RuntimeConfig {
             monitor_delta,
             monitor_eps: Epsilon::from_ticks(2),
             wal_dir: None,
-            shard_outages: Vec::new(),
+            faults: FaultPlan::none(),
             adaptive: None,
         }
+    }
+}
+
+/// Panics, naming the kind, on the first rule of `plan` the `driver`
+/// cannot render. Every real driver renders [`FaultKind::KillShard`];
+/// `cut` says which isolated sets it renders a [`FaultKind::Partition`]
+/// for. Message faults, clock skew and node crashes are the simulator's
+/// alone.
+pub(crate) fn refuse_unrenderable(plan: &FaultPlan, driver: &str, cut: impl Fn(&[usize]) -> bool) {
+    for rule in &plan.rules {
+        let rendered = match &rule.kind {
+            FaultKind::KillShard { .. } => true,
+            FaultKind::Partition { isolated } => cut(isolated),
+            _ => false,
+        };
+        assert!(
+            rendered,
+            "the {driver} driver cannot render {:?}; only the simulator injects it",
+            rule.kind
+        );
     }
 }
 
@@ -325,6 +348,11 @@ impl TickClock {
         )
     }
 
+    /// The instant tick `t` begins.
+    pub(crate) fn instant_of(&self, t: Time) -> Instant {
+        self.epoch + Duration::from_nanos(self.tick_nanos.saturating_mul(t.ticks()))
+    }
+
     /// How many tick boundaries `epoch + k · tick` lie at or before `at`
     /// (boundary 0 is the epoch itself).
     pub(crate) fn boundaries_passed(&self, at: Instant) -> u64 {
@@ -381,7 +409,7 @@ impl TimeSource for TickClock {
             return None;
         }
         let at = t.ticks().saturating_add(delta.ticks().max(1));
-        Some(self.epoch + Duration::from_nanos(self.tick_nanos.saturating_mul(at)))
+        Some(self.instant_of(Time::from_ticks(at)))
     }
 
     fn elapsed(&self, issued: Instant) -> Option<Duration> {
@@ -701,7 +729,8 @@ pub(crate) fn control_loop(
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics or the recorded trace violates a
+/// Panics if a worker thread panics, [`RuntimeConfig::faults`] holds a
+/// kind this driver cannot render, or the recorded trace violates a
 /// history invariant (a protocol bug — exactly what the monitor-in-the-
 /// loop runtime exists to surface).
 #[must_use]
@@ -716,23 +745,21 @@ pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
 /// plus the courier for geo and the control thread for adaptive runs.
 /// Once every client is done, each shard and relay is sent
 /// [`Inbound::Stop`]; the courier ends when their senders are gone.
-pub(crate) fn run_channels(
-    config: &RuntimeConfig,
-    geo: Option<&GeoRuntimeConfig>,
-) -> RuntimeResult {
+pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> RuntimeResult {
     let shards = config.protocol.shards;
     let fleet_shards = geo.map_or(shards, |geo| geo.regions.regions * shards);
     // Every node a client does not finish: the shards, then the relays.
     let infra = geo.map_or(shards, |geo| geo.regions.client_base());
     if let Some(geo) = geo {
-        assert_eq!(
-            config.n_clients,
-            geo.regions.regions * geo.clients_per_region,
-            "base.n_clients must equal regions × clients_per_region"
-        );
-        geo.regions
-            .validate_migrations(&geo.migrations, config.n_clients, config.ops_per_client);
+        geo.validate(&config.protocol, config.n_clients, config.ops_per_client);
     }
+    refuse_unrenderable(&config.faults, "channel", |_| true);
+    // Read once: a fault-free send consults no plan and reads no clock.
+    let faults = &config.faults;
+    let partitioned = faults
+        .rules
+        .iter()
+        .any(|rule| matches!(rule.kind, FaultKind::Partition { .. }));
     let clock = TickClock::new(config.tick);
     let shared = Shared::new(config);
     let (node_txs, mut node_rxs): (Vec<_>, Vec<_>) = (0..infra + config.n_clients)
@@ -753,13 +780,17 @@ pub(crate) fn run_channels(
         Vec<u64>,
         Option<DeltaSchedule>,
     ) = std::thread::scope(|scope| {
-        // Where node `me`'s sends go: geo traffic between regions detours
-        // through the courier, everything else straight into the
-        // receiver's inbox. A node that has exited drops what it is sent —
-        // the simulator's dead-letter path.
+        // Where node `me`'s sends go: a send across an active partition
+        // is dropped, geo traffic between regions detours through the
+        // courier, everything else goes straight into the receiver's
+        // inbox. A node that has exited drops what it is sent — the
+        // simulator's dead-letter path.
         let route = |me: NodeId| {
             let wan_tx = wan_tx.clone();
             move |to: NodeId, msg: Msg| {
+                if partitioned && faults.partitions(clock.now(), me.index(), to.index()) {
+                    return;
+                }
                 if geo.is_some_and(|geo| is_wan(&geo.regions, me, to)) {
                     let _ = wan_tx.send((me, to, msg));
                 } else {
@@ -775,7 +806,7 @@ pub(crate) fn run_channels(
             if let Some(geo) = geo {
                 engine = engine.with_geo(geo.regions.shard_config(node / shards));
             }
-            let host = ShardCore::new(engine, clock, me, &config.shard_outages);
+            let host = ShardCore::new(engine, clock, me, &config.faults);
             let (send, inbox) = (route(me), take_inbox(node));
             shard_workers.push(scope.spawn(move || {
                 let node = ChannelNode::new(host, send, clock, shared_ref);
@@ -790,7 +821,8 @@ pub(crate) fn run_channels(
                 let (send, inbox) = (route(NodeId::new(node)), take_inbox(node));
                 scope.spawn(move || ChannelNode::new(host, send, clock, shared_ref).run(&inbox));
             }
-            scope.spawn(move || wan_courier(&wan_rx, node_txs, geo, clock, shared_ref));
+            scope
+                .spawn(move || wan_courier(&wan_rx, node_txs, geo, config.seed, clock, shared_ref));
         }
         let mut client_workers = Vec::with_capacity(config.n_clients);
         for site in 0..config.n_clients {
@@ -800,7 +832,7 @@ pub(crate) fn run_channels(
                 None => (0..shards).map(NodeId::new).collect(),
             };
             let mut host = site_core(config, servers, me, site, clock);
-            if let Some(plan) = geo.and_then(|g| g.regions.migration_plan(&g.migrations, site)) {
+            if let Some(plan) = geo.and_then(|geo| geo.migration_plan(site)) {
                 host.engine = host.engine.with_migration(plan);
             }
             let (send, inbox) = (route(me), take_inbox(me.index()));
@@ -894,6 +926,7 @@ pub(crate) mod tests {
     use tc_lifetime::node::SimClock;
     use tc_lifetime::{ProtocolKind, DEFAULT_RETRY_AFTER};
     use tc_sim::metrics::names;
+    use tc_sim::Window;
 
     fn small(kind: ProtocolKind, seed: u64) -> RuntimeConfig {
         RuntimeConfig::for_protocol(
@@ -934,21 +967,58 @@ pub(crate) mod tests {
         // Down during [300, 1300) ticks: 200 ops × ≥2 ticks think time
         // cannot finish before tick 300, so the kill always lands mid-run;
         // MONITOR_SLACK (20 000 ticks) dwarfs the 1 000-tick outage.
-        cfg.shard_outages = vec![(0, Time::from_ticks(300), Time::from_ticks(1_300))];
+        cfg.faults = FaultPlan::none().kill_shard(Window::ticks(300, 1_300), 0);
         assert_recovered_by_replay(&run_threaded(&cfg), 2 * 200);
         let _ = std::fs::remove_dir_all(&wal);
+    }
+
+    /// A flat partition is the route's one check: every send between
+    /// shard 0 and its clients drops during `[300, 1300)` ticks, the
+    /// clients' retry timers carry them across, and the run holds at the
+    /// static monitor bound (MONITOR_SLACK dwarfs the 1 000-tick cut).
+    #[test]
+    fn threaded_partition_of_a_shard_heals_via_retry() {
+        let mut cfg = small(
+            ProtocolKind::Tsc {
+                delta: Delta::from_ticks(400),
+            },
+            31,
+        );
+        cfg.ops_per_client = 200;
+        cfg.faults = FaultPlan::none().partition(Window::ticks(300, 1_300), vec![0]);
+        let r = run_threaded(&cfg);
+        assert_done_on_time(&r, 2 * 200);
+        assert!(r.counter(names::RETRY) > 0, "the cut must force retries");
+    }
+
+    #[test]
+    #[should_panic(expected = "the channel driver cannot render Drop")]
+    fn a_message_fault_is_refused_by_the_channel_driver() {
+        let mut cfg = small(ProtocolKind::Sc, 3);
+        cfg.faults = FaultPlan::none().with(
+            Window::always(),
+            tc_sim::Scope::All,
+            FaultKind::Drop { probability: 0.1 },
+        );
+        let _ = run_threaded(&cfg);
+    }
+
+    /// Every one of the run's `ops` operations recorded, and the live
+    /// monitor clean.
+    pub(crate) fn assert_done_on_time(r: &RuntimeResult, ops: usize) {
+        assert_eq!(r.ops_done, ops, "every op must be recorded");
+        assert!(
+            r.on_time.holds(),
+            "violations: {}",
+            r.on_time.violations().len()
+        );
     }
 
     /// What a run must show after a per-write-fsync shard was killed and
     /// restarted mid-run: every op done, a clean verdict, state recovered
     /// from the log with nothing lost.
     pub(crate) fn assert_recovered_by_replay(r: &RuntimeResult, ops: usize) {
-        assert_eq!(r.ops_done, ops, "every op must complete post-restart");
-        assert!(
-            r.on_time.holds(),
-            "violations: {}",
-            r.on_time.violations().len()
-        );
+        assert_done_on_time(r, ops);
         assert!(r.counter(names::CRASH) >= 1, "the kill window must land");
         assert!(r.counter(names::RESTART) >= 1);
         assert!(r.counter(names::SERVER_RESTART) >= 1);
@@ -1017,12 +1087,7 @@ pub(crate) mod tests {
             12,
         );
         let r = run_threaded(&cfg);
-        assert_eq!(r.ops_done, 2 * 15);
-        assert!(
-            r.on_time.holds(),
-            "violations: {}",
-            r.on_time.violations().len()
-        );
+        assert_done_on_time(&r, 2 * 15);
         // The monitor judged this run against the *configured* bound — a
         // zero-violation verdict is meaningful only at that Δ, so pin it
         // (not merely "some finite Δ").
@@ -1126,7 +1191,7 @@ pub(crate) mod tests {
         let shared = Shared::new(&cfg);
         let mut replies: Vec<(NodeId, Msg)> = Vec::new();
         let send = |to: NodeId, msg: Msg| replies.push((to, msg));
-        let host = ShardCore::new(engine, clock, me, &[]);
+        let host = ShardCore::new(engine, clock, me, &FaultPlan::none());
         let served = ChannelNode::new(host, send, clock, &shared)
             .run(&rx)
             .engine
@@ -1214,7 +1279,8 @@ pub(crate) mod tests {
         let workload = Workload::new(4, 0.8, 1.0, (think, think));
         let engine = ClientEngine::new(protocol, vec![shard], 0, 1, workload, 2);
         let mut client = ClientCore::new(engine, Some(PrivateSources::new(7, 0, 1)), time, site);
-        let mut server = ShardCore::new(ServerEngine::new(protocol), time, shard, &[]);
+        let mut server =
+            ShardCore::new(ServerEngine::new(protocol), time, shard, &FaultPlan::none());
         let (mut effects, mut arms, mut out) = (Vec::new(), Vec::new(), Vec::new());
         // Each step's event is the op-issue timer or the previous step's send.
         let mut event = Event::Start;
@@ -1344,12 +1410,7 @@ pub(crate) mod tests {
         // Widen the monitor for the batch-flush deadline like the oracle.
         cfg.monitor_delta = cfg.monitor_delta + Delta::from_ticks(40);
         let r = run_threaded(&cfg);
-        assert_eq!(r.ops_done, 2 * 15);
-        assert!(
-            r.on_time.holds(),
-            "violations: {}",
-            r.on_time.violations().len()
-        );
+        assert_done_on_time(&r, 2 * 15);
         assert_eq!(r.shard_requests.len(), 2);
     }
 

@@ -466,12 +466,18 @@ fn geo_kill_shard_over_wal_recovers_by_replay() {
     use timed_consistency::durable::WalStore;
     use timed_consistency::lifetime::store::ShardStore;
     use timed_consistency::lifetime::{
-        conformance_geo, run_geo_with, DurabilityMode, FsyncPolicy, GeoRunConfig, RegionMap,
+        conformance_geo, run_geo_with, DurabilityMode, FsyncPolicy, GeoLayout, RegionMap,
         RunOptions, WanProfile,
     };
 
+    let layout = GeoLayout {
+        regions: RegionMap::new(3, 2),
+        wan: WanProfile::symmetric(40, 60),
+        clients_per_region: 2,
+        migrations: Vec::new(),
+    };
     for seed in [7u64, 21, 1999] {
-        let cfg = GeoRunConfig {
+        let cfg = RunConfig {
             protocol: ProtocolConfig::of(ProtocolKind::Tcc {
                 delta: Delta::from_ticks(200),
             })
@@ -479,13 +485,10 @@ fn geo_kill_shard_over_wal_recovers_by_replay() {
             .with_durability(DurabilityMode::Durable {
                 fsync: FsyncPolicy::PER_WRITE,
             }),
-            regions: RegionMap::new(3, 2),
-            wan: WanProfile::symmetric(40, 60),
-            clients_per_region: 2,
+            n_clients: 6,
             workload: Workload::new(4, 0.8, 0.7, (Delta::from_ticks(5), Delta::from_ticks(40))),
             ops_per_client: 20,
             world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
-            migrations: Vec::new(),
         };
         let plan = FaultPlan::none().kill_shard(Window::ticks(250, 550), 0);
         let root =
@@ -500,13 +503,14 @@ fn geo_kill_shard_over_wal_recovers_by_replay() {
         };
         let result = run_geo_with(
             &cfg,
+            &layout,
             RunOptions {
                 plan: plan.clone(),
                 stores: Some(&factory),
                 ..RunOptions::default()
             },
         );
-        let c = conformance_geo(&cfg, &plan, &result);
+        let c = conformance_geo(&cfg, &layout, &plan, &result);
         assert_eq!(
             c.verdict,
             OracleVerdict::Conforms,

@@ -1,12 +1,14 @@
-//! Transport fault injection: kill a shard's listener mid-run, hold the
-//! address down, rebind it — and demand that the protocol rides it out
-//! over the evented epoll reactor.
+//! Transport fault injection: partition one shard mid-run — its listener
+//! and every live connection to it die, the address stays down, then the
+//! listener rebinds — and demand that the protocol rides it out over the
+//! evented epoll reactor.
 //!
 //! The reconnect path is where a transport earns its keep: the engines
 //! were designed for lossy delivery (per-request retry timers, causal
 //! retransmission, server-side delivery cursors), so a TCP link dying and
 //! coming back must look to them like nothing worse than a burst of
-//! message loss. Concretely this test asserts, under a listener outage:
+//! message loss. Concretely this test asserts, under a one-shard
+//! `FaultKind::Partition` in the run's `FaultPlan`:
 //!
 //! * every client still completes its full workload — the backoff dialer
 //!   reaches the reborn listener, redoes the link's one handshake, and the
@@ -16,50 +18,46 @@
 //!   reports **zero** violations;
 //! * the fault actually happened and was actually healed (listener
 //!   restart, failed dials, and reconnect counters are all non-zero);
-//! * per-site operation programs are untouched by the fault: the chaos
-//!   run's fingerprints equal a fault-free threaded run's on the same
-//!   seed.
-
-use std::time::Duration;
+//! * per-site operation programs are untouched by the fault: the
+//!   partitioned run's fingerprints equal a fault-free threaded run's on
+//!   the same seed.
 
 use tc_bench::site_fingerprint;
 use timed_consistency::clocks::Delta;
 use timed_consistency::lifetime::{ProtocolConfig, ProtocolKind};
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
+use timed_consistency::sim::{FaultPlan, Window};
 use timed_consistency::store::{
-    run_reactor_with, run_threaded, ListenerChaos, ReactorConfig, RuntimeConfig, RuntimeResult,
+    run_reactor_with, run_threaded, ReactorConfig, RuntimeConfig, RuntimeResult,
 };
 
 const SEED: u64 = 77;
 const N_CLIENTS: usize = 2;
 const OPS: usize = 100;
 
-/// The shared chaos plan: shard 0's listener dies at 20 ms and stays down
-/// for ~100 ms — several protocol lifetimes (Δ = 400 ticks · 50 µs =
-/// 20 ms) — over the driver's own link timing.
-fn chaos_config() -> ReactorConfig {
+/// The shared fleet: two shards under TSC at Δ = 400 ticks, fault-free.
+fn runtime() -> RuntimeConfig {
     let protocol = ProtocolConfig::of(ProtocolKind::Tsc {
         delta: Delta::from_ticks(400),
     })
     .with_shards(2);
-    let runtime = RuntimeConfig::for_protocol(
+    RuntimeConfig::for_protocol(
         protocol,
         N_CLIENTS,
         Workload::new(6, 0.8, 0.65, (Delta::from_ticks(3), Delta::from_ticks(12))),
         OPS,
         SEED,
-    );
+    )
+}
 
-    let mut cfg = ReactorConfig::new(runtime);
-    // Kill shard 0 early enough that plenty of workload remains on both
-    // sides of the outage, and hold it down for ~100 ms — several protocol
-    // lifetimes (Δ = 400 ticks · 50 µs = 20 ms).
-    cfg.chaos = Some(ListenerChaos {
-        shard: 0,
-        kill_after: Duration::from_millis(20),
-        down_for: Duration::from_millis(100),
-    });
+/// The partitioned reactor run: shard 0 cut off during [400, 2 400)
+/// ticks — killed at 20 ms and down for ~100 ms at the 50 µs tick,
+/// several protocol lifetimes (Δ = 400 ticks = 20 ms) — early enough that
+/// plenty of workload remains on both sides of the outage.
+fn partitioned_config() -> ReactorConfig {
+    let mut cfg = ReactorConfig::new(runtime());
+    cfg.runtime.faults = FaultPlan::none().partition(Window::ticks(400, 2_400), vec![0]);
     // A Δ-bounded protocol cannot push writes through a dead shard, so the
     // oracle's bound must absorb the worst-case blackout: downtime + the
     // last redial slot (≤ 50 ms) + handshake. The kill hard-closes every
@@ -70,8 +68,8 @@ fn chaos_config() -> ReactorConfig {
     cfg
 }
 
-/// Everything a chaos run must exhibit.
-fn assert_chaos_absorbed(faulted: &RuntimeResult) {
+/// Everything a partitioned run must exhibit.
+fn assert_outage_absorbed(faulted: &RuntimeResult) {
     // The workload survived the outage completely.
     assert_eq!(
         faulted.ops_done,
@@ -81,7 +79,7 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
     // ... and on time, under the outage-widened Δ.
     assert!(
         faulted.on_time.holds(),
-        "monitor violations under chaos: {}",
+        "monitor violations under the partition: {}",
         faulted.on_time.violations().len()
     );
 
@@ -91,7 +89,7 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
     assert_eq!(
         faulted.counter(names::TCP_LISTENER_RESTART),
         1,
-        "chaos must kill and rebind exactly one listener"
+        "the partition must kill and rebind exactly one listener"
     );
     assert!(
         faulted.counter(names::TCP_CONNECT_FAILED) > 0,
@@ -112,15 +110,13 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
     );
 
     // The fault changes timing, never programs: per-site fingerprints
-    // match a fault-free in-process run of the same seed. (The monitor Δ
-    // plays no role in what ops a site issues, so reusing the widened
-    // runtime config is immaterial here.)
-    let clean = run_threaded(&chaos_config().runtime);
+    // match a fault-free in-process run of the same seed.
+    let clean = run_threaded(&runtime());
     for site in 0..N_CLIENTS {
         assert_eq!(
             site_fingerprint(&faulted.history, site),
             site_fingerprint(&clean.history, site),
-            "site {site}: chaos must not alter the operation program"
+            "site {site}: the partition must not alter the operation program"
         );
     }
 }
@@ -131,11 +127,11 @@ fn assert_chaos_absorbed(faulted: &RuntimeResult) {
 /// though the outage hard-closed every connection to the dead shard.
 #[test]
 fn reactor_absorbs_the_same_listener_outage() {
-    let faulted = run_reactor_with(&chaos_config());
-    assert_chaos_absorbed(&faulted);
+    let faulted = run_reactor_with(&partitioned_config());
+    assert_outage_absorbed(&faulted);
     assert_eq!(
         faulted.counter(names::REACTOR_CONN_OPENED),
         faulted.counter(names::REACTOR_CONN_CLOSED),
-        "chaos-killed registrations must still drain to zero"
+        "partition-killed registrations must still drain to zero"
     );
 }
