@@ -104,51 +104,11 @@ pub enum Propagation {
 /// request ([`ProtocolConfig::retry_after`]).
 pub const DEFAULT_RETRY_AFTER: Delta = Delta::from_ticks(500);
 
-/// Deadline-batched push invalidations ([`ProtocolConfig::push_batch`]).
-///
-/// With [`Propagation::PushInvalidate`], every write fans one invalidation
-/// out to every known client — O(clients) messages per write. Batching
-/// coalesces the per-client stream: a shard appends invalidations to one
-/// pending batch per client and flushes the batch when it is full
-/// (`max_entries`) **or** when the oldest entry has been pending for
-/// `max_delay` — whichever comes first. `max_delay` is the knob that keeps
-/// batching honest with the timed bound: a pushed invalidation may be
-/// delayed by at most `max_delay` beyond the write, so the conformance
-/// oracle widens its staleness bound by exactly that much (and no client
-/// ever *depends* on a push — the client-side lifetime rules enforce Δ on
-/// their own; pushes only make caches fresher).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PushBatch {
-    /// Flush a client's pending batch once it holds this many entries.
-    /// `1` disables coalescing: every invalidation ships immediately as a
-    /// standalone push (the historical behaviour).
-    pub max_entries: usize,
-    /// Flush a client's pending batch once its oldest entry has waited
-    /// this long, even if the batch is not full.
-    pub max_delay: Delta,
-}
-
-impl PushBatch {
-    /// No batching: every invalidation ships immediately (the default, and
-    /// byte-identical with the pre-batching protocol).
-    pub const IMMEDIATE: PushBatch = PushBatch {
-        max_entries: 1,
-        max_delay: Delta::ZERO,
-    };
-
-    /// Whether this configuration coalesces at all.
-    #[must_use]
-    pub fn is_enabled(self) -> bool {
-        self.max_entries > 1
-    }
-}
-
 /// When a durable shard store makes appended WAL records survive a crash
 /// ([`DurabilityMode::Durable`]).
 ///
 /// A shard acknowledges a write only once the covering record is durable,
-/// so the policy trades write latency against fsync traffic exactly like
-/// [`PushBatch`] trades push latency against message count:
+/// so the policy trades write latency against fsync traffic:
 ///
 /// * `max_pending` — sync once this many records are pending
 ///   (group commit). `1` syncs on every write.
@@ -227,9 +187,6 @@ pub struct ProtocolConfig {
     /// shards by [`crate::engine::ShardMap`]; `1` reproduces the single
     /// server byte-for-byte.
     pub shards: usize,
-    /// Invalidation-push coalescing (only meaningful under
-    /// [`Propagation::PushInvalidate`]).
-    pub push_batch: PushBatch,
     /// Whether shard writes are write-ahead logged and acks deferred to
     /// durability. [`DurabilityMode::Ephemeral`] reproduces the historical
     /// engine byte-for-byte.
@@ -238,7 +195,7 @@ pub struct ProtocolConfig {
 
 impl ProtocolConfig {
     /// The conventional configuration for a level: pull-based, mark-old,
-    /// default retry interval, one shard, no push batching.
+    /// default retry interval, one shard, in-memory shards.
     #[must_use]
     pub fn of(kind: ProtocolKind) -> Self {
         ProtocolConfig {
@@ -247,7 +204,6 @@ impl ProtocolConfig {
             propagation: Propagation::Pull,
             retry_after: DEFAULT_RETRY_AFTER,
             shards: 1,
-            push_batch: PushBatch::IMMEDIATE,
             durability: DurabilityMode::Ephemeral,
         }
     }
@@ -258,17 +214,6 @@ impl ProtocolConfig {
     pub fn with_shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "a fleet needs at least one shard");
         self.shards = shards;
-        self
-    }
-
-    /// The same configuration with deadline-batched push invalidations.
-    #[must_use]
-    pub fn with_push_batch(mut self, push_batch: PushBatch) -> Self {
-        assert!(
-            push_batch.max_entries >= 1,
-            "a push batch must hold at least one entry"
-        );
-        self.push_batch = push_batch;
         self
     }
 
@@ -341,8 +286,6 @@ mod tests {
         assert_eq!(c.retry_after, DEFAULT_RETRY_AFTER);
         assert_eq!(DEFAULT_RETRY_AFTER, Delta::from_ticks(500));
         assert_eq!(c.shards, 1);
-        assert_eq!(c.push_batch, PushBatch::IMMEDIATE);
-        assert!(!c.push_batch.is_enabled());
         assert_eq!(c.durability, DurabilityMode::Ephemeral);
         assert!(!c.durability.is_durable());
     }
@@ -364,15 +307,7 @@ mod tests {
 
     #[test]
     fn builder_helpers_set_fleet_knobs() {
-        let batch = PushBatch {
-            max_entries: 8,
-            max_delay: Delta::from_ticks(40),
-        };
-        let c = ProtocolConfig::of(ProtocolKind::Sc)
-            .with_shards(4)
-            .with_push_batch(batch);
+        let c = ProtocolConfig::of(ProtocolKind::Sc).with_shards(4);
         assert_eq!(c.shards, 4);
-        assert_eq!(c.push_batch, batch);
-        assert!(c.push_batch.is_enabled());
     }
 }

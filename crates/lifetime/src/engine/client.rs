@@ -211,13 +211,6 @@ impl ClientEngine {
         self
     }
 
-    /// Whether the client has completed its scripted migration (i.e. a
-    /// plan was installed and has since been consumed).
-    #[must_use]
-    pub fn migrated(&self) -> bool {
-        self.migration.is_none() && !self.attaching
-    }
-
     fn migration_due(&self) -> bool {
         self.migration
             .as_ref()
@@ -239,7 +232,13 @@ impl ClientEngine {
             return;
         }
         self.attaching = true;
-        let plan = self.migration.as_ref().expect("due implies a plan");
+        self.send_attach(out);
+    }
+
+    /// Sends the migration's [`Msg::GeoAttach`] and arms its retransmit
+    /// timer (the relay handles duplicates idempotently).
+    fn send_attach(&self, out: &mut Vec<Effect>) {
+        let plan = self.migration.as_ref().expect("attaching implies a plan");
         out.push(Effect::Send {
             to: plan.relay,
             msg: Msg::GeoAttach {
@@ -256,15 +255,8 @@ impl ClientEngine {
     /// The Δ the timed freshness rules currently enforce: the adaptive
     /// override when a [`Msg::DeltaUpdate`] has been applied, else the
     /// configured `configured`.
-    #[must_use]
-    pub fn effective_delta(&self, configured: Delta) -> Delta {
+    fn effective_delta(&self, configured: Delta) -> Delta {
         self.delta_override.unwrap_or(configured)
-    }
-
-    /// The adaptive Δ override currently applied, if any.
-    #[must_use]
-    pub fn delta_override(&self) -> Option<Delta> {
-        self.delta_override
     }
 
     /// Operations completed so far.
@@ -601,26 +593,20 @@ impl ClientEngine {
     }
 
     fn record_read(&mut self, out: &mut Vec<Effect>, object: ObjectId, value: Value) {
-        let now = self.now().truth;
-        if self.config.kind.is_causal_family() {
-            // Causal runs carry L(op) so traces can also be judged by the
-            // logical-clock Definition 6 (checker::check_on_time_xi).
-            out.push(Effect::Record(RecordOp::Read {
-                site: SiteId::new(self.site),
-                object,
-                value,
-                at: now,
-                logical: Some(self.context_v.clone()),
-            }));
-        } else {
-            out.push(Effect::Record(RecordOp::Read {
-                site: SiteId::new(self.site),
-                object,
-                value,
-                at: now,
-                logical: None,
-            }));
-        }
+        // Causal runs carry L(op) so traces can also be judged by the
+        // logical-clock Definition 6 (checker::check_on_time_xi).
+        let logical = self
+            .config
+            .kind
+            .is_causal_family()
+            .then(|| self.context_v.clone());
+        out.push(Effect::Record(RecordOp::Read {
+            site: SiteId::new(self.site),
+            object,
+            value,
+            at: self.now().truth,
+            logical,
+        }));
     }
 
     /// Installs a fetched/newer version into the cache and advances
@@ -652,46 +638,37 @@ impl ClientEngine {
             // server already has it or its send window will land it,
             // and the discarded server version never becomes visible here,
             // keeping the recorded history causally consistent.
-            if let Some((value, alpha_v, issued_at)) = self.own_writes.get(&object) {
-                let ours_wins = version.loses_to(alpha_v, *issued_at, self.now().me.index());
-                if ours_wins {
-                    let (value, issued_at, alpha_v) = (*value, *issued_at, alpha_v.clone());
+            let me = self.now().me.index();
+            let ours = self
+                .own_writes
+                .get(&object)
+                .filter(|(_, alpha_v, issued_at)| version.loses_to(alpha_v, *issued_at, me));
+            let (value, alpha_t, alpha_v) = match ours {
+                Some((value, alpha_v, issued_at)) => {
                     out.push(Effect::metric(names::OWN_WRITE_PRESERVED));
-                    let omega_v = self.context_v.clone();
-                    self.cache.insert(
-                        object,
-                        CacheEntry {
-                            value,
-                            alpha_t: issued_at,
-                            omega_t: server_now,
-                            alpha_v: Some(alpha_v),
-                            omega_v: Some(omega_v),
-                            beta: t_loc,
-                            old: false,
-                        },
-                    );
-                    return value;
+                    (*value, *issued_at, Some(alpha_v.clone()))
                 }
-            }
-            // The version is the server's *current* copy, and everything in
-            // Context_i has passed through the same server, so the version
-            // is known valid at the whole context — extend its lifetime
-            // accordingly (otherwise fetching any page would immediately
-            // age every concurrent cached page, the §4 Dow-Jones/CNN
-            // scenario's false positive).
-            let omega_v = self.context_v.clone();
+                None => (version.value, version.alpha_t, version.alpha_v().cloned()),
+            };
+            // The server's version is its *current* copy, and everything in
+            // Context_i has passed through the same server, so it is known
+            // valid at the whole context — extend its lifetime accordingly
+            // (otherwise fetching any page would immediately age every
+            // concurrent cached page, the §4 Dow-Jones/CNN scenario's false
+            // positive). Our own write, superseding it, gets the same.
             self.cache.insert(
                 object,
                 CacheEntry {
-                    value: version.value,
-                    alpha_t: version.alpha_t,
+                    value,
+                    alpha_t,
                     omega_t: server_now,
-                    alpha_v: version.alpha_v().cloned(),
-                    omega_v: Some(omega_v),
+                    alpha_v,
+                    omega_v: Some(self.context_v.clone()),
                     beta: t_loc,
                     old: false,
                 },
             );
+            value
         } else {
             self.context_t = self.context_t.max(version.alpha_t);
             self.cache.insert(
@@ -706,8 +683,8 @@ impl ClientEngine {
                     old: false,
                 },
             );
+            version.value
         }
-        version.value
     }
 
     fn on_restart(&mut self, io: &mut impl Inputs, out: &mut Vec<Effect>) {
@@ -734,17 +711,25 @@ impl ClientEngine {
             window.rearm(now, out);
         }
         self.ship_deferred(out);
-        if let Some(msg) = self.outstanding.clone() {
-            out.push(Effect::metric(names::RETRY));
-            let to = self.request_dest(&msg);
-            out.push(Effect::Send { to, msg });
-            out.push(Effect::SetTimer {
-                after: self.config.retry_after,
-                token: self.req_epoch,
-            });
-        } else {
+        if !self.retry_outstanding(out) {
             self.plan_next(io, out);
         }
+    }
+
+    /// Resends the outstanding request, if any, and re-arms its retry
+    /// timer. Returns whether a request was outstanding.
+    fn retry_outstanding(&self, out: &mut Vec<Effect>) -> bool {
+        let Some(msg) = self.outstanding.clone() else {
+            return false;
+        };
+        out.push(Effect::metric(names::RETRY));
+        let to = self.request_dest(&msg);
+        out.push(Effect::Send { to, msg });
+        out.push(Effect::SetTimer {
+            after: self.config.retry_after,
+            token: self.req_epoch,
+        });
+        true
     }
 
     fn on_timer(&mut self, token: u64, io: &mut impl Inputs, out: &mut Vec<Effect>) {
@@ -756,41 +741,21 @@ impl ClientEngine {
                 }
             }
         } else if token == TIMER_GEO_ATTACH {
-            // Retransmit an unanswered attach (the relay handles
-            // duplicates idempotently).
+            // Retransmit an unanswered attach.
             if self.attaching {
-                let plan = self.migration.as_ref().expect("attaching implies a plan");
                 out.push(Effect::metric(names::RETRY));
-                out.push(Effect::Send {
-                    to: plan.relay,
-                    msg: Msg::GeoAttach {
-                        site: self.site as u32,
-                        context_v: self.context_v.clone(),
-                    },
-                });
-                out.push(Effect::SetTimer {
-                    after: self.config.retry_after,
-                    token: TIMER_GEO_ATTACH,
-                });
+                self.send_attach(out);
             }
         } else if token >= TIMER_RESEND {
             self.on_resend_timer(token, out);
         } else if token == self.req_epoch {
             // Retry an unanswered request (lost message).
-            if let Some(msg) = self.outstanding.clone() {
-                out.push(Effect::metric(names::RETRY));
-                let to = self.request_dest(&msg);
-                out.push(Effect::Send { to, msg });
-                out.push(Effect::SetTimer {
-                    after: self.config.retry_after,
-                    token: self.req_epoch,
-                });
-            }
+            self.retry_outstanding(out);
         }
     }
 
-    /// Applies one (standalone or batched) push invalidation against the
-    /// cache, unless the cached version is at least as new.
+    /// Applies one push invalidation against the cache, unless the cached
+    /// version is at least as new.
     fn apply_invalidation(
         &mut self,
         object: ObjectId,
@@ -970,17 +935,6 @@ impl ClientEngine {
             } => {
                 out.push(Effect::metric(names::PUSH_RECEIVED));
                 self.apply_invalidation(object, alpha_t, alpha_v.as_ref(), out);
-            }
-            Msg::InvalidateBatch { entries } => {
-                for entry in entries {
-                    out.push(Effect::metric(names::PUSH_RECEIVED));
-                    self.apply_invalidation(
-                        entry.object,
-                        entry.alpha_t,
-                        entry.alpha_v.as_ref(),
-                        out,
-                    );
-                }
             }
             Msg::DeltaUpdate { seq, delta } => {
                 // Controller commands are re-broadcast each tick; the

@@ -71,8 +71,8 @@ pub const TIMER_RESEND: u64 = 1 << 62;
 pub const TIMER_GEO_ATTACH: u64 = u64::MAX - 1;
 
 /// Base of the server's per-peer-region geo flush tokens: peer channel `i`
-/// flushes on token `TIMER_GEO_FLUSH_BASE + i`. The range sits far above
-/// client node indexes and below the `u64::MAX`-family singleton tokens.
+/// flushes on token `TIMER_GEO_FLUSH_BASE + i`. The range is the lowest a
+/// shard arms and sits below the ack range.
 pub const TIMER_GEO_FLUSH_BASE: u64 = 1 << 60;
 
 /// Base of the server's per-client ack deadline tokens: the causal ack a

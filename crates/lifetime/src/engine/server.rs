@@ -14,7 +14,7 @@
 //!
 //! Durable state lives behind the [`ShardStore`] seam (see
 //! [`crate::store`]): the engine holds only session state (known clients,
-//! pending invalidation batches, deferred write acks) plus a boxed store.
+//! deferred and owed write acks) plus a boxed store.
 //! Under [`DurabilityMode::Durable`] every write is appended as a
 //! [`WalRecord`], reads are served from the store's *durable* image, and
 //! write acks are deferred until the covering fsync — so a crash can only
@@ -28,7 +28,7 @@
 //! cursor. The next reply to that site carries it; only if none leaves
 //! within [`ACK_DELAY`] does a standalone [`Msg::WriteAckCausal`] go out.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::ObjectId;
@@ -37,22 +37,13 @@ use tc_sim::NodeId;
 
 use crate::channel::{Arrival, Receiver, SendWindow};
 use crate::engine::{Effect, Event, Now, TIMER_ACK_BASE, TIMER_GEO_FLUSH_BASE, TIMER_RESEND};
-use crate::geo::{GeoShardConfig, EGRESS_BATCH, RETX_AFTER};
-use crate::msg::{GeoWrite, InvalidateEntry, Msg, ValidateOutcome};
+use crate::geo::{GeoShardConfig, EGRESS_MAX_DELAY, EGRESS_MAX_ENTRIES, RETX_AFTER};
+use crate::msg::{GeoWrite, Msg, ValidateOutcome};
 use crate::store::{MemStore, ShardStore, StoredVersion, WalRecord};
 use crate::{Propagation, ProtocolConfig};
 
-/// The timer token a shard arms to flush `client`'s pending invalidation
-/// batch. The client's node index is the token; [`TIMER_WAL_FLUSH`] is the
-/// one non-client token.
-#[must_use]
-pub(crate) fn flush_token(client: NodeId) -> u64 {
-    client.index() as u64
-}
-
 /// The timer token a shard arms for a deadline-batched WAL fsync
-/// ([`crate::FsyncPolicy::max_delay`]). Distinct from every
-/// `flush_token`: client node indexes never reach `u64::MAX`.
+/// ([`crate::FsyncPolicy::max_delay`]), above every resend deadline.
 pub const TIMER_WAL_FLUSH: u64 = u64::MAX;
 
 /// How long a causal ack a shard owes a site waits for a reply to that
@@ -69,12 +60,33 @@ fn ack_token(client: NodeId) -> u64 {
     TIMER_ACK_BASE + client.index() as u64
 }
 
-/// The client whose ack deadline `token` is, if it is one: the range
-/// sits between the geo flush tokens and the resend deadlines.
-fn ack_client(token: u64) -> Option<NodeId> {
-    (TIMER_ACK_BASE..TIMER_RESEND)
-        .contains(&token)
-        .then(|| NodeId::new((token - TIMER_ACK_BASE) as usize))
+/// A shard timer, decoded from its token by range. A shard arms no token
+/// below [`TIMER_GEO_FLUSH_BASE`].
+enum ShardTimer {
+    /// The deadline-batched fsync ([`TIMER_WAL_FLUSH`]).
+    WalFlush,
+    /// A resend deadline of a geo send window.
+    Resend(u64),
+    /// The deadline of the ack owed to this client.
+    AckDue(NodeId),
+    /// The flush deadline of this peer region's open egress batch.
+    GeoFlush(usize),
+}
+
+impl ShardTimer {
+    fn decode(token: u64) -> Option<ShardTimer> {
+        Some(if token == TIMER_WAL_FLUSH {
+            ShardTimer::WalFlush
+        } else if token >= TIMER_RESEND {
+            ShardTimer::Resend(token)
+        } else if token >= TIMER_ACK_BASE {
+            ShardTimer::AckDue(NodeId::new((token - TIMER_ACK_BASE) as usize))
+        } else if token >= TIMER_GEO_FLUSH_BASE {
+            ShardTimer::GeoFlush((token - TIMER_GEO_FLUSH_BASE) as usize)
+        } else {
+            return None;
+        })
+    }
 }
 
 /// A write ack held until the records it covers are durable.
@@ -106,13 +118,12 @@ struct OwedAck {
 /// [`MemStore`] (which models an infinitely fast disk), everything up to
 /// the last fsync for a WAL-backed store (which replays its log and drops
 /// the unsynced tail — safe, because those writes were never acked).
-/// `known_clients`, the pending invalidation batches and the deferred and
-/// owed acks are volatile session state (a writer retransmits whatever a
-/// lost ack left unacked): after a restart, push invalidations flow
-/// only to clients that contact the shard again, and any coalesced but
-/// unflushed batch is simply lost. That is safe for the timed guarantees
-/// because pushes are an optimization; the Δ bound is enforced by the
-/// client-side lifetime rules alone.
+/// `known_clients` and the deferred and owed acks are volatile session
+/// state (a writer retransmits whatever a lost ack left unacked): after a
+/// restart, push invalidations flow only to clients that contact the shard
+/// again. That is safe for the timed guarantees because pushes are an
+/// optimization; the Δ bound is enforced by the client-side lifetime rules
+/// alone.
 pub struct ServerEngine {
     config: ProtocolConfig,
     /// The durable state backend (versions, α stamps, dedup map, causal
@@ -122,9 +133,6 @@ pub struct ServerEngine {
     /// cannot cache anything without contacting the owning shard first, so
     /// this set always covers every cache holding this shard's data.
     known_clients: BTreeSet<NodeId>,
-    /// Per-client invalidation batches not yet flushed (volatile, BTreeMap
-    /// for deterministic flush order).
-    pending: BTreeMap<NodeId, Vec<InvalidateEntry>>,
     /// Write acks awaiting durability of their records (volatile: a crash
     /// drops them together with the unsynced records they cover, and the
     /// clients retransmit). FIFO — drained in append order at each sync.
@@ -157,7 +165,7 @@ pub struct ServerEngine {
 /// The deadline that flushes egress channel `i`'s open batch.
 fn flush_deadline(i: usize) -> Effect {
     Effect::SetTimer {
-        after: EGRESS_BATCH.max_delay,
+        after: EGRESS_MAX_DELAY,
         token: TIMER_GEO_FLUSH_BASE + i as u64,
     }
 }
@@ -204,7 +212,7 @@ impl GeoState {
         for i in 0..self.open.len() {
             self.open[i].push(w.clone());
             let len = self.open[i].len();
-            if len >= EGRESS_BATCH.max_entries {
+            if len >= EGRESS_MAX_ENTRIES {
                 self.flush(i, now, out);
             } else if len == 1 {
                 out.push(flush_deadline(i));
@@ -286,7 +294,6 @@ impl ServerEngine {
             config,
             store,
             known_clients: BTreeSet::new(),
-            pending: BTreeMap::new(),
             deferred_acks: Vec::new(),
             owed: Vec::new(),
             inbound: Vec::new(),
@@ -331,15 +338,13 @@ impl ServerEngine {
     /// Every other shard timer counts as live.
     #[must_use]
     pub fn timer_is_live(&self, token: u64) -> bool {
-        if token >= TIMER_RESEND && token != TIMER_WAL_FLUSH {
-            return self
+        match ShardTimer::decode(token) {
+            Some(ShardTimer::Resend(token)) => self
                 .geo
                 .as_ref()
-                .is_some_and(|geo| geo.sent.iter().any(|w| w.is_timer(token)));
-        }
-        match ack_client(token) {
-            Some(client) => self.owed_to(client).is_some(),
-            None => true,
+                .is_some_and(|geo| geo.sent.iter().any(|w| w.is_timer(token))),
+            Some(ShardTimer::AckDue(client)) => self.owed_to(client).is_some(),
+            _ => true,
         }
     }
 
@@ -352,30 +357,25 @@ impl ServerEngine {
         match event {
             Event::Now(now) => self.now = Some(now),
             Event::Start => {}
-            Event::Timer { token } => {
-                if token == TIMER_WAL_FLUSH {
-                    // Deadline-batched fsync; a timer raced past a
-                    // fullness-triggered sync finds nothing pending.
-                    self.sync_store(out);
-                } else if token >= TIMER_RESEND {
+            Event::Timer { token } => match ShardTimer::decode(token) {
+                // Deadline-batched fsync; a timer raced past a
+                // fullness-triggered sync finds nothing pending.
+                Some(ShardTimer::WalFlush) => self.sync_store(out),
+                Some(ShardTimer::AckDue(client)) => self.on_ack_due(client, out),
+                Some(ShardTimer::Resend(token)) => {
                     let now = self.truth();
                     if let Some(geo) = &mut self.geo {
                         geo.on_resend_deadline(token, now, out);
                     }
-                } else if let Some(client) = ack_client(token) {
-                    self.on_ack_due(client, out);
-                } else if token >= TIMER_GEO_FLUSH_BASE {
-                    let i = (token - TIMER_GEO_FLUSH_BASE) as usize;
+                }
+                Some(ShardTimer::GeoFlush(i)) => {
                     let now = self.truth();
                     if let Some(geo) = &mut self.geo {
                         geo.flush(i, now, out);
                     }
-                } else {
-                    // The other shard timers are batch-flush deadlines; a
-                    // timer for an already-flushed (empty) batch is a no-op.
-                    self.flush_batch(NodeId::new(token as usize), out);
                 }
-            }
+                None => {}
+            },
             Event::Restart => {
                 out.push(Effect::Metric {
                     name: names::SERVER_RESTART,
@@ -395,7 +395,6 @@ impl ServerEngine {
                     });
                 }
                 self.known_clients.clear();
-                self.pending.clear();
                 self.deferred_acks.clear();
                 self.owed.clear();
                 self.inbound.clear();
@@ -607,78 +606,22 @@ impl ServerEngine {
         if self.config.propagation != Propagation::PushInvalidate {
             return;
         }
-        if !self.config.push_batch.is_enabled() {
-            // Immediate mode: one standalone push per write per client —
-            // byte-identical with the pre-batching protocol.
-            for &client in &self.known_clients {
-                if client != except {
-                    out.push(Effect::Metric {
-                        name: names::PUSH,
-                        add: 1,
-                    });
-                    out.push(Effect::Send {
-                        to: client,
-                        msg: Msg::InvalidatePush {
-                            object,
-                            alpha_t,
-                            alpha_v: alpha_v.cloned(),
-                        },
-                    });
-                }
-            }
-            return;
-        }
-        // Batched mode: append to each client's pending batch, flush on
-        // fullness, otherwise arm the max_delay deadline when the batch
-        // goes non-empty. A deadline firing after a fullness flush finds
-        // either an empty batch (no-op) or a younger one (an early flush —
-        // harmless: it only reduces coalescing, never delays an entry).
-        let targets: Vec<NodeId> = self
-            .known_clients
-            .iter()
-            .copied()
-            .filter(|&c| c != except)
-            .collect();
-        for client in targets {
-            out.push(Effect::Metric {
-                name: names::PUSH,
-                add: 1,
-            });
-            let batch = self.pending.entry(client).or_default();
-            let was_empty = batch.is_empty();
-            batch.push(InvalidateEntry {
-                object,
-                alpha_t,
-                alpha_v: alpha_v.cloned(),
-            });
-            if batch.len() >= self.config.push_batch.max_entries {
-                self.flush_batch(client, out);
-            } else if was_empty {
-                out.push(Effect::SetTimer {
-                    after: self.config.push_batch.max_delay,
-                    token: flush_token(client),
+        for &client in &self.known_clients {
+            if client != except {
+                out.push(Effect::Metric {
+                    name: names::PUSH,
+                    add: 1,
+                });
+                out.push(Effect::Send {
+                    to: client,
+                    msg: Msg::InvalidatePush {
+                        object,
+                        alpha_t,
+                        alpha_v: alpha_v.cloned(),
+                    },
                 });
             }
         }
-    }
-
-    /// Flushes `client`'s pending invalidation batch, if any.
-    fn flush_batch(&mut self, client: NodeId, out: &mut Vec<Effect>) {
-        let Some(batch) = self.pending.get_mut(&client) else {
-            return;
-        };
-        if batch.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(batch);
-        out.push(Effect::Metric {
-            name: names::PUSH_BATCH,
-            add: 1,
-        });
-        out.push(Effect::Send {
-            to: client,
-            msg: Msg::InvalidateBatch { entries },
-        });
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, out: &mut Vec<Effect>) {
@@ -805,7 +748,6 @@ impl ServerEngine {
             | Msg::WriteAckCausal { .. }
             | Msg::Gap { .. }
             | Msg::InvalidatePush { .. }
-            | Msg::InvalidateBatch { .. }
             | Msg::DeltaUpdate { .. }
             | Msg::GeoBatch { .. }
             | Msg::GeoBatchAck { .. }
@@ -1320,6 +1262,18 @@ mod tests {
         assert!(drive_at(&mut s, 104, ack_due()).is_empty());
         // Paid: the next reply carries nothing.
         assert_eq!(acks(&drive_at(&mut s, 105, fetch())), [None]);
+    }
+
+    /// A token below every shard range decodes to no timer: stepping it
+    /// sends nothing and leaves the owed ack owed.
+    #[test]
+    fn a_token_below_every_shard_range_does_nothing() {
+        let mut s = ServerEngine::new(cfg());
+        drive_at(&mut s, 100, causal_write(1));
+        for token in [0, 1, TIMER_GEO_FLUSH_BASE - 1] {
+            assert!(drive_at(&mut s, 101, Event::Timer { token }).is_empty());
+        }
+        assert!(s.timer_is_live(ack_token(NodeId::new(1))));
     }
 
     /// No reply within `ACK_DELAY`: the ack leaves on its own, cumulative

@@ -35,7 +35,7 @@
 use tc_clocks::{Delta, Epsilon};
 use tc_sim::{FaultKind, FaultPlan, Scope, Window};
 
-use super::{GeoLayout, EGRESS_BATCH, RETX_AFTER};
+use super::{GeoLayout, EGRESS_MAX_DELAY, RETX_AFTER};
 use crate::harness::run_impl;
 use crate::oracle::{fsync_delay, judge, widened_bound, Conformance};
 use crate::{RunConfig, RunOptions, RunResult};
@@ -102,7 +102,7 @@ pub fn widened_bound_geo(
     eps: Epsilon,
 ) -> Option<Delta> {
     let base = widened_bound(config, plan, eps)?;
-    let egress = EGRESS_BATCH.max_delay.ticks();
+    let egress = EGRESS_MAX_DELAY.ticks();
     let wan = layout.wan.max_latency(layout.regions.regions);
     let lat = config.world.net.latency.upper_bound()?.ticks();
     let fsync = fsync_delay(&config.protocol)?;

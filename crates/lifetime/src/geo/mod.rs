@@ -23,10 +23,10 @@
 //!
 //! * **Egress** — when a shard applies a fresh causal client write it
 //!   appends the write to one outgoing channel per peer region. Channels
-//!   are deadline-batched exactly like `PushBatch` (Δ-aware urgency: the
-//!   flush deadline is chosen so the write reaches every region before its
-//!   Δ promise expires there) and retransmitted until the peer relay's
-//!   cumulative ack covers them.
+//!   are deadline-batched — flushed when full or at a deadline, whichever
+//!   comes first (Δ-aware urgency: the flush deadline is chosen so the
+//!   write reaches every region before its Δ promise expires there) — and
+//!   retransmitted until the peer relay's cumulative ack covers them.
 //! * **Ingress** — the relay ingests batches in per-sender order, holds
 //!   each remote write until its causal dependencies are applied locally
 //!   (per-writer watermarks against the write's vector stamp), and
@@ -51,7 +51,7 @@ use serde::{Deserialize, Serialize};
 use tc_clocks::Delta;
 use tc_sim::{LatencyModel, NetworkModel, NodeId};
 
-use crate::{ProtocolConfig, PushBatch};
+use crate::ProtocolConfig;
 
 mod harness;
 mod relay;
@@ -60,14 +60,15 @@ pub use harness::{conformance_geo, geo_retx, run_geo_with, widened_bound_geo};
 pub use relay::GeoRelayEngine;
 
 /// The egress discipline of every shard's outgoing cross-region channels,
-/// under every driver: flush on 4 entries or after 20 ticks, whichever
-/// comes first — the [`PushBatch`] rule. The deadline is the Δ-aware
-/// urgency term: it bounds how long a write may wait before leaving for a
-/// peer region, and [`widened_bound_geo`] widens by it.
-pub const EGRESS_BATCH: PushBatch = PushBatch {
-    max_entries: 4,
-    max_delay: Delta::from_ticks(20),
-};
+/// under every driver: flush an open batch once it holds
+/// [`EGRESS_MAX_ENTRIES`] writes or once its oldest has waited
+/// [`EGRESS_MAX_DELAY`], whichever comes first.
+pub const EGRESS_MAX_ENTRIES: usize = 4;
+
+/// The egress flush deadline, the Δ-aware urgency term: it bounds how long
+/// a write may wait before leaving for a peer region, and
+/// [`widened_bound_geo`] widens by it.
+pub const EGRESS_MAX_DELAY: Delta = Delta::from_ticks(20);
 
 /// Retransmit interval for unacked egress batches (and the relay's
 /// unacked forwarded apply). Keep it above one WAN round trip
@@ -346,7 +347,8 @@ impl WanProfile {
 }
 
 /// Geo configuration of one shard engine: where its relays are. Its
-/// outgoing cross-region channels batch by [`EGRESS_BATCH`] and
+/// outgoing cross-region channels batch by [`EGRESS_MAX_ENTRIES`] and
+/// [`EGRESS_MAX_DELAY`] and
 /// retransmit every [`RETX_AFTER`].
 #[derive(Clone, Debug)]
 pub struct GeoShardConfig {

@@ -806,38 +806,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_pushes_flow_and_respect_the_delta_bound() {
+    fn sharded_pushes_flow_and_respect_the_delta_bound() {
         let delta = Delta::from_ticks(100);
         let mut cfg = base_config(ProtocolKind::Tsc { delta }, 11);
-        cfg.protocol = cfg
-            .protocol
-            .with_shards(2)
-            .with_push_batch(crate::PushBatch {
-                max_entries: 4,
-                max_delay: Delta::from_ticks(20),
-            });
+        cfg.protocol = cfg.protocol.with_shards(2);
         cfg.protocol.propagation = Propagation::PushInvalidate;
         cfg.protocol.stale = StalePolicy::Invalidate;
         let r = run(&cfg);
         assert!(r.counter(names::PUSH) > 0, "pushes must flow");
-        assert!(
-            r.counter(names::PUSH_BATCH) > 0,
-            "batches must be flushed: {:?}",
-            r.metrics.counters
-        );
-        assert!(
-            r.counter(names::PUSH_BATCH) <= r.counter(names::PUSH),
-            "a batch carries at least one push"
-        );
-        // The client-side rules still enforce Δ; batching only delays the
-        // optimization, bounded by max_delay.
-        let bound = delta.ticks() + 2 * 3 + 2 * r.epsilon.ticks() + 20 + 4;
+        // The client-side rules enforce Δ; pushes only make caches fresher.
+        let bound = delta.ticks() + 2 * 3 + 2 * r.epsilon.ticks() + 4;
         assert!(
             min_delta(&r.history).ticks() <= bound,
-            "batched-push staleness {} exceeds {bound}",
+            "pushed staleness {} exceeds {bound}",
             min_delta(&r.history).ticks()
         );
-        assert!(r.on_time.holds(), "monitor must stay green under batching");
+        assert!(r.on_time.holds(), "monitor must stay green under pushes");
     }
 
     #[test]

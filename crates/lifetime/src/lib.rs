@@ -75,7 +75,7 @@ pub mod oracle;
 pub mod store;
 
 pub use config::{
-    DurabilityMode, FsyncPolicy, Propagation, ProtocolConfig, ProtocolKind, PushBatch, StalePolicy,
+    DurabilityMode, FsyncPolicy, Propagation, ProtocolConfig, ProtocolKind, StalePolicy,
     DEFAULT_RETRY_AFTER,
 };
 pub use control::{ControlPolicy, ControllerConfig, DeltaCommand, DeltaController, DeltaSchedule};
@@ -88,6 +88,6 @@ pub use harness::{
     run, run_with, run_with_faults, run_with_private_sources, RunConfig, RunOptions, RunResult,
     StoreFactory,
 };
-pub use msg::{CausalStamp, GeoWrite, InvalidateEntry, Msg, ValidateOutcome, WireVersion};
+pub use msg::{CausalStamp, GeoWrite, Msg, ValidateOutcome, WireVersion};
 pub use oracle::{conformance, Conformance, OracleVerdict};
 pub use store::{MemStore, Recovery, ShardImage, ShardStore, StoredVersion, WalRecord};

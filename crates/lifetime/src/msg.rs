@@ -219,14 +219,6 @@ pub enum Msg {
         /// Vector stamp of the new current version (causal family).
         alpha_v: Option<VectorClock>,
     },
-    /// Server → client: a deadline-batched run of invalidations, coalesced
-    /// per destination client (see [`crate::PushBatch`]). Entries are in
-    /// application order; each is exactly the payload of one
-    /// [`Msg::InvalidatePush`].
-    InvalidateBatch {
-        /// The coalesced invalidations, oldest first.
-        entries: Vec<InvalidateEntry>,
-    },
     /// Control plane → client: a Δ revision from the adaptive controller
     /// (see [`crate::control::DeltaController`]). The client enforces
     /// `delta` from receipt; commands are re-broadcast each controller
@@ -322,7 +314,6 @@ impl Msg {
             Msg::WriteAckCausal { .. } => "write_ack_causal",
             Msg::Gap { .. } => "gap",
             Msg::InvalidatePush { .. } => "invalidate_push",
-            Msg::InvalidateBatch { .. } => "invalidate_batch",
             Msg::DeltaUpdate { .. } => "delta_update",
             Msg::GeoBatch { .. } => "geo_batch",
             Msg::GeoBatchAck { .. } => "geo_batch_ack",
@@ -411,17 +402,6 @@ impl GeoWrite {
     pub fn k(&self) -> u64 {
         self.alpha_v.own_entry()
     }
-}
-
-/// One entry of a [`Msg::InvalidateBatch`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct InvalidateEntry {
-    /// The overwritten object.
-    pub object: ObjectId,
-    /// Start time of the new current version.
-    pub alpha_t: Time,
-    /// Vector stamp of the new current version (causal family).
-    pub alpha_v: Option<VectorClock>,
 }
 
 #[cfg(test)]

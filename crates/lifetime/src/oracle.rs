@@ -12,7 +12,7 @@
 //! The widened bound for a run with threshold Δ is
 //!
 //! ```text
-//! Δ + k·lat + 2·ε_eff + disruption + batch_delay + fsync_delay + ack_delay + slack
+//! Δ + k·lat + 2·ε_eff + disruption + fsync_delay + ack_delay + slack
 //! ```
 //!
 //! where `k` is the protocol's round-trip factor (2 for TSC, 4 for TCC —
@@ -21,11 +21,7 @@
 //! inflated by injected skew ([`crate::RunResult::epsilon`] of a faulted
 //! run), `disruption` is [`FaultPlan::max_disruption`] plus one client
 //! retry interval whenever the plan can black-hole a message (the protocol
-//! notices a loss only at its next retry), `batch_delay` is the
-//! [`crate::PushBatch::max_delay`] when deadline-batched push
-//! invalidations are enabled (an invalidation may sit in a shard's pending
-//! batch that long before it ships — conservatively charged even though
-//! the client-side pull rules enforce Δ on their own), `fsync_delay` is the
+//! notices a loss only at its next retry), `fsync_delay` is the
 //! [`crate::FsyncPolicy::max_delay`] when the shard store is
 //! [`crate::DurabilityMode::Durable`] (readers are served from the durable
 //! image only, so a write may stay invisible for up to one fsync deadline
@@ -136,24 +132,6 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
     } else {
         0
     };
-    // Deadline-batched pushes may hold an invalidation for up to the batch
-    // deadline before it ships. An infinite deadline means "flush on
-    // fullness only" — pushes then carry no timeliness at all, but the
-    // pull rules still enforce Δ, so no finite widening can be charged;
-    // treat it like the push-free case (no extra term, bound stays
-    // finite).
-    let batch = config.protocol.push_batch;
-    let batch_delay = if config.protocol.propagation == crate::Propagation::PushInvalidate
-        && batch.is_enabled()
-    {
-        if batch.max_delay.is_infinite() {
-            0
-        } else {
-            batch.max_delay.ticks()
-        }
-    } else {
-        0
-    };
     let fsync_delay = fsync_delay(&config.protocol)?;
     // A causal write held by the cross-shard barrier waits for its
     // predecessor's ack, which its shard may owe for up to ACK_DELAY.
@@ -168,7 +146,6 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
             + 2 * eps.ticks()
             + disruption.ticks()
             + retry
-            + batch_delay
             + fsync_delay
             + ack_delay
             + 4,
@@ -389,41 +366,6 @@ mod tests {
             tc_sim::FaultKind::Drop { probability: 0.1 },
         );
         assert_eq!(widened_bound(&config, &endless, Epsilon::ZERO), None);
-    }
-
-    #[test]
-    fn widened_bound_charges_the_push_batch_deadline() {
-        let mut config = cfg(
-            ProtocolKind::Tsc {
-                delta: Delta::from_ticks(60),
-            },
-            0,
-        );
-        let quiet = widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO).unwrap();
-        // Batching without push propagation: no charge.
-        config.protocol = config.protocol.with_push_batch(crate::PushBatch {
-            max_entries: 8,
-            max_delay: Delta::from_ticks(25),
-        });
-        assert_eq!(
-            widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO).unwrap(),
-            quiet
-        );
-        // Push propagation with a batch deadline: charged in full.
-        config.protocol.propagation = crate::Propagation::PushInvalidate;
-        assert_eq!(
-            widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO)
-                .unwrap()
-                .ticks(),
-            quiet.ticks() + 25
-        );
-        // Fullness-only batches (infinite deadline) add nothing — the pull
-        // rules alone carry the Δ bound.
-        config.protocol.push_batch.max_delay = Delta::INFINITE;
-        assert_eq!(
-            widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO).unwrap(),
-            quiet
-        );
     }
 
     /// The ack wait is charged where a client can wait on an ack: a

@@ -5,8 +5,8 @@
 //! The §5 server owns four pieces of long-lived state: the version store
 //! itself, the strictly-increasing physical α stamp, the physical write
 //! dedup map, and the per-writer causal delivery cursors. Everything else
-//! on the shard (known clients, pending invalidation batches, deferred
-//! write acks) is session state that a crash legitimately destroys. This
+//! on the shard (known clients, deferred and owed write acks) is session
+//! state that a crash legitimately destroys. This
 //! module draws that line as a trait:
 //!
 //! * [`MemStore`] — the historical in-memory backend. Everything applied

@@ -100,9 +100,6 @@ counter_names! {
     SERVER_ACK_STANDALONE = "server_ack_standalone";
     /// Push invalidation sent by the server.
     PUSH = "push";
-    /// Coalesced invalidation batch flushed by the server (deadline or
-    /// fullness); each batch carries one or more `PUSH` entries.
-    PUSH_BATCH = "push_batch";
     /// Causal write held back by the client's cross-shard write barrier.
     CAUSAL_DEFERRED = "causal_deferred";
     /// Server crash-restart recovery.

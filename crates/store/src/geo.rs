@@ -21,7 +21,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 use tc_clocks::Delta;
-use tc_lifetime::geo::EGRESS_BATCH;
+use tc_lifetime::geo::EGRESS_MAX_DELAY;
 use tc_lifetime::{GeoLayout, Msg, ProtocolConfig, RegionMap, WanProfile};
 use tc_sim::workload::Workload;
 use tc_sim::NodeId;
@@ -37,7 +37,7 @@ impl RuntimeConfig {
     /// A ready-to-run configuration of `layout`'s whole fleet: the
     /// defaults of [`RuntimeConfig::for_protocol`] over
     /// [`GeoLayout::n_clients`] sites, with the monitor widened by the geo
-    /// terms — the egress flush deadline ([`EGRESS_BATCH`]) plus two
+    /// terms — the egress flush deadline ([`EGRESS_MAX_DELAY`]) plus two
     /// worst-case WAN traversals (write out, invalidation knowledge back)
     /// — on top of the usual [`crate::MONITOR_SLACK`]. `protocol.shards`
     /// is the *per region* fleet size.
@@ -56,8 +56,7 @@ impl RuntimeConfig {
             ops_per_client,
             seed,
         );
-        let widen =
-            EGRESS_BATCH.max_delay.ticks() + 2 * layout.wan.max_latency(layout.regions.regions);
+        let widen = EGRESS_MAX_DELAY.ticks() + 2 * layout.wan.max_latency(layout.regions.regions);
         config.monitor_delta = config.monitor_delta + Delta::from_ticks(widen);
         config
     }

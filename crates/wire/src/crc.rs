@@ -6,7 +6,7 @@
 //!
 //! * [`crc32`] — slice-by-8: eight 256-entry tables consume the input
 //!   eight bytes per step, roughly 4–6× the throughput of the classic
-//!   loop on long payloads (an invalidation batch is tens of KiB). This
+//!   loop on long payloads (a WAL snapshot is tens of KiB). This
 //!   is the one every frame encode/decode runs.
 //! * [`crc32_bytewise`] — the classic one-table reflected algorithm,
 //!   kept as the executable reference the fast path is property-tested

@@ -1,5 +1,5 @@
 //! Framing: the self-delimiting header wire generation 5 introduced and
-//! generation 6 keeps, 8 to 13 bytes in front of every payload.
+//! generations 6 and 7 keep, 8 to 13 bytes in front of every payload.
 //!
 //! ```text
 //!  0       1       2
@@ -14,9 +14,10 @@
 //!   (nor seven) turns one into the other. Anything else means the stream
 //!   is not speaking this protocol and is dropped before a payload byte is
 //!   trusted.
-//! * `ver` — [`WIRE_VERSION`], 6: a reader refuses frames of another
+//! * `ver` — [`WIRE_VERSION`], 7: a reader refuses frames of another
 //!   protocol generation instead of guessing at field layouts (a
-//!   generation 5 frame has this header, and is refused by its version).
+//!   generation 5 or 6 frame has this header, and is refused by its
+//!   version).
 //! * `lane` — the routing tag, a varint at most `u16::MAX`, carried in the
 //!   clear so a reader can route (and a pcap reader can follow) frames
 //!   without decoding payloads. On a reactor link, which multiplexes every
@@ -60,7 +61,7 @@ pub const MAGIC: u8 = 0xAD;
 
 /// The wire-protocol generation this build speaks — and the only one it
 /// decodes: every other value is [`WireError::BadVersion`].
-pub const WIRE_VERSION: u8 = 6;
+pub const WIRE_VERSION: u8 = 7;
 
 /// The shortest header: lane and length one varint byte each.
 pub const MIN_HEADER_LEN: usize = 8;
@@ -79,7 +80,7 @@ pub const LEGACY_HEADER_LEN: usize = 16;
 const CRC_LEN: usize = 4;
 
 /// Upper bound on a payload (16 MiB) — far beyond any legitimate frame
-/// (the largest is an invalidation batch), tight enough that a forged
+/// (the largest is a WAL snapshot), tight enough that a forged
 /// length field cannot drive allocation.
 pub const MAX_PAYLOAD: u32 = 16 * 1024 * 1024;
 
@@ -425,7 +426,7 @@ mod tests {
 
     #[test]
     fn wrong_version_is_rejected() {
-        for found in [0u8, 1, 4, 5, 7, 0xFF] {
+        for found in [0u8, 1, 4, 5, 6, 8, 0xFF] {
             let mut frame = encode_frame(0, &WireMsg::Bye);
             frame[1] = found;
             let found = u16::from(found);

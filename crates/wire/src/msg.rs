@@ -19,18 +19,20 @@
 //! `u32 u32 u64…`); 2 made only the clock's entries varints; 3 made every
 //! payload integer a varint and offsets clock entries from their base; 4
 //! made the causal ack cumulative, with twin tags for an acked reply and
-//! an ack-now write; 5 shrank the frame header; 6 (this one) drops what
-//! the other family reads — a physical version's tie-break, a physical
-//! write's clock, issue time and stream position, a causal write's epoch
-//! — and moves every presence and outcome byte into the tag.
+//! an ack-now write; 5 shrank the frame header; 6 dropped what the other
+//! family reads — a physical version's tie-break, a physical write's
+//! clock, issue time and stream position, a causal write's epoch — and
+//! moved every presence and outcome byte into the tag; 7 (this one)
+//! retires the deadline-batched invalidation and the handshake's two push
+//! batch fields.
 
 use std::sync::Arc;
 
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
-    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, InvalidateEntry, Msg, Propagation,
-    ProtocolConfig, ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
+    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, Msg, Propagation, ProtocolConfig,
+    ProtocolKind, StalePolicy, ValidateOutcome, WireVersion,
 };
 
 use crate::codec::{Reader, WireError, Writer};
@@ -95,7 +97,6 @@ const TAG_WRITE_REQ: u8 = 4;
 const TAG_WRITE_ACK: u8 = 5;
 const TAG_WRITE_ACK_CAUSAL: u8 = 6;
 const TAG_INVALIDATE_PUSH: u8 = 7;
-const TAG_INVALIDATE_BATCH: u8 = 8;
 const TAG_DELTA_UPDATE: u8 = 9;
 const TAG_GEO_BATCH: u8 = 10;
 const TAG_GEO_BATCH_ACK: u8 = 11;
@@ -105,8 +106,10 @@ const TAG_GEO_LOCAL_APPLY: u8 = 14;
 const TAG_GEO_ATTACH: u8 = 15;
 const TAG_GEO_ATTACH_OK: u8 = 16;
 const TAG_GAP: u8 = 17;
-// Kinds 17–20 were generation 4's and 5's twin tags (an acked reply, an
-// acked `WriteAck`, an ack-now write); the flags below replaced them.
+// Retired kinds stay unknown rather than reused: 8 was the deadline-batched
+// invalidation run until generation 7, and 18–20 were twin tags that the
+// flags below replaced in generation 6 (18 an acked `ValidateRep`, 19 an
+// acked `WriteAck` in generation 4 only, 20 an ack-now causal write).
 
 /// The kind bits of a protocol message's tag; the rest are flags.
 const KIND: u8 = 0x1F;
@@ -199,10 +202,6 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
 /// Fewest bytes a [`VectorClock`] can occupy: owner, width, base and one
 /// offset, a one-byte varint each.
 const MIN_VCLOCK: usize = 4;
-
-/// Fewest bytes an [`InvalidateEntry`] can occupy: object (with its
-/// stamp bit) and `alpha_t`.
-const MIN_INVALIDATE_ENTRY: usize = 1 + 1;
 
 /// Fewest bytes a [`GeoWrite`] can occupy: object, value, a minimal clock,
 /// `issued_at` and `shard_seq`.
@@ -318,24 +317,6 @@ fn get_geo_write(r: &mut Reader<'_>) -> Result<GeoWrite, WireError> {
     })
 }
 
-/// An invalidation entry: the object shifted left one bit, its low bit
-/// set when a vector clock follows `alpha_t`.
-fn put_entry(w: &mut Writer, e: &InvalidateEntry) {
-    w.uvar(u64::from(e.object.index()) << 1 | u64::from(e.alpha_v.is_some()));
-    put_time(w, e.alpha_t);
-    put_stamp(w, e.alpha_v.as_ref());
-}
-
-fn get_entry(r: &mut Reader<'_>) -> Result<InvalidateEntry, WireError> {
-    let head = r.uvar("object")?;
-    let object = u32::try_from(head >> 1).map_err(|_| WireError::OutOfRange { what: "object" })?;
-    Ok(InvalidateEntry {
-        object: ObjectId::new(object),
-        alpha_t: get_time(r, "alpha_t")?,
-        alpha_v: get_stamp(r, head & 1 == 1)?,
-    })
-}
-
 /// Encodes a [`ProtocolConfig`] (the handshake's compatibility contract).
 pub fn put_protocol(w: &mut Writer, c: &ProtocolConfig) {
     match c.kind {
@@ -365,8 +346,6 @@ pub fn put_protocol(w: &mut Writer, c: &ProtocolConfig) {
     });
     put_delta(w, c.retry_after);
     w.uvar(c.shards as u64);
-    w.uvar(c.push_batch.max_entries as u64);
-    put_delta(w, c.push_batch.max_delay);
     match c.durability {
         DurabilityMode::Ephemeral => w.u8(0),
         DurabilityMode::Durable { fsync } => {
@@ -421,10 +400,6 @@ pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
     };
     let retry_after = get_delta(r, "retry_after")?;
     let shards = r.uvar_u32("shards")? as usize;
-    let push_batch = PushBatch {
-        max_entries: r.uvar_u32("push batch entries")? as usize,
-        max_delay: get_delta(r, "push batch delay")?,
-    };
     let durability = match r.u8("durability mode")? {
         0 => DurabilityMode::Ephemeral,
         1 => DurabilityMode::Durable {
@@ -446,7 +421,6 @@ pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
         propagation,
         retry_after,
         shards,
-        push_batch,
         durability,
     })
 }
@@ -561,13 +535,6 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             put_time(w, *alpha_t);
             put_stamp(w, alpha_v.as_ref());
         }
-        Msg::InvalidateBatch { entries } => {
-            w.u8(TAG_INVALIDATE_BATCH);
-            w.uvar(entries.len() as u64);
-            for e in entries {
-                put_entry(w, e);
-            }
-        }
         Msg::DeltaUpdate { seq, delta } => {
             w.u8(TAG_DELTA_UPDATE);
             w.uvar(*seq);
@@ -681,17 +648,6 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             alpha_t: get_time(r, "alpha_t")?,
             alpha_v: get_stamp(r, flags & FLAG_CAUSAL != 0)?,
         },
-        TAG_INVALIDATE_BATCH => {
-            let n = r.uvar_u32("batch length")? as usize;
-            // Cap preallocation by what the buffer could possibly hold so
-            // a forged length cannot force a huge allocation before
-            // Truncated fires.
-            let mut entries = Vec::with_capacity(n.min(r.remaining() / MIN_INVALIDATE_ENTRY + 1));
-            for _ in 0..n {
-                entries.push(get_entry(r)?);
-            }
-            Msg::InvalidateBatch { entries }
-        }
         TAG_DELTA_UPDATE => Msg::DeltaUpdate {
             seq: r.uvar("seq")?,
             delta: get_delta(r, "delta")?,
@@ -700,7 +656,9 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             let origin = r.uvar_u32("geo origin")?;
             let seq = r.uvar("geo batch seq")?;
             let n = r.uvar_u32("geo batch length")? as usize;
-            // Same forged-length guard as InvalidateBatch.
+            // Cap preallocation by what the buffer could possibly hold so
+            // a forged length cannot force a huge allocation before
+            // Truncated fires.
             let mut entries = Vec::with_capacity(n.min(r.remaining() / MIN_GEO_WRITE + 1));
             for _ in 0..n {
                 entries.push(get_geo_write(r)?);
@@ -907,10 +865,6 @@ mod tests {
                     .with_durability(durability);
                 config.stale = StalePolicy::Invalidate;
                 config.propagation = Propagation::PushInvalidate;
-                config.push_batch = PushBatch {
-                    max_entries: 8,
-                    max_delay: Delta::from_ticks(40),
-                };
                 let mut w = Writer::new();
                 put_protocol(&mut w, &config);
                 let bytes = w.into_bytes();
@@ -1176,7 +1130,7 @@ mod tests {
     }
 
     /// Every tag byte decodes by what it says or is refused: a kind no
-    /// generation 6 message has, or a flag its kind does not define (an
+    /// generation 7 message has (retired kind 8 included), or a flag its kind does not define (an
     /// ack on a request, a stamp on a still-valid verdict, ack-now on a
     /// physical write), is `UnknownTag` naming the whole byte — never a
     /// panic, never a bit silently ignored.
@@ -1194,6 +1148,7 @@ mod tests {
                 TAG_VALIDATE_REP => &[0x00, 0x20, 0x80, 0xA0, 0xC0, 0xE0],
                 TAG_WRITE_REQ => &[0x00, 0x40, 0x60],
                 TAG_INVALIDATE_PUSH => &[0x00, 0x40],
+                8 => &[],
                 0..=TAG_GAP => &[0x00],
                 _ => &[],
             };
@@ -1214,41 +1169,8 @@ mod tests {
                 );
             }
         }
-        // 18 kinds, four of them with flags: 14 + 4 + 6 + 3 + 2 tags.
-        assert_eq!(defined, 29);
-    }
-
-    /// An invalidation entry's stamp bit rides in its object varint: an
-    /// entry of either family round trips, one costs a byte less than a
-    /// presence byte would, and an object that does not fit `u32` once the
-    /// bit is off is refused.
-    #[test]
-    fn an_invalidation_entry_carries_its_stamp_bit_in_the_object() {
-        let entry = |object, alpha_v| InvalidateEntry {
-            object: ObjectId::new(object),
-            alpha_t: Time::from_ticks(9),
-            alpha_v,
-        };
-        let batch = Msg::InvalidateBatch {
-            entries: vec![
-                entry(0, None),
-                entry(u32::MAX, Some(VectorClock::from_entries(0, vec![1, 2]))),
-                entry(63, None),
-            ],
-        };
-        round_trip(&WireMsg::Proto(batch));
-        let mut w = Writer::new();
-        put_entry(&mut w, &entry(63, None));
-        assert_eq!(w.into_bytes(), [126, 9]);
-        let mut w = Writer::new();
-        w.u8(TAG_INVALIDATE_BATCH);
-        w.uvar(1);
-        w.uvar((u64::from(u32::MAX) + 1) << 1);
-        w.uvar(9);
-        assert_eq!(
-            get_msg(&mut Reader::new(&w.into_bytes())),
-            Err(WireError::OutOfRange { what: "object" })
-        );
+        // 17 kinds, four of them with flags: 13 + 4 + 6 + 3 + 2 tags.
+        assert_eq!(defined, 28);
     }
 
     fn vclock_bytes(vc: &VectorClock) -> Vec<u8> {
@@ -1326,7 +1248,6 @@ mod tests {
             (TAG_GEO_LOCAL_APPLY, "geo writer"),
             (TAG_GEO_ATTACH_OK, "geo site"),
             (TAG_GEO_BATCH, "geo origin"),
-            (TAG_INVALIDATE_BATCH, "batch length"),
         ] {
             let mut w = Writer::new();
             w.u8(tag);
@@ -1372,17 +1293,7 @@ mod tests {
 
     #[test]
     fn forged_batch_lengths_are_capped_by_the_minimal_entry() {
-        // The guards divide by these; a shrinking codec must shrink them.
-        let mut w = Writer::new();
-        put_entry(
-            &mut w,
-            &InvalidateEntry {
-                object: ObjectId::new(0),
-                alpha_t: Time::ZERO,
-                alpha_v: None,
-            },
-        );
-        assert_eq!(w.len(), MIN_INVALIDATE_ENTRY);
+        // The guard divides by this; a shrinking codec must shrink it.
         let mut w = Writer::new();
         put_geo_write(
             &mut w,
@@ -1396,20 +1307,15 @@ mod tests {
         );
         assert_eq!(w.len(), MIN_GEO_WRITE);
         // A batch claiming u32::MAX entries in a short buffer is Truncated.
-        for tag in [TAG_INVALIDATE_BATCH, TAG_GEO_BATCH] {
-            let mut w = Writer::new();
-            w.u8(tag);
-            if tag == TAG_GEO_BATCH {
-                w.uvar(0); // origin
-                w.uvar(1); // seq
-            }
-            w.uvar(u64::from(u32::MAX));
-            let bytes = w.into_bytes();
-            assert!(matches!(
-                get_msg(&mut Reader::new(&bytes)),
-                Err(WireError::Truncated { .. })
-            ));
-        }
+        let mut w = Writer::new();
+        w.u8(TAG_GEO_BATCH);
+        w.uvar(0); // origin
+        w.uvar(1); // seq
+        w.uvar(u64::from(u32::MAX));
+        assert!(matches!(
+            get_msg(&mut Reader::new(&w.into_bytes())),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]

@@ -20,8 +20,8 @@ use rand::Rng;
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
-    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, InvalidateEntry, Msg, Propagation,
-    ProtocolConfig, ProtocolKind, PushBatch, StalePolicy, ValidateOutcome, WireVersion,
+    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, Msg, Propagation, ProtocolConfig,
+    ProtocolKind, StalePolicy, ValidateOutcome, WireVersion,
 };
 use tc_wire::{
     crc32_pair, decode_frame, decode_header, encode_frame, get_vclock, put_vclock, read_frame,
@@ -132,14 +132,6 @@ fn arb_version(rng: &mut StdRng) -> WireVersion {
     }
 }
 
-fn arb_entry(rng: &mut StdRng) -> InvalidateEntry {
-    InvalidateEntry {
-        object: arb_object(rng),
-        alpha_t: arb_time(rng),
-        alpha_v: arb_opt_vclock(rng),
-    }
-}
-
 fn arb_protocol(rng: &mut StdRng) -> ProtocolConfig {
     let kind = match rng.gen_range(0..6u8) {
         0 => ProtocolKind::Sc,
@@ -171,10 +163,6 @@ fn arb_protocol(rng: &mut StdRng) -> ProtocolConfig {
         },
         retry_after: arb_delta(rng),
         shards: rng.gen_range(1..=64usize),
-        push_batch: PushBatch {
-            max_entries: rng.gen_range(0..=1024usize),
-            max_delay: arb_delta(rng),
-        },
         durability: match rng.gen_range(0..3u8) {
             0 => DurabilityMode::Ephemeral,
             1 => DurabilityMode::Durable {
@@ -203,8 +191,9 @@ fn arb_geo_write(rng: &mut StdRng) -> GeoWrite {
 /// Every message kind, plus (kinds 18 and 19) the two replies with a
 /// cumulative causal ack riding on them, and (20) a gap report.
 fn arb_proto_msg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0..21u8) {
-        20 => Msg::Gap {
+    match rng.gen_range(0..20u8) {
+        // Kind 8 is retired; the gap report (wire kind 17) takes its draw.
+        8 => Msg::Gap {
             upto: arb_magnitude(rng),
         },
         kind @ 18..=19 => {
@@ -273,12 +262,6 @@ fn arb_plain_msg(rng: &mut StdRng, kind: u8) -> Msg {
             alpha_t: arb_time(rng),
             alpha_v: arb_opt_vclock(rng),
         },
-        8 => {
-            let n = rng.gen_range(0..10usize);
-            Msg::InvalidateBatch {
-                entries: (0..n).map(|_| arb_entry(rng)).collect(),
-            }
-        }
         9 => Msg::DeltaUpdate {
             seq: arb_magnitude(rng),
             delta: arb_delta(rng),

@@ -28,7 +28,6 @@ fn browse(ttl: Delta, propagation: Propagation, seed: u64) -> (f64, f64, u64, bo
             propagation,
             retry_after: timed_consistency::lifetime::DEFAULT_RETRY_AFTER,
             shards: 1,
-            push_batch: timed_consistency::lifetime::PushBatch::IMMEDIATE,
             durability: timed_consistency::lifetime::DurabilityMode::Ephemeral,
         },
         n_clients: 5,
