@@ -2,13 +2,11 @@
 //! operation* next to wall time — allocation regressions in the hot paths
 //! then fail loudly in CI instead of hiding inside noisy timings.
 //!
-//! Behind the `count-allocs` feature (on by default for this crate's
-//! binaries): when enabled, every binary and test that links `tc-bench`
-//! routes the global allocator through [`Counting`], which delegates to
-//! [`System`] and bumps two relaxed atomics. The overhead is two
-//! uncontended atomic adds per allocation — invisible next to the
-//! allocation itself — and the delegation is byte-for-byte `System`, so
-//! timings stay comparable with the feature off.
+//! Every binary and test that links `tc-bench` routes the global
+//! allocator through [`Counting`], which delegates to [`System`] and bumps
+//! two relaxed atomics. The overhead is two uncontended atomic adds per
+//! allocation — invisible next to the allocation itself — and the
+//! delegation is byte-for-byte `System`.
 //!
 //! Measurement is a *delta of snapshots* ([`measure`]): counters are global
 //! and monotone, so concurrent allocator traffic from other threads would
@@ -53,16 +51,8 @@ unsafe impl GlobalAlloc for Counting {
     }
 }
 
-#[cfg(feature = "count-allocs")]
 #[global_allocator]
 static GLOBAL: Counting = Counting;
-
-/// Whether the counting allocator is installed (the `count-allocs`
-/// feature). When off, [`measure`] reports zeros.
-#[must_use]
-pub fn enabled() -> bool {
-    cfg!(feature = "count-allocs")
-}
 
 /// A point-in-time reading of the global counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,21 +106,14 @@ mod tests {
     fn measure_sees_vec_allocations() {
         let (v, counts) = measure(|| vec![0u8; 4096]);
         assert_eq!(v.len(), 4096);
-        if enabled() {
-            assert!(counts.allocs >= 1, "a fresh Vec allocates");
-            assert!(counts.bytes >= 4096);
-        } else {
-            assert_eq!(counts, Counts::default());
-        }
+        assert!(counts.allocs >= 1, "a fresh Vec allocates");
+        assert!(counts.bytes >= 4096);
     }
 
     #[test]
     fn counters_are_monotone() {
         let a = snapshot();
         let _keep = std::hint::black_box(Box::new([0u64; 32]));
-        let d = since(a);
-        if enabled() {
-            assert!(d.allocs >= 1);
-        }
+        assert!(since(a).allocs >= 1);
     }
 }

@@ -13,7 +13,7 @@
 //!
 //! Besides wall time, every row records **allocations per operation** and
 //! **bytes per operation** via the counting global allocator
-//! (`crate::alloc`, `count-allocs` feature), so allocation regressions
+//! (`crate::alloc`), so allocation regressions
 //! in the history layout or checker internals fail as loudly as time
 //! regressions: `tc-exp smoke` fails when the `sweep_line` or `rebuild`
 //! path exceeds [`MAX_ALLOCS_PER_OP`].
@@ -120,10 +120,9 @@ pub fn run(args: &Args) -> Report {
         format!(
             "Checker scaling: batch-naive vs sweep-line vs streaming monitor \
              vs history rebuild (replica histories, 4 sites, 8 objects, \
-             Δ={}, ε={}; naive capped at {NAIVE_CAP} ops; allocs counted {})",
+             Δ={}, ε={}; naive capped at {NAIVE_CAP} ops; allocs counted on)",
             DELTA.ticks(),
             EPS.ticks(),
-            if alloc::enabled() { "on" } else { "OFF" },
         ),
         &[
             "ops",
@@ -239,25 +238,21 @@ pub fn run(args: &Args) -> Report {
         "expected shape: sweep_line and monitor ops/sec stay near-flat as \
          size grows; batch_naive ops/sec collapses linearly (O(R*W) total)",
     );
-    let counting = alloc::enabled();
     report.doc = Some(serde_json::json!({
         "experiment": "checker_scale",
         "delta": (DELTA.ticks()),
         "eps": (EPS.ticks()),
         "naive_cap": NAIVE_CAP,
         "smoke": smoke,
-        "alloc_counting": counting,
         "results": results,
     }));
     report
 }
 
-/// The document keeps its allocation columns, and — when the counting
-/// allocator is installed — the layout-sensitive paths stay under
-/// [`MAX_ALLOCS_PER_OP`].
+/// The document keeps its allocation columns, and the layout-sensitive
+/// paths stay under [`MAX_ALLOCS_PER_OP`].
 pub fn check_smoke(report: &Report) -> Result<(), String> {
     let doc = report.doc.as_ref().ok_or("no document")?;
-    let counting = field(doc, "alloc_counting")? == &serde_json::Value::Bool(true);
     let mut measured = 0;
     for row in items(doc, "results")? {
         if field(row, "skipped").is_ok() {
@@ -267,10 +262,7 @@ pub fn check_smoke(report: &Report) -> Result<(), String> {
         let (path, ops) = (string(row, "path")?, number(row, "ops")?);
         let allocs_per_op = number(row, "allocs_per_op")?;
         number(row, "bytes_per_op")?;
-        if counting
-            && (path == "sweep_line" || path == "rebuild")
-            && allocs_per_op > MAX_ALLOCS_PER_OP
-        {
+        if (path == "sweep_line" || path == "rebuild") && allocs_per_op > MAX_ALLOCS_PER_OP {
             return Err(format!(
                 "{path} at {ops} ops: {allocs_per_op:.4} allocs/op > ceiling {MAX_ALLOCS_PER_OP}"
             ));

@@ -8,12 +8,13 @@
 //! backpressure (retries, violations against the widened bound) it must be
 //! relaxed before the guarantee is broken rather than after.
 //!
-//! [`DeltaController`] is the pure decision kernel: integer-only
-//! arithmetic over `(now, observed min_delta, pressure)` samples, so every
+//! [`DeltaController`] is the one controller every driver ticks: each
+//! tick reads the live monitor and the retry counter and steers Δ by an
+//! integer-only law over `(now, observed min_delta, pressure)`, so every
 //! driver — simulated or real — reaches identical decisions from identical
-//! inputs. Each decision yields a [`DeltaCommand`]: the Δ to broadcast to
-//! clients ([`crate::Msg::DeltaUpdate`]) and the instant from which the
-//! *judge* holds the fleet to it.
+//! inputs. Each change is a Δ to broadcast to clients
+//! ([`crate::Msg::DeltaUpdate`]) and an instant from which the *judge*
+//! holds the fleet to it.
 //!
 //! # Δ-schedule soundness
 //!
@@ -38,6 +39,8 @@
 use serde::Serialize;
 use tc_clocks::{Delta, Time};
 use tc_core::checker::OnTimeMonitor;
+use tc_sim::metrics::names;
+use tc_sim::{Metrics, TraceRecorder};
 
 use crate::{Msg, ProtocolKind};
 
@@ -195,19 +198,6 @@ impl ControllerConfig {
     }
 }
 
-/// One controller decision: what to tell the clients, and from when the
-/// judge holds the fleet to it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DeltaCommand {
-    /// Monotone command sequence number (clients ignore stale ones).
-    pub seq: u64,
-    /// The Δ clients must enforce from receipt.
-    pub delta: Delta,
-    /// The instant the judged [`DeltaSchedule`] switches to `delta`:
-    /// `now` for relaxations, `now + 2×interval` for tightenings.
-    pub judge_from: Time,
-}
-
 /// Controller ticks after the last backpressure during which a new
 /// staleness maximum is still attributed to the fault: jittered and
 /// retried deliveries complete well after the drops that signalled the
@@ -219,11 +209,12 @@ const FAULT_TRAIL_TICKS: u64 = 8;
 /// controller re-tightens within a few intervals of the network healing.
 const TRANSIENT_DECAY_DIV: u64 = 4;
 
-/// The adaptive-Δ decision kernel: tighten geometrically while the fleet
-/// keeps up, relax multiplicatively (at least back to the safe target)
-/// under pressure. Pure and deterministic — drivers feed it samples and
-/// carry out its commands.
+/// The adaptive-Δ controller every driver ticks: the decision law plus
+/// the pressure signal, widening margin and stop rule around it. A driver
+/// owns only *when* a tick runs and *how* the command reaches the clients.
 ///
+/// The law tightens geometrically while the fleet keeps up and relaxes
+/// multiplicatively (at least back to the safe target) under pressure.
 /// The monitor's `min_delta` input is a lifetime high-water mark, so the
 /// controller splits each *increase* of it into two estimates by
 /// provenance: spikes that land during (or trailing) a backpressure
@@ -236,7 +227,16 @@ const TRANSIENT_DECAY_DIV: u64 = 4;
 #[derive(Clone, Debug)]
 pub struct DeltaController {
     cfg: ControllerConfig,
+    /// The margin the judged schedule carries over each commanded Δ:
+    /// exactly what the static monitor bound carries over the protocol's
+    /// configured Δ.
+    widening: Delta,
+    expected_ops: usize,
+    last_violations: usize,
+    last_retries: u64,
     current: Delta,
+    /// Monotone command sequence number (0 before any change); clients
+    /// ignore stale ones.
     seq: u64,
     schedule: DeltaSchedule,
     /// Raw high-water of the monotone `observed` input, to detect rises.
@@ -258,17 +258,49 @@ pub struct DeltaController {
 }
 
 impl DeltaController {
-    /// A controller starting from `initial` (typically the static Δ the
-    /// run was configured with).
+    /// The controller of a run of `kind` whose monitor judges the static Δ
+    /// at `monitor_delta` and whose workload records `expected_ops`
+    /// operations. It starts from the protocol's Δ clamped into the band;
+    /// a monitor tighter than the protocol's Δ widens by nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.interval` is infinite (the controller would never
+    /// tick again), if `cfg.delta_min` exceeds `cfg.delta_max`, or if
+    /// `kind` carries no Δ (adaptive control needs a timed level: `Tsc`
+    /// or `Tcc`).
     #[must_use]
-    pub fn new(cfg: ControllerConfig, initial: Delta) -> Self {
-        let initial = Delta::from_ticks(
-            initial
-                .ticks()
-                .clamp(cfg.delta_min.ticks(), cfg.delta_max.ticks()),
+    pub fn new(
+        cfg: ControllerConfig,
+        kind: ProtocolKind,
+        monitor_delta: Delta,
+        expected_ops: usize,
+    ) -> Self {
+        assert!(
+            !cfg.interval.is_infinite(),
+            "adaptive Δ control needs a finite interval"
         );
+        assert!(
+            cfg.delta_min <= cfg.delta_max,
+            "adaptive Δ control needs delta_min ≤ delta_max, got {} > {}",
+            cfg.delta_min,
+            cfg.delta_max
+        );
+        let base = kind
+            .delta()
+            .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
+        let widening = if monitor_delta.is_infinite() {
+            Delta::INFINITE
+        } else {
+            Delta::from_ticks(monitor_delta.ticks().saturating_sub(base.ticks()))
+        };
+        let initial = base.clamp(cfg.delta_min, cfg.delta_max);
         DeltaController {
             cfg,
+            widening,
+            expected_ops,
+            last_violations: 0,
+            last_retries: 0,
             current: initial,
             seq: 0,
             schedule: DeltaSchedule::fixed(initial),
@@ -280,16 +312,10 @@ impl DeltaController {
         }
     }
 
-    /// The Δ currently commanded.
+    /// The period between ticks.
     #[must_use]
-    pub fn current(&self) -> Delta {
-        self.current
-    }
-
-    /// The tuning knobs.
-    #[must_use]
-    pub fn config(&self) -> &ControllerConfig {
-        &self.cfg
+    pub fn interval(&self) -> Delta {
+        self.cfg.interval
     }
 
     /// The judged schedule committed so far.
@@ -298,17 +324,62 @@ impl DeltaController {
         &self.schedule
     }
 
-    /// The last command's sequence number (0 before any change) — used by
-    /// hosts to re-broadcast the current Δ idempotently.
-    #[must_use]
-    pub fn seq(&self) -> u64 {
-        self.seq
+    /// One control tick at true time `now`: reads the live monitor in
+    /// `recorder` and the `RETRY` counter in `metrics`, steers Δ, and
+    /// installs a change — widened by the monitor's margin — in the
+    /// monitor, counting it as `DELTA_UPDATE` plus `DELTA_TIGHTEN` or
+    /// `DELTA_RELAX`. Backpressure is new Δ violations against the widened
+    /// schedule, or new client retries (lost or slow messages), since the
+    /// last tick.
+    ///
+    /// Returns the command in force for the driver to (re-)broadcast —
+    /// `None` until the controller has issued one; idempotent per sequence
+    /// number, so a client that missed one (drop, outage) hears the next —
+    /// and whether to keep ticking: `false` once every expected operation
+    /// has been ingested.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `recorder` has no monitor attached.
+    pub fn tick(
+        &mut self,
+        now: Time,
+        recorder: &mut TraceRecorder,
+        metrics: &mut Metrics,
+    ) -> (Option<Msg>, bool) {
+        let monitor = recorder.monitor().expect("the driver attaches a monitor");
+        let (observed, violations) = (monitor.min_delta(), monitor.violations().len());
+        let more = monitor.ingested() < self.expected_ops;
+        let retries = metrics.get(names::RETRY);
+        let pressure = violations > self.last_violations || retries > self.last_retries;
+        self.last_violations = violations;
+        self.last_retries = retries;
+        let prev = self.current;
+        if let Some(judge_from) = self.steer(now, observed, pressure) {
+            metrics.add(names::DELTA_UPDATE, 1);
+            let direction = if self.current < prev {
+                names::DELTA_TIGHTEN
+            } else {
+                names::DELTA_RELAX
+            };
+            metrics.add(direction, 1);
+            recorder.monitor_schedule_change(judge_from, widen(self.current, self.widening));
+        }
+        let broadcast = (self.seq > 0).then_some(Msg::DeltaUpdate {
+            seq: self.seq,
+            delta: self.current,
+        });
+        (broadcast, more)
     }
 
-    /// One control tick at true time `now`, fed the monitor's running
-    /// `observed` min-Δ and a boolean backpressure signal (retries or
-    /// violations since the last tick). Returns a command when Δ changes.
-    pub fn tick(&mut self, now: Time, observed: Delta, pressure: bool) -> Option<DeltaCommand> {
+    /// The law: one step at true time `now`, fed the monitor's running
+    /// `observed` min-Δ and whether backpressure fired since the last
+    /// step. Pure and integer-only, so every driver reaches identical
+    /// decisions from identical inputs. When Δ changes, commits the next
+    /// command (`current`, `seq`, `schedule`) and returns the instant the
+    /// judged schedule switches to it: `now` for a relaxation,
+    /// `now + 2×interval` for a tightening.
+    fn steer(&mut self, now: Time, observed: Delta, pressure: bool) -> Option<Time> {
         self.since_pressure = if pressure {
             0
         } else {
@@ -373,149 +444,15 @@ impl DeltaController {
             now
         };
         self.schedule.push(judge_from, next);
-        Some(DeltaCommand {
-            seq: self.seq,
-            delta: next,
-            judge_from,
-        })
-    }
-}
-
-/// What a driver reads off the run for one control tick: the live
-/// monitor's running `min_delta`, violation count and ingested-operation
-/// count, and the run's retry counter.
-#[derive(Clone, Copy, Debug)]
-pub struct Readings {
-    /// The monitor's running `min_delta`.
-    pub observed: Delta,
-    /// Violations the monitor has flagged so far.
-    pub violations: usize,
-    /// Operations the monitor has ingested so far.
-    pub ingested: usize,
-    /// Client retries counted so far.
-    pub retries: u64,
-}
-
-/// A revision of the judged schedule, for the driver to install in the
-/// monitor and count.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScheduleChange {
-    /// The instant the monitor starts judging against `threshold`.
-    pub judge_from: Time,
-    /// The commanded Δ plus the run's widening margin.
-    pub threshold: Delta,
-    /// Whether the command tightened Δ (else it relaxed it).
-    pub tightened: bool,
-}
-
-/// What one [`ControlPolicy::sample`] decided.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ControlDecision {
-    /// Set when this tick changed Δ.
-    pub change: Option<ScheduleChange>,
-    /// The command in force, to (re-)broadcast to every client — `None`
-    /// until the controller has issued one. Idempotent per sequence
-    /// number, so a client that missed one (drop, outage) hears the next.
-    pub broadcast: Option<Msg>,
-    /// Whether to sample again: `false` once every expected operation has
-    /// been ingested.
-    pub keep_sampling: bool,
-}
-
-/// The control-plane policy every driver runs: a [`DeltaController`] plus
-/// the pressure signal, widening margin and stop rule around it. Pure —
-/// readings in, decision out; the driver owns *when* a sample is taken and
-/// *how* a command reaches the clients.
-#[derive(Clone, Debug)]
-pub struct ControlPolicy {
-    controller: DeltaController,
-    /// The margin the judged schedule carries over each commanded Δ:
-    /// exactly what the static monitor bound carries over the protocol's
-    /// configured Δ.
-    widening: Delta,
-    expected_ops: usize,
-    last_violations: usize,
-    last_retries: u64,
-}
-
-impl ControlPolicy {
-    /// The policy of a run of `kind` whose monitor judges the static Δ at
-    /// `monitor_delta` and whose workload records `expected_ops`
-    /// operations. A monitor tighter than the protocol's Δ widens by
-    /// nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` carries no Δ (adaptive control needs a timed
-    /// level: `Tsc` or `Tcc`).
-    #[must_use]
-    pub fn new(
-        ctrl: ControllerConfig,
-        kind: ProtocolKind,
-        monitor_delta: Delta,
-        expected_ops: usize,
-    ) -> Self {
-        let base = kind
-            .delta()
-            .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
-        let widening = if monitor_delta.is_infinite() {
-            Delta::INFINITE
-        } else {
-            Delta::from_ticks(monitor_delta.ticks().saturating_sub(base.ticks()))
-        };
-        ControlPolicy {
-            controller: DeltaController::new(ctrl, base),
-            widening,
-            expected_ops,
-            last_violations: 0,
-            last_retries: 0,
-        }
-    }
-
-    /// The period between samples.
-    #[must_use]
-    pub fn interval(&self) -> Delta {
-        self.controller.config().interval
-    }
-
-    /// One control tick at true time `now`. Backpressure is new Δ
-    /// violations against the widened schedule, or new client retries
-    /// (lost or slow messages), since the last tick.
-    pub fn sample(&mut self, now: Time, readings: Readings) -> ControlDecision {
-        let pressure =
-            readings.violations > self.last_violations || readings.retries > self.last_retries;
-        self.last_violations = readings.violations;
-        self.last_retries = readings.retries;
-        let prev = self.controller.current();
-        let change = self
-            .controller
-            .tick(now, readings.observed, pressure)
-            .map(|cmd| ScheduleChange {
-                judge_from: cmd.judge_from,
-                threshold: widen(cmd.delta, self.widening),
-                tightened: cmd.delta < prev,
-            });
-        let broadcast = (self.controller.seq() > 0).then(|| Msg::DeltaUpdate {
-            seq: self.controller.seq(),
-            delta: self.controller.current(),
-        });
-        ControlDecision {
-            change,
-            broadcast,
-            keep_sampling: readings.ingested < self.expected_ops,
-        }
-    }
-
-    /// The judged schedule committed so far.
-    #[must_use]
-    pub fn schedule(&self) -> &DeltaSchedule {
-        self.controller.schedule()
+        Some(judge_from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_clocks::Epsilon;
+    use tc_core::{ObjectId, SiteId};
 
     fn cfg() -> ControllerConfig {
         ControllerConfig::new(
@@ -523,6 +460,35 @@ mod tests {
             Delta::from_ticks(10_000),
             Delta::from_ticks(100),
         )
+    }
+
+    /// A TSC run's controller over `band`, starting from `base`, whose
+    /// monitor judges at `monitor_delta` and which expects 10 operations.
+    fn tsc(band: ControllerConfig, base: u64, monitor_delta: Delta) -> DeltaController {
+        let kind = ProtocolKind::Tsc {
+            delta: Delta::from_ticks(base),
+        };
+        DeltaController::new(band, kind, monitor_delta, 10)
+    }
+
+    /// [`tsc`] with no widening, for the law alone.
+    fn controller(base: u64) -> DeltaController {
+        tsc(cfg(), base, Delta::from_ticks(base))
+    }
+
+    /// A recorder whose monitor judges at `threshold` and has seen one
+    /// read 100 ticks stale: two writes, and a read of the first 100
+    /// ticks after the second.
+    fn stale_read(threshold: Delta) -> TraceRecorder {
+        let mut rec = TraceRecorder::new();
+        rec.attach_monitor(threshold, Epsilon::from_ticks(0));
+        let (site, object) = (SiteId::new(0), ObjectId::new(0));
+        let (old, new) = (rec.next_value(), rec.next_value());
+        rec.record_write(site, object, old, Time::from_ticks(0));
+        rec.record_write(site, object, new, Time::from_ticks(10));
+        rec.record_read(SiteId::new(1), object, old, Time::from_ticks(110));
+        assert_eq!(rec.monitor().unwrap().min_delta(), Delta::from_ticks(100));
+        rec
     }
 
     #[test]
@@ -552,60 +518,56 @@ mod tests {
 
     #[test]
     fn tightens_geometrically_toward_the_target_band() {
-        let mut c = DeltaController::new(cfg(), Delta::from_ticks(8_000));
+        let mut c = controller(8_000);
         let observed = Delta::from_ticks(200); // target = 300
         let mut now = Time::from_ticks(0);
         let mut changes = 0;
         for _ in 0..64 {
             now = now.saturating_add_delta(Delta::from_ticks(100));
-            if c.tick(now, observed, false).is_some() {
+            if c.steer(now, observed, false).is_some() {
                 changes += 1;
             }
         }
-        assert_eq!(c.current(), Delta::from_ticks(300), "settles on the target");
+        assert_eq!(c.current, Delta::from_ticks(300), "settles on the target");
         assert!(changes <= 16, "geometric convergence, not a step per tick");
         // Settled: further quiet ticks are silent.
-        assert_eq!(c.tick(now, observed, false), None);
+        assert_eq!(c.steer(now, observed, false), None);
     }
 
     #[test]
     fn pressure_relaxes_fast_and_is_capped() {
-        let mut c = DeltaController::new(cfg(), Delta::from_ticks(40));
-        let cmd = c
-            .tick(Time::from_ticks(100), Delta::from_ticks(30), true)
+        let mut c = controller(40);
+        let judge_from = c
+            .steer(Time::from_ticks(100), Delta::from_ticks(30), true)
             .expect("pressure must relax");
-        assert_eq!(cmd.delta, Delta::from_ticks(80));
-        assert_eq!(cmd.judge_from, Time::from_ticks(100), "relax judges now");
+        assert_eq!(c.current, Delta::from_ticks(80));
+        assert_eq!(judge_from, Time::from_ticks(100), "relax judges now");
         for i in 0..20 {
-            c.tick(Time::from_ticks(200 + i), Delta::from_ticks(30), true);
+            c.steer(Time::from_ticks(200 + i), Delta::from_ticks(30), true);
         }
-        assert_eq!(
-            c.current(),
-            Delta::from_ticks(10_000),
-            "capped at delta_max"
-        );
+        assert_eq!(c.current, Delta::from_ticks(10_000), "capped at delta_max");
     }
 
     #[test]
     fn fault_spikes_decay_and_the_controller_retightens() {
-        let mut c = DeltaController::new(cfg(), Delta::from_ticks(1_000));
+        let mut c = controller(1_000);
         let mut now = Time::ZERO;
         let mut step = |c: &mut DeltaController, observed: u64, pressure: bool| {
             now = now.saturating_add_delta(Delta::from_ticks(100));
-            c.tick(now, Delta::from_ticks(observed), pressure)
+            c.steer(now, Delta::from_ticks(observed), pressure)
         };
         // Quiet air: natural staleness 40 anchors, Δ settles on target 60.
         for _ in 0..32 {
             step(&mut c, 40, false);
         }
-        assert_eq!(c.current(), Delta::from_ticks(60));
+        assert_eq!(c.current, Delta::from_ticks(60));
         // Fault burst: the high-water mark spikes to 2000 under
         // backpressure — relax past it.
         for _ in 0..4 {
             step(&mut c, 2_000, true);
         }
         assert!(
-            c.current() >= Delta::from_ticks(3_000),
+            c.current >= Delta::from_ticks(3_000),
             "pressure must relax past the spike"
         );
         // Healed: the spike was pressure-coincident, so it decays after
@@ -616,7 +578,7 @@ mod tests {
             step(&mut c, 2_000, false);
         }
         assert_eq!(
-            c.current(),
+            c.current,
             Delta::from_ticks(60),
             "the burst must be forgotten, not pinned into Δ forever"
         );
@@ -624,140 +586,136 @@ mod tests {
 
     #[test]
     fn tightening_is_judged_with_lag() {
-        let mut c = DeltaController::new(cfg(), Delta::from_ticks(1_000));
-        let cmd = c
-            .tick(Time::from_ticks(500), Delta::from_ticks(20), false)
+        let mut c = controller(1_000);
+        let judge_from = c
+            .steer(Time::from_ticks(500), Delta::from_ticks(20), false)
             .expect("gap to close");
-        assert!(cmd.delta < Delta::from_ticks(1_000));
+        assert!(c.current < Delta::from_ticks(1_000));
         assert_eq!(
-            cmd.judge_from,
+            judge_from,
             Time::from_ticks(500 + 200),
             "tighten judges only after 2×interval"
         );
         assert_eq!(
-            c.schedule().delta_at(Time::from_ticks(699)),
+            c.schedule.delta_at(Time::from_ticks(699)),
             Delta::from_ticks(1_000)
         );
-        assert_eq!(c.schedule().delta_at(Time::from_ticks(700)), cmd.delta);
+        assert_eq!(c.schedule.delta_at(Time::from_ticks(700)), c.current);
     }
 
     #[test]
     fn observed_above_band_steps_to_target_without_pressure() {
-        let mut c = DeltaController::new(cfg(), Delta::from_ticks(50));
-        let cmd = c
-            .tick(Time::from_ticks(10), Delta::from_ticks(2_000), false)
+        let mut c = controller(50);
+        let judge_from = c
+            .steer(Time::from_ticks(10), Delta::from_ticks(2_000), false)
             .expect("must step up");
-        assert_eq!(cmd.delta, Delta::from_ticks(3_000), "1.5× headroom");
-        assert_eq!(cmd.judge_from, Time::from_ticks(10), "relax judges now");
+        assert_eq!(c.current, Delta::from_ticks(3_000), "1.5× headroom");
+        assert_eq!(judge_from, Time::from_ticks(10), "relax judges now");
     }
 
     #[test]
-    fn commands_carry_monotone_seqs() {
-        let mut c = DeltaController::new(cfg(), Delta::from_ticks(5_000));
-        let mut last = 0;
+    fn every_command_bumps_the_seq_and_enters_the_schedule() {
+        let mut c = controller(4_000);
         let mut now = Time::ZERO;
         for _ in 0..32 {
             now = now.saturating_add_delta(Delta::from_ticks(100));
-            if let Some(cmd) = c.tick(now, Delta::from_ticks(100), false) {
-                assert!(cmd.seq > last);
-                last = cmd.seq;
-            }
+            let seq = c.seq;
+            let changed = c.steer(now, Delta::from_ticks(64), false).is_some();
+            assert_eq!(c.seq, seq + u64::from(changed));
         }
-        assert_eq!(c.seq(), last);
+        assert!(c.seq > 0);
+        assert_eq!(c.schedule.len() as u64, c.seq);
+        assert_eq!(c.schedule.initial, Delta::from_ticks(4_000));
     }
 
     #[test]
-    fn schedule_records_every_command() {
-        let mut c = DeltaController::new(cfg(), Delta::from_ticks(4_000));
-        let mut now = Time::ZERO;
-        let mut n = 0;
-        for _ in 0..32 {
-            now = now.saturating_add_delta(Delta::from_ticks(100));
-            if c.tick(now, Delta::from_ticks(64), false).is_some() {
-                n += 1;
-            }
-        }
-        assert_eq!(c.schedule().len(), n);
-        assert_eq!(c.schedule().initial, Delta::from_ticks(4_000));
-    }
-
-    fn policy(base: u64, monitor_delta: Delta, expected_ops: usize) -> ControlPolicy {
-        let kind = ProtocolKind::Tsc {
-            delta: Delta::from_ticks(base),
-        };
-        ControlPolicy::new(cfg(), kind, monitor_delta, expected_ops)
-    }
-
-    fn readings(violations: usize, retries: u64, ingested: usize) -> Readings {
-        Readings {
-            observed: Delta::from_ticks(100),
-            violations,
-            ingested,
-            retries,
-        }
+    #[should_panic(expected = "needs a finite interval")]
+    fn an_infinite_interval_is_refused() {
+        let band = ControllerConfig::new(Delta::ZERO, Delta::INFINITE, Delta::INFINITE);
+        let _ = tsc(band, 100, Delta::INFINITE);
     }
 
     #[test]
-    fn policy_signals_pressure_on_new_violations_or_new_retries() {
+    #[should_panic(expected = "needs delta_min ≤ delta_max, got 300 > 200")]
+    fn an_inverted_band_is_refused() {
+        let band =
+            ControllerConfig::new(Delta::from_ticks(300), Delta::from_ticks(200), Delta::ZERO);
+        let _ = tsc(band, 100, Delta::INFINITE);
+    }
+
+    #[test]
+    fn tick_signals_pressure_on_new_violations_or_new_retries() {
         // At the band's ceiling a quiet tick can only tighten and a
-        // pressured one cannot move, so `change` tells the two apart.
-        for (violations, retries) in [(1, 0), (0, 1)] {
-            let mut p = policy(10_000, Delta::from_ticks(10_000), 10);
-            let d = p.sample(Time::from_ticks(100), readings(violations, retries, 0));
-            assert_eq!(d.change, None, "a new violation or retry is pressure");
+        // pressured one cannot move, so the counters tell the two apart.
+        for violated in [true, false] {
+            let mut c = tsc(cfg(), 10_000, Delta::from_ticks(10_000));
+            // The stale read violates a monitor judging at 50; else a
+            // retry is the pressure.
+            let threshold = if violated { 50 } else { 10_000 };
+            let mut rec = stale_read(Delta::from_ticks(threshold));
+            let mut metrics = Metrics::new();
+            if !violated {
+                metrics.add(names::RETRY, 1);
+            }
+            let (command, _) = c.tick(Time::from_ticks(100), &mut rec, &mut metrics);
+            assert_eq!(command, None, "a new violation or retry is pressure");
             // The same totals again are not *new*: the tick is quiet.
-            let d = p.sample(Time::from_ticks(200), readings(violations, retries, 0));
-            assert!(d.change.is_some_and(|c| c.tightened));
+            c.tick(Time::from_ticks(200), &mut rec, &mut metrics);
+            assert_eq!(metrics.get(names::DELTA_TIGHTEN), 1);
         }
     }
 
     #[test]
-    fn policy_broadcasts_only_once_a_command_exists_and_then_every_tick() {
+    fn tick_broadcasts_only_once_a_command_exists_and_then_every_tick() {
         // Already on target (observed 100 → 150): nothing to command.
-        let mut p = policy(150, Delta::from_ticks(150), 10);
-        let d = p.sample(Time::from_ticks(100), readings(0, 0, 0));
-        assert_eq!((d.change, d.broadcast), (None, None));
-        // Pressure relaxes to 300: command 1, judged from now, widened by 0.
-        let d = p.sample(Time::from_ticks(200), readings(0, 1, 0));
+        let mut c = tsc(cfg(), 150, Delta::from_ticks(150));
+        let (mut rec, mut metrics) = (stale_read(Delta::from_ticks(150)), Metrics::new());
+        assert_eq!(
+            c.tick(Time::from_ticks(100), &mut rec, &mut metrics),
+            (None, true)
+        );
+        assert!(rec.monitor().unwrap().schedule().is_empty());
+        // A retry relaxes to 300: command 1, judged from now, widened by 0.
+        metrics.add(names::RETRY, 1);
         let relaxed = Msg::DeltaUpdate {
             seq: 1,
             delta: Delta::from_ticks(300),
         };
+        let (command, _) = c.tick(Time::from_ticks(200), &mut rec, &mut metrics);
+        assert_eq!(command, Some(relaxed));
         assert_eq!(
-            d.change,
-            Some(ScheduleChange {
-                judge_from: Time::from_ticks(200),
-                threshold: Delta::from_ticks(300),
-                tightened: false,
-            })
+            rec.monitor().unwrap().schedule(),
+            [(Time::from_ticks(200), Delta::from_ticks(300))]
         );
-        assert_eq!(d.broadcast, Some(relaxed));
+        assert_eq!(metrics.get(names::DELTA_RELAX), 1);
         // Every later tick re-broadcasts the command in force, changed or
         // not.
-        let d = p.sample(Time::from_ticks(300), readings(0, 1, 0));
-        assert!(matches!(d.broadcast, Some(Msg::DeltaUpdate { seq, .. }) if seq >= 1));
-        assert_eq!(p.schedule().initial, Delta::from_ticks(150));
+        let (command, _) = c.tick(Time::from_ticks(300), &mut rec, &mut metrics);
+        assert!(matches!(command, Some(Msg::DeltaUpdate { seq, .. }) if seq >= 1));
+        assert_eq!(c.schedule().initial, Delta::from_ticks(150));
     }
 
     #[test]
-    fn policy_stops_sampling_once_every_expected_op_is_ingested() {
-        let mut p = policy(150, Delta::from_ticks(150), 10);
-        assert!(
-            p.sample(Time::from_ticks(100), readings(0, 0, 9))
-                .keep_sampling
-        );
-        assert!(
-            !p.sample(Time::from_ticks(200), readings(0, 0, 10))
-                .keep_sampling
-        );
+    fn tick_stops_once_every_expected_op_is_ingested() {
+        let mut c = tsc(cfg(), 150, Delta::from_ticks(150));
+        let mut rec = TraceRecorder::new();
+        rec.attach_monitor(Delta::from_ticks(150), Epsilon::from_ticks(0));
+        for t in 0..10 {
+            let value = rec.next_value();
+            rec.record_write(SiteId::new(0), ObjectId::new(0), value, Time::from_ticks(t));
+            let (_, more) = c.tick(Time::from_ticks(t), &mut rec, &mut Metrics::new());
+            assert_eq!(more, t < 9, "after {} of 10 ops", t + 1);
+        }
     }
 
     #[test]
-    fn policy_widens_by_the_monitor_margin_saturating_at_zero() {
+    fn tick_widens_by_the_monitor_margin_saturating_at_zero() {
         let threshold = |monitor_delta: Delta| {
-            let mut p = policy(1_000, monitor_delta, 10);
-            let change = p.sample(Time::from_ticks(100), readings(0, 0, 0)).change;
-            change.expect("a gap to close").threshold
+            let mut c = tsc(cfg(), 1_000, monitor_delta);
+            let mut rec = stale_read(monitor_delta);
+            c.tick(Time::from_ticks(100), &mut rec, &mut Metrics::new());
+            let judged = rec.monitor().unwrap().schedule();
+            judged.last().expect("a gap to close").1
         };
         // observed 100 → target 150; one quiet tick halves the gap: 575.
         assert_eq!(threshold(Delta::from_ticks(1_040)), Delta::from_ticks(615));
@@ -766,5 +724,47 @@ mod tests {
         // difference used to underflow (a debug panic, a near-infinite
         // judged threshold in release).
         assert_eq!(threshold(Delta::from_ticks(400)), Delta::from_ticks(575));
+    }
+
+    /// A retry since the last tick is pressure, read off the counters: the
+    /// tick relaxes Δ from 4 000 to the band's 8 000, judged from now at
+    /// the threshold widened by the monitor's 100-tick margin. The next,
+    /// quiet tick tightens, judged from two intervals on. Each change is
+    /// counted once, in its own direction.
+    #[test]
+    fn a_tick_installs_and_counts_the_change() {
+        let (ticks, at) = (Delta::from_ticks, Time::from_ticks);
+        let band = ControllerConfig::new(ticks(50), ticks(8_000), ticks(20));
+        let mut controller = tsc(band, 4_000, ticks(4_100));
+        let mut recorder = TraceRecorder::new();
+        recorder.attach_monitor(ticks(4_100), Epsilon::from_ticks(0));
+        let mut metrics = Metrics::new();
+        metrics.add(names::RETRY, 3);
+        let mut tick = |now| {
+            let (command, more) = controller.tick(at(now), &mut recorder, &mut metrics);
+            assert!(more, "nothing is ingested yet");
+            let judged = *recorder.monitor().unwrap().schedule().last().unwrap();
+            let counted = [
+                names::DELTA_UPDATE,
+                names::DELTA_RELAX,
+                names::DELTA_TIGHTEN,
+            ];
+            (command, judged, counted.map(|name| metrics.get(name)))
+        };
+        let relaxed = Msg::DeltaUpdate {
+            seq: 1,
+            delta: ticks(8_000),
+        };
+        assert_eq!(
+            tick(100),
+            (Some(relaxed), (at(100), ticks(8_100)), [1, 1, 0])
+        );
+        let (command, judged, counted) = tick(120);
+        let Some(Msg::DeltaUpdate { seq: 2, delta }) = command else {
+            panic!("a quiet tick tightens: {command:?}");
+        };
+        assert!(delta < ticks(8_000));
+        assert_eq!(judged, (at(160), ticks(delta.ticks() + 100)));
+        assert_eq!(counted, [2, 1, 1]);
     }
 }

@@ -16,12 +16,10 @@ use tc_sim::{
     WorldConfig,
 };
 
-use crate::control::{ControlPolicy, ControllerConfig, DeltaSchedule};
+use crate::control::{ControllerConfig, DeltaController, DeltaSchedule};
 use crate::engine::{Effect, Event, Inputs, PrivateSources};
 use crate::geo::{widened_bound_geo, GeoLayout, GeoRelayEngine};
-use crate::node::{
-    control_tick, execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, SimClock,
-};
+use crate::node::{execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, SimClock};
 use crate::oracle::widened_bound;
 use crate::store::ShardStore;
 use crate::{ClientEngine, Msg, ProtocolConfig, ServerEngine};
@@ -67,11 +65,12 @@ pub struct RunOptions<'a> {
     /// When set, every shard's engine is built over `stores(node)` (e.g.
     /// `tc-durable`'s WAL store), called once per shard in node order.
     pub stores: Option<StoreFactory<'a>>,
-    /// When set, a controller node ticks every `interval`, retuning Δ
-    /// from the streaming monitor's running `min_delta` and the run's
-    /// backpressure signals ([`ControlPolicy`]), and broadcasting
+    /// When set, a controller node ticks a [`DeltaController`] every
+    /// `interval`, retuning Δ from the streaming monitor's running
+    /// `min_delta` and the run's backpressure signals, and broadcasting
     /// [`Msg::DeltaUpdate`] commands to every client. Needs a timed
-    /// protocol kind (`Tsc` or `Tcc`).
+    /// protocol kind (`Tsc` or `Tcc`), a finite `interval` and
+    /// `delta_min ≤ delta_max`.
     pub adaptive: Option<ControllerConfig>,
     /// Capture every send, delivery and timer fire into
     /// [`RunResult::net_events`], ready for `tc-trace`.
@@ -197,8 +196,9 @@ pub fn run_with_private_sources(config: &RunConfig, base_seed: u64) -> RunResult
 ///
 /// # Panics
 ///
-/// As [`run`]; additionally if `opts.adaptive` is set and the protocol
-/// kind carries no Δ.
+/// As [`run`]; additionally if `opts.adaptive` is set and
+/// [`DeltaController::new`] refuses it (an infinite interval, an inverted
+/// band, a protocol kind with no Δ).
 #[must_use]
 pub fn run_with(config: &RunConfig, opts: RunOptions<'_>) -> RunResult {
     run_impl(config, None, opts)
@@ -330,10 +330,10 @@ impl<H: Host<SimClock> + 'static> Process for SimNode<H> {
 /// controller node owns its own timer namespace anyway).
 const TIMER_CONTROLLER: u64 = 0xAD_AF;
 
-/// The simulated control plane: a [`control_tick`] every interval, its
-/// command broadcast to every client.
+/// The simulated control plane: a [`DeltaController::tick`] every
+/// interval, its command broadcast to every client.
 struct ControllerNode {
-    policy: ControlPolicy,
+    controller: DeltaController,
     clients: Vec<NodeId>,
     recorder: Rc<RefCell<TraceRecorder>>,
 }
@@ -342,7 +342,7 @@ impl Process for ControllerNode {
     type Msg = Msg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, Msg>) {
-        ctx.set_timer(self.policy.interval(), TIMER_CONTROLLER);
+        ctx.set_timer(self.controller.interval(), TIMER_CONTROLLER);
     }
 
     fn on_message(&mut self, _ctx: &mut Context<'_, Msg>, _from: NodeId, _msg: Msg) {
@@ -351,8 +351,9 @@ impl Process for ControllerNode {
 
     fn on_timer(&mut self, ctx: &mut Context<'_, Msg>, _token: u64) {
         let recorder = &mut self.recorder.borrow_mut();
-        let (command, more) =
-            control_tick(&mut self.policy, ctx.true_now(), recorder, ctx.metrics());
+        let (command, more) = self
+            .controller
+            .tick(ctx.true_now(), recorder, ctx.metrics());
         if let Some(msg) = command {
             for &c in &self.clients {
                 ctx.send(c, msg.clone());
@@ -360,7 +361,7 @@ impl Process for ControllerNode {
         }
         // Stop re-arming once every op is in, so the world can quiesce.
         if more {
-            ctx.set_timer(self.policy.interval(), TIMER_CONTROLLER);
+            ctx.set_timer(self.controller.interval(), TIMER_CONTROLLER);
         }
     }
 }
@@ -472,7 +473,12 @@ pub(crate) fn run_impl(
     let expected_ops = config.n_clients * config.ops_per_client;
     let controller = adaptive.map(|ctrl| {
         world.add_node(ControllerNode {
-            policy: ControlPolicy::new(ctrl, config.protocol.kind, monitor_delta, expected_ops),
+            controller: DeltaController::new(
+                ctrl,
+                config.protocol.kind,
+                monitor_delta,
+                expected_ops,
+            ),
             clients,
             recorder: recorder.clone(),
         })
@@ -499,7 +505,7 @@ pub(crate) fn run_impl(
     let mut metrics = world.metrics().snapshot();
     let delta_schedule = controller.map(|id| {
         let node: &ControllerNode = world.node(id).expect("the controller node");
-        node.policy.schedule().clone()
+        node.controller.schedule().clone()
     });
     drop(world);
     let mut recorder = Rc::try_unwrap(recorder)

@@ -78,7 +78,7 @@ pub use config::{
     DurabilityMode, FsyncPolicy, Propagation, ProtocolConfig, ProtocolKind, StalePolicy,
     DEFAULT_RETRY_AFTER,
 };
-pub use control::{ControlPolicy, ControllerConfig, DeltaCommand, DeltaController, DeltaSchedule};
+pub use control::{ControllerConfig, DeltaController, DeltaSchedule};
 pub use engine::{ClientEngine, ServerEngine, ShardMap};
 pub use geo::{
     conformance_geo, geo_retx, run_geo_with, widened_bound_geo, GeoLayout, GeoMigrationPlan,

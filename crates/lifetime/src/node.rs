@@ -7,8 +7,7 @@
 //! simulated node's drifting local clock and true time off its `Context`,
 //! `tc-store`'s `TickClock` ticks an `Instant` down against one shared
 //! epoch — and a [`Port`], where sends, timers, counters and records land.
-//! [`control_tick`] is the one adaptive-Δ control tick and [`judge_run`]
-//! the tail that judges a finished run.
+//! [`judge_run`] is the tail that judges a finished run.
 
 use std::time::Duration;
 
@@ -18,7 +17,6 @@ use tc_core::History;
 use tc_sim::metrics::names;
 use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
-use crate::control::{ControlPolicy, Readings};
 use crate::engine::{Effect, Event, Inputs, Now, PrivateSources, TIMER_NEXT_OP};
 use crate::{ClientEngine, GeoRelayEngine, Msg, ServerEngine};
 
@@ -404,44 +402,6 @@ impl<T: TimeSource> Host<T> for RelayCore<T> {
     }
 }
 
-/// One adaptive control tick at true time `now`: reads the live monitor in
-/// `recorder` and the `RETRY` counter in `metrics`, lets `policy` decide,
-/// and installs a schedule change in the monitor, counting it as
-/// `DELTA_UPDATE` plus `DELTA_TIGHTEN` or `DELTA_RELAX`. Returns the
-/// command in force for the driver to (re-)broadcast, and whether to keep
-/// sampling. A driver owns only *when* a tick runs and *how* the command
-/// reaches the clients.
-///
-/// # Panics
-///
-/// Panics if `recorder` has no monitor attached.
-pub fn control_tick(
-    policy: &mut ControlPolicy,
-    now: Time,
-    recorder: &mut TraceRecorder,
-    metrics: &mut Metrics,
-) -> (Option<Msg>, bool) {
-    let monitor = recorder.monitor().expect("the driver attaches a monitor");
-    let readings = Readings {
-        observed: monitor.min_delta(),
-        violations: monitor.violations().len(),
-        ingested: monitor.ingested(),
-        retries: metrics.get(names::RETRY),
-    };
-    let decision = policy.sample(now, readings);
-    if let Some(change) = decision.change {
-        metrics.add(names::DELTA_UPDATE, 1);
-        let direction = if change.tightened {
-            names::DELTA_TIGHTEN
-        } else {
-            names::DELTA_RELAX
-        };
-        metrics.add(direction, 1);
-        recorder.monitor_schedule_change(change.judge_from, change.threshold);
-    }
-    (decision.broadcast, decision.keep_sampling)
-}
-
 /// The tail every driver ends a run with: finishes `recorder` into the
 /// run's history, its monitor's verdict and running `min_delta`, and adds
 /// the monitor's own counters to `metrics`.
@@ -472,9 +432,6 @@ pub fn judge_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::ControllerConfig;
-    use crate::ProtocolKind;
-    use tc_clocks::Epsilon;
     use tc_sim::Window;
 
     #[test]
@@ -518,50 +475,5 @@ mod tests {
         unarmed.arm_edges(Time::ZERO, &mut edges);
         assert_eq!(edges.len(), 2, "a shard with no window arms nothing");
         assert_eq!(unarmed.poll(Time::from_ticks(10)), None);
-    }
-
-    /// A retry since the last tick is pressure, read off the counters: the
-    /// tick relaxes Δ from 4 000 to the band's 8 000, judged from now at
-    /// the threshold widened by the monitor's 100-tick margin. The next,
-    /// quiet tick tightens, judged from two intervals on. Each change is
-    /// counted once, in its own direction.
-    #[test]
-    fn one_control_tick_installs_and_counts_the_change() {
-        let (ticks, at) = (Delta::from_ticks, Time::from_ticks);
-        let band = ControllerConfig::new(ticks(50), ticks(8_000), ticks(20));
-        let kind = ProtocolKind::Tsc {
-            delta: ticks(4_000),
-        };
-        let mut policy = ControlPolicy::new(band, kind, ticks(4_100), 10);
-        let mut recorder = TraceRecorder::new();
-        recorder.attach_monitor(ticks(4_100), Epsilon::from_ticks(0));
-        let mut metrics = Metrics::new();
-        metrics.add(names::RETRY, 3);
-        let mut tick = |now| {
-            let (command, more) = control_tick(&mut policy, at(now), &mut recorder, &mut metrics);
-            assert!(more, "nothing is ingested yet");
-            let judged = *recorder.monitor().unwrap().schedule().last().unwrap();
-            let counted = [
-                names::DELTA_UPDATE,
-                names::DELTA_RELAX,
-                names::DELTA_TIGHTEN,
-            ];
-            (command, judged, counted.map(|name| metrics.get(name)))
-        };
-        let relaxed = Msg::DeltaUpdate {
-            seq: 1,
-            delta: ticks(8_000),
-        };
-        assert_eq!(
-            tick(100),
-            (Some(relaxed), (at(100), ticks(8_100)), [1, 1, 0])
-        );
-        let (command, judged, counted) = tick(120);
-        let Some(Msg::DeltaUpdate { seq: 2, delta }) = command else {
-            panic!("a quiet tick tightens: {command:?}");
-        };
-        assert!(delta < ticks(8_000));
-        assert_eq!(judged, (at(160), ticks(delta.ticks() + 100)));
-        assert_eq!(counted, [2, 1, 1]);
     }
 }

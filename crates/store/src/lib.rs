@@ -24,8 +24,8 @@
 //!   busy;
 //! * the timer wheel (`TimerWheel`) — a ring of per-tick buckets, every
 //!   engine deadline being a tick boundary;
-//! * the control plane (`ControlPlane`) — when the node core's control
-//!   tick runs, and where its command goes.
+//! * the control plane — when the run's `DeltaController` ticks, and
+//!   where its command goes.
 //!
 //! Three entry points sit on top, all returning a [`RuntimeResult`]:
 //!

@@ -118,7 +118,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use tc_lifetime::control::DeltaSchedule;
+use tc_lifetime::control::{DeltaController, DeltaSchedule};
 use tc_lifetime::engine::{Effect, Event};
 use tc_lifetime::node::{execute, ClientCore, Host, Port, ShardCore};
 use tc_lifetime::Msg;
@@ -128,7 +128,7 @@ use tc_wire::{write_frame, WireMsg};
 
 use crate::jitter::{link_seed, splitmix64};
 use crate::runtime::{
-    build_shard_engine, finish_run, refuse_unrenderable, site_core, ControlPlane, RuntimeConfig,
+    build_shard_engine, controller, finish_run, refuse_unrenderable, site_core, RuntimeConfig,
     RuntimeResult, Telemetry, TickClock,
 };
 use crate::wheel::TimerWheel;
@@ -579,11 +579,11 @@ struct ClientReactor<'a> {
     telemetry: Telemetry,
     /// Clients not yet `finished`; the loop exits at zero.
     remaining: usize,
-    /// The adaptive Δ control plane, when the run is adaptive. The
-    /// reactor's single thread owns every client, so commands are fed to
-    /// the hosted engines directly — the in-loop equivalent of the channel
-    /// broadcast the channel drivers use.
-    controller: Option<ControlPlane>,
+    /// The adaptive Δ controller, when the run is adaptive. The reactor's
+    /// single thread owns every client, so commands are fed to the hosted
+    /// engines directly — the in-loop equivalent of the channel broadcast
+    /// the channel drivers use.
+    controller: Option<(DeltaController, Duration)>,
     /// The effects of one engine step, as in [`ShardReactor`].
     effects: Vec<Effect>,
 }
@@ -673,7 +673,12 @@ impl Port for ClientPort<'_> {
 }
 
 impl<'a> ClientReactor<'a> {
-    fn new(cfg: &'a ReactorConfig, addrs: &'a [SocketAddr], clock: TickClock) -> Self {
+    fn new(
+        cfg: &'a ReactorConfig,
+        addrs: &'a [SocketAddr],
+        clock: TickClock,
+        controller: Option<(DeltaController, Duration)>,
+    ) -> Self {
         let rc = &cfg.runtime;
         let shards = rc.protocol.shards;
         let clients: Vec<ClientState> = (0..rc.n_clients)
@@ -701,21 +706,25 @@ impl<'a> ClientReactor<'a> {
             clients,
             timers: TimerWheel::new(&clock),
             telemetry: Telemetry::recording(rc),
-            controller: ControlPlane::new(rc),
+            controller,
             effects: Vec::new(),
         }
     }
 
-    /// One adaptive control tick, popped at `now`: sample, feed the
-    /// command in force to every hosted client still running, re-arm until
-    /// the plane says every expected operation has been ingested.
+    /// One adaptive control tick, popped at `now`: tick, feed the command
+    /// in force to every hosted client still running, re-arm until the
+    /// controller says every expected operation has been ingested.
     fn controller_tick(&mut self, now: Instant) {
-        let Some(plane) = self.controller.as_mut() else {
+        let Some((controller, interval)) = self.controller.as_mut() else {
             return;
         };
-        let (command, more) = plane.sample(&self.clock, &mut self.telemetry);
-        let interval = plane.interval(&self.clock);
-        if let Some((from, msg)) = command {
+        let interval = *interval;
+        let (metrics, recorder) = self.telemetry.parts();
+        let recorder = recorder.expect("the clients' telemetry records");
+        let (command, more) = controller.tick(self.clock.now(), recorder, metrics);
+        if let Some(msg) = command {
+            // The sender is past every node (clients ignore it).
+            let from = NodeId::new(self.shards + self.clients.len());
             for client in 0..self.clients.len() {
                 if !self.clients[client].finished {
                     let msg = msg.clone();
@@ -815,9 +824,8 @@ impl<'a> ClientReactor<'a> {
         for shard in 0..self.shards {
             self.timers.arm(base, ClientTimer::Redial { shard });
         }
-        if let Some(plane) = &self.controller {
-            self.timers
-                .arm(base + plane.interval(&self.clock), ClientTimer::Controller);
+        if let Some((_, interval)) = self.controller {
+            self.timers.arm(base + interval, ClientTimer::Controller);
         }
         let mut events = [EpollEvent { events: 0, data: 0 }; 256];
         let mut due = Vec::new();
@@ -859,7 +867,7 @@ impl<'a> ClientReactor<'a> {
         }
         self.timers.report(&mut self.telemetry.metrics);
         self.table.report(&mut self.telemetry.metrics);
-        let schedule = self.controller.take().map(ControlPlane::into_schedule);
+        let schedule = self.controller.map(|(c, _)| c.schedule().clone());
         let latencies = self
             .clients
             .into_iter()
@@ -933,6 +941,7 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         |isolated| matches!(isolated, [node] if *node < shards),
     );
     let clock = TickClock::new(rc.tick);
+    let controller = controller(rc, &clock);
 
     // Bind every shard listener up front so clients know all addresses.
     let mut listeners = Vec::with_capacity(shards);
@@ -971,7 +980,7 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
             // The client reactor runs on the scope's own thread: every
             // ClientCore in one evented loop.
             let (latencies, delta_schedule, telemetry) =
-                ClientReactor::new(cfg, addrs_ref, clock).run();
+                ClientReactor::new(cfg, addrs_ref, clock, controller).run();
             shutdown.store(true, Ordering::Relaxed);
             for mut tx in &wake_txs {
                 // Cannot fail short of a dead shard thread, which the join
@@ -1157,7 +1166,7 @@ mod tests {
             drop(stream);
             // Nothing was left behind: the same listener serves a
             // well-configured fleet as if the probes had never dialled.
-            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock).run();
+            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock, None).run();
             assert_eq!(latencies.len(), 2 * 12);
             telemetry
         });
@@ -1345,7 +1354,7 @@ mod tests {
                 ("shard", metrics, sys::thread_cpu_time() - cpu)
             });
             let cpu = sys::thread_cpu_time();
-            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock).run();
+            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock, None).run();
             assert_eq!(latencies.len(), 2 * 100);
             let client = ("client", telemetry.metrics, sys::thread_cpu_time() - cpu);
             wake_tx.write_all(&[0]).unwrap();

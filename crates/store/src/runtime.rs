@@ -12,9 +12,9 @@
 //!   bounded drain, step, execute — one thread per node;
 //! * **the channel fleet builder** — `run_channels`: [`run_threaded`] is
 //!   its flat case, [`crate::run_threaded_geo`] its geo case;
-//! * **the control plane** — `ControlPlane` runs the control tick over the
-//!   clients' telemetry; the channel drivers call it from a sleeping
-//!   thread, the reactor from a timer;
+//! * **the control plane** — `controller` builds the run's
+//!   `DeltaController`, which the channel drivers tick over the clients'
+//!   telemetry from a sleeping thread, the reactor from a timer;
 //! * **run state and result assembly** — `Telemetry`, `Shared`,
 //!   `TimerWheel` (in `wheel`), `finish_run`.
 //!
@@ -52,10 +52,10 @@ use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::TimedReport;
 use tc_core::History;
 use tc_durable::WalStore;
-use tc_lifetime::control::{ControlPolicy, ControllerConfig, DeltaSchedule};
+use tc_lifetime::control::{ControllerConfig, DeltaController, DeltaSchedule};
 use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources, ServerEngine};
 use tc_lifetime::node::{
-    control_tick, execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, TimeSource,
+    execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, TimeSource,
 };
 use tc_lifetime::{GeoLayout, GeoRelayEngine, Msg, ProtocolConfig};
 use tc_sim::metrics::names;
@@ -102,12 +102,15 @@ pub struct RuntimeConfig {
     /// rebinds one shard's listener and links), and refuses every other
     /// kind with a panic naming it. Empty by default.
     pub faults: FaultPlan,
-    /// When set, a [`tc_lifetime::DeltaController`] retunes Δ online: a control thread
-    /// samples the live monitor every `interval`, broadcasts
+    /// When set, a [`DeltaController`] retunes Δ online: it ticks over the
+    /// live monitor every `interval` (on the channel drivers' control
+    /// thread, on the reactor's client-loop timer), broadcasts
     /// [`Msg::DeltaUpdate`] commands to every client, and shifts the
     /// monitor's judged schedule (widened by the same slack as the static
-    /// bound) from each command's `judge_from`. `None` (the default) keeps
-    /// the static Δ — and byte-identical behaviour with earlier drivers.
+    /// bound) from each change's judged time. Every driver refuses, before
+    /// it starts a thread, what [`DeltaController::new`] refuses. `None`
+    /// (the default) keeps the static Δ — and byte-identical behaviour
+    /// with earlier drivers.
     pub adaptive: Option<ControllerConfig>,
 }
 
@@ -639,90 +642,60 @@ impl<'a, H: Host<TickClock>, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
     }
 }
 
-/// The adaptive control plane as the real-time drivers host it: the
-/// shared [`ControlPolicy`] over the readings of the telemetry that holds
-/// the monitor. A driver owns *when* a sample is taken (a sleeping thread,
-/// a reactor timer) and *how* the resulting command reaches the clients
-/// (their inboxes, a direct feed).
-pub(crate) struct ControlPlane {
-    policy: ControlPolicy,
-    /// Sender of every command: a synthetic node id past every real node
-    /// of a flat fleet (clients ignore the sender of a `DeltaUpdate`).
-    from: NodeId,
+/// The adaptive Δ controller `config` asks for, with its tick period in
+/// `clock`'s real time: `None` unless the run is adaptive. Every real
+/// driver builds it here, before it starts a thread.
+///
+/// # Panics
+///
+/// As [`DeltaController::new`]: on an infinite interval, an inverted band
+/// or an untimed protocol.
+pub(crate) fn controller(
+    config: &RuntimeConfig,
+    clock: &TickClock,
+) -> Option<(DeltaController, Duration)> {
+    let controller = DeltaController::new(
+        config.adaptive?,
+        config.protocol.kind,
+        config.monitor_delta,
+        config.n_clients * config.ops_per_client,
+    );
+    let interval = clock
+        .delta_to_duration(controller.interval())
+        .expect("the controller refuses an infinite interval");
+    Some((controller, interval))
 }
 
-impl ControlPlane {
-    /// The control plane `config` asks for: `None` unless the run is
-    /// adaptive.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an adaptive run is configured over an untimed protocol.
-    pub(crate) fn new(config: &RuntimeConfig) -> Option<Self> {
-        Some(ControlPlane {
-            policy: ControlPolicy::new(
-                config.adaptive?,
-                config.protocol.kind,
-                config.monitor_delta,
-                config.n_clients * config.ops_per_client,
-            ),
-            from: NodeId::new(config.protocol.shards + config.n_clients),
-        })
-    }
-
-    /// The real-time period between samples.
-    pub(crate) fn interval(&self, clock: &TickClock) -> Duration {
-        clock
-            .delta_to_duration(self.policy.interval())
-            .unwrap_or(Duration::from_millis(5))
-    }
-
-    /// One [`control_tick`] now, over the clients' `telemetry`. Returns the
-    /// command in force for the driver to (re-)broadcast, and whether to
-    /// keep sampling.
-    pub(crate) fn sample(
-        &mut self,
-        clock: &TickClock,
-        telemetry: &mut Telemetry,
-    ) -> (Option<(NodeId, Msg)>, bool) {
-        let Telemetry { metrics, recorder } = telemetry;
-        let recorder = recorder.as_mut().expect("the clients' telemetry records");
-        let (command, more) = control_tick(&mut self.policy, clock.now(), recorder, metrics);
-        (command.map(|msg| (self.from, msg)), more)
-    }
-
-    /// The Δ-schedule commanded over the run.
-    pub(crate) fn into_schedule(self) -> DeltaSchedule {
-        self.policy.schedule().clone()
-    }
-}
-
-/// The channel drivers' control thread: sleep an interval, sample,
-/// broadcast — until the plane says every operation is in or `done` is
-/// raised (whichever first). Returns the commanded schedule.
+/// The channel drivers' control thread: sleep an interval, tick,
+/// broadcast — until the controller says every operation is in or `done`
+/// is raised (whichever first). Returns the commanded schedule.
 pub(crate) fn control_loop(
-    mut plane: ControlPlane,
+    (mut controller, interval): (DeltaController, Duration),
     clock: TickClock,
     shared: &Shared,
     done: &AtomicBool,
-    mut broadcast: impl FnMut(NodeId, Msg),
+    mut broadcast: impl FnMut(Msg),
 ) -> DeltaSchedule {
     let _slack = TimerSlack::pin();
-    let interval = plane.interval(&clock);
     loop {
         std::thread::sleep(interval);
         if done.load(Ordering::Acquire) {
             break;
         }
-        let (command, more) = plane.sample(&clock, &mut shared.lock());
-        if let Some((from, msg)) = command {
-            broadcast(from, msg);
+        let (command, more) = {
+            let mut telemetry = shared.lock();
+            let (metrics, recorder) = telemetry.parts();
+            let recorder = recorder.expect("the clients' telemetry records");
+            controller.tick(clock.now(), recorder, metrics)
+        };
+        if let Some(msg) = command {
+            broadcast(msg);
         }
         if !more {
             break;
         }
     }
-    plane.into_schedule()
+    controller.schedule().clone()
 }
 
 /// Runs one threaded execution to completion and judges it.
@@ -761,6 +734,7 @@ pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> R
         .iter()
         .any(|rule| matches!(rule.kind, FaultKind::Partition { .. }));
     let clock = TickClock::new(config.tick);
+    let controller = controller(config, &clock);
     let shared = Shared::new(config);
     let (node_txs, mut node_rxs): (Vec<_>, Vec<_>) = (0..infra + config.n_clients)
         .map(|_| {
@@ -843,14 +817,16 @@ pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> R
         }
         // The courier's own sender: what is left are the nodes'.
         drop(wan_tx);
-        let controller_worker = ControlPlane::new(config).map(|plane| {
+        let controller_worker = controller.map(|controller| {
             scope.spawn(move || {
-                let broadcast = |from: NodeId, msg: Msg| {
+                // The sender is past every node (clients ignore it).
+                let from = NodeId::new(infra + config.n_clients);
+                let broadcast = |msg: Msg| {
                     for tx in &node_txs[infra..] {
                         let _ = tx.send(Inbound::Msg(from, msg.clone()));
                     }
                 };
-                control_loop(plane, clock, shared_ref, done_ref, broadcast)
+                control_loop(controller, clock, shared_ref, done_ref, broadcast)
             })
         });
         let latencies = client_workers
@@ -1119,6 +1095,18 @@ pub(crate) mod tests {
         cfg.ops_per_client = 150;
         cfg.adaptive = Some(ADAPTIVE_BAND);
         assert_retuned_online(&run_threaded(&cfg), 2 * 150);
+    }
+
+    /// Both real drivers refuse an inverted band before they start a
+    /// thread (the reactor would otherwise wait on its shards forever).
+    #[test]
+    fn real_drivers_refuse_an_inverted_band() {
+        let mut cfg = small(ProtocolKind::Tsc { delta: Delta::ZERO }, 41);
+        let inverted = ControllerConfig::new(Delta::from_ticks(2), Delta::ZERO, Delta::ZERO);
+        cfg.adaptive = Some(inverted);
+        for run in [run_threaded, crate::run_reactor] {
+            assert!(std::panic::catch_unwind(|| run(&cfg)).is_err());
+        }
     }
 
     /// A controller with real distance to close from a base Δ of 4 000.
