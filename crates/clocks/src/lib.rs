@@ -16,9 +16,6 @@
 //! * **ξ-maps** (Definition 5) — order-preserving maps from logical
 //!   timestamps to ℝ used by the logical-clock approximation of timed causal
 //!   consistency (§5.4): [`SumXi`], [`NormXi`].
-//! * **Simulated hardware clocks** — [`DriftingClock`] with bounded drift
-//!   and a periodic resynchronization controller ([`SyncedClock`]) that
-//!   realizes the ε-approximately-synchronized model of §3.2.
 //!
 //! # Example
 //!
@@ -35,7 +32,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod drift;
 mod lamport;
 mod ordering;
 mod plausible;
@@ -43,7 +39,6 @@ pub mod time;
 mod vector;
 pub mod xi;
 
-pub use drift::{DriftingClock, SyncOutcome, SyncedClock};
 pub use lamport::{LamportClock, LamportStamp};
 pub use ordering::{ClockOrdering, SiteClock, Timestamp};
 pub use plausible::{CombClock, CombStamp, RevClock, RevStamp};

@@ -188,9 +188,10 @@ impl Add<Delta> for Delta {
     }
 }
 
-/// The clock-synchronization bound ε of §3.2: periodic resynchronization
-/// guarantees that no two site clocks differ by more than ε ticks, and each
-/// clock is within ε/2 of the time server.
+/// The clock-synchronization bound ε of §3.2: no two site clocks differ by
+/// more than ε ticks, and each clock is within ε/2 of true time. (The
+/// simulator realizes it with fault-plan clock-skew offsets, ε = twice the
+/// largest.)
 ///
 /// With ε = 0 the Definition 2 comparisons below reduce to Definition 1's
 /// perfectly-synchronized comparisons.

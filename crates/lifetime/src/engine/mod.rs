@@ -23,7 +23,7 @@
 //! clock read inside the protocol would make its behaviour depend on who is
 //! asking. By forcing every clock sample through [`Event::Now`], a driver
 //! decides exactly which instant the protocol sees — the simulator injects
-//! its virtual (possibly drifting) per-node clock, the threaded runtime
+//! its virtual (possibly skewed) per-node clock, the threaded runtime
 //! injects a ticked-down `Instant`, and a test can inject anything at all.
 //! The same argument banishes randomness and fresh-value allocation into
 //! [`Inputs`]: the simulator routes them to the world's seeded RNG and the
@@ -48,7 +48,7 @@ mod shard;
 
 pub use client::ClientEngine;
 pub use server::{ServerEngine, ACK_DELAY, TIMER_WAL_FLUSH};
-pub use shard::ShardMap;
+pub use shard::{splitmix64, ShardMap};
 
 /// Timer token for "issue the next planned operation". Exposed so drivers
 /// can recognize op-issue instants (the threaded runtime starts its

@@ -46,8 +46,11 @@ impl ShardMap {
 }
 
 /// SplitMix64 finalizer — the same mixing constant family the per-client
-/// seed derivation uses; full-avalanche, cheap, and dependency-free.
-fn splitmix64(mut x: u64) -> u64 {
+/// seed derivation uses; full-avalanche, cheap, and dependency-free. The
+/// shard map and the real drivers' jitter (redial backoff, WAN latency)
+/// all hash with this one function.
+#[must_use]
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

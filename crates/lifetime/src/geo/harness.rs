@@ -45,9 +45,8 @@ impl GeoLayout {
     /// whole-run [`FaultKind::ClockSkew`] rules over every node of each
     /// region (shards, relay, and home clients). Run and oracle both see
     /// the skew through the plan, so the effective ε they agree on
-    /// (`world ε + 2·max_abs_skew`) is inflated by exactly the injected
-    /// divergence. Simulator only: a real driver's threads share one
-    /// clock.
+    /// (`2·max_abs_skew`) is exactly the injected divergence. Simulator
+    /// only: a real driver's threads share one clock.
     #[must_use]
     pub fn plan_with_region_skew(&self, mut plan: FaultPlan) -> FaultPlan {
         if self.wan.skew_step == 0 {
@@ -88,8 +87,8 @@ pub fn geo_retx(plan: &FaultPlan) -> Option<Delta> {
 
 /// The geo-widened staleness bound of `config` laid out as `layout`
 /// under `plan` (see the module docs for the term-by-term derivation),
-/// or `None` when the level is untimed or a latency/outage/deadline term
-/// is unbounded.
+/// or `None` when the level is untimed or an outage/deadline term is
+/// unbounded.
 ///
 /// `plan` is the *caller's* plan — region skew rules affect the bound
 /// only through `eps`, which the caller (or [`run_geo_with`]) already
@@ -104,7 +103,7 @@ pub fn widened_bound_geo(
     let base = widened_bound(config, plan, eps)?;
     let egress = EGRESS_MAX_DELAY.ticks();
     let wan = layout.wan.max_latency(layout.regions.regions);
-    let lat = config.world.net.latency.upper_bound()?.ticks();
+    let lat = config.world.net.latency.upper_bound().ticks();
     let fsync = fsync_delay(&config.protocol)?;
     // Relay ingress serialization: one apply in flight at a time, so in
     // the worst case every other write of the run drains ahead of this

@@ -275,12 +275,10 @@ impl GeoLayout {
 /// distance (regions sit on a line; the pair `(a, b)` is `|a − b|` hops
 /// apart), and each region's clocks may be skewed.
 ///
-/// Latencies are **uniform with a hard upper bound** — never the
-/// heavy-tailed [`LatencyModel::Exponential`] — because the geo oracle
-/// widening needs a finite WAN term ([`WanProfile::max_latency`]) to judge
-/// runs exactly. Message loss is *not* modelled here: bounded loss comes
-/// from the fault plan (partition windows), whose disruption the oracle
-/// already accounts for.
+/// Latencies are **uniform with a hard upper bound**, which the geo oracle
+/// widening charges as its WAN term ([`WanProfile::max_latency`]). Message
+/// loss is *not* modelled here: loss comes only from the fault plan
+/// (partition windows), whose disruption the oracle already accounts for.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct WanProfile {
     /// One-hop minimum latency (ticks).
@@ -321,7 +319,6 @@ impl WanProfile {
                 lo: Delta::from_ticks(self.lat_lo * d),
                 hi: Delta::from_ticks(self.lat_hi * d),
             },
-            drop_probability: 0.0,
             fifo: false,
         }
     }

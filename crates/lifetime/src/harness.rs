@@ -86,9 +86,10 @@ pub struct RunResult {
     /// Protocol cost counters (fetches, validations, invalidations, cache
     /// hits, messages, the `geo_*` family, …).
     pub metrics: MetricsSnapshot,
-    /// The run's *effective* clock bound: the world's ε plus twice the
-    /// plan's largest injected skew (region skews included), which is what
-    /// Definition 2 checkers must be given for a faulted run.
+    /// The run's clock bound ε: twice the plan's largest clock skew
+    /// (region skews included), since a simulated node's clock is off true
+    /// time only by the skew rules in force. This is what Definition 2
+    /// checkers must be given.
     pub epsilon: Epsilon,
     /// Events the simulator dispatched.
     pub events: usize,
@@ -368,8 +369,7 @@ impl Process for ControllerNode {
 
 /// The one world builder, runner and result assembler. Node order is
 /// shards → relays (geo only) → clients → controller (adaptive only), so
-/// a flat run is exactly the no-geo case: same node ids, same `add_node`
-/// RNG draws.
+/// a flat run is exactly the no-geo case: same node ids.
 pub(crate) fn run_impl(
     config: &RunConfig,
     geo: Option<&GeoLayout>,
@@ -387,10 +387,9 @@ pub(crate) fn run_impl(
         None => plan,
     };
     let mut world: World<Msg> = World::new(config.world.clone());
-    // The effective ε and the fault-widened bound are both fixed before
-    // the run (the world's ε comes from its clock config, the widening
-    // from the plan), so the recorder can judge on-time behaviour online.
-    let epsilon = Epsilon::from_ticks(world.epsilon().ticks() + 2 * plan.max_abs_skew());
+    // The ε and the fault-widened bound are both fixed by the plan before
+    // the run, so the recorder can judge on-time behaviour online.
+    let epsilon = Epsilon::from_ticks(2 * plan.max_abs_skew());
     let bound = match geo {
         Some(geo) => widened_bound_geo(config, geo, &plan, epsilon),
         None => widened_bound(config, &plan, epsilon),
@@ -535,7 +534,7 @@ mod tests {
     use tc_core::checker::{
         min_delta, satisfies_cc_fast, satisfies_ccv, satisfies_sc_with, Outcome, SearchOptions,
     };
-    use tc_sim::{ClockConfig, NetworkModel};
+    use tc_sim::{FaultKind, FaultPlan, NetworkModel, Scope, Window};
 
     fn base_config(kind: ProtocolKind, seed: u64) -> RunConfig {
         RunConfig {
@@ -831,32 +830,42 @@ mod tests {
     }
 
     #[test]
-    fn works_with_drifting_clocks_and_lossy_network() {
+    fn works_with_skewed_clocks_and_a_lossy_network() {
         let mut cfg = base_config(
             ProtocolKind::Tcc {
                 delta: Delta::from_ticks(80),
             },
             13,
         );
-        cfg.world = tc_sim::WorldConfig {
-            net: NetworkModel {
-                latency: tc_sim::LatencyModel::Uniform {
-                    lo: Delta::from_ticks(1),
-                    hi: Delta::from_ticks(10),
-                },
-                drop_probability: 0.05,
-                fifo: true,
+        cfg.world.net = NetworkModel {
+            latency: tc_sim::LatencyModel::Uniform {
+                lo: Delta::from_ticks(1),
+                hi: Delta::from_ticks(10),
             },
-            clock: ClockConfig::Synced {
-                max_drift_ppm: 100.0,
-                max_initial_offset: 20,
-                sync_error: 3,
-                sync_interval: Delta::from_ticks(2_000),
-            },
-            seed: 13,
+            fifo: true,
         };
-        let r = run(&cfg);
+        // 5 % loss for the whole run, and each client's clock (nodes 1..=3;
+        // the shard is node 0) off true time by up to 4 ticks: ε = 8.
+        let plan = [(1, 4), (2, -4), (3, 2)].into_iter().fold(
+            FaultPlan::none().with(
+                Window::always(),
+                Scope::All,
+                FaultKind::Drop { probability: 0.05 },
+            ),
+            |plan, (node, offset)| {
+                plan.with(
+                    Window::always(),
+                    Scope::All,
+                    FaultKind::ClockSkew { node, offset },
+                )
+            },
+        );
+        let r = run_with_faults(&cfg, plan.clone());
+        assert_eq!(r.epsilon, Epsilon::from_ticks(8));
+        assert!(r.counter(names::FAULT_DROPPED) > 0, "the plan must drop");
         assert_eq!(r.history.len(), 3 * 40, "drops must be masked by retries");
         assert_eq!(satisfies_ccv(&r.history), Outcome::Satisfied);
+        let judged = crate::oracle::conformance(&cfg, &plan, &r);
+        assert_eq!(judged.verdict, crate::oracle::OracleVerdict::Conforms);
     }
 }

@@ -4,9 +4,10 @@
 //! A driver steps a [`Host`] ([`ClientCore`], [`ShardCore`], [`RelayCore`])
 //! at the moment it observed an event and hands the emitted effects to
 //! [`execute`]. It plugs in a [`TimeSource`] — [`SimClock`] reads a
-//! simulated node's drifting local clock and true time off its `Context`,
-//! `tc-store`'s `TickClock` ticks an `Instant` down against one shared
-//! epoch — and a [`Port`], where sends, timers, counters and records land.
+//! simulated node's (possibly skewed) local clock and true time off its
+//! `Context`, `tc-store`'s `TickClock` ticks an `Instant` down against one
+//! shared epoch — and a [`Port`], where sends, timers, counters and
+//! records land.
 //! [`judge_run`] is the tail that judges a finished run.
 
 use std::time::Duration;

@@ -17,11 +17,12 @@
 //!
 //! where `k` is the protocol's round-trip factor (2 for TSC, 4 for TCC —
 //! the same constants the fault-free harness tests assert), `lat` is the
-//! network's worst-case one-way latency, `ε_eff` is the clock bound
-//! inflated by injected skew ([`crate::RunResult::epsilon`] of a faulted
-//! run), `disruption` is [`FaultPlan::max_disruption`] plus one client
-//! retry interval whenever the plan can black-hole a message (the protocol
-//! notices a loss only at its next retry), `fsync_delay` is the
+//! network's worst-case one-way latency (every latency model is bounded),
+//! `ε_eff` is twice the plan's largest clock skew
+//! ([`crate::RunResult::epsilon`]), `disruption` is
+//! [`FaultPlan::max_disruption`] plus one client retry interval whenever
+//! the plan can black-hole a message (the protocol notices a loss only at
+//! its next retry), `fsync_delay` is the
 //! [`crate::FsyncPolicy::max_delay`] when the shard store is
 //! [`crate::DurabilityMode::Durable`] (readers are served from the durable
 //! image only, so a write may stay invisible for up to one fsync deadline
@@ -46,11 +47,10 @@
 //! messages; what durability buys is acked writes surviving, which the
 //! recovery experiments assert directly.
 //!
-//! An unbounded-latency network (exponential model) admits no finite
-//! bound, and so does a plan whose disruption is unbounded — an outage
-//! rule with a never-closing window can defeat every retransmission
-//! ([`FaultPlan::max_disruption`] returns `None`). In both cases the
-//! oracle checks only the untimed guarantee and reports
+//! A plan whose disruption is unbounded admits no finite bound — an
+//! outage rule with a never-closing window can defeat every
+//! retransmission ([`FaultPlan::max_disruption`] returns `None`). Then
+//! the oracle checks only the untimed guarantee and reports
 //! [`Conformance::bound`] as `None`.
 
 use tc_clocks::{Delta, Epsilon};
@@ -90,8 +90,7 @@ pub struct Conformance {
     /// effective ε).
     pub observed_staleness: Delta,
     /// The widened staleness bound the oracle enforced, if the protocol
-    /// level has a timed guarantee and the network has a finite latency
-    /// bound.
+    /// level has a timed guarantee and the plan's disruption is bounded.
     pub bound: Option<Delta>,
     /// Operations actually recorded.
     pub ops_recorded: usize,
@@ -116,8 +115,7 @@ impl Conformance {
 }
 
 /// The widened staleness bound for `config` under `plan`, or `None` when
-/// the protocol level is untimed, the network latency is unbounded, or
-/// the plan's disruption is unbounded.
+/// the protocol level is untimed or the plan's disruption is unbounded.
 #[must_use]
 pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Option<Delta> {
     let (delta, round_trips) = match config.protocol.kind {
@@ -125,7 +123,7 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
         ProtocolKind::Tcc { delta } => (delta, 4),
         _ => return None,
     };
-    let lat = config.world.net.latency.upper_bound()?;
+    let lat = config.world.net.latency.upper_bound();
     let disruption = plan.max_disruption()?;
     let retry = if disruption.ticks() > 0 {
         config.protocol.retry_after.ticks()

@@ -1,13 +1,15 @@
 //! Deterministic fault injection: message loss, duplication, reordering,
-//! network partitions, clock-skew spikes, and node crash–restart.
+//! network partitions, clock skew, and node crash–restart.
 //!
 //! A [`FaultPlan`] is a list of [`FaultRule`]s, each active during a
 //! half-open true-time [`Window`] and restricted to a [`Scope`] of node
-//! pairs. The [`crate::World`] consults the plan on every message send and
-//! clock reading, drawing any probabilistic choices from a dedicated RNG
-//! stream seeded from the world seed — so a faulted run is exactly as
-//! reproducible as a fault-free one, and adding a zero-effect rule does not
-//! perturb the base simulation's random choices.
+//! pairs. It is the simulator's only fault vocabulary: the
+//! [`crate::World`]'s network never loses a message and its clocks never
+//! leave true time on their own. The world consults the plan on every
+//! message send and clock reading, drawing any probabilistic choices from
+//! a dedicated RNG stream seeded from the world seed — so a faulted run is
+//! exactly as reproducible as a fault-free one, and adding a zero-effect
+//! rule does not perturb the base simulation's random choices.
 //!
 //! Faults are expressed against *node indices* (`NodeId::index`), because
 //! plans are built before nodes exist.
@@ -134,8 +136,9 @@ pub enum FaultKind {
         isolated: Vec<usize>,
     },
     /// Add a constant offset to one node's local clock readings while the
-    /// window is active — a skew spike that temporarily breaks the world's
-    /// ε guarantee by up to `offset.abs()` per affected node.
+    /// window is active. This is how a run gets §3.2's ε-synchronized
+    /// clocks: a node reads true time plus the offsets in force, so the
+    /// pairwise divergence is at most twice [`FaultPlan::max_abs_skew`].
     ClockSkew {
         /// The affected node.
         node: usize,
@@ -394,9 +397,8 @@ impl FaultPlan {
     }
 
     /// Largest absolute clock offset any skew rule can inject. The
-    /// effective pairwise clock bound of a faulted run is the world's ε
-    /// plus *twice* this (both endpoints of a pair may be skewed in
-    /// opposite directions).
+    /// effective pairwise clock bound ε of a run is *twice* this (both
+    /// endpoints of a pair may be skewed in opposite directions).
     #[must_use]
     pub fn max_abs_skew(&self) -> u64 {
         self.rules

@@ -5,14 +5,14 @@
 //! crate is that testbed. It provides:
 //!
 //! * [`World`] — the event-driven kernel: message delivery, timers, and
-//!   per-node drifting hardware clocks that are periodically resynchronized
-//!   (realizing §3.2's ε-approximately-synchronized model). Runs are fully
-//!   deterministic in the seed.
-//! * [`NetworkModel`] / [`LatencyModel`] — constant, uniform or exponential
-//!   message latencies, optional FIFO channels, and message drops.
-//! * [`fault`] — deterministic fault injection layered on top of the
-//!   network and clock models: scheduled message drops, duplication,
-//!   reordering, partitions, clock-skew spikes, and crash–restart.
+//!   per-node local clocks. Runs are fully deterministic in the seed.
+//! * [`NetworkModel`] / [`LatencyModel`] — constant or uniform (always
+//!   bounded) message latencies and optional FIFO channels.
+//! * [`fault`] — the simulator's one fault vocabulary: message drops,
+//!   duplication, reordering, partitions, clock skew, and crash–restart.
+//!   A plan's drop and partition rules are the only source of message
+//!   loss, and its `ClockSkew` offsets the only way a local clock leaves
+//!   true time — so §3.2's ε is twice the plan's largest offset.
 //! * [`workload`] — Zipf object popularity and operation-mix samplers.
 //! * [`Metrics`] — named counters shared by every experiment.
 //! * [`TraceRecorder`] — records the reads and writes a protocol executes
@@ -36,4 +36,4 @@ pub use fault::{FaultKind, FaultPlan, FaultRule, Scope, Window};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use net::{LatencyModel, NetworkModel};
 pub use trace::{NetEvent, TraceRecorder};
-pub use world::{ClockConfig, Context, NodeId, Process, World, WorldConfig};
+pub use world::{Context, NodeId, Process, World, WorldConfig};

@@ -42,8 +42,6 @@ macro_rules! counter_names {
 counter_names! {
     /// A message handed to the network by [`crate::Context::send`].
     MESSAGE = "message";
-    /// A message dropped by the network model's loss probability.
-    DROPPED = "dropped";
     /// A message killed by a fault-plan rule (drop/partition).
     FAULT_DROPPED = "fault_dropped";
     /// A message addressed to a crashed (down) node.

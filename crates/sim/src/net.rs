@@ -1,11 +1,13 @@
-//! Network models: message latency distributions, FIFO channels, and drops.
+//! Network models: bounded message latency distributions and FIFO channels.
+//! Message loss is a fault, and comes only from a [`crate::FaultPlan`].
 
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use tc_clocks::Delta;
 
-/// How long a message spends in flight.
+/// How long a message spends in flight. Every model has a finite upper
+/// bound, which the oracles charge for.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
@@ -16,14 +18,6 @@ pub enum LatencyModel {
         lo: Delta,
         /// Maximum latency.
         hi: Delta,
-    },
-    /// Exponentially distributed with the given mean, clamped to `min` —
-    /// the long-tail model for WAN links.
-    Exponential {
-        /// Mean of the distribution.
-        mean: Delta,
-        /// Lower clamp (propagation delay floor).
-        min: Delta,
     },
 }
 
@@ -41,82 +35,39 @@ impl LatencyModel {
                 assert!(lo <= hi, "uniform latency needs lo <= hi");
                 Delta::from_ticks(rng.gen_range(lo.ticks()..=hi.ticks()))
             }
-            LatencyModel::Exponential { mean, min } => {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let sampled = (-(u.ln()) * mean.ticks() as f64).round() as u64;
-                Delta::from_ticks(sampled.max(min.ticks()))
-            }
         }
     }
 
-    /// An upper bound on the sampled latency where one exists (`None` for
-    /// the unbounded exponential tail). Experiments use this to relate the
-    /// network to the Δ a protocol can honor.
+    /// The largest latency the model samples. Experiments use this to
+    /// relate the network to the Δ a protocol can honor.
     #[must_use]
-    pub fn upper_bound(&self) -> Option<Delta> {
+    pub fn upper_bound(&self) -> Delta {
         match *self {
-            LatencyModel::Constant(d) => Some(d),
-            LatencyModel::Uniform { hi, .. } => Some(hi),
-            LatencyModel::Exponential { .. } => None,
+            LatencyModel::Constant(d) => d,
+            LatencyModel::Uniform { hi, .. } => hi,
         }
     }
 }
 
 /// The full network configuration of a [`crate::World`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NetworkModel {
     /// Latency applied to every message.
     pub latency: LatencyModel,
-    /// Probability a message is silently dropped.
-    pub drop_probability: f64,
     /// Whether each ordered `(src, dst)` pair delivers in FIFO order
     /// (arrival times are clamped to be non-decreasing per channel).
     pub fifo: bool,
 }
 
 impl NetworkModel {
-    /// A perfectly reliable network with constant latency — the default for
-    /// protocol unit tests.
+    /// A constant-latency FIFO network — the default for protocol unit
+    /// tests.
     #[must_use]
     pub fn reliable(latency: Delta) -> Self {
         NetworkModel {
             latency: LatencyModel::Constant(latency),
-            drop_probability: 0.0,
             fifo: true,
         }
-    }
-
-    /// A LAN-ish profile: uniform 1–5 tick latency, no drops, FIFO.
-    #[must_use]
-    pub fn lan() -> Self {
-        NetworkModel {
-            latency: LatencyModel::Uniform {
-                lo: Delta::from_ticks(1),
-                hi: Delta::from_ticks(5),
-            },
-            drop_probability: 0.0,
-            fifo: true,
-        }
-    }
-
-    /// A WAN-ish profile: exponential latency (mean 50, floor 10), no
-    /// drops, non-FIFO.
-    #[must_use]
-    pub fn wan() -> Self {
-        NetworkModel {
-            latency: LatencyModel::Exponential {
-                mean: Delta::from_ticks(50),
-                min: Delta::from_ticks(10),
-            },
-            drop_probability: 0.0,
-            fifo: false,
-        }
-    }
-
-    /// Whether to drop the next message.
-    #[must_use]
-    pub fn drops(&self, rng: &mut StdRng) -> bool {
-        self.drop_probability > 0.0 && rng.gen_bool(self.drop_probability)
     }
 }
 
@@ -136,7 +87,7 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(m.sample(&mut r), Delta::from_ticks(9));
         }
-        assert_eq!(m.upper_bound(), Some(Delta::from_ticks(9)));
+        assert_eq!(m.upper_bound(), Delta::from_ticks(9));
     }
 
     #[test]
@@ -155,29 +106,7 @@ mod tests {
             seen_hi |= d.ticks() == 8;
         }
         assert!(seen_lo && seen_hi, "inclusive bounds should be reachable");
-        assert_eq!(m.upper_bound(), Some(Delta::from_ticks(8)));
-    }
-
-    #[test]
-    fn exponential_latency_respects_floor_and_mean() {
-        let m = LatencyModel::Exponential {
-            mean: Delta::from_ticks(100),
-            min: Delta::from_ticks(20),
-        };
-        let mut r = rng();
-        let mut sum = 0u64;
-        let n = 2000;
-        for _ in 0..n {
-            let d = m.sample(&mut r);
-            assert!(d.ticks() >= 20);
-            sum += d.ticks();
-        }
-        let mean = sum as f64 / n as f64;
-        assert!(
-            (70.0..160.0).contains(&mean),
-            "empirical mean {mean} too far from 100"
-        );
-        assert_eq!(m.upper_bound(), None);
+        assert_eq!(m.upper_bound(), Delta::from_ticks(8));
     }
 
     #[test]
@@ -190,7 +119,7 @@ mod tests {
         for _ in 0..50 {
             assert_eq!(m.sample(&mut r), Delta::from_ticks(4));
         }
-        assert_eq!(m.upper_bound(), Some(Delta::from_ticks(4)));
+        assert_eq!(m.upper_bound(), Delta::from_ticks(4));
     }
 
     #[test]
@@ -204,34 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn exponential_latency_clamps_to_min_when_mean_is_tiny() {
-        // With mean far below the floor, nearly every raw draw lands under
-        // `min`; the clamp must make the floor the sample, never less.
-        let m = LatencyModel::Exponential {
-            mean: Delta::from_ticks(1),
-            min: Delta::from_ticks(30),
-        };
-        let mut r = rng();
-        let mut clamped = 0;
-        for _ in 0..500 {
-            let d = m.sample(&mut r);
-            assert!(d.ticks() >= 30);
-            clamped += u64::from(d.ticks() == 30);
-        }
-        assert!(clamped >= 490, "only {clamped}/500 draws hit the floor");
-    }
-
-    #[test]
     fn sampling_is_deterministic_in_the_seed() {
         for m in [
             LatencyModel::Constant(Delta::from_ticks(7)),
             LatencyModel::Uniform {
                 lo: Delta::from_ticks(1),
                 hi: Delta::from_ticks(90),
-            },
-            LatencyModel::Exponential {
-                mean: Delta::from_ticks(50),
-                min: Delta::from_ticks(10),
             },
         ] {
             let mut a = StdRng::seed_from_u64(99);
@@ -250,30 +157,5 @@ mod tests {
         let first: Vec<Delta> = (0..200).map(|_| m.sample(&mut a)).collect();
         let second: Vec<Delta> = (0..200).map(|_| m.sample(&mut b)).collect();
         assert_ne!(first, second);
-    }
-
-    #[test]
-    fn drop_probability_zero_never_drops() {
-        let m = NetworkModel::reliable(Delta::from_ticks(1));
-        let mut r = rng();
-        assert!((0..100).all(|_| !m.drops(&mut r)));
-    }
-
-    #[test]
-    fn drop_probability_one_always_drops() {
-        let mut m = NetworkModel::lan();
-        m.drop_probability = 1.0;
-        let mut r = rng();
-        assert!((0..100).all(|_| m.drops(&mut r)));
-    }
-
-    #[test]
-    fn profiles_are_sane() {
-        assert!(NetworkModel::lan().fifo);
-        assert!(!NetworkModel::wan().fifo);
-        assert_eq!(
-            NetworkModel::reliable(Delta::from_ticks(2)).drop_probability,
-            0.0
-        );
     }
 }

@@ -1,5 +1,7 @@
-//! The simulation kernel: nodes, messages, timers, and per-node hardware
-//! clocks, all driven from one deterministic event queue.
+//! The simulation kernel: nodes, messages, timers, and per-node local
+//! clocks, all driven from one deterministic event queue. A local clock
+//! reads true time shifted by whatever [`crate::FaultKind::ClockSkew`] rule
+//! is in force for its node.
 
 use std::any::Any;
 use std::cmp::Ordering as CmpOrdering;
@@ -7,8 +9,8 @@ use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use tc_clocks::{Delta, DriftingClock, Epsilon, SyncedClock, Time};
+use rand::SeedableRng;
+use tc_clocks::{Delta, Time};
 
 use crate::fault::FaultPlan;
 use crate::metrics::names;
@@ -76,7 +78,6 @@ pub struct Context<'a, M> {
     node: NodeId,
     true_now: Time,
     local_now: Time,
-    epsilon: Epsilon,
     outbox: Vec<(NodeId, M)>,
     timers: Vec<(Delta, u64)>,
     metrics: &'a mut Metrics,
@@ -98,8 +99,10 @@ impl<'a, M> Context<'a, M> {
     }
 
     /// The node's *local clock* reading — what a real protocol would
-    /// timestamp with. Differs from [`Context::true_now`] by at most the
-    /// world's ε bound.
+    /// timestamp with. Equals [`Context::true_now`] shifted by the offset
+    /// of any [`crate::FaultKind::ClockSkew`] rule in force for this node,
+    /// so two nodes' readings differ by at most twice the plan's largest
+    /// offset ([`FaultPlan::max_abs_skew`]).
     #[must_use]
     pub fn local_now(&self) -> Time {
         self.local_now
@@ -112,14 +115,9 @@ impl<'a, M> Context<'a, M> {
         self.true_now
     }
 
-    /// The guaranteed clock-synchronization bound ε of this world.
-    #[must_use]
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
     /// Sends `msg` to `to` (delivered after the network's latency, unless
-    /// dropped). Messages to self are also routed through the network.
+    /// a fault-plan rule kills it). Messages to self are also routed
+    /// through the network.
     pub fn send(&mut self, to: NodeId, msg: M) {
         self.metrics.incr(names::MESSAGE);
         self.outbox.push((to, msg));
@@ -142,64 +140,22 @@ impl<'a, M> Context<'a, M> {
     }
 }
 
-/// Per-node hardware clock configuration.
-#[derive(Clone, Debug, PartialEq)]
-pub enum ClockConfig {
-    /// Every node reads true time (ε = 0) — Definition 1's setting.
-    Perfect,
-    /// Drifting clocks resynchronized periodically — Definition 2's
-    /// setting. Drift and initial offsets are sampled per node.
-    Synced {
-        /// Maximum absolute drift in ppm (sampled in `[-max, max]`).
-        max_drift_ppm: f64,
-        /// Maximum absolute initial offset in ticks.
-        max_initial_offset: i64,
-        /// One-way error of each resynchronization, in ticks.
-        sync_error: u64,
-        /// Interval between resynchronizations.
-        sync_interval: Delta,
-    },
-}
-
-impl ClockConfig {
-    /// The pairwise divergence bound ε this configuration guarantees.
-    #[must_use]
-    pub fn epsilon(&self) -> Epsilon {
-        match *self {
-            ClockConfig::Perfect => Epsilon::ZERO,
-            ClockConfig::Synced {
-                max_drift_ppm,
-                sync_error,
-                sync_interval,
-                ..
-            } => {
-                let drift_term =
-                    (max_drift_ppm.abs() * 1e-6 * sync_interval.ticks() as f64).ceil() as u64;
-                Epsilon::from_ticks(2 * (sync_error + drift_term))
-            }
-        }
-    }
-}
-
 /// World-level configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct WorldConfig {
     /// The network model.
     pub net: NetworkModel,
-    /// The clock model.
-    pub clock: ClockConfig,
-    /// Seed for every random choice (latencies, drops, drifts, workloads).
+    /// Seed for every random choice (latencies, workloads; fault rules
+    /// draw from a stream derived from it).
     pub seed: u64,
 }
 
 impl WorldConfig {
-    /// Reliable constant-latency network, perfect clocks — the protocol
-    /// unit-test default.
+    /// Constant-latency FIFO network — the protocol unit-test default.
     #[must_use]
     pub fn deterministic(latency: Delta, seed: u64) -> Self {
         WorldConfig {
             net: NetworkModel::reliable(latency),
-            clock: ClockConfig::Perfect,
             seed,
         }
     }
@@ -285,7 +241,6 @@ impl<M> Ord for Event<M> {
 pub struct World<M> {
     config: WorldConfig,
     procs: Vec<Option<Box<dyn Process<Msg = M>>>>,
-    clocks: Vec<Option<SyncedClock>>,
     queue: BinaryHeap<Event<M>>,
     now: Time,
     seq: u64,
@@ -293,7 +248,6 @@ pub struct World<M> {
     metrics: Metrics,
     fifo_last: HashMap<(NodeId, NodeId), Time>,
     link_overrides: HashMap<(usize, usize), NetworkModel>,
-    epsilon: Epsilon,
     started: bool,
     faults: FaultPlan,
     fault_rng: StdRng,
@@ -307,11 +261,9 @@ impl<M: Clone + 'static> World<M> {
     pub fn new(config: WorldConfig) -> Self {
         let rng = StdRng::seed_from_u64(config.seed);
         let fault_rng = StdRng::seed_from_u64(config.seed ^ FAULT_SEED_XOR);
-        let epsilon = config.clock.epsilon();
         World {
             config,
             procs: Vec::new(),
-            clocks: Vec::new(),
             queue: BinaryHeap::new(),
             now: Time::ZERO,
             seq: 0,
@@ -319,7 +271,6 @@ impl<M: Clone + 'static> World<M> {
             metrics: Metrics::new(),
             fifo_last: HashMap::new(),
             link_overrides: HashMap::new(),
-            epsilon,
             started: false,
             faults: FaultPlan::none(),
             fault_rng,
@@ -356,8 +307,8 @@ impl<M: Clone + 'static> World<M> {
     }
 
     /// Overrides the network model for the directed link `from → to`
-    /// (node indices). Messages on that link sample latency, drops, and
-    /// FIFO behaviour from `model` instead of the world default — how a
+    /// (node indices). Messages on that link sample latency and FIFO
+    /// behaviour from `model` instead of the world default — how a
     /// geo topology gives its WAN pairs a different profile from the
     /// intra-region fabric. Links without an override are untouched, so a
     /// world with no overrides behaves byte-identically to one built
@@ -384,24 +335,6 @@ impl<M: Clone + 'static> World<M> {
         assert!(!self.started, "nodes must be added before the world runs");
         let id = NodeId(self.procs.len());
         self.procs.push(Some(Box::new(proc)));
-        let clock = match self.config.clock {
-            ClockConfig::Perfect => None,
-            ClockConfig::Synced {
-                max_drift_ppm,
-                max_initial_offset,
-                sync_error,
-                sync_interval,
-            } => {
-                let drift = self.rng.gen_range(-max_drift_ppm..=max_drift_ppm);
-                let offset = self.rng.gen_range(-max_initial_offset..=max_initial_offset);
-                Some(SyncedClock::new(
-                    DriftingClock::new(drift, offset),
-                    sync_error,
-                    sync_interval,
-                ))
-            }
-        };
-        self.clocks.push(clock);
         self.incarnations.push(0);
         self.down.push(false);
         self.push_event(Time::ZERO, EventKind::Start(id));
@@ -412,12 +345,6 @@ impl<M: Clone + 'static> World<M> {
     #[must_use]
     pub fn now(&self) -> Time {
         self.now
-    }
-
-    /// The ε bound of this world's clocks.
-    #[must_use]
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
     }
 
     /// The shared metric bag.
@@ -478,38 +405,12 @@ impl<M: Clone + 'static> World<M> {
         self.queue.push(Event { time, seq, kind });
     }
 
-    fn local_reading(&mut self, node: NodeId) -> Time {
-        let base = self.base_reading(node);
+    fn local_reading(&self, node: NodeId) -> Time {
         let skew = self.faults.skew(self.now, node.0);
         if skew == 0 {
-            base
+            self.now
         } else {
-            Time::from_ticks((base.ticks() as i64).saturating_add(skew).max(0) as u64)
-        }
-    }
-
-    fn base_reading(&mut self, node: NodeId) -> Time {
-        let now = self.now;
-        match &mut self.clocks[node.0] {
-            None => now,
-            Some(clock) => {
-                if clock.due(now) {
-                    // Cristian-style sync: the server estimate is true time
-                    // plus a bounded random error.
-                    let err_bound = match self.config.clock {
-                        ClockConfig::Synced { sync_error, .. } => sync_error as i64,
-                        ClockConfig::Perfect => 0,
-                    };
-                    let err = if err_bound == 0 {
-                        0
-                    } else {
-                        self.rng.gen_range(-err_bound..=err_bound)
-                    };
-                    let estimate = Time::from_ticks((now.ticks() as i64 + err).max(0) as u64);
-                    clock.sync(now, estimate);
-                }
-                clock.read(now)
-            }
+            Time::from_ticks((self.now.ticks() as i64).saturating_add(skew).max(0) as u64)
         }
     }
 
@@ -556,7 +457,6 @@ impl<M: Clone + 'static> World<M> {
             node,
             true_now: self.now,
             local_now,
-            epsilon: self.epsilon,
             outbox: Vec::new(),
             timers: Vec::new(),
             metrics: &mut self.metrics,
@@ -576,17 +476,12 @@ impl<M: Clone + 'static> World<M> {
                 continue;
             }
             // Per-link override, if one is installed for this (from, to)
-            // pair; cloning the small model avoids holding a borrow of
-            // `self` across the RNG draws below.
-            let net = self
+            // pair; copying the small model avoids holding a borrow of
+            // `self` across the RNG draw below.
+            let net = *self
                 .link_overrides
                 .get(&(node.0, to.0))
-                .unwrap_or(&self.config.net)
-                .clone();
-            if net.drops(&mut self.rng) {
-                self.metrics.incr(names::DROPPED);
-                continue;
-            }
+                .unwrap_or(&self.config.net);
             let latency = net.latency.sample(&mut self.rng);
             let mut arrival = self.now + latency;
             if net.fifo {
@@ -706,10 +601,8 @@ mod tests {
                     lo: Delta::from_ticks(1),
                     hi: Delta::from_ticks(50),
                 },
-                drop_probability: 0.0,
                 fifo: true,
             },
-            clock: ClockConfig::Perfect,
             seed: 11,
         };
         let mut w: World<u32> = World::new(cfg);
@@ -737,10 +630,8 @@ mod tests {
                         lo: Delta::from_ticks(1),
                         hi: Delta::from_ticks(100),
                     },
-                    drop_probability: 0.0,
                     fifo: false,
                 },
-                clock: ClockConfig::Perfect,
                 seed,
             };
             let mut w: World<u32> = World::new(cfg);
@@ -762,12 +653,21 @@ mod tests {
         assert!(reordered, "non-FIFO network never reordered in 50 seeds");
     }
 
+    fn wide_non_fifo() -> NetworkModel {
+        NetworkModel {
+            latency: crate::LatencyModel::Uniform {
+                lo: Delta::from_ticks(10),
+                hi: Delta::from_ticks(200),
+            },
+            fifo: false,
+        }
+    }
+
     #[test]
     fn runs_are_deterministic_in_seed() {
         let run = |seed: u64| -> Vec<(Time, u32)> {
             let cfg = WorldConfig {
-                net: NetworkModel::wan(),
-                clock: ClockConfig::Perfect,
+                net: wide_non_fifo(),
                 seed,
             };
             let mut w: World<u32> = World::new(cfg);
@@ -778,72 +678,6 @@ mod tests {
         };
         assert_eq!(run(5), run(5));
         assert_ne!(run(5), run(6));
-    }
-
-    #[test]
-    fn drops_suppress_delivery() {
-        let cfg = WorldConfig {
-            net: NetworkModel {
-                latency: crate::LatencyModel::Constant(Delta::from_ticks(1)),
-                drop_probability: 1.0,
-                fifo: true,
-            },
-            clock: ClockConfig::Perfect,
-            seed: 1,
-        };
-        let mut w: World<u32> = World::new(cfg);
-        let b = w.add_node(Counter::new(None));
-        let _a = w.add_node(Counter::new(Some(b)));
-        w.run_until(Time::from_ticks(100));
-        assert!(w.node::<Counter>(b).unwrap().received.is_empty());
-        assert_eq!(w.metrics().get("dropped"), 3);
-    }
-
-    #[test]
-    fn synced_clocks_stay_within_epsilon() {
-        struct ClockProbe {
-            readings: Vec<(Time, Time)>,
-        }
-        impl Process for ClockProbe {
-            type Msg = ();
-            fn on_start(&mut self, ctx: &mut Context<'_, ()>) {
-                ctx.set_timer(Delta::from_ticks(50), 0);
-            }
-            fn on_message(&mut self, _ctx: &mut Context<'_, ()>, _f: NodeId, _m: ()) {}
-            fn on_timer(&mut self, ctx: &mut Context<'_, ()>, _t: u64) {
-                self.readings.push((ctx.true_now(), ctx.local_now()));
-                if ctx.true_now() < Time::from_ticks(50_000) {
-                    ctx.set_timer(Delta::from_ticks(50), 0);
-                }
-            }
-        }
-        let cfg = WorldConfig {
-            net: NetworkModel::reliable(Delta::from_ticks(1)),
-            clock: ClockConfig::Synced {
-                max_drift_ppm: 200.0,
-                max_initial_offset: 40,
-                sync_error: 5,
-                sync_interval: Delta::from_ticks(1_000),
-            },
-            seed: 9,
-        };
-        let eps = cfg.clock.epsilon();
-        let mut w: World<()> = World::new(cfg);
-        let a = w.add_node(ClockProbe { readings: vec![] });
-        let b = w.add_node(ClockProbe { readings: vec![] });
-        w.run_until(Time::from_ticks(60_000));
-        let ra = &w.node::<ClockProbe>(a).unwrap().readings;
-        let rb = &w.node::<ClockProbe>(b).unwrap().readings;
-        assert!(!ra.is_empty() && ra.len() == rb.len());
-        for ((t1, l1), (t2, l2)) in ra.iter().zip(rb) {
-            assert_eq!(t1, t2);
-            let div = l1.ticks().abs_diff(l2.ticks());
-            assert!(
-                div <= eps.ticks(),
-                "clock divergence {div} exceeds ε {} at {t1}",
-                eps.ticks()
-            );
-        }
     }
 
     #[test]
@@ -1010,8 +844,7 @@ mod tests {
     fn empty_fault_plan_does_not_perturb_the_run() {
         let run = |with_plan: bool| -> Vec<(Time, u32)> {
             let cfg = WorldConfig {
-                net: NetworkModel::wan(),
-                clock: ClockConfig::Perfect,
+                net: wide_non_fifo(),
                 seed: 12,
             };
             let mut w: World<u32> = World::new(cfg);
@@ -1086,7 +919,7 @@ mod tests {
         let mut w: World<u32> = World::new(WorldConfig::deterministic(Delta::from_ticks(1), 2));
         let b = w.add_node(Counter::new(None));
         w.run_until(Time::from_ticks(10));
-        w.set_link_model(0, b.index(), NetworkModel::lan());
+        w.set_link_model(0, b.index(), NetworkModel::reliable(Delta::from_ticks(5)));
     }
 
     #[test]

@@ -16,17 +16,17 @@
 //! is ignored: every thread reads one shared epoch, so skewed-clock geo
 //! runs are a simulator scenario (DESIGN.md §17).
 
-use std::collections::HashMap;
 use std::sync::mpsc::{Receiver, Sender};
 use std::time::Instant;
 
 use tc_clocks::Delta;
+use tc_lifetime::engine::splitmix64;
 use tc_lifetime::geo::EGRESS_MAX_DELAY;
 use tc_lifetime::{GeoLayout, Msg, ProtocolConfig, RegionMap, WanProfile};
 use tc_sim::workload::Workload;
 use tc_sim::NodeId;
 
-use crate::jitter::{splitmix64, JitterRng};
+use crate::jitter::JitterRng;
 use crate::reactor::TimerSlack;
 use crate::runtime::{
     recv_by, run_channels, Inbound, RuntimeConfig, RuntimeResult, Shared, TickClock,
@@ -90,10 +90,8 @@ pub(crate) fn wan_courier(
 ) {
     let _slack = TimerSlack::pin();
     let mut rng = JitterRng::new(splitmix64(seed ^ 0x47454F)); // "GEO"
-    let mut wheel: TimerWheel<u64> = TimerWheel::new(&clock);
-    let mut due: Vec<u64> = Vec::new();
-    let mut payloads: HashMap<u64, WanPacket> = HashMap::new();
-    let mut seq: u64 = 0;
+    let mut wheel: TimerWheel<WanPacket> = TimerWheel::new(&clock);
+    let mut due: Vec<WanPacket> = Vec::new();
     let region = |node: NodeId| {
         layout
             .regions
@@ -102,10 +100,8 @@ pub(crate) fn wan_courier(
     };
     loop {
         wheel.pop_due_into(Instant::now(), &mut due);
-        for token in &due {
-            if let Some((from, to, msg)) = payloads.remove(token) {
-                let _ = node_txs[to.index()].send(Inbound::Msg(from, msg));
-            }
+        for (from, to, msg) in due.drain(..) {
+            let _ = node_txs[to.index()].send(Inbound::Msg(from, msg));
         }
         let Ok(received) = recv_by(rx, wheel.next_deadline()) else {
             break;
@@ -118,9 +114,7 @@ pub(crate) fn wan_courier(
         let delay = clock
             .delta_to_duration(Delta::from_ticks(ticks.max(1)))
             .expect("finite WAN latency");
-        seq += 1;
-        wheel.arm(Instant::now() + delay, seq);
-        payloads.insert(seq, (from, to, msg));
+        wheel.arm(Instant::now() + delay, (from, to, msg));
     }
     wheel.report(&mut shared.lock().metrics);
 }

@@ -1,16 +1,9 @@
-//! Deterministic jitter shared by the real-time drivers: the SplitMix64
-//! generator, the per-shard-link seed derivation the reactor's redial
-//! backoff draws from, and a tiny seedable stream the geo WAN courier
-//! draws its link latencies from.
+//! Deterministic jitter shared by the real-time drivers, over the
+//! engine's SplitMix64 ([`splitmix64`]): the per-shard-link seed
+//! derivation the reactor's redial backoff draws from, and a tiny
+//! seedable stream the geo WAN courier draws its link latencies from.
 
-/// SplitMix64 — deterministic, seedable, dependency-free; the same
-/// generator the simulator's RNG family bootstraps from.
-pub(crate) fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use tc_lifetime::engine::splitmix64;
 
 /// The jitter seed of the client reactor's link to one shard (every
 /// hosted site shares it): deterministic per run — identical

@@ -119,14 +119,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use tc_lifetime::control::{DeltaController, DeltaSchedule};
-use tc_lifetime::engine::{Effect, Event};
+use tc_lifetime::engine::{splitmix64, Effect, Event};
 use tc_lifetime::node::{execute, ClientCore, Host, Port, ShardCore};
 use tc_lifetime::Msg;
 use tc_sim::metrics::names;
 use tc_sim::{FaultKind, Metrics, NodeId, TraceRecorder};
 use tc_wire::{write_frame, WireMsg};
 
-use crate::jitter::{link_seed, splitmix64};
+use crate::jitter::link_seed;
 use crate::runtime::{
     build_shard_engine, controller, finish_run, refuse_unrenderable, site_core, RuntimeConfig,
     RuntimeResult, Telemetry, TickClock,
@@ -1388,44 +1388,5 @@ mod tests {
         let r = run_reactor(&cfg);
         assert_eq!(r.ops_done, 32 * 50);
         assert!(r.counter(names::REACTOR_POLLS) > 0, "no wait polled");
-    }
-
-    #[test]
-    fn reactor_kill_shard_over_wal_recovers_by_replay() {
-        use crate::runtime::tests::{assert_recovered_by_replay, temp_wal_dir};
-        use tc_lifetime::{DurabilityMode, FsyncPolicy};
-        use tc_sim::{FaultPlan, Window};
-        let wal = temp_wal_dir("reactor-killshard");
-        let mut cfg = small(
-            ProtocolKind::Tsc {
-                delta: Delta::from_ticks(400),
-            },
-            33,
-        );
-        cfg.ops_per_client = 200;
-        cfg.protocol = cfg.protocol.with_durability(DurabilityMode::Durable {
-            fsync: FsyncPolicy::PER_WRITE,
-        });
-        cfg.wal_dir = Some(wal.clone());
-        // Down during [300, 1300) ticks: 200 ops × ≥2 ticks think time
-        // cannot finish before tick 300, so the kill always lands mid-run;
-        // the link stays up throughout, only the engine dies.
-        cfg.faults = FaultPlan::none().kill_shard(Window::ticks(300, 1_300), 0);
-        assert_recovered_by_replay(&run_reactor(&cfg), 2 * 200);
-        let _ = std::fs::remove_dir_all(&wal);
-    }
-
-    #[test]
-    fn reactor_adaptive_controller_retunes_delta_online() {
-        use crate::runtime::tests::{assert_retuned_online, ADAPTIVE_BAND};
-        let mut cfg = small(
-            ProtocolKind::Tsc {
-                delta: Delta::from_ticks(4_000),
-            },
-            37,
-        );
-        cfg.ops_per_client = 100;
-        cfg.adaptive = Some(ADAPTIVE_BAND);
-        assert_retuned_online(&run_reactor(&cfg), 2 * 100);
     }
 }

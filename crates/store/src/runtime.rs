@@ -925,27 +925,37 @@ pub(crate) mod tests {
         ))
     }
 
+    type Driver = fn(&RuntimeConfig) -> RuntimeResult;
+
+    /// The two real drivers, each with its own seed.
+    const REAL_DRIVERS: [(Driver, u64); 2] = [(run_threaded, 23), (crate::run_reactor, 33)];
+
     #[test]
-    fn threaded_kill_shard_over_wal_recovers_by_replay() {
+    fn real_drivers_kill_shard_over_wal_recovers_by_replay() {
         use tc_lifetime::{DurabilityMode, FsyncPolicy};
-        let wal = temp_wal_dir("killshard");
-        let mut cfg = small(
-            ProtocolKind::Tsc {
-                delta: Delta::from_ticks(400),
-            },
-            23,
-        );
-        cfg.ops_per_client = 200;
-        cfg.protocol = cfg.protocol.with_durability(DurabilityMode::Durable {
-            fsync: FsyncPolicy::PER_WRITE,
-        });
-        cfg.wal_dir = Some(wal.clone());
-        // Down during [300, 1300) ticks: 200 ops × ≥2 ticks think time
-        // cannot finish before tick 300, so the kill always lands mid-run;
-        // MONITOR_SLACK (20 000 ticks) dwarfs the 1 000-tick outage.
-        cfg.faults = FaultPlan::none().kill_shard(Window::ticks(300, 1_300), 0);
-        assert_recovered_by_replay(&run_threaded(&cfg), 2 * 200);
-        let _ = std::fs::remove_dir_all(&wal);
+        for (run, seed) in REAL_DRIVERS {
+            // One WAL directory per driver.
+            let wal = temp_wal_dir(&format!("killshard-{seed}"));
+            let mut cfg = small(
+                ProtocolKind::Tsc {
+                    delta: Delta::from_ticks(400),
+                },
+                seed,
+            );
+            cfg.ops_per_client = 200;
+            cfg.protocol = cfg.protocol.with_durability(DurabilityMode::Durable {
+                fsync: FsyncPolicy::PER_WRITE,
+            });
+            cfg.wal_dir = Some(wal.clone());
+            // Down during [300, 1300) ticks: 200 ops × ≥2 ticks think time
+            // cannot finish before tick 300, so the kill always lands
+            // mid-run; MONITOR_SLACK (20 000 ticks) dwarfs the 1 000-tick
+            // outage. On the reactor the link stays up throughout, only
+            // the engine dies.
+            cfg.faults = FaultPlan::none().kill_shard(Window::ticks(300, 1_300), 0);
+            assert_recovered_by_replay(&run(&cfg), 2 * 200);
+            let _ = std::fs::remove_dir_all(&wal);
+        }
     }
 
     /// A flat partition is the route's one check: every send between
@@ -1082,19 +1092,21 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn threaded_adaptive_controller_retunes_delta_online() {
+    fn real_drivers_adaptive_controller_retunes_delta_online() {
         // A deliberately loose base Δ (4 000 ticks = 200 ms at the 50 µs
         // tick) gives the controller real distance to close even under CI
         // scheduling jitter.
-        let mut cfg = small(
-            ProtocolKind::Tsc {
-                delta: Delta::from_ticks(4_000),
-            },
-            41,
-        );
-        cfg.ops_per_client = 150;
-        cfg.adaptive = Some(ADAPTIVE_BAND);
-        assert_retuned_online(&run_threaded(&cfg), 2 * 150);
+        for (run, seed) in REAL_DRIVERS {
+            let mut cfg = small(
+                ProtocolKind::Tsc {
+                    delta: Delta::from_ticks(4_000),
+                },
+                seed,
+            );
+            cfg.ops_per_client = 150;
+            cfg.adaptive = Some(ADAPTIVE_BAND);
+            assert_retuned_online(&run(&cfg), 2 * 150);
+        }
     }
 
     /// Both real drivers refuse an inverted band before they start a
@@ -1104,7 +1116,7 @@ pub(crate) mod tests {
         let mut cfg = small(ProtocolKind::Tsc { delta: Delta::ZERO }, 41);
         let inverted = ControllerConfig::new(Delta::from_ticks(2), Delta::ZERO, Delta::ZERO);
         cfg.adaptive = Some(inverted);
-        for run in [run_threaded, crate::run_reactor] {
+        for (run, _) in REAL_DRIVERS {
             assert!(std::panic::catch_unwind(|| run(&cfg)).is_err());
         }
     }

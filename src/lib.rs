@@ -5,11 +5,11 @@
 //! re-exported here as one facade:
 //!
 //! * [`clocks`] — logical clocks (Lamport, vector, plausible), ξ-maps, and
-//!   physical-clock models with an ε synchronization bound.
+//!   physical time with an ε synchronization bound.
 //! * [`core`] — operations, histories, serializations, and checkers for
 //!   LIN, SC, CC and the paper's timed criteria TSC / TCC.
-//! * [`sim`] — a deterministic discrete-event simulator (network, drifting
-//!   clocks, workloads).
+//! * [`sim`] — a deterministic discrete-event simulator (network, one fault
+//!   plan for loss and clock skew, workloads).
 //! * [`lifetime`] — the §5 lifetime-based consistency protocols (SC, TSC,
 //!   CC, TCC, and the logical-clock TCC approximation).
 //! * [`store`] — the real-time drivers of those protocols (threads over

@@ -222,9 +222,9 @@ fn every_fault_class_actually_fires() {
     }
 }
 
-/// The skew spike must show up in the run's *effective* ε (the world ε
-/// plus twice the largest injected offset) — that widened ε is what makes
-/// Definition 2's checks sound under the spike.
+/// The skew spike must show up in the run's *effective* ε (twice the
+/// largest injected offset) — that widened ε is what makes Definition 2's
+/// checks sound under the spike.
 #[test]
 fn skew_spike_widens_the_effective_epsilon() {
     let plan = FaultPlan::none().with(

@@ -1,18 +1,20 @@
 //! Cross-crate conformance: the §5 lifetime protocols, run on the
 //! simulator, produce executions that the §2–3 checkers accept — across
-//! protocols, policies, propagation modes, network models and clock
-//! models.
+//! protocols, policies, propagation modes, network models, and a fault
+//! plan's loss and clock skew.
 
 use timed_consistency::clocks::{Delta, Epsilon};
 use timed_consistency::core::checker::{
     check_on_time, min_delta, satisfies_ccv, satisfies_sc_with, Outcome, SearchOptions,
 };
 use timed_consistency::lifetime::{
-    run, Propagation, ProtocolConfig, ProtocolKind, RunConfig, StalePolicy,
+    run, run_with_faults, Propagation, ProtocolConfig, ProtocolKind, RunConfig, StalePolicy,
 };
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
-use timed_consistency::sim::{ClockConfig, LatencyModel, NetworkModel, WorldConfig};
+use timed_consistency::sim::{
+    FaultKind, FaultPlan, LatencyModel, NetworkModel, Scope, Window, WorldConfig,
+};
 
 fn config(kind: ProtocolKind, seed: u64) -> RunConfig {
     RunConfig {
@@ -116,24 +118,32 @@ fn timed_protocols_bound_staleness_under_lossy_wan_and_skewed_clocks() {
     let delta = Delta::from_ticks(300);
     for seed in 0..4 {
         let mut cfg = config(ProtocolKind::Tsc { delta }, seed);
-        cfg.world = WorldConfig {
-            net: NetworkModel {
-                latency: LatencyModel::Uniform {
-                    lo: Delta::from_ticks(2),
-                    hi: Delta::from_ticks(20),
-                },
-                drop_probability: 0.03,
-                fifo: true,
+        cfg.world.net = NetworkModel {
+            latency: LatencyModel::Uniform {
+                lo: Delta::from_ticks(2),
+                hi: Delta::from_ticks(20),
             },
-            clock: ClockConfig::Synced {
-                max_drift_ppm: 150.0,
-                max_initial_offset: 25,
-                sync_error: 4,
-                sync_interval: Delta::from_ticks(1_500),
-            },
-            seed,
+            fifo: true,
         };
-        let r = run(&cfg);
+        // 3 % loss for the whole run, and each client's clock (nodes 1..=3)
+        // off true time by up to 5 ticks: ε = 10.
+        let plan = [(1, 5), (2, -5), (3, 3)].into_iter().fold(
+            FaultPlan::none().with(
+                Window::always(),
+                Scope::All,
+                FaultKind::Drop { probability: 0.03 },
+            ),
+            |plan, (node, offset)| {
+                plan.with(
+                    Window::always(),
+                    Scope::All,
+                    FaultKind::ClockSkew { node, offset },
+                )
+            },
+        );
+        let r = run_with_faults(&cfg, plan);
+        assert_eq!(r.epsilon, Epsilon::from_ticks(10));
+        assert!(r.counter(names::FAULT_DROPPED) > 0, "the plan must drop");
         assert_eq!(r.history.len(), 150, "retries must mask drops");
         // Staleness bound: Δ + retransmission window + 2ε + rounding. A
         // dropped validate reply can delay freshness by one retry period.
