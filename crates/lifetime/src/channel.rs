@@ -133,6 +133,12 @@ impl<T> SendWindow<T> {
         self.unacked.front().map(|u| &u.item)
     }
 
+    /// The newest item not yet acked.
+    #[must_use]
+    pub fn newest(&self) -> Option<&T> {
+        self.unacked.back().map(|u| &u.item)
+    }
+
     /// The number the next [`push`](Self::push) gives its item.
     #[must_use]
     pub fn next_seq(&self) -> u64 {

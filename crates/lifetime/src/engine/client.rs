@@ -37,22 +37,22 @@ struct CausalWrite {
     issued_at: Time,
     /// The owning shard (index into `servers`).
     shard: usize,
-    /// The client drains after this write, so it asks for the ack at
+    /// The client will wait on this write's ack, so it asks for it at
     /// once ([`Msg::WriteReqCausal`]'s `ack_now`).
     ack_now: bool,
 }
 
 impl CausalWrite {
     /// The write as number `shard_seq` of this client's stream to its
-    /// shard.
-    fn wire(&self, shard_seq: u64) -> Msg {
+    /// shard, asking for its ack at once if `ack_now`.
+    fn wire(&self, shard_seq: u64, ack_now: bool) -> Msg {
         Msg::WriteReqCausal {
             object: self.object,
             value: self.value,
             alpha_v: self.alpha_v.clone(),
             issued_at: self.issued_at,
             shard_seq,
-            ack_now: self.ack_now,
+            ack_now,
         }
     }
 }
@@ -324,11 +324,13 @@ impl ClientEngine {
 
     fn plan_next(&mut self, io: &mut impl Inputs, out: &mut Vec<Effect>) {
         if self.finished() {
+            self.ask_for_acks(out);
             return;
         }
         if self.migration_due() {
             // Drain instead of issuing: the workload resumes (from the
             // same position) once the attach confirms.
+            self.ask_for_acks(out);
             self.maybe_attach(out);
             return;
         }
@@ -509,6 +511,12 @@ impl ClientEngine {
             // other shard's write is unacked (immediately, with one
             // shard).
             let shard = self.shard_map.shard_of(object);
+            // The client waits on this write's ack if it drains right
+            // after it, when no later request would carry the ack home,
+            // and wherever the cross-shard barrier may hold a later write
+            // for it, that is with more than one shard. Otherwise the ack
+            // rides on a reply, or goes alone well before the resend.
+            let ack_now = self.servers.len() > 1 || self.drains_at(self.ops_done + 1);
             self.own_writes
                 .insert(object, (value, alpha_v.clone(), t_loc));
             self.deferred.push_back(CausalWrite {
@@ -517,9 +525,7 @@ impl ClientEngine {
                 alpha_v: alpha_v.clone(),
                 issued_at: t_loc,
                 shard,
-                // The client waits on this write's ack if it drains right
-                // after it: no later request would carry the ack home.
-                ack_now: self.drains_at(self.ops_done + 1),
+                ack_now,
             });
             self.ship_deferred(out);
             if !self.deferred.is_empty() {
@@ -571,14 +577,40 @@ impl ClientEngine {
             let window = &mut self.windows[shard];
             out.push(Effect::Send {
                 to: self.servers[shard],
-                msg: w.wire(window.next_seq()),
+                msg: w.wire(window.next_seq(), w.ack_now),
             });
             window.push(w, now, out);
         }
     }
 
+    /// The client stops issuing — its workload is over, or its migration
+    /// falls due — and so waits on every unacked write. The newest write
+    /// in a send window was flagged `ack_now` if the client drained right
+    /// after it, and then its ack is on its way. Otherwise no request of
+    /// this client will carry the shard's cursor home, so the client asks
+    /// for it: it validates that write's object under epoch 0, which
+    /// answers no operation, and the reply carries the owed ack a round
+    /// trip later instead of half a resend interval.
+    fn ask_for_acks(&self, out: &mut Vec<Effect>) {
+        for (window, &to) in self.windows.iter().zip(&self.servers) {
+            if let Some(w) = window.newest().filter(|w| !w.ack_now) {
+                out.push(Effect::metric(names::CAUSAL_ACK_ASKED));
+                out.push(Effect::Send {
+                    to,
+                    msg: Msg::ValidateReq {
+                        object: w.object,
+                        value: w.value,
+                        epoch: 0,
+                    },
+                });
+            }
+        }
+    }
+
     /// A resend deadline fired: each send window it belongs to resends
-    /// its overdue writes (idempotent at the shard).
+    /// its overdue writes (idempotent at the shard). A resent write asks
+    /// for its ack at once: its writer has waited a whole resend interval
+    /// for it, or been told it is missing.
     fn on_resend_timer(&mut self, token: u64, out: &mut Vec<Effect>) {
         let now = self.now().truth;
         for (window, &to) in self.windows.iter_mut().zip(&self.servers) {
@@ -586,7 +618,7 @@ impl ClientEngine {
                 out.push(Effect::metric(names::CAUSAL_RETRANSMIT));
                 out.push(Effect::Send {
                     to,
-                    msg: w.wire(shard_seq),
+                    msg: w.wire(shard_seq, true),
                 });
             });
         }
@@ -835,6 +867,8 @@ impl ClientEngine {
                     self.complete(io, out);
                 }
             }
+            // The answer to `ask_for_acks`: its cursor was applied above.
+            Msg::ValidateRep { epoch: 0, .. } => {}
             Msg::ValidateRep {
                 object,
                 outcome,

@@ -47,7 +47,7 @@ mod server;
 mod shard;
 
 pub use client::ClientEngine;
-pub use server::{ServerEngine, ACK_DELAY, TIMER_WAL_FLUSH};
+pub use server::{ServerEngine, TIMER_WAL_FLUSH};
 pub use shard::{splitmix64, ShardMap};
 
 /// Timer token for "issue the next planned operation". Exposed so drivers
@@ -77,7 +77,8 @@ pub const TIMER_GEO_FLUSH_BASE: u64 = 1 << 60;
 
 /// Base of the server's per-client ack deadline tokens: the causal ack a
 /// shard owes client node `c` goes standalone on token
-/// `TIMER_ACK_BASE + c` if no reply carried it first ([`ACK_DELAY`]).
+/// `TIMER_ACK_BASE + c` if no reply carried it first
+/// ([`ServerEngine::ack_wait`]).
 /// Above the geo flush range, below the [`TIMER_RESEND`] range.
 pub const TIMER_ACK_BASE: u64 = 1 << 61;
 

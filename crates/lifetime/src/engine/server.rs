@@ -26,7 +26,9 @@
 //! is the stream's cursor. Causal write acks are cumulative and *owed*:
 //! where a physical ack would ship, the shard instead owes the writer that
 //! cursor. The next reply to that site carries it; only if none leaves
-//! within [`ACK_DELAY`] does a standalone [`Msg::WriteAckCausal`] go out.
+//! within half the writer's resend interval ([`ServerEngine::ack_wait`])
+//! does a standalone [`Msg::WriteAckCausal`] go out, and a write its
+//! writer waits on (`ack_now`) is acked at once.
 
 use std::collections::BTreeSet;
 
@@ -45,15 +47,6 @@ use crate::{Propagation, ProtocolConfig};
 /// The timer token a shard arms for a deadline-batched WAL fsync
 /// ([`crate::FsyncPolicy::max_delay`]), above every resend deadline.
 pub const TIMER_WAL_FLUSH: u64 = u64::MAX;
-
-/// How long a causal ack a shard owes a site waits for a reply to that
-/// site to ride on before it leaves as a standalone
-/// [`Msg::WriteAckCausal`]. A closed-loop site issues its next operation a
-/// tick after a write, so four ticks put nearly every ack on the site's
-/// next reply (DESIGN.md §8 and EXPERIMENTS.md give the measured curve).
-/// The cross-shard write barrier is the one place a client waits on an
-/// ack, and the conformance oracle charges this delay there.
-pub const ACK_DELAY: Delta = Delta::from_ticks(4);
 
 /// The timer token on which the ack owed to `client` falls due.
 fn ack_token(client: NodeId) -> u64 {
@@ -104,8 +97,9 @@ struct OwedAck {
     /// Every write of the client to this shard with `shard_seq <= upto` is
     /// durable here.
     upto: u64,
-    /// True time at which the ack leaves on its own, [`ACK_DELAY`] after
-    /// it was first owed, unless a reply carried it first.
+    /// True time at which the ack leaves on its own,
+    /// [`ServerEngine::ack_wait`] after it was first owed, unless a reply
+    /// carried it first.
     due: Time,
 }
 
@@ -488,13 +482,20 @@ impl ServerEngine {
 
     /// Releases a write ack now if its record is durable, else holds it
     /// until the covering sync. (With the in-memory store `pending()` is
-    /// always zero, so acks always release inline.)
+    /// always zero, so acks always release inline.) A writer that waits on
+    /// a held ack is sent what is already durable at once: the ack owed
+    /// to it, which a crash before the sync would otherwise lose.
     fn ship_or_defer(&mut self, to: NodeId, ack: Ack, out: &mut Vec<Effect>) {
         if self.store.pending() == 0 {
             self.release(to, ack, out);
-        } else {
-            self.deferred_acks.push((to, ack));
+            return;
         }
+        if matches!(ack, Ack::Causal { at_once: true, .. }) {
+            if let Some(owed) = self.take_owed(to) {
+                Self::send_ack(to, owed.upto, out);
+            }
+        }
+        self.deferred_acks.push((to, ack));
     }
 
     /// Lets an ack whose records are durable go: a causal one becomes
@@ -517,11 +518,43 @@ impl ServerEngine {
         }
     }
 
+    /// How long an owed causal ack waits for a reply to its site to ride
+    /// on before it leaves alone: half the writer's resend interval
+    /// ([`ProtocolConfig::retry_after`], which the handshake makes the same
+    /// at both ends). The writer resends a write `retry_after` past its
+    /// last send, and the wait starts only once the write is applied and
+    /// durable here, so the other half is left for the write's flight, the
+    /// covering fsync and the ack's flight: a fault-free run resends
+    /// nothing. A writer that needs the ack sooner flags the write
+    /// (`ack_now`), and then it leaves at once.
+    #[must_use]
+    pub fn ack_wait(&self) -> Delta {
+        let retry = self.config.retry_after;
+        if retry.is_infinite() {
+            retry
+        } else {
+            Delta::from_ticks(retry.ticks() / 2)
+        }
+    }
+
+    /// `client` asked for its acks (an epoch-0 validation: it drains with
+    /// writes unacked). The ack owed rides on the answer; the ones still
+    /// held for an fsync leave as soon as it lands instead of being owed.
+    fn hasten_held_acks(&mut self, client: NodeId) {
+        let held = self.deferred_acks.iter_mut().filter(|(to, _)| *to == client);
+        for (_, ack) in held {
+            if let Ack::Causal { at_once, .. } = ack {
+                *at_once = true;
+            }
+        }
+    }
+
     /// Owes `client` a cumulative ack up to `upto`. The first ack owed
-    /// since the last one left arms its [`ACK_DELAY`] deadline; a later
-    /// one only raises the cursor and keeps that deadline.
+    /// since the last one left arms its [`Self::ack_wait`] deadline; a
+    /// later one only raises the cursor and keeps that deadline.
     fn owe(&mut self, client: NodeId, upto: u64, out: &mut Vec<Effect>) {
-        let due = self.truth().saturating_add_delta(ACK_DELAY);
+        let wait = self.ack_wait();
+        let due = self.truth().saturating_add_delta(wait);
         let i = client.index();
         if i >= self.owed.len() {
             self.owed.resize_with(i + 1, || None);
@@ -531,7 +564,7 @@ impl ServerEngine {
             slot @ None => {
                 *slot = Some(OwedAck { upto, due });
                 out.push(Effect::SetTimer {
-                    after: ACK_DELAY,
+                    after: wait,
                     token: ack_token(client),
                 });
             }
@@ -662,6 +695,9 @@ impl ServerEngine {
                     name: names::SERVER_VALIDATE,
                     add: 1,
                 });
+                if epoch == 0 {
+                    self.hasten_held_acks(from);
+                }
                 let current = self.current(object);
                 let outcome = if current.value == value {
                     ValidateOutcome::StillValid
@@ -1032,6 +1068,11 @@ mod tests {
         }
     }
 
+    /// The owed-ack wait of a shard over [`cfg`], in ticks.
+    fn wait() -> u64 {
+        ServerEngine::new(cfg()).ack_wait().ticks()
+    }
+
     /// The ack deadline of client node 1.
     fn ack_due() -> Event {
         Event::Timer {
@@ -1238,7 +1279,7 @@ mod tests {
         let out = drive_at(&mut s, 101, causal_write(1));
         assert_eq!(s.writes_applied(), 1, "duplicate not re-applied");
         assert!(sent(&out).is_empty(), "its ack is owed, not sent");
-        let out = drive_at(&mut s, 104, ack_due());
+        let out = drive_at(&mut s, 100 + wait(), ack_due());
         assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 1 }]);
     }
 
@@ -1250,18 +1291,20 @@ mod tests {
         let out = drive_at(&mut s, 100, causal_write(1));
         assert!(sent(&out).is_empty());
         assert!(out.contains(&Effect::SetTimer {
-            after: ACK_DELAY,
+            after: s.ack_wait(),
             token: ack_token(NodeId::new(1)),
         }));
         assert!(s.timer_is_live(ack_token(NodeId::new(1))));
-        let out = drive_at(&mut s, 102, fetch());
+        // Far later than a closed-loop site's next request, but inside
+        // the wait: it still rides.
+        let out = drive_at(&mut s, 140, fetch());
         assert_eq!(acks(&out), [Some(1)]);
         assert_eq!(counted(&out, names::SERVER_ACK_PIGGYBACKED), 1);
         // Dead: a driver may drop it, and stepping it anyway does nothing.
         assert!(!s.timer_is_live(ack_token(NodeId::new(1))));
-        assert!(drive_at(&mut s, 104, ack_due()).is_empty());
+        assert!(drive_at(&mut s, 100 + wait(), ack_due()).is_empty());
         // Paid: the next reply carries nothing.
-        assert_eq!(acks(&drive_at(&mut s, 105, fetch())), [None]);
+        assert_eq!(acks(&drive_at(&mut s, 101 + wait(), fetch())), [None]);
     }
 
     /// A token below every shard range decodes to no timer: stepping it
@@ -1276,7 +1319,7 @@ mod tests {
         assert!(s.timer_is_live(ack_token(NodeId::new(1))));
     }
 
-    /// No reply within `ACK_DELAY`: the ack leaves on its own, cumulative
+    /// No reply within the wait: the ack leaves on its own, cumulative
     /// over every write owed since, at the first one's deadline.
     #[test]
     fn an_owed_ack_goes_standalone_at_its_deadline() {
@@ -1287,10 +1330,32 @@ mod tests {
             !out.iter().any(|e| matches!(e, Effect::SetTimer { .. })),
             "a second owed write keeps the first one's deadline"
         );
-        let out = drive_at(&mut s, 104, ack_due());
+        assert!(drive_at(&mut s, 99 + wait(), ack_due()).is_empty());
+        let out = drive_at(&mut s, 100 + wait(), ack_due());
         assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 2 }]);
         assert_eq!(counted(&out, names::SERVER_ACK_STANDALONE), 1);
-        assert_eq!(acks(&drive_at(&mut s, 105, fetch())), [None]);
+        assert_eq!(acks(&drive_at(&mut s, 101 + wait(), fetch())), [None]);
+    }
+
+    /// The wait is half the writer's resend interval, whatever the
+    /// configuration says that is, so the ack beats the resend; a writer
+    /// that never resends lets its acks wait for a reply or a flag.
+    #[test]
+    fn the_ack_wait_is_half_the_writers_resend_interval() {
+        assert_eq!(ServerEngine::new(cfg()).ack_wait(), Delta::from_ticks(250));
+        let mut quick = cfg();
+        quick.retry_after = Delta::from_ticks(120);
+        let mut s = ServerEngine::new(quick);
+        assert_eq!(s.ack_wait(), Delta::from_ticks(60));
+        drive_at(&mut s, 100, causal_write(1));
+        assert!(drive_at(&mut s, 159, ack_due()).is_empty());
+        assert_eq!(
+            sent(&drive_at(&mut s, 160, ack_due())),
+            [&Msg::WriteAckCausal { upto: 1 }]
+        );
+        let mut never = cfg();
+        never.retry_after = Delta::INFINITE;
+        assert!(ServerEngine::new(never).ack_wait().is_infinite());
     }
 
     /// A deadline armed for an ack a reply already carried fires while a
@@ -1302,8 +1367,8 @@ mod tests {
         drive_at(&mut s, 100, causal_write(1));
         assert_eq!(acks(&drive_at(&mut s, 101, fetch())), [Some(1)]);
         drive_at(&mut s, 102, causal_write(2));
-        assert!(drive_at(&mut s, 104, ack_due()).is_empty());
-        let out = drive_at(&mut s, 106, ack_due());
+        assert!(drive_at(&mut s, 100 + wait(), ack_due()).is_empty());
+        let out = drive_at(&mut s, 102 + wait(), ack_due());
         assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 2 }]);
     }
 
@@ -1324,7 +1389,12 @@ mod tests {
         let out = drive_at(&mut s, 101, last);
         assert_eq!(sent(&out), [&Msg::WriteAckCausal { upto: 2 }]);
         assert_eq!(counted(&out, names::SERVER_ACK_STANDALONE), 1);
-        assert!(drive_at(&mut s, 104, ack_due()).is_empty(), "nothing owed");
+        assert!(
+            !out.iter().any(|e| matches!(e, Effect::SetTimer { .. })),
+            "it leaves in the step that applies the write, on no timer"
+        );
+        let out = drive_at(&mut s, 100 + wait(), ack_due());
+        assert!(out.is_empty(), "nothing owed");
     }
 
     /// A write ahead of a gap is held: nothing is owed for it, the cursor
@@ -1392,6 +1462,37 @@ mod tests {
         drive_at(&mut s, 123, Event::Restart);
         assert!(drive_at(&mut s, 125, ack_due()).is_empty());
         assert_eq!(s.store.causal_cursor(1), 2, "write 3 died unacked");
+    }
+
+    /// A client draining with writes unacked asks for its acks with an
+    /// epoch-0 validation. Write 1 is still unsynced, so the answer
+    /// carries nothing, but its ack is no longer owed at the sync: it
+    /// leaves as soon as the fsync lands.
+    #[test]
+    fn an_epoch_0_validation_hastens_the_acks_its_client_waits_on() {
+        let fsync = FsyncPolicy {
+            max_pending: 8,
+            max_delay: Delta::from_ticks(20),
+        };
+        let mut s = ServerEngine::with_store(
+            durable_cfg(ProtocolKind::Cc, fsync),
+            Box::new(TailStore::default()),
+        );
+        drive_at(&mut s, 100, causal_write(1));
+        let ask = Event::Message {
+            from: NodeId::new(1),
+            msg: Msg::ValidateReq {
+                object: ObjectId::from_letter('X'),
+                value: Value::new(11),
+                epoch: 0,
+            },
+        };
+        assert_eq!(acks(&drive_at(&mut s, 101, ask)), [None], "unsynced");
+        let flush = Event::Timer {
+            token: TIMER_WAL_FLUSH,
+        };
+        let synced = drive_at(&mut s, 120, flush);
+        assert_eq!(sent(&synced), [&Msg::WriteAckCausal { upto: 1 }]);
     }
 
     /// A crash kills the geo egress timers but not the batches they

@@ -90,7 +90,9 @@ pub enum ValidateOutcome {
 /// shard sends that site ([`Msg::FetchRep`], [`Msg::ValidateRep`]; a
 /// [`Msg::WriteAck`] goes only to physical-family writers, who are never
 /// owed one), or leaves as a standalone [`Msg::WriteAckCausal`]
-/// once it has waited [`crate::engine::ACK_DELAY`]. An ack is a fact about
+/// once it has waited half the writer's resend interval
+/// ([`crate::ServerEngine::ack_wait`]), or at once for a write its writer
+/// waits on. An ack is a fact about
 /// the shard's store, not an answer to a request, so the client applies it
 /// whatever the reply's epoch.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -125,7 +127,10 @@ pub enum Msg {
         object: ObjectId,
         /// Value of the cached version.
         value: Value,
-        /// The client's request epoch (echoed in the reply).
+        /// The client's request epoch (echoed in the reply). Epoch 0
+        /// answers no operation: a client draining with causal writes
+        /// unacked sends it for its ack, which the reply carries if it is
+        /// owed, or which leaves as soon as the covering fsync lands.
         epoch: u64,
     },
     /// Server → client: validation verdict.
@@ -169,10 +174,12 @@ pub enum Msg {
         /// striped across an object-partitioned fleet. With one shard it
         /// equals the writer's own vector-clock entry.
         shard_seq: u64,
-        /// The writer drains after this write — it ends the writer's
-        /// workload, or a region migration falls due — and so will wait on
-        /// its ack. The shard sends that ack as soon as the write is
-        /// durable instead of holding it for a reply to ride on.
+        /// The writer will wait on this write's ack: it drains after this
+        /// write (its workload ends, or a region migration falls due), the
+        /// fleet has more than one shard (the cross-shard write barrier may
+        /// hold the writer's next write for it), or the write is a resend.
+        /// The shard sends that ack as soon as the write is durable instead
+        /// of holding it for a reply to ride on.
         ack_now: bool,
     },
     /// Server → client: physical-family write acknowledgement carrying the
@@ -187,8 +194,8 @@ pub enum Msg {
     },
     /// Server → client: a standalone cumulative causal-family write
     /// acknowledgement, sent when no reply to the site left within
-    /// [`crate::engine::ACK_DELAY`] of the ack being owed, or at once for
-    /// a write its writer waits on (`ack_now`). Purely a
+    /// [`crate::ServerEngine::ack_wait`] of the ack being owed, or at once
+    /// for a write its writer waits on (`ack_now`). Purely a
     /// retransmission stopper — the writes were already applied locally and
     /// recorded by the writer; the ack says every write of this site to the
     /// sending shard with `shard_seq <= upto` is durable there, so the

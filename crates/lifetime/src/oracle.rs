@@ -12,7 +12,7 @@
 //! The widened bound for a run with threshold Δ is
 //!
 //! ```text
-//! Δ + k·lat + 2·ε_eff + disruption + fsync_delay + ack_delay + slack
+//! Δ + k·lat + 2·ε_eff + disruption + fsync_delay + barrier + slack
 //! ```
 //!
 //! where `k` is the protocol's round-trip factor (2 for TSC, 4 for TCC —
@@ -28,13 +28,13 @@
 //! image only, so a write may stay invisible for up to one fsync deadline
 //! after the shard applied it — zero for the per-write policy, and zero
 //! for [`crate::DurabilityMode::Ephemeral`], whose store is durable
-//! instantly), `ack_delay` is [`crate::engine::ACK_DELAY`] for a causal run
-//! over more than one shard (a shard may hold a causal write's ack that
-//! long for a reply to ride on, and the client-side cross-shard write
-//! barrier — the one place a client waits on an ack — holds the next write
-//! to another shard until it arrives; with one shard nothing waits, and the
-//! term is zero), and `slack` absorbs the ±1 rounding of event scheduling
-//! and trace recording.
+//! instantly), `barrier` is the `fsync_delay` again for a causal run over
+//! more than one shard (the client-side cross-shard write barrier holds a
+//! write to another shard until its predecessor's ack arrives; there every
+//! causal write asks for its ack at once, so beyond the round trip in
+//! `k·lat` that ack waits only for the fsync covering the predecessor,
+//! and with one shard nothing waits: the term is zero), and `slack`
+//! absorbs the ±1 rounding of event scheduling and trace recording.
 //!
 //! Note what crash–restart does **not** add under the durable backend: a
 //! killed shard's recovery widens the bound only through `disruption` (the
@@ -59,7 +59,6 @@ use tc_core::checker::{
 };
 use tc_sim::FaultPlan;
 
-use crate::engine::ACK_DELAY;
 use crate::{ProtocolConfig, ProtocolKind, RunConfig, RunResult};
 
 /// The oracle's judgement of one run.
@@ -132,9 +131,11 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
     };
     let fsync_delay = fsync_delay(&config.protocol)?;
     // A causal write held by the cross-shard barrier waits for its
-    // predecessor's ack, which its shard may owe for up to ACK_DELAY.
-    let ack_delay = if config.protocol.kind.is_causal_family() && config.protocol.shards > 1 {
-        ACK_DELAY.ticks()
+    // predecessor's ack. The predecessor asked for it at once (with more
+    // than one shard every causal write does), so its shard holds it only
+    // until the covering fsync.
+    let barrier = if config.protocol.kind.is_causal_family() && config.protocol.shards > 1 {
+        fsync_delay
     } else {
         0
     };
@@ -145,7 +146,7 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
             + disruption.ticks()
             + retry
             + fsync_delay
-            + ack_delay
+            + barrier
             + 4,
     ))
 }
@@ -366,26 +367,41 @@ mod tests {
         assert_eq!(widened_bound(&config, &endless, Epsilon::ZERO), None);
     }
 
-    /// The ack wait is charged where a client can wait on an ack: a
-    /// causal run's cross-shard barrier. One shard has no barrier, and a
-    /// physical write's ack is never owed.
+    /// The barrier is charged where a client can wait on an ack: a causal
+    /// run's cross-shard barrier. There every write asks for its ack at
+    /// once, so the barrier costs its round trip and, over a durable store,
+    /// the fsync that releases the ack; over an ephemeral store nothing
+    /// more. One shard has no barrier, and a physical write's ack is never
+    /// owed.
     #[test]
-    fn widened_bound_charges_the_ack_delay_behind_the_write_barrier() {
+    fn widened_bound_charges_the_fsync_behind_the_write_barrier() {
+        use crate::{DurabilityMode, FsyncPolicy};
         let tcc = ProtocolKind::Tcc {
             delta: Delta::from_ticks(60),
         };
         let tsc = ProtocolKind::Tsc {
             delta: Delta::from_ticks(60),
         };
-        let bound = |kind, shards| {
+        let deadline = FsyncPolicy {
+            max_pending: 8,
+            max_delay: Delta::from_ticks(20),
+        };
+        let bound = |kind, shards, durable: bool| {
             let mut config = cfg(kind, 0);
             config.protocol = config.protocol.with_shards(shards);
+            if durable {
+                let fsync = deadline;
+                config.protocol = config
+                    .protocol
+                    .with_durability(DurabilityMode::Durable { fsync });
+            }
             widened_bound(&config, &FaultPlan::none(), Epsilon::ZERO)
                 .unwrap()
                 .ticks()
         };
-        assert_eq!(bound(tcc, 3), bound(tcc, 1) + ACK_DELAY.ticks());
-        assert_eq!(bound(tsc, 3), bound(tsc, 1));
+        assert_eq!(bound(tcc, 3, false), bound(tcc, 1, false));
+        assert_eq!(bound(tcc, 3, true), bound(tcc, 1, true) + 20);
+        assert_eq!(bound(tsc, 3, true), bound(tsc, 1, true));
     }
 
     #[test]

@@ -396,17 +396,22 @@ impl FaultPlan {
         Some(Delta::from_ticks(outage + lag))
     }
 
-    /// Largest absolute clock offset any skew rule can inject. The
-    /// effective pairwise clock bound ε of a run is *twice* this (both
-    /// endpoints of a pair may be skewed in opposite directions).
+    /// Largest absolute clock offset the skew rules inject into any one
+    /// node at any instant: the rules in force for a node add up
+    /// ([`FaultPlan::skew`]). The effective pairwise clock bound ε of a
+    /// run is *twice* this (both endpoints of a pair may be skewed in
+    /// opposite directions). A node's offset changes only where one of
+    /// its rules' windows opens or closes, so those edges are the only
+    /// instants to look at.
     #[must_use]
     pub fn max_abs_skew(&self) -> u64 {
         self.rules
             .iter()
-            .map(|r| match r.kind {
-                FaultKind::ClockSkew { offset, .. } => offset.unsigned_abs(),
-                _ => 0,
+            .filter_map(|r| match r.kind {
+                FaultKind::ClockSkew { node, .. } => Some((node, r.window)),
+                _ => None,
             })
+            .flat_map(|(node, w)| [w.from, w.until].map(|t| self.skew(t, node).unsigned_abs()))
             .max()
             .unwrap_or(0)
     }
@@ -492,6 +497,33 @@ mod tests {
         assert_eq!(plan.skew(Time::from_ticks(10), 1), 0);
         assert_eq!(plan.skew(Time::from_ticks(100), 2), 0);
         assert_eq!(plan.max_abs_skew(), 40);
+    }
+
+    /// Two same-sign rules overlapping on one node push its clock by
+    /// their sum, and the run's ε must be judged at that, not at the
+    /// larger rule alone; the same offsets on two nodes do not add up.
+    #[test]
+    fn max_abs_skew_sums_overlapping_rules_on_one_node() {
+        let skew = |node, offset, from, until| {
+            (
+                Window::ticks(from, until),
+                FaultKind::ClockSkew { node, offset },
+            )
+        };
+        let plan = |rules: [(Window, FaultKind); 2]| {
+            rules
+                .into_iter()
+                .fold(FaultPlan::none(), |plan, (window, kind)| {
+                    plan.with(window, Scope::All, kind)
+                })
+        };
+        let overlapping = plan([skew(2, 40, 0, 100), skew(2, 30, 50, 150)]);
+        assert_eq!(overlapping.max_abs_skew(), 70);
+        let apart = plan([skew(1, 40, 0, 100), skew(2, 30, 50, 150)]);
+        assert_eq!(apart.max_abs_skew(), 40);
+        // The sum's extreme can start where another rule ends.
+        let swing = plan([skew(2, 40, 0, 100), skew(2, -50, 50, 200)]);
+        assert_eq!(swing.max_abs_skew(), 50);
     }
 
     #[test]

@@ -73,6 +73,9 @@ counter_names! {
     RETRY = "retry";
     /// Unacked causal write retransmitted.
     CAUSAL_RETRANSMIT = "causal_retransmit";
+    /// A draining client asked a shard for the causal ack it owes (an
+    /// epoch-0 validation): no request of the client was left to carry it.
+    CAUSAL_ACK_ASKED = "causal_ack_asked";
     /// Fetched version lost LWW arbitration to the site's own write.
     OWN_WRITE_PRESERVED = "own_write_preserved";
     /// Push invalidation received by a client.
@@ -93,8 +96,8 @@ counter_names! {
     SERVER_WRITE_DUP = "server_write_dup";
     /// Owed cumulative causal ack that rode on a reply to its site.
     SERVER_ACK_PIGGYBACKED = "server_ack_piggybacked";
-    /// Owed cumulative causal ack sent on its own because no reply to its
-    /// site left within the ack delay.
+    /// Cumulative causal ack sent on its own: no reply to its site left
+    /// within half the writer's resend interval, or the writer waits on it.
     SERVER_ACK_STANDALONE = "server_ack_standalone";
     /// Push invalidation sent by the server.
     PUSH = "push";

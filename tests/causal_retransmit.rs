@@ -16,12 +16,18 @@
 //!
 //! The ack is cumulative — a shard's delivery cursor for the writer — and
 //! rides on the site's next reply, going standalone only when no reply
-//! left within `ACK_DELAY`. The scripts below pin what the client makes of
-//! a cursor: a lost one is covered by the next, a late older one changes
+//! left within half the writer's resend interval, or at once when the
+//! writer waits on it. The scripts below pin what the client makes of a
+//! cursor: a lost one is covered by the next, a late older one changes
 //! nothing, a stale reply's newer one still counts. A one-site fleet wired
 //! by hand over a group-committed WAL pins the shard side: no ack covers a
 //! write past the fsynced prefix, and a kill before the sync makes the
-//! client resend exactly the unsynced tail, each write once.
+//! client resend exactly the unsynced tail, each write once. The same
+//! fleet pins when a writer waits on an ack: its last write is acked in
+//! the step that applies it, a site draining on a cache hit asks for its
+//! ack and has it a round trip later, and over two shards the write
+//! barrier waits no longer than its predecessor's round trip. With think
+//! time between operations the acks still ride on replies.
 
 use std::time::Duration;
 
@@ -31,8 +37,8 @@ use timed_consistency::durable::WalStore;
 use timed_consistency::lifetime::engine::{Effect, Event, Now, PrivateSources, TIMER_NEXT_OP};
 use timed_consistency::lifetime::store::ShardStore;
 use timed_consistency::lifetime::{
-    run_with, ClientEngine, DurabilityMode, FsyncPolicy, Msg, ProtocolConfig, ProtocolKind,
-    RunConfig, RunOptions, ServerEngine, StoreFactory, WireVersion,
+    run, run_with, ClientEngine, DurabilityMode, FsyncPolicy, MemStore, Msg, ProtocolConfig,
+    ProtocolKind, RunConfig, RunOptions, ServerEngine, StoreFactory, WireVersion,
 };
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
@@ -146,7 +152,7 @@ fn a_saturated_tcc_fleet_sends_no_retransmissions() {
     assert_eq!(retransmission_counters(&result.metrics), [0; 3]);
     // Every write's ack is counted once, on a reply or alone, and almost
     // all of them ride: a site's next request follows its write by a
-    // tick, well inside ACK_DELAY.
+    // tick, well inside the half resend interval the shard waits.
     let piggybacked = result.counter(names::SERVER_ACK_PIGGYBACKED);
     let standalone = result.counter(names::SERVER_ACK_STANDALONE);
     assert!(piggybacked + standalone <= writes);
@@ -482,71 +488,114 @@ fn a_stale_replys_newer_cursor_still_clears_unacked() {
     assert!(s.engine.timer_is_live(timer));
 }
 
-/// A one-site fleet wired by hand: shard node 0, client node 1, every
-/// message one tick on the wire, every timer firing at its deadline.
-struct Pair {
+/// A one-site fleet wired by hand: shard nodes `0..k`, client node `k`,
+/// every message one tick on the wire, every timer firing at its
+/// deadline.
+struct Fleet {
+    shards: Vec<ServerEngine>,
     client: ClientEngine,
     sources: PrivateSources,
-    shard: ServerEngine,
-    /// Pending `(tick, arming order, to the shard?, event)`.
-    queue: Vec<(u64, u64, bool, Event)>,
+    /// Pending `(tick, arming order, node, event)`.
+    queue: Vec<(u64, u64, usize, Event)>,
     armed: u64,
 }
 
-impl Pair {
-    fn new(protocol: ProtocolConfig, store: Box<dyn ShardStore>, ops: usize) -> Self {
-        let workload = Workload::new(6, 0.8, 0.0, (Delta::ZERO, Delta::ZERO));
-        let client = ClientEngine::new(protocol, vec![NodeId::new(0)], 0, 1, workload, ops);
-        let mut pair = Pair {
+impl Fleet {
+    /// One shard per store; the site draws its program from `seed`.
+    fn new(
+        protocol: ProtocolConfig,
+        stores: Vec<Box<dyn ShardStore>>,
+        workload: Workload,
+        ops: usize,
+        seed: u64,
+    ) -> Self {
+        let servers = (0..stores.len()).map(NodeId::new).collect();
+        let client = ClientEngine::new(protocol, servers, 0, 1, workload, ops);
+        let shards = stores
+            .into_iter()
+            .map(|store| ServerEngine::with_store(protocol, store))
+            .collect();
+        let mut fleet = Fleet {
+            shards,
             client,
-            sources: PrivateSources::new(5, 0, 1),
-            shard: ServerEngine::with_store(protocol, store),
+            sources: PrivateSources::new(seed, 0, 1),
             queue: Vec::new(),
             armed: 0,
         };
-        pair.push(0, false, Event::Start);
-        pair
+        fleet.push(0, fleet.client_node(), Event::Start);
+        fleet
     }
 
-    fn push(&mut self, at: u64, to_shard: bool, event: Event) {
+    /// The one-shard fleet at `seed` 5 over `store`, writing only.
+    fn writer(protocol: ProtocolConfig, store: Box<dyn ShardStore>, ops: usize) -> Self {
+        let workload = Workload::new(6, 0.8, 0.0, (Delta::ZERO, Delta::ZERO));
+        Fleet::new(protocol, vec![store], workload, ops, 5)
+    }
+
+    fn client_node(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn push(&mut self, at: u64, node: usize, event: Event) {
         self.armed += 1;
-        self.queue.push((at, self.armed, to_shard, event));
+        self.queue.push((at, self.armed, node, event));
     }
 
-    /// Steps the earliest pending event, returning its tick, whether the
-    /// shard took it, and what it emitted; `None` once the fleet is quiet.
-    fn step(&mut self) -> Option<(u64, bool, Vec<Effect>)> {
+    /// Steps the earliest pending event, returning its tick, the node that
+    /// took it, and what it emitted; `None` once the fleet is quiet.
+    fn step(&mut self) -> Option<(u64, usize, Vec<Effect>)> {
         let next = (0..self.queue.len()).min_by_key(|&i| (self.queue[i].0, self.queue[i].1))?;
-        let (at, _, to_shard, event) = self.queue.remove(next);
+        let (at, _, node, event) = self.queue.remove(next);
         let t = Time::from_ticks(at);
-        let me = NodeId::new(usize::from(!to_shard));
+        let me = NodeId::new(node);
         let now = Event::Now(Now {
             me,
             local: t,
             truth: t,
         });
         let mut out = Vec::new();
-        if to_shard {
-            self.shard.handle(now, &mut out);
-            self.shard.handle(event, &mut out);
+        if let Some(shard) = self.shards.get_mut(node) {
+            shard.handle(now, &mut out);
+            shard.handle(event, &mut out);
         } else {
             self.client.handle(now, &mut self.sources, &mut out);
             self.client.handle(event, &mut self.sources, &mut out);
         }
         for effect in &out {
             match effect {
-                Effect::Send { msg, .. } => {
+                Effect::Send { to, msg } => {
                     let msg = msg.clone();
-                    self.push(at + 1, !to_shard, Event::Message { from: me, msg });
+                    self.push(at + 1, to.index(), Event::Message { from: me, msg });
                 }
-                Effect::SetTimer { after, token } => {
+                Effect::SetTimer { after, token } if !after.is_infinite() => {
                     let token = *token;
-                    self.push(at + after.ticks().max(1), to_shard, Event::Timer { token });
+                    self.push(at + after.ticks().max(1), node, Event::Timer { token });
                 }
                 _ => {}
             }
         }
-        Some((at, to_shard, out))
+        Some((at, node, out))
+    }
+
+    /// Steps until the client has completed its workload, returning the
+    /// tick and what the completing step emitted.
+    fn until_finished(&mut self) -> (u64, Vec<Effect>) {
+        while let Some((at, node, out)) = self.step() {
+            if node == self.client_node() && self.client.finished() {
+                return (at, out);
+            }
+        }
+        panic!("the fleet went quiet before the workload ended")
+    }
+
+    /// Steps until the client is idle, returning the tick of that step.
+    fn until_idle(&mut self) -> u64 {
+        while let Some((at, node, _)) = self.step() {
+            if node == self.client_node() && self.client.is_idle() {
+                return at;
+            }
+        }
+        panic!("the fleet went quiet with writes unacked")
     }
 }
 
@@ -576,16 +625,16 @@ fn a_kill_before_the_sync_makes_the_client_resend_exactly_the_unsynced_tail() {
     });
     let dir = std::env::temp_dir().join(format!("tc-ack-tail-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut pair = Pair::new(protocol, Box::new(WalStore::open(&dir, 0, 64)), 12);
+    let mut fleet = Fleet::writer(protocol, Box::new(WalStore::open(&dir, 0, 64)), 12);
     const KILL: u64 = 20;
-    pair.push(KILL, true, Event::Restart);
+    fleet.push(KILL, 0, Event::Restart);
     // What the shard has appended and fsynced: its cursor and the prefix
     // of it that survives a kill.
     let (mut appended, mut synced) = (0, 0);
     let mut acks = Vec::new();
     let mut resent = Vec::new();
-    while let Some((at, to_shard, out)) = pair.step() {
-        if to_shard {
+    while let Some((at, node, out)) = fleet.step() {
+        if node == 0 {
             if counted(&out, names::SERVER_RESTART) > 0 {
                 assert!(out.contains(&Effect::Metric {
                     name: names::WAL_LOST,
@@ -613,10 +662,160 @@ fn a_kill_before_the_sync_makes_the_client_resend_exactly_the_unsynced_tail() {
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
-    assert!(pair.client.finished() && pair.client.is_idle());
+    assert!(fleet.client.finished() && fleet.client.is_idle());
     assert!(
         matches!(acks[..], [(at, 8), .., (_, 12)] if at < KILL),
         "the synced prefix acked before the kill, the tail after: {acks:?}"
     );
     assert_eq!(resent, [9, 10, 11, 12], "the tail, in order, each once");
+}
+
+/// TCC at Δ = 60 over the default resend interval.
+fn tcc() -> ProtocolConfig {
+    ProtocolConfig::of(ProtocolKind::Tcc {
+        delta: Delta::from_ticks(60),
+    })
+}
+
+/// `(shard_seq, ack_now)` of every causal write sent.
+fn writes_flagged(out: &[Effect]) -> Vec<(u64, bool)> {
+    out.iter()
+        .filter_map(|e| match e {
+            Effect::Send {
+                msg:
+                    Msg::WriteReqCausal {
+                        shard_seq, ack_now, ..
+                    },
+                ..
+            } => Some((*shard_seq, *ack_now)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn arms_a_timer(out: &[Effect]) -> bool {
+    out.iter().any(|e| matches!(e, Effect::SetTimer { .. }))
+}
+
+/// A site whose last operation is a write flags it (`ack_now`), having
+/// no later request to carry the ack home. Its shard acks it in the step
+/// that applies it, covering every write owed before it, and arms no
+/// timer: the site is idle one round trip after the write left. (A real
+/// driver rounds a zero-delay timer up to the next tick, so an ack that
+/// left through one would cost a tick.)
+#[test]
+fn a_drained_writers_last_write_is_acked_in_the_step_that_applies_it() {
+    let mut fleet = Fleet::writer(tcc(), Box::new(MemStore::new()), 12);
+    let (finished, out) = fleet.until_finished();
+    assert_eq!(writes_flagged(&out), [(12, true)]);
+    let (at, out) = loop {
+        match fleet.step() {
+            Some((at, 0, out)) => break (at, out),
+            Some(_) => {}
+            None => panic!("the last write never reached the shard"),
+        }
+    };
+    assert_eq!(at, finished + 1);
+    let ack = Effect::Send {
+        to: NodeId::new(1),
+        msg: Msg::WriteAckCausal { upto: 12 },
+    };
+    assert!(out.contains(&ack), "{out:?}");
+    assert!(!arms_a_timer(&out), "no shard timer: {out:?}");
+    assert_eq!(fleet.until_idle(), finished + 2);
+}
+
+/// A site whose last operation is a cache hit behind an unacked write
+/// has no request left to carry the ack, and the write was not flagged.
+/// In the step that completes its workload it asks for the ack with an
+/// epoch-0 validation, and it is idle one round trip later, not the half
+/// resend interval the shard would otherwise hold the ack for.
+#[test]
+fn a_writer_draining_on_a_cache_hit_asks_for_its_ack() {
+    // One object, so every read after the site's own write hits.
+    let workload = Workload::new(1, 0.8, 0.5, (Delta::ZERO, Delta::ZERO));
+    let found = (0..64).find_map(|seed| {
+        let store: Box<dyn ShardStore> = Box::new(MemStore::new());
+        let mut fleet = Fleet::new(tcc(), vec![store], workload.clone(), 10, seed);
+        let (finished, out) = fleet.until_finished();
+        let behind_a_write = counted(&out, names::CACHE_HIT) == 1 && !fleet.client.is_idle();
+        behind_a_write.then_some((fleet, finished, out))
+    });
+    let Some((mut fleet, finished, out)) = found else {
+        panic!("no program ends on a hit behind an unacked write")
+    };
+    assert_eq!(counted(&out, names::CAUSAL_ACK_ASKED), 1);
+    assert!(out.iter().any(|e| matches!(
+        e,
+        Effect::Send {
+            msg: Msg::ValidateReq { epoch: 0, .. },
+            ..
+        }
+    )));
+    let idle = fleet.until_idle();
+    assert_eq!(idle, finished + 2, "one round trip");
+    assert!(idle - finished < ServerEngine::new(tcc()).ack_wait().ticks());
+}
+
+/// Over two shards every causal write asks for its ack at once, so the
+/// cross-shard barrier holds a write only for the round trip of the write
+/// it waits on. The first write held back (issued a tick after a write to
+/// the other shard) ships the tick that write's ack lands, one round trip
+/// after it left; a shard holding the ack for a fixed four ticks would
+/// ship it four ticks later, and one holding it for a reply much later
+/// still. No shard arms an ack deadline.
+#[test]
+fn a_deferred_write_ships_when_its_predecessors_round_trip_ends() {
+    let protocol = tcc().with_shards(2);
+    let workload = Workload::new(8, 0.8, 0.0, (Delta::ZERO, Delta::ZERO));
+    let stores: Vec<Box<dyn ShardStore>> =
+        vec![Box::new(MemStore::new()), Box::new(MemStore::new())];
+    let mut fleet = Fleet::new(protocol, stores, workload, 40, 5);
+    let mut deferred = None;
+    let mut shipped = Vec::new();
+    while let Some((at, node, out)) = fleet.step() {
+        if node < 2 {
+            assert!(!arms_a_timer(&out), "shard {node} at {at}: {out:?}");
+            continue;
+        }
+        if deferred.is_none() && counted(&out, names::CAUSAL_DEFERRED) > 0 {
+            deferred = Some(at);
+        }
+        for (_, ack_now) in writes_flagged(&out) {
+            assert!(ack_now, "every write of a sharded fleet is flagged");
+            shipped.push(at);
+        }
+    }
+    assert!(fleet.client.finished() && fleet.client.is_idle());
+    let deferred = deferred.expect("the barrier held a write");
+    assert_eq!(
+        shipped.iter().rev().find(|&&t| t < deferred),
+        Some(&(deferred - 1))
+    );
+    assert_eq!(
+        shipped.iter().find(|&&t| t > deferred),
+        Some(&(deferred + 1))
+    );
+}
+
+/// Protocol-compare's fleet: four sites, think times of 5 to 40 ticks,
+/// Δ = 80. Every think time outlasts a few ticks, yet a site's next reply
+/// comes well within half the resend interval, so nearly every ack rides
+/// on one, and not one causal write goes twice.
+#[test]
+fn a_thinking_tcc_fleet_rides_its_acks() {
+    let kind = ProtocolKind::Tcc {
+        delta: Delta::from_ticks(80),
+    };
+    for seed in 0..5 {
+        let result = run(&tc_bench::standard_run(kind, seed, 150));
+        let writes = result.counter(names::SERVER_WRITE);
+        let standalone = result.counter(names::SERVER_ACK_STANDALONE);
+        assert!(writes > 100, "seed {seed}: {writes} writes");
+        assert_eq!(retransmission_counters(&result.metrics), [0; 3]);
+        assert!(
+            standalone * 20 <= writes,
+            "seed {seed}: {standalone} standalone acks for {writes} causal writes"
+        );
+    }
 }
