@@ -25,7 +25,6 @@ mod delta_sweep;
 mod epsilon;
 mod faults;
 mod figures;
-mod geo;
 mod hierarchy;
 mod plausible;
 mod protocol_compare;
@@ -256,15 +255,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
             &["--smoke", "--trace", "adaptive_trace.json"],
             delta_adaptive::check_smoke,
         )),
-    },
-    Experiment {
-        name: "geo",
-        paper: "§6 staleness vs availability across regions",
-        keys: &[SMOKE, OUT],
-        run: geo::run,
-        deterministic: false,
-        pinned: &[(&[], "geo.txt")],
-        smoke: Some((&["--smoke"], geo::check_smoke)),
     },
 ];
 

@@ -14,10 +14,7 @@ use tc_sim::NodeId;
 
 use crate::cache::{Cache, CacheEntry, SweepOutcome};
 use crate::channel::SendWindow;
-use crate::engine::{
-    Effect, Event, Inputs, Now, RecordOp, ShardMap, TIMER_GEO_ATTACH, TIMER_NEXT_OP, TIMER_RESEND,
-};
-use crate::geo::GeoMigrationPlan;
+use crate::engine::{Effect, Event, Inputs, Now, RecordOp, ShardMap, TIMER_NEXT_OP, TIMER_RESEND};
 use crate::msg::{Msg, ValidateOutcome, WireVersion};
 use crate::{ProtocolConfig, ProtocolKind, StalePolicy};
 
@@ -127,14 +124,6 @@ pub struct ClientEngine {
     delta_override: Option<Delta>,
     /// Sequence number of the last applied Δ command (reorder guard).
     delta_seq: u64,
-    /// A scripted region migration ([`ClientEngine::with_migration`]):
-    /// once due, the client drains its in-flight writes, attaches to the
-    /// destination relay with its `Context_i`, and swaps `servers` on
-    /// confirmation. `None` after the move completes.
-    migration: Option<GeoMigrationPlan>,
-    /// Whether a [`Msg::GeoAttach`] is outstanding (volatile: a restart
-    /// re-sends it — the relay treats duplicates idempotently).
-    attaching: bool,
 }
 
 impl ClientEngine {
@@ -184,72 +173,13 @@ impl ClientEngine {
             now: None,
             delta_override: None,
             delta_seq: 0,
-            migration: None,
-            attaching: false,
         }
-    }
-
-    /// The same engine with a scripted region migration: after
-    /// `plan.at_op` completed operations the client stops issuing, drains
-    /// every in-flight write, sends [`Msg::GeoAttach`] carrying its
-    /// `Context_i` to `plan.relay`, and — once the destination region
-    /// confirms it has applied everything the context covers — continues
-    /// its workload against `plan.servers`, cache and context intact.
-    /// Causal family only (migration is a geo feature, see [`crate::geo`]).
-    #[must_use]
-    pub fn with_migration(mut self, plan: GeoMigrationPlan) -> Self {
-        assert!(
-            self.config.kind.is_causal_family(),
-            "region migration carries Context_i, a causal-family notion"
-        );
-        assert_eq!(
-            plan.servers.len(),
-            self.config.shards,
-            "destination fleet must match the configured shard count"
-        );
-        self.migration = Some(plan);
-        self
-    }
-
-    fn migration_due(&self) -> bool {
-        self.migration
-            .as_ref()
-            .is_some_and(|m| self.ops_done >= m.at_op)
     }
 
     /// Whether the client stops issuing once `ops_done` operations have
-    /// completed: its workload is over, or its migration falls due.
+    /// completed: its workload is over.
     fn drains_at(&self, ops_done: usize) -> bool {
-        ops_done >= self.ops_target || self.migration.as_ref().is_some_and(|m| ops_done >= m.at_op)
-    }
-
-    /// Advances the migration once due: wait for the drain (the barrier
-    /// and the send windows empty `deferred`/`windows` on their own),
-    /// then send the attach. Idempotent — callable from every point where
-    /// in-flight work may have completed.
-    fn maybe_attach(&mut self, out: &mut Vec<Effect>) {
-        if self.attaching || !self.migration_due() || !self.is_idle() {
-            return;
-        }
-        self.attaching = true;
-        self.send_attach(out);
-    }
-
-    /// Sends the migration's [`Msg::GeoAttach`] and arms its retransmit
-    /// timer (the relay handles duplicates idempotently).
-    fn send_attach(&self, out: &mut Vec<Effect>) {
-        let plan = self.migration.as_ref().expect("attaching implies a plan");
-        out.push(Effect::Send {
-            to: plan.relay,
-            msg: Msg::GeoAttach {
-                site: self.site as u32,
-                context_v: self.context_v.clone(),
-            },
-        });
-        out.push(Effect::SetTimer {
-            after: self.config.retry_after,
-            token: TIMER_GEO_ATTACH,
-        });
+        ops_done >= self.ops_target
     }
 
     /// The Δ the timed freshness rules currently enforce: the adaptive
@@ -286,15 +216,14 @@ impl ClientEngine {
     /// *dead* when the state it was armed for is gone: a retry for a
     /// request that was answered (or superseded by a later epoch), a causal
     /// resend deadline no send window waits for ([`crate::channel`]), an
-    /// attach retransmit with no attach in flight, an op-issue timer with no
-    /// operation planned. Handling a dead timer emits no effect and changes
-    /// no state, so a driver may drop it without a step — most retry timers
-    /// die this way, because the reply beats them.
+    /// op-issue timer with no operation planned. Handling a dead timer
+    /// emits no effect and changes no state, so a driver may drop it without
+    /// a step — most retry timers die this way, because the reply beats
+    /// them.
     #[must_use]
     pub fn timer_is_live(&self, token: u64) -> bool {
         match token {
             TIMER_NEXT_OP => self.planned.is_some(),
-            TIMER_GEO_ATTACH => self.attaching,
             resend if resend >= TIMER_RESEND => self.windows.iter().any(|w| w.is_timer(resend)),
             epoch => epoch == self.req_epoch && self.outstanding.is_some(),
         }
@@ -325,13 +254,6 @@ impl ClientEngine {
     fn plan_next(&mut self, io: &mut impl Inputs, out: &mut Vec<Effect>) {
         if self.finished() {
             self.ask_for_acks(out);
-            return;
-        }
-        if self.migration_due() {
-            // Drain instead of issuing: the workload resumes (from the
-            // same position) once the attach confirms.
-            self.ask_for_acks(out);
-            self.maybe_attach(out);
             return;
         }
         let (kind, obj_idx, think) = self.workload.next_op(io.rng());
@@ -583,8 +505,7 @@ impl ClientEngine {
         }
     }
 
-    /// The client stops issuing — its workload is over, or its migration
-    /// falls due — and so waits on every unacked write. The newest write
+    /// The client's workload is over, so it waits on every unacked write. The newest write
     /// in a send window was flagged `ack_now` if the client drained right
     /// after it, and then its ack is on its way. Otherwise no request of
     /// this client will carry the shard's cursor home, so the client asks
@@ -728,10 +649,6 @@ impl ClientEngine {
         self.cache = Cache::new(self.config.kind, self.workload.n_objects());
         self.context_t = Time::ZERO;
         self.planned = None;
-        // An in-flight attach is volatile; the drain-then-attach path
-        // re-runs it (plan_next below funnels into maybe_attach when the
-        // migration is due).
-        self.attaching = false;
         // Durable state drives recovery: finish the in-flight request if
         // one was logged, re-arm the send windows' timers, which died
         // with the process (an overdue write goes at once), let the
@@ -771,12 +688,6 @@ impl ClientEngine {
                     OpChoice::Read => self.start_read(object, io, out),
                     OpChoice::Write => self.start_write(object, io, out),
                 }
-            }
-        } else if token == TIMER_GEO_ATTACH {
-            // Retransmit an unanswered attach.
-            if self.attaching {
-                out.push(Effect::metric(names::RETRY));
-                self.send_attach(out);
             }
         } else if token >= TIMER_RESEND {
             self.on_resend_timer(token, out);
@@ -831,16 +742,16 @@ impl ClientEngine {
     /// duplicated ack with an older cursor acks nothing and changes
     /// nothing.
     fn on_causal_ack(&mut self, from: NodeId, upto: u64, out: &mut Vec<Effect>) {
-        let Some(shard) = self.servers.iter().position(|&s| s == from) else {
-            return; // a shard of the region this client migrated away from
-        };
+        let shard = self
+            .servers
+            .iter()
+            .position(|&s| s == from)
+            .expect("a causal ack comes from a shard of the fleet");
         if !self.windows[shard].ack(upto) {
             return;
         }
-        // An ack may clear the cross-shard barrier for queued writes…
+        // An ack may clear the cross-shard barrier for queued writes.
         self.ship_deferred(out);
-        // …or complete a migration drain.
-        self.maybe_attach(out);
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, io: &mut impl Inputs, out: &mut Vec<Effect>) {
@@ -983,32 +894,10 @@ impl ClientEngine {
                 self.delta_seq = seq;
                 self.delta_override = Some(delta);
             }
-            Msg::GeoAttachOk { .. } => {
-                if !self.attaching {
-                    // A duplicate confirmation (relay re-answered a
-                    // retransmitted attach we already acted on).
-                    return;
-                }
-                self.attaching = false;
-                let plan = self.migration.take().expect("attach implies a plan");
-                self.servers = plan.servers;
-                out.push(Effect::metric(names::GEO_MIGRATED));
-                // Same cache, same Context_i, new region: the relay's
-                // gate guarantees the destination fleet has applied
-                // everything the context covers, so both carry over
-                // unchanged. Resume the workload.
-                self.plan_next(io, out);
-            }
             Msg::FetchReq { .. }
             | Msg::ValidateReq { .. }
             | Msg::WriteReq { .. }
-            | Msg::WriteReqCausal { .. }
-            | Msg::GeoBatch { .. }
-            | Msg::GeoBatchAck { .. }
-            | Msg::GeoApply { .. }
-            | Msg::GeoApplyAck { .. }
-            | Msg::GeoLocalApply { .. }
-            | Msg::GeoAttach { .. } => {
+            | Msg::WriteReqCausal { .. } => {
                 unreachable!("client received a server-bound message")
             }
         }

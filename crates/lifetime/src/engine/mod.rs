@@ -7,12 +7,11 @@
 //! executes the [`Effect`]s they emit. Every driver steps them through
 //! the same hosts and effect executor ([`crate::node`]), and three exist:
 //!
-//! * the deterministic simulator harness ([`crate::run_with`] /
-//!   [`crate::run_geo_with`]: one world builder, flat or multi-region),
-//!   which executes effects into a [`tc_sim::World`];
+//! * the deterministic simulator harness ([`crate::run_with`]), which
+//!   executes effects into a [`tc_sim::World`];
 //! * the threaded runtime (`tc_store::runtime`), which runs the *same*
-//!   engine types over OS threads, channels, and `Instant`-based clocks
-//!   (`tc_store::geo` is a multi-region topology over the same loop); and
+//!   engine types over OS threads, channels, and `Instant`-based clocks;
+//!   and
 //! * the evented reactor (`tc_store::reactor`), which hosts them in two
 //!   epoll loops over loopback TCP and `tc-wire` frames.
 //!
@@ -56,8 +55,7 @@ pub use shard::{splitmix64, ShardMap};
 pub const TIMER_NEXT_OP: u64 = 0;
 
 /// Base of the resend deadline tokens of a send window
-/// ([`crate::channel`]): a client's causal write stream to a shard, a
-/// shard's geo egress to a peer region, a relay's forwarded apply. The
+/// ([`crate::channel`]), a client's causal write stream to a shard. The
 /// timer waiting for deadline `t` has token `TIMER_RESEND + t`, and it is
 /// live while its window waits for that deadline
 /// ([`ClientEngine::timer_is_live`]). Request-retry timers
@@ -65,21 +63,10 @@ pub const TIMER_NEXT_OP: u64 = 0;
 /// reaches 2⁶² requests or ticks, so the ranges never collide.
 pub const TIMER_RESEND: u64 = 1 << 62;
 
-/// Client timer token for "retransmit the pending [`Msg::GeoAttach`]"
-/// during a region migration. Like the [`TIMER_RESEND`] range, far above
-/// any request epoch a run can reach.
-pub const TIMER_GEO_ATTACH: u64 = u64::MAX - 1;
-
-/// Base of the server's per-peer-region geo flush tokens: peer channel `i`
-/// flushes on token `TIMER_GEO_FLUSH_BASE + i`. The range is the lowest a
-/// shard arms and sits below the ack range.
-pub const TIMER_GEO_FLUSH_BASE: u64 = 1 << 60;
-
 /// Base of the server's per-client ack deadline tokens: the causal ack a
 /// shard owes client node `c` goes standalone on token
 /// `TIMER_ACK_BASE + c` if no reply carried it first
-/// ([`ServerEngine::ack_wait`]).
-/// Above the geo flush range, below the [`TIMER_RESEND`] range.
+/// ([`ServerEngine::ack_wait`]). Below the [`TIMER_RESEND`] range.
 pub const TIMER_ACK_BASE: u64 = 1 << 61;
 
 /// A clock sample injected by the driver via [`Event::Now`].

@@ -33,19 +33,18 @@
 use std::collections::BTreeSet;
 
 use tc_clocks::{Delta, Time, VectorClock};
-use tc_core::ObjectId;
+use tc_core::{ObjectId, Value};
 use tc_sim::metrics::names;
 use tc_sim::NodeId;
 
-use crate::channel::{Arrival, Receiver, SendWindow};
-use crate::engine::{Effect, Event, Now, TIMER_ACK_BASE, TIMER_GEO_FLUSH_BASE, TIMER_RESEND};
-use crate::geo::{GeoShardConfig, EGRESS_MAX_DELAY, EGRESS_MAX_ENTRIES, RETX_AFTER};
-use crate::msg::{GeoWrite, Msg, ValidateOutcome};
+use crate::channel::{Arrival, Receiver};
+use crate::engine::{Effect, Event, Now, TIMER_ACK_BASE, TIMER_RESEND};
+use crate::msg::{Msg, ValidateOutcome};
 use crate::store::{MemStore, ShardStore, StoredVersion, WalRecord};
 use crate::{Propagation, ProtocolConfig};
 
 /// The timer token a shard arms for a deadline-batched WAL fsync
-/// ([`crate::FsyncPolicy::max_delay`]), above every resend deadline.
+/// ([`crate::FsyncPolicy::max_delay`]), above the [`TIMER_RESEND`] range.
 pub const TIMER_WAL_FLUSH: u64 = u64::MAX;
 
 /// The timer token on which the ack owed to `client` falls due.
@@ -54,37 +53,41 @@ fn ack_token(client: NodeId) -> u64 {
 }
 
 /// A shard timer, decoded from its token by range. A shard arms no token
-/// below [`TIMER_GEO_FLUSH_BASE`].
+/// outside the ack range and [`TIMER_WAL_FLUSH`].
 enum ShardTimer {
     /// The deadline-batched fsync ([`TIMER_WAL_FLUSH`]).
     WalFlush,
-    /// A resend deadline of a geo send window.
-    Resend(u64),
     /// The deadline of the ack owed to this client.
     AckDue(NodeId),
-    /// The flush deadline of this peer region's open egress batch.
-    GeoFlush(usize),
 }
 
 impl ShardTimer {
     fn decode(token: u64) -> Option<ShardTimer> {
         Some(if token == TIMER_WAL_FLUSH {
             ShardTimer::WalFlush
-        } else if token >= TIMER_RESEND {
-            ShardTimer::Resend(token)
-        } else if token >= TIMER_ACK_BASE {
+        } else if (TIMER_ACK_BASE..TIMER_RESEND).contains(&token) {
             ShardTimer::AckDue(NodeId::new((token - TIMER_ACK_BASE) as usize))
-        } else if token >= TIMER_GEO_FLUSH_BASE {
-            ShardTimer::GeoFlush((token - TIMER_GEO_FLUSH_BASE) as usize)
         } else {
             return None;
         })
     }
 }
 
+/// A client's causal write as its shard receives it: what its
+/// [`Msg::WriteReqCausal`] carried, bar the ack-now flag. It waits in its
+/// writer's receiver while it is ahead of a gap.
+struct InboundWrite {
+    object: ObjectId,
+    value: Value,
+    alpha_v: VectorClock,
+    issued_at: Time,
+    /// Position of the write in the writer's stream to this shard.
+    shard_seq: u64,
+}
+
 /// A write ack held until the records it covers are durable.
 enum Ack {
-    /// Sent as it is once durable: a physical write's ack, a geo apply's.
+    /// Sent as it is once durable: a physical write's ack.
     Send(Msg),
     /// A cumulative causal ack up to `upto`: owed once durable, or sent at
     /// once when the writer waits on it (`at_once`, the write's
@@ -139,138 +142,12 @@ pub struct ServerEngine {
     /// Causal writes held ahead of a gap in their writer's stream, indexed
     /// by client node (volatile: they are neither applied nor acked, so
     /// the writer resends what a crash loses).
-    inbound: Vec<Receiver<GeoWrite>>,
+    inbound: Vec<Receiver<InboundWrite>>,
     /// Total client requests served (fetch + validate + write), the
     /// per-shard load statistic the threaded runtime reports.
     requests_served: u64,
-    /// Cross-region replication state, when this shard is part of a geo
-    /// deployment ([`ServerEngine::with_geo`]); `None` keeps the
-    /// single-region protocol byte-identical.
-    geo: Option<GeoState>,
-    /// Geo egress held back until the covering fsync: a write must not
-    /// leave for other regions before it is durable here, or a remote
-    /// reader could observe a value a local crash then un-happens —
-    /// the same ack-after-durability argument as `deferred_acks`.
-    deferred_geo: Vec<GeoWrite>,
     /// The latest driver-injected clock sample.
     now: Option<Now>,
-}
-
-/// The deadline that flushes egress channel `i`'s open batch.
-fn flush_deadline(i: usize) -> Effect {
-    Effect::SetTimer {
-        after: EGRESS_MAX_DELAY,
-        token: TIMER_GEO_FLUSH_BASE + i as u64,
-    }
-}
-
-/// Engine-resident geo replication state. Deliberately *not* behind the
-/// [`ShardStore`] seam: losing it on a crash only delays propagation
-/// (clients resend unacked writes, send windows resend unacked batches),
-/// never forges it — see DESIGN.md §17 for the recovery story.
-struct GeoState {
-    config: GeoShardConfig,
-    /// Per peer region, in `config.peer_relays` order: the open batch…
-    open: Vec<Vec<GeoWrite>>,
-    /// …and the stream of sealed batches to that region's relay, each
-    /// resent [`RETX_AFTER`] after its own last send until the relay's
-    /// cumulative ack covers it ([`crate::channel`]).
-    sent: Vec<SendWindow<Vec<GeoWrite>>>,
-}
-
-impl GeoState {
-    fn new(config: GeoShardConfig) -> Self {
-        let peers = config.peer_relays.len();
-        GeoState {
-            config,
-            open: vec![Vec::new(); peers],
-            sent: (0..peers).map(|_| SendWindow::new(RETX_AFTER)).collect(),
-        }
-    }
-
-    /// Queues one freshly applied local write on every peer channel and
-    /// notifies the local relay (its dependency watermarks must cover
-    /// local writes, or remote writes depending on them would stall).
-    fn egress(&mut self, w: &GeoWrite, now: Time, out: &mut Vec<Effect>) {
-        out.push(Effect::Metric {
-            name: names::GEO_LOCAL_NOTIFY,
-            add: 1,
-        });
-        out.push(Effect::Send {
-            to: self.config.local_relay,
-            msg: Msg::GeoLocalApply {
-                writer: w.writer() as u32,
-                k: w.k(),
-            },
-        });
-        for i in 0..self.open.len() {
-            self.open[i].push(w.clone());
-            let len = self.open[i].len();
-            if len >= EGRESS_MAX_ENTRIES {
-                self.flush(i, now, out);
-            } else if len == 1 {
-                out.push(flush_deadline(i));
-            }
-        }
-    }
-
-    /// Re-arms what a crash killed: the open batches and send windows
-    /// survive a restart, but their flush deadlines and resend timers
-    /// died with the process — without this an open batch would leave
-    /// only once it fills, and a lost batch would never be resent.
-    fn rearm_after_restart(&mut self, now: Time, out: &mut Vec<Effect>) {
-        for (i, open) in self.open.iter().enumerate() {
-            if !open.is_empty() {
-                out.push(flush_deadline(i));
-            }
-        }
-        for window in &mut self.sent {
-            window.rearm(now, out);
-        }
-    }
-
-    /// Seals and transmits peer `i`'s open batch (fullness or deadline —
-    /// whichever came first; a stale deadline finds an empty buffer and
-    /// is a no-op).
-    fn flush(&mut self, i: usize, now: Time, out: &mut Vec<Effect>) {
-        let Some(open) = self.open.get_mut(i) else {
-            return;
-        };
-        if open.is_empty() {
-            return;
-        }
-        let entries = std::mem::take(open);
-        let window = &mut self.sent[i];
-        out.push(Effect::metric(names::GEO_BATCH));
-        out.push(Effect::Send {
-            to: self.config.peer_relays[i],
-            msg: Msg::GeoBatch {
-                origin: self.config.region,
-                seq: window.next_seq(),
-                entries: entries.clone(),
-            },
-        });
-        window.push(entries, now, out);
-    }
-
-    /// A resend deadline fired: each send window it belongs to resends
-    /// its overdue batches.
-    fn on_resend_deadline(&mut self, token: u64, now: Time, out: &mut Vec<Effect>) {
-        let origin = self.config.region;
-        for (window, &peer) in self.sent.iter_mut().zip(&self.config.peer_relays) {
-            window.fire(token, now, out, |seq, entries, out| {
-                out.push(Effect::metric(names::GEO_BATCH_RETRANSMIT));
-                out.push(Effect::Send {
-                    to: peer,
-                    msg: Msg::GeoBatch {
-                        origin,
-                        seq,
-                        entries: entries.clone(),
-                    },
-                });
-            });
-        }
-    }
 }
 
 impl ServerEngine {
@@ -292,25 +169,8 @@ impl ServerEngine {
             owed: Vec::new(),
             inbound: Vec::new(),
             requests_served: 0,
-            geo: None,
-            deferred_geo: Vec::new(),
             now: None,
         }
-    }
-
-    /// The same engine as a member of a geo deployment: fresh causal
-    /// applies egress to `geo.peer_relays` and remote writes arrive via
-    /// the local relay's [`Msg::GeoApply`]. Geo replication is causal-
-    /// family only (see [`crate::geo`]).
-    #[must_use]
-    pub fn with_geo(mut self, geo: GeoShardConfig) -> Self {
-        assert!(
-            self.config.kind.is_causal_family(),
-            "geo replication composes regions causally; physical-family \
-             levels would need a cross-region total order"
-        );
-        self.geo = Some(GeoState::new(geo));
-        self
     }
 
     /// Total writes applied (dropped LWW losers excluded).
@@ -327,18 +187,15 @@ impl ServerEngine {
 
     /// Whether firing timer `token` now could do anything. An ack deadline
     /// is dead once nothing is owed to its client — a reply carried the
-    /// ack first, as it does for most — and a geo resend deadline once no
-    /// send window waits for it; a driver may drop either without a step.
-    /// Every other shard timer counts as live.
+    /// ack first, as it does for most — and a token the shard never arms
+    /// is always dead; a driver may drop either without a step. The fsync
+    /// deadline counts as live.
     #[must_use]
     pub fn timer_is_live(&self, token: u64) -> bool {
         match ShardTimer::decode(token) {
-            Some(ShardTimer::Resend(token)) => self
-                .geo
-                .as_ref()
-                .is_some_and(|geo| geo.sent.iter().any(|w| w.is_timer(token))),
+            Some(ShardTimer::WalFlush) => true,
             Some(ShardTimer::AckDue(client)) => self.owed_to(client).is_some(),
-            _ => true,
+            None => false,
         }
     }
 
@@ -356,18 +213,6 @@ impl ServerEngine {
                 // fullness-triggered sync finds nothing pending.
                 Some(ShardTimer::WalFlush) => self.sync_store(out),
                 Some(ShardTimer::AckDue(client)) => self.on_ack_due(client, out),
-                Some(ShardTimer::Resend(token)) => {
-                    let now = self.truth();
-                    if let Some(geo) = &mut self.geo {
-                        geo.on_resend_deadline(token, now, out);
-                    }
-                }
-                Some(ShardTimer::GeoFlush(i)) => {
-                    let now = self.truth();
-                    if let Some(geo) = &mut self.geo {
-                        geo.flush(i, now, out);
-                    }
-                }
                 None => {}
             },
             Event::Restart => {
@@ -392,16 +237,6 @@ impl ServerEngine {
                 self.deferred_acks.clear();
                 self.owed.clear();
                 self.inbound.clear();
-                // Egress covering unsynced records dies with them: the
-                // writes were never acked, so their writers retransmit
-                // and the re-apply re-queues the egress. The open batches
-                // and send windows survive (engine-resident, see
-                // `GeoState`); their timers do not.
-                self.deferred_geo.clear();
-                let now = self.truth();
-                if let Some(geo) = &mut self.geo {
-                    geo.rearm_after_restart(now, out);
-                }
             }
             Event::Message { from, msg } => self.on_message(from, msg, out),
         }
@@ -433,27 +268,6 @@ impl ServerEngine {
         });
         for (to, ack) in std::mem::take(&mut self.deferred_acks) {
             self.release(to, ack, out);
-        }
-        // The sync also made the held-back geo egress safe to ship.
-        let now = self.truth();
-        for w in std::mem::take(&mut self.deferred_geo) {
-            if let Some(geo) = &mut self.geo {
-                geo.egress(&w, now, out);
-            }
-        }
-    }
-
-    /// Routes one freshly applied local write into geo egress: inline if
-    /// already durable, held until the covering fsync otherwise.
-    fn geo_after_apply(&mut self, w: GeoWrite, out: &mut Vec<Effect>) {
-        let now = self.truth();
-        let Some(geo) = &mut self.geo else {
-            return;
-        };
-        if self.store.pending() == 0 {
-            geo.egress(&w, now, out);
-        } else {
-            self.deferred_geo.push(w);
         }
     }
 
@@ -541,7 +355,10 @@ impl ServerEngine {
     /// writes unacked). The ack owed rides on the answer; the ones still
     /// held for an fsync leave as soon as it lands instead of being owed.
     fn hasten_held_acks(&mut self, client: NodeId) {
-        let held = self.deferred_acks.iter_mut().filter(|(to, _)| *to == client);
+        let held = self
+            .deferred_acks
+            .iter_mut()
+            .filter(|(to, _)| *to == client);
         for (_, ack) in held {
             if let Ack::Causal { at_once, .. } = ack {
                 *at_once = true;
@@ -658,12 +475,6 @@ impl ServerEngine {
     }
 
     fn on_message(&mut self, from: NodeId, msg: Msg, out: &mut Vec<Effect>) {
-        // Geo traffic is server-to-server: relays must not become push-
-        // invalidation targets or count as served client requests.
-        if msg.is_geo() {
-            self.on_geo_message(from, msg, out);
-            return;
-        }
         self.known_clients.insert(from);
         self.requests_served += 1;
         let server_now = self
@@ -725,7 +536,7 @@ impl ServerEngine {
                     name: names::SERVER_WRITE,
                     add: 1,
                 });
-                let write = GeoWrite {
+                let write = InboundWrite {
                     object,
                     value,
                     alpha_v,
@@ -776,22 +587,14 @@ impl ServerEngine {
                 self.push_invalidations(out, object, from, alpha, None);
                 self.maybe_arm_wal_timer(out);
             }
-            // Server never receives replies, pushes, or Δ commands; geo
-            // frames were routed to `on_geo_message` above.
+            // Server never receives replies, pushes, or Δ commands.
             Msg::FetchRep { .. }
             | Msg::ValidateRep { .. }
             | Msg::WriteAck { .. }
             | Msg::WriteAckCausal { .. }
             | Msg::Gap { .. }
             | Msg::InvalidatePush { .. }
-            | Msg::DeltaUpdate { .. }
-            | Msg::GeoBatch { .. }
-            | Msg::GeoBatchAck { .. }
-            | Msg::GeoApply { .. }
-            | Msg::GeoApplyAck { .. }
-            | Msg::GeoLocalApply { .. }
-            | Msg::GeoAttach { .. }
-            | Msg::GeoAttachOk { .. } => {
+            | Msg::DeltaUpdate { .. } => {
                 unreachable!("server received a client-bound message")
             }
         }
@@ -813,7 +616,7 @@ impl ServerEngine {
     fn on_causal_write(
         &mut self,
         from: NodeId,
-        write: GeoWrite,
+        write: InboundWrite,
         ack_now: bool,
         out: &mut Vec<Effect>,
     ) {
@@ -825,12 +628,12 @@ impl ServerEngine {
         let mut at_once = ack_now;
         match self.inbound[writer].arrive(cursor, write.shard_seq, write) {
             Arrival::Next(write) => {
-                self.apply_causal(from, write, true, out);
+                self.apply_causal(from, write, out);
                 let mut cursor = self.store.causal_cursor(writer);
                 while let Some(write) = self.inbound[writer].next(cursor) {
                     self.maybe_arm_wal_timer(out);
                     at_once = true;
-                    self.apply_causal(from, write, true, out);
+                    self.apply_causal(from, write, out);
                     cursor = self.store.causal_cursor(writer);
                 }
             }
@@ -867,11 +670,8 @@ impl ServerEngine {
     }
 
     /// Appends `writer`'s causal write `w`, next in its stream, and sends
-    /// it on: to the other regions if `egress` (a client's write, not a
-    /// relay's forward — every origin region sends to every peer directly,
-    /// so forwarding a geo apply onward would loop), and as push
-    /// invalidations if it won last-writer-wins.
-    fn apply_causal(&mut self, writer: NodeId, w: GeoWrite, egress: bool, out: &mut Vec<Effect>) {
+    /// push invalidations if it won last-writer-wins.
+    fn apply_causal(&mut self, writer: NodeId, w: InboundWrite, out: &mut Vec<Effect>) {
         let record = WalRecord::Causal {
             object: w.object,
             writer: writer.index(),
@@ -881,71 +681,10 @@ impl ServerEngine {
             alpha_v: w.alpha_v.clone(),
         };
         let won = self.append(&record, out);
-        let (object, issued_at, alpha_v) = (w.object, w.issued_at, w.alpha_v.clone());
-        // Geo egress regardless of the LWW outcome: remote cursors count
-        // this writer's per-shard stream, so skipping a losing write would
-        // open a permanent gap there (the remote LWW drops it identically).
-        if egress {
-            self.geo_after_apply(w, out);
-        }
         self.maybe_sync_after_append(out);
         if won {
-            self.push_invalidations(out, object, writer, issued_at, Some(&alpha_v));
+            self.push_invalidations(out, w.object, writer, w.issued_at, Some(&w.alpha_v));
         }
-    }
-
-    fn on_geo_message(&mut self, from: NodeId, msg: Msg, out: &mut Vec<Effect>) {
-        match msg {
-            Msg::GeoBatchAck { upto } => {
-                if let Some(geo) = &mut self.geo {
-                    let peer = geo.config.peer_relays.iter().position(|&p| p == from);
-                    if let Some(i) = peer {
-                        geo.sent[i].ack(upto);
-                    }
-                }
-            }
-            Msg::GeoApply { entry } => self.on_geo_apply(from, entry, out),
-            other => unreachable!(
-                "shard received a relay-bound geo message: {:?}",
-                other.tag()
-            ),
-        }
-    }
-
-    /// Applies one remote write forwarded by the local relay: the same
-    /// cursor, WAL record and LWW arbitration as a client's causal write,
-    /// keyed by the writer's *node* index so a migrated client's direct
-    /// writes continue the same stream.
-    fn on_geo_apply(&mut self, relay: NodeId, entry: GeoWrite, out: &mut Vec<Effect>) {
-        let Some(geo) = &self.geo else {
-            unreachable!("geo apply on a non-geo shard");
-        };
-        let writer = NodeId::new(geo.config.client_base + entry.writer());
-        let cursor = self.store.causal_cursor(writer.index());
-        let ack = Msg::GeoApplyAck {
-            writer: entry.writer() as u32,
-            k: entry.k(),
-        };
-        // The relay forwards a write only once the writer's earlier ones
-        // are applied here, so none waits behind a gap: a receiver holding
-        // nothing judges it, and one it would hold is refused unacked
-        // until the relay resends it.
-        match Receiver::default().arrive(cursor, entry.shard_seq, entry) {
-            Arrival::Next(entry) => {
-                self.apply_causal(writer, entry, false, out);
-                out.push(Effect::metric(names::GEO_APPLIED));
-            }
-            Arrival::Duplicate => out.push(Effect::metric(names::GEO_APPLY_DUP)),
-            Arrival::Held | Arrival::Overflow => {
-                out.push(Effect::metric(names::SERVER_WRITE_GAP));
-                return;
-            }
-        }
-        // The ack rides the durability gate exactly like a client write
-        // ack: the relay may release the next dependent apply only once
-        // this one can no longer be un-happened by a crash.
-        self.ship_or_defer(relay, Ack::Send(ack), out);
-        self.maybe_arm_wal_timer(out);
     }
 }
 
@@ -1307,13 +1046,15 @@ mod tests {
         assert_eq!(acks(&drive_at(&mut s, 101 + wait(), fetch())), [None]);
     }
 
-    /// A token below every shard range decodes to no timer: stepping it
+    /// A token outside every shard range (below the ack range, or in the
+    /// clients' resend range) decodes to no timer: it is dead, stepping it
     /// sends nothing and leaves the owed ack owed.
     #[test]
-    fn a_token_below_every_shard_range_does_nothing() {
+    fn a_token_outside_every_shard_range_does_nothing() {
         let mut s = ServerEngine::new(cfg());
         drive_at(&mut s, 100, causal_write(1));
-        for token in [0, 1, TIMER_GEO_FLUSH_BASE - 1] {
+        for token in [0, 1, TIMER_ACK_BASE - 1, TIMER_RESEND + 5] {
+            assert!(!s.timer_is_live(token));
             assert!(drive_at(&mut s, 101, Event::Timer { token }).is_empty());
         }
         assert!(s.timer_is_live(ack_token(NodeId::new(1))));
@@ -1493,112 +1234,5 @@ mod tests {
         };
         let synced = drive_at(&mut s, 120, flush);
         assert_eq!(sent(&synced), [&Msg::WriteAckCausal { upto: 1 }]);
-    }
-
-    /// A crash kills the geo egress timers but not the batches they
-    /// serve: after a restart the open batch must get its flush deadline
-    /// back and the unacked batch its resend deadline, or the one leaves
-    /// only once it fills and the other is never resent.
-    #[test]
-    fn restart_rearms_the_geo_egress_timers() {
-        let map = crate::geo::RegionMap::new(2, 1);
-        let mut s = ServerEngine::new(cfg()).with_geo(map.shard_config(0));
-        let mut clock = VectorClock::new(0, 1);
-        let mut write = |seq: u64| Event::Message {
-            from: NodeId::new(map.client_base()),
-            msg: Msg::WriteReqCausal {
-                object: ObjectId::from_letter('X'),
-                value: Value::new(seq),
-                alpha_v: clock.tick(),
-                issued_at: Time::from_ticks(50),
-                shard_seq: seq,
-                ack_now: false,
-            },
-        };
-        let arms = |effects: &[Effect], timers: std::ops::RangeInclusive<u64>| {
-            effects
-                .iter()
-                .any(|e| matches!(e, Effect::SetTimer { token, .. } if timers.contains(token)))
-        };
-        let flush = TIMER_GEO_FLUSH_BASE..=TIMER_GEO_FLUSH_BASE;
-        let resend = TIMER_RESEND..=TIMER_WAL_FLUSH - 1;
-        drive(&mut s, write(1));
-        let flushed = drive(
-            &mut s,
-            Event::Timer {
-                token: TIMER_GEO_FLUSH_BASE,
-            },
-        );
-        assert!(
-            arms(&flushed, resend.clone()),
-            "the deadline shipped a batch"
-        );
-        drive(&mut s, write(2)); // opens the next batch
-        let mut after = drive(&mut s, Event::Restart);
-        after.extend(drive(&mut s, write(3)));
-        assert!(
-            arms(&after, flush),
-            "the open batch must get its flush deadline back"
-        );
-        assert!(
-            arms(&after, resend),
-            "the unacked batch must get its resend deadline back"
-        );
-    }
-
-    /// Each peer region's batches form their own stream: an ack prunes
-    /// only its sender's window, so at the shared deadline only the
-    /// unacked peer's batch goes again.
-    #[test]
-    fn a_geo_resend_goes_only_to_the_peer_that_has_not_acked() {
-        let map = crate::geo::RegionMap::new(3, 1);
-        let mut s = ServerEngine::new(cfg()).with_geo(map.shard_config(0));
-        let (acked, unacked) = (map.relay_node(1), map.relay_node(2));
-        drive_at(
-            &mut s,
-            100,
-            Event::Message {
-                from: NodeId::new(map.client_base()),
-                msg: Msg::WriteReqCausal {
-                    object: ObjectId::from_letter('X'),
-                    value: Value::new(7),
-                    alpha_v: VectorClock::new(0, 1).tick(),
-                    issued_at: Time::from_ticks(50),
-                    shard_seq: 1,
-                    ack_now: false,
-                },
-            },
-        );
-        let mut flushed = Vec::new();
-        for token in [TIMER_GEO_FLUSH_BASE, TIMER_GEO_FLUSH_BASE + 1] {
-            flushed.extend(drive_at(&mut s, 120, Event::Timer { token }));
-        }
-        assert_eq!(counted(&flushed, names::GEO_BATCH), 2);
-        let deadline = 120 + RETX_AFTER.ticks();
-        let token = TIMER_RESEND + deadline;
-        let armed: Vec<u64> = flushed
-            .iter()
-            .filter_map(|e| match e {
-                Effect::SetTimer { token, .. } if *token >= TIMER_RESEND => Some(*token),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(armed, [token, token], "both windows wait for one deadline");
-        let ack = Msg::GeoBatchAck { upto: 1 };
-        let from = NodeId::new(acked);
-        drive_at(&mut s, 150, Event::Message { from, msg: ack });
-        let out = drive_at(&mut s, deadline, Event::Timer { token });
-        let batches: Vec<_> = out
-            .iter()
-            .filter_map(|e| match e {
-                Effect::Send {
-                    to,
-                    msg: Msg::GeoBatch { seq, .. },
-                } => Some((to.index(), *seq)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(batches, [(unacked, 1)]);
-        assert_eq!(counted(&out, names::GEO_BATCH_RETRANSMIT), 1);
     }
 }

@@ -47,8 +47,8 @@ impl ShardMap {
 
 /// SplitMix64 finalizer — the same mixing constant family the per-client
 /// seed derivation uses; full-avalanche, cheap, and dependency-free. The
-/// shard map and the real drivers' jitter (redial backoff, WAN latency)
-/// all hash with this one function.
+/// shard map and the reactor's redial jitter both hash with this one
+/// function.
 #[must_use]
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);

@@ -1,6 +1,6 @@
-//! One-call simulation harness: build a world — one shard fleet, or one
-//! per region with relays and WAN links between them — run a protocol
-//! under a workload, return the recorded history plus cost metrics.
+//! One-call simulation harness: build a world of one shard fleet and its
+//! clients, run a protocol under a workload, return the recorded history
+//! plus cost metrics.
 
 use std::cell::{RefCell, RefMut};
 use std::rc::Rc;
@@ -18,8 +18,7 @@ use tc_sim::{
 
 use crate::control::{ControllerConfig, DeltaController, DeltaSchedule};
 use crate::engine::{Effect, Event, Inputs, PrivateSources};
-use crate::geo::{widened_bound_geo, GeoLayout, GeoRelayEngine};
-use crate::node::{execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, SimClock};
+use crate::node::{execute, judge_run, ClientCore, Host, Port, ShardCore, SimClock};
 use crate::oracle::widened_bound;
 use crate::store::ShardStore;
 use crate::{ClientEngine, Msg, ProtocolConfig, ServerEngine};
@@ -45,13 +44,11 @@ pub struct RunConfig {
 
 /// What a run does beyond its configuration; the default is a fault-free,
 /// static-Δ, untraced run over in-memory stores and the world's shared
-/// sources. Every combination composes, on a flat fleet ([`run_with`])
-/// and a geo deployment ([`crate::run_geo_with`]) alike.
+/// sources. Every combination composes.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Faults to inject. Node indices follow the harness layout: the
-    /// shards first (`0..protocol.shards`; region-major under geo,
-    /// followed by one relay per region), then the client sites. Plans
+    /// shards first (`0..protocol.shards`), then the client sites. Plans
     /// whose faults never heal (an unbounded partition, a crash with no
     /// restart, 100% drop forever) make the protocol retry past the event
     /// budget — quiescence requires the plan to eventually let messages
@@ -81,15 +78,14 @@ pub struct RunOptions<'a> {
 #[derive(Clone, Debug)]
 pub struct RunResult {
     /// The recorded execution, ready for the `tc-core` checkers. Sites are
-    /// client indices (global across regions).
+    /// client indices.
     pub history: History,
     /// Protocol cost counters (fetches, validations, invalidations, cache
-    /// hits, messages, the `geo_*` family, …).
+    /// hits, messages, …).
     pub metrics: MetricsSnapshot,
-    /// The run's clock bound ε: twice the plan's largest clock skew
-    /// (region skews included), since a simulated node's clock is off true
-    /// time only by the skew rules in force. This is what Definition 2
-    /// checkers must be given.
+    /// The run's clock bound ε: twice the plan's largest clock skew, since
+    /// a simulated node's clock is off true time only by the skew rules in
+    /// force. This is what Definition 2 checkers must be given.
     pub epsilon: Epsilon,
     /// Events the simulator dispatched.
     pub events: usize,
@@ -105,9 +101,8 @@ pub struct RunResult {
     /// recorded history is timed under the run's effective ε.
     pub observed_staleness: Delta,
     /// The fault-widened staleness bound of the run's configuration and
-    /// plan — [`crate::oracle::widened_bound`], or
-    /// [`crate::widened_bound_geo`] for a geo run; `None` when the level
-    /// is untimed or the bound is unbounded.
+    /// plan ([`crate::oracle::widened_bound`]); `None` when the level is
+    /// untimed or the bound is unbounded.
     pub bound: Option<Delta>,
     /// The Δ-schedule the adaptive controller committed to (`None` for
     /// static-Δ runs). When present, [`RunResult::on_time`] was judged
@@ -202,7 +197,106 @@ pub fn run_with_private_sources(config: &RunConfig, base_seed: u64) -> RunResult
 /// band, a protocol kind with no Δ).
 #[must_use]
 pub fn run_with(config: &RunConfig, opts: RunOptions<'_>) -> RunResult {
-    run_impl(config, None, opts)
+    let RunOptions {
+        plan,
+        private_seed,
+        stores,
+        adaptive,
+        traced,
+    } = opts;
+    let mut world: World<Msg> = World::new(config.world.clone());
+    // The ε and the fault-widened bound are both fixed by the plan before
+    // the run, so the recorder can judge on-time behaviour online.
+    let epsilon = Epsilon::from_ticks(2 * plan.max_abs_skew());
+    let bound = widened_bound(config, &plan, epsilon);
+    let monitor_delta = bound.unwrap_or(Delta::INFINITE);
+    let mut initial_recorder = TraceRecorder::new();
+    initial_recorder.attach_monitor(monitor_delta, epsilon);
+    if traced {
+        initial_recorder.enable_net_log();
+    }
+    let recorder = Rc::new(RefCell::new(initial_recorder));
+    let infra_recorder = || traced.then(|| recorder.clone());
+
+    // The shards first (with one shard, node 0 is the server), then the
+    // client sites.
+    let fleet: Vec<NodeId> = (0..config.protocol.shards)
+        .map(|shard| {
+            let me = NodeId::new(shard);
+            let engine = match stores {
+                None => ServerEngine::new(config.protocol),
+                Some(factory) => ServerEngine::with_store(config.protocol, factory(me.index())),
+            };
+            let host = ShardCore::new(engine, SimClock, me, &FaultPlan::none());
+            world.add_node(SimNode::new(host, infra_recorder()))
+        })
+        .collect();
+    let mut clients = Vec::with_capacity(config.n_clients);
+    for site in 0..config.n_clients {
+        let engine = ClientEngine::new(
+            config.protocol,
+            fleet.clone(),
+            site,
+            config.n_clients,
+            config.workload.clone(),
+            config.ops_per_client,
+        );
+        let sources = private_seed.map(|seed| PrivateSources::new(seed, site, config.n_clients));
+        let me = NodeId::new(config.protocol.shards + site);
+        let host = ClientCore::new(engine, sources, SimClock, me);
+        clients.push(world.add_node(SimNode::new(host, Some(recorder.clone()))));
+        assert_eq!(clients[site], me);
+    }
+    let expected_ops = config.n_clients * config.ops_per_client;
+    let controller = adaptive.map(|ctrl| {
+        world.add_node(ControllerNode {
+            controller: DeltaController::new(
+                ctrl,
+                config.protocol.kind,
+                monitor_delta,
+                expected_ops,
+            ),
+            clients,
+            recorder: recorder.clone(),
+        })
+    });
+    let faulted = !plan.is_empty();
+    world.set_fault_plan(plan);
+    // Every op costs at most a handful of events even with retries.
+    // Faulted runs retry more and ride out outage windows; controller
+    // ticks and command broadcasts ride on top for adaptive runs.
+    let mut budget = expected_ops * 200 + 10_000;
+    if faulted {
+        budget *= 4;
+    }
+    if controller.is_some() {
+        budget *= 4;
+    }
+    let events = world.run_to_quiescence(budget);
+    let finished_at = world.now();
+    let mut metrics = world.metrics().snapshot();
+    let delta_schedule = controller.map(|id| {
+        let node: &ControllerNode = world.node(id).expect("the controller node");
+        node.controller.schedule().clone()
+    });
+    drop(world);
+    let mut recorder = Rc::try_unwrap(recorder)
+        .expect("all clients dropped with the world")
+        .into_inner();
+    let net_events = recorder.take_net_log();
+    let (history, on_time, observed_staleness) = judge_run(recorder, &mut metrics);
+    RunResult {
+        history,
+        metrics,
+        epsilon,
+        events,
+        finished_at,
+        on_time,
+        observed_staleness,
+        bound,
+        delta_schedule,
+        net_events,
+    }
 }
 
 /// The run's net-event log, when `recorder` is present and traced.
@@ -256,11 +350,11 @@ impl Inputs for SimPort<'_, '_> {
     }
 }
 
-/// A simulated node: a node core ([`ClientCore`], [`ShardCore`] or
-/// [`RelayCore`]) stepped at its `Context`'s clock readings, its effects
-/// executed into the world. A dead timer is logged and dropped without a
-/// step, as on the real drivers.
-pub(crate) struct SimNode<H> {
+/// A simulated node: a node core ([`ClientCore`] or [`ShardCore`])
+/// stepped at its `Context`'s clock readings, its effects executed into
+/// the world. A dead timer is logged and dropped without a step, as on the
+/// real drivers.
+struct SimNode<H> {
     host: H,
     /// The run's recorder: a client's operations and value counter, and
     /// the net-event log of a traced run (infrastructure holds it only
@@ -271,7 +365,7 @@ pub(crate) struct SimNode<H> {
 }
 
 impl<H: Host<SimClock>> SimNode<H> {
-    pub(crate) fn new(host: H, recorder: Option<Rc<RefCell<TraceRecorder>>>) -> Self {
+    fn new(host: H, recorder: Option<Rc<RefCell<TraceRecorder>>>) -> Self {
         SimNode {
             host,
             recorder,
@@ -364,165 +458,6 @@ impl Process for ControllerNode {
         if more {
             ctx.set_timer(self.controller.interval(), TIMER_CONTROLLER);
         }
-    }
-}
-
-/// The one world builder, runner and result assembler. Node order is
-/// shards → relays (geo only) → clients → controller (adaptive only), so
-/// a flat run is exactly the no-geo case: same node ids.
-pub(crate) fn run_impl(
-    config: &RunConfig,
-    geo: Option<&GeoLayout>,
-    opts: RunOptions<'_>,
-) -> RunResult {
-    let RunOptions {
-        plan,
-        private_seed,
-        stores,
-        adaptive,
-        traced,
-    } = opts;
-    let plan = match geo {
-        Some(geo) => geo.plan_with_region_skew(plan),
-        None => plan,
-    };
-    let mut world: World<Msg> = World::new(config.world.clone());
-    // The ε and the fault-widened bound are both fixed by the plan before
-    // the run, so the recorder can judge on-time behaviour online.
-    let epsilon = Epsilon::from_ticks(2 * plan.max_abs_skew());
-    let bound = match geo {
-        Some(geo) => widened_bound_geo(config, geo, &plan, epsilon),
-        None => widened_bound(config, &plan, epsilon),
-    };
-    let monitor_delta = bound.unwrap_or(Delta::INFINITE);
-    let mut initial_recorder = TraceRecorder::new();
-    initial_recorder.attach_monitor(monitor_delta, epsilon);
-    if traced {
-        initial_recorder.enable_net_log();
-    }
-    let recorder = Rc::new(RefCell::new(initial_recorder));
-    let infra_recorder = || traced.then(|| recorder.clone());
-
-    // One fleet per region, region-major (a flat run is one region; with
-    // one shard this is the historical "node 0 is the server" layout).
-    let regions = geo.map_or(1, |geo| geo.regions.regions);
-    let mut fleets: Vec<Vec<NodeId>> = Vec::with_capacity(regions);
-    for region in 0..regions {
-        let fleet = (0..config.protocol.shards).map(|shard| {
-            let me = NodeId::new(region * config.protocol.shards + shard);
-            let mut engine = match stores {
-                None => ServerEngine::new(config.protocol),
-                Some(factory) => ServerEngine::with_store(config.protocol, factory(me.index())),
-            };
-            if let Some(geo) = geo {
-                engine = engine.with_geo(geo.regions.shard_config(region));
-            }
-            let host = ShardCore::new(engine, SimClock, me, &FaultPlan::none());
-            world.add_node(SimNode::new(host, infra_recorder()))
-        });
-        fleets.push(fleet.collect());
-    }
-    if let Some(geo) = geo {
-        for (region, fleet) in fleets.iter().enumerate() {
-            // The layout asserts keep RegionMap — which the engines
-            // address each other through — honest.
-            assert_eq!(*fleet, geo.regions.fleet(region));
-            let relay = GeoRelayEngine::new(fleet.clone(), config.n_clients);
-            let me = NodeId::new(geo.regions.relay_node(region));
-            let host = RelayCore::new(relay, SimClock, me);
-            let id = world.add_node(SimNode::new(host, infra_recorder()));
-            assert_eq!(id.index(), geo.regions.relay_node(region));
-        }
-    }
-    let client_base = geo.map_or(config.protocol.shards, |geo| geo.regions.client_base());
-    let mut clients = Vec::with_capacity(config.n_clients);
-    for site in 0..config.n_clients {
-        let home = geo.map_or(0, |geo| geo.home_region(site));
-        let mut engine = ClientEngine::new(
-            config.protocol,
-            fleets[home].clone(),
-            site,
-            config.n_clients,
-            config.workload.clone(),
-            config.ops_per_client,
-        );
-        if let Some(plan) = geo.and_then(|geo| geo.migration_plan(site)) {
-            engine = engine.with_migration(plan);
-        }
-        let sources = private_seed.map(|seed| PrivateSources::new(seed, site, config.n_clients));
-        let me = NodeId::new(client_base + site);
-        let host = ClientCore::new(engine, sources, SimClock, me);
-        clients.push(world.add_node(SimNode::new(host, Some(recorder.clone()))));
-        assert_eq!(clients[site], me);
-    }
-    if let Some(geo) = geo {
-        let map = geo.regions;
-        // WAN latency on every link the geo protocol crosses: shard →
-        // peer relay (batches) and peer relay → shard (acks).
-        for a in 0..map.regions {
-            for b in (0..map.regions).filter(|&b| b != a) {
-                for shard in map.region_shards(a) {
-                    let relay = map.relay_node(b);
-                    world.set_link_model(shard, relay, geo.wan.link(a, b));
-                    world.set_link_model(relay, shard, geo.wan.link(b, a));
-                }
-            }
-        }
-    }
-    let expected_ops = config.n_clients * config.ops_per_client;
-    let controller = adaptive.map(|ctrl| {
-        world.add_node(ControllerNode {
-            controller: DeltaController::new(
-                ctrl,
-                config.protocol.kind,
-                monitor_delta,
-                expected_ops,
-            ),
-            clients,
-            recorder: recorder.clone(),
-        })
-    });
-    let faulted = !plan.is_empty();
-    world.set_fault_plan(plan);
-    // Every op costs at most a handful of events even with retries; a geo
-    // run fans every write out to R−1 regions (batch, ack, apply, ack,
-    // relay notify) on top. Faulted runs retry more and ride out outage
-    // windows; controller ticks and command broadcasts ride on top for
-    // adaptive runs.
-    let mut budget = match geo {
-        None => expected_ops * 200 + 10_000,
-        Some(_) => expected_ops * 400 * regions + 20_000,
-    };
-    if faulted {
-        budget *= 4;
-    }
-    if controller.is_some() {
-        budget *= 4;
-    }
-    let events = world.run_to_quiescence(budget);
-    let finished_at = world.now();
-    let mut metrics = world.metrics().snapshot();
-    let delta_schedule = controller.map(|id| {
-        let node: &ControllerNode = world.node(id).expect("the controller node");
-        node.controller.schedule().clone()
-    });
-    drop(world);
-    let mut recorder = Rc::try_unwrap(recorder)
-        .expect("all clients dropped with the world")
-        .into_inner();
-    let net_events = recorder.take_net_log();
-    let (history, on_time, observed_staleness) = judge_run(recorder, &mut metrics);
-    RunResult {
-        history,
-        metrics,
-        epsilon,
-        events,
-        finished_at,
-        on_time,
-        observed_staleness,
-        bound,
-        delta_schedule,
-        net_events,
     }
 }
 

@@ -67,7 +67,6 @@ pub mod channel;
 mod config;
 pub mod control;
 pub mod engine;
-pub mod geo;
 mod harness;
 mod msg;
 pub mod node;
@@ -80,14 +79,10 @@ pub use config::{
 };
 pub use control::{ControllerConfig, DeltaController, DeltaSchedule};
 pub use engine::{ClientEngine, ServerEngine, ShardMap};
-pub use geo::{
-    conformance_geo, geo_retx, run_geo_with, widened_bound_geo, GeoLayout, GeoMigrationPlan,
-    GeoRelayEngine, GeoShardConfig, Migration, RegionMap, WanProfile,
-};
 pub use harness::{
     run, run_with, run_with_faults, run_with_private_sources, RunConfig, RunOptions, RunResult,
     StoreFactory,
 };
-pub use msg::{CausalStamp, GeoWrite, Msg, ValidateOutcome, WireVersion};
+pub use msg::{CausalStamp, Msg, ValidateOutcome, WireVersion};
 pub use oracle::{conformance, Conformance, OracleVerdict};
 pub use store::{MemStore, Recovery, ShardImage, ShardStore, StoredVersion, WalRecord};

@@ -175,9 +175,9 @@ pub enum Msg {
         /// equals the writer's own vector-clock entry.
         shard_seq: u64,
         /// The writer will wait on this write's ack: it drains after this
-        /// write (its workload ends, or a region migration falls due), the
-        /// fleet has more than one shard (the cross-shard write barrier may
-        /// hold the writer's next write for it), or the write is a resend.
+        /// write (its workload ends), the fleet has more than one shard (the
+        /// cross-shard write barrier may hold the writer's next write for
+        /// it), or the write is a resend.
         /// The shard sends that ack as soon as the write is durable instead
         /// of holding it for a reply to ride on.
         ack_now: bool,
@@ -210,8 +210,7 @@ pub enum Msg {
     /// past `upto` wait here for item `upto + 1`, which has not arrived.
     /// A shard sends it at once while it holds a writer's causal writes,
     /// and the writer resends that item within a round trip instead of at
-    /// its deadline. A relay sends none: geo gap reports were measured and
-    /// dropped (EXPERIMENTS.md, "One channel"). It acks nothing.
+    /// its deadline. It acks nothing.
     Gap {
         /// The receiver's cursor: the highest item delivered in order.
         upto: u64,
@@ -237,72 +236,6 @@ pub enum Msg {
         /// The Δ to enforce from receipt.
         delta: tc_clocks::Delta,
     },
-    /// Origin shard → remote region's relay: a deadline-batched run of
-    /// locally-originated causal writes crossing the WAN (see
-    /// [`crate::geo`]). Each (origin shard, destination relay) channel
-    /// numbers its batches from 1; the shard resends each batch the
-    /// relay's cumulative [`Msg::GeoBatchAck`] leaves unacked past its
-    /// deadline ([`crate::channel`]).
-    GeoBatch {
-        /// Region index of the originating fleet (metrics/debug only).
-        origin: u32,
-        /// Position of this batch in the channel's stream, starting at 1.
-        seq: u64,
-        /// The replicated writes, in local application order.
-        entries: Vec<GeoWrite>,
-    },
-    /// Relay → origin shard: cumulative acknowledgement — every batch on
-    /// this channel with `seq <= upto` has been ingested.
-    GeoBatchAck {
-        /// Highest contiguous batch sequence ingested.
-        upto: u64,
-    },
-    /// Relay → local shard: apply one remote write. The relay forwards
-    /// writes one at a time in causal-dependency order and waits for the
-    /// matching [`Msg::GeoApplyAck`], which is what makes every remote
-    /// write's causal past visible in the region before the write itself.
-    GeoApply {
-        /// The remote write (its vector stamp names the writer and the
-        /// writer's global write index).
-        entry: GeoWrite,
-    },
-    /// Shard → relay: the remote write by `writer` with global index `k`
-    /// (= the writer's own vector-clock entry) has been applied.
-    GeoApplyAck {
-        /// The writer's site index.
-        writer: u32,
-        /// The writer's global write index.
-        k: u64,
-    },
-    /// Shard → its own region's relay: a *locally-originated* causal write
-    /// by `writer` with global index `k` was applied directly. The relay
-    /// max-merges `k` into its applied-watermark for `writer`, so remote
-    /// writes that causally depend on destination-local writes are never
-    /// stuck waiting for a WAN round trip that will not come.
-    GeoLocalApply {
-        /// The writer's site index.
-        writer: u32,
-        /// The writer's global write index.
-        k: u64,
-    },
-    /// Migrating client → destination region's relay: the session-handoff
-    /// request carrying the client's full `Context_i` vector. The relay
-    /// replies [`Msg::GeoAttachOk`] only once its applied watermark
-    /// dominates `context_v` componentwise — after which every write the
-    /// client has ever observed is visible in the destination region and
-    /// the cache it carries is safe to keep.
-    GeoAttach {
-        /// The migrating client's site index.
-        site: u32,
-        /// The client's causal context at handoff.
-        context_v: tc_clocks::VectorClock,
-    },
-    /// Relay → client: handoff accepted; the client may retarget its
-    /// shard list to the destination region and resume.
-    GeoAttachOk {
-        /// The migrating client's site index (echoed).
-        site: u32,
-    },
 }
 
 impl Msg {
@@ -322,13 +255,6 @@ impl Msg {
             Msg::Gap { .. } => "gap",
             Msg::InvalidatePush { .. } => "invalidate_push",
             Msg::DeltaUpdate { .. } => "delta_update",
-            Msg::GeoBatch { .. } => "geo_batch",
-            Msg::GeoBatchAck { .. } => "geo_batch_ack",
-            Msg::GeoApply { .. } => "geo_apply",
-            Msg::GeoApplyAck { .. } => "geo_apply_ack",
-            Msg::GeoLocalApply { .. } => "geo_local_apply",
-            Msg::GeoAttach { .. } => "geo_attach",
-            Msg::GeoAttachOk { .. } => "geo_attach_ok",
         }
     }
 
@@ -355,59 +281,17 @@ impl Msg {
         }
     }
 
-    /// Whether this is a geo-replication control message (server↔relay or
-    /// migrating-client↔relay traffic), as opposed to the client↔server
-    /// protocol proper.
+    /// Whether this is a request a client sends a shard, as opposed to a
+    /// reply, ack, gap report, push or Δ command bound for a client.
     #[must_use]
-    pub fn is_geo(&self) -> bool {
+    pub fn is_request(&self) -> bool {
         matches!(
             self,
-            Msg::GeoBatch { .. }
-                | Msg::GeoBatchAck { .. }
-                | Msg::GeoApply { .. }
-                | Msg::GeoApplyAck { .. }
-                | Msg::GeoLocalApply { .. }
-                | Msg::GeoAttach { .. }
-                | Msg::GeoAttachOk { .. }
+            Msg::FetchReq { .. }
+                | Msg::ValidateReq { .. }
+                | Msg::WriteReq { .. }
+                | Msg::WriteReqCausal { .. }
         )
-    }
-}
-
-/// One replicated write inside a [`Msg::GeoBatch`] (and the payload of a
-/// [`Msg::GeoApply`]): everything a remote region needs to apply the write
-/// through the standard causal path, byte-for-byte what the writer's own
-/// [`Msg::WriteReqCausal`] carried. The vector stamp names the writer
-/// (`alpha_v.site()`) and the writer's global write index (the writer's
-/// own component), and `shard_seq` lines up with the destination shard's
-/// per-writer delivery cursor because every region runs the same
-/// [`crate::ShardMap`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct GeoWrite {
-    /// The written object.
-    pub object: ObjectId,
-    /// The (globally unique) value.
-    pub value: Value,
-    /// The writer's vector stamp (site = writer, own entry = global index).
-    pub alpha_v: VectorClock,
-    /// The writer's local physical time at issue: the version's `α_t`.
-    pub issued_at: Time,
-    /// Position of the write in the writer's per-shard stream (starting
-    /// at 1), against the object's owning shard — identical in every
-    /// region by the shared shard map.
-    pub shard_seq: u64,
-}
-
-impl GeoWrite {
-    /// The writer's site index.
-    #[must_use]
-    pub fn writer(&self) -> usize {
-        self.alpha_v.site()
-    }
-
-    /// The writer's global write index `k` (its own vector-clock entry).
-    #[must_use]
-    pub fn k(&self) -> u64 {
-        self.alpha_v.own_entry()
     }
 }
 

@@ -1,7 +1,7 @@
 //! The node core: what sits between an engine and whichever driver hosts
 //! it, written once for the simulator and the real drivers.
 //!
-//! A driver steps a [`Host`] ([`ClientCore`], [`ShardCore`], [`RelayCore`])
+//! A driver steps a [`Host`] ([`ClientCore`], [`ShardCore`])
 //! at the moment it observed an event and hands the emitted effects to
 //! [`execute`]. It plugs in a [`TimeSource`] — [`SimClock`] reads a
 //! simulated node's (possibly skewed) local clock and true time off its
@@ -19,7 +19,7 @@ use tc_sim::metrics::names;
 use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
 use crate::engine::{Effect, Event, Inputs, Now, PrivateSources, TIMER_NEXT_OP};
-use crate::{ClientEngine, GeoRelayEngine, Msg, ServerEngine};
+use crate::{ClientEngine, Msg, ServerEngine};
 
 /// What time is to a driver: how the moment it observed an event reads on
 /// the node's clocks, and when a timer a step arms falls due.
@@ -242,9 +242,8 @@ struct OutageGate {
 }
 
 /// The timer [`ShardCore`] arms at every kill-window edge: apart from
-/// every server engine token (client node indexes, the geo flush and ack
-/// ranges, the resend deadlines of any run shorter than 2⁶² ticks, the
-/// `u64::MAX` family).
+/// every server engine token (the ack range, the fsync deadline at
+/// `u64::MAX`).
 const TIMER_OUTAGE_EDGE: u64 = u64::MAX - 3;
 
 impl OutageGate {
@@ -367,39 +366,6 @@ impl<T: TimeSource> Host<T> for ShardCore<T> {
 
     fn timer_is_live(&self, token: u64) -> bool {
         token == TIMER_OUTAGE_EDGE || (!self.outages.down && self.engine.timer_is_live(token))
-    }
-}
-
-/// A geo relay is infrastructure like a shard: a clock sample precedes
-/// every event (the relay time-stamps nothing; its resend deadline counts
-/// in true time), and it never finishes by itself.
-pub struct RelayCore<T> {
-    engine: GeoRelayEngine,
-    time: T,
-    me: NodeId,
-}
-
-impl<T: TimeSource> RelayCore<T> {
-    /// The core hosting `engine` as node `me`.
-    pub fn new(engine: GeoRelayEngine, time: T, me: NodeId) -> Self {
-        RelayCore { engine, time, me }
-    }
-}
-
-impl<T: TimeSource> Host<T> for RelayCore<T> {
-    fn step(
-        &mut self,
-        event: Event,
-        at: T::At,
-        _shared: Option<&mut dyn Inputs>,
-        out: &mut Vec<Effect>,
-    ) -> Time {
-        let (local, truth) = self.time.read(at);
-        let me = self.me;
-        self.engine
-            .handle(Event::Now(Now { me, local, truth }), out);
-        self.engine.handle(event, out);
-        truth
     }
 }
 

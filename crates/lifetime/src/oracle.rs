@@ -156,7 +156,7 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
 /// many ticks, 0 for an ephemeral store. `None` for an infinite deadline
 /// (group-fullness-only syncing), which can delay visibility arbitrarily —
 /// no finite bound exists.
-pub(crate) fn fsync_delay(protocol: &ProtocolConfig) -> Option<u64> {
+fn fsync_delay(protocol: &ProtocolConfig) -> Option<u64> {
     match protocol.durability.fsync() {
         None => Some(0),
         Some(policy) if policy.max_delay.is_infinite() => None,
@@ -170,24 +170,8 @@ pub(crate) fn fsync_delay(protocol: &ProtocolConfig) -> Option<u64> {
 /// already includes injected skew).
 #[must_use]
 pub fn conformance(config: &RunConfig, plan: &FaultPlan, result: &RunResult) -> Conformance {
-    judge(
-        result,
-        widened_bound(config, plan, result.epsilon),
-        config.n_clients * config.ops_per_client,
-        config.protocol.kind.is_causal_family(),
-    )
-}
-
-/// The one judge behind [`conformance`] and [`crate::conformance_geo`]:
-/// `bound` is the widened bound the caller's config and plan promise,
-/// `ops_expected` what the workload was to perform, and `causal` selects
-/// the untimed guarantee (causal convergence, else SC).
-pub(crate) fn judge(
-    result: &RunResult,
-    bound: Option<Delta>,
-    ops_expected: usize,
-    causal: bool,
-) -> Conformance {
+    let bound = widened_bound(config, plan, result.epsilon);
+    let ops_expected = config.n_clients * config.ops_per_client;
     let eps = result.epsilon;
     let ops_recorded = result.history.len();
     // The harness's streaming monitor already judged every read as it was
@@ -254,7 +238,7 @@ pub(crate) fn judge(
     }
 
     // Untimed safety holds unconditionally, on whatever prefix completed.
-    if causal {
+    if config.protocol.kind.is_causal_family() {
         if satisfies_ccv(&result.history) != Outcome::Satisfied {
             note("causal convergence (CCv) violated".to_string());
         }

@@ -6,20 +6,26 @@
 //! Clients and shards run in-process under a random schedule that
 //! delivers, drops and duplicates messages, fires armed timers in any
 //! order (most retry timers die because their reply came first), fires
-//! tokens nobody armed, and crash-restarts clients.
+//! tokens nobody armed at clients and shards, and crash-restarts clients.
 
 use proptest::collection;
 use proptest::prelude::*;
 use tc_clocks::{Delta, Time};
-use tc_lifetime::engine::{
-    Effect, Event, PrivateSources, TIMER_GEO_ATTACH, TIMER_NEXT_OP, TIMER_RESEND,
-};
+use tc_lifetime::engine::{Effect, Event, PrivateSources, TIMER_NEXT_OP, TIMER_RESEND};
 use tc_lifetime::node::{ClientCore, Host, ShardCore, SimClock};
 use tc_lifetime::{ClientEngine, Msg, ProtocolConfig, ProtocolKind, ServerEngine};
 use tc_sim::workload::Workload;
 use tc_sim::{FaultPlan, NodeId};
 
 const SITES: usize = 2;
+
+/// A client token no engine arms: the retired region-migration attach
+/// retransmit.
+const FORMER_ATTACH: u64 = u64::MAX - 1;
+
+/// The base of a shard token range no engine arms: the retired
+/// cross-region egress flush deadlines, one per peer region.
+const FORMER_FLUSH_BASE: u64 = 1 << 60;
 
 struct Fleet {
     shards: usize,
@@ -121,7 +127,7 @@ proptest! {
         kind in 0usize..4,
         shards in 1usize..3,
         seed in 0u64..1_000,
-        schedule in collection::vec((0u8..12, 0usize..1_000), 1..400),
+        schedule in collection::vec((0u8..13, 0usize..1_000), 1..400),
     ) {
         let delta = Delta::from_ticks(40);
         let kind = [
@@ -163,8 +169,16 @@ proptest! {
                 9 | 10 => {
                     let nth = (pick / 4) as u64;
                     let resend = TIMER_RESEND + 500 + nth;
-                    let token = [TIMER_NEXT_OP, resend, TIMER_GEO_ATTACH, nth % 40][pick % 4];
+                    let token = [TIMER_NEXT_OP, resend, FORMER_ATTACH, nth % 40][pick % 4];
                     fleet.fire_client(pick % SITES, token)?;
+                }
+                // A token no shard arms is dead, and firing it does nothing.
+                12 => {
+                    let token = FORMER_FLUSH_BASE + (pick / 4) as u64;
+                    let node = pick % shards;
+                    prop_assert!(!fleet.servers[node].timer_is_live(token));
+                    let out = fleet.step(node, Event::Timer { token });
+                    prop_assert!(out.is_empty(), "dead token {} emitted {:?}", token, out);
                 }
                 11 => {
                     fleet.step(shards + pick % SITES, Event::Restart);

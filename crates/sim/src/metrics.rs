@@ -89,8 +89,8 @@ counter_names! {
     SERVER_VALIDATE = "server_validate";
     /// Server-side write received.
     SERVER_WRITE = "server_write";
-    /// Causal write that arrived ahead of a gap in its writer's stream:
-    /// a client's is held until the gap closes, a relay's forward refused.
+    /// Causal write that arrived ahead of a gap in its writer's stream,
+    /// held until the gap closes.
     SERVER_WRITE_GAP = "server_write_gap";
     /// Duplicate write answered without re-applying.
     SERVER_WRITE_DUP = "server_write_dup";
@@ -186,29 +186,6 @@ counter_names! {
     /// An arrival a channel receiver dropped because it landed more than
     /// its ahead bound past the cursor; the sender's deadline resends it.
     AHEAD_DROPPED = "ahead_dropped";
-
-    /// Geo replication: cross-region write batches shipped by a shard.
-    GEO_BATCH = "geo_batch";
-    /// Geo replication: batches retransmitted while unacknowledged.
-    GEO_BATCH_RETRANSMIT = "geo_batch_retransmit";
-    /// Geo replication: duplicate batches a relay acked without applying.
-    GEO_BATCH_DUP = "geo_batch_dup";
-    /// Geo replication: remote writes a relay forwarded to a local shard.
-    GEO_APPLY = "geo_apply";
-    /// Geo replication: remote writes a shard applied to its store.
-    GEO_APPLIED = "geo_applied";
-    /// Geo replication: duplicate relay forwards a shard re-acked.
-    GEO_APPLY_DUP = "geo_apply_dup";
-    /// Geo replication: relay forwards retransmitted while unacknowledged.
-    GEO_APPLY_RETRANSMIT = "geo_apply_retransmit";
-    /// Geo replication: local-apply notifications shards sent their relay.
-    GEO_LOCAL_NOTIFY = "geo_local_notify";
-    /// Geo migration: attach requests relays received from moving clients.
-    GEO_ATTACH = "geo_attach";
-    /// Geo migration: attach requests parked until the relay caught up.
-    GEO_ATTACH_WAITED = "geo_attach_waited";
-    /// Geo migration: clients that completed a region handoff.
-    GEO_MIGRATED = "geo_migrated";
 }
 
 /// A bag of named counters: one `u64` slot per [`names`] constant, so a

@@ -247,7 +247,6 @@ pub struct World<M> {
     rng: StdRng,
     metrics: Metrics,
     fifo_last: HashMap<(NodeId, NodeId), Time>,
-    link_overrides: HashMap<(usize, usize), NetworkModel>,
     started: bool,
     faults: FaultPlan,
     fault_rng: StdRng,
@@ -270,7 +269,6 @@ impl<M: Clone + 'static> World<M> {
             rng,
             metrics: Metrics::new(),
             fifo_last: HashMap::new(),
-            link_overrides: HashMap::new(),
             started: false,
             faults: FaultPlan::none(),
             fault_rng,
@@ -304,25 +302,6 @@ impl<M: Clone + 'static> World<M> {
             }
         }
         self.faults = plan;
-    }
-
-    /// Overrides the network model for the directed link `from → to`
-    /// (node indices). Messages on that link sample latency and FIFO
-    /// behaviour from `model` instead of the world default — how a
-    /// geo topology gives its WAN pairs a different profile from the
-    /// intra-region fabric. Links without an override are untouched, so a
-    /// world with no overrides behaves byte-identically to one built
-    /// before this hook existed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the world has already started running.
-    pub fn set_link_model(&mut self, from: usize, to: usize, model: NetworkModel) {
-        assert!(
-            !self.started,
-            "link overrides must be installed before the world runs"
-        );
-        self.link_overrides.insert((from, to), model);
     }
 
     /// Adds a node; its [`Process::on_start`] runs at time 0 in insertion
@@ -475,16 +454,9 @@ impl<M: Clone + 'static> World<M> {
                 self.metrics.incr(names::FAULT_DROPPED);
                 continue;
             }
-            // Per-link override, if one is installed for this (from, to)
-            // pair; copying the small model avoids holding a borrow of
-            // `self` across the RNG draw below.
-            let net = *self
-                .link_overrides
-                .get(&(node.0, to.0))
-                .unwrap_or(&self.config.net);
-            let latency = net.latency.sample(&mut self.rng);
+            let latency = self.config.net.latency.sample(&mut self.rng);
             let mut arrival = self.now + latency;
-            if net.fifo {
+            if self.config.net.fifo {
                 let last = self.fifo_last.entry((node, to)).or_insert(Time::ZERO);
                 arrival = arrival.max(*last);
                 *last = arrival;
@@ -865,61 +837,6 @@ mod tests {
         let mut w: World<u32> = World::new(WorldConfig::deterministic(Delta::from_ticks(1), 2));
         let _b = w.add_node(Counter::new(None));
         w.set_fault_plan(FaultPlan::none().crash(Window::ticks(1, 2), 7));
-    }
-
-    #[test]
-    fn link_override_changes_only_its_link() {
-        // Counter's on_start sends 1, 2 to its peer; with a reliable
-        // 1-tick default both arrive at tick 1. Overriding only the
-        // a → b link to a constant 50 moves those arrivals; a world with
-        // no overrides is untouched.
-        let run = |override_link: bool| -> Vec<(Time, u32)> {
-            let mut w: World<u32> = World::new(WorldConfig::deterministic(Delta::from_ticks(1), 3));
-            let b = w.add_node(Counter::new(None));
-            let a = w.add_node(Counter::new(Some(b)));
-            if override_link {
-                w.set_link_model(
-                    a.index(),
-                    b.index(),
-                    NetworkModel::reliable(Delta::from_ticks(50)),
-                );
-            }
-            w.run_until(Time::from_ticks(1_000));
-            w.node::<Counter>(b).unwrap().received.clone()
-        };
-        let base = run(false);
-        let wan = run(true);
-        assert!(base.iter().all(|(t, _)| *t == Time::from_ticks(1)));
-        assert!(wan.iter().all(|(t, _)| *t == Time::from_ticks(50)));
-        let msgs = |v: &[(Time, u32)]| v.iter().map(|(_, m)| *m).collect::<Vec<_>>();
-        assert_eq!(msgs(&base), msgs(&wan));
-    }
-
-    #[test]
-    fn link_override_is_directional() {
-        // Override a → b only; b's replies (none here) would be untouched.
-        // Check the reverse direction stays at the default latency by
-        // overriding b → a and observing a's deliveries are unaffected.
-        let mut w: World<u32> = World::new(WorldConfig::deterministic(Delta::from_ticks(2), 4));
-        let b = w.add_node(Counter::new(None));
-        let a = w.add_node(Counter::new(Some(b)));
-        w.set_link_model(
-            b.index(),
-            a.index(),
-            NetworkModel::reliable(Delta::from_ticks(77)),
-        );
-        w.run_until(Time::from_ticks(1_000));
-        let got = w.node::<Counter>(b).unwrap().received.clone();
-        assert!(got.iter().all(|(t, _)| *t == Time::from_ticks(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "before the world runs")]
-    fn link_overrides_after_start_panic() {
-        let mut w: World<u32> = World::new(WorldConfig::deterministic(Delta::from_ticks(1), 2));
-        let b = w.add_node(Counter::new(None));
-        w.run_until(Time::from_ticks(10));
-        w.set_link_model(0, b.index(), NetworkModel::reliable(Delta::from_ticks(5)));
     }
 
     #[test]

@@ -258,16 +258,18 @@ impl Links for ShardReactor<'_> {
                 shard: dialled,
                 protocol,
             } => self.handle_hello(token, n_clients, dialled, protocol),
-            // Only the attached link speaks, and only for a site in the
-            // fleet's id space.
-            WireMsg::Proto(msg) if linked && usize::from(lane) < self.cfg.runtime.n_clients => {
+            // Only the attached link speaks, only for a site in the fleet's
+            // id space, and only requests.
+            WireMsg::Proto(msg)
+                if linked && usize::from(lane) < self.cfg.runtime.n_clients && msg.is_request() =>
+            {
                 let from = NodeId::new(self.shards + usize::from(lane));
                 self.step_engine(Event::Message { from, msg }, at);
             }
             WireMsg::Heartbeat if linked => {}
-            // A Bye or a stray ack ends the link, and so does any frame
-            // before the Hello: the churn injector sends exactly that shape
-            // on purpose.
+            // A Bye, a stray ack or a client-bound message ends the link,
+            // and so does any frame before the Hello: the churn injector
+            // sends exactly that shape on purpose.
             _ => self.close(token),
         }
     }
@@ -612,12 +614,12 @@ impl Links for ClientReactor<'_> {
                 self.acked[shard] = true;
                 self.telemetry.metrics.add(name, 1);
             }
-            WireMsg::Proto(msg) if client < self.clients.len() => {
+            WireMsg::Proto(msg) if client < self.clients.len() && !msg.is_request() => {
                 let from = NodeId::new(shard);
                 self.feed(client, Event::Message { from, msg }, at);
             }
-            // A server never sends Hello or Bye mid-session, nor speaks on
-            // a lane no hosted site owns: treat any of it as the link dying.
+            // A server never sends Hello, Bye or a request, nor speaks on a
+            // lane no hosted site owns: treat any of it as the link dying.
             _ => self.close(token),
         }
     }
@@ -1186,9 +1188,10 @@ mod tests {
         );
     }
 
-    /// Only the attached link speaks, and only for a site in the id space:
-    /// a `Proto` before any Hello, or on a lane past the fleet, closes the
-    /// connection before the engine sees it.
+    /// Only the attached link speaks, only for a site in the id space, and
+    /// only requests: a `Proto` before any Hello, on a lane past the fleet,
+    /// or of a client-bound kind closes the connection before the engine
+    /// sees it, and the shard serves the next link as before.
     #[test]
     fn a_proto_frame_on_an_unattached_lane_closes_the_link() {
         let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 45));
@@ -1216,11 +1219,62 @@ mod tests {
                 read_reply(&mut stream).is_err(),
                 "the shard must hang up on a lane outside the id space"
             );
+            let attach = || {
+                let mut stream = raw_dial(addr);
+                write_frame(&mut stream, 0, &hello).unwrap();
+                match read_reply(&mut stream) {
+                    Ok((0, WireMsg::HelloAck { shard: 0 })) => stream,
+                    other => panic!("expected HelloAck on lane 0, got {other:?}"),
+                }
+            };
+            let mut stream = attach();
+            let push = WireMsg::Proto(Msg::InvalidatePush {
+                object: tc_core::ObjectId::new(0),
+                alpha_t: tc_clocks::Time::from_ticks(1),
+                alpha_v: None,
+            });
+            write_frame(&mut stream, 0, &push).unwrap();
+            assert!(
+                read_reply(&mut stream).is_err(),
+                "the shard must hang up on a client-bound message"
+            );
+            // The shard survived it: the next link is admitted, and says
+            // goodbye.
+            let mut stream = attach();
+            write_frame(&mut stream, 0, &WireMsg::Bye).unwrap();
+            assert!(read_reply(&mut stream).is_err(), "a Bye ends the link");
             Telemetry::recording(rc)
         });
         assert_eq!(served, 0, "no stray request may reach the engine");
-        assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 2);
-        assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 2);
+        assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 4);
+        assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 4);
+    }
+
+    /// A shard never sends a request: a client reactor that reads one on a
+    /// shard's link hangs that link up and redials, before any hosted
+    /// engine sees the frame.
+    #[test]
+    fn a_request_from_a_shard_closes_its_link() {
+        let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 51));
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let clock = TickClock::new(cfg.runtime.tick);
+        let addrs = [addr];
+        let mut reactor = ClientReactor::new(&cfg, &addrs, clock, None);
+        reactor.dial(0);
+        let LinkState::Up { token } = reactor.links[0] else {
+            panic!("the dial to a bound listener must link");
+        };
+        reactor.on_frame(token, 0, fetch(), Instant::now());
+        assert!(
+            reactor.table.peer_mut(token).is_none(),
+            "the link is closed"
+        );
+        assert!(matches!(reactor.links[0], LinkState::Down { attempt: 0 }));
+        assert!(reactor
+            .clients
+            .iter()
+            .all(|c| c.core.engine.ops_done() == 0));
     }
 
     #[test]

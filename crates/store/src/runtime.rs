@@ -10,8 +10,7 @@
 //!   one shared epoch;
 //! * **the node loop** — `ChannelNode`: timer wheel, blocking receive,
 //!   bounded drain, step, execute — one thread per node;
-//! * **the channel fleet builder** — `run_channels`: [`run_threaded`] is
-//!   its flat case, [`crate::run_threaded_geo`] its geo case;
+//! * **the channel fleet builder** — [`run_threaded`];
 //! * **the control plane** — `controller` builds the run's
 //!   `DeltaController`, which the channel drivers tick over the clients'
 //!   telemetry from a sleeping thread, the reactor from a timer;
@@ -23,13 +22,12 @@
 //!
 //! # Layout
 //!
-//! Node ids follow the simulator harness: shards first, region-major
-//! (node 0 is *the* server in a single-shard run), then one relay per
-//! region in a geo run, then client site `i`. One thread per node, each
-//! on its own unbounded inbox. A client exits once its workload is
-//! finished and nothing is in flight; once every client has, each shard
-//! and relay is sent an explicit stop on its inbox and exits after
-//! serving what was queued before it.
+//! Node ids follow the simulator harness: shards first (node 0 is *the*
+//! server in a single-shard run), then client site `i`. One thread per
+//! node, each on its own unbounded inbox. A client exits once its workload
+//! is finished and nothing is in flight; once every client has, each shard
+//! is sent an explicit stop on its inbox and exits after serving what was
+//! queued before it.
 //!
 //! # Time
 //!
@@ -54,15 +52,12 @@ use tc_core::History;
 use tc_durable::WalStore;
 use tc_lifetime::control::{ControllerConfig, DeltaController, DeltaSchedule};
 use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources, ServerEngine};
-use tc_lifetime::node::{
-    execute, judge_run, ClientCore, Host, Port, RelayCore, ShardCore, TimeSource,
-};
-use tc_lifetime::{GeoLayout, GeoRelayEngine, Msg, ProtocolConfig};
+use tc_lifetime::node::{execute, judge_run, ClientCore, Host, Port, ShardCore, TimeSource};
+use tc_lifetime::{Msg, ProtocolConfig};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId, TraceRecorder};
 
-use crate::geo::{is_wan, wan_courier, WanPacket};
 use crate::reactor::TimerSlack;
 use crate::wheel::TimerWheel;
 
@@ -177,7 +172,7 @@ pub(crate) fn refuse_unrenderable(plan: &FaultPlan, driver: &str, cut: impl Fn(&
 /// in-memory store by default, or a [`WalStore`] under
 /// `<wal_dir>/shard-<i>` when a WAL directory is set. Opening a dirty
 /// directory recovers the previous incarnation's durable state — this is
-/// the single point where every real-time driver (threaded, geo, reactor)
+/// the single point where every real-time driver (threaded, reactor)
 /// decides what a shard remembers.
 pub(crate) fn build_shard_engine(
     protocol: ProtocolConfig,
@@ -370,7 +365,7 @@ impl TickClock {
     }
 
     /// The real-time length of `delta` — a *period* (the controller's
-    /// sampling interval, a WAN hold), not a timer: engine timers are
+    /// sampling interval), not a timer: engine timers are
     /// deadlines on the clock itself, see [`TickClock::deadline`].
     /// `None` for an infinite delta.
     pub(crate) fn delta_to_duration(&self, delta: Delta) -> Option<Duration> {
@@ -502,21 +497,18 @@ impl<S: FnMut(NodeId, Msg)> Port for ChannelPort<'_, S> {
 }
 
 /// What a channel node's inbox carries.
-pub(crate) enum Inbound {
+enum Inbound {
     /// A protocol message from the named node.
     Msg(NodeId, Msg),
-    /// Exit once everything queued before this is served: [`run_channels`]
-    /// sends it to every shard and relay once the clients are done.
+    /// Exit once everything queued before this is served: [`run_threaded`]
+    /// sends it to every shard once the clients are done.
     Stop,
 }
 
 /// The one blocking wait of a channel thread: the next item on `inbox`,
 /// waiting until `deadline` at most (`Ok(None)` once it has passed) or,
 /// without one, until something arrives. `Err` once every sender is gone.
-pub(crate) fn recv_by<T>(
-    inbox: &Receiver<T>,
-    deadline: Option<Instant>,
-) -> Result<Option<T>, RecvError> {
+fn recv_by<T>(inbox: &Receiver<T>, deadline: Option<Instant>) -> Result<Option<T>, RecvError> {
     let Some(deadline) = deadline else {
         return inbox.recv().map(Some);
     };
@@ -532,11 +524,10 @@ pub(crate) fn recv_by<T>(
 }
 
 /// One thread-per-node engine host over in-process channels: the node
-/// loop of [`run_channels`]. What a node *is* — a client, a shard, a geo
-/// relay — is its [`Host`]; where its sends go is the `send` closure. A
-/// client ends when its host reports [`Host::finished`], every other node
-/// at [`Inbound::Stop`].
-pub(crate) struct ChannelNode<'a, H, S> {
+/// loop of [`run_threaded`]. What a node *is* — a client or a shard — is
+/// its [`Host`]; where its sends go is the `send` closure. A client ends
+/// when its host reports [`Host::finished`], a shard at [`Inbound::Stop`].
+struct ChannelNode<'a, H, S> {
     host: H,
     send: S,
     timers: TimerWheel,
@@ -700,6 +691,10 @@ pub(crate) fn control_loop(
 
 /// Runs one threaded execution to completion and judges it.
 ///
+/// Node order is the simulator harness's, shards → clients. One thread per
+/// node on an id-indexed inbox, plus the control thread for adaptive runs.
+/// Once every client is done, each shard is sent an explicit stop.
+///
 /// # Panics
 ///
 /// Panics if a worker thread panics, [`RuntimeConfig::faults`] holds a
@@ -708,24 +703,7 @@ pub(crate) fn control_loop(
 /// loop runtime exists to surface).
 #[must_use]
 pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
-    run_channels(config, None)
-}
-
-/// The one channel fleet builder, runner and result assembler, in the
-/// simulator harness's shape: node order is shards → relays (geo only) →
-/// clients, so a flat run is exactly the no-geo case — one region, no
-/// relay, no WAN courier. One thread per node on an id-indexed inbox,
-/// plus the courier for geo and the control thread for adaptive runs.
-/// Once every client is done, each shard and relay is sent
-/// [`Inbound::Stop`]; the courier ends when their senders are gone.
-pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> RuntimeResult {
     let shards = config.protocol.shards;
-    let fleet_shards = geo.map_or(shards, |geo| geo.regions.regions * shards);
-    // Every node a client does not finish: the shards, then the relays.
-    let infra = geo.map_or(shards, |geo| geo.regions.client_base());
-    if let Some(geo) = geo {
-        geo.validate(&config.protocol, config.n_clients, config.ops_per_client);
-    }
     refuse_unrenderable(&config.faults, "channel", |_| true);
     // Read once: a fault-free send consults no plan and reads no clock.
     let faults = &config.faults;
@@ -736,13 +714,12 @@ pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> R
     let clock = TickClock::new(config.tick);
     let controller = controller(config, &clock);
     let shared = Shared::new(config);
-    let (node_txs, mut node_rxs): (Vec<_>, Vec<_>) = (0..infra + config.n_clients)
+    let (node_txs, mut node_rxs): (Vec<_>, Vec<_>) = (0..shards + config.n_clients)
         .map(|_| {
             let (tx, rx) = mpsc::channel::<Inbound>();
             (tx, Some(rx))
         })
         .unzip();
-    let (wan_tx, wan_rx) = mpsc::channel::<WanPacket>();
 
     let started = Instant::now();
     let shared_ref = &shared;
@@ -755,31 +732,22 @@ pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> R
         Option<DeltaSchedule>,
     ) = std::thread::scope(|scope| {
         // Where node `me`'s sends go: a send across an active partition
-        // is dropped, geo traffic between regions detours through the
-        // courier, everything else goes straight into the receiver's
+        // is dropped, everything else goes straight into the receiver's
         // inbox. A node that has exited drops what it is sent — the
         // simulator's dead-letter path.
         let route = |me: NodeId| {
-            let wan_tx = wan_tx.clone();
             move |to: NodeId, msg: Msg| {
                 if partitioned && faults.partitions(clock.now(), me.index(), to.index()) {
                     return;
                 }
-                if geo.is_some_and(|geo| is_wan(&geo.regions, me, to)) {
-                    let _ = wan_tx.send((me, to, msg));
-                } else {
-                    let _ = node_txs[to.index()].send(Inbound::Msg(me, msg));
-                }
+                let _ = node_txs[to.index()].send(Inbound::Msg(me, msg));
             }
         };
         let mut take_inbox = |node: usize| node_rxs[node].take().expect("one inbox per node");
-        let mut shard_workers = Vec::with_capacity(fleet_shards);
-        for node in 0..fleet_shards {
+        let mut shard_workers = Vec::with_capacity(shards);
+        for node in 0..shards {
             let me = NodeId::new(node);
-            let mut engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), node);
-            if let Some(geo) = geo {
-                engine = engine.with_geo(geo.regions.shard_config(node / shards));
-            }
+            let engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), node);
             let host = ShardCore::new(engine, clock, me, &config.faults);
             let (send, inbox) = (route(me), take_inbox(node));
             shard_workers.push(scope.spawn(move || {
@@ -787,42 +755,23 @@ pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> R
                 node.run(&inbox).engine.requests_served()
             }));
         }
-        if let Some(geo) = geo {
-            for region in 0..geo.regions.regions {
-                let relay = GeoRelayEngine::new(geo.regions.fleet(region), config.n_clients);
-                let node = geo.regions.relay_node(region);
-                let host = RelayCore::new(relay, clock, NodeId::new(node));
-                let (send, inbox) = (route(NodeId::new(node)), take_inbox(node));
-                scope.spawn(move || ChannelNode::new(host, send, clock, shared_ref).run(&inbox));
-            }
-            scope
-                .spawn(move || wan_courier(&wan_rx, node_txs, geo, config.seed, clock, shared_ref));
-        }
         let mut client_workers = Vec::with_capacity(config.n_clients);
         for site in 0..config.n_clients {
-            let me = NodeId::new(infra + site);
-            let servers = match geo {
-                Some(geo) => geo.regions.fleet(geo.home_region(site)),
-                None => (0..shards).map(NodeId::new).collect(),
-            };
-            let mut host = site_core(config, servers, me, site, clock);
-            if let Some(plan) = geo.and_then(|geo| geo.migration_plan(site)) {
-                host.engine = host.engine.with_migration(plan);
-            }
+            let me = NodeId::new(shards + site);
+            let servers = (0..shards).map(NodeId::new).collect();
+            let host = site_core(config, servers, me, site, clock);
             let (send, inbox) = (route(me), take_inbox(me.index()));
             client_workers.push(scope.spawn(move || {
                 let node = ChannelNode::new(host, send, clock, shared_ref);
                 node.run(&inbox).into_latencies()
             }));
         }
-        // The courier's own sender: what is left are the nodes'.
-        drop(wan_tx);
         let controller_worker = controller.map(|controller| {
             scope.spawn(move || {
                 // The sender is past every node (clients ignore it).
-                let from = NodeId::new(infra + config.n_clients);
+                let from = NodeId::new(shards + config.n_clients);
                 let broadcast = |msg: Msg| {
-                    for tx in &node_txs[infra..] {
+                    for tx in &node_txs[shards..] {
                         let _ = tx.send(Inbound::Msg(from, msg.clone()));
                     }
                 };
@@ -835,10 +784,9 @@ pub(crate) fn run_channels(config: &RuntimeConfig, geo: Option<&GeoLayout>) -> R
             .collect();
         // Clients are done: release the controller (its ingested-ops
         // stop rule normally beats this flag; the flag covers stalls) and
-        // stop the infrastructure. Geo propagation still in flight stops
-        // with it — every recorded operation has already completed.
+        // stop the shards.
         done.store(true, Ordering::Release);
-        for tx in &node_txs[..infra] {
+        for tx in &node_txs[..shards] {
             let _ = tx.send(Inbound::Stop);
         }
         let delta_schedule =

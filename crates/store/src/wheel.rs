@@ -57,13 +57,13 @@ impl<T> Ord for Entry<T> {
 }
 
 /// A deadline-ordered timer wheel over real [`Instant`]s, shared by the
-/// channel node loop, the geo WAN courier and both reactors.
+/// channel node loop and both reactors.
 ///
 /// Timers pop in deadline order; equal deadlines pop in arming order, so
 /// a driver that arms `A` then `B` for the same instant fires `A` first —
 /// the property the engines' effect-order contract leans on. A timer pops
 /// exactly once its deadline has passed: a deadline off the tick grid (a
-/// redial, a WAN delivery) or one already due when armed is never rounded
+/// redial) or one already due when armed is never rounded
 /// up to the next boundary.
 ///
 /// Bucket `k` of the ring holds the timers whose deadline lies in

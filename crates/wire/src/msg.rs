@@ -31,8 +31,8 @@ use std::sync::Arc;
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
-    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, Msg, Propagation, ProtocolConfig,
-    ProtocolKind, StalePolicy, ValidateOutcome, WireVersion,
+    CausalStamp, DurabilityMode, FsyncPolicy, Msg, Propagation, ProtocolConfig, ProtocolKind,
+    StalePolicy, ValidateOutcome, WireVersion,
 };
 
 use crate::codec::{Reader, WireError, Writer};
@@ -98,18 +98,16 @@ const TAG_WRITE_ACK: u8 = 5;
 const TAG_WRITE_ACK_CAUSAL: u8 = 6;
 const TAG_INVALIDATE_PUSH: u8 = 7;
 const TAG_DELTA_UPDATE: u8 = 9;
-const TAG_GEO_BATCH: u8 = 10;
-const TAG_GEO_BATCH_ACK: u8 = 11;
-const TAG_GEO_APPLY: u8 = 12;
-const TAG_GEO_APPLY_ACK: u8 = 13;
-const TAG_GEO_LOCAL_APPLY: u8 = 14;
-const TAG_GEO_ATTACH: u8 = 15;
-const TAG_GEO_ATTACH_OK: u8 = 16;
 const TAG_GAP: u8 = 17;
 // Retired kinds stay unknown rather than reused: 8 was the deadline-batched
-// invalidation run until generation 7, and 18–20 were twin tags that the
-// flags below replaced in generation 6 (18 an acked `ValidateRep`, 19 an
-// acked `WriteAck` in generation 4 only, 20 an ack-now causal write).
+// invalidation run until generation 7; 10–16 were the multi-region
+// replication messages (a cross-region write batch and its ack, a relay's
+// forwarded apply and its ack, a shard's local-apply notice, a migrating
+// client's attach and its confirmation), retired within generation 7 like
+// tag 0 above, since no surviving message changed; and 18–20 were twin
+// tags that the flags below replaced in generation 6 (18 an acked
+// `ValidateRep`, 19 an acked `WriteAck` in generation 4 only, 20 an
+// ack-now causal write).
 
 /// The kind bits of a protocol message's tag; the rest are flags.
 const KIND: u8 = 0x1F;
@@ -199,14 +197,6 @@ pub fn get_value(r: &mut Reader<'_>) -> Result<Value, WireError> {
     Ok(Value::new(r.uvar("value")?))
 }
 
-/// Fewest bytes a [`VectorClock`] can occupy: owner, width, base and one
-/// offset, a one-byte varint each.
-const MIN_VCLOCK: usize = 4;
-
-/// Fewest bytes a [`GeoWrite`] can occupy: object, value, a minimal clock,
-/// `issued_at` and `shard_seq`.
-const MIN_GEO_WRITE: usize = 1 + 1 + MIN_VCLOCK + 1 + 1;
-
 /// Encodes a [`VectorClock`] as `uvar(site) uvar(width) uvar(base)
 /// uvar(entry − base)…` with `base` its smallest entry: the entries of a
 /// causal stamp are event counts that sit close together, so an offset
@@ -286,8 +276,8 @@ fn get_version(r: &mut Reader<'_>, flags: u8) -> Result<WireVersion, WireError> 
     })
 }
 
-/// Encodes the clock of an invalidation, if it has one; the tag (or an
-/// entry's object bit) says whether it does.
+/// Encodes the clock of an invalidation, if it has one; the tag says
+/// whether it does.
 fn put_stamp(w: &mut Writer, vc: Option<&VectorClock>) {
     if let Some(vc) = vc {
         put_vclock(w, vc);
@@ -297,24 +287,6 @@ fn put_stamp(w: &mut Writer, vc: Option<&VectorClock>) {
 /// Decodes the clock `present` promises.
 fn get_stamp(r: &mut Reader<'_>, present: bool) -> Result<Option<VectorClock>, WireError> {
     present.then(|| get_vclock(r)).transpose()
-}
-
-fn put_geo_write(w: &mut Writer, g: &GeoWrite) {
-    put_object(w, g.object);
-    put_value(w, g.value);
-    put_vclock(w, &g.alpha_v);
-    put_time(w, g.issued_at);
-    w.uvar(g.shard_seq);
-}
-
-fn get_geo_write(r: &mut Reader<'_>) -> Result<GeoWrite, WireError> {
-    Ok(GeoWrite {
-        object: get_object(r)?,
-        value: get_value(r)?,
-        alpha_v: get_vclock(r)?,
-        issued_at: get_time(r, "issued_at")?,
-        shard_seq: r.uvar("shard_seq")?,
-    })
 }
 
 /// Encodes a [`ProtocolConfig`] (the handshake's compatibility contract).
@@ -540,46 +512,6 @@ pub fn put_msg(w: &mut Writer, msg: &Msg) {
             w.uvar(*seq);
             put_delta(w, *delta);
         }
-        Msg::GeoBatch {
-            origin,
-            seq,
-            entries,
-        } => {
-            w.u8(TAG_GEO_BATCH);
-            w.uvar(u64::from(*origin));
-            w.uvar(*seq);
-            w.uvar(entries.len() as u64);
-            for e in entries {
-                put_geo_write(w, e);
-            }
-        }
-        Msg::GeoBatchAck { upto } => {
-            w.u8(TAG_GEO_BATCH_ACK);
-            w.uvar(*upto);
-        }
-        Msg::GeoApply { entry } => {
-            w.u8(TAG_GEO_APPLY);
-            put_geo_write(w, entry);
-        }
-        Msg::GeoApplyAck { writer, k } => {
-            w.u8(TAG_GEO_APPLY_ACK);
-            w.uvar(u64::from(*writer));
-            w.uvar(*k);
-        }
-        Msg::GeoLocalApply { writer, k } => {
-            w.u8(TAG_GEO_LOCAL_APPLY);
-            w.uvar(u64::from(*writer));
-            w.uvar(*k);
-        }
-        Msg::GeoAttach { site, context_v } => {
-            w.u8(TAG_GEO_ATTACH);
-            w.uvar(u64::from(*site));
-            put_vclock(w, context_v);
-        }
-        Msg::GeoAttachOk { site } => {
-            w.u8(TAG_GEO_ATTACH_OK);
-            w.uvar(u64::from(*site));
-        }
     }
 }
 
@@ -651,44 +583,6 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
         TAG_DELTA_UPDATE => Msg::DeltaUpdate {
             seq: r.uvar("seq")?,
             delta: get_delta(r, "delta")?,
-        },
-        TAG_GEO_BATCH => {
-            let origin = r.uvar_u32("geo origin")?;
-            let seq = r.uvar("geo batch seq")?;
-            let n = r.uvar_u32("geo batch length")? as usize;
-            // Cap preallocation by what the buffer could possibly hold so
-            // a forged length cannot force a huge allocation before
-            // Truncated fires.
-            let mut entries = Vec::with_capacity(n.min(r.remaining() / MIN_GEO_WRITE + 1));
-            for _ in 0..n {
-                entries.push(get_geo_write(r)?);
-            }
-            Msg::GeoBatch {
-                origin,
-                seq,
-                entries,
-            }
-        }
-        TAG_GEO_BATCH_ACK => Msg::GeoBatchAck {
-            upto: r.uvar("geo upto")?,
-        },
-        TAG_GEO_APPLY => Msg::GeoApply {
-            entry: get_geo_write(r)?,
-        },
-        TAG_GEO_APPLY_ACK => Msg::GeoApplyAck {
-            writer: r.uvar_u32("geo writer")?,
-            k: r.uvar("geo k")?,
-        },
-        TAG_GEO_LOCAL_APPLY => Msg::GeoLocalApply {
-            writer: r.uvar_u32("geo writer")?,
-            k: r.uvar("geo k")?,
-        },
-        TAG_GEO_ATTACH => Msg::GeoAttach {
-            site: r.uvar_u32("geo site")?,
-            context_v: get_vclock(r)?,
-        },
-        TAG_GEO_ATTACH_OK => Msg::GeoAttachOk {
-            site: r.uvar_u32("geo site")?,
         },
         _ => return Err(WireError::UnknownTag { what: "msg", tag }),
     })
@@ -876,34 +770,8 @@ mod tests {
     }
 
     #[test]
-    fn geo_messages_round_trip() {
-        let entry = GeoWrite {
-            object: ObjectId::new(3),
-            value: Value::new(77),
-            alpha_v: VectorClock::from_entries(1, vec![4, 9, 0]),
-            issued_at: Time::from_ticks(12_345),
-            shard_seq: 9,
-        };
-        round_trip(&WireMsg::Proto(Msg::GeoBatch {
-            origin: 2,
-            seq: 5,
-            entries: vec![entry.clone(), entry.clone()],
-        }));
-        round_trip(&WireMsg::Proto(Msg::GeoBatch {
-            origin: 0,
-            seq: 1,
-            entries: Vec::new(),
-        }));
-        round_trip(&WireMsg::Proto(Msg::GeoBatchAck { upto: 41 }));
+    fn gap_round_trips() {
         round_trip(&WireMsg::Proto(Msg::Gap { upto: 41 }));
-        round_trip(&WireMsg::Proto(Msg::GeoApply { entry }));
-        round_trip(&WireMsg::Proto(Msg::GeoApplyAck { writer: 1, k: 9 }));
-        round_trip(&WireMsg::Proto(Msg::GeoLocalApply { writer: 0, k: 2 }));
-        round_trip(&WireMsg::Proto(Msg::GeoAttach {
-            site: 4,
-            context_v: VectorClock::from_entries(4, vec![1, 2, 3, 4, 5]),
-        }));
-        round_trip(&WireMsg::Proto(Msg::GeoAttachOk { site: 4 }));
     }
 
     fn msg_bytes(msg: &Msg) -> Vec<u8> {
@@ -1130,7 +998,8 @@ mod tests {
     }
 
     /// Every tag byte decodes by what it says or is refused: a kind no
-    /// generation 7 message has (retired kind 8 included), or a flag its kind does not define (an
+    /// generation 7 message has (retired kinds 8 and 10–16 included), or a
+    /// flag its kind does not define (an
     /// ack on a request, a stamp on a still-valid verdict, ack-now on a
     /// physical write), is `UnknownTag` naming the whole byte — never a
     /// panic, never a bit silently ignored.
@@ -1148,7 +1017,7 @@ mod tests {
                 TAG_VALIDATE_REP => &[0x00, 0x20, 0x80, 0xA0, 0xC0, 0xE0],
                 TAG_WRITE_REQ => &[0x00, 0x40, 0x60],
                 TAG_INVALIDATE_PUSH => &[0x00, 0x40],
-                8 => &[],
+                8 | 10..=16 => &[],
                 0..=TAG_GAP => &[0x00],
                 _ => &[],
             };
@@ -1169,8 +1038,8 @@ mod tests {
                 );
             }
         }
-        // 17 kinds, four of them with flags: 13 + 4 + 6 + 3 + 2 tags.
-        assert_eq!(defined, 28);
+        // 10 kinds, four of them with flags: 6 + 4 + 6 + 3 + 2 tags.
+        assert_eq!(defined, 21);
     }
 
     fn vclock_bytes(vc: &VectorClock) -> Vec<u8> {
@@ -1244,10 +1113,9 @@ mod tests {
         let out_of_range = |what| Err(WireError::OutOfRange { what });
         for (tag, what) in [
             (TAG_FETCH_REQ, "object"),
-            (TAG_GEO_APPLY_ACK, "geo writer"),
-            (TAG_GEO_LOCAL_APPLY, "geo writer"),
-            (TAG_GEO_ATTACH_OK, "geo site"),
-            (TAG_GEO_BATCH, "geo origin"),
+            (TAG_VALIDATE_REQ, "object"),
+            (TAG_WRITE_ACK, "object"),
+            (TAG_INVALIDATE_PUSH, "object"),
         ] {
             let mut w = Writer::new();
             w.u8(tag);
@@ -1289,33 +1157,6 @@ mod tests {
         // One entry wider and it is not a clock at all.
         let mut r = Reader::new(&[0x00, 0x80, 0x80, 0x04]);
         assert_eq!(get_vclock(&mut r), Err(WireError::BadVectorClock));
-    }
-
-    #[test]
-    fn forged_batch_lengths_are_capped_by_the_minimal_entry() {
-        // The guard divides by this; a shrinking codec must shrink it.
-        let mut w = Writer::new();
-        put_geo_write(
-            &mut w,
-            &GeoWrite {
-                object: ObjectId::new(0),
-                value: Value::new(0),
-                alpha_v: VectorClock::new(0, 1),
-                issued_at: Time::ZERO,
-                shard_seq: 0,
-            },
-        );
-        assert_eq!(w.len(), MIN_GEO_WRITE);
-        // A batch claiming u32::MAX entries in a short buffer is Truncated.
-        let mut w = Writer::new();
-        w.u8(TAG_GEO_BATCH);
-        w.uvar(0); // origin
-        w.uvar(1); // seq
-        w.uvar(u64::from(u32::MAX));
-        assert!(matches!(
-            get_msg(&mut Reader::new(&w.into_bytes())),
-            Err(WireError::Truncated { .. })
-        ));
     }
 
     #[test]

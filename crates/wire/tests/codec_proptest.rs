@@ -20,8 +20,8 @@ use rand::Rng;
 use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
-    CausalStamp, DurabilityMode, FsyncPolicy, GeoWrite, Msg, Propagation, ProtocolConfig,
-    ProtocolKind, StalePolicy, ValidateOutcome, WireVersion,
+    CausalStamp, DurabilityMode, FsyncPolicy, Msg, Propagation, ProtocolConfig, ProtocolKind,
+    StalePolicy, ValidateOutcome, WireVersion,
 };
 use tc_wire::{
     crc32_pair, decode_frame, decode_header, encode_frame, get_vclock, put_vclock, read_frame,
@@ -178,26 +178,19 @@ fn arb_protocol(rng: &mut StdRng) -> ProtocolConfig {
     }
 }
 
-fn arb_geo_write(rng: &mut StdRng) -> GeoWrite {
-    GeoWrite {
-        object: arb_object(rng),
-        value: arb_value(rng),
-        alpha_v: arb_vclock(rng),
-        issued_at: arb_time(rng),
-        shard_seq: arb_magnitude(rng),
-    }
-}
-
-/// Every message kind, plus (kinds 18 and 19) the two replies with a
-/// cumulative causal ack riding on them, and (20) a gap report.
+/// Every message kind, plus the two replies with a cumulative causal ack
+/// riding on them.
 fn arb_proto_msg(rng: &mut StdRng) -> Msg {
-    match rng.gen_range(0..20u8) {
+    match rng.gen_range(0..13u8) {
         // Kind 8 is retired; the gap report (wire kind 17) takes its draw.
         8 => Msg::Gap {
             upto: arb_magnitude(rng),
         },
-        kind @ 18..=19 => {
-            let mut reply = arb_plain_msg(rng, [1, 3][usize::from(kind - 18)]);
+        // Kinds 10–16 are retired too: 10 draws the causal write, 11 and
+        // 12 a reply with an ack riding on it.
+        10 => arb_plain_msg(rng, 17),
+        kind @ 11..=12 => {
+            let mut reply = arb_plain_msg(rng, [1, 3][usize::from(kind - 11)]);
             assert!(reply.carry_ack(arb_magnitude(rng)));
             reply
         }
@@ -266,33 +259,6 @@ fn arb_plain_msg(rng: &mut StdRng, kind: u8) -> Msg {
             seq: arb_magnitude(rng),
             delta: arb_delta(rng),
         },
-        10 => {
-            let n = rng.gen_range(0..6usize);
-            Msg::GeoBatch {
-                origin: arb_u32(rng),
-                seq: arb_magnitude(rng),
-                entries: (0..n).map(|_| arb_geo_write(rng)).collect(),
-            }
-        }
-        11 => Msg::GeoBatchAck {
-            upto: arb_magnitude(rng),
-        },
-        12 => Msg::GeoApply {
-            entry: arb_geo_write(rng),
-        },
-        13 => Msg::GeoApplyAck {
-            writer: arb_u32(rng),
-            k: arb_magnitude(rng),
-        },
-        14 => Msg::GeoLocalApply {
-            writer: arb_u32(rng),
-            k: arb_magnitude(rng),
-        },
-        15 => Msg::GeoAttach {
-            site: arb_u32(rng),
-            context_v: arb_vclock(rng),
-        },
-        16 => Msg::GeoAttachOk { site: arb_u32(rng) },
         _ => unreachable!("no message kind {kind}"),
     }
 }
@@ -489,37 +455,6 @@ proptest! {
         let mut frame = w.into_bytes();
         frame.extend_from_slice(&payload);
         prop_assert_eq!(decode_frame(&frame), Err(WireError::BadVersion { found: version }));
-    }
-
-    /// The `Context_i` a client carries across regions (rule 3 state plus
-    /// its causal vector) survives the wire bit-exactly for any site and
-    /// any clock width/contents — a migration must resume from *exactly*
-    /// the context it drained with, so lossy encoding here would silently
-    /// weaken the timed guarantee at the destination region.
-    #[test]
-    fn migration_context_round_trips_exactly(
-        shard in ArbLane,
-        width in 1usize..=32,
-        raw in proptest::collection::vec(0u64..=u64::MAX, 32),
-        site_seed in 0usize..32,
-    ) {
-        let site = site_seed % width;
-        let context_v = VectorClock::from_entries(site, raw[..width].to_vec());
-        let msg = WireMsg::Proto(Msg::GeoAttach {
-            site: site as u32,
-            context_v: context_v.clone(),
-        });
-        let frame = encode_frame(shard, &msg);
-        let (got_shard, got, used) = decode_frame(&frame).expect("attach frame decodes");
-        prop_assert_eq!(got_shard, shard);
-        prop_assert_eq!(used, frame.len());
-        match got {
-            WireMsg::Proto(Msg::GeoAttach { site: s, context_v: v }) => {
-                prop_assert_eq!(s, site as u32);
-                prop_assert_eq!(v, context_v);
-            }
-            other => prop_assert!(false, "decoded wrong variant: {other:?}"),
-        }
     }
 
     /// Every `u64` survives the varint, in at most ten bytes, and every

@@ -13,7 +13,7 @@
 //! * [`lifetime`] — the §5 lifetime-based consistency protocols (SC, TSC,
 //!   CC, TCC, and the logical-clock TCC approximation).
 //! * [`store`] — the real-time drivers of those protocols (threads over
-//!   channels, epoll over TCP, geo), judged by a live on-time monitor.
+//!   channels, epoll over TCP), judged by a live on-time monitor.
 //! * [`durable`] — a WAL+snapshot shard storage backend: crash–restart
 //!   recovers durable state by replay instead of forgetting it.
 //!

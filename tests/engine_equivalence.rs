@@ -316,74 +316,3 @@ fn threaded_runs_are_reproducible_per_site() {
         );
     }
 }
-
-/// Geo is a topology over the same node loop, not another engine: a
-/// 3-region run — WAN courier, relays, a client migrating mid-run — draws
-/// from the same `PrivateSources` as the flat threaded run of its base
-/// configuration, so each site's program must be identical. This judges
-/// the geo driver by the same fingerprint rule as the others — and the
-/// simulated geo deployment of the same layout, migration and private
-/// sources with it.
-#[test]
-fn geo_topology_is_invisible_to_per_site_programs() {
-    use timed_consistency::lifetime::{
-        conformance_geo, run_geo_with, GeoLayout, Migration, OracleVerdict, RegionMap, RunOptions,
-        StalePolicy, WanProfile,
-    };
-    use timed_consistency::sim::FaultPlan;
-    use timed_consistency::store::run_threaded_geo;
-
-    let mut protocol = ProtocolConfig::of(ProtocolKind::Tcc {
-        delta: Delta::from_ticks(400),
-    })
-    .with_shards(2);
-    protocol.stale = StalePolicy::Invalidate;
-    let layout = GeoLayout {
-        regions: RegionMap::new(3, 2),
-        wan: WanProfile::symmetric(20, 60),
-        clients_per_region: 2,
-        migrations: vec![Migration {
-            client: 0,
-            at_op: 10,
-            to_region: 2,
-        }],
-    };
-    let cfg = RuntimeConfig::for_geo(protocol, &layout, workload(), OPS, SEED);
-    let geo = run_threaded_geo(&cfg, &layout);
-    let flat = run_threaded(&cfg);
-    let sim_cfg = RunConfig {
-        protocol,
-        n_clients: cfg.n_clients,
-        workload: workload(),
-        ops_per_client: OPS,
-        world: WorldConfig::deterministic(Delta::from_ticks(3), SEED),
-    };
-    let sim = run_geo_with(
-        &sim_cfg,
-        &layout,
-        RunOptions {
-            private_seed: Some(SEED),
-            ..RunOptions::default()
-        },
-    );
-    let n_clients = cfg.n_clients;
-    assert_eq!(geo.ops_done, n_clients * OPS);
-    assert_eq!(flat.ops_done, n_clients * OPS);
-    assert!(geo.on_time.holds() && flat.on_time.holds());
-    assert_eq!(
-        conformance_geo(&sim_cfg, &layout, &FaultPlan::none(), &sim).verdict,
-        OracleVerdict::Conforms
-    );
-    for site in 0..n_clients {
-        assert_eq!(
-            site_fingerprint(&geo.history, site),
-            site_fingerprint(&flat.history, site),
-            "site {site}: the geo topology altered the operation program"
-        );
-        assert_eq!(
-            site_fingerprint(&sim.history, site),
-            site_fingerprint(&flat.history, site),
-            "site {site}: the simulated geo deployment altered the operation program"
-        );
-    }
-}

@@ -458,82 +458,6 @@ fn kill_shard_over_wal_recovers_by_replay() {
     );
 }
 
-/// The same kill, one region of a geo deployment: region 0's shard 0 dies
-/// mid-run over WAL stores and recovers by replay while the other regions
-/// keep replicating into it — judged at the geo-widened bound.
-#[test]
-fn geo_kill_shard_over_wal_recovers_by_replay() {
-    use timed_consistency::durable::WalStore;
-    use timed_consistency::lifetime::store::ShardStore;
-    use timed_consistency::lifetime::{
-        conformance_geo, run_geo_with, DurabilityMode, FsyncPolicy, GeoLayout, RegionMap,
-        RunOptions, WanProfile,
-    };
-
-    let layout = GeoLayout {
-        regions: RegionMap::new(3, 2),
-        wan: WanProfile::symmetric(40, 60),
-        clients_per_region: 2,
-        migrations: Vec::new(),
-    };
-    for seed in [7u64, 21, 1999] {
-        let cfg = RunConfig {
-            protocol: ProtocolConfig::of(ProtocolKind::Tcc {
-                delta: Delta::from_ticks(200),
-            })
-            .with_shards(2)
-            .with_durability(DurabilityMode::Durable {
-                fsync: FsyncPolicy::PER_WRITE,
-            }),
-            n_clients: 6,
-            workload: Workload::new(4, 0.8, 0.7, (Delta::from_ticks(5), Delta::from_ticks(40))),
-            ops_per_client: 20,
-            world: WorldConfig::deterministic(Delta::from_ticks(2), seed),
-        };
-        let plan = FaultPlan::none().kill_shard(Window::ticks(250, 550), 0);
-        let root =
-            std::env::temp_dir().join(format!("tc-conformance-geo-{}-{seed}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let factory = |shard: usize| -> Box<dyn ShardStore> {
-            Box::new(WalStore::open(
-                root.join(format!("shard-{shard}")),
-                shard as u16,
-                64,
-            ))
-        };
-        let result = run_geo_with(
-            &cfg,
-            &layout,
-            RunOptions {
-                plan: plan.clone(),
-                stores: Some(&factory),
-                ..RunOptions::default()
-            },
-        );
-        let c = conformance_geo(&cfg, &layout, &plan, &result);
-        assert_eq!(
-            c.verdict,
-            OracleVerdict::Conforms,
-            "seed {seed}: observed staleness {} vs bound {:?}, {} ops recorded of {}",
-            c.observed_staleness.ticks(),
-            c.bound.map(|b| b.ticks()),
-            c.ops_recorded,
-            c.ops_expected,
-        );
-        assert!(result.counter("server_restart") >= 1, "seed {seed}");
-        assert!(
-            result.counter("wal_replayed") > 0,
-            "seed {seed}: restart must replay the log, not forget"
-        );
-        assert_eq!(result.counter("wal_lost"), 0, "seed {seed}");
-        assert!(
-            result.counter("geo_applied") > 0,
-            "seed {seed}: remote writes must land"
-        );
-        let _ = std::fs::remove_dir_all(&root);
-    }
-}
-
 /// Untimed levels ride through the matrix too: the oracle then checks
 /// only the untimed guarantee (SC / CCv) and reports no bound.
 #[test]
