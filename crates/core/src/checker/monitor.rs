@@ -27,10 +27,116 @@
 //! computes on the finished history; a property test in `tests/`
 //! cross-validates this over random histories and ingestion orders.
 
+use serde::Serialize;
 use tc_clocks::{Delta, Epsilon, Time};
 
 use crate::checker::timed::{OnTimeViolation, TimedReport};
 use crate::{FxHashMap, ObjectId, OpId, OpKind, Operation, Value};
+
+/// A piecewise-constant Δ timetable: `initial` from the start of a run,
+/// then each revision from its effective time on. The one timetable of
+/// the workspace — what an adaptive controller committed to, and what an
+/// [`OnTimeMonitor`] judges each read against (the Δ *actually in force*
+/// at the read's time, not a scalar).
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+pub struct DeltaSchedule {
+    /// Δ in force from the start of the run.
+    pub initial: Delta,
+    /// Revisions `(effective_from, delta)`, sorted by effective time.
+    pub changes: Vec<(Time, Delta)>,
+}
+
+impl DeltaSchedule {
+    /// A schedule that never changes: `delta` for the whole run.
+    #[must_use]
+    pub fn fixed(delta: Delta) -> Self {
+        DeltaSchedule {
+            initial: delta,
+            changes: Vec::new(),
+        }
+    }
+
+    /// Appends a revision. Effective times are clamped monotone: a
+    /// revision dated before the last one snaps to it (last writer wins at
+    /// equal times).
+    pub fn push(&mut self, at: Time, delta: Delta) {
+        let at = match self.changes.last() {
+            Some(&(prev, _)) => at.max(prev),
+            None => at,
+        };
+        match self.changes.last_mut() {
+            Some(entry) if entry.0 == at => entry.1 = delta,
+            _ => self.changes.push((at, delta)),
+        }
+    }
+
+    /// The Δ in force at `t`.
+    #[must_use]
+    pub fn delta_at(&self, t: Time) -> Delta {
+        let idx = self.changes.partition_point(|&(at, _)| at <= t);
+        if idx == 0 {
+            self.initial
+        } else {
+            self.changes[idx - 1].1
+        }
+    }
+
+    /// Number of revisions.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.changes.len()
+    }
+
+    /// Whether the schedule is the fixed initial Δ with no revisions.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.changes.is_empty()
+    }
+
+    /// Time-averaged Δ over `[0, end)` — the "Δ budget" a schedule spends.
+    /// A static run spends exactly its scalar Δ; an adaptive run that
+    /// tightens in quiet phases spends less.
+    #[must_use]
+    pub fn time_averaged(&self, end: Time) -> f64 {
+        if end == Time::ZERO {
+            return self.initial.ticks() as f64;
+        }
+        let mut acc = 0.0;
+        let mut cursor = Time::ZERO;
+        let mut current = self.initial;
+        for &(at, delta) in &self.changes {
+            let at = at.min(end);
+            acc += current.ticks() as f64 * (at.ticks() - cursor.ticks()) as f64;
+            cursor = at;
+            current = delta;
+            if cursor == end {
+                break;
+            }
+        }
+        acc += current.ticks() as f64 * (end.ticks().saturating_sub(cursor.ticks())) as f64;
+        acc / end.ticks() as f64
+    }
+
+    /// Replays the revisions into a monitor (all at once) so a finished
+    /// history can be judged post-hoc against the in-force Δ. `widening`
+    /// is added to every threshold — the same fault/latency margin the
+    /// scalar oracle adds to a static Δ.
+    pub fn apply_to(&self, monitor: &mut OnTimeMonitor, widening: Delta) {
+        for &(at, delta) in &self.changes {
+            monitor.schedule_change(at, widen(delta, widening));
+        }
+    }
+}
+
+/// Adds a widening margin to a threshold, saturating at infinite.
+#[must_use]
+pub fn widen(delta: Delta, widening: Delta) -> Delta {
+    if delta.is_infinite() || widening.is_infinite() {
+        Delta::INFINITE
+    } else {
+        Delta::from_ticks(delta.ticks().saturating_add(widening.ticks()))
+    }
+}
 
 /// Incremental Definition 1/2 checker for a fixed Δ and ε.
 ///
@@ -44,12 +150,10 @@ use crate::{FxHashMap, ObjectId, OpId, OpKind, Operation, Value};
 /// the monitor is byte-identical to the scalar checker.
 #[derive(Clone, Debug)]
 pub struct OnTimeMonitor {
-    delta: Delta,
     eps: Epsilon,
-    /// Piecewise-constant Δ revisions, sorted by effective time; empty for
-    /// scalar-Δ monitoring. A read at time `t` is judged against the last
-    /// entry at or before `t` (or `delta` if none).
-    schedule: Vec<(Time, Delta)>,
+    /// The Δ a read at time `t` is judged against; no revisions for
+    /// scalar-Δ monitoring.
+    schedule: DeltaSchedule,
     objects: FxHashMap<ObjectId, ObjectState>,
     /// `(object, value)` → the write of that value, for source resolution
     /// (written values are unique, which pins the reads-from relation).
@@ -104,9 +208,8 @@ impl OnTimeMonitor {
     #[must_use]
     pub fn new(delta: Delta, eps: Epsilon) -> Self {
         OnTimeMonitor {
-            delta,
             eps,
-            schedule: Vec::new(),
+            schedule: DeltaSchedule::fixed(delta),
             objects: FxHashMap::default(),
             writers: FxHashMap::default(),
             pending: FxHashMap::default(),
@@ -122,7 +225,7 @@ impl OnTimeMonitor {
     /// [`Self::schedule_change`]).
     #[must_use]
     pub fn delta(&self) -> Delta {
-        self.delta
+        self.schedule.initial
     }
 
     /// Registers a Δ revision: reads at or after `at` are judged against
@@ -132,31 +235,19 @@ impl OnTimeMonitor {
     /// a revision dated before the previous one snaps to it (last writer
     /// wins at equal times).
     pub fn schedule_change(&mut self, at: Time, delta: Delta) {
-        let at = match self.schedule.last() {
-            Some(&(prev, _)) => at.max(prev),
-            None => at,
-        };
-        match self.schedule.last_mut() {
-            Some(entry) if entry.0 == at => entry.1 = delta,
-            _ => self.schedule.push((at, delta)),
-        }
+        self.schedule.push(at, delta);
     }
 
     /// The registered Δ revisions, in effective-time order.
     #[must_use]
     pub fn schedule(&self) -> &[(Time, Delta)] {
-        &self.schedule
+        &self.schedule.changes
     }
 
     /// The Δ in force at `t` under the registered schedule.
     #[must_use]
     pub fn delta_at(&self, t: Time) -> Delta {
-        let idx = self.schedule.partition_point(|&(at, _)| at <= t);
-        if idx == 0 {
-            self.delta
-        } else {
-            self.schedule[idx - 1].1
-        }
+        self.schedule.delta_at(t)
     }
 
     /// The clock-synchronization bound ε.
@@ -359,7 +450,7 @@ impl OnTimeMonitor {
         );
         let mut violations = self.violations;
         violations.sort_by_key(|v| v.read);
-        TimedReport::new(self.delta, self.eps, violations)
+        TimedReport::new(self.schedule.initial, self.eps, violations)
     }
 }
 
@@ -624,6 +715,20 @@ mod tests {
         assert_eq!(m.delta_at(Time::from_ticks(99)), Delta::from_ticks(10));
         assert_eq!(m.delta_at(Time::from_ticks(150)), Delta::from_ticks(30));
         assert_eq!(m.delta_at(Time::from_ticks(200)), Delta::from_ticks(40));
+    }
+
+    #[test]
+    fn schedule_lookup_and_average() {
+        let mut s = DeltaSchedule::fixed(Delta::from_ticks(100));
+        s.push(Time::from_ticks(50), Delta::from_ticks(200));
+        s.push(Time::from_ticks(75), Delta::from_ticks(40));
+        assert_eq!(s.delta_at(Time::from_ticks(0)), Delta::from_ticks(100));
+        assert_eq!(s.delta_at(Time::from_ticks(50)), Delta::from_ticks(200));
+        assert_eq!(s.delta_at(Time::from_ticks(74)), Delta::from_ticks(200));
+        assert_eq!(s.delta_at(Time::from_ticks(80)), Delta::from_ticks(40));
+        // [0,50)@100 + [50,75)@200 + [75,100)@40 over 100 ticks.
+        let avg = s.time_averaged(Time::from_ticks(100));
+        assert!((avg - (100.0 * 50.0 + 200.0 * 25.0 + 40.0 * 25.0) / 100.0).abs() < 1e-9);
     }
 
     #[test]

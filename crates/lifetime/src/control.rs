@@ -2,7 +2,8 @@
 //!
 //! The paper fixes Δ per run, but its guarantee is really a contract the
 //! system can *manage* (cf. "Algorithms for Timed Consistency Models"):
-//! when the fleet keeps up — the streaming [`OnTimeMonitor`]'s running
+//! when the fleet keeps up — the streaming
+//! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor)'s running
 //! `min_delta` sits far below the commanded Δ — the threshold can be
 //! tightened, buying clients fresher reads for the same traffic; under
 //! backpressure (retries, violations against the widened bound) it must be
@@ -36,117 +37,12 @@
 //! sequence number), so a client that misses one hears the next; the lag
 //! must cover a couple of controller intervals plus delivery.
 
-use serde::Serialize;
 use tc_clocks::{Delta, Time};
-use tc_core::checker::OnTimeMonitor;
+pub use tc_core::checker::{widen, DeltaSchedule};
 use tc_sim::metrics::names;
 use tc_sim::{Metrics, TraceRecorder};
 
 use crate::{Msg, ProtocolKind};
-
-/// A piecewise-constant Δ timetable: the thresholds a run's controller
-/// committed to, in effective-time order. This is what the oracle judges
-/// against — the schedule *actually in force* at each instant, not a
-/// scalar.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
-pub struct DeltaSchedule {
-    /// Δ in force from the start of the run.
-    pub initial: Delta,
-    /// Revisions `(effective_from, delta)`, sorted by effective time.
-    pub changes: Vec<(Time, Delta)>,
-}
-
-impl DeltaSchedule {
-    /// A schedule that never changes: `delta` for the whole run.
-    #[must_use]
-    pub fn fixed(delta: Delta) -> Self {
-        DeltaSchedule {
-            initial: delta,
-            changes: Vec::new(),
-        }
-    }
-
-    /// Appends a revision. Effective times are clamped monotone — a
-    /// revision dated before the last one snaps to it (last writer wins at
-    /// equal times), mirroring [`OnTimeMonitor::schedule_change`].
-    pub fn push(&mut self, at: Time, delta: Delta) {
-        let at = match self.changes.last() {
-            Some(&(prev, _)) => at.max(prev),
-            None => at,
-        };
-        match self.changes.last_mut() {
-            Some(entry) if entry.0 == at => entry.1 = delta,
-            _ => self.changes.push((at, delta)),
-        }
-    }
-
-    /// The Δ in force at `t`.
-    #[must_use]
-    pub fn delta_at(&self, t: Time) -> Delta {
-        let idx = self.changes.partition_point(|&(at, _)| at <= t);
-        if idx == 0 {
-            self.initial
-        } else {
-            self.changes[idx - 1].1
-        }
-    }
-
-    /// Number of revisions.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.changes.len()
-    }
-
-    /// Whether the schedule is the fixed initial Δ with no revisions.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
-    }
-
-    /// Time-averaged Δ over `[0, end)` — the "Δ budget" a schedule spends.
-    /// A static run spends exactly its scalar Δ; an adaptive run that
-    /// tightens in quiet phases spends less.
-    #[must_use]
-    pub fn time_averaged(&self, end: Time) -> f64 {
-        if end == Time::ZERO {
-            return self.initial.ticks() as f64;
-        }
-        let mut acc = 0.0;
-        let mut cursor = Time::ZERO;
-        let mut current = self.initial;
-        for &(at, delta) in &self.changes {
-            let at = at.min(end);
-            acc += current.ticks() as f64 * (at.ticks() - cursor.ticks()) as f64;
-            cursor = at;
-            current = delta;
-            if cursor == end {
-                break;
-            }
-        }
-        acc += current.ticks() as f64 * (end.ticks().saturating_sub(cursor.ticks())) as f64;
-        acc / end.ticks() as f64
-    }
-
-    /// Replays the schedule into a monitor (all entries at once) so a
-    /// finished history can be judged post-hoc against the in-force Δ.
-    /// `widening` is added to every threshold — the same fault/latency
-    /// margin the scalar oracle adds to a static Δ.
-    pub fn apply_to(&self, monitor: &mut OnTimeMonitor, widening: Delta) {
-        for &(at, delta) in &self.changes {
-            monitor.schedule_change(at, widen(delta, widening));
-        }
-    }
-}
-
-/// Adds a widening margin to a threshold, saturating at infinite.
-#[must_use]
-pub fn widen(delta: Delta, widening: Delta) -> Delta {
-    if delta.is_infinite() || widening.is_infinite() {
-        Delta::INFINITE
-    } else {
-        Delta::from_ticks(delta.ticks().saturating_add(widening.ticks()))
-    }
-}
 
 /// Headroom ratio `num/den` of the control law: the commanded Δ targets
 /// `observed_min_delta × 3 / 2`, clamped to the configured band.
@@ -489,31 +385,6 @@ mod tests {
         rec.record_read(SiteId::new(1), object, old, Time::from_ticks(110));
         assert_eq!(rec.monitor().unwrap().min_delta(), Delta::from_ticks(100));
         rec
-    }
-
-    #[test]
-    fn schedule_lookup_and_average() {
-        let mut s = DeltaSchedule::fixed(Delta::from_ticks(100));
-        s.push(Time::from_ticks(50), Delta::from_ticks(200));
-        s.push(Time::from_ticks(75), Delta::from_ticks(40));
-        assert_eq!(s.delta_at(Time::from_ticks(0)), Delta::from_ticks(100));
-        assert_eq!(s.delta_at(Time::from_ticks(50)), Delta::from_ticks(200));
-        assert_eq!(s.delta_at(Time::from_ticks(74)), Delta::from_ticks(200));
-        assert_eq!(s.delta_at(Time::from_ticks(80)), Delta::from_ticks(40));
-        // [0,50)@100 + [50,75)@200 + [75,100)@40 over 100 ticks.
-        let avg = s.time_averaged(Time::from_ticks(100));
-        assert!((avg - (100.0 * 50.0 + 200.0 * 25.0 + 40.0 * 25.0) / 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn schedule_push_clamps_monotone() {
-        let mut s = DeltaSchedule::fixed(Delta::from_ticks(10));
-        s.push(Time::from_ticks(100), Delta::from_ticks(20));
-        s.push(Time::from_ticks(40), Delta::from_ticks(30));
-        assert_eq!(
-            s.changes,
-            vec![(Time::from_ticks(100), Delta::from_ticks(30))]
-        );
     }
 
     #[test]

@@ -5,33 +5,35 @@
 //! (`ClientEngine`, `ServerEngine`): events in, effects out. This crate is
 //! what turns those effects into sends and timers on real threads, judged
 //! by a live [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor). The
-//! hosts, the effect executor, the control tick and the judged result tail
-//! are `tc_lifetime::node`'s, the same code the simulator steps; this
-//! crate holds what only real drivers have, one copy of each:
+//! engines' hosts, the effect executor, the control tick and the judged
+//! result tail are `tc_lifetime::node`'s, the same code the simulator
+//! steps; this crate holds what only real drivers have, one copy of each:
 //!
 //! * the tick clock (`TickClock`, in [`runtime`]) — the node core's time
 //!   source: an `Instant` ticked down against one shared epoch;
-//! * the node loop (`ChannelNode`) — timer wheel, blocking receive
-//!   towards the next deadline, bounded drain, step, execute; clients end
-//!   when their workload is done, shards at an explicit stop on their
-//!   inbox;
-//! * the channel fleet builder ([`run_threaded`]) — shards, clients, the
-//!   control thread;
+//! * the site host (`SiteHost`) — every client site of a run on one
+//!   thread, with their timer wheel, the run's recorder and counters, and
+//!   the adaptive Δ controller ticked from that wheel; the shard host
+//!   (`ShardHost`) — one shard, its engine timers and its counters. Each
+//!   is owned by the one thread that runs it, so no step takes a lock;
+//! * the channel loop (`serve`) — blocking receive towards the next
+//!   deadline, bounded drain — which runs either host over in-process
+//!   queues;
 //! * the connection table ([`reactor`]) — epoll, a generational slab of
 //!   endpoints, readiness handling, queueing with one flush per connection
 //!   per loop pass, the liveness sweep, a wait that polls while a link is
 //!   busy;
 //! * the timer wheel (`TimerWheel`) — a ring of per-tick buckets, every
-//!   engine deadline being a tick boundary;
-//! * the control plane — when the run's `DeltaController` ticks, and
-//!   where its command goes.
+//!   engine deadline being a tick boundary.
 //!
-//! Three entry points sit on top, all returning a [`RuntimeResult`]:
+//! Three entry points sit on top, all returning a [`RuntimeResult`]; the
+//! two drivers differ only in their transport and the loop that waits on
+//! it:
 //!
-//! | driver | transport | uses |
+//! | driver | transport | threads |
 //! |---|---|---|
-//! | [`run_threaded`] | in-process channels, one thread per node | the fleet builder, node loop, control plane on a sleeping thread |
-//! | [`run_reactor`] / [`run_reactor_with`] | loopback TCP + `tc-wire`, two epoll threads, one link per shard | connection table, `Port` over it, control plane on a timer |
+//! | [`run_threaded`] | in-process queues: one inbox per shard, one for every site | the sites on the caller's thread, one per shard |
+//! | [`run_reactor`] / [`run_reactor_with`] | loopback TCP + `tc-wire`, one link per shard, a lane per site | the sites on the caller's thread in an epoll loop, one epoll loop per shard |
 //!
 //! Identical seeds give identical per-site operation programs under every
 //! driver and under the simulator (`tests/engine_equivalence.rs`).
@@ -42,6 +44,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod host;
 mod jitter;
 pub mod reactor;
 pub mod runtime;

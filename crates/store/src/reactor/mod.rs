@@ -9,21 +9,25 @@
 //!   `sys` for the scoped FFI binding — the workspace vendors no `mio`)
 //!   owning the listener and every accepted connection as a registered fd,
 //!   with per-connection read/write buffers and an incremental
-//!   [`tc_wire::FrameDecoder`] (see `conn`);
-//! * one **client reactor** hosting *all* `ClientCore`s: their engine
-//!   timers live in one `TimerWheel` folded into the epoll timeout, and
-//!   all hosted sites share **one connection per shard** — a small state
-//!   machine (dial, heartbeat, redial under a jittered exponential
-//!   backoff) admitted by one handshake.
+//!   [`tc_wire::FrameDecoder`] (see `conn`), around the shard's
+//!   `ShardHost`;
+//! * one **client reactor** around the `SiteHost` of *all* sites: their
+//!   engine timers, the Δ controller's tick and the per-shard redial
+//!   alarms live in the host's one `TimerWheel`, folded into the epoll
+//!   timeout, and all hosted sites share **one connection per shard** — a
+//!   small state machine (dial, heartbeat, redial under a jittered
+//!   exponential backoff) admitted by one handshake.
 //!
-//! Both step the node core's `ClientCore` / `ShardCore`
-//! (`tc_lifetime::node`, shared with the simulator), hand the effects to
-//! its `execute` through a `Port` over their connection table, and share
-//! the per-connection plumbing itself (see `table`). The result is the same
-//! [`RuntimeResult`] shape the channel drivers return, so the conformance
-//! oracle, the [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor), and the
-//! metrics pipeline apply unchanged; `tests/engine_equivalence.rs` pins
-//! every driver to identical per-site operation fingerprints.
+//! The hosts (`crate::host`, shared with the channel driver) step the
+//! node core's `ClientCore` / `ShardCore` (`tc_lifetime::node`, shared
+//! with the simulator) and hand the effects to its `execute`; what a
+//! reactor adds is the transport — a send queued on a lane of a link —
+//! and the per-connection plumbing itself (see `table`). The result is the
+//! same [`RuntimeResult`] shape the channel driver returns, so the
+//! conformance oracle, the
+//! [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor), and the metrics
+//! pipeline apply unchanged; `tests/engine_equivalence.rs` pins every
+//! driver to identical per-site operation fingerprints.
 //!
 //! # Links
 //!
@@ -40,7 +44,9 @@
 //! [`WireMsg::HelloAck`], or answers [`WireMsg::HelloReject`] and closes,
 //! because two processes silently disagreeing on Δ would void every timed
 //! guarantee the monitor is about to certify. A `Proto` frame off that
-//! route, or on a lane outside the id space, closes the link. An idle
+//! route, or on a lane outside the id space, closes the link; so does a
+//! request or a Δ command from a shard — Δ commands come from the site
+//! host's own controller, never over a link. An idle
 //! connection carries a [`WireMsg::Heartbeat`] every 10 ms, so the peer's
 //! 250 ms read timeout only ever fires on a genuinely dead link. A link
 //! that dies (error, EOF, heartbeat silence) leaves its shard without a
@@ -118,20 +124,16 @@ use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use tc_lifetime::control::{DeltaController, DeltaSchedule};
-use tc_lifetime::engine::{splitmix64, Effect, Event};
-use tc_lifetime::node::{execute, ClientCore, Host, Port, ShardCore};
+use tc_lifetime::control::DeltaController;
+use tc_lifetime::engine::splitmix64;
 use tc_lifetime::Msg;
 use tc_sim::metrics::names;
-use tc_sim::{FaultKind, Metrics, NodeId, TraceRecorder};
+use tc_sim::{FaultKind, Metrics, NodeId};
 use tc_wire::{write_frame, WireMsg};
 
+use crate::host::{controller, Serve, ShardHost, ShardTimer, SiteHost, SiteTimer, Transport};
 use crate::jitter::link_seed;
-use crate::runtime::{
-    build_shard_engine, controller, finish_run, refuse_unrenderable, site_core, RuntimeConfig,
-    RuntimeResult, Telemetry, TickClock,
-};
-use crate::wheel::TimerWheel;
+use crate::runtime::{refuse_unrenderable, RuntimeConfig, RuntimeResult, TickClock};
 
 use sys::{EpollEvent, EPOLLIN};
 use table::{ConnTable, Links};
@@ -197,61 +199,45 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// The shard's stop signal: its end of a socket pair whose other end
 /// [`run_reactor_with`] writes a byte to once the clients are done, so a
 /// shard blocked in its wait stops at once — the reactor's rendering of
-/// the channel nodes' explicit stop.
+/// the channel loop's explicit stop.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 // ---------------------------------------------------------------------
 // Shard side
 // ---------------------------------------------------------------------
 
-/// Timer tokens of the shard reactor's wheel: engine flush deadlines plus
-/// the two edges of a partition of the shard.
+/// The shard reactor's own timers on its host's wheel: the two edges of a
+/// partition of the shard.
 #[derive(Clone, Copy)]
-enum ShardTimer {
-    Engine(u64),
+enum Edge {
     Kill,
     Rebind,
 }
 
 struct ShardReactor<'a> {
     shard: usize,
-    shards: usize,
     cfg: &'a ReactorConfig,
-    core: ShardCore<TickClock>,
+    /// The shard's engine, its wheel (which also carries the partition
+    /// edges), this thread's counters, and the connection table.
+    host: ShardHost<FleetLink>,
     clock: TickClock,
-    /// Accepted connections; one that has not sent a Hello may be a churn
-    /// dial that never will — the read timeout reaps those.
-    table: ConnTable<()>,
     listener: Option<TcpListener>,
     addr: SocketAddr,
-    /// The connection whose Hello was accepted last: the client reactor's
-    /// link, every site's route. A reconnect replaces it; the superseded
-    /// connection's close leaves the new route alone.
-    link: Option<u64>,
-    /// Never cleared: a down shard's engine timers are popped and dropped
-    /// as dead, and [`ShardTimer::Rebind`] survives an outage.
-    timers: TimerWheel<ShardTimer>,
-    /// This thread's counters; [`run_reactor_with`] merges them into the
-    /// result when the thread exits.
-    telemetry: Telemetry,
-    /// The effects of one engine step; reused so a steady-state step
-    /// allocates nothing.
-    effects: Vec<Effect>,
 }
 
 impl Links for ShardReactor<'_> {
     type Peer = ();
 
     fn table(&mut self) -> &mut ConnTable<()> {
-        &mut self.table
+        &mut self.host.net.table
     }
 
     fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant) {
         // A previous frame (Bye, protocol rot) may have closed us.
-        if self.table.peer_mut(token).is_none() {
+        if self.host.net.table.peer_mut(token).is_none() {
             return;
         }
-        let linked = self.link == Some(token);
+        let linked = self.host.net.link == Some(token);
         match msg {
             WireMsg::Hello {
                 n_clients,
@@ -263,8 +249,9 @@ impl Links for ShardReactor<'_> {
             WireMsg::Proto(msg)
                 if linked && usize::from(lane) < self.cfg.runtime.n_clients && msg.is_request() =>
             {
-                let from = NodeId::new(self.shards + usize::from(lane));
-                self.step_engine(Event::Message { from, msg }, at);
+                let from = NodeId::new(self.host.net.shards + usize::from(lane));
+                let to = NodeId::new(self.shard);
+                self.host.deliver(from, to, msg, at);
             }
             WireMsg::Heartbeat if linked => {}
             // A Bye, a stray ack or a client-bound message ends the link,
@@ -277,41 +264,34 @@ impl Links for ShardReactor<'_> {
     /// Deregisters and drops a connection, unrouting the fleet if it was
     /// the link (a reconnect may have replaced it already).
     fn close(&mut self, token: u64) {
-        if self.table.remove(token).is_some() {
-            if self.link == Some(token) {
-                self.link = None;
+        if self.host.net.table.remove(token).is_some() {
+            if self.host.net.link == Some(token) {
+                self.host.net.link = None;
             }
-            self.telemetry.metrics.add(names::REACTOR_CONN_CLOSED, 1);
+            self.host.metrics.add(names::REACTOR_CONN_CLOSED, 1);
         }
     }
 }
 
-/// The shard engine's effects: sends are queued on the link, on the
-/// site's lane — dead-lettering, counted, while there is no link — timers
-/// go into the reactor's wheel as [`ShardTimer::Engine`], and counters
-/// into the thread's own telemetry.
-struct ShardPort<'r> {
+/// The shard's transport: a send is queued on the link, on the addressed
+/// site's lane — dead-lettering, counted, while there is no link.
+struct FleetLink {
     shards: usize,
+    /// Accepted connections; one that has not sent a Hello may be a churn
+    /// dial that never will — the read timeout reaps those.
+    table: ConnTable<()>,
+    /// The connection whose Hello was accepted last: the client reactor's
+    /// link, every site's route. A reconnect replaces it; the superseded
+    /// connection's close leaves the new route alone.
     link: Option<u64>,
-    table: &'r mut ConnTable<()>,
-    timers: &'r mut TimerWheel<ShardTimer>,
-    telemetry: &'r mut Telemetry,
 }
 
-impl Port for ShardPort<'_> {
-    type Deadline = Instant;
+impl Transport for FleetLink {
+    type Timer = Edge;
 
-    fn send(&mut self, to: NodeId, msg: Msg) {
+    fn send(&mut self, _from: NodeId, to: NodeId, msg: Msg) {
         let lane = (to.index() - self.shards) as u16;
         self.table.send_on(self.link, lane, &WireMsg::Proto(msg));
-    }
-
-    fn arm(&mut self, deadline: Instant, token: u64) {
-        self.timers.arm(deadline, ShardTimer::Engine(token));
-    }
-
-    fn telemetry(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
-        self.telemetry.parts()
     }
 }
 
@@ -324,35 +304,19 @@ impl<'a> ShardReactor<'a> {
         addr: SocketAddr,
     ) -> Self {
         let rc = &cfg.runtime;
-        let engine = build_shard_engine(rc.protocol, rc.wal_dir.as_deref(), shard);
+        let fleet = FleetLink {
+            shards: rc.protocol.shards,
+            table: ConnTable::new(rc.tick),
+            link: None,
+        };
         ShardReactor {
             shard,
-            shards: rc.protocol.shards,
             cfg,
-            core: ShardCore::new(engine, clock, NodeId::new(shard), &rc.faults),
+            host: ShardHost::new(rc, shard, clock, fleet),
             clock,
-            table: ConnTable::new(rc.tick),
             listener: Some(listener),
             addr,
-            link: None,
-            timers: TimerWheel::new(&clock),
-            telemetry: Telemetry::default(), // a shard records nothing
-            effects: Vec::new(),
         }
-    }
-
-    /// Feeds one event, observed at `at`, to the shard engine and executes
-    /// the effects.
-    fn step_engine(&mut self, event: Event, at: Instant) {
-        let t = self.core.step(event, at, None, &mut self.effects);
-        let mut port = ShardPort {
-            shards: self.shards,
-            link: self.link,
-            table: &mut self.table,
-            timers: &mut self.timers,
-            telemetry: &mut self.telemetry,
-        };
-        execute(&mut self.effects, &mut port, &self.clock, t);
     }
 
     /// Drains the accept queue, registering every new connection.
@@ -365,8 +329,8 @@ impl<'a> ShardReactor<'a> {
                 Ok((stream, _peer)) => {
                     let _ = stream.set_nonblocking(true);
                     let _ = stream.set_nodelay(true);
-                    if self.table.insert(stream, ()).is_some() {
-                        self.telemetry.metrics.add(names::REACTOR_CONN_OPENED, 1);
+                    if self.host.net.table.insert(stream, ()).is_some() {
+                        self.host.metrics.add(names::REACTOR_CONN_OPENED, 1);
                     }
                 }
                 // WouldBlock (queue drained) or a transient accept error:
@@ -408,9 +372,12 @@ impl<'a> ShardReactor<'a> {
                 self.close(token);
             }
             None => {
-                self.link = Some(token);
+                self.host.net.link = Some(token);
                 let shard = self.shard as u32;
-                self.table.queue(token, 0, &WireMsg::HelloAck { shard });
+                self.host
+                    .net
+                    .table
+                    .queue(token, 0, &WireMsg::HelloAck { shard });
             }
         }
     }
@@ -419,9 +386,9 @@ impl<'a> ShardReactor<'a> {
     /// hard-close (and so unroute) every live connection.
     fn kill(&mut self) {
         if let Some(listener) = self.listener.take() {
-            let _ = self.table.epoll.del(listener.as_raw_fd());
+            let _ = self.host.net.table.epoll.del(listener.as_raw_fd());
         }
-        for token in self.table.tokens() {
+        for token in self.host.net.table.tokens() {
             self.close(token);
         }
     }
@@ -446,11 +413,13 @@ impl<'a> ShardReactor<'a> {
             }
         };
         reborn.set_nonblocking(true).expect("nonblocking listener");
-        self.table
+        self.host
+            .net
+            .table
             .epoll
             .add(reborn.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)
             .expect("register reborn listener");
-        self.telemetry.metrics.add(names::TCP_LISTENER_RESTART, 1);
+        self.host.metrics.add(names::TCP_LISTENER_RESTART, 1);
         self.listener = Some(reborn);
     }
 
@@ -460,57 +429,42 @@ impl<'a> ShardReactor<'a> {
     /// served-request count and the thread's counters.
     fn run(mut self, wake: &UnixStream) -> (u64, Metrics) {
         let _slack = TimerSlack::pin();
-        let fd = self
-            .listener
-            .as_ref()
-            .expect("listener present")
-            .as_raw_fd();
-        self.table
-            .epoll
-            .add(fd, EPOLLIN, TOKEN_LISTENER)
-            .expect("register listener");
-        self.table
-            .epoll
-            .add(wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE)
-            .expect("register wake stream");
+        let listener = self.listener.as_ref().expect("listener present");
+        let epoll = &self.host.net.table.epoll;
+        let registered = epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER);
+        registered.expect("register listener");
+        let registered = epoll.add(wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE);
+        registered.expect("register wake stream");
+        // Both edges of every partition of this shard, on its wheel.
         let cut = FaultKind::Partition {
             isolated: vec![self.shard],
         };
-        for rule in self
-            .cfg
-            .runtime
-            .faults
-            .rules
-            .iter()
-            .filter(|r| r.kind == cut)
-        {
-            let (from, until) = (rule.window.from, rule.window.until);
-            self.timers
-                .arm(self.clock.instant_of(from), ShardTimer::Kill);
-            self.timers
-                .arm(self.clock.instant_of(until), ShardTimer::Rebind);
+        let rules = &self.cfg.runtime.faults.rules;
+        for window in rules.iter().filter(|r| r.kind == cut).map(|r| r.window) {
+            for (at, edge) in [(window.from, Edge::Kill), (window.until, Edge::Rebind)] {
+                let deadline = self.clock.instant_of(at);
+                self.host.timers.arm(deadline, ShardTimer::Link(edge));
+            }
         }
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
         let mut due = Vec::new();
         let mut stopping = false;
-        self.step_engine(Event::Start, Instant::now());
+        self.host.start(Instant::now());
         while !stopping {
             let now = Instant::now();
-            self.timers.pop_due_into(now, &mut due);
+            self.host.timers.pop_due_into(now, &mut due);
             for &timer in &due {
-                match timer {
-                    ShardTimer::Engine(token) if self.core.timer_is_live(token) => {
-                        self.step_engine(Event::Timer { token }, now);
-                    }
-                    ShardTimer::Engine(_) => {}
-                    ShardTimer::Kill => self.kill(),
-                    ShardTimer::Rebind => self.rebind(),
+                match self.host.fire(timer, now) {
+                    Some(Edge::Kill) => self.kill(),
+                    Some(Edge::Rebind) => self.rebind(),
+                    None => {}
                 }
             }
             let now = self.sweep();
             let now = self.flush_queued(now);
-            let timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
-            let n = self.table.wait(&mut events, timeout, now);
+            let deadline = self.host.timers.next_deadline();
+            let timeout = self.host.net.table.wait_timeout(deadline, now);
+            let n = self.host.net.table.wait(&mut events, timeout, now);
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
                 match token {
@@ -521,13 +475,11 @@ impl<'a> ShardReactor<'a> {
             }
         }
         // Drain every registration so opened == closed on a clean exit.
-        for token in self.table.tokens() {
+        for token in self.host.net.table.tokens() {
             self.close(token);
         }
-        let mut metrics = self.telemetry.metrics;
-        self.timers.report(&mut metrics);
-        self.table.report(&mut metrics);
-        (self.core.engine.requests_served(), metrics)
+        self.host.net.table.report(&mut self.host.metrics);
+        self.host.finish()
     }
 }
 
@@ -538,70 +490,38 @@ impl<'a> ShardReactor<'a> {
 /// One shard link's lifecycle state: the one connection every hosted site
 /// reaches that shard over.
 enum LinkState {
-    /// No connection; a `Redial` timer is (or is about to be) armed.
+    /// No connection; a redial timer is (or is about to be) armed.
     Down { attempt: u32 },
     /// Connected, with the Hello queued: every site sends over it.
     Up { token: u64 },
-}
-
-/// One hosted client: its engine core, and whether it is done.
-struct ClientState {
-    core: ClientCore<TickClock>,
-    /// Workload complete with nothing in flight; excluded from `remaining`.
-    finished: bool,
-}
-
-/// Timer tokens of the client reactor's wheel: engine timers tagged with
-/// their owning client, per-shard redial alarms, and the adaptive Δ
-/// controller's sampling tick.
-#[derive(Clone, Copy)]
-enum ClientTimer {
-    Engine { client: usize, token: u64 },
-    Redial { shard: usize },
-    Controller,
 }
 
 struct ClientReactor<'a> {
     cfg: &'a ReactorConfig,
     shards: usize,
     addrs: &'a [SocketAddr],
-    clock: TickClock,
-    /// Each connection's peer state is the shard it links to.
-    table: ConnTable<usize>,
-    links: Vec<LinkState>,
     /// Per shard: some link's Hello was acked — a later ack is a reconnect.
     acked: Vec<bool>,
     /// Whether the sites were started: once, as soon as every shard link
     /// is first up, so no opening op is taxed a retry round trip.
     started: bool,
-    clients: Vec<ClientState>,
-    timers: TimerWheel<ClientTimer>,
-    /// The run's recorder and live monitor, and this thread's counters —
-    /// the thread owns them, so no operation takes a lock.
-    telemetry: Telemetry,
-    /// Clients not yet `finished`; the loop exits at zero.
-    remaining: usize,
-    /// The adaptive Δ controller, when the run is adaptive. The reactor's
-    /// single thread owns every client, so commands are fed to the hosted
-    /// engines directly — the in-loop equivalent of the channel broadcast
-    /// the channel drivers use.
-    controller: Option<(DeltaController, Duration)>,
-    /// The effects of one engine step, as in [`ShardReactor`].
-    effects: Vec<Effect>,
+    /// Every site of the run over the shard links; its wheel also carries
+    /// each link's redial alarm, as `Link(shard)`.
+    host: SiteHost<ShardLinks>,
 }
 
 impl Links for ClientReactor<'_> {
     type Peer = usize;
 
     fn table(&mut self) -> &mut ConnTable<usize> {
-        &mut self.table
+        &mut self.host.net.table
     }
 
     fn on_frame(&mut self, token: u64, lane: u16, msg: WireMsg, at: Instant) {
-        let Some(&mut shard) = self.table.peer_mut(token) else {
+        let Some(&mut shard) = self.host.net.table.peer_mut(token) else {
             return; // closed by an earlier frame
         };
-        let client = usize::from(lane);
+        let site = usize::from(lane);
         match msg {
             WireMsg::Heartbeat => {}
             WireMsg::HelloReject { reason } => panic!("shard {shard} rejected the link: {reason}"),
@@ -612,14 +532,20 @@ impl Links for ClientReactor<'_> {
                     names::TCP_CONNECT
                 };
                 self.acked[shard] = true;
-                self.telemetry.metrics.add(name, 1);
+                self.host.metrics.add(name, 1);
             }
-            WireMsg::Proto(msg) if client < self.clients.len() && !msg.is_request() => {
-                let from = NodeId::new(shard);
-                self.feed(client, Event::Message { from, msg }, at);
+            // Δ commands come from the host's own controller, never a link.
+            WireMsg::Proto(msg)
+                if site < self.cfg.runtime.n_clients
+                    && !msg.is_request()
+                    && !matches!(msg, Msg::DeltaUpdate { .. }) =>
+            {
+                let to = NodeId::new(self.shards + site);
+                self.host.deliver(NodeId::new(shard), to, msg, at);
             }
-            // A server never sends Hello, Bye or a request, nor speaks on a
-            // lane no hosted site owns: treat any of it as the link dying.
+            // A server never sends Hello, Bye, a request or a Δ command,
+            // nor speaks on a lane no hosted site owns: treat any of it as
+            // the link dying.
             _ => self.close(token),
         }
     }
@@ -628,53 +554,43 @@ impl Links for ClientReactor<'_> {
     /// arming an immediate redial (backoff starts on *failed* dials) while
     /// any site still runs.
     fn close(&mut self, token: u64) {
-        let Some(shard) = self.table.remove(token) else {
+        let Some(shard) = self.host.net.table.remove(token) else {
             return;
         };
-        self.links[shard] = LinkState::Down { attempt: 0 };
-        if self.remaining > 0 {
-            self.timers
-                .arm(Instant::now(), ClientTimer::Redial { shard });
+        self.host.net.links[shard] = LinkState::Down { attempt: 0 };
+        if !self.host.finished() {
+            self.host.timers.arm(Instant::now(), SiteTimer::Link(shard));
         }
     }
 }
 
-/// One hosted client's effects: sends are queued on the client's lane of
-/// the shard's link — dead-lettering, counted, while the link is down —
-/// timers go into the reactor's wheel tagged with the client, and counters
-/// and records into the thread's telemetry.
-struct ClientPort<'r> {
-    client: usize,
-    links: &'r [LinkState],
-    table: &'r mut ConnTable<usize>,
-    timers: &'r mut TimerWheel<ClientTimer>,
-    telemetry: &'r mut Telemetry,
+/// The sites' transport: a send is queued on the sending site's lane of
+/// the addressed shard's link — dead-lettering, counted, while the link is
+/// down.
+struct ShardLinks {
+    shards: usize,
+    /// Each connection's peer state is the shard it links to.
+    table: ConnTable<usize>,
+    links: Vec<LinkState>,
 }
 
-impl Port for ClientPort<'_> {
-    type Deadline = Instant;
+impl Transport for ShardLinks {
+    /// A shard whose link is due a redial.
+    type Timer = usize;
 
-    fn send(&mut self, to: NodeId, msg: Msg) {
+    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) {
         let route = match self.links[to.index()] {
             LinkState::Up { token } => Some(token),
             LinkState::Down { .. } => None,
         };
-        self.table
-            .send_on(route, self.client as u16, &WireMsg::Proto(msg));
-    }
-
-    fn arm(&mut self, deadline: Instant, token: u64) {
-        let client = self.client;
-        self.timers
-            .arm(deadline, ClientTimer::Engine { client, token });
-    }
-
-    fn telemetry(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
-        self.telemetry.parts()
+        let lane = (from.index() - self.shards) as u16;
+        self.table.send_on(route, lane, &WireMsg::Proto(msg));
     }
 }
 
 impl<'a> ClientReactor<'a> {
+    /// Every site of `cfg`'s fleet, unstarted, behind shard links that are
+    /// all down, with the run's `controller`.
     fn new(
         cfg: &'a ReactorConfig,
         addrs: &'a [SocketAddr],
@@ -683,78 +599,20 @@ impl<'a> ClientReactor<'a> {
     ) -> Self {
         let rc = &cfg.runtime;
         let shards = rc.protocol.shards;
-        let clients: Vec<ClientState> = (0..rc.n_clients)
-            .map(|site| {
-                let servers = (0..shards).map(NodeId::new).collect();
-                let me = NodeId::new(shards + site);
-                ClientState {
-                    core: site_core(rc, servers, me, site, clock),
-                    finished: false,
-                }
-            })
-            .collect();
-        ClientReactor {
-            cfg,
+        let links = ShardLinks {
             shards,
-            addrs,
-            clock,
             table: ConnTable::new(rc.tick),
             links: (0..shards)
                 .map(|_| LinkState::Down { attempt: 0 })
                 .collect(),
+        };
+        ClientReactor {
+            cfg,
+            shards,
+            addrs,
             acked: vec![false; shards],
             started: false,
-            remaining: clients.len(),
-            clients,
-            timers: TimerWheel::new(&clock),
-            telemetry: Telemetry::recording(rc),
-            controller,
-            effects: Vec::new(),
-        }
-    }
-
-    /// One adaptive control tick, popped at `now`: tick, feed the command
-    /// in force to every hosted client still running, re-arm until the
-    /// controller says every expected operation has been ingested.
-    fn controller_tick(&mut self, now: Instant) {
-        let Some((controller, interval)) = self.controller.as_mut() else {
-            return;
-        };
-        let interval = *interval;
-        let (metrics, recorder) = self.telemetry.parts();
-        let recorder = recorder.expect("the clients' telemetry records");
-        let (command, more) = controller.tick(self.clock.now(), recorder, metrics);
-        if let Some(msg) = command {
-            // The sender is past every node (clients ignore it).
-            let from = NodeId::new(self.shards + self.clients.len());
-            for client in 0..self.clients.len() {
-                if !self.clients[client].finished {
-                    let msg = msg.clone();
-                    self.feed(client, Event::Message { from, msg }, now);
-                }
-            }
-        }
-        if more {
-            self.timers.arm(now + interval, ClientTimer::Controller);
-        }
-    }
-
-    /// Feeds one event, observed at `at`, to a hosted client and executes
-    /// the effects.
-    fn feed(&mut self, client: usize, event: Event, at: Instant) {
-        let state = &mut self.clients[client];
-        let t = state.core.step(event, at, None, &mut self.effects);
-        let mut port = ClientPort {
-            client,
-            links: &self.links,
-            table: &mut self.table,
-            timers: &mut self.timers,
-            telemetry: &mut self.telemetry,
-        };
-        execute(&mut self.effects, &mut port, &self.clock, t);
-        if !state.finished && state.core.finished() {
-            state.finished = true;
-            self.remaining -= 1;
+            host: SiteHost::new(rc, clock, links, controller),
         }
     }
 
@@ -764,7 +622,7 @@ impl<'a> ClientReactor<'a> {
     /// pass-end flush sends it. The link is usable from here on, and the
     /// first time every shard's is, every site starts.
     fn dial(&mut self, shard: usize) {
-        let LinkState::Down { attempt } = self.links[shard] else {
+        let LinkState::Down { attempt } = self.host.net.links[shard] else {
             return; // a live connection beat the redial timer
         };
         let dialled = TcpStream::connect_timeout(&self.addrs[shard], READ_TIMEOUT)
@@ -774,87 +632,77 @@ impl<'a> ClientReactor<'a> {
                 stream.set_nonblocking(true).ok()?;
                 Some(stream)
             });
-        let Some(token) = dialled.and_then(|stream| self.table.insert(stream, shard)) else {
+        let Some(token) = dialled.and_then(|stream| self.host.net.table.insert(stream, shard))
+        else {
             return self.retry(shard, attempt);
         };
-        self.links[shard] = LinkState::Up { token };
+        self.host.net.links[shard] = LinkState::Up { token };
         let rc = &self.cfg.runtime;
         let hello = WireMsg::Hello {
             n_clients: rc.n_clients as u32,
             shard: shard as u32,
             protocol: rc.protocol,
         };
-        self.table.queue(token, 0, &hello);
+        self.host.net.table.queue(token, 0, &hello);
         let all_up = self
+            .host
+            .net
             .links
             .iter()
             .all(|link| matches!(link, LinkState::Up { .. }));
         if all_up && !self.started {
             self.started = true;
-            let at = Instant::now();
-            for client in 0..self.clients.len() {
-                self.feed(client, Event::Start, at);
-            }
+            self.host.start(Instant::now());
         }
     }
 
     /// Books a failed dial and schedules the next under the deterministic
     /// jittered [`redial_delay`] schedule.
     fn retry(&mut self, shard: usize, attempt: u32) {
-        self.telemetry.metrics.add(names::TCP_CONNECT_FAILED, 1);
+        self.host.metrics.add(names::TCP_CONNECT_FAILED, 1);
         assert!(
             attempt < REDIAL_ATTEMPTS,
             "shard {shard} unreachable after {attempt} attempts"
         );
         let delay = redial_delay(attempt, link_seed(self.cfg.runtime.seed, shard));
-        self.links[shard] = LinkState::Down {
+        self.host.net.links[shard] = LinkState::Down {
             attempt: attempt + 1,
         };
-        self.timers
-            .arm(Instant::now() + delay, ClientTimer::Redial { shard });
+        self.host
+            .timers
+            .arm(Instant::now() + delay, SiteTimer::Link(shard));
     }
 
     /// The event loop: one dial per shard, then timers + readiness until
-    /// every client finishes, then an orderly goodbye on every live link.
-    /// Returns all per-operation latencies, the commanded Δ-schedule when
-    /// the run was adaptive, and the thread's telemetry.
-    fn run(mut self) -> (Vec<Duration>, Option<DeltaSchedule>, Telemetry) {
+    /// every site finishes, then an orderly goodbye on every live link.
+    /// Returns the site host, the table's counters added, for the run's
+    /// result.
+    fn run(mut self) -> SiteHost<ShardLinks> {
         // This loop runs on the caller's thread: the guard hands the
         // thread back with the slack it came with.
         let _slack = TimerSlack::pin();
         let base = Instant::now();
         for shard in 0..self.shards {
-            self.timers.arm(base, ClientTimer::Redial { shard });
-        }
-        if let Some((_, interval)) = self.controller {
-            self.timers.arm(base + interval, ClientTimer::Controller);
+            self.host.timers.arm(base, SiteTimer::Link(shard));
         }
         let mut events = [EpollEvent { events: 0, data: 0 }; 256];
         let mut due = Vec::new();
-        while self.remaining > 0 {
+        while !self.host.finished() {
             let now = Instant::now();
-            self.timers.pop_due_into(now, &mut due);
+            self.host.timers.pop_due_into(now, &mut due);
             for &timer in &due {
-                match timer {
-                    ClientTimer::Engine { client, token } => {
-                        // A finished client's timers and dead timers (a
-                        // retry whose reply came first) step nothing.
-                        let state = &self.clients[client];
-                        if !state.finished && state.core.timer_is_live(token) {
-                            self.feed(client, Event::Timer { token }, now);
-                        }
-                    }
-                    ClientTimer::Redial { shard } => self.dial(shard),
-                    ClientTimer::Controller => self.controller_tick(now),
+                if let Some(shard) = self.host.fire(timer, now) {
+                    self.dial(shard);
                 }
             }
             let now = self.sweep();
-            if self.remaining == 0 {
+            if self.host.finished() {
                 break;
             }
             let now = self.flush_queued(now);
-            let timeout = self.table.wait_timeout(self.timers.next_deadline(), now);
-            let n = self.table.wait(&mut events, timeout, now);
+            let deadline = self.host.timers.next_deadline();
+            let timeout = self.host.net.table.wait_timeout(deadline, now);
+            let n = self.host.net.table.wait(&mut events, timeout, now);
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
                 self.handle_conn_event(token, bits);
@@ -863,19 +711,12 @@ impl<'a> ClientReactor<'a> {
         // Orderly goodbye: a Bye on every live link, flushed as far as the
         // socket allows, then close. A blocked socket just loses its
         // goodbye — the shard's read timeout reaps it.
-        for token in self.table.tokens() {
+        for token in self.host.net.table.tokens() {
             self.queue_and_flush(token, 0, &WireMsg::Bye);
             self.close(token);
         }
-        self.timers.report(&mut self.telemetry.metrics);
-        self.table.report(&mut self.telemetry.metrics);
-        let schedule = self.controller.map(|(c, _)| c.schedule().clone());
-        let latencies = self
-            .clients
-            .into_iter()
-            .flat_map(|c| c.core.into_latencies())
-            .collect();
-        (latencies, schedule, self.telemetry)
+        self.host.net.table.report(&mut self.host.metrics);
+        self.host
     }
 }
 
@@ -906,7 +747,7 @@ fn churn_loop(dials: usize, addrs: &[SocketAddr], shutdown: &AtomicBool) -> Metr
 
 /// Runs one execution of the lifetime protocol over the evented reactor
 /// with socket-driver defaults, returning the same [`RuntimeResult`] shape
-/// as the channel drivers — identical seeds produce identical per-site
+/// as the channel driver — identical seeds produce identical per-site
 /// operation sequences across all of them.
 ///
 /// # Panics
@@ -967,52 +808,36 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
     let shutdown_ref = &shutdown;
     let addrs_ref = &addrs[..];
     let wake_rxs_ref = &wake_rxs[..];
-    let (latencies, delta_schedule, telemetry, shard_requests, thread_metrics) =
-        std::thread::scope(|scope| {
-            let mut shard_workers = Vec::with_capacity(shards);
-            for (shard, slot) in listeners.iter_mut().enumerate() {
-                let listener = slot.take().expect("listener taken once");
-                let addr = addrs_ref[shard];
-                shard_workers.push(scope.spawn(move || {
-                    ShardReactor::new(shard, cfg, clock, listener, addr).run(&wake_rxs_ref[shard])
-                }));
-            }
-            let churn_worker = (cfg.churn_dials > 0)
-                .then(|| scope.spawn(move || churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref)));
-            // The client reactor runs on the scope's own thread: every
-            // ClientCore in one evented loop.
-            let (latencies, delta_schedule, telemetry) =
-                ClientReactor::new(cfg, addrs_ref, clock, controller).run();
-            shutdown.store(true, Ordering::Relaxed);
-            for mut tx in &wake_txs {
-                // Cannot fail short of a dead shard thread, which the join
-                // below reports.
-                let _ = tx.write_all(&[0]);
-            }
-            let (shard_requests, mut thread_metrics): (Vec<u64>, Vec<Metrics>) = shard_workers
-                .into_iter()
-                .map(|w| w.join().expect("shard reactor panicked"))
-                .unzip();
-            if let Some(w) = churn_worker {
-                thread_metrics.push(w.join().expect("churn thread panicked"));
-            }
-            (
-                latencies,
-                delta_schedule,
-                telemetry,
-                shard_requests,
-                thread_metrics,
-            )
-        });
-    let wall = started.elapsed();
-    finish_run(
-        telemetry,
-        thread_metrics,
-        latencies,
-        shard_requests,
-        wall,
-        delta_schedule,
-    )
+    let (sites, shard_requests, thread_metrics) = std::thread::scope(|scope| {
+        let mut shard_workers = Vec::with_capacity(shards);
+        for (shard, slot) in listeners.iter_mut().enumerate() {
+            let listener = slot.take().expect("listener taken once");
+            let addr = addrs_ref[shard];
+            shard_workers.push(scope.spawn(move || {
+                ShardReactor::new(shard, cfg, clock, listener, addr).run(&wake_rxs_ref[shard])
+            }));
+        }
+        let churn_worker = (cfg.churn_dials > 0)
+            .then(|| scope.spawn(move || churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref)));
+        // The client reactor runs on the scope's own thread: every
+        // site in one evented loop.
+        let sites = ClientReactor::new(cfg, addrs_ref, clock, controller).run();
+        shutdown.store(true, Ordering::Relaxed);
+        for mut tx in &wake_txs {
+            // Cannot fail short of a dead shard thread, which the join
+            // below reports.
+            let _ = tx.write_all(&[0]);
+        }
+        let (shard_requests, mut thread_metrics): (Vec<u64>, Vec<Metrics>) = shard_workers
+            .into_iter()
+            .map(|w| w.join().expect("shard reactor panicked"))
+            .unzip();
+        if let Some(w) = churn_worker {
+            thread_metrics.push(w.join().expect("churn thread panicked"));
+        }
+        (sites, shard_requests, thread_metrics)
+    });
+    sites.finish_run(thread_metrics, shard_requests, started.elapsed())
 }
 
 #[cfg(test)]
@@ -1053,12 +878,12 @@ mod tests {
 
     /// Runs shard 0 of `cfg` as a live reactor on a fresh loopback
     /// listener while `probe` talks to it, then stops it. `probe` returns
-    /// the telemetry of whatever client side it ran. Returns the requests
+    /// the site host of whatever client side it ran. Returns the requests
     /// the shard's engine served and the run's metrics and history,
     /// assembled by `finish_run`.
     fn with_live_shard(
         cfg: &ReactorConfig,
-        probe: impl FnOnce(SocketAddr, TickClock) -> Telemetry,
+        probe: impl FnOnce(SocketAddr, TickClock) -> SiteHost<ShardLinks>,
     ) -> (u64, RuntimeResult) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         listener.set_nonblocking(true).unwrap();
@@ -1066,24 +891,17 @@ mod tests {
         let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
         let clock = TickClock::new(cfg.runtime.tick);
         let started = Instant::now();
-        let ((served, shard_metrics), telemetry) = std::thread::scope(|scope| {
+        let ((served, shard_metrics), sites) = std::thread::scope(|scope| {
             // Owned in here, so a probe that panics hangs the stream up and
             // the shard stops instead of the scope waiting on it forever.
             let mut wake_tx = wake_tx;
             let shard =
                 scope.spawn(|| ShardReactor::new(0, cfg, clock, listener, addr).run(&wake_rx));
-            let telemetry = probe(addr, clock);
+            let sites = probe(addr, clock);
             wake_tx.write_all(&[0]).unwrap();
-            (shard.join().expect("shard reactor panicked"), telemetry)
+            (shard.join().expect("shard reactor panicked"), sites)
         });
-        let r = finish_run(
-            telemetry,
-            vec![shard_metrics],
-            Vec::new(),
-            Vec::new(),
-            started.elapsed(),
-            None,
-        );
+        let r = sites.finish_run(vec![shard_metrics], Vec::new(), started.elapsed());
         (served, r)
     }
 
@@ -1168,9 +986,9 @@ mod tests {
             drop(stream);
             // Nothing was left behind: the same listener serves a
             // well-configured fleet as if the probes had never dialled.
-            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock, None).run();
-            assert_eq!(latencies.len(), 2 * 12);
-            telemetry
+            let sites = ClientReactor::new(&cfg, &[addr], clock, None).run();
+            assert_eq!(sites.recorder.len(), 2 * 12);
+            sites
         });
         assert_eq!(r.ops_done, 2 * 12);
         assert!(r.on_time.holds(), "the following run must be monitor-clean");
@@ -1196,7 +1014,7 @@ mod tests {
     fn a_proto_frame_on_an_unattached_lane_closes_the_link() {
         let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 45));
         let rc = &cfg.runtime;
-        let (served, r) = with_live_shard(&cfg, |addr, _| {
+        let (served, r) = with_live_shard(&cfg, |addr, clock| {
             let mut stream = raw_dial(addr);
             write_frame(&mut stream, 0, &fetch()).unwrap();
             assert!(
@@ -1243,16 +1061,17 @@ mod tests {
             let mut stream = attach();
             write_frame(&mut stream, 0, &WireMsg::Bye).unwrap();
             assert!(read_reply(&mut stream).is_err(), "a Bye ends the link");
-            Telemetry::recording(rc)
+            ClientReactor::new(&cfg, &[addr], clock, None).host
         });
         assert_eq!(served, 0, "no stray request may reach the engine");
         assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 4);
         assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 4);
     }
 
-    /// A shard never sends a request: a client reactor that reads one on a
-    /// shard's link hangs that link up and redials, before any hosted
-    /// engine sees the frame.
+    /// A shard never sends a request, and no Δ command comes over a link
+    /// (the site host's own controller feeds those): a client reactor that
+    /// reads either on a shard's link hangs that link up and redials,
+    /// before any hosted engine sees the frame.
     #[test]
     fn a_request_from_a_shard_closes_its_link() {
         let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 51));
@@ -1261,20 +1080,31 @@ mod tests {
         let clock = TickClock::new(cfg.runtime.tick);
         let addrs = [addr];
         let mut reactor = ClientReactor::new(&cfg, &addrs, clock, None);
-        reactor.dial(0);
-        let LinkState::Up { token } = reactor.links[0] else {
-            panic!("the dial to a bound listener must link");
-        };
-        reactor.on_frame(token, 0, fetch(), Instant::now());
-        assert!(
-            reactor.table.peer_mut(token).is_none(),
-            "the link is closed"
-        );
-        assert!(matches!(reactor.links[0], LinkState::Down { attempt: 0 }));
-        assert!(reactor
-            .clients
-            .iter()
-            .all(|c| c.core.engine.ops_done() == 0));
+        let command = WireMsg::Proto(Msg::DeltaUpdate {
+            seq: 1,
+            delta: Delta::from_ticks(5),
+        });
+        for frame in [fetch(), command] {
+            reactor.dial(0);
+            let LinkState::Up { token } = reactor.host.net.links[0] else {
+                panic!("the dial to a bound listener must link");
+            };
+            reactor.on_frame(token, 0, frame, Instant::now());
+            assert!(
+                reactor.host.net.table.peer_mut(token).is_none(),
+                "the link is closed"
+            );
+            assert!(matches!(
+                reactor.host.net.links[0],
+                LinkState::Down { attempt: 0 }
+            ));
+            assert!(reactor.host.recorder.is_empty(), "no op completed");
+            assert_eq!(
+                reactor.host.metrics.get(names::DELTA_APPLIED),
+                0,
+                "no site applied a Δ"
+            );
+        }
     }
 
     #[test]
@@ -1295,90 +1125,26 @@ mod tests {
     }
 
     #[test]
-    fn reactor_sc_completes_and_holds() {
-        let r = run_reactor(&small(ProtocolKind::Sc, 31));
-        assert_eq!(r.ops_done, 2 * 12, "every op must be recorded");
-        assert!(r.on_time.holds(), "monitor must report zero violations");
-        crate::runtime::tests::assert_monitor_counters(&r);
-        assert_eq!(
-            r.counter(names::TCP_CONNECT),
-            1,
-            "one handshake admits the link to the single shard"
-        );
-        assert_eq!(
-            r.counter(names::REACTOR_CONN_OPENED),
-            1,
-            "both sites share one link"
-        );
-        assert_eq!(r.counter(names::TCP_RECONNECT), 0, "no faults injected");
-        // fd hygiene even on the happy path: every accepted registration
-        // was drained by the time the run finished.
-        assert_eq!(
-            r.counter(names::REACTOR_CONN_OPENED),
-            r.counter(names::REACTOR_CONN_CLOSED),
-            "registrations must drain to zero"
-        );
-        // Both reactor threads reported their output counters, and no
-        // write went out without a frame in it.
-        for name in [names::REACTOR_WRITES, names::REACTOR_FRAMES_OUT] {
-            assert!(r.metrics.counters.contains_key(name), "{name} missing");
-        }
-        let (writes, frames) = (
-            r.counter(names::REACTOR_WRITES),
-            r.counter(names::REACTOR_FRAMES_OUT),
-        );
-        assert!(
-            0 < writes && writes <= frames,
-            "{writes} writes, {frames} frames"
-        );
-    }
-
-    #[test]
-    fn run_reactor_hands_the_calling_thread_back_with_its_timer_slack() {
-        // The client reactor runs on the caller's thread with the slack
-        // pinned; the caller must get its own value back. A fresh thread,
-        // so the reading is this test's alone.
-        std::thread::spawn(|| {
-            let before = sys::timer_slack().expect("PR_GET_TIMERSLACK");
-            let r = run_reactor(&small(ProtocolKind::Sc, 35));
-            assert_eq!(r.ops_done, 2 * 12);
-            assert_eq!(sys::timer_slack().unwrap(), before);
-            // Both reactor threads counted what their timers suffered.
-            let fired = r.counter(names::TIMER_FIRED);
-            assert!(fired >= 2 * 12, "every op issue is a timer: {fired}");
-            assert!(r.metrics.counters.contains_key(names::TIMER_LATE_NS));
-        })
-        .join()
-        .expect("caller thread");
-    }
-
-    /// Two shards, at 2 sites and at 300 — the scale whose cold start once
-    /// needed dials staggered in waves — each over exactly one link per
-    /// shard.
-    #[test]
-    fn reactor_tsc_fleet_is_judged_by_the_monitor() {
-        for sites in [2, 300] {
-            let mut cfg = small(
-                ProtocolKind::Tsc {
-                    delta: Delta::from_ticks(400),
-                },
-                32,
-            );
-            cfg.protocol = cfg.protocol.with_shards(2);
-            cfg.n_clients = sites;
-            let r = run_reactor(&cfg);
-            assert_eq!(r.ops_done, sites * 12);
-            assert!(
-                r.on_time.holds(),
-                "{sites} sites, violations: {}",
-                r.on_time.violations().len()
-            );
-            assert_eq!(r.shard_requests.len(), 2);
-            assert!(r.shard_requests.iter().sum::<u64>() > 0);
-            // One handshake per shard link, whatever the fleet size.
-            assert_eq!(r.counter(names::TCP_CONNECT), 2, "{sites} sites");
-            assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 2, "{sites} sites");
-            assert_eq!(r.counter(names::REACTOR_CONN_CLOSED), 2, "{sites} sites");
+    fn real_drivers_hand_the_calling_thread_back_with_its_timer_slack() {
+        // Both real drivers host every site on the caller's thread with the
+        // slack pinned; the caller must get its own value back. A fresh
+        // thread, so the reading is this test's alone.
+        for (driver, run, seed) in crate::runtime::tests::REAL_DRIVERS {
+            std::thread::spawn(move || {
+                let before = sys::timer_slack().expect("PR_GET_TIMERSLACK");
+                let r = run(&small(ProtocolKind::Sc, seed));
+                assert_eq!(r.ops_done, 2 * 12, "{driver}");
+                assert_eq!(sys::timer_slack().unwrap(), before, "{driver}");
+                // Every thread counted what its timers suffered.
+                let fired = r.counter(names::TIMER_FIRED);
+                assert!(
+                    fired >= 2 * 12,
+                    "{driver}: every op issue is a timer: {fired}"
+                );
+                assert!(r.metrics.counters.contains_key(names::TIMER_LATE_NS));
+            })
+            .join()
+            .expect("caller thread");
         }
     }
 
@@ -1408,9 +1174,9 @@ mod tests {
                 ("shard", metrics, sys::thread_cpu_time() - cpu)
             });
             let cpu = sys::thread_cpu_time();
-            let (latencies, _, telemetry) = ClientReactor::new(&cfg, &[addr], clock, None).run();
-            assert_eq!(latencies.len(), 2 * 100);
-            let client = ("client", telemetry.metrics, sys::thread_cpu_time() - cpu);
+            let sites = ClientReactor::new(&cfg, &[addr], clock, None).run();
+            assert_eq!(sites.recorder.len(), 2 * 100);
+            let client = ("client", sites.metrics, sys::thread_cpu_time() - cpu);
             wake_tx.write_all(&[0]).unwrap();
             [shard.join().expect("shard reactor panicked"), client]
         });

@@ -426,7 +426,7 @@ mod tests {
             {
                 let _outer = TimerSlack::pin();
                 assert_eq!(timer_slack().unwrap(), TimerSlack::PINNED_NS);
-                // Nested guards (a node loop run under a pinned test
+                // Nested guards (a driver loop run under a pinned test
                 // thread) restore to the enclosing guard's value.
                 drop(TimerSlack::pin());
                 assert_eq!(timer_slack().unwrap(), TimerSlack::PINNED_NS);

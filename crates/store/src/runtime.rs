@@ -1,32 +1,32 @@
 //! The channel driver, and what every real-time driver adds to the node
 //! core.
 //!
-//! The hosts, the effect executor, the control tick and the tail that
-//! judges a run are `tc_lifetime::node`'s, shared with the simulator; this
-//! module gives them real time and threads:
+//! The engines' hosts, the effect executor, the control tick and the tail
+//! that judges a run are `tc_lifetime::node`'s, shared with the simulator;
+//! the site and shard hosts (`host`) put them on a thread each real driver
+//! owns. This module gives them real time and in-process queues:
 //!
 //! * **time** — `TickClock`, the node core's `TimeSource` on every real
 //!   driver: the [`Instant`] an event was observed at, ticked down against
 //!   one shared epoch;
-//! * **the node loop** — `ChannelNode`: timer wheel, blocking receive,
-//!   bounded drain, step, execute — one thread per node;
-//! * **the channel fleet builder** — [`run_threaded`];
-//! * **the control plane** — `controller` builds the run's
-//!   `DeltaController`, which the channel drivers tick over the clients'
-//!   telemetry from a sleeping thread, the reactor from a timer;
-//! * **run state and result assembly** — `Telemetry`, `Shared`,
-//!   `TimerWheel` (in `wheel`), `finish_run`.
+//! * **the channel loop** — `serve`: timer wheel, blocking receive towards
+//!   the next deadline, bounded drain, then the host serves the pass;
+//! * **the channel transport** — `Queues`: a send goes into its receiver's
+//!   inbox unless a partition cuts it;
+//! * **the channel fleet builder** — [`run_threaded`].
 //!
-//! [`crate::run_reactor`] hosts the same cores in two epoll loops and
-//! implements `Port` over its connection table instead of channels.
+//! [`crate::run_reactor`] runs the same two hosts over loopback TCP, each
+//! in an epoll loop, with one link per shard as the transport.
 //!
 //! # Layout
 //!
 //! Node ids follow the simulator harness: shards first (node 0 is *the*
 //! server in a single-shard run), then client site `i`. One thread per
-//! node, each on its own unbounded inbox. A client exits once its workload
-//! is finished and nothing is in flight; once every client has, each shard
-//! is sent an explicit stop on its inbox and exits after serving what was
+//! shard, each on its own unbounded inbox, and every site on the calling
+//! thread, on one more inbox they share: an n-site run over `s` shards
+//! starts `s` threads and `s + 1` inboxes. The site loop ends once every
+//! site's workload is finished with nothing in flight; then each shard is
+//! sent an explicit stop on its inbox and exits after serving what was
 //! queued before it.
 //!
 //! # Time
@@ -40,33 +40,32 @@
 //! real-time slack; the run's *observed* staleness is still reported
 //! exactly, and the monitor verdict asserts the widened bound.
 
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvError, RecvTimeoutError};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::mpsc::{self, Receiver, RecvError, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::TimedReport;
 use tc_core::History;
 use tc_durable::WalStore;
-use tc_lifetime::control::{ControllerConfig, DeltaController, DeltaSchedule};
-use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources, ServerEngine};
-use tc_lifetime::node::{execute, judge_run, ClientCore, Host, Port, ShardCore, TimeSource};
+use tc_lifetime::control::{ControllerConfig, DeltaSchedule};
+use tc_lifetime::engine::ServerEngine;
+use tc_lifetime::node::TimeSource;
 use tc_lifetime::{Msg, ProtocolConfig};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
-use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId, TraceRecorder};
+use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId};
 
+use crate::host::{controller, Serve, ShardHost, SiteHost, Transport};
 use crate::reactor::TimerSlack;
-use crate::wheel::TimerWheel;
 
 /// Configuration of one threaded run.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// The protocol under test.
     pub protocol: ProtocolConfig,
-    /// Number of client sites (threads).
+    /// Number of client sites.
     pub n_clients: usize,
     /// The workload every client runs.
     pub workload: Workload,
@@ -93,19 +92,22 @@ pub struct RuntimeConfig {
     /// simulator harness's layout — the simulator's own plan type. A real
     /// driver renders [`FaultKind::KillShard`] through the shard core's
     /// outage gate and [`FaultKind::Partition`] on its transport (the
-    /// channel drivers drop a send across the cut; the reactor kills and
+    /// channel driver drops a send across the cut; the reactor kills and
     /// rebinds one shard's listener and links), and refuses every other
     /// kind with a panic naming it. Empty by default.
     pub faults: FaultPlan,
     /// When set, a [`DeltaController`] retunes Δ online: it ticks over the
-    /// live monitor every `interval` (on the channel drivers' control
-    /// thread, on the reactor's client-loop timer), broadcasts
-    /// [`Msg::DeltaUpdate`] commands to every client, and shifts the
+    /// live monitor every `interval`, as a timer on the wheel of the
+    /// thread that hosts every site, feeds each [`Msg::DeltaUpdate`]
+    /// command to every running site in that loop, and shifts the
     /// monitor's judged schedule (widened by the same slack as the static
     /// bound) from each change's judged time. Every driver refuses, before
     /// it starts a thread, what [`DeltaController::new`] refuses. `None`
     /// (the default) keeps the static Δ — and byte-identical behaviour
     /// with earlier drivers.
+    ///
+    /// [`DeltaController`]: tc_lifetime::control::DeltaController
+    /// [`DeltaController::new`]: tc_lifetime::control::DeltaController::new
     pub adaptive: Option<ControllerConfig>,
 }
 
@@ -200,28 +202,6 @@ pub(crate) fn build_shard_engine(
             )
         }
     }
-}
-
-/// The core of client `site` (node `me`) of `config`'s fleet, speaking to
-/// `servers`, drawing on the site's private sources derived from the run
-/// seed.
-pub(crate) fn site_core(
-    config: &RuntimeConfig,
-    servers: Vec<NodeId>,
-    me: NodeId,
-    site: usize,
-    clock: TickClock,
-) -> ClientCore<TickClock> {
-    let engine = ClientEngine::new(
-        config.protocol,
-        servers,
-        site,
-        config.n_clients,
-        config.workload.clone(),
-        config.ops_per_client,
-    );
-    let sources = PrivateSources::new(config.seed, site, config.n_clients);
-    ClientCore::new(engine, Some(sources), clock, me)
 }
 
 /// Latency distribution of completed operations (issue → completion).
@@ -415,97 +395,23 @@ impl TimeSource for TickClock {
     }
 }
 
-/// What engine steps leave behind besides sends and timers: the counters
-/// and, on the thread that hosts the clients, the recorded history with
-/// its live monitor. On the reactor each thread owns one — only the
-/// client thread's records — and [`finish_run`] merges them; the channel
-/// drivers share one behind [`Shared`].
-#[derive(Default)]
-pub(crate) struct Telemetry {
-    pub(crate) metrics: Metrics,
-    recorder: Option<TraceRecorder>,
-}
-
-impl Telemetry {
-    /// Counters plus the run's recorder, with the live monitor attached at
-    /// `config`'s Δ and ε.
-    pub(crate) fn recording(config: &RuntimeConfig) -> Self {
-        let mut recorder = TraceRecorder::new();
-        recorder.attach_monitor(config.monitor_delta, config.monitor_eps);
-        Telemetry {
-            metrics: Metrics::new(),
-            recorder: Some(recorder),
-        }
-    }
-
-    /// Its counters and recorder, as a port hands them to the executor.
-    pub(crate) fn parts(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
-        (&mut self.metrics, self.recorder.as_mut())
-    }
-}
-
-/// The channel drivers' run state: the one [`Telemetry`] every node thread
-/// steps into, behind a mutex taken once per step. The reactor does not
-/// use it — its threads own their telemetry.
-pub(crate) struct Shared(Mutex<Telemetry>);
-
-impl Shared {
-    /// The shared state of one run of `config`: empty counters and a
-    /// recorder with the live monitor attached at the configured Δ and ε.
-    pub(crate) fn new(config: &RuntimeConfig) -> Self {
-        Shared(Mutex::new(Telemetry::recording(config)))
-    }
-
-    pub(crate) fn lock(&self) -> MutexGuard<'_, Telemetry> {
-        self.0.lock().expect("telemetry lock")
-    }
-
-    pub(crate) fn into_inner(self) -> Telemetry {
-        self.0.into_inner().expect("telemetry lock")
-    }
-}
-
-/// Cap on how many already-queued messages one node-loop pass drains
-/// beyond the blocking receive. Bounded so a request flood cannot postpone
-/// a due timer indefinitely; 128 messages is far past any burst a fleet
+/// Cap on how many already-queued messages one loop pass drains beyond
+/// the blocking receive. Bounded so a message flood cannot postpone a due
+/// timer indefinitely; 128 messages is far past any burst a fleet
 /// produces between timer deadlines.
 const DRAIN_BATCH: usize = 128;
 
-/// A channel node's [`Port`]: sends go through the driver's routing
-/// closure, timers into the node's own wheel, counters and records into
-/// the run's shared telemetry.
-struct ChannelPort<'r, S> {
-    send: &'r mut S,
-    timers: &'r mut TimerWheel,
-    telemetry: &'r mut Telemetry,
-}
-
-impl<S: FnMut(NodeId, Msg)> Port for ChannelPort<'_, S> {
-    type Deadline = Instant;
-
-    fn send(&mut self, to: NodeId, msg: Msg) {
-        (self.send)(to, msg);
-    }
-
-    fn arm(&mut self, deadline: Instant, token: u64) {
-        self.timers.arm(deadline, token);
-    }
-
-    fn telemetry(&mut self) -> (&mut Metrics, Option<&mut TraceRecorder>) {
-        self.telemetry.parts()
-    }
-}
-
-/// What a channel node's inbox carries.
+/// What a channel inbox carries.
 enum Inbound {
-    /// A protocol message from the named node.
-    Msg(NodeId, Msg),
+    /// A protocol message from node `from` to node `to`: one shard's own,
+    /// or one of the sites sharing the sites' inbox.
+    Msg { from: NodeId, to: NodeId, msg: Msg },
     /// Exit once everything queued before this is served: [`run_threaded`]
-    /// sends it to every shard once the clients are done.
+    /// sends it to every shard once the sites are done.
     Stop,
 }
 
-/// The one blocking wait of a channel thread: the next item on `inbox`,
+/// The one blocking wait of a channel loop: the next item on `inbox`,
 /// waiting until `deadline` at most (`Ok(None)` once it has passed) or,
 /// without one, until something arrives. `Err` once every sender is gone.
 fn recv_by<T>(inbox: &Receiver<T>, deadline: Option<Instant>) -> Result<Option<T>, RecvError> {
@@ -523,331 +429,163 @@ fn recv_by<T>(inbox: &Receiver<T>, deadline: Option<Instant>) -> Result<Option<T
     }
 }
 
-/// One thread-per-node engine host over in-process channels: the node
-/// loop of [`run_threaded`]. What a node *is* — a client or a shard — is
-/// its [`Host`]; where its sends go is the `send` closure. A client ends
-/// when its host reports [`Host::finished`], a shard at [`Inbound::Stop`].
-struct ChannelNode<'a, H, S> {
-    host: H,
-    send: S,
-    timers: TimerWheel,
+/// The channel driver's transport: a send across an active partition is
+/// dropped, everything else goes straight into the receiver's inbox. A
+/// loop that has exited drops what it is sent — the simulator's
+/// dead-letter path.
+#[derive(Clone, Copy)]
+struct Queues<'a> {
+    /// Shard `i`'s inbox at `i`, the sites' one inbox last.
+    inboxes: &'a [Sender<Inbound>],
+    faults: &'a FaultPlan,
+    /// Whether `faults` cuts anything: a fault-free send consults no plan
+    /// and reads no clock.
+    partitioned: bool,
     clock: TickClock,
-    shared: &'a Shared,
-    effects: Vec<Effect>,
 }
 
-impl<'a, H: Host<TickClock>, S: FnMut(NodeId, Msg)> ChannelNode<'a, H, S> {
-    pub(crate) fn new(host: H, send: S, clock: TickClock, shared: &'a Shared) -> Self {
-        ChannelNode {
-            host,
-            send,
-            timers: TimerWheel::new(&clock),
-            clock,
-            shared,
-            effects: Vec::new(),
-        }
-    }
+impl Transport for Queues<'_> {
+    /// The channel driver arms no timer of its own.
+    type Timer = Infallible;
 
-    /// Feeds one event, observed at `at`, to the host and executes what it
-    /// emits, taking the telemetry lock once. The effects scratch is left
-    /// empty, so a step allocates nothing once it is warm.
-    fn feed(&mut self, event: Event, at: Instant) {
-        let t = self.host.step(event, at, None, &mut self.effects);
-        let mut port = ChannelPort {
-            send: &mut self.send,
-            timers: &mut self.timers,
-            telemetry: &mut self.shared.lock(),
-        };
-        execute(&mut self.effects, &mut port, &self.clock, t);
-    }
-
-    /// The node loop: feed `Event::Start`, then, pass by pass, collect the
-    /// due timers, block on the inbox towards the next deadline when
-    /// nothing is due, drain a bounded batch of what else is queued, and
-    /// step the host through the batch in order — the timers at the
-    /// instant the pass began, every message at the one instant read after
-    /// the drain. Returns the host for the caller to read its results off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the inbox disconnects: the builder holds every sender
-    /// until the node has stopped.
-    pub(crate) fn run(mut self, inbox: &Receiver<Inbound>) -> H {
-        let _slack = TimerSlack::pin();
-        self.feed(Event::Start, Instant::now());
-        // Scratch reused across passes; steady-state passes allocate
-        // nothing.
-        let mut due: Vec<u64> = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
-        let mut stopping = false;
-        while !stopping && !self.host.finished() {
-            // The sweep collects every due timer before any fires:
-            // handling one may arm new ones, which belong to the next
-            // pass.
-            let now = Instant::now();
-            self.timers.pop_due_into(now, &mut due);
-            events.extend(due.iter().map(|&token| Event::Timer { token }));
-            let popped = events.len();
-            if events.is_empty() {
-                // Block towards the next deadline — indefinitely with none
-                // armed: a message wakes the thread at once (the channel
-                // wait parks on a condvar).
-                match recv_by(inbox, self.timers.next_deadline())
-                    .expect("the fleet builder holds every sender")
-                {
-                    Some(Inbound::Msg(from, msg)) => events.push(Event::Message { from, msg }),
-                    Some(Inbound::Stop) => stopping = true,
-                    None => continue, // a deadline is due
-                }
-            }
-            // Opportunistically drain whatever else is already queued so a
-            // burst is served in one pass instead of one wakeup per
-            // message. The channel is FIFO and the batch is processed in
-            // drain order, so per-sender ordering is exactly what
-            // sequential receives gave, and a stop comes after everything
-            // queued before it.
-            while !stopping && events.len() < DRAIN_BATCH {
-                match inbox.try_recv() {
-                    Ok(Inbound::Msg(from, msg)) => events.push(Event::Message { from, msg }),
-                    Ok(Inbound::Stop) => stopping = true,
-                    Err(_) => break,
-                }
-            }
-            let received = if events.len() > popped {
-                Instant::now()
-            } else {
-                now
-            };
-            for (i, event) in events.drain(..).enumerate() {
-                // A dead timer would step the host for nothing.
-                if let Event::Timer { token } = event {
-                    if !self.host.timer_is_live(token) {
-                        continue;
-                    }
-                }
-                self.feed(event, if i < popped { now } else { received });
-            }
+    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) {
+        if self.partitioned
+            && self
+                .faults
+                .partitions(self.clock.now(), from.index(), to.index())
+        {
+            return;
         }
-        self.timers.report(&mut self.shared.lock().metrics);
-        self.host
+        let inbox = to.index().min(self.inboxes.len() - 1);
+        let _ = self.inboxes[inbox].send(Inbound::Msg { from, to, msg });
     }
 }
 
-/// The adaptive Δ controller `config` asks for, with its tick period in
-/// `clock`'s real time: `None` unless the run is adaptive. Every real
-/// driver builds it here, before it starts a thread.
+/// The channel loop: start the host, then, pass by pass, collect the due
+/// timers, block on the inbox towards the next deadline when nothing is
+/// due, drain a bounded batch of what else is queued, and serve the pass
+/// in order — the timers at the instant the pass began, every message at
+/// the one instant read after the drain.
 ///
 /// # Panics
 ///
-/// As [`DeltaController::new`]: on an infinite interval, an inverted band
-/// or an untimed protocol.
-pub(crate) fn controller(
-    config: &RuntimeConfig,
-    clock: &TickClock,
-) -> Option<(DeltaController, Duration)> {
-    let controller = DeltaController::new(
-        config.adaptive?,
-        config.protocol.kind,
-        config.monitor_delta,
-        config.n_clients * config.ops_per_client,
-    );
-    let interval = clock
-        .delta_to_duration(controller.interval())
-        .expect("the controller refuses an infinite interval");
-    Some((controller, interval))
-}
-
-/// The channel drivers' control thread: sleep an interval, tick,
-/// broadcast — until the controller says every operation is in or `done`
-/// is raised (whichever first). Returns the commanded schedule.
-pub(crate) fn control_loop(
-    (mut controller, interval): (DeltaController, Duration),
-    clock: TickClock,
-    shared: &Shared,
-    done: &AtomicBool,
-    mut broadcast: impl FnMut(Msg),
-) -> DeltaSchedule {
+/// Panics if the inbox disconnects: the fleet builder holds every sender
+/// until the loop has ended.
+fn serve(host: &mut impl Serve<Link = Infallible>, inbox: &Receiver<Inbound>) {
     let _slack = TimerSlack::pin();
-    loop {
-        std::thread::sleep(interval);
-        if done.load(Ordering::Acquire) {
-            break;
+    host.start(Instant::now());
+    // Scratch reused across passes; steady-state passes allocate nothing.
+    let mut due = Vec::new();
+    let mut msgs: Vec<(NodeId, NodeId, Msg)> = Vec::new();
+    let mut stopping = false;
+    while !stopping && !host.finished() {
+        // The sweep collects every due timer before any fires: serving one
+        // may arm new ones, which belong to the next pass.
+        let now = Instant::now();
+        host.timers().pop_due_into(now, &mut due);
+        if due.is_empty() {
+            // Block towards the next deadline — indefinitely with none
+            // armed: a message wakes the thread at once (the channel wait
+            // parks on a condvar).
+            match recv_by(inbox, host.timers().next_deadline())
+                .expect("the fleet builder holds every sender")
+            {
+                Some(Inbound::Msg { from, to, msg }) => msgs.push((from, to, msg)),
+                Some(Inbound::Stop) => stopping = true,
+                None => continue, // a deadline is due
+            }
         }
-        let (command, more) = {
-            let mut telemetry = shared.lock();
-            let (metrics, recorder) = telemetry.parts();
-            let recorder = recorder.expect("the clients' telemetry records");
-            controller.tick(clock.now(), recorder, metrics)
-        };
-        if let Some(msg) = command {
-            broadcast(msg);
+        // Opportunistically drain whatever else is already queued so a
+        // burst is served in one pass instead of one wakeup per message.
+        // The channel is FIFO and the batch is served in drain order, so
+        // per-sender ordering is exactly what sequential receives gave,
+        // and a stop comes after everything queued before it.
+        while !stopping && msgs.len() < DRAIN_BATCH {
+            match inbox.try_recv() {
+                Ok(Inbound::Msg { from, to, msg }) => msgs.push((from, to, msg)),
+                Ok(Inbound::Stop) => stopping = true,
+                Err(_) => break,
+            }
         }
-        if !more {
-            break;
+        let received = if msgs.is_empty() { now } else { Instant::now() };
+        for &timer in &due {
+            let _ = host.fire(timer, now);
+        }
+        for (from, to, msg) in msgs.drain(..) {
+            host.deliver(from, to, msg, received);
         }
     }
-    controller.schedule().clone()
 }
 
-/// Runs one threaded execution to completion and judges it.
+/// Runs one execution over in-process channels to completion and judges
+/// it.
 ///
-/// Node order is the simulator harness's, shards → clients. One thread per
-/// node on an id-indexed inbox, plus the control thread for adaptive runs.
-/// Once every client is done, each shard is sent an explicit stop.
+/// Node order is the simulator harness's, shards → sites. One thread per
+/// shard, each on its own inbox; every site on the calling thread, on one
+/// inbox. Once every site is done, each shard is sent an explicit stop.
 ///
 /// # Panics
 ///
-/// Panics if a worker thread panics, [`RuntimeConfig::faults`] holds a
-/// kind this driver cannot render, or the recorded trace violates a
-/// history invariant (a protocol bug — exactly what the monitor-in-the-
-/// loop runtime exists to surface).
+/// Panics if a shard thread panics, [`RuntimeConfig::faults`] holds a kind
+/// this driver cannot render, or the recorded trace violates a history
+/// invariant (a protocol bug — exactly what the monitor-in-the-loop
+/// runtime exists to surface).
 #[must_use]
 pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
     let shards = config.protocol.shards;
     refuse_unrenderable(&config.faults, "channel", |_| true);
-    // Read once: a fault-free send consults no plan and reads no clock.
-    let faults = &config.faults;
-    let partitioned = faults
-        .rules
-        .iter()
-        .any(|rule| matches!(rule.kind, FaultKind::Partition { .. }));
     let clock = TickClock::new(config.tick);
     let controller = controller(config, &clock);
-    let shared = Shared::new(config);
-    let (node_txs, mut node_rxs): (Vec<_>, Vec<_>) = (0..shards + config.n_clients)
-        .map(|_| {
-            let (tx, rx) = mpsc::channel::<Inbound>();
-            (tx, Some(rx))
-        })
-        .unzip();
+    let (inboxes, mut receivers): (Vec<_>, Vec<_>) =
+        (0..=shards).map(|_| mpsc::channel::<Inbound>()).unzip();
+    let site_inbox = receivers.pop().expect("the sites' inbox");
+    let queues = Queues {
+        inboxes: &inboxes,
+        faults: &config.faults,
+        partitioned: config
+            .faults
+            .rules
+            .iter()
+            .any(|rule| matches!(rule.kind, FaultKind::Partition { .. })),
+        clock,
+    };
+    let hosts: Vec<_> = (0..shards)
+        .map(|shard| ShardHost::new(config, shard, clock, queues))
+        .collect();
 
     let started = Instant::now();
-    let shared_ref = &shared;
-    let node_txs = &node_txs[..];
-    let done = AtomicBool::new(false);
-    let done_ref = &done;
-    let (latencies, shard_requests, delta_schedule): (
-        Vec<Duration>,
-        Vec<u64>,
-        Option<DeltaSchedule>,
-    ) = std::thread::scope(|scope| {
-        // Where node `me`'s sends go: a send across an active partition
-        // is dropped, everything else goes straight into the receiver's
-        // inbox. A node that has exited drops what it is sent — the
-        // simulator's dead-letter path.
-        let route = |me: NodeId| {
-            move |to: NodeId, msg: Msg| {
-                if partitioned && faults.partitions(clock.now(), me.index(), to.index()) {
-                    return;
-                }
-                let _ = node_txs[to.index()].send(Inbound::Msg(me, msg));
-            }
-        };
-        let mut take_inbox = |node: usize| node_rxs[node].take().expect("one inbox per node");
-        let mut shard_workers = Vec::with_capacity(shards);
-        for node in 0..shards {
-            let me = NodeId::new(node);
-            let engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), node);
-            let host = ShardCore::new(engine, clock, me, &config.faults);
-            let (send, inbox) = (route(me), take_inbox(node));
-            shard_workers.push(scope.spawn(move || {
-                let node = ChannelNode::new(host, send, clock, shared_ref);
-                node.run(&inbox).engine.requests_served()
-            }));
-        }
-        let mut client_workers = Vec::with_capacity(config.n_clients);
-        for site in 0..config.n_clients {
-            let me = NodeId::new(shards + site);
-            let servers = (0..shards).map(NodeId::new).collect();
-            let host = site_core(config, servers, me, site, clock);
-            let (send, inbox) = (route(me), take_inbox(me.index()));
-            client_workers.push(scope.spawn(move || {
-                let node = ChannelNode::new(host, send, clock, shared_ref);
-                node.run(&inbox).into_latencies()
-            }));
-        }
-        let controller_worker = controller.map(|controller| {
-            scope.spawn(move || {
-                // The sender is past every node (clients ignore it).
-                let from = NodeId::new(shards + config.n_clients);
-                let broadcast = |msg: Msg| {
-                    for tx in &node_txs[shards..] {
-                        let _ = tx.send(Inbound::Msg(from, msg.clone()));
-                    }
-                };
-                control_loop(controller, clock, shared_ref, done_ref, broadcast)
-            })
-        });
-        let latencies = client_workers
+    let (sites, shard_requests, thread_metrics) = std::thread::scope(|scope| {
+        let workers: Vec<_> = hosts
             .into_iter()
-            .flat_map(|w| w.join().expect("client thread panicked"))
+            .zip(receivers)
+            .map(|(mut host, inbox)| {
+                scope.spawn(move || {
+                    serve(&mut host, &inbox);
+                    host.finish()
+                })
+            })
             .collect();
-        // Clients are done: release the controller (its ingested-ops
-        // stop rule normally beats this flag; the flag covers stalls) and
-        // stop the shards.
-        done.store(true, Ordering::Release);
-        for tx in &node_txs[..shards] {
+        let mut sites = SiteHost::new(config, clock, queues, controller);
+        serve(&mut sites, &site_inbox);
+        for tx in &inboxes[..shards] {
             let _ = tx.send(Inbound::Stop);
         }
-        let delta_schedule =
-            controller_worker.map(|w| w.join().expect("controller thread panicked"));
-        let shard_requests = shard_workers
+        let (shard_requests, thread_metrics): (Vec<u64>, Vec<Metrics>) = workers
             .into_iter()
             .map(|w| w.join().expect("shard thread panicked"))
-            .collect();
-        (latencies, shard_requests, delta_schedule)
+            .unzip();
+        (sites, shard_requests, thread_metrics)
     });
-    let wall = started.elapsed();
-    finish_run(
-        shared.into_inner(),
-        Vec::new(),
-        latencies,
-        shard_requests,
-        wall,
-        delta_schedule,
-    )
-}
-
-/// Assembles a [`RuntimeResult`] out of a finished run's telemetry — the
-/// one holding the recorder, plus the counters of every other thread that
-/// kept its own — judged by the node core's [`judge_run`], the tail the
-/// simulator ends with too.
-pub(crate) fn finish_run(
-    telemetry: Telemetry,
-    thread_metrics: Vec<Metrics>,
-    latencies: Vec<Duration>,
-    shard_requests: Vec<u64>,
-    wall: Duration,
-    delta_schedule: Option<DeltaSchedule>,
-) -> RuntimeResult {
-    let Telemetry { metrics, recorder } = telemetry;
-    let mut metrics = metrics.snapshot();
-    for other in thread_metrics {
-        for (name, n) in other.snapshot().counters {
-            *metrics.counters.entry(name).or_insert(0) += n;
-        }
-    }
-    let recorder = recorder.expect("the run's recorder");
-    let (history, on_time, observed_staleness) = judge_run(recorder, &mut metrics);
-    let ops_done = history.len();
-    RuntimeResult {
-        history,
-        on_time,
-        observed_staleness,
-        metrics,
-        ops_done,
-        wall,
-        latency: LatencySummary::from_durations(latencies),
-        shard_requests,
-        delta_schedule,
-    }
+    sites.finish_run(thread_metrics, shard_requests, started.elapsed())
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use tc_lifetime::engine::{RecordOp, TIMER_NEXT_OP, TIMER_WAL_FLUSH};
-    use tc_lifetime::node::SimClock;
+    use tc_lifetime::engine::{
+        ClientEngine, Effect, Event, PrivateSources, RecordOp, TIMER_NEXT_OP, TIMER_WAL_FLUSH,
+    };
+    use tc_lifetime::node::{ClientCore, Host, ShardCore, SimClock};
     use tc_lifetime::{ProtocolKind, DEFAULT_RETRY_AFTER};
     use tc_sim::metrics::names;
     use tc_sim::Window;
@@ -875,13 +613,16 @@ pub(crate) mod tests {
 
     type Driver = fn(&RuntimeConfig) -> RuntimeResult;
 
-    /// The two real drivers, each with its own seed.
-    const REAL_DRIVERS: [(Driver, u64); 2] = [(run_threaded, 23), (crate::run_reactor, 33)];
+    /// The two real drivers, each by name and with its own seed.
+    pub(crate) const REAL_DRIVERS: [(&str, Driver, u64); 2] = [
+        ("channel", run_threaded, 23),
+        ("reactor", crate::run_reactor, 33),
+    ];
 
     #[test]
     fn real_drivers_kill_shard_over_wal_recovers_by_replay() {
         use tc_lifetime::{DurabilityMode, FsyncPolicy};
-        for (run, seed) in REAL_DRIVERS {
+        for (_, run, seed) in REAL_DRIVERS {
             // One WAL directory per driver.
             let wal = temp_wal_dir(&format!("killshard-{seed}"));
             let mut cfg = small(
@@ -988,15 +729,55 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn threaded_sc_completes_and_holds() {
-        let r = run_threaded(&small(ProtocolKind::Sc, 11));
-        assert_eq!(r.ops_done, 2 * 15, "every op must be recorded");
-        assert!(r.on_time.holds(), "monitor must report zero violations");
-        assert_monitor_counters(&r);
-        assert!(r.throughput() > 0.0);
-        assert!(
-            r.counter(names::FETCH) > 0,
-            "SC clients fetch from the server"
+    fn real_drivers_sc_completes_and_holds() {
+        for (driver, run, seed) in REAL_DRIVERS {
+            let r = run(&small(ProtocolKind::Sc, seed));
+            assert_eq!(r.ops_done, 2 * 15, "{driver}: every op must be recorded");
+            assert!(r.on_time.holds(), "{driver}: the monitor must be clean");
+            assert_monitor_counters(&r);
+            assert!(r.throughput() > 0.0);
+            assert!(
+                r.counter(names::FETCH) > 0,
+                "SC clients fetch from the server"
+            );
+            if driver == "reactor" {
+                assert_reactor_links(&r, 1);
+                assert_eq!(r.counter(names::TCP_RECONNECT), 0, "no faults injected");
+                // Both reactor threads reported their output counters, and
+                // no write went out without a frame in it.
+                for name in [names::REACTOR_WRITES, names::REACTOR_FRAMES_OUT] {
+                    assert!(r.metrics.counters.contains_key(name), "{name} missing");
+                }
+                let (writes, frames) = (
+                    r.counter(names::REACTOR_WRITES),
+                    r.counter(names::REACTOR_FRAMES_OUT),
+                );
+                assert!(
+                    0 < writes && writes <= frames,
+                    "{writes} writes, {frames} frames"
+                );
+            }
+        }
+    }
+
+    /// A reactor run over `shards` shards: one handshake and one
+    /// connection per shard link, whatever the fleet size, and every
+    /// accepted registration drained by the time the run finished.
+    fn assert_reactor_links(r: &RuntimeResult, shards: u64) {
+        assert_eq!(
+            r.counter(names::TCP_CONNECT),
+            shards,
+            "one handshake per link"
+        );
+        assert_eq!(
+            r.counter(names::REACTOR_CONN_OPENED),
+            shards,
+            "one link per shard"
+        );
+        assert_eq!(
+            r.counter(names::REACTOR_CONN_CLOSED),
+            shards,
+            "registrations drain"
         );
     }
 
@@ -1012,31 +793,45 @@ pub(crate) mod tests {
         );
     }
 
+    /// Two shards, at 2 sites and at 300 — the scale whose cold start once
+    /// needed the reactor's dials staggered in waves, and which the
+    /// channel driver hosts on the calling thread as it does 2.
     #[test]
-    fn threaded_tsc_is_judged_by_the_monitor() {
-        let cfg = small(
-            ProtocolKind::Tsc {
-                delta: Delta::from_ticks(400),
-            },
-            12,
-        );
-        let r = run_threaded(&cfg);
-        assert_done_on_time(&r, 2 * 15);
-        // The monitor judged this run against the *configured* bound — a
-        // zero-violation verdict is meaningful only at that Δ, so pin it
-        // (not merely "some finite Δ").
-        assert!(!cfg.monitor_delta.is_infinite());
-        assert_eq!(
-            r.on_time.delta(),
-            cfg.monitor_delta,
-            "the verdict must be relative to the configured monitor Δ"
-        );
-        assert!(
-            r.observed_staleness <= cfg.monitor_delta,
-            "observed staleness {} must stay within the configured bound {}",
-            r.observed_staleness,
-            cfg.monitor_delta
-        );
+    fn real_drivers_tsc_fleet_is_judged_by_the_monitor() {
+        for (driver, run, seed) in REAL_DRIVERS {
+            for sites in [2, 300] {
+                let mut cfg = small(
+                    ProtocolKind::Tsc {
+                        delta: Delta::from_ticks(400),
+                    },
+                    seed,
+                );
+                cfg.protocol = cfg.protocol.with_shards(2);
+                cfg.n_clients = sites;
+                let r = run(&cfg);
+                assert_done_on_time(&r, sites * 15);
+                // The monitor judged this run against the *configured*
+                // bound — a zero-violation verdict is meaningful only at
+                // that Δ, so pin it (not merely "some finite Δ").
+                assert!(!cfg.monitor_delta.is_infinite());
+                assert_eq!(
+                    r.on_time.delta(),
+                    cfg.monitor_delta,
+                    "{driver}: the verdict must be relative to the configured monitor Δ"
+                );
+                assert!(
+                    r.observed_staleness <= cfg.monitor_delta,
+                    "{driver}: observed staleness {} must stay within the configured bound {}",
+                    r.observed_staleness,
+                    cfg.monitor_delta
+                );
+                assert_eq!(r.shard_requests.len(), 2);
+                assert!(r.shard_requests.iter().sum::<u64>() > 0);
+                if driver == "reactor" {
+                    assert_reactor_links(&r, 2);
+                }
+            }
+        }
     }
 
     #[test]
@@ -1044,7 +839,7 @@ pub(crate) mod tests {
         // A deliberately loose base Δ (4 000 ticks = 200 ms at the 50 µs
         // tick) gives the controller real distance to close even under CI
         // scheduling jitter.
-        for (run, seed) in REAL_DRIVERS {
+        for (_, run, seed) in REAL_DRIVERS {
             let mut cfg = small(
                 ProtocolKind::Tsc {
                     delta: Delta::from_ticks(4_000),
@@ -1064,7 +859,7 @@ pub(crate) mod tests {
         let mut cfg = small(ProtocolKind::Tsc { delta: Delta::ZERO }, 41);
         let inverted = ControllerConfig::new(Delta::from_ticks(2), Delta::ZERO, Delta::ZERO);
         cfg.adaptive = Some(inverted);
-        for (run, _) in REAL_DRIVERS {
+        for (_, run, _) in REAL_DRIVERS {
             assert!(std::panic::catch_unwind(|| run(&cfg)).is_err());
         }
     }
@@ -1114,45 +909,57 @@ pub(crate) mod tests {
 
     #[test]
     fn server_batch_drain_preserves_request_order() {
-        // Pre-fill the inbox far beyond one drain batch before the node
-        // loop runs at all, so every message is served through the batched
-        // try_recv path, with a stop queued behind the backlog and one more
-        // request behind the stop — then assert the replies echo the
-        // request epochs in exactly the order the requests were enqueued,
-        // and that the node stopped where it was told to.
+        // Pre-fill a shard's inbox far beyond one drain batch before its
+        // channel loop runs at all, so every message is served through the
+        // batched try_recv path, with a stop queued behind the backlog and
+        // one more request behind the stop — then assert the replies on the
+        // sites' inbox echo the request epochs in exactly the order the
+        // requests were enqueued, and that the shard stopped where it was
+        // told to.
         let cfg = small(ProtocolKind::Sc, 0);
-        let engine = ServerEngine::new(cfg.protocol);
         let clock = TickClock::new(cfg.tick);
-        let (tx, rx) = mpsc::channel::<Inbound>();
-        let me = NodeId::new(0);
-        let client = NodeId::new(1);
+        let (to_shard, shard_inbox) = mpsc::channel::<Inbound>();
+        let (to_sites, site_inbox) = mpsc::channel::<Inbound>();
+        let (shard, client) = (NodeId::new(0), NodeId::new(1));
         let n = 500u64;
         let fetch = |epoch| {
             let object = tc_core::ObjectId::new(0);
-            Inbound::Msg(client, Msg::FetchReq { object, epoch })
+            let msg = Msg::FetchReq { object, epoch };
+            Inbound::Msg {
+                from: client,
+                to: shard,
+                msg,
+            }
         };
         for epoch in 0..n {
-            tx.send(fetch(epoch)).unwrap();
+            to_shard.send(fetch(epoch)).unwrap();
         }
-        tx.send(Inbound::Stop).unwrap();
-        tx.send(fetch(n)).unwrap();
-        let shared = Shared::new(&cfg);
-        let mut replies: Vec<(NodeId, Msg)> = Vec::new();
-        let send = |to: NodeId, msg: Msg| replies.push((to, msg));
-        let host = ShardCore::new(engine, clock, me, &FaultPlan::none());
-        let served = ChannelNode::new(host, send, clock, &shared)
-            .run(&rx)
-            .engine
-            .requests_served();
+        to_shard.send(Inbound::Stop).unwrap();
+        to_shard.send(fetch(n)).unwrap();
+        let inboxes = [to_shard, to_sites];
+        let queues = Queues {
+            inboxes: &inboxes,
+            faults: &cfg.faults,
+            partitioned: false,
+            clock,
+        };
+        let mut host = ShardHost::new(&cfg, 0, clock, queues);
+        serve(&mut host, &shard_inbox);
+        let (served, _) = host.finish();
         assert_eq!(served, n, "the backlog is served, nothing past the stop");
-        let epochs: Vec<u64> = replies
-            .iter()
-            .map(|(to, msg)| {
-                assert_eq!(*to, client);
-                match msg {
-                    Msg::FetchRep { epoch, .. } => *epoch,
-                    other => panic!("unexpected reply {other:?}"),
+        let epochs: Vec<u64> = site_inbox
+            .try_iter()
+            .map(|inbound| match inbound {
+                Inbound::Msg {
+                    from,
+                    to,
+                    msg: Msg::FetchRep { epoch, .. },
+                } => {
+                    assert_eq!((from, to), (shard, client));
+                    epoch
                 }
+                Inbound::Msg { msg, .. } => panic!("unexpected reply {msg:?}"),
+                Inbound::Stop => panic!("a shard never stops the sites"),
             })
             .collect();
         assert_eq!(

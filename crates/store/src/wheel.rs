@@ -56,8 +56,8 @@ impl<T> Ord for Entry<T> {
     }
 }
 
-/// A deadline-ordered timer wheel over real [`Instant`]s, shared by the
-/// channel node loop and both reactors.
+/// A deadline-ordered timer wheel over real [`Instant`]s: one per site
+/// host and per shard host, on either real driver.
 ///
 /// Timers pop in deadline order; equal deadlines pop in arming order, so
 /// a driver that arms `A` then `B` for the same instant fires `A` first —
@@ -74,15 +74,16 @@ impl<T> Ord for Entry<T> {
 /// Deadlines more than [`RING`] ticks out wait in an overflow heap; an
 /// already-due one joins the ring's current bucket.
 ///
-/// Generic over the token type: the per-thread drivers use bare engine
-/// tokens (`u64`), while the reactors — one thread multiplexing many
-/// engines and connections — arm composite tokens naming the owner.
+/// Generic over the token type: a host's wheel carries composite tokens
+/// naming each timer's owner — a site's engine timer, the controller's
+/// tick, or a timer the driver arms for itself (a redial, a partition
+/// edge).
 ///
 /// The wheel also counts how late its owner noticed each timer (pop
 /// instant − deadline) in two plain fields — one wheel, one thread, no
 /// lock — which [`TimerWheel::report`] adds to the run's metrics once, at
 /// thread exit.
-pub(crate) struct TimerWheel<T = u64> {
+pub(crate) struct TimerWheel<T> {
     clock: TickClock,
     buckets: Vec<Vec<Entry<T>>>,
     /// The lowest bucket the ring may still hold: every bucket before it

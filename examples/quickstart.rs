@@ -53,9 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(min_delta(&result.history) <= Delta::from_ticks(100 + 2 * 2 + 4));
 
     // ── 3. The same engines on real threads, judged live ────────────────
-    // One OS thread per site and per shard, 50 µs ticks; every completed
-    // operation goes through a live on-time monitor, so the verdict below
-    // is about the execution that actually happened.
+    // Every site on this thread, one OS thread per shard, 50 µs ticks;
+    // every completed operation goes through a live on-time monitor, so
+    // the verdict below is about the execution that actually happened.
     let run = run_threaded(&RuntimeConfig::for_protocol(
         ProtocolConfig::of(ProtocolKind::Tcc {
             delta: Delta::from_ticks(200), // 10 ms
