@@ -9,11 +9,11 @@ use tc_lifetime::{run, ProtocolKind};
 fn bench_protocols(c: &mut Criterion) {
     let mut group = c.benchmark_group("lifetime_run");
     for kind in [
-        ProtocolKind::Sc,
+        ProtocolKind::sc(),
         ProtocolKind::Tsc {
             delta: Delta::from_ticks(100),
         },
-        ProtocolKind::Cc,
+        ProtocolKind::cc(),
         ProtocolKind::Tcc {
             delta: Delta::from_ticks(100),
         },

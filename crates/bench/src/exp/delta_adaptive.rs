@@ -51,7 +51,6 @@ use crate::{f3, Table};
 use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::{OnTimeMonitor, OnTimeViolation};
 use tc_core::{History, ObjectId, OpKind, Value};
-use tc_lifetime::control::widen;
 use tc_lifetime::{
     conformance, run_with, ControllerConfig, DeltaSchedule, ProtocolConfig, ProtocolKind,
     RunConfig, RunOptions, RunResult,
@@ -167,7 +166,7 @@ struct Judged {
 /// force at each read's own instant — widened only by [`tight_margin`].
 fn judge(history: &History, eps: Epsilon, base: Delta, schedule: Option<&DeltaSchedule>) -> Judged {
     let margin = tight_margin(eps);
-    let mut monitor = OnTimeMonitor::new(widen(base, margin), eps);
+    let mut monitor = OnTimeMonitor::new(base + margin, eps);
     if let Some(schedule) = schedule {
         schedule.apply_to(&mut monitor, margin);
     }

@@ -24,9 +24,9 @@ pub fn run(args: &Args) -> Report {
 
     let kinds = [
         ProtocolKind::NoCache,
-        ProtocolKind::Sc,
+        ProtocolKind::sc(),
         ProtocolKind::Tsc { delta },
-        ProtocolKind::Cc,
+        ProtocolKind::cc(),
         ProtocolKind::Tcc { delta },
         ProtocolKind::TccLogical { xi_delta: 12.0 },
     ];

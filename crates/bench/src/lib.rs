@@ -291,7 +291,7 @@ mod tests {
 
     #[test]
     fn standard_run_shape() {
-        let cfg = standard_run(ProtocolKind::Cc, 1, 10);
+        let cfg = standard_run(ProtocolKind::cc(), 1, 10);
         assert_eq!(cfg.n_clients, 4);
         assert_eq!(cfg.ops_per_client, 10);
     }

@@ -22,7 +22,7 @@ pub use cc::{satisfies_cc, satisfies_cc_fast, satisfies_cc_with, CcVerdict};
 pub use ccv::satisfies_ccv;
 pub use hierarchy::{classify, classify_with, Classification};
 pub use lin::{satisfies_lin, LinVerdict};
-pub use monitor::{widen, DeltaSchedule, OnTimeMonitor};
+pub use monitor::{DeltaSchedule, OnTimeMonitor};
 pub use sc::{satisfies_sc, satisfies_sc_with, ScVerdict};
 pub use timed::{
     check_on_time, check_on_time_naive, check_on_time_xi, min_delta, min_delta_eps,

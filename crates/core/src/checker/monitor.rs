@@ -123,18 +123,8 @@ impl DeltaSchedule {
     /// scalar oracle adds to a static Δ.
     pub fn apply_to(&self, monitor: &mut OnTimeMonitor, widening: Delta) {
         for &(at, delta) in &self.changes {
-            monitor.schedule_change(at, widen(delta, widening));
+            monitor.schedule_change(at, delta + widening);
         }
-    }
-}
-
-/// Adds a widening margin to a threshold, saturating at infinite.
-#[must_use]
-pub fn widen(delta: Delta, widening: Delta) -> Delta {
-    if delta.is_infinite() || widening.is_infinite() {
-        Delta::INFINITE
-    } else {
-        Delta::from_ticks(delta.ticks().saturating_add(widening.ticks()))
     }
 }
 
@@ -174,11 +164,10 @@ struct ObjectState {
     /// Writes sorted by `(time, id)` — the order `History::writes_to`
     /// produces (its stable time sort ties-breaks by insertion = id order).
     writes: Vec<(Time, OpId)>,
-    /// Judged reads, for the late-write repair pass.
+    /// Judged reads in time order, for the late-write repair pass. The
+    /// last one's time is the object's read frontier: a write below it
+    /// may retroactively affect a verdict and triggers repair.
     reads: Vec<ReadRecord>,
-    /// Highest read time judged so far; a write at or below this may
-    /// retroactively affect a verdict and triggers repair.
-    frontier: u64,
 }
 
 /// What repair needs to re-judge a read against a grown write index.
@@ -339,11 +328,13 @@ impl OnTimeMonitor {
             let state = self.objects.entry(object).or_default();
             let pos = state.writes.partition_point(|&(t, i)| (t, i) < (time, id));
             state.writes.insert(pos, (time, id));
-            if time.ticks() < state.frontier {
-                // The write lands below a judged read: repair.
+            let first_later = after(&state.reads, time);
+            if first_later < state.reads.len() {
+                // The write lands below a judged read: repair the reads
+                // after it, the only ones it can change.
                 self.late_writes += 1;
-                let ObjectState { writes, reads, .. } = state;
-                for rec in reads.iter_mut() {
+                let ObjectState { writes, reads } = state;
+                for rec in &mut reads[first_later..] {
                     repair(
                         rec,
                         writes,
@@ -424,15 +415,18 @@ impl OnTimeMonitor {
                 });
             }
         }
-        state.reads.push(ReadRecord {
-            read,
-            source: source_id,
-            time,
-            lo,
-            hi,
-            violation,
-        });
-        state.frontier = state.frontier.max(time.ticks());
+        let at = after(&state.reads, time);
+        state.reads.insert(
+            at,
+            ReadRecord {
+                read,
+                source: source_id,
+                time,
+                lo,
+                hi,
+                violation,
+            },
+        );
     }
 
     /// Finishes monitoring: the verdict as a [`TimedReport`] identical to
@@ -493,6 +487,15 @@ fn repair(
             }
         }
     }
+}
+
+/// The index of the first of the time-ordered `reads` later than `time`.
+/// Reads arrive nearly in time order, so it scans back from the end.
+fn after(reads: &[ReadRecord], time: Time) -> usize {
+    reads
+        .iter()
+        .rposition(|rec| rec.time <= time)
+        .map_or(0, |i| i + 1)
 }
 
 /// The `[lo, hi)` tick window of a `(time, id)`-sorted write index.

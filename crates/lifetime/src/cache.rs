@@ -12,7 +12,8 @@
 //!
 //! * physical rule (SC, TSC): keyed by `ω_t`, marks the prefix below
 //!   `Context_t`;
-//! * β rule (TCC): keyed by `β`, marks the prefix below `t − Δ`;
+//! * β rule (TCC): keyed by `β`, marks the prefix below `t − Δ` (none at
+//!   CC's Δ = ∞);
 //! * ξ rule (TccLogical): keyed by `ξ(ω)`, marks the prefix on which the
 //!   rule's own predicate holds (it is monotone in `ξ(ω)`);
 //! * causal rule (CC, TCC, TccLogical): keyed by the *generation* of
@@ -81,8 +82,7 @@ impl Rule {
     fn of(kind: ProtocolKind) -> &'static [Rule] {
         match kind {
             ProtocolKind::NoCache => &[],
-            ProtocolKind::Sc | ProtocolKind::Tsc { .. } => &[Rule::Physical],
-            ProtocolKind::Cc => &[Rule::Causal],
+            ProtocolKind::Tsc { .. } => &[Rule::Physical],
             ProtocolKind::Tcc { .. } => &[Rule::Causal, Rule::Beta],
             ProtocolKind::TccLogical { .. } => &[Rule::Causal, Rule::Xi],
         }
@@ -518,7 +518,7 @@ mod tests {
 
     #[test]
     fn physical_sweep_invalidates_expired_lifetimes() {
-        let mut c = Cache::new(ProtocolKind::Sc, 8);
+        let mut c = Cache::new(ProtocolKind::sc(), 8);
         c.insert(obj('X'), entry_t(1, 5, 10));
         c.insert(obj('Y'), entry_t(2, 5, 30));
         let out = c.sweep_physical(Time::from_ticks(20), StalePolicy::Invalidate);
@@ -529,7 +529,7 @@ mod tests {
 
     #[test]
     fn physical_sweep_markold_keeps_entries() {
-        let mut c = Cache::new(ProtocolKind::Sc, 8);
+        let mut c = Cache::new(ProtocolKind::sc(), 8);
         c.insert(obj('X'), entry_t(1, 5, 10));
         let out = c.sweep_physical(Time::from_ticks(20), StalePolicy::MarkOld);
         assert_eq!(out.marked_old, 1);
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn boundary_omega_equal_context_is_fresh() {
-        let mut c = Cache::new(ProtocolKind::Sc, 8);
+        let mut c = Cache::new(ProtocolKind::sc(), 8);
         c.insert(obj('X'), entry_t(1, 5, 20));
         let out = c.sweep_physical(Time::from_ticks(20), StalePolicy::Invalidate);
         assert_eq!(out.invalidated, 0);
@@ -552,7 +552,7 @@ mod tests {
     fn causal_sweep_marks_snapshots_a_remote_growth_outdated() {
         let mut writer = VectorClock::new(0, 3);
         let mut context = VectorClock::new(1, 3);
-        let mut c = Cache::new(ProtocolKind::Cc, 8);
+        let mut c = Cache::new(ProtocolKind::cc(), 8);
         c.join_context(&mut context, &writer.tick()); // <1,0,0>
         c.insert(obj('X'), entry_v(1, context.clone(), 0));
         let out = c.sweep_causal(&context, 1, StalePolicy::Invalidate);
@@ -580,7 +580,7 @@ mod tests {
         let mut clock = VectorClock::new(me, 2);
         let omega = clock.tick(); // <0,1>
         clock.tick();
-        let mut c = Cache::new(ProtocolKind::Cc, 8);
+        let mut c = Cache::new(ProtocolKind::cc(), 8);
         // A join that grows only the own component ages nothing either.
         c.join_context(&mut clock, &VectorClock::from_entries(0, vec![0, 9]));
         c.insert(obj('X'), entry_v(1, omega, 0));
@@ -691,7 +691,7 @@ mod tests {
 
     #[test]
     fn entries_without_logical_metadata_are_distrusted() {
-        let mut c = Cache::new(ProtocolKind::Cc, 8);
+        let mut c = Cache::new(ProtocolKind::cc(), 8);
         c.insert(obj('X'), entry_t(1, 0, 0));
         let context = VectorClock::new(0, 2);
         let out = c.sweep_causal(&context, 0, StalePolicy::Invalidate);
@@ -701,12 +701,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not sweep by the Beta rule")]
     fn a_rule_the_protocol_does_not_apply_cannot_sweep() {
-        Cache::new(ProtocolKind::Cc, 8).sweep_beta(Time::ZERO, StalePolicy::MarkOld);
+        Cache::new(ProtocolKind::sc(), 8).sweep_beta(Time::ZERO, StalePolicy::MarkOld);
     }
 
     #[test]
     fn basic_map_operations() {
-        let mut c = Cache::new(ProtocolKind::Sc, 8);
+        let mut c = Cache::new(ProtocolKind::sc(), 8);
         assert!(c.is_empty());
         c.insert(obj('X'), entry_t(1, 0, 5));
         assert_eq!(c.len(), 1);
@@ -867,11 +867,11 @@ mod tests {
         type Value = (ProtocolKind, StalePolicy, usize, usize, Vec<Step>);
         fn sample(&self, rng: &mut StdRng) -> Self::Value {
             let kind = [
-                ProtocolKind::Sc,
+                ProtocolKind::sc(),
                 ProtocolKind::Tsc {
                     delta: Delta::from_ticks(10),
                 },
-                ProtocolKind::Cc,
+                ProtocolKind::cc(),
                 TCC,
                 ProtocolKind::TccLogical { xi_delta: 3.0 },
             ][rng.gen_range(0..5usize)];

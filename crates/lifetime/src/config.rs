@@ -3,31 +3,21 @@
 use serde::{Deserialize, Serialize};
 use tc_clocks::Delta;
 
-/// Which consistency level the protocol enforces.
+/// Which consistency level the protocol enforces: the paper's §5 family.
 ///
-/// The five variants are exactly the paper's §5 family:
-///
-/// * [`ProtocolKind::Sc`] — rules 1–2 over physical timestamps (§5.1).
-/// * [`ProtocolKind::Tsc`] — plus rule 3,
-///   `Context_i := max(t_i − Δ, Context_i)` (§5.2).
-/// * [`ProtocolKind::Cc`] — rules 1–2 over vector clocks (§5.3's untimed
-///   base, from the DISC '98 lifetime paper).
-/// * [`ProtocolKind::Tcc`] — plus the physical *checking time* `X_β`
-///   (§5.3).
-/// * [`ProtocolKind::TccLogical`] — plus the ξ-map freshness test instead
-///   of physical time (§5.4, Definition 6).
+/// SC and CC are TSC and TCC at Δ = ∞, where rule 3 and the checking time
+/// never fire (Figure 4); [`ProtocolKind::sc`] and [`ProtocolKind::cc`]
+/// build them, and [`ProtocolKind::label`] names them.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ProtocolKind {
-    /// Sequential consistency via physical-timestamp lifetimes.
-    Sc,
-    /// Timed serial consistency: SC plus the Δ freshness rule.
+    /// Timed serial consistency: rules 1–2 over physical timestamps
+    /// (§5.1) plus rule 3, `Context_i := max(t_i − Δ, Context_i)` (§5.2).
     Tsc {
         /// The timed-consistency threshold.
         delta: Delta,
     },
-    /// Causal consistency via vector-clock lifetimes.
-    Cc,
-    /// Timed causal consistency: CC plus checking times bounded by Δ.
+    /// Timed causal consistency: rules 1–2 over vector clocks plus the
+    /// physical checking time `X_β`, bounded by Δ (§5.3).
     Tcc {
         /// The timed-consistency threshold.
         delta: Delta,
@@ -46,12 +36,28 @@ pub enum ProtocolKind {
 }
 
 impl ProtocolKind {
+    /// Sequential consistency: TSC at Δ = ∞.
+    #[must_use]
+    pub const fn sc() -> Self {
+        ProtocolKind::Tsc {
+            delta: Delta::INFINITE,
+        }
+    }
+
+    /// Causal consistency: TCC at Δ = ∞.
+    #[must_use]
+    pub const fn cc() -> Self {
+        ProtocolKind::Tcc {
+            delta: Delta::INFINITE,
+        }
+    }
+
     /// Whether this level uses vector-clock (causal-family) timestamps.
     #[must_use]
     pub fn is_causal_family(self) -> bool {
         matches!(
             self,
-            ProtocolKind::Cc | ProtocolKind::Tcc { .. } | ProtocolKind::TccLogical { .. }
+            ProtocolKind::Tcc { .. } | ProtocolKind::TccLogical { .. }
         )
     }
 
@@ -64,13 +70,13 @@ impl ProtocolKind {
         }
     }
 
-    /// A short label for experiment tables.
+    /// A short label for experiment tables: "SC" and "CC" at Δ = ∞.
     #[must_use]
     pub fn label(self) -> &'static str {
         match self {
-            ProtocolKind::Sc => "SC",
+            ProtocolKind::Tsc { delta } if delta.is_infinite() => "SC",
             ProtocolKind::Tsc { .. } => "TSC",
-            ProtocolKind::Cc => "CC",
+            ProtocolKind::Tcc { delta } if delta.is_infinite() => "CC",
             ProtocolKind::Tcc { .. } => "TCC",
             ProtocolKind::TccLogical { .. } => "TCC-xi",
             ProtocolKind::NoCache => "NoCache",
@@ -237,9 +243,9 @@ mod tests {
 
     #[test]
     fn family_classification() {
-        assert!(!ProtocolKind::Sc.is_causal_family());
+        assert!(!ProtocolKind::sc().is_causal_family());
         assert!(!ProtocolKind::Tsc { delta: Delta::ZERO }.is_causal_family());
-        assert!(ProtocolKind::Cc.is_causal_family());
+        assert!(ProtocolKind::cc().is_causal_family());
         assert!(ProtocolKind::Tcc { delta: Delta::ZERO }.is_causal_family());
         assert!(ProtocolKind::TccLogical { xi_delta: 1.0 }.is_causal_family());
         assert!(!ProtocolKind::NoCache.is_causal_family());
@@ -247,7 +253,9 @@ mod tests {
 
     #[test]
     fn delta_extraction() {
-        assert_eq!(ProtocolKind::Sc.delta(), None);
+        assert_eq!(ProtocolKind::sc().delta(), Some(Delta::INFINITE));
+        assert_eq!(ProtocolKind::cc().delta(), Some(Delta::INFINITE));
+        assert_eq!(ProtocolKind::NoCache.delta(), None);
         assert_eq!(
             ProtocolKind::Tsc {
                 delta: Delta::from_ticks(5)
@@ -267,9 +275,9 @@ mod tests {
     #[test]
     fn labels_are_distinct() {
         let kinds = [
-            ProtocolKind::Sc,
+            ProtocolKind::sc(),
             ProtocolKind::Tsc { delta: Delta::ZERO },
-            ProtocolKind::Cc,
+            ProtocolKind::cc(),
             ProtocolKind::Tcc { delta: Delta::ZERO },
             ProtocolKind::TccLogical { xi_delta: 0.0 },
             ProtocolKind::NoCache,
@@ -280,7 +288,7 @@ mod tests {
 
     #[test]
     fn default_config_is_pull_markold() {
-        let c = ProtocolConfig::of(ProtocolKind::Cc);
+        let c = ProtocolConfig::of(ProtocolKind::cc());
         assert_eq!(c.stale, StalePolicy::MarkOld);
         assert_eq!(c.propagation, Propagation::Pull);
         assert_eq!(c.retry_after, DEFAULT_RETRY_AFTER);
@@ -296,8 +304,8 @@ mod tests {
             max_pending: 8,
             max_delay: Delta::from_ticks(25),
         };
-        let c =
-            ProtocolConfig::of(ProtocolKind::Sc).with_durability(DurabilityMode::Durable { fsync });
+        let c = ProtocolConfig::of(ProtocolKind::sc())
+            .with_durability(DurabilityMode::Durable { fsync });
         assert!(c.durability.is_durable());
         assert_eq!(c.durability.fsync(), Some(fsync));
         assert_eq!(FsyncPolicy::PER_WRITE.max_pending, 1);
@@ -307,7 +315,7 @@ mod tests {
 
     #[test]
     fn builder_helpers_set_fleet_knobs() {
-        let c = ProtocolConfig::of(ProtocolKind::Sc).with_shards(4);
+        let c = ProtocolConfig::of(ProtocolKind::sc()).with_shards(4);
         assert_eq!(c.shards, 4);
     }
 }

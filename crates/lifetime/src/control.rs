@@ -38,7 +38,7 @@
 //! must cover a couple of controller intervals plus delivery.
 
 use tc_clocks::{Delta, Time};
-pub use tc_core::checker::{widen, DeltaSchedule};
+pub use tc_core::checker::DeltaSchedule;
 use tc_sim::metrics::names;
 use tc_sim::{Metrics, TraceRecorder};
 
@@ -163,8 +163,8 @@ impl DeltaController {
     ///
     /// Panics if `cfg.interval` is infinite (the controller would never
     /// tick again), if `cfg.delta_min` exceeds `cfg.delta_max`, or if
-    /// `kind` carries no Δ (adaptive control needs a timed level: `Tsc`
-    /// or `Tcc`).
+    /// `kind` has no finite Δ (clamping SC's or CC's ∞ into the band would
+    /// silently run TSC or TCC at `delta_max`).
     #[must_use]
     pub fn new(
         cfg: ControllerConfig,
@@ -182,9 +182,12 @@ impl DeltaController {
             cfg.delta_min,
             cfg.delta_max
         );
-        let base = kind
-            .delta()
-            .expect("adaptive Δ control needs a timed protocol kind (Tsc/Tcc)");
+        let Some(base) = kind.delta().filter(|delta| !delta.is_infinite()) else {
+            panic!(
+                "adaptive Δ control needs a finite Δ (Tsc/Tcc), not {}",
+                kind.label()
+            );
+        };
         let widening = if monitor_delta.is_infinite() {
             Delta::INFINITE
         } else {
@@ -259,7 +262,7 @@ impl DeltaController {
                 names::DELTA_RELAX
             };
             metrics.add(direction, 1);
-            recorder.monitor_schedule_change(judge_from, widen(self.current, self.widening));
+            recorder.monitor_schedule_change(judge_from, self.current + self.widening);
         }
         let broadcast = (self.seq > 0).then_some(Msg::DeltaUpdate {
             seq: self.seq,
@@ -512,6 +515,35 @@ mod tests {
         let band =
             ControllerConfig::new(Delta::from_ticks(300), Delta::from_ticks(200), Delta::ZERO);
         let _ = tsc(band, 100, Delta::INFINITE);
+    }
+
+    /// A kind without a finite Δ is refused by name.
+    fn refuse(kind: ProtocolKind) {
+        let _ = DeltaController::new(cfg(), kind, Delta::INFINITE, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a finite Δ (Tsc/Tcc), not SC")]
+    fn sc_is_refused() {
+        refuse(ProtocolKind::sc());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a finite Δ (Tsc/Tcc), not CC")]
+    fn cc_is_refused() {
+        refuse(ProtocolKind::cc());
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a finite Δ (Tsc/Tcc), not TCC-xi")]
+    fn logical_tcc_is_refused() {
+        refuse(ProtocolKind::TccLogical { xi_delta: 4.0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "needs a finite Δ (Tsc/Tcc), not NoCache")]
+    fn no_cache_is_refused() {
+        refuse(ProtocolKind::NoCache);
     }
 
     #[test]

@@ -333,20 +333,12 @@ impl ClientEngine {
         let policy = self.config.stale;
         match self.config.kind {
             ProtocolKind::NoCache => {}
-            ProtocolKind::Sc => {
-                let sweep = self.cache.sweep_physical(self.context_t, policy);
-                Self::count_sweep(out, sweep);
-            }
             ProtocolKind::Tsc { delta } => {
                 // Rule 3: Context_i := max(t_i − Δ, Context_i), with Δ the
                 // threshold currently in force (adaptive override aware).
                 let delta = self.effective_delta(delta);
                 self.context_t = self.context_t.max(t_loc.saturating_sub_delta(delta));
                 let sweep = self.cache.sweep_physical(self.context_t, policy);
-                Self::count_sweep(out, sweep);
-            }
-            ProtocolKind::Cc => {
-                let sweep = self.cache.sweep_causal(&self.context_v, self.site, policy);
                 Self::count_sweep(out, sweep);
             }
             ProtocolKind::Tcc { delta } => {

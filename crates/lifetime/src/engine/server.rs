@@ -697,7 +697,7 @@ mod tests {
     use tc_core::Value;
 
     fn cfg() -> ProtocolConfig {
-        ProtocolConfig::of(ProtocolKind::Cc)
+        ProtocolConfig::of(ProtocolKind::cc())
     }
 
     fn durable_cfg(kind: ProtocolKind, fsync: FsyncPolicy) -> ProtocolConfig {
@@ -870,7 +870,7 @@ mod tests {
 
     #[test]
     fn ephemeral_acks_ship_inline() {
-        let mut s = ServerEngine::new(ProtocolConfig::of(ProtocolKind::Sc));
+        let mut s = ServerEngine::new(ProtocolConfig::of(ProtocolKind::sc()));
         let out = drive(&mut s, write_req(7));
         assert_eq!(sent(&out).len(), 1, "ack ships with the write");
         assert!(matches!(sent(&out)[0], Msg::WriteAck { .. }));
@@ -883,7 +883,7 @@ mod tests {
             max_delay: Delta::from_ticks(1_000),
         };
         let mut s = ServerEngine::with_store(
-            durable_cfg(ProtocolKind::Sc, fsync),
+            durable_cfg(ProtocolKind::sc(), fsync),
             Box::new(TailStore::default()),
         );
         let out1 = drive(&mut s, write_req(7));
@@ -912,7 +912,7 @@ mod tests {
             max_delay: Delta::from_ticks(25),
         };
         let mut s = ServerEngine::with_store(
-            durable_cfg(ProtocolKind::Sc, fsync),
+            durable_cfg(ProtocolKind::sc(), fsync),
             Box::new(TailStore::default()),
         );
         let out = drive(&mut s, write_req(7));
@@ -943,7 +943,7 @@ mod tests {
             max_delay: Delta::from_ticks(1_000),
         };
         let mut s = ServerEngine::with_store(
-            durable_cfg(ProtocolKind::Sc, fsync),
+            durable_cfg(ProtocolKind::sc(), fsync),
             Box::new(TailStore::default()),
         );
         drive(&mut s, write_req(7));
@@ -972,7 +972,7 @@ mod tests {
             max_delay: Delta::from_ticks(1_000),
         };
         let mut s = ServerEngine::with_store(
-            durable_cfg(ProtocolKind::Sc, fsync),
+            durable_cfg(ProtocolKind::sc(), fsync),
             Box::new(TailStore::default()),
         );
         drive(&mut s, write_req(7));
@@ -1180,7 +1180,7 @@ mod tests {
             max_delay: Delta::from_ticks(20),
         };
         let mut s = ServerEngine::with_store(
-            durable_cfg(ProtocolKind::Cc, fsync),
+            durable_cfg(ProtocolKind::cc(), fsync),
             Box::new(TailStore::default()),
         );
         drive_at(&mut s, 100, causal_write(1));
@@ -1216,7 +1216,7 @@ mod tests {
             max_delay: Delta::from_ticks(20),
         };
         let mut s = ServerEngine::with_store(
-            durable_cfg(ProtocolKind::Cc, fsync),
+            durable_cfg(ProtocolKind::cc(), fsync),
             Box::new(TailStore::default()),
         );
         drive_at(&mut s, 100, causal_write(1));

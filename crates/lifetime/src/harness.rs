@@ -66,8 +66,8 @@ pub struct RunOptions<'a> {
     /// `interval`, retuning Δ from the streaming monitor's running
     /// `min_delta` and the run's backpressure signals, and broadcasting
     /// [`Msg::DeltaUpdate`] commands to every client. Needs a timed
-    /// protocol kind (`Tsc` or `Tcc`), a finite `interval` and
-    /// `delta_min ≤ delta_max`.
+    /// protocol kind (`Tsc` or `Tcc`) at a finite Δ, a finite `interval`
+    /// and `delta_min ≤ delta_max`.
     pub adaptive: Option<ControllerConfig>,
     /// Capture every send, delivery and timer fire into
     /// [`RunResult::net_events`], ready for `tc-trace`.
@@ -101,8 +101,8 @@ pub struct RunResult {
     /// recorded history is timed under the run's effective ε.
     pub observed_staleness: Delta,
     /// The fault-widened staleness bound of the run's configuration and
-    /// plan ([`crate::oracle::widened_bound`]); `None` when the level is
-    /// untimed or the bound is unbounded.
+    /// plan ([`crate::oracle::widened_bound`]); `None` when there is no
+    /// finite one (a level without a finite Δ, or a never-healing plan).
     pub bound: Option<Delta>,
     /// The Δ-schedule the adaptive controller committed to (`None` for
     /// static-Δ runs). When present, [`RunResult::on_time`] was judged
@@ -529,11 +529,11 @@ mod tests {
     #[test]
     fn runs_complete_and_record_all_ops() {
         for kind in [
-            ProtocolKind::Sc,
+            ProtocolKind::sc(),
             ProtocolKind::Tsc {
                 delta: Delta::from_ticks(50),
             },
-            ProtocolKind::Cc,
+            ProtocolKind::cc(),
             ProtocolKind::Tcc {
                 delta: Delta::from_ticks(50),
             },
@@ -552,18 +552,18 @@ mod tests {
 
     #[test]
     fn runs_are_deterministic() {
-        let a = run(&base_config(ProtocolKind::Cc, 7));
-        let b = run(&base_config(ProtocolKind::Cc, 7));
+        let a = run(&base_config(ProtocolKind::cc(), 7));
+        let b = run(&base_config(ProtocolKind::cc(), 7));
         assert_eq!(a.history.to_string(), b.history.to_string());
         assert_eq!(a.metrics, b.metrics);
-        let c = run(&base_config(ProtocolKind::Cc, 8));
+        let c = run(&base_config(ProtocolKind::cc(), 8));
         assert_ne!(a.history.to_string(), c.history.to_string());
     }
 
     #[test]
     fn sc_protocol_induces_sc() {
         for seed in 0..8 {
-            let r = run(&base_config(ProtocolKind::Sc, seed));
+            let r = run(&base_config(ProtocolKind::sc(), seed));
             let v = satisfies_sc_with(&r.history, SearchOptions::default());
             assert!(
                 v.outcome().holds(),
@@ -576,7 +576,7 @@ mod tests {
     #[test]
     fn cc_protocol_induces_ccv_always_and_cm_on_these_seeds() {
         for seed in 0..8 {
-            let r = run(&base_config(ProtocolKind::Cc, seed));
+            let r = run(&base_config(ProtocolKind::cc(), seed));
             // The hard guarantee of the convergent implementation:
             assert_eq!(
                 satisfies_ccv(&r.history),
@@ -687,7 +687,7 @@ mod tests {
         let lat = Delta::from_ticks(3);
         for shards in [2, 3, 4] {
             for seed in 0..4 {
-                let mut cfg = base_config(ProtocolKind::Sc, seed);
+                let mut cfg = base_config(ProtocolKind::sc(), seed);
                 cfg.protocol = cfg.protocol.with_shards(shards);
                 let r = run(&cfg);
                 assert_eq!(r.history.len(), 3 * 40, "SC {shards} shards seed {seed}");
@@ -697,7 +697,7 @@ mod tests {
                     r.history
                 );
 
-                let mut cfg = base_config(ProtocolKind::Cc, seed);
+                let mut cfg = base_config(ProtocolKind::cc(), seed);
                 cfg.protocol = cfg.protocol.with_shards(shards);
                 let r = run(&cfg);
                 assert_eq!(r.history.len(), 3 * 40, "CC {shards} shards seed {seed}");
@@ -737,8 +737,8 @@ mod tests {
     fn single_shard_config_is_byte_identical_to_the_fleet_of_one() {
         // `with_shards(1)` must not perturb anything: same history string,
         // same metrics as the plain config.
-        let a = run(&base_config(ProtocolKind::Cc, 9));
-        let mut cfg = base_config(ProtocolKind::Cc, 9);
+        let a = run(&base_config(ProtocolKind::cc(), 9));
+        let mut cfg = base_config(ProtocolKind::cc(), 9);
         cfg.protocol = cfg.protocol.with_shards(1);
         let b = run(&cfg);
         assert_eq!(a.history.to_string(), b.history.to_string());

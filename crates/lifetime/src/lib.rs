@@ -10,7 +10,9 @@
 //! ξ-map gives the purely logical TCC approximation (§5.4).
 //!
 //! The five levels (plus a no-cache linearizable baseline) share one
-//! client/server implementation, selected by [`ProtocolKind`]; stale
+//! client/server implementation, selected by [`ProtocolKind`], where SC
+//! and CC are TSC and TCC at Δ = ∞ ([`ProtocolKind::sc`],
+//! [`ProtocolKind::cc`]); stale
 //! handling ([`StalePolicy`]) and propagation ([`Propagation`]) are the
 //! §5.2 ablation knobs.
 //!
@@ -20,9 +22,9 @@
 //!
 //! # Consistency guarantees (and a reproduction finding)
 //!
-//! The physical family (`Sc`, `Tsc`) provably induces sequential
+//! The physical family (`Tsc`, SC at Δ = ∞) provably induces sequential
 //! consistency: writes are serialized by the server and reads respect the
-//! lifetime rules. The causal family (`Cc`, `Tcc`, `TccLogical`) uses a
+//! lifetime rules. The causal family (`Tcc`, CC at Δ = ∞, `TccLogical`) uses a
 //! *convergent* server (last-writer-wins on concurrent writes), and
 //! therefore guarantees **causal convergence** (CCv) on every run. The
 //! paper's CC definition is *causal memory* (CM), which holds on the vast

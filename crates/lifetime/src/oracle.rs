@@ -49,8 +49,9 @@
 //!
 //! A plan whose disruption is unbounded admits no finite bound — an
 //! outage rule with a never-closing window can defeat every
-//! retransmission ([`FaultPlan::max_disruption`] returns `None`). Then
-//! the oracle checks only the untimed guarantee and reports
+//! retransmission ([`FaultPlan::max_disruption`] returns `None`). Nor
+//! does an infinite Δ (SC and CC are TSC and TCC at Δ = ∞). Then the
+//! oracle checks only the untimed guarantee and reports
 //! [`Conformance::bound`] as `None`.
 
 use tc_clocks::{Delta, Epsilon};
@@ -89,7 +90,7 @@ pub struct Conformance {
     /// effective ε).
     pub observed_staleness: Delta,
     /// The widened staleness bound the oracle enforced, if the protocol
-    /// level has a timed guarantee and the plan's disruption is bounded.
+    /// level has a finite Δ and the plan's disruption is bounded.
     pub bound: Option<Delta>,
     /// Operations actually recorded.
     pub ops_recorded: usize,
@@ -114,7 +115,8 @@ impl Conformance {
 }
 
 /// The widened staleness bound for `config` under `plan`, or `None` when
-/// the protocol level is untimed or the plan's disruption is unbounded.
+/// there is no finite one: the level has no Δ or an infinite one (SC, CC),
+/// or the plan's disruption is unbounded.
 #[must_use]
 pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Option<Delta> {
     let (delta, round_trips) = match config.protocol.kind {
@@ -139,16 +141,16 @@ pub fn widened_bound(config: &RunConfig, plan: &FaultPlan, eps: Epsilon) -> Opti
     } else {
         0
     };
-    Some(Delta::from_ticks(
-        delta.ticks()
-            + round_trips * lat.ticks()
-            + 2 * eps.ticks()
-            + disruption.ticks()
-            + retry
-            + fsync_delay
-            + barrier
-            + 4,
-    ))
+    let margin = round_trips * lat.ticks()
+        + 2 * eps.ticks()
+        + disruption.ticks()
+        + retry
+        + fsync_delay
+        + barrier
+        + 4;
+    // `Delta` addition keeps SC's and CC's Δ = ∞ infinite: no bound.
+    let bound = delta + Delta::from_ticks(margin);
+    (!bound.is_infinite()).then_some(bound)
 }
 
 /// A durable store serves readers from its fsynced image only, so an
@@ -300,11 +302,11 @@ mod tests {
     #[test]
     fn fault_free_runs_conform() {
         for kind in [
-            ProtocolKind::Sc,
+            ProtocolKind::sc(),
             ProtocolKind::Tsc {
                 delta: Delta::from_ticks(60),
             },
-            ProtocolKind::Cc,
+            ProtocolKind::cc(),
             ProtocolKind::Tcc {
                 delta: Delta::from_ticks(60),
             },
@@ -336,11 +338,18 @@ mod tests {
                 .ticks(),
             quiet.ticks() + 10
         );
-        // Untimed levels have no bound.
-        assert_eq!(
-            widened_bound(&cfg(ProtocolKind::Sc, 0), &FaultPlan::none(), Epsilon::ZERO),
-            None
-        );
+        // Neither have levels without a finite Δ; Δ = ∞ saturates instead
+        // of overflowing.
+        for kind in [
+            ProtocolKind::sc(),
+            ProtocolKind::cc(),
+            ProtocolKind::NoCache,
+        ] {
+            assert_eq!(
+                widened_bound(&cfg(kind, 0), &FaultPlan::none(), Epsilon::from_ticks(4)),
+                None
+            );
+        }
         // Nor do plans whose disruption never heals: a whole-run drop rule
         // can defeat every retransmission, so no finite widening is sound.
         let endless = FaultPlan::none().with(

@@ -131,9 +131,9 @@ proptest! {
     ) {
         let delta = Delta::from_ticks(40);
         let kind = [
-            ProtocolKind::Sc,
+            ProtocolKind::sc(),
             ProtocolKind::Tsc { delta },
-            ProtocolKind::Cc,
+            ProtocolKind::cc(),
             ProtocolKind::Tcc { delta },
         ][kind];
         let workload = Workload::new(4, 0.8, 0.5, (Delta::ZERO, Delta::from_ticks(3)));

@@ -942,7 +942,7 @@ mod tests {
     /// must be untouched.
     #[test]
     fn mismatched_hello_is_rejected_by_a_live_shard() {
-        let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 39));
+        let cfg = ReactorConfig::new(small(ProtocolKind::sc(), 39));
         let rc = &cfg.runtime;
         let hello = |n_clients: usize, shard: u32, protocol: ProtocolConfig| WireMsg::Hello {
             n_clients: n_clients as u32,
@@ -1012,7 +1012,7 @@ mod tests {
     /// sees it, and the shard serves the next link as before.
     #[test]
     fn a_proto_frame_on_an_unattached_lane_closes_the_link() {
-        let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 45));
+        let cfg = ReactorConfig::new(small(ProtocolKind::sc(), 45));
         let rc = &cfg.runtime;
         let (served, r) = with_live_shard(&cfg, |addr, clock| {
             let mut stream = raw_dial(addr);
@@ -1074,7 +1074,7 @@ mod tests {
     /// before any hosted engine sees the frame.
     #[test]
     fn a_request_from_a_shard_closes_its_link() {
-        let cfg = ReactorConfig::new(small(ProtocolKind::Sc, 51));
+        let cfg = ReactorConfig::new(small(ProtocolKind::sc(), 51));
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
         let clock = TickClock::new(cfg.runtime.tick);
@@ -1110,7 +1110,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "65537 sites exceed the 65 536 lanes")]
     fn a_fleet_wider_than_the_lane_space_is_refused() {
-        let mut cfg = small(ProtocolKind::Sc, 43);
+        let mut cfg = small(ProtocolKind::sc(), 43);
         cfg.n_clients = 65_537;
         let _ = run_reactor(&cfg);
     }
@@ -1118,7 +1118,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "the reactor driver cannot render Partition { isolated: [0, 1] }")]
     fn a_partition_of_two_nodes_is_refused_by_the_reactor() {
-        let mut cfg = small(ProtocolKind::Sc, 47);
+        let mut cfg = small(ProtocolKind::sc(), 47);
         cfg.protocol = cfg.protocol.with_shards(2);
         cfg.faults = tc_sim::FaultPlan::none().partition(tc_sim::Window::ticks(10, 20), vec![0, 1]);
         let _ = run_reactor_with(&ReactorConfig::new(cfg));
@@ -1132,7 +1132,7 @@ mod tests {
         for (driver, run, seed) in crate::runtime::tests::REAL_DRIVERS {
             std::thread::spawn(move || {
                 let before = sys::timer_slack().expect("PR_GET_TIMERSLACK");
-                let r = run(&small(ProtocolKind::Sc, seed));
+                let r = run(&small(ProtocolKind::sc(), seed));
                 assert_eq!(r.ops_done, 2 * 12, "{driver}");
                 assert_eq!(sys::timer_slack().unwrap(), before, "{driver}");
                 // Every thread counted what its timers suffered.
@@ -1156,7 +1156,7 @@ mod tests {
     #[test]
     fn poll_window_closes_when_the_fleet_is_quiet() {
         let think = Delta::from_ticks(40);
-        let mut rc = small(ProtocolKind::Sc, 47);
+        let mut rc = small(ProtocolKind::sc(), 47);
         rc.workload = Workload::new(4, 0.8, 0.7, (think, think));
         rc.ops_per_client = 100;
         let cfg = ReactorConfig::new(rc);
@@ -1201,7 +1201,7 @@ mod tests {
     /// without sleeping for it.
     #[test]
     fn poll_window_keeps_a_busy_fleet_polling() {
-        let mut cfg = small(ProtocolKind::Sc, 49);
+        let mut cfg = small(ProtocolKind::sc(), 49);
         cfg.workload = Workload::new(4, 0.8, 0.7, (Delta::ZERO, Delta::ZERO));
         cfg.n_clients = 32;
         cfg.ops_per_client = 50;

@@ -131,7 +131,7 @@ impl RuntimeConfig {
         seed: u64,
     ) -> Self {
         let monitor_delta = match protocol.kind.delta() {
-            Some(delta) => Delta::from_ticks(delta.ticks().saturating_add(MONITOR_SLACK.ticks())),
+            Some(delta) => delta + MONITOR_SLACK,
             None => Delta::INFINITE,
         };
         RuntimeConfig {
@@ -669,7 +669,7 @@ pub(crate) mod tests {
     #[test]
     #[should_panic(expected = "the channel driver cannot render Drop")]
     fn a_message_fault_is_refused_by_the_channel_driver() {
-        let mut cfg = small(ProtocolKind::Sc, 3);
+        let mut cfg = small(ProtocolKind::sc(), 3);
         cfg.faults = FaultPlan::none().with(
             Window::always(),
             tc_sim::Scope::All,
@@ -713,7 +713,7 @@ pub(crate) mod tests {
     fn threaded_wal_backend_matches_memory_semantics_fault_free() {
         use tc_lifetime::{DurabilityMode, FsyncPolicy};
         let wal = temp_wal_dir("faultfree");
-        let mut cfg = small(ProtocolKind::Sc, 29);
+        let mut cfg = small(ProtocolKind::sc(), 29);
         cfg.protocol = cfg.protocol.with_durability(DurabilityMode::Durable {
             fsync: FsyncPolicy::PER_WRITE,
         });
@@ -731,7 +731,7 @@ pub(crate) mod tests {
     #[test]
     fn real_drivers_sc_completes_and_holds() {
         for (driver, run, seed) in REAL_DRIVERS {
-            let r = run(&small(ProtocolKind::Sc, seed));
+            let r = run(&small(ProtocolKind::sc(), seed));
             assert_eq!(r.ops_done, 2 * 15, "{driver}: every op must be recorded");
             assert!(r.on_time.holds(), "{driver}: the monitor must be clean");
             assert_monitor_counters(&r);
@@ -916,7 +916,7 @@ pub(crate) mod tests {
         // sites' inbox echo the request epochs in exactly the order the
         // requests were enqueued, and that the shard stopped where it was
         // told to.
-        let cfg = small(ProtocolKind::Sc, 0);
+        let cfg = small(ProtocolKind::sc(), 0);
         let clock = TickClock::new(cfg.tick);
         let (to_shard, shard_inbox) = mpsc::channel::<Inbound>();
         let (to_sites, site_inbox) = mpsc::channel::<Inbound>();
@@ -1029,7 +1029,7 @@ pub(crate) mod tests {
         due: impl Fn(u64, T::Deadline) -> u64,
     ) -> (Vec<Effect>, Vec<(u64, u64)>, [bool; 3]) {
         let (shard, site) = (NodeId::new(0), NodeId::new(1));
-        let protocol = ProtocolConfig::of(ProtocolKind::Sc);
+        let protocol = ProtocolConfig::of(ProtocolKind::sc());
         let think = Delta::from_ticks(3);
         let workload = Workload::new(4, 0.8, 1.0, (think, think));
         let engine = ClientEngine::new(protocol, vec![shard], 0, 1, workload, 2);
@@ -1130,7 +1130,7 @@ pub(crate) mod tests {
 
     #[test]
     fn threaded_fleet_shards_the_load_and_stays_consistent() {
-        let mut cfg = small(ProtocolKind::Sc, 17);
+        let mut cfg = small(ProtocolKind::sc(), 17);
         cfg.protocol = cfg.protocol.with_shards(4);
         let r = run_threaded(&cfg);
         assert_eq!(r.ops_done, 2 * 15, "every op must be recorded");
@@ -1167,7 +1167,7 @@ pub(crate) mod tests {
 
     #[test]
     fn threaded_causal_flushes_unacked_writes() {
-        let r = run_threaded(&small(ProtocolKind::Cc, 13));
+        let r = run_threaded(&small(ProtocolKind::cc(), 13));
         assert_eq!(r.ops_done, 2 * 15);
         assert!(r.on_time.holds());
     }

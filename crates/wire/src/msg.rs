@@ -80,7 +80,7 @@ pub enum WireMsg {
 
 // Tag 0 was the per-site `Hello`: a site id ahead of today's fields.
 // It stays unknown rather than reused. Read as today's layout, an old Hello
-// can decode (an SC site dialling shard 1 does), and an unknown tag refuses every
+// can decode (a NoCache site dialling shard 1 does), and an unknown tag refuses every
 // one without a new wire generation, which would also retire every WAL.
 const TAG_HELLO_ACK: u8 = 1;
 const TAG_HELLO_REJECT: u8 = 2;
@@ -289,15 +289,20 @@ fn get_stamp(r: &mut Reader<'_>, present: bool) -> Result<Option<VectorClock>, W
     present.then(|| get_vclock(r)).transpose()
 }
 
+/// The error for an enum tag with no variant.
+fn unknown_tag<T>(what: &'static str, tag: u8) -> Result<T, WireError> {
+    Err(WireError::UnknownTag { what, tag })
+}
+
 /// Encodes a [`ProtocolConfig`] (the handshake's compatibility contract).
+/// Kind tags 0 and 2 (SC, CC) are retired: those are tags 1 and 3 at
+/// Δ = ∞, and a peer still sending 0 or 2 is refused.
 pub fn put_protocol(w: &mut Writer, c: &ProtocolConfig) {
     match c.kind {
-        ProtocolKind::Sc => w.u8(0),
         ProtocolKind::Tsc { delta } => {
             w.u8(1);
             put_delta(w, delta);
         }
-        ProtocolKind::Cc => w.u8(2),
         ProtocolKind::Tcc { delta } => {
             w.u8(3);
             put_delta(w, delta);
@@ -331,11 +336,9 @@ pub fn put_protocol(w: &mut Writer, c: &ProtocolConfig) {
 /// Decodes a [`ProtocolConfig`].
 pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
     let kind = match r.u8("protocol kind")? {
-        0 => ProtocolKind::Sc,
         1 => ProtocolKind::Tsc {
             delta: get_delta(r, "tsc delta")?,
         },
-        2 => ProtocolKind::Cc,
         3 => ProtocolKind::Tcc {
             delta: get_delta(r, "tcc delta")?,
         },
@@ -343,32 +346,17 @@ pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
             xi_delta: r.f64("xi delta")?,
         },
         5 => ProtocolKind::NoCache,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "protocol kind",
-                tag,
-            })
-        }
+        tag => return unknown_tag("protocol kind", tag),
     };
     let stale = match r.u8("stale policy")? {
         0 => StalePolicy::Invalidate,
         1 => StalePolicy::MarkOld,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "stale policy",
-                tag,
-            })
-        }
+        tag => return unknown_tag("stale policy", tag),
     };
     let propagation = match r.u8("propagation")? {
         0 => Propagation::Pull,
         1 => Propagation::PushInvalidate,
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "propagation",
-                tag,
-            })
-        }
+        tag => return unknown_tag("propagation", tag),
     };
     let retry_after = get_delta(r, "retry_after")?;
     let shards = r.uvar_u32("shards")? as usize;
@@ -380,12 +368,7 @@ pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
                 max_delay: get_delta(r, "fsync max delay")?,
             },
         },
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "durability mode",
-                tag,
-            })
-        }
+        tag => return unknown_tag("durability mode", tag),
     };
     Ok(ProtocolConfig {
         kind,
@@ -521,7 +504,7 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
     let tag = r.u8("msg tag")?;
     let (kind, flags) = (tag & KIND, tag & !KIND);
     if !defines(kind, flags) {
-        return Err(WireError::UnknownTag { what: "msg", tag });
+        return unknown_tag("msg", tag);
     }
     Ok(match kind {
         TAG_FETCH_REQ => Msg::FetchReq {
@@ -584,7 +567,7 @@ pub fn get_msg(r: &mut Reader<'_>) -> Result<Msg, WireError> {
             seq: r.uvar("seq")?,
             delta: get_delta(r, "delta")?,
         },
-        _ => return Err(WireError::UnknownTag { what: "msg", tag }),
+        _ => return unknown_tag("msg", tag),
     })
 }
 
@@ -635,12 +618,7 @@ pub fn get_wire_msg(r: &mut Reader<'_>) -> Result<WireMsg, WireError> {
         TAG_HEARTBEAT => WireMsg::Heartbeat,
         TAG_BYE => WireMsg::Bye,
         TAG_PROTO => WireMsg::Proto(get_msg(r)?),
-        tag => {
-            return Err(WireError::UnknownTag {
-                what: "wire msg",
-                tag,
-            })
-        }
+        tag => return unknown_tag("wire msg", tag),
     })
 }
 
@@ -680,14 +658,19 @@ mod tests {
     /// without a new wire generation, which also names the WAL's. A peer
     /// still sending it is refused at the tag, so a mixed pair fails its
     /// handshake loudly. Read under today's tag, the same bytes can decode
-    /// into a misread config — an SC site dialling shard 1 reads as a TSC
-    /// fleet with Δ = 0 — which is why the tag moved.
+    /// into a misread config — a NoCache site dialling shard 1 reads as a
+    /// TSC fleet with Δ = 5 — which is why the tag moved.
     #[test]
     fn a_per_site_hello_fails_strict_decoding() {
         let tsc = ProtocolKind::Tsc {
             delta: Delta::from_ticks(400),
         };
-        for kind in [ProtocolKind::Sc, tsc, ProtocolKind::Cc] {
+        for kind in [
+            ProtocolKind::sc(),
+            tsc,
+            ProtocolKind::cc(),
+            ProtocolKind::NoCache,
+        ] {
             for (site, n_clients, shard) in [(0, 2, 0), (1, 2, 1), (299, 300, 1)] {
                 let protocol = ProtocolConfig::of(kind).with_shards(2);
                 let per_site_hello = |tag: u8| {
@@ -710,12 +693,17 @@ mod tests {
                         tag: 0
                     })
                 );
-                if (kind, shard) == (ProtocolKind::Sc, 1) {
+                if (kind, shard) == (ProtocolKind::NoCache, 1) {
                     let misread = decode(&per_site_hello(TAG_HELLO)).map(|msg| match msg {
                         WireMsg::Hello { protocol, .. } => protocol.kind,
                         other => panic!("decoded {other:?}"),
                     });
-                    assert_eq!(misread, Ok(ProtocolKind::Tsc { delta: Delta::ZERO }));
+                    assert_eq!(
+                        misread,
+                        Ok(ProtocolKind::Tsc {
+                            delta: Delta::from_ticks(5)
+                        })
+                    );
                 }
             }
         }
@@ -731,13 +719,13 @@ mod tests {
     #[test]
     fn protocol_config_round_trips_every_kind() {
         for kind in [
-            ProtocolKind::Sc,
+            ProtocolKind::sc(),
             ProtocolKind::Tsc {
                 delta: Delta::from_ticks(123),
             },
-            ProtocolKind::Cc,
+            ProtocolKind::cc(),
             ProtocolKind::Tcc {
-                delta: Delta::INFINITE,
+                delta: Delta::from_ticks(77),
             },
             ProtocolKind::TccLogical { xi_delta: 2.5 },
             ProtocolKind::NoCache,
@@ -766,6 +754,24 @@ mod tests {
                 assert_eq!(get_protocol(&mut r).unwrap(), config);
                 r.finish().unwrap();
             }
+        }
+    }
+
+    #[test]
+    fn retired_sc_and_cc_kind_tags_are_refused() {
+        for (tag, kind) in [(0, ProtocolKind::sc()), (2, ProtocolKind::cc())] {
+            let mut w = Writer::new();
+            put_protocol(&mut w, &ProtocolConfig::of(kind));
+            let mut bytes = w.into_bytes();
+            assert_eq!(bytes[0], tag + 1, "{kind:?} travels as its timed kind");
+            bytes[0] = tag;
+            assert_eq!(
+                get_protocol(&mut Reader::new(&bytes)),
+                Err(WireError::UnknownTag {
+                    what: "protocol kind",
+                    tag
+                })
+            );
         }
     }
 

@@ -134,11 +134,11 @@ fn arb_version(rng: &mut StdRng) -> WireVersion {
 
 fn arb_protocol(rng: &mut StdRng) -> ProtocolConfig {
     let kind = match rng.gen_range(0..6u8) {
-        0 => ProtocolKind::Sc,
+        0 => ProtocolKind::sc(),
         1 => ProtocolKind::Tsc {
             delta: arb_delta(rng),
         },
-        2 => ProtocolKind::Cc,
+        2 => ProtocolKind::cc(),
         3 => ProtocolKind::Tcc {
             delta: arb_delta(rng),
         },

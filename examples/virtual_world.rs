@@ -57,7 +57,7 @@ fn main() {
         "  {:<22} {:>8}  {:>11}  {:>15}  monitor",
         "regime", "hit rate", "validations", "staleness/ticks"
     );
-    let (causal_hit, causal_val) = play("causal (Δ = ∞)", ProtocolKind::Cc);
+    let (causal_hit, causal_val) = play("causal (Δ = ∞)", ProtocolKind::cc());
     let (bounded_hit, _) = play(
         "timed causal (Δ = 200)",
         ProtocolKind::Tcc {

@@ -58,7 +58,7 @@ fn retransmission_counters(metrics: &MetricsSnapshot) -> [u64; 3] {
 
 fn causal_kinds() -> [ProtocolKind; 3] {
     [
-        ProtocolKind::Cc,
+        ProtocolKind::cc(),
         ProtocolKind::Tcc {
             delta: Delta::from_ticks(60),
         },

@@ -158,7 +158,7 @@ fn check_equivalence_under(protocol: ProtocolConfig, workload: Workload) {
 
 #[test]
 fn sc_engines_are_driver_independent() {
-    check_equivalence(ProtocolKind::Sc);
+    check_equivalence(ProtocolKind::sc());
 }
 
 #[test]
@@ -170,7 +170,7 @@ fn tsc_engines_are_driver_independent() {
 
 #[test]
 fn causal_engines_are_driver_independent() {
-    check_equivalence(ProtocolKind::Cc);
+    check_equivalence(ProtocolKind::cc());
 }
 
 /// No think time: every `SetTimer` asks for zero ticks, so each site's
@@ -205,7 +205,7 @@ fn sharded_engines_are_driver_independent() {
 /// the equivalence guarantee must survive that too.
 #[test]
 fn sharded_causal_engines_are_driver_independent() {
-    check_equivalence_of(ProtocolConfig::of(ProtocolKind::Cc).with_shards(2));
+    check_equivalence_of(ProtocolConfig::of(ProtocolKind::cc()).with_shards(2));
 }
 
 /// Storage must be invisible to the protocol: under a durable per-write
@@ -297,7 +297,7 @@ fn wal_backend_is_byte_identical_to_memory_fault_free() {
 fn threaded_runs_are_reproducible_per_site() {
     let cfg = {
         let mut c = RuntimeConfig::for_protocol(
-            ProtocolConfig::of(ProtocolKind::Sc),
+            ProtocolConfig::of(ProtocolKind::sc()),
             N_CLIENTS,
             workload(),
             OPS,

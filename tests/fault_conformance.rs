@@ -463,7 +463,7 @@ fn kill_shard_over_wal_recovers_by_replay() {
 #[test]
 fn untimed_levels_keep_their_safety_under_faults() {
     let mut cells = Vec::new();
-    for kind in [ProtocolKind::Sc, ProtocolKind::Cc] {
+    for kind in [ProtocolKind::sc(), ProtocolKind::cc()] {
         for (label, plan) in fault_matrix() {
             cells.push((kind, label, plan));
         }

@@ -143,7 +143,7 @@ fn epsilon_only_weakens_the_check() {
 }
 
 /// Figure 4b's Δ knob on real threads, judged by the live monitor: Δ = ∞
-/// (`Cc`) serves reads from the cache, a bounded Δ keeps most of those
+/// (`cc()`) serves reads from the cache, a bounded Δ keeps most of those
 /// hits at the price of validations, Δ below the think time leaves nothing
 /// cacheable, and `NoCache` is the Δ = 0 endpoint.
 #[test]
@@ -166,7 +166,7 @@ fn figure4b_delta_spectrum_on_the_threaded_driver() {
     let tcc = |ticks| ProtocolKind::Tcc {
         delta: Delta::from_ticks(ticks),
     };
-    let (cc_hit, cc_val) = spectrum(ProtocolKind::Cc);
+    let (cc_hit, cc_val) = spectrum(ProtocolKind::cc());
     let (mid_hit, _) = spectrum(tcc(200));
     let (tight_hit, tight_val) = spectrum(tcc(1));
     let (nocache_hit, _) = spectrum(ProtocolKind::NoCache);

@@ -29,11 +29,11 @@ fn config(kind: ProtocolKind, seed: u64) -> RunConfig {
 #[test]
 fn all_protocols_complete_under_all_policies() {
     for kind in [
-        ProtocolKind::Sc,
+        ProtocolKind::sc(),
         ProtocolKind::Tsc {
             delta: Delta::from_ticks(70),
         },
-        ProtocolKind::Cc,
+        ProtocolKind::cc(),
         ProtocolKind::Tcc {
             delta: Delta::from_ticks(70),
         },
@@ -60,7 +60,7 @@ fn all_protocols_complete_under_all_policies() {
 #[test]
 fn physical_family_is_sc_under_every_knob() {
     for kind in [
-        ProtocolKind::Sc,
+        ProtocolKind::sc(),
         ProtocolKind::Tsc {
             delta: Delta::from_ticks(40),
         },
@@ -87,7 +87,7 @@ fn physical_family_is_sc_under_every_knob() {
 #[test]
 fn causal_family_is_ccv_under_every_knob() {
     for kind in [
-        ProtocolKind::Cc,
+        ProtocolKind::cc(),
         ProtocolKind::Tcc {
             delta: Delta::from_ticks(40),
         },
