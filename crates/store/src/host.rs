@@ -1,12 +1,13 @@
 //! The two engine hosts both real drivers run, whatever carries their
 //! messages: [`SiteHost`], every client site of a run with their timer
-//! wheel, the run's recorder and live monitor, the thread's counters and
+//! wheel, the run's recorder and live monitor, the host's counters and
 //! the adaptive Δ controller ticked from that wheel; and [`ShardHost`],
 //! one shard with its engine timers and counters. A host owns its
-//! [`Transport`] and steps its engines in one place; one thread owns each
+//! [`Transport`] and steps its engines in one place; one loop owns each
 //! host, so no step takes a lock. The driver supplies the transport and
-//! the loop that waits, and arms timers of its own in a host's wheel as
-//! `Link` tokens the host hands back.
+//! the loop that waits — it starts the host, fires what its wheel pops
+//! and delivers what arrives — and arms timers of its own in a host's
+//! wheel as `Link` tokens the host hands back.
 
 use std::time::{Duration, Instant};
 
@@ -28,28 +29,6 @@ pub(crate) trait Transport {
 
     /// Carries `msg` from node `from` towards node `to`.
     fn send(&mut self, from: NodeId, to: NodeId, msg: Msg);
-}
-
-/// A host as a driver's loop serves it.
-pub(crate) trait Serve {
-    /// The tokens of the host's wheel.
-    type Timer: Copy;
-    /// The driver's own timers among them.
-    type Link;
-
-    fn timers(&mut self) -> &mut TimerWheel<Self::Timer>;
-    /// Starts the hosted engines at `at`.
-    fn start(&mut self, at: Instant);
-    /// Serves one timer the wheel popped at `now`: a live engine timer
-    /// steps its engine, a dead one (a retry whose reply came first) steps
-    /// nothing, and a driver's own is handed back.
-    fn fire(&mut self, timer: Self::Timer, now: Instant) -> Option<Self::Link>;
-    /// Feeds `msg` from node `from` to the hosted node `to`, observed at
-    /// `at`.
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: Msg, at: Instant);
-    /// Whether the host's own work is over: every site has finished. A
-    /// shard runs until it is told to stop.
-    fn finished(&self) -> bool;
 }
 
 /// Timer tokens of a [`SiteHost`]'s wheel: engine timers tagged with their
@@ -106,7 +85,7 @@ struct Site {
 
 /// The adaptive Δ controller `config` asks for, with its tick period in
 /// `clock`'s real time: `None` unless the run is adaptive. Every real
-/// driver builds it before it starts a thread.
+/// driver builds it before it starts a host.
 ///
 /// # Panics
 ///
@@ -128,7 +107,7 @@ pub(crate) fn controller(
     Some((controller, interval))
 }
 
-/// Every client site of a run, on the one thread that owns them, sending
+/// Every client site of a run, in the one loop that owns them, sending
 /// over `X`.
 pub(crate) struct SiteHost<X: Transport> {
     pub(crate) net: X,
@@ -138,7 +117,7 @@ pub(crate) struct SiteHost<X: Transport> {
     /// Sites not yet finished; the host's work is over at zero.
     remaining: usize,
     pub(crate) timers: TimerWheel<SiteTimer<X::Timer>>,
-    /// The thread's counters.
+    /// The host's counters.
     pub(crate) metrics: Metrics,
     /// The run's recorder, with the live monitor attached.
     pub(crate) recorder: TraceRecorder,
@@ -236,19 +215,20 @@ impl<X: Transport> SiteHost<X> {
         }
     }
 
-    /// Assembles the finished run's [`RuntimeResult`] out of this thread's
-    /// counters, the wheel's, those of every other thread of the run
-    /// (`thread_metrics`) and the recorder, judged by the node core's
-    /// [`judge_run`] — the tail the simulator ends with too.
+    /// Assembles the finished run's [`RuntimeResult`] out of this host's
+    /// counters, the wheel's, every other counter bag of the run
+    /// (`other_metrics`: the shards', and any driver thread's) and the
+    /// recorder, judged by the node core's [`judge_run`] — the tail the
+    /// simulator ends with too.
     pub(crate) fn finish_run(
         mut self,
-        thread_metrics: Vec<Metrics>,
+        other_metrics: Vec<Metrics>,
         shard_requests: Vec<u64>,
         wall: Duration,
     ) -> RuntimeResult {
         self.timers.report(&mut self.metrics);
         let mut metrics = self.metrics.snapshot();
-        for other in thread_metrics {
+        for other in other_metrics {
             for (name, n) in other.snapshot().counters {
                 *metrics.counters.entry(name).or_insert(0) += n;
             }
@@ -271,19 +251,10 @@ impl<X: Transport> SiteHost<X> {
             delta_schedule: self.controller.map(|(c, _)| c.schedule().clone()),
         }
     }
-}
 
-impl<X: Transport> Serve for SiteHost<X> {
-    type Timer = SiteTimer<X::Timer>;
-    type Link = X::Timer;
-
-    fn timers(&mut self) -> &mut TimerWheel<Self::Timer> {
-        &mut self.timers
-    }
-
-    /// Starts every site and, for an adaptive run, arms the controller's
-    /// first tick an interval later.
-    fn start(&mut self, at: Instant) {
+    /// Starts every site at `at` and, for an adaptive run, arms the
+    /// controller's first tick an interval later.
+    pub(crate) fn start(&mut self, at: Instant) {
         for site in 0..self.sites.len() {
             self.feed(site, Event::Start, at);
         }
@@ -292,9 +263,11 @@ impl<X: Transport> Serve for SiteHost<X> {
         }
     }
 
-    /// A finished site's engine timers step nothing either; the
-    /// controller's timer ticks the controller.
-    fn fire(&mut self, timer: Self::Timer, now: Instant) -> Option<X::Timer> {
+    /// Serves one timer the wheel popped at `now`: a live engine timer
+    /// steps its site, a dead one (a retry whose reply came first, or any
+    /// timer of a finished site) steps nothing, the controller's ticks the
+    /// controller, and a driver's own is handed back.
+    pub(crate) fn fire(&mut self, timer: SiteTimer<X::Timer>, now: Instant) -> Option<X::Timer> {
         match timer {
             SiteTimer::Engine { site, token } => {
                 let state = &self.sites[site];
@@ -308,16 +281,19 @@ impl<X: Transport> Serve for SiteHost<X> {
         None
     }
 
-    fn deliver(&mut self, from: NodeId, to: NodeId, msg: Msg, at: Instant) {
+    /// Feeds `msg` from node `from` to the hosted site `to`, observed at
+    /// `at`.
+    pub(crate) fn deliver(&mut self, from: NodeId, to: NodeId, msg: Msg, at: Instant) {
         self.feed(to.index() - self.shards, Event::Message { from, msg }, at);
     }
 
-    fn finished(&self) -> bool {
+    /// Whether the host's work is over: every site has finished.
+    pub(crate) fn finished(&self) -> bool {
         self.remaining == 0
     }
 }
 
-/// One shard, on the thread that owns it, sending over `X`.
+/// One shard, in the loop that owns it, sending over `X`.
 pub(crate) struct ShardHost<X: Transport> {
     pub(crate) net: X,
     core: ShardCore<TickClock>,
@@ -326,7 +302,7 @@ pub(crate) struct ShardHost<X: Transport> {
     /// Never cleared: a down shard's engine timers are popped and dropped
     /// as dead, and a driver's own timers survive an outage.
     pub(crate) timers: TimerWheel<ShardTimer<X::Timer>>,
-    /// The thread's counters (a shard records nothing).
+    /// The host's counters (a shard records nothing).
     pub(crate) metrics: Metrics,
     /// As [`SiteHost`]'s.
     effects: Vec<Effect>,
@@ -366,26 +342,19 @@ impl<X: Transport> ShardHost<X> {
     }
 
     /// Hands in the finished shard: the requests it served, and the
-    /// thread's counters with the wheel's added.
+    /// host's counters with the wheel's added.
     pub(crate) fn finish(mut self) -> (u64, Metrics) {
         self.timers.report(&mut self.metrics);
         (self.core.engine.requests_served(), self.metrics)
     }
-}
 
-impl<X: Transport> Serve for ShardHost<X> {
-    type Timer = ShardTimer<X::Timer>;
-    type Link = X::Timer;
-
-    fn timers(&mut self) -> &mut TimerWheel<Self::Timer> {
-        &mut self.timers
-    }
-
-    fn start(&mut self, at: Instant) {
+    /// Starts the shard's engine at `at`.
+    pub(crate) fn start(&mut self, at: Instant) {
         self.feed(Event::Start, at);
     }
 
-    fn fire(&mut self, timer: Self::Timer, now: Instant) -> Option<X::Timer> {
+    /// As [`SiteHost::fire`], for the shard's engine.
+    pub(crate) fn fire(&mut self, timer: ShardTimer<X::Timer>, now: Instant) -> Option<X::Timer> {
         match timer {
             ShardTimer::Engine(token) => {
                 if self.core.timer_is_live(token) {
@@ -397,11 +366,8 @@ impl<X: Transport> Serve for ShardHost<X> {
         }
     }
 
-    fn deliver(&mut self, from: NodeId, _to: NodeId, msg: Msg, at: Instant) {
+    /// Feeds `msg` from node `from` to the shard, observed at `at`.
+    pub(crate) fn deliver(&mut self, from: NodeId, msg: Msg, at: Instant) {
         self.feed(Event::Message { from, msg }, at);
-    }
-
-    fn finished(&self) -> bool {
-        false
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The protocol itself lives in `tc-lifetime` as sans-io state machines
 //! (`ClientEngine`, `ServerEngine`): events in, effects out. This crate is
-//! what turns those effects into sends and timers on real threads, judged
+//! what turns those effects into sends and timers in real time, judged
 //! by a live [`OnTimeMonitor`](tc_core::checker::OnTimeMonitor). The
 //! engines' hosts, the effect executor, the control tick and the judged
 //! result tail are `tc_lifetime::node`'s, the same code the simulator
@@ -11,14 +11,16 @@
 //!
 //! * the tick clock (`TickClock`, in [`runtime`]) — the node core's time
 //!   source: an `Instant` ticked down against one shared epoch;
-//! * the site host (`SiteHost`) — every client site of a run on one
-//!   thread, with their timer wheel, the run's recorder and counters, and
+//! * the site host (`SiteHost`) — every client site of a run in one
+//!   loop, with their timer wheel, the run's recorder and counters, and
 //!   the adaptive Δ controller ticked from that wheel; the shard host
 //!   (`ShardHost`) — one shard, its engine timers and its counters. Each
-//!   is owned by the one thread that runs it, so no step takes a lock;
-//! * the channel loop (`serve`) — blocking receive towards the next
-//!   deadline, bounded drain — which runs either host over in-process
-//!   queues;
+//!   is owned by the one loop that runs it, so no step takes a lock;
+//! * the channel loop (in [`run_threaded`]) — one loop on the calling
+//!   thread serving the site host and every shard host: each host sends
+//!   into its outbox, the loop moves every outbox onto one FIFO queue and
+//!   delivers it in order, and sleeps towards the earliest deadline on any
+//!   host's wheel;
 //! * the connection table ([`reactor`]) — epoll, a generational slab of
 //!   endpoints, readiness handling, queueing with one flush per connection
 //!   per loop pass, the liveness sweep, a wait that polls while a link is
@@ -32,7 +34,7 @@
 //!
 //! | driver | transport | threads |
 //! |---|---|---|
-//! | [`run_threaded`] | in-process queues: one inbox per shard, one for every site | the sites on the caller's thread, one per shard |
+//! | [`run_threaded`] | in-process: an outbox per host, one FIFO queue between them | the caller's, for every site and every shard |
 //! | [`run_reactor`] / [`run_reactor_with`] | loopback TCP + `tc-wire`, one link per shard, a lane per site | the sites on the caller's thread in an epoll loop, one epoll loop per shard |
 //!
 //! Identical seeds give identical per-site operation programs under every

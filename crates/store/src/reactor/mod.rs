@@ -131,7 +131,7 @@ use tc_sim::metrics::names;
 use tc_sim::{FaultKind, Metrics, NodeId};
 use tc_wire::{write_frame, WireMsg};
 
-use crate::host::{controller, Serve, ShardHost, ShardTimer, SiteHost, SiteTimer, Transport};
+use crate::host::{controller, ShardHost, ShardTimer, SiteHost, SiteTimer, Transport};
 use crate::jitter::link_seed;
 use crate::runtime::{refuse_unrenderable, RuntimeConfig, RuntimeResult, TickClock};
 
@@ -198,8 +198,7 @@ impl ReactorConfig {
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// The shard's stop signal: its end of a socket pair whose other end
 /// [`run_reactor_with`] writes a byte to once the clients are done, so a
-/// shard blocked in its wait stops at once — the reactor's rendering of
-/// the channel loop's explicit stop.
+/// shard blocked in its wait stops at once.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
 // ---------------------------------------------------------------------
@@ -250,8 +249,7 @@ impl Links for ShardReactor<'_> {
                 if linked && usize::from(lane) < self.cfg.runtime.n_clients && msg.is_request() =>
             {
                 let from = NodeId::new(self.host.net.shards + usize::from(lane));
-                let to = NodeId::new(self.shard);
-                self.host.deliver(from, to, msg, at);
+                self.host.deliver(from, msg, at);
             }
             WireMsg::Heartbeat if linked => {}
             // A Bye, a stray ack or a client-bound message ends the link,

@@ -3,17 +3,16 @@
 //!
 //! The engines' hosts, the effect executor, the control tick and the tail
 //! that judges a run are `tc_lifetime::node`'s, shared with the simulator;
-//! the site and shard hosts (`host`) put them on a thread each real driver
-//! owns. This module gives them real time and in-process queues:
+//! the site and shard hosts (`host`) put them in a loop each real driver
+//! owns. This module gives them real time and in-process delivery:
 //!
 //! * **time** — `TickClock`, the node core's `TimeSource` on every real
 //!   driver: the [`Instant`] an event was observed at, ticked down against
 //!   one shared epoch;
-//! * **the channel loop** — `serve`: timer wheel, blocking receive towards
-//!   the next deadline, bounded drain, then the host serves the pass;
-//! * **the channel transport** — `Queues`: a send goes into its receiver's
-//!   inbox unless a partition cuts it;
-//! * **the channel fleet builder** — [`run_threaded`].
+//! * **the channel transport** — `Outbox`: a host's sends wait in it
+//!   unless a partition cuts them;
+//! * **the channel loop** — [`run_threaded`]: one loop on the calling
+//!   thread serves the site host and every shard host.
 //!
 //! [`crate::run_reactor`] runs the same two hosts over loopback TCP, each
 //! in an epoll loop, with one link per shard as the transport.
@@ -21,28 +20,31 @@
 //! # Layout
 //!
 //! Node ids follow the simulator harness: shards first (node 0 is *the*
-//! server in a single-shard run), then client site `i`. One thread per
-//! shard, each on its own unbounded inbox, and every site on the calling
-//! thread, on one more inbox they share: an n-site run over `s` shards
-//! starts `s` threads and `s + 1` inboxes. The site loop ends once every
-//! site's workload is finished with nothing in flight; then each shard is
-//! sent an explicit stop on its inbox and exits after serving what was
-//! queued before it.
+//! server in a single-shard run), then client site `i`. The channel driver
+//! starts no thread: every host runs on the calling thread, and one FIFO
+//! queue carries every message between them. A pass reads the clock once,
+//! fires every host's due timers at that instant, moves every outbox onto
+//! the queue, and delivers the queue in order, at the same instant, until
+//! it is empty — what a delivery sends joins its tail. The run ends once
+//! every site's workload is finished with the queue drained; otherwise the
+//! loop sleeps until the earliest deadline on any host's wheel. Each host
+//! waits on exactly one deadline, so the loop waits on the earliest of
+//! them.
 //!
 //! # Time
 //!
 //! Real time is ticked down to the protocol's [`Time`] unit by dividing the
-//! elapsed time since a shared epoch by [`RuntimeConfig::tick`]. All
-//! threads read the same epoch, so ε is bounded by tick rounding (±1 tick
+//! elapsed time since a shared epoch by [`RuntimeConfig::tick`]. Every
+//! host reads the same epoch, so ε is bounded by tick rounding (±1 tick
 //! per reader) — the monitor gets a small ε to absorb it. Scheduling
 //! jitter cannot be bounded the way simulated latency can, so
 //! [`RuntimeConfig::for_protocol`] widens the monitor's Δ by a generous
 //! real-time slack; the run's *observed* staleness is still reported
 //! exactly, and the monitor verdict asserts the widened bound.
 
+use std::collections::VecDeque;
 use std::convert::Infallible;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{self, Receiver, RecvError, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use tc_clocks::{Delta, Epsilon, Time};
@@ -57,10 +59,10 @@ use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::{FaultKind, FaultPlan, Metrics, MetricsSnapshot, NodeId};
 
-use crate::host::{controller, Serve, ShardHost, SiteHost, Transport};
+use crate::host::{controller, ShardHost, SiteHost, Transport};
 use crate::reactor::TimerSlack;
 
-/// Configuration of one threaded run.
+/// Configuration of one real-time run.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// The protocol under test.
@@ -74,7 +76,7 @@ pub struct RuntimeConfig {
     /// Base seed; client `i` draws from
     /// [`tc_lifetime::engine::client_rng_seed`]`(seed, i)` — the same
     /// derivation the simulator's private-source mode uses, so sim and
-    /// threaded runs of one configuration perform identical per-site
+    /// real-time runs of one configuration perform identical per-site
     /// operation sequences.
     pub seed: u64,
     /// Real-time duration of one protocol tick.
@@ -98,11 +100,11 @@ pub struct RuntimeConfig {
     pub faults: FaultPlan,
     /// When set, a [`DeltaController`] retunes Δ online: it ticks over the
     /// live monitor every `interval`, as a timer on the wheel of the
-    /// thread that hosts every site, feeds each [`Msg::DeltaUpdate`]
+    /// host of every site, feeds each [`Msg::DeltaUpdate`]
     /// command to every running site in that loop, and shifts the
     /// monitor's judged schedule (widened by the same slack as the static
     /// bound) from each change's judged time. Every driver refuses, before
-    /// it starts a thread, what [`DeltaController::new`] refuses. `None`
+    /// it starts a host, what [`DeltaController::new`] refuses. `None`
     /// (the default) keeps the static Δ — and byte-identical behaviour
     /// with earlier drivers.
     ///
@@ -174,7 +176,7 @@ pub(crate) fn refuse_unrenderable(plan: &FaultPlan, driver: &str, cut: impl Fn(&
 /// in-memory store by default, or a [`WalStore`] under
 /// `<wal_dir>/shard-<i>` when a WAL directory is set. Opening a dirty
 /// directory recovers the previous incarnation's durable state — this is
-/// the single point where every real-time driver (threaded, reactor)
+/// the single point where every real-time driver (channel, reactor)
 /// decides what a shard remembers.
 pub(crate) fn build_shard_engine(
     protocol: ProtocolConfig,
@@ -235,7 +237,7 @@ impl LatencySummary {
     }
 }
 
-/// Everything a threaded run produces.
+/// Everything a real-time run produces.
 #[derive(Clone, Debug)]
 pub struct RuntimeResult {
     /// The recorded execution (sites are client indices), checker-ready.
@@ -395,188 +397,146 @@ impl TimeSource for TickClock {
     }
 }
 
-/// Cap on how many already-queued messages one loop pass drains beyond
-/// the blocking receive. Bounded so a message flood cannot postpone a due
-/// timer indefinitely; 128 messages is far past any burst a fleet
-/// produces between timer deadlines.
-const DRAIN_BATCH: usize = 128;
+/// A message in flight: from, to, what.
+type Sent = (NodeId, NodeId, Msg);
 
-/// What a channel inbox carries.
-enum Inbound {
-    /// A protocol message from node `from` to node `to`: one shard's own,
-    /// or one of the sites sharing the sites' inbox.
-    Msg { from: NodeId, to: NodeId, msg: Msg },
-    /// Exit once everything queued before this is served: [`run_threaded`]
-    /// sends it to every shard once the sites are done.
-    Stop,
-}
-
-/// The one blocking wait of a channel loop: the next item on `inbox`,
-/// waiting until `deadline` at most (`Ok(None)` once it has passed) or,
-/// without one, until something arrives. `Err` once every sender is gone.
-fn recv_by<T>(inbox: &Receiver<T>, deadline: Option<Instant>) -> Result<Option<T>, RecvError> {
-    let Some(deadline) = deadline else {
-        return inbox.recv().map(Some);
-    };
-    let wait = deadline.saturating_duration_since(Instant::now());
-    if wait.is_zero() {
-        return Ok(None);
-    }
-    match inbox.recv_timeout(wait) {
-        Ok(item) => Ok(Some(item)),
-        Err(RecvTimeoutError::Timeout) => Ok(None),
-        Err(RecvTimeoutError::Disconnected) => Err(RecvError),
-    }
-}
-
-/// The channel driver's transport: a send across an active partition is
-/// dropped, everything else goes straight into the receiver's inbox. A
-/// loop that has exited drops what it is sent — the simulator's
-/// dead-letter path.
-#[derive(Clone, Copy)]
-struct Queues<'a> {
-    /// Shard `i`'s inbox at `i`, the sites' one inbox last.
-    inboxes: &'a [Sender<Inbound>],
-    faults: &'a FaultPlan,
-    /// Whether `faults` cuts anything: a fault-free send consults no plan
-    /// and reads no clock.
-    partitioned: bool,
+/// The channel driver's transport: a host's sends wait here until the loop
+/// moves them onto its queue. A send across an active partition is
+/// dropped.
+struct Outbox<'a> {
+    sent: Vec<Sent>,
+    /// The run's fault plan, when it cuts anything: a fault-free send
+    /// consults no plan and reads no clock.
+    cuts: Option<&'a FaultPlan>,
     clock: TickClock,
 }
 
-impl Transport for Queues<'_> {
+impl Transport for Outbox<'_> {
     /// The channel driver arms no timer of its own.
     type Timer = Infallible;
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) {
-        if self.partitioned
-            && self
-                .faults
-                .partitions(self.clock.now(), from.index(), to.index())
-        {
-            return;
+        let cut = |plan: &FaultPlan| plan.partitions(self.clock.now(), from.index(), to.index());
+        if !self.cuts.is_some_and(cut) {
+            self.sent.push((from, to, msg));
         }
-        let inbox = to.index().min(self.inboxes.len() - 1);
-        let _ = self.inboxes[inbox].send(Inbound::Msg { from, to, msg });
     }
 }
 
-/// The channel loop: start the host, then, pass by pass, collect the due
-/// timers, block on the inbox towards the next deadline when nothing is
-/// due, drain a bounded batch of what else is queued, and serve the pass
-/// in order — the timers at the instant the pass began, every message at
-/// the one instant read after the drain.
+/// A pass's delivery: hands `queue` to `deliver` in order, message by
+/// message, until it is empty; `deliver` appends to it what the delivery
+/// sent.
+fn drain(queue: &mut VecDeque<Sent>, mut deliver: impl FnMut(Sent, &mut VecDeque<Sent>)) {
+    while let Some(sent) = queue.pop_front() {
+        deliver(sent, queue);
+    }
+}
+
+/// What the loop sleeps towards: the earliest deadline on any host's
+/// wheel.
 ///
 /// # Panics
 ///
-/// Panics if the inbox disconnects: the fleet builder holds every sender
-/// until the loop has ended.
-fn serve(host: &mut impl Serve<Link = Infallible>, inbox: &Receiver<Inbound>) {
+/// Panics when no wheel holds one. The loop asks only with a site
+/// unfinished and nothing queued, so the run could never move again.
+fn earliest_deadline(sites: &SiteHost<Outbox>, shards: &[ShardHost<Outbox>]) -> Instant {
+    shards
+        .iter()
+        .map(|shard| shard.timers.next_deadline())
+        .chain([sites.timers.next_deadline()])
+        .flatten()
+        .min()
+        .expect("the channel run stalled: a site is unfinished, nothing is queued and no timer is armed")
+}
+
+/// The channel loop the module's Layout describes: start every host, then
+/// serve passes until every site has finished with the queue drained.
+fn run_loop<'a>(sites: &mut SiteHost<Outbox<'a>>, shards: &mut [ShardHost<Outbox<'a>>]) {
     let _slack = TimerSlack::pin();
-    host.start(Instant::now());
-    // Scratch reused across passes; steady-state passes allocate nothing.
-    let mut due = Vec::new();
-    let mut msgs: Vec<(NodeId, NodeId, Msg)> = Vec::new();
-    let mut stopping = false;
-    while !stopping && !host.finished() {
-        // The sweep collects every due timer before any fires: serving one
-        // may arm new ones, which belong to the next pass.
-        let now = Instant::now();
-        host.timers().pop_due_into(now, &mut due);
-        if due.is_empty() {
-            // Block towards the next deadline — indefinitely with none
-            // armed: a message wakes the thread at once (the channel wait
-            // parks on a condvar).
-            match recv_by(inbox, host.timers().next_deadline())
-                .expect("the fleet builder holds every sender")
-            {
-                Some(Inbound::Msg { from, to, msg }) => msgs.push((from, to, msg)),
-                Some(Inbound::Stop) => stopping = true,
-                None => continue, // a deadline is due
-            }
-        }
-        // Opportunistically drain whatever else is already queued so a
-        // burst is served in one pass instead of one wakeup per message.
-        // The channel is FIFO and the batch is served in drain order, so
-        // per-sender ordering is exactly what sequential receives gave,
-        // and a stop comes after everything queued before it.
-        while !stopping && msgs.len() < DRAIN_BATCH {
-            match inbox.try_recv() {
-                Ok(Inbound::Msg { from, to, msg }) => msgs.push((from, to, msg)),
-                Ok(Inbound::Stop) => stopping = true,
-                Err(_) => break,
-            }
-        }
-        let received = if msgs.is_empty() { now } else { Instant::now() };
-        for &timer in &due {
-            let _ = host.fire(timer, now);
-        }
-        for (from, to, msg) in msgs.drain(..) {
-            host.deliver(from, to, msg, received);
-        }
+    let start = Instant::now();
+    for shard in shards.iter_mut() {
+        shard.start(start);
     }
+    sites.start(start);
+    // Scratch reused across passes; steady-state passes allocate nothing.
+    let (mut site_due, mut shard_due) = (Vec::new(), Vec::new());
+    let mut queue = VecDeque::new();
+    loop {
+        // Each wheel's sweep collects every due timer before any fires:
+        // serving one may arm new ones, which belong to a later pass.
+        let now = Instant::now();
+        sites.timers.pop_due_into(now, &mut site_due);
+        for &timer in &site_due {
+            let _ = sites.fire(timer, now);
+        }
+        queue.extend(sites.net.sent.drain(..));
+        for shard in shards.iter_mut() {
+            shard.timers.pop_due_into(now, &mut shard_due);
+            for &timer in &shard_due {
+                let _ = shard.fire(timer, now);
+            }
+            queue.extend(shard.net.sent.drain(..));
+        }
+        drain(&mut queue, |(from, to, msg), queue| {
+            let net = match shards.get_mut(to.index()) {
+                Some(shard) => {
+                    shard.deliver(from, msg, now);
+                    &mut shard.net
+                }
+                None => {
+                    sites.deliver(from, to, msg, now);
+                    &mut sites.net
+                }
+            };
+            queue.extend(net.sent.drain(..));
+        });
+        if sites.finished() {
+            break;
+        }
+        let deadline = earliest_deadline(sites, shards);
+        std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+    }
+    debug_assert!(queue.is_empty(), "the loop ends with the queue drained");
 }
 
 /// Runs one execution over in-process channels to completion and judges
 /// it.
 ///
-/// Node order is the simulator harness's, shards → sites. One thread per
-/// shard, each on its own inbox; every site on the calling thread, on one
-/// inbox. Once every site is done, each shard is sent an explicit stop.
+/// Node order is the simulator harness's, shards → sites. Every host runs
+/// on the calling thread, in one loop over one FIFO queue; it starts no
+/// thread.
 ///
 /// # Panics
 ///
-/// Panics if a shard thread panics, [`RuntimeConfig::faults`] holds a kind
-/// this driver cannot render, or the recorded trace violates a history
-/// invariant (a protocol bug — exactly what the monitor-in-the-loop
-/// runtime exists to surface).
+/// Panics if [`RuntimeConfig::faults`] holds a kind this driver cannot
+/// render, the run stalls (a site unfinished with nothing queued and no
+/// timer armed), or the recorded trace violates a history invariant (a
+/// protocol bug — exactly what the monitor-in-the-loop runtime exists to
+/// surface).
 #[must_use]
 pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
-    let shards = config.protocol.shards;
     refuse_unrenderable(&config.faults, "channel", |_| true);
     let clock = TickClock::new(config.tick);
     let controller = controller(config, &clock);
-    let (inboxes, mut receivers): (Vec<_>, Vec<_>) =
-        (0..=shards).map(|_| mpsc::channel::<Inbound>()).unzip();
-    let site_inbox = receivers.pop().expect("the sites' inbox");
-    let queues = Queues {
-        inboxes: &inboxes,
-        faults: &config.faults,
-        partitioned: config
-            .faults
-            .rules
-            .iter()
-            .any(|rule| matches!(rule.kind, FaultKind::Partition { .. })),
+    let plan = &config.faults;
+    let cuts = plan
+        .rules
+        .iter()
+        .any(|rule| matches!(rule.kind, FaultKind::Partition { .. }));
+    let outbox = || Outbox {
+        sent: Vec::new(),
+        cuts: cuts.then_some(plan),
         clock,
     };
-    let hosts: Vec<_> = (0..shards)
-        .map(|shard| ShardHost::new(config, shard, clock, queues))
+    let mut shards: Vec<_> = (0..config.protocol.shards)
+        .map(|shard| ShardHost::new(config, shard, clock, outbox()))
         .collect();
-
     let started = Instant::now();
-    let (sites, shard_requests, thread_metrics) = std::thread::scope(|scope| {
-        let workers: Vec<_> = hosts
-            .into_iter()
-            .zip(receivers)
-            .map(|(mut host, inbox)| {
-                scope.spawn(move || {
-                    serve(&mut host, &inbox);
-                    host.finish()
-                })
-            })
-            .collect();
-        let mut sites = SiteHost::new(config, clock, queues, controller);
-        serve(&mut sites, &site_inbox);
-        for tx in &inboxes[..shards] {
-            let _ = tx.send(Inbound::Stop);
-        }
-        let (shard_requests, thread_metrics): (Vec<u64>, Vec<Metrics>) = workers
-            .into_iter()
-            .map(|w| w.join().expect("shard thread panicked"))
-            .unzip();
-        (sites, shard_requests, thread_metrics)
-    });
-    sites.finish_run(thread_metrics, shard_requests, started.elapsed())
+    let mut sites = SiteHost::new(config, clock, outbox(), controller);
+    run_loop(&mut sites, &mut shards);
+    let (shard_requests, shard_metrics): (Vec<u64>, Vec<Metrics>) =
+        shards.into_iter().map(ShardHost::finish).unzip();
+    sites.finish_run(shard_metrics, shard_requests, started.elapsed())
 }
 
 #[cfg(test)]
@@ -852,8 +812,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// Both real drivers refuse an inverted band before they start a
-    /// thread (the reactor would otherwise wait on its shards forever).
+    /// Both real drivers refuse an inverted band before they start a host
+    /// (the reactor would otherwise wait on its shards forever).
     #[test]
     fn real_drivers_refuse_an_inverted_band() {
         let mut cfg = small(ProtocolKind::Tsc { delta: Delta::ZERO }, 41);
@@ -907,66 +867,64 @@ pub(crate) mod tests {
         );
     }
 
+    fn fault_free(clock: TickClock) -> Outbox<'static> {
+        Outbox {
+            sent: Vec::new(),
+            cuts: None,
+            clock,
+        }
+    }
+
+    /// The loop's one queue is FIFO: 500 fetches queued from one site to
+    /// a shard before any is delivered are served in that order, and their
+    /// replies, queued behind the last fetch, come back with epochs
+    /// `0..500` in order.
     #[test]
-    fn server_batch_drain_preserves_request_order() {
-        // Pre-fill a shard's inbox far beyond one drain batch before its
-        // channel loop runs at all, so every message is served through the
-        // batched try_recv path, with a stop queued behind the backlog and
-        // one more request behind the stop — then assert the replies on the
-        // sites' inbox echo the request epochs in exactly the order the
-        // requests were enqueued, and that the shard stopped where it was
-        // told to.
+    fn the_loop_delivers_its_queue_in_order() {
         let cfg = small(ProtocolKind::sc(), 0);
         let clock = TickClock::new(cfg.tick);
-        let (to_shard, shard_inbox) = mpsc::channel::<Inbound>();
-        let (to_sites, site_inbox) = mpsc::channel::<Inbound>();
-        let (shard, client) = (NodeId::new(0), NodeId::new(1));
+        let (shard, site) = (NodeId::new(0), NodeId::new(1));
+        let mut host = ShardHost::new(&cfg, 0, clock, fault_free(clock));
+        let now = Instant::now();
+        host.start(now);
         let n = 500u64;
-        let fetch = |epoch| {
-            let object = tc_core::ObjectId::new(0);
-            let msg = Msg::FetchReq { object, epoch };
-            Inbound::Msg {
-                from: client,
-                to: shard,
-                msg,
-            }
-        };
-        for epoch in 0..n {
-            to_shard.send(fetch(epoch)).unwrap();
-        }
-        to_shard.send(Inbound::Stop).unwrap();
-        to_shard.send(fetch(n)).unwrap();
-        let inboxes = [to_shard, to_sites];
-        let queues = Queues {
-            inboxes: &inboxes,
-            faults: &cfg.faults,
-            partitioned: false,
-            clock,
-        };
-        let mut host = ShardHost::new(&cfg, 0, clock, queues);
-        serve(&mut host, &shard_inbox);
-        let (served, _) = host.finish();
-        assert_eq!(served, n, "the backlog is served, nothing past the stop");
-        let epochs: Vec<u64> = site_inbox
-            .try_iter()
-            .map(|inbound| match inbound {
-                Inbound::Msg {
-                    from,
-                    to,
-                    msg: Msg::FetchRep { epoch, .. },
-                } => {
-                    assert_eq!((from, to), (shard, client));
-                    epoch
-                }
-                Inbound::Msg { msg, .. } => panic!("unexpected reply {msg:?}"),
-                Inbound::Stop => panic!("a shard never stops the sites"),
-            })
+        let object = tc_core::ObjectId::new(0);
+        let mut queue: VecDeque<Sent> = (0..n)
+            .map(|epoch| (site, shard, Msg::FetchReq { object, epoch }))
             .collect();
+        let mut epochs = Vec::new();
+        drain(&mut queue, |(from, to, msg), queue| {
+            if to == shard {
+                host.deliver(from, msg, now);
+                queue.extend(host.net.sent.drain(..));
+                return;
+            }
+            assert_eq!((from, to), (shard, site));
+            match msg {
+                Msg::FetchRep { epoch, .. } => epochs.push(epoch),
+                msg => panic!("unexpected reply {msg:?}"),
+            }
+        });
+        assert!(queue.is_empty());
+        assert_eq!(host.finish().0, n, "every fetch is served");
         assert_eq!(
             epochs,
             (0..n).collect::<Vec<_>>(),
-            "batched draining must preserve channel FIFO order"
+            "the queue must deliver in the order it was filled"
         );
+    }
+
+    /// With a site unfinished, nothing queued and no timer armed, a run on
+    /// one thread can never move again: the loop panics instead of
+    /// sleeping forever.
+    #[test]
+    #[should_panic(expected = "the channel run stalled")]
+    fn a_run_that_cannot_progress_panics() {
+        let cfg = small(ProtocolKind::sc(), 0);
+        let clock = TickClock::new(cfg.tick);
+        // Unstarted: no site has armed a timer.
+        let sites = SiteHost::new(&cfg, clock, fault_free(clock), None);
+        let _ = earliest_deadline(&sites, &[]);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!    *timed*.
 //! 2. Run the paper's §5 lifetime protocol in the simulator and verify the
 //!    recorded execution mechanically.
-//! 3. Run the same protocol on real threads, judged live by the on-time
+//! 3. Run the same protocol in real time, judged live by the on-time
 //!    monitor.
 //!
 //! Run with: `cargo run --example quickstart`
@@ -52,8 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     assert!(min_delta(&result.history) <= Delta::from_ticks(100 + 2 * 2 + 4));
 
-    // ── 3. The same engines on real threads, judged live ────────────────
-    // Every site on this thread, one OS thread per shard, 50 µs ticks;
+    // ── 3. The same engines in real time, judged live ───────────────────
+    // Every site and the shard in one loop on this thread, 50 µs ticks;
     // every completed operation goes through a live on-time monitor, so
     // the verdict below is about the execution that actually happened.
     let run = run_threaded(&RuntimeConfig::for_protocol(

@@ -1,10 +1,10 @@
 //! The paper's §4 motivation, live: a multi-user virtual environment where
 //! "the action of one user must be seen by others in a timely fashion".
 //!
-//! Four players share sixteen hot objects over real threads
-//! (`run_threaded`: the §5 lifetime protocol, every site on the calling
-//! thread and one OS thread per shard, a live on-time monitor judging
-//! every operation) under three regimes of the Δ knob:
+//! Four players share sixteen hot objects in real time (`run_threaded`:
+//! the §5 lifetime protocol, every site and every shard in one loop on the
+//! calling thread, a live on-time monitor judging every operation) under
+//! three regimes of the Δ knob:
 //!
 //! * **Causal (Δ = ∞)** — cached reads return instantly and may be
 //!   arbitrarily stale: the Figure 1 pathology.

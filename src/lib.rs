@@ -12,8 +12,9 @@
 //!   plan for loss and clock skew, workloads).
 //! * [`lifetime`] — the §5 lifetime-based consistency protocols (SC, TSC,
 //!   CC, TCC, and the logical-clock TCC approximation).
-//! * [`store`] — the real-time drivers of those protocols (threads over
-//!   channels, epoll over TCP), judged by a live on-time monitor.
+//! * [`store`] — the real-time drivers of those protocols (one loop over
+//!   an in-process queue, epoll over TCP), judged by a live on-time
+//!   monitor.
 //! * [`durable`] — a WAL+snapshot shard storage backend: crash–restart
 //!   recovers durable state by replay instead of forgetting it.
 //!
