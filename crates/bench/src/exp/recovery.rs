@@ -92,7 +92,7 @@ fn run_cell(kind: ProtocolKind, name: &'static str, policy: FsyncPolicy, seed: u
         ops_per_client: OPS,
         world: WorldConfig::deterministic(Delta::from_ticks(3), seed),
     };
-    let plan = FaultPlan::none().kill_shard(Window::ticks(250, 650), 0);
+    let plan = FaultPlan::none().crash(Window::ticks(250, 650), 0);
     let root = std::env::temp_dir().join(format!(
         "tc-recovery-{}-{}-{name}-{seed}",
         std::process::id(),

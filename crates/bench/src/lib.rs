@@ -1,7 +1,6 @@
 //! The experiment runner (`tc-exp`, [`exp`]) and the plumbing it shares
-//! with the Criterion benches and the root test suites: table rendering,
-//! the ordered worker pool, and the standard run configuration every
-//! sweep draws from.
+//! with the root test suites: table rendering, the ordered worker pool,
+//! and the standard run configuration every sweep draws from.
 //!
 //! Each `tc-exp` subcommand regenerates one of the paper's figures or one
 //! of the simulation studies its conclusion promises; [`exp::EXPERIMENTS`]

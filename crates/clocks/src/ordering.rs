@@ -34,26 +34,6 @@ impl ClockOrdering {
         }
     }
 
-    /// Whether the verdict is [`ClockOrdering::Before`].
-    #[must_use]
-    pub fn is_before(self) -> bool {
-        self == ClockOrdering::Before
-    }
-
-    /// Whether the verdict is [`ClockOrdering::Before`] or
-    /// [`ClockOrdering::Equal`] — the reflexive closure used when advancing
-    /// lifetime bounds in the protocols of §5.
-    #[must_use]
-    pub fn is_before_or_equal(self) -> bool {
-        matches!(self, ClockOrdering::Before | ClockOrdering::Equal)
-    }
-
-    /// Whether the verdict is [`ClockOrdering::Concurrent`].
-    #[must_use]
-    pub fn is_concurrent(self) -> bool {
-        self == ClockOrdering::Concurrent
-    }
-
     /// The verdict two independent clocks agree on, used by combined
     /// plausible clocks (the `Comb` construction of Torres-Rojas & Ahamad):
     /// if the component verdicts differ, the only safe answer is
@@ -187,16 +167,6 @@ mod tests {
         assert_eq!(After.intersect(Equal), After);
         assert_eq!(Concurrent.intersect(Before), Concurrent);
         assert_eq!(Equal.intersect(Equal), Equal);
-    }
-
-    #[test]
-    fn predicate_helpers() {
-        assert!(ClockOrdering::Before.is_before());
-        assert!(!ClockOrdering::After.is_before());
-        assert!(ClockOrdering::Before.is_before_or_equal());
-        assert!(ClockOrdering::Equal.is_before_or_equal());
-        assert!(!ClockOrdering::Concurrent.is_before_or_equal());
-        assert!(ClockOrdering::Concurrent.is_concurrent());
     }
 
     #[test]

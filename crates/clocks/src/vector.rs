@@ -94,12 +94,6 @@ impl VectorClock {
         self.site
     }
 
-    /// The entry owned by this clock's site.
-    #[must_use]
-    pub fn own_entry(&self) -> u64 {
-        self.entries[self.site]
-    }
-
     /// Componentwise `<=` — the reflexive causal order on vector times.
     #[must_use]
     pub fn dominated_by(&self, other: &VectorClock) -> bool {
@@ -108,13 +102,6 @@ impl VectorClock {
             .iter()
             .zip(other.entries.iter())
             .all(|(a, b)| a <= b)
-    }
-
-    /// Total number of events this timestamp knows about — the "amount of
-    /// global activity" reading of §5.4 (the [`crate::SumXi`] map).
-    #[must_use]
-    pub fn total_events(&self) -> u64 {
-        self.entries.iter().sum()
     }
 }
 
@@ -248,7 +235,6 @@ mod tests {
         c.tick();
         c.tick();
         assert_eq!(c.entries(), &[0, 2, 0]);
-        assert_eq!(c.own_entry(), 2);
     }
 
     #[test]
@@ -306,12 +292,6 @@ mod tests {
         let j = a.join(&b);
         assert!(a.dominated_by(&j));
         assert!(b.dominated_by(&j));
-    }
-
-    #[test]
-    fn total_events_sums_entries() {
-        assert_eq!(vc(0, &[35, 4, 0, 72]).total_events(), 111);
-        assert_eq!(vc(0, &[2, 1, 0, 18]).total_events(), 21);
     }
 
     #[test]

@@ -24,7 +24,6 @@ use crate::{CausalOrder, History, OpId, Serialization, SiteId, Value};
 pub struct CcVerdict {
     outcome: Outcome,
     witnesses: Option<Vec<Serialization>>,
-    states: usize,
 }
 
 impl CcVerdict {
@@ -44,12 +43,6 @@ impl CcVerdict {
     #[must_use]
     pub fn witnesses(&self) -> Option<&[Serialization]> {
         self.witnesses.as_deref()
-    }
-
-    /// Total search states visited across sites.
-    #[must_use]
-    pub fn states_explored(&self) -> usize {
-        self.states
     }
 }
 
@@ -79,11 +72,9 @@ pub fn satisfies_cc_with(history: &History, opts: SearchOptions) -> CcVerdict {
         return CcVerdict {
             outcome: Outcome::Violated,
             witnesses: None,
-            states: 0,
         };
     }
     let mut witnesses = Vec::with_capacity(history.n_sites());
-    let mut states = 0usize;
     for site in 0..history.n_sites() {
         let mut search = SiteSearch::new(history, &co, SiteId::new(site), opts);
         match search.run() {
@@ -92,23 +83,19 @@ pub fn satisfies_cc_with(history: &History, opts: SearchOptions) -> CcVerdict {
                 return CcVerdict {
                     outcome: Outcome::Violated,
                     witnesses: None,
-                    states: states + search.states,
                 }
             }
             None => {
                 return CcVerdict {
                     outcome: Outcome::Inconclusive,
                     witnesses: None,
-                    states: states + search.states,
                 }
             }
         }
-        states += search.states;
     }
     CcVerdict {
         outcome: Outcome::Satisfied,
         witnesses: Some(witnesses),
-        states,
     }
 }
 

@@ -272,8 +272,8 @@ impl OnTimeMonitor {
     }
 
     /// Reads still waiting for their source write.
-    #[must_use]
-    pub fn pending_reads(&self) -> usize {
+    #[cfg(test)]
+    fn pending_reads(&self) -> usize {
         self.pending_count
     }
 

@@ -26,7 +26,6 @@ use crate::{History, OpId, Serialization, SiteId, Value};
 pub struct ScVerdict {
     outcome: Outcome,
     witness: Option<Serialization>,
-    states: usize,
 }
 
 impl ScVerdict {
@@ -46,12 +45,6 @@ impl ScVerdict {
     #[must_use]
     pub fn witness(&self) -> Option<&Serialization> {
         self.witness.as_ref()
-    }
-
-    /// Number of distinct search states visited (ablation metric).
-    #[must_use]
-    pub fn states_explored(&self) -> usize {
-        self.states
     }
 }
 
@@ -79,7 +72,6 @@ pub fn satisfies_sc_with(history: &History, opts: SearchOptions) -> ScVerdict {
     ScVerdict {
         outcome,
         witness: search.witness.map(Serialization::new),
-        states: search.states,
     }
 }
 
@@ -325,15 +317,6 @@ mod tests {
         let h = b.build().unwrap();
         let v = satisfies_sc_with(&h, SearchOptions { max_states: 1 });
         assert_eq!(v.outcome(), Outcome::Inconclusive);
-        assert!(v.states_explored() >= 1);
-    }
-
-    #[test]
-    fn states_counter_reports_work() {
-        let h = History::parse("w0(X)1@10 r1(X)1@20").unwrap();
-        let v = satisfies_sc(&h);
-        assert!(v.holds());
-        assert!(v.states_explored() >= 1);
     }
 
     #[test]

@@ -53,21 +53,6 @@ impl StalenessStats {
         StalenessStats { per_read }
     }
 
-    /// Number of reads analyzed.
-    #[must_use]
-    pub fn n_reads(&self) -> usize {
-        self.per_read.len()
-    }
-
-    /// Number of reads that returned the freshest available value.
-    #[must_use]
-    pub fn fresh_reads(&self) -> usize {
-        self.per_read
-            .iter()
-            .filter(|(_, age)| *age == Delta::ZERO)
-            .count()
-    }
-
     /// Number of reads that missed at least one older-than-Δ write.
     #[must_use]
     pub fn stale_reads(&self, delta: Delta) -> usize {
@@ -129,8 +114,8 @@ mod tests {
     fn fresh_history_has_zero_staleness() {
         let h = History::parse("w0(X)1@10 r1(X)1@20 w0(X)2@30 r1(X)2@40").unwrap();
         let s = StalenessStats::of(&h);
-        assert_eq!(s.n_reads(), 2);
-        assert_eq!(s.fresh_reads(), 2);
+        assert_eq!(s.per_read().len(), 2);
+        assert_eq!(s.stale_reads(Delta::ZERO), 0, "every read is fresh");
         assert_eq!(s.max_staleness(), Delta::ZERO);
         assert_eq!(s.mean_staleness(), 0.0);
     }
@@ -150,8 +135,8 @@ mod tests {
     fn stale_read_counting() {
         let h = History::parse("w0(X)7@100 w1(X)1@80 r1(X)1@140 r1(X)1@220").unwrap();
         let s = StalenessStats::of(&h);
-        assert_eq!(s.n_reads(), 2);
-        assert_eq!(s.fresh_reads(), 0);
+        assert_eq!(s.per_read().len(), 2);
+        assert_eq!(s.stale_reads(Delta::ZERO), 2, "no read is fresh");
         // Ages are 40 and 120.
         assert_eq!(s.stale_reads(Delta::from_ticks(39)), 2);
         assert_eq!(s.stale_reads(Delta::from_ticks(40)), 1);
@@ -181,7 +166,7 @@ mod tests {
     #[test]
     fn empty_history() {
         let s = StalenessStats::of(&History::empty());
-        assert_eq!(s.n_reads(), 0);
+        assert!(s.per_read().is_empty());
         assert_eq!(s.quantile(0.5), Delta::ZERO);
         assert_eq!(s.mean_staleness(), 0.0);
     }

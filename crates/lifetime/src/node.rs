@@ -248,13 +248,13 @@ const TIMER_OUTAGE_EDGE: u64 = u64::MAX - 3;
 
 impl OutageGate {
     /// The gate for shard node `shard`: the windows of `faults`'
-    /// [`FaultKind::KillShard`] rules that name it.
+    /// [`FaultKind::Crash`] rules that name it.
     fn new(shard: usize, faults: &FaultPlan) -> Self {
         OutageGate {
             windows: faults
                 .rules
                 .iter()
-                .filter(|rule| rule.kind == FaultKind::KillShard { shard })
+                .filter(|rule| rule.kind == FaultKind::Crash { node: shard })
                 .map(|rule| (rule.window.from, rule.window.until))
                 .collect(),
             down: false,
@@ -310,7 +310,7 @@ pub struct ShardCore<T> {
 
 impl<T: TimeSource> ShardCore<T> {
     /// The core of shard node `me`, killed and restarted as the
-    /// [`FaultKind::KillShard`] rules of `faults` that name it say.
+    /// [`FaultKind::Crash`] rules of `faults` that name it say.
     pub fn new(engine: ServerEngine, time: T, me: NodeId, faults: &FaultPlan) -> Self {
         ShardCore {
             engine,
@@ -404,9 +404,9 @@ mod tests {
     #[test]
     fn outage_gate_reports_edges_once_per_window() {
         let outages = FaultPlan::none()
-            .kill_shard(Window::ticks(10, 20), 0)
-            .kill_shard(Window::ticks(0, 5), 1) // another shard
-            .crash(Window::ticks(0, 5), 0); // the simulator's alone
+            .crash(Window::ticks(10, 20), 0)
+            .crash(Window::ticks(0, 5), 1) // another shard
+            .partition(Window::ticks(0, 5), vec![0]); // not a crash
         let mut gate = OutageGate::new(0, &outages);
         // Armed from tick 4: one edge timer due at each of 10 and 20.
         let mut edges = Vec::new();

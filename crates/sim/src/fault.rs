@@ -158,21 +158,15 @@ pub enum FaultKind {
     /// force: the outage window is charged either way, but only a durable
     /// backend's fsync deadline adds a visibility term (see
     /// `tc_lifetime::oracle`).
+    ///
+    /// Under the harness layout nodes `0..shards` are the server shards,
+    /// in every driver, so a crash of node `s < shards` kills shard `s`.
+    /// The simulator crashes any node; the real-time drivers render a
+    /// shard's crash through its shard core's outage gate and refuse a
+    /// site's.
     Crash {
         /// The crashed node.
         node: usize,
-    },
-    /// Kill server shard `shard` at the window start and restart it at the
-    /// window end — the shard-targeted form of [`FaultKind::Crash`], named
-    /// so plans read as storage experiments ("kill shard 0 mid-run, does
-    /// recovery replay?"). The node index *is* the shard index under the
-    /// harness layout (nodes `0..shards` are the server shards, in every
-    /// driver). Drivers honour it like a crash: the simulator through the
-    /// crash schedule, the real-time drivers through their shard core's
-    /// outage gate.
-    KillShard {
-        /// The killed shard (= node index).
-        shard: usize,
     },
 }
 
@@ -240,14 +234,6 @@ impl FaultPlan {
     #[must_use]
     pub fn crash(self, window: Window, node: usize) -> Self {
         self.with(window, Scope::All, FaultKind::Crash { node })
-    }
-
-    /// Shorthand: kill server shard `shard` at `window.from`, restart it at
-    /// `window.until` (the `KillShard`/`RestartShard` pair as one windowed
-    /// rule, mirroring [`FaultPlan::crash`]).
-    #[must_use]
-    pub fn kill_shard(self, window: Window, shard: usize) -> Self {
-        self.with(window, Scope::All, FaultKind::KillShard { shard })
     }
 
     /// Whether a `src → dst` message sent at `now` is killed by a drop or
@@ -348,9 +334,7 @@ impl FaultPlan {
         self.rules
             .iter()
             .filter_map(|r| match r.kind {
-                FaultKind::Crash { node } | FaultKind::KillShard { shard: node } => {
-                    Some((node, r.window.from, r.window.until))
-                }
+                FaultKind::Crash { node } => Some((node, r.window.from, r.window.until)),
                 _ => None,
             })
             .collect()
@@ -380,9 +364,7 @@ impl FaultPlan {
                     }
                     outage = outage.max(rule.window.len().ticks());
                 }
-                FaultKind::Partition { .. }
-                | FaultKind::Crash { .. }
-                | FaultKind::KillShard { .. } => {
+                FaultKind::Partition { .. } | FaultKind::Crash { .. } => {
                     if rule.window.until == Time::MAX {
                         return None;
                     }
@@ -577,19 +559,10 @@ mod tests {
 
     #[test]
     fn crash_schedule_lists_crash_rules() {
-        let plan = FaultPlan::none().crash(Window::ticks(10, 50), 3);
-        assert_eq!(
-            plan.crash_schedule(),
-            vec![(3, Time::from_ticks(10), Time::from_ticks(50))]
-        );
-    }
-
-    #[test]
-    fn kill_shard_joins_the_crash_schedule() {
         let plan = FaultPlan::none()
             .crash(Window::ticks(10, 50), 3)
-            .kill_shard(Window::ticks(100, 250), 0);
-        // The simulator sees both through the crash schedule.
+            .crash(Window::ticks(100, 250), 0);
+        // A site's crash and a shard's are one schedule.
         assert_eq!(
             plan.crash_schedule(),
             vec![
@@ -597,10 +570,10 @@ mod tests {
                 (0, Time::from_ticks(100), Time::from_ticks(250)),
             ]
         );
-        // The outage window is charged like any crash.
+        // The outage window is charged like any outage.
         assert_eq!(plan.max_disruption(), Some(Delta::from_ticks(150)));
-        // A never-restarting shard admits no finite disruption bound.
-        let endless = FaultPlan::none().kill_shard(Window::always(), 0);
+        // A never-restarting node admits no finite disruption bound.
+        let endless = FaultPlan::none().crash(Window::always(), 0);
         assert_eq!(endless.max_disruption(), None);
     }
 

@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod host;
-mod jitter;
 pub mod reactor;
 pub mod runtime;
 mod wheel;

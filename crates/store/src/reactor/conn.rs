@@ -434,7 +434,7 @@ mod tests {
             // reactor acts on; an open one must still be pollable.
             if close.is_none() {
                 assert!(
-                    !conn.decoder.is_poisoned(),
+                    conn.decoder.next_frame().is_ok(),
                     "{}: open conn poisoned",
                     case.name
                 );

@@ -132,7 +132,6 @@ use tc_sim::{FaultKind, Metrics, NodeId};
 use tc_wire::{write_frame, WireMsg};
 
 use crate::host::{controller, ShardHost, ShardTimer, SiteHost, SiteTimer, Transport};
-use crate::jitter::link_seed;
 use crate::runtime::{refuse_unrenderable, RuntimeConfig, RuntimeResult, TickClock};
 
 use sys::{EpollEvent, EPOLLIN};
@@ -166,6 +165,15 @@ fn redial_delay(attempt: u32, seed: u64) -> Duration {
     let r = splitmix64(seed ^ u64::from(attempt));
     let frac = 0.5 + (r >> 11) as f64 / (1u64 << 53) as f64 * 0.5;
     slot.mul_f64(frac)
+}
+
+/// The jitter seed of the client reactor's link to one shard (every
+/// hosted site shares it): deterministic per run — identical
+/// configurations replay identical backoff schedules — yet distinct per
+/// shard, so the redials of links that died together do not stay
+/// synchronized.
+fn link_seed(run_seed: u64, shard: usize) -> u64 {
+    splitmix64(run_seed ^ shard as u64)
 }
 
 /// Configuration of one reactor run: the common runtime knobs plus the
@@ -764,8 +772,9 @@ pub fn run_reactor(config: &RuntimeConfig) -> RuntimeResult {
 ///
 /// As [`run_reactor`]; additionally if the fleet has more sites than a
 /// frame header's lane can name (65 536, lanes `0..=u16::MAX`), if
-/// [`RuntimeConfig::faults`] holds a kind the reactor cannot render —
-/// anything but `KillShard` and a `Partition` of exactly one shard — or
+/// [`RuntimeConfig::faults`] holds a rule the reactor cannot render —
+/// anything but a shard's `Crash` and a `Partition` of exactly one
+/// shard — or
 /// if a listener cannot be bound.
 #[must_use]
 pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
@@ -777,7 +786,7 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         rc.n_clients
     );
     refuse_unrenderable(
-        &rc.faults,
+        rc,
         "reactor",
         |isolated| matches!(isolated, [node] if *node < shards),
     );
@@ -872,6 +881,15 @@ mod tests {
         }
         // Different seeds de-synchronise (thundering-herd protection).
         assert_ne!(redial_delay(3, 1), redial_delay(3, 2));
+    }
+
+    #[test]
+    fn link_seed_is_deterministic_and_distinct_per_link() {
+        assert_eq!(link_seed(7, 2), link_seed(7, 2));
+        // Both coordinates matter: shard and run seed each
+        // de-synchronise the schedule.
+        assert_ne!(link_seed(7, 2), link_seed(7, 3));
+        assert_ne!(link_seed(7, 2), link_seed(8, 2));
     }
 
     /// Runs shard 0 of `cfg` as a live reactor on a fresh loopback
@@ -1110,6 +1128,16 @@ mod tests {
     fn a_fleet_wider_than_the_lane_space_is_refused() {
         let mut cfg = small(ProtocolKind::sc(), 43);
         cfg.n_clients = 65_537;
+        let _ = run_reactor(&cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "the reactor driver cannot render Crash { node: 2 }")]
+    fn a_site_crash_is_refused_by_the_reactor() {
+        // Two shards: node 2 is the first site.
+        let mut cfg = small(ProtocolKind::sc(), 53);
+        cfg.protocol = cfg.protocol.with_shards(2);
+        cfg.faults = tc_sim::FaultPlan::none().crash(tc_sim::Window::ticks(10, 20), 2);
         let _ = run_reactor(&cfg);
     }
 

@@ -92,11 +92,12 @@ pub struct RuntimeConfig {
     pub wal_dir: Option<PathBuf>,
     /// Faults to inject, in protocol ticks, with node indices in the
     /// simulator harness's layout — the simulator's own plan type. A real
-    /// driver renders [`FaultKind::KillShard`] through the shard core's
-    /// outage gate and [`FaultKind::Partition`] on its transport (the
-    /// channel driver drops a send across the cut; the reactor kills and
-    /// rebinds one shard's listener and links), and refuses every other
-    /// kind with a panic naming it. Empty by default.
+    /// driver renders a shard's [`FaultKind::Crash`] through the shard
+    /// core's outage gate and [`FaultKind::Partition`] on its transport
+    /// (the channel driver drops a send across the cut; the reactor kills
+    /// and rebinds one shard's listener and links), and refuses every
+    /// other rule, a site's crash included, with a panic naming it. Empty
+    /// by default.
     pub faults: FaultPlan,
     /// When set, a [`DeltaController`] retunes Δ online: it ticks over the
     /// live monitor every `interval`, as a timer on the wheel of the
@@ -152,15 +153,19 @@ impl RuntimeConfig {
     }
 }
 
-/// Panics, naming the kind, on the first rule of `plan` the `driver`
-/// cannot render. Every real driver renders [`FaultKind::KillShard`];
-/// `cut` says which isolated sets it renders a [`FaultKind::Partition`]
-/// for. Message faults, clock skew and node crashes are the simulator's
-/// alone.
-pub(crate) fn refuse_unrenderable(plan: &FaultPlan, driver: &str, cut: impl Fn(&[usize]) -> bool) {
-    for rule in &plan.rules {
+/// Panics, naming the kind, on the first rule of `config`'s fault plan
+/// the `driver` cannot render. Every real driver renders the
+/// [`FaultKind::Crash`] of a shard (nodes `0..shards`); `cut` says which
+/// isolated sets it renders a [`FaultKind::Partition`] for. Message
+/// faults, clock skew and a site's crash are the simulator's alone.
+pub(crate) fn refuse_unrenderable(
+    config: &RuntimeConfig,
+    driver: &str,
+    cut: impl Fn(&[usize]) -> bool,
+) {
+    for rule in &config.faults.rules {
         let rendered = match &rule.kind {
-            FaultKind::KillShard { .. } => true,
+            FaultKind::Crash { node } => *node < config.protocol.shards,
             FaultKind::Partition { isolated } => cut(isolated),
             _ => false,
         };
@@ -515,7 +520,7 @@ fn run_loop<'a>(sites: &mut SiteHost<Outbox<'a>>, shards: &mut [ShardHost<Outbox
 /// surface).
 #[must_use]
 pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
-    refuse_unrenderable(&config.faults, "channel", |_| true);
+    refuse_unrenderable(config, "channel", |_| true);
     let clock = TickClock::new(config.tick);
     let controller = controller(config, &clock);
     let plan = &config.faults;
@@ -601,7 +606,7 @@ pub(crate) mod tests {
             // mid-run; MONITOR_SLACK (20 000 ticks) dwarfs the 1 000-tick
             // outage. On the reactor the link stays up throughout, only
             // the engine dies.
-            cfg.faults = FaultPlan::none().kill_shard(Window::ticks(300, 1_300), 0);
+            cfg.faults = FaultPlan::none().crash(Window::ticks(300, 1_300), 0);
             assert_recovered_by_replay(&run(&cfg), 2 * 200);
             let _ = std::fs::remove_dir_all(&wal);
         }
@@ -624,6 +629,15 @@ pub(crate) mod tests {
         let r = run_threaded(&cfg);
         assert_done_on_time(&r, 2 * 200);
         assert!(r.counter(names::RETRY) > 0, "the cut must force retries");
+    }
+
+    #[test]
+    #[should_panic(expected = "the channel driver cannot render Crash { node: 1 }")]
+    fn a_site_crash_is_refused_by_the_channel_driver() {
+        // One shard: node 1 is the first site.
+        let mut cfg = small(ProtocolKind::sc(), 3);
+        cfg.faults = FaultPlan::none().crash(Window::ticks(10, 20), 1);
+        let _ = run_threaded(&cfg);
     }
 
     #[test]

@@ -108,12 +108,6 @@ impl FrameDecoder {
         self.pending.is_some() || self.buffered() > 0
     }
 
-    /// Whether the stream has produced an unrecoverable decode error.
-    #[must_use]
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.is_some()
-    }
-
     /// Extracts the next complete frame, if one has fully arrived.
     ///
     /// * `Ok(Some((lane, msg)))` — a frame was decoded and consumed.
@@ -237,7 +231,7 @@ mod tests {
         dec.extend(&frame);
         let first = dec.next_frame().expect_err("magic must fail");
         assert!(matches!(first, WireError::BadMagic { .. }));
-        assert!(dec.is_poisoned());
+        assert!(dec.poisoned.is_some());
         assert_eq!(dec.buffered(), 0, "poisoned buffers are dropped");
         // Later bytes are ignored, the error repeats.
         dec.extend(&encode_frame(0, &WireMsg::Bye));

@@ -369,7 +369,7 @@ fn sharded_fleet_survives_drop_and_reorder_faults() {
     });
 }
 
-/// `KillShard` over the WAL backend: a seeded kill/restart of a durable
+/// A shard's crash over the WAL backend: a seeded kill/restart of a durable
 /// shard must recover its version store and causal cursors *by replay* —
 /// the oracle stays green, the restart demonstrably replays log records,
 /// and under per-write fsync nothing is ever lost (the unsynced tail, the
@@ -394,7 +394,7 @@ fn kill_shard_over_wal_recovers_by_replay() {
             .with_durability(DurabilityMode::Durable {
                 fsync: FsyncPolicy::PER_WRITE,
             });
-        let plan = FaultPlan::none().kill_shard(Window::ticks(250, 650), 0);
+        let plan = FaultPlan::none().crash(Window::ticks(250, 650), 0);
         let root = std::env::temp_dir().join(format!(
             "tc-conformance-{}-{}-{seed}",
             std::process::id(),
