@@ -1,8 +1,7 @@
 //! The one argument parser behind every `tc-exp` subcommand.
 //!
 //! Each experiment declares the flags it takes as a list of [`Key`]s;
-//! [`Args::parse`] accepts exactly those plus the global `--json`, and
-//! turns everything else — an unknown or misspelt flag, a value-taking
+//! [`Args::parse`] accepts exactly those, and turns everything else — an unknown or misspelt flag, a value-taking
 //! flag with no value, a value of the wrong type, a flag given twice, a
 //! stray positional — into an error the binary reports with usage and
 //! exit status 2. A typo never falls back to a default silently.
@@ -37,9 +36,6 @@ impl Key {
     }
 }
 
-/// `--json`, accepted by every experiment: print tables as JSON.
-const JSON: Key = Key::new("json", Takes::Switch);
-
 /// The parsed command line of one experiment: the flags given, each with
 /// its validated value (empty for a switch).
 #[derive(Debug)]
@@ -60,7 +56,7 @@ impl Args {
         while let Some(word) = words.next() {
             let key = word
                 .strip_prefix("--")
-                .and_then(|name| std::iter::once(&JSON).chain(keys).find(|k| k.name == name))
+                .and_then(|name| keys.iter().find(|k| k.name == name))
                 .ok_or_else(|| format!("unknown flag `{word}`"))?;
             if given.iter().any(|(name, _)| *name == key.name) {
                 return Err(format!("`{word}` given twice"));
@@ -97,7 +93,7 @@ impl Args {
     #[must_use]
     pub fn text(&self, name: &str) -> Option<&str> {
         assert!(
-            name == JSON.name || self.keys.iter().any(|k| k.name == name),
+            self.keys.iter().any(|k| k.name == name),
             "experiment reads undeclared flag --{name}"
         );
         self.given
@@ -124,7 +120,7 @@ impl Args {
 #[must_use]
 pub fn usage(name: &str, keys: &[Key]) -> String {
     let mut out = format!("usage: tc-exp {name}");
-    for key in std::iter::once(&JSON).chain(keys) {
+    for key in keys {
         out += &match key.takes {
             Takes::Switch => format!(" [--{}]", key.name),
             Takes::Uint => format!(" [--{} N]", key.name),
@@ -140,20 +136,21 @@ mod tests {
     use super::*;
 
     const KEYS: &[Key] = &[
+        Key::new("smoke", Takes::Switch),
         Key::new("ops", Takes::Uint),
-        Key::new("out", Takes::Path),
+        Key::new("trace", Takes::Path),
         Key::new("policy", Takes::Choice(&["mark-old", "invalidate"])),
     ];
 
     #[test]
     fn declared_flags_parse_in_any_order() {
-        let a = Args::parse(KEYS, &["--json", "--out", "x.json", "--ops", "12"]).unwrap();
-        assert!(a.switch("json"));
+        let a = Args::parse(KEYS, &["--smoke", "--trace", "x.json", "--ops", "12"]).unwrap();
+        assert!(a.switch("smoke"));
         assert_eq!(a.uint("ops"), Some(12));
-        assert_eq!(a.text("out"), Some("x.json"));
+        assert_eq!(a.text("trace"), Some("x.json"));
         assert_eq!(a.text("policy"), None);
         let none = Args::parse(KEYS, &[] as &[&str]).unwrap();
-        assert!(!none.switch("json"));
+        assert!(!none.switch("smoke"));
         assert_eq!(none.uint("ops"), None);
     }
 
@@ -165,8 +162,8 @@ mod tests {
             (&["-ops", "3"], "unknown flag"),
             (&["3"], "unknown flag"),
             (&["--ops"], "needs a value"),
-            (&["--ops", "--json"], "needs a value"),
-            (&["--out"], "needs a value"),
+            (&["--ops", "--smoke"], "needs a value"),
+            (&["--trace"], "needs a value"),
             (&["--ops", "many"], "non-negative integer"),
             (&["--ops", "-3"], "non-negative integer"),
             (&["--ops", "1.5"], "non-negative integer"),
@@ -188,7 +185,7 @@ mod tests {
     fn usage_names_every_flag() {
         assert_eq!(
             usage("demo", KEYS),
-            "usage: tc-exp demo [--json] [--ops N] [--out PATH] [--policy mark-old|invalidate]"
+            "usage: tc-exp demo [--smoke] [--ops N] [--trace PATH] [--policy mark-old|invalidate]"
         );
     }
 }

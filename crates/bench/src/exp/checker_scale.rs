@@ -15,19 +15,17 @@
 //! **bytes per operation** via the counting global allocator
 //! (`crate::alloc`), so allocation regressions
 //! in the history layout or checker internals fail as loudly as time
-//! regressions: `tc-exp smoke` fails when the `sweep_line` or `rebuild`
-//! path exceeds [`MAX_ALLOCS_PER_OP`].
+//! regressions: a run (`tc-exp smoke` included) panics when the
+//! `sweep_line` or `rebuild` path exceeds [`MAX_ALLOCS_PER_OP`].
 //!
-//! Outputs a table (`results/checker_scale.txt`) and, with `--out PATH`,
-//! the machine-readable document checked in as `BENCH_checker.json`
-//! (ops/sec and allocs/op per path and size).
+//! Outputs a table (`results/checker_scale.txt`).
 //!
 //! Flags: `--smoke` (sizes {100, 1000} and one rep — the CI bench-rot
-//! check), `--out PATH`.
+//! check).
 
 use std::time::Instant;
 
-use super::{field, items, number, string, Args, Report};
+use super::{Args, Report};
 use crate::{alloc, f3, Table};
 use tc_clocks::{Delta, Epsilon};
 use tc_core::checker::{
@@ -42,8 +40,8 @@ const NAIVE_CAP: usize = 10_000;
 /// violations actually occur and the violation paths are exercised.
 const DELTA: Delta = Delta::from_ticks(30);
 const EPS: Epsilon = Epsilon::from_ticks(3);
-/// Allocation ceiling `tc-exp smoke` holds the `sweep_line` and `rebuild`
-/// paths to: generous at smoke sizes, where fixed build costs amortize
+/// Allocation ceiling every run holds the `sweep_line` and `rebuild`
+/// paths to: generous at small sizes, where fixed build costs amortize
 /// over few ops (observed worst case 0.23, at 100 ops), but far below what any
 /// accidental per-operation allocation would produce.
 const MAX_ALLOCS_PER_OP: f64 = 0.5;
@@ -134,7 +132,6 @@ pub fn run(args: &Args) -> Report {
             "bytes/op",
         ],
     );
-    let mut results = Vec::new();
 
     for &size in sizes {
         let h = history_of(size);
@@ -201,16 +198,15 @@ pub fn run(args: &Args) -> Report {
         for (path, measured) in paths {
             let Some((secs, counts)) = measured else {
                 t.row(&[&ops, &path, &"-", &"-", &violations, &"-", &"-"]);
-                results.push(serde_json::json!({
-                    "ops": ops,
-                    "path": path,
-                    "skipped": (format!("naive path capped at {NAIVE_CAP} ops")),
-                }));
                 continue;
             };
             let ops_per_sec = ops as f64 / secs;
             let allocs_per_op = counts.allocs as f64 / ops as f64;
             let bytes_per_op = counts.bytes as f64 / ops as f64;
+            assert!(
+                !matches!(path, "sweep_line" | "rebuild") || allocs_per_op <= MAX_ALLOCS_PER_OP,
+                "{path} at {ops} ops: {allocs_per_op:.4} allocs/op > ceiling {MAX_ALLOCS_PER_OP}"
+            );
             t.row(&[
                 &ops,
                 &path,
@@ -220,15 +216,6 @@ pub fn run(args: &Args) -> Report {
                 &format!("{allocs_per_op:.4}"),
                 &format!("{bytes_per_op:.1}"),
             ]);
-            results.push(serde_json::json!({
-                "ops": ops,
-                "path": path,
-                "ms_per_check": (secs * 1e3),
-                "ops_per_sec": ops_per_sec,
-                "violations": violations,
-                "allocs_per_op": allocs_per_op,
-                "bytes_per_op": bytes_per_op,
-            }));
         }
     }
 
@@ -238,38 +225,5 @@ pub fn run(args: &Args) -> Report {
         "expected shape: sweep_line and monitor ops/sec stay near-flat as \
          size grows; batch_naive ops/sec collapses linearly (O(R*W) total)",
     );
-    report.doc = Some(serde_json::json!({
-        "experiment": "checker_scale",
-        "delta": (DELTA.ticks()),
-        "eps": (EPS.ticks()),
-        "naive_cap": NAIVE_CAP,
-        "smoke": smoke,
-        "results": results,
-    }));
     report
-}
-
-/// The document keeps its allocation columns, and the layout-sensitive
-/// paths stay under [`MAX_ALLOCS_PER_OP`].
-pub fn check_smoke(report: &Report) -> Result<(), String> {
-    let doc = report.doc.as_ref().ok_or("no document")?;
-    let mut measured = 0;
-    for row in items(doc, "results")? {
-        if field(row, "skipped").is_ok() {
-            continue;
-        }
-        measured += 1;
-        let (path, ops) = (string(row, "path")?, number(row, "ops")?);
-        let allocs_per_op = number(row, "allocs_per_op")?;
-        number(row, "bytes_per_op")?;
-        if (path == "sweep_line" || path == "rebuild") && allocs_per_op > MAX_ALLOCS_PER_OP {
-            return Err(format!(
-                "{path} at {ops} ops: {allocs_per_op:.4} allocs/op > ceiling {MAX_ALLOCS_PER_OP}"
-            ));
-        }
-    }
-    if measured == 0 {
-        return Err("no measured rows".to_string());
-    }
-    Ok(())
 }

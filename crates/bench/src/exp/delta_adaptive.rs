@@ -34,20 +34,20 @@
 //! static Δ of equal budget (its time-averaged Δ), and no static
 //! configuration matches it on staleness, traffic, and budget at once.
 //!
-//! Outputs a table (`results/adaptive_delta.txt`), with `--out PATH` the
-//! machine-readable document checked in as `BENCH_adaptive.json`, and —
-//! with `--trace PATH` — Chrome/Perfetto trace-event timelines: the
+//! Outputs a table (`results/adaptive_delta.txt`) and — with
+//! `--trace PATH` — Chrome/Perfetto trace-event timelines: the
 //! adaptive run at `PATH` (Δ-schedule counter track, per-site op slices,
 //! send→recv flow arrows, timer marks) and the loose static ceiling at
 //! `PATH.static.json` for side-by-side comparison.
 //!
-//! Flags: `--smoke` (one seed, short runs), `--out PATH`, `--trace PATH`,
-//! `--seeds N`, `--ops N`.
+//! Flags: `--smoke` (one seed, short runs), `--trace PATH`, `--seeds N`,
+//! `--ops N`.
 
 use std::collections::HashMap;
 
-use super::{field, items, Args, Key, Report, Takes, OPS, OUT, SEEDS, SMOKE};
+use super::{Args, Key, Report, Takes, OPS, SEEDS, SMOKE};
 use crate::{f3, Table};
+use serde_json::Value as Json;
 use tc_clocks::{Delta, Epsilon, Time};
 use tc_core::checker::{OnTimeMonitor, OnTimeViolation};
 use tc_core::{History, ObjectId, OpKind, Value};
@@ -57,7 +57,7 @@ use tc_lifetime::{
 };
 use tc_sim::workload::Workload;
 use tc_sim::{FaultKind, FaultPlan, Scope, Window, WorldConfig};
-use tc_trace::TraceBuilder;
+use tc_trace::export_run;
 
 /// Loose ceiling Δ: survives the bursts cheaply, overpays staleness in
 /// quiet phases. The static sweep tops out here and the adaptive
@@ -253,24 +253,7 @@ impl Score {
     }
 }
 
-/// Renders a run as a Perfetto timeline, with the *tight-margin*
-/// violations (not the run's fault-widened ones) as markers so the
-/// timeline shows any instant the promise actually broke.
-fn trace_of(result: &RunResult, judged: &Judged, shards: usize) -> serde_json::Value {
-    let mut b = TraceBuilder::new();
-    b.name_fleet(shards, N_CLIENTS);
-    b.add_history(&result.history, shards);
-    b.add_violations(&judged.violations, &result.history, shards);
-    if let Some(schedule) = &result.delta_schedule {
-        b.add_schedule(schedule, shards + N_CLIENTS);
-    }
-    if let Some(net) = &result.net_events {
-        b.add_net(net);
-    }
-    b.finish()
-}
-
-pub const KEYS: &[Key] = &[SMOKE, OUT, Key::new("trace", Takes::Path), SEEDS, OPS];
+pub const KEYS: &[Key] = &[SMOKE, Key::new("trace", Takes::Path), SEEDS, OPS];
 
 pub fn run(args: &Args) -> Report {
     let smoke = args.switch("smoke");
@@ -337,7 +320,7 @@ pub fn run(args: &Args) -> Report {
                     );
                     report.traces.push((
                         format!("{path}.static.json"),
-                        trace_of(&result, &counterfactual, shards),
+                        export_run(&result, &counterfactual.violations, shards, N_CLIENTS),
                     ));
                 }
             }
@@ -390,11 +373,12 @@ pub fn run(args: &Args) -> Report {
         adaptive.absorb(&result, &judged, seeds.len());
         adaptive_avg += schedule.time_averaged(result.finished_at) / seeds.len() as f64;
         schedule_len += schedule.len();
+        // The timeline marks the *tight-margin* violations, not the run's
+        // fault-widened ones, so it shows any instant the promise broke.
         if i == 0 {
             if let Some(path) = trace {
-                report
-                    .traces
-                    .push((path.to_string(), trace_of(&result, &judged, shards)));
+                let timeline = export_run(&result, &judged.violations, shards, N_CLIENTS);
+                report.traces.push((path.to_string(), timeline));
             }
         }
     }
@@ -442,42 +426,6 @@ pub fn run(args: &Args) -> Report {
         schedule_len,
     ));
 
-    let statics: Vec<serde_json::Value> = static_scores
-        .iter()
-        .map(|&(d, s)| {
-            serde_json::json!({
-                "delta": d,
-                "violations": (s.violations),
-                "mean_staleness": (s.staleness),
-                "max_staleness": (s.max_staleness),
-                "retries": (s.retries),
-                "round_trips": (s.round_trips),
-            })
-        })
-        .collect();
-    report.doc = Some(serde_json::json!({
-        "experiment": "delta_adaptive",
-        "ops_per_client": ops,
-        "seeds": seeds,
-        "base_delta": BASE_DELTA,
-        "floor_delta": FLOOR_DELTA,
-        "tight_margin": (tight_margin(Epsilon::ZERO).ticks()),
-        "burst_jitter": JITTER,
-        "horizon": horizon,
-        "static": statics,
-        "adaptive": {
-            "violations": (adaptive.violations),
-            "delta_budget": adaptive_avg,
-            "mean_staleness": (adaptive.staleness),
-            "max_staleness": (adaptive.max_staleness),
-            "retries": (adaptive.retries),
-            "round_trips": (adaptive.round_trips),
-            "schedule_revisions": schedule_len,
-        },
-        "budget_peer_delta": (peer.0),
-        "adaptive_fresher_than_budget_peer": fresher_than_peer,
-    }));
-
     assert_eq!(
         adaptive.violations, 0,
         "adaptive run violated its own in-force schedule at the tight margin"
@@ -518,7 +466,7 @@ pub fn check_smoke(report: &Report) -> Result<(), String> {
         let mut marks = 0;
         for e in items(trace, "traceEvents")? {
             field(e, "pid")?;
-            if field(e, "ph")? != &serde_json::Value::from("M") {
+            if field(e, "ph")? != &Json::from("M") {
                 field(e, "ts")?;
             }
             marks += usize::from(field(e, "name").is_ok_and(|n| n == &marker.into()));
@@ -528,4 +476,21 @@ pub fn check_smoke(report: &Report) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// `object[key]`, for the smoke check (the `serde_json` stand-in has no
+/// accessors of its own).
+fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, String> {
+    match value {
+        Json::Object(map) => map.get(key).ok_or_else(|| format!("no `{key}` field")),
+        _ => Err(format!("`{key}` looked up in a non-object")),
+    }
+}
+
+/// The elements of `object[key]`.
+fn items<'a>(value: &'a Json, key: &str) -> Result<&'a [Json], String> {
+    match field(value, key)? {
+        Json::Array(items) => Ok(items),
+        _ => Err(format!("`{key}` is not an array")),
+    }
 }

@@ -107,7 +107,7 @@ mod tests {
     fn titles(argv: &[&str]) -> String {
         let mut argv = argv.to_vec();
         argv.extend(["--ops", "5", "--seeds", "1"]);
-        run(&Args::parse(KEYS, &argv).expect("flags parse")).text(false)
+        run(&Args::parse(KEYS, &argv).expect("flags parse")).text()
     }
 
     #[test]

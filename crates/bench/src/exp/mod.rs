@@ -3,11 +3,11 @@
 //! Every experiment is a library function `fn(&Args) -> Report`: it reads
 //! its declared flags through the one parser ([`args`]), computes, and
 //! returns what it would print and write — tables and prose lines in
-//! print order, the machine-readable document behind `--out`, any
-//! Perfetto traces behind `--trace`. The one emitter (`emit`) puts the
-//! tables on stdout, the files on disk, and everything that is not the
-//! artifact (`wrote …`, wall-clock) on stderr, so a `results/*.txt` file
-//! is exactly an experiment's stdout.
+//! print order, any Perfetto traces behind `--trace`. The one emitter
+//! (`emit`) puts the tables on stdout, the traces on disk, and everything
+//! that is not the artifact (`wrote …`, wall-clock) on stderr, so a
+//! `results/*.txt` file is exactly an experiment's stdout, and that file
+//! is the experiment's one record.
 //!
 //! [`EXPERIMENTS`] is the table: subcommand, the paper artifact it
 //! regenerates, its flags, the pinned flags behind each checked-in
@@ -15,6 +15,11 @@
 //! `tc-exp reproduce`, pinned byte-for-byte by
 //! `tests/paper_reproduction.rs`) or carries wall-clock timings
 //! (regenerated by hand, shape-checked by `tc-exp smoke`).
+//!
+//! `EXPERIMENTS.md` embeds every `results/` file verbatim between
+//! `<!-- results/NAME.txt -->` and `<!-- end -->` markers; [`embed`]
+//! rewrites those blocks, `tc-exp reproduce` calls it after writing
+//! `results/`, and the reproduction test fails on a stale or missing one.
 
 pub mod args;
 
@@ -43,9 +48,6 @@ pub use args::{Args, Key, Takes};
 #[derive(Debug, Default)]
 pub struct Report {
     blocks: Vec<Block>,
-    /// The machine-readable document (`BENCH_*.json` shape) written to
-    /// `--out`, for the experiments that shape one.
-    pub doc: Option<Value>,
     /// Perfetto timelines by destination path (`--trace`).
     pub traces: Vec<(String, Value)>,
 }
@@ -67,16 +69,13 @@ impl Report {
         self.blocks.push(Block::Note(line.into()));
     }
 
-    /// The artifact as printed: every table (aligned text, or JSON with
-    /// `json`) followed by a blank line, every note on its own line.
+    /// The artifact as printed: every table followed by a blank line,
+    /// every note on its own line.
     #[must_use]
-    pub fn text(&self, json: bool) -> String {
+    pub fn text(&self) -> String {
         let mut out = String::new();
         for block in &self.blocks {
             match block {
-                Block::Table(t) if json => {
-                    out.push_str(&serde_json::to_string_pretty(&t.to_json()).expect("tables emit"));
-                }
                 Block::Table(t) => out.push_str(&t.render()),
                 Block::Note(line) => out.push_str(line),
             }
@@ -98,7 +97,7 @@ pub struct Experiment {
     pub name: &'static str,
     /// The paper artifact (figure, section, promised study) it regenerates.
     pub paper: &'static str,
-    /// Flags it accepts besides `--json`.
+    /// Flags it accepts.
     pub keys: &'static [Key],
     /// The experiment itself.
     pub run: fn(&Args) -> Report,
@@ -121,8 +120,6 @@ const SEEDS: Key = Key::new("seeds", Takes::Uint);
 const HISTORIES: Key = Key::new("histories", Takes::Uint);
 const DELTA: Key = Key::new("delta", Takes::Uint);
 const SMOKE: Key = Key::new("smoke", Takes::Switch);
-/// Where the machine-readable JSON document goes.
-const OUT: Key = Key::new("out", Takes::Path);
 
 /// Every experiment, in EXPERIMENTS.md order.
 pub const EXPERIMENTS: &[Experiment] = &[
@@ -229,16 +226,16 @@ pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "checker-scale",
         paper: "Definitions 1-2 checked at scale (sweep line vs naive)",
-        keys: &[SMOKE, OUT],
+        keys: &[SMOKE],
         run: checker_scale::run,
         deterministic: false,
         pinned: &[(&[], "checker_scale.txt")],
-        smoke: Some((&["--smoke"], checker_scale::check_smoke)),
+        smoke: Some((&["--smoke"], asserted_in_run)),
     },
     Experiment {
         name: "recovery",
         paper: "Δ bound across shard crash-restart (WAL replay)",
-        keys: &[OUT],
+        keys: &[],
         run: recovery::run,
         deterministic: true,
         pinned: &[(&[], "recovery.txt")],
@@ -268,21 +265,13 @@ pub const EXPERIMENTS: &[Experiment] = &[
 #[must_use]
 pub fn regenerate(exp: &Experiment, flags: &[&str]) -> String {
     let args = Args::parse(exp.keys, flags).expect("pinned flags parse");
-    (exp.run)(&args).text(false)
+    (exp.run)(&args).text()
 }
 
-/// Prints the report and writes its files. `wrote …` lines go to stderr:
-/// they name paths, not results.
-fn emit(report: &Report, args: &Args) -> std::io::Result<()> {
-    print!("{}", report.text(args.switch("json")));
-    // An experiment that shapes a document declares `--out`.
-    if let Some(doc) = &report.doc {
-        if let Some(path) = args.text(OUT.name) {
-            let pretty = serde_json::to_string_pretty(doc).expect("documents emit");
-            std::fs::write(path, pretty)?;
-            eprintln!("wrote {path}");
-        }
-    }
+/// Prints the report and writes its traces. `wrote …` lines go to
+/// stderr: they name paths, not results.
+fn emit(report: &Report) -> std::io::Result<()> {
+    print!("{}", report.text());
     for (path, trace) in &report.traces {
         std::fs::write(path, serde_json::to_string(trace).expect("traces emit"))?;
         eprintln!("wrote {path}");
@@ -290,16 +279,67 @@ fn emit(report: &Report, args: &Args) -> std::io::Result<()> {
     Ok(())
 }
 
-/// `tc-exp reproduce`: rewrites every deterministic file under `dir`.
-fn reproduce(dir: &Path) -> std::io::Result<()> {
+/// The smoke check of an experiment whose run asserts its own shape.
+fn asserted_in_run(_: &Report) -> Result<(), String> {
+    Ok(())
+}
+
+/// Closes every `<!-- results/NAME.txt -->` block in `EXPERIMENTS.md`.
+const END: &str = "<!-- end -->";
+
+/// `doc` (the text of `EXPERIMENTS.md`) with the block of `results/file`
+/// holding `content`, verbatim inside a `text` fence. A block opens with
+/// its marker on a line of its own. The reproduction test calls a
+/// document fresh when embedding every checked-in file leaves it
+/// unchanged.
+///
+/// # Errors
+///
+/// When the document has no block for `file`, two of them, or a block
+/// with no closing marker.
+pub fn embed(doc: &str, file: &str, content: &str) -> Result<String, String> {
+    let marker = format!("<!-- results/{file} -->");
+    let open = format!("\n{marker}\n");
+    let start = doc
+        .find(&open)
+        .ok_or_else(|| format!("no `{marker}` block"))?
+        + open.len();
+    if doc[start..].contains(&open) {
+        return Err(format!("two `{marker}` blocks"));
+    }
+    let len = doc[start..]
+        .find(END)
+        .ok_or_else(|| format!("`{marker}` has no `{END}`"))?;
+    Ok(format!(
+        "{}```text\n{content}```\n{}",
+        &doc[..start],
+        &doc[start + len..]
+    ))
+}
+
+/// `tc-exp reproduce`: rewrites every deterministic file under
+/// `root/results`, then every block of `root/EXPERIMENTS.md` from the
+/// files as they now stand.
+fn reproduce(root: &Path) -> Result<(), String> {
+    let read =
+        |path: &Path| std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()));
+    let write = |path: &Path, text: &str| {
+        std::fs::write(path, text).map_err(|e| format!("{}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+        Ok::<(), String>(())
+    };
+    let results = root.join("results");
     for exp in EXPERIMENTS.iter().filter(|e| e.deterministic) {
         for (flags, file) in exp.pinned {
-            let path = dir.join(file);
-            std::fs::write(&path, regenerate(exp, flags))?;
-            eprintln!("wrote {}", path.display());
+            write(&results.join(file), &regenerate(exp, flags))?;
         }
     }
-    Ok(())
+    let doc_path = root.join("EXPERIMENTS.md");
+    let mut doc = read(&doc_path)?;
+    for (_, file) in EXPERIMENTS.iter().flat_map(|e| e.pinned) {
+        doc = embed(&doc, file, &read(&results.join(file))?)?;
+    }
+    write(&doc_path, &doc)
 }
 
 /// `tc-exp smoke`: every experiment with a smoke entry, at smoke size,
@@ -311,7 +351,7 @@ fn smoke() -> Result<(), String> {
         };
         eprintln!("smoke: {} {}", exp.name, flags.join(" "));
         let report = (exp.run)(&Args::parse(exp.keys, flags).expect("smoke flags parse"));
-        print!("{}", report.text(false));
+        print!("{}", report.text());
         check(&report).map_err(|why| format!("{}: {why}", exp.name))?;
     }
     Ok(())
@@ -337,7 +377,7 @@ fn list() -> String {
 
 const USAGE: &str = "usage: tc-exp <subcommand> [flags]
   list        print the experiment table
-  reproduce   rewrite every deterministic results/*.txt (run from the repository root)
+  reproduce   rewrite every deterministic results/*.txt and EXPERIMENTS.md's copies (run from the repository root)
   smoke       run the timing-bearing experiments at smoke size and check their shape
   <name>      run one experiment from the table; a wrong flag prints its usage";
 
@@ -364,55 +404,20 @@ pub fn cli(argv: &[String]) -> Result<(), Failure> {
     if let Some(exp) = EXPERIMENTS.iter().find(|e| e.name == sub) {
         let args = Args::parse(exp.keys, rest)
             .map_err(|why| Failure::Usage(format!("{why}\n{}", args::usage(exp.name, exp.keys))))?;
-        return emit(&(exp.run)(&args), &args).map_err(|e| Failure::Failed(e.to_string()));
+        return emit(&(exp.run)(&args)).map_err(|e| Failure::Failed(e.to_string()));
     }
     match (sub.as_str(), rest.is_empty()) {
         ("list", true) => {
             print!("{}", list());
             Ok(())
         }
-        ("reproduce", true) => reproduce(Path::new("results"))
-            .map_err(|e| Failure::Failed(format!("results/: {e} (run from the repository root)"))),
+        ("reproduce", true) => reproduce(Path::new("."))
+            .map_err(|e| Failure::Failed(format!("{e} (run from the repository root)"))),
         ("smoke", true) => smoke().map_err(Failure::Failed),
         _ => Err(Failure::Usage(format!(
             "no subcommand `{}`\n{USAGE}",
             argv.join(" ")
         ))),
-    }
-}
-
-/// `object[key]`, for the smoke checks (the `serde_json` stand-in has no
-/// accessors of its own).
-fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    match value {
-        Value::Object(map) => map.get(key).ok_or_else(|| format!("no `{key}` field")),
-        _ => Err(format!("`{key}` looked up in a non-object")),
-    }
-}
-
-/// The elements of `object[key]`.
-fn items<'a>(value: &'a Value, key: &str) -> Result<&'a [Value], String> {
-    match field(value, key)? {
-        Value::Array(items) => Ok(items),
-        _ => Err(format!("`{key}` is not an array")),
-    }
-}
-
-/// `object[key]` as a number.
-fn number(value: &Value, key: &str) -> Result<f64, String> {
-    match field(value, key)? {
-        Value::Number(serde_json::Number::PosInt(n)) => Ok(*n as f64),
-        Value::Number(serde_json::Number::NegInt(n)) => Ok(*n as f64),
-        Value::Number(serde_json::Number::Float(x)) => Ok(*x),
-        _ => Err(format!("`{key}` is not a number")),
-    }
-}
-
-/// `object[key]` as a string.
-fn string<'a>(value: &'a Value, key: &str) -> Result<&'a str, String> {
-    match field(value, key)? {
-        Value::String(s) => Ok(s),
-        _ => Err(format!("`{key}` is not a string")),
     }
 }
 
@@ -442,12 +447,25 @@ mod tests {
         r.table(t);
         r.note("expected shape: flat");
         assert_eq!(
-            r.text(false),
+            r.text(),
             "## demo\n| a |\n|---|\n| 1 |\n\nexpected shape: flat\n"
         );
-        let json = r.text(true);
-        assert!(json.starts_with("{\n  \"columns\": ["), "{json}");
-        assert!(json.ends_with("}\nexpected shape: flat\n"), "{json}");
+    }
+
+    #[test]
+    fn embed_rewrites_exactly_one_block() {
+        let doc = "# a\n<!-- results/x.txt -->\nold\n<!-- end -->\ntail\n";
+        assert_eq!(
+            embed(doc, "x.txt", "new\n").unwrap(),
+            "# a\n<!-- results/x.txt -->\n```text\nnew\n```\n<!-- end -->\ntail\n"
+        );
+        let fresh = embed(doc, "x.txt", "new\n").unwrap();
+        assert_eq!(embed(&fresh, "x.txt", "new\n").unwrap(), fresh);
+        assert!(embed(doc, "y.txt", "").unwrap_err().contains("no `"));
+        let twice = format!("{doc}{doc}");
+        assert!(embed(&twice, "x.txt", "").unwrap_err().contains("two `"));
+        let open = "# a\n<!-- results/x.txt -->\nold\n";
+        assert!(embed(open, "x.txt", "").unwrap_err().contains("has no"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Simulation study 11: crash–restart recovery sweep over the WAL backend.
 //!
-//! The headline claim of PR 8 is that a killed durable shard *recovers
+//! The claim under test is that a killed durable shard *recovers
 //! instead of forgetting*: restart replays the log back to the fsync
 //! horizon, the only gap is the never-acked unfsynced tail, and the
 //! checker-in-the-loop oracle accepts every run at the fsync-widened
@@ -21,8 +21,7 @@
 //!   no write to the killed shard was fsynced before the kill landed);
 //! * per-write cells lose exactly 0 records.
 //!
-//! Outputs a table (`results/recovery.txt`) and, with `--out PATH`, the
-//! machine-readable document checked in as `BENCH_recovery.json`.
+//! Outputs a table (`results/recovery.txt`).
 
 use super::{Args, Report};
 use crate::{parallel_map, Table};
@@ -152,7 +151,6 @@ pub fn run(_args: &Args) -> Report {
             "protocol", "policy", "seed", "verdict", "replayed", "lost", "restarts", "ops",
         ],
     );
-    let mut rows = Vec::new();
     let (mut conformed, mut stalled) = (0usize, 0usize);
     for cell in &cells {
         let verdict = match &cell.verdict {
@@ -197,17 +195,6 @@ pub fn run(_args: &Args) -> Report {
             &cell.restarts,
             &format!("{}/{}", cell.ops_recorded, cell.ops_expected),
         ]);
-        rows.push(serde_json::json!({
-            "protocol": (cell.protocol.clone()),
-            "policy": (cell.policy),
-            "seed": (cell.seed),
-            "verdict": verdict,
-            "replayed": (cell.replayed),
-            "lost": (cell.lost),
-            "restarts": (cell.restarts),
-            "ops_recorded": (cell.ops_recorded),
-            "ops_expected": (cell.ops_expected),
-        }));
     }
     assert!(
         conformed * 2 > cells.len(),
@@ -233,12 +220,5 @@ pub fn run(_args: &Args) -> Report {
          stalled, 0 violated of {} cells)",
         cells.len()
     ));
-    report.doc = Some(serde_json::json!({
-        "experiment": "recovery",
-        "seeds": (seeds.to_vec()),
-        "cells": rows,
-        "conformed": conformed,
-        "stalled": stalled,
-    }));
     report
 }

@@ -5,7 +5,7 @@
 //! Each `tc-exp` subcommand regenerates one of the paper's figures or one
 //! of the simulation studies its conclusion promises; [`exp::EXPERIMENTS`]
 //! maps subcommands to paper artifacts and `results/` files, and
-//! `EXPERIMENTS.md` records the measured outputs.
+//! `EXPERIMENTS.md` embeds those files and reads them.
 
 pub mod alloc;
 pub mod exp;
@@ -21,8 +21,7 @@ use tc_lifetime::{ProtocolConfig, ProtocolKind, RunConfig};
 use tc_sim::workload::Workload;
 use tc_sim::WorldConfig;
 
-/// A printable experiment table that can also be dumped as JSON with
-/// `--json`.
+/// A printable experiment table.
 #[derive(Debug)]
 pub struct Table {
     /// Table title (figure/experiment id).
@@ -86,16 +85,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// The table as a JSON value (`{title, columns, rows}`).
-    #[must_use]
-    pub fn to_json(&self) -> serde_json::Value {
-        serde_json::json!({
-            "title": (self.title.as_str()),
-            "columns": (self.columns.clone()),
-            "rows": (self.rows.clone()),
-        })
     }
 }
 

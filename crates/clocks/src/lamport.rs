@@ -9,13 +9,11 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ClockOrdering, SiteClock, Timestamp};
 
 /// A scalar Lamport timestamp: a counter plus the id of the site that
 /// produced it (the classic total-order tie-breaker).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LamportStamp {
     counter: u64,
     site: usize,
@@ -90,7 +88,7 @@ impl Timestamp for LamportStamp {
 /// let recv = q.observe(&send);
 /// assert_eq!(send.compare(&recv), ClockOrdering::Before);
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LamportClock {
     now: LamportStamp,
 }

@@ -4,14 +4,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Outcome of comparing two (logical or imprecise physical) timestamps.
 ///
 /// Unlike [`core::cmp::Ordering`], this is a verdict about a *partial*
 /// order: two timestamps may be [`ClockOrdering::Concurrent`], meaning the
 /// clock carries no evidence that either event happened before the other.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ClockOrdering {
     /// The timestamps are identical.
     Equal,

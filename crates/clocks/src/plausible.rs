@@ -20,8 +20,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ClockOrdering, SiteClock, Timestamp};
 
 /// A timestamp of the *R-Entries Vector* plausible clock.
@@ -34,7 +32,7 @@ use crate::{ClockOrdering, SiteClock, Timestamp};
 /// * different owners `e`, `f` — `t` is before `u` iff `v ≤ w` componentwise
 ///   **and** `v[f mod R] < w[f mod R]` (a causal path into `u`'s site always
 ///   bumps that entry past everything `t` knew).
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct RevStamp {
     owner: usize,
     entries: Vec<u64>,
@@ -163,7 +161,7 @@ impl Timestamp for RevStamp {
 /// let tb = b.observe(&ta);
 /// assert_eq!(ta.compare(&tb), ClockOrdering::Before); // causality preserved
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RevClock {
     now: RevStamp,
 }
@@ -220,7 +218,7 @@ impl SiteClock for RevClock {
 /// component verdicts: both components must agree for the pair to be
 /// reported ordered, so `Comb` detects at least as many concurrent pairs as
 /// its better component while remaining plausible.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct CombStamp<A, B> {
     first: A,
     second: B,
@@ -282,7 +280,7 @@ impl<A: Timestamp, B: Timestamp> Timestamp for CombStamp<A, B> {
 /// // Sites 0 and 1 collide in neither component, so concurrency is detected.
 /// assert_eq!(ta.compare(&tb), ClockOrdering::Concurrent);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CombClock<A, B> {
     first: A,
     second: B,

@@ -12,8 +12,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::ClockOrdering;
 
 /// An instant of (possibly simulated) physical time, in ticks.
@@ -27,7 +25,7 @@ use crate::ClockOrdering;
 /// let delta = Delta::from_ticks(50);
 /// assert_eq!(r.saturating_sub_delta(delta), Time::from_ticks(386));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Time(u64);
 
 impl Time {
@@ -126,7 +124,7 @@ impl Sub<Time> for Time {
 /// `Delta::ZERO` specializes timed serial consistency to linearizability and
 /// [`Delta::INFINITE`] relaxes it to plain sequential consistency (paper
 /// Figure 4b).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Delta(u64);
 
 impl Delta {
@@ -195,7 +193,7 @@ impl Add<Delta> for Delta {
 ///
 /// With ε = 0 the Definition 2 comparisons below reduce to Definition 1's
 /// perfectly-synchronized comparisons.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Epsilon(u64);
 
 impl Epsilon {

@@ -5,8 +5,6 @@
 use core::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::{ClockOrdering, SiteClock, Timestamp};
 
 /// A vector clock for a fixed set of `n` sites.
@@ -32,7 +30,7 @@ use crate::{ClockOrdering, SiteClock, Timestamp};
 /// let tb2 = b.observe(&ta);
 /// assert_eq!(ta.compare(&tb2), ClockOrdering::Before);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct VectorClock {
     entries: Arc<[u64]>,
     site: usize,

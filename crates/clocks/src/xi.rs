@@ -17,8 +17,6 @@
 //! event count) and [`NormXi`] (`ξ(t) = ‖t‖₂`, the geometric interpretation
 //! of Figure 7).
 
-use serde::{Deserialize, Serialize};
-
 /// An order-preserving map from logical-timestamp component vectors to ℝ.
 ///
 /// Implementations receive the raw counter components (a vector clock's
@@ -48,7 +46,7 @@ pub trait XiMap {
 /// assert_eq!(SumXi.xi(&[35, 4, 0, 72]), 111.0);
 /// assert_eq!(SumXi.xi(&[2, 1, 0, 18]), 21.0);
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SumXi;
 
 impl XiMap for SumXi {
@@ -70,7 +68,7 @@ impl XiMap for SumXi {
 /// assert!((NormXi.xi(&[3, 2]) - 3.61).abs() < 0.01);   // Figure 7b
 /// assert!((NormXi.xi(&[2, 4]) - 4.47).abs() < 0.01);   // Figure 7c
 /// ```
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NormXi;
 
 impl XiMap for NormXi {

@@ -27,7 +27,6 @@
 //! computes on the finished history; a property test in `tests/`
 //! cross-validates this over random histories and ingestion orders.
 
-use serde::Serialize;
 use tc_clocks::{Delta, Epsilon, Time};
 
 use crate::checker::timed::{OnTimeViolation, TimedReport};
@@ -38,7 +37,7 @@ use crate::{FxHashMap, ObjectId, OpId, OpKind, Operation, Value};
 /// the workspace — what an adaptive controller committed to, and what an
 /// [`OnTimeMonitor`] judges each read against (the Δ *actually in force*
 /// at the read's time, not a scalar).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeltaSchedule {
     /// Δ in force from the start of the run.
     pub initial: Delta,

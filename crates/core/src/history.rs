@@ -6,7 +6,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
 use tc_clocks::{Time, VectorClock};
 
 use crate::op::{ObjectId, OpId, OpKind, Operation, SiteId, Value};
@@ -217,7 +216,7 @@ const SRC_INITIAL: u32 = u32::MAX - 1;
 /// [`object`]: History::object_of
 /// [`value`]: History::value_of
 /// [`time`]: History::time_of
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct History {
     /// Column: executing site of each op.
     site: Vec<u32>,

@@ -8,11 +8,10 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
 use tc_clocks::{Time, VectorClock};
 
 /// Identifies a site (process/node) of the distributed system.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SiteId(usize);
 
 impl SiteId {
@@ -51,7 +50,7 @@ impl From<usize> for SiteId {
 ///
 /// Objects with index `< 26` display as the letters the paper uses
 /// (`A`, `B`, `C`, …); larger indices display as `X27`, `X28`, ….
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ObjectId(u32);
 
 impl ObjectId {
@@ -100,7 +99,7 @@ impl fmt::Display for ObjectId {
 /// Following the paper's convention, [`Value::INITIAL`] (zero) is the
 /// initial value of every object and is never written; all written values
 /// are unique per object, which pins down the reads-from relation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Value(u64);
 
 impl Value {
@@ -151,7 +150,7 @@ impl From<u64> for Value {
 /// the history's columnar indexes (per-site program order, per-object
 /// write lists, reads-from) store these ids densely — half the footprint
 /// of a `usize` id at 10⁷-op scale.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(u32);
 
 impl OpId {
@@ -193,7 +192,7 @@ impl fmt::Debug for OpId {
 }
 
 /// Whether an operation reads or writes its object.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum OpKind {
     /// A read operation.
     Read,
@@ -202,7 +201,7 @@ pub enum OpKind {
 }
 
 /// One read or write in the global history.
-#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct Operation {
     id: OpId,
     site: SiteId,

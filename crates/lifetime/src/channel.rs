@@ -1,5 +1,5 @@
 //! One ordered, acknowledged channel, sans-io: the sender window and the
-//! receiver under a client's causal writes to a shard (DESIGN.md §10).
+//! receiver under a client's causal writes to a shard (DESIGN.md §4).
 //!
 //! A stream numbers its items from 1. The [`Receiver`] judges each
 //! arrival against a cursor its caller keeps (the highest number

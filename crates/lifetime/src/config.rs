@@ -1,6 +1,5 @@
 //! Configuration of the lifetime-based consistency protocols (§5).
 
-use serde::{Deserialize, Serialize};
 use tc_clocks::Delta;
 
 /// Which consistency level the protocol enforces: the paper's §5 family.
@@ -8,7 +7,7 @@ use tc_clocks::Delta;
 /// SC and CC are TSC and TCC at Δ = ∞, where rule 3 and the checking time
 /// never fire (Figure 4); [`ProtocolKind::sc`] and [`ProtocolKind::cc`]
 /// build them, and [`ProtocolKind::label`] names them.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ProtocolKind {
     /// Timed serial consistency: rules 1–2 over physical timestamps
     /// (§5.1) plus rule 3, `Context_i := max(t_i − Δ, Context_i)` (§5.2).
@@ -86,7 +85,7 @@ impl ProtocolKind {
 
 /// What to do with a cached version that is no longer provably fresh
 /// (§5.2's optimization knob).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StalePolicy {
     /// Drop it; the next access pays a full fetch.
     Invalidate,
@@ -97,7 +96,7 @@ pub enum StalePolicy {
 }
 
 /// How updates travel from the server to caches (§5.2 mentions both).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Propagation {
     /// Clients discover staleness on access (TTL-style).
     Pull,
@@ -125,7 +124,7 @@ pub const DEFAULT_RETRY_AFTER: Delta = Delta::from_ticks(500);
 /// acked write may have been held back that long before becoming visible
 /// to readers, which are served from the durable image only); an infinite
 /// `max_delay` therefore makes the timed bound unverifiable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FsyncPolicy {
     /// Sync once this many records are pending. `1` = per-write fsync.
     pub max_pending: usize,
@@ -143,7 +142,7 @@ impl FsyncPolicy {
 }
 
 /// Whether shard state survives a crash, and at what cost.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum DurabilityMode {
     /// The historical in-memory model: applied state is "durable" the
     /// instant it applies (an infinitely fast disk). Crash–restart under
@@ -176,7 +175,7 @@ impl DurabilityMode {
 }
 
 /// Full protocol configuration for one run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProtocolConfig {
     /// The consistency level.
     pub kind: ProtocolKind,

@@ -8,7 +8,7 @@
 //! [`crate::engine::ShardMap`]) with *no inter-shard protocol*: every write
 //! to an object passes through the object's one owning shard, so "current
 //! at shard time t" is a global statement about that object. With one
-//! shard this degenerates to the original single server. DESIGN.md §11
+//! shard this degenerates to the original single server. DESIGN.md §4
 //! records how cross-shard causality stays sound (per-shard write
 //! sequences plus the client-side write barrier).
 //!

@@ -1,12 +1,11 @@
 //! The wire protocol between client caches and the object server.
 
-use serde::{Deserialize, Serialize};
 use tc_clocks::{ClockOrdering, Time, Timestamp, VectorClock};
 use tc_core::{ObjectId, Value};
 
 /// A version as stored by a shard and shipped in its replies: the value
 /// plus its start-time stamps in whichever clock family the run uses.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WireVersion {
     /// The stored value.
     pub value: Value,
@@ -19,7 +18,7 @@ pub struct WireVersion {
 }
 
 /// What a causal version carries beyond its value and `α_t`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CausalStamp {
     /// Logical start time: the writer's vector stamp.
     pub alpha_v: VectorClock,
@@ -66,7 +65,7 @@ impl WireVersion {
 }
 
 /// Server's answer to a validation request.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ValidateOutcome {
     /// The cached version is still current; its lifetime may be advanced
     /// to the server's reply time.
@@ -95,7 +94,7 @@ pub enum ValidateOutcome {
 /// waits on. An ack is a fact about
 /// the shard's store, not an answer to a request, so the client applies it
 /// whatever the reply's epoch.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
     /// Client → server: cache miss on `object`.
     FetchReq {

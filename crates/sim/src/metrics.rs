@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// Declares the counter names once: the [`names`] constants and, from the
 /// same list, the slot each counter's value lives in.
 macro_rules! counter_names {
@@ -265,7 +263,7 @@ impl Metrics {
 }
 
 /// Serializable summary of a [`Metrics`] bag.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MetricsSnapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,

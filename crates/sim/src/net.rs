@@ -3,12 +3,11 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tc_clocks::Delta;
 
 /// How long a message spends in flight. Every model has a finite upper
 /// bound, which the oracles charge for.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum LatencyModel {
     /// Every message takes exactly this long.
     Constant(Delta),
@@ -50,7 +49,7 @@ impl LatencyModel {
 }
 
 /// The full network configuration of a [`crate::World`].
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Latency applied to every message.
     pub latency: LatencyModel,

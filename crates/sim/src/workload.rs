@@ -4,7 +4,6 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use tc_clocks::Delta;
 
 /// Samples object indices with Zipfian popularity: object `i` (0-based) has
@@ -61,7 +60,7 @@ impl ZipfSampler {
 }
 
 /// The kind of operation a client issues next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpChoice {
     /// Read an object.
     Read,

@@ -82,7 +82,6 @@ pub struct Context<'a, M> {
     timers: Vec<(Delta, u64)>,
     metrics: &'a mut Metrics,
     rng: &'a mut StdRng,
-    n_nodes: usize,
 }
 
 impl<'a, M> Context<'a, M> {
@@ -90,12 +89,6 @@ impl<'a, M> Context<'a, M> {
     #[must_use]
     pub fn me(&self) -> NodeId {
         self.node
-    }
-
-    /// Number of nodes in the world.
-    #[must_use]
-    pub fn n_nodes(&self) -> usize {
-        self.n_nodes
     }
 
     /// The node's *local clock* reading — what a real protocol would
@@ -440,7 +433,6 @@ impl<M: Clone + 'static> World<M> {
             timers: Vec::new(),
             metrics: &mut self.metrics,
             rng: &mut self.rng,
-            n_nodes: self.procs.len(),
         };
         action(proc.as_mut(), &mut ctx);
         let Context { outbox, timers, .. } = ctx;

@@ -282,12 +282,6 @@ impl TraceBuilder {
         root.insert("displayTimeUnit".to_string(), Json::from("ms"));
         Json::Object(root)
     }
-
-    /// [`TraceBuilder::finish`] rendered as a compact JSON string.
-    #[must_use]
-    pub fn finish_to_string(self) -> String {
-        serde_json::to_string(&self.finish()).expect("trace JSON emission cannot fail")
-    }
 }
 
 /// A trace timestamp: one tick is one microsecond.
@@ -307,16 +301,22 @@ fn delta_json(delta: Delta) -> Json {
 
 /// Renders a simulator [`RunResult`] (ideally of a run with
 /// [`tc_lifetime::RunOptions::traced`] set, so the net log is populated)
-/// as a complete trace. `shards` and
-/// `clients` describe the run's fleet layout — nodes `0..shards` are
-/// shards, the next `clients` nodes are clients (history sites offset by
-/// `shards`).
+/// as a complete trace, with `violations` as the markers — the run's own
+/// verdict (`result.on_time.violations()`) or one judged against another
+/// promise. `shards` and `clients` describe the run's fleet layout —
+/// nodes `0..shards` are shards, the next `clients` nodes are clients
+/// (history sites offset by `shards`).
 #[must_use]
-pub fn export_run(result: &RunResult, shards: usize, clients: usize) -> Json {
+pub fn export_run(
+    result: &RunResult,
+    violations: &[OnTimeViolation],
+    shards: usize,
+    clients: usize,
+) -> Json {
     let mut b = TraceBuilder::new();
     b.name_fleet(shards, clients);
     b.add_history(&result.history, shards);
-    b.add_violations(result.on_time.violations(), &result.history, shards);
+    b.add_violations(violations, &result.history, shards);
     if let Some(schedule) = &result.delta_schedule {
         b.add_schedule(schedule, shards + clients);
     }
@@ -342,7 +342,7 @@ mod tests {
     fn history_ops_become_complete_slices_on_offset_pids() {
         let mut b = TraceBuilder::new();
         b.add_history(&tiny_history(), 2);
-        let out = b.finish_to_string();
+        let out = serde_json::to_string(&b.finish()).unwrap();
         assert!(out.contains(r#""ph":"X""#));
         assert!(out.contains(r#""name":"W A=7""#));
         assert!(out.contains(r#""name":"R A=7""#));
@@ -359,7 +359,7 @@ mod tests {
         schedule.push(Time::from_ticks(300), Delta::from_ticks(90));
         let mut b = TraceBuilder::new();
         b.add_schedule(&schedule, 9);
-        let out = b.finish_to_string();
+        let out = serde_json::to_string(&b.finish()).unwrap();
         assert_eq!(
             out.matches(r#""ph":"C""#).count(),
             3,
@@ -399,7 +399,7 @@ mod tests {
         ];
         let mut b = TraceBuilder::new();
         b.add_net(&events);
-        let out = b.finish_to_string();
+        let out = serde_json::to_string(&b.finish()).unwrap();
         // Two starts queued, one finish consumed — and it consumed the
         // FIRST send's id (FIFO), which is id 0.
         assert_eq!(out.matches(r#""ph":"s""#).count(), 2);
@@ -439,7 +439,8 @@ mod tests {
             },
         );
         let shards = cfg.protocol.shards;
-        let out = serde_json::to_string(&export_run(&result, shards, cfg.n_clients)).unwrap();
+        let trace = export_run(&result, result.on_time.violations(), shards, cfg.n_clients);
+        let out = serde_json::to_string(&trace).unwrap();
 
         assert!(out.starts_with(r#"{"displayTimeUnit":"ms","traceEvents":["#));
         // Required keys for any consumer.

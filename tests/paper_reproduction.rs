@@ -1,11 +1,12 @@
 //! End-to-end reproduction tests: every claim the paper makes about its
-//! figures and definitions, checked through the public facade — and the
-//! checked-in `results/` pinned to what the experiment table regenerates.
+//! figures and definitions, checked through the public facade — the
+//! checked-in `results/` pinned to what the experiment table regenerates,
+//! and `EXPERIMENTS.md`'s copies of them pinned to `results/`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use tc_bench::exp::{regenerate, EXPERIMENTS};
+use tc_bench::exp::{embed, regenerate, EXPERIMENTS};
 use timed_consistency::clocks::{Delta, Epsilon, NormXi, SumXi, XiMap};
 use timed_consistency::core::checker::{
     check_on_time, classify, min_delta, satisfies_cc, satisfies_lin, satisfies_sc, satisfies_tcc,
@@ -236,4 +237,40 @@ fn every_results_file_has_exactly_one_producer() {
         );
     }
     assert_eq!(on_disk, produced, "results/ vs the tc-exp table");
+}
+
+/// `EXPERIMENTS.md` embeds every `results/` file exactly once, as checked
+/// in: embedding each file again must leave the document unchanged, and
+/// no block may name a file the experiment table does not produce.
+/// `tc-exp reproduce` rewrites the blocks.
+#[test]
+fn experiments_md_embeds_every_results_file_as_checked_in() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    let files: Vec<&str> = EXPERIMENTS
+        .iter()
+        .flat_map(|exp| exp.pinned)
+        .map(|(_, file)| *file)
+        .collect();
+    let mut stale = Vec::new();
+    for file in &files {
+        let checked_in =
+            std::fs::read_to_string(root.join("results").join(file)).unwrap_or_default();
+        match embed(&doc, file, &checked_in) {
+            Ok(fresh) if fresh == doc => {}
+            Ok(_) => stale.push(format!("{file}: the block is not results/{file}")),
+            Err(why) => stale.push(format!("{file}: {why}")),
+        }
+    }
+    assert!(
+        stale.is_empty(),
+        "{} stale or missing EXPERIMENTS.md block(s); `tc-exp reproduce` rewrites them:\n{}",
+        stale.len(),
+        stale.join("\n")
+    );
+    assert_eq!(
+        doc.matches("\n<!-- results/").count(),
+        files.len(),
+        "EXPERIMENTS.md has a block for a file no experiment produces"
+    );
 }

@@ -30,7 +30,7 @@ use timed_consistency::store::{run_reactor_with, run_threaded, ReactorConfig, Ru
 const SEED: u64 = 91;
 const N_CLIENTS: usize = 4;
 // Long enough that the churn dialer lands its soak quota while ops are
-// still in flight: the nanosecond epoll_pwait2 waits (DESIGN.md §16)
+// still in flight: the nanosecond epoll_pwait2 waits (DESIGN.md §7)
 // finish a 60-op run too quickly for 300 full-blast dials to land.
 const OPS: usize = 120;
 /// Junk dials attempted, back to back, so they all land while the
