@@ -18,14 +18,12 @@
 //! regressions: a run (`tc-exp smoke` included) panics when the
 //! `sweep_line` or `rebuild` path exceeds [`MAX_ALLOCS_PER_OP`].
 //!
-//! Outputs a table (`results/checker_scale.txt`).
-//!
-//! Flags: `--smoke` (sizes {100, 1000} and one rep — the CI bench-rot
-//! check).
+//! Outputs a table (`results/checker_scale.txt`). `tc-exp smoke` runs
+//! [`smoke`]: sizes {100, 1000}, one rep each — the CI bench-rot check.
 
 use std::time::Instant;
 
-use super::{Args, Report};
+use super::Report;
 use crate::{alloc, f3, Table};
 use tc_clocks::{Delta, Epsilon};
 use tc_core::checker::{
@@ -34,6 +32,9 @@ use tc_core::checker::{
 use tc_core::generator::{replica_history, ReplicaHistoryConfig};
 use tc_core::{History, HistoryBuilder, Operation};
 
+/// History sizes of the full run and of the smoke run.
+const SIZES: &[usize] = &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000];
+const SMOKE_SIZES: &[usize] = &[100, 1_000];
 /// Largest size the naive path is run at.
 const NAIVE_CAP: usize = 10_000;
 /// Δ used for the timed check: half the worst-case propagation delay, so
@@ -106,14 +107,18 @@ fn measure<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, alloc::Counts) {
     (secs, alloc::measure(f).1)
 }
 
-pub fn run(args: &Args) -> Report {
-    let smoke = args.switch("smoke");
-    let sizes: &[usize] = if smoke {
-        &[100, 1_000]
-    } else {
-        &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000]
-    };
+/// The full run; repetitions scale down with size.
+pub fn run() -> Report {
+    scale(SIZES, |ops| (200_000 / ops).clamp(1, 100))
+}
 
+pub fn smoke() -> Report {
+    scale(SMOKE_SIZES, |_| 1)
+}
+
+/// Measures every path at every size in `sizes`, timing `reps(ops)`
+/// evaluations of each.
+fn scale(sizes: &[usize], reps: fn(usize) -> usize) -> Report {
     let mut t = Table::new(
         format!(
             "Checker scaling: batch-naive vs sweep-line vs streaming monitor \
@@ -166,12 +171,7 @@ pub fn run(args: &Args) -> Report {
         }
         let violations = sweep.violations().len();
 
-        // Repetitions scale down with size; --smoke runs everything once.
-        let reps = if smoke {
-            1
-        } else {
-            (200_000 / ops).clamp(1, 100)
-        };
+        let reps = reps(ops);
 
         let paths = [
             (

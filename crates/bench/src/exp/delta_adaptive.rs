@@ -34,18 +34,17 @@
 //! static Δ of equal budget (its time-averaged Δ), and no static
 //! configuration matches it on staleness, traffic, and budget at once.
 //!
-//! Outputs a table (`results/adaptive_delta.txt`) and — with
-//! `--trace PATH` — Chrome/Perfetto trace-event timelines: the
-//! adaptive run at `PATH` (Δ-schedule counter track, per-site op slices,
-//! send→recv flow arrows, timer marks) and the loose static ceiling at
-//! `PATH.static.json` for side-by-side comparison.
-//!
-//! Flags: `--smoke` (one seed, short runs), `--trace PATH`, `--seeds N`,
-//! `--ops N`.
+//! Outputs a table (`results/adaptive_delta.txt`) and two
+//! Chrome/Perfetto trace-event timelines, which `tc-exp delta-adaptive
+//! --trace PATH` writes: the adaptive run at `PATH` (Δ-schedule counter
+//! track, per-site op slices, send→recv flow arrows, timer marks) and the
+//! loose static ceiling at `PATH.static.json` for side-by-side comparison.
+//! `tc-exp smoke` runs [`smoke`] (one seed, short runs) and checks both
+//! timelines' shape.
 
 use std::collections::HashMap;
 
-use super::{Args, Key, Report, Takes, OPS, SEEDS, SMOKE};
+use super::Report;
 use crate::{f3, Table};
 use serde_json::Value as Json;
 use tc_clocks::{Delta, Epsilon, Time};
@@ -72,6 +71,14 @@ const LAT: u64 = 2;
 /// Static sweep, tightest first.
 const STATIC_DELTAS: [u64; 4] = [60, 120, 240, BASE_DELTA];
 const N_CLIENTS: usize = 3;
+/// Operations per client and seeds of the full run, and of the smoke run.
+const OPS: usize = 320;
+const SEEDS: usize = 3;
+const SMOKE_OPS: usize = 100;
+const SMOKE_SEEDS: usize = 1;
+/// The suffix each timeline's path adds to the `--trace` path.
+const ADAPTIVE_TRACE: &str = "";
+const STATIC_TRACE: &str = ".static.json";
 /// Retry pacing: slow enough that a jittered-but-undropped response is
 /// not raced (and masked) by a fresh retransmission, fast enough that
 /// dropped requests surface as backpressure mid-burst.
@@ -253,13 +260,17 @@ impl Score {
     }
 }
 
-pub const KEYS: &[Key] = &[SMOKE, Key::new("trace", Takes::Path), SEEDS, OPS];
+pub fn run() -> Report {
+    compare(OPS, SEEDS)
+}
 
-pub fn run(args: &Args) -> Report {
-    let smoke = args.switch("smoke");
-    let trace = args.text("trace");
-    let ops = args.uint("ops").unwrap_or(if smoke { 100 } else { 320 }) as usize;
-    let n_seeds = args.uint("seeds").unwrap_or(if smoke { 1 } else { 3 }) as usize;
+pub fn smoke() -> Report {
+    compare(SMOKE_OPS, SMOKE_SEEDS)
+}
+
+/// The static sweep and the adaptive runs, `ops` per client over the
+/// first `n_seeds` seeds, with both timelines of the first seed.
+fn compare(ops: usize, n_seeds: usize) -> Report {
     let mut report = Report::default();
     let seeds: Vec<u64> = [7_u64, 42, 1999, 31337, 77, 1234]
         .into_iter()
@@ -311,18 +322,16 @@ pub fn run(args: &Args) -> Report {
             // its violation markers flag every read this configuration
             // served that a floor-Δ promise would have rejected.
             if i == 0 && d == BASE_DELTA {
-                if let Some(path) = trace {
-                    let counterfactual = judge(
-                        &result.history,
-                        result.epsilon,
-                        Delta::from_ticks(FLOOR_DELTA),
-                        None,
-                    );
-                    report.traces.push((
-                        format!("{path}.static.json"),
-                        export_run(&result, &counterfactual.violations, shards, N_CLIENTS),
-                    ));
-                }
+                let counterfactual = judge(
+                    &result.history,
+                    result.epsilon,
+                    Delta::from_ticks(FLOOR_DELTA),
+                    None,
+                );
+                report.traces.push((
+                    STATIC_TRACE,
+                    export_run(&result, &counterfactual.violations, shards, N_CLIENTS),
+                ));
             }
         }
         t.row(&[
@@ -376,10 +385,8 @@ pub fn run(args: &Args) -> Report {
         // The timeline marks the *tight-margin* violations, not the run's
         // fault-widened ones, so it shows any instant the promise broke.
         if i == 0 {
-            if let Some(path) = trace {
-                let timeline = export_run(&result, &judged.violations, shards, N_CLIENTS);
-                report.traces.push((path.to_string(), timeline));
-            }
+            let timeline = export_run(&result, &judged.violations, shards, N_CLIENTS);
+            report.traces.push((ADAPTIVE_TRACE, timeline));
         }
     }
     t.row(&[
@@ -457,11 +464,11 @@ pub fn check_smoke(report: &Report) -> Result<(), String> {
     if report.traces.len() != 2 {
         return Err("expected the adaptive and the static timeline".to_string());
     }
-    for (path, trace) in &report.traces {
-        let marker = if path.ends_with(".static.json") {
-            "violation"
+    for (suffix, trace) in &report.traces {
+        let (name, marker) = if *suffix == STATIC_TRACE {
+            ("static", "violation")
         } else {
-            "delta_change"
+            ("adaptive", "delta_change")
         };
         let mut marks = 0;
         for e in items(trace, "traceEvents")? {
@@ -472,7 +479,7 @@ pub fn check_smoke(report: &Report) -> Result<(), String> {
             marks += usize::from(field(e, "name").is_ok_and(|n| n == &marker.into()));
         }
         if marks == 0 {
-            return Err(format!("{path}: no {marker} markers"));
+            return Err(format!("{name} timeline: no {marker} markers"));
         }
     }
     Ok(())

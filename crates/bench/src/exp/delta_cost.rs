@@ -6,32 +6,34 @@
 //! the measured staleness of the recorded execution. Small Δ ⇒ caches are
 //! useless (the paper's "extreme case"); large Δ ⇒ cheap but stale.
 //!
-//! Flags: `--ops N` (per client, default 150), `--seeds K` (default 5),
-//! `--policy {mark-old,invalidate}` (ablation, default mark-old),
-//! `--push` (push invalidations instead of pull).
+//! Three subcommands share the sweep: `delta-cost` (mark old, pull), and
+//! two ablations, `delta-cost-invalidate` (invalidate instead of marking
+//! old) and `delta-cost-push` (push invalidations instead of pull).
 
-use super::{Args, Key, Report, Takes, OPS, SEEDS};
+use super::Report;
 use crate::{f3, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_core::stats::StalenessStats;
 use tc_lifetime::{run as simulate, Propagation, ProtocolKind, StalePolicy};
 use tc_sim::metrics::names;
 
-pub const KEYS: &[Key] = &[
-    OPS,
-    SEEDS,
-    Key::new("policy", Takes::Choice(&["mark-old", "invalidate"])),
-    Key::new("push", Takes::Switch),
-];
+/// Operations per client, and seeds averaged per cell.
+const OPS: usize = 150;
+const SEEDS: u64 = 5;
 
-pub fn run(args: &Args) -> Report {
-    let ops = args.uint("ops").unwrap_or(150) as usize;
-    let seeds = args.uint("seeds").unwrap_or(5);
-    let policy = match args.text("policy") {
-        Some("invalidate") => StalePolicy::Invalidate,
-        _ => StalePolicy::MarkOld,
-    };
-    let push = args.switch("push");
+pub fn run() -> Report {
+    sweep(StalePolicy::MarkOld, false)
+}
+
+pub fn invalidate() -> Report {
+    sweep(StalePolicy::Invalidate, false)
+}
+
+pub fn push() -> Report {
+    sweep(StalePolicy::MarkOld, true)
+}
+
+fn sweep(policy: StalePolicy, push: bool) -> Report {
     let mut report = Report::default();
 
     type MakeKind = fn(Delta) -> ProtocolKind;
@@ -63,8 +65,8 @@ pub fn run(args: &Args) -> Report {
             let mut marked = 0u64;
             let mut mean_stale = 0.0;
             let mut max_stale = 0u64;
-            for seed in 0..seeds {
-                let mut cfg = standard_run(mk(delta), seed, ops);
+            for seed in 0..SEEDS {
+                let mut cfg = standard_run(mk(delta), seed, OPS);
                 cfg.protocol.stale = policy;
                 if push {
                     cfg.protocol.propagation = Propagation::PushInvalidate;
@@ -80,13 +82,13 @@ pub fn run(args: &Args) -> Report {
                 mean_stale += stats.mean_staleness();
                 max_stale = max_stale.max(stats.max_staleness().ticks());
             }
-            let k = seeds as f64;
+            let k = SEEDS as f64;
             t.row(&[
                 &d,
                 &pct(hits / k),
                 &f3(msgs_per_read / k),
-                &(inval / seeds),
-                &(marked / seeds),
+                &(inval / SEEDS),
+                &(marked / SEEDS),
                 &f3(mean_stale / k),
                 &max_stale,
             ]);
@@ -98,30 +100,4 @@ pub fn run(args: &Args) -> Report {
          measured max staleness stays below Δ plus network latency and clock error",
     );
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn titles(argv: &[&str]) -> String {
-        let mut argv = argv.to_vec();
-        argv.extend(["--ops", "5", "--seeds", "1"]);
-        run(&Args::parse(KEYS, &argv).expect("flags parse")).text()
-    }
-
-    #[test]
-    fn push_and_policy_reach_the_protocol() {
-        assert!(titles(&[]).contains("(policy MarkOld, pull propagation)"));
-        assert!(titles(&["--push"]).contains("(policy MarkOld, push propagation)"));
-        assert!(titles(&["--policy", "invalidate"]).contains("(policy Invalidate, pull"));
-        assert!(titles(&["--policy", "mark-old"]).contains("(policy MarkOld, pull"));
-    }
-
-    #[test]
-    fn a_misspelt_policy_or_push_is_rejected() {
-        for argv in [&["--policy", "evict"][..], &["--policy"], &["--pushh"]] {
-            assert!(Args::parse(KEYS, argv).is_err(), "{argv:?}");
-        }
-    }
 }

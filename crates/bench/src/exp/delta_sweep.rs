@@ -10,15 +10,15 @@
 //! once (LIN, SC, and on-time at every Δ of the sweep) in one parallel
 //! pass, then the per-Δ rows aggregate the per-history verdicts — the
 //! same numbers the serial nested loop produced, in the same order.
-//!
-//! Flags: `--histories N` (default 200).
 
-use super::{Args, Report};
+use super::Report;
 use crate::{parallel_map, pct, Table};
 use tc_clocks::{Delta, Epsilon};
 use tc_core::checker::{check_on_time, satisfies_lin, satisfies_sc_with, SearchOptions};
 use tc_core::generator::{replica_history, ReplicaHistoryConfig};
 
+/// Replica histories swept.
+const HISTORIES: u64 = 150;
 /// The sweep, in ticks; `u64::MAX` is [`Delta::INFINITE`].
 const DELTAS: [u64; 11] = [0, 10, 20, 40, 60, 80, 100, 120, 160, 240, u64::MAX];
 
@@ -29,9 +29,7 @@ struct Judged {
     on_time: Vec<bool>,
 }
 
-pub fn run(args: &Args) -> Report {
-    let n = args.uint("histories").unwrap_or(200);
-
+pub fn run() -> Report {
     let cfg = ReplicaHistoryConfig {
         delay: (10, 120),
         ops_per_site: 8,
@@ -39,7 +37,7 @@ pub fn run(args: &Args) -> Report {
     };
     let opts = SearchOptions::default();
 
-    let seeds: Vec<u64> = (0..n).collect();
+    let seeds: Vec<u64> = (0..HISTORIES).collect();
     let judged = parallel_map(&seeds, |&seed| {
         let h = replica_history(&cfg, seed);
         Judged {
@@ -52,12 +50,12 @@ pub fn run(args: &Args) -> Report {
         }
     });
 
-    let lin_frac = judged.iter().filter(|j| j.lin).count() as f64 / n as f64;
-    let sc_frac = judged.iter().filter(|j| j.sc).count() as f64 / n as f64;
+    let lin_frac = judged.iter().filter(|j| j.lin).count() as f64 / HISTORIES as f64;
+    let sc_frac = judged.iter().filter(|j| j.sc).count() as f64 / HISTORIES as f64;
 
     let mut t = Table::new(
         format!(
-            "Figure 4b (empirical): TSC(Δ) fraction over {n} replica histories \
+            "Figure 4b (empirical): TSC(Δ) fraction over {HISTORIES} replica histories \
              (propagation delay 10-120); LIN = {}, SC = {}",
             pct(lin_frac),
             pct(sc_frac)
@@ -82,9 +80,9 @@ pub fn run(args: &Args) -> Report {
         }
         t.row(&[
             &Delta::from_ticks(d),
-            &pct(timed as f64 / n as f64),
-            &pct(tsc as f64 / n as f64),
-            &pct(tcc as f64 / n as f64),
+            &pct(timed as f64 / HISTORIES as f64),
+            &pct(tsc as f64 / HISTORIES as f64),
+            &pct(tcc as f64 / HISTORIES as f64),
         ]);
     }
     let mut report = Report::default();

@@ -14,12 +14,8 @@
 //! so the sweep fans out over [`crate::parallel_map`]; results are
 //! re-ordered by input index, making the table (and every per-seed oracle
 //! verdict) byte-identical to the serial path.
-//!
-//! Flags: `--seeds N` (default 5), `--ops N` (default 40).
-//! (`TC_BENCH_THREADS=1` pins the pool to one worker for A/B wall-clock
-//! runs under `time`.)
 
-use super::{Args, Report};
+use super::Report;
 use crate::{f3, parallel_map, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_lifetime::{conformance, run_with_faults, OracleVerdict, ProtocolKind};
@@ -63,13 +59,14 @@ struct CellStats {
     retries: u64,
 }
 
-pub fn run(args: &Args) -> Report {
-    let seeds = args.uint("seeds").unwrap_or(5);
-    let ops = args.uint("ops").unwrap_or(40) as usize;
+/// Seeds per (Δ, protocol, drop rate) cell, and operations per client.
+const SEEDS: u64 = 5;
+const OPS: usize = 40;
 
+pub fn run() -> Report {
     let mut t = Table::new(
         format!(
-            "Fault tolerance sweep: drop rate x Δ, {seeds} seeds x {ops} \
+            "Fault tolerance sweep: drop rate x Δ, {SEEDS} seeds x {OPS} \
              ops/client, whole-run drop + 20-tick reorder jitter \
              (verdicts from the checker-in-the-loop oracle)"
         ),
@@ -98,7 +95,7 @@ pub fn run(args: &Args) -> Report {
             },
         ] {
             for drop_rate in [0.0, 0.05, 0.15, 0.30] {
-                for seed in 0..seeds {
+                for seed in 0..SEEDS {
                     cells.push(Cell {
                         kind,
                         drop_rate,
@@ -110,7 +107,7 @@ pub fn run(args: &Args) -> Report {
     }
 
     let stats = parallel_map(&cells, |cell| {
-        let cfg = standard_run(cell.kind, cell.seed, ops);
+        let cfg = standard_run(cell.kind, cell.seed, OPS);
         let p = plan(cell.drop_rate);
         let result = run_with_faults(&cfg, p.clone());
         let c = conformance(&cfg, &p, &result);
@@ -126,8 +123,8 @@ pub fn run(args: &Args) -> Report {
     });
 
     for (group, runs) in cells
-        .chunks(seeds as usize)
-        .zip(stats.chunks(seeds as usize))
+        .chunks(SEEDS as usize)
+        .zip(stats.chunks(SEEDS as usize))
     {
         let cell = &group[0];
         let mut conforms = 0usize;
@@ -152,7 +149,7 @@ pub fn run(args: &Args) -> Report {
             ProtocolKind::Tsc { delta } | ProtocolKind::Tcc { delta } => delta.ticks(),
             _ => unreachable!("sweep only covers the timed protocols"),
         };
-        let n = seeds as f64;
+        let n = SEEDS as f64;
         t.row(&[
             &cell.kind.label(),
             &delta,

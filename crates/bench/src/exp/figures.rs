@@ -6,9 +6,9 @@
 //! * Figure 6 — the CC execution and the TCC thresholds.
 //! * Figure 7 — the ξ-maps on the paper's vector timestamps.
 //!
-//! Flags: `--fig N` for a single figure.
+//! Figure 4 is `hierarchy` and `delta-sweep`.
 
-use super::{Args, Key, Report, Takes};
+use super::Report;
 use crate::{f3, Table};
 use tc_clocks::{Delta, Epsilon, NormXi, SumXi, XiMap};
 use tc_core::checker::{
@@ -155,30 +155,10 @@ fn fig7() -> Table {
     t
 }
 
-/// Figure 4 is `hierarchy` and `delta-sweep`.
-pub const KEYS: &[Key] = &[Key::new(
-    "fig",
-    Takes::Choice(&["1", "2", "3", "5", "6", "7"]),
-)];
-
-pub fn run(args: &Args) -> Report {
-    let which = args.text("fig");
-    let wanted = |n: &str| which.is_none_or(|w| w == n);
+pub fn run() -> Report {
     let mut report = Report::default();
-    if wanted("1") {
-        report.table(fig1());
-    }
-    if wanted("2") || wanted("3") {
-        report.table(fig2_3());
-    }
-    if wanted("5") {
-        report.table(fig5());
-    }
-    if wanted("6") {
-        report.table(fig6());
-    }
-    if wanted("7") {
-        report.table(fig7());
+    for table in [fig1(), fig2_3(), fig5(), fig6(), fig7()] {
+        report.table(table);
     }
     report
 }

@@ -5,11 +5,8 @@
 //! Two populations are sampled: unconstrained random histories (which land
 //! anywhere in the lattice) and replica-generated histories (CC by
 //! construction, timed by their propagation bound).
-//!
-//! Flags: `--histories N` (default 400 per population), `--delta D`
-//! (default 60).
 
-use super::{Args, Report};
+use super::Report;
 use crate::{pct, Table};
 use tc_clocks::Delta;
 use tc_core::checker::{classify_with, Outcome, SearchOptions};
@@ -17,6 +14,10 @@ use tc_core::generator::{
     random_history, replica_history, RandomHistoryConfig, ReplicaHistoryConfig,
 };
 use tc_core::History;
+
+/// Histories sampled per population.
+const HISTORIES: u64 = 300;
+const DELTA: Delta = Delta::from_ticks(60);
 
 #[derive(Default)]
 struct Counts {
@@ -75,12 +76,9 @@ fn emit(name: &str, c: &Counts, t: &mut Table) {
     ]);
 }
 
-pub fn run(args: &Args) -> Report {
-    let n = args.uint("histories").unwrap_or(400);
-    let delta = Delta::from_ticks(args.uint("delta").unwrap_or(60));
-
+pub fn run() -> Report {
     let mut t = Table::new(
-        format!("Figure 4a (empirical): criterion satisfaction at Δ={delta}"),
+        format!("Figure 4a (empirical): criterion satisfaction at Δ={DELTA}"),
         &[
             "population",
             "n",
@@ -98,15 +96,15 @@ pub fn run(args: &Args) -> Report {
     let mut random = Counts::default();
     tally(
         &mut random,
-        (0..n).map(|seed| random_history(&RandomHistoryConfig::default(), seed)),
-        delta,
+        (0..HISTORIES).map(|seed| random_history(&RandomHistoryConfig::default(), seed)),
+        DELTA,
     );
     emit("random", &random, &mut t);
 
     let mut replica = Counts::default();
     tally(
         &mut replica,
-        (0..n).map(|seed| {
+        (0..HISTORIES).map(|seed| {
             replica_history(
                 &ReplicaHistoryConfig {
                     delay: (5, 80),
@@ -115,7 +113,7 @@ pub fn run(args: &Args) -> Report {
                 seed,
             )
         }),
-        delta,
+        DELTA,
     );
     emit("replica(delay<=80)", &replica, &mut t);
 

@@ -1,27 +1,25 @@
 //! The experiments behind `tc-exp`, and the one table that registers them.
 //!
-//! Every experiment is a library function `fn(&Args) -> Report`: it reads
-//! its declared flags through the one parser ([`args`]), computes, and
-//! returns what it would print and write — tables and prose lines in
-//! print order, any Perfetto traces behind `--trace`. The one emitter
-//! (`emit`) puts the tables on stdout, the traces on disk, and everything
-//! that is not the artifact (`wrote …`, wall-clock) on stderr, so a
-//! `results/*.txt` file is exactly an experiment's stdout, and that file
-//! is the experiment's one record.
+//! Every experiment is a library function `fn() -> Report` that runs at
+//! the one size its `results/` file records: its sizes are constants, not
+//! flags. It returns what it would print and write — tables and prose
+//! lines in print order, and any Perfetto timelines. The one emitter
+//! (`emit`) puts the tables on stdout, the timelines on disk when
+//! `--trace PATH` names a place for them, and everything that is not the
+//! artifact (`wrote …`, wall-clock) on stderr, so a `results/*.txt` file
+//! is exactly an experiment's stdout, and that file is the experiment's
+//! one record.
 //!
-//! [`EXPERIMENTS`] is the table: subcommand, the paper artifact it
-//! regenerates, its flags, the pinned flags behind each checked-in
-//! `results/` file, and whether that file is deterministic (rewritten by
-//! `tc-exp reproduce`, pinned byte-for-byte by
-//! `tests/paper_reproduction.rs`) or carries wall-clock timings
-//! (regenerated by hand, shape-checked by `tc-exp smoke`).
+//! [`EXPERIMENTS`] is the table, one row per `results/` file: subcommand,
+//! the paper artifact it regenerates, the run, its file, and whether that
+//! file is deterministic (rewritten by `tc-exp reproduce`, pinned
+//! byte-for-byte by `tests/paper_reproduction.rs`) or carries wall-clock
+//! timings (regenerated by hand, shape-checked by `tc-exp smoke`).
 //!
 //! `EXPERIMENTS.md` embeds every `results/` file verbatim between
 //! `<!-- results/NAME.txt -->` and `<!-- end -->` markers; [`embed`]
 //! rewrites those blocks, `tc-exp reproduce` calls it after writing
 //! `results/`, and the reproduction test fails on a stale or missing one.
-
-pub mod args;
 
 mod checker_scale;
 mod delta_adaptive;
@@ -42,14 +40,14 @@ use std::path::Path;
 use serde_json::Value;
 
 use crate::Table;
-pub use args::{Args, Key, Takes};
 
 /// What one experiment run produced.
 #[derive(Debug, Default)]
 pub struct Report {
     blocks: Vec<Block>,
-    /// Perfetto timelines by destination path (`--trace`).
-    pub traces: Vec<(String, Value)>,
+    /// Perfetto timelines, each with the suffix its file name adds to the
+    /// `--trace` path.
+    pub traces: Vec<(&'static str, Value)>,
 }
 
 #[derive(Debug)]
@@ -85,8 +83,6 @@ impl Report {
     }
 }
 
-/// Flags as typed after the subcommand.
-pub type Flags = &'static [&'static str];
 /// A shape check on the report about to be written.
 pub type Check = fn(&Report) -> Result<(), String>;
 
@@ -97,183 +93,159 @@ pub struct Experiment {
     pub name: &'static str,
     /// The paper artifact (figure, section, promised study) it regenerates.
     pub paper: &'static str,
-    /// Flags it accepts.
-    pub keys: &'static [Key],
-    /// The experiment itself.
-    pub run: fn(&Args) -> Report,
-    /// Whether its output is a pure function of its arguments. The
-    /// deterministic `results/` files are rewritten by `tc-exp reproduce`
-    /// and compared byte-for-byte in `tests/paper_reproduction.rs`; the
-    /// others carry timings and are regenerated by hand.
+    /// The experiment itself, at the size its `results/` file records.
+    pub run: fn() -> Report,
+    /// The checked-in file it produces, under `results/`.
+    pub file: &'static str,
+    /// Whether its output is deterministic. The deterministic `results/`
+    /// files are rewritten by `tc-exp reproduce` and compared
+    /// byte-for-byte in `tests/paper_reproduction.rs`; the others carry
+    /// timings and are regenerated by hand.
     pub deterministic: bool,
-    /// The checked-in files it produces: (pinned flags, name under
-    /// `results/`).
-    pub pinned: &'static [(Flags, &'static str)],
     /// How `tc-exp smoke` exercises it, if its output carries timings or
-    /// files the reproduction test cannot pin: (smoke-size flags, shape
-    /// check on the report about to be written).
-    pub smoke: Option<(Flags, Check)>,
+    /// timelines the reproduction test cannot pin: (the run at smoke size,
+    /// shape check on its report).
+    pub smoke: Option<(fn() -> Report, Check)>,
 }
-
-const OPS: Key = Key::new("ops", Takes::Uint);
-const SEEDS: Key = Key::new("seeds", Takes::Uint);
-const HISTORIES: Key = Key::new("histories", Takes::Uint);
-const DELTA: Key = Key::new("delta", Takes::Uint);
-const SMOKE: Key = Key::new("smoke", Takes::Switch);
 
 /// Every experiment, in EXPERIMENTS.md order.
 pub const EXPERIMENTS: &[Experiment] = &[
     Experiment {
         name: "figures",
         paper: "Figures 1, 2-3, 5, 6, 7 (worked examples)",
-        keys: figures::KEYS,
         run: figures::run,
+        file: "figures.txt",
         deterministic: true,
-        pinned: &[(&[], "figures.txt")],
         smoke: None,
     },
     Experiment {
         name: "hierarchy",
         paper: "Figure 4a (containment lattice)",
-        keys: &[HISTORIES, DELTA],
         run: hierarchy::run,
+        file: "hierarchy.txt",
         deterministic: true,
-        pinned: &[(&["--histories", "300"], "hierarchy.txt")],
         smoke: None,
     },
     Experiment {
         name: "delta-sweep",
         paper: "Figure 4b (Δ spans LIN to SC)",
-        keys: &[HISTORIES],
         run: delta_sweep::run,
+        file: "delta_sweep.txt",
         deterministic: true,
-        pinned: &[(&["--histories", "150"], "delta_sweep.txt")],
         smoke: None,
     },
     Experiment {
         name: "epsilon",
         paper: "Figures 2-3 / Definition 2 (ε sensitivity, Sim 3)",
-        keys: &[HISTORIES, DELTA],
         run: epsilon::run,
+        file: "epsilon.txt",
         deterministic: true,
-        pinned: &[(&["--histories", "150"], "epsilon.txt")],
         smoke: None,
     },
     Experiment {
         name: "delta-cost",
         paper: "§6 promised simulations: Δ vs cost (Sim 1)",
-        keys: delta_cost::KEYS,
         run: delta_cost::run,
+        file: "delta_cost.txt",
         deterministic: true,
-        pinned: &[
-            (&["--ops", "150", "--seeds", "5"], "delta_cost.txt"),
-            (
-                &["--ops", "150", "--seeds", "5", "--policy", "invalidate"],
-                "delta_cost_invalidate.txt",
-            ),
-            (
-                &["--ops", "150", "--seeds", "5", "--push"],
-                "delta_cost_push.txt",
-            ),
-        ],
+        smoke: None,
+    },
+    Experiment {
+        name: "delta-cost-invalidate",
+        paper: "Sim 1 ablation: invalidate instead of marking old",
+        run: delta_cost::invalidate,
+        file: "delta_cost_invalidate.txt",
+        deterministic: true,
+        smoke: None,
+    },
+    Experiment {
+        name: "delta-cost-push",
+        paper: "Sim 1 ablation: push invalidations instead of pull",
+        run: delta_cost::push,
+        file: "delta_cost_push.txt",
+        deterministic: true,
         smoke: None,
     },
     Experiment {
         name: "protocol-compare",
         paper: "§5.3 invalidation ordering TSC >= TCC >= CC (Sim 2)",
-        keys: &[OPS, SEEDS, DELTA],
         run: protocol_compare::run,
+        file: "protocol_compare.txt",
         deterministic: true,
-        pinned: &[(&["--ops", "150", "--seeds", "5"], "protocol_compare.txt")],
         smoke: None,
     },
     Experiment {
         name: "xi-quality",
         paper: "§5.4 / Definition 6 (logical-clock TCC, Sim 4)",
-        keys: &[OPS, SEEDS],
         run: xi_quality::run,
+        file: "xi_quality.txt",
         deterministic: true,
-        pinned: &[(&["--ops", "150", "--seeds", "5"], "xi_quality.txt")],
         smoke: None,
     },
     Experiment {
         name: "web-cache",
         paper: "§4 web caching scenario and TTL study (Sim 5)",
-        keys: &[OPS, SEEDS],
         run: web_cache::run,
+        file: "web_cache.txt",
         deterministic: true,
-        pinned: &[(&["--ops", "150", "--seeds", "3"], "web_cache.txt")],
         smoke: None,
     },
     Experiment {
         name: "plausible",
         paper: "§5.3 plausible clocks (size vs accuracy)",
-        keys: plausible::KEYS,
         run: plausible::run,
+        file: "plausible.txt",
         deterministic: true,
-        pinned: &[(&[], "plausible.txt")],
         smoke: None,
     },
     Experiment {
         name: "faults",
         paper: "§5 rules under message faults (conformance oracle)",
-        keys: &[SEEDS, OPS],
         run: faults::run,
+        file: "faults.txt",
         deterministic: true,
-        pinned: &[(&["--seeds", "5", "--ops", "40"], "faults.txt")],
         smoke: None,
     },
     Experiment {
         name: "checker-scale",
         paper: "Definitions 1-2 checked at scale (sweep line vs naive)",
-        keys: &[SMOKE],
         run: checker_scale::run,
+        file: "checker_scale.txt",
         deterministic: false,
-        pinned: &[(&[], "checker_scale.txt")],
-        smoke: Some((&["--smoke"], asserted_in_run)),
+        smoke: Some((checker_scale::smoke, asserted_in_run)),
     },
     Experiment {
         name: "recovery",
         paper: "Δ bound across shard crash-restart (WAL replay)",
-        keys: &[],
         run: recovery::run,
+        file: "recovery.txt",
         deterministic: true,
-        pinned: &[(&[], "recovery.txt")],
         smoke: None,
     },
     Experiment {
-        name: "delta-adaptive",
+        name: TRACED,
         paper: "§6 Δ as a managed contract (adaptive vs static)",
-        keys: delta_adaptive::KEYS,
         run: delta_adaptive::run,
+        file: "adaptive_delta.txt",
         deterministic: true,
-        pinned: &[(&[], "adaptive_delta.txt")],
-        smoke: Some((
-            &["--smoke", "--trace", "adaptive_trace.json"],
-            delta_adaptive::check_smoke,
-        )),
+        smoke: Some((delta_adaptive::smoke, delta_adaptive::check_smoke)),
     },
 ];
 
-/// Runs `exp` with `flags` (one of its pinned lists) and returns the text
-/// artifact — what `tc-exp reproduce` writes and what the reproduction
-/// test compares with `results/`.
-///
-/// # Panics
-///
-/// Panics if the table's own pinned flags do not parse.
-#[must_use]
-pub fn regenerate(exp: &Experiment, flags: &[&str]) -> String {
-    let args = Args::parse(exp.keys, flags).expect("pinned flags parse");
-    (exp.run)(&args).text()
-}
+/// The one experiment whose report carries timelines, and so the one that
+/// takes `--trace PATH`.
+const TRACED: &str = "delta-adaptive";
 
-/// Prints the report and writes its traces. `wrote …` lines go to
-/// stderr: they name paths, not results.
-fn emit(report: &Report) -> std::io::Result<()> {
+/// Prints the report and, given a `--trace` path, writes its timelines.
+/// `wrote …` lines go to stderr: they name paths, not results.
+fn emit(report: &Report, trace: Option<&str>) -> std::io::Result<()> {
     print!("{}", report.text());
-    for (path, trace) in &report.traces {
-        std::fs::write(path, serde_json::to_string(trace).expect("traces emit"))?;
+    let Some(base) = trace else {
+        return Ok(());
+    };
+    for (suffix, timeline) in &report.traces {
+        let path = format!("{base}{suffix}");
+        std::fs::write(&path, serde_json::to_string(timeline).expect("traces emit"))?;
         eprintln!("wrote {path}");
     }
     Ok(())
@@ -330,14 +302,12 @@ fn reproduce(root: &Path) -> Result<(), String> {
     };
     let results = root.join("results");
     for exp in EXPERIMENTS.iter().filter(|e| e.deterministic) {
-        for (flags, file) in exp.pinned {
-            write(&results.join(file), &regenerate(exp, flags))?;
-        }
+        write(&results.join(exp.file), &(exp.run)().text())?;
     }
     let doc_path = root.join("EXPERIMENTS.md");
     let mut doc = read(&doc_path)?;
-    for (_, file) in EXPERIMENTS.iter().flat_map(|e| e.pinned) {
-        doc = embed(&doc, file, &read(&results.join(file))?)?;
+    for exp in EXPERIMENTS {
+        doc = embed(&doc, exp.file, &read(&results.join(exp.file))?)?;
     }
     write(&doc_path, &doc)
 }
@@ -346,11 +316,11 @@ fn reproduce(root: &Path) -> Result<(), String> {
 /// shape-checked. Nothing is written.
 fn smoke() -> Result<(), String> {
     for exp in EXPERIMENTS {
-        let Some((flags, check)) = exp.smoke else {
+        let Some((run, check)) = exp.smoke else {
             continue;
         };
-        eprintln!("smoke: {} {}", exp.name, flags.join(" "));
-        let report = (exp.run)(&Args::parse(exp.keys, flags).expect("smoke flags parse"));
+        eprintln!("smoke: {}", exp.name);
+        let report = run();
         print!("{}", report.text());
         check(&report).map_err(|why| format!("{}: {why}", exp.name))?;
     }
@@ -364,22 +334,23 @@ fn list() -> String {
         &["subcommand", "paper artifact", "results/", "output"],
     );
     for exp in EXPERIMENTS {
-        let files: Vec<&str> = exp.pinned.iter().map(|(_, file)| *file).collect();
         let output = if exp.deterministic {
             "deterministic"
         } else {
             "timing"
         };
-        t.row(&[&exp.name, &exp.paper, &files.join(" "), &output]);
+        t.row(&[&exp.name, &exp.paper, &exp.file, &output]);
     }
     t.render()
 }
 
-const USAGE: &str = "usage: tc-exp <subcommand> [flags]
+const USAGE: &str = "usage: tc-exp <subcommand>
   list        print the experiment table
   reproduce   rewrite every deterministic results/*.txt and EXPERIMENTS.md's copies (run from the repository root)
   smoke       run the timing-bearing experiments at smoke size and check their shape
-  <name>      run one experiment from the table; a wrong flag prints its usage";
+  <name>      run one experiment from the table, at the size its results/ file records
+  delta-adaptive --trace PATH
+              also write its two Perfetto timelines, to PATH and PATH.static.json";
 
 /// Why a `tc-exp` invocation did not succeed.
 #[derive(Debug)]
@@ -394,7 +365,8 @@ pub enum Failure {
 ///
 /// # Errors
 ///
-/// [`Failure::Usage`] for anything the parser rejects,
+/// [`Failure::Usage`] for a subcommand not in the table or any word after
+/// one but `delta-adaptive`'s `--trace PATH`,
 /// [`Failure::Failed`] for a failed smoke check or write. A violated
 /// experiment invariant panics.
 pub fn cli(argv: &[String]) -> Result<(), Failure> {
@@ -402,9 +374,19 @@ pub fn cli(argv: &[String]) -> Result<(), Failure> {
         .split_first()
         .ok_or_else(|| Failure::Usage(format!("missing subcommand\n{USAGE}")))?;
     if let Some(exp) = EXPERIMENTS.iter().find(|e| e.name == sub) {
-        let args = Args::parse(exp.keys, rest)
-            .map_err(|why| Failure::Usage(format!("{why}\n{}", args::usage(exp.name, exp.keys))))?;
-        return emit(&(exp.run)(&args)).map_err(|e| Failure::Failed(e.to_string()));
+        let trace = match rest {
+            [] => None,
+            [flag, path] if exp.name == TRACED && flag == "--trace" && !path.starts_with("--") => {
+                Some(path.as_str())
+            }
+            _ => {
+                return Err(Failure::Usage(format!(
+                    "`tc-exp {sub}` does not take `{}`\n{USAGE}",
+                    rest.join(" ")
+                )))
+            }
+        };
+        return emit(&(exp.run)(), trace).map_err(|e| Failure::Failed(e.to_string()));
     }
     match (sub.as_str(), rest.is_empty()) {
         ("list", true) => {
@@ -426,17 +408,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn subcommand_names_are_unique_and_smoke_flags_parse() {
+    fn subcommand_names_are_unique() {
         for (i, exp) in EXPERIMENTS.iter().enumerate() {
             assert!(
                 EXPERIMENTS[..i].iter().all(|e| e.name != exp.name),
                 "{} registered twice",
                 exp.name
             );
-            if let Some((flags, _)) = exp.smoke {
-                Args::parse(exp.keys, flags).unwrap_or_else(|why| panic!("{}: {why}", exp.name));
-            }
         }
+        assert!(EXPERIMENTS.iter().any(|e| e.name == TRACED));
     }
 
     #[test]
@@ -476,6 +456,19 @@ mod tests {
             &["delta-sweep", "--serial"],
             &["faults", "--push"],
             &["reproduce", "--check"],
+            // Flags that set a size or variant before each experiment ran
+            // at the one size its results/ file records.
+            &["faults", "--seeds", "5"],
+            &["figures", "--fig", "1"],
+            &["delta-cost", "--push"],
+            &["delta-cost", "--policy", "invalidate"],
+            &["delta-adaptive", "--smoke"],
+            // `--trace` needs a path, and only delta-adaptive has
+            // timelines to write.
+            &["delta-adaptive", "--trace"],
+            &["delta-adaptive", "--trace", "--smoke"],
+            &["delta-adaptive", "--trace", "a.json", "b.json"],
+            &["faults", "--trace", "x.json"],
         ] {
             let argv: Vec<String> = words.iter().map(ToString::to_string).collect();
             assert!(

@@ -13,11 +13,8 @@
 //!   invalidations);
 //! * **causal accuracy** — ordered pairs are never misreported (checked,
 //!   always 100%: the plausibility contract).
-//!
-//! Flags: `--sites N` (default 24), `--events E` (default 400),
-//! `--runs K` (default 5).
 
-use super::{Args, Key, Report, Takes};
+use super::Report;
 use crate::{pct, Table};
 use tc_clocks::{
     ClockOrdering, CombClock, LamportClock, RevClock, SiteClock, Timestamp, VectorClock,
@@ -86,20 +83,15 @@ fn tally<S: Timestamp>(t: &mut Tally, truth: &[VectorClock], stamps: &[S]) {
     }
 }
 
-pub const KEYS: &[Key] = &[
-    Key::new("sites", Takes::Uint),
-    Key::new("events", Takes::Uint),
-    Key::new("runs", Takes::Uint),
-];
+/// Sites and events per execution, and executions per clock.
+const SITES: usize = 24;
+const EVENTS: usize = 400;
+const RUNS: u64 = 5;
 
-pub fn run(args: &Args) -> Report {
-    let n_sites = args.uint("sites").unwrap_or(24) as usize;
-    let n_events = args.uint("events").unwrap_or(400) as usize;
-    let runs = args.uint("runs").unwrap_or(5);
-
+pub fn run() -> Report {
     let mut t = Table::new(
         format!(
-            "Plausible-clock accuracy ({n_sites} sites, {n_events} events, {runs} runs): \
+            "Plausible-clock accuracy ({SITES} sites, {EVENTS} events, {RUNS} runs): \
              size vs concurrency recall"
         ),
         &["clock", "entries", "concurrency recall", "causal accuracy"],
@@ -117,8 +109,8 @@ pub fn run(args: &Args) -> Report {
     macro_rules! measure {
         ($name:expr, $entries:expr, $mk:expr) => {{
             let mut agg = Tally::default();
-            for seed in 1..=runs {
-                let (truth, stamps) = drive($mk, n_sites, n_events, seed);
+            for seed in 1..=RUNS {
+                let (truth, stamps) = drive($mk, SITES, EVENTS, seed);
                 tally(&mut agg, &truth, &stamps);
             }
             assert_eq!(
@@ -130,7 +122,7 @@ pub fn run(args: &Args) -> Report {
         }};
     }
 
-    measure!("vector", n_sites, |s| VectorClock::new(s, n_sites));
+    measure!("vector", SITES, |s| VectorClock::new(s, SITES));
     measure!("rev-2", 2, |s| RevClock::new(s, 2));
     measure!("rev-4", 4, |s| RevClock::new(s, 4));
     measure!("rev-8", 8, |s| RevClock::new(s, 8));

@@ -3,11 +3,8 @@
 //! invalidate more objects than the implementation of CC … but less than
 //! the implementation of TSC", plus the SC-vs-CC write-cost gap (SC writes
 //! are synchronous server round trips; CC writes are asynchronous).
-//!
-//! Flags: `--ops N` (default 200), `--seeds K` (default 5), `--delta D`
-//! (default 80).
 
-use super::{Args, Report};
+use super::Report;
 use crate::{f3, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_core::checker::{
@@ -17,22 +14,24 @@ use tc_core::stats::StalenessStats;
 use tc_lifetime::{run as simulate, ProtocolKind};
 use tc_sim::metrics::names;
 
-pub fn run(args: &Args) -> Report {
-    let ops = args.uint("ops").unwrap_or(200) as usize;
-    let seeds = args.uint("seeds").unwrap_or(5);
-    let delta = Delta::from_ticks(args.uint("delta").unwrap_or(80));
+/// Operations per client, seeds averaged per protocol, and the Δ of the
+/// timed protocols.
+const OPS: usize = 150;
+const SEEDS: u64 = 5;
+const DELTA: Delta = Delta::from_ticks(80);
 
+pub fn run() -> Report {
     let kinds = [
         ProtocolKind::NoCache,
         ProtocolKind::sc(),
-        ProtocolKind::Tsc { delta },
+        ProtocolKind::Tsc { delta: DELTA },
         ProtocolKind::cc(),
-        ProtocolKind::Tcc { delta },
+        ProtocolKind::Tcc { delta: DELTA },
         ProtocolKind::TccLogical { xi_delta: 12.0 },
     ];
 
     let mut t = Table::new(
-        format!("Protocol comparison at Δ={delta} (means over {seeds} seeds, {ops} ops/client)"),
+        format!("Protocol comparison at Δ={DELTA} (means over {SEEDS} seeds, {OPS} ops/client)"),
         &[
             "protocol",
             "hit rate",
@@ -58,8 +57,8 @@ pub fn run(args: &Args) -> Report {
         let mut max_stale = 0u64;
         let mut checks_ok = true;
         let mut cm_hits = 0u64;
-        for seed in 0..seeds {
-            let cfg = standard_run(kind, seed, ops);
+        for seed in 0..SEEDS {
+            let cfg = standard_run(kind, seed, OPS);
             let r = simulate(&cfg);
             hit += r.hit_rate();
             stale_events += r.counter(names::INVALIDATE) + r.counter(names::MARK_OLD);
@@ -80,16 +79,16 @@ pub fn run(args: &Args) -> Report {
                 cm_hits += 1;
             }
         }
-        let k = seeds as f64;
+        let k = SEEDS as f64;
         t.row(&[
             &kind.label(),
             &pct(hit / k),
-            &(stale_events / seeds),
+            &(stale_events / SEEDS),
             &f3(msgs_per_op / k),
             &f3(mean_stale / k),
             &max_stale,
             &(if checks_ok { "ok" } else { "FAILED" }),
-            &pct(cm_hits as f64 / seeds as f64),
+            &pct(cm_hits as f64 / SEEDS as f64),
         ]);
         assert!(
             checks_ok,
@@ -98,7 +97,7 @@ pub fn run(args: &Args) -> Report {
         );
         shape.push((
             hit / k,
-            stale_events / seeds,
+            stale_events / SEEDS,
             msgs_per_op / k,
             writes_per_op / k,
         ));

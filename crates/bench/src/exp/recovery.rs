@@ -23,7 +23,7 @@
 //!
 //! Outputs a table (`results/recovery.txt`).
 
-use super::{Args, Report};
+use super::Report;
 use crate::{parallel_map, Table};
 use tc_clocks::Delta;
 use tc_durable::WalStore;
@@ -129,7 +129,7 @@ fn run_cell(kind: ProtocolKind, name: &'static str, policy: FsyncPolicy, seed: u
     cell
 }
 
-pub fn run(_args: &Args) -> Report {
+pub fn run() -> Report {
     let seeds: &[u64] = &[7, 21, 99, 1999, 4242];
 
     let mut grid = Vec::new();

@@ -11,10 +11,8 @@
 //! (adaptive-TTL, Gwertzman & Seltzer) against server push invalidation
 //! (Cao & Liu) — the paper's observation that both are timed consistency
 //! at different Δ.
-//!
-//! Flags: `--ops N` (default 200), `--seeds K` (default 3).
 
-use super::{Args, Report};
+use super::Report;
 use crate::{f3, pct, Table};
 use tc_clocks::{Delta, SiteClock, Time, VectorClock};
 use tc_core::stats::StalenessStats;
@@ -26,6 +24,10 @@ use tc_lifetime::{
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::WorldConfig;
+
+/// Operations per client, and seeds averaged per TTL-study cell.
+const OPS: usize = 150;
+const SEEDS: u64 = 3;
 
 fn scripted_scenario() -> Table {
     let mut t = Table::new(
@@ -123,7 +125,7 @@ fn scripted_scenario() -> Table {
     t
 }
 
-fn ttl_study(ops: usize, seeds: u64) -> Table {
+fn ttl_study() -> Table {
     let mut t = Table::new(
         "Web workload: TTL (=Δ) sweep, pull vs push invalidation",
         &[
@@ -139,7 +141,7 @@ fn ttl_study(ops: usize, seeds: u64) -> Table {
             let mut hit = 0.0;
             let mut msgs = 0.0;
             let mut stale = 0.0;
-            for seed in 0..seeds {
+            for seed in 0..SEEDS {
                 let mut protocol = ProtocolConfig::of(ProtocolKind::Tsc {
                     delta: Delta::from_ticks(d),
                 });
@@ -150,7 +152,7 @@ fn ttl_study(ops: usize, seeds: u64) -> Table {
                     protocol,
                     n_clients: 6,
                     workload: Workload::web(),
-                    ops_per_client: ops,
+                    ops_per_client: OPS,
                     world: WorldConfig::deterministic(Delta::from_ticks(5), seed),
                 };
                 let r = simulate(&cfg);
@@ -159,7 +161,7 @@ fn ttl_study(ops: usize, seeds: u64) -> Table {
                 msgs += (r.counter(names::FETCH) + r.counter(names::VALIDATE)) as f64 / reads;
                 stale += StalenessStats::of(&r.history).mean_staleness();
             }
-            let k = seeds as f64;
+            let k = SEEDS as f64;
             t.row(&[
                 &d,
                 &(if push { "push" } else { "pull" }),
@@ -172,12 +174,10 @@ fn ttl_study(ops: usize, seeds: u64) -> Table {
     t
 }
 
-pub fn run(args: &Args) -> Report {
-    let ops = args.uint("ops").unwrap_or(200) as usize;
-    let seeds = args.uint("seeds").unwrap_or(3);
+pub fn run() -> Report {
     let mut report = Report::default();
     report.table(scripted_scenario());
-    report.table(ttl_study(ops, seeds));
+    report.table(ttl_study());
     report.note(
         "expected shape: pull trades staleness for traffic as TTL grows; push \
          keeps staleness near the network latency at the cost of fan-out messages",

@@ -8,20 +8,19 @@
 //! real-time staleness without any physical clock at the clients — but
 //! only while the system stays active (ξ measures activity, not time),
 //! which the idle-tail column exposes.
-//!
-//! Flags: `--ops N` (default 150), `--seeds K` (default 5).
 
-use super::{Args, Report};
+use super::Report;
 use crate::{f3, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_core::checker::min_delta;
 use tc_core::stats::StalenessStats;
 use tc_lifetime::{run as simulate, ProtocolKind};
 
-pub fn run(args: &Args) -> Report {
-    let ops = args.uint("ops").unwrap_or(150) as usize;
-    let seeds = args.uint("seeds").unwrap_or(5);
+/// Operations per client, and seeds averaged per row.
+const OPS: usize = 150;
+const SEEDS: u64 = 5;
 
+pub fn run() -> Report {
     let mut t = Table::new(
         "Logical TCC (Definition 6): xi_delta vs real-time staleness",
         &[
@@ -47,15 +46,15 @@ pub fn run(args: &Args) -> Report {
         let mut mean = 0.0;
         let mut max = 0u64;
         let mut late = 0usize;
-        for seed in 0..seeds {
-            let r = simulate(&standard_run(kind, seed, ops));
+        for seed in 0..SEEDS {
+            let r = simulate(&standard_run(kind, seed, OPS));
             hit += r.hit_rate();
             let s = StalenessStats::of(&r.history);
             mean += s.mean_staleness();
             max = max.max(min_delta(&r.history).ticks());
             late += s.stale_reads(Delta::from_ticks(200));
         }
-        let k = seeds as f64;
+        let k = SEEDS as f64;
         t.row(&[
             &protocol,
             &threshold,

@@ -88,24 +88,10 @@ impl Table {
     }
 }
 
-/// Worker count for [`parallel_map`]: `TC_BENCH_THREADS` when set (and
-/// positive), otherwise the machine's available parallelism.
-#[must_use]
-pub fn pool_size() -> usize {
-    std::env::var("TC_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(1)
-        })
-}
-
-/// Runs `f` over every item on a scoped worker pool and returns the
-/// results **in input order** — experiment cells are independent, so
-/// fanning them across cores changes wall-clock only, never output.
+/// Runs `f` over every item on a scoped worker pool, one worker per
+/// available core, and returns the results **in input order** —
+/// experiment cells are independent, so fanning them across cores changes
+/// wall-clock only, never output.
 ///
 /// Work is handed out through a shared atomic cursor (no per-worker
 /// striping), results come back over a channel tagged with their input
@@ -122,7 +108,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    parallel_map_with(items, pool_size(), f)
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    parallel_map_with(items, cores, f)
 }
 
 /// [`parallel_map`] with an explicit worker count.

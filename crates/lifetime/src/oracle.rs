@@ -240,15 +240,14 @@ pub fn conformance(config: &RunConfig, plan: &FaultPlan, result: &RunResult) -> 
     }
 
     // Untimed safety holds unconditionally, on whatever prefix completed.
-    if config.protocol.kind.is_causal_family() {
-        if satisfies_ccv(&result.history) != Outcome::Satisfied {
-            note("causal convergence (CCv) violated".to_string());
-        }
-    } else if !satisfies_sc_with(&result.history, SearchOptions::default())
-        .outcome()
-        .holds()
-    {
-        note("sequential consistency violated".to_string());
+    let causal = config.protocol.kind.is_causal_family();
+    let untimed = if causal {
+        satisfies_ccv(&result.history)
+    } else {
+        satisfies_sc_with(&result.history, SearchOptions::default()).outcome()
+    };
+    if let Some(broken) = untimed_breach(causal, untimed) {
+        note(broken);
     }
 
     // Timed safety holds within the widened bound. The monitor was
@@ -279,6 +278,25 @@ pub fn conformance(config: &RunConfig, plan: &FaultPlan, result: &RunResult) -> 
         ops_recorded,
         ops_expected,
         monitor_mismatch,
+    }
+}
+
+/// Why untimed safety (CCv for the causal family, SC otherwise) is not
+/// established, given its checker's outcome; `None` when it holds. A
+/// search that ran out of states proved nothing either way, so it does
+/// not vouch for the run, but it is named for what it is.
+fn untimed_breach(causal: bool, outcome: Outcome) -> Option<String> {
+    let criterion = if causal {
+        "causal convergence (CCv)"
+    } else {
+        "sequential consistency"
+    };
+    match outcome {
+        Outcome::Satisfied => None,
+        Outcome::Violated => Some(format!("{criterion} violated")),
+        Outcome::Inconclusive => Some(format!(
+            "{criterion} inconclusive: the search exhausted its state budget"
+        )),
     }
 }
 
@@ -466,6 +484,26 @@ mod tests {
             matches!(&c.verdict, OracleVerdict::Violated(v) if v.contains("cross-check")),
             "verdict: {:?}",
             c.verdict
+        );
+    }
+
+    #[test]
+    fn an_exhausted_search_is_named_inconclusive_not_violated() {
+        assert_eq!(untimed_breach(false, Outcome::Satisfied), None);
+        assert_eq!(
+            untimed_breach(false, Outcome::Violated).as_deref(),
+            Some("sequential consistency violated")
+        );
+        let sc = untimed_breach(false, Outcome::Inconclusive).expect("proves nothing");
+        assert!(
+            sc.starts_with("sequential consistency inconclusive"),
+            "{sc}"
+        );
+        assert!(!sc.contains("violated"), "{sc}");
+        let ccv = untimed_breach(true, Outcome::Inconclusive).expect("proves nothing");
+        assert!(
+            ccv.starts_with("causal convergence (CCv) inconclusive"),
+            "{ccv}"
         );
     }
 

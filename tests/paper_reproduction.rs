@@ -6,7 +6,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use tc_bench::exp::{embed, regenerate, EXPERIMENTS};
+use tc_bench::exp::{embed, EXPERIMENTS};
 use timed_consistency::clocks::{Delta, Epsilon, NormXi, SumXi, XiMap};
 use timed_consistency::core::checker::{
     check_on_time, classify, min_delta, satisfies_cc, satisfies_lin, satisfies_sc, satisfies_tcc,
@@ -185,31 +185,29 @@ fn figure4b_delta_spectrum_on_the_threaded_driver() {
 
 /// `results/` is the reproduction's evidence, so it must be what the code
 /// prints today: every deterministic artifact is regenerated in-process
-/// through the `tc-exp` table — the path `tc-exp reproduce` writes through
-/// — and compared byte-for-byte. Re-bless a deliberate change with
+/// through the `tc-exp` table — the run `tc-exp reproduce` writes and a
+/// bare `tc-exp <name>` prints — and compared byte-for-byte. Re-bless a deliberate change with
 /// `cargo run --release -p tc-bench --bin tc-exp -- reproduce`.
 #[test]
 fn results_are_what_the_experiments_print() {
     let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
     let mut stale = Vec::new();
     for exp in EXPERIMENTS.iter().filter(|e| e.deterministic) {
-        for (flags, file) in exp.pinned {
-            let produced = regenerate(exp, flags);
-            let checked_in = std::fs::read_to_string(dir.join(file)).unwrap_or_default();
-            if produced == checked_in {
-                continue;
-            }
-            let (new, old) = (produced.lines(), checked_in.lines());
-            let line = new.zip(old).take_while(|(new, old)| new == old).count();
-            stale.push(format!(
-                "results/{file}:{}: checked in {:?}, `tc-exp {} {}` prints {:?}",
-                line + 1,
-                checked_in.lines().nth(line).unwrap_or("<end of file>"),
-                exp.name,
-                flags.join(" "),
-                produced.lines().nth(line).unwrap_or("<end of file>"),
-            ));
+        let produced = (exp.run)().text();
+        let checked_in = std::fs::read_to_string(dir.join(exp.file)).unwrap_or_default();
+        if produced == checked_in {
+            continue;
         }
+        let (new, old) = (produced.lines(), checked_in.lines());
+        let line = new.zip(old).take_while(|(new, old)| new == old).count();
+        stale.push(format!(
+            "results/{}:{}: checked in {:?}, `tc-exp {}` prints {:?}",
+            exp.file,
+            line + 1,
+            checked_in.lines().nth(line).unwrap_or("<end of file>"),
+            exp.name,
+            produced.lines().nth(line).unwrap_or("<end of file>"),
+        ));
     }
     assert!(
         stale.is_empty(),
@@ -230,10 +228,11 @@ fn every_results_file_has_exactly_one_producer() {
         .map(|name| name.into_string().expect("utf-8 file name"))
         .collect();
     let mut produced = BTreeSet::new();
-    for (_, file) in EXPERIMENTS.iter().flat_map(|exp| exp.pinned) {
+    for exp in EXPERIMENTS {
         assert!(
-            produced.insert(file.to_string()),
-            "results/{file} has two producers"
+            produced.insert(exp.file.to_string()),
+            "results/{} has two producers",
+            exp.file
         );
     }
     assert_eq!(on_disk, produced, "results/ vs the tc-exp table");
@@ -247,11 +246,7 @@ fn every_results_file_has_exactly_one_producer() {
 fn experiments_md_embeds_every_results_file_as_checked_in() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let doc = std::fs::read_to_string(root.join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
-    let files: Vec<&str> = EXPERIMENTS
-        .iter()
-        .flat_map(|exp| exp.pinned)
-        .map(|(_, file)| *file)
-        .collect();
+    let files: Vec<&str> = EXPERIMENTS.iter().map(|exp| exp.file).collect();
     let mut stale = Vec::new();
     for file in &files {
         let checked_in =
