@@ -2,19 +2,18 @@
 //! timeliness–cost trade-off of the lifetime protocols as Δ varies.
 //!
 //! For TSC and TCC, sweeps Δ and reports server traffic (fetches +
-//! validations per read), cache hit rate, invalidations/old-markings, and
-//! the measured staleness of the recorded execution. Small Δ ⇒ caches are
-//! useless (the paper's "extreme case"); large Δ ⇒ cheap but stale.
+//! validations per read), cache hit rate, old-markings, and the measured
+//! staleness of the recorded execution. Small Δ ⇒ caches are useless (the
+//! paper's "extreme case"); large Δ ⇒ cheap but stale.
 //!
-//! Three subcommands share the sweep: `delta-cost` (mark old, pull), and
-//! two ablations, `delta-cost-invalidate` (invalidate instead of marking
-//! old) and `delta-cost-push` (push invalidations instead of pull).
+//! Two subcommands share the sweep: `delta-cost` (pull), and its ablation
+//! `delta-cost-push` (push invalidations instead of pull).
 
 use super::Report;
 use crate::{f3, pct, standard_run, Table};
 use tc_clocks::Delta;
 use tc_core::stats::StalenessStats;
-use tc_lifetime::{run as simulate, Propagation, ProtocolKind, StalePolicy};
+use tc_lifetime::{run as simulate, Propagation, ProtocolKind};
 use tc_sim::metrics::names;
 
 /// Operations per client, and seeds averaged per cell.
@@ -22,18 +21,14 @@ const OPS: usize = 150;
 const SEEDS: u64 = 5;
 
 pub fn run() -> Report {
-    sweep(StalePolicy::MarkOld, false)
-}
-
-pub fn invalidate() -> Report {
-    sweep(StalePolicy::Invalidate, false)
+    sweep(false)
 }
 
 pub fn push() -> Report {
-    sweep(StalePolicy::MarkOld, true)
+    sweep(true)
 }
 
-fn sweep(policy: StalePolicy, push: bool) -> Report {
+fn sweep(push: bool) -> Report {
     let mut report = Report::default();
 
     type MakeKind = fn(Delta) -> ProtocolKind;
@@ -44,14 +39,13 @@ fn sweep(policy: StalePolicy, push: bool) -> Report {
     for (family, mk) in families {
         let mut t = Table::new(
             format!(
-                "Δ-cost trade-off, {family} lifetime protocol (policy {policy:?}, {} propagation)",
+                "Δ-cost trade-off, {family} lifetime protocol ({} propagation)",
                 if push { "push" } else { "pull" }
             ),
             &[
                 "Δ",
                 "hit rate",
                 "server msgs/read",
-                "invalidations",
                 "marked old",
                 "mean staleness",
                 "max staleness",
@@ -61,13 +55,11 @@ fn sweep(policy: StalePolicy, push: bool) -> Report {
             let delta = Delta::from_ticks(d);
             let mut hits = 0.0;
             let mut msgs_per_read = 0.0;
-            let mut inval = 0u64;
             let mut marked = 0u64;
             let mut mean_stale = 0.0;
             let mut max_stale = 0u64;
             for seed in 0..SEEDS {
                 let mut cfg = standard_run(mk(delta), seed, OPS);
-                cfg.protocol.stale = policy;
                 if push {
                     cfg.protocol.propagation = Propagation::PushInvalidate;
                 }
@@ -76,7 +68,6 @@ fn sweep(policy: StalePolicy, push: bool) -> Report {
                 hits += r.hit_rate();
                 msgs_per_read +=
                     (r.counter(names::FETCH) + r.counter(names::VALIDATE)) as f64 / reads;
-                inval += r.counter(names::INVALIDATE);
                 marked += r.counter(names::MARK_OLD);
                 let stats = StalenessStats::of(&r.history);
                 mean_stale += stats.mean_staleness();
@@ -87,7 +78,6 @@ fn sweep(policy: StalePolicy, push: bool) -> Report {
                 &d,
                 &pct(hits / k),
                 &f3(msgs_per_read / k),
-                &(inval / SEEDS),
                 &(marked / SEEDS),
                 &f3(mean_stale / k),
                 &max_stale,

@@ -151,14 +151,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         smoke: None,
     },
     Experiment {
-        name: "delta-cost-invalidate",
-        paper: "Sim 1 ablation: invalidate instead of marking old",
-        run: delta_cost::invalidate,
-        file: "delta_cost_invalidate.txt",
-        deterministic: true,
-        smoke: None,
-    },
-    Experiment {
         name: "delta-cost-push",
         paper: "Sim 1 ablation: push invalidations instead of pull",
         run: delta_cost::push,

@@ -35,7 +35,7 @@ pub fn run() -> Report {
         &[
             "protocol",
             "hit rate",
-            "stale marks+invals",
+            "stale marks",
             "server msgs/op",
             "mean staleness",
             "max staleness",
@@ -61,7 +61,7 @@ pub fn run() -> Report {
             let cfg = standard_run(kind, seed, OPS);
             let r = simulate(&cfg);
             hit += r.hit_rate();
-            stale_events += r.counter(names::INVALIDATE) + r.counter(names::MARK_OLD);
+            stale_events += r.counter(names::MARK_OLD);
             let n_ops = r.history.len().max(1) as f64;
             msgs_per_op += r.counter(names::MESSAGE) as f64 / n_ops;
             writes_per_op += r.history.write_ids().count() as f64 / n_ops;

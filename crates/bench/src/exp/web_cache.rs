@@ -18,9 +18,7 @@ use tc_clocks::{Delta, SiteClock, Time, VectorClock};
 use tc_core::stats::StalenessStats;
 use tc_core::{ObjectId, Value};
 use tc_lifetime::cache::{Cache, CacheEntry};
-use tc_lifetime::{
-    run as simulate, Propagation, ProtocolConfig, ProtocolKind, RunConfig, StalePolicy,
-};
+use tc_lifetime::{run as simulate, Propagation, ProtocolConfig, ProtocolKind, RunConfig};
 use tc_sim::metrics::names;
 use tc_sim::workload::Workload;
 use tc_sim::WorldConfig;
@@ -72,7 +70,7 @@ fn scripted_scenario() -> Table {
     cache.insert(dj, entry(1, &browser_ctx, 100));
     cache.join_context(&mut browser_ctx, &cnn_v1);
     cache.insert(cnn, entry(2, &browser_ctx, 120));
-    cache.sweep_causal(&browser_ctx, 0, StalePolicy::MarkOld);
+    cache.sweep_causal(&browser_ctx, 0);
     // Revalidate the suspect DJ page: the server still holds v1, so the
     // lifetime advances to the whole context.
     let checked = Time::from_ticks(125);
@@ -85,7 +83,7 @@ fn scripted_scenario() -> Table {
 
     // Step 2: weeks pass with no downloads — the cache still satisfies CC
     // (the paper's point: concurrent pages may coexist indefinitely)...
-    cache.sweep_causal(&browser_ctx, 0, StalePolicy::MarkOld);
+    cache.sweep_causal(&browser_ctx, 0);
     t.row(&[
         &"2: no downloads for weeks (CC ok)",
         &show(&cache, dj),
@@ -94,10 +92,7 @@ fn scripted_scenario() -> Table {
     // ...but TCC with Δ = a few hours ages both pages out regardless.
     let hours_later = Time::from_ticks(10_000);
     let mut tcc_cache = cache.clone();
-    tcc_cache.sweep_beta(
-        hours_later.saturating_sub_delta(delta),
-        StalePolicy::MarkOld,
-    );
+    tcc_cache.sweep_beta(hours_later.saturating_sub_delta(delta));
     t.row(&[
         &"2': same, under TCC(Δ=hours)",
         &show(&tcc_cache, dj),
@@ -107,20 +102,25 @@ fn scripted_scenario() -> Table {
     // Step 3: the market moves; the newsroom *reads the new index* and
     // publishes a story about it — a causal edge from DJ v3 to CNN v4.
     // The user downloads the new CNN page; its stamp causally dominates
-    // the cached DJ index's lifetime, so CC forces the old index out
-    // (no revalidation can save it: the server now holds v3).
+    // the cached DJ index's lifetime, so CC marks the index old, and no
+    // revalidation can save it: the server now holds v3, so the
+    // if-modified-since check fails and the browser drops v1.
     let dj_v3 = dow_jones.tick();
     newsroom.observe(&dj_v3);
     let cnn_v4 = newsroom.tick();
     cache.join_context(&mut browser_ctx, &cnn_v4);
     cache.insert(cnn, entry(4, &browser_ctx, 130));
-    cache.sweep_causal(&browser_ctx, 0, StalePolicy::Invalidate);
+    cache.sweep_causal(&browser_ctx, 0);
+    assert!(
+        cache.get(dj).is_some_and(|e| e.old),
+        "the stale Dow-Jones page must be marked old"
+    );
+    cache.remove(dj);
     t.row(&[
         &"3: fetch CNN v4 (reports DJ fall)",
         &show(&cache, dj),
         &show(&cache, cnn),
     ]);
-    assert!(cache.get(dj).is_none(), "stale Dow-Jones page must die");
     assert!(cache.get(cnn).is_some());
     t
 }

@@ -34,7 +34,7 @@ use std::collections::hash_map::Entry;
 use tc_clocks::{SumXi, Time, Timestamp, VectorClock, XiMap};
 use tc_core::{FxHashMap, ObjectId, Value};
 
-use crate::{ProtocolKind, StalePolicy};
+use crate::ProtocolKind;
 
 /// A cached object version with its lifetime metadata.
 #[derive(Clone, Debug, PartialEq)]
@@ -56,16 +56,6 @@ pub struct CacheEntry {
     /// Marked old (kept but must be validated before use) — §5.2's
     /// optimization.
     pub old: bool,
-}
-
-/// Outcome of a sweep: how many entries were invalidated or newly marked
-/// old.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SweepOutcome {
-    /// Entries dropped from the cache.
-    pub invalidated: usize,
-    /// Entries newly marked old.
-    pub marked_old: usize,
 }
 
 /// A §5 freshness rule; its discriminant is its index's slot.
@@ -235,8 +225,8 @@ impl Cache {
         Some(slot.entry)
     }
 
-    /// Marks an entry old (a push invalidation under
-    /// [`StalePolicy::MarkOld`]). Whether it was cached and fresh.
+    /// Marks an entry old (a push invalidation). Whether it was cached
+    /// and fresh.
     pub fn mark_old(&mut self, object: ObjectId) -> bool {
         match self.entries.get_mut(&object) {
             Some(slot) if !slot.entry.old => {
@@ -310,10 +300,11 @@ impl Cache {
     }
 
     /// Physical-family rule: any entry with `ω < Context_i` is no longer
-    /// provably fresh — invalidate it or mark it old per `policy`.
-    pub fn sweep_physical(&mut self, context: Time, policy: StalePolicy) -> SweepOutcome {
+    /// provably fresh — mark it old. Each sweep returns the number of
+    /// entries it newly marked old.
+    pub fn sweep_physical(&mut self, context: Time) -> usize {
         let n = self.idx.by[Rule::Physical as usize].below(context.ticks());
-        self.mark(Rule::Physical, n, policy, |e| e.omega_t < context)
+        self.mark(Rule::Physical, n, |e| e.omega_t < context)
     }
 
     /// Causal-family rule (§5.3): any entry whose logical ending time is
@@ -323,36 +314,25 @@ impl Cache {
     /// invalidated as a consequence of the update of a local object
     /// value"). The index answers it from the growths
     /// [`Cache::join_context`] counted, without comparing clocks.
-    pub fn sweep_causal(
-        &mut self,
-        context: &VectorClock,
-        me: usize,
-        policy: StalePolicy,
-    ) -> SweepOutcome {
+    pub fn sweep_causal(&mut self, context: &VectorClock, me: usize) -> usize {
         let n = self.idx.by[Rule::Causal as usize].below(self.idx.generation);
-        self.mark(Rule::Causal, n, policy, |e| match &e.omega_v {
+        self.mark(Rule::Causal, n, |e| match &e.omega_v {
             None => true, // versions without logical metadata cannot be trusted
             Some(omega) => causally_stale(omega, context, me),
         })
     }
 
     /// TCC rule (§5.3): any entry whose checking time `β` is older than
-    /// `threshold = t_i − Δ` may hide a write older than Δ — invalidate or
-    /// mark old.
-    pub fn sweep_beta(&mut self, threshold: Time, policy: StalePolicy) -> SweepOutcome {
+    /// `threshold = t_i − Δ` may hide a write older than Δ — mark it old.
+    pub fn sweep_beta(&mut self, threshold: Time) -> usize {
         let n = self.idx.by[Rule::Beta as usize].below(threshold.ticks());
-        self.mark(Rule::Beta, n, policy, |e| e.beta < threshold)
+        self.mark(Rule::Beta, n, |e| e.beta < threshold)
     }
 
     /// Logical-TCC rule (§5.4, Definition 6): an entry is stale once the
     /// known global activity `xi_context` has advanced more than
     /// `xi_delta` past the [`SumXi`] of the entry's logical ending time.
-    pub fn sweep_xi(
-        &mut self,
-        xi_context: f64,
-        xi_delta: f64,
-        policy: StalePolicy,
-    ) -> SweepOutcome {
+    pub fn sweep_xi(&mut self, xi_context: f64, xi_delta: f64) -> usize {
         let stale = |e: &CacheEntry| match &e.omega_v {
             None => true,
             Some(omega) => xi_context - SumXi.xi(omega.entries()) > xi_delta,
@@ -362,18 +342,12 @@ impl Cache {
             .iter()
             .take_while(|(_, object)| stale(&self.entries[object].entry))
             .count();
-        self.mark(Rule::Xi, n, policy, stale)
+        self.mark(Rule::Xi, n, stale)
     }
 
-    /// Invalidates or marks old the first `n` entries of `rule`'s index:
-    /// exactly the fresh entries `stale` names, which debug builds check.
-    fn mark(
-        &mut self,
-        rule: Rule,
-        n: usize,
-        policy: StalePolicy,
-        stale: impl Fn(&CacheEntry) -> bool,
-    ) -> SweepOutcome {
+    /// Marks old the first `n` entries of `rule`'s index: exactly the
+    /// fresh entries `stale` names, which debug builds check. Returns `n`.
+    fn mark(&mut self, rule: Rule, n: usize, stale: impl Fn(&CacheEntry) -> bool) -> usize {
         assert!(
             self.idx.rules.contains(&rule),
             "this cache's protocol does not sweep by the {rule:?} rule"
@@ -388,28 +362,13 @@ impl Cache {
         );
         let mut index = std::mem::take(&mut self.idx.by[rule as usize]);
         for &(_, object) in &index.0[..n] {
-            match policy {
-                StalePolicy::Invalidate => {
-                    let slot = self.entries.remove(&object).expect("indexed");
-                    self.idx.unindex(object, &slot, Some(rule));
-                }
-                StalePolicy::MarkOld => {
-                    let slot = self.entries.get_mut(&object).expect("indexed");
-                    self.idx.unindex(object, slot, Some(rule));
-                    slot.entry.old = true;
-                }
-            }
+            let slot = self.entries.get_mut(&object).expect("indexed");
+            self.idx.unindex(object, slot, Some(rule));
+            slot.entry.old = true;
         }
         index.0.drain(..n);
         self.idx.by[rule as usize] = index;
-        let (invalidated, marked_old) = match policy {
-            StalePolicy::Invalidate => (n, 0),
-            StalePolicy::MarkOld => (0, n),
-        };
-        SweepOutcome {
-            invalidated,
-            marked_old,
-        }
+        n
     }
 
     /// Whether every kept index holds exactly the fresh entries, each
@@ -517,35 +476,22 @@ mod tests {
     }
 
     #[test]
-    fn physical_sweep_invalidates_expired_lifetimes() {
+    fn physical_sweep_marks_expired_lifetimes_old() {
         let mut c = Cache::new(ProtocolKind::sc(), 8);
         c.insert(obj('X'), entry_t(1, 5, 10));
         c.insert(obj('Y'), entry_t(2, 5, 30));
-        let out = c.sweep_physical(Time::from_ticks(20), StalePolicy::Invalidate);
-        assert_eq!(out.invalidated, 1);
-        assert!(c.get(obj('X')).is_none());
-        assert!(c.get(obj('Y')).is_some());
-    }
-
-    #[test]
-    fn physical_sweep_markold_keeps_entries() {
-        let mut c = Cache::new(ProtocolKind::sc(), 8);
-        c.insert(obj('X'), entry_t(1, 5, 10));
-        let out = c.sweep_physical(Time::from_ticks(20), StalePolicy::MarkOld);
-        assert_eq!(out.marked_old, 1);
-        assert_eq!(out.invalidated, 0);
-        assert!(c.get(obj('X')).unwrap().old);
+        assert_eq!(c.sweep_physical(Time::from_ticks(20)), 1);
+        assert!(c.get(obj('X')).unwrap().old, "kept, but old");
+        assert!(!c.get(obj('Y')).unwrap().old);
         // A second sweep does not recount the same entry.
-        let out2 = c.sweep_physical(Time::from_ticks(25), StalePolicy::MarkOld);
-        assert_eq!(out2.marked_old, 0);
+        assert_eq!(c.sweep_physical(Time::from_ticks(25)), 0);
     }
 
     #[test]
     fn boundary_omega_equal_context_is_fresh() {
         let mut c = Cache::new(ProtocolKind::sc(), 8);
         c.insert(obj('X'), entry_t(1, 5, 20));
-        let out = c.sweep_physical(Time::from_ticks(20), StalePolicy::Invalidate);
-        assert_eq!(out.invalidated, 0);
+        assert_eq!(c.sweep_physical(Time::from_ticks(20)), 0);
     }
 
     #[test]
@@ -555,21 +501,19 @@ mod tests {
         let mut c = Cache::new(ProtocolKind::cc(), 8);
         c.join_context(&mut context, &writer.tick()); // <1,0,0>
         c.insert(obj('X'), entry_v(1, context.clone(), 0));
-        let out = c.sweep_causal(&context, 1, StalePolicy::Invalidate);
-        assert_eq!(out.invalidated, 0, "the current snapshot is fresh");
+        assert_eq!(
+            c.sweep_causal(&context, 1),
+            0,
+            "the current snapshot is fresh"
+        );
         // A stamp already known grows nothing.
         c.join_context(&mut context, &VectorClock::from_entries(0, vec![1, 0, 0]));
-        assert_eq!(
-            c.sweep_causal(&context, 1, StalePolicy::Invalidate)
-                .invalidated,
-            0
-        );
+        assert_eq!(c.sweep_causal(&context, 1), 0);
         c.join_context(&mut context, &writer.tick()); // <2,0,0>
         c.insert(obj('Y'), entry_v(2, context.clone(), 0));
-        let out = c.sweep_causal(&context, 1, StalePolicy::Invalidate);
-        assert_eq!(out.invalidated, 1);
-        assert!(c.get(obj('X')).is_none(), "causally-before entry dies");
-        assert!(c.get(obj('Y')).is_some(), "the newer snapshot survives");
+        assert_eq!(c.sweep_causal(&context, 1), 1);
+        assert!(c.get(obj('X')).unwrap().old, "causally-before entry ages");
+        assert!(!c.get(obj('Y')).unwrap().old, "the newer snapshot survives");
     }
 
     #[test]
@@ -584,8 +528,7 @@ mod tests {
         // A join that grows only the own component ages nothing either.
         c.join_context(&mut clock, &VectorClock::from_entries(0, vec![0, 9]));
         c.insert(obj('X'), entry_v(1, omega, 0));
-        let out = c.sweep_causal(&clock, me, StalePolicy::Invalidate);
-        assert_eq!(out.invalidated, 0);
+        assert_eq!(c.sweep_causal(&clock, me), 0);
     }
 
     /// The definition `causally_stale` replaced: clone ω, overwrite the
@@ -671,9 +614,9 @@ mod tests {
         let stamp = VectorClock::new(0, 2);
         c.insert(obj('X'), entry_v(1, stamp.clone(), 50));
         c.insert(obj('Y'), entry_v(2, stamp, 200));
-        let out = c.sweep_beta(Time::from_ticks(100), StalePolicy::Invalidate);
-        assert_eq!(out.invalidated, 1);
-        assert!(c.get(obj('Y')).is_some());
+        assert_eq!(c.sweep_beta(Time::from_ticks(100)), 1);
+        assert!(c.get(obj('X')).unwrap().old);
+        assert!(!c.get(obj('Y')).unwrap().old);
     }
 
     #[test]
@@ -683,10 +626,8 @@ mod tests {
         let mut c = Cache::new(ProtocolKind::TccLogical { xi_delta: 90.0 }, 8);
         c.insert(obj('X'), entry_v(1, omega_small, 0));
         // Context knows 90 more global events than the entry.
-        let out_keep = c.sweep_xi(1.0 + 89.0, 90.0, StalePolicy::Invalidate);
-        assert_eq!(out_keep.invalidated, 0);
-        let out_kill = c.sweep_xi(1.0 + 91.0, 90.0, StalePolicy::Invalidate);
-        assert_eq!(out_kill.invalidated, 1);
+        assert_eq!(c.sweep_xi(1.0 + 89.0, 90.0), 0);
+        assert_eq!(c.sweep_xi(1.0 + 91.0, 90.0), 1);
     }
 
     #[test]
@@ -694,14 +635,13 @@ mod tests {
         let mut c = Cache::new(ProtocolKind::cc(), 8);
         c.insert(obj('X'), entry_t(1, 0, 0));
         let context = VectorClock::new(0, 2);
-        let out = c.sweep_causal(&context, 0, StalePolicy::Invalidate);
-        assert_eq!(out.invalidated, 1);
+        assert_eq!(c.sweep_causal(&context, 0), 1);
     }
 
     #[test]
     #[should_panic(expected = "does not sweep by the Beta rule")]
     fn a_rule_the_protocol_does_not_apply_cannot_sweep() {
-        Cache::new(ProtocolKind::sc(), 8).sweep_beta(Time::ZERO, StalePolicy::MarkOld);
+        Cache::new(ProtocolKind::sc(), 8).sweep_beta(Time::ZERO);
     }
 
     #[test]
@@ -727,62 +667,34 @@ mod tests {
     }
 
     impl ScanCache {
-        fn sweep(
-            &mut self,
-            policy: StalePolicy,
-            stale: impl Fn(&CacheEntry) -> bool,
-        ) -> SweepOutcome {
-            let mut out = SweepOutcome::default();
-            match policy {
-                StalePolicy::Invalidate => {
-                    self.entries.retain(|_, e| {
-                        if stale(e) {
-                            out.invalidated += 1;
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                }
-                StalePolicy::MarkOld => {
-                    for e in self.entries.values_mut() {
-                        if !e.old && stale(e) {
-                            e.old = true;
-                            out.marked_old += 1;
-                        }
-                    }
+        fn sweep(&mut self, stale: impl Fn(&CacheEntry) -> bool) -> usize {
+            let mut marked = 0;
+            for e in self.entries.values_mut() {
+                if !e.old && stale(e) {
+                    e.old = true;
+                    marked += 1;
                 }
             }
-            out
+            marked
         }
 
-        fn sweep_physical(&mut self, context: Time, policy: StalePolicy) -> SweepOutcome {
-            self.sweep(policy, |e| e.omega_t < context)
+        fn sweep_physical(&mut self, context: Time) -> usize {
+            self.sweep(|e| e.omega_t < context)
         }
 
-        fn sweep_causal(
-            &mut self,
-            context: &VectorClock,
-            me: usize,
-            policy: StalePolicy,
-        ) -> SweepOutcome {
-            self.sweep(policy, |e| match &e.omega_v {
+        fn sweep_causal(&mut self, context: &VectorClock, me: usize) -> usize {
+            self.sweep(|e| match &e.omega_v {
                 None => true,
                 Some(omega) => causally_stale(omega, context, me),
             })
         }
 
-        fn sweep_beta(&mut self, threshold: Time, policy: StalePolicy) -> SweepOutcome {
-            self.sweep(policy, |e| e.beta < threshold)
+        fn sweep_beta(&mut self, threshold: Time) -> usize {
+            self.sweep(|e| e.beta < threshold)
         }
 
-        fn sweep_xi(
-            &mut self,
-            xi_context: f64,
-            xi_delta: f64,
-            policy: StalePolicy,
-        ) -> SweepOutcome {
-            self.sweep(policy, |e| match &e.omega_v {
+        fn sweep_xi(&mut self, xi_context: f64, xi_delta: f64) -> usize {
+            self.sweep(|e| match &e.omega_v {
                 None => true,
                 Some(omega) => xi_context - SumXi.xi(omega.entries()) > xi_delta,
             })
@@ -844,7 +756,7 @@ mod tests {
             beta: u64,
             server_now: u64,
         },
-        /// A push invalidation: removes or marks old per the policy.
+        /// A push invalidation: marks old.
         Push(u32),
         Remove(u32),
         /// A sweep by the protocol's `rule`-th rule. The physical and β
@@ -858,13 +770,13 @@ mod tests {
         },
     }
 
-    /// `(kind, policy, width, me, steps)`: a caching protocol, a policy, a
-    /// `Context_i` of `width` owned by `me`, and a script over a handful
-    /// of objects whose times rise and fall.
+    /// `(kind, width, me, steps)`: a caching protocol, a `Context_i` of
+    /// `width` owned by `me`, and a script over a handful of objects whose
+    /// times rise and fall.
     struct ArbScript;
 
     impl Strategy for ArbScript {
-        type Value = (ProtocolKind, StalePolicy, usize, usize, Vec<Step>);
+        type Value = (ProtocolKind, usize, usize, Vec<Step>);
         fn sample(&self, rng: &mut StdRng) -> Self::Value {
             let kind = [
                 ProtocolKind::sc(),
@@ -875,7 +787,6 @@ mod tests {
                 TCC,
                 ProtocolKind::TccLogical { xi_delta: 3.0 },
             ][rng.gen_range(0..5usize)];
-            let policy = [StalePolicy::Invalidate, StalePolicy::MarkOld][rng.gen_range(0..2usize)];
             let width = rng.gen_range(1..=4usize);
             let me = rng.gen_range(0..width);
             let time = |rng: &mut StdRng| rng.gen_range(0..40u64);
@@ -907,7 +818,7 @@ mod tests {
                     },
                 })
                 .collect();
-            (kind, policy, width, me, steps)
+            (kind, width, me, steps)
         }
     }
 
@@ -919,7 +830,7 @@ mod tests {
         /// flags included, and each index holds one item per fresh entry.
         #[test]
         fn indexed_sweeps_equal_their_scans(script in ArbScript) {
-            let (kind, policy, width, me, steps) = script;
+            let (kind, width, me, steps) = script;
             let mut cache = Cache::new(kind, 8);
             let mut scan = ScanCache { causal: kind.is_causal_family(), ..ScanCache::default() };
             let mut context = VectorClock::new(me, width);
@@ -954,20 +865,12 @@ mod tests {
                             scan.revalidate(o, beta, now, &context)
                         );
                     }
-                    Step::Push(object) => match policy {
-                        StalePolicy::Invalidate => {
-                            prop_assert_eq!(
-                                cache.remove(ObjectId::new(object)),
-                                scan.entries.remove(&ObjectId::new(object))
-                            );
-                        }
-                        StalePolicy::MarkOld => {
-                            prop_assert_eq!(
-                                cache.mark_old(ObjectId::new(object)),
-                                scan.mark_old(ObjectId::new(object))
-                            );
-                        }
-                    },
+                    Step::Push(object) => {
+                        prop_assert_eq!(
+                            cache.mark_old(ObjectId::new(object)),
+                            scan.mark_old(ObjectId::new(object))
+                        );
+                    }
                     Step::Remove(object) => {
                         prop_assert_eq!(
                             cache.remove(ObjectId::new(object)),
@@ -978,15 +881,15 @@ mod tests {
                         let t = Time::from_ticks(threshold);
                         let xi_context = SumXi.xi(context.entries()) + xi_skew;
                         let (indexed, scanned) = match rules[rule % rules.len()] {
-                            Rule::Physical => (cache.sweep_physical(t, policy), scan.sweep_physical(t, policy)),
-                            Rule::Beta => (cache.sweep_beta(t, policy), scan.sweep_beta(t, policy)),
+                            Rule::Physical => (cache.sweep_physical(t), scan.sweep_physical(t)),
+                            Rule::Beta => (cache.sweep_beta(t), scan.sweep_beta(t)),
                             Rule::Causal => (
-                                cache.sweep_causal(&context, me, policy),
-                                scan.sweep_causal(&context, me, policy),
+                                cache.sweep_causal(&context, me),
+                                scan.sweep_causal(&context, me),
                             ),
                             Rule::Xi => (
-                                cache.sweep_xi(xi_context, xi_delta, policy),
-                                scan.sweep_xi(xi_context, xi_delta, policy),
+                                cache.sweep_xi(xi_context, xi_delta),
+                                scan.sweep_xi(xi_context, xi_delta),
                             ),
                         };
                         prop_assert_eq!(indexed, scanned, "step {} {:?}", i, step);

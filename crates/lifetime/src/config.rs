@@ -83,18 +83,6 @@ impl ProtocolKind {
     }
 }
 
-/// What to do with a cached version that is no longer provably fresh
-/// (§5.2's optimization knob).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StalePolicy {
-    /// Drop it; the next access pays a full fetch.
-    Invalidate,
-    /// Keep it but mark it *old*; the next access sends a cheap
-    /// validation (the paper's if-modified-since analogy) that either
-    /// advances the lifetime or returns the newer version.
-    MarkOld,
-}
-
 /// How updates travel from the server to caches (§5.2 mentions both).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Propagation {
@@ -179,8 +167,6 @@ impl DurabilityMode {
 pub struct ProtocolConfig {
     /// The consistency level.
     pub kind: ProtocolKind,
-    /// Staleness handling.
-    pub stale: StalePolicy,
     /// Update propagation.
     pub propagation: Propagation,
     /// How long a client waits before resending an unanswered request.
@@ -199,13 +185,12 @@ pub struct ProtocolConfig {
 }
 
 impl ProtocolConfig {
-    /// The conventional configuration for a level: pull-based, mark-old,
+    /// The conventional configuration for a level: pull-based,
     /// default retry interval, one shard, in-memory shards.
     #[must_use]
     pub fn of(kind: ProtocolKind) -> Self {
         ProtocolConfig {
             kind,
-            stale: StalePolicy::MarkOld,
             propagation: Propagation::Pull,
             retry_after: DEFAULT_RETRY_AFTER,
             shards: 1,
@@ -286,9 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn default_config_is_pull_markold() {
+    fn default_config_is_pull() {
         let c = ProtocolConfig::of(ProtocolKind::cc());
-        assert_eq!(c.stale, StalePolicy::MarkOld);
         assert_eq!(c.propagation, Propagation::Pull);
         assert_eq!(c.retry_after, DEFAULT_RETRY_AFTER);
         assert_eq!(DEFAULT_RETRY_AFTER, Delta::from_ticks(500));

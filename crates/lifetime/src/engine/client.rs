@@ -12,11 +12,11 @@ use tc_sim::metrics::names;
 use tc_sim::workload::{OpChoice, Workload};
 use tc_sim::NodeId;
 
-use crate::cache::{Cache, CacheEntry, SweepOutcome};
+use crate::cache::{Cache, CacheEntry};
 use crate::channel::SendWindow;
 use crate::engine::{Effect, Event, Inputs, Now, RecordOp, ShardMap, TIMER_NEXT_OP, TIMER_RESEND};
 use crate::msg::{Msg, ValidateOutcome, WireVersion};
-use crate::{ProtocolConfig, ProtocolKind, StalePolicy};
+use crate::{ProtocolConfig, ProtocolKind};
 
 enum Pending {
     Read { object: ObjectId },
@@ -115,6 +115,12 @@ pub struct ClientEngine {
     /// site read a value older than its own write. `install` arbitrates
     /// every fetched version against this map.
     own_writes: FxHashMap<ObjectId, (Value, VectorClock, Time)>,
+    /// Per object, whether the last check of a held version found it
+    /// changed: a [`ValidateOutcome::Newer`], or a fetch that returned
+    /// another value than the one held. Absent reads as unchanged. It
+    /// picks the request that checks an old entry ([`Self::refetches`]);
+    /// a causal-family site keeps none ([`Self::note_check`]).
+    changed: FxHashMap<ObjectId, bool>,
     /// The latest driver-injected clock sample.
     now: Option<Now>,
     /// Adaptive control plane: the Δ commanded by the last applied
@@ -170,6 +176,7 @@ impl ClientEngine {
             deferred: VecDeque::new(),
             windows,
             own_writes: FxHashMap::default(),
+            changed: FxHashMap::default(),
             now: None,
             delta_override: None,
             delta_seq: 0,
@@ -316,48 +323,33 @@ impl ClientEngine {
         }
     }
 
-    fn count_sweep(out: &mut Vec<Effect>, sweep: SweepOutcome) {
-        out.push(Effect::Metric {
-            name: names::INVALIDATE,
-            add: sweep.invalidated as u64,
-        });
-        out.push(Effect::Metric {
-            name: names::MARK_OLD,
-            add: sweep.marked_old as u64,
-        });
-    }
-
     /// Applies the protocol's freshness rules before an access (§5.1 rule
-    /// 3 and the sweeps).
+    /// 3 and the sweeps), counting the entries they mark old.
     fn refresh(&mut self, out: &mut Vec<Effect>, t_loc: Time) {
-        let policy = self.config.stale;
-        match self.config.kind {
-            ProtocolKind::NoCache => {}
+        let marked_old = match self.config.kind {
+            ProtocolKind::NoCache => return,
             ProtocolKind::Tsc { delta } => {
                 // Rule 3: Context_i := max(t_i − Δ, Context_i), with Δ the
                 // threshold currently in force (adaptive override aware).
                 let delta = self.effective_delta(delta);
                 self.context_t = self.context_t.max(t_loc.saturating_sub_delta(delta));
-                let sweep = self.cache.sweep_physical(self.context_t, policy);
-                Self::count_sweep(out, sweep);
+                self.cache.sweep_physical(self.context_t)
             }
             ProtocolKind::Tcc { delta } => {
                 let delta = self.effective_delta(delta);
-                let sweep = self.cache.sweep_causal(&self.context_v, self.site, policy);
-                Self::count_sweep(out, sweep);
-                let sweep = self
-                    .cache
-                    .sweep_beta(t_loc.saturating_sub_delta(delta), policy);
-                Self::count_sweep(out, sweep);
+                self.cache.sweep_causal(&self.context_v, self.site)
+                    + self.cache.sweep_beta(t_loc.saturating_sub_delta(delta))
             }
             ProtocolKind::TccLogical { xi_delta } => {
-                let sweep = self.cache.sweep_causal(&self.context_v, self.site, policy);
-                Self::count_sweep(out, sweep);
+                let causal = self.cache.sweep_causal(&self.context_v, self.site);
                 let xi_ctx = SumXi.xi(self.context_v.entries());
-                let sweep = self.cache.sweep_xi(xi_ctx, xi_delta, policy);
-                Self::count_sweep(out, sweep);
+                causal + self.cache.sweep_xi(xi_ctx, xi_delta)
             }
-        }
+        };
+        out.push(Effect::Metric {
+            name: names::MARK_OLD,
+            add: marked_old as u64,
+        });
     }
 
     fn start_read(&mut self, object: ObjectId, io: &mut impl Inputs, out: &mut Vec<Effect>) {
@@ -377,18 +369,20 @@ impl ClientEngine {
                 self.complete(io, out);
             }
             Some(entry) => {
-                // MarkOld policy: cheap revalidation instead of a refetch.
+                // An old entry is checked with its shard, by whichever
+                // request the last check of it says is cheaper.
                 out.push(Effect::metric(names::VALIDATE));
-                let value = entry.value;
-                self.pending = Some(Pending::Read { object });
-                self.send_request(
-                    out,
+                let msg = if self.refetches(object) {
+                    Msg::FetchReq { object, epoch: 0 }
+                } else {
                     Msg::ValidateReq {
                         object,
-                        value,
+                        value: entry.value,
                         epoch: 0,
-                    },
-                );
+                    }
+                };
+                self.pending = Some(Pending::Read { object });
+                self.send_request(out, msg);
             }
             None => {
                 out.push(Effect::metric(names::CACHE_MISS));
@@ -397,6 +391,33 @@ impl ClientEngine {
                 self.send_request(out, Msg::FetchReq { object, epoch: 0 });
             }
         }
+    }
+
+    /// Whether an old entry of `object` is checked by a refetch rather
+    /// than a validation (§5.2's if-modified-since). A `ValidateReq`
+    /// carries the held value and pays off only when the shard answers
+    /// `StillValid`; a `FetchReq` carries no value, and its reply carries
+    /// the version either way. So a site refetches what the last check
+    /// found changed.
+    fn refetches(&self, object: ObjectId) -> bool {
+        self.changed.get(&object) == Some(&true)
+    }
+
+    /// Records whether a check of a held `object` found it changed. A
+    /// causal-family site records nothing, so it always validates: its
+    /// versions carry a vector stamp, which a refetch of an unchanged
+    /// object would pay for.
+    fn note_check(&mut self, object: ObjectId, changed: bool) {
+        if !self.config.kind.is_causal_family() {
+            self.changed.insert(object, changed);
+        }
+    }
+
+    /// Whether recorded operations carry `L(op)`, the vector stamp
+    /// Definition 6's judge (`checker::check_on_time_xi`) reads: only
+    /// under TCC-ξ, the one protocol it judges.
+    fn stamps_ops(&self) -> bool {
+        matches!(self.config.kind, ProtocolKind::TccLogical { .. })
     }
 
     fn start_write(&mut self, object: ObjectId, io: &mut impl Inputs, out: &mut Vec<Effect>) {
@@ -451,7 +472,7 @@ impl ClientEngine {
                 object,
                 value,
                 at: now,
-                logical: Some(alpha_v),
+                logical: self.stamps_ops().then_some(alpha_v),
             }));
             self.complete(io, out);
         } else {
@@ -538,13 +559,7 @@ impl ClientEngine {
     }
 
     fn record_read(&mut self, out: &mut Vec<Effect>, object: ObjectId, value: Value) {
-        // Causal runs carry L(op) so traces can also be judged by the
-        // logical-clock Definition 6 (checker::check_on_time_xi).
-        let logical = self
-            .config
-            .kind
-            .is_causal_family()
-            .then(|| self.context_v.clone());
+        let logical = self.stamps_ops().then(|| self.context_v.clone());
         out.push(Effect::Record(RecordOp::Read {
             site: SiteId::new(self.site),
             object,
@@ -635,10 +650,12 @@ impl ClientEngine {
     fn on_restart(&mut self, io: &mut impl Inputs, out: &mut Vec<Effect>) {
         out.push(Effect::metric(names::CLIENT_RESTART));
         // Volatile state dies with the process: the cache (that is the
-        // fault being modelled), the physical context floor (safe to lose —
-        // rule 3 re-raises it on the next access, and the cache it guarded
-        // is empty anyway), and the not-yet-issued planned op.
+        // fault being modelled) and what its checks found, the physical
+        // context floor (safe to lose — rule 3 re-raises it on the next
+        // access, and the cache it guarded is empty anyway), and the
+        // not-yet-issued planned op.
         self.cache = Cache::new(self.config.kind, self.workload.n_objects());
+        self.changed.clear();
         self.context_t = Time::ZERO;
         self.planned = None;
         // Durable state drives recovery: finish the in-flight request if
@@ -689,8 +706,8 @@ impl ClientEngine {
         }
     }
 
-    /// Applies one push invalidation against the cache, unless the cached
-    /// version is at least as new.
+    /// Applies one push invalidation against the cache: marks the cached
+    /// version old, unless it is at least as new.
     fn apply_invalidation(
         &mut self,
         object: ObjectId,
@@ -714,18 +731,8 @@ impl ClientEngine {
                 }
             }
         };
-        if !mine_newer {
-            match self.config.stale {
-                StalePolicy::Invalidate => {
-                    self.cache.remove(object);
-                    out.push(Effect::metric(names::INVALIDATE));
-                }
-                StalePolicy::MarkOld => {
-                    if self.cache.mark_old(object) {
-                        out.push(Effect::metric(names::MARK_OLD));
-                    }
-                }
-            }
+        if !mine_newer && self.cache.mark_old(object) {
+            out.push(Effect::metric(names::MARK_OLD));
         }
     }
 
@@ -764,6 +771,10 @@ impl ClientEngine {
                 if !self.reply_is_current(out, epoch) {
                     return;
                 }
+                // A fetch of a held version checks it too.
+                if let Some(held) = self.cache.get(object) {
+                    self.note_check(object, held.value != version.value);
+                }
                 let value = self.install(out, object, &version, server_now);
                 if matches!(self.pending, Some(Pending::Read { object: o }) if o == object) {
                     self.record_read(out, object, value);
@@ -782,13 +793,14 @@ impl ClientEngine {
                 if !self.reply_is_current(out, epoch) {
                     return;
                 }
+                self.note_check(object, matches!(outcome, ValidateOutcome::Newer(_)));
                 let value = match outcome {
                     ValidateOutcome::StillValid => {
                         let t_loc = self.now().local;
                         let context_v = &self.context_v;
                         let value = self.cache.revalidate(object, t_loc, server_now, context_v);
-                        // The entry vanished (push race): fall back to a
-                        // fetch for the pending read.
+                        // The entry died with the cache in a restart: fall
+                        // back to a fetch for the pending read.
                         if value.is_none()
                             && matches!(
                                 self.pending,
@@ -893,5 +905,122 @@ impl ClientEngine {
                 unreachable!("client received a server-bound message")
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::PrivateSources;
+    use crate::msg::CausalStamp;
+
+    const SHARD: NodeId = NodeId::new(0);
+    const DELTA: Delta = Delta::from_ticks(10);
+    const TSC: ProtocolKind = ProtocolKind::Tsc { delta: DELTA };
+
+    /// The requests site 0 of two under `kind` sends for its reads of the
+    /// one object of one shard, at 0, 20, 40, … The shard answers each a
+    /// tick later with the next of `values` (written by site 1), so every
+    /// version is old at the next read, which is a check.
+    fn requests(kind: ProtocolKind, values: &[u64]) -> Vec<&'static str> {
+        let think = (Delta::from_ticks(1), Delta::from_ticks(1));
+        let workload = Workload::new(1, 0.0, 1.0, think);
+        let config = ProtocolConfig::of(kind);
+        let mut engine = ClientEngine::new(config, vec![SHARD], 0, 2, workload, 100);
+        let mut sources = PrivateSources::new(1, 0, 2);
+        let mut step = |t: u64, event| {
+            let (me, at) = (NodeId::new(1), Time::from_ticks(t));
+            let now = Now {
+                me,
+                local: at,
+                truth: at,
+            };
+            let mut out = Vec::new();
+            engine.handle(Event::Now(now), &mut sources, &mut out);
+            engine.handle(event, &mut sources, &mut out);
+            out
+        };
+        step(0, Event::Start);
+        let mut sent = Vec::new();
+        for (i, &value) in values.iter().enumerate() {
+            let t = 20 * i as u64;
+            let out = step(
+                t,
+                Event::Timer {
+                    token: TIMER_NEXT_OP,
+                },
+            );
+            let check = out.contains(&Effect::metric(names::VALIDATE));
+            assert_eq!(
+                check,
+                i > 0,
+                "read {i}: every read after the miss is a check"
+            );
+            let request = out.into_iter().find_map(|effect| match effect {
+                Effect::Send { msg, .. } => Some(msg),
+                _ => None,
+            });
+            let request = request.expect("a read goes to the shard");
+            sent.push(request.tag());
+            let version = WireVersion {
+                value: Value::new(value),
+                alpha_t: Time::from_ticks(t),
+                causal: kind.is_causal_family().then(|| CausalStamp {
+                    alpha_v: VectorClock::from_entries(1, vec![0, value]),
+                    writer: 1,
+                }),
+            };
+            let (server_now, acked) = (Time::from_ticks(t + 1), None);
+            let msg = match request {
+                Msg::FetchReq { object, epoch } => Msg::FetchRep {
+                    object,
+                    version,
+                    server_now,
+                    epoch,
+                    acked,
+                },
+                Msg::ValidateReq {
+                    object,
+                    value,
+                    epoch,
+                } => Msg::ValidateRep {
+                    object,
+                    outcome: if value == version.value {
+                        ValidateOutcome::StillValid
+                    } else {
+                        ValidateOutcome::Newer(version)
+                    },
+                    server_now,
+                    epoch,
+                    acked,
+                },
+                _ => unreachable!("a read sends a fetch or a validation"),
+            };
+            step(t + 1, Event::Message { from: SHARD, msg });
+        }
+        sent
+    }
+
+    #[test]
+    fn a_fresh_entrys_first_check_is_a_validation() {
+        assert_eq!(requests(TSC, &[1, 1]), ["fetch_req", "validate_req"]);
+    }
+
+    #[test]
+    fn after_newer_the_next_check_is_a_refetch() {
+        let sent = requests(TSC, &[1, 2, 2]);
+        assert_eq!(sent, ["fetch_req", "validate_req", "fetch_req"]);
+    }
+
+    #[test]
+    fn after_a_refetch_of_the_held_value_the_next_check_validates() {
+        let sent = requests(TSC, &[1, 2, 2, 2]);
+        assert_eq!(sent[2..], ["fetch_req", "validate_req"]);
+    }
+
+    #[test]
+    fn a_causal_site_always_validates() {
+        let sent = requests(ProtocolKind::Tcc { delta: DELTA }, &[1, 2, 3]);
+        assert_eq!(sent, ["fetch_req", "validate_req", "validate_req"]);
     }
 }

@@ -692,7 +692,7 @@ impl ServerEngine {
 mod tests {
     use super::*;
     use crate::store::{Recovery, ShardImage};
-    use crate::{DurabilityMode, FsyncPolicy, ProtocolKind, StalePolicy};
+    use crate::{DurabilityMode, FsyncPolicy, ProtocolKind};
     use tc_clocks::{Delta, SiteClock, VectorClock};
     use tc_core::Value;
 
@@ -858,14 +858,6 @@ mod tests {
         let v = s.current(ObjectId::from_letter('X'));
         assert_eq!(v.value, Value::INITIAL);
         assert_eq!(v.alpha_t, Time::ZERO);
-    }
-
-    #[test]
-    fn stale_policy_is_carried_in_config() {
-        let mut c = cfg();
-        c.stale = StalePolicy::Invalidate;
-        let s = ServerEngine::new(c);
-        assert_eq!(s.config.stale, StalePolicy::Invalidate);
     }
 
     #[test]

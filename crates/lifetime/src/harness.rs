@@ -464,7 +464,7 @@ impl Process for ControllerNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Propagation, ProtocolKind, StalePolicy};
+    use crate::{Propagation, ProtocolKind};
     use tc_clocks::Delta;
     use tc_core::checker::{
         min_delta, satisfies_cc_fast, satisfies_ccv, satisfies_sc_with, Outcome, SearchOptions,
@@ -673,7 +673,6 @@ mod tests {
             11,
         );
         cfg.protocol.propagation = Propagation::PushInvalidate;
-        cfg.protocol.stale = StalePolicy::Invalidate;
         let r = run(&cfg);
         assert!(r.counter(names::PUSH) > 0, "pushes must flow");
         // Staleness should now be bounded by push latency, far below Δ.
@@ -751,7 +750,6 @@ mod tests {
         let mut cfg = base_config(ProtocolKind::Tsc { delta }, 11);
         cfg.protocol = cfg.protocol.with_shards(2);
         cfg.protocol.propagation = Propagation::PushInvalidate;
-        cfg.protocol.stale = StalePolicy::Invalidate;
         let r = run(&cfg);
         assert!(r.counter(names::PUSH) > 0, "pushes must flow");
         // The client-side rules enforce Δ; pushes only make caches fresher.

@@ -12,9 +12,8 @@
 //! The five levels (plus a no-cache linearizable baseline) share one
 //! client/server implementation, selected by [`ProtocolKind`], where SC
 //! and CC are TSC and TCC at Δ = ∞ ([`ProtocolKind::sc`],
-//! [`ProtocolKind::cc`]); stale
-//! handling ([`StalePolicy`]) and propagation ([`Propagation`]) are the
-//! §5.2 ablation knobs.
+//! [`ProtocolKind::cc`]); propagation ([`Propagation`]) is the §5.2
+//! ablation knob.
 //!
 //! Every run records its execution as a [`tc_core::History`], so the
 //! protocol's consistency claims are *checked*, not assumed — see the
@@ -76,8 +75,7 @@ pub mod oracle;
 pub mod store;
 
 pub use config::{
-    DurabilityMode, FsyncPolicy, Propagation, ProtocolConfig, ProtocolKind, StalePolicy,
-    DEFAULT_RETRY_AFTER,
+    DurabilityMode, FsyncPolicy, Propagation, ProtocolConfig, ProtocolKind, DEFAULT_RETRY_AFTER,
 };
 pub use control::{ControllerConfig, DeltaController, DeltaSchedule};
 pub use engine::{ClientEngine, ServerEngine, ShardMap};

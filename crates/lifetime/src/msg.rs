@@ -96,7 +96,8 @@ pub enum ValidateOutcome {
 /// whatever the reply's epoch.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Msg {
-    /// Client → server: cache miss on `object`.
+    /// Client → server: cache miss on `object`, or the check of an old
+    /// entry whose last check found it changed.
     FetchReq {
         /// The requested object.
         object: ObjectId,

@@ -55,14 +55,13 @@ counter_names! {
 
     /// Client read that fetched from the server (miss or no-cache).
     FETCH = "fetch";
-    /// Client read that revalidated a marked-old entry.
+    /// Client read that checked a marked-old entry with its shard, by a
+    /// validation or a refetch.
     VALIDATE = "validate";
     /// Client read served from a live cache entry.
     CACHE_HIT = "cache_hit";
     /// Client read that found no cache entry.
     CACHE_MISS = "cache_miss";
-    /// Cache entry invalidated by a sweep or push.
-    INVALIDATE = "invalidate";
     /// Cache entry newly marked old by a sweep or push.
     MARK_OLD = "mark_old";
     /// Reply discarded because its epoch is no longer current.

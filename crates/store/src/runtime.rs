@@ -1121,7 +1121,7 @@ pub(crate) mod tests {
 
     #[test]
     fn threaded_fleet_handles_sharded_causal_pushes() {
-        use tc_lifetime::{Propagation, StalePolicy};
+        use tc_lifetime::Propagation;
         let mut cfg = small(
             ProtocolKind::Tcc {
                 delta: Delta::from_ticks(400),
@@ -1130,7 +1130,6 @@ pub(crate) mod tests {
         );
         cfg.protocol = cfg.protocol.with_shards(2);
         cfg.protocol.propagation = Propagation::PushInvalidate;
-        cfg.protocol.stale = StalePolicy::Invalidate;
         let r = run_threaded(&cfg);
         assert!(r.counter(names::PUSH) > 0, "pushes must flow");
         assert_done_on_time(&r, 2 * 15);

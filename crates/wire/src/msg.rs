@@ -32,7 +32,7 @@ use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
     CausalStamp, DurabilityMode, FsyncPolicy, Msg, Propagation, ProtocolConfig, ProtocolKind,
-    StalePolicy, ValidateOutcome, WireVersion,
+    ValidateOutcome, WireVersion,
 };
 
 use crate::codec::{Reader, WireError, Writer};
@@ -44,7 +44,7 @@ pub enum WireMsg {
     /// Client → shard, first frame on every (re)connection — one per link,
     /// however many sites it carries: which fleet is connecting and under
     /// which protocol configuration. The shard rejects a mismatch — two
-    /// processes disagreeing on Δ, the shard count, or the stale policy
+    /// processes disagreeing on Δ, the shard count, or the propagation
     /// would *silently* void every timed guarantee, so the disagreement
     /// must be loud and immediate.
     Hello {
@@ -296,7 +296,10 @@ fn unknown_tag<T>(what: &'static str, tag: u8) -> Result<T, WireError> {
 
 /// Encodes a [`ProtocolConfig`] (the handshake's compatibility contract).
 /// Kind tags 0 and 2 (SC, CC) are retired: those are tags 1 and 3 at
-/// Δ = ∞, and a peer still sending 0 or 2 is refused.
+/// Δ = ∞, and a peer still sending 0 or 2 is refused. The byte after the
+/// kind is the retired stale-policy slot: every site marks a stale entry
+/// old, which is its tag 1, and a peer sending 0 (drop the entry) is
+/// refused.
 pub fn put_protocol(w: &mut Writer, c: &ProtocolConfig) {
     match c.kind {
         ProtocolKind::Tsc { delta } => {
@@ -313,10 +316,7 @@ pub fn put_protocol(w: &mut Writer, c: &ProtocolConfig) {
         }
         ProtocolKind::NoCache => w.u8(5),
     }
-    w.u8(match c.stale {
-        StalePolicy::Invalidate => 0,
-        StalePolicy::MarkOld => 1,
-    });
+    w.u8(1);
     w.u8(match c.propagation {
         Propagation::Pull => 0,
         Propagation::PushInvalidate => 1,
@@ -348,11 +348,10 @@ pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
         5 => ProtocolKind::NoCache,
         tag => return unknown_tag("protocol kind", tag),
     };
-    let stale = match r.u8("stale policy")? {
-        0 => StalePolicy::Invalidate,
-        1 => StalePolicy::MarkOld,
+    match r.u8("stale policy")? {
+        1 => {}
         tag => return unknown_tag("stale policy", tag),
-    };
+    }
     let propagation = match r.u8("propagation")? {
         0 => Propagation::Pull,
         1 => Propagation::PushInvalidate,
@@ -372,7 +371,6 @@ pub fn get_protocol(r: &mut Reader<'_>) -> Result<ProtocolConfig, WireError> {
     };
     Ok(ProtocolConfig {
         kind,
-        stale,
         propagation,
         retry_after,
         shards,
@@ -745,7 +743,6 @@ mod tests {
                 let mut config = ProtocolConfig::of(kind)
                     .with_shards(7)
                     .with_durability(durability);
-                config.stale = StalePolicy::Invalidate;
                 config.propagation = Propagation::PushInvalidate;
                 let mut w = Writer::new();
                 put_protocol(&mut w, &config);
@@ -773,6 +770,24 @@ mod tests {
                 })
             );
         }
+    }
+
+    #[test]
+    fn the_retired_drop_entry_stale_policy_tag_is_refused() {
+        let mut w = Writer::new();
+        put_protocol(&mut w, &ProtocolConfig::of(ProtocolKind::sc()));
+        let mut bytes = w.into_bytes();
+        // Kind tag 1 and its varint Δ = ∞, then the stale-policy slot.
+        let slot = 1 + varints(&[Delta::INFINITE.ticks()]).len();
+        assert_eq!(bytes[slot], 1, "every site marks stale entries old");
+        bytes[slot] = 0;
+        assert_eq!(
+            get_protocol(&mut Reader::new(&bytes)),
+            Err(WireError::UnknownTag {
+                what: "stale policy",
+                tag: 0
+            })
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use tc_clocks::{Delta, Time, VectorClock};
 use tc_core::{ObjectId, Value};
 use tc_lifetime::{
     CausalStamp, DurabilityMode, FsyncPolicy, Msg, Propagation, ProtocolConfig, ProtocolKind,
-    StalePolicy, ValidateOutcome, WireVersion,
+    ValidateOutcome, WireVersion,
 };
 use tc_wire::{
     crc32_pair, decode_frame, decode_header, encode_frame, get_vclock, put_vclock, read_frame,
@@ -151,11 +151,6 @@ fn arb_protocol(rng: &mut StdRng) -> ProtocolConfig {
     };
     ProtocolConfig {
         kind,
-        stale: if rng.gen_bool(0.5) {
-            StalePolicy::Invalidate
-        } else {
-            StalePolicy::MarkOld
-        },
         propagation: if rng.gen_bool(0.5) {
             Propagation::Pull
         } else {

@@ -13,9 +13,7 @@
 use timed_consistency::clocks::Delta;
 use timed_consistency::core::checker::{min_delta, satisfies_sc_with, SearchOptions};
 use timed_consistency::core::stats::StalenessStats;
-use timed_consistency::lifetime::{
-    run, Propagation, ProtocolConfig, ProtocolKind, RunConfig, StalePolicy,
-};
+use timed_consistency::lifetime::{run, Propagation, ProtocolConfig, ProtocolKind, RunConfig};
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
 use timed_consistency::sim::WorldConfig;
@@ -24,7 +22,6 @@ fn browse(ttl: Delta, propagation: Propagation, seed: u64) -> (f64, f64, u64, bo
     let result = run(&RunConfig {
         protocol: ProtocolConfig {
             kind: ProtocolKind::Tsc { delta: ttl },
-            stale: StalePolicy::MarkOld, // keep + revalidate, like HTTP
             propagation,
             retry_after: timed_consistency::lifetime::DEFAULT_RETRY_AFTER,
             shards: 1,

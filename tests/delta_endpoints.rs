@@ -9,7 +9,7 @@ use tc_bench::standard_run;
 use timed_consistency::clocks::Delta;
 use timed_consistency::lifetime::{
     conformance, run, OracleVerdict, Propagation, ProtocolConfig, ProtocolKind, RunConfig,
-    RunResult, StalePolicy,
+    RunResult,
 };
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
@@ -18,9 +18,9 @@ use timed_consistency::sim::{FaultPlan, LatencyModel, NetworkModel, WorldConfig}
 /// A Δ no run below reaches: the longest lasts about 3 200 ticks.
 const LONGER_THAN_THE_RUN: Delta = Delta::from_ticks(1_000_000);
 
-/// Seeds 0–19 × {MarkOld, Invalidate} × {Pull, PushInvalidate} ×
-/// {1, 2 shards} × {constant 5-tick FIFO, uniform 2–30-tick non-FIFO}
-/// latency: 320 configurations of 5 sites × 60 ops over 8 objects.
+/// Seeds 0–19 × {Pull, PushInvalidate} × {1, 2 shards} × {constant
+/// 5-tick FIFO, uniform 2–30-tick non-FIFO} latency: 160 configurations
+/// of 5 sites × 60 ops over 8 objects.
 fn grid(kind: ProtocolKind) -> Vec<RunConfig> {
     let nets = [
         NetworkModel::reliable(Delta::from_ticks(5)),
@@ -32,28 +32,25 @@ fn grid(kind: ProtocolKind) -> Vec<RunConfig> {
             fifo: false,
         },
     ];
-    let mut configs = Vec::with_capacity(320);
+    let mut configs = Vec::with_capacity(160);
     for seed in 0..20 {
-        for stale in [StalePolicy::MarkOld, StalePolicy::Invalidate] {
-            for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
-                for shards in [1, 2] {
-                    for net in nets {
-                        let mut protocol = ProtocolConfig::of(kind).with_shards(shards);
-                        protocol.stale = stale;
-                        protocol.propagation = propagation;
-                        configs.push(RunConfig {
-                            protocol,
-                            n_clients: 5,
-                            workload: Workload::new(
-                                8,
-                                0.8,
-                                0.7,
-                                (Delta::from_ticks(1), Delta::from_ticks(20)),
-                            ),
-                            ops_per_client: 60,
-                            world: WorldConfig { net, seed },
-                        });
-                    }
+        for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
+            for shards in [1, 2] {
+                for net in nets {
+                    let mut protocol = ProtocolConfig::of(kind).with_shards(shards);
+                    protocol.propagation = propagation;
+                    configs.push(RunConfig {
+                        protocol,
+                        n_clients: 5,
+                        workload: Workload::new(
+                            8,
+                            0.8,
+                            0.7,
+                            (Delta::from_ticks(1), Delta::from_ticks(20)),
+                        ),
+                        ops_per_client: 60,
+                        world: WorldConfig { net, seed },
+                    });
                 }
             }
         }

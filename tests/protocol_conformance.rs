@@ -1,14 +1,14 @@
 //! Cross-crate conformance: the §5 lifetime protocols, run on the
 //! simulator, produce executions that the §2–3 checkers accept — across
-//! protocols, policies, propagation modes, network models, and a fault
-//! plan's loss and clock skew.
+//! protocols, propagation modes, network models, and a fault plan's loss
+//! and clock skew.
 
 use timed_consistency::clocks::{Delta, Epsilon};
 use timed_consistency::core::checker::{
     check_on_time, min_delta, satisfies_ccv, satisfies_sc_with, Outcome, SearchOptions,
 };
 use timed_consistency::lifetime::{
-    run, run_with_faults, Propagation, ProtocolConfig, ProtocolKind, RunConfig, StalePolicy,
+    run, run_with_faults, Propagation, ProtocolConfig, ProtocolKind, RunConfig, RunResult,
 };
 use timed_consistency::sim::metrics::names;
 use timed_consistency::sim::workload::Workload;
@@ -40,19 +40,16 @@ fn all_protocols_complete_under_all_policies() {
         ProtocolKind::TccLogical { xi_delta: 6.0 },
         ProtocolKind::NoCache,
     ] {
-        for stale in [StalePolicy::MarkOld, StalePolicy::Invalidate] {
-            for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
-                let mut cfg = config(kind, 11);
-                cfg.protocol.stale = stale;
-                cfg.protocol.propagation = propagation;
-                let r = run(&cfg);
-                assert_eq!(
-                    r.history.len(),
-                    150,
-                    "{} / {stale:?} / {propagation:?} lost operations",
-                    kind.label()
-                );
-            }
+        for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
+            let mut cfg = config(kind, 11);
+            cfg.protocol.propagation = propagation;
+            let r = run(&cfg);
+            assert_eq!(
+                r.history.len(),
+                150,
+                "{} / {propagation:?} lost operations",
+                kind.label()
+            );
         }
     }
 }
@@ -65,20 +62,17 @@ fn physical_family_is_sc_under_every_knob() {
             delta: Delta::from_ticks(40),
         },
     ] {
-        for stale in [StalePolicy::MarkOld, StalePolicy::Invalidate] {
-            for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
-                for seed in 0..3 {
-                    let mut cfg = config(kind, seed);
-                    cfg.protocol.stale = stale;
-                    cfg.protocol.propagation = propagation;
-                    let r = run(&cfg);
-                    assert!(
-                        satisfies_sc_with(&r.history, SearchOptions::default()).holds(),
-                        "{} / {stale:?} / {propagation:?} seed {seed} broke SC:\n{}",
-                        kind.label(),
-                        r.history
-                    );
-                }
+        for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
+            for seed in 0..3 {
+                let mut cfg = config(kind, seed);
+                cfg.protocol.propagation = propagation;
+                let r = run(&cfg);
+                assert!(
+                    satisfies_sc_with(&r.history, SearchOptions::default()).holds(),
+                    "{} / {propagation:?} seed {seed} broke SC:\n{}",
+                    kind.label(),
+                    r.history
+                );
             }
         }
     }
@@ -93,21 +87,18 @@ fn causal_family_is_ccv_under_every_knob() {
         },
         ProtocolKind::TccLogical { xi_delta: 6.0 },
     ] {
-        for stale in [StalePolicy::MarkOld, StalePolicy::Invalidate] {
-            for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
-                for seed in 0..3 {
-                    let mut cfg = config(kind, seed);
-                    cfg.protocol.stale = stale;
-                    cfg.protocol.propagation = propagation;
-                    let r = run(&cfg);
-                    assert_eq!(
-                        satisfies_ccv(&r.history),
-                        Outcome::Satisfied,
-                        "{} / {stale:?} / {propagation:?} seed {seed} broke CCv:\n{}",
-                        kind.label(),
-                        r.history
-                    );
-                }
+        for propagation in [Propagation::Pull, Propagation::PushInvalidate] {
+            for seed in 0..3 {
+                let mut cfg = config(kind, seed);
+                cfg.protocol.propagation = propagation;
+                let r = run(&cfg);
+                assert_eq!(
+                    satisfies_ccv(&r.history),
+                    Outcome::Satisfied,
+                    "{} / {propagation:?} seed {seed} broke CCv:\n{}",
+                    kind.label(),
+                    r.history
+                );
             }
         }
     }
@@ -173,40 +164,49 @@ fn timed_traces_are_on_time_at_their_effective_delta() {
     }
 }
 
+/// An old entry is kept and checked with its shard, by a validation
+/// unless the last check of it found it changed, then by a refetch. The
+/// client counts every check as a validation, whichever request carries
+/// it; the shard counts the requests.
 #[test]
 fn mark_old_validates_instead_of_refetching() {
-    let mut markold = config(
-        ProtocolKind::Tsc {
-            delta: Delta::from_ticks(30),
-        },
-        5,
-    );
-    markold.protocol.stale = StalePolicy::MarkOld;
-    let mut invalidate = markold.clone();
-    invalidate.protocol.stale = StalePolicy::Invalidate;
-    let a = run(&markold);
-    let b = run(&invalidate);
-    assert!(
-        a.counter(names::VALIDATE) > 0,
-        "mark-old must use validations"
-    );
-    assert_eq!(
-        b.counter(names::VALIDATE),
-        0,
-        "invalidate policy never validates"
-    );
-    assert!(
-        b.counter(names::FETCH) > a.counter(names::FETCH),
-        "invalidate pays full fetches where mark-old revalidates"
-    );
+    for n_clients in [1, 5] {
+        let mut cfg = config(
+            ProtocolKind::Tsc {
+                delta: Delta::from_ticks(30),
+            },
+            5,
+        );
+        cfg.n_clients = n_clients;
+        let r = run(&cfg);
+        let checks = r.counter(names::VALIDATE);
+        let refetches = r.counter(names::SERVER_FETCH) - r.counter(names::FETCH);
+        assert!(checks > 0, "{n_clients} sites: old entries are checked");
+        assert_eq!(
+            r.counter(names::SERVER_VALIDATE) + refetches,
+            checks,
+            "{n_clients} sites: each check is one request"
+        );
+        if n_clients == 1 {
+            // No other site writes, so no check finds a change.
+            assert_eq!(refetches, 0, "a lone site never refetches");
+        } else {
+            assert!(refetches > 0, "checks that follow a change refetch");
+            assert!(
+                r.counter(names::SERVER_VALIDATE) > 0,
+                "checks that follow none validate"
+            );
+        }
+    }
 }
 
 #[test]
 fn logical_tcc_traces_carry_stamps_and_definition6_is_monotone() {
     // Two facts about the §5.4 machinery, checked on live traces:
     //
-    // 1. Causal-family runs stamp every operation with L(op), so the
-    //    Definition 6 checker applies directly.
+    // 1. TCC-ξ runs stamp every operation with L(op), so the Definition 6
+    //    checker applies directly; other causal runs, which it does not
+    //    judge, stamp none.
     // 2. Definition 6 violations are monotone in the ξ budget (every W_r
     //    shrinks as Δξ grows) — and the real-time effect of a tight budget
     //    is bounded staleness (smaller than plain CC's), which is the
@@ -220,16 +220,24 @@ fn logical_tcc_traces_carry_stamps_and_definition6_is_monotone() {
     use timed_consistency::clocks::SumXi;
     use timed_consistency::core::checker::check_on_time_xi;
     use timed_consistency::core::stats::StalenessStats;
+    let stamped = |r: &RunResult| {
+        r.history
+            .ids()
+            .filter(|&id| r.history.logical_of(id).is_some())
+            .count()
+    };
+    let tcc = run(&config(
+        ProtocolKind::Tcc {
+            delta: Delta::from_ticks(40),
+        },
+        0,
+    ));
+    assert_eq!(stamped(&tcc), 0, "TCC runs stamp no op");
     let mut tight_staleness = 0.0;
     let mut loose_staleness = 0.0;
     for seed in 0..6 {
         let r = run(&config(ProtocolKind::TccLogical { xi_delta: 2.0 }, seed));
-        let stamped = r
-            .history
-            .ids()
-            .filter(|&id| r.history.logical_of(id).is_some())
-            .count();
-        assert_eq!(stamped, r.history.len(), "causal runs stamp every op");
+        assert_eq!(stamped(&r), r.history.len(), "TCC-ξ runs stamp every op");
         let v_small = check_on_time_xi(&r.history, &SumXi, 2.0).violations().len();
         let v_mid = check_on_time_xi(&r.history, &SumXi, 20.0)
             .violations()
