@@ -8,14 +8,21 @@
 //! the loop that waits — it starts the host, fires what its wheel pops
 //! and delivers what arrives — and arms timers of its own in a host's
 //! wheel as `Link` tokens the host hands back.
+//!
+//! A host is built before its run's clock exists: `new` builds the
+//! engines (a WAL replay included), which needs no clock, and `start`
+//! hosts them in their cores on the clock the run fixed at the instant
+//! its sites start, hands the wheel that clock, and steps `Start`.
+//! Until then a host steps nothing; its transport and counters already
+//! serve the driver's own set-up (accepting, dialling, handshakes).
 
 use std::time::{Duration, Instant};
 
 use tc_lifetime::control::DeltaController;
 use tc_lifetime::engine::{ClientEngine, Effect, Event, PrivateSources};
 use tc_lifetime::node::{execute, judge_run, ClientCore, Host, Port, ShardCore};
-use tc_lifetime::Msg;
-use tc_sim::{Metrics, NodeId, TraceRecorder};
+use tc_lifetime::{Msg, ServerEngine};
+use tc_sim::{FaultPlan, Metrics, NodeId, TraceRecorder};
 
 use crate::runtime::{build_shard_engine, LatencySummary, RuntimeConfig, RuntimeResult, TickClock};
 use crate::wheel::TimerWheel;
@@ -83,28 +90,27 @@ struct Site {
     finished: bool,
 }
 
-/// The adaptive Δ controller `config` asks for, with its tick period in
-/// `clock`'s real time: `None` unless the run is adaptive. Every real
-/// driver builds it before it starts a host.
+/// The adaptive Δ controller `config` asks for: `None` unless the run is
+/// adaptive. Every real driver builds it before it builds a host.
 ///
 /// # Panics
 ///
 /// As [`DeltaController::new`]: on an infinite interval, an inverted band
 /// or an untimed protocol.
-pub(crate) fn controller(
-    config: &RuntimeConfig,
-    clock: &TickClock,
-) -> Option<(DeltaController, Duration)> {
-    let controller = DeltaController::new(
+pub(crate) fn controller(config: &RuntimeConfig) -> Option<DeltaController> {
+    Some(DeltaController::new(
         config.adaptive?,
         config.protocol.kind,
         config.monitor_delta,
         config.n_clients * config.ops_per_client,
-    );
-    let interval = clock
+    ))
+}
+
+/// The controller's tick period in `clock`'s real time.
+fn period(clock: &TickClock, controller: &DeltaController) -> Duration {
+    clock
         .delta_to_duration(controller.interval())
-        .expect("the controller refuses an infinite interval");
-    Some((controller, interval))
+        .expect("the controller refuses an infinite interval")
 }
 
 /// Every client site of a run, in the one loop that owns them, sending
@@ -112,7 +118,11 @@ pub(crate) fn controller(
 pub(crate) struct SiteHost<X: Transport> {
     pub(crate) net: X,
     shards: usize,
-    clock: TickClock,
+    /// Each site's engine and private sources as built; `start` moves
+    /// them into `sites`.
+    built: Vec<(ClientEngine, PrivateSources)>,
+    /// The run's clock, from `start` on.
+    clock: Option<TickClock>,
     sites: Vec<Site>,
     /// Sites not yet finished; the host's work is over at zero.
     remaining: usize,
@@ -121,37 +131,26 @@ pub(crate) struct SiteHost<X: Transport> {
     pub(crate) metrics: Metrics,
     /// The run's recorder, with the live monitor attached.
     pub(crate) recorder: TraceRecorder,
-    /// The adaptive Δ controller and its period, when the run is adaptive.
-    controller: Option<(DeltaController, Duration)>,
+    /// The adaptive Δ controller, when the run is adaptive.
+    controller: Option<DeltaController>,
     /// The effects of one engine step; reused so a steady-state step
     /// allocates nothing.
     effects: Vec<Effect>,
 }
 
 impl<X: Transport> SiteHost<X> {
-    /// Every site of `config`'s fleet, unstarted, sending over `net`, each
-    /// drawing on its private sources derived from the run seed, with the
-    /// recorder's monitor at the configured Δ and ε and the run's
-    /// [`controller`].
-    pub(crate) fn new(
-        config: &RuntimeConfig,
-        clock: TickClock,
-        net: X,
-        controller: Option<(DeltaController, Duration)>,
-    ) -> Self {
+    /// Every site of `config`'s fleet, built but not started, sending over
+    /// `net`, each drawing on its private sources derived from the run
+    /// seed, with the recorder's monitor at the configured Δ and ε and the
+    /// run's [`controller`].
+    pub(crate) fn new(config: &RuntimeConfig, net: X, controller: Option<DeltaController>) -> Self {
         let (shards, n) = (config.protocol.shards, config.n_clients);
-        let sites: Vec<Site> = (0..n)
+        let built = (0..n)
             .map(|site| {
                 let servers = (0..shards).map(NodeId::new).collect();
                 let (workload, ops) = (config.workload.clone(), config.ops_per_client);
                 let engine = ClientEngine::new(config.protocol, servers, site, n, workload, ops);
-                let sources = PrivateSources::new(config.seed, site, n);
-                let core =
-                    ClientCore::new(engine, Some(sources), clock, NodeId::new(shards + site));
-                Site {
-                    core,
-                    finished: false,
-                }
+                (engine, PrivateSources::new(config.seed, site, n))
             })
             .collect();
         let mut recorder = TraceRecorder::new();
@@ -159,10 +158,11 @@ impl<X: Transport> SiteHost<X> {
         SiteHost {
             net,
             shards,
-            clock,
-            remaining: sites.len(),
-            sites,
-            timers: TimerWheel::new(&clock),
+            built,
+            clock: None,
+            remaining: n,
+            sites: Vec::new(),
+            timers: TimerWheel::new(),
             metrics: Metrics::new(),
             recorder,
             controller,
@@ -174,12 +174,11 @@ impl<X: Transport> SiteHost<X> {
     /// to every site still running, re-arm until the controller says every
     /// expected operation has been ingested.
     fn controller_tick(&mut self, now: Instant) {
-        let Some((controller, interval)) = self.controller.as_mut() else {
+        let (Some(controller), Some(clock)) = (self.controller.as_mut(), self.clock) else {
             return;
         };
-        let interval = *interval;
-        let (command, more) =
-            controller.tick(self.clock.now(), &mut self.recorder, &mut self.metrics);
+        let interval = period(&clock, controller);
+        let (command, more) = controller.tick(clock.now(), &mut self.recorder, &mut self.metrics);
         if let Some(msg) = command {
             // The sender is past every node (clients ignore it).
             let from = NodeId::new(self.shards + self.sites.len());
@@ -198,6 +197,7 @@ impl<X: Transport> SiteHost<X> {
     /// Feeds one event, observed at `at`, to `site` and executes what it
     /// emits: the one place a real driver steps a site.
     fn feed(&mut self, site: usize, event: Event, at: Instant) {
+        let clock = self.clock.as_ref().expect("a site steps once started");
         let state = &mut self.sites[site];
         let t = state.core.step(event, at, None, &mut self.effects);
         let mut port = HostPort {
@@ -208,7 +208,7 @@ impl<X: Transport> SiteHost<X> {
             metrics: &mut self.metrics,
             recorder: Some(&mut self.recorder),
         };
-        execute(&mut self.effects, &mut port, &self.clock, t);
+        execute(&mut self.effects, &mut port, clock, t);
         if !state.finished && state.core.finished() {
             state.finished = true;
             self.remaining -= 1;
@@ -248,19 +248,39 @@ impl<X: Transport> SiteHost<X> {
             wall,
             latency: LatencySummary::from_durations(latencies),
             shard_requests,
-            delta_schedule: self.controller.map(|(c, _)| c.schedule().clone()),
+            delta_schedule: self.controller.map(|c| c.schedule().clone()),
         }
     }
 
-    /// Starts every site at `at` and, for an adaptive run, arms the
+    /// Hosts every site in its core on `clock`, gives the wheel that
+    /// clock, starts every site at `at` and, for an adaptive run, arms the
     /// controller's first tick an interval later.
-    pub(crate) fn start(&mut self, at: Instant) {
+    pub(crate) fn start(&mut self, clock: TickClock, at: Instant) {
+        debug_assert!(self.clock.is_none(), "a site host starts once");
+        self.clock = Some(clock);
+        self.timers.start(clock);
+        let shards = self.shards;
+        self.sites = self
+            .built
+            .drain(..)
+            .enumerate()
+            .map(|(site, (engine, sources))| Site {
+                core: ClientCore::new(engine, Some(sources), clock, NodeId::new(shards + site)),
+                finished: false,
+            })
+            .collect();
         for site in 0..self.sites.len() {
             self.feed(site, Event::Start, at);
         }
-        if let Some((_, interval)) = self.controller {
-            self.timers.arm(at + interval, SiteTimer::Controller);
+        if let Some(controller) = &self.controller {
+            self.timers
+                .arm(at + period(&clock, controller), SiteTimer::Controller);
         }
+    }
+
+    /// Whether [`SiteHost::start`] has run.
+    pub(crate) fn started(&self) -> bool {
+        self.clock.is_some()
     }
 
     /// Serves one timer the wheel popped at `now`: a live engine timer
@@ -296,9 +316,12 @@ impl<X: Transport> SiteHost<X> {
 /// One shard, in the loop that owns it, sending over `X`.
 pub(crate) struct ShardHost<X: Transport> {
     pub(crate) net: X,
-    core: ShardCore<TickClock>,
+    /// The engine as built, with the fault plan that kills it; `start`
+    /// moves it into `core`.
+    built: Option<(ServerEngine, FaultPlan)>,
+    /// The engine's core and the run's clock, from `start` on.
+    core: Option<(ShardCore<TickClock>, TickClock)>,
     me: NodeId,
-    clock: TickClock,
     /// Never cleared: a down shard's engine timers are popped and dropped
     /// as dead, and a driver's own timers survive an outage.
     pub(crate) timers: TimerWheel<ShardTimer<X::Timer>>,
@@ -309,18 +332,17 @@ pub(crate) struct ShardHost<X: Transport> {
 }
 
 impl<X: Transport> ShardHost<X> {
-    /// Shard `shard` of `config`'s fleet over the configured store,
-    /// sending over `net`, killed and restarted as the run's fault plan
-    /// says.
-    pub(crate) fn new(config: &RuntimeConfig, shard: usize, clock: TickClock, net: X) -> Self {
+    /// Shard `shard` of `config`'s fleet over the configured store (a WAL
+    /// replays here), built but not started, sending over `net`, to be
+    /// killed and restarted as the run's fault plan says.
+    pub(crate) fn new(config: &RuntimeConfig, shard: usize, net: X) -> Self {
         let engine = build_shard_engine(config.protocol, config.wal_dir.as_deref(), shard);
-        let me = NodeId::new(shard);
         ShardHost {
             net,
-            core: ShardCore::new(engine, clock, me, &config.faults),
-            me,
-            clock,
-            timers: TimerWheel::new(&clock),
+            built: Some((engine, config.faults.clone())),
+            core: None,
+            me: NodeId::new(shard),
+            timers: TimerWheel::new(),
             metrics: Metrics::new(),
             effects: Vec::new(),
         }
@@ -329,7 +351,8 @@ impl<X: Transport> ShardHost<X> {
     /// Feeds one event, observed at `at`, to the shard and executes what it
     /// emits: the one place a real driver steps a shard.
     fn feed(&mut self, event: Event, at: Instant) {
-        let t = self.core.step(event, at, None, &mut self.effects);
+        let (core, clock) = self.core.as_mut().expect("a shard steps once started");
+        let t = core.step(event, at, None, &mut self.effects);
         let mut port = HostPort {
             me: self.me,
             transport: &mut self.net,
@@ -338,26 +361,39 @@ impl<X: Transport> ShardHost<X> {
             metrics: &mut self.metrics,
             recorder: None,
         };
-        execute(&mut self.effects, &mut port, &self.clock, t);
+        execute(&mut self.effects, &mut port, clock, t);
     }
 
-    /// Hands in the finished shard: the requests it served, and the
-    /// host's counters with the wheel's added.
+    /// Hands in the finished shard: the requests it served (none, if it
+    /// never started), and the host's counters with the wheel's added.
     pub(crate) fn finish(mut self) -> (u64, Metrics) {
         self.timers.report(&mut self.metrics);
-        (self.core.engine.requests_served(), self.metrics)
+        let served = self
+            .core
+            .map_or(0, |(core, _)| core.engine.requests_served());
+        (served, self.metrics)
     }
 
-    /// Starts the shard's engine at `at`.
-    pub(crate) fn start(&mut self, at: Instant) {
+    /// Hosts the engine in its core on `clock`, gives the wheel that
+    /// clock and starts the engine at `at`.
+    pub(crate) fn start(&mut self, clock: TickClock, at: Instant) {
+        let (engine, faults) = self.built.take().expect("a shard host starts once");
+        self.core = Some((ShardCore::new(engine, clock, self.me, &faults), clock));
+        self.timers.start(clock);
         self.feed(Event::Start, at);
+    }
+
+    /// Whether [`ShardHost::start`] has run.
+    pub(crate) fn started(&self) -> bool {
+        self.core.is_some()
     }
 
     /// As [`SiteHost::fire`], for the shard's engine.
     pub(crate) fn fire(&mut self, timer: ShardTimer<X::Timer>, now: Instant) -> Option<X::Timer> {
         match timer {
             ShardTimer::Engine(token) => {
-                if self.core.timer_is_live(token) {
+                let (core, _) = self.core.as_ref().expect("engine timers arm once started");
+                if core.timer_is_live(token) {
                     self.feed(Event::Timer { token }, now);
                 }
                 None

@@ -10,7 +10,8 @@
 //! steps; this crate holds what only real drivers have, one copy of each:
 //!
 //! * the tick clock (`TickClock`, in [`runtime`]) — the node core's time
-//!   source: an `Instant` ticked down against one shared epoch;
+//!   source: an `Instant` ticked down against one shared epoch, fixed
+//!   once, at the instant the run's sites start;
 //! * the site host (`SiteHost`) — every client site of a run in one
 //!   loop, with their timer wheel, the run's recorder and counters, and
 //!   the adaptive Δ controller ticked from that wheel; the shard host

@@ -82,6 +82,16 @@
 //!
 //! # Time
 //!
+//! The run's one clock is fixed by the client reactor, at the instant its
+//! last shard link is first up and its sites start; that instant is the
+//! last one of tick 0 (`TickClock::started_at`), so the sites' first
+//! operations are due on the loop's first pass. The client publishes the
+//! clock in a `OnceLock` the run owns before it sends any request. A
+//! shard reactor accepts and handshakes without it, and starts its host
+//! on it in the first pass whose wait returns with it published — at the
+//! latest the pass that reads the first request — so every thread ticks
+//! against one epoch, and no shard steps before it.
+//!
 //! An event's tick is the tick at which the reactor *observed* it: a due
 //! timer steps at the instant its loop pass popped it, and a frame at the
 //! instant the `read` that returned its bytes came back — the clock is
@@ -122,6 +132,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use tc_lifetime::control::DeltaController;
@@ -227,7 +238,9 @@ struct ShardReactor<'a> {
     /// The shard's engine, its wheel (which also carries the partition
     /// edges), this thread's counters, and the connection table.
     host: ShardHost<FleetLink>,
-    clock: TickClock,
+    /// Where the client reactor publishes the run's clock; the shard
+    /// starts on it.
+    published: &'a OnceLock<TickClock>,
     listener: Option<TcpListener>,
     addr: SocketAddr,
 }
@@ -256,6 +269,9 @@ impl Links for ShardReactor<'_> {
             WireMsg::Proto(msg)
                 if linked && usize::from(lane) < self.cfg.runtime.n_clients && msg.is_request() =>
             {
+                // The client publishes the clock before it sends any
+                // request, but this pass may have looked before it did.
+                self.start_if_published();
                 let from = NodeId::new(self.host.net.shards + usize::from(lane));
                 self.host.deliver(from, msg, at);
             }
@@ -305,7 +321,7 @@ impl<'a> ShardReactor<'a> {
     fn new(
         shard: usize,
         cfg: &'a ReactorConfig,
-        clock: TickClock,
+        published: &'a OnceLock<TickClock>,
         listener: TcpListener,
         addr: SocketAddr,
     ) -> Self {
@@ -318,8 +334,8 @@ impl<'a> ShardReactor<'a> {
         ShardReactor {
             shard,
             cfg,
-            host: ShardHost::new(rc, shard, clock, fleet),
-            clock,
+            host: ShardHost::new(rc, shard, fleet),
+            published,
             listener: Some(listener),
             addr,
         }
@@ -429,10 +445,37 @@ impl<'a> ShardReactor<'a> {
         self.listener = Some(reborn);
     }
 
-    /// The event loop, with the edges of every partition of this shard
-    /// armed. Exits when `wake` becomes readable — a byte (every client
-    /// said its goodbyes) or a hang-up — returning the shard's
-    /// served-request count and the thread's counters.
+    /// Starts the shard on the run's clock once the client reactor has
+    /// published it — stepping `Start` and arming both edges of every
+    /// partition of this shard on its wheel — and does nothing before, or
+    /// after.
+    fn start_if_published(&mut self) {
+        if self.host.started() {
+            return;
+        }
+        let Some(&clock) = self.published.get() else {
+            return;
+        };
+        self.host.start(clock, Instant::now());
+        let cut = FaultKind::Partition {
+            isolated: vec![self.shard],
+        };
+        let rules = &self.cfg.runtime.faults.rules;
+        for window in rules.iter().filter(|r| r.kind == cut).map(|r| r.window) {
+            for (at, edge) in [(window.from, Edge::Kill), (window.until, Edge::Rebind)] {
+                let deadline = clock.instant_of(at);
+                self.host.timers.arm(deadline, ShardTimer::Link(edge));
+            }
+        }
+    }
+
+    /// The event loop. It accepts and handshakes from the first pass, and
+    /// starts the shard in the first pass whose wait returns with the
+    /// run's clock published — at the latest, the pass that reads the
+    /// first request, which the client sends only after publishing. Exits
+    /// when `wake` becomes readable — a byte (every site finished) or a
+    /// hang-up — returning the shard's served-request count and the
+    /// thread's counters.
     fn run(mut self, wake: &UnixStream) -> (u64, Metrics) {
         let _slack = TimerSlack::pin();
         let listener = self.listener.as_ref().expect("listener present");
@@ -441,21 +484,9 @@ impl<'a> ShardReactor<'a> {
         registered.expect("register listener");
         let registered = epoll.add(wake.as_raw_fd(), EPOLLIN, TOKEN_WAKE);
         registered.expect("register wake stream");
-        // Both edges of every partition of this shard, on its wheel.
-        let cut = FaultKind::Partition {
-            isolated: vec![self.shard],
-        };
-        let rules = &self.cfg.runtime.faults.rules;
-        for window in rules.iter().filter(|r| r.kind == cut).map(|r| r.window) {
-            for (at, edge) in [(window.from, Edge::Kill), (window.until, Edge::Rebind)] {
-                let deadline = self.clock.instant_of(at);
-                self.host.timers.arm(deadline, ShardTimer::Link(edge));
-            }
-        }
         let mut events = [EpollEvent { events: 0, data: 0 }; 128];
         let mut due = Vec::new();
         let mut stopping = false;
-        self.host.start(Instant::now());
         while !stopping {
             let now = Instant::now();
             self.host.timers.pop_due_into(now, &mut due);
@@ -471,6 +502,7 @@ impl<'a> ShardReactor<'a> {
             let deadline = self.host.timers.next_deadline();
             let timeout = self.host.net.table.wait_timeout(deadline, now);
             let n = self.host.net.table.wait(&mut events, timeout, now);
+            self.start_if_published();
             for ev in &events[..n] {
                 let (bits, token) = (ev.events, ev.data);
                 match token {
@@ -508,9 +540,8 @@ struct ClientReactor<'a> {
     addrs: &'a [SocketAddr],
     /// Per shard: some link's Hello was acked — a later ack is a reconnect.
     acked: Vec<bool>,
-    /// Whether the sites were started: once, as soon as every shard link
-    /// is first up, so no opening op is taxed a retry round trip.
-    started: bool,
+    /// Where the run's clock is published for the shard reactors.
+    published: &'a OnceLock<TickClock>,
     /// Every site of the run over the shard links; its wheel also carries
     /// each link's redial alarm, as `Link(shard)`.
     host: SiteHost<ShardLinks>,
@@ -595,13 +626,14 @@ impl Transport for ShardLinks {
 }
 
 impl<'a> ClientReactor<'a> {
-    /// Every site of `cfg`'s fleet, unstarted, behind shard links that are
-    /// all down, with the run's `controller`.
+    /// Every site of `cfg`'s fleet, built but not started, behind shard
+    /// links that are all down, with the run's `controller`, to publish
+    /// the run's clock in `published`.
     fn new(
         cfg: &'a ReactorConfig,
         addrs: &'a [SocketAddr],
-        clock: TickClock,
-        controller: Option<(DeltaController, Duration)>,
+        published: &'a OnceLock<TickClock>,
+        controller: Option<DeltaController>,
     ) -> Self {
         let rc = &cfg.runtime;
         let shards = rc.protocol.shards;
@@ -617,8 +649,8 @@ impl<'a> ClientReactor<'a> {
             shards,
             addrs,
             acked: vec![false; shards],
-            started: false,
-            host: SiteHost::new(rc, clock, links, controller),
+            published,
+            host: SiteHost::new(rc, links, controller),
         }
     }
 
@@ -626,7 +658,9 @@ impl<'a> ClientReactor<'a> {
     /// refused connections fail immediately), then the socket goes
     /// nonblocking into the table with the link's Hello queued; the
     /// pass-end flush sends it. The link is usable from here on, and the
-    /// first time every shard's is, every site starts.
+    /// first time every shard's is, the run's clock is fixed and published
+    /// and every site starts on it — so no opening op is taxed a retry
+    /// round trip, and every request follows the publication.
     fn dial(&mut self, shard: usize) {
         let LinkState::Down { attempt } = self.host.net.links[shard] else {
             return; // a live connection beat the redial timer
@@ -656,9 +690,13 @@ impl<'a> ClientReactor<'a> {
             .links
             .iter()
             .all(|link| matches!(link, LinkState::Up { .. }));
-        if all_up && !self.started {
-            self.started = true;
-            self.host.start(Instant::now());
+        if all_up && !self.host.started() {
+            // The first to start on the cell fixes the run's clock.
+            let at = Instant::now();
+            let clock = *self
+                .published
+                .get_or_init(|| TickClock::started_at(at, self.cfg.runtime.tick));
+            self.host.start(clock, at);
         }
     }
 
@@ -680,10 +718,11 @@ impl<'a> ClientReactor<'a> {
     }
 
     /// The event loop: one dial per shard, then timers + readiness until
-    /// every site finishes, then an orderly goodbye on every live link.
-    /// Returns the site host, the table's counters added, for the run's
-    /// result.
-    fn run(mut self) -> SiteHost<ShardLinks> {
+    /// every site finishes; then a byte on every stream of `wake`, so the
+    /// shard reactors wind down while this thread says an orderly goodbye
+    /// on every live link. Returns the site host, the table's counters
+    /// added, for the run's result.
+    fn run(mut self, wake: &[UnixStream]) -> SiteHost<ShardLinks> {
         // This loop runs on the caller's thread: the guard hands the
         // thread back with the slack it came with.
         let _slack = TimerSlack::pin();
@@ -714,9 +753,15 @@ impl<'a> ClientReactor<'a> {
                 self.handle_conn_event(token, bits);
             }
         }
+        for mut tx in wake {
+            // Cannot fail short of a dead shard thread, which its join
+            // reports.
+            let _ = tx.write_all(&[0]);
+        }
         // Orderly goodbye: a Bye on every live link, flushed as far as the
-        // socket allows, then close. A blocked socket just loses its
-        // goodbye — the shard's read timeout reaps it.
+        // socket allows, then close. A blocked socket, or a shard that
+        // stopped first, just loses its goodbye: a stopping shard
+        // deregisters every connection itself.
         for token in self.host.net.table.tokens() {
             self.queue_and_flush(token, 0, &WireMsg::Bye);
             self.close(token);
@@ -790,8 +835,7 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         "reactor",
         |isolated| matches!(isolated, [node] if *node < shards),
     );
-    let clock = TickClock::new(rc.tick);
-    let controller = controller(rc, &clock);
+    let controller = controller(rc);
 
     // Bind every shard listener up front so clients know all addresses.
     let mut listeners = Vec::with_capacity(shards);
@@ -805,36 +849,38 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         listeners.push(Some(listener));
     }
 
-    // One wake stream per shard: the shard reactor watches its `rx`, this
-    // thread writes the `tx` once the clients are done.
+    // One wake stream per shard: the shard reactor watches its `rx`, the
+    // client reactor writes the `tx` once every site has finished.
     let (wake_txs, wake_rxs): (Vec<UnixStream>, Vec<UnixStream>) = (0..shards)
         .map(|_| UnixStream::pair().expect("wake socket pair"))
         .unzip();
     let shutdown = AtomicBool::new(false);
+    // The run's clock: fixed by the client reactor when its last link is
+    // up, read by every shard reactor.
+    let published = OnceLock::new();
     let started = Instant::now();
     let shutdown_ref = &shutdown;
-    let addrs_ref = &addrs[..];
+    let (addrs_ref, published_ref) = (&addrs[..], &published);
     let wake_rxs_ref = &wake_rxs[..];
     let (sites, shard_requests, thread_metrics) = std::thread::scope(|scope| {
+        // Owned in here, so a client reactor that panics hangs the streams
+        // up and the shards stop instead of the scope waiting on them.
+        let wake_txs = wake_txs;
         let mut shard_workers = Vec::with_capacity(shards);
         for (shard, slot) in listeners.iter_mut().enumerate() {
             let listener = slot.take().expect("listener taken once");
             let addr = addrs_ref[shard];
             shard_workers.push(scope.spawn(move || {
-                ShardReactor::new(shard, cfg, clock, listener, addr).run(&wake_rxs_ref[shard])
+                ShardReactor::new(shard, cfg, published_ref, listener, addr)
+                    .run(&wake_rxs_ref[shard])
             }));
         }
         let churn_worker = (cfg.churn_dials > 0)
             .then(|| scope.spawn(move || churn_loop(cfg.churn_dials, addrs_ref, shutdown_ref)));
         // The client reactor runs on the scope's own thread: every
-        // site in one evented loop.
-        let sites = ClientReactor::new(cfg, addrs_ref, clock, controller).run();
+        // site in one evented loop, which wakes the shards as it ends.
+        let sites = ClientReactor::new(cfg, addrs_ref, published_ref, controller).run(&wake_txs);
         shutdown.store(true, Ordering::Relaxed);
-        for mut tx in &wake_txs {
-            // Cannot fail short of a dead shard thread, which the join
-            // below reports.
-            let _ = tx.write_all(&[0]);
-        }
         let (shard_requests, mut thread_metrics): (Vec<u64>, Vec<Metrics>) = shard_workers
             .into_iter()
             .map(|w| w.join().expect("shard reactor panicked"))
@@ -844,6 +890,9 @@ pub fn run_reactor_with(cfg: &ReactorConfig) -> RuntimeResult {
         }
         (sites, shard_requests, thread_metrics)
     });
+    // Judged after the join: judging while the woken shard threads exit
+    // delayed their exit, and so `wall` (by about 1.5 % of a saturated
+    // run, on a 2-core host).
     sites.finish_run(thread_metrics, shard_requests, started.elapsed())
 }
 
@@ -893,27 +942,28 @@ mod tests {
     }
 
     /// Runs shard 0 of `cfg` as a live reactor on a fresh loopback
-    /// listener while `probe` talks to it, then stops it. `probe` returns
-    /// the site host of whatever client side it ran. Returns the requests
-    /// the shard's engine served and the run's metrics and history,
-    /// assembled by `finish_run`.
+    /// listener while `probe` talks to it, then stops it. The shard starts
+    /// on the clock published in the cell `probe` is handed. `probe`
+    /// returns the site host of whatever client side it ran. Returns the
+    /// requests the shard's engine served and the run's metrics and
+    /// history, assembled by `finish_run`.
     fn with_live_shard(
         cfg: &ReactorConfig,
-        probe: impl FnOnce(SocketAddr, TickClock) -> SiteHost<ShardLinks>,
+        probe: impl FnOnce(SocketAddr, &OnceLock<TickClock>) -> SiteHost<ShardLinks>,
     ) -> (u64, RuntimeResult) {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let (wake_tx, wake_rx) = UnixStream::pair().unwrap();
-        let clock = TickClock::new(cfg.runtime.tick);
+        let published = OnceLock::new();
         let started = Instant::now();
         let ((served, shard_metrics), sites) = std::thread::scope(|scope| {
             // Owned in here, so a probe that panics hangs the stream up and
             // the shard stops instead of the scope waiting on it forever.
             let mut wake_tx = wake_tx;
             let shard =
-                scope.spawn(|| ShardReactor::new(0, cfg, clock, listener, addr).run(&wake_rx));
-            let sites = probe(addr, clock);
+                scope.spawn(|| ShardReactor::new(0, cfg, &published, listener, addr).run(&wake_rx));
+            let sites = probe(addr, &published);
             wake_tx.write_all(&[0]).unwrap();
             (shard.join().expect("shard reactor panicked"), sites)
         });
@@ -973,7 +1023,7 @@ mod tests {
             (hello(2, 1, rc.protocol), "dialled shard 1, reached 0"),
             (hello(3, 0, rc.protocol), "bad id space: 3 sites, not 2"),
         ];
-        let (_, r) = with_live_shard(&cfg, |addr, clock| {
+        let (_, r) = with_live_shard(&cfg, |addr, published| {
             for (hello, reason) in &probes {
                 let mut stream = raw_dial(addr);
                 write_frame(&mut stream, 0, hello).unwrap();
@@ -986,7 +1036,9 @@ mod tests {
                     "the shard must hang up after rejecting"
                 );
             }
-            // One write: the request cannot wait for the ack.
+            // One write: the request cannot wait for the ack. A client
+            // publishes the run's clock before it sends any request.
+            let _ = published.set(TickClock::started_at(Instant::now(), rc.tick));
             let mut stream = raw_dial(addr);
             let mut bytes = tc_wire::encode_frame(0, &hello(2, 0, rc.protocol));
             tc_wire::encode_frame_into(&mut bytes, 1, &fetch());
@@ -1002,7 +1054,7 @@ mod tests {
             drop(stream);
             // Nothing was left behind: the same listener serves a
             // well-configured fleet as if the probes had never dialled.
-            let sites = ClientReactor::new(&cfg, &[addr], clock, None).run();
+            let sites = ClientReactor::new(&cfg, &[addr], published, None).run(&[]);
             assert_eq!(sites.recorder.len(), 2 * 12);
             sites
         });
@@ -1022,6 +1074,53 @@ mod tests {
         );
     }
 
+    /// A shard reactor steps on the clock the client reactor publishes,
+    /// not on one of its own: though the shard is built and its loop
+    /// running before the client fixes the clock, its first reply's
+    /// `server_now` is never ahead of the client's tick when the `read`
+    /// that returned the reply comes back. One-microsecond ticks make a
+    /// second epoch show.
+    #[test]
+    fn a_shards_first_reply_is_stamped_on_the_clients_clock() {
+        let mut rc = small(ProtocolKind::sc(), 55);
+        rc.tick = Duration::from_micros(1);
+        let cfg = ReactorConfig::new(rc);
+        let rc = &cfg.runtime;
+        for _ in 0..5 {
+            let (served, _) = with_live_shard(&cfg, |addr, published| {
+                // The shard's set-up is over well before the client's.
+                std::thread::sleep(Duration::from_millis(2));
+                let mut stream = raw_dial(addr);
+                let clock = TickClock::started_at(Instant::now(), rc.tick);
+                assert!(published.set(clock).is_ok(), "nothing else fixes the clock");
+                let hello = WireMsg::Hello {
+                    n_clients: rc.n_clients as u32,
+                    shard: 0,
+                    protocol: rc.protocol,
+                };
+                let mut bytes = tc_wire::encode_frame(0, &hello);
+                tc_wire::encode_frame_into(&mut bytes, 0, &fetch());
+                stream.write_all(&bytes).unwrap();
+                match read_reply(&mut stream) {
+                    Ok((0, WireMsg::HelloAck { shard: 0 })) => {}
+                    other => panic!("expected HelloAck on lane 0, got {other:?}"),
+                }
+                match read_reply(&mut stream) {
+                    Ok((0, WireMsg::Proto(Msg::FetchRep { server_now, .. }))) => {
+                        let read = clock.tick_at(Instant::now());
+                        assert!(
+                            server_now <= read,
+                            "the shard stamped tick {server_now}, ahead of the client's tick {read} at the read"
+                        );
+                    }
+                    other => panic!("expected a FetchRep on lane 0, got {other:?}"),
+                }
+                ClientReactor::new(&cfg, &[addr], published, None).host
+            });
+            assert_eq!(served, 1, "the fetch was served");
+        }
+    }
+
     /// Only the attached link speaks, only for a site in the id space, and
     /// only requests: a `Proto` before any Hello, on a lane past the fleet,
     /// or of a client-bound kind closes the connection before the engine
@@ -1030,7 +1129,7 @@ mod tests {
     fn a_proto_frame_on_an_unattached_lane_closes_the_link() {
         let cfg = ReactorConfig::new(small(ProtocolKind::sc(), 45));
         let rc = &cfg.runtime;
-        let (served, r) = with_live_shard(&cfg, |addr, clock| {
+        let (served, r) = with_live_shard(&cfg, |addr, published| {
             let mut stream = raw_dial(addr);
             write_frame(&mut stream, 0, &fetch()).unwrap();
             assert!(
@@ -1077,7 +1176,7 @@ mod tests {
             let mut stream = attach();
             write_frame(&mut stream, 0, &WireMsg::Bye).unwrap();
             assert!(read_reply(&mut stream).is_err(), "a Bye ends the link");
-            ClientReactor::new(&cfg, &[addr], clock, None).host
+            ClientReactor::new(&cfg, &[addr], published, None).host
         });
         assert_eq!(served, 0, "no stray request may reach the engine");
         assert_eq!(r.counter(names::REACTOR_CONN_OPENED), 4);
@@ -1093,9 +1192,8 @@ mod tests {
         let cfg = ReactorConfig::new(small(ProtocolKind::sc(), 51));
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
         let addr = listener.local_addr().unwrap();
-        let clock = TickClock::new(cfg.runtime.tick);
-        let addrs = [addr];
-        let mut reactor = ClientReactor::new(&cfg, &addrs, clock, None);
+        let (addrs, published) = ([addr], OnceLock::new());
+        let mut reactor = ClientReactor::new(&cfg, &addrs, &published, None);
         let command = WireMsg::Proto(Msg::DeltaUpdate {
             seq: 1,
             delta: Delta::from_ticks(5),
@@ -1190,17 +1288,17 @@ mod tests {
         listener.set_nonblocking(true).unwrap();
         let addr = listener.local_addr().unwrap();
         let (mut wake_tx, wake_rx) = UnixStream::pair().unwrap();
-        let clock = TickClock::new(cfg.runtime.tick);
+        let published = OnceLock::new();
         let started = Instant::now();
         let threads: [(&str, Metrics, Duration); 2] = std::thread::scope(|scope| {
             let shard = scope.spawn(|| {
                 let cpu = sys::thread_cpu_time();
-                let reactor = ShardReactor::new(0, &cfg, clock, listener, addr);
+                let reactor = ShardReactor::new(0, &cfg, &published, listener, addr);
                 let (_, metrics) = reactor.run(&wake_rx);
                 ("shard", metrics, sys::thread_cpu_time() - cpu)
             });
             let cpu = sys::thread_cpu_time();
-            let sites = ClientReactor::new(&cfg, &[addr], clock, None).run();
+            let sites = ClientReactor::new(&cfg, &[addr], &published, None).run(&[]);
             assert_eq!(sites.recorder.len(), 2 * 100);
             let client = ("client", sites.metrics, sys::thread_cpu_time() - cpu);
             wake_tx.write_all(&[0]).unwrap();

@@ -9,8 +9,9 @@
 //! * **time** — `TickClock`, the node core's `TimeSource` on every real
 //!   driver: the [`Instant`] an event was observed at, ticked down against
 //!   one shared epoch;
-//! * **the channel transport** — `Outbox`: a host's sends wait in it
-//!   unless a partition cuts them;
+//! * **the channel transport** — an outbox per host: its sends wait
+//!   there until the loop moves them onto its queue, dropping those a
+//!   partition cuts;
 //! * **the channel loop** — [`run_threaded`]: one loop on the calling
 //!   thread serves the site host and every shard host.
 //!
@@ -22,25 +23,33 @@
 //! Node ids follow the simulator harness: shards first (node 0 is *the*
 //! server in a single-shard run), then client site `i`. The channel driver
 //! starts no thread: every host runs on the calling thread, and one FIFO
-//! queue carries every message between them. A pass reads the clock once,
-//! fires every host's due timers at that instant, moves every outbox onto
-//! the queue, and delivers the queue in order, at the same instant, until
-//! it is empty — what a delivery sends joins its tail. The run ends once
-//! every site's workload is finished with the queue drained; otherwise the
-//! loop sleeps until the earliest deadline on any host's wheel. Each host
-//! waits on exactly one deadline, so the loop waits on the earliest of
+//! queue carries every message between them. The hosts are built first —
+//! engines, stores, a WAL replay — and the run's clock is fixed only then,
+//! at the instant every host starts (see Time). A pass reads the clock
+//! once, fires every host's due timers at that instant, moves every outbox
+//! onto the queue, and delivers the queue in order, at the same instant,
+//! until it is empty — what a delivery sends joins its tail. The run ends
+//! once every site's workload is finished with the queue drained; otherwise
+//! the loop sleeps until the earliest deadline on any host's wheel. Each
+//! host waits on exactly one deadline, so the loop waits on the earliest of
 //! them.
 //!
 //! # Time
 //!
 //! Real time is ticked down to the protocol's [`Time`] unit by dividing the
-//! elapsed time since a shared epoch by [`RuntimeConfig::tick`]. Every
-//! host reads the same epoch, so ε is bounded by tick rounding (±1 tick
-//! per reader) — the monitor gets a small ε to absorb it. Scheduling
-//! jitter cannot be bounded the way simulated latency can, so
-//! [`RuntimeConfig::for_protocol`] widens the monitor's Δ by a generous
-//! real-time slack; the run's *observed* staleness is still reported
-//! exactly, and the monitor verdict asserts the widened bound.
+//! elapsed time since a shared epoch by [`RuntimeConfig::tick`]. A run
+//! fixes that epoch once, at the instant its sites start, and places it so
+//! that this instant is the last one of tick 0 (`TickClock::started_at`):
+//! every site steps `Start` at tick 0, as in the simulator, and the
+//! op-issue timer that step arms with no think time is due at boundary 1,
+//! one nanosecond later — so the loop's first pass issues the first
+//! operation, however long building the hosts took. Every host reads the
+//! same epoch, so ε is bounded by tick rounding (±1 tick per reader) — the
+//! monitor gets a small ε to absorb it. Scheduling jitter cannot be bounded
+//! the way simulated latency can, so [`RuntimeConfig::for_protocol`] widens
+//! the monitor's Δ by a generous real-time slack; the run's *observed*
+//! staleness is still reported exactly, and the monitor verdict asserts the
+//! widened bound.
 
 use std::collections::VecDeque;
 use std::convert::Infallible;
@@ -302,7 +311,8 @@ impl RuntimeResult {
 /// The shared tick clock: every thread derives protocol [`Time`] from one
 /// epoch, so "local" and "true" time coincide up to rounding, and every
 /// driver timer is a deadline on that same clock
-/// ([`TickClock::deadline`]).
+/// ([`TickClock::deadline`]). A run fixes it once, at the instant its
+/// sites start ([`TickClock::started_at`]), after every host is built.
 #[derive(Clone, Copy)]
 pub(crate) struct TickClock {
     epoch: Instant,
@@ -310,8 +320,14 @@ pub(crate) struct TickClock {
 }
 
 impl TickClock {
-    pub(crate) fn new(tick: Duration) -> Self {
-        TickClock::starting_at(Instant::now(), tick)
+    /// The clock of a run whose sites start at `start`: `start` is the
+    /// last instant of tick 0, so every site steps `Start` at tick 0, as
+    /// in the simulator, and boundary 1 — where an op-issue timer armed
+    /// by that step with no think time falls due — comes one nanosecond
+    /// later: a fleet's first operation waits for no boundary.
+    pub(crate) fn started_at(start: Instant, tick: Duration) -> Self {
+        let tick_nanos = (tick.as_nanos() as u64).max(1);
+        TickClock::starting_at(start - Duration::from_nanos(tick_nanos - 1), tick)
     }
 
     /// A clock whose tick 0 begins at `epoch`.
@@ -372,7 +388,10 @@ impl TimeSource for TickClock {
     type At = Instant;
     type Deadline = Instant;
 
+    /// `tick_at` would read an instant before the epoch as tick 0; no
+    /// host may step there.
     fn read(&self, at: Instant) -> (Time, Time) {
+        debug_assert!(at >= self.epoch, "a step observed before its clock's epoch");
         let t = self.tick_at(at);
         (t, t)
     }
@@ -405,26 +424,27 @@ impl TimeSource for TickClock {
 /// A message in flight: from, to, what.
 type Sent = (NodeId, NodeId, Msg);
 
-/// The channel driver's transport: a host's sends wait here until the loop
-/// moves them onto its queue. A send across an active partition is
-/// dropped.
-struct Outbox<'a> {
-    sent: Vec<Sent>,
-    /// The run's fault plan, when it cuts anything: a fault-free send
-    /// consults no plan and reads no clock.
-    cuts: Option<&'a FaultPlan>,
-    clock: TickClock,
-}
-
-impl Transport for Outbox<'_> {
+/// The channel driver's transport: a host's sends wait in its outbox until
+/// the loop moves them onto its queue.
+impl Transport for Vec<Sent> {
     /// The channel driver arms no timer of its own.
     type Timer = Infallible;
 
     fn send(&mut self, from: NodeId, to: NodeId, msg: Msg) {
-        let cut = |plan: &FaultPlan| plan.partitions(self.clock.now(), from.index(), to.index());
-        if !self.cuts.is_some_and(cut) {
-            self.sent.push((from, to, msg));
-        }
+        self.push((from, to, msg));
+    }
+}
+
+/// Moves an outbox onto the queue, dropping each send a partition of
+/// `cuts` severs at tick `t`, the tick of the pass that made it.
+fn post(outbox: &mut Vec<Sent>, queue: &mut VecDeque<Sent>, cuts: Option<&FaultPlan>, t: Time) {
+    match cuts {
+        None => queue.extend(outbox.drain(..)),
+        Some(plan) => queue.extend(
+            outbox
+                .drain(..)
+                .filter(|(from, to, _)| !plan.partitions(t, from.index(), to.index())),
+        ),
     }
 }
 
@@ -444,7 +464,7 @@ fn drain(queue: &mut VecDeque<Sent>, mut deliver: impl FnMut(Sent, &mut VecDeque
 ///
 /// Panics when no wheel holds one. The loop asks only with a site
 /// unfinished and nothing queued, so the run could never move again.
-fn earliest_deadline(sites: &SiteHost<Outbox>, shards: &[ShardHost<Outbox>]) -> Instant {
+fn earliest_deadline(sites: &SiteHost<Vec<Sent>>, shards: &[ShardHost<Vec<Sent>>]) -> Instant {
     shards
         .iter()
         .map(|shard| shard.timers.next_deadline())
@@ -454,15 +474,24 @@ fn earliest_deadline(sites: &SiteHost<Outbox>, shards: &[ShardHost<Outbox>]) -> 
         .expect("the channel run stalled: a site is unfinished, nothing is queued and no timer is armed")
 }
 
-/// The channel loop the module's Layout describes: start every host, then
-/// serve passes until every site has finished with the queue drained.
-fn run_loop<'a>(sites: &mut SiteHost<Outbox<'a>>, shards: &mut [ShardHost<Outbox<'a>>]) {
+/// The channel loop the module's Layout describes: fix the run's clock at
+/// the instant every host starts, then serve passes until every site has
+/// finished with the queue drained.
+fn run_loop(
+    config: &RuntimeConfig,
+    sites: &mut SiteHost<Vec<Sent>>,
+    shards: &mut [ShardHost<Vec<Sent>>],
+) {
     let _slack = TimerSlack::pin();
+    let cuts = (config.faults.rules.iter())
+        .any(|rule| matches!(rule.kind, FaultKind::Partition { .. }))
+        .then_some(&config.faults);
     let start = Instant::now();
+    let clock = TickClock::started_at(start, config.tick);
     for shard in shards.iter_mut() {
-        shard.start(start);
+        shard.start(clock, start);
     }
-    sites.start(start);
+    sites.start(clock, start);
     // Scratch reused across passes; steady-state passes allocate nothing.
     let (mut site_due, mut shard_due) = (Vec::new(), Vec::new());
     let mut queue = VecDeque::new();
@@ -470,20 +499,21 @@ fn run_loop<'a>(sites: &mut SiteHost<Outbox<'a>>, shards: &mut [ShardHost<Outbox
         // Each wheel's sweep collects every due timer before any fires:
         // serving one may arm new ones, which belong to a later pass.
         let now = Instant::now();
+        let t = clock.tick_at(now);
         sites.timers.pop_due_into(now, &mut site_due);
         for &timer in &site_due {
             let _ = sites.fire(timer, now);
         }
-        queue.extend(sites.net.sent.drain(..));
+        post(&mut sites.net, &mut queue, cuts, t);
         for shard in shards.iter_mut() {
             shard.timers.pop_due_into(now, &mut shard_due);
             for &timer in &shard_due {
                 let _ = shard.fire(timer, now);
             }
-            queue.extend(shard.net.sent.drain(..));
+            post(&mut shard.net, &mut queue, cuts, t);
         }
         drain(&mut queue, |(from, to, msg), queue| {
-            let net = match shards.get_mut(to.index()) {
+            let outbox = match shards.get_mut(to.index()) {
                 Some(shard) => {
                     shard.deliver(from, msg, now);
                     &mut shard.net
@@ -493,7 +523,7 @@ fn run_loop<'a>(sites: &mut SiteHost<Outbox<'a>>, shards: &mut [ShardHost<Outbox
                     &mut sites.net
                 }
             };
-            queue.extend(net.sent.drain(..));
+            post(outbox, queue, cuts, t);
         });
         if sites.finished() {
             break;
@@ -521,24 +551,13 @@ fn run_loop<'a>(sites: &mut SiteHost<Outbox<'a>>, shards: &mut [ShardHost<Outbox
 #[must_use]
 pub fn run_threaded(config: &RuntimeConfig) -> RuntimeResult {
     refuse_unrenderable(config, "channel", |_| true);
-    let clock = TickClock::new(config.tick);
-    let controller = controller(config, &clock);
-    let plan = &config.faults;
-    let cuts = plan
-        .rules
-        .iter()
-        .any(|rule| matches!(rule.kind, FaultKind::Partition { .. }));
-    let outbox = || Outbox {
-        sent: Vec::new(),
-        cuts: cuts.then_some(plan),
-        clock,
-    };
+    let controller = controller(config);
     let mut shards: Vec<_> = (0..config.protocol.shards)
-        .map(|shard| ShardHost::new(config, shard, clock, outbox()))
+        .map(|shard| ShardHost::new(config, shard, Vec::new()))
         .collect();
     let started = Instant::now();
-    let mut sites = SiteHost::new(config, clock, outbox(), controller);
-    run_loop(&mut sites, &mut shards);
+    let mut sites = SiteHost::new(config, Vec::new(), controller);
+    run_loop(config, &mut sites, &mut shards);
     let (shard_requests, shard_metrics): (Vec<u64>, Vec<Metrics>) =
         shards.into_iter().map(ShardHost::finish).unzip();
     sites.finish_run(shard_metrics, shard_requests, started.elapsed())
@@ -629,6 +648,31 @@ pub(crate) mod tests {
         let r = run_threaded(&cfg);
         assert_done_on_time(&r, 2 * 200);
         assert!(r.counter(names::RETRY) > 0, "the cut must force retries");
+    }
+
+    /// A run's clock starts when its sites do: every site steps `Start` in
+    /// tick 0, and the op-issue timer that step arms with no think time
+    /// is due at boundary 1, one nanosecond on. So a one-op fleet on
+    /// one-second ticks issues its op on the loop's first pass, at tick 1,
+    /// and is done in under half a tick: it waits for no boundary.
+    #[test]
+    fn a_fleet_issues_its_first_operation_on_its_first_pass() {
+        let tick = Duration::from_secs(1);
+        for (driver, run, seed) in REAL_DRIVERS {
+            let workload = Workload::new(4, 0.8, 0.7, (Delta::ZERO, Delta::ZERO));
+            let protocol = ProtocolConfig::of(ProtocolKind::sc());
+            let mut cfg = RuntimeConfig::for_protocol(protocol, 1, workload, 1, seed);
+            cfg.tick = tick;
+            let r = run(&cfg);
+            assert_eq!(r.ops_done, 1, "{driver}");
+            assert!(
+                r.wall < tick / 2,
+                "{driver}: a one-op fleet took {:?}",
+                r.wall
+            );
+            let op = r.history.iter().next().expect("one op recorded");
+            assert_eq!(op.time(), Time::from_ticks(1), "{driver}");
+        }
     }
 
     #[test]
@@ -881,14 +925,6 @@ pub(crate) mod tests {
         );
     }
 
-    fn fault_free(clock: TickClock) -> Outbox<'static> {
-        Outbox {
-            sent: Vec::new(),
-            cuts: None,
-            clock,
-        }
-    }
-
     /// The loop's one queue is FIFO: 500 fetches queued from one site to
     /// a shard before any is delivered are served in that order, and their
     /// replies, queued behind the last fetch, come back with epochs
@@ -896,11 +932,10 @@ pub(crate) mod tests {
     #[test]
     fn the_loop_delivers_its_queue_in_order() {
         let cfg = small(ProtocolKind::sc(), 0);
-        let clock = TickClock::new(cfg.tick);
         let (shard, site) = (NodeId::new(0), NodeId::new(1));
-        let mut host = ShardHost::new(&cfg, 0, clock, fault_free(clock));
+        let mut host = ShardHost::new(&cfg, 0, Vec::new());
         let now = Instant::now();
-        host.start(now);
+        host.start(TickClock::started_at(now, cfg.tick), now);
         let n = 500u64;
         let object = tc_core::ObjectId::new(0);
         let mut queue: VecDeque<Sent> = (0..n)
@@ -910,7 +945,7 @@ pub(crate) mod tests {
         drain(&mut queue, |(from, to, msg), queue| {
             if to == shard {
                 host.deliver(from, msg, now);
-                queue.extend(host.net.sent.drain(..));
+                queue.extend(host.net.drain(..));
                 return;
             }
             assert_eq!((from, to), (shard, site));
@@ -935,16 +970,15 @@ pub(crate) mod tests {
     #[should_panic(expected = "the channel run stalled")]
     fn a_run_that_cannot_progress_panics() {
         let cfg = small(ProtocolKind::sc(), 0);
-        let clock = TickClock::new(cfg.tick);
         // Unstarted: no site has armed a timer.
-        let sites = SiteHost::new(&cfg, clock, fault_free(clock), None);
+        let sites = SiteHost::new(&cfg, Vec::new(), None);
         let _ = earliest_deadline(&sites, &[]);
     }
 
     #[test]
     fn deadline_lands_on_the_tick_boundary_the_clock_will_read() {
         let tick = Duration::from_micros(50);
-        let clock = TickClock::new(tick);
+        let clock = TickClock::started_at(Instant::now(), tick);
         for k in [1u64, 3, 40] {
             let before = clock.now().ticks();
             let deadline = clock.deadline(clock.now(), Delta::from_ticks(k)).unwrap();
@@ -976,7 +1010,7 @@ pub(crate) mod tests {
 
     #[test]
     fn deadline_rounds_zero_up_and_never_arms_infinity() {
-        let clock = TickClock::new(Duration::from_micros(50));
+        let clock = TickClock::started_at(Instant::now(), Duration::from_micros(50));
         let t = clock.now().ticks();
         let zero = clock.deadline(clock.now(), Delta::ZERO).unwrap();
         let t2 = clock.now().ticks();
@@ -1085,7 +1119,7 @@ pub(crate) mod tests {
 
     #[test]
     fn delta_to_duration_never_arms_an_infinite_timer() {
-        let clock = TickClock::new(Duration::from_micros(50));
+        let clock = TickClock::started_at(Instant::now(), Duration::from_micros(50));
         assert_eq!(
             clock.delta_to_duration(Delta::from_ticks(3)),
             Some(Duration::from_micros(150))

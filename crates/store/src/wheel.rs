@@ -74,6 +74,12 @@ impl<T> Ord for Entry<T> {
 /// Deadlines more than [`RING`] ticks out wait in an overflow heap; an
 /// already-due one joins the ring's current bucket.
 ///
+/// A wheel is built before its run's clock exists, and until
+/// [`TimerWheel::start`] gives it that clock it is its overflow heap
+/// alone: a timer armed before the run starts (a dial's retry) waits
+/// there, and moves into the ring by its absolute deadline once the clock
+/// is fixed.
+///
 /// Generic over the token type: a host's wheel carries composite tokens
 /// naming each timer's owner — a site's engine timer, the controller's
 /// tick, or a timer the driver arms for itself (a redial, a partition
@@ -84,7 +90,8 @@ impl<T> Ord for Entry<T> {
 /// lock — which [`TimerWheel::report`] adds to the run's metrics once, at
 /// thread exit.
 pub(crate) struct TimerWheel<T> {
-    clock: TickClock,
+    /// The run's clock, from [`TimerWheel::start`] on.
+    clock: Option<TickClock>,
     buckets: Vec<Vec<Entry<T>>>,
     /// The lowest bucket the ring may still hold: every bucket before it
     /// was drained by a pop at or after its boundary.
@@ -99,9 +106,10 @@ pub(crate) struct TimerWheel<T> {
 }
 
 impl<T> TimerWheel<T> {
-    pub(crate) fn new(clock: &TickClock) -> Self {
+    /// A wheel with no timer armed, and no clock yet.
+    pub(crate) fn new() -> Self {
         TimerWheel {
-            clock: *clock,
+            clock: None,
             buckets: (0..RING).map(|_| Vec::new()).collect(),
             cur: 0,
             first: 0,
@@ -111,6 +119,14 @@ impl<T> TimerWheel<T> {
             fired: 0,
             late_ns: 0,
         }
+    }
+
+    /// Gives the wheel its run's clock: every timer armed before it moves
+    /// into the ring by its deadline.
+    pub(crate) fn start(&mut self, clock: TickClock) {
+        debug_assert!(self.clock.is_none(), "a wheel starts once");
+        self.clock = Some(clock);
+        self.refill();
     }
 
     fn bucket(&mut self, k: u64) -> &mut Vec<Entry<T>> {
@@ -125,11 +141,13 @@ impl<T> TimerWheel<T> {
             seq: self.seq,
             token,
         };
-        let k = self.clock.boundary_at_or_after(deadline).max(self.cur);
-        if k < self.cur + RING {
-            self.insert(k, entry);
-        } else {
-            self.overflow.push(entry);
+        let cur = self.cur;
+        match self
+            .clock
+            .map(|clock| clock.boundary_at_or_after(deadline).max(cur))
+        {
+            Some(k) if k < self.cur + RING => self.insert(k, entry),
+            _ => self.overflow.push(entry),
         }
     }
 
@@ -167,7 +185,7 @@ impl<T> TimerWheel<T> {
         due.clear();
         // Buckets whose boundary has passed are wholly due; the next one
         // (the tick the clock is inside) is due up to `now`.
-        let passed = self.clock.boundaries_passed(now);
+        let passed = self.clock.map_or(0, |clock| clock.boundaries_passed(now));
         let whole_end = passed.min(self.cur + RING);
         let mut k = self.first.max(self.cur);
         while self.ring_len > 0 && k < whole_end {
@@ -185,19 +203,28 @@ impl<T> TimerWheel<T> {
             self.fire(entry, now, due);
         }
         self.cur = self.cur.max(passed);
-        while let Some(e) = self.overflow.peek() {
-            let k = self.clock.boundary_at_or_after(e.deadline).max(self.cur);
-            if k >= self.cur + RING {
-                break;
-            }
-            let entry = self.overflow.pop().expect("peeked");
-            self.insert(k, entry);
-        }
+        self.refill();
         if self.ring_len > 0 {
             self.first = self.first.max(self.cur);
             while self.buckets[(self.first % RING) as usize].is_empty() {
                 self.first += 1;
             }
+        }
+    }
+
+    /// Moves every overflow deadline the ring now spans into it; a wheel
+    /// with no clock keeps them all in the heap.
+    fn refill(&mut self) {
+        let Some(clock) = self.clock else {
+            return;
+        };
+        while let Some(e) = self.overflow.peek() {
+            let k = clock.boundary_at_or_after(e.deadline).max(self.cur);
+            if k >= self.cur + RING {
+                break;
+            }
+            let entry = self.overflow.pop().expect("peeked");
+            self.insert(k, entry);
         }
     }
 
@@ -281,7 +308,8 @@ mod tests {
     #[test]
     fn timer_wheel_pops_out_of_order_armings_by_deadline() {
         let base = Instant::now();
-        let mut wheel = TimerWheel::new(&TickClock::new(Duration::from_micros(50)));
+        let mut wheel = TimerWheel::new();
+        wheel.start(TickClock::started_at(base, Duration::from_micros(50)));
         // Armed out of deadline order on purpose: the wheel must sort.
         wheel.arm(base + Duration::from_millis(30), 3);
         wheel.arm(base + Duration::from_millis(10), 1);
@@ -328,11 +356,15 @@ mod tests {
         /// next deadlines and lateness counts for any arming and popping
         /// schedule: tick-aligned and arbitrary deadlines, duplicates,
         /// already-due ones and ones past the ring, popped at monotone
-        /// instants that land on and between tick boundaries.
+        /// instants that land on and between tick boundaries — and the
+        /// ring gets its clock only at step `start_at` (after the last step
+        /// when past it), so whatever was armed before, on and off the
+        /// grid, moves from the heap into the ring by its deadline.
         #[test]
         fn the_tick_wheel_matches_the_heap_wheel(
             steps in collection::vec((0u8..8, 0u64..400_000_000), 1..200),
             epoch_offset_ns in 0u64..100_000,
+            start_at in 0usize..60,
         ) {
             // 100 µs ticks, so the ring spans ~102 ms and the schedule
             // crosses it; the epoch precedes the first instant, as in a run.
@@ -340,11 +372,15 @@ mod tests {
             let base = Instant::now() + Duration::from_secs(1);
             let epoch = base - Duration::from_nanos(epoch_offset_ns);
             let clock = TickClock::starting_at(epoch, Duration::from_nanos(tick_ns));
-            let mut ring = TimerWheel::new(&clock);
+            let mut ring = TimerWheel::new();
             let mut heap = HeapWheel::new();
             let (mut now, mut token) = (base, 0u64);
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            for (kind, raw) in steps {
+            for (i, (kind, raw)) in steps.into_iter().enumerate() {
+                if i == start_at {
+                    ring.start(clock);
+                    prop_assert_eq!(ring.next_deadline(), heap.next_deadline());
+                }
                 let on_grid = |at: Instant| {
                     let ticks = at.duration_since(epoch).as_nanos() as u64 / tick_ns;
                     epoch + Duration::from_nanos(ticks * tick_ns)
@@ -379,6 +415,9 @@ mod tests {
                     heap.arm(deadline, token);
                 }
                 prop_assert_eq!(ring.next_deadline(), heap.next_deadline());
+            }
+            if ring.clock.is_none() {
+                ring.start(clock);
             }
             now += Duration::from_secs(1);
             ring.pop_due_into(now, &mut got);
